@@ -1,7 +1,7 @@
 //! # pio-bench — the experiment harness
 //!
-//! One bench target per table/figure of the paper's evaluation (see `DESIGN.md` for
-//! the experiment index). Every target is a `harness = false` binary that runs the
+//! One bench target per table/figure of the paper's evaluation (one file each
+//! under `benches/`). Every target is a `harness = false` binary that runs the
 //! scaled-down experiment against the SSD simulator, prints the paper-style series as
 //! a table, and writes the same data as JSON under `target/figures/`.
 //!
@@ -9,8 +9,7 @@
 //! is what makes the runs deterministic and lets the device profiles stand in for the
 //! paper's hardware. The absolute numbers are therefore not comparable to the paper's
 //! wall-clock seconds; the *shape* (who wins, by what factor, where crossovers fall)
-//! is what each bench reproduces. `EXPERIMENTS.md` records a paper-vs-measured
-//! comparison for every figure.
+//! is what each bench reproduces.
 //!
 //! Scale: the paper uses 1-billion-entry trees and 5–10 million operations. The
 //! default scale here is tuned so the whole suite finishes in a few minutes; set the

@@ -5,7 +5,7 @@
 //! pays page-at-a-time inner-node reads through the store. The inner levels of
 //! a B+-tree are tiny compared to the leaf level (a fraction `1/fanout` of the
 //! index), so this module pins them in memory outright, the way FB+-tree and
-//! BS-tree keep their inner levels in memory-optimized, latch-free-read form:
+//! BS-tree keep their inner levels in a memory-optimized form:
 //!
 //! * **Immutable snapshots.** A [`InnerSnapshot`] is a frozen copy of *all*
 //!   internal nodes (root page, height, decoded nodes). It is never mutated —
@@ -14,14 +14,12 @@
 //!   bupdate (updates buffer in the OPQ between flushes), so a snapshot
 //!   rebuilt at each flush-commit point is *exactly* current until the next
 //!   flush.
-//! * **Optimistic version-validated reads.** [`InnerTier`] publishes snapshots
-//!   through a seqlock-style epoch counter: the version is bumped to an odd
-//!   value while a swap is in progress and to the next even value after it.
-//!   Readers load the version, grab the current `Arc` (a `try_lock` on the
-//!   one-pointer slot — they spin-retry instead of parking if they catch a
-//!   publisher mid-swap), re-load the version and retry if it moved. Retries
-//!   are counted in [`InnerTierStats::retries`]. Probing the snapshot itself
-//!   is pure in-memory walking outside any lock.
+//! * **Owned, not shared.** An [`InnerTier`] simply owns its current snapshot.
+//!   Replacing it ([`InnerTier::publish`], [`InnerTier::invalidate`],
+//!   [`InnerTier::rebuild_from`]) takes `&mut self`, and the tree that owns the
+//!   tier is itself only ever mutated through `&mut self` — so a probe can
+//!   never observe a swap in progress, and there is no protocol to get wrong.
+//!   Probing is a pure in-memory walk.
 //! * **Fallback, not a correctness dependency.** Every caller passes the
 //!   root/height it believes current; a cold, over-budget or stale tier
 //!   returns `None` and the caller falls back to the ticketed
@@ -35,7 +33,6 @@ use btree::{InternalNode, Key, Node};
 use pio::IoResult;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use storage::{CachedStore, PageId};
 
 /// Monotonic counters of an [`InnerTier`].
@@ -49,8 +46,6 @@ pub struct InnerTierStats {
     pub misses: u64,
     /// Snapshots successfully rebuilt and published.
     pub rebuilds: u64,
-    /// Optimistic-read retries (reader caught a publish in flight).
-    pub retries: u64,
 }
 
 impl InnerTierStats {
@@ -127,15 +122,11 @@ impl InnerSnapshot {
 pub struct InnerTier {
     /// Page budget; 0 disables the tier entirely.
     budget_pages: u64,
-    /// Seqlock epoch: odd while a publish is in progress, even when stable.
-    version: AtomicU64,
-    /// The published snapshot. The mutex guards only the `Arc` store/clone —
-    /// readers use `try_lock` and count a retry instead of parking.
-    slot: Mutex<Option<Arc<InnerSnapshot>>>,
+    /// The current snapshot; `None` while the tier is cold.
+    snapshot: Option<InnerSnapshot>,
     hits: AtomicU64,
     misses: AtomicU64,
     rebuilds: AtomicU64,
-    retries: AtomicU64,
 }
 
 impl InnerTier {
@@ -143,12 +134,10 @@ impl InnerTier {
     pub fn new(budget_pages: u64) -> Self {
         Self {
             budget_pages,
-            version: AtomicU64::new(0),
-            slot: Mutex::new(None),
+            snapshot: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
         }
     }
 
@@ -168,47 +157,18 @@ impl InnerTier {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
         }
     }
 
-    /// Optimistically loads the current snapshot: version-validated, retrying
-    /// (counted) on a torn swap, never parking. `None` when the tier is cold.
-    pub fn load(&self) -> Option<Arc<InnerSnapshot>> {
-        if !self.enabled() {
-            return None;
-        }
-        loop {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                // Publish in progress: retry rather than wait.
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = match self.slot.try_lock() {
-                Ok(guard) => guard.clone(),
-                Err(_) => {
-                    // Publisher (or a sibling reader) holds the slot: retry.
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    std::hint::spin_loop();
-                    continue;
-                }
-            };
-            let v2 = self.version.load(Ordering::Acquire);
-            if v1 != v2 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            return snap;
-        }
+    /// The current snapshot; `None` when the tier is cold.
+    pub fn snapshot(&self) -> Option<&InnerSnapshot> {
+        self.snapshot.as_ref()
     }
 
-    /// Loads the snapshot **iff** it matches the caller's current root and
-    /// height; a mismatch (stale tier) counts as a miss.
-    fn load_for(&self, root: PageId, height: usize) -> Option<Arc<InnerSnapshot>> {
-        let snap = self.load();
-        match snap {
+    /// The snapshot **iff** it matches the caller's current root and height; a
+    /// mismatch (stale tier) counts as a miss.
+    fn load_for(&self, root: PageId, height: usize) -> Option<&InnerSnapshot> {
+        match self.snapshot() {
             Some(s) if s.root == root && s.height == height => Some(s),
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -264,18 +224,13 @@ impl InnerTier {
         }
     }
 
-    /// Publishes a snapshot (or `None` to go cold) through the seqlock
-    /// protocol. Publishers are serialised by the slot mutex; the odd/even
-    /// version bumps happen inside it so readers can detect a racing swap.
-    pub fn publish(&self, snapshot: Option<Arc<InnerSnapshot>>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        self.version.fetch_add(1, Ordering::AcqRel); // → odd: swap in progress
-        *slot = snapshot;
-        self.version.fetch_add(1, Ordering::AcqRel); // → even: stable
+    /// Replaces the snapshot (`None` to go cold).
+    pub fn publish(&mut self, snapshot: Option<InnerSnapshot>) {
+        self.snapshot = snapshot;
     }
 
     /// Drops the snapshot: every probe until the next rebuild falls back.
-    pub fn invalidate(&self) {
+    pub fn invalidate(&mut self) {
         self.publish(None);
     }
 
@@ -285,7 +240,7 @@ impl InnerTier {
     /// page budget (the tier then goes cold — over budget is not an error).
     /// On an I/O error the tier is invalidated before the error is returned,
     /// so a half-built snapshot can never serve probes.
-    pub fn rebuild_from(&self, store: &CachedStore, root: PageId, height: usize) -> IoResult<bool> {
+    pub fn rebuild_from(&mut self, store: &CachedStore, root: PageId, height: usize) -> IoResult<bool> {
         if !self.enabled() {
             return Ok(false);
         }
@@ -312,7 +267,7 @@ impl InnerTier {
             }
             frontier = next;
         }
-        self.publish(Some(Arc::new(InnerSnapshot { root, height, nodes })));
+        self.publish(Some(InnerSnapshot { root, height, nodes }));
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -324,6 +279,7 @@ mod tests {
     use btree::LeafNode;
     use pio::SimPsyncIo;
     use ssd_sim::DeviceProfile;
+    use std::sync::Arc;
     use storage::{PageStore, WritePolicy};
 
     /// Two internal levels over four placeholder leaves (same shape as the
@@ -357,7 +313,7 @@ mod tests {
     #[test]
     fn disabled_tier_never_hits_and_never_counts() {
         let (store, root, _) = fixture();
-        let tier = InnerTier::new(0);
+        let mut tier = InnerTier::new(0);
         assert!(!tier.rebuild_from(&store, root, 3).unwrap());
         assert!(tier.probe_leaves(root, 3, &[10]).is_none());
         assert_eq!(tier.stats(), InnerTierStats::default());
@@ -366,7 +322,7 @@ mod tests {
     #[test]
     fn probe_matches_the_store_descent() {
         let (store, root, leaves) = fixture();
-        let tier = InnerTier::new(16);
+        let mut tier = InnerTier::new(16);
         assert!(tier.rebuild_from(&store, root, 3).unwrap());
         let keys = vec![10u64, 60, 120, 200];
         let probed = tier.probe_leaves(root, 3, &keys).unwrap();
@@ -388,7 +344,7 @@ mod tests {
     #[test]
     fn stale_root_or_height_is_a_miss() {
         let (store, root, _) = fixture();
-        let tier = InnerTier::new(16);
+        let mut tier = InnerTier::new(16);
         tier.rebuild_from(&store, root, 3).unwrap();
         assert!(tier.probe_leaves(root + 999, 3, &[10]).is_none(), "wrong root");
         assert!(tier.probe_leaves(root, 4, &[10]).is_none(), "wrong height");
@@ -402,7 +358,7 @@ mod tests {
     #[test]
     fn over_budget_tier_stays_cold() {
         let (store, root, _) = fixture();
-        let tier = InnerTier::new(2); // 3 internal nodes > 2-page budget
+        let mut tier = InnerTier::new(2); // 3 internal nodes > 2-page budget
         assert!(!tier.rebuild_from(&store, root, 3).unwrap());
         assert!(tier.probe_leaves(root, 3, &[10]).is_none());
         assert_eq!(tier.stats().rebuilds, 0);
@@ -411,82 +367,9 @@ mod tests {
     #[test]
     fn degenerate_single_node_tree_probes_to_the_root() {
         let (store, root, _) = fixture();
-        let tier = InnerTier::new(4);
+        let mut tier = InnerTier::new(4);
         tier.rebuild_from(&store, root, 1).unwrap();
         let locs = tier.probe_leaves(root, 1, &[1, 2]).unwrap();
         assert!(locs.iter().all(|l| l.leaf == root && l.path.is_empty()));
-    }
-
-    /// The seqlock hammer: publishers republish in a tight loop while reader
-    /// threads probe. Every probe must be exact against one of the two
-    /// alternating snapshots, and the retry counter must actually fire.
-    #[test]
-    fn concurrent_publish_hammer_exercises_retries_with_exact_results() {
-        let (store, root, leaves) = fixture();
-        let tier = Arc::new(InnerTier::new(16));
-        tier.rebuild_from(&store, root, 3).unwrap();
-        // An alternative root with the separator moved: key 60 routes to
-        // leaves[2] instead of leaves[1].
-        let alt_root = store.allocate();
-        store
-            .write_page(
-                alt_root,
-                &Node::Internal(InternalNode {
-                    keys: vec![55],
-                    children: vec![leaves[1], leaves[2]],
-                })
-                .encode(2048),
-            )
-            .unwrap();
-        let alt = Arc::new(InnerSnapshot {
-            root: alt_root,
-            height: 2,
-            nodes: HashMap::from([(
-                alt_root,
-                Node::decode(&store.read_page(alt_root).unwrap()).expect_internal(),
-            )]),
-        });
-        let main = tier.load().unwrap();
-
-        let stop = Arc::new(AtomicU64::new(0));
-        let mut readers = Vec::new();
-        for _ in 0..4 {
-            let tier = Arc::clone(&tier);
-            let stop = Arc::clone(&stop);
-            let (root, alt_root) = (root, alt_root);
-            let leaves = leaves.clone();
-            readers.push(std::thread::spawn(move || {
-                let mut probes = 0u64;
-                while stop.load(Ordering::Acquire) == 0 {
-                    // Probe whichever snapshot is current; each answer must be
-                    // exact for that snapshot's root.
-                    if let Some(leaf) = tier.probe_leaf(root, 3, 60) {
-                        assert_eq!(leaf, leaves[1], "main snapshot routes 60 → leaves[1]");
-                        probes += 1;
-                    }
-                    if let Some(leaf) = tier.probe_leaf(alt_root, 2, 60) {
-                        assert_eq!(leaf, leaves[2], "alt snapshot routes 60 → leaves[2]");
-                        probes += 1;
-                    }
-                }
-                assert!(probes > 0, "reader never observed a snapshot");
-            }));
-        }
-        // Publisher: flip between the two snapshots as fast as possible until
-        // the readers have demonstrably collided with a swap.
-        let mut flips = 0u64;
-        while tier.stats().retries == 0 && flips < 5_000_000 {
-            tier.publish(Some(Arc::clone(&alt)));
-            tier.publish(Some(Arc::clone(&main)));
-            flips += 2;
-        }
-        stop.store(1, Ordering::Release);
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert!(
-            tier.stats().retries > 0,
-            "hammer never exercised the optimistic-retry path ({flips} flips)"
-        );
     }
 }

@@ -45,11 +45,11 @@
 //! snapshot of all internal levels in memory ([`inner_tier::InnerTier`]) and
 //! every descent — point search, multi-search, prange, bupdate — probes it
 //! first, falling back to the ticketed `locate_leaves` wavefront only when the
-//! tier is cold or stale (startup, recovery, migration import). Snapshots are
-//! republished at the only points where the structure can change (flush
-//! commit, recovery, bulk load) through a seqlock-style version counter, so
-//! concurrent readers validate optimistically and retry instead of taking
-//! latches. [`PioConfig::leaf_cache_pages`] independently installs a
+//! tier is cold or stale (startup, recovery, migration import). The tier is a
+//! plain snapshot the tree owns: it is rebuilt at the only points where the
+//! structure can change (flush commit, recovery, bulk load), and because every
+//! tree entry point takes `&mut self` no descent can overlap a rebuild.
+//! [`PioConfig::leaf_cache_pages`] independently installs a
 //! scan-resistant leaf-region cache ([`storage::LeafCache`]) on the store, so
 //! a warm tree can serve hot point lookups without any descent I/O while
 //! `range_search` streams bypass the cache's admission. Both default to 0

@@ -69,7 +69,10 @@ pub struct PioStats {
     pub inner_tier_misses: u64,
     /// Inner-tier snapshots rebuilt and published.
     pub inner_tier_rebuilds: u64,
-    /// Optimistic-read retries against the inner tier's snapshot epoch.
+    /// Always 0: the inner tier's optimistic-read protocol is gone and nothing
+    /// increments this. The field stays only because the frozen benchmark
+    /// (`perf/src/layers.rs`, `core.inner_tier_retries`) still reads it; the
+    /// next benchmark change can drop that metric and this field together.
     pub inner_tier_retries: u64,
 }
 
@@ -355,7 +358,7 @@ impl PioBTree {
         let root = level[0].1;
         store.set_leaf_cache(config.leaf_cache_pages);
         let tier = InnerTier::new(config.inner_tier_pages);
-        let tree = Self {
+        let mut tree = Self {
             store,
             opq: OperationQueue::new(config.opq_pages, config.page_size, config.speriod),
             lsmap,
@@ -498,14 +501,7 @@ impl PioBTree {
         stats.inner_tier_hits = tier.hits;
         stats.inner_tier_misses = tier.misses;
         stats.inner_tier_rebuilds = tier.rebuilds;
-        stats.inner_tier_retries = tier.retries;
         stats
-    }
-
-    /// The in-memory inner-node tier (cold and disabled unless
-    /// [`PioConfig::inner_tier_pages`] is set).
-    pub fn inner_tier(&self) -> &InnerTier {
-        &self.tier
     }
 
     /// Rebuilds the inner tier's snapshot from the store if the tier is
@@ -517,10 +513,12 @@ impl PioBTree {
         if !self.tier.enabled() {
             return Ok(false);
         }
-        if let Some(snap) = self.tier.load() {
-            if snap.root == self.root && snap.height == self.height {
-                return Ok(false);
-            }
+        if self
+            .tier
+            .snapshot()
+            .is_some_and(|snap| snap.root == self.root && snap.height == self.height)
+        {
+            return Ok(false);
         }
         self.tier.rebuild_from(&self.store, self.root, self.height)
     }

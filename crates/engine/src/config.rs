@@ -46,14 +46,6 @@ pub struct EngineConfig {
     /// [`EngineConfig::maintenance_interval_ms`] to be set (there is no other
     /// thread to drive the cadence).
     pub checkpoint_interval_ms: Option<u64>,
-    /// Log-retention floor for checkpoint-anchored truncation, in logical
-    /// bytes: a log (each shard WAL, and the engine epoch log) is only
-    /// truncated while its replayable tail exceeds this many bytes, so recent
-    /// history stays available for post-mortem inspection. `0` (the default)
-    /// truncates at every checkpoint. Must stay below `wal_capacity_bytes`
-    /// when the WAL is enabled — retaining more than the device holds would
-    /// disable truncation entirely.
-    pub log_retention_bytes: u64,
     /// Latency budget of the service front end's admission controller, in
     /// microseconds: a request never waits in an open per-shard batch builder
     /// longer than this before the builder is flushed to the engine. Smaller
@@ -86,12 +78,6 @@ pub struct EngineConfig {
     /// the wrapper entirely — every transient error surfaces immediately, the
     /// raw-error mode fault-injection tests use to observe the device.
     pub retry_limit: u32,
-    /// Deadline of one logical I/O attempt in microseconds: once the backoff
-    /// accrued across retries would exceed this budget, the resilient wrapper
-    /// gives up even if `retry_limit` is not yet exhausted. Bounds the tail
-    /// latency a stuck device can inflict on one request. Must be non-zero
-    /// while `retry_limit` is non-zero.
-    pub io_deadline_us: u64,
     /// Interval of the background checksum scrub in milliseconds: every this
     /// often the maintenance worker re-reads and verifies a bounded slice of
     /// each shard's checksummed pages, healing rot from clean pooled copies
@@ -112,6 +98,12 @@ pub struct EngineConfig {
     pub admission_queue_limit: Option<usize>,
 }
 
+/// Deadline of one logical I/O attempt in microseconds: once the backoff
+/// accrued across retries would exceed this budget, the resilient wrapper gives
+/// up even if [`EngineConfig::retry_limit`] is not yet exhausted. Bounds the
+/// tail latency a stuck device can inflict on one request.
+const IO_DEADLINE_US: u64 = 50_000;
+
 /// Policy knobs of the elastic shard rebalancer (the [`crate::rebalance`]
 /// module). Validated as part of [`EngineConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -130,16 +122,6 @@ pub struct RebalanceConfig {
     /// at or below it, the fair share itself would be "hot" and the balancer
     /// would oscillate.
     pub hot_factor: f64,
-    /// An adjacent pair is *cold* (merge candidate) when its **combined**
-    /// routed-op share falls below this fraction of the fair share. Must be
-    /// within (0, 1); keep it well under `hot_factor`'s reciprocal so a
-    /// freshly merged shard is not immediately hot again.
-    pub cold_factor: f64,
-    /// OPQ peak fill (percent of capacity) above which a shard carrying at
-    /// least its fair share counts as hot even if `hot_factor` is not reached
-    /// — queue pressure flags an overload that routed counts alone understate.
-    /// Must be at most 100.
-    pub hot_queue_pct: u64,
 }
 
 impl Default for RebalanceConfig {
@@ -148,8 +130,6 @@ impl Default for RebalanceConfig {
             auto: false,
             min_window_ops: 1024,
             hot_factor: 2.0,
-            cold_factor: 0.5,
-            hot_queue_pct: 85,
         }
     }
 }
@@ -167,20 +147,6 @@ impl RebalanceConfig {
                 self.hot_factor
             ));
         }
-        if !(self.cold_factor > 0.0 && self.cold_factor < 1.0) {
-            return Err(format!(
-                "rebalance.cold_factor ({}) must be within (0, 1) — a pair at the fair share is \
-                 not cold",
-                self.cold_factor
-            ));
-        }
-        if self.hot_queue_pct > 100 {
-            return Err(format!(
-                "rebalance.hot_queue_pct ({}) is a percentage of OPQ capacity; values above 100 \
-                 can never trigger",
-                self.hot_queue_pct
-            ));
-        }
         Ok(())
     }
 }
@@ -196,14 +162,12 @@ impl Default for EngineConfig {
             flush_threshold: 0.5,
             maintenance_interval_ms: None,
             checkpoint_interval_ms: None,
-            log_retention_bytes: 0,
             max_batch_delay_us: 200,
             max_batch_size: 64,
             rebalance: RebalanceConfig::default(),
             inner_tier_bytes: None,
             leaf_cache_bytes: None,
             retry_limit: 3,
-            io_deadline_us: 50_000,
             scrub_interval_ms: None,
             request_deadline_ms: None,
             admission_queue_limit: None,
@@ -245,7 +209,7 @@ impl EngineConfig {
     pub fn retry_policy(&self) -> Option<pio::RetryPolicy> {
         (self.retry_limit > 0).then(|| pio::RetryPolicy {
             retry_limit: self.retry_limit,
-            deadline_us: self.io_deadline_us,
+            deadline_us: IO_DEADLINE_US,
             ..pio::RetryPolicy::default()
         })
     }
@@ -268,13 +232,6 @@ impl EngineConfig {
             return Err(
                 "checkpoint_interval_ms requires maintenance_interval_ms — the maintenance worker \
                  is the thread that drives the checkpoint cadence"
-                    .into(),
-            );
-        }
-        if self.retry_limit > 0 && self.io_deadline_us == 0 {
-            return Err(
-                "io_deadline_us must be non-zero while retry_limit is non-zero — a zero deadline \
-                 would abandon every retried attempt before its first backoff"
                     .into(),
             );
         }
@@ -346,13 +303,6 @@ impl EngineConfig {
                     self.wal_capacity_bytes
                 ));
             }
-            if self.log_retention_bytes >= self.wal_capacity_bytes {
-                return Err(format!(
-                    "log_retention_bytes ({}) must stay below wal_capacity_bytes ({}) — retaining \
-                     more than the device holds would never allow truncation",
-                    self.log_retention_bytes, self.wal_capacity_bytes
-                ));
-            }
         }
         self.base.validate()
     }
@@ -417,12 +367,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the log-retention floor for checkpoint-anchored truncation.
-    pub fn log_retention_bytes(mut self, bytes: u64) -> Self {
-        self.config.log_retention_bytes = bytes;
-        self
-    }
-
     /// Sets the service front end's admission latency budget in microseconds.
     pub fn max_batch_delay_us(mut self, us: u64) -> Self {
         self.config.max_batch_delay_us = us;
@@ -453,13 +397,6 @@ impl EngineConfigBuilder {
     /// the wrapper).
     pub fn retry_limit(mut self, retries: u32) -> Self {
         self.config.retry_limit = retries;
-        self
-    }
-
-    /// Sets the per-attempt I/O deadline in microseconds (caps backoff accrued
-    /// across retries).
-    pub fn io_deadline_us(mut self, us: u64) -> Self {
-        self.config.io_deadline_us = us;
         self
     }
 
@@ -674,26 +611,12 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("hot_factor"), "{err}");
         let err = with(RebalanceConfig {
-            cold_factor: 1.0,
-            ..RebalanceConfig::default()
-        })
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("cold_factor"), "{err}");
-        let err = with(RebalanceConfig {
             min_window_ops: 0,
             ..RebalanceConfig::default()
         })
         .validate()
         .unwrap_err();
         assert!(err.contains("min_window_ops"), "{err}");
-        let err = with(RebalanceConfig {
-            hot_queue_pct: 101,
-            ..RebalanceConfig::default()
-        })
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("hot_queue_pct"), "{err}");
         assert!(with(RebalanceConfig::default()).validate().is_ok());
     }
 
@@ -722,47 +645,13 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(config.validate().is_ok());
-        // Retention must leave the truncation machinery something to do.
-        let config = EngineConfig {
-            wal_capacity_bytes: 4096 * 64,
-            log_retention_bytes: 4096 * 64,
-            base: PioConfig {
-                wal_enabled: true,
-                ..PioConfig::default()
-            },
-            ..EngineConfig::default()
-        };
-        assert!(config.validate().unwrap_err().contains("log_retention_bytes"));
-        let config = EngineConfig {
-            wal_capacity_bytes: 4096 * 64,
-            log_retention_bytes: 4096 * 16,
-            base: PioConfig {
-                wal_enabled: true,
-                ..PioConfig::default()
-            },
-            ..EngineConfig::default()
-        };
-        assert!(config.validate().is_ok());
-        // Without a WAL the retention floor is inert: any value passes.
-        let config = EngineConfig {
-            log_retention_bytes: u64::MAX,
-            ..EngineConfig::default()
-        };
-        assert!(config.validate().is_ok());
     }
 
     #[test]
     fn resilience_knobs_are_validated() {
-        let config = EngineConfig {
-            retry_limit: 2,
-            io_deadline_us: 0,
-            ..EngineConfig::default()
-        };
-        assert!(config.validate().unwrap_err().contains("io_deadline_us"));
-        // Turning retries off makes the deadline inert.
+        // Turning retries off removes the wrapper altogether.
         let config = EngineConfig {
             retry_limit: 0,
-            io_deadline_us: 0,
             ..EngineConfig::default()
         };
         assert!(config.validate().is_ok());
@@ -794,7 +683,6 @@ mod tests {
         assert!(config.validate().unwrap_err().contains("admission_queue_limit"));
         let config = EngineConfig::builder()
             .retry_limit(5)
-            .io_deadline_us(10_000)
             .maintenance_interval_ms(5)
             .scrub_interval_ms(50)
             .request_deadline_ms(250)
@@ -802,7 +690,7 @@ mod tests {
             .build();
         let policy = config.retry_policy().expect("retries enabled");
         assert_eq!(policy.retry_limit, 5);
-        assert_eq!(policy.deadline_us, 10_000);
+        assert_eq!(policy.deadline_us, IO_DEADLINE_US);
         assert!(!policy.wall_clock_backoff, "engine backoff is accounted, not slept");
     }
 

@@ -12,10 +12,10 @@
 //!   the layout the paper's Figure 4(b) shows behaves like independent psync
 //!   streams;
 //! * a **router** splits `multi_search` / `insert_batch` / `range_search` requests
-//!   by shard and hands them to a persistent per-shard worker pool driven by one
-//!   event-driven scheduler thread (zero threads spawned per call); completions
-//!   are reaped as they land, collected by shard index, and stitched back into
-//!   caller order;
+//!   by shard and hands each piece straight to the worker thread that owns that
+//!   shard's execution (zero threads spawned per call); the caller reaps its own
+//!   replies, collects them by shard index, and stitches them back into caller
+//!   order (see *Threading model* below);
 //! * a **background maintenance worker** drains shard OPQs at a configurable fill
 //!   threshold, moving bupdate flushes off the foreground critical path;
 //! * [`EngineStats`] aggregates per-shard [`pio_btree::PioStats`], buffer-pool hit
@@ -23,9 +23,9 @@
 //!   the *schedule makespan* (`scheduled_io_us`) so the cross-shard overlap win is
 //!   directly measurable;
 //! * engine-wide **memory budgets** — [`EngineConfig`]'s `inner_tier_bytes`
-//!   pins each shard's inner levels in memory ([`pio_btree::inner_tier`]:
-//!   immutable snapshots, seqlock-style optimistic reads, republished at flush
-//!   commits and re-pinned by the maintenance tick after crashes/migrations),
+//!   pins each shard's inner levels in memory ([`pio_btree::inner_tier`]: a
+//!   plain snapshot each tree owns, rebuilt at flush commits and re-pinned by
+//!   the maintenance tick after crashes/migrations),
 //!   and `leaf_cache_bytes` gives leaf regions a scan-resistant segmented-LRU
 //!   cache; both divide across shards, are validated (non-zero, page-multiple)
 //!   and roll up in [`EngineStats`] (`inner_tier_hit_rate`,
@@ -35,6 +35,31 @@
 //!   loads balanced shards;
 //! * [`TreeTarget`] and the [`workload::IndexTarget`] implementation let the
 //!   synthetic and TPC-C generators drive the engine (or a single tree) directly.
+//!
+//! ## Threading model
+//!
+//! An engine with `N` shards runs `N` threads — one worker per shard — plus the
+//! maintenance worker when [`EngineConfig::maintenance_interval_ms`] is set.
+//! Nothing inside a tree is lock-free: every [`pio_btree::PioBTree`] entry point
+//! takes `&mut self` and every shard tree sits behind its own mutex.
+//!
+//! * **Single-key calls** (`search`, `insert`, `update`, `delete`) lock the
+//!   owning shard's tree and run inline on the caller's thread.
+//! * **Batched calls** make one hand-off each way: the caller sends every
+//!   participating shard's task to that shard's worker and blocks on a reply
+//!   channel of its own until it has reaped one reply per task. A worker runs
+//!   its queue first-in first-out, and a task that panics unwinds on its
+//!   caller's thread while the worker lives on.
+//! * **Ordering between concurrent batches.** All of one call's sends happen
+//!   under a short dispatch lock, so concurrent batched calls are queued in one
+//!   global order: if batch A is ahead of batch B on one shard it is ahead of B
+//!   on every shard they share, and two overlapping `insert_batch`es end with
+//!   the same winner everywhere. That is the *only* ordering the engine gives
+//!   concurrent batches: they are crash-atomic (below), not isolated — a reader
+//!   may see one batch applied on one shard and not yet on another.
+//! * **Shutdown.** Dropping the engine stops the maintenance worker first, then
+//!   closes the shard queues (tasks already queued still run) and joins the
+//!   workers, and only then frees the shards.
 //!
 //! ## Storage topology
 //!
@@ -125,7 +150,6 @@
 //!    pre-flush cursor. Undecided epochs pin both: the coordinator floors the
 //!    engine-log cut at the oldest in-flight `Begin`, and each tree floors
 //!    its own cut at its oldest open epoch bracket.
-//!    [`EngineConfig::log_retention_bytes`] keeps a configurable tail around.
 //! 3. **Bounded recovery** — [`ShardedPioEngine::recover`] seeks each log to
 //!    its truncation marker instead of byte 0, so the records it scans
 //!    ([`EngineStats::recovery_replayed_records`]) track the work done since
@@ -157,9 +181,9 @@
 //!
 //! Every shard queue — store, WAL, and the engine epoch log — is wrapped in
 //! [`pio::ResilientIo`]: transient failures are retried with deterministic
-//! exponential backoff, bounded by [`EngineConfig::retry_limit`] and the
-//! per-ticket budget [`EngineConfig::io_deadline_us`] (backoff is *accounted*
-//! into simulated latency, never slept). Page checksums are verified on every
+//! exponential backoff, bounded by [`EngineConfig::retry_limit`] and a fixed
+//! 50 ms per-ticket budget (backoff is *accounted* into simulated latency,
+//! never slept). Page checksums are verified on every
 //! device fetch, and the maintenance worker re-verifies a bounded slice of
 //! each shard's pages per [`EngineConfig::scrub_interval_ms`] tick, healing
 //! persistent rot from pooled copies that still verify. Three consecutive

@@ -133,17 +133,26 @@ pub struct ShardLoad {
     pub range_empty: bool,
 }
 
+/// An adjacent pair is *cold* (merge candidate) when its **combined** routed-op
+/// share falls below this fraction of the fair share.
+pub const COLD_FACTOR: f64 = 0.5;
+
+/// OPQ peak fill (percent of capacity) above which a shard carrying at least its
+/// fair share counts as hot even if `hot_factor` is not reached — queue pressure
+/// flags an overload that routed counts alone understate.
+pub const HOT_QUEUE_PCT: u64 = 85;
+
 /// The pure rebalance policy: decides at most one move from a window of
 /// per-shard loads. Deterministic and side-effect free, so tests can probe it
 /// directly.
 ///
 /// * **Split** when the hottest shard's routed share exceeds
 ///   [`RebalanceConfig::hot_factor`] × the fair share — or when its OPQ peaked
-///   above [`RebalanceConfig::hot_queue_pct`] while carrying at least a fair
+///   above [`HOT_QUEUE_PCT`] while carrying at least a fair
 ///   share — cutting at the median key into whichever valid neighbour saw
 ///   less traffic.
 /// * **Merge** when the coldest adjacent pair's combined share falls below
-///   [`RebalanceConfig::cold_factor`] × the fair share, emptying the colder
+///   [`COLD_FACTOR`] × the fair share, emptying the colder
 ///   member into the other (never emptying the last shard — its left
 ///   neighbour merges into it instead).
 /// * **Hold** otherwise, and always when the window carried fewer than
@@ -165,7 +174,7 @@ pub fn plan(loads: &[ShardLoad], config: &RebalanceConfig) -> Option<RebalancePl
         .max_by_key(|(_, l)| l.routed_ops)
         .expect("n >= 2");
     let overloaded = hottest.routed_ops as f64 > config.hot_factor * fair
-        || (hottest.queue_peak_pct >= config.hot_queue_pct && hottest.routed_ops as f64 >= fair);
+        || (hottest.queue_peak_pct >= HOT_QUEUE_PCT && hottest.routed_ops as f64 >= fair);
     if overloaded && !hottest.range_empty {
         // Prefer the neighbour that saw less traffic; ties go to the upper
         // one (append-heavy workloads grow rightward, so pushing the upper
@@ -189,7 +198,7 @@ pub fn plan(loads: &[ShardLoad], config: &RebalanceConfig) -> Option<RebalancePl
     let (i, pair_ops) = (0..n - 1)
         .map(|i| (i, loads[i].routed_ops + loads[i + 1].routed_ops))
         .min_by_key(|&(_, ops)| ops)?;
-    if (pair_ops as f64) < config.cold_factor * fair {
+    if (pair_ops as f64) < COLD_FACTOR * fair {
         // Empty the colder member into the other; a member whose range is
         // already empty would be a no-op move, so it must be the *source*
         // (which the executor then skips) — prefer the non-empty partner as
@@ -325,7 +334,7 @@ mod tests {
         let cfg = config();
         let mut window = loads(&[1500, 1000, 1000, 1000]);
         assert_eq!(plan(&window, &cfg), None, "share alone is not hot enough");
-        window[0].queue_peak_pct = cfg.hot_queue_pct;
+        window[0].queue_peak_pct = HOT_QUEUE_PCT;
         let decided = plan(&window, &cfg).expect("pressure breaks the tie");
         assert_eq!((decided.src, decided.kind), (0, MoveKind::SplitUpper));
     }

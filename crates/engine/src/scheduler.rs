@@ -1,309 +1,302 @@
-//! The persistent shard worker pool and the event-driven cross-shard scheduler.
+//! The per-shard worker pool and the fan-out that feeds it.
 //!
-//! PR 1's router spawned (and joined) one scoped OS thread per shard on *every*
-//! batched engine call — correct, but each call paid thread-creation latency and
-//! the join order dictated result collection. This module replaces that with
-//! long-lived machinery created once per engine:
+//! One long-lived worker thread per shard executes that shard's batched work,
+//! in the order it was queued. A batched engine call talks to those workers
+//! directly ([`EngineInner::fan_out_tasks`]): it wraps each shard's task in a
+//! job, sends the jobs under the pool's dispatch lock, and reaps exactly as many
+//! replies as it sent from a reply channel of its own. There is no thread in
+//! between and no table of calls in flight — a call's state lives on its
+//! caller's stack.
 //!
-//! * **one worker thread per shard**, fed over an mpsc channel. A worker locks its
-//!   shard's tree, runs the task (catching panics so one poisoned call cannot kill
-//!   the pool), measures the shard's simulated-I/O delta, and reports a completion;
-//! * **one scheduler thread** that owns a single receive loop for *both* new
-//!   fan-out requests (from any engine caller, including the background
-//!   maintenance worker) and worker completions. It submits each shard's task the
-//!   moment the request arrives and reaps completions as they land — tasks of
-//!   different calls interleave freely on disjoint shards;
-//! * completions are collected **by shard index**, never by arrival order, so the
-//!   fan-out result is deterministic regardless of which shard finishes first;
-//! * when a call's last completion lands, the scheduler charges the **maximum**
-//!   per-shard I/O delta of the call to the engine's schedule makespan
-//!   ([`crate::EngineStats::scheduled_io_us`]) — the same accounting the scoped
-//!   router performed, now maintained by a single event loop.
+//! * **Ordering.** All of one call's sends happen under the dispatch lock, so
+//!   concurrent calls are queued in one global order: if call A is ahead of call
+//!   B on one shard's queue it is ahead of B on every shard they share. Each
+//!   worker runs its queue first-in first-out.
+//! * **Results** are ordered by shard index, never by completion order, and of
+//!   several failures the lowest shard index's is the one surfaced.
+//! * **Accounting.** The stores simulate time rather than sleep, so overlap is
+//!   charged explicitly: the **maximum** per-shard I/O delta of a call is added
+//!   to the schedule makespan ([`crate::EngineStats::scheduled_io_us`]), on
+//!   success and on error alike.
+//! * **Panics.** A task that panics unwinds on its caller's thread; the worker
+//!   that ran it lives on.
 //!
-//! Batched engine calls therefore spawn **zero** threads: the only threads alive
-//! are the per-shard workers, the scheduler, and (optionally) the maintenance
-//! sweeper.
+//! The threads of an engine are therefore its shard workers plus, when
+//! configured, the maintenance worker; batched calls spawn none.
 
 use crate::sharded::EngineInner;
-use btree::{Key, Value};
+use parking_lot::Mutex;
 use pio::{IoError, IoResult};
 use pio_btree::PioBTree;
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Result payload of one shard task (one variant per batched engine operation).
-pub(crate) enum TaskOutput {
-    /// `multi_search` verdicts for the shard's sub-batch.
-    Values(Vec<Option<Value>>),
-    /// `range_search` hits for the shard's clamped sub-range.
-    Entries(Vec<(Key, Value)>),
-    /// `count_entries` tally.
-    Count(u64),
-    /// Whether a maintenance task actually flushed the shard.
-    Flushed(bool),
-    /// A shard's durability ack for an epoch-bracketed `insert_batch`: its WAL's
-    /// durable LSN after the sub-batch was forced.
-    Durable(storage::Lsn),
-    /// A shard's recovery outcome (`ShardedPioEngine::recover`).
-    Recovered(pio_btree::RecoveryReport),
-    /// Operations with no payload (`insert_batch`, `checkpoint`).
-    Unit,
+/// What a worker runs: one task of one fan-out, already wrapped to lock the
+/// shard's tree and to reply to its caller.
+type ShardJob = Box<dyn FnOnce(&Mutex<PioBTree>) + Send>;
+
+/// The shard workers of one engine. Dropping the pool closes the queues and
+/// joins the workers; jobs already queued run first.
+pub(crate) struct WorkerPool {
+    /// Each shard's job queue. The lock is the dispatch lock: a fan-out holds it
+    /// across all of its sends (see the module docs).
+    queues: Mutex<Vec<Sender<ShardJob>>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
-/// A closure a shard worker runs on its exclusively locked tree.
-pub(crate) type ShardTask = Box<dyn FnOnce(&mut PioBTree) -> IoResult<TaskOutput> + Send>;
-
-/// What a worker observed while running a task.
-pub(crate) enum TaskVerdict {
-    Finished(IoResult<TaskOutput>),
-    Panicked(String),
-}
-
-/// Why a fan-out failed as a whole.
-pub(crate) enum FanError {
-    Io(IoError),
-    Panicked(String),
-}
-
-type FanReply = Result<Vec<(usize, TaskOutput)>, FanError>;
-
-/// Messages the scheduler's single event loop consumes.
-pub(crate) enum SchedMsg {
-    /// A new fan-out: `tasks` pairs shard indices with their work.
-    Fan {
-        tasks: Vec<(usize, ShardTask)>,
-        reply: Sender<FanReply>,
-    },
-    /// A worker finished one task.
-    Done {
-        call: u64,
-        shard: usize,
-        verdict: TaskVerdict,
-        io_delta_us: f64,
-    },
-    /// Stop the scheduler (and with it, the workers).
-    Shutdown,
-}
-
-enum WorkerMsg {
-    Run { call: u64, task: ShardTask },
-    Shutdown,
-}
-
-/// One in-flight fan-out, keyed by call id in the scheduler's table.
-struct PendingCall {
-    remaining: usize,
-    /// `(shard index, output)` of every finished task, sorted before replying.
-    results: Vec<(usize, TaskOutput)>,
-    /// Lowest-shard-index failure observed so far (deterministic error choice).
-    error: Option<(usize, FanError)>,
-    /// Maximum per-shard simulated-I/O delta — the call's schedule makespan.
-    max_delta_us: f64,
-    reply: Sender<FanReply>,
-}
-
-/// Handle owning the scheduler thread (which in turn owns the workers).
-pub(crate) struct SchedulerPool {
-    tx: Sender<SchedMsg>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl SchedulerPool {
-    /// Whether the scheduler thread is alive (true until drop).
-    pub(crate) fn is_running(&self) -> bool {
-        self.handle.is_some()
-    }
-
-    /// Spawns the per-shard workers and the scheduler event loop. Returns the pool
-    /// handle plus a sender the engine stores for issuing fan-outs.
-    pub(crate) fn spawn(inner: &Arc<EngineInner>) -> (Self, Sender<SchedMsg>) {
-        let (sched_tx, sched_rx) = channel::<SchedMsg>();
-        let workers: Vec<(Sender<WorkerMsg>, JoinHandle<()>)> = (0..inner.shard_count())
-            .map(|shard| {
-                let (tx, rx) = channel::<WorkerMsg>();
-                let inner = Arc::clone(inner);
-                let done_tx = sched_tx.clone();
+impl WorkerPool {
+    /// Spawns one worker per tree; worker `i` is the only thread that runs
+    /// fan-out tasks on `trees[i]`.
+    pub(crate) fn spawn(trees: impl Iterator<Item = Arc<Mutex<PioBTree>>>) -> Self {
+        let (queues, handles) = trees
+            .enumerate()
+            .map(|(shard, tree)| {
+                let (tx, rx) = channel::<ShardJob>();
                 let handle = std::thread::Builder::new()
                     .name(format!("engine-shard-{shard}"))
-                    .spawn(move || worker_loop(inner, shard, rx, done_tx))
+                    .spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            job(&tree);
+                        }
+                    })
                     .expect("spawn shard worker");
                 (tx, handle)
             })
-            .collect();
-        let sched_inner = Arc::clone(inner);
-        let handle = std::thread::Builder::new()
-            .name("engine-scheduler".into())
-            .spawn(move || scheduler_loop(sched_inner, sched_rx, workers))
-            .expect("spawn engine scheduler");
-        (
-            Self {
-                tx: sched_tx.clone(),
-                handle: Some(handle),
-            },
-            sched_tx,
-        )
+            .unzip();
+        Self {
+            queues: Mutex::new(queues),
+            handles,
+        }
+    }
+
+    /// Number of worker threads (one per shard).
+    pub(crate) fn workers(&self) -> usize {
+        self.handles.len()
     }
 }
 
-impl Drop for SchedulerPool {
+impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let _ = self.tx.send(SchedMsg::Shutdown);
-        if let Some(handle) = self.handle.take() {
+        self.queues.get_mut().clear();
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(inner: Arc<EngineInner>, shard: usize, rx: Receiver<WorkerMsg>, done_tx: Sender<SchedMsg>) {
-    while let Ok(msg) = rx.recv() {
-        let WorkerMsg::Run { call, task } = msg else { return };
-        let mut tree = inner.shard_tree(shard).lock();
-        let before = tree.io_elapsed_us();
-        let verdict = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&mut tree))) {
-            Ok(result) => TaskVerdict::Finished(result),
-            Err(panic) => TaskVerdict::Panicked(panic_message(&panic)),
-        };
-        // Charge even on error: any partially performed I/O is in the shard's
-        // elapsed time and the makespan must stay in lockstep with it.
-        let io_delta_us = tree.io_elapsed_us() - before;
-        drop(tree);
-        if done_tx
-            .send(SchedMsg::Done {
-                call,
-                shard,
-                verdict,
-                io_delta_us,
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-fn scheduler_loop(inner: Arc<EngineInner>, rx: Receiver<SchedMsg>, workers: Vec<(Sender<WorkerMsg>, JoinHandle<()>)>) {
-    let mut next_call = 0u64;
-    let mut pending: HashMap<u64, PendingCall> = HashMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            SchedMsg::Fan { tasks, reply } => {
-                let call = next_call;
-                next_call += 1;
-                pending.insert(
-                    call,
-                    PendingCall {
-                        remaining: tasks.len(),
-                        results: Vec::with_capacity(tasks.len()),
-                        error: None,
-                        max_delta_us: 0.0,
-                        reply,
-                    },
-                );
-                for (shard, task) in tasks {
-                    if workers[shard].0.send(WorkerMsg::Run { call, task }).is_err() {
-                        let entry = pending.get_mut(&call).expect("inserted above");
-                        entry.remaining -= 1;
-                        note_error(
-                            entry,
-                            shard,
-                            FanError::Io(IoError::WorkerFailed(format!("shard {shard} worker is gone"))),
-                        );
-                    }
-                }
-                finish_if_complete(&inner, &mut pending, call);
-            }
-            SchedMsg::Done {
-                call,
-                shard,
-                verdict,
-                io_delta_us,
-            } => {
-                let entry = pending.get_mut(&call).expect("completion for unknown call");
-                entry.remaining -= 1;
-                entry.max_delta_us = entry.max_delta_us.max(io_delta_us);
-                match verdict {
-                    TaskVerdict::Finished(Ok(output)) => entry.results.push((shard, output)),
-                    TaskVerdict::Finished(Err(e)) => note_error(entry, shard, FanError::Io(e)),
-                    TaskVerdict::Panicked(msg) => note_error(entry, shard, FanError::Panicked(msg)),
-                }
-                finish_if_complete(&inner, &mut pending, call);
-            }
-            SchedMsg::Shutdown => break,
-        }
-    }
-    // Stop the workers and join them: queued Run messages are drained first
-    // (channels are FIFO), so no task is abandoned mid-flight and no worker
-    // outlives the engine.
-    for (tx, _) in &workers {
-        let _ = tx.send(WorkerMsg::Shutdown);
-    }
-    for (tx, handle) in workers {
-        drop(tx);
-        let _ = handle.join();
-    }
-}
-
-/// Keeps the lowest-shard-index failure, so the surfaced error is deterministic
-/// even though completions arrive in arbitrary order.
-fn note_error(entry: &mut PendingCall, shard: usize, error: FanError) {
-    if entry.error.as_ref().is_none_or(|&(s, _)| shard < s) {
-        entry.error = Some((shard, error));
-    }
-}
-
-/// When a call's last completion has landed: charge its makespan, order the
-/// results by shard index, and wake the caller.
-fn finish_if_complete(inner: &Arc<EngineInner>, pending: &mut HashMap<u64, PendingCall>, call: u64) {
-    let done = pending.get(&call).is_some_and(|p| p.remaining == 0);
-    if !done {
-        return;
-    }
-    let mut entry = pending.remove(&call).expect("checked above");
-    inner.charge(entry.max_delta_us);
-    inner.note_scheduled_batch();
-    let outcome = match entry.error {
-        Some((_, error)) => Err(error),
-        None => {
-            entry.results.sort_by_key(|&(shard, _)| shard);
-            Ok(entry.results)
-        }
-    };
-    // A caller that gave up (disconnected) is not an error for the scheduler.
-    let _ = entry.reply.send(outcome);
-}
-
 impl EngineInner {
-    /// Dispatches one fan-out through the scheduler and blocks for its outcome.
-    /// Results come back ordered by shard index. A worker panic is re-raised here,
-    /// on the calling thread, preserving the old scoped-thread semantics.
-    pub(crate) fn fan_out_tasks(&self, work: Vec<(usize, ShardTask)>) -> IoResult<Vec<(usize, TaskOutput)>> {
+    /// Runs each `(shard, task)` of `work` on its shard's worker and blocks until
+    /// all have finished. Results come back ordered by shard index.
+    pub(crate) fn fan_out_tasks<T, F>(&self, work: Vec<(usize, F)>) -> IoResult<Vec<(usize, T)>>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut PioBTree) -> IoResult<T> + Send + 'static,
+    {
         if work.is_empty() {
             return Ok(Vec::new());
         }
+        let tasks = work.len();
         let (reply_tx, reply_rx) = channel();
-        self.scheduler()
-            .send(SchedMsg::Fan {
-                tasks: work,
-                reply: reply_tx,
+        let mut results = Vec::with_capacity(tasks);
+        // Per failed shard, its error or the payload of its panic.
+        let mut failures: Vec<(usize, std::thread::Result<IoError>)> = Vec::new();
+        let mut sent = 0;
+        {
+            let queues = self.pool.queues.lock();
+            for (shard, task) in work {
+                let reply = reply_tx.clone();
+                let job: ShardJob = Box::new(move |tree| {
+                    let mut tree = tree.lock();
+                    let before = tree.io_elapsed_us();
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&mut tree)));
+                    // Measured on error and panic too: any I/O the task did is in
+                    // the shard's elapsed time and the makespan must follow it.
+                    let io_delta_us = tree.io_elapsed_us() - before;
+                    drop(tree);
+                    // A caller that stopped listening is not the worker's problem.
+                    let _ = reply.send((shard, io_delta_us, outcome));
+                });
+                match queues[shard].send(job) {
+                    Ok(()) => sent += 1,
+                    Err(_) => failures.push((
+                        shard,
+                        Ok(IoError::WorkerFailed(format!("shard {shard} worker is gone"))),
+                    )),
+                }
+            }
+        }
+        drop(reply_tx);
+        let mut makespan_us = 0.0f64;
+        // Every queued job replies, so the channel closes before `sent` replies
+        // only if a worker died with jobs still queued.
+        for (shard, io_delta_us, outcome) in reply_rx.iter().take(sent) {
+            makespan_us = makespan_us.max(io_delta_us);
+            match outcome {
+                Ok(Ok(value)) => results.push((shard, value)),
+                Ok(Err(e)) => failures.push((shard, Ok(e))),
+                Err(panic) => failures.push((shard, Err(panic))),
+            }
+        }
+        self.charge(makespan_us);
+        self.scheduled_batches.fetch_add(1, Ordering::Relaxed);
+        match failures.into_iter().min_by_key(|&(shard, _)| shard) {
+            Some((_, Ok(e))) => return Err(e),
+            Some((_, Err(panic))) => std::panic::resume_unwind(panic),
+            None if results.len() < tasks => {
+                return Err(IoError::WorkerFailed("a shard worker dropped the call".into()))
+            }
+            None => {}
+        }
+        results.sort_by_key(|&(shard, _)| shard);
+        Ok(results)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{EngineConfig, ShardedPioEngine};
+    use pio::{IoError, IoResult};
+    use pio_btree::{PioBTree, PioConfig};
+    use ssd_sim::DeviceProfile;
+    use std::sync::mpsc::channel;
+    use std::sync::{Arc, Barrier};
+
+    /// A boxed task, so one fan-out can carry a different closure per shard.
+    type Task<T> = Box<dyn FnOnce(&mut PioBTree) -> IoResult<T> + Send>;
+
+    /// A bulk-loaded engine whose shard `i` owns the keys `[i * 1000, (i + 1) * 1000)`.
+    fn engine(shards: usize) -> ShardedPioEngine {
+        let config = EngineConfig::builder()
+            .shards(shards)
+            .profile(DeviceProfile::F120)
+            .shard_capacity_bytes(1 << 30)
+            .base(PioConfig::builder().page_size(2048).opq_pages(1).pool_pages(64).build())
+            .build();
+        let entries: Vec<(u64, u64)> = (0..shards as u64 * 1_000).map(|k| (k, k)).collect();
+        let engine = ShardedPioEngine::bulk_load(config, &entries).unwrap();
+        for shard in 0..shards {
+            assert_eq!(engine.shard_for(shard as u64 * 1_000), shard);
+        }
+        engine
+    }
+
+    #[test]
+    fn results_are_in_shard_order_when_the_lowest_shard_finishes_last() {
+        let engine = engine(3);
+        let (done_tx, done_rx) = channel();
+        let mut work: Vec<(usize, Task<usize>)> = vec![(
+            0,
+            Box::new(move |_| {
+                // Shard 0 finishes only after both other shards' tasks have.
+                done_rx.recv().unwrap();
+                done_rx.recv().unwrap();
+                Ok(0)
+            }),
+        )];
+        for shard in [2, 1] {
+            let done = done_tx.clone();
+            work.push((
+                shard,
+                Box::new(move |_| {
+                    done.send(()).unwrap();
+                    Ok(shard)
+                }),
+            ));
+        }
+        let results = engine.inner().fan_out_tasks(work).unwrap();
+        assert_eq!(results, vec![(0, 0), (1, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn the_lowest_failing_shard_wins_and_the_makespan_is_still_charged() {
+        let engine = engine(3);
+        let before = engine.stats();
+        let (failed_tx, failed_rx) = channel();
+        let work: Vec<(usize, Task<u64>)> = vec![
+            // Real device work, so the call has a makespan to charge.
+            (0, Box::new(|tree| tree.count_entries())),
+            (
+                1,
+                Box::new(move |_| {
+                    // Fails second, yet must be the error surfaced.
+                    failed_rx.recv().unwrap();
+                    Err(IoError::InvalidConfig("shard 1 failed".into()))
+                }),
+            ),
+            (
+                2,
+                Box::new(move |_| {
+                    failed_tx.send(()).unwrap();
+                    Err(IoError::InvalidConfig("shard 2 failed".into()))
+                }),
+            ),
+        ];
+        let err = engine.inner().fan_out_tasks(work).unwrap_err();
+        assert!(err.to_string().contains("shard 1 failed"), "{err}");
+        let after = engine.stats();
+        assert!(
+            after.scheduled_io_us > before.scheduled_io_us,
+            "shard 0's I/O is charged"
+        );
+        assert_eq!(after.scheduled_batches, before.scheduled_batches + 1);
+    }
+
+    #[test]
+    fn a_panicking_task_panics_the_caller_and_the_worker_lives_on() {
+        let engine = engine(2);
+        let work: Vec<(usize, Task<u64>)> = vec![
+            (0, Box::new(|tree| tree.count_entries())),
+            (1, Box::new(|_| panic!("task blew up on shard 1"))),
+        ];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.inner().fan_out_tasks(work)))
+            .expect_err("the task's panic must reach the caller");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .expect("a message payload");
+        assert!(message.contains("task blew up on shard 1"), "{message}");
+        // Same shard, same worker, next call.
+        let counts = engine
+            .inner()
+            .fan_out_tasks(vec![(1, |tree: &mut PioBTree| tree.count_entries())])
+            .unwrap();
+        assert_eq!(counts, vec![(1, 1_000)]);
+        assert_eq!(engine.search(1_500).unwrap(), Some(1_500));
+    }
+
+    #[test]
+    fn overlapping_batches_end_with_the_same_winner_on_every_shard() {
+        let engine = Arc::new(engine(2));
+        let rounds = 2_000u64;
+        let barrier = Arc::new(Barrier::new(3));
+        let writers: Vec<_> = (0..2u64)
+            .map(|writer| {
+                let engine = Arc::clone(&engine);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    for round in 0..rounds {
+                        barrier.wait();
+                        let value = round * 2 + writer;
+                        engine.insert_batch(&[(10, value), (1_010, value)]).unwrap();
+                        barrier.wait();
+                    }
+                })
             })
-            .map_err(|_| IoError::WorkerFailed("engine scheduler is gone".into()))?;
-        match reply_rx.recv() {
-            Ok(Ok(results)) => Ok(results),
-            Ok(Err(FanError::Io(e))) => Err(e),
-            Ok(Err(FanError::Panicked(msg))) => panic!("shard worker panicked: {msg}"),
-            Err(_) => Err(IoError::WorkerFailed("engine scheduler dropped the call".into())),
+            .collect();
+        for round in 0..rounds {
+            barrier.wait(); // both writers issue their batch
+            barrier.wait(); // both batches are applied
+            let winners = engine.multi_search(&[10, 1_010]).unwrap();
+            assert_eq!(
+                winners[0], winners[1],
+                "round {round}: the shards disagree on the last batch"
+            );
+        }
+        for writer in writers {
+            writer.join().unwrap();
         }
     }
 }

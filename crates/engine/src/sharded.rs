@@ -15,24 +15,23 @@
 //! ## Scheduling
 //!
 //! Batch entry points (`multi_search`, `insert_batch`, `range_search`,
-//! `checkpoint`, `maintain_once`) split their work by shard and hand it to a
-//! **persistent worker pool**: one long-lived thread per shard, fed over channels
-//! by a single event-driven scheduler thread that submits each shard's task and
-//! reaps completions as they land (the `scheduler` module). Batched calls spawn
-//! **zero** threads. Because the stores simulate time rather than sleep,
-//! cross-shard overlap is accounted explicitly: when a call's last completion
-//! lands, the scheduler adds the **maximum** of the participating shards'
-//! simulated I/O deltas to the schedule makespan
-//! ([`crate::EngineStats::scheduled_io_us`]), while the sum of all deltas remains
-//! visible as `total_io_us`. The ratio of the two is the measured overlap win.
-//! Results are always collected by shard index — never by completion order — so
-//! fan-outs are deterministic.
+//! `checkpoint`, `maintain_once`) split their work by shard and hand each piece
+//! straight to the **worker thread that owns that shard's execution** (one
+//! long-lived thread per shard, the `scheduler` module), then wait for exactly
+//! the replies they are owed. Batched calls spawn **zero** threads and cross one
+//! thread boundary each way. Because the stores simulate time rather than sleep,
+//! cross-shard overlap is accounted explicitly: once a call has reaped its last
+//! reply, it adds the **maximum** of the participating shards' simulated I/O
+//! deltas to the schedule makespan ([`crate::EngineStats::scheduled_io_us`]),
+//! while the sum of all deltas remains visible as `total_io_us`. The ratio of
+//! the two is the measured overlap win. Results are always collected by shard
+//! index — never by completion order — so fan-outs are deterministic.
 
 use crate::builder::EngineBuilder;
 use crate::config::EngineConfig;
 use crate::epoch::{EngineRecoveryReport, EpochLog, MigrationSpec};
 use crate::maintenance::MaintenanceWorker;
-use crate::scheduler::{SchedMsg, SchedulerPool, ShardTask, TaskOutput};
+use crate::scheduler::WorkerPool;
 use crate::stats::{EngineStats, ShardSnapshot};
 use crate::topology::{EngineBackends, EngineManifest, ShardMeta, ShardProvisioner};
 use btree::{Key, Value};
@@ -41,7 +40,6 @@ use pio::{IoQueue, IoResult, ParallelIo};
 use pio_btree::{OpEntry, OpKind, PioBTree, PioConfig, PioStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use storage::{CachedStore, LeafCacheStats, Lsn, PageStore, Wal, WritePolicy};
 
@@ -49,7 +47,9 @@ use storage::{CachedStore, LeafCacheStats, Lsn, PageStore, Wal, WritePolicy};
 /// stored here — ranges live in the engine's [`RoutingState`] so a boundary
 /// migration can move them without touching the shard itself.
 pub(crate) struct Shard {
-    tree: Mutex<PioBTree>,
+    /// Shared with the shard's worker thread, which runs every fan-out task on
+    /// it; single-key calls and the maintenance probes lock it inline.
+    tree: Arc<Mutex<PioBTree>>,
     /// Point-request sub-batches this shard received through the batched entry
     /// points (`multi_search` / `insert_batch`) over the engine's lifetime.
     batched_calls: AtomicU64,
@@ -156,7 +156,7 @@ impl ShardHealth {
 impl Shard {
     fn new(tree: PioBTree) -> Self {
         Self {
-            tree: Mutex::new(tree),
+            tree: Arc::new(Mutex::new(tree)),
             batched_calls: AtomicU64::new(0),
             batched_ops: AtomicU64::new(0),
             routed_since: AtomicU64::new(0),
@@ -253,9 +253,12 @@ impl EpochCoordinator {
     }
 }
 
-/// Shared state between the engine handle, the per-shard workers, the scheduler
-/// and the background maintenance worker.
+/// Shared state between the engine handle and the background maintenance
+/// worker.
 pub(crate) struct EngineInner {
+    /// The shard worker threads. Declared first so it drops first: the workers
+    /// drain their queues and are joined before anything they touch goes away.
+    pub(crate) pool: WorkerPool,
     shards: Vec<Shard>,
     /// The live routing table (bounds + in-flight migration); see
     /// [`RoutingState`] for the locking discipline.
@@ -282,11 +285,8 @@ pub(crate) struct EngineInner {
     discarded_epochs: AtomicU64,
     /// Accumulated schedule makespan in µs (see the module docs).
     scheduled_us: Mutex<f64>,
-    /// Sender into the scheduler's event loop (installed right after the pool is
-    /// spawned during engine construction).
-    sched_tx: Mutex<Option<Sender<SchedMsg>>>,
-    /// Fan-outs dispatched through the scheduler over the engine's lifetime.
-    scheduled_batches: AtomicU64,
+    /// Fan-outs dispatched to the shard workers over the engine's lifetime.
+    pub(crate) scheduled_batches: AtomicU64,
     /// Splits (hot shard cut at a median key) completed over the lifetime.
     splits: AtomicU64,
     /// Merges (cold shard emptied into a neighbour) completed over the lifetime.
@@ -322,29 +322,6 @@ impl EngineInner {
     pub(crate) fn note_maintenance_error(&self, error: &pio::IoError) {
         self.maintenance_errors.fetch_add(1, Ordering::Relaxed);
         *self.last_maintenance_error.lock() = Some(error.to_string());
-    }
-
-    /// Number of shards (used by the scheduler to size its worker pool).
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The lock guarding one shard's tree (workers lock it to run their task).
-    pub(crate) fn shard_tree(&self, shard: usize) -> &Mutex<PioBTree> {
-        &self.shards[shard].tree
-    }
-
-    /// A handle into the scheduler's event loop.
-    pub(crate) fn scheduler(&self) -> Sender<SchedMsg> {
-        self.sched_tx
-            .lock()
-            .clone()
-            .expect("scheduler pool is attached during engine construction")
-    }
-
-    /// Counts one completed fan-out (called by the scheduler).
-    pub(crate) fn note_scheduled_batch(&self) {
-        self.scheduled_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The current manifest snapshot: shard boundaries plus each shard's
@@ -416,14 +393,12 @@ impl EngineInner {
 /// All operations take `&self`; per-shard trees are behind their own mutexes, so
 /// client threads operating on different shards proceed concurrently (unlike
 /// [`pio_btree::ConcurrentPioBTree`], whose single lock serialises every update).
-/// Batched calls are dispatched through a persistent per-shard worker pool driven
-/// by one event-driven scheduler thread — no threads are spawned per call.
+/// Batched calls are dispatched straight to a persistent pool of one worker
+/// thread per shard — no threads are spawned per call.
 pub struct ShardedPioEngine {
     // Field order is drop order: the maintenance worker stops first (it issues
-    // fan-outs), then the scheduler pool (which joins the shard workers), and only
-    // then the shared state they all reference.
+    // fan-outs), then the shared state — whose first field is the worker pool.
     worker: Option<MaintenanceWorker>,
-    scheduler: SchedulerPool,
     inner: Arc<EngineInner>,
 }
 
@@ -432,7 +407,7 @@ impl std::fmt::Debug for ShardedPioEngine {
         f.debug_struct("ShardedPioEngine")
             .field("shards", &self.inner.shards.len())
             .field("bounds", &self.inner.routing.read().bounds)
-            .field("scheduler", &self.scheduler.is_running())
+            .field("shard_workers", &self.inner.pool.workers())
             .field("background_maintenance", &self.worker.is_some())
             .finish()
     }
@@ -779,7 +754,7 @@ impl ShardedPioEngine {
     }
 
     /// Shared tail of [`ShardedPioEngine::assemble`] / [`ShardedPioEngine::reopen`]:
-    /// wires up the scheduler pool and the optional maintenance worker.
+    /// wires up the shard worker pool and the optional maintenance worker.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         config: EngineConfig,
@@ -793,6 +768,7 @@ impl ShardedPioEngine {
     ) -> Self {
         let shard_count = shards.len();
         let inner = Arc::new(EngineInner {
+            pool: WorkerPool::spawn(shards.iter().map(|s| Arc::clone(&s.tree))),
             shards,
             routing: RwLock::new(RoutingState {
                 bounds,
@@ -811,7 +787,6 @@ impl ShardedPioEngine {
             recovered_epochs: AtomicU64::new(0),
             discarded_epochs: AtomicU64::new(0),
             scheduled_us: Mutex::new(build_makespan_us),
-            sched_tx: Mutex::new(None),
             scheduled_batches: AtomicU64::new(0),
             splits: AtomicU64::new(0),
             merges: AtomicU64::new(0),
@@ -826,16 +801,10 @@ impl ShardedPioEngine {
             maintenance_errors: AtomicU64::new(0),
             last_maintenance_error: Mutex::new(None),
         });
-        let (scheduler, sched_tx) = SchedulerPool::spawn(&inner);
-        *inner.sched_tx.lock() = Some(sched_tx);
         let worker = config
             .maintenance_interval_ms
             .map(|ms| MaintenanceWorker::spawn(Arc::clone(&inner), std::time::Duration::from_millis(ms)));
-        Self {
-            worker,
-            scheduler,
-            inner,
-        }
+        Self { worker, inner }
     }
 
     // ------------------------------------------------------------------ accessors --
@@ -936,10 +905,10 @@ impl ShardedPioEngine {
     /// its last checkpoint (dirty shards in parallel, clean shards untouched),
     /// persists the manifest, and then truncates the shard WALs and the engine
     /// epoch log up to the checkpoint — bounding both on-disk log size and the
-    /// work the next [`ShardedPioEngine::recover`] must do. Truncation honours
-    /// [`crate::EngineConfig::log_retention_bytes`] and never drops an
-    /// undecided epoch's records. The background maintenance worker calls this
-    /// on the [`crate::EngineConfig::checkpoint_interval_ms`] cadence.
+    /// work the next [`ShardedPioEngine::recover`] must do. Truncation never
+    /// drops an undecided epoch's records. The background maintenance worker
+    /// calls this on the [`crate::EngineConfig::checkpoint_interval_ms`]
+    /// cadence.
     pub fn checkpoint(&self) -> IoResult<()> {
         self.inner.checkpoint()
     }
@@ -994,7 +963,7 @@ impl ShardedPioEngine {
         let mut total: u64 = self.inner.count_entries_tasked()?;
         // The underlying half-open range scan cannot see `Key::MAX` itself, so the
         // sentinel key is counted with a point lookup in its owning (last) shard —
-        // routed through the scheduler so its I/O is charged like any other lookup.
+        // with its I/O charged to the schedule like any other lookup.
         if self.inner.single(Key::MAX, |tree| tree.search(Key::MAX))?.is_some() {
             total += 1;
         }
@@ -1135,19 +1104,27 @@ impl EngineInner {
         }
     }
 
-    /// Fans an operation out to *every* shard through the scheduler and returns
-    /// the results in shard order.
-    fn fan_out_all(
+    /// Runs `op` on `shard`'s tree inline, on the calling thread, and charges
+    /// its full I/O delta to the schedule — whatever `op` returns, like
+    /// [`EngineInner::single`]. For the maintenance and migration steps that
+    /// touch one shard at a time.
+    fn charged<R>(&self, shard: &Shard, op: impl FnOnce(&mut PioBTree) -> R) -> R {
+        let mut tree = shard.tree.lock();
+        let before = tree.io_elapsed_us();
+        let out = op(&mut tree);
+        let delta = tree.io_elapsed_us() - before;
+        drop(tree);
+        self.charge(delta);
+        out
+    }
+
+    /// Fans an operation out to *every* shard's worker and returns the results
+    /// in shard order.
+    fn fan_out_all<T: Send + 'static>(
         &self,
-        op: impl Fn(&mut PioBTree) -> IoResult<TaskOutput> + Clone + Send + 'static,
-    ) -> IoResult<Vec<TaskOutput>> {
-        let work: Vec<(usize, ShardTask)> = (0..self.shards.len())
-            .map(|i| {
-                let op = op.clone();
-                (i, Box::new(move |tree: &mut PioBTree| op(tree)) as ShardTask)
-            })
-            .collect();
-        // Scheduler results are already sorted by shard index.
+        op: impl Fn(&mut PioBTree) -> IoResult<T> + Clone + Send + 'static,
+    ) -> IoResult<Vec<T>> {
+        let work = (0..self.shards.len()).map(|i| (i, op.clone())).collect();
         Ok(self.fan_out_tasks(work)?.into_iter().map(|(_, out)| out).collect())
     }
 
@@ -1155,40 +1132,33 @@ impl EngineInner {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        // Partition the batch by owning shard, remembering original positions.
-        // Positions and keys live in separate vectors so the key sub-batches can be
-        // *moved* into the shard tasks while the positions stay behind for
-        // scattering.
+        // Partition the batch by owning shard, remembering original positions:
+        // per shard, the positions and the keys at them. The key sub-batches are
+        // *moved* into the shard tasks; the positions stay behind for scattering.
         // Pin the routing table across partitioning AND the fan-out: a
         // migration's boundary swap must not land between the two.
         let routing = self.routing.read();
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut sub_keys: Vec<Vec<Key>> = vec![Vec::new(); self.shards.len()];
+        let mut parts: Vec<(Vec<usize>, Vec<Key>)> = vec![Default::default(); self.shards.len()];
         for (pos, &key) in keys.iter().enumerate() {
-            let s = shard_of(&routing.bounds, key);
-            positions[s].push(pos);
-            sub_keys[s].push(key);
+            let (positions, sub) = &mut parts[shard_of(&routing.bounds, key)];
+            positions.push(pos);
+            sub.push(key);
         }
-        let work: Vec<(usize, ShardTask)> = sub_keys
-            .into_iter()
+        let work = parts
+            .iter_mut()
             .enumerate()
-            .filter(|(_, sub)| !sub.is_empty())
-            .map(|(i, sub)| {
+            .filter(|(_, (_, sub))| !sub.is_empty())
+            .map(|(i, (_, sub))| {
+                let sub = std::mem::take(sub);
                 self.shards[i].note_batch(sub.len());
-                (
-                    i,
-                    Box::new(move |tree: &mut PioBTree| tree.multi_search(&sub).map(TaskOutput::Values)) as ShardTask,
-                )
+                (i, move |tree: &mut PioBTree| tree.multi_search(&sub))
             })
             .collect();
         let results = self.fan_out_tasks(work)?;
         drop(routing);
         let mut out = vec![None; keys.len()];
-        for (shard_idx, output) in results {
-            let TaskOutput::Values(sub_results) = output else {
-                unreachable!("multi_search tasks return Values")
-            };
-            for (pos, verdict) in positions[shard_idx].iter().zip(sub_results) {
+        for (shard_idx, sub_results) in results {
+            for (pos, verdict) in parts[shard_idx].0.iter().zip(sub_results) {
                 out[*pos] = verdict;
             }
         }
@@ -1239,7 +1209,7 @@ impl EngineInner {
             }
             None => None,
         };
-        let work: Vec<(usize, ShardTask)> = per_shard
+        let work = per_shard
             .into_iter()
             .enumerate()
             .filter(|(_, batch)| !batch.is_empty())
@@ -1262,38 +1232,24 @@ impl EngineInner {
                         (Arc::clone(&m.dirty), subset)
                     })
                     .filter(|(_, subset)| !subset.is_empty());
-                let task: ShardTask = match epoch {
-                    Some(epoch) => Box::new(move |tree: &mut PioBTree| {
-                        if let Some((dirty, subset)) = mirror {
-                            dirty.lock().extend(subset);
-                        }
-                        let out = tree.insert_batch_epoch(&batch, epoch).map(TaskOutput::Durable);
-                        note_queue_peak(&peak, tree);
-                        out
-                    }),
-                    None => Box::new(move |tree: &mut PioBTree| {
-                        if let Some((dirty, subset)) = mirror {
-                            dirty.lock().extend(subset);
-                        }
-                        let out = tree.insert_batch(&batch).map(|()| TaskOutput::Unit);
-                        note_queue_peak(&peak, tree);
-                        out
-                    }),
+                // The task answers with the shard's durability ack: its WAL's
+                // durable LSN once the sub-batch is forced (0 without an epoch).
+                let task = move |tree: &mut PioBTree| {
+                    if let Some((dirty, subset)) = mirror {
+                        dirty.lock().extend(subset);
+                    }
+                    let ack = match epoch {
+                        Some(epoch) => tree.insert_batch_epoch(&batch, epoch),
+                        None => tree.insert_batch(&batch).map(|()| 0),
+                    };
+                    note_queue_peak(&peak, tree);
+                    ack
                 };
                 (i, task)
             })
             .collect();
-        let results = self.fan_out_tasks(work)?;
+        let acks: Vec<(usize, Lsn)> = self.fan_out_tasks(work)?;
         if let (Some(epoch), Some(coord)) = (epoch, &self.epoch) {
-            let acks: Vec<(usize, Lsn)> = results
-                .into_iter()
-                .map(|(shard, out)| {
-                    let TaskOutput::Durable(lsn) = out else {
-                        unreachable!("epoch insert tasks return Durable")
-                    };
-                    (shard, lsn)
-                })
-                .collect();
             coord.log.ack_all(epoch, &acks)?;
             coord.log.commit(epoch)?;
             // Decided: release the truncation pins — the engine log's (this
@@ -1316,28 +1272,21 @@ impl EngineInner {
         // Pin the routing table across the fan-out (see `multi_search`).
         let routing = self.routing.read();
         let shard_count = self.shards.len();
-        let work: Vec<(usize, ShardTask)> = (0..shard_count)
+        let work = (0..shard_count)
             .filter_map(|i| {
                 let (s_lo, s_hi) = shard_range(&routing.bounds, i, shard_count);
                 (s_lo < hi && lo < s_hi).then(|| {
                     let (sub_lo, sub_hi) = (lo.max(s_lo), hi.min(s_hi));
-                    (
-                        i,
-                        Box::new(move |tree: &mut PioBTree| tree.range_search(sub_lo, sub_hi).map(TaskOutput::Entries))
-                            as ShardTask,
-                    )
+                    (i, move |tree: &mut PioBTree| tree.range_search(sub_lo, sub_hi))
                 })
             })
             .collect();
-        // Scheduler results arrive sorted by shard index, and shard order is key
-        // order: concatenation keeps the result sorted.
+        // Results arrive sorted by shard index, and shard order is key order:
+        // concatenation keeps the result sorted.
         let results = self.fan_out_tasks(work)?;
         drop(routing);
         let mut out = Vec::new();
-        for (_, output) in results {
-            let TaskOutput::Entries(mut part) = output else {
-                unreachable!("range_search tasks return Entries")
-            };
+        for (_, mut part) in results {
             out.append(&mut part);
         }
         Ok(out)
@@ -1349,9 +1298,8 @@ impl EngineInner {
     /// `Checkpoint` records, the engine epoch log up to the pre-flush cursor).
     /// Truncation is anchored on the *committed* checkpoint — the manifest sync
     /// happens first, so the superblocks recovery would need are durable before
-    /// any `FlushRoot`/`FlushAlloc` record is dropped — and honours
-    /// `log_retention_bytes` plus the undecided-epoch pins (engine-log
-    /// `in_flight`, per-shard open brackets).
+    /// any `FlushRoot`/`FlushAlloc` record is dropped — and honours the
+    /// undecided-epoch pins (engine-log `in_flight`, per-shard open brackets).
     pub(crate) fn checkpoint(&self) -> IoResult<()> {
         let begun_before = self.dirty.lock().begun;
         // Snapshot the engine-log cut BEFORE flushing: epoch records appended
@@ -1360,7 +1308,7 @@ impl EngineInner {
         // Incremental selection: a shard pays a flush (and even the Checkpoint
         // record append) only when something reached its log or queue since
         // the last checkpoint. Clean shards are untouched.
-        let work: Vec<(usize, ShardTask)> = self
+        let work = self
             .shards
             .iter()
             .enumerate()
@@ -1368,40 +1316,25 @@ impl EngineInner {
                 let tree = s.tree.lock();
                 tree.dirty_ops() > 0 || tree.opq_len() > 0
             })
-            .map(|(i, _)| {
-                let task: ShardTask = Box::new(|tree: &mut PioBTree| tree.checkpoint().map(TaskOutput::Durable));
-                (i, task)
-            })
+            .map(|(i, _)| (i, |tree: &mut PioBTree| tree.checkpoint()))
             .collect();
-        let flushed: Vec<(usize, Lsn)> = if work.is_empty() {
-            Vec::new()
-        } else {
-            self.fan_out_tasks(work)?
-                .into_iter()
-                .map(|(shard, out)| {
-                    let TaskOutput::Durable(lsn) = out else {
-                        unreachable!("checkpoint tasks return Durable")
-                    };
-                    (shard, lsn)
-                })
-                .collect()
-        };
+        // Each flushed shard answers with the LSN of its new `Checkpoint` record.
+        let flushed: Vec<(usize, Lsn)> = self.fan_out_tasks(work)?;
         // The checkpoint moved the flushed shards' durable frontiers: refresh
         // the persisted manifest so a WAL-less reopen sees the checkpointed
         // state. This MUST precede truncation — once FlushRoot records are
         // gone, the manifest is the only carrier of the rolled-forward roots.
         self.sync_manifest()?;
-        // Checkpoint-anchored truncation, gated by the retention window.
-        let retention = self.config.log_retention_bytes;
+        // Checkpoint-anchored truncation of every log with a replayable tail.
         let mut dropped: u64 = 0;
         for &(shard, ckpt_lsn) in &flushed {
             let mut tree = self.shards[shard].tree.lock();
-            if tree.wal_replayable_bytes() > retention {
+            if tree.wal_replayable_bytes() > 0 {
                 dropped += tree.truncate_wal(ckpt_lsn)?;
             }
         }
         if let (Some(cut), Some(coord)) = (engine_cut, &self.epoch) {
-            if coord.log.replayable_bytes() > retention {
+            if coord.log.replayable_bytes() > 0 {
                 dropped += coord.log.truncate_to(coord.truncation_floor(cut))?;
             }
         }
@@ -1487,26 +1420,7 @@ impl EngineInner {
                 routing.version += 1;
             }
         }
-        let work: Vec<(usize, ShardTask)> = (0..self.shards.len())
-            .map(|i| {
-                let discard = discard.clone();
-                let task: ShardTask = Box::new(move |tree: &mut PioBTree| {
-                    tree.recover_with(&mut |epoch| !discard.contains(&epoch))
-                        .map(TaskOutput::Recovered)
-                });
-                (i, task)
-            })
-            .collect();
-        report.shards = self
-            .fan_out_tasks(work)?
-            .into_iter()
-            .map(|(_, out)| {
-                let TaskOutput::Recovered(shard_report) = out else {
-                    unreachable!("recovery tasks return Recovered")
-                };
-                shard_report
-            })
-            .collect();
+        report.shards = self.fan_out_all(move |tree| tree.recover_with(&mut |epoch| !discard.contains(&epoch)))?;
         self.recovered_epochs
             .fetch_add(report.recovered_epochs, Ordering::Relaxed);
         self.discarded_epochs
@@ -1532,16 +1446,7 @@ impl EngineInner {
     }
 
     pub(crate) fn count_entries_tasked(&self) -> IoResult<u64> {
-        let counts = self.fan_out_all(|tree| tree.count_entries().map(TaskOutput::Count))?;
-        Ok(counts
-            .into_iter()
-            .map(|out| {
-                let TaskOutput::Count(n) = out else {
-                    unreachable!("count tasks return Count")
-                };
-                n
-            })
-            .sum())
+        Ok(self.fan_out_all(|tree| tree.count_entries())?.into_iter().sum())
     }
 
     /// Probes every degraded shard's device with one direct page read (the
@@ -1551,13 +1456,7 @@ impl EngineInner {
     pub(crate) fn probe_degraded(&self) -> usize {
         let mut healed = 0;
         for shard in self.shards.iter().filter(|s| s.health.is_open()) {
-            let tree = shard.tree.lock();
-            let root = tree.root_page();
-            let before = tree.io_elapsed_us();
-            let probe = tree.store().store().read_page(root);
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
+            let probe = self.charged(shard, |tree| tree.store().store().read_page(tree.root_page()));
             if probe.is_ok() {
                 shard.health.close();
                 healed += 1;
@@ -1573,13 +1472,9 @@ impl EngineInner {
     pub(crate) fn scrub_tick(&self, max_pages_per_shard: usize) -> IoResult<usize> {
         let mut scanned = 0;
         for shard in self.shards.iter().filter(|s| !s.health.is_open()) {
-            let tree = shard.tree.lock();
-            let before = tree.io_elapsed_us();
-            let result = tree.store().scrub_step(max_pages_per_shard);
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
-            scanned += result?.scanned;
+            scanned += self
+                .charged(shard, |tree| tree.store().scrub_step(max_pages_per_shard))?
+                .scanned;
         }
         Ok(scanned)
     }
@@ -1591,16 +1486,11 @@ impl EngineInner {
         // Re-pin any cold inner tier off the foreground path (a cheap no-op
         // for warm or disabled tiers; a failed rebuild just stays cold —
         // descents keep falling back to the store wavefront).
-        for shard in self.shards.iter() {
-            let mut tree = shard.tree.lock();
-            let before = tree.io_elapsed_us();
-            let _ = tree.refresh_inner_tier();
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
+        for shard in &self.shards {
+            let _ = self.charged(shard, |tree| tree.refresh_inner_tier());
         }
         let threshold = self.config.flush_threshold;
-        let work: Vec<(usize, ShardTask)> = self
+        let work = self
             .shards
             .iter()
             .enumerate()
@@ -1617,26 +1507,20 @@ impl EngineInner {
                 // A selected shard may have been drained by a foreground flush
                 // between the scan above (locks released) and the task running;
                 // count only shards where this pass actually ran a bupdate.
-                (
-                    i,
-                    Box::new(move |tree: &mut PioBTree| {
-                        let mut did_flush = false;
-                        while tree.opq_len() >= floor {
-                            tree.flush_once()?;
-                            did_flush = true;
-                        }
-                        Ok(TaskOutput::Flushed(did_flush))
-                    }) as ShardTask,
-                )
+                (i, move |tree: &mut PioBTree| {
+                    let mut did_flush = false;
+                    while tree.opq_len() >= floor {
+                        tree.flush_once()?;
+                        did_flush = true;
+                    }
+                    Ok(did_flush)
+                })
             })
             .collect();
-        if work.is_empty() {
-            return Ok(0);
-        }
         let flushed = self
             .fan_out_tasks(work)?
             .into_iter()
-            .filter(|(_, out)| matches!(out, TaskOutput::Flushed(true)))
+            .filter(|&(_, did_flush)| did_flush)
             .count();
         if flushed > 0 {
             self.maintenance_flushes.fetch_add(1, Ordering::Relaxed);
@@ -1771,15 +1655,7 @@ impl EngineInner {
             (m.lo, m.hi)
         };
         // Snapshot the source range (a pipelined prange scan + OPQ overlay).
-        let snapshot = {
-            let mut tree = self.shards[src].tree.lock();
-            let before = tree.io_elapsed_us();
-            let out = tree.export_region(cap_lo, cap_hi);
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
-            out?
-        };
+        let snapshot = self.charged(&self.shards[src], |tree| tree.export_region(cap_lo, cap_hi))?;
         // Choose the final moving range. Split cuts at the median key, so both
         // halves inherit half the (observed) population.
         let (lo, hi, moving): (Key, Key, Vec<(Key, Value)>) = match kind {
@@ -1828,18 +1704,10 @@ impl EngineInner {
         };
         // Phase 1 — the expensive copy, off the routing lock: traffic keeps
         // flowing, `src` stays authoritative, writes to the range are mirrored.
-        {
-            let mut tree = self.shards[dst].tree.lock();
-            let before = tree.io_elapsed_us();
-            let out = match epoch {
-                Some(ep) => tree.import_region(&moving, ep).map(|_| ()),
-                None => tree.insert_batch(&moving),
-            };
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
-            out?;
-        }
+        self.charged(&self.shards[dst], |tree| match epoch {
+            Some(ep) => tree.import_region(&moving, ep).map(|_| ()),
+            None => tree.insert_batch(&moving),
+        })?;
         // Phase 2 — the critical section: acquiring the routing write lock
         // waits out every in-flight request, so the dirty log is complete and
         // no new write can land on `src` until the boundary has swapped.
@@ -1847,27 +1715,19 @@ impl EngineInner {
         let migration = routing.migration.take().expect("installed by migrate");
         let dirty = std::mem::take(&mut *migration.dirty.lock());
         let tail: Vec<OpEntry> = dirty.into_iter().filter(|e| e.key >= lo && e.key < hi).collect();
-        let dst_lsn = {
-            let mut tree = self.shards[dst].tree.lock();
-            let before = tree.io_elapsed_us();
-            let out = match epoch {
-                Some(ep) => tree.apply_batch_epoch(&tail, ep),
-                None => {
-                    for e in &tail {
-                        match e.op {
-                            OpKind::Insert => tree.insert(e.key, e.value)?,
-                            OpKind::Update => tree.update(e.key, e.value)?,
-                            OpKind::Delete => tree.delete(e.key)?,
-                        }
+        let dst_lsn = self.charged(&self.shards[dst], |tree| match epoch {
+            Some(ep) => tree.apply_batch_epoch(&tail, ep),
+            None => {
+                for e in &tail {
+                    match e.op {
+                        OpKind::Insert => tree.insert(e.key, e.value)?,
+                        OpKind::Update => tree.update(e.key, e.value)?,
+                        OpKind::Delete => tree.delete(e.key)?,
                     }
-                    Ok(0)
                 }
-            };
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
-            out?
-        };
+                Ok(0)
+            }
+        })?;
         // Retire everything that may live in the moved range on `src`: the
         // snapshot keys plus every mirrored key (a delete of an absent key is
         // a harmless tombstone).
@@ -1875,23 +1735,15 @@ impl EngineInner {
         retire.extend(tail.iter().map(|e| e.key));
         retire.sort_unstable();
         retire.dedup();
-        let src_lsn = {
-            let mut tree = self.shards[src].tree.lock();
-            let before = tree.io_elapsed_us();
-            let out = match epoch {
-                Some(ep) => tree.retire_region(&retire, ep),
-                None => {
-                    for &k in &retire {
-                        tree.delete(k)?;
-                    }
-                    Ok(0)
+        let src_lsn = self.charged(&self.shards[src], |tree| match epoch {
+            Some(ep) => tree.retire_region(&retire, ep),
+            None => {
+                for &k in &retire {
+                    tree.delete(k)?;
                 }
-            };
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
-            out?
-        };
+                Ok(0)
+            }
+        })?;
         if let (Some(ep), Some(coord)) = (epoch, &self.epoch) {
             coord.log.ack_all(ep, &[(src, src_lsn), (dst, dst_lsn)])?;
             // The durable boundary swap: before this force the migration rolls
@@ -1912,13 +1764,8 @@ impl EngineInner {
         // The boundary swap is durable: re-pin both shards' inner tiers so no
         // pre-migration snapshot can serve a descent across the new boundary
         // (best effort — a failed rebuild leaves the tier cold, not stale).
-        for &i in &[src, dst] {
-            let mut tree = self.shards[i].tree.lock();
-            let before = tree.io_elapsed_us();
-            let _ = tree.refresh_inner_tier();
-            let delta = tree.io_elapsed_us() - before;
-            drop(tree);
-            self.charge(delta);
+        for i in [src, dst] {
+            let _ = self.charged(&self.shards[i], |tree| tree.refresh_inner_tier());
         }
         let moved_keys = retire.len() as u64;
         self.migrated_keys.fetch_add(moved_keys, Ordering::Relaxed);
@@ -2315,21 +2162,29 @@ mod tests {
         config.maintenance_interval_ms = Some(1);
         let engine = ShardedPioEngine::create(config, &(0..1_000u64).collect::<Vec<_>>()).unwrap();
         assert!(engine.has_background_maintenance());
-        for k in 0..200u64 {
-            engine.insert(k * 5 % 1_000, k).unwrap();
+        // Fewer entries than one OPQ holds, so no foreground insert can fill a
+        // queue and flush it: whatever drains the queues is the worker.
+        let capacity = engine.stats().shards[0].opq_capacity;
+        let floor = (capacity as f64 * 0.1).ceil() as usize;
+        for k in 0..capacity as u64 - 1 {
+            engine.insert(k * 10 % 1_000, k).unwrap();
         }
-        // Wait (bounded) for the worker to drain the queues.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let queued = engine.stats().queued_ops;
-            if queued < 40 || std::time::Instant::now() > deadline {
-                assert!(queued < 40, "worker should have drained the OPQs, {queued} left");
-                break;
+        // Wait (bounded) for the worker to bring every queue below its floor
+        // and to have counted the pass that did it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let stats = loop {
+            let stats = engine.stats();
+            let fullest = stats.shards.iter().map(|s| s.opq_len).max().unwrap();
+            let drained = fullest < floor && stats.maintenance_flushes >= 1;
+            if drained || std::time::Instant::now() > deadline {
+                assert!(
+                    drained,
+                    "worker should have drained every OPQ below {floor}, {fullest} left"
+                );
+                break stats;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let stats = engine.stats();
-        assert!(stats.maintenance_flushes >= 1);
+        };
         assert_eq!(stats.maintenance_errors, 0);
         assert!(stats.last_maintenance_error.is_none());
     }

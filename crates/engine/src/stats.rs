@@ -94,8 +94,8 @@ pub struct EngineStats {
     /// times; this field accumulates those maxima. With one shard it equals
     /// `total_io_us`; the gap between the two is the engine's I/O overlap win.
     pub scheduled_io_us: f64,
-    /// Fan-outs dispatched through the persistent scheduler (batched calls and
-    /// maintenance passes). Single-key operations bypass the scheduler and are not
+    /// Fan-outs dispatched to the shard workers (batched calls and maintenance
+    /// passes). Single-key operations run inline on their caller and are not
     /// counted here.
     pub scheduled_batches: u64,
     /// Point-request sub-batches landed on shards through `multi_search` /

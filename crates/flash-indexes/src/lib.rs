@@ -15,7 +15,7 @@
 //!   sequential merges, searches probe one page per level via fence pointers.
 //!
 //! Both implementations here are clean-room simplifications that preserve the cost
-//! structure the comparison depends on (see `DESIGN.md`), driven by the same
+//! structure the comparison depends on, driven by the same
 //! [`storage::CachedStore`] substrate as the other trees and therefore measured in
 //! the same simulated time.
 //!

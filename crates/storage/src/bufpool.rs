@@ -61,10 +61,16 @@ pub struct BufferPool {
     capacity_pages: u64,
     used_pages: u64,
     frames: HashMap<PageId, Frame>,
+    /// Recency order as (page, stamp) pairs; a pair whose stamp no longer
+    /// matches its frame is stale and skipped on pop.
     lru: VecDeque<(PageId, u64)>,
     next_stamp: u64,
     stats: BufferPoolStats,
 }
+
+/// Queue pairs tolerated beyond twice the live entries before stale ones are
+/// compacted away (shared with [`crate::LeafCache`]).
+pub(crate) const LRU_SLACK: usize = 64;
 
 /// An entry evicted from the pool.
 #[derive(Debug, PartialEq, Eq)]
@@ -136,7 +142,22 @@ impl BufferPool {
         if let Some(f) = self.frames.get_mut(&page) {
             f.stamp = stamp;
         }
+        self.push_lru(page, stamp);
+    }
+
+    /// Queues a recency pair. Every hit leaves a stale pair behind and only an
+    /// eviction pops them, so a working set that fits would grow the queue for
+    /// ever: once stale pairs outnumber live ones (plus a floor that keeps tiny
+    /// pools from compacting constantly) they are dropped in place. Live pairs
+    /// keep their order, so eviction order is unchanged; the cost is amortised
+    /// O(1) per push.
+    fn push_lru(&mut self, page: PageId, stamp: u64) {
         self.lru.push_back((page, stamp));
+        if self.lru.len() > 2 * self.frames.len() + LRU_SLACK {
+            let frames = &self.frames;
+            self.lru
+                .retain(|&(page, stamp)| frames.get(&page).is_some_and(|f| f.stamp == stamp));
+        }
     }
 
     /// Looks a page up, updating recency and hit/miss counters. Returns a clone of the
@@ -196,7 +217,7 @@ impl BufferPool {
                 stamp,
             },
         );
-        self.lru.push_back((page, stamp));
+        self.push_lru(page, stamp);
         evicted
     }
 
@@ -376,6 +397,23 @@ mod tests {
         let ev = p.insert(1, vec![1], false, 1);
         assert!(ev.is_empty());
         assert!(p.get(1).is_none());
+    }
+
+    #[test]
+    fn hits_on_a_resident_entry_do_not_grow_the_queue() {
+        let mut p = BufferPool::new(3);
+        p.insert(1, vec![1], false, 1);
+        p.insert(2, vec![2], false, 1);
+        p.insert(3, vec![3], false, 1);
+        for _ in 0..100_000 {
+            p.get(2);
+            assert!(p.lru.len() <= 2 * p.len() + LRU_SLACK);
+        }
+        // Compaction kept the live pairs in order: 1 is still the LRU victim,
+        // then 3, and the much-hit 2 goes last.
+        assert_eq!(p.insert(4, vec![4], false, 1)[0].page, 1);
+        assert_eq!(p.insert(5, vec![5], false, 1)[0].page, 3);
+        assert_eq!(p.insert(6, vec![6], false, 1)[0].page, 2);
     }
 
     #[test]

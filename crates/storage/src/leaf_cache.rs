@@ -25,6 +25,7 @@
 //! single-page writes (bupdate's leaf-segment appends land *inside* a cached
 //! region) can find and invalidate the covering region in `O(log n)`.
 
+use crate::bufpool::LRU_SLACK;
 use crate::page::PageId;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -102,7 +103,8 @@ pub struct LeafCache {
     protected_cap: u64,
     entries: BTreeMap<PageId, Entry>,
     /// LRU orders as (page, stamp) queues; stale pairs (entry touched again or
-    /// moved segment) are skipped on pop, like the buffer pool's queue.
+    /// moved segment) are skipped on pop and compacted away once they outnumber
+    /// the live ones, like the buffer pool's queue.
     probation: VecDeque<(PageId, u64)>,
     protected: VecDeque<(PageId, u64)>,
     used_pages: u64,
@@ -166,20 +168,34 @@ impl LeafCache {
         Some(self.entries[&first].data.clone())
     }
 
+    /// Queues a recency pair on `seg`'s queue, dropping that queue's stale pairs
+    /// in place once it is longer than twice the resident entries plus a floor
+    /// (see `BufferPool::push_lru`: live pairs keep their order, amortised O(1)).
+    fn push(&mut self, seg: Segment, first: PageId, stamp: u64) {
+        let queue = match seg {
+            Segment::Probation => &mut self.probation,
+            Segment::Protected => &mut self.protected,
+        };
+        queue.push_back((first, stamp));
+        if queue.len() > 2 * self.entries.len() + LRU_SLACK {
+            let entries = &self.entries;
+            queue.retain(|&(page, stamp)| entries.get(&page).is_some_and(|e| e.stamp == stamp && e.seg == seg));
+        }
+    }
+
     /// Promotes (or refreshes) `first` after a point re-reference.
     fn touch(&mut self, first: PageId) {
         let stamp = self.stamp();
         let entry = self.entries.get_mut(&first).expect("touch of resident entry");
         entry.stamp = stamp;
-        match entry.seg {
-            Segment::Protected => self.protected.push_back((first, stamp)),
-            Segment::Probation => {
-                entry.seg = Segment::Protected;
-                let pages = entry.pages;
-                self.protected.push_back((first, stamp));
-                self.protected_pages += pages;
-                self.shrink_protected();
-            }
+        let promoted = entry.seg == Segment::Probation;
+        if promoted {
+            entry.seg = Segment::Protected;
+            self.protected_pages += entry.pages;
+        }
+        self.push(Segment::Protected, first, stamp);
+        if promoted {
+            self.shrink_protected();
         }
     }
 
@@ -202,7 +218,7 @@ impl LeafCache {
             let entry = self.entries.get_mut(&page).expect("still resident");
             entry.stamp = fresh;
             self.protected_pages -= entry.pages;
-            self.probation.push_back((page, fresh));
+            self.push(Segment::Probation, page, fresh);
         }
     }
 
@@ -229,7 +245,7 @@ impl LeafCache {
                 seg: Segment::Probation,
             },
         );
-        self.probation.push_back((first, stamp));
+        self.push(Segment::Probation, first, stamp);
         self.used_pages += pages;
         self.evict_to_fit();
     }
@@ -395,6 +411,29 @@ mod tests {
         for first in [0u64, 2, 4, 6, 8] {
             assert!(c.get(first, AccessHint::Scan).is_some());
         }
+    }
+
+    #[test]
+    fn hits_on_a_resident_region_do_not_grow_the_queues() {
+        let mut c = LeafCache::new(6);
+        for first in [0u64, 2, 4] {
+            c.insert(first, 2, region(first as u8, 2));
+        }
+        // Region 2 is promoted by its first hit and refreshed by the rest.
+        for _ in 0..100_000 {
+            c.get(2, AccessHint::Point);
+            let bound = 2 * c.entries.len() + LRU_SLACK;
+            assert!(c.probation.len() <= bound && c.protected.len() <= bound);
+        }
+        // Compaction kept the live pairs in order: probation still drains
+        // oldest-first (0, then 4) before the protected region 2 is touched.
+        for (first, survivors) in [(10u64, [2u64, 4]), (12, [2, 10])] {
+            c.insert(first, 2, region(9, 2));
+            for s in survivors {
+                assert!(c.get(s, AccessHint::Scan).is_some(), "region {s} evicted out of order");
+            }
+        }
+        assert_eq!(c.stats().evictions, 2);
     }
 
     #[test]

@@ -123,11 +123,10 @@ fn main() {
         engine_stats.pool_hit_ratio * 100.0
     );
     println!(
-        "inner tier hit rate {:.1}% ({} rebuilds, {} optimistic retries), \
+        "inner tier hit rate {:.1}% ({} rebuilds), \
          leaf cache hit rate {:.1}% ({} scan bypasses)",
         engine_stats.inner_tier_hit_rate() * 100.0,
         engine_stats.rollup.inner_tier_rebuilds,
-        engine_stats.rollup.inner_tier_retries,
         engine_stats.leaf_cache_hit_rate() * 100.0,
         engine_stats.leaf_cache.scan_bypasses
     );

@@ -1,21 +1,17 @@
 //! The in-memory inner tier and the scan-resistant leaf cache, end to end.
 //!
-//! Four layers of coverage for the `inner_tier` subsystem:
+//! Three layers of coverage for the `inner_tier` subsystem:
 //!
 //! 1. **Equivalence** — the tier and the leaf cache are pure accelerators: a
 //!    CRASH_SEED-randomized interleaving of `multi_search` / `range_search` /
 //!    `insert_batch` returns bit-identical results with them on and off, on
 //!    every simulated topology (device-per-shard and shared-device).
-//! 2. **Concurrent hammer** — snapshot republications (the flush-commit path's
-//!    `rebuild_from`) race optimistic readers on one shared tier: the seqlock
-//!    retry counter must fire at least once and every successful probe must
-//!    route to the exact leaf of the published snapshot.
-//! 3. **Crash / migration sweep** — CRASH_SEED-randomized crash points over a
+//! 2. **Crash / migration sweep** — CRASH_SEED-randomized crash points over a
 //!    workload interleaving batches with forced shard migrations, tier and
 //!    cache enabled: after `recover()` the tier-served key set must equal the
 //!    oracle (never a stale pre-migration boundary), with all-or-nothing
 //!    bounds exactly as in the tier-off sweep.
-//! 4. **Scan resistance** — a hot point-lookup working set must keep a high
+//! 3. **Scan resistance** — a hot point-lookup working set must keep a high
 //!    leaf-cache hit rate while full-range scans stream through the store.
 
 mod common;
@@ -27,7 +23,6 @@ use pio_btree::{PioBTree, PioConfig};
 use rand::{rngs::StdRng, Rng};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use storage::{CachedStore, PageStore, WritePolicy};
 
@@ -157,70 +152,6 @@ fn tier_on_equals_tier_off_on_every_sim_topology() {
             .expect("tier-on shared-device"),
         "tier-on shared-device",
     );
-}
-
-// ----------------------------------------------------------------- hammer --
-
-/// Snapshot republications race optimistic readers on one tree's tier: the
-/// writer thread re-runs the flush-commit publication path (`rebuild_from`,
-/// with `invalidate` in between, so readers also see cold windows) while
-/// reader threads probe a fixed key set. Every `Some` answer must be the exact
-/// leaf of the (static) structure, and the seqlock retry counter must fire.
-#[test]
-fn snapshot_republication_races_readers_with_exact_results() {
-    let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 28));
-    let store = Arc::new(CachedStore::new(
-        PageStore::new(io, PAGE as usize),
-        256,
-        WritePolicy::WriteThrough,
-    ));
-    let config = PioConfig {
-        inner_tier_pages: 256,
-        ..base_config(false)
-    };
-    let entries: Vec<(u64, u64)> = (0..40_000u64).map(|k| (k * 8, k + 1)).collect();
-    let tree = PioBTree::bulk_load(Arc::clone(&store), &entries, config).expect("bulk load");
-    assert!(tree.height() >= 3, "the hammer needs a multi-level tree");
-
-    let (root, height) = (tree.root_page(), tree.height());
-    let tier = tree.inner_tier();
-    // The ground truth: the warm tier's own routing before any contention.
-    let probes: Vec<u64> = (0..64u64).map(|i| i * 4_999).collect();
-    let expected: Vec<_> = probes
-        .iter()
-        .map(|&k| tier.probe_leaf(root, height, k).expect("warm tier must answer"))
-        .collect();
-
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    for (&key, &leaf) in probes.iter().zip(&expected) {
-                        if let Some(got) = tier.probe_leaf(root, height, key) {
-                            assert_eq!(got, leaf, "probe of {key} routed to a torn snapshot");
-                        }
-                    }
-                }
-            });
-        }
-        // Republish until the readers have demonstrably retried (bounded so a
-        // regression fails rather than hangs).
-        let mut published = 0u64;
-        while tier.stats().retries == 0 && published < 2_000_000 {
-            tier.invalidate();
-            tier.rebuild_from(&store, root, height).expect("rebuild");
-            published += 1;
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    let stats = tier.stats();
-    assert!(
-        stats.retries > 0,
-        "the hammer never exercised the optimistic retry path"
-    );
-    assert!(stats.rebuilds > 1, "the writer must have republished snapshots");
-    assert!(stats.hits > 0, "readers must have probed warm snapshots");
 }
 
 // ------------------------------------------------- crash / migration sweep --
