@@ -10,7 +10,7 @@
 //!   of magnitude more switches than psync I/O.
 
 use pio::backend::threaded::{mixed_psync_elapsed, mixed_threaded_elapsed};
-use pio::{FileLayout, ParallelIo, ReadRequest, SimPsyncIo, SimThreadedIo};
+use pio::{FileLayout, IoQueue, ReadRequest, SimPsyncIo, SimThreadedIo};
 use pio_bench::{mib, scaled, Table};
 use ssd_sim::DeviceProfile;
 
@@ -146,12 +146,12 @@ fn main() {
         }
         table.row(vec![
             outstd.to_string(),
-            psync.stats().context_switches.to_string(),
-            threaded.stats().context_switches.to_string(),
+            psync.io_stats().context_switches.to_string(),
+            threaded.io_stats().context_switches.to_string(),
         ]);
         if outstd == 32 {
             assert!(
-                threaded.stats().context_switches >= 10 * psync.stats().context_switches,
+                threaded.io_stats().context_switches >= 10 * psync.io_stats().context_switches,
                 "threads must pay an order of magnitude more context switches at OutStd 32"
             );
         }

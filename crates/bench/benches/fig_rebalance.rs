@@ -29,7 +29,7 @@
 //! shard cannot saturate the device's internal parallelism by itself — the
 //! headroom elasticity is supposed to claim.
 
-use engine::{EngineBuilder, EngineConfig, RebalanceConfig, ShardedPioEngine, SharedDevice};
+use engine::{EngineBuilder, EngineConfig, EngineStats, RebalanceConfig, ShardedPioEngine, SharedDevice};
 use pio_bench::Table;
 use pio_btree::PioConfig;
 use service::EngineService;
@@ -176,20 +176,25 @@ fn main() {
         ],
     );
 
-    /// Share of the window's routed ops on the hottest shard, in percent.
-    fn hottest_share(engine: &ShardedPioEngine) -> f64 {
-        let shards = engine.stats().shards;
-        let total: u64 = shards.iter().map(|s| s.routed_ops).sum();
-        let max = shards.iter().map(|s| s.routed_ops).max().unwrap_or(0);
-        100.0 * max as f64 / total.max(1) as f64
+    /// Share of the ops routed between two snapshots that went to the hottest
+    /// shard, in percent.
+    fn hottest_share(before: &EngineStats, after: &EngineStats) -> f64 {
+        let routed = || {
+            after
+                .shards
+                .iter()
+                .zip(&before.shards)
+                .map(|(a, b)| a.routed_ops - b.routed_ops)
+        };
+        100.0 * routed().max().unwrap_or(0) as f64 / routed().sum::<u64>().max(1) as f64
     }
 
     // --- static baseline: same data, same traffic, boundaries never move ---
     let static_engine = build_engine(&entries);
     run_phase(&static_engine, &warmup(0xE1A5), None);
-    let _ = static_engine.stats(); // reset the routed-op window before measuring
+    let warmed = static_engine.stats();
     let static_phase = run_phase(&static_engine, &measure(0x57A7), None);
-    let static_hot = hottest_share(&static_engine);
+    let static_hot = hottest_share(&warmed, &static_engine.stats());
     table.row(vec![
         "static".into(),
         format!("{:.1}", static_phase.sim_throughput / 1e3),
@@ -207,9 +212,9 @@ fn main() {
     // Let the window-driven policy settle before the measured phase.
     while elastic_engine.rebalance_once().expect("settle").is_some() {}
     let adapted = migrations.load(Ordering::Relaxed);
-    let _ = elastic_engine.stats();
+    let warmed = elastic_engine.stats();
     let elastic_phase = run_phase(&elastic_engine, &measure(0x57A7), None);
-    let elastic_hot = hottest_share(&elastic_engine);
+    let elastic_hot = hottest_share(&warmed, &elastic_engine.stats());
     table.row(vec![
         "elastic".into(),
         format!("{:.1}", elastic_phase.sim_throughput / 1e3),
@@ -257,13 +262,10 @@ fn main() {
         mix,
         seed: 0x1A7E,
     };
+    let fresh = latest_engine.stats();
     let latest_phase = run_phase(&latest_engine, &latest_spec, Some(&chase_migrations));
     let latest_stats = latest_engine.stats();
-    let latest_hot = {
-        let total: u64 = latest_stats.shards.iter().map(|s| s.routed_ops).sum();
-        let max = latest_stats.shards.iter().map(|s| s.routed_ops).max().unwrap_or(0);
-        100.0 * max as f64 / total.max(1) as f64
-    };
+    let latest_hot = hottest_share(&fresh, &latest_stats);
     table.row(vec![
         "latest (chase)".into(),
         "-".into(),

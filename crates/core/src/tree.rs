@@ -755,13 +755,38 @@ impl PioBTree {
     /// epoch — an unclosed bracket would leak the epoch tag onto later,
     /// unrelated records.
     pub fn insert_batch_epoch(&mut self, entries: &[(Key, Value)], epoch: u64) -> IoResult<storage::Lsn> {
+        self.in_epoch_bracket(epoch, |tree| tree.insert_batch(entries))
+    }
+
+    /// Applies a batch of arbitrary operations (inserts, updates, deletes)
+    /// inside a cross-shard epoch bracket and forces the WAL — the general form
+    /// of [`PioBTree::insert_batch_epoch`], used by shard migration to journal
+    /// region copies and retires under the migration epoch. Returns the WAL's
+    /// durable LSN.
+    pub fn apply_batch_epoch(&mut self, ops: &[OpEntry], epoch: u64) -> IoResult<storage::Lsn> {
+        self.in_epoch_bracket(epoch, |tree| {
+            ops.iter().try_for_each(|op| match op.op {
+                OpKind::Insert => tree.insert(op.key, op.value),
+                OpKind::Update => tree.update(op.key, op.value),
+                OpKind::Delete => tree.delete(op.key),
+            })
+        })
+    }
+
+    /// Runs `apply` between `epoch`'s `BatchBegin`/`BatchEnd` markers and forces
+    /// the WAL; returns the durable LSN (0 without a WAL).
+    fn in_epoch_bracket(
+        &mut self,
+        epoch: u64,
+        apply: impl FnOnce(&mut Self) -> IoResult<()>,
+    ) -> IoResult<storage::Lsn> {
         if let Some(wal) = &self.wal {
             let lsn = wal.append(&LogRecord::BatchBegin { epoch }.encode());
             // Pin WAL truncation below this bracket until the engine delivers
             // the epoch's verdict (the earliest bracket of an epoch wins).
             self.open_brackets.entry(epoch).or_insert(lsn);
         }
-        let result = self.insert_batch(entries);
+        let result = apply(self);
         let Some(wal) = &self.wal else {
             result?;
             return Ok(0);
@@ -775,46 +800,6 @@ impl PioBTree {
             Err(e) => {
                 // Best effort: if the force fails too, the records were lost with
                 // the crash and recovery discards the epoch anyway.
-                let _ = wal.force();
-                Err(e)
-            }
-        }
-    }
-
-    /// Applies a batch of arbitrary operations (inserts, updates, deletes)
-    /// inside a cross-shard epoch bracket and forces the WAL — the general form
-    /// of [`PioBTree::insert_batch_epoch`], used by shard migration to journal
-    /// region copies and retires under the migration epoch. Returns the WAL's
-    /// durable LSN.
-    pub fn apply_batch_epoch(&mut self, ops: &[OpEntry], epoch: u64) -> IoResult<storage::Lsn> {
-        if let Some(wal) = &self.wal {
-            let lsn = wal.append(&LogRecord::BatchBegin { epoch }.encode());
-            self.open_brackets.entry(epoch).or_insert(lsn);
-        }
-        let mut result = Ok(());
-        for &op in ops {
-            result = match op.op {
-                OpKind::Insert => self.insert(op.key, op.value),
-                OpKind::Update => self.update(op.key, op.value),
-                OpKind::Delete => self.delete(op.key),
-            };
-            if result.is_err() {
-                break;
-            }
-        }
-        let Some(wal) = &self.wal else {
-            result?;
-            return Ok(0);
-        };
-        wal.append(&LogRecord::BatchEnd { epoch }.encode());
-        match result {
-            Ok(()) => {
-                wal.force()?;
-                Ok(wal.durable_lsn())
-            }
-            Err(e) => {
-                // Best effort, as in `insert_batch_epoch`: a failed force means
-                // the records died with the crash and the epoch is discarded.
                 let _ = wal.force();
                 Err(e)
             }
@@ -2259,7 +2244,7 @@ mod tests {
             Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20)),
             Arc::clone(&clock),
         ));
-        tree.attach_wal(Wal::new(Arc::new(faulty) as Arc<dyn pio::ParallelIo>, 0, page_size));
+        tree.attach_wal(Wal::new(faulty, 0, page_size));
         clock
     }
 
@@ -2595,11 +2580,7 @@ mod tests {
         };
         let entries: Vec<(Key, Value)> = (0..120u64).map(|k| (k * 200, k)).collect();
         let mut t = PioBTree::bulk_load(build_store(&store_io), &entries, config.clone()).unwrap();
-        t.attach_wal(Wal::new(
-            Arc::new(Arc::clone(&wal_io)) as Arc<dyn pio::ParallelIo>,
-            0,
-            256,
-        ));
+        t.attach_wal(Wal::new(Arc::clone(&wal_io), 0, 256));
         // The stale snapshot: taken before any flush moved anything.
         let snapshot = (t.root_page(), t.height(), t.store().store().high_water_pages());
         assert_eq!(snapshot.1, 2, "bulk load of 120 entries stays at height 2");
@@ -2630,7 +2611,7 @@ mod tests {
         // snapshot — no in-memory state survives.
         let mut t = PioBTree::open(build_store(&store_io), config.clone(), snapshot.0, snapshot.1).unwrap();
         t.store().ensure_high_water(snapshot.2);
-        t.attach_wal(Wal::new(Arc::new(wal_io) as Arc<dyn pio::ParallelIo>, 0, 256));
+        t.attach_wal(Wal::new(wal_io, 0, 256));
         let report = t.recover().unwrap();
         assert!(report.redone > 0, "queued records replay from the WAL");
         assert!(!report.torn_tail);

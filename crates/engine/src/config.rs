@@ -47,8 +47,9 @@ pub struct EngineConfig {
     /// thread to drive the cadence).
     pub checkpoint_interval_ms: Option<u64>,
     /// Latency budget of the service front end's admission controller, in
-    /// microseconds: a request never waits in an open per-shard batch builder
-    /// longer than this before the builder is flushed to the engine. Smaller
+    /// microseconds: the request that opens a per-shard batch builder waits
+    /// this long for company and then runs the batch itself, so no request
+    /// waits in a builder longer than this. Smaller
     /// values trade batch occupancy (and therefore psync width) for latency;
     /// must be at least 1 — a zero budget would degenerate every batch to a
     /// single request and is rejected like `PipelineDepth::Fixed(0)`.
@@ -86,15 +87,18 @@ pub struct EngineConfig {
     /// the thread that drives the cadence).
     pub scrub_interval_ms: Option<u64>,
     /// Per-request deadline of the service front end in milliseconds: a
-    /// request whose reply does not arrive within this budget fails with a
-    /// retryable timeout instead of blocking its client forever. `None` (the
-    /// default) waits indefinitely; `Some(0)` is rejected.
+    /// request waiting on a batch another client thread runs fails with a
+    /// retryable timeout when its reply does not arrive within this budget,
+    /// instead of blocking its client forever; a request leading its own batch
+    /// runs it at the deadline if that comes before `max_batch_delay_us`.
+    /// `None` (the default) waits indefinitely; `Some(0)` is rejected.
     pub request_deadline_ms: Option<u64>,
-    /// Bound of the service front end's admission queue, in queued batches:
-    /// when the executor backlog reaches this depth, new requests are shed
-    /// immediately with a retryable *overloaded* error instead of growing the
-    /// queue (and every queued request's latency) without bound. `None` (the
-    /// default) admits everything; `Some(0)` is rejected.
+    /// Bound of the service front end's admission, in requests: while this
+    /// many are admitted and not yet answered (parked in builders or riding an
+    /// engine call), new requests are shed immediately with a retryable
+    /// *overloaded* error instead of stretching every waiting request's
+    /// latency without bound. `None` (the default) admits everything;
+    /// `Some(0)` is rejected.
     pub admission_queue_limit: Option<usize>,
 }
 
@@ -414,10 +418,10 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Bounds the service front end's admission queue (requests beyond the
-    /// bound are shed with a retryable overloaded error).
-    pub fn admission_queue_limit(mut self, batches: usize) -> Self {
-        self.config.admission_queue_limit = Some(batches);
+    /// Bounds the service front end's admitted-and-unanswered requests
+    /// (requests beyond the bound are shed with a retryable overloaded error).
+    pub fn admission_queue_limit(mut self, requests: usize) -> Self {
+        self.config.admission_queue_limit = Some(requests);
         self
     }
 

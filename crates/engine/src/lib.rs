@@ -190,9 +190,11 @@
 //! device-class failures open a shard's **health breaker** — writes are
 //! rejected with a clean retryable error, reads still try the caches — and
 //! the next maintenance probe closes it once the device answers again. The
-//! service front end adds per-request deadlines
-//! ([`EngineConfig::request_deadline_ms`]) and bounded-admission load
-//! shedding ([`EngineConfig::admission_queue_limit`]). Observability:
+//! service front end — which runs on its clients' threads and adds none of
+//! its own — adds per-request deadlines on every wait for a batch another
+//! client runs ([`EngineConfig::request_deadline_ms`]) and load shedding once
+//! too many admitted requests are unanswered
+//! ([`EngineConfig::admission_queue_limit`]). Observability:
 //! [`EngineStats::io_retries`], [`EngineStats::io_give_ups`],
 //! [`EngineStats::integrity`], [`EngineStats::degraded_shards`],
 //! [`EngineStats::breaker_opens`] / [`EngineStats::breaker_closes`].

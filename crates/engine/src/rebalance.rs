@@ -9,9 +9,8 @@
 //! * a **load monitor** tracks per-shard routed operations and OPQ queue
 //!   pressure (the same counters surfaced as
 //!   [`ShardSnapshot::routed_ops`](crate::ShardSnapshot::routed_ops) /
-//!   [`ShardSnapshot::queue_peak_pct`](crate::ShardSnapshot::queue_peak_pct),
-//!   but on an independent window so external `stats()` readers don't steal
-//!   the balancer's signal);
+//!   [`ShardSnapshot::queue_peak_pct`](crate::ShardSnapshot::queue_peak_pct))
+//!   over a window it alone closes — `stats()` readers only read;
 //! * a **policy** ([`plan`]) decides when to *split* a hot shard at its median
 //!   key into a colder neighbour, or *merge* a cold shard's range into an
 //!   adjacent one;
@@ -225,15 +224,15 @@ impl EngineInner {
     /// [`RebalanceConfig::auto`] is set, by the background maintenance worker.
     pub(crate) fn auto_rebalance_tick(&self) -> IoResult<Option<RebalanceOutcome>> {
         let window = self.rebalance_window();
-        let peaks = self.queue_peaks();
         let bounds = self.bounds_snapshot();
         let n = window.len();
         let loads: Vec<ShardLoad> = (0..n)
             .map(|i| {
                 let (lo, hi) = crate::sharded::shard_range(&bounds, i, n);
+                let (routed_ops, queue_peak_pct) = window[i];
                 ShardLoad {
-                    routed_ops: window[i],
-                    queue_peak_pct: peaks[i],
+                    routed_ops,
+                    queue_peak_pct,
                     range_empty: lo >= hi,
                 }
             })

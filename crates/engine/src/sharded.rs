@@ -36,7 +36,7 @@ use crate::stats::{EngineStats, ShardSnapshot};
 use crate::topology::{EngineBackends, EngineManifest, ShardMeta, ShardProvisioner};
 use btree::{Key, Value};
 use parking_lot::{Mutex, RwLock};
-use pio::{IoQueue, IoResult, ParallelIo};
+use pio::{IoQueue, IoResult};
 use pio_btree::{OpEntry, OpKind, PioBTree, PioConfig, PioStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,17 +57,14 @@ pub(crate) struct Shard {
     /// batched_calls` is the shard's average batch occupancy — the engine-level
     /// ground truth for the service front end's occupancy metric.
     batched_ops: AtomicU64,
-    /// Requests routed to this shard since the last [`EngineStats`] snapshot
-    /// (reset by `stats()`): the per-window load signal.
-    routed_since: AtomicU64,
     /// Requests routed to this shard over the engine's lifetime (monotonic):
-    /// the rebalance monitor diffs this against its own baseline, so its
-    /// windows are independent of how often anyone calls `stats()`.
+    /// the load signal. The rebalance monitor diffs it against its own
+    /// baseline, `stats()` readers diff two snapshots.
     routed_total: AtomicU64,
     /// Peak OPQ fill (percent of capacity) observed after any write since the
-    /// last [`EngineStats`] snapshot (reset by `stats()`): the queue-pressure
-    /// signal. Behind an `Arc` so batched-write task closures can update it
-    /// from the worker threads.
+    /// rebalance monitor last closed a window (it owns the reset): the
+    /// queue-pressure signal. Behind an `Arc` so batched-write task closures
+    /// can update it from the worker threads.
     queue_peak_pct: Arc<AtomicU64>,
     /// Health breaker of this shard's device (see [`ShardHealth`]).
     health: ShardHealth,
@@ -159,7 +156,6 @@ impl Shard {
             tree: Arc::new(Mutex::new(tree)),
             batched_calls: AtomicU64::new(0),
             batched_ops: AtomicU64::new(0),
-            routed_since: AtomicU64::new(0),
             routed_total: AtomicU64::new(0),
             queue_peak_pct: Arc::new(AtomicU64::new(0)),
             health: ShardHealth::default(),
@@ -173,9 +169,8 @@ impl Shard {
         self.note_routed(ops as u64);
     }
 
-    /// Counts `ops` requests routed to this shard (window + lifetime signals).
+    /// Counts `ops` requests routed to this shard.
     fn note_routed(&self, ops: u64) {
-        self.routed_since.fetch_add(ops, Ordering::Relaxed);
         self.routed_total.fetch_add(ops, Ordering::Relaxed);
     }
 }
@@ -529,7 +524,7 @@ fn attach_shard_wal(tree: &mut PioBTree, cfg: &PioConfig, retry: Option<pio::Ret
         Some(policy) => Arc::new(pio::ResilientIo::new(wal_io, policy)),
         None => wal_io,
     };
-    tree.attach_wal(Wal::new(Arc::new(wal_io) as Arc<dyn ParallelIo>, 0, cfg.page_size));
+    tree.attach_wal(Wal::new(wal_io, 0, cfg.page_size));
 }
 
 /// Bulk loads one shard tree over its provisioned store backend (its own
@@ -613,9 +608,8 @@ impl ShardedPioEngine {
                 Some(policy) => Arc::new(pio::ResilientIo::new(engine_wal, policy)),
                 None => engine_wal,
             };
-            let wal_io: Arc<dyn ParallelIo> = Arc::new(engine_wal);
             EpochCoordinator {
-                log: EpochLog::new(Wal::new(wal_io, 0, shard_cfg.page_size)),
+                log: EpochLog::new(Wal::new(engine_wal, 0, shard_cfg.page_size)),
                 next_epoch: AtomicU64::new(1),
                 in_flight: Mutex::new(std::collections::BTreeMap::new()),
             }
@@ -1543,19 +1537,11 @@ impl EngineInner {
         self.routing.read().bounds.clone()
     }
 
-    /// Current per-shard OPQ peak-fill percentages (read without resetting —
-    /// the `stats()` snapshot owns the reset; the balancer only needs an
-    /// advisory pressure signal).
-    pub(crate) fn queue_peaks(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.queue_peak_pct.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-shard routed-op counts since the previous call — the rebalance
-    /// monitor's load window, independent of anyone calling `stats()`.
-    pub(crate) fn rebalance_window(&self) -> Vec<u64> {
+    /// Closes the rebalance monitor's load window: per shard, the ops routed
+    /// to it and its peak OPQ fill (percent) since the previous call. The
+    /// monitor is the one consumer of a window, so the baseline and the peak
+    /// reset live here and `stats()` readers perturb nothing.
+    pub(crate) fn rebalance_window(&self) -> Vec<(u64, u64)> {
         let mut baseline = self.rebalance_baseline.lock();
         self.shards
             .iter()
@@ -1564,7 +1550,7 @@ impl EngineInner {
                 let total = s.routed_total.load(Ordering::Relaxed);
                 let delta = total - *base;
                 *base = total;
-                delta
+                (delta, s.queue_peak_pct.swap(0, Ordering::Relaxed))
             })
             .collect()
     }
@@ -1821,10 +1807,8 @@ impl EngineInner {
             let shard_batched_ops = shard.batched_ops.load(Ordering::Relaxed);
             batched_calls += shard_batched_calls;
             batched_ops += shard_batched_ops;
-            // Window counters: reset on read, so each snapshot reports the
-            // activity since the previous one.
-            let routed_ops = shard.routed_since.swap(0, Ordering::Relaxed);
-            let queue_peak_pct = shard.queue_peak_pct.swap(0, Ordering::Relaxed);
+            let routed_ops = shard.routed_total.load(Ordering::Relaxed);
+            let queue_peak_pct = shard.queue_peak_pct.load(Ordering::Relaxed);
             let degraded = shard.health.is_open();
             let consecutive_failures = shard.health.consecutive_failures.load(Ordering::Relaxed);
             let shard_breaker_opens = shard.health.opens.load(Ordering::Relaxed);
@@ -1840,7 +1824,7 @@ impl EngineInner {
             // The shard WAL appends through its own retry-wrapped queue; its
             // retries and give-ups belong in the same resilience rollup.
             if let Some(wal) = tree.wal() {
-                let wal_io = wal.io().stats();
+                let wal_io = wal.io().io_stats();
                 backend_io.retries += wal_io.retries;
                 backend_io.give_ups += wal_io.give_ups;
             }
@@ -1960,7 +1944,7 @@ mod tests {
     /// would let a checkpoint truncate a still-undecided epoch's Begin record.
     #[test]
     fn truncation_floor_uses_the_minimum_pin_not_the_smallest_epoch_id() {
-        let io: Arc<dyn ParallelIo> = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::F120, 16 << 20));
+        let io: Arc<dyn IoQueue> = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::F120, 16 << 20));
         let coord = EpochCoordinator {
             log: EpochLog::new(Wal::new(io, 0, 2048)),
             next_epoch: AtomicU64::new(7),

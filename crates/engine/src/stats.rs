@@ -31,12 +31,13 @@ pub struct ShardSnapshot {
     /// `batched_ops / batched_calls` is the shard's average batch occupancy.
     pub batched_ops: u64,
     /// Requests routed to this shard (reads and writes alike, batched or not)
-    /// since the previous [`crate::ShardedPioEngine::stats`] snapshot — the
-    /// load half of the rebalancer's per-shard signal. Reset on read.
+    /// over the engine's lifetime — the load half of the rebalancer's
+    /// per-shard signal. Monotonic: diff two snapshots for a window.
     pub routed_ops: u64,
-    /// Peak OPQ fill observed after any write since the previous snapshot, as
-    /// a percentage of capacity — the queue-pressure half of the rebalancer's
-    /// signal. Reset on read.
+    /// Peak OPQ fill observed after any write since the rebalance monitor last
+    /// closed a window (each `rebalance_once` / auto tick resets it; never, if
+    /// nothing ticks), as a percentage of capacity — the queue-pressure half
+    /// of the rebalancer's signal.
     pub queue_peak_pct: u64,
     /// The shard tree's operation counters.
     pub pio: PioStats,

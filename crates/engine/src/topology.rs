@@ -597,7 +597,7 @@ mod tests {
         assert_eq!(backends.shard_wals.len(), 3);
         assert!(backends.engine_wal.is_some());
         // Independent devices: a write through one store is invisible to another.
-        use pio::ParallelIo;
+        use pio::IoQueue;
         backends.shard_stores[0].write_at(0, b"zero").unwrap();
         assert_eq!(backends.shard_stores[1].read_at(0, 4).unwrap(), vec![0u8; 4]);
     }
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn shared_device_partitions_are_disjoint_views_of_one_device() {
         let backends = SharedDevice.provision(&config(2, true), ProvisionMode::Create).unwrap();
-        use pio::ParallelIo;
+        use pio::IoQueue;
         backends.shard_stores[0].write_at(0, b"s0").unwrap();
         backends.shard_stores[1].write_at(0, b"s1").unwrap();
         backends.shard_wals[0].write_at(0, b"w0").unwrap();

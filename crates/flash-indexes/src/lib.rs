@@ -19,8 +19,8 @@
 //! [`storage::CachedStore`] substrate as the other trees and therefore measured in
 //! the same simulated time.
 //!
-//! These baselines deliberately stay on the *blocking* psync shim
-//! ([`pio::ParallelIo`], a submit-and-wait wrapper over [`pio::IoQueue`]): their
+//! These baselines deliberately stay on the *blocking* psync calls
+//! ([`pio::IoQueue::psync_read`] and friends, submit-and-wait): their
 //! defining costs are one-page-at-a-time synchronous reads (BFTL's log-page
 //! chains) and sequential merge writes (the FD-tree predates psync I/O), so
 //! migrating them to overlapped in-flight tickets would change the very cost

@@ -384,7 +384,7 @@ impl Drop for FileThreadPoolIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelIo;
+    use crate::IoQueue;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -405,7 +405,7 @@ mod tests {
             assert_eq!(buf, d);
         }
         assert_eq!(stats.requests, 16);
-        assert!(io.stats().writes == 16 && io.stats().reads == 16);
+        assert!(io.io_stats().writes == 16 && io.io_stats().reads == 16);
         let _ = std::fs::remove_file(&path);
     }
 

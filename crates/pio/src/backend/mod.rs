@@ -1,6 +1,5 @@
 //! I/O backends implementing the [`crate::IoQueue`] submission/completion contract
-//! (and therefore, through the blanket shim, the blocking [`crate::ParallelIo`]
-//! psync contract).
+//! (and with it the blocking psync calls it provides).
 //!
 //! * [`psync`] — batch submission to the simulated SSD (the psync I/O of the paper).
 //! * [`sync`] — one request per submission (conventional synchronous I/O).

@@ -80,7 +80,7 @@ impl IoQueue for SimPsyncIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelIo;
+    use crate::IoQueue;
     use ssd_sim::DeviceProfile;
 
     fn io() -> SimPsyncIo {
@@ -132,9 +132,9 @@ mod tests {
         let io = io();
         let reqs: Vec<ReadRequest> = (0..64).map(|i| ReadRequest::new(i * 4096, 4096)).collect();
         io.psync_read(&reqs).unwrap();
-        assert_eq!(io.stats().context_switches, 2);
-        assert_eq!(io.stats().reads, 64);
-        assert_eq!(io.stats().max_batch, 64);
+        assert_eq!(io.io_stats().context_switches, 2);
+        assert_eq!(io.io_stats().reads, 64);
+        assert_eq!(io.io_stats().max_batch, 64);
     }
 
     #[test]
@@ -144,7 +144,7 @@ mod tests {
         assert!(bufs.is_empty());
         assert_eq!(b.requests, 0);
         assert_eq!(io.psync_write(&[]).unwrap().requests, 0);
-        assert_eq!(io.stats().batches, 0);
+        assert_eq!(io.io_stats().batches, 0);
     }
 
     #[test]

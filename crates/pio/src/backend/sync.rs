@@ -79,7 +79,7 @@ impl IoQueue for SimSyncIo {
 mod tests {
     use super::*;
     use crate::backend::psync::SimPsyncIo;
-    use crate::ParallelIo;
+    use crate::IoQueue;
     use ssd_sim::DeviceProfile;
 
     #[test]
@@ -110,6 +110,6 @@ mod tests {
         let io = SimSyncIo::with_profile(DeviceProfile::F120, 16 * 1024 * 1024);
         let reqs: Vec<ReadRequest> = (0..10).map(|i| ReadRequest::new(i * 4096, 4096)).collect();
         io.psync_read(&reqs).unwrap();
-        assert_eq!(io.stats().context_switches, 20);
+        assert_eq!(io.io_stats().context_switches, 20);
     }
 }

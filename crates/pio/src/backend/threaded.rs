@@ -125,7 +125,7 @@ pub fn mixed_threaded_elapsed(
 /// Services the same mixed workload through a psync backend (single batch) and
 /// returns the elapsed simulated time. Companion of [`mixed_threaded_elapsed`].
 pub fn mixed_psync_elapsed(backend: &crate::SimPsyncIo, reqs: &[(bool, u64, u64)]) -> f64 {
-    use crate::ParallelIo;
+    use crate::IoQueue;
     // psync submits the whole group at once; reads and writes are split into two
     // calls in index code, but the Figure-4 micro-benchmark intentionally submits
     // the mixed group as one batch, which the trait models as read-batch followed by
@@ -157,7 +157,7 @@ pub fn mixed_psync_elapsed(backend: &crate::SimPsyncIo, reqs: &[(bool, u64, u64)
 mod tests {
     use super::*;
     use crate::backend::psync::SimPsyncIo;
-    use crate::ParallelIo;
+    use crate::IoQueue;
     use ssd_sim::DeviceProfile;
 
     const CAP: u64 = 64 * 1024 * 1024;
@@ -219,7 +219,7 @@ mod tests {
         let reads: Vec<ReadRequest> = (0..32).map(|i| ReadRequest::new(i * 8192, 4096)).collect();
         threaded.psync_read(&reads).unwrap();
         psync.psync_read(&reads).unwrap();
-        assert!(threaded.stats().context_switches >= 10 * psync.stats().context_switches);
+        assert!(threaded.io_stats().context_switches >= 10 * psync.io_stats().context_switches);
     }
 
     #[test]

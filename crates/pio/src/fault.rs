@@ -556,7 +556,7 @@ impl IoQueue for FaultIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParallelIo, SimPsyncIo};
+    use crate::{IoQueue, SimPsyncIo};
     use ssd_sim::DeviceProfile;
 
     fn wrapped() -> (FaultIo, Arc<FaultClock>) {

@@ -7,18 +7,15 @@
 //! full-wait `io_getevents` — which means the blocking call is a convenience
 //! wrapper over an inherently asynchronous **submission/completion** interface.
 //!
-//! This crate models the I/O layer the same way, in two tiers:
-//!
-//! * [`IoQueue`] is the primary contract: [`IoQueue::submit_read`] /
-//!   [`IoQueue::submit_write`] hand a whole batch to the device and return a
-//!   [`Ticket`]; [`IoQueue::wait`] and [`IoQueue::try_complete`] reap the
-//!   [`Completion`] (buffers + [`BatchStats`]). A caller may hold several tickets
-//!   in flight; batches outstanding together **overlap on the device** and contend
-//!   for its channels and host interface.
-//! * [`ParallelIo`] is the paper's blocking psync contract, kept as a thin
-//!   compatibility shim: a blanket implementation turns every [`IoQueue`] into a
-//!   [`ParallelIo`] by submitting and immediately waiting, so code written against
-//!   the blocking interface keeps working unchanged.
+//! This crate models the I/O layer the same way, as one contract, [`IoQueue`]:
+//! [`IoQueue::submit_read`] / [`IoQueue::submit_write`] hand a whole batch to the
+//! device and return a [`Ticket`]; [`IoQueue::wait`] and
+//! [`IoQueue::try_complete`] reap the [`Completion`] (buffers + [`BatchStats`]).
+//! A caller may hold several tickets in flight; batches outstanding together
+//! **overlap on the device** and contend for its channels and host interface.
+//! The paper's blocking psync call is [`IoQueue::psync_read`] /
+//! [`IoQueue::psync_write`], provided on every queue as submit-then-wait —
+//! exactly how the paper builds it out of `io_submit`/`io_getevents`.
 //!
 //! Four backends implement [`IoQueue`]:
 //!
@@ -91,133 +88,3 @@ pub use request::{ReadRequest, WriteRequest};
 pub use resilient::{ResilientIo, RetryPolicy};
 pub use ring::TicketRing;
 pub use stats::{BatchStats, IoStats};
-
-/// The blocking psync I/O contract (Section 2.3 of the paper).
-///
-/// 1. A call delivers a *set* of I/Os and returns only after every I/O in the set has
-///    completed; another set can be submitted only afterwards.
-/// 2. The group is kept together down to the device so that the device's command
-///    queue sees all of them in one scheduling window.
-/// 3. No completion-event machinery is exposed to the caller — the call simply
-///    blocks.
-///
-/// Reads and writes are submitted through separate calls, which also encodes the
-/// paper's Principle 3 (*no mingled read/writes*): an index that wants to avoid the
-/// interference penalty simply never mixes kinds within one call.
-///
-/// This trait is the **compatibility shim** over [`IoQueue`]: every queue
-/// implements it via the blanket impl below (submit + immediate wait), which is
-/// exactly how the paper builds psync I/O out of `io_submit`/`io_getevents`.
-/// Hot paths that want to hold several batches in flight use [`IoQueue`] directly.
-pub trait ParallelIo: Send + Sync {
-    /// Reads every request in `reqs` and returns one owned buffer per request, in
-    /// request order, together with the simulated/elapsed time of the batch.
-    fn psync_read(&self, reqs: &[ReadRequest]) -> IoResult<(Vec<Vec<u8>>, BatchStats)>;
-
-    /// Writes every request in `reqs`, blocking until all are durable on the device.
-    fn psync_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<BatchStats>;
-
-    /// Convenience: single synchronous read.
-    fn read_at(&self, offset: u64, len: usize) -> IoResult<Vec<u8>> {
-        let (mut bufs, _) = self.psync_read(&[ReadRequest::new(offset, len)])?;
-        Ok(bufs.pop().expect("one buffer per request"))
-    }
-
-    /// Convenience: single synchronous write.
-    fn write_at(&self, offset: u64, data: &[u8]) -> IoResult<()> {
-        self.psync_write(&[WriteRequest::new(offset, data)])?;
-        Ok(())
-    }
-
-    /// Cumulative statistics (requests, bytes, simulated time, context switches).
-    fn stats(&self) -> IoStats;
-
-    /// Total simulated (or wall-clock, for the file backend) time spent in I/O, µs.
-    fn elapsed_us(&self) -> f64 {
-        self.stats().elapsed_us
-    }
-
-    /// Resets the cumulative statistics.
-    fn reset_stats(&self);
-
-    /// Advisory: everything at or beyond byte `len` is dead and may be
-    /// physically reclaimed (see [`IoQueue::reclaim_to`]). A no-op on backends
-    /// without a real notion of file length.
-    fn reclaim_to(&self, len: u64) -> IoResult<()> {
-        let _ = len;
-        Ok(())
-    }
-}
-
-/// The compatibility shim: every submission/completion queue is a blocking psync
-/// backend — submit the batch, then wait for its single ticket.
-impl<Q: IoQueue + ?Sized> ParallelIo for Q {
-    fn psync_read(&self, reqs: &[ReadRequest]) -> IoResult<(Vec<Vec<u8>>, BatchStats)> {
-        let done = self.wait(self.submit_read(reqs)?)?;
-        Ok((done.buffers, done.stats))
-    }
-
-    fn psync_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<BatchStats> {
-        Ok(self.wait(self.submit_write(reqs)?)?.stats)
-    }
-
-    fn stats(&self) -> IoStats {
-        self.io_stats()
-    }
-
-    fn reset_stats(&self) {
-        self.reset_io_stats()
-    }
-
-    fn reclaim_to(&self, len: u64) -> IoResult<()> {
-        IoQueue::reclaim_to(self, len)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ssd_sim::DeviceProfile;
-    use std::sync::Arc;
-
-    #[test]
-    fn arc_blanket_impl_forwards() {
-        let io = Arc::new(SimPsyncIo::new(DeviceProfile::f120().build(), 1 << 20));
-        io.write_at(0, b"hello").unwrap();
-        let back = io.read_at(0, 5).unwrap();
-        assert_eq!(&back, b"hello");
-        assert!(io.stats().writes >= 1);
-        io.reset_stats();
-        assert_eq!(io.stats().writes, 0);
-    }
-
-    #[test]
-    fn shim_matches_explicit_submit_wait() {
-        // The same workload driven through the blocking shim and through explicit
-        // submit/wait must be byte- and stat-identical.
-        let blocking = SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 24);
-        let ticketed = SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 24);
-        let payload: Vec<(u64, Vec<u8>)> = (0..8u64).map(|i| (i * 8192, vec![i as u8; 4096])).collect();
-        let writes: Vec<WriteRequest> = payload.iter().map(|(o, d)| WriteRequest::new(*o, d)).collect();
-        let reads: Vec<ReadRequest> = payload.iter().map(|(o, d)| ReadRequest::new(*o, d.len())).collect();
-
-        let w1 = blocking.psync_write(&writes).unwrap();
-        let w2 = ticketed.wait(ticketed.submit_write(&writes).unwrap()).unwrap();
-        assert_eq!(w1, w2.stats);
-
-        let (b1, r1) = blocking.psync_read(&reads).unwrap();
-        let c2 = ticketed.wait(ticketed.submit_read(&reads).unwrap()).unwrap();
-        assert_eq!(b1, c2.buffers);
-        assert_eq!(r1, c2.stats);
-        assert_eq!(blocking.stats(), ticketed.io_stats());
-    }
-
-    #[test]
-    fn dyn_io_queue_is_a_parallel_io() {
-        // The shim must also apply to trait objects, so stores can hold
-        // `Arc<dyn IoQueue>` while legacy code calls psync methods on it.
-        let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 20));
-        io.write_at(4096, b"dyn").unwrap();
-        assert_eq!(io.read_at(4096, 3).unwrap(), b"dyn");
-    }
-}

@@ -203,7 +203,7 @@ impl IoQueue for PartitionIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParallelIo, SimPsyncIo};
+    use crate::{IoQueue, SimPsyncIo};
     use ssd_sim::DeviceProfile;
 
     fn device(capacity: u64) -> Arc<dyn IoQueue> {

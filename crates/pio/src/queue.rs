@@ -17,9 +17,9 @@
 //! the simulated backends schedule every in-flight batch on a shared device
 //! timeline with a common start time, so two shards submitting through one backend
 //! contend for the same channels and host interface — exactly the shared-device
-//! behaviour of Figure 4(a)/(b). The blocking [`crate::ParallelIo`] contract is
-//! preserved as a blanket shim over this trait (submit followed by an immediate
-//! wait), so existing callers keep working unchanged.
+//! behaviour of Figure 4(a)/(b). The paper's blocking psync call is the provided
+//! [`IoQueue::psync_read`] / [`IoQueue::psync_write`]: submit followed by an
+//! immediate wait.
 
 use crate::error::IoResult;
 use crate::request::{ReadRequest, WriteRequest};
@@ -125,6 +125,34 @@ pub trait IoQueue: Send + Sync {
     /// ready in completion-time order, so a polling driver reaps them exactly as
     /// they would land on real hardware.
     fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete>;
+
+    /// The paper's blocking psync read (Section 2.3): submits the whole set as
+    /// one group and returns only after every I/O in it has completed — one owned
+    /// buffer per request, in request order, plus the batch's time. Reads and
+    /// writes go through separate calls, which encodes Principle 3 (*no mingled
+    /// read/writes*).
+    fn psync_read(&self, reqs: &[ReadRequest]) -> IoResult<(Vec<Vec<u8>>, BatchStats)> {
+        let done = self.wait(self.submit_read(reqs)?)?;
+        Ok((done.buffers, done.stats))
+    }
+
+    /// The blocking psync write: returns once every request is durable on the
+    /// device.
+    fn psync_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<BatchStats> {
+        Ok(self.wait(self.submit_write(reqs)?)?.stats)
+    }
+
+    /// Convenience: single synchronous read.
+    fn read_at(&self, offset: u64, len: usize) -> IoResult<Vec<u8>> {
+        let (mut bufs, _) = self.psync_read(&[ReadRequest::new(offset, len)])?;
+        Ok(bufs.pop().expect("one buffer per request"))
+    }
+
+    /// Convenience: single synchronous write.
+    fn write_at(&self, offset: u64, data: &[u8]) -> IoResult<()> {
+        self.psync_write(&[WriteRequest::new(offset, data)])?;
+        Ok(())
+    }
 
     /// Cumulative statistics (requests, bytes, device time, context switches).
     fn io_stats(&self) -> IoStats;

@@ -1,4 +1,4 @@
-//! Read and write request descriptors for [`crate::ParallelIo`].
+//! Read and write request descriptors for [`crate::IoQueue`].
 
 /// A read of `len` bytes at byte `offset`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -310,7 +310,7 @@ impl IoQueue for ResilientIo {
 mod tests {
     use super::*;
     use crate::fault::{FaultClock, FaultIo, TransientFaults};
-    use crate::{ParallelIo, SimPsyncIo};
+    use crate::{IoQueue, SimPsyncIo};
     use ssd_sim::DeviceProfile;
 
     fn resilient(policy: RetryPolicy) -> (ResilientIo, Arc<FaultClock>) {

@@ -11,7 +11,9 @@
 //! * **Admission control with cross-request group batching**
 //!   ([`EngineService`]): requests accumulate in per-shard batch builders for
 //!   at most `max_batch_delay_us`; a builder flushes early when it reaches
-//!   `max_batch_size`. Coalesced gets become one engine
+//!   `max_batch_size`. The service has no threads: the client that opened a
+//!   builder (or filled it) runs its engine call and answers the clients that
+//!   joined it. Coalesced gets become one engine
 //!   [`multi_search`](engine::ShardedPioEngine::multi_search) (the MPSearch
 //!   path), coalesced puts become one
 //!   [`insert_batch`](engine::ShardedPioEngine::insert_batch) riding the
@@ -24,9 +26,9 @@
 //!   formed, average occupancy, and why each batch flushed (size-triggered vs
 //!   budget-expired vs shutdown drain).
 //!
-//! Both knobs live in the engine's [`EngineConfig`](engine::EngineConfig)
-//! (`max_batch_delay_us`, `max_batch_size`) so a deployment is described in
-//! one place.
+//! The knobs live in the engine's [`EngineConfig`](engine::EngineConfig)
+//! (`max_batch_delay_us`, `max_batch_size`, `request_deadline_ms`,
+//! `admission_queue_limit`) so a deployment is described in one place.
 //!
 //! ```
 //! use engine::{EngineConfig, ShardedPioEngine};

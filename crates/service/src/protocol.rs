@@ -73,13 +73,14 @@ pub enum ResponseBody {
 /// Where a request spent its time, as measured by the service.
 ///
 /// `total_us ≈ queue_us + service_us` up to scheduling noise: the queue time
-/// runs from admission until the executing batch is picked up, the service time
-/// is the engine call that carried the request, and the total is end-to-end
-/// from admission to ack.
+/// runs from admission until the thread that took the request's batch starts
+/// the engine call, the service time is that engine call, and the total is
+/// end-to-end from admission to ack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestTiming {
     /// Microseconds from admission until the request's batch began executing
-    /// (time in the batch builder plus time in the executor queue).
+    /// (the time it spent in its batch builder; scans run at once on their
+    /// caller).
     pub queue_us: u64,
     /// Microseconds the carrying engine call took (shared by every request in
     /// the batch — this is the *batch* service time, not a per-request share).
@@ -140,15 +141,15 @@ pub enum ServiceError {
     /// unknown — but the *request* is cleanly over and may be retried
     /// (idempotent puts make the retry safe).
     Timeout,
-    /// The admission controller shed the request because the executor backlog
-    /// reached the configured bound. Nothing was enqueued; retry after
-    /// backing off.
+    /// The admission controller shed the request because as many requests as
+    /// the configured bound were already admitted and waiting for their
+    /// answers. Nothing was enqueued; retry after backing off.
     Overloaded,
     /// The service is shut down (or shut down before the request was admitted).
     Closed,
-    /// The request was admitted but its reply channel was dropped before an
-    /// answer arrived — an executor died mid-batch. The operation may or may
-    /// not have been applied.
+    /// The request was admitted but the engine call carrying it panicked (on
+    /// whichever client thread ran the batch). The operation may or may not
+    /// have been applied.
     Lost,
 }
 
@@ -175,7 +176,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Timeout => write!(f, "request deadline expired (outcome unknown; safe to retry)"),
             ServiceError::Overloaded => write!(f, "service overloaded: admission queue full, request shed"),
             ServiceError::Closed => write!(f, "service is closed"),
-            ServiceError::Lost => write!(f, "request was lost (executor failed mid-batch)"),
+            ServiceError::Lost => write!(f, "request was lost (its engine call panicked mid-batch)"),
         }
     }
 }

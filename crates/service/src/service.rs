@@ -1,19 +1,26 @@
-//! The service itself: admission control, per-shard batch builders, dispatcher
-//! and executor threads, and per-request accounting.
+//! The service itself: admission control, per-shard batch builders, and
+//! per-request accounting — all of it on the callers' threads. The service
+//! owns no thread: whoever opens or fills a batch executes it.
 //!
 //! ## Request lifecycle
 //!
 //! ```text
-//! client thread                admission controller             executors
-//! ─────────────                ────────────────────             ─────────
-//! handle.get(k) ──────────────▶ per-shard read builder ─┐
-//!    (blocks on reply channel)  (opened ≤ delay budget) │ full → size-triggered
-//!                                                       │ deadline → budget-expired
-//!                               dispatcher thread ──────┴──▶ job queue ──▶ multi_search
-//! handle.put(k,v) ────────────▶ per-shard write builder ────▶ job queue ──▶ insert_batch
-//!                                                                          (flush epoch
-//!                                                                           forced, THEN ack)
-//! handle.scan(lo,hi) ─────────▶ (no coalescing) ────────────▶ job queue ──▶ range_search
+//! client A (finds no builder)        client B (finds A's builder)       engine
+//! ───────────────────────────        ────────────────────────────       ──────
+//! handle.get(k1)
+//!   opens the (shard, gets) builder,
+//!   becomes its leader, waits on its   handle.get(k2)
+//!   own reply ≤ delay budget             joins the builder, waits on
+//!        │                               its own reply
+//!        │ budget over: takes the builder it opened ───────────────────▶ multi_search([k1, k2])
+//!        │ answers B, answers itself                                      on engine-shard-N
+//!        ▼                                   ▼
+//!   Response                             Response
+//!
+//! handle.put(k, v)   same, per (shard, puts) builder ──────────────────▶ insert_batch
+//!                                                                        (flush epoch forced,
+//!                                                                         THEN every ack)
+//! handle.scan(lo, hi)   no coalescing, runs on its caller ─────────────▶ range_search
 //! ```
 //!
 //! * Gets destined for the same shard coalesce into one engine
@@ -23,14 +30,20 @@
 //!   which drives the engine's cross-shard flush-epoch machinery; the batch is
 //!   the *group commit*: one forced epoch covers every client in the batch, and
 //!   no put is acked before that call returns (i.e. before the epoch committed).
-//! * A builder flushes when it reaches `max_batch_size` (size-triggered, pushed
-//!   by the admitting client thread) or when its oldest request has waited
-//!   `max_batch_delay_us` (budget-expired, pushed by the dispatcher thread) —
-//!   no admitted request ever waits in a builder beyond the budget.
+//! * A builder leaves its slot exactly once, taken under the admission lock by
+//!   the thread that then runs it: the request that fills it to
+//!   `max_batch_size` (size-triggered), its leader once the request that opened
+//!   it has waited `max_batch_delay_us` (budget-expired), or
+//!   [`EngineService::shutdown`] (drain). A leader names the builder it opened
+//!   by a generation number, so it never takes a successor in the same slot —
+//!   and no admitted request ever waits in a builder beyond the budget.
 //! * Scans bypass the builders: they are not coalescible point work.
 //!
-//! Locking order is `admission → job queue`; no path takes them in the other
-//! order.
+//! Locking: the admission lock guards the builders and is never held across an
+//! engine call. Beside it there is only the shutdown barrier `in_flight`: a
+//! request holds it shared for its whole life (taken before the admission
+//! lock), and `shutdown` takes it exclusively after it has released the
+//! admission lock for the last time.
 //!
 //! ## Live shard boundaries
 //!
@@ -50,78 +63,68 @@ use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use crate::protocol::{Request, RequestTiming, Response, ResponseBody, ServiceError};
 use btree::{Key, Value};
 use engine::ShardedPioEngine;
-use std::collections::VecDeque;
+use pio::IoResult;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Reply channel of one blocked client.
-type Ack = mpsc::Sender<Result<Response, ServiceError>>;
+type Reply = Result<Response, ServiceError>;
 
-/// One admitted, not-yet-answered request.
+/// One admitted, not-yet-answered point request.
 struct Waiter {
     enqueued: Instant,
-    ack: Ack,
+    ack: mpsc::Sender<Reply>,
 }
 
-/// What made a batch leave its builder (or a request skip the builders).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What made a batch leave its builder.
+#[derive(Clone, Copy)]
 enum Trigger {
     /// The builder reached `max_batch_size`.
     Size,
-    /// The builder's oldest request exhausted the latency budget.
+    /// The request that opened the builder exhausted the latency budget.
     Budget,
     /// Shutdown drained the builder.
     Drain,
-    /// Uncoalesced work (scans) — not a batch flush.
-    Direct,
 }
 
-/// The engine work one executor performs in a single engine call.
-enum JobKind {
+/// The engine work one builder accumulates: a single engine call's worth.
+enum Work {
     /// Coalesced gets for one shard → `multi_search`.
-    Reads { keys: Vec<Key> },
+    Reads(Vec<Key>),
     /// Coalesced puts for one shard → `insert_batch` (group commit).
-    Writes { entries: Vec<(Key, Value)> },
-    /// A range scan → `range_search`.
-    Scan { lo: Key, hi: Key },
+    Writes(Vec<(Key, Value)>),
 }
 
-struct Job {
-    kind: JobKind,
-    /// One waiter per request, in the same order as the kind's payload
-    /// (single waiter for scans).
+/// An open builder: the requests of one kind admitted for one shard since the
+/// slot was last emptied.
+struct Builder {
+    work: Work,
+    /// One waiter per request, in the order of `work`'s payload.
     waiters: Vec<Waiter>,
-    trigger: Trigger,
-}
-
-/// An open per-shard builder accumulating gets.
-struct ReadBuilder {
-    keys: Vec<Key>,
-    waiters: Vec<Waiter>,
-    opened: Instant,
-}
-
-/// An open per-shard builder accumulating puts.
-struct WriteBuilder {
-    entries: Vec<(Key, Value)>,
-    waiters: Vec<Waiter>,
-    opened: Instant,
+    /// Tells this builder from its successors in the same slot.
+    generation: u64,
 }
 
 /// State behind the admission lock: the open builders and the closed flag.
 struct Admission {
-    reads: Vec<Option<ReadBuilder>>,
-    writes: Vec<Option<WriteBuilder>>,
+    /// Slot `2 * shard` holds the shard's gets, `2 * shard + 1` its puts.
+    builders: Vec<Option<Builder>>,
+    /// Generation of the most recently opened builder.
+    generation: u64,
     closed: bool,
 }
 
-/// The executor work queue (multi-producer, multi-consumer via mutex+condvar).
-struct JobQueue {
-    jobs: VecDeque<Job>,
-    closed: bool,
+/// What admission made of a point request's thread.
+enum Role {
+    /// It filled the builder and took it: run the batch now.
+    Run(Builder),
+    /// It opened the builder: run it once the budget is over, unless another
+    /// thread took it first.
+    Lead { slot: usize, generation: u64 },
+    /// It joined an open builder: whoever takes that answers it.
+    Follow,
 }
 
 #[derive(Default)]
@@ -139,7 +142,7 @@ struct Counters {
     sheds: AtomicU64,
 }
 
-/// Everything the service's threads and handles share.
+/// Everything the service and its handles share.
 struct ServiceShared {
     engine: Arc<ShardedPioEngine>,
     max_batch_size: usize,
@@ -147,15 +150,15 @@ struct ServiceShared {
     /// Per-request deadline ([`engine::EngineConfig::request_deadline_ms`]);
     /// `None` waits indefinitely.
     request_deadline: Option<Duration>,
-    /// Admission bound on the executor backlog
+    /// Bound on `unanswered`
     /// ([`engine::EngineConfig::admission_queue_limit`]); `None` admits all.
     queue_limit: Option<usize>,
+    /// Requests admitted and not yet answered.
+    unanswered: AtomicUsize,
     admission: Mutex<Admission>,
-    /// Woken when a builder opens (new deadline) or the service closes.
-    admission_wake: Condvar,
-    queue: Mutex<JobQueue>,
-    /// Woken when a job is queued or the queue closes.
-    queue_wake: Condvar,
+    /// Held shared by every request from admission to return; shutdown takes
+    /// it exclusively to wait out the batches other threads are running.
+    in_flight: RwLock<()>,
     counters: Counters,
     e2e: LatencyHistogram,
     queue_wait: LatencyHistogram,
@@ -163,161 +166,216 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
-    /// Sheds the request up front when the executor backlog has reached the
-    /// configured bound: admitting more work would only stretch every queued
-    /// request's latency, and the client gets a clean retryable signal to back
-    /// off on instead. Takes the queue lock alone (never nested under
-    /// admission), so the established `admission → queue` order is untouched.
-    fn admit_or_shed(&self) -> Result<(), ServiceError> {
-        if let Some(limit) = self.queue_limit {
-            let backlog = self.queue.lock().expect("queue poisoned").jobs.len();
-            if backlog >= limit {
-                self.counters.sheds.fetch_add(1, Ordering::Relaxed);
-                return Err(ServiceError::Overloaded);
-            }
-        }
-        Ok(())
+    /// Serves one request on the calling thread, shedding it up front when
+    /// `admission_queue_limit` requests are already waiting for their answers:
+    /// admitting more would only stretch every one of those waits, and the
+    /// client gets a clean retryable signal to back off on instead.
+    fn submit(&self, request: Request) -> Reply {
+        let ahead = self.unanswered.fetch_add(1, Ordering::Relaxed);
+        let reply = if self.queue_limit.is_some_and(|limit| ahead >= limit) {
+            self.counters.sheds.fetch_add(1, Ordering::Relaxed);
+            Err(ServiceError::Overloaded)
+        } else {
+            self.serve(request)
+        };
+        self.unanswered.fetch_sub(1, Ordering::Relaxed);
+        reply
     }
 
-    /// Admits one request, blocks until its batch executed, returns its response.
-    fn submit(&self, request: Request) -> Result<Response, ServiceError> {
-        self.admit_or_shed()?;
-        let (ack, reply) = mpsc::channel();
-        let waiter = Waiter {
-            enqueued: Instant::now(),
-            ack,
-        };
-        match request {
+    /// Admits the request and returns its response, running the engine call
+    /// that carries it if this thread opened or filled its batch (or if it is
+    /// a scan) and waiting for the thread that does otherwise.
+    fn serve(&self, request: Request) -> Reply {
+        let _in_flight = self
+            .in_flight
+            .read()
+            .expect("in-flight lock is never held across a panic");
+        let enqueued = Instant::now();
+        let (key, value) = match request {
             Request::Get { key } => {
                 self.counters.gets.fetch_add(1, Ordering::Relaxed);
-                self.admit_read(key, waiter)?;
+                (key, None)
             }
             Request::Put { key, value } => {
                 self.counters.puts.fetch_add(1, Ordering::Relaxed);
-                self.admit_write(key, value, waiter)?;
+                (key, Some(value))
             }
             Request::Scan { lo, hi } => {
                 self.counters.scans.fetch_add(1, Ordering::Relaxed);
-                // Scans are not coalescible point work: straight to the
-                // executors. The admission lock still gates the closed flag so
-                // a scan can never slip into a queue the dispatcher already
-                // sealed.
-                let admission = self.admission.lock().expect("admission poisoned");
-                if admission.closed {
-                    return Err(ServiceError::Closed);
-                }
-                self.push_job(Job {
-                    kind: JobKind::Scan { lo, hi },
-                    waiters: vec![waiter],
-                    trigger: Trigger::Direct,
-                });
+                return self.scan(lo, hi, enqueued);
             }
-        }
-        match self.request_deadline {
-            Some(deadline) => match reply.recv_timeout(deadline) {
-                Ok(outcome) => outcome,
-                // The deadline expired with the request still in flight. The
-                // batch will still execute and answer into the dropped channel
-                // — the *outcome* is unknown, but the client's wait is
-                // cleanly over and the request is safe to resubmit.
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    Err(ServiceError::Timeout)
+        };
+        let (ack, reply) = mpsc::channel();
+        let (batch, trigger) = match self.admit(key, value, Waiter { enqueued, ack })? {
+            Role::Run(batch) => (batch, Trigger::Size),
+            Role::Lead { slot, generation } => {
+                // A leader cannot abandon its followers, so a deadline shorter
+                // than the budget flushes the batch early instead of timing out.
+                let wait = self
+                    .request_deadline
+                    .map_or(self.max_batch_delay, |d| d.min(self.max_batch_delay));
+                match reply.recv_timeout((enqueued + wait).saturating_duration_since(Instant::now())) {
+                    Err(RecvTimeoutError::Timeout) => match self.take(slot, generation) {
+                        Some(batch) => (batch, Trigger::Budget),
+                        None => return self.await_reply(&reply, enqueued),
+                    },
+                    // A size trigger or the drain took the builder and ran it.
+                    answered => return answered.unwrap_or(Err(ServiceError::Lost)),
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::Lost),
-            },
-            None => match reply.recv() {
-                Ok(outcome) => outcome,
-                // The waiter was dropped unanswered — an executor died mid-batch.
-                Err(_) => Err(ServiceError::Lost),
-            },
+            }
+            Role::Follow => return self.await_reply(&reply, enqueued),
+        };
+        self.run_batch(batch, trigger);
+        reply.try_recv().unwrap_or(Err(ServiceError::Lost))
+    }
+
+    /// Waits for the thread whose batch carries this request; the request's
+    /// deadline bounds the wait.
+    fn await_reply(&self, reply: &mpsc::Receiver<Reply>, enqueued: Instant) -> Reply {
+        let Some(deadline) = self.request_deadline else {
+            return reply.recv().unwrap_or(Err(ServiceError::Lost));
+        };
+        match reply.recv_timeout((enqueued + deadline).saturating_duration_since(Instant::now())) {
+            // The batch will still execute and answer into the dropped channel
+            // — the *outcome* is unknown, but the client's wait is cleanly over
+            // and the request is safe to resubmit.
+            Err(RecvTimeoutError::Timeout) => {
+                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                Err(ServiceError::Timeout)
+            }
+            answered => answered.unwrap_or(Err(ServiceError::Lost)),
         }
     }
 
-    fn admit_read(&self, key: Key, waiter: Waiter) -> Result<(), ServiceError> {
-        let shard = self.engine.shard_for(key);
+    /// Puts a get (`value` is `None`) or a put into its shard's builder,
+    /// opening one if the slot is empty and taking it if this request fills it.
+    fn admit(&self, key: Key, value: Option<Value>, waiter: Waiter) -> Result<Role, ServiceError> {
+        let slot = 2 * self.engine.shard_for(key) + usize::from(value.is_some());
         let mut admission = self.admission.lock().expect("admission poisoned");
         if admission.closed {
             return Err(ServiceError::Closed);
         }
-        let slot = &mut admission.reads[shard];
-        let newly_opened = slot.is_none();
-        let builder = slot.get_or_insert_with(|| ReadBuilder {
-            keys: Vec::new(),
-            waiters: Vec::new(),
-            opened: Instant::now(),
+        let Admission {
+            builders, generation, ..
+        } = &mut *admission;
+        let opened = builders[slot].is_none();
+        let builder = builders[slot].get_or_insert_with(|| {
+            *generation += 1;
+            Builder {
+                work: match value {
+                    None => Work::Reads(Vec::new()),
+                    Some(_) => Work::Writes(Vec::new()),
+                },
+                waiters: Vec::new(),
+                generation: *generation,
+            }
         });
-        builder.keys.push(key);
-        builder.waiters.push(waiter);
-        if builder.keys.len() >= self.max_batch_size {
-            let full = slot.take().expect("builder just filled");
-            self.push_job(Job {
-                kind: JobKind::Reads { keys: full.keys },
-                waiters: full.waiters,
-                trigger: Trigger::Size,
-            });
-        } else if newly_opened {
-            // A new latency deadline now exists; the dispatcher must shorten
-            // its sleep to honour it.
-            self.admission_wake.notify_all();
+        match (&mut builder.work, value) {
+            (Work::Reads(keys), None) => keys.push(key),
+            (Work::Writes(entries), Some(value)) => entries.push((key, value)),
+            _ => unreachable!("a slot's parity fixes the kind of its builders"),
         }
-        Ok(())
+        builder.waiters.push(waiter);
+        Ok(if builder.waiters.len() >= self.max_batch_size {
+            Role::Run(builders[slot].take().expect("builder just filled"))
+        } else if opened {
+            Role::Lead {
+                slot,
+                generation: builder.generation,
+            }
+        } else {
+            Role::Follow
+        })
     }
 
-    fn admit_write(&self, key: Key, value: Value, waiter: Waiter) -> Result<(), ServiceError> {
-        let shard = self.engine.shard_for(key);
+    /// Takes the builder in `slot` if it is still the one `generation` names.
+    fn take(&self, slot: usize, generation: u64) -> Option<Builder> {
         let mut admission = self.admission.lock().expect("admission poisoned");
-        if admission.closed {
+        admission.builders[slot].take_if(|builder| builder.generation == generation)
+    }
+
+    /// Runs a taken batch's engine call on the calling thread and answers every
+    /// waiter with its result and timing. Puts are acked only after
+    /// `insert_batch` returned, i.e. after the covering flush epoch was forced
+    /// — the group-commit durability contract.
+    fn run_batch(&self, batch: Builder, trigger: Trigger) {
+        let flushes = match trigger {
+            Trigger::Size => &self.counters.size_triggered_flushes,
+            Trigger::Budget => &self.counters.budget_expired_flushes,
+            Trigger::Drain => &self.counters.drain_flushes,
+        };
+        flushes.fetch_add(1, Ordering::Relaxed);
+        self.counters.batches_formed.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .batched_requests
+            .fetch_add(batch.waiters.len() as u64, Ordering::Relaxed);
+
+        let (begun, service_us, outcome) = self.engine_call::<Vec<ResponseBody>>(|engine| match &batch.work {
+            Work::Reads(keys) => engine
+                .multi_search(keys)
+                .map(|values| values.into_iter().map(ResponseBody::Value).collect()),
+            Work::Writes(entries) => engine
+                .insert_batch(entries)
+                .map(|()| vec![ResponseBody::Done; entries.len()]),
+        });
+        match outcome {
+            Ok(bodies) => {
+                debug_assert_eq!(bodies.len(), batch.waiters.len());
+                for (waiter, body) in batch.waiters.into_iter().zip(bodies) {
+                    let timing = self.record(waiter.enqueued, begun, service_us);
+                    let _ = waiter.ack.send(Ok(Response { body, timing }));
+                }
+            }
+            Err(err) => {
+                for waiter in batch.waiters {
+                    let _ = waiter.ack.send(Err(err.clone()));
+                }
+            }
+        }
+    }
+
+    /// Runs a scan on its caller, unless the service is closed.
+    fn scan(&self, lo: Key, hi: Key, enqueued: Instant) -> Reply {
+        if self.admission.lock().expect("admission poisoned").closed {
             return Err(ServiceError::Closed);
         }
-        let slot = &mut admission.writes[shard];
-        let newly_opened = slot.is_none();
-        let builder = slot.get_or_insert_with(|| WriteBuilder {
-            entries: Vec::new(),
-            waiters: Vec::new(),
-            opened: Instant::now(),
-        });
-        builder.entries.push((key, value));
-        builder.waiters.push(waiter);
-        if builder.entries.len() >= self.max_batch_size {
-            let full = slot.take().expect("builder just filled");
-            self.push_job(Job {
-                kind: JobKind::Writes { entries: full.entries },
-                waiters: full.waiters,
-                trigger: Trigger::Size,
-            });
-        } else if newly_opened {
-            self.admission_wake.notify_all();
-        }
-        Ok(())
+        let (begun, service_us, outcome) = self.engine_call(|engine| engine.range_search(lo, hi));
+        outcome.map(|entries| Response {
+            body: ResponseBody::Entries(entries),
+            timing: self.record(enqueued, begun, service_us),
+        })
     }
 
-    /// Counts the job against the flush-trigger and occupancy tallies and hands
-    /// it to the executors. Callers hold the admission lock (lock order
-    /// admission → queue).
-    fn push_job(&self, job: Job) {
-        match job.trigger {
-            Trigger::Size => {
-                self.counters.size_triggered_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            Trigger::Budget => {
-                self.counters.budget_expired_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            Trigger::Drain => {
-                self.counters.drain_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            Trigger::Direct => {}
+    /// Runs and times one engine call: when it began, how many microseconds it
+    /// took, what it returned. A panic inside the engine must not unwind into a
+    /// client that merely happened to lead the batch, nor leave its followers
+    /// waiting: it becomes [`ServiceError::Lost`] for every request the call
+    /// carried, and the next request finds the service as it was.
+    fn engine_call<T>(
+        &self,
+        call: impl FnOnce(&ShardedPioEngine) -> IoResult<T>,
+    ) -> (Instant, u64, Result<T, ServiceError>) {
+        let begun = Instant::now();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| call(&self.engine)))
+            .map_or(Err(ServiceError::Lost), |returned| returned.map_err(ServiceError::from));
+        if outcome.is_err() {
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if job.trigger != Trigger::Direct {
-            self.counters.batches_formed.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .batched_requests
-                .fetch_add(job.waiters.len() as u64, Ordering::Relaxed);
-        }
-        let mut queue = self.queue.lock().expect("queue poisoned");
-        queue.jobs.push_back(job);
-        drop(queue);
-        self.queue_wake.notify_one();
+        (begun, begun.elapsed().as_micros() as u64, outcome)
+    }
+
+    /// Times one answered request (admission → engine call began → now) into
+    /// the three histograms.
+    fn record(&self, enqueued: Instant, begun: Instant, service_us: u64) -> RequestTiming {
+        let timing = RequestTiming {
+            queue_us: begun.duration_since(enqueued).as_micros() as u64,
+            service_us,
+            total_us: enqueued.elapsed().as_micros() as u64,
+        };
+        self.queue_wait.record(timing.queue_us);
+        self.batch_service.record(timing.service_us);
+        self.e2e.record(timing.total_us);
+        timing
     }
 
     fn stats(&self) -> ServiceStats {
@@ -340,224 +398,40 @@ impl ServiceShared {
     }
 }
 
-/// The dispatcher thread: flushes builders whose latency budget expired, and on
-/// shutdown drains every open builder before sealing the executor queue (so no
-/// admitted request is ever stranded).
-fn dispatcher_loop(shared: &ServiceShared) {
-    let mut admission = shared.admission.lock().expect("admission poisoned");
-    loop {
-        if admission.closed {
-            for shard in 0..admission.reads.len() {
-                if let Some(b) = admission.reads[shard].take() {
-                    shared.push_job(Job {
-                        kind: JobKind::Reads { keys: b.keys },
-                        waiters: b.waiters,
-                        trigger: Trigger::Drain,
-                    });
-                }
-                if let Some(b) = admission.writes[shard].take() {
-                    shared.push_job(Job {
-                        kind: JobKind::Writes { entries: b.entries },
-                        waiters: b.waiters,
-                        trigger: Trigger::Drain,
-                    });
-                }
-            }
-            drop(admission);
-            // No producer can enqueue past this point (admission is closed);
-            // seal the queue so executors exit once it is drained.
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            queue.closed = true;
-            drop(queue);
-            shared.queue_wake.notify_all();
-            return;
-        }
-
-        let now = Instant::now();
-        for shard in 0..admission.reads.len() {
-            if admission.reads[shard]
-                .as_ref()
-                .is_some_and(|b| b.opened + shared.max_batch_delay <= now)
-            {
-                let b = admission.reads[shard].take().expect("checked above");
-                shared.push_job(Job {
-                    kind: JobKind::Reads { keys: b.keys },
-                    waiters: b.waiters,
-                    trigger: Trigger::Budget,
-                });
-            }
-            if admission.writes[shard]
-                .as_ref()
-                .is_some_and(|b| b.opened + shared.max_batch_delay <= now)
-            {
-                let b = admission.writes[shard].take().expect("checked above");
-                shared.push_job(Job {
-                    kind: JobKind::Writes { entries: b.entries },
-                    waiters: b.waiters,
-                    trigger: Trigger::Budget,
-                });
-            }
-        }
-
-        // Sleep until the earliest remaining deadline, or indefinitely while no
-        // builder is open — admissions that open a builder wake us.
-        let earliest = admission
-            .reads
-            .iter()
-            .filter_map(|b| b.as_ref().map(|b| b.opened))
-            .chain(admission.writes.iter().filter_map(|b| b.as_ref().map(|b| b.opened)))
-            .min();
-        admission = match earliest {
-            Some(opened) => {
-                let deadline = opened + shared.max_batch_delay;
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                shared
-                    .admission_wake
-                    .wait_timeout(admission, timeout)
-                    .expect("admission poisoned")
-                    .0
-            }
-            None => shared.admission_wake.wait(admission).expect("admission poisoned"),
-        };
-    }
-}
-
-/// An executor thread: pops jobs and runs them against the engine until the
-/// queue is sealed and empty.
-fn executor_loop(shared: &ServiceShared) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break job;
-                }
-                if queue.closed {
-                    return;
-                }
-                queue = shared.queue_wake.wait(queue).expect("queue poisoned");
-            }
-        };
-        // A panicking engine call must not take the executor (and every later
-        // job's clients) down with it: the job's waiters are dropped, so its
-        // clients see `Lost`, and the executor lives on.
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, job)));
-    }
-}
-
-/// Runs one job's engine call and answers every waiter with its result and
-/// timing. Puts are acked only after `insert_batch` returned, i.e. after the
-/// covering flush epoch was forced — the group-commit durability contract.
-fn run_job(shared: &ServiceShared, job: Job) {
-    let begun = Instant::now();
-    let outcome: Result<Vec<ResponseBody>, ServiceError> = match &job.kind {
-        JobKind::Reads { keys } => shared
-            .engine
-            .multi_search(keys)
-            .map(|values| values.into_iter().map(ResponseBody::Value).collect())
-            .map_err(ServiceError::from),
-        JobKind::Writes { entries } => shared
-            .engine
-            .insert_batch(entries)
-            .map(|()| job.waiters.iter().map(|_| ResponseBody::Done).collect())
-            .map_err(ServiceError::from),
-        JobKind::Scan { lo, hi } => shared
-            .engine
-            .range_search(*lo, *hi)
-            .map(|entries| vec![ResponseBody::Entries(entries)])
-            .map_err(ServiceError::from),
-    };
-    let service_us = begun.elapsed().as_micros() as u64;
-    match outcome {
-        Ok(bodies) => {
-            debug_assert_eq!(bodies.len(), job.waiters.len());
-            for (waiter, body) in job.waiters.into_iter().zip(bodies) {
-                let queue_us = begun.duration_since(waiter.enqueued).as_micros() as u64;
-                let total_us = waiter.enqueued.elapsed().as_micros() as u64;
-                shared.queue_wait.record(queue_us);
-                shared.batch_service.record(service_us);
-                shared.e2e.record(total_us);
-                let timing = RequestTiming {
-                    queue_us,
-                    service_us,
-                    total_us,
-                };
-                let _ = waiter.ack.send(Ok(Response { body, timing }));
-            }
-        }
-        Err(err) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            for waiter in job.waiters {
-                let _ = waiter.ack.send(Err(err.clone()));
-            }
-        }
-    }
-}
-
-/// The running service: owns the dispatcher and executor threads. Create with
-/// [`EngineService::start`], call through [`ServiceHandle`]s, stop with
-/// [`EngineService::shutdown`] (dropping the service shuts it down too).
+/// The running service. It has no threads of its own — every request is served
+/// on the thread that submitted it. Create with [`EngineService::start`], call
+/// through [`ServiceHandle`]s, stop with [`EngineService::shutdown`] (dropping
+/// the service shuts it down too).
 pub struct EngineService {
     shared: Arc<ServiceShared>,
-    dispatcher: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
 }
 
 impl EngineService {
-    /// Starts the front end over `engine`, reading its batching knobs
-    /// (`max_batch_delay_us`, `max_batch_size`) from the engine's
-    /// [`EngineConfig`](engine::EngineConfig). Spawns one dispatcher thread and
-    /// `shard_count + 1` executors (enough to keep every shard's engine path
-    /// busy while one executor serves cross-shard scans).
+    /// Starts the front end over `engine`, reading its knobs
+    /// (`max_batch_delay_us`, `max_batch_size`, `request_deadline_ms`,
+    /// `admission_queue_limit`) from the engine's
+    /// [`EngineConfig`](engine::EngineConfig).
     pub fn start(engine: Arc<ShardedPioEngine>) -> Self {
-        let max_batch_size = engine.config().max_batch_size;
-        let max_batch_delay = Duration::from_micros(engine.config().max_batch_delay_us);
-        let request_deadline = engine.config().request_deadline_ms.map(Duration::from_millis);
-        let queue_limit = engine.config().admission_queue_limit;
-        let shards = engine.shard_count();
+        let config = engine.config();
         let shared = Arc::new(ServiceShared {
-            engine,
-            max_batch_size,
-            max_batch_delay,
-            request_deadline,
-            queue_limit,
+            max_batch_size: config.max_batch_size,
+            max_batch_delay: Duration::from_micros(config.max_batch_delay_us),
+            request_deadline: config.request_deadline_ms.map(Duration::from_millis),
+            queue_limit: config.admission_queue_limit,
+            unanswered: AtomicUsize::new(0),
             admission: Mutex::new(Admission {
-                reads: (0..shards).map(|_| None).collect(),
-                writes: (0..shards).map(|_| None).collect(),
+                builders: (0..2 * engine.shard_count()).map(|_| None).collect(),
+                generation: 0,
                 closed: false,
             }),
-            admission_wake: Condvar::new(),
-            queue: Mutex::new(JobQueue {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            queue_wake: Condvar::new(),
+            in_flight: RwLock::new(()),
             counters: Counters::default(),
             e2e: LatencyHistogram::new(),
             queue_wait: LatencyHistogram::new(),
             batch_service: LatencyHistogram::new(),
+            engine,
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("service-dispatcher".into())
-                .spawn(move || dispatcher_loop(&shared))
-                .expect("spawn service dispatcher")
-        };
-        let executors = (0..shards + 1)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("service-exec-{i}"))
-                    .spawn(move || executor_loop(&shared))
-                    .expect("spawn service executor")
-            })
-            .collect();
-        Self {
-            shared,
-            dispatcher: Some(dispatcher),
-            executors,
-        }
+        Self { shared }
     }
 
     /// A cheap, cloneable handle for submitting requests from any thread.
@@ -577,27 +451,26 @@ impl EngineService {
         self.shared.stats()
     }
 
-    /// Stops admission, drains every in-flight and builder-held request (each
-    /// gets its real answer, not an error), joins the threads, and returns the
-    /// final accounting. Requests submitted after shutdown fail with
-    /// [`ServiceError::Closed`].
+    /// Stops admission, runs every still-open builder on the calling thread
+    /// (each parked request gets its real answer, not an error), waits until
+    /// every request admitted before the stop has returned to its caller, and
+    /// returns the final accounting. Requests submitted after shutdown fail
+    /// with [`ServiceError::Closed`].
     pub fn shutdown(mut self) -> ServiceStats {
         self.stop();
         self.shared.stats()
     }
 
     fn stop(&mut self) {
-        {
+        let drained: Vec<Builder> = {
             let mut admission = self.shared.admission.lock().expect("admission poisoned");
             admission.closed = true;
+            admission.builders.iter_mut().filter_map(Option::take).collect()
+        };
+        for batch in drained {
+            self.shared.run_batch(batch, Trigger::Drain);
         }
-        self.shared.admission_wake.notify_all();
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
-        }
-        for executor in self.executors.drain(..) {
-            let _ = executor.join();
-        }
+        drop(self.shared.in_flight.write());
     }
 }
 
@@ -702,8 +575,9 @@ pub struct ServiceStats {
     /// Requests whose deadline expired before the reply arrived (each also
     /// surfaced to its client as [`ServiceError::Timeout`]).
     pub timeouts: u64,
-    /// Requests shed at admission because the executor backlog reached
-    /// [`engine::EngineConfig::admission_queue_limit`].
+    /// Requests shed at admission because
+    /// [`engine::EngineConfig::admission_queue_limit`] requests were already
+    /// admitted and unanswered.
     pub sheds: u64,
     /// End-to-end latency per request: admission → ack.
     pub e2e: HistogramSnapshot,

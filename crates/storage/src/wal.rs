@@ -17,7 +17,7 @@
 //! LSN from the device itself, recovering any records that a torn force *did*
 //! complete — a real restart has no in-memory `durable_lsn` to trust.
 //!
-//! The log occupies its own region of a [`pio::ParallelIo`] backend (its own file in
+//! The log occupies its own region of a [`pio::IoQueue`] backend (its own file in
 //! the paper's terms), so log writes are sequential and never interleave with index
 //! node I/O inside a single psync call.
 //!
@@ -41,7 +41,7 @@
 //! checkpoint, never to the store's age.
 
 use parking_lot::Mutex;
-use pio::{IoResult, ParallelIo, ReadRequest, WriteRequest};
+use pio::{IoQueue, IoResult, ReadRequest, WriteRequest};
 use std::sync::Arc;
 
 /// Log sequence number: the byte offset of a record within the log.
@@ -102,7 +102,7 @@ struct WalInner {
 
 /// An append-only, force-on-demand log over a psync I/O backend.
 pub struct Wal {
-    io: Arc<dyn ParallelIo>,
+    io: Arc<dyn IoQueue>,
     /// Byte offset of the start of the log region on the backend.
     base_offset: u64,
     page_size: usize,
@@ -222,7 +222,7 @@ fn parse_records(raw: &[u8], base_lsn: Lsn) -> WalScan {
 impl Wal {
     /// Creates a log whose records are written starting at `base_offset` on `io`,
     /// forced in units of `page_size` bytes.
-    pub fn new(io: Arc<dyn ParallelIo>, base_offset: u64, page_size: usize) -> Self {
+    pub fn new(io: Arc<dyn IoQueue>, base_offset: u64, page_size: usize) -> Self {
         Self {
             io,
             base_offset,
@@ -235,7 +235,7 @@ impl Wal {
     /// The backend the log appends to — read-only access for observability
     /// (e.g. engine stats folding the log queue's retry counters into its
     /// per-shard rollup).
-    pub fn io(&self) -> &Arc<dyn ParallelIo> {
+    pub fn io(&self) -> &Arc<dyn IoQueue> {
         &self.io
     }
 
@@ -568,7 +568,7 @@ impl Wal {
     /// logical-only rounds (a fresh compaction leaves no dead prefix), bounding
     /// physical usage at roughly twice the bytes written per truncation round.
     /// After a compaction the backend is told the space past the survivors is
-    /// dead ([`pio::ParallelIo::reclaim_to`]), which real-file backends turn
+    /// dead ([`pio::IoQueue::reclaim_to`]), which real-file backends turn
     /// into a filesystem-level shrink.
     ///
     /// Crash safety: the header write is the *only* commit point. Everything
@@ -807,7 +807,7 @@ mod tests {
         let clock = FaultClock::new();
         let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
         let faulty = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
-        let w = Wal::new(Arc::new(faulty) as Arc<dyn ParallelIo>, 0, 4096);
+        let w = Wal::new(faulty, 0, 4096);
 
         // One durable force to anchor durable_lsn.
         w.append(b"anchor");
@@ -851,7 +851,7 @@ mod tests {
         let clock = FaultClock::new();
         let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
         let faulty = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
-        let w = Wal::new(Arc::new(faulty) as Arc<dyn ParallelIo>, 0, 4096);
+        let w = Wal::new(faulty, 0, 4096);
         w.append(b"first");
         clock.arm(CrashPlan::at_write(clock.writes_seen()).transient());
         assert!(w.force().is_err());
@@ -911,7 +911,7 @@ mod tests {
         // durable_lsn is advanced (crash between psync_write returning and the
         // bookkeeping): model by writing via a second Wal handle over the same
         // backend.
-        let io: Arc<dyn ParallelIo> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+        let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
         let w1 = Wal::new(Arc::clone(&io), 0, 4096);
         w1.append(b"seen");
         w1.force().unwrap();
@@ -960,7 +960,7 @@ mod tests {
 
     #[test]
     fn truncation_survives_a_restart() {
-        let io: Arc<dyn ParallelIo> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+        let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
         let w1 = Wal::new(Arc::clone(&io), 0, 4096);
         let mut lsns = Vec::new();
         for i in 0..30u32 {
@@ -992,7 +992,7 @@ mod tests {
     /// the region start.
     #[test]
     fn repeated_truncation_compacts_the_region_physically() {
-        let io: Arc<dyn ParallelIo> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+        let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
         let w = Wal::new(Arc::clone(&io), 0, 4096);
         let mut last_tail = 0;
         for round in 0..6u32 {
@@ -1041,7 +1041,7 @@ mod tests {
         for keep_bytes in [0usize, 7, 43, 44, 100] {
             let clock = FaultClock::new();
             let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
-            let faulty: Arc<dyn ParallelIo> = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
+            let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
             let w = Wal::new(Arc::clone(&faulty), 0, 4096);
             let mut lsns = Vec::new();
             for i in 0..12u32 {
@@ -1086,7 +1086,7 @@ mod tests {
     fn crash_during_compaction_copy_preserves_the_old_head() {
         let clock = FaultClock::new();
         let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
-        let faulty: Arc<dyn ParallelIo> = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
+        let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
         let w = Wal::new(Arc::clone(&faulty), 0, 4096);
         // Round 1: ~5 pages of records, then a logical-only truncation (the
         // floor advances but the bytes stay where they are).

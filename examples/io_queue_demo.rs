@@ -12,7 +12,7 @@
 //! cargo run --release --example io_queue_demo
 //! ```
 
-use pio::{IoQueue, ParallelIo, ReadRequest, SimPsyncIo, TryComplete, WriteRequest};
+use pio::{IoQueue, ReadRequest, SimPsyncIo, TryComplete, WriteRequest};
 use ssd_sim::DeviceProfile;
 
 const BATCH: usize = 16;

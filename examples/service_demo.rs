@@ -132,10 +132,10 @@ fn main() {
     );
 
     // The rebalancer's input, visible per shard: how the Zipfian mass actually
-    // landed (routed ops since the last snapshot) and how hard each OPQ was
-    // pushed (peak fill). A skew-shifted run would show one shard dominating —
-    // the signal `rebalance_once` acts on.
-    println!("\n--- per-shard load (routed ops / OPQ peak since last snapshot) ---");
+    // landed (routed ops so far) and how hard each OPQ was pushed (peak fill).
+    // A skew-shifted run would show one shard dominating — the signal
+    // `rebalance_once` acts on.
+    println!("\n--- per-shard load (routed ops / OPQ peak so far) ---");
     for shard in &engine_stats.shards {
         println!(
             "shard {} [{:>12}, {:>20}): {:>6} routed, OPQ peak {:>3}%",

@@ -19,7 +19,7 @@
 //!   entries — and the tree stays consistent and usable.
 
 use pio::{
-    CrashPlan, FaultClock, FaultIo, FileLayout, IoQueue, ParallelIo, PartitionIo, ReadRequest, SimPsyncIo, SimSyncIo,
+    CrashPlan, FaultClock, FaultIo, FileLayout, IoQueue, PartitionIo, ReadRequest, SimPsyncIo, SimSyncIo,
     SimThreadedIo, TryComplete, WriteRequest,
 };
 use pio_btree::mpsearch::locate_leaves;
@@ -77,7 +77,7 @@ fn assert_blocking_equals_ticketed<B: IoQueue>(make: impl Fn() -> B, rounds: usi
         assert_eq!(r_blocking, c.stats, "read stats diverged in round {round}");
     }
     assert_eq!(
-        blocking.stats(),
+        blocking.io_stats(),
         ticketed.io_stats(),
         "cumulative stats diverged after {rounds} rounds"
     );

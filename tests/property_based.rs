@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use btree::BPlusTree;
-use pio::{ParallelIo, SimPsyncIo, WriteRequest};
+use pio::{IoQueue, SimPsyncIo, WriteRequest};
 use pio_btree::{OpEntry, OperationQueue, PioBTree, PioConfig, PioLeaf};
 use ssd_sim::{DeviceProfile, SsdDevice, SsdRequest};
 use storage::{CachedStore, PageStore, WritePolicy};

@@ -2,7 +2,7 @@
 //! through the public APIs (device → psync layer → index).
 
 use btree::bulk_load;
-use pio::{ParallelIo, ReadRequest, SimPsyncIo, SimSyncIo};
+use pio::{IoQueue, ReadRequest, SimPsyncIo, SimSyncIo};
 use pio_btree::{PioBTree, PioConfig};
 use ssd_sim::DeviceProfile;
 use std::sync::Arc;
@@ -146,7 +146,7 @@ fn principle_3_no_mingled_read_writes() {
         tree.insert(k * 7 % 400_000, k).unwrap();
     }
     tree.checkpoint().unwrap();
-    let io_stats = tree.store().store().io().stats();
+    let io_stats = tree.store().store().io().io_stats();
     // Homogeneous batches: the number of psync calls equals read batches + write
     // batches, and both kinds were exercised.
     assert!(io_stats.reads > 0 && io_stats.writes > 0);

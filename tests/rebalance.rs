@@ -215,6 +215,59 @@ fn balanced_traffic_holds() {
     assert_eq!(engine.routing_version(), 0, "no boundary may have moved");
 }
 
+// ------------------------------------------------ live maintenance worker --
+
+/// The maintenance worker's three optional cadences, switched on together and
+/// left to run by themselves: under writes skewed onto shard 0 the worker must
+/// — within a bounded wait — checkpoint (truncating the logs the writes grew),
+/// scrub pages, and split the hot shard, all without an explicit call.
+#[test]
+fn the_maintenance_worker_checkpoints_scrubs_and_rebalances_unprompted() {
+    let mut config = config(true);
+    config.maintenance_interval_ms = Some(5);
+    config.checkpoint_interval_ms = Some(10);
+    config.scrub_interval_ms = Some(10);
+    config.rebalance.auto = true;
+    let engine = EngineBuilder::new(config)
+        .entries(&seed_entries())
+        .build()
+        .expect("bulk load");
+    let hot_hi = engine.boundaries()[0];
+    let mut model: BTreeMap<u64, u64> = seed_entries().into_iter().collect();
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    for round in 0u64.. {
+        let batch: Vec<(u64, u64)> = (0..128u64)
+            .map(|i| ((i * 7 + round) % hot_hi, round * 1_000 + i))
+            .collect();
+        engine.insert_batch(&batch).expect("insert_batch");
+        model.extend(batch);
+        let stats = engine.stats();
+        if stats.checkpoints >= 1
+            && stats.truncated_bytes > 0
+            && stats.integrity.scrubbed_pages > 0
+            && stats.splits >= 1
+        {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker left a cadence unserved: {} checkpoints, {} bytes truncated, {} pages scrubbed, {} splits, \
+             last error {:?}",
+            stats.checkpoints,
+            stats.truncated_bytes,
+            stats.integrity.scrubbed_pages,
+            stats.splits,
+            stats.last_maintenance_error
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    assert_eq!(engine.stats().maintenance_errors, 0);
+    engine.check_invariants().unwrap();
+    assert_eq!(engine_state(&engine), model);
+}
+
 // ----------------------------------------------------- multi-client hammer --
 
 /// Concurrent service clients write unique keys and re-read them while forced

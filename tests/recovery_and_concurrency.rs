@@ -6,7 +6,7 @@ mod common;
 
 use btree::ConcurrentBTree;
 use common::crash::seeded_rng;
-use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, ParallelIo, SimPsyncIo};
+use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo};
 use pio_btree::{ConcurrentPioBTree, PioBTree, PioConfig};
 use rand::Rng;
 use ssd_sim::DeviceProfile;
@@ -159,7 +159,7 @@ fn crashy_tree(clock: &Arc<FaultClock>) -> PioBTree {
         Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20)),
         Arc::clone(clock),
     ));
-    tree.attach_wal(Wal::new(Arc::new(wal_io) as Arc<dyn ParallelIo>, 0, 2048));
+    tree.attach_wal(Wal::new(wal_io, 0, 2048));
     tree
 }
 

@@ -3,6 +3,9 @@
 //! shutdown drain semantics, and the cross-check that the front end's batching
 //! accounting agrees with the engine's own ground-truth counters.
 
+mod common;
+
+use common::crash::seeded_rng;
 use engine::{EngineConfig, ShardedPioEngine};
 use pio_btree::PioConfig;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -10,7 +13,7 @@ use service::{EngineService, ServiceError};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn config(shards: usize, max_batch_size: usize, max_batch_delay_us: u64) -> EngineConfig {
     EngineConfig::builder()
@@ -255,4 +258,144 @@ fn scans_see_acked_puts() {
     // The scan is timed but not counted as a coalesced batch.
     assert_eq!(stats.e2e.count(), stats.gets + stats.puts + stats.scans);
     assert_eq!(stats.batched_requests, stats.puts);
+}
+
+/// Size triggers and budget expiries race for the same builders: with four
+/// slots per builder, a 300µs budget and six tight-looping clients, a leader's
+/// budget regularly runs out just as a follower fills its builder. Whoever wins
+/// takes the builder whole: every request is answered exactly once and with
+/// the right answer (each client checks its own keys against a private model),
+/// the flush accounting adds up, and the engine ends up equal to the merged
+/// models. `CRASH_SEED` replays a failing run.
+#[test]
+fn racing_size_and_budget_triggers_answer_every_request_once() {
+    const CLIENTS: u64 = 6;
+    const ROUNDS: u64 = 700;
+    const KEYS_PER_CLIENT: u64 = 48;
+
+    let (_, seed) = seeded_rng();
+    let engine = engine(config(2, 4, 300));
+    let service = EngineService::start(Arc::clone(&engine));
+
+    let models: Vec<BTreeMap<u64, u64>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let handle = service.handle();
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed ^ (c + 1));
+                    let mut model = BTreeMap::new();
+                    for round in 0..ROUNDS {
+                        // Keys ≡ c (mod CLIENTS), spread over both shards.
+                        let key = rng.gen_range(0..KEYS_PER_CLIENT) * 2_900 + c;
+                        if rng.gen::<f64>() < 0.4 {
+                            let value = (c << 32) | round;
+                            handle
+                                .put(key, value)
+                                .unwrap_or_else(|e| panic!("seed {seed}: client {c} put {key} failed: {e}"));
+                            model.insert(key, value);
+                        } else {
+                            let got = handle
+                                .get(key)
+                                .unwrap_or_else(|e| panic!("seed {seed}: client {c} get {key} failed: {e}"));
+                            assert_eq!(
+                                got.value(),
+                                model.get(&key).copied(),
+                                "seed {seed}: client {c} round {round} get {key} diverged"
+                            );
+                        }
+                    }
+                    model
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client panicked"))
+            .collect()
+    });
+
+    let stats = service.shutdown();
+    assert_eq!(stats.gets + stats.puts, CLIENTS * ROUNDS, "seed {seed}");
+    assert_eq!(
+        stats.e2e.count(),
+        CLIENTS * ROUNDS,
+        "seed {seed}: one timing per answer"
+    );
+    assert_eq!(stats.errors + stats.timeouts + stats.sheds, 0, "seed {seed}");
+    assert_eq!(stats.batched_requests, stats.gets + stats.puts, "seed {seed}");
+    assert_eq!(
+        stats.size_triggered_flushes + stats.budget_expired_flushes + stats.drain_flushes,
+        stats.batches_formed,
+        "seed {seed}"
+    );
+    assert!(
+        stats.size_triggered_flushes > 0 && stats.budget_expired_flushes > 0,
+        "seed {seed}: the two triggers never competed: {} size, {} budget",
+        stats.size_triggered_flushes,
+        stats.budget_expired_flushes
+    );
+
+    let merged: BTreeMap<u64, u64> = models.into_iter().flatten().collect();
+    let state: BTreeMap<u64, u64> = engine.range_search(0, u64::MAX).unwrap().into_iter().collect();
+    assert_eq!(state, merged, "seed {seed}: engine and models disagree");
+}
+
+/// A request that opens a builder leads it, and a leader cannot abandon its
+/// followers: when its deadline is shorter than the batch budget it flushes at
+/// the deadline and is answered, instead of timing out.
+#[test]
+fn an_opener_with_a_short_deadline_flushes_at_the_deadline() {
+    const DEADLINE_MS: u64 = 20;
+    let mut config = config(2, 10_000, 30_000_000);
+    config.request_deadline_ms = Some(DEADLINE_MS);
+    let service = EngineService::start(engine(config));
+    let started = Instant::now();
+    let response = service
+        .handle()
+        .put(5, 50)
+        .expect("an opener is answered, not timed out");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the 30s budget was waited out"
+    );
+    assert!(
+        response.timing.queue_us >= DEADLINE_MS * 1_000 / 2,
+        "flushed after {}µs, long before the {DEADLINE_MS}ms deadline",
+        response.timing.queue_us
+    );
+    let stats = service.shutdown();
+    assert_eq!(stats.budget_expired_flushes, 1);
+    assert_eq!(stats.timeouts, 0);
+    assert_eq!(stats.drain_flushes, 0);
+}
+
+/// `admission_queue_limit` bounds the requests admitted and not yet answered:
+/// with two parked in a long-budget builder, a third is shed at the door.
+#[test]
+fn requests_beyond_the_admission_limit_are_shed() {
+    let mut config = config(2, 10_000, 30_000_000);
+    config.admission_queue_limit = Some(2);
+    let service = EngineService::start(engine(config));
+    let handle = service.handle();
+    let parked: Vec<_> = [1u64, 2]
+        .into_iter()
+        .map(|key| {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.put(key, key * 10))
+        })
+        .collect();
+    // A put is counted once it is past the door; nothing flushes it for 30s.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats().puts < 2 {
+        assert!(Instant::now() < deadline, "the two puts never reached admission");
+        std::thread::yield_now();
+    }
+    assert!(matches!(handle.put(3, 30), Err(ServiceError::Overloaded)));
+
+    let stats = service.shutdown();
+    assert_eq!(stats.sheds, 1);
+    assert_eq!(stats.puts, 2, "a shed request is not admitted");
+    for put in parked {
+        put.join().unwrap().expect("parked puts drain with their real answer");
+    }
 }
