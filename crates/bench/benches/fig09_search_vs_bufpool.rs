@@ -11,6 +11,9 @@
 //! Paper expectation: PIO B-tree is 1.35–1.5× faster than the B+-tree across pool
 //! sizes (cheaper internal-node misses + a single large leaf read per search), with
 //! the gap narrowing as the pool grows large enough to cache all internal levels.
+//!
+//! Self-assertion (the CI gate of the store's page class, which is the pool the
+//! baseline lives on): per device, `btree_ms` never grows as `pool_bytes` grows.
 
 use pio_bench::{ratio, scaled, setup, us, Table};
 use pio_btree::cost::optimal_btree_node_size;
@@ -46,6 +49,7 @@ fn main() {
             .build();
         let mut pt = setup::build_pio(profile, config, n);
 
+        let mut smaller_pool_ms = f64::INFINITY;
         for &pool_bytes in &pool_sweep {
             bt.store().resize_pool(pool_bytes / node_size as u64).unwrap();
             bt.store().drop_cache();
@@ -64,6 +68,15 @@ fn main() {
                 bt.search(next_key()).unwrap();
             }
             let btree_ms = (bt.store().io_elapsed_us() - start) / 1e3;
+            // LRU is a stack algorithm: over one reference string from a cold
+            // start, a larger pool holds a superset of a smaller one's pages,
+            // so the misses — one blocking node read each — can only shrink.
+            assert!(
+                btree_ms <= smaller_pool_ms * (1.0 + 1e-9),
+                "{}: B+-tree search time grew with the pool: {btree_ms} ms at {pool_bytes} B after {smaller_pool_ms} ms",
+                profile.name()
+            );
+            smaller_pool_ms = btree_ms;
 
             let mut state = 0x5EEDu64;
             let mut next_key = || {

@@ -56,9 +56,9 @@ pub struct PioConfig {
     /// ([`crate::inner_tier::InnerTier`]); 0 (the default) disables the tier
     /// and every descent takes the store wavefront.
     pub inner_tier_pages: u64,
-    /// Page budget of the scan-resistant leaf-region cache installed on the
-    /// tree's store ([`storage::LeafCache`]); 0 (the default) disables it and
-    /// leaf-region reads always go to the device.
+    /// Page budget of the scan-resistant region class of the tree's store
+    /// ([`storage::CachedStore::set_leaf_cache`]); 0 (the default) disables it
+    /// and leaf-region reads always go to the device.
     pub leaf_cache_pages: u64,
 }
 

@@ -199,12 +199,6 @@ impl InnerTier {
         Some(out)
     }
 
-    /// Probes the tier for one key, returning the leaf's first page.
-    pub fn probe_leaf(&self, root: PageId, height: usize, key: Key) -> Option<PageId> {
-        self.probe_leaves(root, height, std::slice::from_ref(&key))
-            .map(|locs| locs[0].leaf)
-    }
-
     /// Probes the tier for the leaves intersecting `[lo, hi)`. `Some` is exact
     /// (equivalent to [`crate::mpsearch::locate_leaves_in_range`]).
     pub fn probe_range(&self, root: PageId, height: usize, lo: Key, hi: Key) -> Option<Vec<PageId>> {

@@ -49,11 +49,13 @@
 //! plain snapshot the tree owns: it is rebuilt at the only points where the
 //! structure can change (flush commit, recovery, bulk load), and because every
 //! tree entry point takes `&mut self` no descent can overlap a rebuild.
-//! [`PioConfig::leaf_cache_pages`] independently installs a
-//! scan-resistant leaf-region cache ([`storage::LeafCache`]) on the store, so
-//! a warm tree can serve hot point lookups without any descent I/O while
-//! `range_search` streams bypass the cache's admission. Both default to 0
-//! (off), preserving the paper-faithful I/O pattern.
+//! [`PioConfig::leaf_cache_pages`] independently enables the store's
+//! scan-resistant *region class* — a second instance of the one
+//! [`storage::Cache`], for multi-page leaf regions
+//! ([`storage::CachedStore::set_leaf_cache`]) — so a warm tree can serve hot
+//! point lookups without any descent I/O while `range_search` streams bypass
+//! the cache's admission. Both default to 0 (off), preserving the
+//! paper-faithful I/O pattern.
 //!
 //! ## Quick example
 //!

@@ -25,7 +25,7 @@ use btree::{InternalNode, Key, Node};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
 use std::collections::HashSet;
-use storage::{CachedReadTicket, CachedStore, PageId};
+use storage::{AccessHint, CachedReadTicket, CachedStore, PageId};
 
 /// Where a key landed after the internal-level descent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,8 @@ struct InflightLevel {
     chunk: ChunkDescent,
     ticket: CachedReadTicket,
     pages: Vec<PageId>,
-    fetched: Vec<PageId>,
+    /// The one-page regions the ticket fetched, in ticket order.
+    fetched: Vec<(PageId, u64)>,
 }
 
 /// Order-preserving dedup of a (key-sorted, therefore page-clustered) frontier.
@@ -77,7 +78,7 @@ fn distinct_pages(frontier: &[PageId]) -> Vec<PageId> {
 /// no submission may outlive the call that issued it.
 fn drain(store: &CachedStore, ring: &mut TicketRing<InflightLevel>) {
     ring.drain_with(|entry| {
-        let _ = store.complete_read_pages(entry.ticket);
+        let _ = store.complete_read(entry.ticket);
     });
 }
 
@@ -94,10 +95,14 @@ fn submit_level(
     ring: &mut TicketRing<InflightLevel>,
 ) -> IoResult<()> {
     let pages = distinct_pages(&chunk.frontier);
-    let fetched: Vec<PageId> = pages.iter().copied().filter(|p| !in_flight_pages.contains(p)).collect();
-    match store.submit_read_pages(&fetched) {
+    let fetched: Vec<(PageId, u64)> = pages
+        .iter()
+        .filter(|p| !in_flight_pages.contains(p))
+        .map(|&p| (p, 1))
+        .collect();
+    match store.submit_read(&fetched, AccessHint::Point) {
         Ok(ticket) => {
-            in_flight_pages.extend(fetched.iter().copied());
+            in_flight_pages.extend(fetched.iter().map(|&(p, _)| p));
             ring.push(InflightLevel {
                 chunk,
                 ticket,
@@ -166,22 +171,22 @@ pub fn locate_leaves(
         let Some(entry) = ring.pop() else {
             break;
         };
-        let images = match store.complete_read_pages(entry.ticket) {
+        let images = match store.complete_read(entry.ticket) {
             Ok(images) => images,
             Err(e) => {
                 drain(store, &mut ring);
                 return Err(e);
             }
         };
-        for &p in &entry.fetched {
-            in_flight_pages.remove(&p);
+        for (p, _) in &entry.fetched {
+            in_flight_pages.remove(p);
         }
         // Node per distinct page: fetched pages from the ticket, deferred ones
         // from the pool (their fetching entry completed earlier; a pool too
         // small to retain them falls back to a blocking read).
         let mut nodes: Vec<InternalNode> = Vec::with_capacity(entry.pages.len());
         for &p in &entry.pages {
-            let node = match entry.fetched.iter().position(|&f| f == p) {
+            let node = match entry.fetched.iter().position(|&(f, _)| f == p) {
                 Some(j) => Node::decode(&images[j]).expect_internal(),
                 None => match store.read_page(p) {
                     Ok(img) => Node::decode(&img).expect_internal(),
@@ -250,8 +255,11 @@ pub fn locate_leaves_in_range(
         run_pipeline(
             depth,
             batches.len(),
-            |batch_idx| store.submit_read_pages(batches[batch_idx]),
-            |ticket| store.complete_read_pages(ticket),
+            |batch_idx| {
+                let pages: Vec<(PageId, u64)> = batches[batch_idx].iter().map(|&p| (p, 1)).collect();
+                store.submit_read(&pages, AccessHint::Point)
+            },
+            |ticket| store.complete_read(ticket),
             |_, images| {
                 for img in &images {
                     let node = Node::decode(img).expect_internal();

@@ -29,7 +29,7 @@ use pio::{IoResult, SimPsyncIo, TicketRing};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{CachedReadTicket, CachedStore, PageId, PageStore, RegionWriteTicket, Wal, WritePolicy};
+use storage::{AccessHint, CachedReadTicket, CachedStore, CachedWriteTicket, PageId, PageStore, Wal, WritePolicy};
 
 /// Operation and structural counters of a [`PioBTree`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -267,22 +267,22 @@ impl PioBTree {
         // with device time instead of blocking on every 64 regions.
         let mut level: Vec<(Key, PageId)> = Vec::new();
         let mut region_writes: Vec<(PageId, Vec<u8>)> = Vec::new();
-        let mut ring: TicketRing<RegionWriteTicket> = TicketRing::new(pipeline_depth);
+        let mut ring: TicketRing<CachedWriteTicket> = TicketRing::new(pipeline_depth);
         let submit_batch =
-            |region_writes: &mut Vec<(PageId, Vec<u8>)>, ring: &mut TicketRing<RegionWriteTicket>| -> IoResult<()> {
+            |region_writes: &mut Vec<(PageId, Vec<u8>)>, ring: &mut TicketRing<CachedWriteTicket>| -> IoResult<()> {
                 if !ring.has_room() {
                     let oldest = ring.pop().expect("full ring is non-empty");
-                    if let Err(e) = store.complete_write_regions(oldest) {
+                    if let Err(e) = store.complete_write(oldest) {
                         // Drain the other in-flight tickets before surfacing the
                         // error so no submission is left outstanding.
                         ring.drain_with(|t| {
-                            let _ = store.complete_write_regions(t);
+                            let _ = store.complete_write(t);
                         });
                         return Err(e);
                     }
                 }
                 let refs: Vec<(PageId, &[u8])> = region_writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-                match store.submit_write_regions(&refs) {
+                match store.submit_write(&refs) {
                     Ok(ticket) => {
                         ring.push(ticket);
                         region_writes.clear();
@@ -290,7 +290,7 @@ impl PioBTree {
                     }
                     Err(e) => {
                         ring.drain_with(|t| {
-                            let _ = store.complete_write_regions(t);
+                            let _ = store.complete_write(t);
                         });
                         Err(e)
                     }
@@ -318,7 +318,7 @@ impl PioBTree {
         // (and any completion error must surface) before the load returns.
         let mut drain_error: Option<pio::IoError> = None;
         ring.drain_with(|t| {
-            if let Err(e) = store.complete_write_regions(t) {
+            if let Err(e) = store.complete_write(t) {
                 drain_error.get_or_insert(e);
             }
         });
@@ -567,21 +567,50 @@ impl PioBTree {
         if let Some(verdict) = self.opq.lookup(key) {
             return Ok(verdict);
         }
-        let page = match self.tier.probe_leaf(self.root, self.height, key) {
-            Some(leaf) => leaf,
-            None => {
-                // Tier cold or stale: page-at-a-time descent through the store.
-                let mut page = self.root;
-                for _ in 0..self.internal_levels() {
-                    let node = Node::decode(&self.store.read_page(page)?).expect_internal();
-                    page = node.children[node.child_for(key)];
-                }
-                page
-            }
-        };
-        let image = self.store.read_region(page, self.config.leaf_segments as u64)?;
-        let leaf = PioLeaf::decode(&image, self.config.leaf_segments, self.config.page_size);
-        Ok(leaf.lookup(key).unwrap_or(None))
+        let leaf = self.locate(&[key])?[0].leaf;
+        Ok(self.read_leaf(leaf)?.lookup(key).unwrap_or(None))
+    }
+
+    /// The one descent entry: the target leaf (and root-to-parent path) of every
+    /// key of a sorted set. The pinned inner tier answers from memory; when it is
+    /// cold, stale or over budget the ticketed store wavefront does, which keeps
+    /// the paper's `PioMax · (treeHeight − 1)` buffer bound.
+    fn locate(&self, sorted_keys: &[Key]) -> IoResult<Vec<LeafLocation>> {
+        match self.tier.probe_leaves(self.root, self.height, sorted_keys) {
+            Some(locs) => Ok(locs),
+            None => locate_leaves(
+                &self.store,
+                self.root,
+                self.internal_levels(),
+                sorted_keys,
+                self.config.pio_max,
+                self.pipeline_depth,
+            ),
+        }
+    }
+
+    /// [`PioBTree::locate`] for a key range: the first pages of every leaf
+    /// intersecting `[lo, hi)`, in key order.
+    fn locate_range(&self, lo: Key, hi: Key) -> IoResult<Vec<PageId>> {
+        match self.tier.probe_range(self.root, self.height, lo, hi) {
+            Some(leaves) => Ok(leaves),
+            None => locate_leaves_in_range(
+                &self.store,
+                self.root,
+                self.internal_levels(),
+                lo,
+                hi,
+                self.config.pio_max,
+                self.pipeline_depth,
+            ),
+        }
+    }
+
+    /// Reads and decodes one leaf node with a single large request.
+    fn read_leaf(&self, leaf: PageId) -> IoResult<PioLeaf> {
+        let config = &self.config;
+        let images = self.store.read_regions(&[(leaf, config.leaf_segments as u64)])?;
+        Ok(PioLeaf::decode(&images[0], config.leaf_segments, config.page_size))
     }
 
     /// MPSearch: searches every key in `keys` at once, fetching internal nodes and
@@ -596,19 +625,7 @@ impl PioBTree {
         let mut order: Vec<usize> = (0..keys.len()).collect();
         order.sort_by_key(|&i| keys[i]);
         let sorted_keys: Vec<Key> = order.iter().map(|&i| keys[i]).collect();
-        let locs = match self.tier.probe_leaves(self.root, self.height, &sorted_keys) {
-            Some(locs) => locs,
-            // Fallback: the ticketed store wavefront, which keeps the paper's
-            // `PioMax · (treeHeight − 1)` buffer bound.
-            None => locate_leaves(
-                &self.store,
-                self.root,
-                self.internal_levels(),
-                &sorted_keys,
-                self.config.pio_max,
-                self.pipeline_depth,
-            )?,
-        };
+        let locs = self.locate(&sorted_keys)?;
 
         let mut results = vec![None; keys.len()];
         let l = self.config.leaf_segments as u64;
@@ -635,8 +652,8 @@ impl PioBTree {
         run_pipeline(
             self.pipeline_depth,
             chunk_regions.len(),
-            |group_idx| self.store.submit_read_regions(&chunk_regions[group_idx]),
-            |ticket| self.store.complete_read_regions(ticket),
+            |group_idx| self.store.submit_read(&chunk_regions[group_idx], AccessHint::Point),
+            |ticket| self.store.complete_read(ticket),
             |group_idx, images| {
                 let regions = &chunk_regions[group_idx];
                 let leaves: Vec<PioLeaf> = images
@@ -671,18 +688,7 @@ impl PioBTree {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        let leaves = match self.tier.probe_range(self.root, self.height, lo, hi) {
-            Some(leaves) => leaves,
-            None => locate_leaves_in_range(
-                &self.store,
-                self.root,
-                self.internal_levels(),
-                lo,
-                hi,
-                self.config.pio_max,
-                self.pipeline_depth,
-            )?,
-        };
+        let leaves = self.locate_range(lo, hi)?;
         let l = self.config.leaf_segments as u64;
         let mut merged: BTreeMap<Key, Value> = BTreeMap::new();
         // Leaf regions are fetched through the same depth-N ticket pipeline as
@@ -694,12 +700,11 @@ impl PioBTree {
             batches.len(),
             |batch_idx| {
                 let regions: Vec<(PageId, u64)> = batches[batch_idx].iter().map(|&p| (p, l)).collect();
-                // Scan-hinted: the stream may hit resident leaf-cache entries
-                // but never evicts the point-lookup working set.
-                self.store
-                    .submit_read_regions_hinted(&regions, storage::AccessHint::Scan)
+                // Scan-hinted: the stream may hit resident leaf regions but
+                // never evicts the point-lookup working set.
+                self.store.submit_read(&regions, AccessHint::Scan)
             },
-            |ticket| self.store.complete_read_regions(ticket),
+            |ticket| self.store.complete_read(ticket),
             |_, images| {
                 for img in &images {
                     let leaf = PioLeaf::decode(img, self.config.leaf_segments, self.config.page_size);
@@ -1021,21 +1026,9 @@ impl PioBTree {
             wal.force()?;
         }
 
-        // 1. Locate the target leaf of every entry with an MPSearch-style descent,
-        // probing the pinned inner tier first; the store wavefront fallback keeps
-        // the paper's PioMax·(treeHeight−1) buffer bound.
+        // 1. Locate the target leaf of every entry with an MPSearch-style descent.
         let keys: Vec<Key> = ops.iter().map(|e| e.key).collect();
-        let locs = match self.tier.probe_leaves(self.root, self.height, &keys) {
-            Some(locs) => locs,
-            None => locate_leaves(
-                &self.store,
-                self.root,
-                self.internal_levels(),
-                &keys,
-                self.config.pio_max,
-                self.pipeline_depth,
-            )?,
-        };
+        let locs = self.locate(&keys)?;
         let jobs = Self::group_jobs(ops, &locs);
 
         // 2. Apply the operations leaf by leaf, in PioMax-sized psync batches.
@@ -1055,7 +1048,7 @@ impl PioBTree {
                     Ok(prefetch) => ring.push(prefetch),
                     Err(e) => {
                         ring.drain_with(|(ticket, _)| {
-                            let _ = self.store.complete_read_pages(ticket);
+                            let _ = self.store.complete_read(ticket);
                         });
                         return Err(e);
                     }
@@ -1063,11 +1056,11 @@ impl PioBTree {
                 next_submit += 1;
             }
             let (ticket, last_ls) = ring.pop().expect("submitted above");
-            let ls_images = match self.store.complete_read_pages(ticket) {
+            let ls_images = match self.store.complete_read(ticket) {
                 Ok(images) => images,
                 Err(e) => {
                     ring.drain_with(|(ticket, _)| {
-                        let _ = self.store.complete_read_pages(ticket);
+                        let _ = self.store.complete_read(ticket);
                     });
                     return Err(e);
                 }
@@ -1076,7 +1069,7 @@ impl PioBTree {
                 // Drain the prefetched tickets before surfacing the error, so no
                 // in-flight batch outlives the bupdate.
                 ring.drain_with(|(ticket, _)| {
-                    let _ = self.store.complete_read_pages(ticket);
+                    let _ = self.store.complete_read(ticket);
                 });
                 return Err(e);
             }
@@ -1134,8 +1127,12 @@ impl PioBTree {
     /// ticket together with the last-segment indices it was computed from.
     fn submit_last_segments(&self, chunk: &[LeafJob]) -> IoResult<(CachedReadTicket, Vec<u32>)> {
         let last_ls: Vec<u32> = chunk.iter().map(|j| self.lsmap.get(j.leaf).unwrap_or(0)).collect();
-        let ls_pages: Vec<PageId> = chunk.iter().zip(&last_ls).map(|(j, &ls)| j.leaf + ls as u64).collect();
-        let ticket = self.store.submit_read_pages(&ls_pages)?;
+        let ls_pages: Vec<(PageId, u64)> = chunk
+            .iter()
+            .zip(&last_ls)
+            .map(|(j, &ls)| (j.leaf + ls as u64, 1))
+            .collect();
+        let ticket = self.store.submit_read(&ls_pages, AccessHint::Point)?;
         Ok((ticket, last_ls))
     }
 
@@ -1286,7 +1283,7 @@ impl PioBTree {
         }
         if !region_writes.is_empty() {
             let refs: Vec<(PageId, &[u8])> = region_writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-            self.store.write_regions(&refs)?;
+            self.store.write_pages(&refs)?;
         }
         Ok(())
     }
@@ -1762,8 +1759,7 @@ impl PioBTree {
         fn visit(tree: &PioBTree, page: PageId, level: usize, lo: Option<Key>, hi: Option<Key>) -> IoResult<u64> {
             if level == tree.internal_levels() {
                 // Leaf region.
-                let image = tree.store.read_region(page, tree.config.leaf_segments as u64)?;
-                let leaf = PioLeaf::decode(&image, tree.config.leaf_segments, tree.config.page_size);
+                let leaf = tree.read_leaf(page)?;
                 for rec in &leaf.records {
                     if let Some(lo) = lo {
                         assert!(rec.key >= lo, "leaf record {} below bound {lo}", rec.key);

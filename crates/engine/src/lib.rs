@@ -187,9 +187,12 @@
 //! device fetch, and the maintenance worker re-verifies a bounded slice of
 //! each shard's pages per [`EngineConfig::scrub_interval_ms`] tick, healing
 //! persistent rot from pooled copies that still verify. Three consecutive
-//! device-class failures open a shard's **health breaker** — writes are
-//! rejected with a clean retryable error, reads still try the caches — and
-//! the next maintenance probe closes it once the device answers again. The
+//! device-class failures on a shard — of single-key calls or of its legs of
+//! batched ones, which are all a service front end issues — open the shard's
+//! **health breaker**: single-key writes, and whole `insert_batch`es with a
+//! sub-batch for the shard, are rejected up front with a clean retryable
+//! error, reads still try the caches — and the next maintenance probe closes
+//! it once the device answers again. The
 //! service front end — which runs on its clients' threads and adds none of
 //! its own — adds per-request deadlines on every wait for a batch another
 //! client runs ([`EngineConfig::request_deadline_ms`]) and load shedding once

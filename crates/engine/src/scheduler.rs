@@ -18,6 +18,9 @@
 //!   charged explicitly: the **maximum** per-shard I/O delta of a call is added
 //!   to the schedule makespan ([`crate::EngineStats::scheduled_io_us`]), on
 //!   success and on error alike.
+//! * **Health.** Every reaped outcome feeds its shard's circuit breaker, exactly
+//!   as a single-key call's does: batched calls are what a service front end
+//!   issues, so they are what must notice a dying device.
 //! * **Panics.** A task that panics unwinds on its caller's thread; the worker
 //!   that ran it lives on.
 //!
@@ -134,8 +137,13 @@ impl EngineInner {
         for (shard, io_delta_us, outcome) in reply_rx.iter().take(sent) {
             makespan_us = makespan_us.max(io_delta_us);
             match outcome {
-                Ok(Ok(value)) => results.push((shard, value)),
-                Ok(Err(e)) => failures.push((shard, Ok(e))),
+                Ok(result) => {
+                    self.observe_health(shard, &result);
+                    match result {
+                        Ok(value) => results.push((shard, value)),
+                        Err(e) => failures.push((shard, Ok(e))),
+                    }
+                }
                 Err(panic) => failures.push((shard, Err(panic))),
             }
         }

@@ -41,7 +41,7 @@ use pio_btree::{OpEntry, OpKind, PioBTree, PioConfig, PioStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use storage::{CachedStore, LeafCacheStats, Lsn, PageStore, Wal, WritePolicy};
+use storage::{CacheStats, CachedStore, Lsn, PageStore, Wal, WritePolicy};
 
 /// One key-range shard: an independent PIO B-tree. Its key range is *not*
 /// stored here — ranges live in the engine's [`RoutingState`] so a boundary
@@ -76,12 +76,14 @@ pub(crate) struct Shard {
 const BREAKER_THRESHOLD: u64 = 3;
 
 /// Circuit breaker over one shard's device health. Device-class failures
-/// (OS errors, worker crashes, checksum corruption) on the shard's foreground
-/// path feed a consecutive-failure counter; at [`BREAKER_THRESHOLD`] the
-/// breaker opens and the shard is *degraded*: writes are rejected immediately
-/// with a retryable error (instead of queueing work onto a sick device), reads
-/// are still attempted — the inner tier, buffer pool and leaf cache keep
-/// serving whatever they hold. The background maintenance worker probes a
+/// (OS errors, worker crashes, checksum corruption) of any call on the shard —
+/// single-key or one leg of a batched fan-out — feed a consecutive-failure
+/// counter; at [`BREAKER_THRESHOLD`] the breaker opens and the shard is
+/// *degraded*: writes — single-key ones, and every `insert_batch` with a
+/// sub-batch for the shard, whole — are rejected immediately with a retryable
+/// error (instead of queueing work onto a sick device), reads are still
+/// attempted — the inner tier and both cache classes keep serving whatever
+/// they hold. The background maintenance worker probes a
 /// degraded shard's device each sweep and closes the breaker when a probe
 /// succeeds.
 #[derive(Default)]
@@ -312,6 +314,11 @@ pub(crate) struct EngineInner {
 }
 
 impl EngineInner {
+    /// Feeds the outcome of one call on `shard` into that shard's breaker.
+    pub(crate) fn observe_health<T>(&self, shard: usize, result: &IoResult<T>) {
+        self.shards[shard].health.observe(result);
+    }
+
     /// Records a background maintenance failure so it surfaces through
     /// [`EngineStats`] instead of disappearing in the worker thread.
     pub(crate) fn note_maintenance_error(&self, error: &pio::IoError) {
@@ -1034,8 +1041,8 @@ impl EngineInner {
         let routing = self.routing.read();
         let shard = &self.shards[shard_of(&routing.bounds, key)];
         shard.note_routed(1);
-        // Reads are attempted even on a degraded shard: the inner tier, buffer
-        // pool and leaf cache answer without touching the sick device.
+        // Reads are attempted even on a degraded shard: the inner tier and the
+        // store's caches answer without touching the sick device.
         let mut tree = shard.tree.lock();
         let before = tree.io_elapsed_us();
         let result = op(&mut tree);
@@ -1188,6 +1195,12 @@ impl EngineInner {
             .filter(|(_, batch)| !batch.is_empty())
             .map(|(i, _)| i)
             .collect();
+        // A degraded member refuses the whole batch, like a single write —
+        // and before `Begin` is logged, so the refusal leaves no trace on the
+        // healthy members and no epoch for recovery to resolve.
+        if let Some(&sick) = members.iter().find(|&&i| self.shards[i].health.is_open()) {
+            return Err(ShardHealth::rejection(sick));
+        }
         let epoch = match &self.epoch {
             Some(coord) => {
                 let epoch = coord.next_epoch.fetch_add(1, Ordering::Relaxed);
@@ -1788,13 +1801,12 @@ impl EngineInner {
         let mut shards = Vec::with_capacity(self.shards.len());
         let mut rollup = PioStats::default();
         let mut total_io = 0.0;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
+        let mut pool_total = CacheStats::default();
         let mut queued = 0usize;
         let mut pipeline_depth = 0usize;
         let mut batched_calls = 0u64;
         let mut batched_ops = 0u64;
-        let mut leaf_cache = LeafCacheStats::default();
+        let mut leaf_cache = CacheStats::default();
         let mut degraded_shards = 0usize;
         let mut breaker_opens = 0u64;
         let mut breaker_closes = 0u64;
@@ -1838,8 +1850,7 @@ impl EngineInner {
             io_retries += backend_io.retries;
             io_give_ups += backend_io.give_ups;
             total_io += io_us;
-            hits += pool.hits;
-            misses += pool.misses;
+            pool_total.merge(&pool);
             queued += tree.opq_len();
             pipeline_depth = pipeline_depth.max(tree.pipeline_depth());
             shards.push(ShardSnapshot {
@@ -1880,11 +1891,7 @@ impl EngineInner {
             batched_calls,
             batched_ops,
             pipeline_depth,
-            pool_hit_ratio: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
+            pool_hit_ratio: pool_total.hit_ratio(),
             leaf_cache,
             queued_ops: queued,
             committed_epochs: self.committed_epochs.load(Ordering::Relaxed),

@@ -2,7 +2,7 @@
 
 use btree::Key;
 use pio_btree::PioStats;
-use storage::{BufferPoolStats, IntegrityStats, LeafCacheStats, StoreStats};
+use storage::{CacheStats, IntegrityStats, StoreStats};
 
 /// A point-in-time snapshot of one shard.
 #[derive(Debug, Clone)]
@@ -41,12 +41,17 @@ pub struct ShardSnapshot {
     pub queue_peak_pct: u64,
     /// The shard tree's operation counters.
     pub pio: PioStats,
-    /// Buffer-pool counters of the shard's cached store.
-    pub pool: BufferPoolStats,
-    /// Scan-resistant leaf-cache counters of the shard's cached store (all
-    /// zero when [`crate::EngineConfig::leaf_cache_bytes`] is unset). The
-    /// shard's inner-tier counters ride in [`ShardSnapshot::pio`].
-    pub leaf_cache: LeafCacheStats,
+    /// Page-class counters of the shard's cached store: the single pages
+    /// (internal nodes, leaf-segment pages) under
+    /// [`pio_btree::PioConfig::pool_pages`]. `scan_bypasses` is always 0 —
+    /// the class ignores access hints.
+    pub pool: CacheStats,
+    /// Region-class counters of the same store: the scan-resistant cache of
+    /// multi-page leaf regions (all zero when
+    /// [`crate::EngineConfig::leaf_cache_bytes`] is unset; `dirty_evictions`
+    /// is always 0 — regions are never kept dirty). The shard's inner-tier
+    /// counters ride in [`ShardSnapshot::pio`].
+    pub leaf_cache: CacheStats,
     /// Page-store counters (psync batches, page reads/writes, allocation).
     pub store: StoreStats,
     /// Simulated I/O time this shard's store has consumed, µs.
@@ -111,11 +116,11 @@ pub struct EngineStats {
     /// own value is in its [`ShardSnapshot::pipeline_depth`]; on the shipped
     /// topologies all shards resolve identically).
     pub pipeline_depth: usize,
-    /// Aggregate buffer-pool hit ratio across shards in `[0, 1]`.
+    /// Aggregate page-class hit ratio across shards in `[0, 1]`.
     pub pool_hit_ratio: f64,
-    /// Sum of all shards' scan-resistant leaf-cache counters (all zero when
+    /// Sum of all shards' region-class counters (all zero when
     /// [`crate::EngineConfig::leaf_cache_bytes`] is unset).
-    pub leaf_cache: LeafCacheStats,
+    pub leaf_cache: CacheStats,
     /// Total operations buffered in shard OPQs.
     pub queued_ops: usize,
     /// Cross-shard flush epochs committed (one per `insert_batch` with WALs

@@ -1,307 +1,166 @@
-//! A page store with an LRU buffer pool in front of it.
+//! A page store with one cache in front of it — the component the indexes
+//! talk to.
 //!
-//! This is the component the indexes talk to. It composes a [`PageStore`] with a
-//! [`BufferPool`] and applies the chosen [`WritePolicy`]:
+//! [`CachedStore`] composes a [`PageStore`] with two instances of the one
+//! [`Cache`] implementation, one per **page class**:
 //!
-//! * the baseline B+-tree and B-link tree use **write-back** (a conventional no-force
-//!   buffer manager: dirty nodes are written on eviction), and
-//! * the PIO B-tree uses **write-through** (it keeps no dirty buffers; all node writes
-//!   happen inside bupdate via psync I/O).
+//! * the **page class** holds single pages (internal nodes, leaf-segment
+//!   pages) under the `pool_pages` budget with a protected share of zero —
+//!   the plain-LRU buffer pool the paper sweeps in Figure 9 and trades off
+//!   against the OPQ in Figure 11;
+//! * the optional **region class** ([`CachedStore::set_leaf_cache`]) holds
+//!   multi-page leaf regions under their own budget with a 4/5 protected
+//!   share and the scan bypass, so `range_search` streams cannot evict the
+//!   point-lookup working set.
 //!
-//! Batched reads check the pool first and fetch only the missing pages, in one psync
-//! call, so a warm pool automatically reduces the outstanding-I/O level — exactly the
-//! behaviour the cost model of Section 3.5 assumes.
+//! There is one read path and one write path, both over `(first_page,
+//! n_pages)` regions, and a page is a one-page region: a region is routed to
+//! its class by its length. Reads look both classes up at submission and send
+//! the misses of both to the device as **one** batch, so a warm cache
+//! automatically reduces the outstanding-I/O level — exactly the behaviour the
+//! cost model of Section 3.5 assumes. Writes apply the [`WritePolicy`] to page
+//! images and write region images around the cache:
 //!
-//! ## Page integrity
+//! * the baseline B+-tree and B-link tree use **write-back** (a conventional
+//!   no-force buffer manager: dirty nodes are written on eviction), and
+//! * the PIO B-tree uses **write-through** (it keeps no dirty buffers; all
+//!   node writes happen inside bupdate via psync I/O).
 //!
-//! Flash rots silently: a page can come back from the device with flipped bits
-//! and no error. The cached store therefore keeps an **in-memory checksum
-//! sidecar**: every write path that reaches the device records an FNV-1a
-//! checksum per page, and every read that fetches from the device verifies the
-//! returned bytes against the recorded value. A mismatch is counted, re-read
-//! **once** (in-flight corruption — a bad transfer, an injected bit flip —
-//! clears on the second read), and only a *persistent* mismatch surfaces as
-//! [`pio::IoError::Corruption`]; corrupt bytes are never returned to a caller.
-//! [`CachedStore::scrub_step`] walks the tracked pages incrementally off the
-//! foreground path (the engine's maintenance tick drives it), re-reading and
-//! verifying each, and heals a rotted page from a clean pooled copy when one
-//! exists. The sidecar is per-store-handle state, not an on-disk format: after
-//! a restart it repopulates as pages are rewritten, so verification covers
-//! everything written through this handle since open.
+//! The two classes cache overlapping page ranges under different keys, so they
+//! are kept coherent by one rule, applied at write submission: **a write of
+//! `[first, first + n)` drops every intersecting entry of the other class**
+//! (and, for a region, of its own — regions are never installed). Every image
+//! on its way to the device has its checksums recorded, and every image
+//! fetched from it is verified; see [`crate::integrity`].
 
-use crate::bufpool::{BufferPool, BufferPoolStats, WritePolicy};
-use crate::leaf_cache::{AccessHint, LeafCache, LeafCacheStats};
+use crate::cache::{AccessHint, Cache, CacheStats, Evicted};
+use crate::integrity::{checksum, Integrity, IntegrityStats, ScrubReport};
 use crate::page::PageId;
 use crate::store::{PageStore, ReadTicket, WriteTicket};
 use parking_lot::Mutex;
-use pio::{IoError, IoResult};
-use std::collections::BTreeMap;
+use pio::IoResult;
 
-/// FNV-1a over a page image — the same checksum the WAL uses for its records:
-/// cheap, deterministic, and plenty to catch bit rot (this is integrity
-/// checking, not cryptography).
-fn page_checksum(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in data {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
+/// Cache policy applied by [`CachedStore`] to single-page writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WritePolicy {
+    /// Dirty pages stay in the cache and are written back on eviction or flush
+    /// (no-force, like a conventional DBMS buffer manager).
+    WriteBack,
+    /// Every write goes straight to the device; the cache only holds clean copies.
+    /// This is the PIO B-tree policy — it never keeps dirty buffers, so reads and
+    /// writes are never interleaved by buffer-miss evictions (Section 4.2).
+    WriteThrough,
 }
 
-/// Counters of the checksum sidecar (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntegrityStats {
-    /// Device reads whose payload failed checksum verification.
-    pub corruption_detected: u64,
-    /// Detected mismatches that cleared on the single re-read (in-flight
-    /// corruption: the stored data was fine).
-    pub corruption_recovered: u64,
-    /// Pages validated by [`CachedStore::scrub_step`] since open.
-    pub scrubbed_pages: u64,
-    /// Persistent mismatches found by scrub (the stored page is rotted).
-    pub scrub_corruptions: u64,
-    /// Rotted pages scrub repaired by rewriting a verified cached copy.
-    pub scrub_healed: u64,
-}
+/// Protected share (in fifths of the budget) of the region class.
+const REGION_PROTECTED_FIFTHS: u64 = 4;
 
-impl IntegrityStats {
-    /// Folds another store's counters into this one (engine-level roll-ups).
-    pub fn merge(&mut self, other: &IntegrityStats) {
-        self.corruption_detected += other.corruption_detected;
-        self.corruption_recovered += other.corruption_recovered;
-        self.scrubbed_pages += other.scrubbed_pages;
-        self.scrub_corruptions += other.scrub_corruptions;
-        self.scrub_healed += other.scrub_healed;
-    }
-}
-
-/// The outcome of one [`CachedStore::scrub_step`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Pages read back and verified this step.
-    pub scanned: usize,
-    /// Persistent mismatches found this step (after the one re-read).
-    pub corrupt: usize,
-    /// Of those, pages repaired from a verified cached copy.
-    pub healed: usize,
-    /// `true` when the cursor wrapped past the last tracked page — one full
-    /// pass over the store has completed.
-    pub wrapped: bool,
-}
-
-/// The checksum sidecar: recorded page checksums, the scrub cursor, and the
-/// integrity counters, all behind one short-lived lock (never held across
-/// device I/O).
-#[derive(Debug, Default)]
-struct IntegrityState {
-    checksums: BTreeMap<PageId, u32>,
-    scrub_cursor: PageId,
-    stats: IntegrityStats,
-}
-
-/// An in-flight cache-aware page-batch read: pool hits are captured at submission,
-/// the misses travel as one in-flight batch. Redeemed with
-/// [`CachedStore::complete_read_pages`].
+/// An in-flight cache-aware read: hits of either class are captured at
+/// submission, the misses travel as one device batch. Redeemed with
+/// [`CachedStore::complete_read`].
 #[derive(Debug)]
 #[must_use = "an in-flight read must be completed to obtain its buffers"]
 pub struct CachedReadTicket {
     /// Hit slots filled at submission; miss slots are `None` until completion.
     results: Vec<Option<Vec<u8>>>,
-    /// `(slot, page)` of every miss, in submission order of the miss batch.
-    missing: Vec<(usize, PageId)>,
-    ticket: ReadTicket,
-}
-
-/// An in-flight multi-region read. Region reads bypass the pool (see
-/// [`CachedStore::read_region`]) but consult the optional [`LeafCache`]:
-/// leaf-cache hits (and all-single-page batches, which go through the page
-/// cache) are captured at submission; only the misses travel to the device.
-#[derive(Debug)]
-#[must_use = "an in-flight read must be completed to obtain its buffers"]
-pub struct RegionReadTicket {
-    /// Slots filled at submission (page-cache path or leaf-cache hits).
-    results: Vec<Option<Vec<u8>>>,
-    /// `(slot, first page, page count)` of every region sent to the device.
+    /// `(slot, first page, page count)` of every miss, in device-batch order.
     missing: Vec<(usize, PageId, u64)>,
     /// The in-flight device batch for `missing`; `None` when everything hit.
     ticket: Option<ReadTicket>,
-    /// Admission hint applied when the misses are installed at completion.
+    /// Admission hint applied to the region-class misses at completion.
     hint: AccessHint,
 }
 
-/// An in-flight multi-region write. Cached copies of the overlapped pages are
-/// invalidated at submission; durability is observed by
-/// [`CachedStore::complete_write_regions`].
+/// An in-flight write. Cached copies of the overlapped pages are invalidated
+/// at submission; durability is observed by [`CachedStore::complete_write`].
 #[derive(Debug)]
 #[must_use = "an in-flight write must be completed to observe durability"]
-pub enum RegionWriteTicket {
-    /// Went through the (blocking) single-page cache path at submission.
-    Ready,
-    /// In flight on the device.
-    Pending(WriteTicket),
+pub struct CachedWriteTicket {
+    /// The in-flight device batch; `None` when the call completed at
+    /// submission (it carried page images) or sent nothing to the device.
+    pending: Option<WriteTicket>,
 }
 
-/// A [`PageStore`] fronted by an LRU [`BufferPool`] for single pages and an
-/// optional scan-resistant [`LeafCache`] for the multi-page leaf regions that
-/// bypass the pool.
+/// The two cache classes, behind one lock so the coherence rule between them
+/// is applied atomically.
+#[derive(Debug)]
+struct Classes {
+    pages: Cache,
+    /// Disabled (`None`) unless [`CachedStore::set_leaf_cache`] installs one,
+    /// so default construction never caches leaf regions.
+    regions: Option<Cache>,
+}
+
+impl Classes {
+    /// Routes a read of `n_pages` pages: the class the region belongs to (if
+    /// enabled) and the hint its accesses carry there — the page class
+    /// ignores the caller's hint, single pages are always `Point` accesses.
+    fn route(&mut self, n_pages: u64, hint: AccessHint) -> (Option<&mut Cache>, AccessHint) {
+        if n_pages == 1 {
+            (Some(&mut self.pages), AccessHint::Point)
+        } else {
+            (self.regions.as_mut(), hint)
+        }
+    }
+}
+
+/// A [`PageStore`] fronted by one [`Cache`] per page class (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub struct CachedStore {
     store: PageStore,
-    pool: Mutex<BufferPool>,
     policy: WritePolicy,
-    /// Disabled (`None`) unless [`CachedStore::set_leaf_cache`] installs one,
-    /// so default construction keeps the historic region-read behaviour.
-    leaf: Mutex<Option<LeafCache>>,
-    integrity: Mutex<IntegrityState>,
+    caches: Mutex<Classes>,
+    integrity: Integrity,
 }
 
 impl CachedStore {
-    /// Creates a cached store with a pool of `capacity_pages` pages and the given
-    /// write policy. The leaf-region cache starts disabled; see
+    /// Creates a cached store with a page class of `capacity_pages` pages and
+    /// the given write policy. The region class starts disabled; see
     /// [`CachedStore::set_leaf_cache`].
     pub fn new(store: PageStore, capacity_pages: u64, policy: WritePolicy) -> Self {
         Self {
             store,
-            pool: Mutex::new(BufferPool::new(capacity_pages)),
             policy,
-            leaf: Mutex::new(None),
-            integrity: Mutex::new(IntegrityState::default()),
+            caches: Mutex::new(Classes {
+                // No protected share: the page class is a plain LRU.
+                pages: Cache::new(capacity_pages, 0),
+                regions: None,
+            }),
+            integrity: Integrity::default(),
         }
     }
 
     /// The checksum sidecar's counters.
     pub fn integrity_stats(&self) -> IntegrityStats {
-        self.integrity.lock().stats
+        self.integrity.stats()
     }
 
     /// Pages currently covered by a recorded checksum (scrub's working set).
     pub fn tracked_pages(&self) -> usize {
-        self.integrity.lock().checksums.len()
-    }
-
-    /// Records the checksum of every full page of a region image that just
-    /// reached (or is in flight to) the device. A trailing partial page gets
-    /// its entry *removed* — its device content is no longer fully known.
-    fn record_region(&self, first: PageId, data: &[u8]) {
-        let page_size = self.page_size();
-        let mut integrity = self.integrity.lock();
-        let mut chunks = data.chunks_exact(page_size);
-        let mut page = first;
-        for chunk in chunks.by_ref() {
-            integrity.checksums.insert(page, page_checksum(chunk));
-            page += 1;
-        }
-        if !chunks.remainder().is_empty() {
-            integrity.checksums.remove(&page);
-        }
-    }
-
-    /// Records the checksums of single-page writes reaching the device.
-    fn record_pages(&self, pages: &[(PageId, &[u8])]) {
-        let mut integrity = self.integrity.lock();
-        for (p, data) in pages {
-            integrity.checksums.insert(*p, page_checksum(data));
-        }
-    }
-
-    /// Verifies one device-fetched page against its recorded checksum,
-    /// re-reading once on a mismatch. Returns the verified bytes (the re-read
-    /// copy when the first transfer was corrupt). Pages without a recorded
-    /// checksum — written before this handle opened — pass through unverified.
-    fn verify_page(&self, page: PageId, data: Vec<u8>) -> IoResult<Vec<u8>> {
-        let Some(expected) = self.integrity.lock().checksums.get(&page).copied() else {
-            return Ok(data);
-        };
-        if page_checksum(&data) == expected {
-            return Ok(data);
-        }
-        self.integrity.lock().stats.corruption_detected += 1;
-        let reread = self.store.read_page(page)?;
-        // A concurrent writer may have replaced the page (and its checksum)
-        // between the read and the verify; judge the re-read against the
-        // checksum recorded *now*.
-        let expected = self.integrity.lock().checksums.get(&page).copied();
-        if expected.is_none_or(|e| page_checksum(&reread) == e) {
-            self.integrity.lock().stats.corruption_recovered += 1;
-            return Ok(reread);
-        }
-        Err(Self::corruption_at(page, self.page_size()))
-    }
-
-    /// Verifies a device-fetched multi-page region, re-reading the whole
-    /// region once if any covered page mismatches.
-    fn verify_region(&self, first: PageId, n_pages: u64, data: Vec<u8>) -> IoResult<Vec<u8>> {
-        if self.region_matches(first, &data) {
-            return Ok(data);
-        }
-        self.integrity.lock().stats.corruption_detected += 1;
-        let reread = self.store.read_region(first, n_pages)?;
-        if self.region_matches(first, &reread) {
-            self.integrity.lock().stats.corruption_recovered += 1;
-            return Ok(reread);
-        }
-        let bad = self
-            .first_region_mismatch(first, &reread)
-            .expect("region failed verification");
-        Err(Self::corruption_at(bad, self.page_size()))
-    }
-
-    /// Whether every *tracked* page covered by a region image matches its
-    /// recorded checksum.
-    fn region_matches(&self, first: PageId, data: &[u8]) -> bool {
-        self.first_region_mismatch(first, data).is_none()
-    }
-
-    fn first_region_mismatch(&self, first: PageId, data: &[u8]) -> Option<PageId> {
-        let page_size = self.page_size();
-        let integrity = self.integrity.lock();
-        for (i, chunk) in data.chunks_exact(page_size).enumerate() {
-            let page = first + i as u64;
-            if let Some(&expected) = integrity.checksums.get(&page) {
-                if page_checksum(chunk) != expected {
-                    return Some(page);
-                }
-            }
-        }
-        None
-    }
-
-    fn corruption_at(page: PageId, page_size: usize) -> IoError {
-        IoError::Corruption {
-            offset: page * page_size as u64,
-            len: page_size as u64,
-        }
+        self.integrity.tracked_pages()
     }
 
     /// Installs (or, with `capacity_pages == 0`, removes) the scan-resistant
-    /// leaf-region cache. Replaces any existing cache, discarding its contents
-    /// and counters.
+    /// region class. Replaces any existing one, discarding its contents and
+    /// counters.
     pub fn set_leaf_cache(&self, capacity_pages: u64) {
-        *self.leaf.lock() = if capacity_pages == 0 {
-            None
-        } else {
-            Some(LeafCache::new(capacity_pages))
-        };
+        self.caches.lock().regions = (capacity_pages > 0).then(|| Cache::new(capacity_pages, REGION_PROTECTED_FIFTHS));
     }
 
-    /// Leaf-cache statistics (zeros while the cache is disabled).
-    pub fn leaf_cache_stats(&self) -> LeafCacheStats {
-        self.leaf.lock().as_ref().map(|c| c.stats()).unwrap_or_default()
+    /// Region-class counters (zeros while the class is disabled).
+    pub fn leaf_cache_stats(&self) -> CacheStats {
+        self.caches
+            .lock()
+            .regions
+            .as_ref()
+            .map(Cache::stats)
+            .unwrap_or_default()
     }
 
-    /// Drops the leaf-cache region (if any) containing `page`.
-    fn invalidate_leaf_page(&self, page: PageId) {
-        if let Some(cache) = self.leaf.lock().as_mut() {
-            cache.invalidate_page(page);
-        }
-    }
-
-    /// Drops every leaf-cache region intersecting `[first, first + n)`.
-    fn invalidate_leaf_range(&self, first: PageId, n: u64) {
-        if let Some(cache) = self.leaf.lock().as_mut() {
-            cache.invalidate_range(first, n);
-        }
+    /// Page-class counters (a zero-budget class still counts its misses).
+    pub fn pool_stats(&self) -> CacheStats {
+        self.caches.lock().pages.stats()
     }
 
     /// The underlying page store.
@@ -317,11 +176,6 @@ impl CachedStore {
     /// The page size in bytes.
     pub fn page_size(&self) -> usize {
         self.store.page_size()
-    }
-
-    /// Buffer-pool statistics.
-    pub fn pool_stats(&self) -> BufferPoolStats {
-        self.pool.lock().stats()
     }
 
     /// Total simulated / wall-clock I/O time spent by the underlying backend, µs.
@@ -352,242 +206,48 @@ impl CachedStore {
         self.store.ensure_high_water(pages)
     }
 
-    /// Frees a page and drops any cached copy. If the cached copy was dirty it is
-    /// intentionally discarded — the page no longer belongs to the caller.
+    /// Frees a page, dropping every cached copy (of either class) and its
+    /// checksum. A dirty copy is intentionally discarded — the page no longer
+    /// belongs to the caller.
     pub fn free(&self, page: PageId) {
-        self.pool.lock().remove(page);
-        self.invalidate_leaf_page(page);
-        self.integrity.lock().checksums.remove(&page);
+        {
+            let mut caches = self.caches.lock();
+            caches.pages.invalidate_page(page);
+            if let Some(regions) = caches.regions.as_mut() {
+                regions.invalidate_page(page);
+            }
+        }
+        self.integrity.forget(page);
         self.store.free(page);
     }
 
-    fn write_back(&self, victims: Vec<crate::bufpool::Evicted>) -> IoResult<()> {
-        let dirty: Vec<(PageId, Vec<u8>)> = victims
-            .into_iter()
-            .filter(|v| v.dirty)
-            .map(|v| (v.page, v.data))
-            .collect();
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let refs: Vec<(PageId, &[u8])> = dirty.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-        self.record_pages(&refs);
-        self.store.write_pages(&refs)
-    }
+    // ------------------------------------------------------------ the read path --
 
-    /// Reads one page through the cache. Device fetches are verified against
-    /// the checksum sidecar (see the [module docs](self)).
-    pub fn read_page(&self, page: PageId) -> IoResult<Vec<u8>> {
-        if let Some(hit) = self.pool.lock().get(page) {
-            return Ok(hit);
-        }
-        let data = self.verify_page(page, self.store.read_page(page)?)?;
-        let victims = self.pool.lock().insert(page, data.clone(), false, 1);
-        self.write_back(victims)?;
-        Ok(data)
-    }
-
-    /// Reads many pages through the cache; the missing ones are fetched with a single
-    /// psync call. Results are returned in the order of `pages`.
-    pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<Vec<u8>>> {
-        self.complete_read_pages(self.submit_read_pages(pages)?)
-    }
-
-    /// Submits a cache-aware batched page read without waiting: pool hits are
-    /// captured immediately, the misses go to the device as one in-flight batch
-    /// that overlaps whatever else is outstanding on the backend.
-    pub fn submit_read_pages(&self, pages: &[PageId]) -> IoResult<CachedReadTicket> {
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; pages.len()];
-        let mut missing: Vec<(usize, PageId)> = Vec::new();
-        {
-            let mut pool = self.pool.lock();
-            for (i, &p) in pages.iter().enumerate() {
-                match pool.get(p) {
-                    Some(hit) => results[i] = Some(hit),
-                    None => missing.push((i, p)),
-                }
-            }
-        }
-        let ids: Vec<PageId> = missing.iter().map(|&(_, p)| p).collect();
-        let ticket = self.store.submit_read_pages(&ids)?;
-        Ok(CachedReadTicket {
-            results,
-            missing,
-            ticket,
-        })
-    }
-
-    /// Waits for an in-flight page-batch read, installs the fetched pages in the
-    /// pool, and returns the buffers in the order of the submitted batch.
-    pub fn complete_read_pages(&self, ticket: CachedReadTicket) -> IoResult<Vec<Vec<u8>>> {
-        let CachedReadTicket {
-            mut results,
-            missing,
-            ticket,
-        } = ticket;
-        let fetched = self.store.complete_read(ticket)?;
-        if !missing.is_empty() {
-            let verified: Vec<(usize, PageId, Vec<u8>)> = missing
-                .into_iter()
-                .zip(fetched)
-                .map(|((i, p), data)| Ok((i, p, self.verify_page(p, data)?)))
-                .collect::<IoResult<_>>()?;
-            let mut victims = Vec::new();
-            {
-                let mut pool = self.pool.lock();
-                for (i, p, data) in verified {
-                    victims.extend(pool.insert(p, data.clone(), false, 1));
-                    results[i] = Some(data);
-                }
-            }
-            self.write_back(victims)?;
-        }
-        Ok(results.into_iter().map(|r| r.expect("filled above")).collect())
-    }
-
-    /// Writes one page according to the write policy. A leaf-cache region
-    /// covering the page goes stale and is invalidated (bupdate's leaf-segment
-    /// appends land *inside* cached regions).
-    pub fn write_page(&self, page: PageId, data: &[u8]) -> IoResult<()> {
-        self.invalidate_leaf_page(page);
-        match self.policy {
-            WritePolicy::WriteThrough => {
-                self.record_pages(&[(page, data)]);
-                self.store.write_page(page, data)?;
-                let victims = self.pool.lock().insert(page, data.to_vec(), false, 1);
-                self.write_back(victims)
-            }
-            WritePolicy::WriteBack => {
-                let victims = self.pool.lock().insert(page, data.to_vec(), true, 1);
-                self.write_back(victims)
-            }
-        }
-    }
-
-    /// Writes many pages according to the write policy; write-through issues a single
-    /// psync call for the whole group. Leaf-cache regions covering any of the
-    /// pages are invalidated.
-    pub fn write_pages(&self, pages: &[(PageId, &[u8])]) -> IoResult<()> {
-        {
-            let mut leaf = self.leaf.lock();
-            if let Some(cache) = leaf.as_mut() {
-                for (p, _) in pages {
-                    cache.invalidate_page(*p);
-                }
-            }
-        }
-        match self.policy {
-            WritePolicy::WriteThrough => {
-                self.record_pages(pages);
-                self.store.write_pages(pages)?;
-                let mut victims = Vec::new();
-                {
-                    let mut pool = self.pool.lock();
-                    for (p, data) in pages {
-                        victims.extend(pool.insert(*p, data.to_vec(), false, 1));
-                    }
-                }
-                self.write_back(victims)
-            }
-            WritePolicy::WriteBack => {
-                let mut victims = Vec::new();
-                {
-                    let mut pool = self.pool.lock();
-                    for (p, data) in pages {
-                        victims.extend(pool.insert(*p, data.to_vec(), true, 1));
-                    }
-                }
-                self.write_back(victims)
-            }
-        }
-    }
-
-    /// Reads a multi-page region with the default [`AccessHint::Point`] hint.
-    /// Regions bypass the *pool* entirely: a region and its constituent pages
-    /// would otherwise be cached under different keys and go stale with respect
-    /// to each other. Because the pool is write-through (for the callers that
-    /// use regions), the device always holds the latest data. The optional
-    /// [`LeafCache`] *is* consulted — it caches whole regions under the first
-    /// page and is invalidated by every write path that overlaps it.
-    pub fn read_region(&self, first: PageId, n_pages: u64) -> IoResult<Vec<u8>> {
-        self.read_region_hinted(first, n_pages, AccessHint::Point)
-    }
-
-    /// Reads a multi-page region, consulting the leaf cache with the given
-    /// hint: `Point` misses are admitted after the fetch, `Scan` misses bypass
-    /// admission so streams cannot evict the point working set.
-    pub fn read_region_hinted(&self, first: PageId, n_pages: u64, hint: AccessHint) -> IoResult<Vec<u8>> {
-        if n_pages == 1 {
-            // A single-page region is just a page: serve it through the page cache.
-            return self.read_page(first);
-        }
-        if let Some(cache) = self.leaf.lock().as_mut() {
-            if let Some(data) = cache.get(first, hint) {
-                return Ok(data);
-            }
-        }
-        let data = self.verify_region(first, n_pages, self.store.read_region(first, n_pages)?)?;
-        if hint == AccessHint::Point {
-            if let Some(cache) = self.leaf.lock().as_mut() {
-                cache.insert(first, n_pages, data.clone());
-            }
-        }
-        Ok(data)
-    }
-
-    /// Reads several multi-page regions with a single psync call (bypassing the pool,
-    /// see [`CachedStore::read_region`]). Single-page regions go through the page
-    /// cache instead.
-    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<Vec<u8>>> {
-        self.complete_read_regions(self.submit_read_regions(regions)?)
-    }
-
-    /// Submits a multi-region read with the default [`AccessHint::Point`] hint.
-    pub fn submit_read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<RegionReadTicket> {
-        self.submit_read_regions_hinted(regions, AccessHint::Point)
-    }
-
-    /// Submits a multi-region read without waiting for it. All-single-page batches
-    /// are served through the page cache at submission (their ticket completes
-    /// immediately). Otherwise leaf-cache hits are captured at submission and
-    /// only the missing regions go to the device as one in-flight batch.
-    pub fn submit_read_regions_hinted(
-        &self,
-        regions: &[(PageId, u64)],
-        hint: AccessHint,
-    ) -> IoResult<RegionReadTicket> {
-        if regions.iter().all(|&(_, n)| n == 1) {
-            let pages: Vec<PageId> = regions.iter().map(|&(p, _)| p).collect();
-            return Ok(RegionReadTicket {
-                results: self.read_pages(&pages)?.into_iter().map(Some).collect(),
-                missing: Vec::new(),
-                ticket: None,
-                hint,
-            });
-        }
+    /// Submits a cache-aware batched read without waiting. Each `(first_page,
+    /// n_pages)` region is looked up in its class — multi-page regions with
+    /// `hint`, single pages always as `Point` accesses — and the misses of
+    /// both classes go to the device as one in-flight batch that overlaps
+    /// whatever else is outstanding on the backend.
+    pub fn submit_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
         let mut results: Vec<Option<Vec<u8>>> = vec![None; regions.len()];
         let mut missing: Vec<(usize, PageId, u64)> = Vec::new();
         {
-            let mut leaf = self.leaf.lock();
-            match leaf.as_mut() {
-                Some(cache) => {
-                    for (i, &(p, n)) in regions.iter().enumerate() {
-                        match cache.get(p, hint) {
-                            Some(data) => results[i] = Some(data),
-                            None => missing.push((i, p, n)),
-                        }
-                    }
+            let mut caches = self.caches.lock();
+            for (i, &(first, n)) in regions.iter().enumerate() {
+                let (class, hint) = caches.route(n, hint);
+                match class.and_then(|class| class.get(first, hint)) {
+                    Some(hit) => results[i] = Some(hit),
+                    None => missing.push((i, first, n)),
                 }
-                None => missing.extend(regions.iter().enumerate().map(|(i, &(p, n))| (i, p, n))),
             }
         }
         let ticket = if missing.is_empty() {
             None
         } else {
             let to_fetch: Vec<(PageId, u64)> = missing.iter().map(|&(_, p, n)| (p, n)).collect();
-            Some(self.store.submit_read_regions(&to_fetch)?)
+            Some(self.store.submit_read(&to_fetch)?)
         };
-        Ok(RegionReadTicket {
+        Ok(CachedReadTicket {
             results,
             missing,
             ticket,
@@ -595,124 +255,179 @@ impl CachedStore {
         })
     }
 
-    /// Waits for an in-flight multi-region read and returns one buffer per region,
-    /// in submission order. Device-fetched regions are admitted to the leaf
-    /// cache according to the submission hint (`Scan` fetches bypass it).
-    pub fn complete_read_regions(&self, ticket: RegionReadTicket) -> IoResult<Vec<Vec<u8>>> {
-        let RegionReadTicket {
+    /// Waits for an in-flight read and returns one buffer per region, in
+    /// submission order. Every device-fetched image is verified against the
+    /// checksum sidecar, then admitted to its class — except region-class
+    /// images of a `Scan` read, which bypass admission.
+    pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<Vec<u8>>> {
+        let CachedReadTicket {
             mut results,
             missing,
             ticket,
             hint,
         } = ticket;
         if let Some(ticket) = ticket {
-            let fetched = self.store.complete_read(ticket)?;
-            let verified: Vec<(usize, PageId, u64, Vec<u8>)> = missing
-                .into_iter()
-                .zip(fetched)
-                .map(|((i, p, n), data)| Ok((i, p, n, self.verify_region(p, n, data)?)))
-                .collect::<IoResult<_>>()?;
-            let mut leaf = self.leaf.lock();
-            for (i, p, n, data) in verified {
-                if hint == AccessHint::Point {
-                    if let Some(cache) = leaf.as_mut() {
-                        cache.insert(p, n, data.clone());
-                    }
-                }
-                results[i] = Some(data);
+            let mut fetched = self.store.complete_read(ticket)?;
+            for (&(_, first, n), data) in missing.iter().zip(&mut fetched) {
+                self.integrity.verify(&self.store, first, n, data)?;
             }
+            let mut victims = Vec::with_capacity(missing.len());
+            {
+                let mut caches = self.caches.lock();
+                for ((i, first, n), data) in missing.into_iter().zip(fetched) {
+                    if let (Some(class), AccessHint::Point) = caches.route(n, hint) {
+                        class.admit(first, n, data.clone(), &mut victims);
+                    }
+                    results[i] = Some(data);
+                }
+            }
+            self.write_back(victims)?;
         }
-        Ok(results.into_iter().map(|r| r.expect("filled above")).collect())
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("hit at submission or fetched above"))
+            .collect())
     }
 
-    /// Writes a multi-page region straight through (regions are never kept dirty) and
-    /// invalidates any individually cached page the region overlaps.
-    pub fn write_region(&self, first: PageId, data: &[u8]) -> IoResult<()> {
-        if data.len() == self.page_size() {
-            return self.write_page(first, data);
-        }
-        self.record_region(first, data);
-        self.store.write_region(first, data)?;
-        let n = (data.len() / self.page_size()) as u64;
-        self.invalidate_leaf_range(first, n);
-        let mut pool = self.pool.lock();
-        for p in first..first + n {
-            pool.remove(p);
-        }
-        Ok(())
+    /// Reads one page through the cache.
+    pub fn read_page(&self, page: PageId) -> IoResult<Vec<u8>> {
+        Ok(self.read_regions(&[(page, 1)])?.pop().expect("one buffer per region"))
     }
 
-    /// Writes several multi-page regions with one psync call and invalidates the
-    /// individually cached pages they overlap. Single-page regions go through the
-    /// page path (and therefore stay cached).
-    pub fn write_regions(&self, regions: &[(PageId, &[u8])]) -> IoResult<()> {
-        self.complete_write_regions(self.submit_write_regions(regions)?)
+    /// Reads many pages through the cache; the missing ones are fetched with a
+    /// single psync call. Results are returned in the order of `pages`.
+    pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<Vec<u8>>> {
+        self.read_regions(&pages.iter().map(|&p| (p, 1)).collect::<Vec<_>>())
     }
 
-    /// Submits a multi-region write without waiting for it. The region images are
-    /// captured at submission and the overlapped cached pages are invalidated
-    /// immediately. All-single-page batches go through the (blocking) page path.
+    /// Reads several regions through the cache as `Point` accesses, fetching
+    /// the misses with a single psync call.
+    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<Vec<u8>>> {
+        self.complete_read(self.submit_read(regions, AccessHint::Point)?)
+    }
+
+    // ----------------------------------------------------------- the write path --
+
+    /// Sends images to the device, recording their checksums first: the bytes
+    /// are captured at submission and this is the last moment they are in
+    /// hand. A completion failure leaves the device state unknown either way —
+    /// the stale checksum then makes the next read of the range fail
+    /// verification, which is the conservative outcome.
+    fn submit_to_device(&self, images: &[(PageId, &[u8])]) -> IoResult<WriteTicket> {
+        for (first, data) in images {
+            self.integrity.record(*first, data, self.page_size());
+        }
+        self.store.submit_write(images)
+    }
+
+    /// Writes a call's dirty victims back, in eviction order, as one batch.
+    fn write_back(&self, victims: Vec<Evicted>) -> IoResult<()> {
+        let dirty: Vec<(PageId, &[u8])> = victims
+            .iter()
+            .filter(|v| v.dirty)
+            .map(|v| (v.page, v.data.as_slice()))
+            .collect();
+        if dirty.is_empty() {
+            return Ok(());
+        }
+        self.store.complete_write(self.submit_to_device(&dirty)?)
+    }
+
+    /// Submits a batched write of `(first_page, image)` pairs, each image a
+    /// whole number of pages. Cached copies the images overlap are dropped
+    /// first (the coherence rule of the [module docs](self)). One-page images
+    /// then follow the [`WritePolicy`]: write-back installs them dirty and
+    /// sends nothing; write-through sends them with the call's one device
+    /// batch and installs them once that batch has succeeded — so a call that
+    /// carries page images completes at submission. Multi-page images always
+    /// go to the device and are never installed; a call of only those stays
+    /// in flight until [`CachedStore::complete_write`].
     ///
     /// Ordering: the simulated backends apply the data at submission, so a read
     /// issued while the write is in flight sees the new bytes. The real-file
     /// backend gives **no** order between an in-flight write and a later read —
     /// callers must not read pages overlapped by a write they have not completed
     /// yet (the tree's pipelines only overlap batches on disjoint pages).
-    pub fn submit_write_regions(&self, regions: &[(PageId, &[u8])]) -> IoResult<RegionWriteTicket> {
-        if regions.iter().all(|(_, d)| d.len() == self.page_size()) {
-            self.write_pages(regions)?;
-            return Ok(RegionWriteTicket::Ready);
-        }
-        // Checksums are recorded at submission: the image is captured here and
-        // this is the last moment the bytes are in hand. A completion failure
-        // leaves the device state unknown either way — the stale checksum then
-        // makes the next read of the range fail verification, which is the
-        // conservative outcome.
-        for (p, data) in regions {
-            self.record_region(*p, data);
-        }
-        let ticket = self.store.submit_write_regions(regions)?;
-        for (p, data) in regions {
-            let n = (data.len() / self.page_size()) as u64;
-            self.invalidate_leaf_range(*p, n);
-        }
-        let mut pool = self.pool.lock();
-        for (p, data) in regions {
-            let n = (data.len() / self.page_size()) as u64;
-            for page in *p..*p + n {
-                pool.remove(page);
+    pub fn submit_write(&self, images: &[(PageId, &[u8])]) -> IoResult<CachedWriteTicket> {
+        let page_size = self.page_size();
+        let is_page = |data: &[u8]| data.len() == page_size;
+        {
+            let mut caches = self.caches.lock();
+            for (first, data) in images {
+                let n = (data.len() / page_size) as u64;
+                if let Some(regions) = caches.regions.as_mut() {
+                    regions.invalidate_range(*first, n);
+                }
+                if !is_page(data) {
+                    caches.pages.invalidate_range(*first, n);
+                }
             }
         }
-        Ok(RegionWriteTicket::Pending(ticket))
-    }
-
-    /// Waits for an in-flight multi-region write to become durable.
-    pub fn complete_write_regions(&self, ticket: RegionWriteTicket) -> IoResult<()> {
-        match ticket {
-            RegionWriteTicket::Ready => Ok(()),
-            RegionWriteTicket::Pending(ticket) => self.store.complete_write(ticket),
+        let keep_dirty = self.policy == WritePolicy::WriteBack;
+        let regions_only: Vec<(PageId, &[u8])>;
+        let to_device = if keep_dirty {
+            regions_only = images.iter().filter(|(_, d)| !is_page(d)).copied().collect();
+            &regions_only[..]
+        } else {
+            images
+        };
+        let mut pending = match to_device {
+            [] => None,
+            _ => Some(self.submit_to_device(to_device)?),
+        };
+        if images.iter().any(|(_, d)| is_page(d)) {
+            if let Some(ticket) = pending.take() {
+                self.store.complete_write(ticket)?;
+            }
+            let mut victims = Vec::new();
+            {
+                let mut caches = self.caches.lock();
+                for (page, data) in images.iter().filter(|(_, d)| is_page(d)) {
+                    caches.pages.install(*page, 1, data.to_vec(), keep_dirty, &mut victims);
+                }
+            }
+            self.write_back(victims)?;
         }
+        Ok(CachedWriteTicket { pending })
     }
 
-    /// Flushes every dirty page to the store (one psync call) — the checkpoint /
-    /// shutdown path of the write-back policy.
+    /// Waits for an in-flight write to become durable.
+    pub fn complete_write(&self, ticket: CachedWriteTicket) -> IoResult<()> {
+        ticket.pending.map_or(Ok(()), |t| self.store.complete_write(t))
+    }
+
+    /// Writes one page (or region) image.
+    pub fn write_page(&self, page: PageId, data: &[u8]) -> IoResult<()> {
+        self.write_pages(&[(page, data)])
+    }
+
+    /// Writes many page or region images; everything bound for the device
+    /// goes in a single psync call.
+    pub fn write_pages(&self, images: &[(PageId, &[u8])]) -> IoResult<()> {
+        self.complete_write(self.submit_write(images)?)
+    }
+
+    // -------------------------------------------------------------- maintenance --
+
+    /// Flushes every dirty page to the store, in ascending page order, as one
+    /// psync call — the checkpoint / shutdown path of the write-back policy.
     pub fn flush(&self) -> IoResult<()> {
-        let dirty = self.pool.lock().take_dirty();
+        let dirty = self.caches.lock().pages.take_dirty();
         if dirty.is_empty() {
             return Ok(());
         }
         let refs: Vec<(PageId, &[u8])> = dirty.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-        self.record_pages(&refs);
-        self.store.write_pages(&refs)
+        self.store.complete_write(self.submit_to_device(&refs)?)
     }
 
-    /// Drops every cached entry — pool pages and leaf regions — without writing
-    /// anything (used between experiment phases and by crash simulation to
-    /// start from a cold cache).
+    /// Drops every cached entry of both classes without writing anything
+    /// (used between experiment phases and by crash simulation to start from
+    /// a cold cache).
     pub fn drop_cache(&self) {
-        self.pool.lock().clear();
-        if let Some(cache) = self.leaf.lock().as_mut() {
-            cache.clear();
+        let mut caches = self.caches.lock();
+        caches.pages.clear();
+        if let Some(regions) = caches.regions.as_mut() {
+            regions.clear();
         }
     }
 
@@ -725,15 +440,14 @@ impl CachedStore {
     /// consistent anyway. Tracking restarts from scratch as recovery and new
     /// writes re-record.
     pub fn reset_integrity(&self) {
-        let mut integrity = self.integrity.lock();
-        integrity.checksums.clear();
-        integrity.scrub_cursor = 0;
+        self.integrity.reset();
     }
 
-    /// Resizes the buffer pool, writing back any dirty entries that no longer fit.
+    /// Resizes the page class, writing back any dirty entries that no longer fit.
     /// Used by the experiments that sweep the pool size over one loaded index.
     pub fn resize_pool(&self, capacity_pages: u64) -> IoResult<()> {
-        let victims = self.pool.lock().resize(capacity_pages);
+        let mut victims = Vec::new();
+        self.caches.lock().pages.resize(capacity_pages, &mut victims);
         self.write_back(victims)
     }
 
@@ -741,81 +455,52 @@ impl CachedStore {
     /// tracked pages from the scrub cursor (one psync batch), wrapping to the
     /// lowest page when the end of the tracked set is reached. A mismatch is
     /// re-read once; a *persistent* mismatch is counted as rot and — when the
-    /// buffer pool still holds a copy that verifies — **healed** by rewriting
+    /// page class still holds a copy that verifies — **healed** by rewriting
     /// that copy to the device. Unhealable rot keeps its recorded checksum, so
     /// a foreground read of the page still fails verification rather than
     /// serving bad bytes. Designed to ride a maintenance tick: each call does a
     /// bounded slice of work off the foreground path.
     pub fn scrub_step(&self, max_pages: usize) -> IoResult<ScrubReport> {
-        let (batch, wrapped) = {
-            let mut integrity = self.integrity.lock();
-            if max_pages == 0 || integrity.checksums.is_empty() {
-                return Ok(ScrubReport {
-                    wrapped: true,
-                    ..ScrubReport::default()
-                });
-            }
-            let cursor = integrity.scrub_cursor;
-            let mut batch: Vec<PageId> = integrity
-                .checksums
-                .range(cursor..)
-                .take(max_pages)
-                .map(|(p, _)| *p)
-                .collect();
-            let mut wrapped = batch.len() < max_pages;
-            if wrapped {
-                // Wrap to the lowest tracked pages; the two ranges are disjoint.
-                let room = max_pages - batch.len();
-                let wrap: Vec<PageId> = integrity
-                    .checksums
-                    .range(..cursor)
-                    .take(room)
-                    .map(|(p, _)| *p)
-                    .collect();
-                batch.extend(wrap);
-            }
-            integrity.scrub_cursor = batch.last().map_or(0, |&p| p + 1);
-            // A step that lands exactly on the end of the tracked set also
-            // completes the cycle.
-            if integrity.checksums.range(integrity.scrub_cursor..).next().is_none() {
-                wrapped = true;
-            }
-            (batch, wrapped)
+        let Some((batch, wrapped)) = self.integrity.next_scrub_batch(max_pages) else {
+            return Ok(ScrubReport {
+                wrapped: true,
+                ..ScrubReport::default()
+            });
         };
-        let images = self.store.read_pages(&batch)?;
+        let images = self.store.read_regions(&batch)?;
         let mut report = ScrubReport {
             scanned: batch.len(),
             wrapped,
             ..ScrubReport::default()
         };
-        for (page, image) in batch.into_iter().zip(images) {
+        for ((page, _), image) in batch.into_iter().zip(images) {
             // Judge against the checksum recorded *now* — the page may have
             // been rewritten (or freed) since the batch was selected.
-            let Some(expected) = self.integrity.lock().checksums.get(&page).copied() else {
+            let Some(expected) = self.integrity.expected(page) else {
                 continue;
             };
-            if page_checksum(&image) == expected {
+            if checksum(&image) == expected {
                 continue;
             }
-            self.integrity.lock().stats.corruption_detected += 1;
+            self.integrity.count(|s| s.corruption_detected += 1);
             let reread = self.store.read_page(page)?;
-            if page_checksum(&reread) == expected {
-                self.integrity.lock().stats.corruption_recovered += 1;
+            if checksum(&reread) == expected {
+                self.integrity.count(|s| s.corruption_recovered += 1);
                 continue;
             }
-            // Persistent rot. Heal from a pooled copy when one verifies.
-            self.integrity.lock().stats.scrub_corruptions += 1;
+            // Persistent rot. Heal from a cached copy when one verifies.
+            self.integrity.count(|s| s.scrub_corruptions += 1);
             report.corrupt += 1;
-            let pooled = self.pool.lock().get(page);
-            if let Some(copy) = pooled {
-                if page_checksum(&copy) == expected {
+            let cached = self.caches.lock().pages.get(page, AccessHint::Point);
+            if let Some(copy) = cached {
+                if checksum(&copy) == expected {
                     self.store.write_page(page, &copy)?;
-                    self.integrity.lock().stats.scrub_healed += 1;
+                    self.integrity.count(|s| s.scrub_healed += 1);
                     report.healed += 1;
                 }
             }
         }
-        self.integrity.lock().stats.scrubbed_pages += report.scanned as u64;
+        self.integrity.count(|s| s.scrubbed_pages += report.scanned as u64);
         Ok(report)
     }
 }
@@ -831,6 +516,15 @@ mod tests {
         let io = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 256 * 1024 * 1024));
         let store = PageStore::new(io, 4096);
         CachedStore::new(store, pool_pages, policy)
+    }
+
+    /// One blocking region read with the given hint.
+    fn read_region(c: &CachedStore, first: PageId, n: u64, hint: AccessHint) -> IoResult<Vec<u8>> {
+        Ok(c.complete_read(c.submit_read(&[(first, n)], hint)?)?.pop().unwrap())
+    }
+
+    fn point_region(c: &CachedStore, first: PageId, n: u64) -> Vec<u8> {
+        read_region(c, first, n, AccessHint::Point).unwrap()
     }
 
     #[test]
@@ -903,12 +597,15 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 16);
         let first = c.allocate_contiguous(4);
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 253) as u8).collect();
-        c.write_region(first, &img).unwrap();
-        assert_eq!(c.read_region(first, 4).unwrap(), img);
-        // Regions bypass the pool, so a second read hits the device again.
+        c.write_page(first, &img).unwrap();
+        assert_eq!(point_region(&c, first, 4), img);
+        // Regions never enter the page class and the region class is disabled,
+        // so a second read hits the device again — without counting anything.
         let before = c.store().stats().page_reads;
-        assert_eq!(c.read_region(first, 4).unwrap(), img);
+        assert_eq!(point_region(&c, first, 4), img);
         assert_eq!(c.store().stats().page_reads, before + 4);
+        assert_eq!(c.leaf_cache_stats(), CacheStats::default());
+        assert_eq!(c.pool_stats().misses, 0);
     }
 
     #[test]
@@ -916,12 +613,12 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 16);
         let first = c.allocate_contiguous(2);
         let old = vec![1u8; 2 * 4096];
-        c.write_region(first, &old).unwrap();
+        c.write_page(first, &old).unwrap();
         // Cache the second page individually.
         assert_eq!(c.read_page(first + 1).unwrap()[0], 1);
         // Overwrite the whole region; the cached page copy must not survive.
         let new = vec![9u8; 2 * 4096];
-        c.write_region(first, &new).unwrap();
+        c.write_page(first, &new).unwrap();
         assert_eq!(c.read_page(first + 1).unwrap()[0], 9);
     }
 
@@ -929,9 +626,9 @@ mod tests {
     fn page_writes_are_visible_to_region_reads() {
         let c = cached(WritePolicy::WriteThrough, 16);
         let first = c.allocate_contiguous(2);
-        c.write_region(first, &vec![3u8; 2 * 4096]).unwrap();
+        c.write_page(first, &vec![3u8; 2 * 4096]).unwrap();
         c.write_page(first + 1, &vec![7u8; 4096]).unwrap();
-        let region = c.read_region(first, 2).unwrap();
+        let region = point_region(&c, first, 2);
         assert_eq!(region[4096], 7, "region read must see the page write");
         assert_eq!(region[0], 3);
     }
@@ -943,7 +640,7 @@ mod tests {
         let b = c.allocate_contiguous(2);
         let da = vec![1u8; 2 * 4096];
         let db = vec![2u8; 2 * 4096];
-        c.write_regions(&[(a, &da), (b, &db)]).unwrap();
+        c.write_pages(&[(a, &da), (b, &db)]).unwrap();
         c.drop_cache();
         let before = c.store().stats().read_batches;
         let out = c.read_regions(&[(a, 2), (b, 2)]).unwrap();
@@ -976,10 +673,10 @@ mod tests {
         c.set_leaf_cache(16);
         let first = c.allocate_contiguous(4);
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 251) as u8).collect();
-        c.write_region(first, &img).unwrap();
-        assert_eq!(c.read_region(first, 4).unwrap(), img);
+        c.write_page(first, &img).unwrap();
+        assert_eq!(point_region(&c, first, 4), img);
         let before = c.store().stats().page_reads;
-        assert_eq!(c.read_region(first, 4).unwrap(), img);
+        assert_eq!(point_region(&c, first, 4), img);
         assert_eq!(
             c.store().stats().page_reads,
             before,
@@ -998,19 +695,28 @@ mod tests {
         c.set_leaf_cache(16);
         let a = c.allocate_contiguous(2);
         let b = c.allocate_contiguous(2);
-        c.write_region(a, &vec![1u8; 2 * 4096]).unwrap();
-        c.write_region(b, &vec![2u8; 2 * 4096]).unwrap();
+        c.write_page(a, &vec![1u8; 2 * 4096]).unwrap();
+        c.write_page(b, &vec![2u8; 2 * 4096]).unwrap();
         // Scan miss: fetched but not admitted.
-        c.read_region_hinted(a, 2, AccessHint::Scan).unwrap();
+        read_region(&c, a, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.leaf_cache_stats().scan_bypasses, 1);
         let before = c.store().stats().page_reads;
-        c.read_region_hinted(a, 2, AccessHint::Scan).unwrap();
+        read_region(&c, a, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before + 2, "scan read was not admitted");
         // Point read admits; a later scan then hits the resident copy.
-        c.read_region(b, 2).unwrap();
+        point_region(&c, b, 2);
         let before = c.store().stats().page_reads;
-        c.read_region_hinted(b, 2, AccessHint::Scan).unwrap();
+        read_region(&c, b, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before, "scan hits resident entries");
+        // The page class ignores the hint: a scan-hinted single page is
+        // admitted like any other.
+        let p = c.allocate();
+        c.store().write_page(p, &vec![3u8; 4096]).unwrap();
+        read_region(&c, p, 1, AccessHint::Scan).unwrap();
+        let before = c.store().stats().page_reads;
+        read_region(&c, p, 1, AccessHint::Scan).unwrap();
+        assert_eq!(c.store().stats().page_reads, before, "single pages are always admitted");
+        assert_eq!(c.leaf_cache_stats().scan_bypasses, 2, "and never count as bypasses");
     }
 
     #[test]
@@ -1018,25 +724,34 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 16);
         c.set_leaf_cache(32);
         let r = c.allocate_contiguous(2);
-        c.write_region(r, &vec![1u8; 2 * 4096]).unwrap();
-        c.read_region(r, 2).unwrap(); // admit
-                                      // A single-page write *inside* the region (bupdate's segment append).
+        c.write_page(r, &vec![1u8; 2 * 4096]).unwrap();
+        point_region(&c, r, 2); // admit
+                                // A single-page write *inside* the region (bupdate's segment append).
         c.write_page(r + 1, &vec![9u8; 4096]).unwrap();
-        let img = c.read_region(r, 2).unwrap();
+        let img = point_region(&c, r, 2);
         assert_eq!(img[4096], 9, "stale region served after page write");
-        // A region overwrite.
-        c.write_region(r, &vec![7u8; 2 * 4096]).unwrap();
-        assert_eq!(c.read_region(r, 2).unwrap()[0], 7);
-        // write_pages (the batched page path).
-        c.read_region(r, 2).unwrap();
+        // A region overwrite is written around the cache, not installed.
+        c.write_page(r, &vec![7u8; 2 * 4096]).unwrap();
+        let before = c.store().stats().page_reads;
+        assert_eq!(point_region(&c, r, 2)[0], 7);
+        assert_eq!(c.store().stats().page_reads, before + 2, "region writes never install");
+        // A batched page write.
         let data = vec![5u8; 4096];
         c.write_pages(&[(r, data.as_slice())]).unwrap();
-        assert_eq!(c.read_region(r, 2).unwrap()[0], 5);
+        assert_eq!(point_region(&c, r, 2)[0], 5);
+        // Freeing a page inside the region.
+        c.free(r + 1);
+        let before = c.store().stats().page_reads;
+        point_region(&c, r, 2);
+        assert_eq!(
+            c.store().stats().page_reads,
+            before + 2,
+            "free must drop the covering region"
+        );
         // drop_cache empties it.
-        c.read_region(r, 2).unwrap();
         c.drop_cache();
         let before = c.store().stats().page_reads;
-        c.read_region(r, 2).unwrap();
+        point_region(&c, r, 2);
         assert_eq!(
             c.store().stats().page_reads,
             before + 2,
@@ -1051,6 +766,66 @@ mod tests {
         c.write_page(p, &vec![4u8; 4096]).unwrap();
         assert_eq!(c.read_page(p).unwrap()[0], 4);
         assert_eq!(c.pool_stats().hits, 0);
+        assert_eq!(c.pool_stats().misses, 1, "a zero-budget page class still counts misses");
+    }
+
+    #[test]
+    fn a_mixed_read_batch_routes_by_length_and_rides_one_device_batch() {
+        let c = cached(WritePolicy::WriteThrough, 16);
+        c.set_leaf_cache(16);
+        let r = c.allocate_contiguous(2);
+        let p = c.allocate();
+        c.write_page(r, &vec![1u8; 2 * 4096]).unwrap();
+        c.write_page(p, &vec![2u8; 4096]).unwrap();
+        c.drop_cache();
+        let before = c.store().stats();
+        let out = c.read_regions(&[(r, 2), (p, 1)]).unwrap();
+        assert_eq!((out[0][0], out[1][0]), (1, 2));
+        let after = c.store().stats();
+        assert_eq!(
+            after.read_batches - before.read_batches,
+            1,
+            "misses of both classes share a batch"
+        );
+        assert_eq!(after.page_reads - before.page_reads, 3);
+        assert_eq!((c.pool_stats().misses, c.leaf_cache_stats().misses), (1, 1));
+        // Each was admitted to its own class: the repeat is all hits.
+        c.read_regions(&[(r, 2), (p, 1)]).unwrap();
+        assert_eq!(c.store().stats().page_reads, after.page_reads);
+        assert_eq!((c.pool_stats().hits, c.leaf_cache_stats().hits), (1, 1));
+    }
+
+    #[test]
+    fn a_mixed_write_batch_installs_its_pages_and_writes_around_its_regions() {
+        let c = cached(WritePolicy::WriteThrough, 16);
+        c.set_leaf_cache(16);
+        let r = c.allocate_contiguous(2);
+        let p = c.allocate();
+        let before = c.store().stats().write_batches;
+        c.write_pages(&[(r, &vec![1u8; 2 * 4096]), (p, &vec![2u8; 4096])])
+            .unwrap();
+        assert_eq!(
+            c.store().stats().write_batches - before,
+            1,
+            "one device batch for the call"
+        );
+        let reads = c.store().stats().page_reads;
+        assert_eq!(c.read_page(p).unwrap()[0], 2);
+        assert_eq!(c.store().stats().page_reads, reads, "the page image was installed");
+        assert_eq!(point_region(&c, r, 2)[0], 1);
+        assert_eq!(c.store().stats().page_reads, reads + 2, "the region image was not");
+    }
+
+    #[test]
+    fn write_back_sends_regions_to_the_device_and_keeps_pages_dirty() {
+        let c = cached(WritePolicy::WriteBack, 4);
+        let r = c.allocate_contiguous(2);
+        let p = c.allocate();
+        c.write_pages(&[(r, &vec![1u8; 2 * 4096]), (p, &vec![2u8; 4096])])
+            .unwrap();
+        assert_eq!(c.store().stats().page_writes, 2, "only the region reached the device");
+        c.flush().unwrap();
+        assert_eq!(c.store().stats().page_writes, 3);
     }
 
     /// Rot the device copy of `page` behind the sidecar's back.
@@ -1097,9 +872,9 @@ mod tests {
     fn region_reads_verify_checksums_too() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let first = c.allocate_contiguous(3);
-        c.write_region(first, &vec![3u8; 3 * 4096]).unwrap();
+        c.write_page(first, &vec![3u8; 3 * 4096]).unwrap();
         rot(&c, first + 1, 17);
-        let err = c.read_region(first, 3).unwrap_err();
+        let err = read_region(&c, first, 3, AccessHint::Point).unwrap_err();
         match err {
             pio::IoError::Corruption { offset, .. } => {
                 assert_eq!(offset, (first + 1) * 4096, "should name the rotted page")

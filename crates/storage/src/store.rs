@@ -1,9 +1,11 @@
 //! The page store: a flat page space over a submission/completion I/O backend.
 //!
-//! Every read/write path exists in two forms: a blocking one (`read_pages`,
-//! `write_regions`, …) and a ticketed one (`submit_read_pages` +
-//! `complete_read`, …). The blocking form is the ticketed form with an immediate
-//! wait; index hot paths use the ticketed form to keep several batches in flight.
+//! There is one way in and one way out: [`PageStore::submit_read`] takes
+//! `(first_page, n_pages)` regions, [`PageStore::submit_write`] takes
+//! `(first_page, image)` pairs, and a single page is a one-page region. The
+//! blocking forms (`read_page`, `read_regions`, `write_page`, `write_pages`)
+//! are the ticketed pair with an immediate wait; index hot paths use the
+//! tickets to keep several batches in flight.
 
 use crate::page::{page_offset, PageId};
 use parking_lot::Mutex;
@@ -11,17 +13,16 @@ use pio::{IoQueue, IoResult, ReadRequest, WriteRequest};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An in-flight read batch submitted through [`PageStore::submit_read_pages`] or
-/// [`PageStore::submit_read_regions`], redeemed with [`PageStore::complete_read`].
+/// An in-flight read batch submitted through [`PageStore::submit_read`],
+/// redeemed with [`PageStore::complete_read`].
 #[derive(Debug)]
 #[must_use = "an in-flight read must be completed to obtain its buffers"]
 pub struct ReadTicket {
     ticket: pio::Ticket,
 }
 
-/// An in-flight write batch submitted through [`PageStore::submit_write_pages`] or
-/// [`PageStore::submit_write_regions`], redeemed with
-/// [`PageStore::complete_write`].
+/// An in-flight write batch submitted through [`PageStore::submit_write`],
+/// redeemed with [`PageStore::complete_write`].
 #[derive(Debug)]
 #[must_use = "an in-flight write must be completed to observe durability"]
 pub struct WriteTicket {
@@ -35,9 +36,9 @@ pub struct StoreStats {
     pub allocated: u64,
     /// Pages returned to the free list.
     pub freed: u64,
-    /// Single-page and region read requests issued.
+    /// Pages read from the device (a region request counts every page it covers).
     pub page_reads: u64,
-    /// Single-page and region write requests issued.
+    /// Pages written to the device (likewise).
     pub page_writes: u64,
     /// psync read calls issued.
     pub read_batches: u64,
@@ -70,8 +71,8 @@ impl FreeList {
     }
 }
 
-/// A flat page space with allocation, single, batched (psync) and multi-page region
-/// I/O, generic over any [`IoQueue`] backend.
+/// A flat page space with allocation and batched (psync) page-region I/O, generic
+/// over any [`IoQueue`] backend.
 ///
 /// Cloning a `PageStore` is cheap and yields a handle to the same underlying space
 /// (allocation state and statistics are shared).
@@ -176,77 +177,44 @@ impl PageStore {
         self.next_page.fetch_add(n, Ordering::Relaxed)
     }
 
+    // The blocking forms below are the ticketed pair with an immediate wait.
+
     /// Reads one page.
     pub fn read_page(&self, page: PageId) -> IoResult<Vec<u8>> {
-        let mut v = self.read_pages(std::slice::from_ref(&page))?;
-        Ok(v.pop().expect("one result per request"))
+        Ok(self.read_regions(&[(page, 1)])?.pop().expect("one buffer per request"))
     }
 
-    /// Reads many pages with a single psync call; results are in the order of `pages`.
-    pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<Vec<u8>>> {
-        self.complete_read(self.submit_read_pages(pages)?)
+    /// Reads several regions with one psync call; results are in the order of
+    /// `regions`.
+    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<Vec<u8>>> {
+        self.complete_read(self.submit_read(regions)?)
     }
 
-    /// Writes one page. `data` must be exactly one page long.
+    /// Writes one page image.
     pub fn write_page(&self, page: PageId, data: &[u8]) -> IoResult<()> {
         self.write_pages(&[(page, data)])
     }
 
-    /// Writes many pages with a single psync call.
-    pub fn write_pages(&self, pages: &[(PageId, &[u8])]) -> IoResult<()> {
-        self.complete_write(self.submit_write_pages(pages)?)
-    }
-
-    /// Reads `n_pages` consecutive pages starting at `first` with a single large
-    /// request (package-level parallelism: one I/O of `n_pages × page_size` bytes).
-    pub fn read_region(&self, first: PageId, n_pages: u64) -> IoResult<Vec<u8>> {
-        assert!(n_pages > 0);
-        let mut bufs = self.read_regions(&[(first, n_pages)])?;
-        Ok(bufs.pop().expect("one result"))
-    }
-
-    /// Writes a contiguous region of pages with a single large request. `data` must be
-    /// a whole number of pages.
-    pub fn write_region(&self, first: PageId, data: &[u8]) -> IoResult<()> {
-        self.write_regions(&[(first, data)])
-    }
-
-    /// Reads several multi-page regions with one psync call (used by the PIO B-tree to
-    /// fetch many enlarged leaf nodes at once). Each entry is `(first_page, n_pages)`.
-    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<Vec<u8>>> {
-        self.complete_read(self.submit_read_regions(regions)?)
-    }
-
-    /// Writes several multi-page regions with one psync call. Each entry is
-    /// `(first_page, data)` where `data` is a whole number of pages.
-    pub fn write_regions(&self, regions: &[(PageId, &[u8])]) -> IoResult<()> {
-        self.complete_write(self.submit_write_regions(regions)?)
+    /// Writes several page or region images with one psync call.
+    pub fn write_pages(&self, images: &[(PageId, &[u8])]) -> IoResult<()> {
+        self.complete_write(self.submit_write(images)?)
     }
 
     // ------------------------------------------------- submission/completion tier --
 
-    /// Submits a batched page read without waiting for it. The batch stays in
-    /// flight (overlapping whatever else is outstanding on the backend) until
-    /// [`PageStore::complete_read`] is called.
-    pub fn submit_read_pages(&self, pages: &[PageId]) -> IoResult<ReadTicket> {
-        let reqs: Vec<ReadRequest> = pages
-            .iter()
-            .map(|&p| ReadRequest::new(page_offset(p, self.page_size), self.page_size))
-            .collect();
-        let ticket = self.io.submit_read(&reqs)?;
-        if !pages.is_empty() {
-            let mut s = self.stats.lock();
-            s.page_reads += pages.len() as u64;
-            s.read_batches += 1;
-        }
-        Ok(ReadTicket { ticket })
-    }
-
-    /// Submits a multi-region read without waiting for it.
-    pub fn submit_read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<ReadTicket> {
+    /// Submits one read batch without waiting for it: each `(first_page,
+    /// n_pages)` entry becomes one request of `n_pages × page_size` bytes
+    /// (package-level parallelism for the PIO B-tree's enlarged leaves; a page
+    /// is a one-page region). The batch stays in flight — overlapping whatever
+    /// else is outstanding on the backend — until [`PageStore::complete_read`]
+    /// is called.
+    pub fn submit_read(&self, regions: &[(PageId, u64)]) -> IoResult<ReadTicket> {
         let reqs: Vec<ReadRequest> = regions
             .iter()
-            .map(|&(p, n)| ReadRequest::new(page_offset(p, self.page_size), self.page_size * n as usize))
+            .map(|&(p, n)| {
+                assert!(n > 0, "a region holds at least one page");
+                ReadRequest::new(page_offset(p, self.page_size), self.page_size * n as usize)
+            })
             .collect();
         let ticket = self.io.submit_read(&reqs)?;
         if !regions.is_empty() {
@@ -257,45 +225,31 @@ impl PageStore {
         Ok(ReadTicket { ticket })
     }
 
-    /// Waits for an in-flight read and returns one buffer per submitted page or
+    /// Waits for an in-flight read and returns one buffer per submitted
     /// region, in submission order.
     pub fn complete_read(&self, ticket: ReadTicket) -> IoResult<Vec<Vec<u8>>> {
         Ok(self.io.wait(ticket.ticket)?.buffers)
     }
 
-    /// Submits a batched page write without waiting for it. The page images are
-    /// captured at submission; durability is observed by
+    /// Submits one write batch without waiting for it: each `(first_page,
+    /// image)` entry, a whole number of pages long, becomes one request. The
+    /// images are captured at submission; durability is observed by
     /// [`PageStore::complete_write`].
-    pub fn submit_write_pages(&self, pages: &[(PageId, &[u8])]) -> IoResult<WriteTicket> {
-        for (_, data) in pages {
-            assert_eq!(data.len(), self.page_size, "page image must match the page size");
-        }
-        let reqs: Vec<WriteRequest> = pages
+    pub fn submit_write(&self, images: &[(PageId, &[u8])]) -> IoResult<WriteTicket> {
+        let reqs: Vec<WriteRequest> = images
             .iter()
-            .map(|(p, data)| WriteRequest::new(page_offset(*p, self.page_size), data))
+            .map(|(p, data)| {
+                assert!(
+                    !data.is_empty() && data.len() % self.page_size == 0,
+                    "a written image must be a whole number of pages"
+                );
+                WriteRequest::new(page_offset(*p, self.page_size), data)
+            })
             .collect();
         let ticket = self.io.submit_write(&reqs)?;
-        if !pages.is_empty() {
+        if !images.is_empty() {
             let mut s = self.stats.lock();
-            s.page_writes += pages.len() as u64;
-            s.write_batches += 1;
-        }
-        Ok(WriteTicket { ticket })
-    }
-
-    /// Submits a multi-region write without waiting for it.
-    pub fn submit_write_regions(&self, regions: &[(PageId, &[u8])]) -> IoResult<WriteTicket> {
-        for (_, data) in regions {
-            assert!(!data.is_empty() && data.len() % self.page_size == 0);
-        }
-        let reqs: Vec<WriteRequest> = regions
-            .iter()
-            .map(|(p, data)| WriteRequest::new(page_offset(*p, self.page_size), data))
-            .collect();
-        let ticket = self.io.submit_write(&reqs)?;
-        if !regions.is_empty() {
-            let mut s = self.stats.lock();
-            s.page_writes += regions
+            s.page_writes += images
                 .iter()
                 .map(|(_, d)| (d.len() / self.page_size) as u64)
                 .sum::<u64>();
@@ -360,7 +314,8 @@ mod tests {
         let images: Vec<Vec<u8>> = pages.iter().map(|&p| vec![p as u8; 2048]).collect();
         let writes: Vec<(PageId, &[u8])> = pages.iter().zip(&images).map(|(&p, d)| (p, d.as_slice())).collect();
         s.write_pages(&writes).unwrap();
-        let read_back = s.read_pages(&pages).unwrap();
+        let regions: Vec<(PageId, u64)> = pages.iter().map(|&p| (p, 1)).collect();
+        let read_back = s.read_regions(&regions).unwrap();
         assert_eq!(read_back, images);
         assert_eq!(s.stats().write_batches, 1);
         assert_eq!(s.stats().read_batches, 1);
@@ -372,8 +327,10 @@ mod tests {
         let s = store(2048);
         let first = s.allocate_contiguous(4);
         let data: Vec<u8> = (0..4 * 2048u32).map(|i| (i % 255) as u8).collect();
-        s.write_region(first, &data).unwrap();
-        assert_eq!(s.read_region(first, 4).unwrap(), data);
+        s.write_pages(&[(first, &data)]).unwrap();
+        assert_eq!(s.read_regions(&[(first, 4)]).unwrap(), vec![data]);
+        assert_eq!(s.stats().page_writes, 4, "a region request counts its pages");
+        assert_eq!(s.stats().page_reads, 4);
     }
 
     #[test]
@@ -383,14 +340,14 @@ mod tests {
         let b = s.allocate_contiguous(3);
         let da = vec![1u8; 2 * 2048];
         let db = vec![2u8; 3 * 2048];
-        s.write_regions(&[(a, &da), (b, &db)]).unwrap();
+        s.write_pages(&[(a, &da), (b, &db)]).unwrap();
         let out = s.read_regions(&[(a, 2), (b, 3)]).unwrap();
         assert_eq!(out[0], da);
         assert_eq!(out[1], db);
     }
 
     #[test]
-    #[should_panic(expected = "page image must match")]
+    #[should_panic(expected = "whole number of pages")]
     fn wrong_sized_page_is_rejected() {
         let s = store(4096);
         let p = s.allocate();
@@ -400,7 +357,7 @@ mod tests {
     #[test]
     fn empty_batches_are_noops() {
         let s = store(4096);
-        assert!(s.read_pages(&[]).unwrap().is_empty());
+        assert!(s.read_regions(&[]).unwrap().is_empty());
         s.write_pages(&[]).unwrap();
         assert_eq!(s.stats().read_batches, 0);
         assert_eq!(s.stats().write_batches, 0);

@@ -40,6 +40,7 @@
 //! replay work is proportional to the records written since the last
 //! checkpoint, never to the store's age.
 
+use crate::integrity::checksum;
 use parking_lot::Mutex;
 use pio::{IoQueue, IoResult, ReadRequest, WriteRequest};
 use std::sync::Arc;
@@ -170,17 +171,6 @@ fn decode_slot(raw: &[u8]) -> Option<TruncHeader> {
 /// beyond this is garbage from a torn header, not a record, so scans stop
 /// instead of chasing it across the device.
 const MAX_RECORD: usize = 1 << 20;
-
-/// FNV-1a over the payload: cheap, and more than enough to tell a half-written
-/// record from an intact one.
-fn checksum(payload: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in payload {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
 
 /// Parses the records contained in `raw` (whose first byte is LSN `base_lsn`).
 /// Stops at the first zero length (clean, never-written space) or at a record

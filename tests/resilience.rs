@@ -26,7 +26,7 @@
 
 mod common;
 
-use common::crash::{seeded_rng, shared_clock_backends};
+use common::crash::{per_backend_clocks, seeded_rng, shared_clock_backends};
 use engine::{EngineBuilder, EngineConfig, ShardedPioEngine};
 use pio::{FaultClock, IoQueue, ReadRequest, TransientFaults, WriteRequest};
 use pio_btree::PioConfig;
@@ -367,6 +367,104 @@ fn breaker_opens_under_a_storm_and_the_probe_closes_it() {
     assert_eq!(healed.degraded_shards, 0, "the probe must close every breaker");
     assert!(healed.breaker_closes >= 1);
     engine.insert(key_in | 1, 9).expect("writes resume after the probe");
+    engine.check_invariants().expect("invariants after the storm");
+}
+
+/// The same containment for the calls a service front end actually makes: a
+/// storm seen only by `insert_batch` legs opens the dying shard's breaker, a
+/// batch with a sub-batch for that shard is then refused *whole* — before
+/// anything is logged, so the healthy members never see it — `multi_search`
+/// is still attempted, and batches resume once the probe has closed it.
+#[test]
+fn a_batch_only_storm_opens_the_breaker_and_degraded_batches_are_refused_whole() {
+    let cfg = config(64);
+    let (backends, clocks) = per_backend_clocks(&cfg);
+    let engine = EngineBuilder::new(cfg.clone())
+        .topology(backends)
+        .entries(&seed_entries())
+        .build()
+        .expect("bulk load");
+    // One device dies — shard 1's store and its WAL; the rest of the engine,
+    // its epoch log included, stays healthy.
+    let sick = 1usize;
+    let storm = TransientFaults {
+        seed: 1,
+        read_error_rate: 1.0,
+        write_error_rate: 1.0,
+        ..TransientFaults::default()
+    };
+    clocks.stores[sick].arm_transient(storm);
+    clocks.wals[sick].arm_transient(storm);
+    let shards = engine.stats().shards;
+    let (sick_lo, healthy_lo) = (shards[sick].key_lo, shards[0].key_lo);
+
+    // Each batch lands on the sick shard only, where its WAL force gives up.
+    let mut failed_batches = 0u64;
+    while engine.stats().degraded_shards == 0 {
+        assert!(failed_batches < 16, "batched failures never opened the breaker");
+        let batch: Vec<(u64, u64)> = (0..8)
+            .map(|j| (sick_lo + (failed_batches * 8 + j) * 2 + 1, 7))
+            .collect();
+        let err = engine.insert_batch(&batch).expect_err("the sick shard's leg must fail");
+        assert!(!format!("{err}").contains("degraded"), "not refused yet: {err}");
+        failed_batches += 1;
+    }
+    let stormed = engine.stats();
+    assert!(
+        stormed.shards[sick].degraded && stormed.degraded_shards == 1,
+        "{stormed:?}"
+    );
+    assert_eq!(stormed.breaker_opens, 1);
+
+    // A batch spanning the degraded shard and a healthy one is refused up
+    // front, retryably, and leaves no trace on the healthy shard.
+    let spanning = [(healthy_lo + 1, 9), (sick_lo + 1, 9)];
+    let err = engine
+        .insert_batch(&spanning)
+        .expect_err("a degraded member must refuse the batch");
+    assert!(err.is_retryable(), "breaker rejection must be retryable: {err}");
+    assert!(format!("{err}").contains("degraded"), "rejection must say why: {err}");
+    let refused = engine.stats();
+    assert_eq!(refused.shards[0].batched_calls, stormed.shards[0].batched_calls);
+    assert_eq!(refused.shards[0].opq_len, stormed.shards[0].opq_len);
+    assert_eq!(
+        refused.shards[sick].store, stormed.shards[sick].store,
+        "no device I/O was spent"
+    );
+    assert_eq!(
+        engine.multi_search(&[healthy_lo + 1]).expect("healthy shard"),
+        vec![None],
+        "the healthy member of a refused batch must not have applied it"
+    );
+
+    // Batched reads are attempted, not fenced: they fail on the dead device,
+    // work the moment it recovers, and do not close the breaker themselves.
+    let cold_key = seed_entries()
+        .iter()
+        .map(|&(k, _)| k)
+        .rfind(|&k| k < shards[sick].key_hi);
+    let cold_key = cold_key.expect("the sick shard owns bulk-loaded keys");
+    let err = engine.multi_search(&[cold_key]).expect_err("the device is still dead");
+    assert!(!format!("{err}").contains("degraded"), "reads are never refused: {err}");
+    clocks.stores[sick].disarm_transient();
+    clocks.wals[sick].disarm_transient();
+    assert!(engine.multi_search(&[cold_key]).expect("reads pass while open")[0].is_some());
+    assert_eq!(
+        engine.stats().degraded_shards,
+        1,
+        "reads alone must not close the breaker"
+    );
+
+    engine.maintain_once().expect("maintenance probe");
+    let healed = engine.stats();
+    assert_eq!(healed.degraded_shards, 0, "the probe must close the breaker");
+    assert_eq!(healed.breaker_closes, 1);
+    engine.insert_batch(&spanning).expect("batches resume after the probe");
+    assert_eq!(
+        engine.multi_search(&[healthy_lo + 1, sick_lo + 1]).expect("read back"),
+        vec![Some(9), Some(9)]
+    );
+    assert_eq!(engine.stats().committed_epochs, refused.committed_epochs + 1);
     engine.check_invariants().expect("invariants after the storm");
 }
 
