@@ -204,6 +204,29 @@ impl PioLeaf {
         Self { segments, records }
     }
 
+    /// Undoes an append to one segment, in place: rebuilds the image the page
+    /// held before a flush appended to it from whatever image it holds now.
+    /// `keep` is the segment's record count before the append; `None` means
+    /// the append spilled into this segment and it goes back to a
+    /// never-written (all-zero) page.
+    ///
+    /// An append leaves the bytes of the first `keep` records alone — it only
+    /// raises the count and fills record slots that were zero — so "keep those
+    /// records, reset the header, zero the rest" yields the old image whether
+    /// the page holds the old image, the new one, or any torn mix of the two,
+    /// and applying it twice changes nothing.
+    pub fn undo_append(page: &mut [u8], keep: Option<usize>) {
+        let Some(keep) = keep else {
+            page.fill(0);
+            return;
+        };
+        page[..SEG_HEADER].fill(0);
+        page[0] = TAG_PIO_LEAF_SEGMENT;
+        page[2..4].copy_from_slice(&(keep as u16).to_le_bytes());
+        let kept_end = (SEG_HEADER + keep * ENTRY_BYTES).min(page.len());
+        page[kept_end..].fill(0);
+    }
+
     /// Whether a page image looks like a PIO leaf segment.
     pub fn is_segment(page: &[u8]) -> bool {
         !page.is_empty() && page[0] == TAG_PIO_LEAF_SEGMENT
@@ -323,6 +346,31 @@ mod tests {
         for seg in 0..3 {
             let single = leaf.encode_segment(seg, PAGE);
             assert_eq!(&whole[seg * PAGE..(seg + 1) * PAGE], single.as_slice(), "segment {seg}");
+        }
+    }
+
+    /// The logical undo of an append is exact on every image a crash can
+    /// leave: the old one, the new one, and every torn mix (a prefix of the new
+    /// image over the old) — and it is idempotent.
+    #[test]
+    fn undo_append_rebuilds_the_old_image_from_any_torn_mix() {
+        let records: Vec<OpEntry> = (0..90u64).map(|i| OpEntry::insert(i * 3, i)).collect();
+        for old_count in [0usize, 1, 37, 89] {
+            let (mut old, mut new) = (vec![0u8; PAGE], vec![0u8; PAGE]);
+            PioLeaf::encode_segment_into(&records[..old_count], &mut old);
+            PioLeaf::encode_segment_into(&records, &mut new);
+            for cut in 0..=PAGE {
+                let mut page = [&new[..cut], &old[cut..]].concat();
+                PioLeaf::undo_append(&mut page, Some(old_count));
+                assert!(page == old, "old_count {old_count}, torn at {cut}");
+                PioLeaf::undo_append(&mut page, Some(old_count));
+                assert!(page == old, "old_count {old_count}, torn at {cut}: second undo");
+            }
+            PioLeaf::undo_append(&mut new, None);
+            assert!(
+                new.iter().all(|&b| b == 0),
+                "a spilled-into segment goes back to zeroes"
+            );
         }
     }
 

@@ -9,8 +9,14 @@
 //! * a pair of **flush event logs** brackets every OPQ flush, recording the key range
 //!   of the flushed entries;
 //! * a **flush undo log** is written for every index node updated by a flush, holding
-//!   the information needed to undo that update (this reproduction stores the page
-//!   pre-image);
+//!   the information needed to undo that update. What that is depends on what the
+//!   flush did to the page. A leaf segment bupdate only **appended** to — nearly
+//!   every page a flush touches (Section 3.3's append-only leaf update) — is undone
+//!   by its old record count, a few bytes ([`LogRecord::FlushAppendUndo`]): the
+//!   append left the earlier records' bytes alone, so recovery rebuilds the
+//!   pre-image from the page itself. Only pages a flush **rewrote** — the region
+//!   of a leaf that took the full path (shrink, split) and internal nodes — carry
+//!   their page pre-image ([`LogRecord::FlushUndo`]);
 //! * OPQ entries of uncommitted transactions are never flushed (**no-steal**), so the
 //!   undo phase has nothing to do for them.
 //!
@@ -69,7 +75,8 @@ pub enum LogRecord {
         /// Identifier matching the corresponding [`LogRecord::FlushStart`].
         flush_id: u64,
     },
-    /// Flush undo log: pre-image of a page overwritten by a flush.
+    /// Flush undo log of a page a flush **rewrote** (a full-path leaf region
+    /// page, an internal node): the page's pre-image.
     FlushUndo {
         /// Identifier of the flush this undo information belongs to.
         flush_id: u64,
@@ -129,12 +136,34 @@ pub enum LogRecord {
         /// Number of pages in the run.
         pages: u64,
     },
+    /// Flush undo log of a leaf segment a flush only **appended** to: the
+    /// append never changes the bytes of the records already there, so the old
+    /// record count is all it takes to undo it — recovery rebuilds the
+    /// pre-image from the page itself ([`crate::leaf::PioLeaf::undo_append`]).
+    FlushAppendUndo {
+        /// Identifier of the flush this undo information belongs to.
+        flush_id: u64,
+        /// The segment page that was appended to.
+        page: PageId,
+        /// Records the segment held before the append.
+        old_count: u16,
+        /// `true` for a segment the append spilled into: it held nothing
+        /// before this flush, and undo resets it to a never-written page.
+        fresh: bool,
+    },
 }
 
 impl LogRecord {
     /// Serialises the record into a byte payload for the WAL.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record's payload to `out` (the form [`storage::Wal::append_with`]
+    /// takes: the record is serialised straight into the log's pending image).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             LogRecord::LogicalRedo { tx, entry } => {
                 out.push(1);
@@ -203,8 +232,19 @@ impl LogRecord {
                 out.extend_from_slice(&first.to_le_bytes());
                 out.extend_from_slice(&pages.to_le_bytes());
             }
+            LogRecord::FlushAppendUndo {
+                flush_id,
+                page,
+                old_count,
+                fresh,
+            } => {
+                out.push(11);
+                out.extend_from_slice(&flush_id.to_le_bytes());
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&old_count.to_le_bytes());
+                out.push(u8::from(*fresh));
+            }
         }
-        out
     }
 
     /// Parses a payload produced by [`LogRecord::encode`]. Returns `None` for corrupt
@@ -256,6 +296,16 @@ impl LogRecord {
                 flush_id: u64_at(1)?,
                 first: u64_at(9)?,
                 pages: u64_at(17)?,
+            }),
+            11 => Some(LogRecord::FlushAppendUndo {
+                flush_id: u64_at(1)?,
+                page: u64_at(9)?,
+                old_count: u16::from_le_bytes(buf.get(17..19)?.try_into().unwrap()),
+                fresh: match *buf.get(19)? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
             }),
             _ => None,
         }
@@ -419,10 +469,26 @@ mod tests {
                 first: 90,
                 pages: 4,
             },
+            LogRecord::FlushAppendUndo {
+                flush_id: 3,
+                page: 77,
+                old_count: 101,
+                fresh: false,
+            },
+            LogRecord::FlushAppendUndo {
+                flush_id: 3,
+                page: 78,
+                old_count: 0,
+                fresh: true,
+            },
         ];
         for r in records {
             let encoded = r.encode();
-            assert_eq!(LogRecord::decode(&encoded), Some(r));
+            assert_eq!(LogRecord::decode(&encoded), Some(r.clone()));
+            // The in-place form appends exactly the same bytes.
+            let mut buf = vec![0xAA; 3];
+            r.encode_into(&mut buf);
+            assert_eq!(buf[3..], encoded[..]);
         }
     }
 
@@ -439,6 +505,16 @@ mod tests {
         }
         .encode();
         bad.truncate(bad.len() - 5);
+        assert_eq!(LogRecord::decode(&bad), None);
+        // A logical undo record whose flag byte is neither 0 nor 1.
+        let mut bad = LogRecord::FlushAppendUndo {
+            flush_id: 1,
+            page: 2,
+            old_count: 3,
+            fresh: true,
+        }
+        .encode();
+        *bad.last_mut().unwrap() = 2;
         assert_eq!(LogRecord::decode(&bad), None);
     }
 
@@ -478,6 +554,12 @@ mod tests {
                 flush_id: 1,
                 first: 40,
                 pages: 2,
+            },
+            LogRecord::FlushAppendUndo {
+                flush_id: 1,
+                page: 2,
+                old_count: 7,
+                fresh: false,
             },
         ];
         for r in records {

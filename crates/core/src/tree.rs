@@ -146,10 +146,12 @@ struct LeafJob {
     ops: Vec<OpEntry>,
 }
 
-/// In-memory undo state captured while a bupdate runs: the same page preimages the
-/// WAL's `FlushUndo` records hold, plus the volatile state (LSMap entries) a
-/// durable log cannot cover. A failed flush replays this in process, so the tree
-/// is left consistent without a restart (see [`PioBTree::flush_once`]).
+/// In-memory undo state captured while a bupdate runs: the preimage of every page
+/// it writes — images the flush read anyway, so unlike the WAL (which logs an
+/// appended-to segment's old record count instead) it keeps them whole — plus the
+/// volatile state (LSMap entries) a durable log cannot cover. A failed flush
+/// replays this in process, so the tree is left consistent without a restart (see
+/// [`PioBTree::flush_once`]).
 #[derive(Debug, Default)]
 struct FlushUndo {
     /// Page preimages in capture order (replayed in reverse, first capture wins).
@@ -442,6 +444,15 @@ impl PioBTree {
     /// engine's cross-shard epoch protocol).
     pub fn wal(&self) -> Option<&Wal> {
         self.wal.as_ref()
+    }
+
+    /// Appends the record `build` returns to the WAL, serialised straight into
+    /// the log's pending image; without a WAL the record is never built.
+    /// Returns the record's LSN. Not durable until the next force.
+    fn log(&self, build: impl FnOnce() -> LogRecord) -> Option<storage::Lsn> {
+        let wal = self.wal.as_ref()?;
+        let record = build();
+        Some(wal.append_with(|buf| record.encode_into(buf)))
     }
 
     /// Forces the WAL and returns its durable LSN (0 without a WAL) — the
@@ -785,30 +796,18 @@ impl PioBTree {
         epoch: u64,
         apply: impl FnOnce(&mut Self) -> IoResult<()>,
     ) -> IoResult<storage::Lsn> {
-        if let Some(wal) = &self.wal {
-            let lsn = wal.append(&LogRecord::BatchBegin { epoch }.encode());
+        if let Some(lsn) = self.log(|| LogRecord::BatchBegin { epoch }) {
             // Pin WAL truncation below this bracket until the engine delivers
             // the epoch's verdict (the earliest bracket of an epoch wins).
             self.open_brackets.entry(epoch).or_insert(lsn);
         }
         let result = apply(self);
-        let Some(wal) = &self.wal else {
-            result?;
-            return Ok(0);
-        };
-        wal.append(&LogRecord::BatchEnd { epoch }.encode());
-        match result {
-            Ok(()) => {
-                wal.force()?;
-                Ok(wal.durable_lsn())
-            }
-            Err(e) => {
-                // Best effort: if the force fails too, the records were lost with
-                // the crash and recovery discards the epoch anyway.
-                let _ = wal.force();
-                Err(e)
-            }
-        }
+        self.log(|| LogRecord::BatchEnd { epoch });
+        // After a failed batch the force is best effort: if it fails too, the
+        // records were lost with the crash and recovery discards the epoch
+        // anyway.
+        let forced = self.force_wal();
+        result.and(forced)
     }
 
     /// Exports every live entry in `[lo, hi)` — the leaf regions intersecting
@@ -851,11 +850,9 @@ impl PioBTree {
     fn enqueue(&mut self, entry: OpEntry) -> IoResult<()> {
         self.stats.opq_appends += 1;
         self.dirty_ops += 1;
-        if let Some(wal) = &self.wal {
-            let tx = self.next_tx;
-            self.next_tx += 1;
-            wal.append(&LogRecord::LogicalRedo { tx, entry }.encode());
-        }
+        let tx = self.next_tx;
+        self.next_tx += 1;
+        self.log(|| LogRecord::LogicalRedo { tx, entry });
         if self.opq.append(entry) {
             self.flush_once()?;
         }
@@ -866,14 +863,15 @@ impl PioBTree {
     /// mechanism). Does nothing if the OPQ is empty.
     ///
     /// The flush is **transactional in process**: while the bupdate runs, every
-    /// node write is preceded by capturing its preimage (the same images the WAL's
-    /// `FlushUndo` records hold) together with the touched LSMap entries and the
-    /// root/height. If any chunk of the bupdate fails, the preimages are written
-    /// back in reverse order, the in-memory state is restored, and the batch
-    /// returns to the front of the OPQ — so a failed flush leaves the tree exactly
-    /// as it was, without a restart. The WAL (when enabled) still covers the crash
-    /// case: a crash mid-flush is undone by [`PioBTree::recover`] from the same
-    /// preimages (Section 3.4).
+    /// node write is preceded by capturing its preimage together with the touched
+    /// LSMap entries and the root/height. If any chunk of the bupdate fails, the
+    /// preimages are written back in reverse order, the in-memory state is
+    /// restored, and the batch returns to the front of the OPQ — so a failed flush
+    /// leaves the tree exactly as it was, without a restart. The WAL (when
+    /// enabled) still covers the crash case: a crash mid-flush is undone by
+    /// [`PioBTree::recover`] from the flush's undo records — preimages of the
+    /// pages it rewrote, old record counts of the segments it appended to
+    /// (Section 3.4).
     ///
     /// If the *rollback writes themselves* fail, in-process repair is impossible
     /// and the tree needs WAL recovery; the original error is returned either way.
@@ -888,16 +886,14 @@ impl PioBTree {
             Err(e) => {
                 self.rollback_flush(undo, root, height);
                 // Mark the flush aborted in the WAL: recovery must not replay its
-                // undo preimages (the pages were just restored, and a successful
+                // undo records (the pages were just restored, and a successful
                 // retry flush may rewrite them), while its batch — back in the
                 // OPQ — must still be redone after a crash. Best-effort: if the
-                // abort record does not become durable, recovery re-applies the
-                // same preimages, which is idempotent.
+                // abort record does not become durable, recovery undoes the
+                // flush again (and every later one), which is idempotent.
                 if !batch.is_empty() {
-                    if let Some(wal) = &self.wal {
-                        wal.append(&LogRecord::FlushAbort { flush_id }.encode());
-                        let _ = wal.force();
-                    }
+                    self.log(|| LogRecord::FlushAbort { flush_id });
+                    let _ = self.force_wal();
                 }
                 self.opq.restore_front(batch);
                 Err(e)
@@ -950,11 +946,10 @@ impl PioBTree {
             self.flush_once()?;
         }
         self.dirty_ops = 0;
-        let Some(wal) = &self.wal else {
+        let Some(lsn) = self.log(|| LogRecord::Checkpoint) else {
             return Ok(0);
         };
-        let lsn = wal.append(&LogRecord::Checkpoint.encode());
-        wal.force()?;
+        self.force_wal()?;
         Ok(lsn)
     }
 
@@ -1009,22 +1004,18 @@ impl PioBTree {
 
         // WAL: the logical redo logs of these entries, then the flush-start event,
         // must be durable before any node write (write-ahead rule, Section 3.4).
+        // One force carries both: the redo records precede `FlushStart` in the
+        // log, so whatever prefix of it a crash leaves is a legal pre-flush log.
         let flush_id = self.next_flush_id;
         self.next_flush_id += 1;
-        if let Some(wal) = &self.wal {
-            wal.force()?;
-            let key_hi = ops.last().expect("non-empty").key;
-            wal.append(
-                &LogRecord::FlushStart {
-                    flush_id,
-                    key_lo: ops.first().expect("non-empty").key,
-                    key_hi,
-                    hi_ties: ops.iter().rev().take_while(|e| e.key == key_hi).count() as u32,
-                }
-                .encode(),
-            );
-            wal.force()?;
-        }
+        let key_hi = ops.last().expect("non-empty").key;
+        self.log(|| LogRecord::FlushStart {
+            flush_id,
+            key_lo: ops.first().expect("non-empty").key,
+            key_hi,
+            hi_ties: ops.iter().rev().take_while(|e| e.key == key_hi).count() as u32,
+        });
+        self.force_wal()?;
 
         // 1. Locate the target leaf of every entry with an MPSearch-style descent.
         let keys: Vec<Key> = ops.iter().map(|e| e.key).collect();
@@ -1065,7 +1056,7 @@ impl PioBTree {
                     return Err(e);
                 }
             };
-            if let Err(e) = self.apply_leaf_chunk(chunk, &ls_images, &last_ls, flush_id, &mut fences, undo) {
+            if let Err(e) = self.apply_leaf_chunk(chunk, ls_images, &last_ls, flush_id, &mut fences, undo) {
                 // Drain the prefetched tickets before surfacing the error, so no
                 // in-flight batch outlives the bupdate.
                 ring.drain_with(|(ticket, _)| {
@@ -1080,10 +1071,8 @@ impl PioBTree {
         self.propagate_fences(fences, flush_id, undo)?;
 
         // WAL: flush completed.
-        if let Some(wal) = &self.wal {
-            wal.append(&LogRecord::FlushEnd { flush_id }.encode());
-            wal.force()?;
-        }
+        self.log(|| LogRecord::FlushEnd { flush_id });
+        self.force_wal()?;
 
         // 4. Republish the inner tier at the flush-commit point. The key→leaf
         // mapping and the separators can only change through the fence
@@ -1100,9 +1089,7 @@ impl PioBTree {
     /// capture (freed by [`PioBTree::rollback_flush`]) and the WAL (freed when
     /// crash recovery undoes the flush), so unwound flushes never strand pages.
     fn log_alloc(&self, undo: &mut FlushUndo, flush_id: u64, first: PageId, pages: u64) {
-        if let Some(wal) = &self.wal {
-            wal.append(&LogRecord::FlushAlloc { flush_id, first, pages }.encode());
-        }
+        self.log(|| LogRecord::FlushAlloc { flush_id, first, pages });
         undo.note_alloc(first, pages);
     }
 
@@ -1142,7 +1129,7 @@ impl PioBTree {
     fn apply_leaf_chunk(
         &mut self,
         chunk: &[LeafJob],
-        ls_images: &[Vec<u8>],
+        mut ls_images: Vec<Vec<u8>>,
         last_ls: &[u32],
         flush_id: u64,
         fences: &mut Vec<FenceInsert>,
@@ -1168,8 +1155,12 @@ impl PioBTree {
                 full_path.push(i);
                 continue;
             }
-            // Append path: only the trailing segment(s) are rewritten.
+            // Append path: only the trailing segment(s) are rewritten. The
+            // durable undo of an append is logical — the old record count —
+            // and the in-process one is the image Phase A already fetched,
+            // moved, never copied.
             self.stats.leaf_appends += 1;
+            let old_count = existing.len() as u16;
             let mut tail_records = existing;
             tail_records.extend(job.ops.iter().copied());
             let mut seg = last_ls[i] as usize;
@@ -1178,21 +1169,18 @@ impl PioBTree {
                 let end = (idx + seg_cap).min(tail_records.len());
                 let mut page = vec![0u8; page_size];
                 PioLeaf::encode_segment_into(&tail_records[idx..end], &mut page);
-                let preimage = if seg == last_ls[i] as usize {
-                    ls_images[i].clone()
-                } else {
+                let fresh = seg != last_ls[i] as usize;
+                self.log(|| LogRecord::FlushAppendUndo {
+                    flush_id,
+                    page: job.leaf + seg as u64,
+                    old_count: if fresh { 0 } else { old_count },
+                    fresh,
+                });
+                let preimage = if fresh {
                     vec![0u8; page_size]
+                } else {
+                    std::mem::take(&mut ls_images[i])
                 };
-                if let Some(wal) = &self.wal {
-                    wal.append(
-                        &LogRecord::FlushUndo {
-                            flush_id,
-                            page: job.leaf + seg as u64,
-                            preimage: preimage.clone(),
-                        }
-                        .encode(),
-                    );
-                }
                 undo.note_page(job.leaf + seg as u64, preimage);
                 page_writes.push((job.leaf + seg as u64, page));
                 idx = end;
@@ -1211,16 +1199,11 @@ impl PioBTree {
                 let job = &chunk[i];
                 // One undo record per page of the region.
                 for (p, pre) in image.chunks(page_size).enumerate() {
-                    if let Some(wal) = &self.wal {
-                        wal.append(
-                            &LogRecord::FlushUndo {
-                                flush_id,
-                                page: job.leaf + p as u64,
-                                preimage: pre.to_vec(),
-                            }
-                            .encode(),
-                        );
-                    }
+                    self.log(|| LogRecord::FlushUndo {
+                        flush_id,
+                        page: job.leaf + p as u64,
+                        preimage: pre.to_vec(),
+                    });
                     undo.note_page(job.leaf + p as u64, pre.to_vec());
                 }
                 self.stats.leaf_rewrites += 1;
@@ -1274,9 +1257,7 @@ impl PioBTree {
 
         // Phase C: write everything back — one psync call for the segment pages, one
         // for the rewritten regions (reads never mix with writes).
-        if let Some(wal) = &self.wal {
-            wal.force()?;
-        }
+        self.force_wal()?;
         if !page_writes.is_empty() {
             let refs: Vec<(PageId, &[u8])> = page_writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
             self.store.write_pages(&refs)?;
@@ -1311,19 +1292,14 @@ impl PioBTree {
                 // The root-change record must be durable before the new root
                 // exists anywhere: if the crash comes later in this flush, undo
                 // restores the previous root/height from it.
-                if let Some(wal) = &self.wal {
-                    wal.append(
-                        &LogRecord::FlushRoot {
-                            flush_id,
-                            prev_root: self.root,
-                            prev_height: self.height as u64,
-                            new_root: new_root_page,
-                            new_height: self.height as u64 + 1,
-                        }
-                        .encode(),
-                    );
-                    wal.force()?;
-                }
+                self.log(|| LogRecord::FlushRoot {
+                    flush_id,
+                    prev_root: self.root,
+                    prev_height: self.height as u64,
+                    new_root: new_root_page,
+                    new_height: self.height as u64 + 1,
+                });
+                self.force_wal()?;
                 self.store
                     .write_page(new_root_page, &Node::Internal(node).encode(page_size))?;
                 self.root = new_root_page;
@@ -1349,18 +1325,13 @@ impl PioBTree {
             let mut next_pending: Vec<FenceInsert> = Vec::new();
 
             for ((parent_page, fences), image) in groups.into_iter().zip(images) {
-                if let Some(wal) = &self.wal {
-                    wal.append(
-                        &LogRecord::FlushUndo {
-                            flush_id,
-                            page: parent_page,
-                            preimage: image.clone(),
-                        }
-                        .encode(),
-                    );
-                }
-                undo.note_page(parent_page, image.clone());
+                self.log(|| LogRecord::FlushUndo {
+                    flush_id,
+                    page: parent_page,
+                    preimage: image.clone(),
+                });
                 let mut node = Node::decode(&image).expect_internal();
+                undo.note_page(parent_page, image);
                 let grandparent_path: Vec<(PageId, usize)> = {
                     let mut p = fences[0].path.clone();
                     p.pop();
@@ -1393,9 +1364,7 @@ impl PioBTree {
                 }
                 writes.push((parent_page, Node::Internal(node).encode(page_size)));
             }
-            if let Some(wal) = &self.wal {
-                wal.force()?;
-            }
+            self.force_wal()?;
             let refs: Vec<(PageId, &[u8])> = writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
             self.store.write_pages(&refs)?;
             pending = next_pending;
@@ -1465,11 +1434,14 @@ impl PioBTree {
     ///    reopened from a stale manifest snapshot ([`PioBTree::open`]) converges
     ///    on the crashed process's state before undo begins.
     /// 3. **Undo** — the incomplete flush (if any) and every *poisoned* flush — a
-    ///    completed flush that applied a discarded record — are undone by
-    ///    restoring page preimages, newest flush first, together with every
-    ///    later flush (their preimages capture the state the newer flushes
-    ///    wrote over, so the chain must unwind as a suffix). Root growths are
-    ///    rewound from their `FlushRoot` records.
+    ///    completed flush that applied a discarded record — are undone, newest
+    ///    flush first, together with every later flush (a flush's undo records
+    ///    describe the state the newer flushes wrote over, so the chain must
+    ///    unwind as a suffix). A rewritten page gets its logged preimage back;
+    ///    an appended-to leaf segment is cut back to its logged record count,
+    ///    working from the page as the newer flushes' undo left it on the
+    ///    device ([`PioLeaf::undo_append`] — exact on a torn page too). Root
+    ///    growths are rewound from their `FlushRoot` records.
     /// 4. **Redo** — surviving records not attributed to a surviving flush are
     ///    re-appended to the OPQ in log order; discarded records are dropped.
     pub fn recover_with(&mut self, keep_epoch: &mut dyn FnMut(u64) -> bool) -> IoResult<RecoveryReport> {
@@ -1486,6 +1458,15 @@ impl PioBTree {
         report.scanned = scan.records.len();
 
         // ------------------------------------------------------------- analysis --
+        /// How one page of a flush is undone.
+        #[derive(Debug)]
+        enum Undo {
+            /// Restore the logged pre-image.
+            Image(Vec<u8>),
+            /// The flush only appended to the segment: cut it back to this
+            /// record count (`None`: back to a never-written page).
+            Append(Option<usize>),
+        }
         #[derive(Debug)]
         struct FlushInfo {
             start_lsn: u64,
@@ -1497,7 +1478,8 @@ impl PioBTree {
             /// pages were already restored, and a retry flush may have rewritten
             /// them); it covers no logical records (its batch went back to the OPQ).
             aborted: bool,
-            undo: Vec<(PageId, Vec<u8>)>,
+            /// Undo records, in log order.
+            undo: Vec<(PageId, Undo)>,
             /// `FlushRoot` records (previous and new root/height), in log order.
             roots: Vec<(PageId, usize, PageId, usize)>,
             /// `FlushAlloc` records (page runs the flush allocated), in log order.
@@ -1563,7 +1545,18 @@ impl PioBTree {
                     preimage,
                 }) => {
                     if let Some(&i) = flush_idx.get(&flush_id) {
-                        flushes[i].1.undo.push((page, preimage));
+                        flushes[i].1.undo.push((page, Undo::Image(preimage)));
+                    }
+                }
+                Some(LogRecord::FlushAppendUndo {
+                    flush_id,
+                    page,
+                    old_count,
+                    fresh,
+                }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        let keep = (!fresh).then_some(old_count as usize);
+                        flushes[i].1.undo.push((page, Undo::Append(keep)));
                     }
                 }
                 Some(LogRecord::FlushRoot {
@@ -1676,9 +1669,9 @@ impl PioBTree {
 
         // ----------------------------------------------------------------- undo --
         // The undo set: the incomplete flush, every poisoned flush (a completed
-        // flush that applied a discarded record), and — because preimages only
-        // compose as a suffix — every flush that started after the earliest of
-        // those.
+        // flush that applied a discarded record), and — because undo records
+        // only compose as a suffix — every flush that started after the
+        // earliest of those.
         let poisoned_start = (0..logical.len())
             .filter(|&i| drops[i])
             .filter_map(|i| consumed_by[i])
@@ -1699,21 +1692,47 @@ impl PioBTree {
             let mut to_undo: Vec<usize> = (0..flushes.len())
                 .filter(|&f| !flushes[f].1.aborted && flushes[f].1.start_lsn >= min_start)
                 .collect();
-            // Newest first: each flush's preimages restore the state the flushes
+            // Newest first: each flush's undo restores the state the flushes
             // before it wrote, so the chain unwinds in reverse start order.
             to_undo.sort_by_key(|&f| std::cmp::Reverse(flushes[f].1.start_lsn));
             for f in to_undo {
+                let steps = std::mem::take(&mut flushes[f].1.undo);
                 let info = &flushes[f].1;
                 if info.complete {
                     report.unwound_flushes += 1;
                 } else {
                     report.incomplete_flushes += 1;
                 }
-                let writes: Vec<(PageId, &[u8])> = info.undo.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-                for chunk in writes.chunks(self.config.pio_max) {
-                    self.store.write_pages(chunk)?;
+                report.undone_pages += steps.len();
+                // In log order, a PioMax-sized batch at a time. An append is
+                // undone from the page as it is on the device NOW — every newer
+                // flush's undo is already written — and read below the cache
+                // and the checksum sidecar: the crash may have torn that very
+                // write, which `undo_append` repairs and verification would
+                // report as corruption.
+                let mut steps = steps.into_iter().peekable();
+                while steps.peek().is_some() {
+                    let batch: Vec<_> = steps.by_ref().take(self.config.pio_max).collect();
+                    let appended: Vec<(PageId, u64)> = batch
+                        .iter()
+                        .filter(|(_, undo)| matches!(undo, Undo::Append(_)))
+                        .map(|&(page, _)| (page, 1))
+                        .collect();
+                    let mut current = self.store.store().read_regions(&appended)?.into_iter();
+                    let images: Vec<(PageId, Vec<u8>)> = batch
+                        .into_iter()
+                        .map(|(page, undo)| match undo {
+                            Undo::Image(image) => (page, image),
+                            Undo::Append(keep) => {
+                                let mut image = current.next().expect("one image per appended page");
+                                PioLeaf::undo_append(&mut image, keep);
+                                (page, image)
+                            }
+                        })
+                        .collect();
+                    let writes: Vec<(PageId, &[u8])> = images.iter().map(|(p, d)| (*p, d.as_slice())).collect();
+                    self.store.write_pages(&writes)?;
                 }
-                report.undone_pages += writes.len();
                 // Rewind root growths, newest first within the flush.
                 for &(prev_root, prev_height, _, _) in info.roots.iter().rev() {
                     self.root = prev_root;
@@ -2229,6 +2248,67 @@ mod tests {
         // Retry succeeds and the data is intact.
         t.checkpoint().unwrap();
         assert_eq!(t.count_entries().unwrap(), queued as u64);
+        t.check_invariants().unwrap();
+    }
+
+    /// A crash tears the page write of an append-path flush and recovery runs
+    /// in the same process, without `simulate_crash`: the checksum sidecar
+    /// still holds the sum of the image the crash interrupted, so the torn
+    /// page fails verification. The logical undo must read it anyway — below
+    /// the verifying layer — and repair it, not report `Corruption`.
+    #[test]
+    fn in_process_recovery_repairs_a_torn_append_page() {
+        let config = PioConfig {
+            pio_max: 4,
+            opq_pages: 4,
+            bcnt: 120,
+            ..small_config()
+        };
+        let entries: Vec<(Key, Value)> = (0..4_000u64).map(|k| (k * 3, k)).collect();
+        let (mut t, store_clock) = failing_tree(config, &entries);
+        let wal_clock = attach_faulty_wal(&mut t, 2048);
+        let mut model: BTreeMap<Key, Value> = entries.iter().copied().collect();
+        for k in (0..4_000u64).step_by(37) {
+            t.update(k * 3, k + 1_000_000).unwrap();
+            model.insert(k * 3, k + 1_000_000);
+        }
+        t.force_wal().unwrap();
+
+        // The flush's first store write: two segment pages land whole, the
+        // third only up to its header — the new record count over the old
+        // records — and the process dies (the log with it).
+        store_clock.arm(
+            CrashPlan::at_write(store_clock.writes_seen()).with_torn(pio::TornWrite {
+                keep_requests: 2,
+                keep_bytes_of_next: 5,
+            }),
+        );
+        let store_died = Arc::clone(&store_clock);
+        wal_clock.arm(CrashPlan::on_payload(move |_| store_died.tripped()));
+        t.flush_once().unwrap_err();
+        assert_eq!(t.stats().leaf_appends, 4, "the torn batch was an append-path chunk");
+        store_clock.heal();
+        wal_clock.heal();
+        // No pooled copy of the old image to fall back on (as after eviction).
+        t.store().drop_cache();
+        assert!(
+            t.check_invariants().is_err(),
+            "the torn page must fail verification until recovery repairs it"
+        );
+
+        let report = t.recover().unwrap();
+        assert_eq!(report.incomplete_flushes, 1);
+        assert_eq!(
+            report.undone_pages, 4,
+            "every appended-to page of the chunk is cut back"
+        );
+        // Every page verifies again and holds exactly the loaded entries.
+        t.store().drop_cache();
+        assert_eq!(t.check_invariants().unwrap(), 4_000);
+        t.checkpoint().unwrap();
+        for (&k, &v) in model.iter().step_by(17) {
+            assert_eq!(t.search(k).unwrap(), Some(v), "key {k}");
+        }
         t.check_invariants().unwrap();
     }
 

@@ -12,17 +12,22 @@
 //!    bracket of its own WAL and forces it
 //!    ([`pio_btree::PioBTree::insert_batch_epoch`]) — the per-shard durability
 //!    ack;
-//! 3. **`Ack { epoch, shard, durable_lsn }`** records are forced once every
-//!    member shard is durable;
-//! 4. **`Commit { epoch }`** is forced last; only then does `insert_batch`
-//!    return success.
+//! 3. once every member shard is durable, one **`Ack { epoch, shard,
+//!    durable_lsn }`** record per member and then **`Commit { epoch }`** are
+//!    appended and made durable by **one** force ([`EpochLog::commit`]); only
+//!    then does `insert_batch` return success.
+//!
+//! An epoch therefore costs the engine log two forces — `Begin`, and the
+//! decision. The acks precede the `Commit` on the log, so whatever prefix of the
+//! decision force a crash leaves behind is one of the states below.
 //!
 //! At recovery, [`EpochLog::analyze`] classifies every epoch:
 //!
 //! * a **committed** epoch's records are replayed by normal per-shard recovery;
 //! * an uncommitted epoch whose acks cover *all* member shards is safely durable
 //!   everywhere — recovery **re-drives** it by writing the missing commit record
-//!   (the crash hit the window between ack force and commit force);
+//!   (the crash *tore* the decision force after the last ack and before the end
+//!   of the `Commit`; [`storage::Wal::rescan`] salvages the acks);
 //! * any other uncommitted epoch is **discarded** on every shard: the engine
 //!   passes its id to each shard's
 //!   [`pio_btree::PioBTree::recover_with`] filter, which drops the epoch's
@@ -36,8 +41,10 @@
 //! a special epoch: **`MigrateBegin { epoch, src, dst, lo, hi }`** is forced
 //! before any entry is copied, the region copy and retire are bracketed in the
 //! two shards' WALs under the epoch id, and **`MigrateCommit { epoch }`** is
-//! forced only after both shards are durable — the commit *is* the boundary
-//! swap. Unlike batch epochs, an uncommitted migration is **never re-driven**,
+//! forced — behind both shards' acks, in the same force
+//! ([`EpochLog::migrate_commit`]) — only after both shards are durable: the
+//! commit *is* the boundary swap. Unlike batch epochs, an uncommitted
+//! migration is **never re-driven**,
 //! even when fully acked: the boundary swap did not happen, so replaying the
 //! copies would put keys on a shard that does not own them. Recovery discards
 //! the epoch on both shards (rolling the copy and the retire back together)
@@ -109,6 +116,13 @@ impl EpochRecord {
     /// Serialises the record into a byte payload for the engine WAL.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record's payload to `out` (the form
+    /// [`storage::Wal::append_with`] takes).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             EpochRecord::Begin { epoch, shards } => {
                 out.push(1);
@@ -145,7 +159,6 @@ impl EpochRecord {
                 out.extend_from_slice(&epoch.to_le_bytes());
             }
         }
-        out
     }
 
     /// Parses a payload produced by [`EpochRecord::encode`]. Returns `None` for
@@ -242,58 +255,59 @@ impl EpochLog {
         Self { wal }
     }
 
+    /// Appends `record` to the log; not durable until the next force.
+    fn append(&self, record: &EpochRecord) -> Lsn {
+        self.wal.append_with(|buf| record.encode_into(buf))
+    }
+
     /// Forces the `Begin` record of `epoch` (phase one: nothing may reach a
     /// shard before this returns). Returns the `Begin` record's LSN so the
     /// caller can pin log truncation while the epoch is undecided.
     pub fn begin(&self, epoch: u64, shards: &[usize]) -> IoResult<Lsn> {
-        let lsn = self.wal.append(
-            &EpochRecord::Begin {
-                epoch,
-                shards: shards.iter().map(|&s| s as u32).collect(),
-            }
-            .encode(),
-        );
+        let lsn = self.append(&EpochRecord::Begin {
+            epoch,
+            shards: shards.iter().map(|&s| s as u32).collect(),
+        });
         self.wal.force()?;
         Ok(lsn)
     }
 
-    /// Forces the member shards' `Ack` records (phase two, first half).
-    pub fn ack_all(&self, epoch: u64, acks: &[(usize, Lsn)]) -> IoResult<()> {
+    /// Phase two, in **one** force: the member shards' `Ack` records followed
+    /// by the epoch's `decision` record. The acks precede the decision in the
+    /// log, so a force torn by a crash can leave the acks without the
+    /// decision, never the reverse.
+    fn decide(&self, epoch: u64, acks: &[(usize, Lsn)], decision: EpochRecord) -> IoResult<()> {
         for &(shard, durable_lsn) in acks {
-            self.wal.append(
-                &EpochRecord::Ack {
-                    epoch,
-                    shard: shard as u32,
-                    durable_lsn,
-                }
-                .encode(),
-            );
+            self.append(&EpochRecord::Ack {
+                epoch,
+                shard: shard as u32,
+                durable_lsn,
+            });
         }
+        self.append(&decision);
         self.wal.force()
     }
 
-    /// Forces the `Commit` record (phase two, second half): the batch is now
-    /// atomically visible.
-    pub fn commit(&self, epoch: u64) -> IoResult<()> {
-        self.wal.append(&EpochRecord::Commit { epoch }.encode());
-        self.wal.force()
+    /// Forces the member shards' `Ack`s and the `Commit` record together (see
+    /// `EpochLog::decide`): the batch is now atomically visible. Recovery's
+    /// re-drive of an epoch whose acks are already durable passes no acks.
+    pub fn commit(&self, epoch: u64, acks: &[(usize, Lsn)]) -> IoResult<()> {
+        self.decide(epoch, acks, EpochRecord::Commit { epoch })
+    }
+
+    /// Forces both shards' `Ack`s and the `MigrateCommit` record together —
+    /// the durable boundary swap.
+    pub fn migrate_commit(&self, epoch: u64, acks: &[(usize, Lsn)]) -> IoResult<()> {
+        self.decide(epoch, acks, EpochRecord::MigrateCommit { epoch })
     }
 
     /// Forces the `MigrateBegin` record: nothing may be copied between shards
     /// before this returns. Returns the record's LSN (the epoch's truncation
     /// pin, as for [`EpochLog::begin`]).
     pub fn migrate_begin(&self, epoch: u64, migration: MigrationSpec) -> IoResult<Lsn> {
-        let lsn = self
-            .wal
-            .append(&EpochRecord::MigrateBegin { epoch, migration }.encode());
+        let lsn = self.append(&EpochRecord::MigrateBegin { epoch, migration });
         self.wal.force()?;
         Ok(lsn)
-    }
-
-    /// Forces the `MigrateCommit` record — the durable boundary swap.
-    pub fn migrate_commit(&self, epoch: u64) -> IoResult<()> {
-        self.wal.append(&EpochRecord::MigrateCommit { epoch }.encode());
-        self.wal.force()
     }
 
     /// Drops un-forced records (crash simulation).
@@ -438,6 +452,19 @@ mod tests {
         EpochLog::new(Wal::new(io, 0, 2048))
     }
 
+    /// Makes `acks` durable with no decision record behind them — what a
+    /// decision force torn between the two leaves on the device.
+    fn acks_without_decision(log: &EpochLog, epoch: u64, acks: &[(u32, Lsn)]) {
+        for &(shard, durable_lsn) in acks {
+            log.append(&EpochRecord::Ack {
+                epoch,
+                shard,
+                durable_lsn,
+            });
+        }
+        log.wal.force().unwrap();
+    }
+
     #[test]
     fn records_round_trip() {
         let records = vec![
@@ -483,12 +510,11 @@ mod tests {
         // Epoch 1: committed. Epoch 2: fully acked, no commit. Epoch 3: partial
         // acks. Epoch 4: begin only.
         log.begin(1, &[0, 1]).unwrap();
-        log.ack_all(1, &[(0, 10), (1, 20)]).unwrap();
-        log.commit(1).unwrap();
+        log.commit(1, &[(0, 10), (1, 20)]).unwrap();
         log.begin(2, &[0, 1]).unwrap();
-        log.ack_all(2, &[(0, 30), (1, 40)]).unwrap();
+        acks_without_decision(&log, 2, &[(0, 30), (1, 40)]);
         log.begin(3, &[0, 1, 2]).unwrap();
-        log.ack_all(3, &[(2, 50)]).unwrap();
+        acks_without_decision(&log, 3, &[(2, 50)]);
         log.begin(4, &[1]).unwrap();
         log.simulate_crash();
 
@@ -518,10 +544,9 @@ mod tests {
         // recovery must roll it back anyway (fully_acked is irrelevant for
         // migrations).
         log.migrate_begin(10, spec).unwrap();
-        log.ack_all(10, &[(1, 5), (2, 6)]).unwrap();
-        log.migrate_commit(10).unwrap();
+        log.migrate_commit(10, &[(1, 5), (2, 6)]).unwrap();
         log.migrate_begin(11, spec).unwrap();
-        log.ack_all(11, &[(1, 7), (2, 8)]).unwrap();
+        acks_without_decision(&log, 11, &[(1, 7), (2, 8)]);
         log.simulate_crash();
 
         let analysis = log.analyze().unwrap();

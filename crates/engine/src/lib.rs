@@ -110,16 +110,18 @@
 //! enabled, every [`ShardedPioEngine::insert_batch`] runs as a **two-phase flush
 //! epoch** over a dedicated engine log (the [`epoch`] module): `Begin` is forced
 //! before fan-out, each member shard appends its sub-batch inside an epoch
-//! bracket of its own WAL and forces it, the per-shard `Ack`s are forced, and
-//! `Commit` is forced last. [`ShardedPioEngine::recover`] replays the shard WALs
-//! under the engine log's verdicts, making the batch all-or-nothing across
-//! shards wherever the crash lands:
+//! bracket of its own WAL and forces it, and then the per-shard `Ack`s and the
+//! `Commit` behind them are made durable by one force.
+//! [`ShardedPioEngine::recover`] replays the shard WALs under the engine log's
+//! verdicts, making the batch all-or-nothing across shards wherever the crash
+//! lands:
 //!
 //! | crash point | engine log state | recovery outcome |
 //! |---|---|---|
 //! | before `Begin` is durable | nothing | no shard ever saw the batch — absent |
-//! | mid fan-out (some shards durable) | `Begin`, partial `Ack`s | epoch **discarded** on every shard: logical records dropped, and any flush that already applied them is unwound from its preimages |
-//! | between the shards' durable writes and `Commit` | `Begin`, all `Ack`s | epoch **re-driven**: the batch is durable everywhere, so recovery writes the missing `Commit` and replays it — fully present |
+//! | mid fan-out (some shards durable) | `Begin` | epoch **discarded** on every shard: logical records dropped, and any flush that already applied them is unwound from its undo records |
+//! | the decision force fails, or is torn before the last `Ack` is whole | `Begin`, partial `Ack`s | epoch **discarded** on every shard, as above |
+//! | the decision force is torn between the last `Ack` and the end of `Commit` (the acks vs commit window) | `Begin`, all `Ack`s | epoch **re-driven**: the batch is durable everywhere, so recovery writes the missing `Commit` and replays it — fully present |
 //! | after `Commit` | complete | normal per-shard replay — fully present |
 //!
 //! Partial acks mean the batch *might* be missing on some shard, so the whole

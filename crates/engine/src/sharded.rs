@@ -1169,8 +1169,8 @@ impl EngineInner {
     /// Batched insert. With WALs enabled, the batch runs as a two-phase flush
     /// epoch: `Begin` is forced to the engine log before fan-out, every member
     /// shard appends its sub-batch inside an epoch bracket of its own WAL and
-    /// forces it, and only after the shard acks are durable is `Commit` forced —
-    /// so a crash anywhere in between leaves an epoch that
+    /// forces it, and only then are the shard acks and the `Commit` behind them
+    /// forced, together — so a crash anywhere in between leaves an epoch that
     /// [`ShardedPioEngine::recover`] resolves to all-or-nothing across shards.
     ///
     /// An *error* return means the batch is undecided: some shards may hold it
@@ -1257,8 +1257,7 @@ impl EngineInner {
             .collect();
         let acks: Vec<(usize, Lsn)> = self.fan_out_tasks(work)?;
         if let (Some(epoch), Some(coord)) = (epoch, &self.epoch) {
-            coord.log.ack_all(epoch, &acks)?;
-            coord.log.commit(epoch)?;
+            coord.log.commit(epoch, &acks)?;
             // Decided: release the truncation pins — the engine log's (this
             // epoch's records are now redundant for recovery) and each member
             // shard's bracket pin. An error return above keeps both pins, so
@@ -1395,10 +1394,10 @@ impl EngineInner {
                 } else if state.committed {
                     report.committed_epochs += 1;
                 } else if state.fully_acked() {
-                    // The crash hit between the ack force and the commit force:
-                    // the batch is durable on every member shard, so complete the
-                    // protocol instead of throwing the batch away.
-                    coord.log.commit(state.epoch)?;
+                    // The crash tore the decision force between the acks and
+                    // the commit: the batch is durable on every member shard,
+                    // so complete the protocol instead of throwing it away.
+                    coord.log.commit(state.epoch, &[])?;
                     report.recovered_epochs += 1;
                 } else {
                     discard.insert(state.epoch);
@@ -1744,10 +1743,10 @@ impl EngineInner {
             }
         })?;
         if let (Some(ep), Some(coord)) = (epoch, &self.epoch) {
-            coord.log.ack_all(ep, &[(src, src_lsn), (dst, dst_lsn)])?;
-            // The durable boundary swap: before this force the migration rolls
-            // back on recovery, after it the new boundary is re-applied.
-            coord.log.migrate_commit(ep)?;
+            // The durable boundary swap, riding the acks' force: before it the
+            // migration rolls back on recovery, after it the new boundary is
+            // re-applied.
+            coord.log.migrate_commit(ep, &[(src, src_lsn), (dst, dst_lsn)])?;
             coord.in_flight.lock().remove(&ep);
         }
         let idx = src.min(dst);

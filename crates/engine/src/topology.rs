@@ -95,12 +95,17 @@ impl EngineManifest {
     /// Serialises the manifest into its line-based text form (the build
     /// environment has no serde; the format is a versioned `key=value` list).
     ///
-    /// v2 marks the WAL on-disk layout that reserves the first two pages of
+    /// The version names the newest log format the directory may hold. v2
+    /// marked the WAL on-disk layout that reserves the first two pages of
     /// every log region for truncation-header slots (record data starts at the
-    /// third page). v1 directories — whose WAL records start at byte 0 — are
+    /// third page); v1 directories — whose WAL records start at byte 0 — are
     /// rejected at decode rather than having their logs silently mis-parsed.
+    /// v3 marks shard WALs that may hold the logical append-undo record
+    /// ([`pio_btree::LogRecord::FlushAppendUndo`]): a v2-era binary would stop
+    /// replay at that unknown tag and silently drop the tail, so it must
+    /// refuse the directory instead.
     pub fn encode(&self) -> String {
-        let mut out = String::from("pio-engine-manifest v2\n");
+        let mut out = String::from("pio-engine-manifest v3\n");
         out.push_str(&format!("shards={}\n", self.shards));
         out.push_str(&format!("page_size={}\n", self.page_size));
         out.push_str(&format!("wal={}\n", u8::from(self.wal_enabled)));
@@ -115,10 +120,12 @@ impl EngineManifest {
     /// Parses the text form produced by [`EngineManifest::encode`]. Returns
     /// `None` for unknown versions or malformed content — including v1
     /// manifests, whose WAL regions use the pre-truncation layout this code
-    /// can no longer read (see [`EngineManifest::encode`]).
+    /// can no longer read (see [`EngineManifest::encode`]). v2 directories
+    /// are accepted: every record their logs hold still replays, and the next
+    /// manifest sync re-marks them v3.
     pub fn decode(text: &str) -> Option<Self> {
         let mut lines = text.lines();
-        if lines.next()? != "pio-engine-manifest v2" {
+        if !matches!(lines.next()?, "pio-engine-manifest v2" | "pio-engine-manifest v3") {
             return None;
         }
         let mut shards = None;
@@ -550,13 +557,21 @@ mod tests {
             shard_meta: manifest.shard_meta[..1].to_vec(),
             ..manifest
         };
-        assert_eq!(EngineManifest::decode(&single.encode()), Some(single));
+        assert_eq!(EngineManifest::decode(&single.encode()), Some(single.clone()));
+        // A directory written before the logical append-undo record reopens:
+        // the writer emits v3, the reader still accepts v2.
+        assert!(single.encode().starts_with("pio-engine-manifest v3\n"));
+        let v2 = single
+            .encode()
+            .replacen("pio-engine-manifest v3", "pio-engine-manifest v2", 1);
+        assert_eq!(EngineManifest::decode(&v2), Some(single));
+        assert_eq!(EngineManifest::decode(&v2.replacen("v2", "v1", 1)), None);
     }
 
     #[test]
     fn corrupt_manifests_decode_to_none() {
         assert_eq!(EngineManifest::decode(""), None);
-        assert_eq!(EngineManifest::decode("pio-engine-manifest v2\nshards=1\n"), None);
+        assert_eq!(EngineManifest::decode("pio-engine-manifest v3\nshards=1\n"), None);
         let good = EngineManifest {
             shards: 2,
             page_size: 2048,

@@ -19,7 +19,12 @@
 //!
 //! The log occupies its own region of a [`pio::IoQueue`] backend (its own file in
 //! the paper's terms), so log writes are sequential and never interleave with index
-//! node I/O inside a single psync call.
+//! node I/O inside a single psync call. Nor do reads interleave with them: a record
+//! is serialised once, at [`Wal::append_with`], straight into the pending byte image
+//! a force lays over its pages, and the durable head of the partial page a force
+//! must rewrite is kept in memory — in steady state [`Wal::force`] is one sequential
+//! write and **zero device reads** (see its contract for the events after which the
+//! first force reads the page head back once).
 //!
 //! ## Truncation and the log lifecycle
 //!
@@ -82,8 +87,15 @@ pub struct RescanReport {
 
 #[derive(Debug, Default)]
 struct WalInner {
-    /// Bytes appended but not yet forced.
-    pending: Vec<(Lsn, Vec<u8>)>,
+    /// The records appended but not yet forced, already in their on-disk form
+    /// (header + checksum + payload, back to back): the byte image of LSNs
+    /// `[next_lsn − pending.len(), next_lsn)`.
+    pending: Vec<u8>,
+    /// The durable bytes of the log's last, partial page — `(end, bytes)` with
+    /// `bytes` the image of LSNs `[page base of end, end)` — kept so that the
+    /// next force, which rewrites that page, need not read it back. `None`
+    /// means unknown: the force falls back to one device read.
+    tail: Option<(Lsn, Vec<u8>)>,
     /// Next LSN to hand out.
     next_lsn: Lsn,
     /// LSN up to which everything is durable.
@@ -245,15 +257,29 @@ impl Wal {
     /// the scanner recognises never-written space), as are payloads beyond the
     /// scanner's sanity bound.
     pub fn append(&self, payload: &[u8]) -> Lsn {
-        assert!(!payload.is_empty(), "WAL records must be non-empty");
-        assert!(
-            payload.len() <= MAX_RECORD,
-            "WAL records are bounded at {MAX_RECORD} bytes"
-        );
+        self.append_with(|buf| buf.extend_from_slice(payload))
+    }
+
+    /// [`Wal::append`] for a payload that is serialised in place: `encode`
+    /// appends the payload's bytes (and nothing else) to the buffer it is
+    /// handed, which is the log's pending image itself — the record is
+    /// serialised exactly once.
+    pub fn append_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Lsn {
         let mut inner = self.inner.lock();
+        let start = inner.pending.len();
+        inner.pending.extend_from_slice(&[0; HEADER]);
+        encode(&mut inner.pending);
+        let len = inner.pending.len() - start - HEADER;
+        if len == 0 || len > MAX_RECORD {
+            inner.pending.truncate(start); // leave the image whole for other users
+        }
+        assert!(len != 0, "WAL records must be non-empty");
+        assert!(len <= MAX_RECORD, "WAL records are bounded at {MAX_RECORD} bytes");
+        let sum = checksum(&inner.pending[start + HEADER..]);
+        inner.pending[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        inner.pending[start + 4..start + HEADER].copy_from_slice(&sum.to_le_bytes());
         let lsn = inner.next_lsn;
-        inner.next_lsn += (HEADER + payload.len()) as u64;
-        inner.pending.push((lsn, payload.to_vec()));
+        inner.next_lsn += (HEADER + len) as u64;
         lsn
     }
 
@@ -267,77 +293,98 @@ impl Wal {
         self.inner.lock().durable_lsn
     }
 
-    /// Number of appended-but-not-forced records.
+    /// Number of appended-but-not-forced records (counted by walking the
+    /// pending image: an inspection hook, not a hot path).
     pub fn pending_records(&self) -> usize {
-        self.inner.lock().pending.len()
+        parse_records(&self.inner.lock().pending, 0).records.len()
     }
 
     /// Forces every pending record to the device (WAL rule: callers must invoke this
     /// before the action the records describe is applied to the index). Concurrent
     /// forces are serialised; records appended while a force is in flight are
     /// picked up by the next one.
+    ///
+    /// A force writes whole pages, so it rewrites the durable head of the
+    /// page its first record starts in. Those bytes come from memory — every
+    /// successful force keeps the image of the partial page it ended in — so
+    /// in steady state a force issues **no device read**, only its one
+    /// sequential write. The cached tail is dropped by everything that moves
+    /// the durable frontier or the LSN→byte mapping behind the cache's back
+    /// ([`Wal::simulate_crash`], [`Wal::recover_scan`] / [`Wal::rescan`], a
+    /// [`Wal::truncate_to`] that drops records) and by a failed force; the
+    /// first force after one of those reads the page head back once.
+    ///
+    /// On **any** error the records stay pending, ahead of whatever was
+    /// appended meanwhile (which holds later LSNs): a failed force must not
+    /// leave a hole in the LSN sequence that would truncate every later record
+    /// at read time. A retried force rewrites the same pages in full, healing
+    /// whatever prefix of this attempt reached the device.
     pub fn force(&self) -> IoResult<()> {
         let _serialised = self.force_lock.lock();
         // The mapping is stable for the whole force: truncation also holds the
-        // force lock, so `phys_start` cannot move under the writes below.
-        let (pending, phys_start): (Vec<(Lsn, Vec<u8>)>, u64) = {
+        // force lock, so `phys_start` cannot move under the write below.
+        let (image, first_lsn, phys_start, head) = {
             let mut inner = self.inner.lock();
-            (std::mem::take(&mut inner.pending), inner.phys_start)
+            if inner.pending.is_empty() {
+                return Ok(());
+            }
+            let first_lsn = inner.next_lsn - inner.pending.len() as u64;
+            // The cached tail is the page head only if it ends where this
+            // image starts (after a salvaging rescan it would not).
+            let head = inner
+                .tail
+                .take()
+                .and_then(|(end, bytes)| (end == first_lsn).then_some(bytes));
+            (std::mem::take(&mut inner.pending), first_lsn, inner.phys_start, head)
         };
-        if pending.is_empty() {
-            return Ok(());
-        }
-        // Serialise the pending records into their byte image.
-        let first_lsn = pending[0].0;
-        let mut image = Vec::new();
-        for (_, payload) in &pending {
-            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            image.extend_from_slice(&checksum(payload).to_le_bytes());
-            image.extend_from_slice(payload);
-        }
-        // Write whole pages covering [first_lsn, first_lsn + image.len()), sequentially.
-        let start_page = first_lsn / self.page_size as u64;
         let end_byte = first_lsn + image.len() as u64;
-        let end_page = end_byte.div_ceil(self.page_size as u64);
-        // Build the page images. Records may start mid-page; bytes before the first
-        // record in the first page are left as zeroes (they were written by the
-        // previous force and are re-read below to preserve them).
-        let mut region = vec![0u8; ((end_page - start_page) * self.page_size as u64) as usize];
-        let page_base = start_page * self.page_size as u64;
-        if first_lsn > page_base {
-            // Preserve the earlier bytes of the first page.
-            let existing = self
-                .io
-                .read_at(self.phys(page_base, phys_start), (first_lsn - page_base) as usize)?;
-            region[..existing.len()].copy_from_slice(&existing);
+        match self.write_pages_covering(first_lsn, &image, phys_start, head) {
+            Ok(tail) => {
+                let mut inner = self.inner.lock();
+                inner.durable_lsn = inner.durable_lsn.max(end_byte);
+                inner.tail = Some((end_byte, tail));
+                Ok(())
+            }
+            Err(e) => {
+                let mut inner = self.inner.lock();
+                let appended_meanwhile = std::mem::replace(&mut inner.pending, image);
+                inner.pending.extend_from_slice(&appended_meanwhile);
+                Err(e)
+            }
         }
-        let off = (first_lsn - page_base) as usize;
-        region[off..off + image.len()].copy_from_slice(&image);
+    }
 
+    /// Writes the whole pages covering LSNs `[first_lsn, first_lsn +
+    /// image.len())` with one sequential psync call and returns the image of
+    /// the partial page the write ended in (the next force's `tail`). The head
+    /// of the first page — bytes a previous force made durable — is
+    /// `cached_head` when the caller still holds it, else read from the device.
+    fn write_pages_covering(
+        &self,
+        first_lsn: Lsn,
+        image: &[u8],
+        phys_start: u64,
+        cached_head: Option<Vec<u8>>,
+    ) -> IoResult<Vec<u8>> {
+        let ps = self.page_size;
+        let page_base = first_lsn - first_lsn % ps as u64;
+        let head = (first_lsn - page_base) as usize;
+        let mut region = match cached_head {
+            _ if head == 0 => Vec::new(),
+            Some(bytes) => bytes,
+            None => self.io.read_at(self.phys(page_base, phys_start), head)?,
+        };
+        debug_assert_eq!(region.len(), head, "the page head ends where the image starts");
+        region.extend_from_slice(image);
+        let partial = region.len() % ps;
+        region.resize(region.len().next_multiple_of(ps), 0);
         let reqs: Vec<WriteRequest> = region
-            .chunks(self.page_size)
+            .chunks(ps)
             .enumerate()
-            .map(|(i, chunk)| WriteRequest::new(self.phys(page_base, phys_start) + (i * self.page_size) as u64, chunk))
+            .map(|(i, chunk)| WriteRequest::new(self.phys(page_base, phys_start) + (i * ps) as u64, chunk))
             .collect();
-        if let Err(e) = self.io.psync_write(&reqs) {
-            // Put the records back (ahead of any appended meanwhile, which hold
-            // later LSNs): a failed force must not leave a hole in the LSN
-            // sequence that would truncate every later record at read time. A
-            // retried force rewrites the same pages in full, healing whatever
-            // prefix of this attempt reached the device.
-            let mut inner = self.inner.lock();
-            let taken = pending.len();
-            inner.pending.splice(0..0, pending);
-            debug_assert!(
-                inner.pending.len() >= taken,
-                "restored records precede concurrent appends"
-            );
-            return Err(e);
-        }
-
-        let mut inner = self.inner.lock();
-        inner.durable_lsn = inner.durable_lsn.max(end_byte);
-        Ok(())
+        self.io.psync_write(&reqs)?;
+        Ok(region[region.len() - ps..][..partial].to_vec())
     }
 
     /// Reads every durable record back from the device, in LSN order. Used by the
@@ -498,6 +545,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         inner.durable_lsn = end;
         inner.next_lsn = inner.next_lsn.max(end);
+        inner.tail = None;
         drop(inner);
         Ok((
             RescanReport {
@@ -626,6 +674,7 @@ impl Wal {
             inner.phys_start = header.phys_start;
             inner.truncated = header.truncated;
             inner.header_version = header.version;
+            inner.tail = None;
         }
         if compact {
             // Everything past the survivors and their terminator page is dead;
@@ -660,10 +709,12 @@ impl Wal {
     }
 
     /// Discards the in-memory notion of the log (used by tests that simulate a crash:
-    /// pending, un-forced records are lost; durable ones survive on the device).
+    /// pending, un-forced records are lost, as is the cached tail page; durable
+    /// records survive on the device).
     pub fn simulate_crash(&self) -> Lsn {
         let mut inner = self.inner.lock();
         inner.pending.clear();
+        inner.tail = None;
         inner.next_lsn = inner.durable_lsn;
         inner.durable_lsn
     }
@@ -679,7 +730,7 @@ impl std::fmt::Debug for Wal {
             .field("trunc_lsn", &inner.trunc_lsn)
             .field("phys_start", &inner.phys_start)
             .field("truncated", &inner.truncated)
-            .field("pending", &inner.pending.len())
+            .field("pending_bytes", &inner.pending.len())
             .finish()
     }
 }
@@ -852,6 +903,260 @@ mod tests {
         assert_eq!(recs.len(), 2, "no LSN hole after the retried force");
         assert_eq!(recs[0].payload, b"first");
         assert_eq!(recs[1].payload, b"second");
+    }
+
+    /// The cold fallback of [`Wal::force`] — reading the page head back after
+    /// a rescan dropped the cached tail — is an error path like the write: a
+    /// failed read must leave the records pending, or the retried force leaves
+    /// an LSN hole that hides every later record from the next recovery.
+    #[test]
+    fn failed_tail_read_back_keeps_records_for_retry() {
+        let clock = FaultClock::new();
+        let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+        let faulty = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
+        let w = Wal::new(faulty, 0, 4096);
+        w.append(b"durable-head");
+        w.force().unwrap();
+        // A partial tail page on the device and no cached copy of it.
+        w.rescan().unwrap();
+        w.append(b"first");
+        w.append(b"second");
+        clock.arm(CrashPlan::at_read(clock.reads_seen()).transient());
+        assert!(w.force().is_err(), "the read-back of the page head fails");
+        assert!(clock.tripped());
+        assert_eq!(w.pending_records(), 2, "failed force must not drop records");
+        clock.heal();
+        w.append(b"third");
+        w.force().unwrap();
+        let scan = w.scan().unwrap();
+        let payloads: Vec<&[u8]> = scan.records.iter().map(|r| r.payload.as_slice()).collect();
+        assert_eq!(
+            payloads,
+            [&b"durable-head"[..], b"first", b"second", b"third"],
+            "no LSN hole"
+        );
+        assert!(!scan.torn_tail);
+    }
+
+    /// In steady state a force issues its one write and nothing else: the head
+    /// of the partial tail page comes from memory, not from the device.
+    #[test]
+    fn steady_state_forces_never_read_the_device() {
+        let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+        let w = Wal::new(Arc::clone(&io), 0, 4096);
+        for i in 0..200u32 {
+            // Mixed sizes: forces start mid-page, end mid-page, span pages.
+            w.append(&vec![i as u8 + 1; 1 + (i as usize * 37) % 3000]);
+            w.force().unwrap();
+        }
+        assert_eq!(io.io_stats().reads, 0, "no read-back between the writes");
+        assert_eq!(io.io_stats().batches, 200, "one psync write per force");
+        // A rescan drops the cached tail: exactly the next force reads it back.
+        w.rescan().unwrap();
+        let reads = io.io_stats().reads;
+        for _ in 0..2 {
+            w.append(b"after-rescan");
+            w.force().unwrap();
+        }
+        assert_eq!(io.io_stats().reads, reads + 1, "one cold read, then steady state again");
+        assert_eq!(w.read_all().unwrap().len(), 202);
+    }
+
+    /// The reference of the differential test below: every byte the log ever
+    /// made durable, indexed by LSN, plus its own image of the data region —
+    /// and each force's pages cut from that byte stream alone, with no cached
+    /// tail, no pending image and no read-back to get wrong.
+    struct Reference {
+        ps: usize,
+        /// The durable log, byte `i` being LSN `i`.
+        stream: Vec<u8>,
+        /// On-disk images of the records appended but not forced.
+        pending: Vec<u8>,
+        /// The data region (past the two header-slot pages) as the device
+        /// must hold it.
+        dev: Vec<u8>,
+        trunc: usize,
+        phys_start: usize,
+    }
+
+    impl Reference {
+        fn append(&mut self, payload: &[u8]) {
+            self.pending.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            self.pending.extend_from_slice(&checksum(payload).to_le_bytes());
+            self.pending.extend_from_slice(payload);
+        }
+
+        /// The page-aligned write a force of `pending` must issue: its offset
+        /// in the data region and its bytes.
+        fn force_write(&self) -> (usize, Vec<u8>) {
+            let from = self.stream.len() / self.ps * self.ps;
+            let mut bytes = [&self.stream[from..], &self.pending[..]].concat();
+            bytes.resize(bytes.len().next_multiple_of(self.ps), 0);
+            (from - self.phys_start, bytes)
+        }
+
+        /// Lands the first `keep` bytes of a write at `off`.
+        fn land(&mut self, off: usize, bytes: &[u8], keep: usize) {
+            let keep = keep.min(bytes.len());
+            if self.dev.len() < off + keep {
+                self.dev.resize(off + keep, 0);
+            }
+            self.dev[off..off + keep].copy_from_slice(&bytes[..keep]);
+        }
+
+        fn force(&mut self) {
+            if self.pending.is_empty() {
+                return; // nothing to write: stale bytes past the end stay
+            }
+            let (off, bytes) = self.force_write();
+            self.land(off, &bytes, usize::MAX);
+            self.stream.append(&mut self.pending);
+        }
+
+        /// [`Wal::truncate_to`], compaction included, re-derived from the
+        /// byte stream.
+        fn truncate_to(&mut self, lsn: usize) {
+            let (ps, durable) = (self.ps, self.stream.len());
+            let target = lsn.min(durable);
+            if target <= self.trunc {
+                return;
+            }
+            let new_phys = target / ps * ps;
+            let freed_prefix = self.trunc / ps * ps - self.phys_start;
+            let survivors = (durable - new_phys).div_ceil(ps) * ps;
+            if new_phys > self.phys_start && survivors + ps <= freed_prefix {
+                // The survivors' pages — whatever the device holds there,
+                // including stale bytes past the durable end — slide to the
+                // region start, followed by one zero page.
+                let from = new_phys - self.phys_start;
+                if self.dev.len() < from + survivors {
+                    self.dev.resize(from + survivors, 0);
+                }
+                let moved = self.dev[from..from + survivors].to_vec();
+                self.land(0, &moved, usize::MAX);
+                self.land(survivors, &vec![0; ps], usize::MAX);
+                self.phys_start = new_phys;
+            }
+            self.trunc = target;
+        }
+    }
+
+    /// Drives [`Wal`] and [`Reference`] through the same seeded stream of
+    /// appends, forces, failed and torn forces, crash + rescan and
+    /// truncations (compactions included) and demands a byte-identical data
+    /// region, the same frontiers and the same record list after every step.
+    /// This is what makes the in-memory tail and the single pending image safe
+    /// to trust. `CRASH_SEED` replays a failure.
+    #[test]
+    fn wal_differential_against_a_rebuilding_reference() {
+        const PS: usize = 512;
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_0106);
+        let mut x = seed | 1;
+        let mut rand = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let clock = FaultClock::new();
+        let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+        let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(Arc::clone(&sim), Arc::clone(&clock)));
+        let w = Wal::new(faulty, 0, PS);
+        let mut model = Reference {
+            ps: PS,
+            stream: Vec::new(),
+            pending: Vec::new(),
+            dev: Vec::new(),
+            trunc: 0,
+            phys_start: 0,
+        };
+        // LSNs of every record appended so far: legal truncation floors.
+        let mut boundaries: Vec<usize> = Vec::new();
+        let mut compactions = 0;
+        for step in 0..4_000u32 {
+            let ctx = format!("CRASH_SEED={seed} step={step}");
+            match rand(100) {
+                0..=54 => {
+                    // Mostly small records, sometimes one spanning pages.
+                    let len = if rand(12) == 0 { 1 + rand(3 * PS) } else { 1 + rand(60) };
+                    let payload: Vec<u8> = (0..len).map(|i| (step as usize + i) as u8 | 1).collect();
+                    let lsn = w.append(&payload);
+                    assert_eq!(lsn as usize, model.stream.len() + model.pending.len(), "{ctx}: LSN");
+                    boundaries.push(lsn as usize);
+                    model.append(&payload);
+                }
+                55..=79 => {
+                    w.force().unwrap_or_else(|e| panic!("{ctx}: force: {e}"));
+                    model.force();
+                }
+                80..=86 if !model.pending.is_empty() => {
+                    // A force that fails, leaving a torn prefix (often empty)
+                    // of its write behind; the records must stay pending.
+                    let (off, bytes) = model.force_write();
+                    let torn = TornWrite {
+                        keep_requests: rand(bytes.len() / PS + 1),
+                        keep_bytes_of_next: if rand(2) == 0 { 0 } else { rand(PS) },
+                    };
+                    // A cold force reads the page head first; only the write fails.
+                    clock.arm(CrashPlan::on_payload(|_| true).with_torn(torn).transient());
+                    assert!(w.force().is_err(), "{ctx}: armed force");
+                    clock.heal();
+                    model.land(off, &bytes, torn.keep_requests * PS + torn.keep_bytes_of_next);
+                }
+                87..=91 => {
+                    // Crash: pending records die; the rescan salvages whatever
+                    // whole records a torn force left past the durable end.
+                    w.simulate_crash();
+                    model.pending.clear();
+                    let report = w.rescan().unwrap_or_else(|e| panic!("{ctx}: rescan: {e}"));
+                    let from = model.stream.len() - model.phys_start;
+                    let salvaged = report.durable_lsn as usize - model.stream.len();
+                    let bytes = model.dev[from..from + salvaged].to_vec();
+                    model.stream.extend_from_slice(&bytes);
+                    boundaries.retain(|&b| b < model.stream.len());
+                }
+                92..=99 if !boundaries.is_empty() => {
+                    let lsn = boundaries[rand(boundaries.len())];
+                    let before = model.phys_start;
+                    w.truncate_to(lsn as Lsn)
+                        .unwrap_or_else(|e| panic!("{ctx}: truncate: {e}"));
+                    model.truncate_to(lsn);
+                    compactions += usize::from(model.phys_start != before);
+                }
+                _ => continue,
+            }
+            // The data region, byte for byte (the reference never shrinks its
+            // image, so the comparison also covers stale bytes past the end).
+            let region = sim.read_at((2 * PS) as u64, model.dev.len().max(1)).unwrap();
+            if region[..model.dev.len()] != model.dev[..] {
+                let at = (0..model.dev.len()).find(|&i| region[i] != model.dev[i]);
+                panic!("{ctx}: data region diverged at byte {at:?}");
+            }
+            let inner = w.inner.lock();
+            assert_eq!(inner.durable_lsn as usize, model.stream.len(), "{ctx}: durable LSN");
+            assert_eq!(
+                inner.next_lsn as usize,
+                model.stream.len() + model.pending.len(),
+                "{ctx}"
+            );
+            assert_eq!(inner.pending, model.pending, "{ctx}: pending image");
+            assert_eq!(inner.trunc_lsn as usize, model.trunc, "{ctx}: floor");
+            assert_eq!(inner.phys_start as usize, model.phys_start, "{ctx}: mapping");
+        }
+        // The log reads back exactly the reference's records past the floor.
+        w.force().unwrap();
+        model.force();
+        let expect = parse_records(&model.stream[model.trunc..], model.trunc as Lsn);
+        let scan = w.scan().unwrap();
+        assert!(!scan.torn_tail && !expect.torn_tail, "CRASH_SEED={seed}");
+        assert_eq!(scan.records, expect.records, "CRASH_SEED={seed}: final scan");
+        assert!(
+            compactions >= 2,
+            "CRASH_SEED={seed}: the stream must compact ({compactions})"
+        );
     }
 
     /// Concurrent append+force storms must never lose or corrupt a record:

@@ -172,48 +172,87 @@ fn crash_mid_fanout_discards_the_epoch_everywhere() {
 }
 
 /// Crash between the last shard's durable write and `EpochCommit` — the
-/// acceptance-criteria window. Two sub-cases: the ack force fails (acks not
-/// durable → discard everywhere) and the commit force fails (acks durable →
-/// re-drive everywhere). Both are all-or-nothing.
+/// acceptance-criteria window. The shards' `Ack`s and the `Commit` ride ONE
+/// engine-log force, so the window is a *torn* decision force. Every cut of
+/// that force's page is tried, from "fails outright" (nothing lands) upward:
+/// while an ack is missing the epoch is discarded everywhere; once all acks
+/// are durable but the `Commit` is not it is re-driven everywhere; once the
+/// `Commit` is whole it is simply committed (the caller saw an error, the log
+/// says otherwise — still all-or-nothing). The three outcomes must appear in
+/// exactly that order as the cut grows.
 #[test]
 fn crash_between_shard_durability_and_commit_is_all_or_nothing() {
-    for (engine_wal_write, expect_present) in [(1u64, false), (2u64, true)] {
+    let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
+    let absent = oracle(&seed_entries(), &[]);
+    let present = oracle(&seed_entries(), &[Op::Batch(batch.clone())]);
+    // Outcome per cut: 0 = discarded, 1 = re-driven, 2 = committed.
+    let mut outcomes: Vec<u8> = Vec::new();
+    for cut in 0..config().base.page_size {
         let (backends, clocks) = per_backend_clocks(&config());
         let engine = EngineBuilder::new(config())
             .entries(&seed_entries())
             .topology(backends)
             .build()
             .unwrap();
-        let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
-        // Engine-log writes per batch: #0 Begin force, #1 ack force, #2 commit.
+        // Engine-log writes per batch: #0 the Begin force, #1 the decision
+        // force (acks + Commit, one page).
         let base = clocks.engine_wal.writes_seen();
-        clocks.engine_wal.arm(CrashPlan::at_write(base + engine_wal_write));
-        assert!(engine.insert_batch(&batch).is_err());
+        clocks
+            .engine_wal
+            .arm(CrashPlan::at_write(base + 1).with_torn(TornWrite {
+                keep_requests: 0,
+                keep_bytes_of_next: cut,
+            }));
+        assert!(engine.insert_batch(&batch).is_err(), "cut {cut}");
+        assert_eq!(
+            clocks.engine_wal.writes_seen(),
+            base + 2,
+            "cut {cut}: one Begin force, one decision force"
+        );
         clocks.heal_all();
         engine.simulate_crash();
 
         let report = engine.recover().unwrap();
-        if expect_present {
-            assert_eq!(report.recovered_epochs, 1, "fully-acked epoch is re-driven");
-            assert_eq!(report.discarded_epochs, 0);
-        } else {
-            assert_eq!(report.recovered_epochs, 0);
-            assert_eq!(report.discarded_epochs, 1, "un-acked epoch is presumed aborted");
-        }
-        engine.checkpoint().unwrap();
-        let expected = if expect_present {
-            oracle(&seed_entries(), &[Op::Batch(batch.clone())])
-        } else {
-            oracle(&seed_entries(), &[])
+        let outcome = match (
+            report.discarded_epochs,
+            report.recovered_epochs,
+            report.committed_epochs,
+        ) {
+            (1, 0, 0) => 0,
+            (0, 1, 0) => 1,
+            (0, 0, 1) => 2,
+            other => panic!("cut {cut}: the epoch must get exactly one verdict, got {other:?}"),
         };
+        engine.checkpoint().unwrap();
         assert_eq!(
             engine_state(&engine),
-            expected,
-            "engine-log write {engine_wal_write}: batch must be fully {}",
-            if expect_present { "present" } else { "absent" }
+            if outcome == 0 { absent.clone() } else { present.clone() },
+            "cut {cut}: batch must be fully {}",
+            if outcome == 0 { "absent" } else { "present" }
         );
         engine.check_invariants().unwrap();
+        outcomes.push(outcome);
+        if outcome == 2 {
+            break; // every longer cut lands the whole decision too
+        }
     }
+    assert_eq!(
+        outcomes[0], 0,
+        "a decision force that fails outright discards the epoch"
+    );
+    assert!(
+        outcomes.windows(2).all(|w| w[0] <= w[1]),
+        "discarded, then re-driven, then committed as the cut grows: {outcomes:?}"
+    );
+    assert!(
+        outcomes.contains(&1),
+        "some cut must leave every Ack durable and the Commit not (the re-drive window): {outcomes:?}"
+    );
+    assert_eq!(
+        outcomes.last(),
+        Some(&2),
+        "a whole decision force commits: {outcomes:?}"
+    );
 }
 
 /// Crash after `Commit`: normal replay, the batch is fully present.

@@ -13,12 +13,18 @@
 //! 3. **Physical reclamation** — on the real-files topology, truncation
 //!    eventually shrinks the WAL files on disk (compaction alternates with
 //!    logical-only rounds, so the bound is ~two rounds of log, not the peak).
+//! 4. **Log volume** — what a flush logs is proportional to what it changed:
+//!    an appended-to leaf segment costs a few bytes of undo, not a page
+//!    pre-image, and a force never reads the log back.
 
 use engine::{DevicePerShard, EngineBuilder, EngineConfig, RealFiles, ShardedPioEngine};
-use pio_btree::PioConfig;
+use pio::{IoQueue, SimPsyncIo};
+use pio_btree::{PioBTree, PioConfig};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
+use storage::{CachedStore, PageStore, Wal, WritePolicy};
 
 /// A scratch directory under the system tempdir, removed on drop.
 struct TempDir(PathBuf);
@@ -270,4 +276,76 @@ fn real_files_truncation_shrinks_the_on_disk_log() {
         "state recovered from compacted logs must equal the oracle"
     );
     engine.check_invariants().expect("invariants");
+}
+
+/// The tier-1 gate on log volume. Uniform-key inserts into a WAL-on tree of a
+/// few hundred leaves make (nearly) every flush page write an append to a leaf
+/// segment. What that costs in the log is the entry's redo record plus a
+/// record count per touched segment — with a page pre-image per touched
+/// segment it was ≈ 3.4 KB per 16-byte entry — and a force writes the log
+/// without ever reading it back.
+#[test]
+fn an_appended_entry_costs_bytes_of_log_not_a_page_and_no_read_back() {
+    let config = PioConfig::builder()
+        .page_size(4096)
+        .leaf_segments(2)
+        .opq_pages(1)
+        .pio_max(16)
+        .speriod(32)
+        .bcnt(64)
+        .pool_pages(64)
+        .build();
+    let store_io = Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 28));
+    let store = Arc::new(CachedStore::new(
+        PageStore::new(store_io, 4096),
+        64,
+        WritePolicy::WriteThrough,
+    ));
+    let loaded: Vec<(u64, u64)> = (0..60_000u64).map(|k| (k * 16, k)).collect();
+    let mut tree = PioBTree::bulk_load(store, &loaded, config).expect("bulk load");
+    let log_io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, 64 << 20));
+    tree.attach_wal(Wal::new(Arc::clone(&log_io), 0, 4096));
+
+    // Warm-up: the first flushes, so the window starts mid-stream (a partial
+    // tail page on the log, every counter moving).
+    let mut x = 0x5EED_1065_u64;
+    let mut next_key = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % (60_000 * 16)
+    };
+    let mut inserted = 0u64;
+    while tree.stats().bupdates < 3 {
+        tree.insert(next_key(), inserted).expect("insert");
+        inserted += 1;
+    }
+
+    let before = tree.stats();
+    let logged_before = tree.wal().expect("attached").next_lsn();
+    let reads_before = log_io.io_stats().reads;
+    let window_start = inserted;
+    while tree.stats().bupdates < before.bupdates + 20 {
+        tree.insert(next_key(), inserted).expect("insert");
+        inserted += 1;
+    }
+    let after = tree.stats();
+    let appends = after.leaf_appends - before.leaf_appends;
+    let rewrites = after.leaf_rewrites - before.leaf_rewrites;
+    assert!(
+        appends >= 20 * 16 && appends >= 20 * rewrites,
+        "the window must be 20 append-path flushes: {appends} appends, {rewrites} rewrites"
+    );
+    let per_entry = (tree.wal().expect("attached").next_lsn() - logged_before) / (inserted - window_start);
+    assert!(
+        per_entry <= 256,
+        "{per_entry} B of WAL per inserted entry: an append must log its old record count, not a page pre-image"
+    );
+    assert_eq!(
+        log_io.io_stats().reads,
+        reads_before,
+        "a force must not read the log's tail page back between its writes"
+    );
+    tree.checkpoint().expect("checkpoint");
+    tree.check_invariants().expect("invariants");
 }

@@ -16,13 +16,15 @@
 //!    deterministic workload interleaving batches with forced migrations:
 //!    every recovered state must show all-or-nothing boundaries (the
 //!    pre-migration or post-migration bounds, never a hybrid) and the
-//!    oracle's exact key set.
+//!    oracle's exact key set. Plus the scripted case the sweep cannot aim at:
+//!    every byte cut of a torn decision force (acks + `MigrateCommit`) — a
+//!    migration is never re-driven, however many acks survive.
 
 mod common;
 
-use common::crash::{crashy_engine, seeded_rng};
+use common::crash::{crashy_engine, per_backend_clocks, seeded_rng};
 use engine::{EngineBuilder, EngineConfig, MoveKind, RebalanceConfig, ShardedPioEngine};
-use pio::{CrashPlan, FaultClock};
+use pio::{CrashPlan, FaultClock, TornWrite};
 use pio_btree::PioConfig;
 use rand::Rng;
 use service::EngineService;
@@ -418,6 +420,92 @@ fn run_sweep(engine: &ShardedPioEngine, ops: &[Op]) -> Result<(), usize> {
         }
     }
     Ok(())
+}
+
+/// A migration's two `Ack`s and its `MigrateCommit` ride one engine-log
+/// force. Every cut of that force's page is tried: however many acks a torn
+/// force leaves durable — both of them included — the migration is **never
+/// re-driven**; it rolls back on both shards until the cut is long enough to
+/// hold the whole `MigrateCommit`, and from there on the boundary swap is
+/// simply committed. The key set never changes.
+#[test]
+fn a_torn_decision_force_never_redrives_a_migration() {
+    let cfg = config(true);
+    let seeds = seed_entries();
+    let oracle: BTreeMap<u64, u64> = seeds.iter().copied().collect();
+    let mut rolled_back_cuts = 0usize;
+    let mut committed = false;
+    for cut in 0..cfg.base.page_size {
+        let (backends, clocks) = per_backend_clocks(&cfg);
+        let engine = EngineBuilder::new(cfg.clone())
+            .entries(&seeds)
+            .topology(backends)
+            .build()
+            .expect("bulk load");
+        let before = engine.boundaries();
+        // Engine-log writes per migration: #0 the MigrateBegin force, #1 the
+        // decision force (both acks + MigrateCommit, one page).
+        let base = clocks.engine_wal.writes_seen();
+        clocks
+            .engine_wal
+            .arm(CrashPlan::at_write(base + 1).with_torn(TornWrite {
+                keep_requests: 0,
+                keep_bytes_of_next: cut,
+            }));
+        assert!(engine.split_shard(1).is_err(), "cut {cut}");
+        assert_eq!(
+            clocks.engine_wal.writes_seen(),
+            base + 2,
+            "cut {cut}: one MigrateBegin force, one decision force"
+        );
+        clocks.heal_all();
+        engine.simulate_crash();
+        let report = engine
+            .recover()
+            .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
+        assert_eq!(report.recovered_epochs, 0, "cut {cut}: a migration is never re-driven");
+        match (report.rolled_back_migrations, report.committed_migrations) {
+            (1, 0) => {
+                assert!(!committed, "cut {cut}: rolled back after a shorter cut committed");
+                assert_eq!(engine.boundaries(), before, "cut {cut}: rolled back, old boundary");
+                rolled_back_cuts += 1;
+            }
+            (0, 1) => {
+                assert_ne!(engine.boundaries(), before, "cut {cut}: committed, new boundary");
+                committed = true;
+            }
+            other => panic!("cut {cut}: the migration must get exactly one verdict, got {other:?}"),
+        }
+        engine.checkpoint().unwrap();
+        assert_eq!(engine_state(&engine), oracle, "cut {cut}: key set diverged");
+        engine.check_invariants().unwrap();
+        if committed {
+            break; // every longer cut lands the whole decision too
+        }
+    }
+    assert!(committed, "a whole decision force commits the migration");
+    // MigrateBegin and the two Acks precede the MigrateCommit on the page, so
+    // the rolled-back cuts reach past the end of the second ack: the torn
+    // force with BOTH acks durable was among them. (`+ 8`: the WAL's
+    // per-record header.)
+    let record = |r: engine::EpochRecord| r.encode().len() + 8;
+    let acks_end = record(engine::EpochRecord::MigrateBegin {
+        epoch: 0,
+        migration: engine::epoch::MigrationSpec {
+            src: 0,
+            dst: 0,
+            lo: 0,
+            hi: 0,
+        },
+    }) + 2 * record(engine::EpochRecord::Ack {
+        epoch: 0,
+        shard: 0,
+        durable_lsn: 0,
+    });
+    assert!(
+        rolled_back_cuts > acks_end,
+        "{rolled_back_cuts} rolled-back cuts must cover the fully-acked window past byte {acks_end}"
+    );
 }
 
 /// Randomized crash points through a workload of batches and migrations: the

@@ -6,8 +6,8 @@ mod common;
 
 use btree::ConcurrentBTree;
 use common::crash::seeded_rng;
-use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo};
-use pio_btree::{ConcurrentPioBTree, PioBTree, PioConfig};
+use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo, TornWrite};
+use pio_btree::{ConcurrentPioBTree, LogRecord, OpEntry, PioBTree, PioConfig, PioLeaf};
 use rand::Rng;
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
@@ -91,6 +91,8 @@ enum TreeOp {
     Update(u64, u64),
     /// An explicit bupdate (on top of the OPQ-full automatic ones).
     Flush,
+    /// Forces the WAL: every op before this one is acked durable.
+    Commit,
 }
 
 /// A deterministic mix of inserts, deletes, updates and explicit flushes over a
@@ -116,8 +118,13 @@ fn tree_workload() -> Vec<TreeOp> {
 /// In-memory models of every workload prefix: `snapshots[p]` is the state after
 /// the first `p` ops.
 fn prefix_snapshots(ops: &[TreeOp]) -> Vec<BTreeMap<u64, u64>> {
+    prefix_snapshots_over(&[], ops)
+}
+
+/// [`prefix_snapshots`] over a bulk-loaded population.
+fn prefix_snapshots_over(loaded: &[(u64, u64)], ops: &[TreeOp]) -> Vec<BTreeMap<u64, u64>> {
     let mut snapshots = Vec::with_capacity(ops.len() + 1);
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut model: BTreeMap<u64, u64> = loaded.iter().copied().collect();
     snapshots.push(model.clone());
     for op in ops {
         match *op {
@@ -127,7 +134,7 @@ fn prefix_snapshots(ops: &[TreeOp]) -> Vec<BTreeMap<u64, u64>> {
             TreeOp::Delete(k) => {
                 model.remove(&k);
             }
-            TreeOp::Flush => {}
+            TreeOp::Flush | TreeOp::Commit => {}
         }
         snapshots.push(model.clone());
     }
@@ -136,6 +143,12 @@ fn prefix_snapshots(ops: &[TreeOp]) -> Vec<BTreeMap<u64, u64>> {
 
 /// Builds a WAL-enabled tree whose store *and* WAL backends share `clock`.
 fn crashy_tree(clock: &Arc<FaultClock>) -> PioBTree {
+    crashy_tree_on(clock, clock, &[])
+}
+
+/// Builds a WAL-enabled tree bulk-loaded with `entries`, its store backend on
+/// `store_clock` and its WAL backend on `wal_clock`.
+fn crashy_tree_on(store_clock: &Arc<FaultClock>, wal_clock: &Arc<FaultClock>, entries: &[(u64, u64)]) -> PioBTree {
     let config = PioConfig::builder()
         .page_size(2048)
         .leaf_segments(2)
@@ -147,17 +160,17 @@ fn crashy_tree(clock: &Arc<FaultClock>) -> PioBTree {
         .build();
     let store_io = Arc::new(FaultIo::new(
         Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 28)),
-        Arc::clone(clock),
+        Arc::clone(store_clock),
     ));
     let store = Arc::new(CachedStore::new(
         PageStore::new(store_io as Arc<dyn IoQueue>, 2048),
         64,
         WritePolicy::WriteThrough,
     ));
-    let mut tree = PioBTree::bulk_load(store, &[], config).unwrap();
+    let mut tree = PioBTree::bulk_load(store, entries, config).unwrap();
     let wal_io = Arc::new(FaultIo::new(
         Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20)),
-        Arc::clone(clock),
+        Arc::clone(wal_clock),
     ));
     tree.attach_wal(Wal::new(wal_io, 0, 2048));
     tree
@@ -171,6 +184,7 @@ fn run_tree_ops(tree: &mut PioBTree, ops: &[TreeOp]) -> Result<(), usize> {
             TreeOp::Delete(k) => tree.delete(k),
             TreeOp::Update(k, v) => tree.update(k, v),
             TreeOp::Flush => tree.flush_once(),
+            TreeOp::Commit => tree.force_wal().map(|_| ()),
         };
         if outcome.is_err() {
             return Err(i);
@@ -238,6 +252,284 @@ fn randomized_tree_crash_points_recover_to_an_op_prefix() {
         incomplete >= 1,
         "seed {seed}: no trial crashed mid-flush — the sweep is not reaching the undo path"
     );
+}
+
+// ------------------------------------------------------- the logical append undo --
+
+/// The population and workload of the append-undo sweep: thirty-four bulk-loaded
+/// leaves with free slots and a scattered stream of new keys, updates and
+/// deletes that never fills one — every flush appends a few records to many
+/// leaves, so (nearly) every page write of a flush is an append-path segment
+/// write. A `Commit` every eight ops acks everything before it.
+fn append_workload() -> (Vec<(u64, u64)>, Vec<TreeOp>) {
+    let loaded: Vec<(u64, u64)> = (0..4_800u64).map(|k| (k * 10, k)).collect();
+    let mut ops = Vec::new();
+    for i in 0..1_200u64 {
+        let slot = (i * 7_919 + 3) % 4_800;
+        ops.push(match i % 7 {
+            5 => TreeOp::Delete(slot * 10),
+            6 => TreeOp::Update(slot * 10, i + 10_000),
+            _ => TreeOp::Insert(slot * 10 + 1 + i % 9, i + 1),
+        });
+        if i % 8 == 7 {
+            ops.push(TreeOp::Commit);
+        }
+    }
+    (loaded, ops)
+}
+
+/// Crashes — clean cuts and torn writes alike — landed on the *store* writes
+/// of append-path flushes, whose durable undo is a record count, not a page
+/// image: recovery must rebuild every pre-image from whatever mix of old and
+/// new bytes the crash left. The recovered tree equals the workload applied
+/// up to some op prefix, never shorter than the last acked `Commit`.
+#[test]
+fn crashes_on_append_path_page_writes_recover_to_an_acked_prefix() {
+    let (mut rng, seed) = seeded_rng();
+    let (loaded, ops) = append_workload();
+    let snapshots = prefix_snapshots_over(&loaded, &ops);
+
+    // Profiling run: the store's write submissions, and proof that the
+    // workload is what it claims to be.
+    let (store_clock, wal_clock) = (FaultClock::new(), FaultClock::new());
+    let mut tree = crashy_tree_on(&store_clock, &wal_clock, &loaded);
+    let base = store_clock.writes_seen();
+    run_tree_ops(&mut tree, &ops).expect("clean run must not fail");
+    let store_writes = store_clock.writes_seen() - base;
+    let stats = tree.stats();
+    drop(tree);
+    assert!(
+        stats.leaf_appends >= 100 && stats.leaf_appends >= 10 * stats.leaf_rewrites,
+        "the workload must live on the append path: {stats:?}"
+    );
+    assert!(store_writes > 20, "workload too small: {store_writes} store writes");
+
+    const TRIALS: usize = 80;
+    let (mut undone_pages, mut torn_trials) = (0usize, 0usize);
+    for trial in 0..TRIALS {
+        let k = rng.gen_range(0u64..store_writes);
+        let (store_clock, wal_clock) = (FaultClock::new(), FaultClock::new());
+        let mut tree = crashy_tree_on(&store_clock, &wal_clock, &loaded);
+        let mut plan = CrashPlan::at_write(store_clock.writes_seen() + k);
+        if trial % 4 != 0 {
+            // A torn batch: some whole segment pages land, the next one only
+            // up to a random byte (inside the header, the kept records, the
+            // appended records or the zero tail).
+            plan = plan.with_torn(TornWrite {
+                keep_requests: rng.gen_range(0usize..8),
+                keep_bytes_of_next: rng.gen_range(0usize..2_048),
+            });
+            torn_trials += 1;
+        }
+        store_clock.arm(plan);
+        // The process dies as one: the first log write after the store crash
+        // fails too (otherwise the survivor would log a `FlushAbort` for a
+        // rollback whose writes all failed).
+        let store_died = Arc::clone(&store_clock);
+        wal_clock.arm(CrashPlan::on_payload(move |_| store_died.tripped()));
+        let failed_at = run_tree_ops(&mut tree, &ops).expect_err(&format!(
+            "seed {seed} trial {trial}: store write {k}/{store_writes} must crash some op"
+        ));
+        let acked = ops[..failed_at]
+            .iter()
+            .rposition(|op| matches!(op, TreeOp::Commit))
+            .map_or(0, |i| i + 1);
+
+        store_clock.heal();
+        wal_clock.heal();
+        tree.simulate_crash();
+        let report = tree
+            .recover()
+            .unwrap_or_else(|e| panic!("seed {seed} trial {trial} store write {k}: recovery failed: {e}"));
+        undone_pages += report.undone_pages;
+        tree.check_invariants()
+            .unwrap_or_else(|e| panic!("seed {seed} trial {trial} store write {k}: invariants after undo: {e}"));
+        tree.checkpoint().unwrap_or_else(|e| {
+            panic!("seed {seed} trial {trial} store write {k}: post-recovery checkpoint failed: {e}")
+        });
+
+        let state: BTreeMap<u64, u64> = tree.range_search(0, u64::MAX).unwrap().into_iter().collect();
+        let last = (failed_at + 1).min(snapshots.len() - 1);
+        assert!(
+            snapshots[acked..=last].contains(&state),
+            "seed {seed} trial {trial} store write {k}: recovered state ({} entries, crashed op {failed_at}, \
+             report {report:?}) matches no op prefix in [{acked}, {last}] — an acked entry was lost or a \
+             half-applied flush shows",
+            state.len(),
+        );
+        tree.check_invariants()
+            .unwrap_or_else(|e| panic!("seed {seed} trial {trial} store write {k}: invariants violated: {e}"));
+    }
+    assert!(
+        undone_pages >= TRIALS && torn_trials >= TRIALS / 2,
+        "seed {seed}: the sweep must exercise the undo of appended pages ({undone_pages} pages undone, \
+         {torn_trials} torn trials)"
+    );
+}
+
+/// A WAL-on tree whose whole population is one bulk-loaded leaf (2 segments
+/// of 102 records) and whose flushes are all explicit: the OPQ holds any batch
+/// the scripted tests queue, and one `flush_once` takes all of it.
+fn one_leaf_tree(loaded: &[(u64, u64)]) -> PioBTree {
+    let config = PioConfig::builder()
+        .page_size(2048)
+        .leaf_segments(2)
+        .opq_pages(8)
+        .bcnt(512)
+        .pio_max(8)
+        .speriod(32)
+        .pool_pages(64)
+        .build();
+    let sim = |bytes| Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, bytes));
+    let store = Arc::new(CachedStore::new(
+        PageStore::new(sim(1 << 26), 2048),
+        64,
+        WritePolicy::WriteThrough,
+    ));
+    let mut tree = PioBTree::bulk_load(store, loaded, config).unwrap();
+    tree.attach_wal(Wal::new(sim(16 << 20), 0, 2048));
+    tree
+}
+
+/// All pages of `tree`'s store, read below the cache.
+fn raw_pages(tree: &PioBTree) -> Vec<Vec<u8>> {
+    let store = tree.store().store();
+    (0..store.high_water_pages())
+        .map(|p| store.read_page(p).unwrap())
+        .collect()
+}
+
+/// The chain case. Flush A *appends* an epoch's records to a leaf; flush B
+/// *rewrites* the same leaf on the full path (the region shrinks and
+/// re-sorts). Recovery discards the epoch, which poisons A, so the suffix
+/// {A, B} unwinds newest-first: B's pre-images put back the region as A left
+/// it, and only then can A's logical undo — which reads the page — cut the
+/// segment back to its old record count. Exact against the oracle, and a
+/// second recovery over the same log changes nothing.
+#[test]
+fn a_logical_undo_composes_under_a_newer_full_path_rewrite() {
+    // One leaf of 100 records: 2 free slots in its first segment.
+    let loaded: Vec<(u64, u64)> = (0..100u64).map(|k| (k * 10, k)).collect();
+    let mut tree = one_leaf_tree(&loaded);
+    let mut oracle: BTreeMap<u64, u64> = loaded.iter().copied().collect();
+    let loaded_pages = raw_pages(&tree);
+    // The single leaf is the first region the bulk load allocated.
+    let leaf = loaded_pages.iter().position(|page| PioLeaf::is_segment(page)).unwrap();
+
+    // Flush A: 60 epoch-5 inserts, appended — 2 into the first segment, 58
+    // spilling into the (until now empty) second.
+    let doomed: Vec<(u64, u64)> = (0..60u64).map(|k| (k * 10 + 5, k + 500)).collect();
+    tree.insert_batch_epoch(&doomed, 5).unwrap();
+    tree.flush_once().unwrap();
+    assert_eq!((tree.stats().leaf_appends, tree.stats().leaf_rewrites), (1, 0));
+    // Flush B: 50 updates outside any epoch. 160 + 50 records overflow the
+    // leaf, so it takes the full path and shrinks to 160 sorted records.
+    for k in 0..50u64 {
+        tree.update(k * 10, k + 9_000).unwrap();
+        oracle.insert(k * 10, k + 9_000);
+    }
+    tree.flush_once().unwrap();
+    assert_eq!((tree.stats().leaf_appends, tree.stats().leaf_rewrites), (1, 1));
+    assert_eq!(tree.stats().leaf_splits, 0, "the shrunken leaf must fit again");
+
+    tree.simulate_crash();
+    let first = tree.recover_with(&mut |epoch| epoch != 5).unwrap();
+    assert_eq!(first.unwound_flushes, 2, "A is poisoned, B unwinds with it: {first:?}");
+    assert_eq!(first.discarded, 60);
+    assert_eq!(first.redone, 50, "B's surviving updates are re-queued");
+    assert_eq!(tree.check_invariants().unwrap(), 100);
+    let after_first = raw_pages(&tree);
+    assert!(
+        after_first[leaf] == loaded_pages[leaf],
+        "the appended-to segment is back to its loaded image, byte for byte"
+    );
+    assert!(
+        after_first[leaf + 1].iter().all(|&b| b == 0),
+        "the segment the append spilled into is a never-written page again"
+    );
+
+    // Recovering again — same log, same verdict — must be a fixed point.
+    tree.simulate_crash();
+    let second = tree.recover_with(&mut |epoch| epoch != 5).unwrap();
+    assert_eq!(
+        (second.unwound_flushes, second.discarded, second.redone),
+        (first.unwound_flushes, first.discarded, first.redone)
+    );
+    assert!(
+        raw_pages(&tree) == after_first,
+        "a second recovery must not change a page"
+    );
+
+    tree.checkpoint().unwrap();
+    let state: BTreeMap<u64, u64> = tree.range_search(0, u64::MAX).unwrap().into_iter().collect();
+    assert_eq!(state, oracle, "updates kept, epoch 5 gone");
+    tree.check_invariants().unwrap();
+}
+
+/// Format compatibility: a log written before the logical undo record existed
+/// holds a full page pre-image (tag 4) for an appended segment too, and must
+/// keep recovering exactly as it did — the pre-image goes back byte for byte.
+#[test]
+fn an_old_format_append_preimage_still_recovers() {
+    let loaded: Vec<(u64, u64)> = (0..40u64).map(|k| (k * 10, k)).collect();
+    let mut tree = one_leaf_tree(&loaded);
+    let before = raw_pages(&tree);
+    // The single leaf is the first region the bulk load allocated.
+    let leaf = before.iter().position(|page| PioLeaf::is_segment(page)).unwrap() as u64;
+    let preimage = before[leaf as usize].clone();
+
+    // The old binary's flush 1, by hand: redo records, FlushStart, the tag-4
+    // pre-image of the appended segment — forced — and then the segment write
+    // itself. The crash comes before FlushEnd.
+    let added: Vec<OpEntry> = (0..20u64).map(|k| OpEntry::insert(k * 10 + 3, k + 700)).collect();
+    let wal = tree.wal().unwrap();
+    for (tx, entry) in added.iter().enumerate() {
+        wal.append(
+            &LogRecord::LogicalRedo {
+                tx: tx as u64 + 1,
+                entry: *entry,
+            }
+            .encode(),
+        );
+    }
+    wal.append(
+        &LogRecord::FlushStart {
+            flush_id: 1,
+            key_lo: added[0].key,
+            key_hi: added[19].key,
+            hi_ties: 1,
+        }
+        .encode(),
+    );
+    let undo = LogRecord::FlushUndo {
+        flush_id: 1,
+        page: leaf,
+        preimage: preimage.clone(),
+    };
+    assert_eq!(undo.encode()[0], 4, "the old format's tag");
+    wal.append(&undo.encode());
+    wal.force().unwrap();
+    let mut records = PioLeaf::decode_segment(&preimage);
+    records.extend(&added);
+    let mut appended = vec![0u8; 2048];
+    PioLeaf::encode_segment_into(&records, &mut appended);
+    tree.store().write_page(leaf, &appended).unwrap();
+
+    tree.simulate_crash();
+    let report = tree.recover().unwrap();
+    assert_eq!((report.incomplete_flushes, report.undone_pages), (1, 1), "{report:?}");
+    assert_eq!(report.redone, 20, "the interrupted flush's batch is re-queued");
+    assert!(raw_pages(&tree) == before, "the pre-image goes back byte for byte");
+
+    tree.checkpoint().unwrap();
+    let state: BTreeMap<u64, u64> = tree.range_search(0, u64::MAX).unwrap().into_iter().collect();
+    let oracle: BTreeMap<u64, u64> = loaded
+        .iter()
+        .copied()
+        .chain(added.iter().map(|e| (e.key, e.value)))
+        .collect();
+    assert_eq!(state, oracle);
+    tree.check_invariants().unwrap();
 }
 
 #[test]
