@@ -25,292 +25,16 @@
 //! completed flush — a record is covered when a completed flush started after the
 //! record was logged and the record's key falls inside the flushed key range.
 
-use crate::entry::{OpEntry, OpKind};
+use crate::entry::OpEntry;
+use crate::tree::flush::{FlushJournal, Undo};
+use crate::tree::PioBTree;
 use btree::Key;
-use storage::PageId;
+use pio::IoResult;
+use std::collections::HashMap;
 
-/// Transaction identifier used in the log records (the reproduction runs every index
-/// operation as its own committed transaction, but the format carries the id so a
-/// transaction manager could be layered on top).
-pub type TxId = u64;
+mod record;
 
-/// The PIO-B-tree-specific transaction log records of Table 2.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogRecord {
-    /// Logical redo log: one per OPQ append.
-    LogicalRedo {
-        /// Transaction that issued the operation.
-        tx: TxId,
-        /// The queued index operation.
-        entry: OpEntry,
-    },
-    /// Flush event log written immediately before an OPQ flush begins.
-    FlushStart {
-        /// Monotonically increasing flush identifier.
-        flush_id: u64,
-        /// Smallest key in the flushed batch.
-        key_lo: Key,
-        /// Largest key in the flushed batch (inclusive).
-        key_hi: Key,
-        /// Number of batch entries whose key equals `key_hi`. `take_batch` removes
-        /// the smallest-key prefix of the sorted OPQ, so the only entries the key
-        /// range alone cannot classify are ties at `key_hi`: the batch holds the
-        /// *oldest* `hi_ties` of them and any younger ties stay queued. Recovery
-        /// uses this count to avoid skipping an unflushed tie (which would lose
-        /// it) — see `PioBTree::recover_with`.
-        hi_ties: u32,
-    },
-    /// Flush event log written after an OPQ flush completed (all node writes durable).
-    FlushEnd {
-        /// Identifier matching the corresponding [`LogRecord::FlushStart`].
-        flush_id: u64,
-    },
-    /// Flush event log written after a *failed* flush was rolled back **in
-    /// process** (its preimages were written back to the device). Recovery must
-    /// not undo an aborted flush — its pages were already restored, and a later
-    /// retry flush may have legitimately rewritten them — but unlike
-    /// [`LogRecord::FlushEnd`], an aborted flush covers no logical records: its
-    /// batch went back to the OPQ, so those records must still be redone.
-    FlushAbort {
-        /// Identifier matching the corresponding [`LogRecord::FlushStart`].
-        flush_id: u64,
-    },
-    /// Flush undo log of a page a flush **rewrote** (a full-path leaf region
-    /// page, an internal node): the page's pre-image.
-    FlushUndo {
-        /// Identifier of the flush this undo information belongs to.
-        flush_id: u64,
-        /// The page that was overwritten.
-        page: PageId,
-        /// The page's contents before the flush (all zeroes for a freshly allocated
-        /// page).
-        preimage: Vec<u8>,
-    },
-    /// Checkpoint marker: everything before this point is durable and the OPQ was
-    /// empty when it was written.
-    Checkpoint,
-    /// Opens an engine-assigned batch bracket: every [`LogRecord::LogicalRedo`]
-    /// between this record and the matching [`LogRecord::BatchEnd`] belongs to
-    /// cross-shard epoch `epoch`. The engine's recovery decides per epoch whether
-    /// those records are replayed or discarded (all-or-nothing across shards).
-    BatchBegin {
-        /// The engine-level epoch identifier.
-        epoch: u64,
-    },
-    /// Closes the batch bracket opened by the matching [`LogRecord::BatchBegin`].
-    BatchEnd {
-        /// The engine-level epoch identifier.
-        epoch: u64,
-    },
-    /// Root-change log: written (and forced) immediately **before** a flush grows
-    /// the tree by installing a new root. It carries both directions of the move:
-    /// the previous root/height let recovery *rewind* the growth when it undoes
-    /// the flush (without it, an undone flush would leave the tree pointing at a
-    /// root whose subtrees duplicate the restored pages), and the new root/height
-    /// let a **reopened** tree *roll forward* — a restart begins from its
-    /// persisted manifest snapshot, which may predate completed flushes, and
-    /// replaying the surviving root moves in log order lands it on the current
-    /// root.
-    FlushRoot {
-        /// Identifier of the flush that grew the root.
-        flush_id: u64,
-        /// Root page before the growth.
-        prev_root: PageId,
-        /// Tree height before the growth.
-        prev_height: u64,
-        /// Root page installed by the growth.
-        new_root: PageId,
-        /// Tree height after the growth.
-        new_height: u64,
-    },
-    /// Allocation log: a run of pages the flush allocated (split siblings, new
-    /// internal nodes, the new root). When recovery undoes the flush it returns
-    /// these pages to the free list — the crash-time analogue of the in-process
-    /// rollback's allocation reclaim — so unwound flushes do not strand store
-    /// space.
-    FlushAlloc {
-        /// Identifier of the flush that allocated the pages.
-        flush_id: u64,
-        /// First page of the contiguous run.
-        first: PageId,
-        /// Number of pages in the run.
-        pages: u64,
-    },
-    /// Flush undo log of a leaf segment a flush only **appended** to: the
-    /// append never changes the bytes of the records already there, so the old
-    /// record count is all it takes to undo it — recovery rebuilds the
-    /// pre-image from the page itself ([`crate::leaf::PioLeaf::undo_append`]).
-    FlushAppendUndo {
-        /// Identifier of the flush this undo information belongs to.
-        flush_id: u64,
-        /// The segment page that was appended to.
-        page: PageId,
-        /// Records the segment held before the append.
-        old_count: u16,
-        /// `true` for a segment the append spilled into: it held nothing
-        /// before this flush, and undo resets it to a never-written page.
-        fresh: bool,
-    },
-}
-
-impl LogRecord {
-    /// Serialises the record into a byte payload for the WAL.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Appends the record's payload to `out` (the form [`storage::Wal::append_with`]
-    /// takes: the record is serialised straight into the log's pending image).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            LogRecord::LogicalRedo { tx, entry } => {
-                out.push(1);
-                out.extend_from_slice(&tx.to_le_bytes());
-                out.extend_from_slice(&entry.key.to_le_bytes());
-                out.extend_from_slice(&entry.value.to_le_bytes());
-                out.push(entry.op.to_byte());
-            }
-            LogRecord::FlushStart {
-                flush_id,
-                key_lo,
-                key_hi,
-                hi_ties,
-            } => {
-                out.push(2);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-                out.extend_from_slice(&key_lo.to_le_bytes());
-                out.extend_from_slice(&key_hi.to_le_bytes());
-                out.extend_from_slice(&hi_ties.to_le_bytes());
-            }
-            LogRecord::FlushEnd { flush_id } => {
-                out.push(3);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-            }
-            LogRecord::FlushUndo {
-                flush_id,
-                page,
-                preimage,
-            } => {
-                out.push(4);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&(preimage.len() as u32).to_le_bytes());
-                out.extend_from_slice(preimage);
-            }
-            LogRecord::Checkpoint => out.push(5),
-            LogRecord::FlushAbort { flush_id } => {
-                out.push(6);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-            }
-            LogRecord::BatchBegin { epoch } => {
-                out.push(7);
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            LogRecord::BatchEnd { epoch } => {
-                out.push(8);
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            LogRecord::FlushRoot {
-                flush_id,
-                prev_root,
-                prev_height,
-                new_root,
-                new_height,
-            } => {
-                out.push(9);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-                out.extend_from_slice(&prev_root.to_le_bytes());
-                out.extend_from_slice(&prev_height.to_le_bytes());
-                out.extend_from_slice(&new_root.to_le_bytes());
-                out.extend_from_slice(&new_height.to_le_bytes());
-            }
-            LogRecord::FlushAlloc { flush_id, first, pages } => {
-                out.push(10);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-                out.extend_from_slice(&first.to_le_bytes());
-                out.extend_from_slice(&pages.to_le_bytes());
-            }
-            LogRecord::FlushAppendUndo {
-                flush_id,
-                page,
-                old_count,
-                fresh,
-            } => {
-                out.push(11);
-                out.extend_from_slice(&flush_id.to_le_bytes());
-                out.extend_from_slice(&page.to_le_bytes());
-                out.extend_from_slice(&old_count.to_le_bytes());
-                out.push(u8::from(*fresh));
-            }
-        }
-    }
-
-    /// Parses a payload produced by [`LogRecord::encode`]. Returns `None` for corrupt
-    /// or unknown payloads.
-    pub fn decode(buf: &[u8]) -> Option<Self> {
-        let u64_at =
-            |off: usize| -> Option<u64> { buf.get(off..off + 8).map(|b| u64::from_le_bytes(b.try_into().unwrap())) };
-        match *buf.first()? {
-            1 => {
-                let tx = u64_at(1)?;
-                let key = u64_at(9)?;
-                let value = u64_at(17)?;
-                let op = OpKind::from_byte(*buf.get(25)?)?;
-                Some(LogRecord::LogicalRedo {
-                    tx,
-                    entry: OpEntry { key, value, op },
-                })
-            }
-            2 => Some(LogRecord::FlushStart {
-                flush_id: u64_at(1)?,
-                key_lo: u64_at(9)?,
-                key_hi: u64_at(17)?,
-                hi_ties: u32::from_le_bytes(buf.get(25..29)?.try_into().unwrap()),
-            }),
-            3 => Some(LogRecord::FlushEnd { flush_id: u64_at(1)? }),
-            4 => {
-                let flush_id = u64_at(1)?;
-                let page = u64_at(9)?;
-                let len = u32::from_le_bytes(buf.get(17..21)?.try_into().unwrap()) as usize;
-                let preimage = buf.get(21..21 + len)?.to_vec();
-                Some(LogRecord::FlushUndo {
-                    flush_id,
-                    page,
-                    preimage,
-                })
-            }
-            5 => Some(LogRecord::Checkpoint),
-            6 => Some(LogRecord::FlushAbort { flush_id: u64_at(1)? }),
-            7 => Some(LogRecord::BatchBegin { epoch: u64_at(1)? }),
-            8 => Some(LogRecord::BatchEnd { epoch: u64_at(1)? }),
-            9 => Some(LogRecord::FlushRoot {
-                flush_id: u64_at(1)?,
-                prev_root: u64_at(9)?,
-                prev_height: u64_at(17)?,
-                new_root: u64_at(25)?,
-                new_height: u64_at(33)?,
-            }),
-            10 => Some(LogRecord::FlushAlloc {
-                flush_id: u64_at(1)?,
-                first: u64_at(9)?,
-                pages: u64_at(17)?,
-            }),
-            11 => Some(LogRecord::FlushAppendUndo {
-                flush_id: u64_at(1)?,
-                page: u64_at(9)?,
-                old_count: u16::from_le_bytes(buf.get(17..19)?.try_into().unwrap()),
-                fresh: match *buf.get(19)? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-            }),
-            _ => None,
-        }
-    }
-}
+pub use record::{LogRecord, TxId};
 
 /// One completed, non-aborted flush as the attribution pass sees it: the key
 /// range its `FlushStart` record declared, plus the caller's tag for it.
@@ -420,6 +144,333 @@ pub struct RecoveryReport {
     /// `true` when the log ended in a torn or corrupt record: replay stopped
     /// cleanly at the last intact record instead of skipping garbage mid-log.
     pub torn_tail: bool,
+}
+
+impl PioBTree {
+    /// Simulates a crash: the volatile OPQ, buffer pool and LSMap are lost, as are
+    /// any WAL records that were never forced. Returns the number of OPQ entries
+    /// lost. (The root pointer survives — standing in for the superblock a real
+    /// deployment would read it from; [`PioBTree::recover`] rewinds it when the
+    /// flush that moved it is undone.)
+    pub fn simulate_crash(&mut self) -> usize {
+        let lost = self.opq.len();
+        self.opq.clear();
+        self.store.drop_cache();
+        // The checksum sidecar dies with the process: after a torn write the
+        // device holds pre-crash bytes that the recorded checksum would
+        // wrongly indict.
+        self.store.reset_integrity();
+        self.tier.invalidate();
+        self.lsmap.clear();
+        // In-flight epoch verdicts die with the process; recovery re-derives
+        // every epoch's fate from the engine log before truncation resumes.
+        self.open_brackets.clear();
+        if let Some(wal) = &self.wal {
+            wal.simulate_crash();
+        }
+        lost
+    }
+
+    /// ARIES-style restart recovery (Section 3.4): undo any incomplete flush from its
+    /// undo records, then re-apply (re-append to the OPQ) every logical redo record
+    /// not covered by a completed flush. Equivalent to
+    /// [`PioBTree::recover_with`] with a filter that keeps every epoch.
+    pub fn recover(&mut self) -> IoResult<RecoveryReport> {
+        self.recover_with(&mut |_| true)
+    }
+
+    /// Restart recovery with an externally supplied epoch verdict: `keep_epoch`
+    /// is consulted once per cross-shard epoch found in the log (the brackets
+    /// written by [`PioBTree::apply`]) and decides whether that
+    /// epoch's logical records are replayed (`true`) or discarded (`false`).
+    /// Records outside any bracket are always replayed. The sharded engine calls
+    /// this with the verdicts of its engine-level epoch log, which is what makes
+    /// a cross-shard batch all-or-nothing.
+    ///
+    /// The pass proceeds in four steps:
+    ///
+    /// 1. **Rescan + analysis** — the WAL re-derives its durable LSN from the
+    ///    device ([`storage::Wal::rescan`]), so records completed by a torn force are
+    ///    seen; replay stops cleanly at the first torn or corrupt record
+    ///    (`torn_tail` in the report).
+    /// 2. **Attribution** — every logical record is attributed to the completed
+    ///    flush that certainly applied it, if any. `take_batch` removes the
+    ///    smallest-key prefix of the sorted OPQ, so a flush certainly applied a
+    ///    record iff the record predates the flush, was not applied earlier, and
+    ///    its key is strictly inside the flushed range — or ties the range's
+    ///    upper bound and is among the oldest `hi_ties` unattributed ties.
+    ///    Anything the attribution cannot prove flushed is redone instead
+    ///    (redo is idempotent; skipping an unflushed record would lose it).
+    ///    The flush/transaction counters and the store's allocation frontier
+    ///    are also rolled forward past everything the log proves happened, and
+    ///    the surviving `FlushRoot` moves are replayed in log order — so a tree
+    ///    reopened from a stale manifest snapshot ([`PioBTree::open`]) converges
+    ///    on the crashed process's state before undo begins.
+    /// 3. **Undo** — the incomplete flush (if any) and every *poisoned* flush — a
+    ///    completed flush that applied a discarded record — are undone, newest
+    ///    flush first, together with every later flush (a flush's undo records
+    ///    describe the state the newer flushes wrote over, so the chain must
+    ///    unwind as a suffix). A rewritten page gets its logged preimage back;
+    ///    an appended-to leaf segment is cut back to its logged record count,
+    ///    working from the page as the newer flushes' undo left it on the
+    ///    device ([`crate::PioLeaf::undo_append`] — exact on a torn page too). Root
+    ///    growths are rewound from their `FlushRoot` records.
+    /// 4. **Redo** — surviving records not attributed to a surviving flush are
+    ///    re-appended to the OPQ in log order; discarded records are dropped.
+    pub fn recover_with(&mut self, keep_epoch: &mut dyn FnMut(u64) -> bool) -> IoResult<RecoveryReport> {
+        self.open_brackets.clear();
+        // The pre-crash snapshot may describe structure the crash rolled back;
+        // stay cold until the pass settles on the recovered root.
+        self.tier.invalidate();
+        let Some(wal) = &self.wal else {
+            return Ok(RecoveryReport::default());
+        };
+        let mut report = RecoveryReport::default();
+        let (rescan, scan) = wal.recover_scan()?;
+        report.torn_tail = rescan.torn_tail || scan.torn_tail;
+        report.scanned = scan.records.len();
+
+        // ------------------------------------------------------------- analysis --
+        #[derive(Debug)]
+        struct FlushInfo {
+            /// What its `FlushStart` declared; the tag is its index in `flushes`.
+            span: FlushSpan,
+            complete: bool,
+            /// Rolled back in process before the crash: skip its undo records (the
+            /// pages were already restored, and a retry flush may have rewritten
+            /// them); it covers no logical records (its batch went back to the OPQ).
+            aborted: bool,
+            /// Its undo, root and allocation records, in log order.
+            journal: FlushJournal,
+        }
+        let mut flushes: Vec<FlushInfo> = Vec::new();
+        // flush_id → index in `flushes` (the per-record lookups below must not
+        // rescan the flush list — logs are never truncated, so they grow).
+        let mut flush_idx: HashMap<u64, usize> = HashMap::new();
+        // (lsn, entry, enclosing cross-shard epoch).
+        let mut logical: Vec<(u64, OpEntry, Option<u64>)> = Vec::new();
+        let mut current_epoch: Option<u64> = None;
+        let mut max_tx: u64 = 0;
+        for rec in &scan.records {
+            match LogRecord::decode(&rec.payload) {
+                None => {
+                    // A corrupt record: everything after it is untrustworthy.
+                    // Stop replay cleanly at the last intact record.
+                    report.torn_tail = true;
+                    break;
+                }
+                Some(LogRecord::LogicalRedo { tx, entry }) => {
+                    max_tx = max_tx.max(tx);
+                    logical.push((rec.lsn, entry, current_epoch));
+                }
+                Some(LogRecord::BatchBegin { epoch }) => current_epoch = Some(epoch),
+                Some(LogRecord::BatchEnd { .. }) => current_epoch = None,
+                Some(LogRecord::FlushStart {
+                    flush_id,
+                    key_lo,
+                    key_hi,
+                    hi_ties,
+                }) => {
+                    flush_idx.insert(flush_id, flushes.len());
+                    flushes.push(FlushInfo {
+                        span: FlushSpan {
+                            tag: flushes.len(),
+                            start_lsn: rec.lsn,
+                            key_lo,
+                            key_hi,
+                            hi_ties,
+                        },
+                        complete: false,
+                        aborted: false,
+                        journal: FlushJournal::new(flush_id),
+                    });
+                }
+                Some(LogRecord::FlushEnd { flush_id }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        flushes[i].complete = true;
+                    }
+                }
+                Some(LogRecord::FlushAbort { flush_id }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        flushes[i].aborted = true;
+                    }
+                }
+                Some(LogRecord::FlushUndo {
+                    flush_id,
+                    page,
+                    preimage,
+                }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        flushes[i].journal.steps.push((page, Undo::Image(preimage)));
+                    }
+                }
+                Some(LogRecord::FlushAppendUndo {
+                    flush_id,
+                    page,
+                    old_count,
+                    fresh,
+                }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        let keep = (!fresh).then_some(old_count as usize);
+                        flushes[i].journal.steps.push((page, Undo::Append(keep)));
+                    }
+                }
+                Some(LogRecord::FlushRoot {
+                    flush_id,
+                    prev_root,
+                    prev_height,
+                    new_root,
+                    new_height,
+                }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        flushes[i]
+                            .journal
+                            .roots
+                            .push((prev_root, prev_height as usize, new_root, new_height as usize));
+                    }
+                }
+                Some(LogRecord::FlushAlloc { flush_id, first, pages }) => {
+                    if let Some(&i) = flush_idx.get(&flush_id) {
+                        flushes[i].journal.allocs.push((first, pages));
+                    }
+                }
+                Some(LogRecord::Checkpoint) => {}
+            }
+        }
+        if let Some(epoch) = current_epoch {
+            // The log ends inside an epoch bracket (the crash hit between
+            // `BatchBegin` and `BatchEnd`). Close it durably now: otherwise
+            // every record logged *after* this recovery would be misattributed
+            // to the stale epoch — and dropped by the next recovery if the
+            // epoch's verdict was discard.
+            wal.append(&LogRecord::BatchEnd { epoch }.encode());
+            wal.force()?;
+        }
+        report.aborted_flushes = flushes.iter().filter(|i| i.aborted).count();
+
+        // Counter continuity across restarts: a reopened tree starts its flush
+        // and transaction counters at 1, but the log already holds higher ids —
+        // and a duplicated flush id would corrupt the next recovery's
+        // attribution (flush_idx keeps only the newest occurrence).
+        let max_flush_id = flushes.iter().map(|i| i.journal.flush_id).max().unwrap_or(0);
+        self.next_flush_id = self.next_flush_id.max(max_flush_id + 1);
+        self.next_tx = self.next_tx.max(max_tx + 1);
+
+        // Allocation roll-forward: every flush allocation in the log lies below
+        // the allocator frontier the crashed process had reached, but a reopened
+        // store starts from its manifest snapshot's (possibly older) frontier.
+        // Raise it over every logged run *before* any undo frees pages — freeing
+        // a page the bump allocator has not reached would hand it out twice.
+        let alloc_frontier = flushes
+            .iter()
+            .flat_map(|info| info.journal.allocs.iter())
+            .map(|&(first, n)| first + n)
+            .max()
+            .unwrap_or(0);
+        if alloc_frontier > 0 {
+            self.store.ensure_high_water(alloc_frontier);
+        }
+
+        // Epoch verdicts, one filter call per distinct epoch.
+        let mut fate: HashMap<u64, bool> = HashMap::new();
+        let drops: Vec<bool> = logical
+            .iter()
+            .map(|&(_, _, epoch)| match epoch {
+                None => false,
+                Some(e) => !*fate.entry(e).or_insert_with(|| keep_epoch(e)),
+            })
+            .collect();
+
+        // ---------------------------------------------------------- attribution --
+        // Walk the completed flushes in start order; each consumes the records it
+        // certainly applied (a record is consumed at most once — by the first
+        // flush that took it out of the OPQ). The indexed pass in
+        // [`attribute_flushed_records`] visits each record O(1) times,
+        // keeping recovery proportional to the truncated log's length rather
+        // than flushes × records.
+        let mut order: Vec<usize> = (0..flushes.len())
+            .filter(|&f| flushes[f].complete && !flushes[f].aborted)
+            .collect();
+        order.sort_by_key(|&f| flushes[f].span.start_lsn);
+
+        // Root roll-forward: replay the surviving root moves in log order, so a
+        // reopened tree whose manifest snapshot predates completed flushes lands
+        // on the current root. In-place recovery is unaffected — the in-memory
+        // root already equals the newest surviving move's target (every root
+        // change is logged and forced before the new root is written), and moves
+        // of incomplete or aborted flushes are skipped here exactly as their
+        // flushes are rewound (or were already rolled back) below.
+        for &f in &order {
+            for &(_, _, new_root, new_height) in &flushes[f].journal.roots {
+                self.root = new_root;
+                self.height = new_height;
+            }
+        }
+        let spans: Vec<FlushSpan> = order.iter().map(|&f| flushes[f].span).collect();
+        let keyed: Vec<(u64, Key)> = logical.iter().map(|&(lsn, entry, _)| (lsn, entry.key)).collect();
+        let mut visits = 0usize;
+        let consumed_by = attribute_flushed_records(&keyed, &spans, &mut visits);
+
+        // ----------------------------------------------------------------- undo --
+        // The undo set: the incomplete flush, every poisoned flush (a completed
+        // flush that applied a discarded record), and — because undo records
+        // only compose as a suffix — every flush that started after the
+        // earliest of those.
+        let poisoned_start = (0..logical.len())
+            .filter(|&i| drops[i])
+            .filter_map(|i| consumed_by[i])
+            .map(|f| flushes[f].span.start_lsn)
+            .min();
+        let incomplete_start = flushes
+            .iter()
+            .filter(|i| !i.complete && !i.aborted)
+            .map(|i| i.span.start_lsn)
+            .min();
+        let min_undo_start = match (poisoned_start, incomplete_start) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        };
+        let mut undone: Vec<bool> = vec![false; flushes.len()];
+        if let Some(min_start) = min_undo_start {
+            let mut to_undo: Vec<usize> = (0..flushes.len())
+                .filter(|&f| !flushes[f].aborted && flushes[f].span.start_lsn >= min_start)
+                .collect();
+            // Newest first: each flush's undo restores the state the flushes
+            // before it wrote, so the chain unwinds in reverse start order.
+            to_undo.sort_by_key(|&f| std::cmp::Reverse(flushes[f].span.start_lsn));
+            for f in to_undo {
+                let journal = std::mem::take(&mut flushes[f].journal);
+                if flushes[f].complete {
+                    report.unwound_flushes += 1;
+                } else {
+                    report.incomplete_flushes += 1;
+                }
+                report.undone_pages += journal.steps.len();
+                self.undo_flush(journal)?;
+                undone[f] = true;
+            }
+            // Whatever the LSMap claimed about the undone leaves is stale; it is
+            // a cache, so dropping all of it is always safe.
+            self.lsmap.clear();
+        }
+
+        // ----------------------------------------------------------------- redo --
+        for (i, (_, entry, _)) in logical.iter().enumerate() {
+            if drops[i] {
+                report.discarded += 1;
+            } else if consumed_by[i].is_some_and(|f| !undone[f]) {
+                report.skipped_flushed += 1;
+            } else {
+                report.redone += 1;
+                self.opq.append(*entry);
+            }
+        }
+        // The recovered structure is now authoritative; re-pin the inner tier
+        // (best effort — a failed rebuild just leaves it cold).
+        self.rebuild_tier_after_structural_change();
+        Ok(report)
+    }
 }
 
 #[cfg(test)]

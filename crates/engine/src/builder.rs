@@ -29,12 +29,21 @@
 //! state ([`crate::RealFiles`]), it reopens the persisted manifest, restores
 //! every shard's superblock snapshot and replays the WALs.
 
+use crate::commit::EpochCoordinator;
 use crate::config::EngineConfig;
 use crate::epoch::EngineRecoveryReport;
-use crate::sharded::{boundaries_from_sample, boundaries_from_sorted, ShardedPioEngine};
-use crate::topology::{DevicePerShard, ProvisionMode, ShardProvisioner};
+use crate::maintenance::{DirtyState, MaintenanceWorker};
+use crate::routing::{boundaries_from_sample, boundaries_from_sorted, shard_range, RoutingState};
+use crate::scheduler::WorkerPool;
+use crate::shard::{build_shard, Shard};
+use crate::sharded::{EngineInner, ShardedPioEngine};
+use crate::stats::EngineCounters;
+use crate::topology::{DevicePerShard, EngineBackends, EngineManifest, ProvisionMode, ShardProvisioner};
 use btree::{Key, Value};
-use pio::{IoError, IoResult};
+use parking_lot::{Mutex, RwLock};
+use pio::{IoError, IoQueue, IoResult};
+use pio_btree::PioBTree;
+use std::sync::Arc;
 
 /// Builds a [`ShardedPioEngine`] over a storage topology.
 ///
@@ -108,7 +117,10 @@ impl<'a> EngineBuilder<'a> {
     /// entries are a caller bug and panic.
     pub fn build(self) -> IoResult<ShardedPioEngine> {
         self.config.validate().map_err(IoError::InvalidConfig)?;
-        ShardedPioEngine::check_sorted(self.entries);
+        assert!(
+            self.entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "bulk_load requires sorted, duplicate-free input"
+        );
         let bounds = match self.key_sample {
             Some(sample) => boundaries_from_sample(sample, self.config.shards),
             None => boundaries_from_sorted(self.entries.len(), |i| self.entries[i].0, self.config.shards),
@@ -159,5 +171,206 @@ impl<'a> EngineBuilder<'a> {
         let engine = ShardedPioEngine::reopen(self.config, manifest, backends, self.topology)?;
         let report = engine.recover()?;
         Ok((engine, report))
+    }
+}
+
+/// Assembly: how [`EngineBuilder`] turns provisioned backends into a running
+/// engine, fresh ([`ShardedPioEngine::assemble`]) or reopened
+/// ([`ShardedPioEngine::reopen`]).
+impl ShardedPioEngine {
+    /// The provisioned backends must match the configuration before anything is
+    /// built on them.
+    fn validate_backends(config: &EngineConfig, backends: &EngineBackends) -> IoResult<()> {
+        let wal = config.base.wal_enabled;
+        if backends.shard_stores.len() != config.shards
+            || (wal && (backends.shard_wals.len() != config.shards || backends.engine_wal.is_none()))
+        {
+            return Err(pio::IoError::InvalidConfig(format!(
+                "the topology must supply one store{} backend per shard ({} shards){}",
+                if wal { " and one WAL" } else { "" },
+                config.shards,
+                if wal { " plus the engine epoch-log backend" } else { "" },
+            )));
+        }
+        Ok(())
+    }
+
+    /// Assembles a fresh engine over provisioned backends: splits the (sorted)
+    /// entries at the boundary keys, bulk loads every shard, and persists the
+    /// initial manifest snapshot. Called by [`EngineBuilder::build`].
+    pub(crate) fn assemble(
+        config: EngineConfig,
+        entries: &[(Key, Value)],
+        bounds: Vec<Key>,
+        backends: EngineBackends,
+        topology: Box<dyn ShardProvisioner>,
+    ) -> IoResult<Self> {
+        if bounds.len() != config.shards - 1 {
+            return Err(pio::IoError::InvalidConfig(format!(
+                "key space cannot be cut into {} shards",
+                config.shards
+            )));
+        }
+        Self::validate_backends(&config, &backends)?;
+        let shard_cfg = config.shard_config();
+
+        // Split the (sorted) entries at the boundary keys.
+        let mut shards = Vec::with_capacity(config.shards);
+        let mut build_makespan_us = 0.0f64;
+        let mut rest = entries;
+        for i in 0..config.shards {
+            let (_, hi) = shard_range(&bounds, i, config.shards);
+            let cut = if i == config.shards - 1 {
+                rest.len()
+            } else {
+                rest.partition_point(|&(k, _)| k < hi)
+            };
+            let (mine, others) = rest.split_at(cut);
+            rest = others;
+            let shard = build_shard(
+                &shard_cfg,
+                config.retry_policy(),
+                Arc::clone(&backends.shard_stores[i]),
+                backends.shard_wals.get(i),
+                |store| PioBTree::bulk_load(store, mine, shard_cfg.clone()),
+            )?;
+            // Shard loads run as concurrent streams like every other engine
+            // operation, so the schedule is charged the slowest shard's build.
+            build_makespan_us = build_makespan_us.max(shard.tree.lock().io_elapsed_us());
+            shards.push(shard);
+        }
+        // A freshly built engine is clean: clear any stale marker left in the
+        // topology's durable state by a previous incarnation.
+        topology.set_dirty(false)?;
+        let engine = Self::finish(
+            config,
+            shards,
+            bounds,
+            backends.engine_wal,
+            build_makespan_us,
+            topology,
+            None,
+        )?;
+        engine.inner.sync_manifest()?;
+        Ok(engine)
+    }
+
+    /// Checks a loaded manifest against the configuration (and its own internal
+    /// shape — a custom provisioner's `load_manifest` can hand back anything).
+    /// Called by [`EngineBuilder::recover`] *before* provisioning, so a
+    /// mismatched recover attempt never touches the topology's storage.
+    pub(crate) fn validate_manifest(config: &EngineConfig, manifest: &EngineManifest) -> IoResult<()> {
+        if manifest.shards != config.shards
+            || manifest.page_size != config.base.page_size
+            || manifest.wal_enabled != config.base.wal_enabled
+        {
+            return Err(pio::IoError::InvalidConfig(format!(
+                "manifest (shards {}, page_size {}, wal {}) does not match the configuration \
+                 (shards {}, page_size {}, wal {})",
+                manifest.shards,
+                manifest.page_size,
+                manifest.wal_enabled,
+                config.shards,
+                config.base.page_size,
+                config.base.wal_enabled,
+            )));
+        }
+        if manifest.bounds.len() + 1 != manifest.shards || manifest.shard_meta.len() != manifest.shards {
+            return Err(pio::IoError::InvalidConfig(format!(
+                "malformed manifest: {} bounds and {} shard snapshots for {} shards",
+                manifest.bounds.len(),
+                manifest.shard_meta.len(),
+                manifest.shards,
+            )));
+        }
+        Ok(())
+    }
+
+    /// Reopens a persisted engine over its existing storage: every shard's
+    /// superblock snapshot (root, height, allocation frontier) comes from the
+    /// manifest, the volatile state starts empty — exactly as after a crash —
+    /// and the caller ([`EngineBuilder::recover`]) runs
+    /// [`ShardedPioEngine::recover`] next to replay the WALs.
+    pub(crate) fn reopen(
+        config: EngineConfig,
+        manifest: EngineManifest,
+        backends: EngineBackends,
+        topology: Box<dyn ShardProvisioner>,
+    ) -> IoResult<Self> {
+        Self::validate_manifest(&config, &manifest)?;
+        Self::validate_backends(&config, &backends)?;
+        let shard_cfg = config.shard_config();
+        let bounds = manifest.bounds.clone();
+        let mut shards = Vec::with_capacity(config.shards);
+        for (i, meta) in manifest.shard_meta.iter().enumerate() {
+            shards.push(build_shard(
+                &shard_cfg,
+                config.retry_policy(),
+                Arc::clone(&backends.shard_stores[i]),
+                backends.shard_wals.get(i),
+                |store| {
+                    store.ensure_high_water(meta.high_water);
+                    PioBTree::open(store, shard_cfg.clone(), meta.root, meta.height as usize)
+                },
+            )?);
+        }
+        Self::finish(
+            config,
+            shards,
+            bounds,
+            backends.engine_wal,
+            0.0,
+            topology,
+            Some(manifest),
+        )
+    }
+
+    /// Shared tail of [`ShardedPioEngine::assemble`] / [`ShardedPioEngine::reopen`]:
+    /// wires up the shard worker pool and the optional maintenance worker.
+    fn finish(
+        config: EngineConfig,
+        shards: Vec<Arc<Shard>>,
+        bounds: Vec<Key>,
+        engine_wal: Option<Arc<dyn IoQueue>>,
+        build_makespan_us: f64,
+        topology: Box<dyn ShardProvisioner>,
+        manifest: Option<EngineManifest>,
+    ) -> IoResult<Self> {
+        let shard_count = shards.len();
+        // Mirror the durable dirty marker in memory: cleared by `assemble`, kept
+        // as-is by `reopen` (the WAL replay that follows does not change what
+        // it means).
+        let marked = topology.load_dirty()?;
+        // The cross-shard epoch coordinator exists exactly when the shards log:
+        // without per-shard WALs there is nothing to make atomic.
+        let epoch = config.base.wal_enabled.then(|| {
+            let engine_wal = engine_wal.expect("validated: engine WAL backend present");
+            EpochCoordinator::new(engine_wal, config.retry_policy(), config.base.page_size)
+        });
+        let inner = Arc::new(EngineInner {
+            pool: WorkerPool::spawn(shards.iter().cloned()),
+            shards,
+            routing: RwLock::new(RoutingState {
+                bounds,
+                migration: None,
+                version: 0,
+            }),
+            config: config.clone(),
+            topology,
+            manifest: Mutex::new(manifest),
+            dirty: Mutex::new(DirtyState {
+                marked,
+                ..DirtyState::default()
+            }),
+            epoch,
+            counters: EngineCounters::default(),
+            scheduled_us: Mutex::new(build_makespan_us),
+            rebalance_baseline: Mutex::new(vec![0; shard_count]),
+            last_maintenance_error: Mutex::new(None),
+        });
+        let worker = config
+            .maintenance_interval_ms
+            .map(|ms| MaintenanceWorker::spawn(Arc::clone(&inner), std::time::Duration::from_millis(ms)));
+        Ok(Self { worker, inner })
     }
 }

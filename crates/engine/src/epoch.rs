@@ -10,7 +10,7 @@
 //! 1. **`Begin { epoch, shards }`** is forced *before* any shard sees the batch;
 //! 2. every member shard appends the batch inside a `BatchBegin`/`BatchEnd`
 //!    bracket of its own WAL and forces it
-//!    ([`pio_btree::PioBTree::insert_batch_epoch`]) — the per-shard durability
+//!    ([`pio_btree::PioBTree::apply`]) — the per-shard durability
 //!    ack;
 //! 3. once every member shard is durable, one **`Ack { epoch, shard,
 //!    durable_lsn }`** record per member and then **`Commit { epoch }`** are

@@ -86,16 +86,6 @@
 //! assert_eq!(engine.stats().topology, "shared-device");
 //! ```
 //!
-//! Migration from the historic constructors:
-//!
-//! | old constructor | builder call |
-//! |---|---|
-//! | `ShardedPioEngine::create(cfg, sample)` | `EngineBuilder::new(cfg).key_sample(sample).build()` (still available as a thin wrapper) |
-//! | `ShardedPioEngine::bulk_load(cfg, entries)` | `EngineBuilder::new(cfg).entries(entries).build()` (still available as a thin wrapper) |
-//! | `ShardedPioEngine::bulk_load_with_sample(cfg, entries, sample)` | `EngineBuilder::new(cfg).entries(entries).key_sample(sample).build()` |
-//! | `ShardedPioEngine::create_with_backends(cfg, sample, backends)` | `EngineBuilder::new(cfg).key_sample(sample).topology(backends).build()` |
-//! | `ShardedPioEngine::bulk_load_with_backends(cfg, entries, backends)` | `EngineBuilder::new(cfg).entries(entries).topology(backends).build()` |
-//!
 //! A [`RealFiles`] engine persists an [`EngineManifest`] (shard boundaries plus
 //! each shard's superblock: root, height, allocation frontier) at creation,
 //! checkpoints, maintenance flushes and recovery; [`EngineBuilder::recover`]
@@ -229,11 +219,16 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+mod commit;
 pub mod config;
 pub mod epoch;
 mod maintenance;
+mod migrate;
 pub mod rebalance;
+mod recovery;
+mod routing;
 mod scheduler;
+mod shard;
 pub mod sharded;
 pub mod stats;
 pub mod target;

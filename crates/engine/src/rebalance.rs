@@ -68,8 +68,10 @@
 //! [`ShardedPioEngine::merge_shard`].
 
 use crate::config::RebalanceConfig;
+use crate::routing::shard_range;
 use crate::sharded::{EngineInner, ShardedPioEngine};
 use pio::IoResult;
+use std::sync::atomic::Ordering;
 
 /// Which way a migration moves keys between two adjacent shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,21 +225,29 @@ impl EngineInner {
     /// migration. Used by [`ShardedPioEngine::rebalance_once`] and, when
     /// [`RebalanceConfig::auto`] is set, by the background maintenance worker.
     pub(crate) fn auto_rebalance_tick(&self) -> IoResult<Option<RebalanceOutcome>> {
-        let window = self.rebalance_window();
-        let bounds = self.bounds_snapshot();
-        let n = window.len();
-        let loads: Vec<ShardLoad> = (0..n)
-            .map(|i| {
-                let (lo, hi) = crate::sharded::shard_range(&bounds, i, n);
-                let (routed_ops, queue_peak_pct) = window[i];
-                ShardLoad {
-                    routed_ops,
-                    queue_peak_pct,
-                    range_empty: lo >= hi,
-                }
-            })
-            .collect();
-        let Some(plan) = plan(&loads, &self.engine_config().rebalance) else {
+        let bounds = self.routing.read().bounds.clone();
+        let n = self.shards.len();
+        // Close the monitor's load window: per shard, the ops routed to it and
+        // its peak OPQ fill (percent) since the previous tick. The monitor is
+        // the one consumer of a window, so the baseline and the peak reset
+        // live here and `stats()` readers perturb nothing.
+        let loads: Vec<ShardLoad> = {
+            let mut baseline = self.rebalance_baseline.lock();
+            (self.shards.iter().zip(baseline.iter_mut()).enumerate())
+                .map(|(i, (shard, base))| {
+                    let total = shard.routed_total.load(Ordering::Relaxed);
+                    let routed_ops = total - *base;
+                    *base = total;
+                    let (lo, hi) = shard_range(&bounds, i, n);
+                    ShardLoad {
+                        routed_ops,
+                        queue_peak_pct: shard.queue_peak_pct.swap(0, Ordering::Relaxed),
+                        range_empty: lo >= hi,
+                    }
+                })
+                .collect()
+        };
+        let Some(plan) = plan(&loads, &self.config.rebalance) else {
             return Ok(None);
         };
         self.migrate(plan.src, plan.dst, plan.kind)

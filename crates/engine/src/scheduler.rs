@@ -27,6 +27,7 @@
 //! The threads of an engine are therefore its shard workers plus, when
 //! configured, the maintenance worker; batched calls spawn none.
 
+use crate::shard::Shard;
 use crate::sharded::EngineInner;
 use parking_lot::Mutex;
 use pio::{IoError, IoResult};
@@ -36,9 +37,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// What a worker runs: one task of one fan-out, already wrapped to lock the
-/// shard's tree and to reply to its caller.
-type ShardJob = Box<dyn FnOnce(&Mutex<PioBTree>) + Send>;
+/// What a worker runs: one task of one fan-out, already wrapped to run on the
+/// shard ([`Shard::run`]) and to reply to its caller.
+type ShardJob = Box<dyn FnOnce(&Shard) + Send>;
 
 /// The shard workers of one engine. Dropping the pool closes the queues and
 /// joins the workers; jobs already queued run first.
@@ -50,18 +51,18 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns one worker per tree; worker `i` is the only thread that runs
-    /// fan-out tasks on `trees[i]`.
-    pub(crate) fn spawn(trees: impl Iterator<Item = Arc<Mutex<PioBTree>>>) -> Self {
-        let (queues, handles) = trees
+    /// Spawns one worker per shard; worker `i` is the only thread that runs
+    /// fan-out tasks on `shards[i]`.
+    pub(crate) fn spawn(shards: impl Iterator<Item = Arc<Shard>>) -> Self {
+        let (queues, handles) = shards
             .enumerate()
-            .map(|(shard, tree)| {
+            .map(|(index, shard)| {
                 let (tx, rx) = channel::<ShardJob>();
                 let handle = std::thread::Builder::new()
-                    .name(format!("engine-shard-{shard}"))
+                    .name(format!("engine-shard-{index}"))
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
-                            job(&tree);
+                            job(&shard);
                         }
                     })
                     .expect("spawn shard worker");
@@ -110,14 +111,12 @@ impl EngineInner {
             let queues = self.pool.queues.lock();
             for (shard, task) in work {
                 let reply = reply_tx.clone();
-                let job: ShardJob = Box::new(move |tree| {
-                    let mut tree = tree.lock();
-                    let before = tree.io_elapsed_us();
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&mut tree)));
-                    // Measured on error and panic too: any I/O the task did is in
-                    // the shard's elapsed time and the makespan must follow it.
-                    let io_delta_us = tree.io_elapsed_us() - before;
-                    drop(tree);
+                let job: ShardJob = Box::new(move |on: &Shard| {
+                    // The delta is taken on error and panic too: any I/O the task
+                    // did is in the shard's elapsed time and the makespan must
+                    // follow it.
+                    let (outcome, io_delta_us) =
+                        on.run(|tree| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(tree))));
                     // A caller that stopped listening is not the worker's problem.
                     let _ = reply.send((shard, io_delta_us, outcome));
                 });
@@ -138,7 +137,7 @@ impl EngineInner {
             makespan_us = makespan_us.max(io_delta_us);
             match outcome {
                 Ok(result) => {
-                    self.observe_health(shard, &result);
+                    self.shards[shard].health.observe(&result);
                     match result {
                         Ok(value) => results.push((shard, value)),
                         Err(e) => failures.push((shard, Ok(e))),
@@ -148,7 +147,7 @@ impl EngineInner {
             }
         }
         self.charge(makespan_us);
-        self.scheduled_batches.fetch_add(1, Ordering::Relaxed);
+        self.counters.scheduled_batches.fetch_add(1, Ordering::Relaxed);
         match failures.into_iter().min_by_key(|&(shard, _)| shard) {
             Some((_, Ok(e))) => return Err(e),
             Some((_, Err(panic))) => std::panic::resume_unwind(panic),

@@ -1,7 +1,10 @@
 //! Aggregated statistics of a [`crate::ShardedPioEngine`].
 
+use crate::routing::shard_range;
+use crate::sharded::EngineInner;
 use btree::Key;
 use pio_btree::PioStats;
+use std::sync::atomic::{AtomicU64, Ordering};
 use storage::{CacheStats, IntegrityStats, StoreStats};
 
 /// A point-in-time snapshot of one shard.
@@ -236,5 +239,115 @@ impl EngineStats {
     /// when the cache is disabled or never probed).
     pub fn leaf_cache_hit_rate(&self) -> f64 {
         self.leaf_cache.hit_ratio()
+    }
+}
+
+/// The engine's lifetime event counters (everything here only ever grows,
+/// except `recovery_replayed_records`, which each recovery overwrites).
+#[derive(Default)]
+pub(crate) struct EngineCounters {
+    /// Epochs committed over the engine's lifetime.
+    pub(crate) committed_epochs: AtomicU64,
+    /// Uncommitted-but-fully-acked epochs completed by `recover`.
+    pub(crate) recovered_epochs: AtomicU64,
+    /// Uncommitted epochs discarded on every shard by `recover`.
+    pub(crate) discarded_epochs: AtomicU64,
+    /// Fan-outs dispatched to the shard workers over the engine's lifetime.
+    pub(crate) scheduled_batches: AtomicU64,
+    /// Splits (hot shard cut at a median key) completed over the lifetime.
+    pub(crate) splits: AtomicU64,
+    /// Merges (cold shard emptied into a neighbour) completed over the lifetime.
+    pub(crate) merges: AtomicU64,
+    /// Entries moved between shards by migrations over the lifetime.
+    pub(crate) migrated_keys: AtomicU64,
+    /// Committed migrations whose boundary was re-applied by `recover`.
+    pub(crate) committed_migrations: AtomicU64,
+    /// Uncommitted migrations rolled back by `recover`.
+    pub(crate) rolled_back_migrations: AtomicU64,
+    /// Checkpoints completed over the engine's lifetime.
+    pub(crate) checkpoints: AtomicU64,
+    /// Logical log bytes dropped by checkpoint-anchored truncation over the
+    /// lifetime (shard WALs + engine epoch log).
+    pub(crate) truncated_bytes: AtomicU64,
+    /// Log records scanned by the most recent `recover` (shard WAL analysis
+    /// passes plus the epoch-log scan) — the bounded-recovery observable.
+    pub(crate) recovery_replayed_records: AtomicU64,
+    /// Maintenance passes that flushed at least one shard.
+    pub(crate) maintenance_flushes: AtomicU64,
+    /// Background maintenance passes that returned an I/O error.
+    pub(crate) maintenance_errors: AtomicU64,
+}
+
+impl EngineInner {
+    pub(crate) fn stats(&self) -> EngineStats {
+        // Snapshot the makespan BEFORE sweeping the shards: work is charged only
+        // after its device time has accrued in a shard's counters, so everything in
+        // this reading is already contained in the shard sweep that follows — the
+        // snapshot preserves `scheduled_io_us <= total_io_us` even while the
+        // background worker (or other clients) keep operating mid-sweep.
+        let scheduled_io_us = *self.scheduled_us.lock();
+        // A brief routing read: bounds for the per-shard key ranges, plus the
+        // migration flag. Dropped before the shard sweep so stats never holds
+        // routing across tree locks longer than needed.
+        let (bounds, active_migration, routing_version) = {
+            let routing = self.routing.read();
+            (routing.bounds.clone(), routing.migration.is_some(), routing.version)
+        };
+        let shards: Vec<ShardSnapshot> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                let (key_lo, key_hi) = shard_range(&bounds, i, self.shards.len());
+                shard.snapshot(i, key_lo, key_hi)
+            })
+            .collect();
+        let mut rollup = PioStats::default();
+        let mut pool_total = CacheStats::default();
+        let mut leaf_cache = CacheStats::default();
+        let mut integrity = IntegrityStats::default();
+        for snap in &shards {
+            rollup.merge(&snap.pio);
+            pool_total.merge(&snap.pool);
+            leaf_cache.merge(&snap.leaf_cache);
+            integrity.merge(&snap.integrity);
+        }
+        EngineStats {
+            topology: self.topology.name(),
+            rollup,
+            total_io_us: shards.iter().map(|s| s.io_elapsed_us).sum(),
+            scheduled_io_us,
+            scheduled_batches: self.counters.scheduled_batches.load(Ordering::Relaxed),
+            batched_calls: shards.iter().map(|s| s.batched_calls).sum(),
+            batched_ops: shards.iter().map(|s| s.batched_ops).sum(),
+            pipeline_depth: shards.iter().map(|s| s.pipeline_depth).max().unwrap_or(0),
+            pool_hit_ratio: pool_total.hit_ratio(),
+            leaf_cache,
+            queued_ops: shards.iter().map(|s| s.opq_len).sum(),
+            committed_epochs: self.counters.committed_epochs.load(Ordering::Relaxed),
+            recovered_epochs: self.counters.recovered_epochs.load(Ordering::Relaxed),
+            discarded_epochs: self.counters.discarded_epochs.load(Ordering::Relaxed),
+            splits: self.counters.splits.load(Ordering::Relaxed),
+            merges: self.counters.merges.load(Ordering::Relaxed),
+            migrated_keys: self.counters.migrated_keys.load(Ordering::Relaxed),
+            committed_migrations: self.counters.committed_migrations.load(Ordering::Relaxed),
+            rolled_back_migrations: self.counters.rolled_back_migrations.load(Ordering::Relaxed),
+            active_migration,
+            routing_version,
+            checkpoints: self.counters.checkpoints.load(Ordering::Relaxed),
+            truncated_bytes: self.counters.truncated_bytes.load(Ordering::Relaxed),
+            recovery_replayed_records: self.counters.recovery_replayed_records.load(Ordering::Relaxed),
+            epoch_log_bytes: self.epoch.as_ref().map_or(0, |c| c.log.replayable_bytes()),
+            degraded_shards: shards.iter().filter(|s| s.degraded).count(),
+            breaker_opens: shards.iter().map(|s| s.breaker_opens).sum(),
+            breaker_closes: shards.iter().map(|s| s.breaker_closes).sum(),
+            integrity,
+            io_retries: shards.iter().map(|s| s.io_retries).sum(),
+            io_give_ups: shards.iter().map(|s| s.io_give_ups).sum(),
+            maintenance_flushes: self.counters.maintenance_flushes.load(Ordering::Relaxed),
+            maintenance_errors: self.counters.maintenance_errors.load(Ordering::Relaxed),
+            last_maintenance_error: self.last_maintenance_error.lock().clone(),
+            shards,
+        }
     }
 }

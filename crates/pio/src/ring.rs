@@ -34,11 +34,10 @@ use std::collections::VecDeque;
 /// before the error is returned.
 ///
 /// This is the shared shape of the tree's linear pipelines (multi-search and
-/// prange leaf fetches, the per-level range descent). Paths whose consume step
-/// needs exclusive access the submit closure also borrows (bupdate's apply),
-/// whose submissions are driven by accumulation rather than a job index
-/// (bulk load), or that re-submit jobs dynamically (the `locate_leaves`
-/// wavefront) drive a [`TicketRing`] by hand instead.
+/// prange leaf fetches, the per-level range descent, bulk load's region
+/// writes). Paths whose consume step needs exclusive access the submit closure
+/// also borrows (bupdate's apply), or that re-submit jobs dynamically (the
+/// `locate_leaves` wavefront) drive a [`TicketRing`] by hand instead.
 pub fn run_pipeline<T, R, E>(
     depth: usize,
     jobs: usize,

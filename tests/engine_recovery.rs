@@ -274,6 +274,77 @@ fn crash_after_commit_replays_the_batch() {
     engine.check_invariants().unwrap();
 }
 
+/// The store of one shard dies mid-flush while the shard's log — an
+/// independent backend — stays healthy: the flush's fence write fails, and so
+/// do the writes of its in-process rollback. A rollback that did not land must
+/// not be logged as `FlushAbort`: the store still holds the split leaves
+/// without their fence, and only the undo records in the log can take them
+/// back. After crash and recovery every acked key must read back.
+#[test]
+fn a_rollback_that_fails_is_undone_from_the_log() {
+    // Dense distinct keys, all below shard 0's upper bound (≈1000), so its one
+    // bulk-loaded leaf fills and a flush has to split it.
+    let batches: Vec<Vec<(u64, u64)>> = (0..12u64)
+        .map(|b| (0..40u64).map(|i| ((b * 40 + i) * 2 + 1, b * 100 + i)).collect())
+        .collect();
+    let build = || {
+        let (backends, clocks) = per_backend_clocks(&config());
+        let engine = EngineBuilder::new(config())
+            .entries(&seed_entries())
+            .topology(backends)
+            .build()
+            .unwrap();
+        (engine, clocks)
+    };
+
+    // Profiling run: the batch whose flush first splits a leaf, and shard 0's
+    // store-write window during it. The window's last write is the flush's
+    // fence propagation — the split halves have landed before it.
+    let (engine, clocks) = build();
+    let mut target = None;
+    for (b, batch) in batches.iter().enumerate() {
+        let first_write = clocks.stores[0].writes_seen();
+        engine.insert_batch(batch).unwrap();
+        if engine.stats().rollup.leaf_splits > 0 {
+            target = Some((b, first_write, clocks.stores[0].writes_seen()));
+            break;
+        }
+    }
+    let (split_batch, first_write, end_write) = target.expect("the workload must split shard 0's leaf");
+    assert!(
+        end_write - first_write >= 2,
+        "a splitting flush writes leaves, then fences"
+    );
+    drop(engine);
+
+    let (engine, clocks) = build();
+    for batch in &batches[..split_batch] {
+        engine.insert_batch(batch).unwrap();
+    }
+    // Not one-shot: from the fence write on, the store fails everything —
+    // the rollback's writes included.
+    clocks.stores[0].arm(CrashPlan::at_write(end_write - 1));
+    assert!(engine.insert_batch(&batches[split_batch]).is_err());
+    assert!(clocks.stores[0].halted(), "the rollback ran against a dead store");
+    assert!(!clocks.wals[0].halted(), "while the shard's log stayed healthy");
+
+    clocks.heal_all();
+    engine.simulate_crash();
+    let report = engine.recover().unwrap();
+    assert_eq!(
+        (report.shards[0].aborted_flushes, report.shards[0].incomplete_flushes),
+        (0, 1),
+        "the flush was never rolled back, so recovery must undo it: {report:?}"
+    );
+    // The failed batch is undecided (its epoch was never acked): discarded.
+    let acked: Vec<Op> = batches[..split_batch].iter().cloned().map(Op::Batch).collect();
+    assert_eq!(engine_state(&engine), oracle(&seed_entries(), &acked));
+    engine.check_invariants().unwrap();
+    engine.checkpoint().unwrap();
+    assert_eq!(engine_state(&engine), oracle(&seed_entries(), &acked));
+    engine.check_invariants().unwrap();
+}
+
 // ------------------------------------------------------- truncation crash sweep --
 
 /// Every write position inside a log-truncating checkpoint, plus torn-write

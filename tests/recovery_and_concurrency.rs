@@ -4,7 +4,7 @@
 
 mod common;
 
-use btree::ConcurrentBTree;
+use btree::{ConcurrentBTree, Node};
 use common::crash::seeded_rng;
 use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo, TornWrite};
 use pio_btree::{ConcurrentPioBTree, LogRecord, OpEntry, PioBTree, PioConfig, PioLeaf};
@@ -418,8 +418,8 @@ fn a_logical_undo_composes_under_a_newer_full_path_rewrite() {
 
     // Flush A: 60 epoch-5 inserts, appended — 2 into the first segment, 58
     // spilling into the (until now empty) second.
-    let doomed: Vec<(u64, u64)> = (0..60u64).map(|k| (k * 10 + 5, k + 500)).collect();
-    tree.insert_batch_epoch(&doomed, 5).unwrap();
+    let doomed: Vec<OpEntry> = (0..60u64).map(|k| OpEntry::insert(k * 10 + 5, k + 500)).collect();
+    tree.apply(&doomed, Some(5)).unwrap();
     tree.flush_once().unwrap();
     assert_eq!((tree.stats().leaf_appends, tree.stats().leaf_rewrites), (1, 0));
     // Flush B: 50 updates outside any epoch. 160 + 50 records overflow the
@@ -530,6 +530,233 @@ fn an_old_format_append_preimage_still_recovers() {
         .collect();
     assert_eq!(state, oracle);
     tree.check_invariants().unwrap();
+}
+
+// ------------------------------------------------- one undo, two ways to reach it --
+
+/// Everything a failed flush must leave as it found it.
+#[derive(Debug, PartialEq)]
+struct TreeState {
+    /// Every page reachable from the root, byte for byte, read below the cache.
+    pages: BTreeMap<u64, Vec<u8>>,
+    root: u64,
+    height: usize,
+    /// Pages the store has handed out and not taken back.
+    allocated_minus_freed: u64,
+    /// Live entries in the on-disk tree (`check_invariants`, OPQ excluded).
+    flushed_entries: u64,
+    /// A full-range scan, OPQ overlay included.
+    scan: Vec<(u64, u64)>,
+}
+
+fn tree_state(tree: &mut PioBTree) -> TreeState {
+    let segments = tree.config().leaf_segments as u64;
+    let mut pages = BTreeMap::new();
+    let mut level = vec![tree.root_page()];
+    for _ in 1..tree.height() {
+        let mut children = Vec::new();
+        for &page in &level {
+            let image = tree.store().store().read_page(page).unwrap();
+            children.extend(Node::decode(&image).expect_internal().children);
+            pages.insert(page, image);
+        }
+        level = children;
+    }
+    for &leaf in &level {
+        for page in leaf..leaf + segments {
+            pages.insert(page, tree.store().store().read_page(page).unwrap());
+        }
+    }
+    let store = tree.store().store().stats();
+    TreeState {
+        pages,
+        root: tree.root_page(),
+        height: tree.height(),
+        allocated_minus_freed: store.allocated - store.freed,
+        flushed_entries: tree.check_invariants().unwrap(),
+        scan: tree.range_search(0, u64::MAX).unwrap(),
+    }
+}
+
+/// A tree on tiny pages (so one flush splits leaves, splits the root and
+/// grows the tree) with a seeded batch queued and its redo records forced:
+/// dense traffic on the lower leaves (full path, splits), a trickle on the
+/// upper ones (append path). Store and WAL sit on separate fault clocks.
+fn tree_with_a_queued_flush(seed: u64) -> (PioBTree, Arc<FaultClock>, Arc<FaultClock>) {
+    use rand::{rngs::StdRng, SeedableRng};
+    let config = PioConfig::builder()
+        .page_size(256)
+        .leaf_segments(2)
+        .opq_pages(64)
+        .bcnt(1_024)
+        .pio_max(2)
+        .speriod(16)
+        .pool_pages(64)
+        .build();
+    let (store_clock, wal_clock) = (FaultClock::new(), FaultClock::new());
+    let faulty = |bytes, clock: &Arc<FaultClock>| -> Arc<dyn IoQueue> {
+        Arc::new(FaultIo::new(
+            Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, bytes)),
+            Arc::clone(clock),
+        ))
+    };
+    let store = Arc::new(CachedStore::new(
+        PageStore::new(faulty(1 << 26, &store_clock), 256),
+        64,
+        WritePolicy::WriteThrough,
+    ));
+    let loaded: Vec<(u64, u64)> = (0..120u64).map(|k| (k * 100, k)).collect();
+    let mut tree = PioBTree::bulk_load(store, &loaded, config).unwrap();
+    tree.attach_wal(Wal::new(faulty(16 << 20, &wal_clock), 0, 256));
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..360u64 {
+        let key = rng.gen_range(0..5_000u64);
+        match rng.gen_range(0..10u32) {
+            0 => tree.delete(key / 100 * 100).unwrap(),
+            1 => tree.update(key / 100 * 100, i + 7_000).unwrap(),
+            _ => tree.insert(key, i + 1_000).unwrap(),
+        }
+    }
+    for i in 0..6u64 {
+        tree.insert(5_750 + i * 1_100, i).unwrap();
+    }
+    tree.force_wal().unwrap();
+    (tree, store_clock, wal_clock)
+}
+
+/// In-process rollback and crash undo are one function over one journal
+/// (`undo_flush`), reached two ways. For every store write of one flush that
+/// appends, splits leaves, splits the root and grows the tree: path A fails
+/// that write once and lets the flush roll itself back; path B crashes an
+/// identical twin at the same write (store and log die together) and
+/// recovers it from its WAL. Both must land exactly on the pre-flush state.
+#[test]
+fn in_process_rollback_and_crash_undo_agree_at_every_flush_write() {
+    let (_, seed) = seeded_rng();
+
+    // Profiling run: the pre-flush state, and the flush's store-write window.
+    let (mut tree, store_clock, _) = tree_with_a_queued_flush(seed);
+    let before = tree_state(&mut tree);
+    let first_write = store_clock.writes_seen();
+    let stats_before = tree.stats();
+    tree.flush_once().unwrap();
+    let writes = store_clock.writes_seen() - first_write;
+    let stats = tree.stats();
+    assert_eq!(tree.opq_len(), 0, "seed {seed}: one flush must take the whole queue");
+    assert!(
+        stats.leaf_appends > stats_before.leaf_appends,
+        "seed {seed}: no append-path leaf"
+    );
+    assert!(
+        stats.leaf_splits > 0 && stats.internal_splits > 0,
+        "seed {seed}: {stats:?}"
+    );
+    assert!(
+        stats.height_growths > 0,
+        "seed {seed}: the flush must grow the root (height {} -> {}, {stats:?})",
+        before.height,
+        tree.height()
+    );
+    assert!(writes >= 5, "seed {seed}: only {writes} store writes to fail");
+
+    for k in 0..writes {
+        // Path A: the write fails once; the flush rolls itself back.
+        let (mut a, store_clock, _) = tree_with_a_queued_flush(seed);
+        store_clock.arm(CrashPlan::at_write(first_write + k).transient());
+        a.flush_once().unwrap_err();
+        let rolled_back = tree_state(&mut a);
+
+        // Path B: the process dies at the same write; recovery undoes the flush.
+        let (mut b, store_clock, wal_clock) = tree_with_a_queued_flush(seed);
+        store_clock.arm(CrashPlan::at_write(first_write + k));
+        let store_died = Arc::clone(&store_clock);
+        wal_clock.arm(CrashPlan::on_payload(move |_| store_died.tripped()));
+        b.flush_once().unwrap_err();
+        store_clock.heal();
+        wal_clock.heal();
+        b.simulate_crash();
+        let report = b.recover().unwrap();
+        assert_eq!(report.incomplete_flushes, 1, "seed {seed} write {k}: {report:?}");
+        let recovered = tree_state(&mut b);
+
+        assert!(
+            rolled_back == before,
+            "seed {seed} write {k}/{writes}: the in-process rollback left the tree changed"
+        );
+        assert!(
+            recovered == before,
+            "seed {seed} write {k}/{writes}: crash recovery did not restore the pre-flush tree ({report:?})"
+        );
+    }
+    eprintln!(
+        "flush-undo differential (seed {seed}): {writes} failed writes × 2 paths over {} reachable pages",
+        before.pages.len()
+    );
+}
+
+// ------------------------------------------------------------- one write entry --
+
+/// `apply(ops, None)` is `insert_batch`: nothing is forced (LSN 0), and queue,
+/// counters and contents come out the same.
+#[test]
+fn apply_without_an_epoch_equals_insert_batch() {
+    let config = PioConfig::builder().page_size(2048).opq_pages(1).bcnt(64).build();
+    let entries: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 7 % 1_000, k)).collect();
+    let ops: Vec<OpEntry> = entries.iter().map(|&(k, v)| OpEntry::insert(k, v)).collect();
+    let mut batched = PioBTree::create(DeviceProfile::F120, 1 << 28, config.clone()).unwrap();
+    let mut applied = PioBTree::create(DeviceProfile::F120, 1 << 28, config).unwrap();
+    batched.insert_batch(&entries).unwrap();
+    assert_eq!(applied.apply(&ops, None).unwrap(), 0);
+    assert!(batched.stats().bupdates > 0, "the batch must overflow into flushes");
+    assert_eq!(applied.opq_len(), batched.opq_len());
+    assert_eq!(applied.stats(), batched.stats());
+    assert_eq!(applied.dirty_ops(), batched.dirty_ops());
+    assert_eq!(
+        applied.range_search(0, u64::MAX).unwrap(),
+        batched.range_search(0, u64::MAX).unwrap()
+    );
+}
+
+/// `apply(ops, Some(epoch))` brackets the batch once and forces once.
+#[test]
+fn apply_with_an_epoch_writes_one_bracket_and_forces_once() {
+    let wal_clock = FaultClock::new();
+    let mut tree = crashy_tree_on(&FaultClock::new(), &wal_clock, &[]);
+    let ops: Vec<OpEntry> = (0..40u64)
+        .map(|k| match k % 3 {
+            0 => OpEntry::delete(k),
+            1 => OpEntry::update(k, k + 1),
+            _ => OpEntry::insert(k, k),
+        })
+        .collect();
+    let forces_before = wal_clock.writes_seen();
+    let durable = tree.apply(&ops, Some(9)).unwrap();
+    assert_eq!(
+        wal_clock.writes_seen() - forces_before,
+        1,
+        "one force for the whole bracket"
+    );
+    let wal = tree.wal().unwrap();
+    assert_eq!(durable, wal.durable_lsn());
+    assert_eq!(wal.pending_records(), 0, "nothing of the batch is left unforced");
+    let records: Vec<LogRecord> = wal
+        .scan()
+        .unwrap()
+        .records
+        .iter()
+        .map(|r| LogRecord::decode(&r.payload).unwrap())
+        .collect();
+    assert_eq!(records.first(), Some(&LogRecord::BatchBegin { epoch: 9 }));
+    assert_eq!(records.last(), Some(&LogRecord::BatchEnd { epoch: 9 }));
+    let logical = records
+        .iter()
+        .filter(|r| matches!(r, LogRecord::LogicalRedo { .. }))
+        .count();
+    assert_eq!((records.len(), logical), (ops.len() + 2, ops.len()));
+    assert_eq!(
+        (tree.stats().inserts, tree.stats().updates, tree.stats().deletes),
+        (13, 13, 14)
+    );
 }
 
 #[test]
