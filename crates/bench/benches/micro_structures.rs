@@ -79,7 +79,7 @@ fn main() {
     let ns = time_loop(iters * 10, || internal.encode(4096));
     table.row(vec!["internal_encode_4k".into(), format!("{ns:.0}")]);
     let image = internal.encode(4096);
-    let ns = time_loop(iters * 10, || btree::Node::decode(&image));
+    let ns = time_loop(iters * 10, || btree::Node::decode(0, &image));
     table.row(vec!["internal_decode_4k".into(), format!("{ns:.0}")]);
 
     // --- PIO leaf codecs and shrink ----------------------------------------------
@@ -88,7 +88,7 @@ fn main() {
     let ns = time_loop(iters * 10, || leaf.encode(2048));
     table.row(vec!["pio_leaf_encode_4x2k".into(), format!("{ns:.0}")]);
     let leaf_image = leaf.encode(2048);
-    let ns = time_loop(iters * 10, || PioLeaf::decode(&leaf_image, 4, 2048));
+    let ns = time_loop(iters * 10, || PioLeaf::decode(0, &leaf_image, 4, 2048));
     table.row(vec!["pio_leaf_decode_4x2k".into(), format!("{ns:.0}")]);
 
     let ns = time_batched(

@@ -58,7 +58,7 @@ impl ConcurrentBTree {
         // Reuse the read-only descent of the underlying tree without its &mut stats.
         let mut page = tree.root_page();
         loop {
-            let node = Node::decode(&tree.store().read_page(page)?);
+            let node = Node::decode(page, &tree.store().read_page(page)?)?;
             match node {
                 Node::Internal(internal) => page = internal.children[internal.child_for(key)],
                 Node::Leaf(leaf) => return Ok(leaf.get(key)),
@@ -84,7 +84,7 @@ impl ConcurrentBTree {
             let images = tree.store().read_pages(&pages)?;
             let mut still_active = Vec::with_capacity(active.len());
             for (&i, image) in active.iter().zip(&images) {
-                match Node::decode(image) {
+                match Node::decode(frontier[i], image)? {
                     Node::Internal(internal) => {
                         frontier[i] = internal.children[internal.child_for(keys[i])];
                         still_active.push(i);

@@ -29,5 +29,5 @@ pub mod tree;
 
 pub use blink::ConcurrentBTree;
 pub use bulk::bulk_load;
-pub use node::{InternalNode, Key, LeafNode, Node, Value};
+pub use node::{InternalNode, InternalView, Key, LeafNode, Node, Value};
 pub use tree::{BPlusTree, TreeStats};

@@ -17,7 +17,19 @@
 //! leaf        : 8..16          -> right sibling page id
 //!               16 + i*16      -> (key, value) record i
 //! ```
+//!
+//! Each format has **one parser**, and it is fallible: the bytes come off a
+//! device. [`InternalView`] borrows an internal node's page, checks tag and
+//! count once, and binary-searches the encoded keys where they lie — the read
+//! paths never build the owned [`InternalNode`], which stays for the paths
+//! that mutate (splits, fence inserts, the baseline tree) and is collected
+//! *from* the view. [`Node::decode`] parses a baseline leaf the same way. A
+//! page is **corrupt** — [`pio::IoError::Corruption`], never a panic — when
+//! its tag is unknown or of the wrong kind, or its count does not fit the
+//! page. Key order and child ids are not checked: a node with rotted keys
+//! routes to *some* child inside the page, never outside it.
 
+use pio::{IoError, IoResult};
 use storage::{PageId, INVALID_PAGE};
 
 /// Index key type (the paper's trees index fixed-width integer keys).
@@ -29,6 +41,85 @@ const TAG_INTERNAL: u8 = 1;
 const TAG_LEAF: u8 = 2;
 const HEADER_BYTES: usize = 8;
 const LEAF_HEADER_BYTES: usize = 16;
+
+/// The error for a node image at `page` that does not parse.
+fn corrupt(page: PageId, image: &[u8]) -> IoError {
+    IoError::Corruption {
+        offset: page.saturating_mul(image.len() as u64),
+        len: image.len() as u64,
+    }
+}
+
+/// Tag and entry count of a node image; `None` if it is too short to have them.
+fn header(image: &[u8]) -> Option<(u8, usize)> {
+    let count = image.get(2..4)?;
+    Some((image[0], u16::from_le_bytes([count[0], count[1]]) as usize))
+}
+
+/// The `i`-th little-endian word of `words` (whose length the caller's
+/// constructor has checked against the node's count).
+fn word(words: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(words[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+}
+
+/// A borrowed, validated internal node: the encoded keys and children of one
+/// page image, searched in place.
+#[derive(Debug, Clone, Copy)]
+pub struct InternalView<'a> {
+    keys: &'a [u8],
+    children: &'a [u8],
+}
+
+impl<'a> InternalView<'a> {
+    /// Validates the image of the internal node stored at `page`: the tag must
+    /// say internal and `count` keys plus `count + 1` children must fit.
+    pub fn new(page: PageId, image: &'a [u8]) -> IoResult<Self> {
+        let view = header(image).and_then(|(tag, count)| {
+            let keys = image.get(HEADER_BYTES..HEADER_BYTES + count * 8)?;
+            let children = image.get(HEADER_BYTES + count * 8..HEADER_BYTES + (2 * count + 1) * 8)?;
+            (tag == TAG_INTERNAL).then_some(Self { keys, children })
+        });
+        view.ok_or_else(|| corrupt(page, image))
+    }
+
+    /// Number of separator keys (one less than the number of children).
+    pub fn key_count(&self) -> usize {
+        self.keys.len() / 8
+    }
+
+    /// Child `i`'s page id; `i` is at most [`InternalView::key_count`].
+    pub fn child(&self, i: usize) -> PageId {
+        word(self.children, i)
+    }
+
+    /// The child page ids, in key order.
+    pub fn children(&self) -> impl Iterator<Item = PageId> + 'a {
+        self.children.chunks_exact(8).map(|child| word(child, 0))
+    }
+
+    /// Child index to follow for `key` — [`InternalNode::child_for`], on the
+    /// encoded keys: the number of separators `<= key`.
+    pub fn child_for(&self, key: Key) -> usize {
+        let (mut lo, mut hi) = (0, self.key_count());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if word(self.keys, mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The owned form, for the paths that mutate the node.
+    pub fn to_owned(&self) -> InternalNode {
+        InternalNode {
+            keys: self.keys.chunks_exact(8).map(|key| word(key, 0)).collect(),
+            children: self.children().collect(),
+        }
+    }
+}
 
 /// An internal (non-leaf) node: `keys.len() + 1 == children.len()` except while the
 /// node is being built.
@@ -143,57 +234,31 @@ impl Node {
         }
     }
 
-    /// Parses a page image produced by [`Node::encode`].
-    ///
-    /// # Panics
-    /// Panics on an unknown tag byte — pages handed to this function must come from
-    /// the tree's own store.
-    pub fn decode(buf: &[u8]) -> Node {
-        let count = u16::from_le_bytes(buf[2..4].try_into().expect("2 bytes")) as usize;
-        match buf[0] {
-            TAG_INTERNAL => {
-                let mut keys = Vec::with_capacity(count);
-                let mut off = HEADER_BYTES;
-                for _ in 0..count {
-                    keys.push(u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes")));
-                    off += 8;
-                }
-                let mut children = Vec::with_capacity(count + 1);
-                for _ in 0..count + 1 {
-                    children.push(u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes")));
-                    off += 8;
-                }
-                Node::Internal(InternalNode { keys, children })
+    /// Parses the image of the node stored at `page` (produced by
+    /// [`Node::encode`]): an internal node through [`InternalView`], a leaf
+    /// here. See the [module docs](self) for what counts as corrupt.
+    pub fn decode(page: PageId, buf: &[u8]) -> IoResult<Node> {
+        match header(buf) {
+            Some((TAG_INTERNAL, _)) => Ok(Node::Internal(InternalView::new(page, buf)?.to_owned())),
+            Some((TAG_LEAF, count)) => {
+                let records = buf
+                    .get(LEAF_HEADER_BYTES..LEAF_HEADER_BYTES + count * 16)
+                    .ok_or_else(|| corrupt(page, buf))?;
+                Ok(Node::Leaf(LeafNode {
+                    entries: records.chunks_exact(16).map(|r| (word(r, 0), word(r, 1))).collect(),
+                    next: word(&buf[8..LEAF_HEADER_BYTES], 0),
+                }))
             }
-            TAG_LEAF => {
-                let next = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-                let mut entries = Vec::with_capacity(count);
-                let mut off = LEAF_HEADER_BYTES;
-                for _ in 0..count {
-                    let k = u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"));
-                    let v = u64::from_le_bytes(buf[off + 8..off + 16].try_into().expect("8 bytes"));
-                    entries.push((k, v));
-                    off += 16;
-                }
-                Node::Leaf(LeafNode { entries, next })
-            }
-            other => panic!("unknown node tag {other}"),
+            _ => Err(corrupt(page, buf)),
         }
     }
 
-    /// Returns the contained leaf, panicking if the node is internal.
-    pub fn expect_leaf(self) -> LeafNode {
-        match self {
-            Node::Leaf(l) => l,
-            Node::Internal(_) => panic!("expected a leaf node"),
-        }
-    }
-
-    /// Returns the contained internal node, panicking if the node is a leaf.
-    pub fn expect_internal(self) -> InternalNode {
-        match self {
-            Node::Internal(i) => i,
-            Node::Leaf(_) => panic!("expected an internal node"),
+    /// [`Node::decode`] where the tree's shape says `page` holds a leaf: an
+    /// internal node there is corruption too.
+    pub fn decode_leaf(page: PageId, buf: &[u8]) -> IoResult<LeafNode> {
+        match Self::decode(page, buf)? {
+            Node::Leaf(leaf) => Ok(leaf),
+            Node::Internal(_) => Err(corrupt(page, buf)),
         }
     }
 
@@ -215,8 +280,8 @@ mod tests {
         };
         let buf = node.encode(4096);
         assert_eq!(buf.len(), 4096);
-        let back = Node::decode(&buf).expect_internal();
-        assert_eq!(back, node);
+        assert_eq!(Node::decode(0, &buf).unwrap(), Node::Internal(node.clone()));
+        assert_eq!(InternalView::new(0, &buf).unwrap().to_owned(), node);
     }
 
     #[test]
@@ -226,19 +291,22 @@ mod tests {
             next: 77,
         };
         let buf = node.encode(4096);
-        let back = Node::decode(&buf).expect_leaf();
+        let back = Node::decode_leaf(0, &buf).unwrap();
         assert_eq!(back, node);
     }
 
     #[test]
     fn empty_nodes_round_trip() {
         let leaf = LeafNode::default();
-        assert_eq!(Node::decode(&leaf.encode(2048)).expect_leaf(), leaf);
+        assert_eq!(Node::decode_leaf(0, &leaf.encode(2048)).unwrap(), leaf);
         let internal = InternalNode {
             keys: vec![],
             children: vec![42],
         };
-        assert_eq!(Node::decode(&internal.encode(2048)).expect_internal(), internal);
+        assert_eq!(
+            InternalView::new(0, &internal.encode(2048)).unwrap().to_owned(),
+            internal
+        );
     }
 
     #[test]
@@ -284,7 +352,7 @@ mod tests {
             next: 3,
         };
         let buf = node.encode(2048);
-        assert_eq!(Node::decode(&buf).expect_leaf().entries.len(), cap);
+        assert_eq!(Node::decode_leaf(0, &buf).unwrap().entries.len(), cap);
     }
 
     #[test]
@@ -298,11 +366,14 @@ mod tests {
         let _ = node.encode(2048);
     }
 
+    /// Rejected, not panicked on: it is the `unwrap` of the error that panics here.
     #[test]
-    #[should_panic(expected = "unknown node tag")]
+    #[should_panic(expected = "Corruption { offset: 6144, len: 2048 }")]
     fn garbage_page_is_rejected() {
         let buf = vec![0xFFu8; 2048];
-        let _ = Node::decode(&buf);
+        assert!(InternalView::new(3, &buf).is_err());
+        assert!(Node::decode(3, &[]).is_err(), "an image too short for a header");
+        let _ = Node::decode(3, &buf).unwrap();
     }
 
     #[test]
@@ -314,5 +385,105 @@ mod tests {
             children: vec![0],
         });
         assert!(!internal.is_leaf());
+        // The wrong kind where the tree's shape demands the other is an error.
+        assert!(Node::decode_leaf(0, &internal.encode(2048)).is_err());
+        assert!(InternalView::new(0, &leaf.encode(2048)).is_err());
+    }
+
+    /// `CRASH_SEED` (or a fixed default) and a xorshift drawn from it.
+    fn seeded() -> (u64, impl FnMut(u64) -> u64) {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_0DE5);
+        let mut x = seed | 1;
+        (seed, move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        })
+    }
+
+    /// The view searches the encoded keys exactly as the owned node searches
+    /// its `Vec`: below, at and above every separator, for 0 and 1 separators
+    /// and for full nodes.
+    #[test]
+    fn view_differential_child_for_matches_the_owned_node() {
+        let (seed, mut rand) = seeded();
+        for separators in [0usize, 1, 2, 7, 100, InternalNode::max_children(4096) - 1] {
+            let mut keys: Vec<Key> = (0..separators).map(|_| 1 + rand(u64::MAX - 2)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let node = InternalNode {
+                children: (0..=keys.len() as u64).map(|c| c * 3 + 1).collect(),
+                keys,
+            };
+            let image = node.encode(4096);
+            let view = InternalView::new(9, &image).unwrap();
+            assert_eq!(view.key_count(), node.keys.len());
+            assert_eq!(view.children().collect::<Vec<_>>(), node.children);
+            let probes = node
+                .keys
+                .iter()
+                .flat_map(|&k| [k - 1, k, k + 1])
+                .chain([0, 1, u64::MAX]);
+            for key in probes {
+                let idx = view.child_for(key);
+                assert_eq!(
+                    idx,
+                    node.child_for(key),
+                    "CRASH_SEED={seed} separators={separators} key={key}"
+                );
+                assert_eq!(view.child(idx), node.children[idx]);
+            }
+        }
+    }
+
+    /// Fuzz: every value at every header byte, and a seeded sample of
+    /// mutations elsewhere, of an encoded internal node and an encoded leaf
+    /// parses to a value or to `Corruption` — and whatever parses can be
+    /// searched and collected without a panic or an out-of-bounds index.
+    #[test]
+    fn fuzz_single_byte_mutations_yield_a_value_or_corruption() {
+        let (seed, mut rand) = seeded();
+        let internal = InternalNode {
+            keys: (1..=120u64).map(|k| k * 10).collect(),
+            children: (0..=120u64).collect(),
+        }
+        .encode(2048);
+        let leaf = LeafNode {
+            entries: (0..100u64).map(|k| (k * 7, k)).collect(),
+            next: 5,
+        }
+        .encode(2048);
+        for (image, header) in [(internal, HEADER_BYTES), (leaf, LEAF_HEADER_BYTES)] {
+            let sampled: Vec<(usize, u8)> = (0..4000)
+                .map(|_| (rand(image.len() as u64) as usize, rand(256) as u8))
+                .collect();
+            let every_header_value = (0..header).flat_map(|at| (0..=255u8).map(move |v| (at, v)));
+            for (at, value) in every_header_value.chain(sampled) {
+                let mut mutated = image.clone();
+                mutated[at] = value;
+                let ctx = format!("CRASH_SEED={seed} byte {at} = {value}");
+                match Node::decode(4, &mutated) {
+                    Ok(Node::Internal(node)) => {
+                        let view = InternalView::new(4, &mutated).expect(&ctx);
+                        assert_eq!(view.to_owned(), node, "{ctx}");
+                        for key in [0, 555, u64::MAX] {
+                            assert!(view.child_for(key) <= view.key_count(), "{ctx}");
+                            let _ = view.child(view.child_for(key));
+                            let _ = node.children[node.child_for(key)];
+                        }
+                    }
+                    Ok(Node::Leaf(node)) => {
+                        assert!(node.entries.len() <= LeafNode::max_entries(2048), "{ctx}");
+                        let _ = node.get(70);
+                        assert!(InternalView::new(4, &mutated).is_err(), "{ctx}");
+                    }
+                    Err(e) => assert!(matches!(e, IoError::Corruption { len: 2048, .. }), "{ctx}: {e}"),
+                }
+            }
+        }
     }
 }

@@ -123,7 +123,12 @@ impl BPlusTree {
     }
 
     fn read_node(&self, page: PageId) -> IoResult<Node> {
-        Ok(Node::decode(&self.store.read_page(page)?))
+        Node::decode(page, &self.store.read_page(page)?)
+    }
+
+    /// Reads the node at `page`, which the tree's shape says is a leaf.
+    fn read_leaf(&self, page: PageId) -> IoResult<LeafNode> {
+        Node::decode_leaf(page, &self.store.read_page(page)?)
     }
 
     fn write_node(&self, page: PageId, node: &Node) -> IoResult<()> {
@@ -178,7 +183,7 @@ impl BPlusTree {
             if leaf.next == INVALID_PAGE {
                 return Ok(out);
             }
-            leaf = self.read_node(leaf.next)?.expect_leaf();
+            leaf = self.read_leaf(leaf.next)?;
         }
     }
 
@@ -292,7 +297,7 @@ impl BPlusTree {
         // Prefer borrowing from the right sibling, then the left, then merge.
         if idx + 1 < parent.children.len() {
             let right_page = parent.children[idx + 1];
-            let mut right = self.read_node(right_page)?.expect_leaf();
+            let mut right = self.read_leaf(right_page)?;
             if right.entries.len() > min_fill {
                 // Borrow the smallest record of the right sibling.
                 self.stats.leaf_borrows += 1;
@@ -318,7 +323,7 @@ impl BPlusTree {
 
         if idx > 0 {
             let left_page = parent.children[idx - 1];
-            let mut left = self.read_node(left_page)?.expect_leaf();
+            let mut left = self.read_leaf(left_page)?;
             if left.entries.len() > min_fill {
                 // Borrow the largest record of the left sibling.
                 self.stats.leaf_borrows += 1;

@@ -7,6 +7,7 @@
 //! why it lives in its own module.
 
 use btree::{Key, Value};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// The kind of update operation an entry represents.
@@ -85,6 +86,15 @@ impl OpEntry {
         }
     }
 
+    /// What this entry says about its key: `Some(value)` establishes it,
+    /// `None` deletes it.
+    pub fn verdict(&self) -> Option<Value> {
+        match self.op {
+            OpKind::Insert | OpKind::Update => Some(self.value),
+            OpKind::Delete => None,
+        }
+    }
+
     /// Serialises the entry into `buf` (which must be at least [`ENTRY_BYTES`] long).
     pub fn encode_into(&self, buf: &mut [u8]) {
         buf[..8].copy_from_slice(&self.key.to_le_bytes());
@@ -109,17 +119,14 @@ impl OpEntry {
 /// inserts add, deletes cancel matching inserts, updates replace the value (an update
 /// of an absent key behaves as an insert, matching the leaf-shrink rule of treating an
 /// update as delete-then-insert).
-pub fn resolve<'a, I: IntoIterator<Item = &'a OpEntry>>(entries: I) -> BTreeMap<Key, Value> {
+pub fn resolve(entries: impl IntoIterator<Item = impl Borrow<OpEntry>>) -> BTreeMap<Key, Value> {
     let mut state = BTreeMap::new();
     for e in entries {
-        match e.op {
-            OpKind::Insert | OpKind::Update => {
-                state.insert(e.key, e.value);
-            }
-            OpKind::Delete => {
-                state.remove(&e.key);
-            }
-        }
+        let e = e.borrow();
+        match e.verdict() {
+            Some(value) => state.insert(e.key, value),
+            None => state.remove(&e.key),
+        };
     }
     state
 }
@@ -127,17 +134,9 @@ pub fn resolve<'a, I: IntoIterator<Item = &'a OpEntry>>(entries: I) -> BTreeMap<
 /// Resolution of a single key against a sequence of entries: `Some(Some(v))` if the
 /// latest matching entry establishes the key with value `v`, `Some(None)` if the
 /// latest matching entry deletes it, `None` if no entry mentions the key.
-pub fn resolve_key<'a, I: IntoIterator<Item = &'a OpEntry>>(entries: I, key: Key) -> Option<Option<Value>> {
-    let mut verdict = None;
-    for e in entries {
-        if e.key == key {
-            verdict = Some(match e.op {
-                OpKind::Insert | OpKind::Update => Some(e.value),
-                OpKind::Delete => None,
-            });
-        }
-    }
-    verdict
+pub fn resolve_key(entries: impl IntoIterator<Item = impl Borrow<OpEntry>>, key: Key) -> Option<Option<Value>> {
+    let mentions = entries.into_iter().filter(|e| e.borrow().key == key);
+    mentions.last().map(|e| e.borrow().verdict())
 }
 
 #[cfg(test)]

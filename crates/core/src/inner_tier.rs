@@ -28,8 +28,8 @@
 //!   invalidated at any time (crash simulation, recovery, migration) without
 //!   blocking anything.
 
-use crate::mpsearch::LeafLocation;
-use btree::{InternalNode, Key, Node};
+use crate::mpsearch::Descent;
+use btree::{InternalNode, InternalView, Key};
 use pio::IoResult;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,19 +80,19 @@ impl InnerSnapshot {
         self.nodes.len()
     }
 
-    /// Walks the snapshot for one key, producing the same root-to-parent path
-    /// as [`crate::mpsearch::locate_leaves`]. `None` if a node is missing
+    /// Walks the snapshot for key `i` of a descent `out` was reset for,
+    /// recording the same root-to-parent path as
+    /// [`crate::mpsearch::locate_leaves`]. `None` if a node is missing
     /// (truncated snapshot — the caller must fall back).
-    pub fn locate(&self, key: Key) -> Option<LeafLocation> {
+    fn locate(&self, i: usize, key: Key, out: &mut Descent) -> Option<()> {
         let mut page = self.root;
-        let mut path = Vec::with_capacity(self.internal_levels());
-        for _ in 0..self.internal_levels() {
+        for level in 0..self.internal_levels() {
             let node = self.nodes.get(&page)?;
             let idx = node.child_for(key);
-            path.push((page, idx));
+            out.step(i, level, page, idx, node.children[idx]);
             page = node.children[idx];
         }
-        Some(LeafLocation { leaf: page, path })
+        Some(())
     }
 
     /// Walks the snapshot for a key range `[lo, hi)`, producing the same leaf
@@ -107,9 +107,8 @@ impl InnerSnapshot {
             let mut next = Vec::new();
             for &p in &frontier {
                 let node = self.nodes.get(&p)?;
-                let first = node.child_for(lo);
-                let last = node.child_for(hi - 1);
-                next.extend_from_slice(&node.children[first..=last]);
+                // `None` (fall back) on a node whose keys are out of order.
+                next.extend_from_slice(node.children.get(node.child_for(lo)..=node.child_for(hi - 1))?);
             }
             frontier = next;
         }
@@ -177,26 +176,24 @@ impl InnerTier {
         }
     }
 
-    /// Probes the tier for a sorted key set. `Some` is exact (equivalent to
-    /// [`crate::mpsearch::locate_leaves`]); `None` means the caller must fall
-    /// back to the store wavefront.
-    pub fn probe_leaves(&self, root: PageId, height: usize, keys: &[Key]) -> Option<Vec<LeafLocation>> {
+    /// Probes the tier for a sorted key set, filling `out`. `true` is exact
+    /// (equivalent to [`crate::mpsearch::locate_leaves`]); `false` means the
+    /// caller must fall back to the store wavefront.
+    pub fn probe_leaves(&self, root: PageId, height: usize, keys: &[Key], out: &mut Descent) -> bool {
         if !self.enabled() {
-            return None;
+            return false;
         }
-        let snap = self.load_for(root, height)?;
-        let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
-            match snap.locate(key) {
-                Some(loc) => out.push(loc),
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(out)
+        let Some(snap) = self.load_for(root, height) else {
+            return false;
+        };
+        out.reset(snap.internal_levels(), keys.len(), root);
+        let exact = keys
+            .iter()
+            .enumerate()
+            .all(|(i, &key)| snap.locate(i, key, out).is_some());
+        let counter = if exact { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        exact
     }
 
     /// Probes the tier for the leaves intersecting `[lo, hi)`. `Some` is exact
@@ -248,14 +245,14 @@ impl InnerTier {
                     self.invalidate();
                     return Ok(false);
                 }
-                let image = match store.read_page(page) {
-                    Ok(image) => image,
+                let read = store.read_page(page);
+                let node = match read.and_then(|image| Ok(InternalView::new(page, &image)?.to_owned())) {
+                    Ok(node) => node,
                     Err(e) => {
                         self.invalidate();
                         return Err(e);
                     }
                 };
-                let node = Node::decode(&image).expect_internal();
                 next.extend_from_slice(&node.children);
                 nodes.insert(page, node);
             }
@@ -270,7 +267,7 @@ impl InnerTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btree::LeafNode;
+    use btree::{LeafNode, Node};
     use pio::SimPsyncIo;
     use ssd_sim::DeviceProfile;
     use std::sync::Arc;
@@ -304,12 +301,18 @@ mod tests {
         (store, root, leaves)
     }
 
+    /// [`InnerTier::probe_leaves`] into a fresh [`Descent`].
+    fn probe(tier: &InnerTier, root: PageId, height: usize, keys: &[Key]) -> Option<Descent> {
+        let mut out = Descent::default();
+        tier.probe_leaves(root, height, keys, &mut out).then_some(out)
+    }
+
     #[test]
     fn disabled_tier_never_hits_and_never_counts() {
         let (store, root, _) = fixture();
         let mut tier = InnerTier::new(0);
         assert!(!tier.rebuild_from(&store, root, 3).unwrap());
-        assert!(tier.probe_leaves(root, 3, &[10]).is_none());
+        assert!(probe(&tier, root, 3, &[10]).is_none());
         assert_eq!(tier.stats(), InnerTierStats::default());
     }
 
@@ -319,8 +322,9 @@ mod tests {
         let mut tier = InnerTier::new(16);
         assert!(tier.rebuild_from(&store, root, 3).unwrap());
         let keys = vec![10u64, 60, 120, 200];
-        let probed = tier.probe_leaves(root, 3, &keys).unwrap();
-        let walked = crate::mpsearch::locate_leaves(&store, root, 2, &keys, 64, 2).unwrap();
+        let probed = probe(&tier, root, 3, &keys).unwrap();
+        let mut walked = Descent::default();
+        crate::mpsearch::locate_leaves(&store, root, 2, &keys, 64, 2, &mut walked).unwrap();
         assert_eq!(
             probed, walked,
             "tier probe must equal the store descent, paths included"
@@ -340,12 +344,12 @@ mod tests {
         let (store, root, _) = fixture();
         let mut tier = InnerTier::new(16);
         tier.rebuild_from(&store, root, 3).unwrap();
-        assert!(tier.probe_leaves(root + 999, 3, &[10]).is_none(), "wrong root");
-        assert!(tier.probe_leaves(root, 4, &[10]).is_none(), "wrong height");
+        assert!(probe(&tier, root + 999, 3, &[10]).is_none(), "wrong root");
+        assert!(probe(&tier, root, 4, &[10]).is_none(), "wrong height");
         assert_eq!(tier.stats().misses, 2);
         // Invalidation sends the next probe to the fallback too.
         tier.invalidate();
-        assert!(tier.probe_leaves(root, 3, &[10]).is_none());
+        assert!(probe(&tier, root, 3, &[10]).is_none());
         assert_eq!(tier.stats().misses, 3);
     }
 
@@ -354,7 +358,7 @@ mod tests {
         let (store, root, _) = fixture();
         let mut tier = InnerTier::new(2); // 3 internal nodes > 2-page budget
         assert!(!tier.rebuild_from(&store, root, 3).unwrap());
-        assert!(tier.probe_leaves(root, 3, &[10]).is_none());
+        assert!(probe(&tier, root, 3, &[10]).is_none());
         assert_eq!(tier.stats().rebuilds, 0);
     }
 
@@ -363,7 +367,7 @@ mod tests {
         let (store, root, _) = fixture();
         let mut tier = InnerTier::new(4);
         tier.rebuild_from(&store, root, 1).unwrap();
-        let locs = tier.probe_leaves(root, 1, &[1, 2]).unwrap();
-        assert!(locs.iter().all(|l| l.leaf == root && l.path.is_empty()));
+        let locs = probe(&tier, root, 1, &[1, 2]).unwrap();
+        assert!((0..2).all(|i| locs.leaf(i) == root && locs.path(i).is_empty()));
     }
 }

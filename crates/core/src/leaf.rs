@@ -8,15 +8,121 @@
 //! leaf fills up, the **shrink** operation resolves the appended operations (deletes
 //! cancel inserts, updates replace values), re-materialises the survivors as sorted
 //! insert records, and only then does the node split if it is still full.
+//!
+//! The format has **one parser**, [`LeafView`]: it borrows a region image,
+//! validates every segment header once, and answers reads from the bytes where
+//! they lie — a point read scans the segments newest-first for the key's
+//! latest record, a range read emits a leaf that is still sorted inserts
+//! straight into the caller's output. The owned [`PioLeaf`] is for the paths
+//! that mutate (append, shrink, split) and is collected *from* the view. What
+//! the parser accepts: segments are counted up to the first page that does
+//! not carry the segment tag (an uninitialised trailing segment — an all-zero
+//! region is an empty leaf), and a record slot inside a segment's count whose
+//! op byte is not `i`/`d`/`u` is skipped. What is **corrupt** —
+//! [`pio::IoError::Corruption`], never a panic: an image that is not a whole
+//! number of pages, and a segment whose count exceeds what a page holds.
 
-use crate::entry::{resolve, resolve_key, OpEntry, ENTRY_BYTES};
+use crate::entry::{resolve, resolve_key, OpEntry, OpKind, ENTRY_BYTES};
 use btree::{Key, Value};
+use pio::{IoError, IoResult};
 use std::collections::BTreeMap;
+use storage::PageId;
 
 /// Per-segment header size in bytes (record count + tag).
 const SEG_HEADER: usize = 8;
 /// Tag byte marking a PIO leaf segment (distinct from the baseline node tags).
 const TAG_PIO_LEAF_SEGMENT: u8 = 3;
+
+/// A borrowed, validated leaf region (or a single segment page of one): the
+/// segments that hold records, read in place. See the [module docs](self).
+#[derive(Debug, Clone, Copy)]
+pub struct LeafView<'a> {
+    /// The live segments: whole pages, each carrying the segment tag and a
+    /// count within capacity.
+    live: &'a [u8],
+    page_size: usize,
+}
+
+impl<'a> LeafView<'a> {
+    /// Validates the image of the leaf pages starting at `first`.
+    pub fn new(first: PageId, image: &'a [u8], page_size: usize) -> IoResult<Self> {
+        let corrupt = || IoError::Corruption {
+            offset: first.saturating_mul(page_size as u64),
+            len: image.len() as u64,
+        };
+        if page_size <= SEG_HEADER || !image.len().is_multiple_of(page_size) {
+            return Err(corrupt());
+        }
+        let mut live = 0;
+        for page in image.chunks_exact(page_size) {
+            if page[0] != TAG_PIO_LEAF_SEGMENT {
+                break; // uninitialised trailing segment
+            }
+            if Self::count(page) > PioLeaf::segment_capacity(page_size) {
+                return Err(corrupt());
+            }
+            live += page_size;
+        }
+        Ok(Self {
+            live: &image[..live],
+            page_size,
+        })
+    }
+
+    /// The record count a segment page's header claims.
+    fn count(page: &[u8]) -> usize {
+        u16::from_le_bytes([page[2], page[3]]) as usize
+    }
+
+    /// Segments holding records (pages before the first untagged one).
+    pub fn live_segments(&self) -> usize {
+        self.live.len() / self.page_size
+    }
+
+    /// The record slots of every live segment, oldest first.
+    fn slots(&self) -> impl DoubleEndedIterator<Item = &'a [u8]> {
+        self.live.chunks_exact(self.page_size).flat_map(|page| {
+            // In bounds: `new` checked the count against the page's capacity.
+            page[SEG_HEADER..SEG_HEADER + Self::count(page) * ENTRY_BYTES].chunks_exact(ENTRY_BYTES)
+        })
+    }
+
+    /// The records in arrival order, empty slots skipped.
+    pub fn records(&self) -> impl Iterator<Item = OpEntry> + 'a {
+        self.slots().filter_map(OpEntry::decode)
+    }
+
+    /// Latest verdict for `key` ([`PioLeaf::lookup`] without the decode): the
+    /// newest record that mentions the key decides.
+    pub fn lookup(&self, key: Key) -> Option<Option<Value>> {
+        let needle = key.to_le_bytes();
+        self.slots()
+            .rev()
+            .filter(|slot| slot[..8] == needle)
+            .find_map(OpEntry::decode)
+            .map(|e| e.verdict())
+    }
+
+    /// Appends the leaf's live entries with keys in `[lo, hi)` to `out`, in
+    /// key order. A leaf that is still strictly ascending inserts — bulk
+    /// loaded or freshly shrunk — goes straight from the image; only one with
+    /// appended records is resolved first.
+    pub fn emit_range(&self, lo: Key, hi: Key, out: &mut Vec<(Key, Value)>) {
+        let mark = out.len();
+        let mut prev = None;
+        for e in self.records() {
+            if e.op != OpKind::Insert || prev.is_some_and(|p| p >= e.key) {
+                out.truncate(mark);
+                let live = resolve(self.records()).into_iter();
+                return out.extend(live.filter(|(k, _)| (lo..hi).contains(k)));
+            }
+            prev = Some(e.key);
+            if (lo..hi).contains(&e.key) {
+                out.push((e.key, e.value));
+            }
+        }
+    }
+}
 
 /// An in-memory image of a PIO B-tree leaf node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,33 +281,14 @@ impl PioLeaf {
         page
     }
 
-    /// Parses one segment page image into its records.
-    pub fn decode_segment(page: &[u8]) -> Vec<OpEntry> {
-        assert_eq!(page[0], TAG_PIO_LEAF_SEGMENT, "not a PIO leaf segment");
-        let count = u16::from_le_bytes(page[2..4].try_into().expect("2 bytes")) as usize;
-        let mut out = Vec::with_capacity(count);
-        let mut off = SEG_HEADER;
-        for _ in 0..count {
-            if let Some(e) = OpEntry::decode(&page[off..off + ENTRY_BYTES]) {
-                out.push(e);
-            }
-            off += ENTRY_BYTES;
-        }
-        out
-    }
-
-    /// Parses a whole-leaf image of `segments × page_size` bytes.
-    pub fn decode(buf: &[u8], segments: usize, page_size: usize) -> Self {
-        assert_eq!(buf.len(), segments * page_size, "leaf image size mismatch");
-        let mut records = Vec::new();
-        for i in 0..segments {
-            let page = &buf[i * page_size..(i + 1) * page_size];
-            if page[0] != TAG_PIO_LEAF_SEGMENT {
-                break; // uninitialised trailing segment
-            }
-            records.extend(Self::decode_segment(page));
-        }
-        Self { segments, records }
+    /// Parses the image of the leaf stored at `first`, one of a tree whose
+    /// leaves have `segments` segments — the owned form of [`LeafView`], for
+    /// the paths that mutate.
+    pub fn decode(first: PageId, buf: &[u8], segments: usize, page_size: usize) -> IoResult<Self> {
+        let view = LeafView::new(first, buf, page_size)?;
+        let mut records = Vec::with_capacity(view.live_segments() * Self::segment_capacity(page_size));
+        records.extend(view.records());
+        Ok(Self { segments, records })
     }
 
     /// Undoes an append to one segment, in place: rebuilds the image the page
@@ -260,14 +347,14 @@ mod tests {
         leaf.append(&ops);
         let buf = leaf.encode(PAGE);
         assert_eq!(buf.len(), 4 * PAGE);
-        let back = PioLeaf::decode(&buf, 4, PAGE);
+        let back = PioLeaf::decode(0, &buf, 4, PAGE).unwrap();
         assert_eq!(back, leaf);
     }
 
     #[test]
     fn empty_leaf_round_trip() {
         let leaf = PioLeaf::new(2);
-        let back = PioLeaf::decode(&leaf.encode(PAGE), 2, PAGE);
+        let back = PioLeaf::decode(0, &leaf.encode(PAGE), 2, PAGE).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.segments, 2);
     }
@@ -390,5 +477,120 @@ mod tests {
         let mut leaf = PioLeaf::new(1);
         leaf.append(&(0..cap as u64 + 1).map(|i| OpEntry::insert(i, i)).collect::<Vec<_>>());
         let _ = leaf.encode(PAGE);
+    }
+
+    /// `CRASH_SEED` (or a fixed default) and a xorshift drawn from it.
+    fn seeded() -> (u64, impl FnMut(u64) -> u64) {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_1EAF);
+        let mut x = seed | 1;
+        (seed, move |n| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        })
+    }
+
+    /// Everything a read asks of a leaf, answered by the view and by the owned
+    /// reference decoded from the same image.
+    fn assert_view_matches_owned(image: &[u8], segments: usize, probes: &[Key], ranges: &[(Key, Key)], ctx: &str) {
+        let view = LeafView::new(7, image, PAGE).unwrap();
+        let owned = PioLeaf::decode(7, image, segments, PAGE).unwrap();
+        assert_eq!(view.records().collect::<Vec<_>>(), owned.records, "{ctx}: records");
+        for &key in probes {
+            assert_eq!(view.lookup(key), owned.lookup(key), "{ctx}: lookup({key})");
+        }
+        for &(lo, hi) in ranges {
+            let mut emitted = vec![(0, 0)];
+            view.emit_range(lo, hi, &mut emitted);
+            let expected: Vec<(Key, Value)> = std::iter::once((0, 0))
+                .chain(owned.resolve().into_iter().filter(|&(k, _)| lo <= k && k < hi))
+                .collect();
+            assert_eq!(emitted, expected, "{ctx}: emit_range({lo}, {hi})");
+        }
+    }
+
+    /// The view against the naive reference — `PioLeaf::decode(..)` then
+    /// `lookup` / `resolve` — on seeded leaves: a bulk-loaded prefix plus random
+    /// appends of inserts, updates and deletes with duplicate keys across
+    /// segments, empty trailing segments, a zeroed slot inside the count, and
+    /// an all-zero region; present, deleted and absent keys.
+    #[test]
+    fn view_differential_against_the_owned_leaf() {
+        let (seed, mut rand) = seeded();
+        let segments = 3;
+        let cap = PioLeaf::capacity(segments, PAGE);
+        for round in 0..200 {
+            let ctx = format!("CRASH_SEED={seed} round {round}");
+            let loaded = rand(cap as u64 / 2) as usize;
+            let entries: Vec<(Key, Value)> = (0..loaded as u64).map(|i| (i * 4 + 2, i)).collect();
+            let mut leaf = PioLeaf::from_sorted(segments, &entries);
+            for i in 0..rand((cap - loaded) as u64 + 1) {
+                let key = rand(loaded as u64 * 4 + 40);
+                leaf.append(&[match rand(3) {
+                    0 => OpEntry::insert(key, 1000 + i),
+                    1 => OpEntry::update(key, 2000 + i),
+                    _ => OpEntry::delete(key),
+                }]);
+            }
+            let mut image = leaf.encode(PAGE);
+            let probes: Vec<Key> = (0..60).map(|_| rand(loaded as u64 * 4 + 60)).collect();
+            let ranges = [(0, Key::MAX), (probes[0], probes[1]), (40, 41), (9, 3)];
+            assert_view_matches_owned(&image, segments, &probes, &ranges, &ctx);
+            if !leaf.is_empty() {
+                // Zero one slot inside the count: both parsers skip it.
+                let slot = rand(leaf.len() as u64) as usize;
+                let seg_cap = PioLeaf::segment_capacity(PAGE);
+                let at = (slot / seg_cap) * PAGE + SEG_HEADER + (slot % seg_cap) * ENTRY_BYTES;
+                image[at..at + ENTRY_BYTES].fill(0);
+                assert_view_matches_owned(
+                    &image,
+                    segments,
+                    &probes,
+                    &ranges,
+                    &format!("{ctx}, slot {slot} zeroed"),
+                );
+            }
+        }
+        let zeroes = vec![0u8; segments * PAGE];
+        assert_view_matches_owned(&zeroes, segments, &[1, 2, 3], &[(0, Key::MAX)], "an all-zero region");
+        assert_eq!(LeafView::new(7, &zeroes, PAGE).unwrap().live_segments(), 0);
+    }
+
+    /// Fuzz: every value at every header byte of every segment, and a seeded
+    /// sample of mutations elsewhere, of an encoded leaf region parses to a
+    /// view or to `Corruption` — and a view answers every kind of read without
+    /// a panic or an out-of-bounds index, exactly as the owned form does.
+    #[test]
+    fn fuzz_single_byte_mutations_yield_a_view_or_corruption() {
+        let (seed, mut rand) = seeded();
+        let segments = 3;
+        let mut leaf = PioLeaf::from_sorted(segments, &(0..150u64).map(|k| (k * 3, k)).collect::<Vec<_>>());
+        leaf.append(&[OpEntry::delete(30), OpEntry::update(33, 9), OpEntry::insert(1, 1)]);
+        let image = leaf.encode(PAGE);
+        let sampled: Vec<(usize, u8)> = (0..2000)
+            .map(|_| (rand(image.len() as u64) as usize, rand(256) as u8))
+            .collect();
+        let every_header_value = (0..segments)
+            .flat_map(|seg| (0..SEG_HEADER).map(move |b| seg * PAGE + b))
+            .flat_map(|at| (0..=255u8).map(move |v| (at, v)));
+        for (at, value) in every_header_value.chain(sampled) {
+            let mut mutated = image.clone();
+            mutated[at] = value;
+            let ctx = format!("CRASH_SEED={seed} byte {at} = {value}");
+            match LeafView::new(7, &mutated, PAGE) {
+                Ok(_) => assert_view_matches_owned(&mutated, segments, &[0, 1, 30, 33, 449], &[(0, Key::MAX)], &ctx),
+                Err(e) => {
+                    assert!(matches!(e, IoError::Corruption { .. }), "{ctx}: {e}");
+                    assert!(PioLeaf::decode(7, &mutated, segments, PAGE).is_err(), "{ctx}");
+                }
+            }
+        }
+        // An image that is not whole pages is corruption too, not a slice panic.
+        assert!(LeafView::new(7, &image[..PAGE + 1], PAGE).is_err());
+        assert!(PioLeaf::decode(7, &image[..PAGE + 1], segments, PAGE).is_err());
     }
 }

@@ -57,6 +57,24 @@
 //! the cache's admission. Both default to 0 (off), preserving the
 //! paper-faithful I/O pattern.
 //!
+//! ## The read path touches a page's bytes once
+//!
+//! A page or leaf region comes out of the store as a shared, immutable
+//! [`storage::PageImage`] — the image the cache verified and keeps, not a copy
+//! — and is searched where it lies: [`btree::InternalView`] binary-searches an
+//! internal node's encoded keys, [`leaf::LeafView`] scans a leaf's segments
+//! newest-first for a key's latest record and emits a still-sorted leaf
+//! straight into a range result. Both views validate their header once and
+//! return [`pio::IoError::Corruption`] for bytes that do not parse — nothing
+//! read from a device can panic the tree. The owned forms
+//! ([`btree::InternalNode`], [`leaf::PioLeaf`]) are for the paths that mutate
+//! a node — shrink, split, fence insert — and are collected from the views,
+//! so each format has one parser. What a batched call needs besides its
+//! result (sort order, sorted keys, the [`mpsearch::Descent`] with every key's
+//! leaf and path in one flat array, a chunk's region list) lives in scratch
+//! buffers the tree keeps between calls: a warm `multi_search` allocates its
+//! result and a read ticket's slot vector, nothing per key.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -99,8 +117,9 @@ pub use config::{PioConfig, PioConfigBuilder, PipelineDepth};
 pub use cost::{recommended_shards, CostModel, ShardTuning, WorkloadMix};
 pub use entry::{OpEntry, OpKind};
 pub use inner_tier::{InnerSnapshot, InnerTier, InnerTierStats};
-pub use leaf::PioLeaf;
+pub use leaf::{LeafView, PioLeaf};
 pub use lsmap::LsMap;
+pub use mpsearch::Descent;
 pub use opq::OperationQueue;
 pub use recovery::{LogRecord, RecoveryReport};
 pub use tree::{PioBTree, PioStats};

@@ -21,57 +21,73 @@
 //! for bupdate, writing them back) is the caller's job, because point search, prange
 //! search and bupdate each treat the leaf level differently.
 
-use btree::{InternalNode, Key, Node};
+use btree::{InternalView, Key};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
 use std::collections::HashSet;
-use storage::{AccessHint, CachedReadTicket, CachedStore, PageId};
+use storage::{AccessHint, CachedReadTicket, CachedStore, PageId, PageImage};
 
-/// Where a key landed after the internal-level descent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeafLocation {
-    /// First page of the leaf node responsible for the key.
-    pub leaf: PageId,
-    /// Root-to-parent path: `(internal node page, child index taken)` for every
-    /// internal level, starting at the root.
-    pub path: Vec<(PageId, usize)>,
+/// The result of one descent over a sorted key set: per key the target leaf
+/// and its root-to-parent path, the paths in **one** flat array (`levels`
+/// steps per key) so that a descent allocates nothing per key — and nothing at
+/// all when its buffers are reused (the tree keeps one as scratch).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Descent {
+    levels: usize,
+    /// While a descent runs, each key's node at its chunk's current level;
+    /// afterwards its leaf.
+    leaves: Vec<PageId>,
+    steps: Vec<(PageId, usize)>,
 }
 
-/// The descent state of one `PioMax`-sized key chunk riding the pipeline:
-/// which level it is at, where each of its keys currently points, and the
-/// paths recorded so far.
+impl Descent {
+    /// Starts a descent of `keys` keys through `levels` internal levels: every
+    /// key stands at `root`.
+    pub(crate) fn reset(&mut self, levels: usize, keys: usize, root: PageId) {
+        self.levels = levels;
+        self.leaves.clear();
+        self.leaves.resize(keys, root);
+        self.steps.clear();
+        self.steps.resize(keys * levels, (root, 0));
+    }
+
+    /// Records that key `i` took child `child_idx` of node `page` at `level`,
+    /// which leads to `child`.
+    pub(crate) fn step(&mut self, i: usize, level: usize, page: PageId, child_idx: usize, child: PageId) {
+        self.steps[i * self.levels + level] = (page, child_idx);
+        self.leaves[i] = child;
+    }
+
+    /// First page of the leaf responsible for key `i`.
+    pub fn leaf(&self, i: usize) -> PageId {
+        self.leaves[i]
+    }
+
+    /// Key `i`'s root-to-parent path: `(internal node page, child index
+    /// taken)` for every internal level, starting at the root.
+    pub fn path(&self, i: usize) -> &[(PageId, usize)] {
+        &self.steps[i * self.levels..(i + 1) * self.levels]
+    }
+}
+
+/// One `PioMax`-sized run of keys riding the pipeline: which keys, and how
+/// many internal levels they have descended. Where each key stands and the
+/// path it took live in the caller's [`Descent`].
+#[derive(Clone, Copy)]
 struct ChunkDescent {
-    /// Index of the chunk's first key in the caller's sorted key slice.
     start: usize,
-    /// Per-key internal-node frontier at the current level.
-    frontier: Vec<PageId>,
-    /// Per-key root-to-here paths.
-    paths: Vec<Vec<(PageId, usize)>>,
-    /// Internal levels descended so far.
+    end: usize,
     level: usize,
 }
 
-/// One in-flight wavefront entry: a chunk's descent state, the ticket of its
-/// current-level read, the distinct pages that level needs, and the subset the
-/// ticket actually fetched (pages another in-flight entry was already reading
-/// are deferred to the pool — see [`locate_leaves`]).
+/// One in-flight wavefront entry: a chunk, the ticket of its current-level
+/// read, and the one-page regions that ticket fetched, in ticket order — the
+/// chunk's distinct nodes minus those another in-flight entry was already
+/// reading (deferred to the pool — see [`submit_level`]).
 struct InflightLevel {
     chunk: ChunkDescent,
     ticket: CachedReadTicket,
-    pages: Vec<PageId>,
-    /// The one-page regions the ticket fetched, in ticket order.
     fetched: Vec<(PageId, u64)>,
-}
-
-/// Order-preserving dedup of a (key-sorted, therefore page-clustered) frontier.
-fn distinct_pages(frontier: &[PageId]) -> Vec<PageId> {
-    let mut pages: Vec<PageId> = Vec::with_capacity(frontier.len());
-    for &p in frontier {
-        if pages.last() != Some(&p) && !pages.contains(&p) {
-            pages.push(p);
-        }
-    }
-    pages
 }
 
 /// Completes every in-flight ticket of a failed pipeline, discarding results —
@@ -82,33 +98,32 @@ fn drain(store: &CachedStore, ring: &mut TicketRing<InflightLevel>) {
     });
 }
 
-/// Submits one chunk's current-level read into the wavefront. Pages some other
-/// in-flight entry is already fetching are *deferred* rather than re-read: the
-/// fetching entry sits ahead in the FIFO, so by the time this entry is decoded
-/// its completion has installed the page in the pool (cold starts would
-/// otherwise read the root once per in-flight chunk). On a submission error
-/// the ring is drained before the error is returned.
+/// Submits one chunk's current-level read into the wavefront: its distinct
+/// nodes — keys are sorted, so equal nodes are adjacent in `frontier`. Pages
+/// some other in-flight entry is already fetching are *deferred* rather than
+/// re-read: the fetching entry sits ahead in the FIFO, so by the time this
+/// entry is decoded its completion has installed the page in the pool (cold
+/// starts would otherwise read the root once per in-flight chunk). On a
+/// submission error the ring is drained before the error is returned.
 fn submit_level(
     store: &CachedStore,
     chunk: ChunkDescent,
+    frontier: &[PageId],
     in_flight_pages: &mut HashSet<PageId>,
     ring: &mut TicketRing<InflightLevel>,
 ) -> IoResult<()> {
-    let pages = distinct_pages(&chunk.frontier);
-    let fetched: Vec<(PageId, u64)> = pages
-        .iter()
-        .filter(|p| !in_flight_pages.contains(p))
-        .map(|&p| (p, 1))
-        .collect();
+    let mut fetched: Vec<(PageId, u64)> = Vec::new();
+    let mut previous = None;
+    for &page in &frontier[chunk.start..chunk.end] {
+        if previous != Some(page) && !in_flight_pages.contains(&page) {
+            fetched.push((page, 1));
+        }
+        previous = Some(page);
+    }
     match store.submit_read(&fetched, AccessHint::Point) {
         Ok(ticket) => {
             in_flight_pages.extend(fetched.iter().map(|&(p, _)| p));
-            ring.push(InflightLevel {
-                chunk,
-                ticket,
-                pages,
-                fetched,
-            });
+            ring.push(InflightLevel { chunk, ticket, fetched });
             Ok(())
         }
         Err(e) => {
@@ -118,11 +133,46 @@ fn submit_level(
     }
 }
 
+/// Takes one chunk one level down over its completed read, in lock step: the
+/// chunk's keys are sorted, so each distinct node serves one run of them, and
+/// the fetched images arrive in the order of those runs. A node the ticket did
+/// not fetch was deferred to the pool (its fetching entry completed earlier; a
+/// pool too small to retain it falls back to a blocking read).
+fn descend_level(
+    store: &CachedStore,
+    ChunkDescent { start, end, level }: ChunkDescent,
+    fetched: &[(PageId, u64)],
+    images: &[PageImage],
+    keys: &[Key],
+    out: &mut Descent,
+) -> IoResult<()> {
+    let mut fetched = fetched.iter().zip(images).peekable();
+    let mut i = start;
+    while i < end {
+        let page = out.leaf(i);
+        let deferred;
+        let image: &[u8] = match fetched.next_if(|&(&(p, _), _)| p == page) {
+            Some((_, image)) => image,
+            None => {
+                deferred = store.read_page(page)?;
+                &deferred
+            }
+        };
+        let node = InternalView::new(page, image)?;
+        while i < end && out.leaf(i) == page {
+            let child_idx = node.child_for(keys[i]);
+            out.step(i, level, page, child_idx, node.child(child_idx));
+            i += 1;
+        }
+    }
+    Ok(())
+}
+
 /// Descends the internal levels for every key in `keys` (which must be sorted), using
 /// at most `pio_max` outstanding node reads per psync call and up to
 /// `pipeline_depth` batches in flight (capped at the internal level count, so the
-/// in-flight buffers stay within `PioMax · (treeHeight − 1)` pages). Returns one
-/// [`LeafLocation`] per key, in input order.
+/// in-flight buffers stay within `PioMax · (treeHeight − 1)` pages). Fills `out`
+/// with one row per key, in input order.
 pub fn locate_leaves(
     store: &CachedStore,
     root: PageId,
@@ -130,103 +180,61 @@ pub fn locate_leaves(
     keys: &[Key],
     pio_max: usize,
     pipeline_depth: usize,
-) -> IoResult<Vec<LeafLocation>> {
+    out: &mut Descent,
+) -> IoResult<()> {
     debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
-    if keys.is_empty() {
-        return Ok(Vec::new());
-    }
-    if internal_levels == 0 {
-        // Degenerate single-node tree: every key lands on the root page.
-        return Ok(keys
-            .iter()
-            .map(|_| LeafLocation {
-                leaf: root,
-                path: Vec::new(),
-            })
-            .collect());
+    // A degenerate single-node tree has no level to descend: every key
+    // lands on the root page.
+    out.reset(internal_levels, keys.len(), root);
+    if keys.is_empty() || internal_levels == 0 {
+        return Ok(());
     }
     let pio_max = pio_max.max(1);
     let depth = pipeline_depth.clamp(1, internal_levels);
-    let chunk_starts: Vec<usize> = (0..keys.len()).step_by(pio_max).collect();
+    let mut chunk_starts = (0..keys.len()).step_by(pio_max);
 
-    let mut out: Vec<Option<LeafLocation>> = (0..keys.len()).map(|_| None).collect();
     let mut ring: TicketRing<InflightLevel> = TicketRing::new(depth);
     let mut in_flight_pages: HashSet<PageId> = HashSet::new();
-    let mut next_chunk = 0usize;
     loop {
         // Keep the pipeline full: start fresh chunks (at the root level) until
         // the ring holds `depth` in-flight batches.
-        while next_chunk < chunk_starts.len() && ring.has_room() {
-            let start = chunk_starts[next_chunk];
-            let len = (keys.len() - start).min(pio_max);
-            let st = ChunkDescent {
+        while ring.has_room() {
+            let Some(start) = chunk_starts.next() else {
+                break;
+            };
+            let chunk = ChunkDescent {
                 start,
-                frontier: vec![root; len],
-                paths: vec![Vec::with_capacity(internal_levels); len],
+                end: (start + pio_max).min(keys.len()),
                 level: 0,
             };
-            submit_level(store, st, &mut in_flight_pages, &mut ring)?;
-            next_chunk += 1;
+            submit_level(store, chunk, &out.leaves, &mut in_flight_pages, &mut ring)?;
         }
-        let Some(entry) = ring.pop() else {
+        let Some(InflightLevel {
+            mut chunk,
+            ticket,
+            fetched,
+        }) = ring.pop()
+        else {
             break;
         };
-        let images = match store.complete_read(entry.ticket) {
-            Ok(images) => images,
-            Err(e) => {
-                drain(store, &mut ring);
-                return Err(e);
+        let descended = store.complete_read(ticket).and_then(|images| {
+            for (p, _) in &fetched {
+                in_flight_pages.remove(p);
             }
-        };
-        for (p, _) in &entry.fetched {
-            in_flight_pages.remove(p);
+            descend_level(store, chunk, &fetched, &images, keys, out)
+        });
+        if let Err(e) = descended {
+            drain(store, &mut ring);
+            return Err(e);
         }
-        // Node per distinct page: fetched pages from the ticket, deferred ones
-        // from the pool (their fetching entry completed earlier; a pool too
-        // small to retain them falls back to a blocking read).
-        let mut nodes: Vec<InternalNode> = Vec::with_capacity(entry.pages.len());
-        for &p in &entry.pages {
-            let node = match entry.fetched.iter().position(|&(f, _)| f == p) {
-                Some(j) => Node::decode(&images[j]).expect_internal(),
-                None => match store.read_page(p) {
-                    Ok(img) => Node::decode(&img).expect_internal(),
-                    Err(e) => {
-                        drain(store, &mut ring);
-                        return Err(e);
-                    }
-                },
-            };
-            nodes.push(node);
-        }
-        let mut st = entry.chunk;
-        for i in 0..st.frontier.len() {
-            let key = keys[st.start + i];
-            let page = st.frontier[i];
-            let node_idx = entry
-                .pages
-                .iter()
-                .position(|&p| p == page)
-                .expect("page resolved above");
-            let node = &nodes[node_idx];
-            let child_idx = node.child_for(key);
-            st.paths[i].push((page, child_idx));
-            st.frontier[i] = node.children[child_idx];
-        }
-        st.level += 1;
-        if st.level < internal_levels {
+        chunk.level += 1;
+        if chunk.level < internal_levels {
             // Re-submit the chunk's next level behind whatever else is in
             // flight (the pop above guarantees room).
-            submit_level(store, st, &mut in_flight_pages, &mut ring)?;
-        } else {
-            for (i, path) in st.paths.into_iter().enumerate() {
-                out[st.start + i] = Some(LeafLocation {
-                    leaf: st.frontier[i],
-                    path,
-                });
-            }
+            submit_level(store, chunk, &out.leaves, &mut in_flight_pages, &mut ring)?;
         }
     }
-    Ok(out.into_iter().map(|l| l.expect("every chunk completed")).collect())
+    Ok(())
 }
 
 /// Descends the internal levels for a key range `[lo, hi)` and returns the first
@@ -249,24 +257,26 @@ pub fn locate_leaves_in_range(
     let pio_max = pio_max.max(1);
     let depth = pipeline_depth.clamp(1, internal_levels.max(1));
     let mut frontier: Vec<PageId> = vec![root];
+    let mut regions: Vec<(PageId, u64)> = Vec::new();
     for _level in 0..internal_levels {
         let mut next: Vec<PageId> = Vec::new();
-        let batches: Vec<&[PageId]> = frontier.chunks(pio_max).collect();
+        let batch = |batch_idx: usize| &frontier[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(frontier.len())];
         run_pipeline(
             depth,
-            batches.len(),
+            frontier.len().div_ceil(pio_max),
             |batch_idx| {
-                let pages: Vec<(PageId, u64)> = batches[batch_idx].iter().map(|&p| (p, 1)).collect();
-                store.submit_read(&pages, AccessHint::Point)
+                regions.clear();
+                regions.extend(batch(batch_idx).iter().map(|&p| (p, 1)));
+                store.submit_read(&regions, AccessHint::Point)
             },
             |ticket| store.complete_read(ticket),
-            |_, images| {
-                for img in &images {
-                    let node = Node::decode(img).expect_internal();
-                    let first = node.child_for(lo);
-                    let last = node.child_for(hi - 1);
-                    next.extend_from_slice(&node.children[first..=last]);
+            |batch_idx, images| {
+                for (&page, image) in batch(batch_idx).iter().zip(&images) {
+                    let node = InternalView::new(page, image)?;
+                    // An empty range on a node whose rotted keys are out of order.
+                    next.extend((node.child_for(lo)..=node.child_for(hi - 1)).map(|i| node.child(i)));
                 }
+                Ok(())
             },
         )?;
         frontier = next;
@@ -277,7 +287,7 @@ pub fn locate_leaves_in_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btree::LeafNode;
+    use btree::{InternalNode, LeafNode, Node};
     use pio::SimPsyncIo;
     use ssd_sim::DeviceProfile;
     use std::sync::Arc;
@@ -332,21 +342,28 @@ mod tests {
         (store, root, leaves)
     }
 
+    /// [`locate_leaves`] into a fresh [`Descent`].
+    fn locate(store: &CachedStore, root: PageId, levels: usize, keys: &[Key], pio_max: usize, depth: usize) -> Descent {
+        let mut out = Descent::default();
+        locate_leaves(store, root, levels, keys, pio_max, depth, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn locate_leaves_routes_keys_correctly() {
         let (store, root, leaves) = build_fixture();
         let keys = vec![10, 60, 120, 200];
-        let locs = locate_leaves(&store, root, 2, &keys, 64, 2).unwrap();
-        assert_eq!(locs.len(), 4);
-        assert_eq!(locs[0].leaf, leaves[0]);
-        assert_eq!(locs[1].leaf, leaves[1]);
-        assert_eq!(locs[2].leaf, leaves[2]);
-        assert_eq!(locs[3].leaf, leaves[3]);
+        let locs = locate(&store, root, 2, &keys, 64, 2);
+        assert_eq!(locs.leaves.len(), 4);
+        assert_eq!(locs.leaf(0), leaves[0]);
+        assert_eq!(locs.leaf(1), leaves[1]);
+        assert_eq!(locs.leaf(2), leaves[2]);
+        assert_eq!(locs.leaf(3), leaves[3]);
         // Paths record the root and the level-1 node with the child index taken.
-        assert_eq!(locs[0].path.len(), 2);
-        assert_eq!(locs[0].path[0].0, root);
-        assert_eq!(locs[0].path[0].1, 0);
-        assert_eq!(locs[3].path[1].1, 1);
+        assert_eq!(locs.path(0).len(), 2);
+        assert_eq!(locs.path(0)[0].0, root);
+        assert_eq!(locs.path(0)[0].1, 0);
+        assert_eq!(locs.path(3)[1].1, 1);
     }
 
     #[test]
@@ -355,7 +372,7 @@ mod tests {
         store.drop_cache();
         let before = store.store().stats().read_batches;
         let keys = vec![10, 60, 120, 200];
-        locate_leaves(&store, root, 2, &keys, 64, 2).unwrap();
+        locate(&store, root, 2, &keys, 64, 2);
         let batches = store.store().stats().read_batches - before;
         // One batch for the root level, one for level 1 (not one per key).
         assert_eq!(batches, 2);
@@ -365,8 +382,8 @@ mod tests {
     fn pio_max_one_degenerates_to_sequential_but_stays_correct() {
         let (store, root, leaves) = build_fixture();
         let keys = vec![10, 60, 120, 200];
-        let locs = locate_leaves(&store, root, 2, &keys, 1, 1).unwrap();
-        let got: Vec<PageId> = locs.iter().map(|l| l.leaf).collect();
+        let locs = locate(&store, root, 2, &keys, 1, 1);
+        let got: Vec<PageId> = (0..keys.len()).map(|i| locs.leaf(i)).collect();
         assert_eq!(got, leaves);
     }
 
@@ -374,10 +391,10 @@ mod tests {
     fn every_pipeline_depth_agrees_with_the_blocking_descent() {
         let (store, root, _) = build_fixture();
         let keys = vec![10, 40, 60, 90, 120, 160, 200, 250];
-        let blocking = locate_leaves(&store, root, 2, &keys, 2, 1).unwrap();
+        let blocking = locate(&store, root, 2, &keys, 2, 1);
         for depth in [2usize, 3, 8] {
             store.drop_cache();
-            let pipelined = locate_leaves(&store, root, 2, &keys, 2, depth).unwrap();
+            let pipelined = locate(&store, root, 2, &keys, 2, depth);
             assert_eq!(pipelined, blocking, "depth {depth}");
             store.drop_cache();
             let ranged_blocking = locate_leaves_in_range(&store, root, 2, 0, 1_000, 1, 1).unwrap();
@@ -397,7 +414,7 @@ mod tests {
         let keys = vec![10, 120];
         store.drop_cache();
         let io_before = store.store().io().io_stats();
-        locate_leaves(&store, root, 2, &keys, 1, 2).unwrap();
+        locate(&store, root, 2, &keys, 1, 2);
         let io_after = store.store().io().io_stats();
         let batches = io_after.batches - io_before.batches;
         let groups = io_after.overlap_groups - io_before.overlap_groups;
@@ -413,7 +430,7 @@ mod tests {
     #[test]
     fn empty_key_set_is_a_noop() {
         let (store, root, _) = build_fixture();
-        assert!(locate_leaves(&store, root, 2, &[], 8, 2).unwrap().is_empty());
+        assert!(locate(&store, root, 2, &[], 8, 2).leaves.is_empty());
     }
 
     #[test]

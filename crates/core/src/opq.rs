@@ -12,7 +12,7 @@
 //! parameter of the paper's cost model, so the Figure-11 trade-off between OPQ size
 //! and buffer-pool size carries over directly.
 
-use crate::entry::{OpEntry, OpKind, ENTRY_BYTES};
+use crate::entry::{OpEntry, ENTRY_BYTES};
 use btree::{Key, Value};
 
 /// The in-memory operation queue.
@@ -147,17 +147,11 @@ impl OperationQueue {
             if e.key != key {
                 break;
             }
-            verdict = Some(match e.op {
-                OpKind::Insert | OpKind::Update => Some(e.value),
-                OpKind::Delete => None,
-            });
+            verdict = Some(e.verdict());
         }
         for e in &self.entries[self.sorted_offset..] {
             if e.key == key {
-                verdict = Some(match e.op {
-                    OpKind::Insert | OpKind::Update => Some(e.value),
-                    OpKind::Delete => None,
-                });
+                verdict = Some(e.verdict());
             }
         }
         verdict
@@ -227,6 +221,7 @@ impl OperationQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::OpKind;
 
     fn q(cap: usize, speriod: usize) -> OperationQueue {
         OperationQueue::with_capacity(cap, speriod)

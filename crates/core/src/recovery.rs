@@ -301,7 +301,7 @@ impl PioBTree {
                     preimage,
                 }) => {
                     if let Some(&i) = flush_idx.get(&flush_id) {
-                        flushes[i].journal.steps.push((page, Undo::Image(preimage)));
+                        flushes[i].journal.steps.push((page, Undo::Image(preimage.into())));
                     }
                 }
                 Some(LogRecord::FlushAppendUndo {

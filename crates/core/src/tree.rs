@@ -27,7 +27,7 @@ use crate::leaf::PioLeaf;
 use crate::lsmap::LsMap;
 use crate::opq::OperationQueue;
 use crate::recovery::LogRecord;
-use btree::{InternalNode, Key, Node, Value};
+use btree::{InternalNode, InternalView, Key, Node, Value};
 use pio::ring::run_pipeline;
 use pio::{IoResult, SimPsyncIo};
 use ssd_sim::DeviceProfile;
@@ -164,6 +164,8 @@ pub struct PioBTree {
     /// crash/rollback. Disabled (always cold) when
     /// `config.inner_tier_pages == 0`.
     pub(crate) tier: InnerTier,
+    /// Reused buffers of the batched read paths and bupdate's descent.
+    scratch: search::SearchScratch,
 }
 
 impl std::fmt::Debug for PioBTree {
@@ -252,7 +254,7 @@ impl PioBTree {
                 store.submit_write(&refs)
             },
             |ticket| store.complete_write(ticket),
-            |_, ()| {},
+            |_, ()| Ok(()),
         )?;
 
         // --- Internal levels --------------------------------------------------------
@@ -343,6 +345,7 @@ impl PioBTree {
             open_brackets: BTreeMap::new(),
             dirty_ops: 0,
             tier: InnerTier::new(config.inner_tier_pages),
+            scratch: search::SearchScratch::default(),
             store,
             config,
         }
@@ -631,7 +634,8 @@ impl PioBTree {
         fn visit(tree: &PioBTree, page: PageId, level: usize, lo: Option<Key>, hi: Option<Key>) -> IoResult<u64> {
             if level == tree.internal_levels() {
                 // Leaf region.
-                let leaf = tree.read_leaf(page)?;
+                let image = tree.read_leaf_image(page)?;
+                let leaf = PioLeaf::decode(page, &image, tree.config.leaf_segments, tree.config.page_size)?;
                 for rec in &leaf.records {
                     if let Some(lo) = lo {
                         assert!(rec.key >= lo, "leaf record {} below bound {lo}", rec.key);
@@ -649,7 +653,7 @@ impl PioBTree {
                 }
                 return Ok(leaf.resolve().len() as u64);
             }
-            let node = Node::decode(&tree.store.read_page(page)?).expect_internal();
+            let node = InternalView::new(page, &tree.store.read_page(page)?)?.to_owned();
             assert_eq!(node.children.len(), node.keys.len() + 1, "internal arity");
             assert!(node.keys.windows(2).all(|w| w[0] < w[1]), "internal keys sorted");
             let mut total = 0;

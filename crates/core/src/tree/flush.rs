@@ -12,12 +12,12 @@
 
 use super::PioBTree;
 use crate::entry::OpEntry;
-use crate::leaf::PioLeaf;
-use crate::mpsearch::LeafLocation;
+use crate::leaf::{LeafView, PioLeaf};
+use crate::mpsearch::Descent;
 use crate::recovery::LogRecord;
-use btree::{InternalNode, Key, Node};
+use btree::{InternalNode, InternalView, Key, Node};
 use pio::{IoResult, TicketRing};
-use storage::{AccessHint, CachedReadTicket, PageId};
+use storage::{AccessHint, CachedReadTicket, PageId, PageImage};
 
 /// A pending fence-key insertion produced by a node split during bupdate.
 #[derive(Debug, Clone)]
@@ -29,19 +29,21 @@ struct FenceInsert {
     new_child: PageId,
 }
 
-/// One leaf node's share of a bupdate batch.
+/// One leaf node's share of a bupdate batch: a run of the key-sorted batch,
+/// starting at entry `first` (whose row of the batch's [`Descent`] is the
+/// leaf's path).
 #[derive(Debug, Clone)]
-struct LeafJob {
+struct LeafJob<'a> {
     leaf: PageId,
-    path: Vec<(PageId, usize)>,
-    ops: Vec<OpEntry>,
+    first: usize,
+    ops: &'a [OpEntry],
 }
 
 /// How one page of a flush is undone.
 #[derive(Debug)]
 pub(crate) enum Undo {
     /// Restore the pre-image.
-    Image(Vec<u8>),
+    Image(PageImage),
     /// The flush only appended to the segment: cut it back to this record
     /// count (`None`: back to a never-written page).
     Append(Option<usize>),
@@ -51,9 +53,9 @@ pub(crate) enum Undo {
 /// take the flush back. A running flush writes it through the methods below —
 /// each appends the step's WAL record (when a WAL is attached) and the
 /// in-memory step together — and recovery rebuilds it from those records. The
-/// in-memory step of an appended-to segment keeps the image Phase A fetched
-/// anyway (the WAL logs the old record count instead), so an in-process
-/// rollback needs no read.
+/// in-memory step of an appended-to segment keeps the shared image Phase A
+/// fetched anyway (the WAL logs the old record count instead), so an
+/// in-process rollback needs no read and the flush copies no pre-image.
 #[derive(Debug, Default)]
 pub(crate) struct FlushJournal {
     pub(crate) flush_id: u64,
@@ -81,19 +83,19 @@ impl FlushJournal {
 
     /// Journals the rewrite of `page` (a full-path leaf region page, an
     /// internal node) with its pre-image.
-    fn image(&mut self, tree: &PioBTree, page: PageId, preimage: Vec<u8>) {
+    fn image(&mut self, tree: &PioBTree, page: PageId, preimage: PageImage) {
         tree.log(|| LogRecord::FlushUndo {
             flush_id: self.flush_id,
             page,
-            preimage: preimage.clone(),
+            preimage: preimage.to_vec(),
         });
         self.steps.push((page, Undo::Image(preimage)));
     }
 
     /// Journals an append to segment `page`: the durable undo is logical — the
     /// old record count — and the in-process one is `preimage`, the image
-    /// Phase A already fetched, moved, never copied.
-    fn append(&mut self, tree: &PioBTree, page: PageId, old_count: u16, fresh: bool, preimage: Vec<u8>) {
+    /// Phase A already fetched, shared, never copied.
+    fn append(&mut self, tree: &PioBTree, page: PageId, old_count: u16, fresh: bool, preimage: PageImage) {
         tree.log(|| LogRecord::FlushAppendUndo {
             flush_id: self.flush_id,
             page,
@@ -236,18 +238,18 @@ impl PioBTree {
                 self.store.store().read_regions(&appended)?
             }
             .into_iter();
-            let images: Vec<(PageId, Vec<u8>)> = batch
+            let images: Vec<(PageId, PageImage)> = batch
                 .into_iter()
                 .map(|(page, undo)| match undo {
                     Undo::Image(image) => (page, image),
                     Undo::Append(keep) => {
                         let mut image = current.next().expect("one image per appended page");
                         PioLeaf::undo_append(&mut image, keep);
-                        (page, image)
+                        (page, image.into())
                     }
                 })
                 .collect();
-            let writes: Vec<(PageId, &[u8])> = images.iter().map(|(p, d)| (*p, d.as_slice())).collect();
+            let writes: Vec<(PageId, &[u8])> = images.iter().map(|(p, d)| (*p, &d[..])).collect();
             self.store.write_pages(&writes)?;
         }
         Ok(())
@@ -281,8 +283,9 @@ impl PioBTree {
 
         // 1. Locate the target leaf of every entry with an MPSearch-style descent.
         let keys: Vec<Key> = ops.iter().map(|e| e.key).collect();
-        let locs = self.locate(&keys)?;
-        let jobs = Self::group_jobs(ops, &locs);
+        let mut descent = std::mem::take(&mut self.scratch.descent);
+        self.locate(&keys, &mut descent)?;
+        let jobs = Self::group_jobs(ops, &descent);
 
         // 2. Apply the operations leaf by leaf, in PioMax-sized psync batches.
         // Phase-A reads (each target leaf's last segment) are prefetched up to
@@ -307,15 +310,16 @@ impl PioBTree {
                 next_submit += 1;
             }
             let (ticket, last_ls) = ring.pop().expect("submitted above");
-            let applied = self
-                .store
-                .complete_read(ticket)
-                .and_then(|ls_images| self.apply_leaf_chunk(chunk, ls_images, &last_ls, &mut fences, journal));
+            let applied = self.store.complete_read(ticket).and_then(|ls_images| {
+                self.apply_leaf_chunk(chunk, &descent, &ls_images, &last_ls, &mut fences, journal)
+            });
             if let Err(e) = applied {
                 self.drain_prefetch(&mut ring);
                 return Err(e);
             }
         }
+
+        self.scratch.descent = descent;
 
         // 3. Propagate fence keys upward, level by level.
         let had_fences = !fences.is_empty();
@@ -344,16 +348,17 @@ impl PioBTree {
         });
     }
 
-    /// Groups key-sorted ops by their destination leaf, preserving op order.
-    fn group_jobs(ops: &[OpEntry], locs: &[LeafLocation]) -> Vec<LeafJob> {
+    /// Groups a located, key-sorted batch by destination leaf: one job per run
+    /// of entries that share a leaf.
+    fn group_jobs<'a>(ops: &'a [OpEntry], descent: &Descent) -> Vec<LeafJob<'a>> {
         let mut jobs: Vec<LeafJob> = Vec::new();
-        for (op, loc) in ops.iter().zip(locs) {
+        for i in 0..ops.len() {
             match jobs.last_mut() {
-                Some(j) if j.leaf == loc.leaf => j.ops.push(*op),
+                Some(j) if j.leaf == descent.leaf(i) => j.ops = &ops[j.first..=i],
                 _ => jobs.push(LeafJob {
-                    leaf: loc.leaf,
-                    path: loc.path.clone(),
-                    ops: vec![*op],
+                    leaf: descent.leaf(i),
+                    first: i,
+                    ops: &ops[i..=i],
                 }),
             }
         }
@@ -380,7 +385,8 @@ impl PioBTree {
     fn apply_leaf_chunk(
         &mut self,
         chunk: &[LeafJob],
-        mut ls_images: Vec<Vec<u8>>,
+        descent: &Descent,
+        ls_images: &[PageImage],
         last_ls: &[u32],
         fences: &mut Vec<FenceInsert>,
         journal: &mut FlushJournal,
@@ -394,22 +400,23 @@ impl PioBTree {
         let mut full_path: Vec<usize> = Vec::new();
 
         for (i, job) in chunk.iter().enumerate() {
-            let known = self.lsmap.get(job.leaf).is_some() && PioLeaf::is_segment(&ls_images[i]);
+            let last_segment = LeafView::new(job.leaf + last_ls[i] as u64, &ls_images[i], page_size)?;
+            let known = self.lsmap.get(job.leaf).is_some() && last_segment.live_segments() == 1;
             if !known {
                 full_path.push(i);
                 continue;
             }
-            let existing = PioLeaf::decode_segment(&ls_images[i]);
-            let total_before = last_ls[i] as usize * seg_cap + existing.len();
+            let mut tail_records = Vec::with_capacity(seg_cap + job.ops.len());
+            tail_records.extend(last_segment.records());
+            let total_before = last_ls[i] as usize * seg_cap + tail_records.len();
             if total_before + job.ops.len() > leaf_cap {
                 full_path.push(i);
                 continue;
             }
             // Append path: only the trailing segment(s) are rewritten.
             self.stats.leaf_appends += 1;
-            let old_count = existing.len() as u16;
-            let mut tail_records = existing;
-            tail_records.extend(job.ops.iter().copied());
+            let old_count = tail_records.len() as u16;
+            tail_records.extend_from_slice(job.ops);
             let mut seg = last_ls[i] as usize;
             let mut idx = 0usize;
             while idx < tail_records.len() {
@@ -418,9 +425,9 @@ impl PioBTree {
                 PioLeaf::encode_segment_into(&tail_records[idx..end], &mut page);
                 let fresh = seg != last_ls[i] as usize;
                 let preimage = if fresh {
-                    vec![0u8; page_size]
+                    vec![0u8; page_size].into()
                 } else {
-                    std::mem::take(&mut ls_images[i])
+                    PageImage::clone(&ls_images[i])
                 };
                 journal.append(
                     self,
@@ -446,11 +453,11 @@ impl PioBTree {
                 let job = &chunk[i];
                 // One undo step per page of the region.
                 for (p, pre) in image.chunks(page_size).enumerate() {
-                    journal.image(self, job.leaf + p as u64, pre.to_vec());
+                    journal.image(self, job.leaf + p as u64, pre.into());
                 }
                 self.stats.leaf_rewrites += 1;
-                let mut leaf = PioLeaf::decode(image, segments, page_size);
-                leaf.append(&job.ops);
+                let mut leaf = PioLeaf::decode(job.leaf, image, segments, page_size)?;
+                leaf.append(job.ops);
                 self.stats.shrinks += 1;
                 leaf.shrink();
                 if leaf.len() <= leaf_cap {
@@ -488,7 +495,7 @@ impl PioBTree {
                     region_writes.push((target, part.encode(page_size)));
                     if pi > 0 {
                         fences.push(FenceInsert {
-                            path: job.path.clone(),
+                            path: descent.path(job.first).to_vec(),
                             key: part.records.first().expect("non-empty split part").key,
                             new_child: target,
                         });
@@ -561,7 +568,7 @@ impl PioBTree {
             let mut next_pending: Vec<FenceInsert> = Vec::new();
 
             for ((parent_page, fences), image) in groups.into_iter().zip(images) {
-                let mut node = Node::decode(&image).expect_internal();
+                let mut node = InternalView::new(parent_page, &image)?.to_owned();
                 journal.image(self, parent_page, image);
                 let grandparent_path: Vec<(PageId, usize)> = {
                     let mut p = fences[0].path.clone();

@@ -3,16 +3,36 @@
 //! I/O discipline: internal nodes are cached by a write-through buffer pool; leaf
 //! regions are read with single large requests (`Pr(L)` in the cost model); every
 //! batched read goes through one psync call bounded by `PioMax`.
+//!
+//! A leaf image is touched once: the store hands out the shared image it
+//! verified and cached, and a [`LeafView`] answers from those bytes where they
+//! lie. Everything a batched call needs besides its result — the sort order,
+//! the sorted keys, the descent, a chunk's region list — lives in
+//! [`SearchScratch`], which the tree owns and reuses from call to call.
 
 use super::PioBTree;
-use crate::entry::OpKind;
-use crate::leaf::PioLeaf;
-use crate::mpsearch::{locate_leaves, locate_leaves_in_range, LeafLocation};
+use crate::entry::OpEntry;
+use crate::leaf::LeafView;
+use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
 use btree::{Key, Value};
 use pio::ring::run_pipeline;
 use pio::IoResult;
-use std::collections::BTreeMap;
-use storage::{AccessHint, PageId};
+use storage::{AccessHint, PageId, PageImage};
+
+/// Buffers of the batched read paths (and of bupdate's descent), kept by the
+/// tree between calls so that a warm call allocates only what it returns. A
+/// call takes what it needs out of the tree and puts it back when it is done;
+/// a call that fails drops them, and they regrow on the next one.
+#[derive(Debug, Default)]
+pub(crate) struct SearchScratch {
+    /// Caller positions of a `multi_search` batch, sorted by key.
+    order: Vec<u32>,
+    /// The batch's keys in that order.
+    keys: Vec<Key>,
+    /// The leaf regions of the chunk being submitted.
+    regions: Vec<(PageId, u64)>,
+    pub(crate) descent: Descent,
+}
 
 impl PioBTree {
     /// Point search. Consults the OPQ first (Section 3.3), then descends the internal
@@ -22,26 +42,34 @@ impl PioBTree {
         if let Some(verdict) = self.opq.lookup(key) {
             return Ok(verdict);
         }
-        let leaf = self.locate(&[key])?[0].leaf;
-        Ok(self.read_leaf(leaf)?.lookup(key).unwrap_or(None))
+        let mut descent = std::mem::take(&mut self.scratch.descent);
+        self.locate(&[key], &mut descent)?;
+        let leaf = descent.leaf(0);
+        self.scratch.descent = descent;
+        let image = self.read_leaf_image(leaf)?;
+        Ok(LeafView::new(leaf, &image, self.config.page_size)?
+            .lookup(key)
+            .unwrap_or(None))
     }
 
-    /// The one descent entry: the target leaf (and root-to-parent path) of every
-    /// key of a sorted set. The pinned inner tier answers from memory; when it is
-    /// cold, stale or over budget the ticketed store wavefront does, which keeps
-    /// the paper's `PioMax · (treeHeight − 1)` buffer bound.
-    pub(super) fn locate(&self, sorted_keys: &[Key]) -> IoResult<Vec<LeafLocation>> {
-        match self.tier.probe_leaves(self.root, self.height, sorted_keys) {
-            Some(locs) => Ok(locs),
-            None => locate_leaves(
-                &self.store,
-                self.root,
-                self.internal_levels(),
-                sorted_keys,
-                self.config.pio_max,
-                self.pipeline_depth,
-            ),
+    /// The one descent entry: fills `out` with the target leaf (and
+    /// root-to-parent path) of every key of a sorted set. The pinned inner tier
+    /// answers from memory; when it is cold, stale or over budget the ticketed
+    /// store wavefront does, which keeps the paper's
+    /// `PioMax · (treeHeight − 1)` buffer bound.
+    pub(super) fn locate(&self, sorted_keys: &[Key], out: &mut Descent) -> IoResult<()> {
+        if self.tier.probe_leaves(self.root, self.height, sorted_keys, out) {
+            return Ok(());
         }
+        locate_leaves(
+            &self.store,
+            self.root,
+            self.internal_levels(),
+            sorted_keys,
+            self.config.pio_max,
+            self.pipeline_depth,
+            out,
+        )
     }
 
     /// [`PioBTree::locate`] for a key range: the first pages of every leaf
@@ -61,11 +89,10 @@ impl PioBTree {
         }
     }
 
-    /// Reads and decodes one leaf node with a single large request.
-    pub(super) fn read_leaf(&self, leaf: PageId) -> IoResult<PioLeaf> {
-        let config = &self.config;
-        let images = self.store.read_regions(&[(leaf, config.leaf_segments as u64)])?;
-        Ok(PioLeaf::decode(&images[0], config.leaf_segments, config.page_size))
+    /// Reads one leaf node's region with a single large request.
+    pub(super) fn read_leaf_image(&self, leaf: PageId) -> IoResult<PageImage> {
+        let region = (leaf, self.config.leaf_segments as u64);
+        Ok(self.store.read_regions(&[region])?.pop().expect("one image per region"))
     }
 
     /// MPSearch: searches every key in `keys` at once, fetching internal nodes and
@@ -73,65 +100,70 @@ impl PioBTree {
     /// returned in the order of `keys`.
     pub fn multi_search(&mut self, keys: &[Key]) -> IoResult<Vec<Option<Value>>> {
         self.stats.multi_searches += 1;
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let SearchScratch {
+            order,
+            keys: sorted_keys,
+            regions,
+            descent,
+        } = &mut scratch;
         // Sort the requests, remembering the original positions.
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
-        let sorted_keys: Vec<Key> = order.iter().map(|&i| keys[i]).collect();
-        let locs = self.locate(&sorted_keys)?;
+        order.clear();
+        order.extend(0..keys.len() as u32);
+        order.sort_unstable_by_key(|&i| keys[i as usize]);
+        sorted_keys.clear();
+        sorted_keys.extend(order.iter().map(|&i| keys[i as usize]));
+        self.locate(sorted_keys, descent)?;
 
         let mut results = vec![None; keys.len()];
+        let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
-        // Deduplicated leaf-region list of every PioMax-sized batch, computed up
-        // front so later batches can be submitted while earlier ones are decoded.
-        let chunk_regions: Vec<Vec<(PageId, u64)>> = locs
-            .chunks(self.config.pio_max)
-            .map(|group| {
-                let mut regions: Vec<(PageId, u64)> = Vec::new();
-                for loc in group {
-                    if regions.last().map(|&(p, _)| p) != Some(loc.leaf) {
-                        regions.push((loc.leaf, l));
-                    }
-                }
-                regions
-            })
-            .collect();
+        let descent = &*descent;
+        let chunk = |group: usize| group * pio_max..((group + 1) * pio_max).min(keys.len());
+        // Whether sorted key `i` needs a leaf its predecessor in the chunk did
+        // not: sorted keys cluster by leaf, so a chunk's distinct leaves are
+        // the starts of its runs — at submission and, in lock step, when the
+        // images come back.
+        let opens_run = |i: usize, start: usize| i == start || descent.leaf(i) != descent.leaf(i - 1);
         // Pipelined fetch: up to `pipeline_depth` batches stay in flight, so that
         // many psync windows overlap on the device while the CPU resolves the
         // current batch's keys — the depth that fills the device queue instead of
         // flat-lining at double buffering.
-        let key_chunks: Vec<&[Key]> = sorted_keys.chunks(self.config.pio_max).collect();
-        let loc_chunks: Vec<&[LeafLocation]> = locs.chunks(self.config.pio_max).collect();
         run_pipeline(
             self.pipeline_depth,
-            chunk_regions.len(),
-            |group_idx| self.store.submit_read(&chunk_regions[group_idx], AccessHint::Point),
+            keys.len().div_ceil(pio_max),
+            |group| {
+                let keys = chunk(group);
+                regions.clear();
+                regions.extend(
+                    keys.clone()
+                        .filter(|&i| opens_run(i, keys.start))
+                        .map(|i| (descent.leaf(i), l)),
+                );
+                self.store.submit_read(regions, AccessHint::Point)
+            },
             |ticket| self.store.complete_read(ticket),
-            |group_idx, images| {
-                let regions = &chunk_regions[group_idx];
-                let leaves: Vec<PioLeaf> = images
-                    .iter()
-                    .map(|img| PioLeaf::decode(img, self.config.leaf_segments, self.config.page_size))
-                    .collect();
-                for (pos_in_group, loc) in loc_chunks[group_idx].iter().enumerate() {
-                    let leaf_idx = regions
-                        .iter()
-                        .position(|&(p, _)| p == loc.leaf)
-                        .expect("region fetched");
-                    let key = key_chunks[group_idx][pos_in_group];
+            |group, images| {
+                let keys = chunk(group);
+                let mut images = images.iter();
+                let mut view = None;
+                for i in keys.clone() {
+                    if opens_run(i, keys.start) {
+                        let image = images.next().expect("one image per distinct leaf");
+                        view = Some(LeafView::new(descent.leaf(i), image, page_size)?);
+                    }
+                    let key = sorted_keys[i];
                     // Map back from the sorted position to the caller's position.
-                    let original_idx = order[group_idx * self.config.pio_max + pos_in_group];
-                    let verdict = self
+                    results[order[i] as usize] = self
                         .opq
                         .lookup(key)
-                        .or_else(|| leaves[leaf_idx].lookup(key))
+                        .or_else(|| view.as_ref().expect("the chunk's first key opens a run").lookup(key))
                         .unwrap_or(None);
-                    results[original_idx] = verdict;
                 }
+                Ok(())
             },
         )?;
+        self.scratch = scratch;
         Ok(results)
     }
 
@@ -144,44 +176,58 @@ impl PioBTree {
             return Ok(Vec::new());
         }
         let leaves = self.locate_range(lo, hi)?;
+        let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
-        let mut merged: BTreeMap<Key, Value> = BTreeMap::new();
+        let batch = |batch_idx: usize| &leaves[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(leaves.len())];
+        let regions = &mut self.scratch.regions;
+        let store = &self.store;
+        // Leaves arrive in key order and cover disjoint key ranges, so each one's
+        // entries go straight onto the end of the result.
+        let mut found: Vec<(Key, Value)> = Vec::new();
         // Leaf regions are fetched through the same depth-N ticket pipeline as
         // multi_search: later batches ride the device queue while earlier ones
-        // are decoded and merged.
-        let batches: Vec<&[PageId]> = leaves.chunks(self.config.pio_max).collect();
+        // are resolved.
         run_pipeline(
             self.pipeline_depth,
-            batches.len(),
+            leaves.len().div_ceil(pio_max),
             |batch_idx| {
-                let regions: Vec<(PageId, u64)> = batches[batch_idx].iter().map(|&p| (p, l)).collect();
+                regions.clear();
+                regions.extend(batch(batch_idx).iter().map(|&p| (p, l)));
                 // Scan-hinted: the stream may hit resident leaf regions but
                 // never evicts the point-lookup working set.
-                self.store.submit_read(&regions, AccessHint::Scan)
+                store.submit_read(regions, AccessHint::Scan)
             },
-            |ticket| self.store.complete_read(ticket),
-            |_, images| {
-                for img in &images {
-                    let leaf = PioLeaf::decode(img, self.config.leaf_segments, self.config.page_size);
-                    for (k, v) in leaf.resolve() {
-                        if k >= lo && k < hi {
-                            merged.insert(k, v);
-                        }
-                    }
+            |ticket| store.complete_read(ticket),
+            |batch_idx, images| {
+                for (&leaf, image) in batch(batch_idx).iter().zip(&images) {
+                    LeafView::new(leaf, image, page_size)?.emit_range(lo, hi, &mut found);
                 }
+                Ok(())
             },
         )?;
-        // Overlay the queued (not yet flushed) operations.
-        for e in self.opq.entries_in_range(lo, hi) {
-            match e.op {
-                OpKind::Insert | OpKind::Update => {
-                    merged.insert(e.key, e.value);
-                }
-                OpKind::Delete => {
-                    merged.remove(&e.key);
-                }
-            }
-        }
-        Ok(merged.into_iter().collect())
+        Ok(overlay(found, self.opq.entries_in_range(lo, hi)))
     }
+}
+
+/// Overlays queued (not yet flushed) operations on a key-sorted scan result:
+/// one merge of the two key orders, in which the newest queued operation on a
+/// key decides it.
+fn overlay(found: Vec<(Key, Value)>, mut queued: Vec<OpEntry>) -> Vec<(Key, Value)> {
+    if queued.is_empty() {
+        return found;
+    }
+    // Stable: operations on one key stay in arrival order.
+    queued.sort_by_key(|e| e.key);
+    let mut merged = Vec::with_capacity(found.len() + queued.len());
+    let mut found = found.into_iter().peekable();
+    for (i, e) in queued.iter().enumerate() {
+        if queued.get(i + 1).is_some_and(|newer| newer.key == e.key) {
+            continue;
+        }
+        merged.extend(std::iter::from_fn(|| found.next_if(|&(k, _)| k < e.key)));
+        found.next_if(|&(k, _)| k == e.key);
+        merged.extend(e.verdict().map(|v| (e.key, v)));
+    }
+    merged.extend(found);
+    merged
 }

@@ -154,6 +154,78 @@ fn matches_a_model_under_a_mixed_workload() {
     t.check_invariants().unwrap();
 }
 
+/// The read paths against a `BTreeMap` oracle, after every step of a seeded
+/// stream of inserts, updates and deletes that keeps the OPQ non-empty and
+/// forces flushes with fresh splits: `search`, `multi_search` (duplicate,
+/// deleted and absent keys, unsorted) and `range_search`, each with the inner
+/// tier warm and — the store wavefront's turn — cold.
+#[test]
+fn read_paths_differential_against_a_btreemap_oracle() {
+    let seed: u64 = std::env::var("CRASH_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x5EED_4EAD);
+    let mut x = seed | 1;
+    let mut rand = move |n: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % n
+    };
+    let mut t = tree_with(PioConfig {
+        inner_tier_pages: 64,
+        leaf_cache_pages: 16,
+        ..small_config()
+    });
+    let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
+    for step in 0..60 {
+        for _ in 0..70 + rand(60) {
+            let (key, value) = (rand(4_000), rand(1 << 40));
+            match rand(10) {
+                0..=5 => {
+                    t.insert(key, value).unwrap();
+                    oracle.insert(key, value);
+                }
+                6..=7 => {
+                    t.delete(key).unwrap();
+                    oracle.remove(&key);
+                }
+                _ => {
+                    t.update(key, value).unwrap();
+                    oracle.insert(key, value);
+                }
+            }
+        }
+        for tier in ["warm", "cold"] {
+            let ctx = format!("CRASH_SEED={seed} step {step}, {tier} tier, OPQ {}", t.opq_len());
+            if tier == "cold" {
+                t.tier.invalidate();
+            }
+            let keys: Vec<Key> = (0..90).map(|_| rand(4_200)).collect();
+            let expected: Vec<Option<Value>> = keys.iter().map(|k| oracle.get(k).copied()).collect();
+            assert_eq!(t.multi_search(&keys).unwrap(), expected, "{ctx}: multi_search");
+            assert_eq!(t.search(keys[0]).unwrap(), expected[0], "{ctx}: search");
+            let lo = rand(4_000);
+            let hi = lo + rand(1_500);
+            let in_range: Vec<(Key, Value)> = oracle.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(
+                t.range_search(lo, hi).unwrap(),
+                in_range,
+                "{ctx}: range_search({lo}, {hi})"
+            );
+        }
+        t.refresh_inner_tier().unwrap();
+    }
+    assert!(t.stats().leaf_splits > 0 && t.stats().inner_tier_hits > 0 && t.stats().inner_tier_misses > 0);
+    let all: Vec<(Key, Value)> = oracle.into_iter().collect();
+    assert_eq!(
+        t.range_search(0, Key::MAX).unwrap(),
+        all,
+        "CRASH_SEED={seed}: full scan"
+    );
+    t.check_invariants().unwrap();
+}
+
 #[test]
 fn multi_search_agrees_with_point_search() {
     let mut t = tree_with(small_config());

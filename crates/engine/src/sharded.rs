@@ -201,36 +201,46 @@ impl ShardedPioEngine {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        // Partition the batch by owning shard, remembering original positions:
-        // per shard, the positions and the keys at them. The key sub-batches are
-        // *moved* into the shard tasks; the positions stay behind for scattering.
-        // Pin the routing table across partitioning AND the fan-out: a
-        // migration's boundary swap must not land between the two.
+        // Partition the batch by owning shard. What crosses to a worker is
+        // allocated — the key sub-batch moved into its task, the verdicts
+        // coming back — and nothing else: the scatter below re-derives each
+        // key's shard from the routing table it still holds. Pin that table
+        // across partitioning AND the fan-out: a migration's boundary swap
+        // must not land between the two.
         let routing = self.inner.routing.read();
-        let mut parts: Vec<(Vec<usize>, Vec<Key>)> = vec![Default::default(); self.inner.shards.len()];
-        for (pos, &key) in keys.iter().enumerate() {
-            let (positions, sub) = &mut parts[shard_of(&routing.bounds, key)];
-            positions.push(pos);
-            sub.push(key);
+        let shards = self.inner.shards.len();
+        let mut sizes = vec![0usize; shards];
+        for &key in keys {
+            sizes[shard_of(&routing.bounds, key)] += 1;
+        }
+        let mut parts: Vec<Vec<Key>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for &key in keys {
+            parts[shard_of(&routing.bounds, key)].push(key);
         }
         let work = parts
-            .iter_mut()
+            .into_iter()
             .enumerate()
-            .filter(|(_, (_, sub))| !sub.is_empty())
-            .map(|(i, (_, sub))| {
-                let sub = std::mem::take(sub);
+            .filter(|(_, sub)| !sub.is_empty())
+            .map(|(i, sub)| {
                 self.inner.shards[i].note_batch(sub.len());
                 (i, move |tree: &mut PioBTree| tree.multi_search(&sub))
             })
             .collect();
-        let results = self.inner.fan_out_tasks(work)?;
-        drop(routing);
-        let mut out = vec![None; keys.len()];
-        for (shard_idx, sub_results) in results {
-            for (pos, verdict) in parts[shard_idx].0.iter().zip(sub_results) {
-                out[*pos] = verdict;
-            }
+        // Each shard's verdicts are in the order its keys were pushed, which is
+        // caller order: walk the keys again and take from the owner's.
+        let mut verdicts: Vec<std::vec::IntoIter<Option<Value>>> =
+            (0..shards).map(|_| Vec::new().into_iter()).collect();
+        for (shard, sub_results) in self.inner.fan_out_tasks(work)? {
+            verdicts[shard] = sub_results.into_iter();
         }
+        let out = keys
+            .iter()
+            .map(|&key| {
+                verdicts[shard_of(&routing.bounds, key)]
+                    .next()
+                    .expect("one verdict per routed key")
+            })
+            .collect();
         Ok(out)
     }
 

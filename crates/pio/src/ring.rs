@@ -29,9 +29,10 @@ use std::collections::VecDeque;
 
 /// Runs the canonical pipelined consumption loop over `jobs` indexed jobs:
 /// submissions are issued in job order up to `depth` ahead of the consumer,
-/// each job's completion is handed to `consume` in order, and on any error
-/// every in-flight ticket is drained through `complete` (results discarded)
-/// before the error is returned.
+/// each job's completion is handed to `consume` in order, and on any error —
+/// `consume`'s included: what a read returned may not parse — every in-flight
+/// ticket is drained through `complete` (results discarded) before the error
+/// is returned.
 ///
 /// This is the shared shape of the tree's linear pipelines (multi-search and
 /// prange leaf fetches, the per-level range descent, bulk load's region
@@ -43,7 +44,7 @@ pub fn run_pipeline<T, R, E>(
     jobs: usize,
     mut submit: impl FnMut(usize) -> Result<T, E>,
     mut complete: impl FnMut(T) -> Result<R, E>,
-    mut consume: impl FnMut(usize, R),
+    mut consume: impl FnMut(usize, R) -> Result<(), E>,
 ) -> Result<(), E> {
     let mut ring: TicketRing<T> = TicketRing::new(depth);
     let mut next_submit = 0usize;
@@ -61,14 +62,11 @@ pub fn run_pipeline<T, R, E>(
             next_submit += 1;
         }
         let ticket = ring.pop().expect("submitted above");
-        match complete(ticket) {
-            Ok(result) => consume(job, result),
-            Err(e) => {
-                ring.drain_with(|t| {
-                    let _ = complete(t);
-                });
-                return Err(e);
-            }
+        if let Err(e) = complete(ticket).and_then(|result| consume(job, result)) {
+            ring.drain_with(|t| {
+                let _ = complete(t);
+            });
+            return Err(e);
         }
     }
     Ok(())
@@ -201,7 +199,10 @@ mod tests {
                 Ok(job)
             },
             |t| Ok(t * 10),
-            |job, r| consumed.push((job, r)),
+            |job, r| {
+                consumed.push((job, r));
+                Ok(())
+            },
         )
         .unwrap();
         assert_eq!(submitted, (0..7).collect::<Vec<_>>());
@@ -223,12 +224,27 @@ mod tests {
                     Ok(t)
                 }
             },
-            |_, _| {},
+            |_, _| Ok(()),
         )
         .unwrap_err();
         assert_eq!(err, "boom");
         // Jobs 0..6 were submitted (depth-4 lookahead past the failing job 2);
         // every one of them was completed — the failures' survivors drained.
+        assert_eq!(completed, vec![0, 1, 2, 3, 4, 5]);
+        // A failing consume drains the same way.
+        completed.clear();
+        let err = run_pipeline::<usize, usize, &str>(
+            4,
+            10,
+            Ok,
+            |t| {
+                completed.push(t);
+                Ok(t)
+            },
+            |job, _| if job == 2 { Err("unparsable") } else { Ok(()) },
+        )
+        .unwrap_err();
+        assert_eq!(err, "unparsable");
         assert_eq!(completed, vec![0, 1, 2, 3, 4, 5]);
     }
 }

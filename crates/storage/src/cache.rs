@@ -5,7 +5,10 @@
 //! [`crate::CachedStore`] instantiates this structure twice, once per page
 //! class (see its docs); the cache itself performs no I/O and knows nothing
 //! about classes. Eviction hands every victim back to the caller, which
-//! decides whether a write-back is needed.
+//! decides whether a write-back is needed. Images are shared and immutable
+//! ([`PageImage`]): a hit hands out another reference to the resident image,
+//! and a write or a refresh *replaces* the entry's image, so the bytes a
+//! reader holds never change under it.
 //!
 //! The replacement policy is a **segmented LRU** (probation + protected) with
 //! an explicit **scan bypass**:
@@ -32,7 +35,7 @@
 //! skipped on pop, and stale pairs are compacted away in place before they
 //! can outnumber the live ones.
 
-use crate::page::PageId;
+use crate::page::{PageId, PageImage};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How a read intends to use the data — decides cache admission.
@@ -95,7 +98,7 @@ pub struct Evicted {
     /// Key of the evicted entry (its first page id).
     pub page: PageId,
     /// The evicted image.
-    pub data: Vec<u8>,
+    pub data: PageImage,
     /// Whether the image was dirty (needs a write-back).
     pub dirty: bool,
 }
@@ -108,7 +111,7 @@ enum Segment {
 
 #[derive(Debug)]
 struct Entry {
-    data: Vec<u8>,
+    data: PageImage,
     pages: u64,
     dirty: bool,
     stamp: u64,
@@ -173,11 +176,11 @@ impl Cache {
         self.next_stamp
     }
 
-    /// Looks up the entry starting at `first`, returning a clone of its image.
+    /// Looks up the entry starting at `first`, returning its (shared) image.
     /// `Point` hits promote/refresh; `Scan` hits leave the LRU state untouched.
     /// Misses are counted according to the hint (`Point` → miss, `Scan` →
     /// bypass) — after a `Scan` miss the caller must *not* [`Cache::admit`].
-    pub fn get(&mut self, first: PageId, hint: AccessHint) -> Option<Vec<u8>> {
+    pub fn get(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
         let Some(entry) = self.entries.get(&first) else {
             match hint {
                 AccessHint::Point => self.stats.misses += 1,
@@ -185,7 +188,7 @@ impl Cache {
             }
             return None;
         };
-        let data = entry.data.clone();
+        let data = PageImage::clone(&entry.data);
         self.stats.hits += 1;
         if hint == AccessHint::Point {
             self.touch(first);
@@ -258,21 +261,21 @@ impl Cache {
         }
     }
 
-    /// A page write: replaces (or inserts) the entry's bytes and dirty flag
+    /// A page write: replaces (or inserts) the entry's image and dirty flag
     /// and moves it to the probation tail. Victims evicted to make room are
     /// appended to `victims`. An entry heavier than the whole budget is not
     /// cached.
-    pub fn install(&mut self, first: PageId, pages: u64, data: Vec<u8>, dirty: bool, victims: &mut Vec<Evicted>) {
+    pub fn install(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
         self.remove_entry(first);
         self.insert(first, pages, data, dirty, victims);
     }
 
     /// A completed miss: inserts the fetched image if the entry is absent;
-    /// otherwise only refreshes the bytes, leaving segment and recency alone
+    /// otherwise only swaps the image in, leaving segment and recency alone
     /// (two in-flight reads of one region both missed it and both arrive
     /// here). A dirty entry is newer than anything fetched and keeps its
-    /// bytes. Victims are appended to `victims`.
-    pub fn admit(&mut self, first: PageId, pages: u64, data: Vec<u8>, victims: &mut Vec<Evicted>) {
+    /// image. Victims are appended to `victims`.
+    pub fn admit(&mut self, first: PageId, pages: u64, data: PageImage, victims: &mut Vec<Evicted>) {
         match self.entries.get_mut(&first) {
             Some(entry) if entry.dirty => {}
             Some(entry) => entry.data = data,
@@ -280,7 +283,7 @@ impl Cache {
         }
     }
 
-    fn insert(&mut self, first: PageId, pages: u64, data: Vec<u8>, dirty: bool, victims: &mut Vec<Evicted>) {
+    fn insert(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
         if pages == 0 || pages > self.capacity_pages {
             return;
         }
@@ -366,11 +369,11 @@ impl Cache {
 
     /// Cleans every dirty entry (leaving the copies resident) and returns
     /// their images in ascending page order — used by `flush`.
-    pub fn take_dirty(&mut self) -> Vec<(PageId, Vec<u8>)> {
+    pub fn take_dirty(&mut self) -> Vec<(PageId, PageImage)> {
         let mut out = Vec::new();
         for (&page, entry) in self.entries.iter_mut().filter(|(_, e)| e.dirty) {
             entry.dirty = false;
-            out.push((page, entry.data.clone()));
+            out.push((page, PageImage::clone(&entry.data)));
         }
         out
     }
@@ -399,8 +402,8 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn region(byte: u8, pages: u64) -> Vec<u8> {
-        vec![byte; (pages * 16) as usize]
+    fn region(byte: u8, pages: u64) -> PageImage {
+        vec![byte; (pages * 16) as usize].into()
     }
 
     /// A plain-LRU cache (protected share 0) — the page class's configuration.
@@ -420,7 +423,7 @@ mod tests {
         victims
     }
 
-    fn admit(c: &mut Cache, first: PageId, pages: u64, data: Vec<u8>) {
+    fn admit(c: &mut Cache, first: PageId, pages: u64, data: PageImage) {
         c.admit(first, pages, data, &mut Vec::new());
     }
 
@@ -739,7 +742,7 @@ mod tests {
     struct Slot {
         first: PageId,
         pages: u64,
-        data: Vec<u8>,
+        data: PageImage,
         dirty: bool,
     }
 
@@ -769,7 +772,7 @@ mod tests {
             None
         }
 
-        fn get(&mut self, first: PageId, hint: AccessHint) -> Option<Vec<u8>> {
+        fn get(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
             let Some(slot) = self.probation.iter().chain(&self.protected).find(|s| s.first == first) else {
                 match hint {
                     AccessHint::Point => self.stats.misses += 1,
@@ -833,7 +836,7 @@ mod tests {
             }
         }
 
-        fn take_dirty(&mut self) -> Vec<(PageId, Vec<u8>)> {
+        fn take_dirty(&mut self) -> Vec<(PageId, PageImage)> {
             let mut out = Vec::new();
             for slot in self.probation.iter_mut().chain(&mut self.protected).filter(|s| s.dirty) {
                 slot.dirty = false;
@@ -895,7 +898,7 @@ mod tests {
                 // 24 disjoint slots of 1–4 pages, eight pages apart.
                 let slot = rand(24);
                 let (first, pages) = (slot * 8, 1 + slot % 4);
-                let data = vec![step as u8; 4];
+                let data = PageImage::from(vec![step as u8; 4]);
                 let mut victims = Vec::new();
                 let mut expected = Vec::new();
                 // Resizes are rare, so between them the cache runs long phases

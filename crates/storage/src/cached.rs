@@ -32,10 +32,18 @@
 //! (and, for a region, of its own — regions are never installed). Every image
 //! on its way to the device has its checksums recorded, and every image
 //! fetched from it is verified; see [`crate::integrity`].
+//!
+//! Reads return [`PageImage`]s — shared, immutable images. **Hits are shared,
+//! writes replace**: a hit hands out another reference to the image the cache
+//! holds (no copy), a miss admits the very image it returns, and a write,
+//! refresh, eviction, free or [`CachedStore::drop_cache`] only ever swaps or
+//! drops the cache's own reference. A caller may therefore keep an image as
+//! long as it likes (bupdate keeps its Phase-A images as undo pre-images); it
+//! is a snapshot of the page at the time of the read.
 
 use crate::cache::{AccessHint, Cache, CacheStats, Evicted};
-use crate::integrity::{checksum, Integrity, IntegrityStats, ScrubReport};
-use crate::page::PageId;
+use crate::integrity::{page_checksum, Integrity, IntegrityStats, ScrubReport};
+use crate::page::{PageId, PageImage};
 use crate::store::{PageStore, ReadTicket, WriteTicket};
 use parking_lot::Mutex;
 use pio::IoResult;
@@ -62,7 +70,7 @@ const REGION_PROTECTED_FIFTHS: u64 = 4;
 #[must_use = "an in-flight read must be completed to obtain its buffers"]
 pub struct CachedReadTicket {
     /// Hit slots filled at submission; miss slots are `None` until completion.
-    results: Vec<Option<Vec<u8>>>,
+    results: Vec<Option<PageImage>>,
     /// `(slot, first page, page count)` of every miss, in device-batch order.
     missing: Vec<(usize, PageId, u64)>,
     /// The in-flight device batch for `missing`; `None` when everything hit.
@@ -229,7 +237,7 @@ impl CachedStore {
     /// both classes go to the device as one in-flight batch that overlaps
     /// whatever else is outstanding on the backend.
     pub fn submit_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; regions.len()];
+        let mut results: Vec<Option<PageImage>> = vec![None; regions.len()];
         let mut missing: Vec<(usize, PageId, u64)> = Vec::new();
         {
             let mut caches = self.caches.lock();
@@ -255,11 +263,12 @@ impl CachedStore {
         })
     }
 
-    /// Waits for an in-flight read and returns one buffer per region, in
+    /// Waits for an in-flight read and returns one image per region, in
     /// submission order. Every device-fetched image is verified against the
-    /// checksum sidecar, then admitted to its class — except region-class
-    /// images of a `Scan` read, which bypass admission.
-    pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<Vec<u8>>> {
+    /// checksum sidecar, then admitted to its class — the cache and the caller
+    /// share it — except region-class images of a `Scan` read, which bypass
+    /// admission.
+    pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<PageImage>> {
         let CachedReadTicket {
             mut results,
             missing,
@@ -267,18 +276,19 @@ impl CachedStore {
             hint,
         } = ticket;
         if let Some(ticket) = ticket {
-            let mut fetched = self.store.complete_read(ticket)?;
-            for (&(_, first, n), data) in missing.iter().zip(&mut fetched) {
-                self.integrity.verify(&self.store, first, n, data)?;
+            let fetched = self.store.complete_read(ticket)?;
+            for (&(i, first, n), mut data) in missing.iter().zip(fetched) {
+                self.integrity.verify(&self.store, first, n, &mut data)?;
+                results[i] = Some(data.into());
             }
-            let mut victims = Vec::with_capacity(missing.len());
+            let mut victims = Vec::new();
             {
                 let mut caches = self.caches.lock();
-                for ((i, first, n), data) in missing.into_iter().zip(fetched) {
+                for &(i, first, n) in &missing {
                     if let (Some(class), AccessHint::Point) = caches.route(n, hint) {
-                        class.admit(first, n, data.clone(), &mut victims);
+                        let image = results[i].as_ref().expect("fetched above");
+                        class.admit(first, n, PageImage::clone(image), &mut victims);
                     }
-                    results[i] = Some(data);
                 }
             }
             self.write_back(victims)?;
@@ -290,19 +300,19 @@ impl CachedStore {
     }
 
     /// Reads one page through the cache.
-    pub fn read_page(&self, page: PageId) -> IoResult<Vec<u8>> {
-        Ok(self.read_regions(&[(page, 1)])?.pop().expect("one buffer per region"))
+    pub fn read_page(&self, page: PageId) -> IoResult<PageImage> {
+        Ok(self.read_regions(&[(page, 1)])?.pop().expect("one image per region"))
     }
 
     /// Reads many pages through the cache; the missing ones are fetched with a
     /// single psync call. Results are returned in the order of `pages`.
-    pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<Vec<u8>>> {
+    pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<PageImage>> {
         self.read_regions(&pages.iter().map(|&p| (p, 1)).collect::<Vec<_>>())
     }
 
     /// Reads several regions through the cache as `Point` accesses, fetching
     /// the misses with a single psync call.
-    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<Vec<u8>>> {
+    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<PageImage>> {
         self.complete_read(self.submit_read(regions, AccessHint::Point)?)
     }
 
@@ -325,7 +335,7 @@ impl CachedStore {
         let dirty: Vec<(PageId, &[u8])> = victims
             .iter()
             .filter(|v| v.dirty)
-            .map(|v| (v.page, v.data.as_slice()))
+            .map(|v| (v.page, &v.data[..]))
             .collect();
         if dirty.is_empty() {
             return Ok(());
@@ -383,7 +393,9 @@ impl CachedStore {
             {
                 let mut caches = self.caches.lock();
                 for (page, data) in images.iter().filter(|(_, d)| is_page(d)) {
-                    caches.pages.install(*page, 1, data.to_vec(), keep_dirty, &mut victims);
+                    caches
+                        .pages
+                        .install(*page, 1, PageImage::from(*data), keep_dirty, &mut victims);
                 }
             }
             self.write_back(victims)?;
@@ -416,7 +428,7 @@ impl CachedStore {
         if dirty.is_empty() {
             return Ok(());
         }
-        let refs: Vec<(PageId, &[u8])> = dirty.iter().map(|(p, d)| (*p, d.as_slice())).collect();
+        let refs: Vec<(PageId, &[u8])> = dirty.iter().map(|(p, d)| (*p, &d[..])).collect();
         self.store.complete_write(self.submit_to_device(&refs)?)
     }
 
@@ -479,12 +491,12 @@ impl CachedStore {
             let Some(expected) = self.integrity.expected(page) else {
                 continue;
             };
-            if checksum(&image) == expected {
+            if page_checksum(&image) == expected {
                 continue;
             }
             self.integrity.count(|s| s.corruption_detected += 1);
             let reread = self.store.read_page(page)?;
-            if checksum(&reread) == expected {
+            if page_checksum(&reread) == expected {
                 self.integrity.count(|s| s.corruption_recovered += 1);
                 continue;
             }
@@ -493,7 +505,7 @@ impl CachedStore {
             report.corrupt += 1;
             let cached = self.caches.lock().pages.get(page, AccessHint::Point);
             if let Some(copy) = cached {
-                if checksum(&copy) == expected {
+                if page_checksum(&copy) == expected {
                     self.store.write_page(page, &copy)?;
                     self.integrity.count(|s| s.scrub_healed += 1);
                     report.healed += 1;
@@ -519,12 +531,12 @@ mod tests {
     }
 
     /// One blocking region read with the given hint.
-    fn read_region(c: &CachedStore, first: PageId, n: u64, hint: AccessHint) -> IoResult<Vec<u8>> {
+    fn read_region(c: &CachedStore, first: PageId, n: u64, hint: AccessHint) -> IoResult<PageImage> {
         Ok(c.complete_read(c.submit_read(&[(first, n)], hint)?)?.pop().unwrap())
     }
 
     fn point_region(c: &CachedStore, first: PageId, n: u64) -> Vec<u8> {
-        read_region(c, first, n, AccessHint::Point).unwrap()
+        read_region(c, first, n, AccessHint::Point).unwrap().to_vec()
     }
 
     #[test]
@@ -644,8 +656,8 @@ mod tests {
         c.drop_cache();
         let before = c.store().stats().read_batches;
         let out = c.read_regions(&[(a, 2), (b, 2)]).unwrap();
-        assert_eq!(out[0], da);
-        assert_eq!(out[1], db);
+        assert_eq!(out[0][..], da[..]);
+        assert_eq!(out[1][..], db[..]);
         assert_eq!(
             c.store().stats().read_batches - before,
             1,
@@ -685,7 +697,7 @@ mod tests {
         assert_eq!(c.leaf_cache_stats().hits, 1);
         // Batched region reads hit too: the whole batch resolves at submission.
         let out = c.read_regions(&[(first, 4)]).unwrap();
-        assert_eq!(out[0], img);
+        assert_eq!(out[0][..], img[..]);
         assert_eq!(c.store().stats().page_reads, before);
     }
 
@@ -956,5 +968,84 @@ mod tests {
         let r = c.scrub_step(16).unwrap();
         assert_eq!(r.scanned, 0);
         assert!(r.wrapped);
+    }
+
+    /// Hits are shared, writes replace: an image a read handed out is a
+    /// snapshot. Nothing that later happens to the page — a page write, a
+    /// region write over it, a free, an eviction, `drop_cache` — changes the
+    /// bytes the reader holds, and the next read sees the new bytes.
+    #[test]
+    fn shared_images_never_change_under_a_reader() {
+        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+            let c = cached(policy, 4);
+            c.set_leaf_cache(8);
+            let filled = |byte: u8, pages: usize| vec![byte; pages * 4096];
+            let all = |image: &[u8], byte: u8| image.iter().all(|&b| b == byte);
+
+            // A page: two hits share one image; a write installs another.
+            let p = c.allocate();
+            c.write_page(p, &filled(1, 1)).unwrap();
+            let held = c.read_page(p).unwrap();
+            assert!(
+                Arc::ptr_eq(&held, &c.read_page(p).unwrap()),
+                "a hit is a shared reference"
+            );
+            c.write_page(p, &filled(2, 1)).unwrap();
+            assert!(all(&held, 1), "{policy:?}: page write under a held image");
+            assert!(all(&c.read_page(p).unwrap(), 2));
+
+            // A region: the miss admits the image it returns; a page write
+            // inside it and a region write over it both leave it alone.
+            let r = c.allocate_contiguous(2);
+            c.write_page(r, &filled(3, 2)).unwrap();
+            let held_region = read_region(&c, r, 2, AccessHint::Point).unwrap();
+            assert!(Arc::ptr_eq(
+                &held_region,
+                &read_region(&c, r, 2, AccessHint::Point).unwrap()
+            ));
+            c.write_page(r + 1, &filled(4, 1)).unwrap();
+            c.flush().unwrap();
+            assert!(all(&held_region, 3), "{policy:?}: page write inside a held region");
+            let reread = point_region(&c, r, 2);
+            assert!(all(&reread[..4096], 3) && all(&reread[4096..], 4));
+            c.write_page(r, &filled(5, 2)).unwrap();
+            assert!(all(&held_region, 3), "{policy:?}: region write over a held region");
+            assert!(all(&point_region(&c, r, 2), 5));
+
+            // Eviction (the pool holds 4 pages), drop_cache and free.
+            let held = c.read_page(p).unwrap();
+            for _ in 0..6 {
+                let other = c.allocate();
+                c.write_page(other, &filled(9, 1)).unwrap();
+            }
+            assert!(all(&held, 2), "{policy:?}: eviction under a held image");
+            assert!(
+                all(&c.read_page(p).unwrap(), 2),
+                "{policy:?}: the evicted bytes reached the device"
+            );
+            let held = c.read_page(p).unwrap();
+            c.flush().unwrap();
+            c.drop_cache();
+            assert!(all(&held, 2), "{policy:?}: drop_cache under a held image");
+            assert!(all(&c.read_page(p).unwrap(), 2));
+            c.free(p);
+            assert!(all(&held, 2), "{policy:?}: free under a held image");
+        }
+    }
+
+    /// Write-back eviction of a dirty image that a reader also holds writes
+    /// the image's bytes — sharing it with a reader did not detach it.
+    #[test]
+    fn write_back_eviction_of_a_shared_dirty_image_writes_the_right_bytes() {
+        let c = cached(WritePolicy::WriteBack, 1);
+        let (p, q) = (c.allocate(), c.allocate());
+        c.write_page(p, &vec![6u8; 4096]).unwrap();
+        let held = c.read_page(p).unwrap();
+        assert_eq!(c.store().stats().page_writes, 0, "still only in the pool");
+        c.write_page(q, &vec![7u8; 4096]).unwrap();
+        assert_eq!(c.store().stats().page_writes, 1, "the dirty victim was written back");
+        assert!(c.store().read_page(p).unwrap().iter().all(|&b| b == 6));
+        assert!(held.iter().all(|&b| b == 6));
+        assert_eq!(c.pool_stats().dirty_evictions, 1);
     }
 }

@@ -9,6 +9,12 @@ pub type PageId = u64;
 /// Sentinel value meaning "no page".
 pub const INVALID_PAGE: PageId = u64::MAX;
 
+/// A page or region image as the cache holds it and as reads return it:
+/// shared and immutable. A cache hit is a reference-count bump, and a write
+/// installs a *new* image — the bytes behind a `PageImage` a reader still
+/// holds never change.
+pub type PageImage = std::sync::Arc<[u8]>;
+
 /// Returns the byte offset of `page` in a store with `page_size`-byte pages.
 pub fn page_offset(page: PageId, page_size: usize) -> u64 {
     page * page_size as u64

@@ -45,7 +45,6 @@
 //! replay work is proportional to the records written since the last
 //! checkpoint, never to the store's age.
 
-use crate::integrity::checksum;
 use parking_lot::Mutex;
 use pio::{IoQueue, IoResult, ReadRequest, WriteRequest};
 use std::sync::Arc;
@@ -129,6 +128,20 @@ pub struct Wal {
 
 /// Record header: 4-byte little-endian payload length + 4-byte payload checksum.
 const HEADER: usize = 8;
+
+/// The log's checksum, over record payloads and header slots: byte-wise
+/// FNV-1a-32. It is written to the device and read back after a restart, so it
+/// is part of the **on-disk format** — a faster function here would make every
+/// existing log read as torn. (The page sidecar's checksum in
+/// [`crate::integrity`] is process-volatile and deliberately a different one.)
+fn checksum(data: &[u8]) -> u32 {
+    let mut hash: u32 = 0x811c_9dc5;
+    for &b in data {
+        hash ^= u32::from(b);
+        hash = hash.wrapping_mul(0x0100_0193);
+    }
+    hash
+}
 
 /// Pages reserved at the region start for the two truncation-header slots.
 const HEADER_PAGES: u64 = 2;
@@ -738,6 +751,18 @@ impl std::fmt::Debug for Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The log's checksum is a format: these are the published FNV-1a-32 test
+    /// vectors, which the function produced before the page sidecar got a
+    /// faster checksum of its own. If this fails, every existing log reads as
+    /// torn — do not "unify" the two.
+    #[test]
+    fn wal_checksum_is_pinned_to_fnv1a_32() {
+        assert_eq!(checksum(b""), 0x811c_9dc5);
+        assert_eq!(checksum(b"a"), 0xe40c_292c);
+        assert_eq!(checksum(b"foobar"), 0xbf9c_f968);
+        assert_eq!(checksum(b"PIO B-tree write-ahead log"), 0xdd00_3925);
+    }
     use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo, TornWrite};
     use ssd_sim::DeviceProfile;
 

@@ -22,7 +22,7 @@ use pio::{
     CrashPlan, FaultClock, FaultIo, FileLayout, IoQueue, PartitionIo, ReadRequest, SimPsyncIo, SimSyncIo,
     SimThreadedIo, TryComplete, WriteRequest,
 };
-use pio_btree::mpsearch::locate_leaves;
+use pio_btree::mpsearch::{locate_leaves, Descent};
 use pio_btree::{PioBTree, PioConfig, PipelineDepth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -292,22 +292,25 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
         let keys: Vec<u64> = (0..500u64).map(|i| i * 59 % 35_000).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
-        let a = locate_leaves(
+        let (mut a, mut b) = (Descent::default(), Descent::default());
+        locate_leaves(
             blocking.store(),
             blocking.root_page(),
             blocking.height() - 1,
             &sorted,
             4,
             1,
+            &mut a,
         )
         .unwrap();
-        let b = locate_leaves(
+        locate_leaves(
             pipelined.store(),
             pipelined.root_page(),
             pipelined.height() - 1,
             &sorted,
             4,
             depth,
+            &mut b,
         )
         .unwrap();
         assert_eq!(a, b, "{name}: locate_leaves diverged at depth {depth}");
@@ -439,7 +442,17 @@ fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
     // Blocking baseline: one idle-start group per psync batch.
     tree.store().drop_cache();
     let before = tree.store().store().io().io_stats();
-    locate_leaves(tree.store(), tree.root_page(), internal_levels, &sorted, pio_max, 1).unwrap();
+    let mut located = Descent::default();
+    locate_leaves(
+        tree.store(),
+        tree.root_page(),
+        internal_levels,
+        &sorted,
+        pio_max,
+        1,
+        &mut located,
+    )
+    .unwrap();
     let after = tree.store().store().io().io_stats();
     let blocking_batches = after.batches - before.batches;
     let blocking_groups = after.overlap_groups - before.overlap_groups;
@@ -455,7 +468,16 @@ fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
     // singletons — correctness over count stability.)
     tree.store().drop_cache();
     let before = tree.store().store().io().io_stats();
-    locate_leaves(tree.store(), tree.root_page(), internal_levels, &sorted, pio_max, 64).unwrap();
+    locate_leaves(
+        tree.store(),
+        tree.root_page(),
+        internal_levels,
+        &sorted,
+        pio_max,
+        64,
+        &mut located,
+    )
+    .unwrap();
     let after = tree.store().store().io().io_stats();
     let pipelined_groups = after.overlap_groups - before.overlap_groups;
     assert!(

@@ -128,7 +128,7 @@ fn pio_leaf_shrink_matches_replay() {
                 }
             }
         }
-        let decoded = PioLeaf::decode(&leaf.encode(2048), 8, 2048);
+        let decoded = PioLeaf::decode(0, &leaf.encode(2048), 8, 2048).unwrap();
         assert_eq!(decoded, leaf, "seed {seed}: encode/decode must round-trip");
         leaf.shrink();
         assert_eq!(leaf.len(), model.len(), "seed {seed}");

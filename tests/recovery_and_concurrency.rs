@@ -4,7 +4,7 @@
 
 mod common;
 
-use btree::{ConcurrentBTree, Node};
+use btree::{ConcurrentBTree, InternalView};
 use common::crash::seeded_rng;
 use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo, TornWrite};
 use pio_btree::{ConcurrentPioBTree, LogRecord, OpEntry, PioBTree, PioConfig, PioLeaf};
@@ -509,7 +509,7 @@ fn an_old_format_append_preimage_still_recovers() {
     assert_eq!(undo.encode()[0], 4, "the old format's tag");
     wal.append(&undo.encode());
     wal.force().unwrap();
-    let mut records = PioLeaf::decode_segment(&preimage);
+    let mut records = PioLeaf::decode(leaf, &preimage, 1, 2048).unwrap().records;
     records.extend(&added);
     let mut appended = vec![0u8; 2048];
     PioLeaf::encode_segment_into(&records, &mut appended);
@@ -557,7 +557,7 @@ fn tree_state(tree: &mut PioBTree) -> TreeState {
         let mut children = Vec::new();
         for &page in &level {
             let image = tree.store().store().read_page(page).unwrap();
-            children.extend(Node::decode(&image).expect_internal().children);
+            children.extend(InternalView::new(page, &image).unwrap().children());
             pages.insert(page, image);
         }
         level = children;
