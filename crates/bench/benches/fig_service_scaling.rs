@@ -9,12 +9,22 @@
 //! against the request-at-a-time baseline (`max_batch_size = 1`: every request
 //! is its own engine call).
 //!
+//! Admission is work-conserving: a request that finds its shard idle runs at
+//! once, and a batch forms only *while* the batch ahead of it executes — the
+//! budget merely caps that wait. So a lone client never waits (asserted: its
+//! median queue wait stays under a quarter of either budget), occupancy comes
+//! from concurrency alone, and the two budgets measure alike. The finding this
+//! bench records: 16 clients over 4 shards × 2 request kinds leave about two
+//! requests per slot, which coalesces a little (occupancy > 1, throughput no
+//! worse than one-at-a-time) — a timer bought more there only by idling the
+//! CPUs; the paper-style ≥ 1.5× win is asserted where the concurrency for it
+//! exists, at 64 clients.
+//!
 //! Throughput is operations per second of **simulated schedule time** (the
 //! engine's `scheduled_io_us` makespan delta over the run), so the comparison
 //! measures what the batching does to device work and overlap, not how fast
 //! the host machine happens to be. Latency percentiles are the service's own
-//! per-request wall-clock histograms — those *do* include the admission delay,
-//! which is exactly the occupancy-for-latency trade the budget knob expresses.
+//! per-request wall-clock histograms.
 //!
 //! All shards live on ONE shared simulated device: a serving box has one SSD.
 
@@ -94,7 +104,7 @@ fn main() {
     let ops_per_client = scaled(400);
     let entries: Vec<(u64, u64)> = (0..n_entries).map(|i| (i * 31, i)).collect();
     let key_space = n_entries * 31;
-    let client_counts = [1usize, 4, 16];
+    let client_counts = [1usize, 4, 16, 64];
     let budgets_us = [100u64, 400];
     const COALESCED_BATCH: usize = 64;
 
@@ -107,6 +117,8 @@ fn main() {
             "Kops/s (sim)",
             "occupancy",
             "batches",
+            "idle",
+            "hand-over",
             "budget-expired",
             "size-triggered",
             "p50 e2e µs",
@@ -130,6 +142,8 @@ fn main() {
             format!("{:.1}", outcome.sim_throughput / 1e3),
             "1.00".into(),
             outcome.stats.batches_formed.to_string(),
+            outcome.stats.idle_flushes.to_string(),
+            outcome.stats.handover_flushes.to_string(),
             outcome.stats.budget_expired_flushes.to_string(),
             outcome.stats.size_triggered_flushes.to_string(),
             outcome.stats.e2e.p50().to_string(),
@@ -152,6 +166,8 @@ fn main() {
                 format!("{:.1}", outcome.sim_throughput / 1e3),
                 format!("{occupancy:.2}"),
                 outcome.stats.batches_formed.to_string(),
+                outcome.stats.idle_flushes.to_string(),
+                outcome.stats.handover_flushes.to_string(),
                 outcome.stats.budget_expired_flushes.to_string(),
                 outcome.stats.size_triggered_flushes.to_string(),
                 outcome.stats.e2e.p50().to_string(),
@@ -169,10 +185,31 @@ fn main() {
                 "budget {budget}µs, {clients} clients: queue wait reached {}µs — deadline not firing",
                 outcome.stats.queue_wait.max()
             );
-            // The paper-style win: at 16 concurrent clients, coalescing
+            // A lone client finds every slot idle: it never waits the budget.
+            if clients == 1 {
+                assert!(
+                    outcome.stats.queue_wait.p50() < budget / 4,
+                    "budget {budget}µs: a lone client's median queue wait is {}µs",
+                    outcome.stats.queue_wait.p50()
+                );
+            }
+            // Sixteen clients over eight slots coalesce a little, and for free.
+            if clients == 16 {
+                assert!(
+                    occupancy > 1.0,
+                    "budget {budget}µs, {clients} clients: occupancy {occupancy:.2}"
+                );
+                assert!(
+                    outcome.sim_throughput >= baseline_tp[ci],
+                    "budget {budget}µs, {clients} clients: coalesced {:.0} ops/s < baseline {:.0} ops/s",
+                    outcome.sim_throughput,
+                    baseline_tp[ci]
+                );
+            }
+            // The paper-style win: at 64 concurrent clients, coalescing
             // independent requests into shared psync streams must beat
             // request-at-a-time by ≥1.5× on simulated schedule time.
-            if clients >= 16 {
+            if clients == *client_counts.last().unwrap() {
                 assert!(
                     occupancy > 1.5,
                     "budget {budget}µs, {clients} clients: occupancy {occupancy:.2} — no real coalescing"

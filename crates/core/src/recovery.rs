@@ -34,7 +34,7 @@ use std::collections::HashMap;
 
 mod record;
 
-pub use record::{LogRecord, TxId};
+pub use record::{LogRecord, TxId, LOCAL_EPOCH};
 
 /// One completed, non-aborted flush as the attribution pass sees it: the key
 /// range its `FlushStart` record declared, plus the caller's tag for it.
@@ -135,8 +135,13 @@ pub struct RecoveryReport {
     /// Pages restored from flush undo records.
     pub undone_pages: usize,
     /// Logical records dropped because their cross-shard epoch was discarded by
-    /// the engine's recovery (all-or-nothing batch atomicity).
+    /// the engine's recovery, or their local bracket aborted (all-or-nothing
+    /// batch atomicity either way).
     pub discarded: usize,
+    /// Local brackets found aborted — closed by `apply` after a mid-batch
+    /// error, or left open by the crash (and closed as aborted by this pass).
+    /// Not epochs: the engine never heard of them.
+    pub aborted_local: usize,
     /// *Completed* flushes that were nevertheless undone because they had flushed
     /// entries of a discarded epoch into the tree (the surviving entries they
     /// covered are re-queued instead).
@@ -187,12 +192,20 @@ impl PioBTree {
     /// this with the verdicts of its engine-level epoch log, which is what makes
     /// a cross-shard batch all-or-nothing.
     ///
+    /// A **local** bracket ([`LOCAL_EPOCH`]) is decided here, from this log
+    /// alone, and `keep_epoch` is never asked about it: it commits iff its
+    /// `BatchEnd` is durable. One closed by `BatchAbort`, or that the log ends
+    /// inside, is aborted — its records are dropped exactly like a discarded
+    /// epoch's, and an open one is closed durably *as aborted*, so the next
+    /// recovery reaches the same verdict.
+    ///
     /// The pass proceeds in four steps:
     ///
     /// 1. **Rescan + analysis** — the WAL re-derives its durable LSN from the
     ///    device ([`storage::Wal::rescan`]), so records completed by a torn force are
     ///    seen; replay stops cleanly at the first torn or corrupt record
-    ///    (`torn_tail` in the report).
+    ///    (`torn_tail` in the report). Every bracket gets its verdict here: an
+    ///    epoch's from `keep_epoch`, a local one's from its own close.
     /// 2. **Attribution** — every logical record is attributed to the completed
     ///    flush that certainly applied it, if any. `take_batch` removes the
     ///    smallest-key prefix of the sorted OPQ, so a flush certainly applied a
@@ -250,6 +263,8 @@ impl PioBTree {
         // (lsn, entry, enclosing cross-shard epoch).
         let mut logical: Vec<(u64, OpEntry, Option<u64>)> = Vec::new();
         let mut current_epoch: Option<u64> = None;
+        // Where the bracket being read began in `logical`.
+        let mut bracket_start = 0usize;
         let mut max_tx: u64 = 0;
         for rec in &scan.records {
             match LogRecord::decode(&rec.payload) {
@@ -263,8 +278,22 @@ impl PioBTree {
                     max_tx = max_tx.max(tx);
                     logical.push((rec.lsn, entry, current_epoch));
                 }
-                Some(LogRecord::BatchBegin { epoch }) => current_epoch = Some(epoch),
-                Some(LogRecord::BatchEnd { .. }) => current_epoch = None,
+                Some(LogRecord::BatchBegin { epoch }) => {
+                    current_epoch = Some(epoch);
+                    bracket_start = logical.len();
+                }
+                Some(LogRecord::BatchEnd { epoch }) => {
+                    if epoch == LOCAL_EPOCH {
+                        // The durable commit of a local bracket: from here on
+                        // its records are ordinary records.
+                        logical[bracket_start..].iter_mut().for_each(|rec| rec.2 = None);
+                    }
+                    current_epoch = None;
+                }
+                Some(LogRecord::BatchAbort) => {
+                    current_epoch = None;
+                    report.aborted_local += 1;
+                }
                 Some(LogRecord::FlushStart {
                     flush_id,
                     key_lo,
@@ -338,12 +367,20 @@ impl PioBTree {
             }
         }
         if let Some(epoch) = current_epoch {
-            // The log ends inside an epoch bracket (the crash hit between
-            // `BatchBegin` and `BatchEnd`). Close it durably now: otherwise
+            // The log ends inside a bracket (the crash hit between
+            // `BatchBegin` and its close). Close it durably now: otherwise
             // every record logged *after* this recovery would be misattributed
             // to the stale epoch — and dropped by the next recovery if the
-            // epoch's verdict was discard.
-            wal.append(&LogRecord::BatchEnd { epoch }.encode());
+            // epoch's verdict was discard. An epoch's verdict is the engine's
+            // either way; a local bracket's close IS its verdict, so it must
+            // read aborted (a `BatchEnd` would commit it on the second restart).
+            let close = if epoch == LOCAL_EPOCH {
+                report.aborted_local += 1;
+                LogRecord::BatchAbort
+            } else {
+                LogRecord::BatchEnd { epoch }
+            };
+            wal.append(&close.encode());
             wal.force()?;
         }
         report.aborted_flushes = flushes.iter().filter(|i| i.aborted).count();
@@ -371,12 +408,14 @@ impl PioBTree {
             self.store.ensure_high_water(alloc_frontier);
         }
 
-        // Epoch verdicts, one filter call per distinct epoch.
+        // Epoch verdicts, one filter call per distinct epoch. A record still
+        // tagged local belongs to an aborted bracket (a commit cleared the tag).
         let mut fate: HashMap<u64, bool> = HashMap::new();
         let drops: Vec<bool> = logical
             .iter()
             .map(|&(_, _, epoch)| match epoch {
                 None => false,
+                Some(LOCAL_EPOCH) => true,
                 Some(e) => !*fate.entry(e).or_insert_with(|| keep_epoch(e)),
             })
             .collect();
@@ -508,6 +547,8 @@ mod tests {
             LogRecord::Checkpoint,
             LogRecord::BatchBegin { epoch: 12 },
             LogRecord::BatchEnd { epoch: 12 },
+            LogRecord::BatchBegin { epoch: LOCAL_EPOCH },
+            LogRecord::BatchAbort,
             LogRecord::FlushRoot {
                 flush_id: 3,
                 prev_root: 41,

@@ -10,6 +10,13 @@ use storage::PageId;
 /// transaction manager could be layered on top).
 pub type TxId = u64;
 
+/// The bracket id of a **local** batch: one the shard commits alone, with no
+/// engine epoch behind it (the engine's epoch counter starts at 1 and never
+/// hands this id out). A local bracket commits iff its
+/// [`LogRecord::BatchEnd`] is durable — recovery decides it from the shard's
+/// own log, without asking anyone.
+pub const LOCAL_EPOCH: u64 = 0;
+
 /// The PIO-B-tree-specific transaction log records of Table 2.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
@@ -69,15 +76,24 @@ pub enum LogRecord {
     /// between this record and the matching [`LogRecord::BatchEnd`] belongs to
     /// cross-shard epoch `epoch`. The engine's recovery decides per epoch whether
     /// those records are replayed or discarded (all-or-nothing across shards).
+    /// With [`LOCAL_EPOCH`] the bracket is local to this shard and its close
+    /// decides it.
     BatchBegin {
-        /// The engine-level epoch identifier.
+        /// The engine-level epoch identifier, or [`LOCAL_EPOCH`].
         epoch: u64,
     },
     /// Closes the batch bracket opened by the matching [`LogRecord::BatchBegin`].
+    /// For a local bracket this is the **commit**: once it is durable, the
+    /// bracket's records are replayed like any unbracketed record.
     BatchEnd {
-        /// The engine-level epoch identifier.
+        /// The engine-level epoch identifier, or [`LOCAL_EPOCH`].
         epoch: u64,
     },
+    /// Closes the open *local* bracket as **aborted**: its records are never
+    /// replayed. Written by `apply` when the batch failed mid-way and by
+    /// recovery for a bracket the crash left open — durably, so the next
+    /// recovery reaches the same verdict and later records stay outside it.
+    BatchAbort,
     /// Root-change log: written (and forced) immediately **before** a flush grows
     /// the tree by installing a new root. It carries both directions of the move:
     /// the previous root/height let recovery *rewind* the growth when it undoes
@@ -220,6 +236,7 @@ impl LogRecord {
                 out.extend_from_slice(&old_count.to_le_bytes());
                 out.push(u8::from(*fresh));
             }
+            LogRecord::BatchAbort => out.push(12),
         }
     }
 
@@ -283,6 +300,7 @@ impl LogRecord {
                     _ => return None,
                 },
             }),
+            12 => Some(LogRecord::BatchAbort),
             _ => None,
         }
     }

@@ -26,7 +26,7 @@ use crate::inner_tier::InnerTier;
 use crate::leaf::PioLeaf;
 use crate::lsmap::LsMap;
 use crate::opq::OperationQueue;
-use crate::recovery::LogRecord;
+use crate::recovery::{LogRecord, LOCAL_EPOCH};
 use btree::{InternalNode, InternalView, Key, Node, Value};
 use pio::ring::run_pipeline;
 use pio::{IoResult, SimPsyncIo};
@@ -528,13 +528,23 @@ impl PioBTree {
     /// all-or-nothing across shards. Returns the WAL's durable LSN — 0 without
     /// an epoch (nothing is forced) or without a WAL.
     ///
+    /// With [`LOCAL_EPOCH`] the bracket is **local**: a batch this shard commits
+    /// alone. Nobody delivers a verdict for it — the durable `BatchEnd` *is* the
+    /// commit, so a successful return means committed, and the bracket pins
+    /// nothing (it opens and closes under one borrow of the tree, so no
+    /// checkpoint can cut through it).
+    ///
     /// The bracket is closed (and a force attempted) even when the batch fails
     /// mid-way, so every record that did reach the log stays attributable to the
     /// epoch — an unclosed bracket would leak the epoch tag onto later,
-    /// unrelated records.
+    /// unrelated records. A failed *local* batch is closed as aborted
+    /// (`BatchAbort`), and the next recovery drops it; in this process its
+    /// applied prefix stays queued like any other write, which a retry of the
+    /// batch overwrites.
     pub fn apply(&mut self, ops: &[OpEntry], epoch: Option<u64>) -> IoResult<Lsn> {
         if let Some(epoch) = epoch {
-            if let Some(lsn) = self.log(|| LogRecord::BatchBegin { epoch }) {
+            let begun = self.log(|| LogRecord::BatchBegin { epoch });
+            if let Some(lsn) = begun.filter(|_| epoch != LOCAL_EPOCH) {
                 // Pin WAL truncation below this bracket until the engine delivers
                 // the epoch's verdict (the earliest bracket of an epoch wins).
                 self.open_brackets.entry(epoch).or_insert(lsn);
@@ -544,7 +554,10 @@ impl PioBTree {
         let Some(epoch) = epoch else {
             return result.map(|()| 0);
         };
-        self.log(|| LogRecord::BatchEnd { epoch });
+        self.log(|| match (epoch, &result) {
+            (LOCAL_EPOCH, Err(_)) => LogRecord::BatchAbort,
+            _ => LogRecord::BatchEnd { epoch },
+        });
         // After a failed batch the force is best effort: if it fails too, the
         // records were lost with the crash and recovery discards the epoch
         // anyway.

@@ -231,3 +231,99 @@ fn overlay(found: Vec<(Key, Value)>, mut queued: Vec<OpEntry>) -> Vec<(Key, Valu
     merged.extend(found);
     merged
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PioConfig;
+    use btree::{InternalView, Node};
+    use pio::{IoError, SimPsyncIo};
+    use ssd_sim::DeviceProfile;
+    use std::sync::Arc;
+    use storage::{CachedStore, PageStore, WritePolicy};
+
+    /// Fuzz, one level above the page formats' single-byte mutations: a child
+    /// pointer of an internal node rots into a page id the store never handed
+    /// out — `u64::MAX`, the allocation high-water mark, or an id so large that
+    /// its byte offset wraps around onto a *valid* page (`1 << 52 | k` with
+    /// 4 KiB pages, `1 << 53 | k` with these 2 KiB ones) — and the process
+    /// restarts, so neither cache nor checksum sidecar vouches for anything.
+    /// Every read that descends through the pointer is `Corruption`: never a
+    /// panic (debug builds: the multiply overflows), never a value (release
+    /// builds: the wrapped read returns page `k`'s bytes, for which no
+    /// checksum is on record). Reads that do not touch it still answer.
+    #[test]
+    fn fuzz_rotted_child_pointers_are_corruption_never_an_answer() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_7EEE);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        const PAGE: usize = 2048;
+        let config = PioConfig::builder().page_size(PAGE).leaf_segments(2).pio_max(8).build();
+        let store = Arc::new(CachedStore::new(
+            PageStore::new(Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 28)), PAGE),
+            64,
+            WritePolicy::WriteThrough,
+        ));
+        let entries: Vec<(Key, Value)> = (0..40_000u64).map(|k| (k * 3, k)).collect();
+        let mut tree = PioBTree::bulk_load(store, &entries, config).unwrap();
+        assert!(tree.height() >= 3, "two internal levels, so both kinds of child rot");
+        let raw = Arc::clone(tree.store());
+        let high_water = raw.store().high_water_pages();
+        let root = tree.root_page();
+        let inner = InternalView::new(root, &raw.store().read_page(root).unwrap())
+            .unwrap()
+            .child(1);
+
+        for page in [root, inner] {
+            let image = raw.store().read_page(page).unwrap();
+            let node = InternalView::new(page, &image).unwrap().to_owned();
+            for _ in 0..12 {
+                let slot = rand(node.children.len() as u64) as usize;
+                let valid = node.children[rand(node.children.len() as u64) as usize];
+                for wild in [u64::MAX, high_water, high_water - 1, 1 << 52 | valid, 1 << 53 | valid] {
+                    let ctx = format!("CRASH_SEED={seed} page {page} child {slot} -> {wild:#x}");
+                    let mut rotted = node.clone();
+                    rotted.children[slot] = wild;
+                    raw.store()
+                        .write_page(page, &Node::Internal(rotted).encode(PAGE))
+                        .unwrap();
+                    tree.simulate_crash();
+
+                    // A key the rotted child covers, and one it does not.
+                    let under = if slot == 0 {
+                        node.keys[0] - 1
+                    } else {
+                        node.keys[slot - 1]
+                    };
+                    let clear = if page == root { None } else { Some(0) };
+                    let corrupt = |e: &IoError| matches!(e, IoError::Corruption { .. });
+                    assert!(tree.search(under).is_err_and(|e| corrupt(&e)), "{ctx}: search");
+                    let batch = [3, under, 30];
+                    assert!(
+                        tree.multi_search(&batch).is_err_and(|e| corrupt(&e)),
+                        "{ctx}: multi_search"
+                    );
+                    assert!(
+                        tree.range_search(under, under + 90).is_err_and(|e| corrupt(&e)),
+                        "{ctx}: range_search"
+                    );
+                    if let Some(key) = clear {
+                        assert_eq!(tree.search(key).unwrap(), Some(0), "{ctx}: a subtree the rot spares");
+                    }
+                }
+            }
+            raw.store().write_page(page, &image).unwrap();
+        }
+        tree.simulate_crash();
+        assert_eq!(tree.search(300).unwrap(), Some(100));
+        assert_eq!(tree.range_search(0, Key::MAX).unwrap().len(), entries.len());
+    }
+}

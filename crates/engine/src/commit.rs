@@ -9,7 +9,7 @@ use crate::sharded::EngineInner;
 use btree::{Key, Value};
 use parking_lot::Mutex;
 use pio::{IoQueue, IoResult};
-use pio_btree::{OpEntry, PioBTree};
+use pio_btree::{OpEntry, PioBTree, LOCAL_EPOCH};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +38,8 @@ impl EpochCoordinator {
     pub(crate) fn new(engine_wal: Arc<dyn IoQueue>, retry: Option<pio::RetryPolicy>, page_size: usize) -> Self {
         Self {
             log: EpochLog::new(Wal::new(resilient(engine_wal, retry), 0, page_size)),
-            next_epoch: AtomicU64::new(1),
+            // Ids start above `LOCAL_EPOCH`, which marks the shard-local brackets.
+            next_epoch: AtomicU64::new(LOCAL_EPOCH + 1),
             in_flight: Mutex::new(BTreeMap::new()),
         }
     }
@@ -94,17 +95,26 @@ impl EpochCoordinator {
 }
 
 impl EngineInner {
-    /// Batched insert. With WALs enabled, the batch runs as a two-phase flush
-    /// epoch: `Begin` is forced to the engine log before fan-out, every member
-    /// shard appends its sub-batch inside an epoch bracket of its own WAL and
-    /// forces it, and only then are the shard acks and the `Commit` behind them
-    /// forced, together — so a crash anywhere in between leaves an epoch that
-    /// [`crate::ShardedPioEngine::recover`] resolves to all-or-nothing across shards.
+    /// Batched insert. With WALs enabled, a batch that spans shards runs as a
+    /// two-phase flush epoch: `Begin` is forced to the engine log before
+    /// fan-out, every member shard appends its sub-batch inside an epoch bracket
+    /// of its own WAL and forces it, and only then are the shard acks and the
+    /// `Commit` behind them forced, together — so a crash anywhere in between
+    /// leaves an epoch that [`crate::ShardedPioEngine::recover`] resolves to
+    /// all-or-nothing across shards.
+    ///
+    /// A batch whose keys all land on **one** shard takes no epoch: that
+    /// shard's bracket is already atomic, so it runs as a *local* bracket
+    /// ([`LOCAL_EPOCH`]) that the shard's single WAL force commits — no engine
+    /// log record, no second force, no truncation pin.
     ///
     /// An *error* return means the batch is undecided: some shards may hold it
-    /// durably, and no commit record exists. The caller should either retry the
-    /// batch (enqueueing is idempotent) or crash-and-recover the engine, which
-    /// discards the epoch everywhere.
+    /// durably, and no commit record exists (a local bracket that failed
+    /// mid-way is closed as aborted; one whose force failed may still commit
+    /// with the shard's next force). The caller should either retry the batch
+    /// (enqueueing is idempotent) or crash-and-recover the engine, which
+    /// discards an undecided epoch everywhere and drops an aborted local
+    /// bracket.
     pub(crate) fn insert_batch(&self, entries: &[(Key, Value)]) -> IoResult<()> {
         if entries.is_empty() {
             return Ok(());
@@ -130,11 +140,11 @@ impl EngineInner {
         if let Some(&sick) = members.iter().find(|&&i| self.shards[i].health.is_open()) {
             return Err(ShardHealth::rejection(sick));
         }
-        let epoch = self
-            .epoch
-            .as_ref()
-            .map(|coord| coord.open(|log, epoch| log.begin(epoch, &members)))
-            .transpose()?;
+        let epoch = match &self.epoch {
+            None => None,
+            Some(_) if members.len() == 1 => Some(LOCAL_EPOCH),
+            Some(coord) => Some(coord.open(|log, epoch| log.begin(epoch, &members))?),
+        };
         let work = per_shard
             .into_iter()
             .enumerate()
@@ -172,10 +182,15 @@ impl EngineInner {
             })
             .collect();
         let acks: Vec<(usize, Lsn)> = self.fan_out_tasks(work)?;
-        if let (Some(epoch), Some(coord)) = (epoch, &self.epoch) {
-            coord.decide(epoch, &acks, &self.shards, EpochLog::commit)?;
-            self.counters.committed_epochs.fetch_add(1, Ordering::Relaxed);
-        }
+        let committed = match (epoch, &self.epoch) {
+            (Some(LOCAL_EPOCH), _) => &self.counters.local_commits,
+            (Some(epoch), Some(coord)) => {
+                coord.decide(epoch, &acks, &self.shards, EpochLog::commit)?;
+                &self.counters.committed_epochs
+            }
+            _ => return Ok(()),
+        };
+        committed.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }

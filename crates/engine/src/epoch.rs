@@ -35,6 +35,18 @@
 //!
 //! Either way the batch is all-or-nothing across shards.
 //!
+//! ## Batches that need no epoch
+//!
+//! The protocol exists because a batch spans shards. One whose keys all land
+//! on a single shard is already atomic under that shard's own bracket, so
+//! `insert_batch` skips the epoch for it: no `Begin`, `Ack` or `Commit`, no
+//! engine-log bytes, no truncation pin. The shard applies it inside a *local*
+//! bracket ([`pio_btree::LOCAL_EPOCH`], an id this log never hands out) and
+//! forces its WAL once; [`pio_btree::PioBTree::recover_with`] commits the
+//! bracket iff its close is durable and never asks this log about it. Epochs
+//! and local brackets interleave freely on a shard's log — the log's order
+//! decides between two writes of one key.
+//!
 //! ## Migration epochs
 //!
 //! Shard rebalancing (see [`crate::rebalance`]) journals each boundary move as
@@ -434,9 +446,16 @@ impl EngineRecoveryReport {
         self.shards.iter().map(|r| r.redone).sum()
     }
 
-    /// Total logical records dropped because their epoch was discarded.
+    /// Total logical records dropped because their epoch was discarded or
+    /// their local bracket aborted.
     pub fn discarded_records(&self) -> usize {
         self.shards.iter().map(|r| r.discarded).sum()
+    }
+
+    /// Single-shard batches found aborted in their shard's own log (never
+    /// epochs, so not part of `discarded_epochs`).
+    pub fn aborted_local(&self) -> usize {
+        self.shards.iter().map(|r| r.aborted_local).sum()
     }
 }
 

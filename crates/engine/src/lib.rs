@@ -97,7 +97,8 @@
 //!
 //! Each shard recovers from its own WAL (Section 3.4 of the paper), but a
 //! batched insert fans one logical batch out to several shards — so with WALs
-//! enabled, every [`ShardedPioEngine::insert_batch`] runs as a **two-phase flush
+//! enabled, every [`ShardedPioEngine::insert_batch`] that **spans shards** runs
+//! as a **two-phase flush
 //! epoch** over a dedicated engine log (the [`epoch`] module): `Begin` is forced
 //! before fan-out, each member shard appends its sub-batch inside an epoch
 //! bracket of its own WAL and forces it, and then the per-shard `Ack`s and the
@@ -113,6 +114,18 @@
 //! | the decision force fails, or is torn before the last `Ack` is whole | `Begin`, partial `Ack`s | epoch **discarded** on every shard, as above |
 //! | the decision force is torn between the last `Ack` and the end of `Commit` (the acks vs commit window) | `Begin`, all `Ack`s | epoch **re-driven**: the batch is durable everywhere, so recovery writes the missing `Commit` and replays it — fully present |
 //! | after `Commit` | complete | normal per-shard replay — fully present |
+//!
+//! A batch whose keys all land on **one** shard needs none of this: it runs as
+//! a *local bracket* of that shard's WAL (`BatchBegin`/`BatchEnd` under
+//! [`pio_btree::LOCAL_EPOCH`]) that the shard's single force commits — no
+//! engine-log record, no second force. Recovery decides it inside the shard's
+//! own replay, without a verdict from the engine log:
+//!
+//! | crash point | shard log state | recovery outcome |
+//! |---|---|---|
+//! | inside the bracket (its force fails, or is torn before the `BatchEnd` is whole; a flush inside it may have forced part of it) | `BatchBegin`, some records | bracket **aborted**: records dropped, a flush that applied them unwound, and the bracket closed durably *as aborted* (`BatchAbort`) so the next restart agrees — absent |
+//! | `apply` failed mid-batch in process, then the crash | `BatchBegin`, records, `BatchAbort` | **aborted**, as above |
+//! | after the `BatchEnd` is durable | complete | replayed like any unbracketed record — fully present |
 //!
 //! Partial acks mean the batch *might* be missing on some shard, so the whole
 //! epoch is dropped (presumed abort); a full ack set proves it is everywhere, so

@@ -775,7 +775,8 @@ mod tests {
     fn epoch_ids_stay_unique_across_restarts() {
         let engine = ShardedPioEngine::create(wal_config(2), &(0..1_000u64).collect::<Vec<_>>()).unwrap();
         for round in 0..3u64 {
-            let batch: Vec<(Key, Value)> = (0..20u64).map(|k| (k * 7 + round, round)).collect();
+            // Spans both shards: a batch one shard holds alone takes no epoch.
+            let batch: Vec<(Key, Value)> = (0..20u64).map(|k| (k * 50 + round, round)).collect();
             engine.insert_batch(&batch).unwrap();
             engine.simulate_crash();
             let report = engine.recover().unwrap();

@@ -126,9 +126,14 @@ pub struct EngineStats {
     pub leaf_cache: CacheStats,
     /// Total operations buffered in shard OPQs.
     pub queued_ops: usize,
-    /// Cross-shard flush epochs committed (one per `insert_batch` with WALs
-    /// enabled, plus epochs completed by recovery).
+    /// Cross-shard flush epochs committed (one per `insert_batch` that spans
+    /// shards with WALs enabled, plus epochs completed by recovery). Batches
+    /// one shard committed alone are not epochs: see `local_commits`.
     pub committed_epochs: u64,
+    /// Batches committed by a single shard's local bracket — no engine epoch,
+    /// no engine-log record (one per single-shard `insert_batch` with WALs
+    /// enabled).
+    pub local_commits: u64,
     /// Uncommitted epochs that recovery found durable on every member shard and
     /// re-drove (committed).
     pub recovered_epochs: u64,
@@ -248,6 +253,8 @@ impl EngineStats {
 pub(crate) struct EngineCounters {
     /// Epochs committed over the engine's lifetime.
     pub(crate) committed_epochs: AtomicU64,
+    /// Single-shard batches committed by a local bracket, without an epoch.
+    pub(crate) local_commits: AtomicU64,
     /// Uncommitted-but-fully-acked epochs completed by `recover`.
     pub(crate) recovered_epochs: AtomicU64,
     /// Uncommitted epochs discarded on every shard by `recover`.
@@ -325,6 +332,7 @@ impl EngineInner {
             leaf_cache,
             queued_ops: shards.iter().map(|s| s.opq_len).sum(),
             committed_epochs: self.counters.committed_epochs.load(Ordering::Relaxed),
+            local_commits: self.counters.local_commits.load(Ordering::Relaxed),
             recovered_epochs: self.counters.recovered_epochs.load(Ordering::Relaxed),
             discarded_epochs: self.counters.discarded_epochs.load(Ordering::Relaxed),
             splits: self.counters.splits.load(Ordering::Relaxed),

@@ -103,9 +103,11 @@ impl EngineManifest {
     /// v3 marks shard WALs that may hold the logical append-undo record
     /// ([`pio_btree::LogRecord::FlushAppendUndo`]): a v2-era binary would stop
     /// replay at that unknown tag and silently drop the tail, so it must
-    /// refuse the directory instead.
+    /// refuse the directory instead. v4 marks shard WALs that may hold local
+    /// brackets ([`pio_btree::LOCAL_EPOCH`], `BatchAbort`): a v3-era binary
+    /// would take one for an epoch nobody discarded and replay an aborted batch.
     pub fn encode(&self) -> String {
-        let mut out = String::from("pio-engine-manifest v3\n");
+        let mut out = String::from("pio-engine-manifest v4\n");
         out.push_str(&format!("shards={}\n", self.shards));
         out.push_str(&format!("page_size={}\n", self.page_size));
         out.push_str(&format!("wal={}\n", u8::from(self.wal_enabled)));
@@ -120,12 +122,17 @@ impl EngineManifest {
     /// Parses the text form produced by [`EngineManifest::encode`]. Returns
     /// `None` for unknown versions or malformed content — including v1
     /// manifests, whose WAL regions use the pre-truncation layout this code
-    /// can no longer read (see [`EngineManifest::encode`]). v2 directories
-    /// are accepted: every record their logs hold still replays, and the next
-    /// manifest sync re-marks them v3.
+    /// can no longer read (see [`EngineManifest::encode`]). v2 and v3
+    /// directories are accepted: every record their logs hold still replays,
+    /// and the next manifest sync re-marks them v4.
     pub fn decode(text: &str) -> Option<Self> {
         let mut lines = text.lines();
-        if !matches!(lines.next()?, "pio-engine-manifest v2" | "pio-engine-manifest v3") {
+        let versions = [
+            "pio-engine-manifest v2",
+            "pio-engine-manifest v3",
+            "pio-engine-manifest v4",
+        ];
+        if !versions.contains(&lines.next()?) {
             return None;
         }
         let mut shards = None;
@@ -558,12 +565,17 @@ mod tests {
             ..manifest
         };
         assert_eq!(EngineManifest::decode(&single.encode()), Some(single.clone()));
-        // A directory written before the logical append-undo record reopens:
-        // the writer emits v3, the reader still accepts v2.
-        assert!(single.encode().starts_with("pio-engine-manifest v3\n"));
+        // A directory written before local brackets, or before the logical
+        // append-undo record, reopens: the writer emits v4, the reader still
+        // accepts v3 and v2.
+        assert!(single.encode().starts_with("pio-engine-manifest v4\n"));
         let v2 = single
             .encode()
-            .replacen("pio-engine-manifest v3", "pio-engine-manifest v2", 1);
+            .replacen("pio-engine-manifest v4", "pio-engine-manifest v2", 1);
+        assert_eq!(
+            EngineManifest::decode(&v2.replacen("v2", "v3", 1)),
+            Some(single.clone())
+        );
         assert_eq!(EngineManifest::decode(&v2), Some(single));
         assert_eq!(EngineManifest::decode(&v2.replacen("v2", "v1", 1)), None);
     }
@@ -571,7 +583,7 @@ mod tests {
     #[test]
     fn corrupt_manifests_decode_to_none() {
         assert_eq!(EngineManifest::decode(""), None);
-        assert_eq!(EngineManifest::decode("pio-engine-manifest v3\nshards=1\n"), None);
+        assert_eq!(EngineManifest::decode("pio-engine-manifest v4\nshards=1\n"), None);
         let good = EngineManifest {
             shards: 2,
             page_size: 2048,

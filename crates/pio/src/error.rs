@@ -78,7 +78,7 @@ impl fmt::Display for IoError {
             IoError::Corruption { offset, len } => write!(
                 f,
                 "checksum mismatch reading [{offset}, {}): device returned corrupt data",
-                offset + len
+                offset.saturating_add(*len)
             ),
         }
     }

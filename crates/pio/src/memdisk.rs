@@ -41,7 +41,7 @@ impl MemDisk {
         if len == 0 {
             return Err(IoError::EmptyRequest);
         }
-        if offset + len > self.capacity {
+        if offset.checked_add(len).is_none_or(|end| end > self.capacity) {
             return Err(IoError::OutOfBounds {
                 offset,
                 len,
@@ -127,6 +127,12 @@ mod tests {
             Err(IoError::OutOfBounds { .. })
         ));
         assert!(matches!(d.read(d.capacity(), 1), Err(IoError::OutOfBounds { .. })));
+        // An offset whose end overflows is out of bounds, not a wrap to byte 7.
+        assert!(matches!(d.read(u64::MAX, 8), Err(IoError::OutOfBounds { .. })));
+        assert!(matches!(
+            d.write(u64::MAX - 3, &[0u8; 8]),
+            Err(IoError::OutOfBounds { .. })
+        ));
         assert!(matches!(d.read(0, 0), Err(IoError::EmptyRequest)));
     }
 

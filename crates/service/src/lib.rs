@@ -8,23 +8,26 @@
 //!
 //! * **Typed protocol** ([`Request`], [`Response`], [`ServiceError`]): get,
 //!   put, and range-scan with per-request [`RequestTiming`] in every response.
-//! * **Admission control with cross-request group batching**
-//!   ([`EngineService`]): requests accumulate in per-shard batch builders for
-//!   at most `max_batch_delay_us`; a builder flushes early when it reaches
-//!   `max_batch_size`. The service has no threads: the client that opened a
-//!   builder (or filled it) runs its engine call and answers the clients that
-//!   joined it. Coalesced gets become one engine
+//! * **Work-conserving admission with cross-request group batching**
+//!   ([`EngineService`]): a request that finds its shard idle runs at once;
+//!   requests arriving while a batch of their shard executes accumulate in
+//!   the shard's builder, which the finishing thread hands to its leader — so
+//!   batches form from concurrency, never from a timer. A builder flushes
+//!   early when it reaches `max_batch_size`, and `max_batch_delay_us` only
+//!   caps the wait behind a running batch. The service has no threads: the
+//!   client that opened a builder (or filled it) runs its engine call and
+//!   answers the clients that joined it. Coalesced gets become one engine
 //!   [`multi_search`](engine::ShardedPioEngine::multi_search) (the MPSearch
 //!   path), coalesced puts become one
-//!   [`insert_batch`](engine::ShardedPioEngine::insert_batch) riding the
-//!   engine's flush-epoch group commit, and scans pass straight through to
+//!   [`insert_batch`](engine::ShardedPioEngine::insert_batch) — a group commit
+//!   the one shard forces alone — and scans pass straight through to
 //!   [`range_search`](engine::ShardedPioEngine::range_search).
 //! * **Per-request latency accounting** ([`ServiceStats`],
 //!   [`HistogramSnapshot`]): queue wait, batch service time, and end-to-end
 //!   latency per request, aggregated in HDR-style log-linear histograms
 //!   (p50/p95/p99/max at ~3% relative error), plus batching counters — batches
-//!   formed, average occupancy, and why each batch flushed (size-triggered vs
-//!   budget-expired vs shutdown drain).
+//!   formed, average occupancy, and why each batch flushed (size-triggered,
+//!   idle slot, hand-over, budget-expired or shutdown drain).
 //!
 //! The knobs live in the engine's [`EngineConfig`](engine::EngineConfig)
 //! (`max_batch_delay_us`, `max_batch_size`, `request_deadline_ms`,

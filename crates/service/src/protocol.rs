@@ -20,8 +20,8 @@ pub enum Request {
         key: Key,
     },
     /// Insert-or-update of `key`. The ack implies the write is as durable as
-    /// the engine's configuration makes it (with WALs enabled: the covering
-    /// flush epoch has been forced before the response is sent).
+    /// the engine's configuration makes it (with WALs enabled: the batch's
+    /// commit has been forced before the response is sent).
     Put {
         /// Key to write.
         key: Key,

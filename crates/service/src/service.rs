@@ -4,46 +4,61 @@
 //!
 //! ## Request lifecycle
 //!
-//! ```text
-//! client A (finds no builder)        client B (finds A's builder)       engine
-//! ───────────────────────────        ────────────────────────────       ──────
-//! handle.get(k1)
-//!   opens the (shard, gets) builder,
-//!   becomes its leader, waits on its   handle.get(k2)
-//!   own reply ≤ delay budget             joins the builder, waits on
-//!        │                               its own reply
-//!        │ budget over: takes the builder it opened ───────────────────▶ multi_search([k1, k2])
-//!        │ answers B, answers itself                                      on engine-shard-N
-//!        ▼                                   ▼
-//!   Response                             Response
+//! Admission is **work-conserving**: nobody sleeps waiting for company. A
+//! request that finds its slot idle runs at once; a batch forms only *while*
+//! the batch ahead of it in the slot executes — classic group commit — and is
+//! started by the thread that finishes that one.
 //!
-//! handle.put(k, v)   same, per (shard, puts) builder ──────────────────▶ insert_batch
-//!                                                                        (flush epoch forced,
-//!                                                                         THEN every ack)
-//! handle.scan(lo, hi)   no coalescing, runs on its caller ─────────────▶ range_search
+//! ```text
+//! client A (slot idle)            client B (A's batch running)   client C        engine
+//! ────────────────────            ────────────────────────────   ────────        ──────
+//! handle.get(k1)
+//!   opens the (shard, gets)
+//!   builder, yields once, takes
+//!   it (idle) ──────────────────────────────────────────────────────────────────▶ multi_search([k1])
+//!        │                        handle.get(k2)
+//!        │                          opens the next builder,
+//!        │                          leads it, waits on its own   handle.get(k3)
+//!        │                          reply ≤ delay budget           joins B's builder,
+//!        │ finishes: tells B "go"        │                         waits on its own reply
+//!        │ answers itself                │ takes the builder (hand-over) ───────▶ multi_search([k2, k3])
+//!        ▼                               │ answers C, answers itself     │
+//!   Response                             ▼                               ▼
+//!                                   Response                        Response
+//!
+//! handle.put(k, v)   same, per (shard, puts) builder ──────────────────────────▶ insert_batch
+//!                                                                                (the shard's WAL forced,
+//!                                                                                 THEN every ack)
+//! handle.scan(lo, hi)   no coalescing, runs on its caller ─────────────────────▶ range_search
 //! ```
 //!
 //! * Gets destined for the same shard coalesce into one engine
 //!   [`multi_search`](ShardedPioEngine::multi_search) — the MPSearch path, so
 //!   independent clients' point reads share one psync stream.
-//! * Puts coalesce into one [`insert_batch`](ShardedPioEngine::insert_batch),
-//!   which drives the engine's cross-shard flush-epoch machinery; the batch is
-//!   the *group commit*: one forced epoch covers every client in the batch, and
-//!   no put is acked before that call returns (i.e. before the epoch committed).
+//! * Puts coalesce into one [`insert_batch`](ShardedPioEngine::insert_batch);
+//!   the batch is the *group commit*: one forced commit covers every client in
+//!   the batch — a local bracket in the shard's own WAL, since the batch was
+//!   binned onto one shard (a full cross-shard flush epoch only if a rebalance
+//!   moved a boundary under it) — and no put is acked before that call returns.
 //! * A builder leaves its slot exactly once, taken under the admission lock by
 //!   the thread that then runs it: the request that fills it to
-//!   `max_batch_size` (size-triggered), its leader once the request that opened
-//!   it has waited `max_batch_delay_us` (budget-expired), or
-//!   [`EngineService::shutdown`] (drain). A leader names the builder it opened
-//!   by a generation number, so it never takes a successor in the same slot —
-//!   and no admitted request ever waits in a builder beyond the budget.
+//!   `max_batch_size` (**size**); the request that opened it, at once, when no
+//!   batch of the slot is executing (**idle** — after one `yield_now`, so
+//!   clients ready to submit join first); its leader when the thread that
+//!   finishes the batch ahead says go (**hand-over**), or when it has waited
+//!   `max_batch_delay_us` behind that batch (**budget** — the knob is only
+//!   this cap now); or [`EngineService::shutdown`] (**drain**). A leader names
+//!   the builder it opened by a generation number, so it never takes a
+//!   successor in the same slot, and a go-ahead that arrives after the builder
+//!   was taken is ignored. No `sleep` or timed wait is reachable from a
+//!   request that finds its slot idle.
 //! * Scans bypass the builders: they are not coalescible point work.
 //!
-//! Locking: the admission lock guards the builders and is never held across an
-//! engine call. Beside it there is only the shutdown barrier `in_flight`: a
-//! request holds it shared for its whole life (taken before the admission
-//! lock), and `shutdown` takes it exclusively after it has released the
-//! admission lock for the last time.
+//! Locking: the admission lock guards the builders and the per-slot count of
+//! running batches, and is never held across an engine call. Beside it there
+//! is only the shutdown barrier `in_flight`: a request holds it shared for its
+//! whole life (taken before the admission lock), and `shutdown` takes it
+//! exclusively after it has released the admission lock for the last time.
 //!
 //! ## Live shard boundaries
 //!
@@ -53,7 +68,8 @@
 //! construction — the engine re-partitions every batch internally under its
 //! own routing lock, so a "mis-binned" batch is simply split across the right
 //! shards when it executes; no request errors, none is stalled beyond its
-//! batch budget, and the batch's group-commit epoch still covers all of it.
+//! batch budget, and the batch's group commit — then a flush epoch — still
+//! covers all of it.
 //! The binning merely decides *which builder coalesces with which*, so at
 //! most one batch per shard rides with stale affinity; from the next flush
 //! epoch on, the builders bin against the committed boundaries
@@ -72,18 +88,32 @@ use std::time::{Duration, Instant};
 
 type Reply = Result<Response, ServiceError>;
 
+/// What travels down a request's reply channel.
+enum Signal {
+    /// The request's answer, from the thread that ran its batch.
+    Answer(Reply),
+    /// To a leader waiting behind a running batch: the slot is idle, run your
+    /// builder. Stale — and skipped — if the builder has been taken meanwhile.
+    GoAhead,
+}
+
 /// One admitted, not-yet-answered point request.
 struct Waiter {
     enqueued: Instant,
-    ack: mpsc::Sender<Reply>,
+    ack: mpsc::Sender<Signal>,
 }
 
 /// What made a batch leave its builder.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Trigger {
     /// The builder reached `max_batch_size`.
     Size,
-    /// The request that opened the builder exhausted the latency budget.
+    /// The request that opened the builder found its slot idle and took it at once.
+    Idle,
+    /// The batch running ahead of the builder finished and handed its leader the slot.
+    HandOver,
+    /// The request that opened the builder waited `max_batch_delay_us` behind
+    /// a running batch.
     Budget,
     /// Shutdown drained the builder.
     Drain,
@@ -107,22 +137,35 @@ struct Builder {
     generation: u64,
 }
 
-/// State behind the admission lock: the open builders and the closed flag.
+/// State behind the admission lock: the open builders, what is running, and
+/// the closed flag.
 struct Admission {
     /// Slot `2 * shard` holds the shard's gets, `2 * shard + 1` its puts.
     builders: Vec<Option<Builder>>,
+    /// Per slot, the batches taken from it that have not finished executing.
+    running: Vec<usize>,
     /// Generation of the most recently opened builder.
     generation: u64,
     closed: bool,
 }
 
+impl Admission {
+    /// Takes the builder out of `slot`, which now has one more batch running.
+    fn take(&mut self, slot: usize) -> Option<Builder> {
+        let builder = self.builders[slot].take()?;
+        self.running[slot] += 1;
+        Some(builder)
+    }
+}
+
 /// What admission made of a point request's thread.
 enum Role {
     /// It filled the builder and took it: run the batch now.
-    Run(Builder),
-    /// It opened the builder: run it once the budget is over, unless another
-    /// thread took it first.
-    Lead { slot: usize, generation: u64 },
+    Run(usize, Builder),
+    /// It opened the builder and will run it, unless another thread takes it
+    /// first: at once if the slot is idle, else when the batch running ahead
+    /// (`busy`) finishes or the budget is over.
+    Lead { slot: usize, generation: u64, busy: bool },
     /// It joined an open builder: whoever takes that answers it.
     Follow,
 }
@@ -135,6 +178,8 @@ struct Counters {
     batches_formed: AtomicU64,
     batched_requests: AtomicU64,
     size_triggered_flushes: AtomicU64,
+    idle_flushes: AtomicU64,
+    handover_flushes: AtomicU64,
     budget_expired_flushes: AtomicU64,
     drain_flushes: AtomicU64,
     errors: AtomicU64,
@@ -192,58 +237,84 @@ impl ServiceShared {
             .expect("in-flight lock is never held across a panic");
         let enqueued = Instant::now();
         let (key, value) = match request {
-            Request::Get { key } => {
-                self.counters.gets.fetch_add(1, Ordering::Relaxed);
-                (key, None)
-            }
-            Request::Put { key, value } => {
-                self.counters.puts.fetch_add(1, Ordering::Relaxed);
-                (key, Some(value))
-            }
+            Request::Get { key } => (key, None),
+            Request::Put { key, value } => (key, Some(value)),
             Request::Scan { lo, hi } => {
                 self.counters.scans.fetch_add(1, Ordering::Relaxed);
                 return self.scan(lo, hi, enqueued);
             }
         };
         let (ack, reply) = mpsc::channel();
-        let (batch, trigger) = match self.admit(key, value, Waiter { enqueued, ack })? {
-            Role::Run(batch) => (batch, Trigger::Size),
-            Role::Lead { slot, generation } => {
-                // A leader cannot abandon its followers, so a deadline shorter
-                // than the budget flushes the batch early instead of timing out.
-                let wait = self
-                    .request_deadline
-                    .map_or(self.max_batch_delay, |d| d.min(self.max_batch_delay));
-                match reply.recv_timeout((enqueued + wait).saturating_duration_since(Instant::now())) {
-                    Err(RecvTimeoutError::Timeout) => match self.take(slot, generation) {
-                        Some(batch) => (batch, Trigger::Budget),
-                        None => return self.await_reply(&reply, enqueued),
-                    },
-                    // A size trigger or the drain took the builder and ran it.
-                    answered => return answered.unwrap_or(Err(ServiceError::Lost)),
+        let (slot, batch, trigger) = match self.admit(key, value, Waiter { enqueued, ack })? {
+            Role::Run(slot, batch) => (slot, batch, Trigger::Size),
+            Role::Lead { slot, generation, busy } => {
+                let trigger = if busy {
+                    match self.wait_behind(&reply, enqueued) {
+                        Ok(trigger) => trigger,
+                        Err(answer) => return answer,
+                    }
+                } else {
+                    // Nothing to wait for. One yield lets clients that are
+                    // ready to submit join first; nobody sleeps.
+                    std::thread::yield_now();
+                    Trigger::Idle
+                };
+                match self.take(slot, generation) {
+                    Some(batch) => (slot, batch, trigger),
+                    // A size trigger or the drain took the builder and runs it.
+                    None => return self.await_reply(&reply, enqueued),
                 }
             }
             Role::Follow => return self.await_reply(&reply, enqueued),
         };
-        self.run_batch(batch, trigger);
-        reply.try_recv().unwrap_or(Err(ServiceError::Lost))
+        self.run_batch(slot, batch, trigger);
+        // The answer is in the channel, behind at most a stale go-ahead.
+        let answered = reply.try_iter().find_map(|signal| match signal {
+            Signal::Answer(answer) => Some(answer),
+            Signal::GoAhead => None,
+        });
+        answered.unwrap_or(Err(ServiceError::Lost))
+    }
+
+    /// A leader's wait behind the batch running in its slot — the builder that
+    /// fills meanwhile is the group commit. Over when that batch's thread says
+    /// go, or after `max_batch_delay_us` (a leader cannot abandon its
+    /// followers, so a shorter deadline cuts the wait instead of timing out).
+    /// `Err` carries the leader's answer: another thread took the builder and
+    /// ran it.
+    fn wait_behind(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Result<Trigger, Reply> {
+        let cap = self
+            .request_deadline
+            .map_or(self.max_batch_delay, |d| d.min(self.max_batch_delay));
+        match reply.recv_timeout((enqueued + cap).saturating_duration_since(Instant::now())) {
+            Ok(Signal::GoAhead) => Ok(Trigger::HandOver),
+            Err(RecvTimeoutError::Timeout) => Ok(Trigger::Budget),
+            Ok(Signal::Answer(answer)) => Err(answer),
+            Err(RecvTimeoutError::Disconnected) => Err(Err(ServiceError::Lost)),
+        }
     }
 
     /// Waits for the thread whose batch carries this request; the request's
     /// deadline bounds the wait.
-    fn await_reply(&self, reply: &mpsc::Receiver<Reply>, enqueued: Instant) -> Reply {
-        let Some(deadline) = self.request_deadline else {
-            return reply.recv().unwrap_or(Err(ServiceError::Lost));
-        };
-        match reply.recv_timeout((enqueued + deadline).saturating_duration_since(Instant::now())) {
-            // The batch will still execute and answer into the dropped channel
-            // — the *outcome* is unknown, but the client's wait is cleanly over
-            // and the request is safe to resubmit.
-            Err(RecvTimeoutError::Timeout) => {
-                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::Timeout)
+    fn await_reply(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Reply {
+        loop {
+            let signal = match self.request_deadline {
+                None => reply.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(deadline) => reply.recv_timeout((enqueued + deadline).saturating_duration_since(Instant::now())),
+            };
+            match signal {
+                Ok(Signal::Answer(answer)) => return answer,
+                // Stale: the builder it was sent for has been taken.
+                Ok(Signal::GoAhead) => {}
+                // The batch will still execute and answer into the dropped
+                // channel — the *outcome* is unknown, but the client's wait is
+                // cleanly over and the request is safe to resubmit.
+                Err(RecvTimeoutError::Timeout) => {
+                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                    return Err(ServiceError::Timeout);
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(ServiceError::Lost),
             }
-            answered => answered.unwrap_or(Err(ServiceError::Lost)),
         }
     }
 
@@ -255,6 +326,14 @@ impl ServiceShared {
         if admission.closed {
             return Err(ServiceError::Closed);
         }
+        // Counted under the lock: a request the stats show is in its builder.
+        let admitted = if value.is_some() {
+            &self.counters.puts
+        } else {
+            &self.counters.gets
+        };
+        admitted.fetch_add(1, Ordering::Relaxed);
+        let busy = admission.running[slot] > 0;
         let Admission {
             builders, generation, ..
         } = &mut *admission;
@@ -276,13 +355,11 @@ impl ServiceShared {
             _ => unreachable!("a slot's parity fixes the kind of its builders"),
         }
         builder.waiters.push(waiter);
+        let generation = builder.generation;
         Ok(if builder.waiters.len() >= self.max_batch_size {
-            Role::Run(builders[slot].take().expect("builder just filled"))
+            Role::Run(slot, admission.take(slot).expect("builder just filled"))
         } else if opened {
-            Role::Lead {
-                slot,
-                generation: builder.generation,
-            }
+            Role::Lead { slot, generation, busy }
         } else {
             Role::Follow
         })
@@ -291,16 +368,29 @@ impl ServiceShared {
     /// Takes the builder in `slot` if it is still the one `generation` names.
     fn take(&self, slot: usize, generation: u64) -> Option<Builder> {
         let mut admission = self.admission.lock().expect("admission poisoned");
-        admission.builders[slot].take_if(|builder| builder.generation == generation)
+        let ours = admission.builders[slot].as_ref()?.generation == generation;
+        ours.then(|| admission.take(slot)).flatten()
+    }
+
+    /// A batch taken from `slot` has finished. If that leaves the slot idle
+    /// with a builder open, its leader — the first waiter — is told to run it.
+    fn finish(&self, slot: usize) {
+        let mut admission = self.admission.lock().expect("admission poisoned");
+        admission.running[slot] -= 1;
+        if let (0, Some(next)) = (admission.running[slot], &admission.builders[slot]) {
+            let _ = next.waiters[0].ack.send(Signal::GoAhead);
+        }
     }
 
     /// Runs a taken batch's engine call on the calling thread and answers every
     /// waiter with its result and timing. Puts are acked only after
-    /// `insert_batch` returned, i.e. after the covering flush epoch was forced
-    /// — the group-commit durability contract.
-    fn run_batch(&self, batch: Builder, trigger: Trigger) {
+    /// `insert_batch` returned, i.e. after the covering commit was forced —
+    /// the group-commit durability contract.
+    fn run_batch(&self, slot: usize, batch: Builder, trigger: Trigger) {
         let flushes = match trigger {
             Trigger::Size => &self.counters.size_triggered_flushes,
+            Trigger::Idle => &self.counters.idle_flushes,
+            Trigger::HandOver => &self.counters.handover_flushes,
             Trigger::Budget => &self.counters.budget_expired_flushes,
             Trigger::Drain => &self.counters.drain_flushes,
         };
@@ -318,17 +408,21 @@ impl ServiceShared {
                 .insert_batch(entries)
                 .map(|()| vec![ResponseBody::Done; entries.len()]),
         });
+        // Before the answers (measured: 16 µs against 18 µs median call with
+        // two clients): a client that has its answer may already be back, and
+        // should find the slot idle rather than wait to be called.
+        self.finish(slot);
         match outcome {
             Ok(bodies) => {
                 debug_assert_eq!(bodies.len(), batch.waiters.len());
                 for (waiter, body) in batch.waiters.into_iter().zip(bodies) {
                     let timing = self.record(waiter.enqueued, begun, service_us);
-                    let _ = waiter.ack.send(Ok(Response { body, timing }));
+                    let _ = waiter.ack.send(Signal::Answer(Ok(Response { body, timing })));
                 }
             }
             Err(err) => {
                 for waiter in batch.waiters {
-                    let _ = waiter.ack.send(Err(err.clone()));
+                    let _ = waiter.ack.send(Signal::Answer(Err(err.clone())));
                 }
             }
         }
@@ -386,6 +480,8 @@ impl ServiceShared {
             batches_formed: self.counters.batches_formed.load(Ordering::Relaxed),
             batched_requests: self.counters.batched_requests.load(Ordering::Relaxed),
             size_triggered_flushes: self.counters.size_triggered_flushes.load(Ordering::Relaxed),
+            idle_flushes: self.counters.idle_flushes.load(Ordering::Relaxed),
+            handover_flushes: self.counters.handover_flushes.load(Ordering::Relaxed),
             budget_expired_flushes: self.counters.budget_expired_flushes.load(Ordering::Relaxed),
             drain_flushes: self.counters.drain_flushes.load(Ordering::Relaxed),
             errors: self.counters.errors.load(Ordering::Relaxed),
@@ -421,6 +517,7 @@ impl EngineService {
             unanswered: AtomicUsize::new(0),
             admission: Mutex::new(Admission {
                 builders: (0..2 * engine.shard_count()).map(|_| None).collect(),
+                running: vec![0; 2 * engine.shard_count()],
                 generation: 0,
                 closed: false,
             }),
@@ -462,13 +559,15 @@ impl EngineService {
     }
 
     fn stop(&mut self) {
-        let drained: Vec<Builder> = {
+        let drained: Vec<(usize, Builder)> = {
             let mut admission = self.shared.admission.lock().expect("admission poisoned");
             admission.closed = true;
-            admission.builders.iter_mut().filter_map(Option::take).collect()
+            (0..admission.builders.len())
+                .filter_map(|slot| Some((slot, admission.take(slot)?)))
+                .collect()
         };
-        for batch in drained {
-            self.shared.run_batch(batch, Trigger::Drain);
+        for (slot, batch) in drained {
+            self.shared.run_batch(slot, batch, Trigger::Drain);
         }
         drop(self.shared.in_flight.write());
     }
@@ -500,7 +599,7 @@ impl ServiceHandle {
     }
 
     /// Insert-or-update; the returned ack implies group-commit durability (the
-    /// covering flush epoch was forced before the response was sent).
+    /// batch's commit was forced before the response was sent).
     pub fn put(&self, key: Key, value: Value) -> Result<Response, ServiceError> {
         self.request(Request::Put { key, value })
     }
@@ -565,8 +664,15 @@ pub struct ServiceStats {
     pub batched_requests: u64,
     /// Batches flushed because they reached `max_batch_size`.
     pub size_triggered_flushes: u64,
-    /// Batches flushed because their oldest request exhausted
-    /// `max_batch_delay_us`.
+    /// Batches run at once by the request that opened them, because no batch
+    /// of their slot was executing — nothing to wait for.
+    pub idle_flushes: u64,
+    /// Batches that formed while the batch ahead of them in their slot
+    /// executed, and were started by the thread that finished it: the group
+    /// commit.
+    pub handover_flushes: u64,
+    /// Batches flushed because the request that opened them had waited
+    /// `max_batch_delay_us` behind a running batch.
     pub budget_expired_flushes: u64,
     /// Batches flushed by shutdown's drain.
     pub drain_flushes: u64,
@@ -600,5 +706,209 @@ impl ServiceStats {
             return 0.0;
         }
         self.batched_requests as f64 / self.batches_formed as f64
+    }
+}
+
+/// The admission state machine, driven step by step on one thread: no test
+/// here sleeps or depends on a timer — the budget is a minute, so a timer on
+/// any path they take would hang them.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use engine::{EngineBackends, EngineBuilder, EngineConfig};
+    use pio::{Completion, IoError, IoQueue, IoStats, ReadRequest, SimPsyncIo, Ticket, TryComplete, WriteRequest};
+    use pio_btree::PioConfig;
+    use ssd_sim::DeviceProfile;
+    use std::sync::atomic::AtomicU8;
+    use std::sync::mpsc::TryRecvError;
+
+    /// A WAL backend whose writes pass (0), fail (1) or panic (2).
+    struct Boom {
+        inner: SimPsyncIo,
+        mode: Arc<AtomicU8>,
+    }
+
+    impl IoQueue for Boom {
+        fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket> {
+            self.inner.submit_read(reqs)
+        }
+        fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
+            match self.mode.load(Ordering::SeqCst) {
+                0 => self.inner.submit_write(reqs),
+                1 => Err(IoError::WorkerFailed("boom".into())),
+                _ => panic!("boom"),
+            }
+        }
+        fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
+            self.inner.wait(ticket)
+        }
+        fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
+            self.inner.try_complete(ticket)
+        }
+        fn io_stats(&self) -> IoStats {
+            self.inner.io_stats()
+        }
+        fn reset_io_stats(&self) {
+            self.inner.reset_io_stats()
+        }
+    }
+
+    /// A one-shard WAL engine (so every put shares slot 1) behind a service,
+    /// plus the switch of its shard WAL's [`Boom`].
+    fn start(max_batch_size: usize) -> (EngineService, Arc<AtomicU8>) {
+        let config = EngineConfig::builder()
+            .shards(1)
+            .profile(DeviceProfile::P300)
+            .shard_capacity_bytes(1 << 26)
+            .max_batch_size(max_batch_size)
+            .max_batch_delay_us(60_000_000)
+            .base(PioConfig::builder().page_size(2048).wal(true).build())
+            .build();
+        let sim = |bytes| SimPsyncIo::with_profile(DeviceProfile::P300, bytes);
+        let mode = Arc::new(AtomicU8::new(0));
+        let wal = Boom {
+            inner: sim(config.wal_capacity_bytes),
+            mode: Arc::clone(&mode),
+        };
+        let backends = EngineBackends {
+            shard_stores: vec![Arc::new(sim(config.shard_capacity_bytes))],
+            shard_wals: vec![Arc::new(wal)],
+            engine_wal: Some(Arc::new(sim(config.wal_capacity_bytes))),
+        };
+        let engine = EngineBuilder::new(config).topology(backends).build().unwrap();
+        (EngineService::start(Arc::new(engine)), mode)
+    }
+
+    const PUTS: usize = 1;
+
+    /// Admits a put of `key` as `serve` would; returns its role and reply channel.
+    fn admit(shared: &ServiceShared, key: Key) -> (Role, mpsc::Receiver<Signal>) {
+        let (ack, reply) = mpsc::channel();
+        let enqueued = Instant::now();
+        (shared.admit(key, Some(key), Waiter { enqueued, ack }).unwrap(), reply)
+    }
+
+    /// The leader's side of `admit`.
+    fn lead(shared: &ServiceShared, key: Key, expect_busy: bool) -> (u64, mpsc::Receiver<Signal>) {
+        match admit(shared, key) {
+            (Role::Lead { slot, generation, busy }, reply) => {
+                assert_eq!((slot, busy), (PUTS, expect_busy));
+                (generation, reply)
+            }
+            _ => panic!("put {key} must open a builder and lead it"),
+        }
+    }
+
+    fn running(shared: &ServiceShared) -> Vec<usize> {
+        shared.admission.lock().unwrap().running.clone()
+    }
+
+    fn answered(reply: &mpsc::Receiver<Signal>) -> bool {
+        matches!(reply.try_recv(), Ok(Signal::Answer(Ok(_))))
+    }
+
+    #[test]
+    fn a_request_on_an_idle_slot_runs_now() {
+        let (service, _) = start(64);
+        let shared = &service.shared;
+        let (generation, reply) = lead(shared, 1, false);
+        let batch = shared.take(PUTS, generation).expect("nobody else can have taken it");
+        assert_eq!(running(shared), [0, 1]);
+        shared.run_batch(PUTS, batch, Trigger::Idle);
+        assert_eq!(running(shared), [0, 0]);
+        assert!(answered(&reply));
+        // And through the front door, under a one-minute budget.
+        let handle = service.handle();
+        handle.put(2, 20).unwrap();
+        assert_eq!(handle.get(2).unwrap().value(), Some(20));
+        let stats = service.shutdown();
+        assert_eq!((stats.idle_flushes, stats.batches_formed), (3, 3));
+    }
+
+    #[test]
+    fn a_request_behind_a_running_batch_leads_and_is_called_by_its_finisher() {
+        let (service, _) = start(64);
+        let shared = &service.shared;
+        let (first, first_reply) = lead(shared, 1, false);
+        let ahead = shared.take(PUTS, first).unwrap();
+        // While that batch "executes": the next put opens a builder and leads
+        // it, the one after joins — the group commit forming.
+        let (second, leader_reply) = lead(shared, 2, true);
+        let (role, follower_reply) = admit(shared, 3);
+        assert!(matches!(role, Role::Follow));
+        assert!(matches!(leader_reply.try_recv(), Err(TryRecvError::Empty)));
+
+        shared.run_batch(PUTS, ahead, Trigger::Idle);
+        assert!(answered(&first_reply));
+        // Exactly one go-ahead, to the open builder's leader.
+        assert!(matches!(leader_reply.try_recv(), Ok(Signal::GoAhead)));
+        assert!(matches!(leader_reply.try_recv(), Err(TryRecvError::Empty)));
+        assert!(matches!(follower_reply.try_recv(), Err(TryRecvError::Empty)));
+
+        let batch = shared.take(PUTS, second).expect("the called leader finds its builder");
+        assert_eq!(batch.waiters.len(), 2);
+        shared.run_batch(PUTS, batch, Trigger::HandOver);
+        assert!(answered(&leader_reply) && answered(&follower_reply));
+        assert_eq!(running(shared), [0, 0]);
+        let stats = service.shutdown();
+        assert_eq!(
+            (stats.idle_flushes, stats.handover_flushes, stats.drain_flushes),
+            (1, 1, 0)
+        );
+    }
+
+    #[test]
+    fn a_stale_go_ahead_is_ignored() {
+        let (service, _) = start(2);
+        let shared = &service.shared;
+        let (first, _first_reply) = lead(shared, 1, false);
+        let ahead = shared.take(PUTS, first).unwrap();
+        let (second, leader_reply) = lead(shared, 2, true);
+        shared.run_batch(PUTS, ahead, Trigger::Idle);
+        // The go-ahead is on its way — and a size trigger gets there first.
+        let (Role::Run(slot, full), filler_reply) = admit(shared, 3) else {
+            panic!("the second request of two fills the builder");
+        };
+        assert_eq!(shared.wait_behind(&leader_reply, Instant::now()), Ok(Trigger::HandOver));
+        assert!(
+            shared.take(PUTS, second).is_none(),
+            "the builder left its slot once, by size"
+        );
+        shared.run_batch(slot, full, Trigger::Size);
+        assert!(shared.await_reply(&leader_reply, Instant::now()).is_ok());
+        assert!(answered(&filler_reply));
+
+        // The other order: the leader gives up waiting (as on budget expiry)
+        // just as the go-ahead is sent; its answer comes after the stale signal.
+        let (third, _third_reply) = lead(shared, 4, false);
+        let ahead = shared.take(PUTS, third).unwrap();
+        let (fourth, late_reply) = lead(shared, 5, true);
+        shared.run_batch(PUTS, ahead, Trigger::Idle);
+        let batch = shared.take(PUTS, fourth).unwrap();
+        shared.run_batch(PUTS, batch, Trigger::Budget);
+        assert!(shared.await_reply(&late_reply, Instant::now()).is_ok());
+        assert_eq!(running(shared), [0, 0]);
+    }
+
+    #[test]
+    fn running_counts_return_to_zero_after_error_panic_and_drain() {
+        let (service, mode) = start(64);
+        let handle = service.handle();
+        mode.store(1, Ordering::SeqCst);
+        assert!(matches!(handle.put(1, 10), Err(ServiceError::Engine { .. })));
+        assert_eq!(running(&service.shared), [0, 0]);
+        mode.store(2, Ordering::SeqCst);
+        assert!(matches!(handle.put(2, 20), Err(ServiceError::Lost)));
+        assert_eq!(running(&service.shared), [0, 0]);
+        assert_eq!(service.stats().errors, 2);
+
+        // Drain, on a healthy engine: a parked builder is run by `shutdown`.
+        let (service, _) = start(64);
+        let shared = Arc::clone(&service.shared);
+        let (_, parked_reply) = lead(&shared, 3, false);
+        let stats = service.shutdown();
+        assert!(answered(&parked_reply));
+        assert_eq!(running(&shared), [0, 0]);
+        assert_eq!(stats.drain_flushes, 1);
     }
 }

@@ -43,10 +43,10 @@
 
 use crate::cache::{AccessHint, Cache, CacheStats, Evicted};
 use crate::integrity::{page_checksum, Integrity, IntegrityStats, ScrubReport};
-use crate::page::{PageId, PageImage};
+use crate::page::{page_offset, PageId, PageImage};
 use crate::store::{PageStore, ReadTicket, WriteTicket};
 use parking_lot::Mutex;
-use pio::IoResult;
+use pio::{IoError, IoResult};
 
 /// Cache policy applied by [`CachedStore`] to single-page writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +236,20 @@ impl CachedStore {
     /// `hint`, single pages always as `Point` accesses — and the misses of
     /// both classes go to the device as one in-flight batch that overlaps
     /// whatever else is outstanding on the backend.
+    ///
+    /// A region that reaches past the allocation high-water mark was never
+    /// written by anyone: the id can only come from a rotted pointer, so the
+    /// read is refused as [`IoError::Corruption`] before the id turns into an
+    /// offset (where a large enough one would wrap onto another page's bytes,
+    /// which no recorded checksum would contradict).
     pub fn submit_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
+        let high_water = self.store.high_water_pages();
+        if let Some(&(first, n)) = regions.iter().find(|&&(first, n)| n > high_water.saturating_sub(first)) {
+            return Err(IoError::Corruption {
+                offset: page_offset(first, self.page_size()),
+                len: n.saturating_mul(self.page_size() as u64),
+            });
+        }
         let mut results: Vec<Option<PageImage>> = vec![None; regions.len()];
         let mut missing: Vec<(usize, PageId, u64)> = Vec::new();
         {
@@ -916,6 +929,38 @@ mod tests {
         assert_eq!(c.tracked_pages(), 1);
         c.free(p);
         assert_eq!(c.tracked_pages(), 0);
+    }
+
+    /// A page id at or past the allocation high-water mark can only come from
+    /// a rotted pointer: the read is `Corruption` before the id becomes an
+    /// offset — including ids whose offset would wrap onto a real page.
+    #[test]
+    fn reads_past_the_high_water_mark_are_corruption() {
+        let c = cached(WritePolicy::WriteThrough, 4);
+        let first = c.allocate_contiguous(3);
+        c.write_pages(&[(first, &vec![7u8; 3 * 4096][..])]).unwrap();
+        let high_water = c.store().high_water_pages();
+        assert_eq!(high_water, 3);
+        for (page, n) in [
+            (3, 1),
+            (2, 2),
+            (0, 4),
+            (u64::MAX, 1),
+            (1 << 52, 1),
+            (1 << 52 | 1, 2),
+            (1, u64::MAX),
+        ] {
+            for hint in [AccessHint::Point, AccessHint::Scan] {
+                assert!(
+                    matches!(
+                        c.submit_read(&[(0, 1), (page, n)], hint),
+                        Err(pio::IoError::Corruption { .. })
+                    ),
+                    "region ({page}, {n}) must be refused"
+                );
+            }
+        }
+        assert_eq!(c.read_regions(&[(0, 3)]).unwrap()[0][..], vec![7u8; 3 * 4096][..]);
     }
 
     #[test]

@@ -16,8 +16,11 @@ pub const INVALID_PAGE: PageId = u64::MAX;
 pub type PageImage = std::sync::Arc<[u8]>;
 
 /// Returns the byte offset of `page` in a store with `page_size`-byte pages.
+/// A page id too large to have an offset (only a rotted pointer is) saturates
+/// to `u64::MAX`, which every backend's bounds check rejects — it must never
+/// wrap around to another page's bytes.
 pub fn page_offset(page: PageId, page_size: usize) -> u64 {
-    page * page_size as u64
+    page.saturating_mul(page_size as u64)
 }
 
 #[cfg(test)]
@@ -29,6 +32,9 @@ mod tests {
         assert_eq!(page_offset(0, 4096), 0);
         assert_eq!(page_offset(3, 4096), 12288);
         assert_eq!(page_offset(3, 2048), 6144);
+        // 2^52 pages of 4 KiB would wrap to offset 0.
+        assert_eq!(page_offset(1 << 52, 4096), u64::MAX);
+        assert_eq!(page_offset(u64::MAX, 2048), u64::MAX);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Engine-as-a-service walkthrough: 16 concurrent closed-loop clients hammer
 //! one `EngineService` over a shared simulated device. The admission
-//! controller coalesces the independent requests into per-shard batches behind
-//! a latency budget — gets become cross-client MPSearches, puts ride the
-//! flush-epoch group commit — and every response carries its own timing, so at
+//! controller coalesces the independent requests into per-shard batches — a
+//! request on an idle shard runs at once, the rest gather while the batch
+//! ahead of them executes; gets become cross-client MPSearches, puts one
+//! group commit the shard forces alone — and every response carries its own timing, so at
 //! the end we can print real latency percentiles next to the batching
 //! accounting and the engine's ground-truth occupancy counters.
 //!
@@ -18,7 +19,8 @@ use workload::{run_closed_loop, ClientMix, ClosedLoopSpec, KeyDistribution};
 
 fn main() {
     // One SSD, four shards as address partitions of it, and the two service
-    // knobs: a builder flushes at 64 requests or after 300µs, whichever first.
+    // knobs: a builder flushes at 64 requests, and waits behind a running
+    // batch for at most 300µs.
     let config = EngineConfig::builder()
         .shards(4)
         .profile(DeviceProfile::P300)
@@ -99,8 +101,12 @@ fn main() {
         stats.avg_batch_occupancy()
     );
     println!(
-        "flush triggers: {} size-triggered, {} budget-expired, {} drained at shutdown",
-        stats.size_triggered_flushes, stats.budget_expired_flushes, stats.drain_flushes
+        "flush triggers: {} idle slot, {} hand-over, {} size-triggered, {} budget-expired, {} drained at shutdown",
+        stats.idle_flushes,
+        stats.handover_flushes,
+        stats.size_triggered_flushes,
+        stats.budget_expired_flushes,
+        stats.drain_flushes
     );
 
     // The engine keeps its own per-shard occupancy counters — the ground truth

@@ -1,3 +1,4 @@
 //! Shared utilities for the integration test suites.
 
 pub mod crash;
+pub mod gate;

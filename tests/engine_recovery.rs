@@ -7,7 +7,9 @@
 //! hundreds of crash points — the N-th write submission anywhere in the engine —
 //! over a deterministic batched workload and verifies every recovered state
 //! against an in-memory oracle: each batch is either fully present on all
-//! shards or fully absent (never partial).
+//! shards or fully absent (never partial). A batch one shard holds alone takes
+//! no epoch (a local bracket in that shard's log); the two kinds are
+//! interleaved from two threads, and a tier-1 gate pins what each costs.
 
 mod common;
 
@@ -343,6 +345,171 @@ fn a_rollback_that_fails_is_undone_from_the_log() {
     engine.checkpoint().unwrap();
     assert_eq!(engine_state(&engine), oracle(&seed_entries(), &acked));
     engine.check_invariants().unwrap();
+}
+
+// ------------------------------------------------- local commits beside epochs --
+
+/// What the benchmark measures, as a gate: a batch one shard can commit alone
+/// costs the engine log nothing — no record, no force, no epoch — and its
+/// shard's WAL exactly one force; a batch that spans two shards still costs
+/// the engine log exactly two forces (`Begin`, and the decision).
+#[test]
+fn a_single_shard_batch_costs_no_epoch_and_one_force() {
+    let (backends, clocks) = per_backend_clocks(&config());
+    let engine = EngineBuilder::new(config())
+        .entries(&seed_entries())
+        .topology(backends)
+        .build()
+        .unwrap();
+    let writes = |clocks: &common::crash::EngineClocks| -> (u64, Vec<u64>) {
+        (
+            clocks.engine_wal.writes_seen(),
+            clocks.wals.iter().map(|c| c.writes_seen()).collect(),
+        )
+    };
+    // Shard 0 owns [0, ≈1000).
+    let local: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 31 + 1, i)).collect();
+    assert!(local.iter().all(|&(k, _)| engine.shard_for(k) == 0));
+    let (before, log_bytes) = (writes(&clocks), engine.stats().epoch_log_bytes);
+    engine.insert_batch(&local).unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.epoch_log_bytes, log_bytes, "the epoch log's cursor must not move");
+    assert_eq!((stats.committed_epochs, stats.local_commits), (0, 1));
+    let after = writes(&clocks);
+    assert_eq!(after.0, before.0, "no engine-log force");
+    assert_eq!(
+        after.1,
+        [before.1[0] + 1, before.1[1], before.1[2]],
+        "one shard-WAL force"
+    );
+
+    let spanning: Vec<(u64, u64)> = vec![(3, 30), (1_503, 31)];
+    assert_eq!((engine.shard_for(3), engine.shard_for(1_503)), (0, 1));
+    engine.insert_batch(&spanning).unwrap();
+    let stats = engine.stats();
+    assert_eq!((stats.committed_epochs, stats.local_commits), (1, 1));
+    assert!(stats.epoch_log_bytes > log_bytes);
+    let last = writes(&clocks);
+    assert_eq!(last.0, after.0 + 2, "Begin force + decision force");
+    assert_eq!(last.1, [after.1[0] + 1, after.1[1] + 1, after.1[2]]);
+}
+
+/// Single-shard batches (local brackets) and two-shard batches (epochs) from
+/// two threads, interleaving on shard 0's log, under per-backend fault clocks:
+/// one backend — a shard WAL, a shard store or the engine log, seeded — dies at
+/// a seeded write, torn or clean, and takes the others with it. After recovery every batch either thread saw
+/// acked is wholly present, every other batch is wholly present or wholly
+/// absent, and a second crash and recovery changes neither the data nor the
+/// number of batches judged lost.
+#[test]
+fn interleaved_local_and_epoch_batches_recover_all_or_nothing() {
+    const BATCHES: u64 = 24;
+    const TRIALS: usize = 24;
+    let (mut rng, seed) = seeded_rng();
+    // Batch `b` of thread `t`: 12 keys nobody else writes. Thread 0 stays on
+    // shard 0; thread 1 spans shards 0 and 1.
+    let batch = |t: u64, b: u64| -> Vec<(u64, u64)> {
+        (0..12u64)
+            .map(|i| {
+                let slot = (b * 12 + i) * 3 + 1 + t;
+                let key = if t == 1 && i % 2 == 1 { 1_100 + slot } else { slot };
+                (key, (t << 32) | (b << 8) | i)
+            })
+            .collect()
+    };
+    let (mut local_commits, mut epochs, mut lost) = (0u64, 0u64, 0u64);
+    for trial in 0..TRIALS {
+        let (backends, clocks) = per_backend_clocks(&config());
+        let engine = EngineBuilder::new(config())
+            .entries(&seed_entries())
+            .topology(backends)
+            .build()
+            .unwrap();
+        assert_eq!(
+            (engine.shard_for(batch(0, BATCHES - 1)[11].0), engine.shard_for(1_101)),
+            (0, 1)
+        );
+        let victim = [&clocks.wals[0], &clocks.wals[1], &clocks.engine_wal, &clocks.stores[0]][trial % 4];
+        let mut plan = CrashPlan::at_write(victim.writes_seen() + rng.gen_range(0u64..30));
+        if trial % 3 == 0 {
+            plan = plan.with_torn(TornWrite {
+                keep_requests: rng.gen_range(0usize..2),
+                keep_bytes_of_next: rng.gen_range(0usize..2_048),
+            });
+        }
+        victim.arm(plan);
+        // The process dies as one: once the victim has tripped, the next write
+        // to any other backend fails too. (A survivor would act on the error —
+        // `flush_once` rolls a flush back in process — while a torn force may
+        // have landed the very record that calls the flush complete.)
+        for clock in clocks.wals.iter().chain(&clocks.stores).chain([&clocks.engine_wal]) {
+            if !std::sync::Arc::ptr_eq(clock, victim) {
+                let victim = std::sync::Arc::clone(victim);
+                clock.arm(CrashPlan::on_payload(move |_| victim.tripped()));
+            }
+        }
+
+        // Each thread stops at its first error.
+        let acked: Vec<u64> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let engine = &engine;
+                    scope.spawn(move || {
+                        (0..BATCHES)
+                            .take_while(|&b| engine.insert_batch(&batch(t, b)).is_ok())
+                            .count() as u64
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let stats = engine.stats();
+        local_commits += stats.local_commits;
+        epochs += stats.committed_epochs;
+
+        clocks.heal_all();
+        engine.simulate_crash();
+        let ctx = format!("seed {seed} trial {trial} (acked {acked:?})");
+        let report = engine
+            .recover()
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let state = engine_state(&engine);
+        let mut expected: BTreeMap<u64, u64> = seed_entries().into_iter().collect();
+        for t in 0..2u64 {
+            for b in 0..BATCHES {
+                let entries = batch(t, b);
+                let present = entries.iter().filter(|&&(k, v)| state.get(&k) == Some(&v)).count();
+                assert!(
+                    present == entries.len() || (present == 0 && b >= acked[t as usize]),
+                    "{ctx}: thread {t} batch {b}: {present} of {} entries (report {report:?})",
+                    entries.len()
+                );
+                if present > 0 {
+                    expected.extend(entries);
+                }
+            }
+        }
+        assert_eq!(state, expected, "{ctx}: keys nobody wrote");
+        engine.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let judged_lost = report.discarded_epochs + report.aborted_local() as u64;
+        lost += judged_lost;
+
+        engine.simulate_crash();
+        let again = engine
+            .recover()
+            .unwrap_or_else(|e| panic!("{ctx}: second recovery failed: {e}"));
+        assert_eq!(engine_state(&engine), state, "{ctx}: second recovery's data");
+        assert_eq!(
+            again.discarded_epochs + again.aborted_local() as u64,
+            judged_lost,
+            "{ctx}: second recovery's verdicts ({report:?} then {again:?})"
+        );
+    }
+    assert!(
+        local_commits > 0 && epochs > 0 && lost > 0,
+        "seed {seed}: the sweep must commit both kinds and lose some batch: \
+         {local_commits} local commits, {epochs} epochs, {lost} judged lost"
+    );
 }
 
 // ------------------------------------------------------- truncation crash sweep --

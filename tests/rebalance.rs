@@ -18,11 +18,14 @@
 //!    pre-migration or post-migration bounds, never a hybrid) and the
 //!    oracle's exact key set. Plus the scripted case the sweep cannot aim at:
 //!    every byte cut of a torn decision force (acks + `MigrateCommit`) — a
-//!    migration is never re-driven, however many acks survive.
+//!    migration is never re-driven, however many acks survive. And a batch
+//!    the source shard commits alone — no epoch — into the moving range of a
+//!    migration that is live, with the crash before and after `MigrateCommit`.
 
 mod common;
 
 use common::crash::{crashy_engine, per_backend_clocks, seeded_rng};
+use common::gate::{Gate, GateIo};
 use engine::{EngineBuilder, EngineConfig, MoveKind, RebalanceConfig, ShardedPioEngine};
 use pio::{CrashPlan, FaultClock, TornWrite};
 use pio_btree::PioConfig;
@@ -506,6 +509,85 @@ fn a_torn_decision_force_never_redrives_a_migration() {
         rolled_back_cuts > acks_end,
         "{rolled_back_cuts} rolled-back cuts must cover the fully-acked window past byte {acks_end}"
     );
+}
+
+/// A batch whose keys all lie in the moving range of a **live** migration: one
+/// shard holds it, so it takes no epoch — a local bracket on the source shard,
+/// mirrored into the migration's dirty log — while the migration's own copies
+/// and retires sit in the migration epoch's brackets around it. The migration
+/// is held mid-copy (its destination's WAL waits at a gate) while the batch is
+/// acked. Crash before `MigrateCommit`: the migration rolls back on both
+/// shards, the old boundary stands, the batch is on the source. Crash after:
+/// the new boundary stands and the batch moved with its range. Either way
+/// every acked key reads back once, and a second restart changes nothing.
+#[test]
+fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
+    let cfg = config(true);
+    let seeds = seed_entries();
+    for crash_before_commit in [true, false] {
+        let ctx = format!("crash_before_commit {crash_before_commit}");
+        let (mut backends, clocks) = per_backend_clocks(&cfg);
+        let gate = Gate::new();
+        // Shard 1 splits its upper half off to shard 2.
+        backends.shard_wals[2] = GateIo::wrap(Arc::clone(&backends.shard_wals[2]), &gate);
+        let engine = EngineBuilder::new(cfg.clone())
+            .entries(&seeds)
+            .topology(backends)
+            .build()
+            .expect("bulk load");
+        let before = engine.boundaries();
+        // Upper half of shard 1 = [≈2400, 3200): new keys and overwrites.
+        let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (2_600 + i * 12, 7_000 + i)).collect();
+        assert!(batch.iter().all(|&(k, _)| engine.shard_for(k) == 1), "{ctx}");
+        let mut oracle: BTreeMap<u64, u64> = seeds.iter().copied().collect();
+        oracle.extend(batch.iter().copied());
+
+        if crash_before_commit {
+            // Engine-log writes of the migration: #0 MigrateBegin, #1 the decision.
+            let base = clocks.engine_wal.writes_seen();
+            clocks.engine_wal.arm(CrashPlan::at_write(base + 1));
+        }
+        let epochs = engine.stats().committed_epochs;
+        gate.shut();
+        std::thread::scope(|scope| {
+            let migration = scope.spawn(|| engine.split_shard(1));
+            // The copy into shard 2 is waiting at the gate: the migration is
+            // live, and stays so until the batch is acked. (No `stats()` here:
+            // it takes every shard's tree lock, and shard 2's is at the gate.)
+            gate.wait_until_blocked(1);
+            engine.insert_batch(&batch).expect("the source shard is not gated");
+            gate.open();
+            let outcome = migration.join().unwrap();
+            assert_eq!(outcome.is_err(), crash_before_commit, "{ctx}");
+            if let Ok(moved) = outcome {
+                let moved = moved.expect("shard 1 has keys to move");
+                assert!(batch.iter().all(|&(k, _)| (moved.lo..moved.hi).contains(&k)), "{ctx}");
+            }
+        });
+        let stats = engine.stats();
+        assert_eq!((stats.committed_epochs, stats.local_commits), (epochs, 1), "{ctx}");
+
+        clocks.heal_all();
+        engine.simulate_crash();
+        let report = engine
+            .recover()
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        assert_eq!(
+            (report.rolled_back_migrations, report.committed_migrations),
+            if crash_before_commit { (1, 0) } else { (0, 1) },
+            "{ctx}"
+        );
+        assert_eq!(report.aborted_local(), 0, "{ctx}: the batch was acked");
+        assert_eq!(engine.boundaries() == before, crash_before_commit, "{ctx}");
+        assert_eq!(engine_state(&engine), oracle, "{ctx}");
+        engine.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+
+        engine.simulate_crash();
+        engine.recover().unwrap();
+        engine.checkpoint().unwrap();
+        assert_eq!(engine_state(&engine), oracle, "{ctx}: second restart");
+        engine.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    }
 }
 
 /// Randomized crash points through a workload of batches and migrations: the

@@ -6,6 +6,7 @@
 mod common;
 
 use common::crash::seeded_rng;
+use common::gate::{gated_engine, Gate};
 use engine::{EngineConfig, ShardedPioEngine};
 use pio_btree::PioConfig;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -39,6 +40,41 @@ fn config(shards: usize, max_batch_size: usize, max_batch_delay_us: u64) -> Engi
 fn engine(config: EngineConfig) -> Arc<ShardedPioEngine> {
     let sample: Vec<u64> = (0..20_000u64).map(|i| i * 7).collect();
     Arc::new(ShardedPioEngine::create(config, &sample).unwrap())
+}
+
+/// A service with a **busy slot**, which is what it takes to park anything: a
+/// one-shard WAL engine behind a shut gate, and a put of `key` running — its
+/// batch taken at once from the idle slot and now waiting at the gate, inside
+/// its shard-WAL force. Until the gate opens, every later put opens (or joins)
+/// a builder behind that batch and parks. Returns the service, the gate and
+/// the blocked put's thread.
+fn service_with_a_put_in_flight(
+    mut config: EngineConfig,
+    key: u64,
+) -> (
+    EngineService,
+    Arc<Gate>,
+    std::thread::JoinHandle<Result<service::Response, ServiceError>>,
+) {
+    assert_eq!(config.shards, 1, "one shard: every put shares the busy slot");
+    config.base.wal_enabled = true;
+    let gate = Gate::new();
+    let service = EngineService::start(Arc::new(gated_engine(config, &[], &gate)));
+    gate.shut();
+    let handle = service.handle();
+    let blocked = std::thread::spawn(move || handle.put(key, key * 10));
+    gate.wait_until_blocked(1);
+    (service, gate, blocked)
+}
+
+/// Spins (yielding) until `reached` holds for the service's stats. Only a
+/// liveness wait: the tests' outcomes never depend on how long it takes.
+fn wait_for(service: &EngineService, what: &str, reached: impl Fn(&service::ServiceStats) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !reached(&service.stats()) {
+        assert!(Instant::now() < deadline, "never happened: {what}");
+        std::thread::yield_now();
+    }
 }
 
 /// ≥ 8 client threads hammer one service with a mixed get/put/scan workload.
@@ -118,11 +154,16 @@ fn concurrent_hammer_against_oracle() {
     );
     assert_eq!(
         stats.batches_formed,
-        stats.size_triggered_flushes + stats.budget_expired_flushes + stats.drain_flushes
+        stats.size_triggered_flushes
+            + stats.idle_flushes
+            + stats.handover_flushes
+            + stats.budget_expired_flushes
+            + stats.drain_flushes
     );
 
-    // With 8 tightly-looping clients and a 300µs budget, coalescing must
-    // actually happen: strictly more batched requests than batches.
+    // With 8 tightly-looping clients, builders fill while the batch ahead of
+    // them executes — coalescing must actually happen: strictly more batched
+    // requests than batches.
     assert!(
         stats.avg_batch_occupancy() > 1.0,
         "no coalescing happened: occupancy {}",
@@ -168,36 +209,79 @@ fn batch_size_one_degenerates_to_request_at_a_time() {
     assert!((stats.avg_batch_occupancy() - 1.0).abs() < 1e-9);
 }
 
-/// With a huge size cap, a lone client's requests can only leave their builders
-/// when the latency budget expires — and the measured queue wait must show that
-/// the request actually waited out its budget (and not multiple budgets: the
-/// deadline fired on time).
+/// With a huge size cap, a request parked behind a running batch can only
+/// leave its builder when the latency budget expires — and the measured queue
+/// wait must show that the request actually waited out its budget (and not
+/// multiple budgets: the deadline fired on time). A lone request on an idle
+/// slot, by contrast, never waits for the budget at all.
 #[test]
 fn lone_requests_flush_on_budget_expiry() {
     const DELAY_US: u64 = 2_000;
-    let engine = engine(config(2, 10_000, DELAY_US));
-    let service = EngineService::start(Arc::clone(&engine));
-    let handle = service.handle();
-    for key in 0..5u64 {
-        let response = handle.put(key * 1_001, key).unwrap();
-        // The builder held the request for about the budget: at least most of
-        // it (clock skew between admission and builder-open is microseconds),
-        // and nowhere near a missed-deadline stall.
+    let (service, gate, blocked) = service_with_a_put_in_flight(config(1, 10_000, DELAY_US), 1);
+    let parked: Vec<_> = (2..4u64)
+        .map(|key| {
+            let handle = service.handle();
+            // One at a time: each opens its own builder behind the blocked
+            // batch and takes it when its own budget runs out.
+            let put = std::thread::spawn(move || handle.put(key * 1_001, key));
+            wait_for(&service, "the parked put's budget expiry", |stats| {
+                stats.budget_expired_flushes == key - 1
+            });
+            put
+        })
+        .collect();
+    gate.open();
+    blocked
+        .join()
+        .unwrap()
+        .expect("the blocked put completes once the gate opens");
+    for put in parked {
+        let response = put.join().unwrap().expect("a budget-expired put is answered");
+        // The builder held the request for the budget, and nowhere near a
+        // missed-deadline stall.
         assert!(
-            response.timing.queue_us >= DELAY_US / 2,
-            "put {key} waited only {}µs of a {DELAY_US}µs budget",
+            response.timing.queue_us >= DELAY_US,
+            "waited only {}µs of a {DELAY_US}µs budget",
             response.timing.queue_us
         );
         assert!(
             response.timing.queue_us < 500_000,
-            "put {key} waited {}µs — the budget deadline never fired?",
+            "waited {}µs — the budget deadline never fired?",
             response.timing.queue_us
         );
         assert!(response.timing.total_us >= response.timing.queue_us);
     }
+    // The slot is idle again: a lone request runs at once, budget or no budget.
+    service.handle().put(9_009, 9).unwrap();
     let stats = service.shutdown();
-    assert_eq!(stats.budget_expired_flushes, 5);
-    assert_eq!(stats.size_triggered_flushes, 0);
+    assert_eq!(stats.budget_expired_flushes, 2);
+    assert_eq!(stats.idle_flushes, 2, "the blocked put and the lone one");
+    assert_eq!(
+        stats.size_triggered_flushes + stats.handover_flushes + stats.drain_flushes,
+        0
+    );
+}
+
+/// The gate on what the benchmark's serving row measures: a request that finds
+/// its slot idle runs at once. With a 50 ms budget, 200 lone gets and puts from
+/// one thread take well under a second in total — a timer anywhere on the idle
+/// path would cost ten — and no batch leaves on the budget.
+#[test]
+fn lone_requests_never_wait_for_the_budget() {
+    let mut config = config(2, 64, 50_000);
+    config.base.wal_enabled = true;
+    let service = EngineService::start(engine(config));
+    let handle = service.handle();
+    let started = Instant::now();
+    for i in 0..100u64 {
+        handle.put(i * 1_300, i).unwrap();
+        assert_eq!(handle.get(i * 1_300).unwrap().value(), Some(i));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "200 lone requests took {elapsed:?}");
+    let stats = service.shutdown();
+    assert_eq!(stats.budget_expired_flushes, 0);
+    assert_eq!((stats.idle_flushes, stats.batches_formed), (200, 200));
 }
 
 /// Shutdown drains open builders: a request parked in a builder whose budget is
@@ -205,21 +289,32 @@ fn lone_requests_flush_on_budget_expiry() {
 /// shuts down, and the flush is accounted as a drain.
 #[test]
 fn shutdown_drains_parked_requests() {
-    let engine = engine(config(2, 10_000, 30_000_000));
-    let service = EngineService::start(Arc::clone(&engine));
+    let (service, gate, blocked) = service_with_a_put_in_flight(config(1, 10_000, 30_000_000), 1);
     let handle = service.handle();
-    let parked = {
-        let handle = handle.clone();
-        std::thread::spawn(move || handle.put(77, 770))
-    };
-    // Give the put time to reach its builder, then shut down under it.
-    std::thread::sleep(Duration::from_millis(50));
-    let stats = service.shutdown();
+    let parked = std::thread::spawn(move || handle.put(77, 770));
+    wait_for(&service, "the second put reaching its builder", |stats| stats.puts == 2);
+    // Shut down under it. The drain takes the parked builder first and then
+    // queues behind the blocked batch, so the gate opens only once it has.
+    let engine = Arc::clone(service.engine());
+    let stats = std::thread::scope(|scope| {
+        let watcher = service.handle();
+        scope.spawn(move || {
+            while watcher.stats().drain_flushes == 0 {
+                std::thread::yield_now();
+            }
+            gate.open();
+        });
+        service.shutdown()
+    });
     let response = parked.join().unwrap().expect("drained request must succeed");
     assert!(matches!(response.body, service::ResponseBody::Done));
+    blocked.join().unwrap().expect("the blocked put completes");
     assert_eq!(stats.drain_flushes, 1);
-    assert_eq!(stats.budget_expired_flushes, 0);
-    assert_eq!(stats.size_triggered_flushes, 0);
+    assert_eq!(stats.idle_flushes, 1, "the blocked put");
+    assert_eq!(
+        stats.budget_expired_flushes + stats.size_triggered_flushes + stats.handover_flushes,
+        0
+    );
     // The drained put really reached the engine.
     assert_eq!(engine.search(77).unwrap(), Some(770));
 }
@@ -260,9 +355,11 @@ fn scans_see_acked_puts() {
     assert_eq!(stats.batched_requests, stats.puts);
 }
 
-/// Size triggers and budget expiries race for the same builders: with four
-/// slots per builder, a 300µs budget and six tight-looping clients, a leader's
-/// budget regularly runs out just as a follower fills its builder. Whoever wins
+/// Size triggers, budget expiries and hand-overs race for the same builders:
+/// with four slots per builder, six tight-looping clients and a 20µs budget —
+/// shorter than an engine call, so a leader behind a running batch regularly
+/// runs out of budget just as a follower fills its builder or the batch ahead
+/// finishes and calls it. Whoever wins
 /// takes the builder whole: every request is answered exactly once and with
 /// the right answer (each client checks its own keys against a private model),
 /// the flush accounting adds up, and the engine ends up equal to the merged
@@ -274,7 +371,7 @@ fn racing_size_and_budget_triggers_answer_every_request_once() {
     const KEYS_PER_CLIENT: u64 = 48;
 
     let (_, seed) = seeded_rng();
-    let engine = engine(config(2, 4, 300));
+    let engine = engine(config(2, 4, 20));
     let service = EngineService::start(Arc::clone(&engine));
 
     let models: Vec<BTreeMap<u64, u64>> = std::thread::scope(|scope| {
@@ -324,7 +421,11 @@ fn racing_size_and_budget_triggers_answer_every_request_once() {
     assert_eq!(stats.errors + stats.timeouts + stats.sheds, 0, "seed {seed}");
     assert_eq!(stats.batched_requests, stats.gets + stats.puts, "seed {seed}");
     assert_eq!(
-        stats.size_triggered_flushes + stats.budget_expired_flushes + stats.drain_flushes,
+        stats.size_triggered_flushes
+            + stats.idle_flushes
+            + stats.handover_flushes
+            + stats.budget_expired_flushes
+            + stats.drain_flushes,
         stats.batches_formed,
         "seed {seed}"
     );
@@ -346,23 +447,24 @@ fn racing_size_and_budget_triggers_answer_every_request_once() {
 #[test]
 fn an_opener_with_a_short_deadline_flushes_at_the_deadline() {
     const DEADLINE_MS: u64 = 20;
-    let mut config = config(2, 10_000, 30_000_000);
+    let mut config = config(1, 10_000, 30_000_000);
     config.request_deadline_ms = Some(DEADLINE_MS);
-    let service = EngineService::start(engine(config));
-    let started = Instant::now();
-    let response = service
-        .handle()
-        .put(5, 50)
-        .expect("an opener is answered, not timed out");
+    let (service, gate, blocked) = service_with_a_put_in_flight(config, 1);
+    let handle = service.handle();
+    let opener = std::thread::spawn(move || handle.put(5, 50));
+    wait_for(&service, "the opener's flush at its deadline", |stats| {
+        stats.budget_expired_flushes == 1
+    });
+    gate.open();
+    let response = opener.join().unwrap().expect("an opener is answered, not timed out");
     assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "the 30s budget was waited out"
-    );
-    assert!(
-        response.timing.queue_us >= DEADLINE_MS * 1_000 / 2,
-        "flushed after {}µs, long before the {DEADLINE_MS}ms deadline",
+        response.timing.queue_us >= DEADLINE_MS * 1_000,
+        "flushed after {}µs, before the {DEADLINE_MS}ms deadline",
         response.timing.queue_us
     );
+    // The thread that runs a batch is answered by its own engine call, however
+    // long that takes.
+    blocked.join().unwrap().expect("the blocked put completes");
     let stats = service.shutdown();
     assert_eq!(stats.budget_expired_flushes, 1);
     assert_eq!(stats.timeouts, 0);
@@ -370,32 +472,29 @@ fn an_opener_with_a_short_deadline_flushes_at_the_deadline() {
 }
 
 /// `admission_queue_limit` bounds the requests admitted and not yet answered:
-/// with two parked in a long-budget builder, a third is shed at the door.
+/// with one executing and one parked behind it in a long-budget builder, a
+/// third is shed at the door.
 #[test]
 fn requests_beyond_the_admission_limit_are_shed() {
-    let mut config = config(2, 10_000, 30_000_000);
+    let mut config = config(1, 10_000, 30_000_000);
     config.admission_queue_limit = Some(2);
-    let service = EngineService::start(engine(config));
+    let (service, gate, blocked) = service_with_a_put_in_flight(config, 1);
     let handle = service.handle();
-    let parked: Vec<_> = [1u64, 2]
-        .into_iter()
-        .map(|key| {
-            let handle = handle.clone();
-            std::thread::spawn(move || handle.put(key, key * 10))
-        })
-        .collect();
-    // A put is counted once it is past the door; nothing flushes it for 30s.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while service.stats().puts < 2 {
-        assert!(Instant::now() < deadline, "the two puts never reached admission");
-        std::thread::yield_now();
-    }
+    let parked = {
+        let handle = handle.clone();
+        std::thread::spawn(move || handle.put(2, 20))
+    };
+    // Nothing flushes the parked put for 30s, and nothing finishes the blocked one.
+    wait_for(&service, "the second put reaching its builder", |stats| stats.puts == 2);
     assert!(matches!(handle.put(3, 30), Err(ServiceError::Overloaded)));
 
+    // The blocked batch finishes and hands the parked put's builder to its leader.
+    gate.open();
+    for put in [blocked, parked] {
+        put.join().unwrap().expect("admitted puts get their real answer");
+    }
     let stats = service.shutdown();
     assert_eq!(stats.sheds, 1);
     assert_eq!(stats.puts, 2, "a shed request is not admitted");
-    for put in parked {
-        put.join().unwrap().expect("parked puts drain with their real answer");
-    }
+    assert_eq!((stats.idle_flushes, stats.handover_flushes), (1, 1));
 }

@@ -81,11 +81,19 @@ fn acked_puts_survive_crash_and_recovery() {
     });
 
     service.shutdown();
+    // Every service batch lands on one shard, so it commits in that shard's
+    // own log: a local bracket, no epoch.
+    let local_commits = engine.stats().local_commits;
     let lost = engine.simulate_crash();
     let report = engine.recover().unwrap();
     assert!(
-        report.committed_epochs + report.recovered_epochs > 0,
-        "no epochs were ever forced"
+        local_commits + report.committed_epochs + report.recovered_epochs > 0,
+        "no batch was ever forced"
+    );
+    assert_eq!(
+        report.aborted_local(),
+        0,
+        "every batch was acked, so none may read aborted"
     );
 
     // Last acked value per key, across all clients (keys are disjoint per

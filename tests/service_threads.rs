@@ -55,10 +55,11 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
     let served = Barrier::new(CLIENTS + 1);
     let counted = Barrier::new(CLIENTS + 1);
     std::thread::scope(|scope| {
+        let mut clients = Vec::new();
         for c in 0..CLIENTS as u64 {
             let handle = service.handle();
             let (served, counted) = (&served, &counted);
-            std::thread::Builder::new()
+            let client = std::thread::Builder::new()
                 .name(format!("client-{c}"))
                 .spawn_scoped(scope, move || {
                     for i in 0..50u64 {
@@ -71,6 +72,7 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
                     counted.wait();
                 })
                 .unwrap();
+            clients.push(client);
         }
         served.wait();
         assert_eq!(
@@ -79,6 +81,11 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
             "serving requests spawns nothing"
         );
         counted.wait();
+        // Joined, not just finished: the scope's end waits for the closures to
+        // return, a join for the OS threads to be gone from `/proc`.
+        for client in clients {
+            client.join().unwrap();
+        }
     });
 
     let stats = service.shutdown();
