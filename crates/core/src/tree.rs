@@ -617,19 +617,21 @@ impl PioBTree {
     }
 
     /// Truncates the attached WAL to `upto` (normally a checkpoint LSN from
-    /// [`PioBTree::checkpoint`]), floored below the earliest still-unresolved
-    /// epoch bracket — dropping an open bracket's `BatchBegin` would break the
-    /// all-or-nothing replay of a batch whose verdict is still pending. Returns
-    /// the logical bytes dropped (0 without a WAL).
+    /// [`PioBTree::checkpoint`]) — unless a still-unresolved epoch bracket
+    /// opened below it, in which case the log is left whole. Cutting down to
+    /// that bracket's `BatchBegin` is not enough: a flush between the bracket
+    /// and `upto` wrote the epoch's records *and* older unbracketed ones, and
+    /// if the epoch is then discarded recovery unwinds that flush and
+    /// re-queues every record it covered from the log, which must still hold
+    /// the older ones. Returns the logical bytes dropped (0 without a WAL).
     pub fn truncate_wal(&mut self, upto: Lsn) -> IoResult<u64> {
         let Some(wal) = &self.wal else {
             return Ok(0);
         };
-        let floor = match self.open_brackets.values().min() {
-            Some(&pinned) => upto.min(pinned),
-            None => upto,
-        };
-        wal.truncate_to(floor)
+        if self.open_brackets.values().any(|&pinned| pinned < upto) {
+            return Ok(0);
+        }
+        wal.truncate_to(upto)
     }
 
     /// Bytes of durable WAL a recovery of this tree would replay (0 without a

@@ -145,13 +145,35 @@ impl PioBTree {
     ///
     /// If the *rollback writes themselves* fail, in-process repair is impossible
     /// and the tree needs WAL recovery; the original error is returned either way.
+    ///
+    /// A flush whose pages are all written is never rolled back: if the force
+    /// that carries its `FlushEnd` fails, the record may be whole on the device
+    /// all the same, and a rollback would leave pages that say "rolled back"
+    /// under a durable log that says "complete" — the batch neither applied nor
+    /// redone after a crash. The flush stands as it is and the error is
+    /// returned; recovery judges it from the durable log either way.
     pub fn flush_once(&mut self) -> IoResult<()> {
         let batch = self.opq.take_batch(self.config.bcnt);
+        if batch.is_empty() {
+            return Ok(());
+        }
         let (root, height) = (self.root, self.height);
         let flush_id = self.next_flush_id;
         let mut journal = FlushJournal::new(flush_id);
         match self.bupdate(&batch, &mut journal) {
-            Ok(()) => Ok(()),
+            Ok(had_fences) => {
+                self.log(|| LogRecord::FlushEnd { flush_id });
+                let forced = self.force_wal();
+                // Republish the inner tier at the flush-commit point. The
+                // key→leaf mapping and the separators can only change through
+                // fence propagation (split leaves keep their first page; appends
+                // and in-place rewrites do not move keys between leaves), so a
+                // fence-free flush leaves the existing snapshot exact.
+                if had_fences {
+                    self.rebuild_tier_after_structural_change();
+                }
+                forced.map(|_| ())
+            }
             Err(e) => {
                 let undone = self.undo_flush(journal);
                 debug_assert_eq!((self.root, self.height), (root, height), "every root move is journaled");
@@ -164,7 +186,7 @@ impl PioBTree {
                 // to undo it from the log. Best-effort: if the abort record
                 // does not become durable, recovery undoes the flush again
                 // (and every later one), which is idempotent.
-                if undone.is_ok() && !batch.is_empty() {
+                if undone.is_ok() {
                     self.log(|| LogRecord::FlushAbort { flush_id });
                     let _ = self.force_wal();
                 }
@@ -259,10 +281,9 @@ impl PioBTree {
     /// key-sorted batch of OPQ entries to the tree, holding multiple submission
     /// tickets in flight — chunk `k+1`'s last-segment reads are submitted before
     /// chunk `k`'s writes are reaped, so consecutive chunks overlap on the device.
-    fn bupdate(&mut self, ops: &[OpEntry], journal: &mut FlushJournal) -> IoResult<()> {
-        if ops.is_empty() {
-            return Ok(());
-        }
+    /// Writes every page of the flush and returns whether it moved a fence key;
+    /// the caller ([`PioBTree::flush_once`]) logs and forces `FlushEnd`.
+    fn bupdate(&mut self, ops: &[OpEntry], journal: &mut FlushJournal) -> IoResult<bool> {
         self.stats.bupdates += 1;
         debug_assert!(ops.windows(2).all(|w| w[0].key <= w[1].key));
 
@@ -324,20 +345,7 @@ impl PioBTree {
         // 3. Propagate fence keys upward, level by level.
         let had_fences = !fences.is_empty();
         self.propagate_fences(fences, journal)?;
-
-        // WAL: flush completed.
-        self.log(|| LogRecord::FlushEnd { flush_id });
-        self.force_wal()?;
-
-        // 4. Republish the inner tier at the flush-commit point. The key→leaf
-        // mapping and the separators can only change through the fence
-        // propagation above (split leaves keep their first page; appends and
-        // in-place rewrites do not move keys between leaves), so a fence-free
-        // flush leaves the existing snapshot exact.
-        if had_fences {
-            self.rebuild_tier_after_structural_change();
-        }
-        Ok(())
+        Ok(had_fences)
     }
 
     /// Completes every prefetched Phase-A read of a failed bupdate, discarding

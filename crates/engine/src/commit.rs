@@ -3,7 +3,7 @@
 //! insert that rides it.
 
 use crate::epoch::EpochLog;
-use crate::routing::shard_of;
+use crate::routing::{shard_of, sole_owner};
 use crate::shard::{resilient, Shard, ShardHealth};
 use crate::sharded::EngineInner;
 use btree::{Key, Value};
@@ -103,10 +103,11 @@ impl EngineInner {
     /// leaves an epoch that [`crate::ShardedPioEngine::recover`] resolves to
     /// all-or-nothing across shards.
     ///
-    /// A batch whose keys all land on **one** shard takes no epoch: that
-    /// shard's bracket is already atomic, so it runs as a *local* bracket
-    /// ([`LOCAL_EPOCH`]) that the shard's single WAL force commits — no engine
-    /// log record, no second force, no truncation pin.
+    /// A batch whose keys all land on **one** shard takes no epoch and no
+    /// worker: that shard's bracket is already atomic, so it runs as a *local*
+    /// bracket ([`LOCAL_EPOCH`]) that the shard's single WAL force commits — no
+    /// engine log record, no second force, no truncation pin — on the calling
+    /// thread ([`EngineInner::run_leg`]).
     ///
     /// An *error* return means the batch is undecided: some shards may hold it
     /// durably, and no commit record exists (a local bracket that failed
@@ -124,28 +125,35 @@ impl EngineInner {
         // boundary swap of a migration waits for every in-flight batch, so a
         // batch's sub-batches always land where its binning said they would.
         let routing = self.routing.read();
+        let insert = |&(key, value): &(Key, Value)| OpEntry::insert(key, value);
+        // One sub-batch per shard; a batch one shard owns is its sub-batch whole.
+        let owner = sole_owner(&routing.bounds, entries.iter().map(|&(key, _)| key));
         let mut per_shard: Vec<Vec<OpEntry>> = vec![Vec::new(); self.shards.len()];
-        for &(key, value) in entries {
-            per_shard[shard_of(&routing.bounds, key)].push(OpEntry::insert(key, value));
+        match owner {
+            Some(owner) => per_shard[owner] = entries.iter().map(insert).collect(),
+            None => {
+                for entry in entries {
+                    per_shard[shard_of(&routing.bounds, entry.0)].push(insert(entry));
+                }
+            }
         }
-        let members: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
-            .map(|(i, _)| i)
-            .collect();
+        let members = || (0..per_shard.len()).filter(|&i| !per_shard[i].is_empty());
         // A degraded member refuses the whole batch, like a single write —
         // and before `Begin` is logged, so the refusal leaves no trace on the
         // healthy members and no epoch for recovery to resolve.
-        if let Some(&sick) = members.iter().find(|&&i| self.shards[i].health.is_open()) {
+        if let Some(sick) = members().find(|&i| self.shards[i].health.is_open()) {
             return Err(ShardHealth::rejection(sick));
         }
-        let epoch = match &self.epoch {
-            None => None,
-            Some(_) if members.len() == 1 => Some(LOCAL_EPOCH),
-            Some(coord) => Some(coord.open(|log, epoch| log.begin(epoch, &members))?),
+        let epoch = match (&self.epoch, owner) {
+            (None, _) => None,
+            (Some(_), Some(_)) => Some(LOCAL_EPOCH),
+            (Some(coord), None) => {
+                let members: Vec<usize> = members().collect();
+                Some(coord.open(|log, epoch| log.begin(epoch, &members))?)
+            }
         };
-        let work = per_shard
+        // A member's leg, the same whichever thread runs it.
+        let mut legs = per_shard
             .into_iter()
             .enumerate()
             .filter(|(_, batch)| !batch.is_empty())
@@ -179,9 +187,17 @@ impl EngineInner {
                     ack
                 };
                 (i, task)
-            })
-            .collect();
-        let acks: Vec<(usize, Lsn)> = self.fan_out_tasks(work)?;
+            });
+        // The sole owner's leg runs on this thread and owes nobody an ack;
+        // legs on several shards go to their workers.
+        let acks: Vec<(usize, Lsn)> = match owner {
+            Some(owner) => {
+                let (_, leg) = legs.next().expect("a non-empty batch has a member");
+                self.run_leg(owner, leg)?;
+                Vec::new()
+            }
+            None => self.fan_out_tasks(legs.collect())?,
+        };
         let committed = match (epoch, &self.epoch) {
             (Some(LOCAL_EPOCH), _) => &self.counters.local_commits,
             (Some(epoch), Some(coord)) => {

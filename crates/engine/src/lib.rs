@@ -11,8 +11,9 @@
 //!   [`storage::CachedStore`], OPQ and (optional) WAL — one "index file" per shard,
 //!   the layout the paper's Figure 4(b) shows behaves like independent psync
 //!   streams;
-//! * a **router** splits `multi_search` / `insert_batch` / `range_search` requests
-//!   by shard and hands each piece straight to the worker thread that owns that
+//! * a **router** runs a `multi_search` / `insert_batch` / `range_search` that
+//!   one shard owns on its caller's thread, and splits one that spans shards by
+//!   shard, handing each piece straight to the worker thread that owns that
 //!   shard's execution (zero threads spawned per call); the caller reaps its own
 //!   replies, collects them by shard index, and stitches them back into caller
 //!   order (see *Threading model* below);
@@ -44,17 +45,26 @@
 //! takes `&mut self` and every shard tree sits behind its own mutex.
 //!
 //! * **Single-key calls** (`search`, `insert`, `update`, `delete`) lock the
-//!   owning shard's tree and run inline on the caller's thread.
-//! * **Batched calls** make one hand-off each way: the caller sends every
-//!   participating shard's task to that shard's worker and blocks on a reply
-//!   channel of its own until it has reaped one reply per task. A worker runs
-//!   its queue first-in first-out, and a task that panics unwinds on its
-//!   caller's thread while the worker lives on.
+//!   owning shard's tree and run inline on the caller's thread — and so does a
+//!   **batched call one shard owns** (every key of a `multi_search` or
+//!   `insert_batch` routes to it, a `range_search` lies inside it): no
+//!   partition, no hand-off. This is every call a service front end makes,
+//!   which bins its batches by shard.
+//! * **Batched calls that span shards** make one hand-off each way: the caller
+//!   sends every participating shard's task to that shard's worker and blocks
+//!   on a reply channel of its own until it has reaped one reply per task. A
+//!   worker runs its queue first-in first-out, and a task that panics unwinds
+//!   on its caller's thread while the worker lives on. **Background work** —
+//!   maintenance flush passes, checkpoints, recovery — goes to the workers
+//!   however many shards it touches.
 //! * **Ordering between concurrent batches.** All of one call's sends happen
-//!   under a short dispatch lock, so concurrent batched calls are queued in one
-//!   global order: if batch A is ahead of batch B on one shard it is ahead of B
-//!   on every shard they share, and two overlapping `insert_batch`es end with
-//!   the same winner everywhere. That is the *only* ordering the engine gives
+//!   under a short dispatch lock, so concurrent batched calls that share **two
+//!   or more** shards are queued in one global order: if batch A is ahead of
+//!   batch B on one shard it is ahead of B on every shard they share, and two
+//!   overlapping `insert_batch`es end with the same winner everywhere. A call
+//!   one shard owns takes that shard's tree lock like a single-key call and may
+//!   overtake a queued leg — it shares no second shard with anyone, so there is
+//!   no order to break. That is the *only* ordering the engine gives
 //!   concurrent batches: they are crash-atomic (below), not isolated — a reader
 //!   may see one batch applied on one shard and not yet on another.
 //! * **Shutdown.** Dropping the engine stops the maintenance worker first, then

@@ -113,3 +113,11 @@ pub(crate) fn shard_range(bounds: &[Key], i: usize, shards: usize) -> (Key, Key)
 pub(crate) fn shard_of(bounds: &[Key], key: Key) -> usize {
     bounds.partition_point(|&b| b <= key)
 }
+
+/// The shard that owns every one of `keys` under `bounds`, if one shard does
+/// (`None` for no keys): such a call runs on its caller's thread
+/// ([`crate::sharded::EngineInner::run_leg`]) instead of crossing to a worker.
+pub(crate) fn sole_owner(bounds: &[Key], mut keys: impl Iterator<Item = Key>) -> Option<usize> {
+    let owner = shard_of(bounds, keys.next()?);
+    keys.all(|key| shard_of(bounds, key) == owner).then_some(owner)
+}

@@ -1,17 +1,24 @@
 //! The per-shard worker pool and the fan-out that feeds it.
 //!
-//! One long-lived worker thread per shard executes that shard's batched work,
-//! in the order it was queued. A batched engine call talks to those workers
-//! directly ([`EngineInner::fan_out_tasks`]): it wraps each shard's task in a
-//! job, sends the jobs under the pool's dispatch lock, and reaps exactly as many
-//! replies as it sent from a reply channel of its own. There is no thread in
-//! between and no table of calls in flight — a call's state lives on its
-//! caller's stack.
+//! One long-lived worker thread per shard executes that shard's fan-out work,
+//! in the order it was queued. A batched engine call that **spans shards**, and
+//! every piece of background work (maintenance flush passes, checkpoints,
+//! recovery), talks to those workers directly ([`EngineInner::fan_out_tasks`]):
+//! it wraps each shard's task in a job, sends the jobs under the pool's
+//! dispatch lock, and reaps exactly as many replies as it sent from a reply
+//! channel of its own. There is no thread in between and no table of calls in
+//! flight — a call's state lives on its caller's stack. A batched call **one
+//! shard owns** (`multi_search`, `insert_batch`, `range_search` whose keys all
+//! route to it) crosses to nobody: it runs on its caller's thread
+//! ([`EngineInner::run_leg`]), as single-key calls always have, under the same
+//! contract as a worker's leg — accounting, health and panics below.
 //!
 //! * **Ordering.** All of one call's sends happen under the dispatch lock, so
-//!   concurrent calls are queued in one global order: if call A is ahead of call
-//!   B on one shard's queue it is ahead of B on every shard they share. Each
-//!   worker runs its queue first-in first-out.
+//!   calls that share **two or more** shards are queued in one global order: if
+//!   call A is ahead of call B on one shard's queue it is ahead of B on every
+//!   shard they share. Each worker runs its queue first-in first-out. A call
+//!   one shard owns takes that shard's tree lock like a single-key call and may
+//!   overtake a queued leg — harmless, it shares no second shard with anyone.
 //! * **Results** are ordered by shard index, never by completion order, and of
 //!   several failures the lowest shard index's is the one surfaced.
 //! * **Accounting.** The stores simulate time rather than sleep, so overlap is
@@ -173,6 +180,9 @@ mod tests {
     /// A boxed task, so one fan-out can carry a different closure per shard.
     type Task<T> = Box<dyn FnOnce(&mut PioBTree) -> IoResult<T> + Send>;
 
+    /// One thread's call of a round of the ordering test.
+    type Call = Box<dyn Fn(&ShardedPioEngine, u64) + Send>;
+
     /// A bulk-loaded engine whose shard `i` owns the keys `[i * 1000, (i + 1) * 1000)`.
     fn engine(shards: usize) -> ShardedPioEngine {
         let config = EngineConfig::builder()
@@ -274,36 +284,105 @@ mod tests {
         assert_eq!(engine.search(1_500).unwrap(), Some(1_500));
     }
 
+    /// The contract of a worker's leg, kept by a leg run on its caller.
+    #[test]
+    fn an_inline_leg_panics_its_caller_frees_the_shard_and_is_charged() {
+        let engine = engine(2);
+        let inner = engine.inner();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            inner.run_leg(1, |_| -> IoResult<()> { panic!("leg blew up on shard 1") })
+        }))
+        .expect_err("the leg's panic must reach the caller");
+        let message = panic.downcast_ref::<&str>().expect("a message payload");
+        assert!(message.contains("leg blew up on shard 1"), "{message}");
+        // Same shard, next call, both routes: the tree lock was let go.
+        assert_eq!(inner.run_leg(1, |tree| tree.count_entries()).unwrap(), 1_000);
+        assert_eq!(
+            engine.multi_search(&[1_500, 1_501]).unwrap(),
+            [Some(1_500), Some(1_501)]
+        );
+        assert_eq!(engine.count_entries().unwrap(), 2_000);
+
+        let before = engine.stats();
+        let found = engine.multi_search(&(1_000..1_064).collect::<Vec<_>>()).unwrap();
+        assert!(found.iter().all(Option::is_some));
+        let after = engine.stats();
+        assert_eq!(after.scheduled_batches, before.scheduled_batches + 1);
+        let io_us = after.shards[1].io_elapsed_us - before.shards[1].io_elapsed_us;
+        assert!(io_us > 0.0, "a cold search reads the device");
+        assert!(
+            (after.scheduled_io_us - before.scheduled_io_us - io_us).abs() < 1e-6,
+            "the leg's whole I/O delta is the call's makespan"
+        );
+        // An error is charged and counted like a success.
+        let err = inner.run_leg(0, |tree| {
+            tree.count_entries()?;
+            Err::<(), _>(IoError::InvalidConfig("leg failed on shard 0".into()))
+        });
+        assert!(err.unwrap_err().to_string().contains("leg failed on shard 0"));
+        let failed = engine.stats();
+        assert_eq!(failed.scheduled_batches, after.scheduled_batches + 1);
+        assert!(failed.scheduled_io_us > after.scheduled_io_us);
+    }
+
+    /// Calls that share two shards are queued in one order; calls one shard
+    /// owns run beside them on their callers' threads, overtake nothing they
+    /// share a second shard with, and hold nobody up.
     #[test]
     fn overlapping_batches_end_with_the_same_winner_on_every_shard() {
         let engine = Arc::new(engine(2));
         let rounds = 2_000u64;
-        let barrier = Arc::new(Barrier::new(3));
-        let writers: Vec<_> = (0..2u64)
-            .map(|writer| {
-                let engine = Arc::clone(&engine);
-                let barrier = Arc::clone(&barrier);
+        let barrier = Arc::new(Barrier::new(5));
+        // The two-shard writers, then other keys of the same two shards with
+        // every call owned by one shard: batches into shard 0, searches in
+        // shard 1. Each round, between the barriers, every thread makes one call.
+        let two_shard_writer = |writer: u64| -> Call {
+            Box::new(move |engine, round| {
+                let value = round * 2 + writer;
+                engine.insert_batch(&[(10, value), (1_010, value)]).unwrap();
+            })
+        };
+        let calls: Vec<Call> = vec![
+            two_shard_writer(0),
+            two_shard_writer(1),
+            Box::new(|engine, round| engine.insert_batch(&[(20, round), (21, round)]).unwrap()),
+            Box::new(|engine, _| {
+                assert_eq!(
+                    engine.multi_search(&[1_020, 1_021]).unwrap(),
+                    [Some(1_020), Some(1_021)]
+                );
+            }),
+        ];
+        let threads: Vec<_> = calls
+            .into_iter()
+            .map(|call| {
+                let (engine, barrier) = (Arc::clone(&engine), Arc::clone(&barrier));
                 std::thread::spawn(move || {
                     for round in 0..rounds {
                         barrier.wait();
-                        let value = round * 2 + writer;
-                        engine.insert_batch(&[(10, value), (1_010, value)]).unwrap();
+                        call(&engine, round);
                         barrier.wait();
                     }
                 })
             })
             .collect();
         for round in 0..rounds {
-            barrier.wait(); // both writers issue their batch
-            barrier.wait(); // both batches are applied
+            barrier.wait(); // every thread issues its call
+            barrier.wait(); // every call has returned: no two-shard batch was held up
             let winners = engine.multi_search(&[10, 1_010]).unwrap();
             assert_eq!(
                 winners[0], winners[1],
                 "round {round}: the shards disagree on the last batch"
             );
+            let local = engine.multi_search(&[20, 21]).unwrap();
+            assert_eq!(
+                local,
+                [Some(round), Some(round)],
+                "the single-shard writer's last batch"
+            );
         }
-        for writer in writers {
-            writer.join().unwrap();
+        for thread in threads {
+            thread.join().unwrap();
         }
     }
 }

@@ -21,8 +21,10 @@ use storage::{CachedStore, PageStore, Wal, WritePolicy};
 /// The engine and the shard's worker thread share it behind one `Arc`.
 pub(crate) struct Shard {
     /// Every piece of work on the shard locks this through [`Shard::run`]: the
-    /// shard's worker thread for fan-out tasks, the caller's thread for
-    /// single-key calls and the maintenance and migration steps.
+    /// shard's worker thread for fan-out tasks (the legs of calls that span
+    /// shards, and all background flushing), the caller's thread for
+    /// single-key calls, batched calls this shard owns whole, and the
+    /// maintenance and migration steps.
     pub(crate) tree: Mutex<PioBTree>,
     /// Point-request sub-batches this shard received through the batched entry
     /// points (`multi_search` / `insert_batch`) over the engine's lifetime.

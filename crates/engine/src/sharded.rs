@@ -14,13 +14,16 @@
 //! straight to the **worker thread that owns that shard's execution** (one
 //! long-lived thread per shard, the `scheduler` module), then wait for exactly
 //! the replies they are owed. Batched calls spawn **zero** threads and cross one
-//! thread boundary each way. Because the stores simulate time rather than sleep,
-//! cross-shard overlap is accounted explicitly: once a call has reaped its last
-//! reply, it adds the **maximum** of the participating shards' simulated I/O
-//! deltas to the schedule makespan ([`crate::EngineStats::scheduled_io_us`]),
-//! while the sum of all deltas remains visible as `total_io_us`. The ratio of
-//! the two is the measured overlap win. Results are always collected by shard
-//! index — never by completion order — so fan-outs are deterministic.
+//! thread boundary each way — or none: a `multi_search`, `insert_batch` or
+//! `range_search` that one shard owns runs on its caller's thread, like a
+//! single-key call (`EngineInner::run_leg`). Because the stores simulate time
+//! rather than sleep, cross-shard overlap is accounted explicitly: once a call
+//! has reaped its last reply, it adds the **maximum** of the participating
+//! shards' simulated I/O deltas to the schedule makespan
+//! ([`crate::EngineStats::scheduled_io_us`]), while the sum of all deltas
+//! remains visible as `total_io_us`. The ratio of the two is the measured
+//! overlap win. Results are always collected by shard index — never by
+//! completion order — so fan-outs are deterministic.
 //!
 //! This file holds the engine handle, its shared state and the read and
 //! single-key request paths. The rest is carved by protocol: `commit` (epoch
@@ -33,7 +36,7 @@ use crate::commit::EpochCoordinator;
 use crate::config::EngineConfig;
 use crate::epoch::EngineRecoveryReport;
 use crate::maintenance::{DirtyState, MaintenanceWorker};
-use crate::routing::{shard_of, shard_range, RoutingState};
+use crate::routing::{shard_of, shard_range, sole_owner, RoutingState};
 use crate::scheduler::WorkerPool;
 use crate::shard::{Shard, ShardHealth};
 use crate::stats::{EngineCounters, EngineStats};
@@ -42,6 +45,8 @@ use btree::{Key, Value};
 use parking_lot::{Mutex, RwLock};
 use pio::IoResult;
 use pio_btree::{OpEntry, PioBTree};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub use crate::routing::boundaries_from_sample;
@@ -87,8 +92,9 @@ pub(crate) struct EngineInner {
 /// All operations take `&self`; per-shard trees are behind their own mutexes, so
 /// client threads operating on different shards proceed concurrently (unlike
 /// [`pio_btree::ConcurrentPioBTree`], whose single lock serialises every update).
-/// Batched calls are dispatched straight to a persistent pool of one worker
-/// thread per shard — no threads are spawned per call.
+/// Batched calls that span shards are dispatched straight to a persistent pool
+/// of one worker thread per shard — no threads are spawned per call; a batched
+/// call one shard owns runs on its caller's thread.
 pub struct ShardedPioEngine {
     // Field order is drop order: the maintenance worker stops first (it issues
     // fan-outs), then the shared state — whose first field is the worker pool.
@@ -195,19 +201,24 @@ impl ShardedPioEngine {
     }
 
     /// MPSearch across shards: the batch is split by owning shard and every
-    /// sub-batch runs as a concurrent MPSearch on its shard. Results are returned
-    /// in the order of `keys`.
+    /// sub-batch runs as a concurrent MPSearch on its shard (a batch one shard
+    /// owns, on the calling thread). Results are returned in the order of `keys`.
     pub fn multi_search(&self, keys: &[Key]) -> IoResult<Vec<Option<Value>>> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
+        // Pin the routing table across routing AND the search: a migration's
+        // boundary swap must not land between the two.
+        let routing = self.inner.routing.read();
+        // A batch one shard owns is searched where it lies, on this thread.
+        if let Some(owner) = sole_owner(&routing.bounds, keys.iter().copied()) {
+            self.inner.shards[owner].note_batch(keys.len());
+            return self.inner.run_leg(owner, |tree| tree.multi_search(keys));
+        }
         // Partition the batch by owning shard. What crosses to a worker is
         // allocated — the key sub-batch moved into its task, the verdicts
         // coming back — and nothing else: the scatter below re-derives each
-        // key's shard from the routing table it still holds. Pin that table
-        // across partitioning AND the fan-out: a migration's boundary swap
-        // must not land between the two.
-        let routing = self.inner.routing.read();
+        // key's shard from the routing table it still holds.
         let shards = self.inner.shards.len();
         let mut sizes = vec![0usize; shards];
         for &key in keys {
@@ -259,6 +270,10 @@ impl ShardedPioEngine {
         }
         // Pin the routing table across the fan-out (see `multi_search`).
         let routing = self.inner.routing.read();
+        // A range inside one shard is scanned on this thread.
+        if let Some(owner) = sole_owner(&routing.bounds, [lo, hi - 1].into_iter()) {
+            return self.inner.run_leg(owner, |tree| tree.range_search(lo, hi));
+        }
         let shard_count = self.inner.shards.len();
         let work = (0..shard_count)
             .filter_map(|i| {
@@ -468,12 +483,27 @@ impl EngineInner {
 
     /// Runs `op` on `shard` inline, on the calling thread ([`Shard::run`]), and
     /// charges its full I/O delta to the schedule — whatever `op` returns. For
-    /// single-key calls and the maintenance and migration steps, which touch
-    /// one shard at a time.
+    /// single-key calls, batched calls one shard owns ([`EngineInner::run_leg`])
+    /// and the maintenance and migration steps, which touch one shard at a time.
     pub(crate) fn on_shard<R>(&self, shard: &Shard, op: impl FnOnce(&mut PioBTree) -> R) -> R {
         let (out, io_delta_us) = shard.run(op);
         self.charge(io_delta_us);
         out
+    }
+
+    /// Runs `task`, the one leg of a batched call that shard `shard` owns whole,
+    /// on the calling thread — the route single-key calls take — under the
+    /// contract of a worker's leg ([`EngineInner::fan_out_tasks`]): a panic is
+    /// caught inside the tree lock, so the lock is released and the I/O done so
+    /// far is charged, and re-raised once the call is counted; any other
+    /// outcome feeds the shard's breaker.
+    pub(crate) fn run_leg<T>(&self, shard: usize, task: impl FnOnce(&mut PioBTree) -> IoResult<T>) -> IoResult<T> {
+        let shard = &self.shards[shard];
+        let outcome = self.on_shard(shard, |tree| catch_unwind(AssertUnwindSafe(|| task(tree))));
+        self.counters.scheduled_batches.fetch_add(1, Ordering::Relaxed);
+        let result = outcome.unwrap_or_else(|panic| resume_unwind(panic));
+        shard.health.observe(&result);
+        result
     }
 
     /// Fans an operation out to *every* shard's worker and returns the results

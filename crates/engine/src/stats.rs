@@ -103,9 +103,9 @@ pub struct EngineStats {
     /// times; this field accumulates those maxima. With one shard it equals
     /// `total_io_us`; the gap between the two is the engine's I/O overlap win.
     pub scheduled_io_us: f64,
-    /// Fan-outs dispatched to the shard workers (batched calls and maintenance
-    /// passes). Single-key operations run inline on their caller and are not
-    /// counted here.
+    /// Batched calls and maintenance passes scheduled: fan-outs dispatched to
+    /// the shard workers, plus batched calls one shard owned and ran on their
+    /// caller. Single-key operations are not counted here.
     pub scheduled_batches: u64,
     /// Point-request sub-batches landed on shards through `multi_search` /
     /// `insert_batch` (sum over shards; each fan-out contributes one sub-batch

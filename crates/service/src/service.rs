@@ -10,8 +10,8 @@
 //! started by the thread that finishes that one.
 //!
 //! ```text
-//! client A (slot idle)            client B (A's batch running)   client C        engine
-//! ────────────────────            ────────────────────────────   ────────        ──────
+//! client A (slot idle)            client B (A's batch running)   client C        engine (no thread:
+//! ────────────────────            ────────────────────────────   ────────        on the taker's)
 //! handle.get(k1)
 //!   opens the (shard, gets)
 //!   builder, yields once, takes
@@ -31,6 +31,12 @@
 //!                                                                                 THEN every ack)
 //! handle.scan(lo, hi)   no coalescing, runs on its caller ─────────────────────▶ range_search
 //! ```
+//!
+//! The engine column is not a thread. Every batch is binned onto one shard,
+//! and the engine runs a call one shard owns on its caller: the client that
+//! takes a builder does the tree work and the WAL force itself. Only a scan
+//! that spans shards (or a batch a rebalance split) crosses to the engine's
+//! shard workers.
 //!
 //! * Gets destined for the same shard coalesce into one engine
 //!   [`multi_search`](ShardedPioEngine::multi_search) — the MPSearch path, so

@@ -128,6 +128,28 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
         per_call < 64.0,
         "a warm multi_search(64) must allocate less than once per key: {per_call:.1} per call"
     );
+    // ---- serve_mixed's shape: the same call with every key in one shard ------------
+    // It runs on this thread, so what it allocates is the tree's share: the
+    // partition, the boxed legs, the reply channel and the scatter are gone.
+    let cut = engine.boundaries()[0];
+    assert_eq!(cut % 16, 0, "a boundary is a preloaded key, so `k % cut` is one too");
+    let owned: Vec<Vec<u64>> = batches
+        .iter()
+        .map(|keys| keys.iter().map(|k| k % cut).collect())
+        .collect();
+    assert!(owned.iter().flatten().all(|&k| engine.shard_for(k) == 0));
+    let allocations = allocations_during(|| {
+        for keys in &owned {
+            answered += engine.multi_search(keys).unwrap().iter().flatten().count();
+        }
+    });
+    assert_eq!(answered, 2 * 200 * 64, "every preloaded key is found");
+    let per_owned_call = allocations as f64 / owned.len() as f64;
+    println!("engine multi_search(64), warm, one shard: {per_owned_call:.1} allocations per call");
+    assert!(
+        per_owned_call + 6.0 <= per_call,
+        "64 keys one shard owns must save the hand-off's allocations: {per_owned_call:.1} vs {per_call:.1} across two"
+    );
     drop(engine);
 
     // ---- a point search of a cached key on one tree --------------------------------
@@ -181,6 +203,25 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
     assert!(
         per_entry <= FLUSH_CYCLE_ALLOCATIONS_AT_PARENT,
         "the insert + flush cycle must not allocate more per entry than before shared images: {per_entry:.2}"
+    );
+
+    // ---- a put the service coalesced alone: one entry, one shard, no hand-off ------
+    let cut = engine.boundaries()[0];
+    let calls = |entries_of: &dyn Fn(u64) -> Vec<(u64, u64)>| {
+        let batches: Vec<_> = (0..100u64).map(entries_of).collect();
+        allocations_during(|| {
+            for batch in &batches {
+                engine.insert_batch(batch).unwrap();
+            }
+        }) as f64
+            / 100.0
+    };
+    let local = calls(&|i| vec![(i * 16 + 2, i)]);
+    let spanning = calls(&|i| vec![(i * 16 + 3, i), (cut + i * 16 + 3, i)]);
+    println!("engine insert_batch: {local:.1} allocations for 1 entry in one shard, {spanning:.1} for 2 in two");
+    assert!(
+        local < spanning,
+        "a batch one shard owns must allocate less than one that crosses to two workers: {local:.1} vs {spanning:.1}"
     );
 }
 

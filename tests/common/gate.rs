@@ -8,6 +8,7 @@
 use engine::{EngineBackends, EngineBuilder, EngineConfig, ShardedPioEngine};
 use pio::{Completion, IoQueue, IoResult, IoStats, ReadRequest, SimPsyncIo, Ticket, TryComplete, WriteRequest};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 #[derive(Default)]
 struct GateState {
@@ -21,11 +22,24 @@ struct GateState {
 pub struct Gate {
     state: Mutex<GateState>,
     changed: Condvar,
+    /// Wall-clock time every write submission spends at the gate, open or not.
+    toll: Duration,
 }
 
 impl Gate {
     pub fn new() -> Arc<Self> {
         Arc::default()
+    }
+
+    /// A gate every write submission takes `toll` of wall-clock time to pass:
+    /// a device that is slow for real. The simulated backends complete at
+    /// once, so without it nothing inside an engine call gives up the CPU —
+    /// and on one CPU nobody ever finds a batch executing.
+    pub fn with_toll(toll: Duration) -> Arc<Self> {
+        Arc::new(Self {
+            toll,
+            ..Self::default()
+        })
     }
 
     /// From now on write submissions block at the gate.
@@ -48,6 +62,9 @@ impl Gate {
     }
 
     fn pass(&self) {
+        if !self.toll.is_zero() {
+            std::thread::sleep(self.toll);
+        }
         let mut state = self.state.lock().unwrap();
         state.waiting += 1;
         self.changed.notify_all();

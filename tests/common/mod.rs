@@ -2,3 +2,4 @@
 
 pub mod crash;
 pub mod gate;
+pub mod record;

@@ -26,6 +26,7 @@ mod common;
 
 use common::crash::{crashy_engine, per_backend_clocks, seeded_rng};
 use common::gate::{Gate, GateIo};
+use common::record::{RecordIo, Recorder};
 use engine::{EngineBuilder, EngineConfig, MoveKind, RebalanceConfig, ShardedPioEngine};
 use pio::{CrashPlan, FaultClock, TornWrite};
 use pio_btree::PioConfig;
@@ -512,8 +513,9 @@ fn a_torn_decision_force_never_redrives_a_migration() {
 }
 
 /// A batch whose keys all lie in the moving range of a **live** migration: one
-/// shard holds it, so it takes no epoch — a local bracket on the source shard,
-/// mirrored into the migration's dirty log — while the migration's own copies
+/// shard holds it, so it takes no epoch and no worker — a local bracket on the
+/// source shard, run on the caller's thread and mirrored into the migration's
+/// dirty log — while the migration's own copies
 /// and retires sit in the migration epoch's brackets around it. The migration
 /// is held mid-copy (its destination's WAL waits at a gate) while the batch is
 /// acked. Crash before `MigrateCommit`: the migration rolls back on both
@@ -530,6 +532,9 @@ fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
         let gate = Gate::new();
         // Shard 1 splits its upper half off to shard 2.
         backends.shard_wals[2] = GateIo::wrap(Arc::clone(&backends.shard_wals[2]), &gate);
+        // The source shard's log tells which thread forced the batch.
+        let recorder = Recorder::new();
+        backends.shard_wals[1] = RecordIo::wrap(Arc::clone(&backends.shard_wals[1]), "wal1".into(), &recorder);
         let engine = EngineBuilder::new(cfg.clone())
             .entries(&seeds)
             .topology(backends)
@@ -555,7 +560,13 @@ fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
             // live, and stays so until the batch is acked. (No `stats()` here:
             // it takes every shard's tree lock, and shard 2's is at the gate.)
             gate.wait_until_blocked(1);
+            recorder.take();
             engine.insert_batch(&batch).expect("the source shard is not gated");
+            // One shard owns the batch, so it ran here — and was mirrored from
+            // here, under the source's tree lock — not on `engine-shard-1`.
+            let forces = recorder.take();
+            assert_eq!(forces.len(), 1, "{ctx}: one force: {forces:?}");
+            assert_eq!(forces[0].thread, std::thread::current().id(), "{ctx}: {forces:?}");
             gate.open();
             let outcome = migration.join().unwrap();
             assert_eq!(outcome.is_err(), crash_before_commit, "{ctx}");

@@ -694,6 +694,197 @@ fn in_process_rollback_and_crash_undo_agree_at_every_flush_write() {
     );
 }
 
+/// The force that carries a flush's `FlushEnd` — its last log write — torn at
+/// every byte with the store healthy: every page of the flush is written, and
+/// from some cut on the record is whole on the device although the call
+/// failed. The flush must stand as it is (no rollback, no `FlushAbort`), so
+/// that pages and log agree whichever way recovery judges it: everything acked
+/// before the flush reads back. Then the same force failing once in a process
+/// that lives on: nothing is lost in process, and nothing after the next crash.
+#[test]
+fn a_failed_flush_end_force_leaves_the_flush_for_recovery_to_judge() {
+    const PAGE: usize = 256;
+    let (_, seed) = seeded_rng();
+
+    // Profiling run: the acked state, and the flush's log writes (in pages).
+    let (mut tree, _, wal_clock) = tree_with_a_queued_flush(seed);
+    let acked = tree.range_search(0, u64::MAX).unwrap();
+    let first_force = wal_clock.writes_seen();
+    let forces: Arc<std::sync::Mutex<Vec<usize>>> = Arc::default();
+    let seen = Arc::clone(&forces);
+    wal_clock.arm(CrashPlan::on_payload(move |reqs| {
+        seen.lock().unwrap().push(reqs.len());
+        false
+    }));
+    tree.flush_once().unwrap();
+    let forces = std::mem::take(&mut *forces.lock().unwrap());
+    assert!(
+        forces.len() >= 2,
+        "seed {seed}: `FlushStart`'s force, then `FlushEnd`'s"
+    );
+    let last_force = first_force + forces.len() as u64 - 1;
+    let last_force_bytes = forces.last().unwrap() * PAGE;
+
+    let (mut completed, mut undone) = (0usize, 0usize);
+    for cut in 0..=last_force_bytes {
+        let ctx = format!("seed {seed} cut {cut}/{last_force_bytes}");
+        let (mut tree, store_clock, wal_clock) = tree_with_a_queued_flush(seed);
+        wal_clock.arm(CrashPlan::at_write(last_force).with_torn(TornWrite {
+            keep_requests: cut / PAGE,
+            keep_bytes_of_next: cut % PAGE,
+        }));
+        let store_writes = store_clock.writes_seen();
+        tree.flush_once().expect_err(&ctx);
+        assert!(wal_clock.tripped(), "{ctx}");
+        let flush_writes = store_clock.writes_seen() - store_writes;
+        wal_clock.heal();
+        tree.simulate_crash();
+        let report = tree.recover().unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        assert_eq!(report.aborted_flushes, 0, "{ctx}: a written flush is not rolled back");
+        completed += usize::from(report.incomplete_flushes == 0);
+        undone += report.incomplete_flushes;
+        assert_eq!(tree.range_search(0, u64::MAX).unwrap(), acked, "{ctx}: {report:?}");
+        tree.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        if cut == 0 {
+            // No rollback: the failed flush wrote what the clean one writes.
+            let (mut clean, store_clock, _) = tree_with_a_queued_flush(seed);
+            let before = store_clock.writes_seen();
+            clean.flush_once().unwrap();
+            assert_eq!(flush_writes, store_clock.writes_seen() - before, "{ctx}");
+        }
+    }
+    assert!(
+        completed > 0 && undone > 0,
+        "seed {seed}: the sweep must leave `FlushEnd` whole ({completed}) and cut ({undone})"
+    );
+
+    // The process lives on: the flush stays applied, its `FlushEnd` rides the
+    // next force, and a crash after that finds a completed flush.
+    let (mut tree, _, wal_clock) = tree_with_a_queued_flush(seed);
+    wal_clock.arm(CrashPlan::at_write(last_force).transient());
+    tree.flush_once().unwrap_err();
+    assert_eq!(
+        tree.opq_len(),
+        0,
+        "seed {seed}: the batch is in the pages, not back in the queue"
+    );
+    assert_eq!(
+        tree.range_search(0, u64::MAX).unwrap(),
+        acked,
+        "seed {seed}: in process"
+    );
+    tree.force_wal().unwrap();
+    tree.simulate_crash();
+    let report = tree.recover().unwrap();
+    assert_eq!(
+        (report.incomplete_flushes, report.aborted_flushes),
+        (0, 0),
+        "seed {seed}: {report:?}"
+    );
+    assert_eq!(
+        tree.range_search(0, u64::MAX).unwrap(),
+        acked,
+        "seed {seed}: after the crash"
+    );
+    tree.check_invariants().unwrap();
+}
+
+// ----------------------------------------------- truncation under an open bracket --
+
+/// A truncation pin is not enough to unwind a flush. While an epoch's bracket
+/// is undecided, a checkpoint flushes the epoch's records together with older
+/// unbracketed ones; if the log were then cut down to the bracket's
+/// `BatchBegin` and the epoch discarded, recovery would unwind that flush and
+/// re-queue "the records it covered" from a log that no longer holds the older
+/// ones — acked writes lost. So while a pin lies below the cut, truncation
+/// does not advance at all; once the epoch is decided it does, and recovery
+/// replays only the tail. Trial 0 is the plain recipe; the rest draw how many
+/// unbracketed writes come before and after the bracket opens (≈100 entries
+/// fill the OPQ, so larger draws flush on their own before, inside or after
+/// the bracket) and whether an earlier checkpoint already moved the log's
+/// start.
+#[test]
+fn truncation_waits_for_a_bracket_that_opened_below_the_cut() {
+    const EPOCH: u64 = 9;
+    let (mut rng, seed) = seeded_rng();
+    let loaded: Vec<(u64, u64)> = (0..60u64).map(|k| (k * 1_000, k)).collect();
+    let ops =
+        |entries: &[(u64, u64)]| -> Vec<OpEntry> { entries.iter().map(|&(k, v)| OpEntry::insert(k, v)).collect() };
+    for trial in 0..16 {
+        let (before, inside, after, early_checkpoint) = match trial {
+            0 => (40, 20, 0, false),
+            _ => (
+                rng.gen_range(0..150usize),
+                rng.gen_range(1..80usize),
+                rng.gen_range(0..150usize),
+                rng.gen_range(0..2u32) == 1,
+            ),
+        };
+        // Unique values; keys from a small space, so the groups overwrite each other.
+        let mut value = 10_000u64;
+        let mut draw = |n: usize| -> Vec<(u64, u64)> {
+            (0..n)
+                .map(|_| {
+                    value += 1;
+                    (rng.gen_range(0..600u64) * 100, value)
+                })
+                .collect()
+        };
+        let (before, of_epoch, after) = (draw(before), draw(inside), draw(after));
+        for keep in [false, true] {
+            let ctx = format!(
+                "seed {seed} trial {trial} keep {keep} ({} + {} in the bracket + {}, early checkpoint {early_checkpoint})",
+                before.len(),
+                of_epoch.len(),
+                after.len()
+            );
+            let mut model: BTreeMap<u64, u64> = loaded.iter().copied().collect();
+            model.extend(before.iter().copied());
+            if keep {
+                model.extend(of_epoch.iter().copied());
+            }
+            model.extend(after.iter().copied());
+
+            let mut tree = crashy_tree_on(&FaultClock::new(), &FaultClock::new(), &loaded);
+            let (early, late) = before.split_at(if early_checkpoint { before.len() / 2 } else { 0 });
+            tree.apply(&ops(early), None).unwrap();
+            if early_checkpoint {
+                let cut = tree.checkpoint().unwrap();
+                tree.truncate_wal(cut).unwrap();
+            }
+            tree.apply(&ops(late), None).unwrap();
+            tree.apply(&ops(&of_epoch), Some(EPOCH)).unwrap();
+            tree.apply(&ops(&after), None).unwrap();
+            let cut = tree.checkpoint().unwrap();
+            assert_eq!(
+                tree.truncate_wal(cut).unwrap(),
+                0,
+                "{ctx}: cut below an undecided bracket"
+            );
+            if keep {
+                // Decided: the pin is gone, the log goes, recovery is bounded.
+                tree.resolve_epoch(EPOCH);
+                assert!(tree.truncate_wal(cut).unwrap() > 0, "{ctx}: nothing pins the log now");
+                assert!(
+                    tree.wal_replayable_bytes() < 2_048,
+                    "{ctx}: only the checkpoint is left"
+                );
+            }
+            tree.simulate_crash();
+            let report = tree
+                .recover_with(&mut |epoch| {
+                    assert_eq!(epoch, EPOCH, "{ctx}");
+                    keep
+                })
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+            let state: BTreeMap<u64, u64> = tree.range_search(0, u64::MAX).unwrap().into_iter().collect();
+            let lost: Vec<_> = model.iter().filter(|&(k, v)| state.get(k) != Some(v)).take(5).collect();
+            assert!(state == model, "{ctx}: lost or stale {lost:?} ({report:?})");
+            tree.check_invariants().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
+    }
+}
+
 // ------------------------------------------------------------- one write entry --
 
 /// `apply(ops, None)` is `insert_batch`: nothing is forced (LSN 0), and queue,

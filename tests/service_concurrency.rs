@@ -37,9 +37,13 @@ fn config(shards: usize, max_batch_size: usize, max_batch_delay_us: u64) -> Engi
         .build()
 }
 
+/// The key population the shard boundaries are cut from.
+fn key_sample() -> Vec<u64> {
+    (0..20_000u64).map(|i| i * 7).collect()
+}
+
 fn engine(config: EngineConfig) -> Arc<ShardedPioEngine> {
-    let sample: Vec<u64> = (0..20_000u64).map(|i| i * 7).collect();
-    Arc::new(ShardedPioEngine::create(config, &sample).unwrap())
+    Arc::new(ShardedPioEngine::create(config, &key_sample()).unwrap())
 }
 
 /// A service with a **busy slot**, which is what it takes to park anything: a
@@ -357,7 +361,10 @@ fn scans_see_acked_puts() {
 
 /// Size triggers, budget expiries and hand-overs race for the same builders:
 /// with four slots per builder, six tight-looping clients and a 20µs budget —
-/// shorter than an engine call, so a leader behind a running batch regularly
+/// shorter than a put batch's shard-WAL force, which takes 50µs of wall-clock
+/// time here (a batch runs on the client that took it and the simulated
+/// devices complete at once, so on one CPU nothing else would ever be found
+/// executing) — so a leader behind a running batch regularly
 /// runs out of budget just as a follower fills its builder or the batch ahead
 /// finishes and calls it. Whoever wins
 /// takes the builder whole: every request is answered exactly once and with
@@ -371,7 +378,10 @@ fn racing_size_and_budget_triggers_answer_every_request_once() {
     const KEYS_PER_CLIENT: u64 = 48;
 
     let (_, seed) = seeded_rng();
-    let engine = engine(config(2, 4, 20));
+    let mut config = config(2, 4, 20);
+    config.base.wal_enabled = true;
+    let slow_log = Gate::with_toll(Duration::from_micros(50));
+    let engine = Arc::new(gated_engine(config, &key_sample(), &slow_log));
     let service = EngineService::start(Arc::clone(&engine));
 
     let models: Vec<BTreeMap<u64, u64>> = std::thread::scope(|scope| {
@@ -434,6 +444,15 @@ fn racing_size_and_budget_triggers_answer_every_request_once() {
         "seed {seed}: the two triggers never competed: {} size, {} budget",
         stats.size_triggered_flushes,
         stats.budget_expired_flushes
+    );
+
+    eprintln!(
+        "trigger race (seed {seed}): {} size, {} idle, {} hand-over, {} budget of {} batches",
+        stats.size_triggered_flushes,
+        stats.idle_flushes,
+        stats.handover_flushes,
+        stats.budget_expired_flushes,
+        stats.batches_formed
     );
 
     let merged: BTreeMap<u64, u64> = models.into_iter().flatten().collect();
