@@ -3,10 +3,11 @@
 //! * (a) single process: total elapsed time split by operation type, B+-tree versus
 //!   PIO B-tree, on F120, Iodrive and P300. Configuration follows the paper: 4 MiB of
 //!   memory (scaled), 4 KiB nodes, PIO leaf size fixed at 1 segment, OPQ of 20 pages.
-//! * (b) 1–16 emulated client threads: concurrent B-link tree versus concurrent PIO
-//!   B-tree. Concurrency is emulated round-by-round: the point searches of the
-//!   threads in one round are outstanding together (batched traversal), while update
-//!   operations go through each tree's normal write path.
+//! * (b) 1–16 emulated client threads: concurrent B-link tree versus PIO B-tree.
+//!   Concurrency is emulated round-by-round on one thread: the point searches of
+//!   the threads in one round are outstanding together (batched traversal — an
+//!   MPSearch for the PIO B-tree), while update operations go through each tree's
+//!   normal write path.
 //!
 //! Paper expectation: PIO B-tree is 1.25–1.49× faster overall in (a) — with most of
 //! the gain on inserts (5.7–6.2×) and range searches (1.9–2.1×) — and 1.17–1.49×
@@ -14,7 +15,7 @@
 
 use btree::ConcurrentBTree;
 use pio_bench::{ratio, scaled, setup, us, Table};
-use pio_btree::{ConcurrentPioBTree, PioConfig};
+use pio_btree::{PioBTree, PioConfig};
 use ssd_sim::DeviceProfile;
 use workload::{TpccConfig, TpccTraceGenerator, TraceOp};
 
@@ -192,7 +193,7 @@ fn main() {
                     ConcurrentBTree::new(btree::bulk_load(store, &entries, 0.7).expect("bulk load"))
                 })
                 .collect();
-            let cpio: Vec<ConcurrentPioBTree> = initial
+            let mut pio: Vec<PioBTree> = initial
                 .iter()
                 .map(|keys| {
                     let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
@@ -203,81 +204,68 @@ fn main() {
                         storage::WritePolicy::WriteThrough,
                         64 << 30,
                     );
-                    ConcurrentPioBTree::new(
-                        pio_btree::PioBTree::bulk_load(store, &entries, pio_config(pool_pages / relations as u64))
-                            .expect("bulk load"),
-                    )
+                    PioBTree::bulk_load(store, &entries, pio_config(pool_pages / relations as u64)).expect("bulk load")
                 })
                 .collect();
 
-            let elapsed = |trees_io: &dyn Fn() -> f64, run: &mut dyn FnMut()| -> f64 {
-                let before = trees_io();
-                run();
-                trees_io() - before
-            };
-
             // Round-based replay: each round takes `threads` consecutive trace ops;
             // the round's point searches per relation run as one outstanding batch.
-            let replay_blink = || {
-                for round in trace.chunks(threads) {
-                    let mut searches: Vec<Vec<u64>> = vec![Vec::new(); relations];
-                    for op in round {
-                        match *op {
-                            TraceOp::Search { relation, key } => searches[relation].push(key),
-                            TraceOp::Insert { relation, key, value } => blink[relation].insert(key, value).unwrap(),
-                            TraceOp::Delete { relation, key } => {
-                                blink[relation].delete(key).unwrap();
-                            }
-                            TraceOp::RangeSearch { relation, lo, hi } => {
-                                blink[relation].range_search(lo, hi).unwrap();
-                            }
-                        }
-                    }
-                    for (r, keys) in searches.iter().enumerate() {
-                        if !keys.is_empty() {
-                            blink[r].concurrent_search(keys).unwrap();
-                        }
-                    }
-                }
-                for t in &blink {
-                    t.flush().unwrap();
-                }
-            };
             let blink_io = || {
                 blink
                     .iter()
                     .map(|t| t.with_tree(|x| x.store().io_elapsed_us()))
                     .sum::<f64>()
             };
-            let mut replay = replay_blink;
-            let blink_ms = elapsed(&blink_io, &mut replay) / 1e3;
+            let before = blink_io();
+            for round in trace.chunks(threads) {
+                let mut searches: Vec<Vec<u64>> = vec![Vec::new(); relations];
+                for op in round {
+                    match *op {
+                        TraceOp::Search { relation, key } => searches[relation].push(key),
+                        TraceOp::Insert { relation, key, value } => blink[relation].insert(key, value).unwrap(),
+                        TraceOp::Delete { relation, key } => {
+                            blink[relation].delete(key).unwrap();
+                        }
+                        TraceOp::RangeSearch { relation, lo, hi } => {
+                            blink[relation].range_search(lo, hi).unwrap();
+                        }
+                    }
+                }
+                for (r, keys) in searches.iter().enumerate() {
+                    if !keys.is_empty() {
+                        blink[r].concurrent_search(keys).unwrap();
+                    }
+                }
+            }
+            for t in &blink {
+                t.flush().unwrap();
+            }
+            let blink_ms = (blink_io() - before) / 1e3;
 
-            let replay_pio = || {
-                for round in trace.chunks(threads) {
-                    let mut searches: Vec<Vec<u64>> = vec![Vec::new(); relations];
-                    for op in round {
-                        match *op {
-                            TraceOp::Search { relation, key } => searches[relation].push(key),
-                            TraceOp::Insert { relation, key, value } => cpio[relation].insert(key, value).unwrap(),
-                            TraceOp::Delete { relation, key } => cpio[relation].delete(key).unwrap(),
-                            TraceOp::RangeSearch { relation, lo, hi } => {
-                                cpio[relation].range_search(lo, hi).unwrap();
-                            }
-                        }
-                    }
-                    for (r, keys) in searches.iter().enumerate() {
-                        if !keys.is_empty() {
-                            cpio[r].concurrent_search(keys).unwrap();
+            let pio_io = |trees: &[PioBTree]| trees.iter().map(|t| t.io_elapsed_us()).sum::<f64>();
+            let before = pio_io(&pio);
+            for round in trace.chunks(threads) {
+                let mut searches: Vec<Vec<u64>> = vec![Vec::new(); relations];
+                for op in round {
+                    match *op {
+                        TraceOp::Search { relation, key } => searches[relation].push(key),
+                        TraceOp::Insert { relation, key, value } => pio[relation].insert(key, value).unwrap(),
+                        TraceOp::Delete { relation, key } => pio[relation].delete(key).unwrap(),
+                        TraceOp::RangeSearch { relation, lo, hi } => {
+                            pio[relation].range_search(lo, hi).unwrap();
                         }
                     }
                 }
-                for t in &cpio {
-                    t.checkpoint().unwrap();
+                for (r, keys) in searches.iter().enumerate() {
+                    if !keys.is_empty() {
+                        pio[r].multi_search(keys).unwrap();
+                    }
                 }
-            };
-            let pio_io = || cpio.iter().map(|t| t.with_tree(|x| x.io_elapsed_us())).sum::<f64>();
-            let mut replay = replay_pio;
-            let pio_ms = elapsed(&pio_io, &mut replay) / 1e3;
+            }
+            for t in &mut pio {
+                t.checkpoint().unwrap();
+            }
+            let pio_ms = (pio_io(&pio) - before) / 1e3;
 
             table.row(vec![
                 profile.name().into(),

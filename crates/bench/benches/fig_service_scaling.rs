@@ -5,15 +5,14 @@
 //! batch; a serving system receives independent single requests from
 //! concurrent clients. This bench drives the service front end with closed-loop
 //! clients (each submits one request, waits, repeats — the honest serving
-//! model) and sweeps the client count at two admission latency budgets,
-//! against the request-at-a-time baseline (`max_batch_size = 1`: every request
-//! is its own engine call).
+//! model) and sweeps the client count, against the request-at-a-time baseline
+//! (`max_batch_size = 1`: every request is its own engine call).
 //!
 //! Admission is work-conserving: a request that finds its shard idle runs at
-//! once, and a batch forms only *while* the batch ahead of it executes — the
-//! budget merely caps that wait. So a lone client never waits (asserted: its
-//! median queue wait stays under a quarter of either budget), occupancy comes
-//! from concurrency alone, and the two budgets measure alike. The finding this
+//! once, and a batch forms only *while* the batch ahead of it executes, started
+//! by the thread that finishes that one — there is no timer. So a lone client
+//! never waits (asserted: its median queue wait stays under 25 µs), and
+//! occupancy comes from concurrency alone. The finding this
 //! bench records: 16 clients over 4 shards × 2 request kinds leave about two
 //! requests per slot, which coalesces a little (occupancy > 1, throughput no
 //! worse than one-at-a-time) — a timer bought more there only by idling the
@@ -40,7 +39,7 @@ use workload::{run_closed_loop, ClientMix, ClosedLoopSpec, KeyDistribution};
 const SHARDS: usize = 4;
 const PAGE_SIZE: usize = 2048;
 
-fn build_engine(max_batch_size: usize, max_batch_delay_us: u64, entries: &[(u64, u64)]) -> Arc<ShardedPioEngine> {
+fn build_engine(max_batch_size: usize, entries: &[(u64, u64)]) -> Arc<ShardedPioEngine> {
     let base = PioConfig::builder()
         .page_size(PAGE_SIZE)
         .leaf_segments(2)
@@ -55,7 +54,6 @@ fn build_engine(max_batch_size: usize, max_batch_delay_us: u64, entries: &[(u64,
         .profile(DeviceProfile::P300)
         .shard_capacity_bytes(8 << 30)
         .max_batch_size(max_batch_size)
-        .max_batch_delay_us(max_batch_delay_us)
         .base(base)
         .build();
     Arc::new(
@@ -68,7 +66,6 @@ fn build_engine(max_batch_size: usize, max_batch_delay_us: u64, entries: &[(u64,
 }
 
 struct RunOutcome {
-    ops: u64,
     sim_throughput: f64,
     stats: service::ServiceStats,
 }
@@ -93,7 +90,6 @@ fn run(engine: &Arc<ShardedPioEngine>, clients: usize, ops_per_client: usize, ke
     assert_eq!(stats.errors, 0, "engine calls failed during the run");
     assert_eq!(stats.total_requests(), report.total_ops());
     RunOutcome {
-        ops: report.total_ops(),
         sim_throughput: report.total_ops() as f64 / (sched_us / 1e6),
         stats,
     }
@@ -105,7 +101,6 @@ fn main() {
     let entries: Vec<(u64, u64)> = (0..n_entries).map(|i| (i * 31, i)).collect();
     let key_space = n_entries * 31;
     let client_counts = [1usize, 4, 16, 64];
-    let budgets_us = [100u64, 400];
     const COALESCED_BATCH: usize = 64;
 
     let mut table = Table::new(
@@ -119,7 +114,6 @@ fn main() {
             "batches",
             "idle",
             "hand-over",
-            "budget-expired",
             "size-triggered",
             "p50 e2e µs",
             "p99 e2e µs",
@@ -130,7 +124,7 @@ fn main() {
     // Request-at-a-time baselines, one per client count.
     let mut baseline_tp = Vec::new();
     for &clients in &client_counts {
-        let engine = build_engine(1, 200, &entries);
+        let engine = build_engine(1, &entries);
         let outcome = run(&engine, clients, ops_per_client, key_space, 0xBA5E);
         assert!(
             (outcome.stats.avg_batch_occupancy() - 1.0).abs() < 1e-9,
@@ -144,7 +138,6 @@ fn main() {
             outcome.stats.batches_formed.to_string(),
             outcome.stats.idle_flushes.to_string(),
             outcome.stats.handover_flushes.to_string(),
-            outcome.stats.budget_expired_flushes.to_string(),
             outcome.stats.size_triggered_flushes.to_string(),
             outcome.stats.e2e.p50().to_string(),
             outcome.stats.e2e.p99().to_string(),
@@ -153,83 +146,67 @@ fn main() {
         baseline_tp.push(outcome.sim_throughput);
     }
 
-    // Coalescing sweeps.
-    for &budget in &budgets_us {
-        let mut occupancy_at = Vec::new();
-        for (ci, &clients) in client_counts.iter().enumerate() {
-            let engine = build_engine(COALESCED_BATCH, budget, &entries);
-            let outcome = run(&engine, clients, ops_per_client, key_space, 0xC0A1);
-            let occupancy = outcome.stats.avg_batch_occupancy();
-            table.row(vec![
-                format!("coalesced {budget}µs"),
-                clients.to_string(),
-                format!("{:.1}", outcome.sim_throughput / 1e3),
-                format!("{occupancy:.2}"),
-                outcome.stats.batches_formed.to_string(),
-                outcome.stats.idle_flushes.to_string(),
-                outcome.stats.handover_flushes.to_string(),
-                outcome.stats.budget_expired_flushes.to_string(),
-                outcome.stats.size_triggered_flushes.to_string(),
-                outcome.stats.e2e.p50().to_string(),
-                outcome.stats.e2e.p99().to_string(),
-                outcome.stats.queue_wait.p99().to_string(),
-            ]);
-            occupancy_at.push(occupancy);
+    // The coalescing sweep.
+    let mut occupancy_at = Vec::new();
+    for (ci, &clients) in client_counts.iter().enumerate() {
+        let engine = build_engine(COALESCED_BATCH, &entries);
+        let outcome = run(&engine, clients, ops_per_client, key_space, 0xC0A1);
+        let occupancy = outcome.stats.avg_batch_occupancy();
+        table.row(vec![
+            "coalesced".into(),
+            clients.to_string(),
+            format!("{:.1}", outcome.sim_throughput / 1e3),
+            format!("{occupancy:.2}"),
+            outcome.stats.batches_formed.to_string(),
+            outcome.stats.idle_flushes.to_string(),
+            outcome.stats.handover_flushes.to_string(),
+            outcome.stats.size_triggered_flushes.to_string(),
+            outcome.stats.e2e.p50().to_string(),
+            outcome.stats.e2e.p99().to_string(),
+            outcome.stats.queue_wait.p99().to_string(),
+        ]);
+        occupancy_at.push(occupancy);
 
-            // The admission deadline must actually fire: no request's queue
-            // wait may stretch past the budget by more than generous
-            // scheduling slack (a missed deadline would park requests for the
-            // whole run).
+        // A lone client finds every slot idle: it never waits.
+        if clients == 1 {
             assert!(
-                outcome.stats.queue_wait.max() <= budget + 200_000,
-                "budget {budget}µs, {clients} clients: queue wait reached {}µs — deadline not firing",
-                outcome.stats.queue_wait.max()
+                outcome.stats.queue_wait.p50() < 25,
+                "a lone client's median queue wait is {}µs",
+                outcome.stats.queue_wait.p50()
             );
-            // A lone client finds every slot idle: it never waits the budget.
-            if clients == 1 {
-                assert!(
-                    outcome.stats.queue_wait.p50() < budget / 4,
-                    "budget {budget}µs: a lone client's median queue wait is {}µs",
-                    outcome.stats.queue_wait.p50()
-                );
-            }
-            // Sixteen clients over eight slots coalesce a little, and for free.
-            if clients == 16 {
-                assert!(
-                    occupancy > 1.0,
-                    "budget {budget}µs, {clients} clients: occupancy {occupancy:.2}"
-                );
-                assert!(
-                    outcome.sim_throughput >= baseline_tp[ci],
-                    "budget {budget}µs, {clients} clients: coalesced {:.0} ops/s < baseline {:.0} ops/s",
-                    outcome.sim_throughput,
-                    baseline_tp[ci]
-                );
-            }
-            // The paper-style win: at 64 concurrent clients, coalescing
-            // independent requests into shared psync streams must beat
-            // request-at-a-time by ≥1.5× on simulated schedule time.
-            if clients == *client_counts.last().unwrap() {
-                assert!(
-                    occupancy > 1.5,
-                    "budget {budget}µs, {clients} clients: occupancy {occupancy:.2} — no real coalescing"
-                );
-                assert!(
-                    outcome.sim_throughput >= 1.5 * baseline_tp[ci],
-                    "budget {budget}µs, {clients} clients: coalesced {:.0} ops/s < 1.5× baseline {:.0} ops/s",
-                    outcome.sim_throughput,
-                    baseline_tp[ci]
-                );
-            }
-            let _ = outcome.ops;
         }
-        // More clients → fuller batches (the whole point of cross-request
-        // group batching).
-        assert!(
-            occupancy_at.last().unwrap() > occupancy_at.first().unwrap(),
-            "budget {budget}µs: occupancy did not grow with the client count: {occupancy_at:?}"
-        );
+        // Sixteen clients over eight slots coalesce a little, and for free.
+        if clients == 16 {
+            assert!(occupancy > 1.0, "{clients} clients: occupancy {occupancy:.2}");
+            assert!(
+                outcome.sim_throughput >= baseline_tp[ci],
+                "{clients} clients: coalesced {:.0} ops/s < baseline {:.0} ops/s",
+                outcome.sim_throughput,
+                baseline_tp[ci]
+            );
+        }
+        // The paper-style win: at 64 concurrent clients, coalescing
+        // independent requests into shared psync streams must beat
+        // request-at-a-time by ≥1.5× on simulated schedule time.
+        if clients == *client_counts.last().unwrap() {
+            assert!(
+                occupancy > 1.5,
+                "{clients} clients: occupancy {occupancy:.2} — no real coalescing"
+            );
+            assert!(
+                outcome.sim_throughput >= 1.5 * baseline_tp[ci],
+                "{clients} clients: coalesced {:.0} ops/s < 1.5× baseline {:.0} ops/s",
+                outcome.sim_throughput,
+                baseline_tp[ci]
+            );
+        }
     }
+    // More clients → fuller batches (the whole point of cross-request group
+    // batching).
+    assert!(
+        occupancy_at.last().unwrap() > occupancy_at.first().unwrap(),
+        "occupancy did not grow with the client count: {occupancy_at:?}"
+    );
 
     table.finish();
     println!("\nfig_service_scaling done.");

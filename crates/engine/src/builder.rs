@@ -229,7 +229,6 @@ impl ShardedPioEngine {
             rest = others;
             let shard = build_shard(
                 &shard_cfg,
-                config.retry_policy(),
                 Arc::clone(&backends.shard_stores[i]),
                 backends.shard_wals.get(i),
                 |store| PioBTree::bulk_load(store, mine, shard_cfg.clone()),
@@ -305,7 +304,6 @@ impl ShardedPioEngine {
         for (i, meta) in manifest.shard_meta.iter().enumerate() {
             shards.push(build_shard(
                 &shard_cfg,
-                config.retry_policy(),
                 Arc::clone(&backends.shard_stores[i]),
                 backends.shard_wals.get(i),
                 |store| {
@@ -345,7 +343,7 @@ impl ShardedPioEngine {
         // without per-shard WALs there is nothing to make atomic.
         let epoch = config.base.wal_enabled.then(|| {
             let engine_wal = engine_wal.expect("validated: engine WAL backend present");
-            EpochCoordinator::new(engine_wal, config.retry_policy(), config.base.page_size)
+            EpochCoordinator::new(engine_wal, config.base.page_size)
         });
         let inner = Arc::new(EngineInner {
             pool: WorkerPool::spawn(shards.iter().cloned()),

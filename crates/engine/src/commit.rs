@@ -35,9 +35,9 @@ impl EpochCoordinator {
     /// A coordinator over the engine's epoch-log backend. The epoch log anchors
     /// cross-shard atomicity; it gets the same transient-error shielding as
     /// every other engine queue.
-    pub(crate) fn new(engine_wal: Arc<dyn IoQueue>, retry: Option<pio::RetryPolicy>, page_size: usize) -> Self {
+    pub(crate) fn new(engine_wal: Arc<dyn IoQueue>, page_size: usize) -> Self {
         Self {
-            log: EpochLog::new(Wal::new(resilient(engine_wal, retry), 0, page_size)),
+            log: EpochLog::new(Wal::new(resilient(engine_wal), 0, page_size)),
             // Ids start above `LOCAL_EPOCH`, which marks the shard-local brackets.
             next_epoch: AtomicU64::new(LOCAL_EPOCH + 1),
             in_flight: Mutex::new(BTreeMap::new()),

@@ -30,9 +30,6 @@ pub struct EngineConfig {
     /// Per-tree configuration template. `pool_pages` is the engine-wide total
     /// (divided by `shards` when each tree is built); `opq_pages` is per shard.
     pub base: PioConfig,
-    /// Fraction of a shard's OPQ capacity at which the maintenance pass flushes it
-    /// (so flushes happen off the caller's critical path instead of at 100% fill).
-    pub flush_threshold: f64,
     /// Interval of the background maintenance worker in milliseconds; `None` runs
     /// no worker (maintenance then only happens through explicit
     /// [`crate::ShardedPioEngine::maintain_once`] calls — the deterministic mode
@@ -46,16 +43,8 @@ pub struct EngineConfig {
     /// [`EngineConfig::maintenance_interval_ms`] to be set (there is no other
     /// thread to drive the cadence).
     pub checkpoint_interval_ms: Option<u64>,
-    /// Latency budget of the service front end's admission controller, in
-    /// microseconds: the request that opens a per-shard batch builder waits
-    /// this long for company and then runs the batch itself, so no request
-    /// waits in a builder longer than this. Smaller
-    /// values trade batch occupancy (and therefore psync width) for latency;
-    /// must be at least 1 — a zero budget would degenerate every batch to a
-    /// single request and is rejected like `PipelineDepth::Fixed(0)`.
-    pub max_batch_delay_us: u64,
-    /// Maximum requests a per-shard batch builder accumulates before it is
-    /// flushed regardless of the latency budget. Must be at least 1; `1` is the
+    /// Maximum requests a per-shard batch builder accumulates before the
+    /// request that fills it runs it. Must be at least 1; `1` is the
     /// request-at-a-time baseline (every request flushes immediately,
     /// size-triggered). Values beyond the per-shard OPQ capacity waste no
     /// correctness but stop buying psync width, so keep it near `PioMax`.
@@ -72,13 +61,6 @@ pub struct EngineConfig {
     /// default) disables it; `Some(0)` is rejected; must be a multiple of
     /// `base.page_size`.
     pub leaf_cache_bytes: Option<u64>,
-    /// Bounded-retry budget of each shard's resilient I/O wrapper
-    /// ([`pio::ResilientIo`]): a psync batch that fails with a *retryable*
-    /// error (`EINTR`-class transients) is resubmitted up to this many times
-    /// with exponential backoff before the attempt is abandoned. `0` disables
-    /// the wrapper entirely — every transient error surfaces immediately, the
-    /// raw-error mode fault-injection tests use to observe the device.
-    pub retry_limit: u32,
     /// Interval of the background checksum scrub in milliseconds: every this
     /// often the maintenance worker re-reads and verifies a bounded slice of
     /// each shard's checksummed pages, healing rot from clean pooled copies
@@ -90,7 +72,8 @@ pub struct EngineConfig {
     /// request waiting on a batch another client thread runs fails with a
     /// retryable timeout when its reply does not arrive within this budget,
     /// instead of blocking its client forever; a request leading its own batch
-    /// runs it at the deadline if that comes before `max_batch_delay_us`.
+    /// behind a running one stops waiting for the hand-over at the deadline
+    /// and runs its batch. The only timed wait in the service.
     /// `None` (the default) waits indefinitely; `Some(0)` is rejected.
     pub request_deadline_ms: Option<u64>,
     /// Bound of the service front end's admission, in requests: while this
@@ -102,10 +85,15 @@ pub struct EngineConfig {
     pub admission_queue_limit: Option<usize>,
 }
 
+/// Resubmissions the resilient wrapper around every engine queue allows a
+/// psync batch that failed with a *retryable* error (`EINTR`-class
+/// transients), with exponential backoff, before the attempt is abandoned.
+const RETRY_LIMIT: u32 = 3;
+
 /// Deadline of one logical I/O attempt in microseconds: once the backoff
 /// accrued across retries would exceed this budget, the resilient wrapper gives
-/// up even if [`EngineConfig::retry_limit`] is not yet exhausted. Bounds the
-/// tail latency a stuck device can inflict on one request.
+/// up even if `RETRY_LIMIT` is not yet exhausted. Bounds the tail latency a
+/// stuck device can inflict on one request.
 const IO_DEADLINE_US: u64 = 50_000;
 
 /// Policy knobs of the elastic shard rebalancer (the [`crate::rebalance`]
@@ -163,15 +151,12 @@ impl Default for EngineConfig {
             shard_capacity_bytes: 8 << 30,
             wal_capacity_bytes: 256 << 20,
             base: PioConfig::default(),
-            flush_threshold: 0.5,
             maintenance_interval_ms: None,
             checkpoint_interval_ms: None,
-            max_batch_delay_us: 200,
             max_batch_size: 64,
             rebalance: RebalanceConfig::default(),
             inner_tier_bytes: None,
             leaf_cache_bytes: None,
-            retry_limit: 3,
             scrub_interval_ms: None,
             request_deadline_ms: None,
             admission_queue_limit: None,
@@ -205,26 +190,23 @@ impl EngineConfig {
         cfg
     }
 
-    /// The retry policy each shard's I/O is wrapped with, or `None` when
-    /// `retry_limit` is 0 (the wrapper is skipped entirely). Backoff on the
+    /// The retry policy every engine queue — each shard's store and WAL, and
+    /// the epoch log — is wrapped with ([`pio::ResilientIo`]). Backoff on the
     /// simulated backends is *accounted, not slept*: it is charged into the
     /// completion's simulated latency, so retries cost simulated time without
     /// stalling the calling thread.
-    pub fn retry_policy(&self) -> Option<pio::RetryPolicy> {
-        (self.retry_limit > 0).then(|| pio::RetryPolicy {
-            retry_limit: self.retry_limit,
+    pub fn retry_policy() -> pio::RetryPolicy {
+        pio::RetryPolicy {
+            retry_limit: RETRY_LIMIT,
             deadline_us: IO_DEADLINE_US,
             ..pio::RetryPolicy::default()
-        })
+        }
     }
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.shards == 0 {
             return Err("shards must be at least 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.flush_threshold) {
-            return Err("flush_threshold must be in [0, 1]".into());
         }
         if self.maintenance_interval_ms == Some(0) {
             return Err("maintenance_interval_ms must be at least 1 (0 would busy-spin the worker)".into());
@@ -260,13 +242,6 @@ impl EngineConfig {
             return Err(
                 "admission_queue_limit must be at least 1 when set — a zero bound sheds every \
                  request at admission; use None for an unbounded queue"
-                    .into(),
-            );
-        }
-        if self.max_batch_delay_us == 0 {
-            return Err(
-                "max_batch_delay_us must be at least 1 — a zero latency budget would flush every \
-                 batch builder before it could coalesce anything"
                     .into(),
             );
         }
@@ -351,12 +326,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the maintenance flush threshold as a fraction of OPQ capacity.
-    pub fn flush_threshold(mut self, fraction: f64) -> Self {
-        self.config.flush_threshold = fraction;
-        self
-    }
-
     /// Enables the background maintenance worker with the given period.
     pub fn maintenance_interval_ms(mut self, ms: u64) -> Self {
         self.config.maintenance_interval_ms = Some(ms);
@@ -368,12 +337,6 @@ impl EngineConfigBuilder {
     /// [`EngineConfigBuilder::maintenance_interval_ms`]).
     pub fn checkpoint_interval_ms(mut self, ms: u64) -> Self {
         self.config.checkpoint_interval_ms = Some(ms);
-        self
-    }
-
-    /// Sets the service front end's admission latency budget in microseconds.
-    pub fn max_batch_delay_us(mut self, us: u64) -> Self {
-        self.config.max_batch_delay_us = us;
         self
     }
 
@@ -394,13 +357,6 @@ impl EngineConfigBuilder {
     /// a non-zero multiple of the page size; skip the call to leave it off).
     pub fn leaf_cache_bytes(mut self, bytes: u64) -> Self {
         self.config.leaf_cache_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the bounded-retry budget of the resilient I/O wrapper (0 disables
-    /// the wrapper).
-    pub fn retry_limit(mut self, retries: u32) -> Self {
-        self.config.retry_limit = retries;
         self
     }
 
@@ -581,20 +537,13 @@ mod tests {
     #[test]
     fn degenerate_service_knobs_are_rejected() {
         let config = EngineConfig {
-            max_batch_delay_us: 0,
-            ..EngineConfig::default()
-        };
-        let err = config.validate().unwrap_err();
-        assert!(err.contains("max_batch_delay_us must be at least 1"), "{err}");
-        let config = EngineConfig {
             max_batch_size: 0,
             ..EngineConfig::default()
         };
         let err = config.validate().unwrap_err();
         assert!(err.contains("max_batch_size must be at least 1"), "{err}");
-        // The request-at-a-time baseline and a one-microsecond budget are legal.
+        // The request-at-a-time baseline is legal.
         let config = EngineConfig {
-            max_batch_delay_us: 1,
             max_batch_size: 1,
             ..EngineConfig::default()
         };
@@ -653,13 +602,6 @@ mod tests {
 
     #[test]
     fn resilience_knobs_are_validated() {
-        // Turning retries off removes the wrapper altogether.
-        let config = EngineConfig {
-            retry_limit: 0,
-            ..EngineConfig::default()
-        };
-        assert!(config.validate().is_ok());
-        assert!(config.retry_policy().is_none());
         let config = EngineConfig {
             maintenance_interval_ms: Some(5),
             scrub_interval_ms: Some(0),
@@ -686,14 +628,14 @@ mod tests {
         };
         assert!(config.validate().unwrap_err().contains("admission_queue_limit"));
         let config = EngineConfig::builder()
-            .retry_limit(5)
             .maintenance_interval_ms(5)
             .scrub_interval_ms(50)
             .request_deadline_ms(250)
             .admission_queue_limit(128)
             .build();
-        let policy = config.retry_policy().expect("retries enabled");
-        assert_eq!(policy.retry_limit, 5);
+        assert_eq!(config.request_deadline_ms, Some(250));
+        let policy = EngineConfig::retry_policy();
+        assert_eq!(policy.retry_limit, RETRY_LIMIT);
         assert_eq!(policy.deadline_us, IO_DEADLINE_US);
         assert!(!policy.wall_clock_backoff, "engine backoff is accounted, not slept");
     }

@@ -17,8 +17,8 @@
 //!   shard's execution (zero threads spawned per call); the caller reaps its own
 //!   replies, collects them by shard index, and stitches them back into caller
 //!   order (see *Threading model* below);
-//! * a **background maintenance worker** drains shard OPQs at a configurable fill
-//!   threshold, moving bupdate flushes off the foreground critical path;
+//! * a **background maintenance worker** drains shard OPQs once they are half
+//!   full, moving bupdate flushes off the foreground critical path;
 //! * [`EngineStats`] aggregates per-shard [`pio_btree::PioStats`], buffer-pool hit
 //!   ratios and store counters, and separates *device work* (`total_io_us`) from
 //!   the *schedule makespan* (`scheduled_io_us`) so the cross-shard overlap win is
@@ -34,8 +34,8 @@
 //! * shard boundaries are chosen from a key sample at construction time
 //!   (quantiles, topped up with uniform cuts), so a skewed key population still
 //!   loads balanced shards;
-//! * [`TreeTarget`] and the [`workload::IndexTarget`] implementation let the
-//!   synthetic and TPC-C generators drive the engine (or a single tree) directly.
+//! * the [`workload::IndexTarget`] implementation lets the synthetic and TPC-C
+//!   generators drive the engine directly.
 //!
 //! ## Threading model
 //!
@@ -169,11 +169,17 @@
 //!    its truncation marker instead of byte 0, so the records it scans
 //!    ([`EngineStats::recovery_replayed_records`]) track the work done since
 //!    the last checkpoint, not the store's age. On [`RealFiles`], truncation
-//!    also compacts the log region and shrinks the files on disk.
+//!    also compacts the log region and shrinks the files on disk, so a
+//!    write/checkpoint loop holds [`EngineStats::replayable_log_bytes`] at a
+//!    per-round constant.
 //!
-//! `tests/log_lifecycle.rs` pins all three properties; the crash sweeps in
-//! `tests/engine_recovery.rs` land crash points before, during and after the
-//! truncation-marker writes and verify no acked write is ever lost.
+//! What reaches a log between checkpoints is proportional to what changed: an
+//! entry bupdate appends to a leaf costs its 34-byte redo record plus a
+//! 28-byte undo record per touched segment, not a page pre-image.
+//! `tests/log_lifecycle.rs` pins all of this (≤ 256 B of log per entry); the
+//! crash sweeps in `tests/engine_recovery.rs` land crash points before, during
+//! and after the truncation-marker writes and verify no acked write is ever
+//! lost.
 //!
 //! ## Elastic shard management
 //!
@@ -195,10 +201,10 @@
 //! ## Transient-fault tolerance
 //!
 //! Every shard queue — store, WAL, and the engine epoch log — is wrapped in
-//! [`pio::ResilientIo`]: transient failures are retried with deterministic
-//! exponential backoff, bounded by [`EngineConfig::retry_limit`] and a fixed
-//! 50 ms per-ticket budget (backoff is *accounted* into simulated latency,
-//! never slept). Page checksums are verified on every
+//! [`pio::ResilientIo`] under one fixed [`EngineConfig::retry_policy`]:
+//! transient failures are retried with deterministic exponential backoff, at
+//! most 3 times and within a 50 ms per-ticket budget (backoff is *accounted*
+//! into simulated latency, never slept). Page checksums are verified on every
 //! device fetch, and the maintenance worker re-verifies a bounded slice of
 //! each shard's pages per [`EngineConfig::scrub_interval_ms`] tick, healing
 //! persistent rot from pooled copies that still verify. Three consecutive
@@ -216,6 +222,11 @@
 //! [`EngineStats::io_retries`], [`EngineStats::io_give_ups`],
 //! [`EngineStats::integrity`], [`EngineStats::degraded_shards`],
 //! [`EngineStats::breaker_opens`] / [`EngineStats::breaker_closes`].
+//! `tests/resilience.rs` soaks the whole stack under seeded fault injection
+//! ([`pio::TransientFaults`]: error rates, latency spikes, read bit flips)
+//! across mixed traffic, a forced split and a checkpoint, and asserts ≥ 99 %
+//! success, no acked write lost, no wrong value, the breaker's open → probe →
+//! close cycle and scrub healing injected rot.
 //!
 //! ## Quick example
 //!
@@ -263,7 +274,6 @@ pub use epoch::{EngineRecoveryReport, EpochAnalysis, EpochLog, EpochRecord, Epoc
 pub use rebalance::{MoveKind, RebalanceOutcome, RebalancePlan, ShardLoad};
 pub use sharded::{boundaries_from_sample, ShardedPioEngine};
 pub use stats::{EngineStats, ShardSnapshot};
-pub use target::TreeTarget;
 pub use topology::{
     DevicePerShard, EngineBackends, EngineManifest, ProvisionMode, RealFiles, ShardMeta, ShardProvisioner, SharedDevice,
 };

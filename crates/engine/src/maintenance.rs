@@ -3,7 +3,7 @@
 //! The paper's OPQ flush (bupdate) runs on the caller's critical path: the insert
 //! that fills the queue pays for the whole batch update. The engine moves that work
 //! off the foreground path: a detached worker thread periodically sweeps the shards
-//! and drains any OPQ at or above the configured fill threshold, so foreground
+//! and drains any OPQ at or above `FLUSH_THRESHOLD` of its capacity, so foreground
 //! operations only ever flush when a queue fills completely between two sweeps.
 //!
 //! The worker parks between sweeps and is stopped-and-joined when the engine is
@@ -28,6 +28,11 @@ use storage::Lsn;
 /// page shard in minutes at default cadences, small enough that one tick's
 /// read burst never crowds out foreground traffic.
 const SCRUB_PAGES_PER_TICK: usize = 128;
+
+/// Fraction of a shard's OPQ capacity at which the maintenance pass flushes it
+/// — early enough that a foreground insert rarely finds the queue full, late
+/// enough that each flush still carries half a queue of work.
+const FLUSH_THRESHOLD: f64 = 0.5;
 
 /// Handle to the background maintenance thread; stopping is handled by `Drop`.
 pub(crate) struct MaintenanceWorker {
@@ -171,7 +176,6 @@ impl EngineInner {
         for shard in &self.shards {
             let _ = self.on_shard(shard, |tree| tree.refresh_inner_tier());
         }
-        let threshold = self.config.flush_threshold;
         let work = self
             .shards
             .iter()
@@ -181,7 +185,7 @@ impl EngineInner {
             .filter(|(_, s)| !s.health.is_open())
             .filter_map(|(i, s)| {
                 let tree = s.tree.lock();
-                let floor = ((tree.opq_capacity() as f64) * threshold).ceil() as usize;
+                let floor = ((tree.opq_capacity() as f64) * FLUSH_THRESHOLD).ceil() as usize;
                 let floor = floor.max(1);
                 (tree.opq_len() >= floor).then_some((i, floor))
             })

@@ -6,6 +6,7 @@
 //! one-index-per-file layout, which Figure 4(b) shows behaves like independent
 //! psync streams.
 
+use crate::config::EngineConfig;
 use crate::stats::ShardSnapshot;
 use btree::Key;
 use parking_lot::Mutex;
@@ -219,15 +220,13 @@ impl Shard {
     }
 }
 
-/// Wraps a provisioned backend in [`pio::ResilientIo`] when a retry policy is
-/// configured, so transient device errors are retried with backoff below the
-/// store, the shard WAL and the epoch log alike (backoff is charged into
-/// simulated latency, never slept — the engine's backends simulate time).
-pub(crate) fn resilient(io: Arc<dyn IoQueue>, retry: Option<pio::RetryPolicy>) -> Arc<dyn IoQueue> {
-    match retry {
-        Some(policy) => Arc::new(pio::ResilientIo::new(io, policy)),
-        None => io,
-    }
+/// Wraps a provisioned backend in [`pio::ResilientIo`] under
+/// [`EngineConfig::retry_policy`], so transient device errors are retried with
+/// backoff below the store, the shard WAL and the epoch log alike (backoff is
+/// charged into simulated latency, never slept — the engine's backends
+/// simulate time).
+pub(crate) fn resilient(io: Arc<dyn IoQueue>) -> Arc<dyn IoQueue> {
+    Arc::new(pio::ResilientIo::new(io, EngineConfig::retry_policy()))
 }
 
 /// Builds one shard over its provisioned backends (its own "index file" — a
@@ -240,19 +239,18 @@ pub(crate) fn resilient(io: Arc<dyn IoQueue>, retry: Option<pio::RetryPolicy>) -
 /// would fail an otherwise healthy flush epoch.
 pub(crate) fn build_shard(
     cfg: &PioConfig,
-    retry: Option<pio::RetryPolicy>,
     store_io: Arc<dyn IoQueue>,
     wal_io: Option<&Arc<dyn IoQueue>>,
     load: impl FnOnce(Arc<CachedStore>) -> IoResult<PioBTree>,
 ) -> IoResult<Arc<Shard>> {
     let mut tree = load(Arc::new(CachedStore::new(
-        PageStore::new(resilient(store_io, retry), cfg.page_size),
+        PageStore::new(resilient(store_io), cfg.page_size),
         cfg.pool_pages,
         WritePolicy::WriteThrough,
     )))?;
     if cfg.wal_enabled {
         let wal_io = wal_io.expect("validated: one WAL backend per shard when the WAL is enabled");
-        tree.attach_wal(Wal::new(resilient(Arc::clone(wal_io), retry), 0, cfg.page_size));
+        tree.attach_wal(Wal::new(resilient(Arc::clone(wal_io)), 0, cfg.page_size));
     }
     Ok(Arc::new(Shard::new(tree)))
 }

@@ -90,8 +90,8 @@ pub(crate) struct EngineInner {
 /// A key-range-sharded PIO B-tree engine with a cross-shard parallel scheduler.
 ///
 /// All operations take `&self`; per-shard trees are behind their own mutexes, so
-/// client threads operating on different shards proceed concurrently (unlike
-/// [`pio_btree::ConcurrentPioBTree`], whose single lock serialises every update).
+/// client threads operating on different shards proceed concurrently (one tree
+/// behind one lock would serialise every call).
 /// Batched calls that span shards are dispatched straight to a persistent pool
 /// of one worker thread per shard — no threads are spawned per call; a batched
 /// call one shard owns runs on its caller's thread.
@@ -549,7 +549,7 @@ mod tests {
     #[test]
     fn truncation_floor_uses_the_minimum_pin_not_the_smallest_epoch_id() {
         let io = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::F120, 16 << 20));
-        let coord = EpochCoordinator::new(io, None, 2048);
+        let coord = EpochCoordinator::new(io, 2048);
         assert_eq!(coord.truncation_floor(1000), 1000, "no pins: the cut passes through");
         // Inverted order: epoch 5 began at LSN 900, epoch 6 at LSN 400.
         coord.in_flight.lock().extend([(5u64, 900u64), (6u64, 400u64)]);
@@ -715,18 +715,18 @@ mod tests {
     #[test]
     fn invalid_config_is_an_error_not_a_panic() {
         let mut config = small_config(2);
-        config.flush_threshold = 2.0;
+        config.max_batch_size = 0;
         let err = ShardedPioEngine::create(config, &[]).unwrap_err();
-        assert!(err.to_string().contains("flush_threshold"), "{err}");
+        assert!(err.to_string().contains("max_batch_size"), "{err}");
     }
 
     #[test]
     fn maintenance_drains_full_opqs() {
-        let mut config = small_config(2);
-        config.flush_threshold = 0.25;
-        let engine = ShardedPioEngine::create(config, &(0..1_000u64).collect::<Vec<_>>()).unwrap();
-        for k in 0..60u64 {
-            engine.insert(k * 16 % 1_000, k).unwrap();
+        let engine = ShardedPioEngine::create(small_config(2), &(0..1_000u64).collect::<Vec<_>>()).unwrap();
+        // Past half of shard 0's OPQ, short of filling it (no foreground flush).
+        let capacity = engine.stats().shards[0].opq_capacity as u64;
+        for k in 0..capacity * 3 / 4 {
+            engine.insert(k * 7 % 500, k).unwrap();
         }
         let queued_before = engine.stats().queued_ops;
         assert!(queued_before > 0);
@@ -742,16 +742,16 @@ mod tests {
     #[test]
     fn background_worker_flushes_without_explicit_calls() {
         let mut config = small_config(2);
-        config.flush_threshold = 0.1;
         config.maintenance_interval_ms = Some(1);
         let engine = ShardedPioEngine::create(config, &(0..1_000u64).collect::<Vec<_>>()).unwrap();
         assert!(engine.has_background_maintenance());
         // Fewer entries than one OPQ holds, so no foreground insert can fill a
         // queue and flush it: whatever drains the queues is the worker.
+        // Every insert lands in shard 0, past half of its queue.
         let capacity = engine.stats().shards[0].opq_capacity;
-        let floor = (capacity as f64 * 0.1).ceil() as usize;
+        let floor = capacity.div_ceil(2);
         for k in 0..capacity as u64 - 1 {
-            engine.insert(k * 10 % 1_000, k).unwrap();
+            engine.insert(k * 7 % 500, k).unwrap();
         }
         // Wait (bounded) for the worker to bring every queue below its floor
         // and to have counted the pass that did it.

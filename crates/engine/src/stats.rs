@@ -79,7 +79,7 @@ pub struct ShardSnapshot {
     /// recoveries on the read path, plus background-scrub progress.
     pub integrity: IntegrityStats,
     /// Batches the shard's resilient I/O wrapper resubmitted after a
-    /// transient failure (0 when [`crate::EngineConfig::retry_limit`] is 0).
+    /// transient failure (see [`crate::EngineConfig::retry_policy`]).
     pub io_retries: u64,
     /// Attempts the wrapper abandoned after the retry budget or deadline ran
     /// out — each one surfaced to the caller as a retryable timeout.

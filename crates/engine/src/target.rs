@@ -1,9 +1,8 @@
-//! [`workload::IndexTarget`] implementations, so the workload generators can drive
-//! the engine (and a single PIO B-tree, for comparisons) directly.
+//! The [`workload::IndexTarget`] implementation, so the workload generators can
+//! drive the engine directly.
 
 use crate::sharded::ShardedPioEngine;
 use pio::IoError;
-use pio_btree::PioBTree;
 use workload::IndexTarget;
 
 impl IndexTarget for ShardedPioEngine {
@@ -31,39 +30,6 @@ impl IndexTarget for ShardedPioEngine {
 
     fn multi_search(&mut self, keys: &[u64]) -> Result<Vec<Option<u64>>, IoError> {
         ShardedPioEngine::multi_search(self, keys)
-    }
-}
-
-/// Newtype making a plain [`PioBTree`] drivable by the workload replayer (the
-/// orphan rule prevents implementing `workload::IndexTarget` for `PioBTree` in
-/// either of its home crates without introducing a dependency cycle).
-pub struct TreeTarget(pub PioBTree);
-
-impl IndexTarget for TreeTarget {
-    type Error = IoError;
-
-    fn insert(&mut self, key: u64, value: u64) -> Result<(), IoError> {
-        self.0.insert(key, value)
-    }
-
-    fn delete(&mut self, key: u64) -> Result<(), IoError> {
-        self.0.delete(key)
-    }
-
-    fn update(&mut self, key: u64, value: u64) -> Result<(), IoError> {
-        self.0.update(key, value)
-    }
-
-    fn search(&mut self, key: u64) -> Result<Option<u64>, IoError> {
-        self.0.search(key)
-    }
-
-    fn range_search(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, IoError> {
-        self.0.range_search(lo, hi)
-    }
-
-    fn multi_search(&mut self, keys: &[u64]) -> Result<Vec<Option<u64>>, IoError> {
-        self.0.multi_search(keys)
     }
 }
 

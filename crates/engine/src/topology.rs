@@ -362,22 +362,17 @@ impl ShardProvisioner for SharedDevice {
 #[derive(Debug, Clone)]
 pub struct RealFiles {
     dir: PathBuf,
-    workers_per_file: usize,
 }
+
+/// Positional-I/O worker threads per [`RealFiles`] file.
+const WORKERS_PER_FILE: usize = 2;
 
 impl RealFiles {
     /// Targets `dir` (created on first provision) with 2 I/O workers per file.
     pub fn new<P: AsRef<Path>>(dir: P) -> Self {
         Self {
             dir: dir.as_ref().to_path_buf(),
-            workers_per_file: 2,
         }
-    }
-
-    /// Overrides the number of positional-I/O worker threads per file.
-    pub fn workers_per_file(mut self, workers: usize) -> Self {
-        self.workers_per_file = workers.max(1);
-        self
     }
 
     /// The target directory.
@@ -394,10 +389,7 @@ impl RealFiles {
     }
 
     fn open(&self, file: String) -> IoResult<Arc<dyn IoQueue>> {
-        Ok(Arc::new(FileThreadPoolIo::open(
-            self.dir.join(file),
-            self.workers_per_file,
-        )?))
+        Ok(Arc::new(FileThreadPoolIo::open(self.dir.join(file), WORKERS_PER_FILE)?))
     }
 }
 

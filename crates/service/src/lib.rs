@@ -13,8 +13,8 @@
 //!   requests arriving while a batch of their shard executes accumulate in
 //!   the shard's builder, which the finishing thread hands to its leader — so
 //!   batches form from concurrency, never from a timer. A builder flushes
-//!   early when it reaches `max_batch_size`, and `max_batch_delay_us` only
-//!   caps the wait behind a running batch. The service has no threads: the
+//!   early when it reaches `max_batch_size`; only a `request_deadline_ms`
+//!   cuts the wait behind a running batch. The service has no threads: the
 //!   client that opened a builder (or filled it) runs its engine call and
 //!   answers the clients that joined it. Coalesced gets become one engine
 //!   [`multi_search`](engine::ShardedPioEngine::multi_search) (the MPSearch
@@ -27,11 +27,11 @@
 //!   latency per request, aggregated in HDR-style log-linear histograms
 //!   (p50/p95/p99/max at ~3% relative error), plus batching counters — batches
 //!   formed, average occupancy, and why each batch flushed (size-triggered,
-//!   idle slot, hand-over, budget-expired or shutdown drain).
+//!   idle slot, hand-over, request deadline or shutdown drain).
 //!
 //! The knobs live in the engine's [`EngineConfig`](engine::EngineConfig)
-//! (`max_batch_delay_us`, `max_batch_size`, `request_deadline_ms`,
-//! `admission_queue_limit`) so a deployment is described in one place.
+//! (`max_batch_size`, `request_deadline_ms`, `admission_queue_limit`) so a
+//! deployment is described in one place.
 //!
 //! ```
 //! use engine::{EngineConfig, ShardedPioEngine};

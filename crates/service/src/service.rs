@@ -19,8 +19,9 @@
 //!        │                        handle.get(k2)
 //!        │                          opens the next builder,
 //!        │                          leads it, waits on its own   handle.get(k3)
-//!        │                          reply ≤ delay budget           joins B's builder,
-//!        │ finishes: tells B "go"        │                         waits on its own reply
+//!        │                          reply until the batch          joins B's builder,
+//!        │                          ahead says go                  waits on its own reply
+//!        │ finishes: tells B "go"        │
 //!        │ answers itself                │ takes the builder (hand-over) ───────▶ multi_search([k2, k3])
 //!        ▼                               │ answers C, answers itself     │
 //!   Response                             ▼                               ▼
@@ -51,13 +52,16 @@
 //!   `max_batch_size` (**size**); the request that opened it, at once, when no
 //!   batch of the slot is executing (**idle** — after one `yield_now`, so
 //!   clients ready to submit join first); its leader when the thread that
-//!   finishes the batch ahead says go (**hand-over**), or when it has waited
-//!   `max_batch_delay_us` behind that batch (**budget** — the knob is only
-//!   this cap now); or [`EngineService::shutdown`] (**drain**). A leader names
-//!   the builder it opened by a generation number, so it never takes a
-//!   successor in the same slot, and a go-ahead that arrives after the builder
-//!   was taken is ignored. No `sleep` or timed wait is reachable from a
-//!   request that finds its slot idle.
+//!   finishes the batch ahead says go (**hand-over**), or when its
+//!   `request_deadline_ms` runs out first (**deadline** — a leader cannot
+//!   abandon its followers, so it runs the batch instead of timing out); or
+//!   [`EngineService::shutdown`] (**drain**). A leader names the builder it
+//!   opened by a generation number, so it never takes a successor in the same
+//!   slot, and a go-ahead that arrives after the builder was taken is ignored.
+//!   The go-ahead always comes: the thread that runs a batch finishes it
+//!   whatever the engine call did (error or panic), and a builder taken by
+//!   size or drain answers its leader. The request deadline is the only timed
+//!   wait; without one, nothing in the service sleeps or sets a timer.
 //! * Scans bypass the builders: they are not coalescible point work.
 //!
 //! Locking: the admission lock guards the builders and the per-slot count of
@@ -73,9 +77,8 @@
 //! move a boundary between binning and execution. That is safe by
 //! construction — the engine re-partitions every batch internally under its
 //! own routing lock, so a "mis-binned" batch is simply split across the right
-//! shards when it executes; no request errors, none is stalled beyond its
-//! batch budget, and the batch's group commit — then a flush epoch — still
-//! covers all of it.
+//! shards when it executes; no request errors or stalls, and the batch's group
+//! commit — then a flush epoch — still covers all of it.
 //! The binning merely decides *which builder coalesces with which*, so at
 //! most one batch per shard rides with stale affinity; from the next flush
 //! epoch on, the builders bin against the committed boundaries
@@ -118,9 +121,9 @@ enum Trigger {
     Idle,
     /// The batch running ahead of the builder finished and handed its leader the slot.
     HandOver,
-    /// The request that opened the builder waited `max_batch_delay_us` behind
-    /// a running batch.
-    Budget,
+    /// The request that opened the builder reached its request deadline
+    /// waiting behind a running batch.
+    Deadline,
     /// Shutdown drained the builder.
     Drain,
 }
@@ -170,7 +173,7 @@ enum Role {
     Run(usize, Builder),
     /// It opened the builder and will run it, unless another thread takes it
     /// first: at once if the slot is idle, else when the batch running ahead
-    /// (`busy`) finishes or the budget is over.
+    /// (`busy`) finishes or the request deadline is up.
     Lead { slot: usize, generation: u64, busy: bool },
     /// It joined an open builder: whoever takes that answers it.
     Follow,
@@ -197,7 +200,6 @@ struct Counters {
 struct ServiceShared {
     engine: Arc<ShardedPioEngine>,
     max_batch_size: usize,
-    max_batch_delay: Duration,
     /// Per-request deadline ([`engine::EngineConfig::request_deadline_ms`]);
     /// `None` waits indefinitely.
     request_deadline: Option<Duration>,
@@ -245,10 +247,7 @@ impl ServiceShared {
         let (key, value) = match request {
             Request::Get { key } => (key, None),
             Request::Put { key, value } => (key, Some(value)),
-            Request::Scan { lo, hi } => {
-                self.counters.scans.fetch_add(1, Ordering::Relaxed);
-                return self.scan(lo, hi, enqueued);
-            }
+            Request::Scan { lo, hi } => return self.scan(lo, hi, enqueued),
         };
         let (ack, reply) = mpsc::channel();
         let (slot, batch, trigger) = match self.admit(key, value, Waiter { enqueued, ack })? {
@@ -284,19 +283,24 @@ impl ServiceShared {
 
     /// A leader's wait behind the batch running in its slot — the builder that
     /// fills meanwhile is the group commit. Over when that batch's thread says
-    /// go, or after `max_batch_delay_us` (a leader cannot abandon its
-    /// followers, so a shorter deadline cuts the wait instead of timing out).
-    /// `Err` carries the leader's answer: another thread took the builder and
-    /// ran it.
+    /// go, or at the request deadline (a leader cannot abandon its followers,
+    /// so the deadline cuts the wait instead of timing out). `Err` carries the
+    /// leader's answer: another thread took the builder and ran it.
     fn wait_behind(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Result<Trigger, Reply> {
-        let cap = self
-            .request_deadline
-            .map_or(self.max_batch_delay, |d| d.min(self.max_batch_delay));
-        match reply.recv_timeout((enqueued + cap).saturating_duration_since(Instant::now())) {
+        match self.receive(reply, enqueued) {
             Ok(Signal::GoAhead) => Ok(Trigger::HandOver),
-            Err(RecvTimeoutError::Timeout) => Ok(Trigger::Budget),
+            Err(RecvTimeoutError::Timeout) => Ok(Trigger::Deadline),
             Ok(Signal::Answer(answer)) => Err(answer),
             Err(RecvTimeoutError::Disconnected) => Err(Err(ServiceError::Lost)),
+        }
+    }
+
+    /// The next signal down a request's reply channel, waiting no later than
+    /// the request's deadline — and, without one, untimed.
+    fn receive(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Result<Signal, RecvTimeoutError> {
+        match self.request_deadline {
+            None => reply.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(deadline) => reply.recv_timeout((enqueued + deadline).saturating_duration_since(Instant::now())),
         }
     }
 
@@ -304,11 +308,7 @@ impl ServiceShared {
     /// deadline bounds the wait.
     fn await_reply(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Reply {
         loop {
-            let signal = match self.request_deadline {
-                None => reply.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(deadline) => reply.recv_timeout((enqueued + deadline).saturating_duration_since(Instant::now())),
-            };
-            match signal {
+            match self.receive(reply, enqueued) {
                 Ok(Signal::Answer(answer)) => return answer,
                 // Stale: the builder it was sent for has been taken.
                 Ok(Signal::GoAhead) => {}
@@ -397,7 +397,7 @@ impl ServiceShared {
             Trigger::Size => &self.counters.size_triggered_flushes,
             Trigger::Idle => &self.counters.idle_flushes,
             Trigger::HandOver => &self.counters.handover_flushes,
-            Trigger::Budget => &self.counters.budget_expired_flushes,
+            Trigger::Deadline => &self.counters.budget_expired_flushes,
             Trigger::Drain => &self.counters.drain_flushes,
         };
         flushes.fetch_add(1, Ordering::Relaxed);
@@ -436,8 +436,13 @@ impl ServiceShared {
 
     /// Runs a scan on its caller, unless the service is closed.
     fn scan(&self, lo: Key, hi: Key, enqueued: Instant) -> Reply {
-        if self.admission.lock().expect("admission poisoned").closed {
-            return Err(ServiceError::Closed);
+        {
+            let admission = self.admission.lock().expect("admission poisoned");
+            if admission.closed {
+                return Err(ServiceError::Closed);
+            }
+            // Counted under the lock, after the check, like gets and puts.
+            self.counters.scans.fetch_add(1, Ordering::Relaxed);
         }
         let (begun, service_us, outcome) = self.engine_call(|engine| engine.range_search(lo, hi));
         outcome.map(|entries| Response {
@@ -510,14 +515,12 @@ pub struct EngineService {
 
 impl EngineService {
     /// Starts the front end over `engine`, reading its knobs
-    /// (`max_batch_delay_us`, `max_batch_size`, `request_deadline_ms`,
-    /// `admission_queue_limit`) from the engine's
-    /// [`EngineConfig`](engine::EngineConfig).
+    /// (`max_batch_size`, `request_deadline_ms`, `admission_queue_limit`) from
+    /// the engine's [`EngineConfig`](engine::EngineConfig).
     pub fn start(engine: Arc<ShardedPioEngine>) -> Self {
         let config = engine.config();
         let shared = Arc::new(ServiceShared {
             max_batch_size: config.max_batch_size,
-            max_batch_delay: Duration::from_micros(config.max_batch_delay_us),
             request_deadline: config.request_deadline_ms.map(Duration::from_millis),
             queue_limit: config.admission_queue_limit,
             unanswered: AtomicUsize::new(0),
@@ -677,8 +680,10 @@ pub struct ServiceStats {
     /// executed, and were started by the thread that finished it: the group
     /// commit.
     pub handover_flushes: u64,
-    /// Batches flushed because the request that opened them had waited
-    /// `max_batch_delay_us` behind a running batch.
+    /// Batches run by the request that opened them because its request
+    /// deadline ([`engine::EngineConfig::request_deadline_ms`]) ran out while
+    /// it waited behind a running batch — the service's only timed wait, so
+    /// always 0 without a deadline.
     pub budget_expired_flushes: u64,
     /// Batches flushed by shutdown's drain.
     pub drain_flushes: u64,
@@ -716,8 +721,7 @@ impl ServiceStats {
 }
 
 /// The admission state machine, driven step by step on one thread: no test
-/// here sleeps or depends on a timer — the budget is a minute, so a timer on
-/// any path they take would hang them.
+/// here sleeps or sets a request deadline, so no path they take has a timer.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,7 +771,6 @@ mod tests {
             .profile(DeviceProfile::P300)
             .shard_capacity_bytes(1 << 26)
             .max_batch_size(max_batch_size)
-            .max_batch_delay_us(60_000_000)
             .base(PioConfig::builder().page_size(2048).wal(true).build())
             .build();
         let sim = |bytes| SimPsyncIo::with_profile(DeviceProfile::P300, bytes);
@@ -823,7 +826,7 @@ mod tests {
         shared.run_batch(PUTS, batch, Trigger::Idle);
         assert_eq!(running(shared), [0, 0]);
         assert!(answered(&reply));
-        // And through the front door, under a one-minute budget.
+        // And through the front door.
         let handle = service.handle();
         handle.put(2, 20).unwrap();
         assert_eq!(handle.get(2).unwrap().value(), Some(20));
@@ -884,14 +887,14 @@ mod tests {
         assert!(shared.await_reply(&leader_reply, Instant::now()).is_ok());
         assert!(answered(&filler_reply));
 
-        // The other order: the leader gives up waiting (as on budget expiry)
+        // The other order: the leader gives up waiting (as at its deadline)
         // just as the go-ahead is sent; its answer comes after the stale signal.
         let (third, _third_reply) = lead(shared, 4, false);
         let ahead = shared.take(PUTS, third).unwrap();
         let (fourth, late_reply) = lead(shared, 5, true);
         shared.run_batch(PUTS, ahead, Trigger::Idle);
         let batch = shared.take(PUTS, fourth).unwrap();
-        shared.run_batch(PUTS, batch, Trigger::Budget);
+        shared.run_batch(PUTS, batch, Trigger::Deadline);
         assert!(shared.await_reply(&late_reply, Instant::now()).is_ok());
         assert_eq!(running(shared), [0, 0]);
     }

@@ -1,17 +1,14 @@
 //! A generic driver that replays generated workloads against any index.
 //!
-//! The generators in this crate ([`crate::OperationGenerator`],
-//! [`crate::TpccTraceGenerator`]) produce operation streams; this module defines the
-//! [`IndexTarget`] abstraction those streams can be replayed against, so the same
-//! workload drives the baseline B+-tree, the PIO B-tree, or the sharded engine
-//! without the generator knowing which index it is talking to.
+//! [`crate::OperationGenerator`] produces operation streams; this module defines
+//! the [`IndexTarget`] abstraction those streams can be replayed against, so the
+//! generator never needs to know which index it is talking to.
 //!
 //! Point searches are batched into rounds of `batch` operations and submitted via
 //! [`IndexTarget::multi_search`], which is how the paper's emulated client threads
 //! present themselves to the index (`T` overlapping searches arrive as one MPSearch).
 
 use crate::ops::Operation;
-use crate::tpcc::TraceOp;
 
 /// An index that a generated workload can be replayed against.
 ///
@@ -39,7 +36,7 @@ pub trait IndexTarget {
     }
 }
 
-/// Counters accumulated by [`replay`] / [`replay_trace`].
+/// Counters accumulated by [`replay`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Inserts submitted.
@@ -120,66 +117,6 @@ pub fn replay<T: IndexTarget>(target: &mut T, ops: &[Operation], batch: usize) -
     Ok(stats)
 }
 
-/// Replays a TPC-C index trace against one target per relation
-/// (`targets[relation]`). Searches are batched per relation, preserving the order
-/// of update-type operations within each relation.
-pub fn replay_trace<T: IndexTarget>(
-    targets: &mut [T],
-    trace: &[TraceOp],
-    batch: usize,
-) -> Result<ReplayStats, T::Error> {
-    fn flush<T: IndexTarget>(
-        targets: &mut [T],
-        pending: &mut [Vec<u64>],
-        relation: usize,
-        stats: &mut ReplayStats,
-    ) -> Result<(), T::Error> {
-        let queue = &mut pending[relation];
-        if queue.is_empty() {
-            return Ok(());
-        }
-        let results = targets[relation].multi_search(queue)?;
-        stats.search_batches += 1;
-        stats.searches += queue.len() as u64;
-        stats.search_hits += results.iter().filter(|r| r.is_some()).count() as u64;
-        queue.clear();
-        Ok(())
-    }
-
-    let batch = batch.max(1);
-    let mut stats = ReplayStats::default();
-    let mut pending: Vec<Vec<u64>> = vec![Vec::new(); targets.len()];
-    for op in trace {
-        match *op {
-            TraceOp::Search { relation, key } => {
-                pending[relation].push(key);
-                if pending[relation].len() >= batch {
-                    flush(targets, &mut pending, relation, &mut stats)?;
-                }
-            }
-            TraceOp::Insert { relation, key, value } => {
-                flush(targets, &mut pending, relation, &mut stats)?;
-                targets[relation].insert(key, value)?;
-                stats.inserts += 1;
-            }
-            TraceOp::Delete { relation, key } => {
-                flush(targets, &mut pending, relation, &mut stats)?;
-                targets[relation].delete(key)?;
-                stats.deletes += 1;
-            }
-            TraceOp::RangeSearch { relation, lo, hi } => {
-                flush(targets, &mut pending, relation, &mut stats)?;
-                stats.range_entries += targets[relation].range_search(lo, hi)?.len() as u64;
-                stats.range_searches += 1;
-            }
-        }
-    }
-    for relation in 0..pending.len() {
-        flush(targets, &mut pending, relation, &mut stats)?;
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,37 +186,6 @@ mod tests {
         // 4 searches at batch 2, but the delete forces an early flush after 2+1.
         assert_eq!(stats.search_batches, 3);
         assert_eq!(t.multi_calls, 3);
-    }
-
-    #[test]
-    fn replay_trace_routes_by_relation() {
-        let trace = vec![
-            TraceOp::Insert {
-                relation: 0,
-                key: 5,
-                value: 50,
-            },
-            TraceOp::Insert {
-                relation: 1,
-                key: 5,
-                value: 99,
-            },
-            TraceOp::Search { relation: 0, key: 5 },
-            TraceOp::Search { relation: 1, key: 5 },
-            TraceOp::RangeSearch {
-                relation: 1,
-                lo: 0,
-                hi: 100,
-            },
-        ];
-        let mut targets = vec![MapTarget::default(), MapTarget::default()];
-        let stats = replay_trace(&mut targets, &trace, 8).unwrap();
-        assert_eq!(stats.inserts, 2);
-        assert_eq!(stats.searches, 2);
-        assert_eq!(stats.search_hits, 2);
-        assert_eq!(targets[0].map.get(&5), Some(&50));
-        assert_eq!(targets[1].map.get(&5), Some(&99));
-        assert_eq!(stats.range_entries, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod ops;
 pub mod tpcc;
 
 pub use closed_loop::{run_closed_loop, ClientMix, ClosedLoopReport, ClosedLoopSpec, ErrorClass, ServiceTarget};
-pub use driver::{replay, replay_trace, IndexTarget, ReplayStats};
+pub use driver::{replay, IndexTarget, ReplayStats};
 pub use keyspace::{KeyDistribution, KeyGenerator};
 pub use ops::{MixSpec, Operation, OperationGenerator};
 pub use tpcc::{TpccConfig, TpccTraceGenerator, TraceOp};

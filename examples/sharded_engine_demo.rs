@@ -28,7 +28,6 @@ fn main() {
                 .pool_pages(2048)
                 .build(),
         )
-        .flush_threshold(0.5)
         .maintenance_interval_ms(5)
         .build();
 

@@ -84,25 +84,22 @@ fn main() {
             leaf_cache_bytes / 1024,
             per_shard.leaf_cache_pages,
         );
-        // The resolved resilience policy: what every shard queue (store, WAL,
-        // epoch log) will actually do on a transient device error with this
-        // configuration.
-        match mem_cfg.retry_policy() {
-            Some(policy) => println!(
-                "  retry policy: up to {} retries, backoff {} µs doubling, {} µs deadline/ticket \
-                 (accounted into simulated latency); request deadline {}, admission queue {}",
-                policy.retry_limit,
-                policy.backoff_base_us,
-                policy.deadline_us,
-                mem_cfg
-                    .request_deadline_ms
-                    .map_or("unbounded".into(), |ms| format!("{ms} ms")),
-                mem_cfg
-                    .admission_queue_limit
-                    .map_or("unbounded".into(), |n| format!("≤ {n} requests")),
-            ),
-            None => println!("  retry policy: disabled (retry_limit = 0) — transient errors surface to callers"),
-        }
+        // The resilience policy: what every shard queue (store, WAL, epoch
+        // log) does on a transient device error, and the service's limits.
+        let policy = EngineConfig::retry_policy();
+        println!(
+            "  retry policy: up to {} retries, backoff {} µs doubling, {} µs deadline/ticket \
+             (accounted into simulated latency); request deadline {}, admission queue {}",
+            policy.retry_limit,
+            policy.backoff_base_us,
+            policy.deadline_us,
+            mem_cfg
+                .request_deadline_ms
+                .map_or("unbounded".into(), |ms| format!("{ms} ms")),
+            mem_cfg
+                .admission_queue_limit
+                .map_or("unbounded".into(), |n| format!("≤ {n} requests")),
+        );
         for (label, mix) in [
             ("search-heavy (10% inserts)", WorkloadMix::with_insert_ratio(0.1)),
             ("balanced     (50% inserts)", WorkloadMix::with_insert_ratio(0.5)),

@@ -6,6 +6,11 @@
 # line opens a `mod` to the end of the file — or a whole file named `tests.rs`
 # (the out-of-line form of the same module).
 #
+# Then prints `knobs N`: the settable fields of `EngineConfig`,
+# `RebalanceConfig` and `PioConfig` — every `pub` field of the three structs,
+# except the two composite ones that hold another of them (`base: PioConfig`,
+# `rebalance: RebalanceConfig`). An `Option` field counts once.
+#
 # Exits non-zero only if a file under crates/core/src or crates/engine/src has
 # more than 1,000 lines in total (tests and comments included).
 #
@@ -45,4 +50,11 @@ for dir in crates/*/src crates/vendor/*/src src; do
     done
     printf '%-28s %8d %8d %6d\n' "$dir" "$code" "$total" "$files"
 done
+
+awk '
+    /^pub struct (EngineConfig|RebalanceConfig|PioConfig) \{/ { inside = 1; next }
+    inside && /^\}/ { inside = 0 }
+    inside && /^[[:space:]]+pub [a-z_0-9]+: / && !/: (PioConfig|RebalanceConfig),/ { knobs++ }
+    END { printf "knobs %d\n", knobs }
+' crates/engine/src/config.rs crates/core/src/config.rs
 exit $status

@@ -26,7 +26,6 @@ fn config() -> EngineConfig {
         .shards(2)
         .profile(DeviceProfile::F120)
         .shard_capacity_bytes(1 << 28)
-        .flush_threshold(0.1)
         .base(
             PioConfig::builder()
                 .page_size(PAGE)
@@ -156,7 +155,8 @@ fn a_call_one_shard_owns_runs_on_its_caller_and_everything_else_on_the_workers()
         engine.checkpoint().unwrap();
         let flush = store_writes(recorder.take());
         assert_workers(&flush, &[0, 1], "checkpoint of both shards");
-        let more: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 40 + 3, i)).collect();
+        // Past half of shard 0's queue (≈100 entries), short of filling it.
+        let more: Vec<(u64, u64)> = (0..60u64).map(|i| (i * 40 + 3, i)).collect();
         engine.insert_batch(&more).unwrap();
         assert_mine(&recorder.take(), 0, "insert_batch in shard 0");
         assert_eq!(engine.maintain_once().unwrap(), 1, "shard 0 is over the threshold");

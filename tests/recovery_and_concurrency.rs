@@ -6,8 +6,9 @@ mod common;
 
 use btree::{ConcurrentBTree, InternalView};
 use common::crash::seeded_rng;
+use parking_lot::Mutex;
 use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo, TornWrite};
-use pio_btree::{ConcurrentPioBTree, LogRecord, OpEntry, PioBTree, PioConfig, PioLeaf};
+use pio_btree::{LogRecord, OpEntry, PioBTree, PioConfig, PioLeaf};
 use rand::Rng;
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
@@ -961,7 +962,8 @@ fn concurrent_trees_serve_many_threads() {
         .bcnt(256)
         .pool_pages(128)
         .build();
-    let pio = Arc::new(ConcurrentPioBTree::new(
+    // The paper's simple scheme (Section 4): one lock around the whole tree.
+    let pio = Arc::new(Mutex::new(
         PioBTree::create(DeviceProfile::Iodrive, 1 << 30, config).unwrap(),
     ));
     let io = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::Iodrive, 1 << 30));
@@ -979,10 +981,10 @@ fn concurrent_trees_serve_many_threads() {
         handles.push(std::thread::spawn(move || {
             for i in 0..400u64 {
                 let key = thread * 100_000 + i;
-                pio.insert(key, i).unwrap();
+                pio.lock().insert(key, i).unwrap();
                 blink.insert(key, i).unwrap();
                 if i % 10 == 0 {
-                    assert_eq!(pio.search(key).unwrap(), Some(i));
+                    assert_eq!(pio.lock().search(key).unwrap(), Some(i));
                     assert_eq!(blink.search(key).unwrap(), Some(i));
                 }
             }
@@ -991,12 +993,12 @@ fn concurrent_trees_serve_many_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    pio.checkpoint().unwrap();
+    pio.lock().checkpoint().unwrap();
     blink.flush().unwrap();
     // Cross-check both concurrent structures agree after the storm.
     for thread in 0..6u64 {
         let keys: Vec<u64> = (0..400).step_by(37).map(|i| thread * 100_000 + i).collect();
-        let a = pio.concurrent_search(&keys).unwrap();
+        let a = pio.lock().multi_search(&keys).unwrap();
         let b = blink.concurrent_search(&keys).unwrap();
         assert_eq!(a, b);
         assert!(a.iter().all(|r| r.is_some()));

@@ -17,13 +17,12 @@ use std::time::Duration;
 
 /// WAL-enabled engine: three shards, small OPQs so service batches overflow
 /// into real flushes mid-run.
-fn config(max_batch_size: usize, max_batch_delay_us: u64) -> EngineConfig {
+fn config(max_batch_size: usize) -> EngineConfig {
     EngineConfig::builder()
         .shards(3)
         .profile(DeviceProfile::F120)
         .shard_capacity_bytes(1 << 28)
         .max_batch_size(max_batch_size)
-        .max_batch_delay_us(max_batch_delay_us)
         .base(
             PioConfig::builder()
                 .page_size(2048)
@@ -53,7 +52,7 @@ fn acked_puts_survive_crash_and_recovery() {
     const THREADS: u64 = 6;
     const OPS: u64 = 120;
 
-    let engine = wal_engine(config(8, 300));
+    let engine = wal_engine(config(8));
     let service = EngineService::start(Arc::clone(&engine));
 
     let acked: Vec<Vec<(u64, u64)>> = std::thread::scope(|scope| {
@@ -125,7 +124,7 @@ fn acked_puts_survive_randomized_shutdown_points() {
 
     let (mut rng, seed) = seeded_rng();
     for round in 0..ROUNDS {
-        let engine = wal_engine(config(rng.gen_range(2..12), rng.gen_range(100..800)));
+        let engine = wal_engine(config(rng.gen_range(2..12)));
         let service = EngineService::start(Arc::clone(&engine));
         let shutdown_after = Duration::from_micros(rng.gen_range(500..30_000));
 

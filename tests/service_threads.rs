@@ -29,7 +29,6 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
         .profile(DeviceProfile::F120)
         .shard_capacity_bytes(1 << 30)
         .max_batch_size(4)
-        .max_batch_delay_us(300)
         .base(PioConfig::builder().page_size(2048).pool_pages(64).build())
         .build();
     let sample: Vec<u64> = (0..3_000).collect();

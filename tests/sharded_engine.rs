@@ -217,7 +217,6 @@ fn concurrent_clients_hammer_the_engine() {
 #[test]
 fn scheduler_hammer_with_interleaved_batched_calls() {
     let mut cfg = config(4);
-    cfg.flush_threshold = 0.25;
     cfg.maintenance_interval_ms = Some(1); // maintenance fan-outs interleave too
     let entries: Vec<(u64, u64)> = (0..40_000u64).map(|k| (k * 2, k)).collect();
     let engine = Arc::new(ShardedPioEngine::bulk_load(cfg, &entries).unwrap());
