@@ -168,7 +168,8 @@ impl PioBTree {
         self.tier.invalidate();
         self.lsmap.clear();
         // In-flight epoch verdicts die with the process; recovery re-derives
-        // every epoch's fate from the engine log before truncation resumes.
+        // every epoch's fate from the commit records in the shard logs before
+        // truncation resumes.
         self.open_brackets.clear();
         if let Some(wal) = &self.wal {
             wal.simulate_crash();
@@ -189,8 +190,12 @@ impl PioBTree {
     /// written by [`PioBTree::apply`]) and decides whether that
     /// epoch's logical records are replayed (`true`) or discarded (`false`).
     /// Records outside any bracket are always replayed. The sharded engine calls
-    /// this with the verdicts of its engine-level epoch log, which is what makes
-    /// a cross-shard batch all-or-nothing.
+    /// this with "does some shard's log hold this epoch's commit record?"
+    /// ([`LogRecord::EpochCommit`], [`LogRecord::MigrateCommit`]), which is what
+    /// makes a cross-shard batch all-or-nothing. `keep_epoch` is asked about
+    /// every surviving bracket, including one older than the last
+    /// `Checkpoint` record — this pass does not treat a checkpoint as a
+    /// starting point.
     ///
     /// A **local** bracket ([`LOCAL_EPOCH`]) is decided here, from this log
     /// alone, and `keep_epoch` is never asked about it: it commits iff its
@@ -363,7 +368,9 @@ impl PioBTree {
                         flushes[i].journal.allocs.push((first, pages));
                     }
                 }
-                Some(LogRecord::Checkpoint) => {}
+                // The engine's decisions: it reads them before this pass and
+                // hands their verdicts in through `keep_epoch`.
+                Some(LogRecord::Checkpoint | LogRecord::EpochCommit { .. } | LogRecord::MigrateCommit { .. }) => {}
             }
         }
         if let Some(epoch) = current_epoch {
@@ -573,6 +580,14 @@ mod tests {
                 old_count: 0,
                 fresh: true,
             },
+            LogRecord::EpochCommit { epoch: 12 },
+            LogRecord::MigrateCommit {
+                epoch: 13,
+                src: 2,
+                dst: 3,
+                lo: 1_000,
+                hi: u64::MAX,
+            },
         ];
         for r in records {
             let encoded = r.encode();
@@ -652,6 +667,14 @@ mod tests {
                 page: 2,
                 old_count: 7,
                 fresh: false,
+            },
+            LogRecord::EpochCommit { epoch: 5 },
+            LogRecord::MigrateCommit {
+                epoch: 6,
+                src: 1,
+                dst: 0,
+                lo: 10,
+                hi: 20,
             },
         ];
         for r in records {

@@ -12,7 +12,7 @@ pub type TxId = u64;
 
 /// The bracket id of a **local** batch: one the shard commits alone, with no
 /// engine epoch behind it (the engine's epoch counter starts at 1 and never
-/// hands this id out). A local bracket commits iff its
+/// hands this id out, so no commit record ever names it). A local bracket commits iff its
 /// [`LogRecord::BatchEnd`] is durable — recovery decides it from the shard's
 /// own log, without asking anyone.
 pub const LOCAL_EPOCH: u64 = 0;
@@ -74,8 +74,10 @@ pub enum LogRecord {
     Checkpoint,
     /// Opens an engine-assigned batch bracket: every [`LogRecord::LogicalRedo`]
     /// between this record and the matching [`LogRecord::BatchEnd`] belongs to
-    /// cross-shard epoch `epoch`. The engine's recovery decides per epoch whether
-    /// those records are replayed or discarded (all-or-nothing across shards).
+    /// cross-shard epoch `epoch`. The engine's recovery replays those records
+    /// iff the epoch's [`LogRecord::EpochCommit`] (or
+    /// [`LogRecord::MigrateCommit`]) survives in some shard's log, and discards
+    /// them otherwise (all-or-nothing across shards).
     /// With [`LOCAL_EPOCH`] the bracket is local to this shard and its close
     /// decides it.
     BatchBegin {
@@ -142,6 +144,32 @@ pub enum LogRecord {
         /// `true` for a segment the append spilled into: it held nothing
         /// before this flush, and undo resets it to a never-written page.
         fresh: bool,
+    },
+    /// The commit record of a cross-shard epoch, forced by the epoch's
+    /// *coordinator* — its lowest member shard — once every member's bracket
+    /// is durable. Presumed abort: the engine's recovery keeps an epoch's
+    /// brackets on every shard iff this record survives in some shard's log,
+    /// and needs no record at all to discard one. A tree's own replay skips it.
+    EpochCommit {
+        /// The engine-level epoch identifier.
+        epoch: u64,
+    },
+    /// The commit record of a boundary migration, forced by its source shard
+    /// once both shards' brackets are durable: from here on keys in
+    /// `[lo, hi)` belong to shard `dst`. This record *is* the boundary swap —
+    /// recovery re-applies it, and keeps the migration's copies and retires,
+    /// iff it survives. A tree's own replay skips it.
+    MigrateCommit {
+        /// The engine-level epoch identifier.
+        epoch: u64,
+        /// The shard the range left (the coordinator).
+        src: u32,
+        /// The adjacent shard the range moved to.
+        dst: u32,
+        /// Inclusive low end of the moved range.
+        lo: Key,
+        /// Exclusive high end of the moved range.
+        hi: Key,
     },
 }
 
@@ -237,6 +265,24 @@ impl LogRecord {
                 out.push(u8::from(*fresh));
             }
             LogRecord::BatchAbort => out.push(12),
+            LogRecord::EpochCommit { epoch } => {
+                out.push(13);
+                out.extend_from_slice(&epoch.to_le_bytes());
+            }
+            LogRecord::MigrateCommit {
+                epoch,
+                src,
+                dst,
+                lo,
+                hi,
+            } => {
+                out.push(14);
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out.extend_from_slice(&src.to_le_bytes());
+                out.extend_from_slice(&dst.to_le_bytes());
+                out.extend_from_slice(&lo.to_le_bytes());
+                out.extend_from_slice(&hi.to_le_bytes());
+            }
         }
     }
 
@@ -245,6 +291,8 @@ impl LogRecord {
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let u64_at =
             |off: usize| -> Option<u64> { buf.get(off..off + 8).map(|b| u64::from_le_bytes(b.try_into().unwrap())) };
+        let u32_at =
+            |off: usize| -> Option<u32> { buf.get(off..off + 4).map(|b| u32::from_le_bytes(b.try_into().unwrap())) };
         match *buf.first()? {
             1 => {
                 let tx = u64_at(1)?;
@@ -301,6 +349,14 @@ impl LogRecord {
                 },
             }),
             12 => Some(LogRecord::BatchAbort),
+            13 => Some(LogRecord::EpochCommit { epoch: u64_at(1)? }),
+            14 => Some(LogRecord::MigrateCommit {
+                epoch: u64_at(1)?,
+                src: u32_at(9)?,
+                dst: u32_at(13)?,
+                lo: u64_at(17)?,
+                hi: u64_at(25)?,
+            }),
             _ => None,
         }
     }

@@ -357,7 +357,7 @@ impl PioBTree {
     }
 
     /// The attached write-ahead log, if any (position/durability hooks for the
-    /// engine's cross-shard epoch protocol).
+    /// engine's cross-shard epoch protocol and its truncation rule).
     pub fn wal(&self) -> Option<&Wal> {
         self.wal.as_ref()
     }
@@ -607,6 +607,16 @@ impl PioBTree {
     /// new would become durable.
     pub fn dirty_ops(&self) -> u64 {
         self.dirty_ops
+    }
+
+    /// Appends `decision` — the commit record of an epoch this shard
+    /// coordinates ([`LogRecord::EpochCommit`] or [`LogRecord::MigrateCommit`])
+    /// — and forces the WAL: the epoch is committed iff the record is durable.
+    /// On error the record stays pending, so a later force may still make it
+    /// durable: the epoch is undecided until the next recovery.
+    pub fn log_decision(&self, decision: LogRecord) -> IoResult<()> {
+        self.log(|| decision);
+        self.force_wal().map(|_| ())
     }
 
     /// Delivers the engine's verdict for cross-shard epoch `epoch`: its bracket

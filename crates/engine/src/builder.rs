@@ -31,8 +31,8 @@
 
 use crate::commit::EpochCoordinator;
 use crate::config::EngineConfig;
-use crate::epoch::EngineRecoveryReport;
 use crate::maintenance::{DirtyState, MaintenanceWorker};
+use crate::recovery::EngineRecoveryReport;
 use crate::routing::{boundaries_from_sample, boundaries_from_sorted, shard_range, RoutingState};
 use crate::scheduler::WorkerPool;
 use crate::shard::{build_shard, Shard};
@@ -41,7 +41,7 @@ use crate::stats::EngineCounters;
 use crate::topology::{DevicePerShard, EngineBackends, EngineManifest, ProvisionMode, ShardProvisioner};
 use btree::{Key, Value};
 use parking_lot::{Mutex, RwLock};
-use pio::{IoError, IoQueue, IoResult};
+use pio::{IoError, IoResult};
 use pio_btree::PioBTree;
 use std::sync::Arc;
 
@@ -131,8 +131,8 @@ impl<'a> EngineBuilder<'a> {
 
     /// Reopens a persisted engine (restart path): loads the topology's
     /// [`crate::EngineManifest`], restores each shard's superblock snapshot
-    /// over the existing storage, runs engine-level recovery (epoch verdicts +
-    /// per-shard WAL replay) and re-persists the post-recovery manifest.
+    /// over the existing storage, runs engine-level recovery (epoch verdicts
+    /// from the shard logs' commit records + per-shard WAL replay) and re-persists the post-recovery manifest.
     /// Returns the engine together with the recovery report.
     ///
     /// Only topologies with durable state support this; [`EngineBuilder::entries`]
@@ -182,14 +182,11 @@ impl ShardedPioEngine {
     /// built on them.
     fn validate_backends(config: &EngineConfig, backends: &EngineBackends) -> IoResult<()> {
         let wal = config.base.wal_enabled;
-        if backends.shard_stores.len() != config.shards
-            || (wal && (backends.shard_wals.len() != config.shards || backends.engine_wal.is_none()))
-        {
+        if backends.shard_stores.len() != config.shards || (wal && backends.shard_wals.len() != config.shards) {
             return Err(pio::IoError::InvalidConfig(format!(
-                "the topology must supply one store{} backend per shard ({} shards){}",
+                "the topology must supply one store{} backend per shard ({} shards)",
                 if wal { " and one WAL" } else { "" },
                 config.shards,
-                if wal { " plus the engine epoch-log backend" } else { "" },
             )));
         }
         Ok(())
@@ -241,15 +238,7 @@ impl ShardedPioEngine {
         // A freshly built engine is clean: clear any stale marker left in the
         // topology's durable state by a previous incarnation.
         topology.set_dirty(false)?;
-        let engine = Self::finish(
-            config,
-            shards,
-            bounds,
-            backends.engine_wal,
-            build_makespan_us,
-            topology,
-            None,
-        )?;
+        let engine = Self::finish(config, shards, bounds, build_makespan_us, topology, None)?;
         engine.inner.sync_manifest()?;
         Ok(engine)
     }
@@ -312,15 +301,7 @@ impl ShardedPioEngine {
                 },
             )?);
         }
-        Self::finish(
-            config,
-            shards,
-            bounds,
-            backends.engine_wal,
-            0.0,
-            topology,
-            Some(manifest),
-        )
+        Self::finish(config, shards, bounds, 0.0, topology, Some(manifest))
     }
 
     /// Shared tail of [`ShardedPioEngine::assemble`] / [`ShardedPioEngine::reopen`]:
@@ -329,7 +310,6 @@ impl ShardedPioEngine {
         config: EngineConfig,
         shards: Vec<Arc<Shard>>,
         bounds: Vec<Key>,
-        engine_wal: Option<Arc<dyn IoQueue>>,
         build_makespan_us: f64,
         topology: Box<dyn ShardProvisioner>,
         manifest: Option<EngineManifest>,
@@ -341,10 +321,7 @@ impl ShardedPioEngine {
         let marked = topology.load_dirty()?;
         // The cross-shard epoch coordinator exists exactly when the shards log:
         // without per-shard WALs there is nothing to make atomic.
-        let epoch = config.base.wal_enabled.then(|| {
-            let engine_wal = engine_wal.expect("validated: engine WAL backend present");
-            EpochCoordinator::new(engine_wal, config.base.page_size)
-        });
+        let epoch = config.base.wal_enabled.then(|| EpochCoordinator::new(shard_count));
         let inner = Arc::new(EngineInner {
             pool: WorkerPool::spawn(shards.iter().cloned()),
             shards,

@@ -1,112 +1,155 @@
-//! The epoch commit path: the engine side of the two-phase flush-epoch
-//! protocol (see [`crate::epoch`] for the log it runs over) and the batched
-//! insert that rides it.
+//! The epoch commit path: presumed-abort two-phase commit with the
+//! coordinator as a participant (Mohan, Lindsay & Obermarck, "Transaction
+//! management in the R* distributed database management system", TODS 1986),
+//! decided in a member shard's own WAL — and the batched insert that rides it.
+//!
+//! An epoch is one logical batch over several shards. **Round 1**: every
+//! member appends its sub-batch inside a `BatchBegin`/`BatchEnd` bracket of
+//! its WAL, tagged with the epoch id, and forces it
+//! ([`PioBTree::apply`]) — its durability ack. **Round 2**: the
+//! *coordinator*, a member chosen by rule (the lowest member shard of a batch,
+//! the source shard of a migration), appends the epoch's commit record
+//! ([`LogRecord::EpochCommit`] or [`LogRecord::MigrateCommit`]) and forces.
+//! Nothing is logged before round 1: an epoch with no durable commit record
+//! in any shard's log is aborted, so the engine keeps no log of its own.
+//!
+//! The one rule the shards' truncation must add: a commit record outlives
+//! every bracket of its epoch. The coordinator's WAL is never cut past a
+//! commit that is still *unsettled* — some other member's WAL may still hold
+//! a bracket of the epoch, which recovery could only keep with the commit
+//! beside it ([`EpochCoordinator::cut`]).
 
-use crate::epoch::EpochLog;
 use crate::routing::{shard_of, sole_owner};
-use crate::shard::{resilient, Shard, ShardHealth};
+use crate::shard::ShardHealth;
 use crate::sharded::EngineInner;
 use btree::{Key, Value};
 use parking_lot::Mutex;
-use pio::{IoQueue, IoResult};
-use pio_btree::{OpEntry, PioBTree, LOCAL_EPOCH};
-use std::collections::BTreeMap;
+use pio::IoResult;
+use pio_btree::{LogRecord, OpEntry, PioBTree, LOCAL_EPOCH};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use storage::{Lsn, Wal};
+use storage::Lsn;
 
-/// The engine side of the two-phase flush-epoch protocol (present only when the
-/// per-shard WALs are enabled).
+/// A committed epoch whose commit record its coordinator's WAL must keep:
+/// another member's WAL may still hold a bracket of it.
+pub(crate) struct Unsettled {
+    /// The shard whose WAL holds the commit record.
+    pub(crate) coordinator: usize,
+    /// The coordinator's WAL is cut no further than this: its newest
+    /// checkpoint LSN at or below the commit record. Only a checkpoint is a
+    /// safe cut — there the shard's OPQ was empty, so no flush that a later
+    /// recovery might unwind covers a record below it.
+    pub(crate) keep_from: Lsn,
+    /// Every other member, with an LSN past its last bracket of the epoch.
+    /// The epoch is settled once each one's WAL is truncated at or above it.
+    pub(crate) participants: Vec<(usize, Lsn)>,
+}
+
+/// The engine side of the epoch protocol (present only when the per-shard
+/// WALs are enabled): epoch ids and the settle list.
 pub(crate) struct EpochCoordinator {
-    pub(crate) log: EpochLog,
-    /// Next epoch id to assign (continued past the log's maximum on recovery).
-    pub(crate) next_epoch: AtomicU64,
-    /// Begin-record LSN of every epoch that is still undecided (begun but not
-    /// yet committed or abandoned). Checkpoint truncation of the engine log may
-    /// not pass the minimum of these pins: dropping an undecided epoch's
-    /// begin record would make recovery treat its shard-side brackets as
-    /// orphans. Registered by [`EpochCoordinator::open`] and removed by
-    /// [`EpochCoordinator::decide`], so the pin conservatively covers the
-    /// whole undecided window.
-    pub(crate) in_flight: Mutex<BTreeMap<u64, Lsn>>,
+    /// Next epoch id to assign (continued past every id the shard logs still
+    /// hold on recovery).
+    next_epoch: AtomicU64,
+    /// Each shard's newest checkpoint LSN (its WAL's start before the first
+    /// checkpoint): where an epoch it commits from now on keeps its log from.
+    checkpoints: Vec<AtomicU64>,
+    /// Committed epochs that are not settled yet.
+    unsettled: Mutex<Vec<Unsettled>>,
 }
 
 impl EpochCoordinator {
-    /// A coordinator over the engine's epoch-log backend. The epoch log anchors
-    /// cross-shard atomicity; it gets the same transient-error shielding as
-    /// every other engine queue.
-    pub(crate) fn new(engine_wal: Arc<dyn IoQueue>, page_size: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         Self {
-            log: EpochLog::new(Wal::new(resilient(engine_wal), 0, page_size)),
             // Ids start above `LOCAL_EPOCH`, which marks the shard-local brackets.
             next_epoch: AtomicU64::new(LOCAL_EPOCH + 1),
-            in_flight: Mutex::new(BTreeMap::new()),
+            checkpoints: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            unsettled: Mutex::new(Vec::new()),
         }
     }
 
-    /// Opens an epoch: allocates its id and forces its begin record through
-    /// `begin` ([`EpochLog::begin`] or [`EpochLog::migrate_begin`]) — nothing
-    /// may reach a shard before this returns — pinning the epoch against
-    /// engine-log truncation for its whole undecided window.
-    pub(crate) fn open(&self, begin: impl FnOnce(&EpochLog, u64) -> IoResult<Lsn>) -> IoResult<u64> {
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
-        // Hold the pin map across the begin force: a concurrent checkpoint
-        // computes its truncation floor under this lock, so it either sees
-        // the pin or runs before the record is durable (and truncation
-        // clamps to the durable frontier).
-        let mut pins = self.in_flight.lock();
-        let begin_lsn = begin(&self.log, epoch)?;
-        pins.insert(epoch, begin_lsn);
-        Ok(epoch)
+    /// Allocates the next epoch id.
+    pub(crate) fn open(&self) -> u64 {
+        self.next_epoch.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Decides an epoch: forces the members' `acks` and the decision record
-    /// through `decision` ([`EpochLog::commit`] or [`EpochLog::migrate_commit`]),
-    /// then releases the truncation pins — the engine log's (this epoch's
-    /// records are now redundant for recovery) and each member shard's bracket
-    /// pin. An error return keeps both pins, so an undecided epoch can never be
-    /// truncated away.
-    pub(crate) fn decide(
-        &self,
-        epoch: u64,
-        acks: &[(usize, Lsn)],
-        shards: &[Arc<Shard>],
-        decision: impl FnOnce(&EpochLog, u64, &[(usize, Lsn)]) -> IoResult<()>,
-    ) -> IoResult<()> {
-        decision(&self.log, epoch, acks)?;
-        self.in_flight.lock().remove(&epoch);
-        for &(shard, _) in acks {
-            shards[shard].tree.lock().resolve_epoch(epoch);
-        }
-        Ok(())
+    /// Records shard `shard`'s newest checkpoint LSN.
+    pub(crate) fn checkpointed(&self, shard: usize, lsn: Lsn) {
+        self.checkpoints[shard].fetch_max(lsn, Ordering::Relaxed);
     }
 
-    /// The LSN below which the engine log may be truncated without losing an
-    /// undecided epoch, given a candidate checkpoint cut `upto`.
-    pub(crate) fn truncation_floor(&self, upto: Lsn) -> Lsn {
-        let pins = self.in_flight.lock();
-        // Minimum pinned LSN, not the first map entry: epoch ids are allocated
-        // outside this lock, so id order need not match Begin-LSN order.
-        match pins.values().min() {
-            Some(&pin) => upto.min(pin),
-            None => upto,
+    /// Recovery's restart: ids continue above `max_seen`, the largest id any
+    /// shard log still holds (a discarded bracket outlives the restart, and a
+    /// reused id would let a new commit record adopt it); each shard's newest
+    /// checkpoint and the settle list are what the surviving logs say.
+    pub(crate) fn restart(&self, max_seen: u64, checkpoints: &[Lsn], unsettled: Vec<Unsettled>) {
+        self.next_epoch.fetch_max(max_seen + 1, Ordering::Relaxed);
+        for (slot, &lsn) in self.checkpoints.iter().zip(checkpoints) {
+            slot.store(lsn, Ordering::Relaxed);
         }
+        *self.unsettled.lock() = unsettled;
+    }
+
+    /// How far shard `shard`'s WAL may be truncated, given its checkpoint LSN
+    /// `ckpt` and every shard's current truncation floor: first drops the
+    /// epochs whose participants have all been truncated past their brackets,
+    /// then keeps the oldest commit this shard still coordinates. A minimum,
+    /// not all-or-nothing: under constant cross-shard traffic the coordinator
+    /// still sheds everything older than the checkpoint before that commit.
+    pub(crate) fn cut(&self, shard: usize, ckpt: Lsn, floors: &[Lsn]) -> Lsn {
+        let mut unsettled = self.unsettled.lock();
+        unsettled.retain(|e| e.participants.iter().any(|&(member, past)| floors[member] < past));
+        unsettled
+            .iter()
+            .filter(|e| e.coordinator == shard)
+            .map(|e| e.keep_from)
+            .fold(ckpt, Lsn::min)
     }
 }
 
 impl EngineInner {
-    /// Batched insert. With WALs enabled, a batch that spans shards runs as a
-    /// two-phase flush epoch: `Begin` is forced to the engine log before
-    /// fan-out, every member shard appends its sub-batch inside an epoch bracket
-    /// of its own WAL and forces it, and only then are the shard acks and the
-    /// `Commit` behind them forced, together — so a crash anywhere in between
-    /// leaves an epoch that [`crate::ShardedPioEngine::recover`] resolves to
-    /// all-or-nothing across shards.
+    /// Round 2 of epoch `epoch`: `coordinator` appends and forces `decision`,
+    /// its commit record, behind round 1's acks from the other `participants`.
+    /// The epoch joins the settle list *before* the record exists, so no
+    /// checkpoint can cut past the record while a participant still holds a
+    /// bracket; once the record is durable, every member's bracket pin is
+    /// released. An error return keeps the pins and the settle entry: the
+    /// record may still reach the device with a later force, so the epoch is
+    /// undecided until the next recovery.
+    pub(crate) fn commit_epoch(
+        &self,
+        epoch: u64,
+        coordinator: usize,
+        participants: Vec<(usize, Lsn)>,
+        decision: LogRecord,
+    ) -> IoResult<()> {
+        let coord = self.epoch.as_ref().expect("epochs exist only with WALs");
+        let members: Vec<usize> = std::iter::once(coordinator)
+            .chain(participants.iter().map(|&(member, _)| member))
+            .collect();
+        coord.unsettled.lock().push(Unsettled {
+            coordinator,
+            keep_from: coord.checkpoints[coordinator].load(Ordering::Relaxed),
+            participants,
+        });
+        self.on_shard(&self.shards[coordinator], |tree| tree.log_decision(decision))?;
+        for member in members {
+            self.shards[member].tree.lock().resolve_epoch(epoch);
+        }
+        Ok(())
+    }
+
+    /// Batched insert. With WALs enabled, a batch that spans shards runs as an
+    /// epoch (module docs): every member shard appends its sub-batch inside an
+    /// epoch bracket of its own WAL and forces it, and only then does the
+    /// lowest member force the epoch's `EpochCommit` — so a crash anywhere in
+    /// between leaves an epoch that [`crate::ShardedPioEngine::recover`]
+    /// resolves to all-or-nothing across shards.
     ///
     /// A batch whose keys all land on **one** shard takes no epoch and no
     /// worker: that shard's bracket is already atomic, so it runs as a *local*
     /// bracket ([`LOCAL_EPOCH`]) that the shard's single WAL force commits — no
-    /// engine log record, no second force, no truncation pin — on the calling
+    /// commit record, no second force, no truncation pin — on the calling
     /// thread ([`EngineInner::run_leg`]).
     ///
     /// An *error* return means the batch is undecided: some shards may hold it
@@ -137,20 +180,17 @@ impl EngineInner {
                 }
             }
         }
-        let members = || (0..per_shard.len()).filter(|&i| !per_shard[i].is_empty());
         // A degraded member refuses the whole batch, like a single write —
-        // and before `Begin` is logged, so the refusal leaves no trace on the
-        // healthy members and no epoch for recovery to resolve.
-        if let Some(sick) = members().find(|&i| self.shards[i].health.is_open()) {
+        // and before any bracket is logged, so the refusal leaves no trace on
+        // the healthy members and no epoch for recovery to resolve.
+        if let Some(sick) = (0..per_shard.len()).find(|&i| !per_shard[i].is_empty() && self.shards[i].health.is_open())
+        {
             return Err(ShardHealth::rejection(sick));
         }
         let epoch = match (&self.epoch, owner) {
             (None, _) => None,
             (Some(_), Some(_)) => Some(LOCAL_EPOCH),
-            (Some(coord), None) => {
-                let members: Vec<usize> = members().collect();
-                Some(coord.open(|log, epoch| log.begin(epoch, &members))?)
-            }
+            (Some(coord), None) => Some(coord.open()),
         };
         // A member's leg, the same whichever thread runs it.
         let mut legs = per_shard
@@ -198,13 +238,15 @@ impl EngineInner {
             }
             None => self.fan_out_tasks(legs.collect())?,
         };
-        let committed = match (epoch, &self.epoch) {
-            (Some(LOCAL_EPOCH), _) => &self.counters.local_commits,
-            (Some(epoch), Some(coord)) => {
-                coord.decide(epoch, &acks, &self.shards, EpochLog::commit)?;
+        let committed = match epoch {
+            Some(LOCAL_EPOCH) => &self.counters.local_commits,
+            Some(epoch) => {
+                // Acks come back in shard order: the first is the coordinator's.
+                let (coordinator, _) = acks[0];
+                self.commit_epoch(epoch, coordinator, acks[1..].to_vec(), LogRecord::EpochCommit { epoch })?;
                 &self.counters.committed_epochs
             }
-            _ => return Ok(()),
+            None => return Ok(()),
         };
         committed.fetch_add(1, Ordering::Relaxed);
         Ok(())

@@ -22,8 +22,8 @@ pub struct EngineConfig {
     pub profile: DeviceProfile,
     /// Addressable bytes of each shard's store.
     pub shard_capacity_bytes: u64,
-    /// Addressable bytes of each WAL device (per-shard WALs and the engine's
-    /// epoch log alike). Only used when `base.wal_enabled` is set; must be a
+    /// Addressable bytes of each shard's WAL device (the engine keeps no log
+    /// of its own: cross-shard commit records live in the shard WALs). Only used when `base.wal_enabled` is set; must be a
     /// multiple of `base.page_size` (the WAL forces whole pages) and large
     /// enough to hold a meaningful log (at least 64 pages).
     pub wal_capacity_bytes: u64,
@@ -190,8 +190,8 @@ impl EngineConfig {
         cfg
     }
 
-    /// The retry policy every engine queue — each shard's store and WAL, and
-    /// the epoch log — is wrapped with ([`pio::ResilientIo`]). Backoff on the
+    /// The retry policy every engine queue — each shard's store and WAL — is
+    /// wrapped with ([`pio::ResilientIo`]). Backoff on the
     /// simulated backends is *accounted, not slept*: it is charged into the
     /// completion's simulated latency, so retries cost simulated time without
     /// stalling the calling thread.
@@ -312,8 +312,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the per-WAL-device capacity in bytes (shard WALs and the engine's
-    /// epoch log; must be a multiple of the page size).
+    /// Sets each shard's WAL-device capacity in bytes (must be a multiple of
+    /// the page size).
     pub fn wal_capacity_bytes(mut self, bytes: u64) -> Self {
         self.config.wal_capacity_bytes = bytes;
         self

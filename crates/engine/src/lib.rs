@@ -54,7 +54,9 @@
 //!   sends every participating shard's task to that shard's worker and blocks
 //!   on a reply channel of its own until it has reaped one reply per task. A
 //!   worker runs its queue first-in first-out, and a task that panics unwinds
-//!   on its caller's thread while the worker lives on. **Background work** —
+//!   on its caller's thread while the worker lives on. A spanning
+//!   `insert_batch`'s commit force (below) is the caller's own, made once
+//!   every leg is acked. **Background work** —
 //!   maintenance flush passes, checkpoints, recovery — goes to the workers
 //!   however many shards it touches.
 //! * **Ordering between concurrent batches.** All of one call's sends happen
@@ -108,28 +110,28 @@
 //! Each shard recovers from its own WAL (Section 3.4 of the paper), but a
 //! batched insert fans one logical batch out to several shards — so with WALs
 //! enabled, every [`ShardedPioEngine::insert_batch`] that **spans shards** runs
-//! as a **two-phase flush
-//! epoch** over a dedicated engine log (the [`epoch`] module): `Begin` is forced
-//! before fan-out, each member shard appends its sub-batch inside an epoch
-//! bracket of its own WAL and forces it, and then the per-shard `Ack`s and the
-//! `Commit` behind them are made durable by one force.
-//! [`ShardedPioEngine::recover`] replays the shard WALs under the engine log's
-//! verdicts, making the batch all-or-nothing across shards wherever the crash
-//! lands:
+//! as a **flush epoch**, a presumed-abort two-phase commit whose coordinator is
+//! also a participant (Mohan, Lindsay & Obermarck, TODS 1986). Round 1: each
+//! member shard appends its sub-batch inside an epoch bracket of its own WAL
+//! and forces it. Round 2: the *coordinator* — the lowest member shard —
+//! appends an `EpochCommit` record to its own WAL and forces it. That is three
+//! forces in two rounds for a two-shard batch, and the engine keeps no log of
+//! its own. [`ShardedPioEngine::recover`] first scans every shard WAL for
+//! commit records, then replays each shard's WAL keeping exactly the epochs
+//! whose commit survives, making the batch all-or-nothing across shards
+//! wherever the crash lands:
 //!
-//! | crash point | engine log state | recovery outcome |
+//! | crash point | coordinator's log | recovery outcome |
 //! |---|---|---|
-//! | before `Begin` is durable | nothing | no shard ever saw the batch — absent |
-//! | mid fan-out (some shards durable) | `Begin` | epoch **discarded** on every shard: logical records dropped, and any flush that already applied them is unwound from its undo records |
-//! | the decision force fails, or is torn before the last `Ack` is whole | `Begin`, partial `Ack`s | epoch **discarded** on every shard, as above |
-//! | the decision force is torn between the last `Ack` and the end of `Commit` (the acks vs commit window) | `Begin`, all `Ack`s | epoch **re-driven**: the batch is durable everywhere, so recovery writes the missing `Commit` and replays it — fully present |
-//! | after `Commit` | complete | normal per-shard replay — fully present |
+//! | before its `EpochCommit` is whole (mid fan-out, the commit force fails, or is torn) | no `EpochCommit` | epoch **discarded** on every shard: logical records dropped, and any flush that already applied them is unwound from its undo records |
+//! | after its `EpochCommit` is whole | `EpochCommit` | normal per-shard replay — fully present |
+//! | a local bracket (below) | — | unchanged: decided by the shard's own log |
 //!
 //! A batch whose keys all land on **one** shard needs none of this: it runs as
 //! a *local bracket* of that shard's WAL (`BatchBegin`/`BatchEnd` under
 //! [`pio_btree::LOCAL_EPOCH`]) that the shard's single force commits — no
-//! engine-log record, no second force. Recovery decides it inside the shard's
-//! own replay, without a verdict from the engine log:
+//! commit record, no second force. Recovery decides it inside the shard's
+//! own replay, without a verdict from the engine:
 //!
 //! | crash point | shard log state | recovery outcome |
 //! |---|---|---|
@@ -137,16 +139,16 @@
 //! | `apply` failed mid-batch in process, then the crash | `BatchBegin`, records, `BatchAbort` | **aborted**, as above |
 //! | after the `BatchEnd` is durable | complete | replayed like any unbracketed record — fully present |
 //!
-//! Partial acks mean the batch *might* be missing on some shard, so the whole
-//! epoch is dropped (presumed abort); a full ack set proves it is everywhere, so
-//! the epoch is completed instead. Either way no partial batch is ever visible
-//! after recovery — the property `tests/engine_recovery.rs` checks for scripted
+//! Nothing is ever re-driven: a torn commit force either left a whole
+//! `EpochCommit` or it did not, and without one the batch *might* be missing on
+//! some shard, so the whole epoch is dropped (presumed abort). Either way no
+//! partial batch is ever visible after recovery — the property `tests/engine_recovery.rs` checks for scripted
 //! crash points and hundreds of randomized ones against an in-memory oracle,
 //! using the [`pio::fault`] crash-injection harness.
 //!
 //! ## Log lifecycle
 //!
-//! Left alone, the shard WALs and the engine epoch log grow without bound and
+//! Left alone, the shard WALs grow without bound and
 //! every recovery rescans the store's whole history. The engine closes the
 //! loop with **checkpoint-anchored truncation**
 //! ([`ShardedPioEngine::checkpoint`]):
@@ -161,10 +163,13 @@
 //!    WAL drops everything below its new `Checkpoint` record via
 //!    [`storage::Wal::truncate_to`] (an alternating-slot, checksummed header
 //!    flip: a crash mid-truncation leaves the old head or the new one, never
-//!    a torn in-between), and the engine log drops everything below the
-//!    pre-flush cursor. Undecided epochs pin both: the coordinator floors the
-//!    engine-log cut at the oldest in-flight `Begin`, and each tree floors
-//!    its own cut at its oldest open epoch bracket.
+//!    a torn in-between). Two epoch rules hold it back. An undecided epoch's
+//!    open bracket pins its shard's whole log. And a commit record outlives
+//!    every bracket of its epoch: recovery asks about every surviving
+//!    bracket, even one below a `Checkpoint` record, so the coordinator cuts
+//!    its log no further than the checkpoint before its oldest commit that is
+//!    not yet *settled* — some other member's log still holds the epoch's
+//!    bracket. An epoch settles once every member's log is truncated past it.
 //! 3. **Bounded recovery** — [`ShardedPioEngine::recover`] seeks each log to
 //!    its truncation marker instead of byte 0, so the records it scans
 //!    ([`EngineStats::recovery_replayed_records`]) track the work done since
@@ -187,10 +192,11 @@
 //! or skew-shifting traffic. The [`rebalance`] module keeps them live: a load
 //! monitor (per-shard routed ops + OPQ queue pressure, also surfaced in
 //! [`ShardSnapshot`]), a split/merge policy ([`rebalance::plan`]) and a
-//! migration executor that moves a leaf region between adjacent shards as an
-//! epoch-logged, crash-recoverable operation — `MigrateBegin{src,dst,range}`
-//! forced first, region copies bracketed in both shards' WALs, then the
-//! boundary-swap `MigrateCommit`. Reads and writes keep flowing throughout
+//! migration executor that moves a leaf region between adjacent shards as a
+//! crash-recoverable epoch — region copies and retires bracketed in both
+//! shards' WALs, then the source shard forces the boundary-swap
+//! `MigrateCommit{src,dst,range}` in its own WAL: that record *is* the swap.
+//! Reads and writes keep flowing throughout
 //! (the moving range is dual-resolved, old shard authoritative until commit),
 //! and recovery rolls an uncommitted migration back on both shards. Drive it
 //! with [`ShardedPioEngine::rebalance_once`] or let the maintenance worker
@@ -200,7 +206,7 @@
 //!
 //! ## Transient-fault tolerance
 //!
-//! Every shard queue — store, WAL, and the engine epoch log — is wrapped in
+//! Every shard queue — store and WAL — is wrapped in
 //! [`pio::ResilientIo`] under one fixed [`EngineConfig::retry_policy`]:
 //! transient failures are retried with deterministic exponential backoff, at
 //! most 3 times and within a 50 ms per-ticket budget (backoff is *accounted*
@@ -255,7 +261,6 @@
 pub mod builder;
 mod commit;
 pub mod config;
-pub mod epoch;
 mod maintenance;
 mod migrate;
 pub mod rebalance;
@@ -270,8 +275,8 @@ pub mod topology;
 
 pub use builder::EngineBuilder;
 pub use config::{EngineConfig, EngineConfigBuilder, RebalanceConfig};
-pub use epoch::{EngineRecoveryReport, EpochAnalysis, EpochLog, EpochRecord, EpochState};
 pub use rebalance::{MoveKind, RebalanceOutcome, RebalancePlan, ShardLoad};
+pub use recovery::EngineRecoveryReport;
 pub use sharded::{boundaries_from_sample, ShardedPioEngine};
 pub use stats::{EngineStats, ShardSnapshot};
 pub use topology::{

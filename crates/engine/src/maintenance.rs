@@ -259,6 +259,15 @@ impl EngineInner {
         Ok(MutationGuard { inner: self })
     }
 
+    /// Every shard WAL's truncation floor (0 without a WAL), one tree lock
+    /// at a time. A floor only rises, so a stale reading is a safe one.
+    fn wal_floors(&self) -> Vec<Lsn> {
+        self.shards
+            .iter()
+            .map(|s| s.tree.lock().wal().map_or(0, |w| w.start_lsn()))
+            .collect()
+    }
+
     /// Persists the manifest through the topology when it changed since the
     /// last sync. Called after creation, checkpoints, maintenance flushes and
     /// recovery — the points where shard superblocks move durably. Roots moved
@@ -282,17 +291,15 @@ impl EngineInner {
 
     /// Incremental checkpoint: flushes only the shards that logged or queued
     /// work since their last checkpoint, persists the manifest, then truncates
-    /// the logs the checkpoint made redundant (shard WALs up to their new
-    /// `Checkpoint` records, the engine epoch log up to the pre-flush cursor).
-    /// Truncation is anchored on the *committed* checkpoint — the manifest sync
-    /// happens first, so the superblocks recovery would need are durable before
-    /// any `FlushRoot`/`FlushAlloc` record is dropped — and honours the
-    /// undecided-epoch pins (engine-log `in_flight`, per-shard open brackets).
+    /// the shard WALs up to their new `Checkpoint` records. Truncation is
+    /// anchored on the *committed* checkpoint — the manifest sync happens
+    /// first, so the superblocks recovery would need are durable before any
+    /// `FlushRoot`/`FlushAlloc` record is dropped — and honours two epoch
+    /// rules: an undecided epoch's open bracket pins its shard's whole log
+    /// ([`PioBTree::truncate_wal`]), and a coordinator keeps an unsettled
+    /// commit record ([`crate::commit::EpochCoordinator::cut`]).
     pub(crate) fn checkpoint(&self) -> IoResult<()> {
         let begun_before = self.dirty.lock().begun;
-        // Snapshot the engine-log cut BEFORE flushing: epoch records appended
-        // after this point may belong to batches the flushes do not capture.
-        let engine_cut = self.epoch.as_ref().map(|c| c.log.cursor());
         // Incremental selection: a shard pays a flush (and even the Checkpoint
         // record append) only when something reached its log or queue since
         // the last checkpoint. Clean shards are untouched.
@@ -313,17 +320,22 @@ impl EngineInner {
         // state. This MUST precede truncation — once FlushRoot records are
         // gone, the manifest is the only carrier of the rolled-forward roots.
         self.sync_manifest()?;
-        // Checkpoint-anchored truncation of every log with a replayable tail.
+        // Checkpoint-anchored truncation of every log with a replayable tail,
+        // highest shard first: a coordinator is its epochs' lowest member
+        // shard (or a migration's source), so the participants' cuts this
+        // round usually settle its commits before its own cut is taken.
         let mut dropped: u64 = 0;
-        for &(shard, ckpt_lsn) in &flushed {
+        for &(shard, ckpt) in flushed.iter().rev() {
+            let cut = match &self.epoch {
+                Some(coord) => {
+                    coord.checkpointed(shard, ckpt);
+                    coord.cut(shard, ckpt, &self.wal_floors())
+                }
+                None => ckpt,
+            };
             let mut tree = self.shards[shard].tree.lock();
             if tree.wal_replayable_bytes() > 0 {
-                dropped += tree.truncate_wal(ckpt_lsn)?;
-            }
-        }
-        if let (Some(cut), Some(coord)) = (engine_cut, &self.epoch) {
-            if coord.log.replayable_bytes() > 0 {
-                dropped += coord.log.truncate_to(coord.truncation_floor(cut))?;
+                dropped += tree.truncate_wal(cut)?;
             }
         }
         self.counters.truncated_bytes.fetch_add(dropped, Ordering::Relaxed);

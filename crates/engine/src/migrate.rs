@@ -1,34 +1,33 @@
 //! The migration executor: moves a key range between two adjacent shards as
-//! one crash-recoverable, epoch-logged operation (policy and lifecycle
+//! one crash-recoverable epoch (policy and lifecycle
 //! diagram: the [`crate::rebalance`] module).
 
-use crate::epoch::{EpochLog, MigrationSpec};
 use crate::rebalance::{MoveKind, RebalanceOutcome};
 use crate::routing::{shard_range, ActiveMigration};
 use crate::sharded::EngineInner;
 use btree::{Key, Value};
 use parking_lot::Mutex;
 use pio::IoResult;
-use pio_btree::OpEntry;
+use pio_btree::{LogRecord, OpEntry};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl EngineInner {
     /// Moves a key range from shard `src` to the adjacent shard `dst` as one
-    /// crash-recoverable, epoch-logged migration, serving reads and writes
+    /// crash-recoverable epoch, serving reads and writes
     /// throughout. Returns `Ok(None)` when the move is vacuous (splitting a
     /// shard with fewer than two entries, merging an already-empty range).
     ///
     /// The sequence (see the `rebalance` module docs for the lifecycle
     /// diagram): install the migration marker under a brief routing write lock
     /// (draining in-flight requests, so later writers see it); snapshot the
-    /// moving region from `src`; force `MigrateBegin`; copy the region into
-    /// `dst` under the migration epoch *without* holding the routing lock (the
+    /// moving region from `src`; copy the region into `dst` inside a bracket
+    /// of the migration epoch *without* holding the routing lock (the
     /// expensive half — traffic flows meanwhile, `src` stays authoritative,
     /// and writes to the range are mirrored into the migration's dirty log);
     /// then, under the routing write lock, replay the dirty tail onto `dst`,
-    /// retire the moved keys from `src`, force `Ack`+`MigrateCommit`, and swap
-    /// the boundary. A crash anywhere before the commit rolls the whole
+    /// retire the moved keys from `src`, force `src`'s `MigrateCommit`, and
+    /// swap the boundary. A crash anywhere before the commit rolls the whole
     /// migration back at [`ShardedPioEngine::recover`]; a crash after it
     /// re-applies the boundary. An *error* return leaves the engine like a
     /// failed `insert_batch`: consistent for reads (the boundary is
@@ -111,18 +110,9 @@ impl EngineInner {
                 (cap_lo, cap_hi, &snapshot[..])
             }
         };
-        // Journal the migration before any entry crosses shards.
-        let spec = MigrationSpec {
-            src: src as u32,
-            dst: dst as u32,
-            lo,
-            hi,
-        };
-        let epoch = self
-            .epoch
-            .as_ref()
-            .map(|coord| coord.open(|log, ep| log.migrate_begin(ep, spec)))
-            .transpose()?;
+        // Nothing is logged before the copy: a migration with no durable
+        // `MigrateCommit` is rolled back on both shards.
+        let epoch = self.epoch.as_ref().map(|coord| coord.open());
         // Phase 1 — the expensive copy, off the routing lock: traffic keeps
         // flowing, `src` stays authoritative, writes to the range are mirrored.
         let copy: Vec<OpEntry> = moving.iter().map(|&(k, v)| OpEntry::insert(k, v)).collect();
@@ -144,14 +134,20 @@ impl EngineInner {
             .collect();
         retires.sort_unstable_by_key(|e| e.key);
         retires.dedup_by_key(|e| e.key);
-        let src_lsn = self.on_shard(&self.shards[src], |tree| tree.apply(&retires, epoch))?;
-        if let (Some(ep), Some(coord)) = (epoch, &self.epoch) {
-            // The durable boundary swap, riding the acks' force: before it the
-            // migration rolls back on recovery, after it the new boundary is
-            // re-applied. Decided, both shards' bracket pins are released, so
-            // the next checkpoint may truncate past the migration's records.
-            let acks = [(src, src_lsn), (dst, dst_lsn)];
-            coord.decide(ep, &acks, &self.shards, EpochLog::migrate_commit)?;
+        self.on_shard(&self.shards[src], |tree| tree.apply(&retires, epoch))?;
+        if let Some(epoch) = epoch {
+            // The durable boundary swap, forced by the source shard: before it
+            // the migration rolls back on recovery, after it the new boundary
+            // is re-applied. Decided, both shards' bracket pins are released,
+            // so the next checkpoint may truncate past the migration's records.
+            let decision = LogRecord::MigrateCommit {
+                epoch,
+                src: src as u32,
+                dst: dst as u32,
+                lo,
+                hi,
+            };
+            self.commit_epoch(epoch, src, vec![(dst, dst_lsn)], decision)?;
         }
         let idx = src.min(dst);
         routing.bounds[idx] = if dst > src { lo } else { hi };

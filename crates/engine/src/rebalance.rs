@@ -27,15 +27,15 @@
 //! shards:
 //!
 //! ```text
-//!   install marker        MigrateBegin{src,dst,lo,hi}        MigrateCommit
+//!   install marker        phase 1                    MigrateCommit{src,dst,lo,hi}
 //!        │                        │                                │
 //!  ──────▼────────────────────────▼───────────────┬────────────────▼──────────
-//!   routing.write()     forced to engine log      │ routing.write()
-//!   (drains in-flight   then phase 1: copy region │ (drains in-flight again)
-//!   requests, installs  into dst under the epoch, │ replay dirty tail -> dst
-//!   the dirty mirror)   traffic still flowing,    │ retire moved keys <- src
-//!                       src authoritative, writes │ force Ack(src,dst)+Commit
-//!                       to [lo,hi) also mirrored  │ swap boundary, version+1
+//!   routing.write()     copy region into dst      │ routing.write()
+//!   (drains in-flight   inside an epoch bracket,  │ (drains in-flight again)
+//!   requests, installs  traffic still flowing,    │ replay dirty tail -> dst
+//!   the dirty mirror)   src authoritative, writes │ retire moved keys <- src
+//!                       to [lo,hi) also mirrored  │ src forces MigrateCommit
+//!                                                 │ swap boundary, version+1
 //! ```
 //!
 //! Throughout phase 1 the moving range is **dual-resolved**: the old shard
@@ -44,16 +44,17 @@
 //! migration's dirty log. Phase 2 drains the in-flight requests by taking the
 //! routing write lock, replays the mirrored tail onto the destination, retires
 //! the moved keys from the source — both bracketed in the shards' WALs under
-//! the migration epoch — forces `MigrateCommit`, and swaps the boundary.
+//! the migration epoch — forces `MigrateCommit` in the source shard's WAL, and
+//! swaps the boundary.
 //! Requests never error and never stall longer than the phase-2 critical
 //! section (one batch application).
 //!
-//! Crash anywhere before the `MigrateCommit` force: recovery discards the
-//! migration epoch on **both** shards (a migration epoch is never re-driven,
-//! even when fully acked — the boundary swap never happened, so the old
-//! boundaries must keep governing) and the old boundaries stand. Crash after:
-//! recovery replays the epoch normally and re-applies the boundary swap from
-//! the `MigrateBegin`/`MigrateCommit` pair. Either way the change is
+//! Crash before the `MigrateCommit` is whole in the source shard's WAL:
+//! recovery discards the migration epoch on **both** shards (presumed abort —
+//! the boundary swap never happened, so the old boundaries must keep
+//! governing) and the old boundaries stand. Crash after: recovery replays the
+//! epoch normally and re-applies the boundary swap from the range the
+//! `MigrateCommit` carries. Either way the change is
 //! all-or-nothing — `tests/rebalance.rs` sweeps randomized crash points
 //! through mid-migration traffic to hold that line.
 //!
@@ -123,7 +124,7 @@ pub struct RebalanceOutcome {
     pub hi: u64,
     /// Keys retired from the source (moved entries plus mirrored writes).
     pub moved_keys: u64,
-    /// The migration's epoch in the engine log (`None` on WAL-less engines,
+    /// The migration's epoch id (`None` on WAL-less engines,
     /// which migrate without journaling — volatile like the rest of their
     /// state).
     pub epoch: Option<u64>,

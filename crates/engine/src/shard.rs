@@ -222,7 +222,7 @@ impl Shard {
 
 /// Wraps a provisioned backend in [`pio::ResilientIo`] under
 /// [`EngineConfig::retry_policy`], so transient device errors are retried with
-/// backoff below the store, the shard WAL and the epoch log alike (backoff is
+/// backoff below the store and the shard WAL alike (backoff is
 /// charged into simulated latency, never slept — the engine's backends
 /// simulate time).
 pub(crate) fn resilient(io: Arc<dyn IoQueue>) -> Arc<dyn IoQueue> {

@@ -34,8 +34,8 @@
 use crate::builder::EngineBuilder;
 use crate::commit::EpochCoordinator;
 use crate::config::EngineConfig;
-use crate::epoch::EngineRecoveryReport;
 use crate::maintenance::{DirtyState, MaintenanceWorker};
+use crate::recovery::EngineRecoveryReport;
 use crate::routing::{shard_of, shard_range, sole_owner, RoutingState};
 use crate::scheduler::WorkerPool;
 use crate::shard::{Shard, ShardHealth};
@@ -297,10 +297,11 @@ impl ShardedPioEngine {
 
     /// Incremental checkpoint: drains the OPQ of every shard that changed since
     /// its last checkpoint (dirty shards in parallel, clean shards untouched),
-    /// persists the manifest, and then truncates the shard WALs and the engine
-    /// epoch log up to the checkpoint — bounding both on-disk log size and the
-    /// work the next [`ShardedPioEngine::recover`] must do. Truncation never
-    /// drops an undecided epoch's records. The background maintenance worker
+    /// persists the manifest, and then truncates the shard WALs up to the
+    /// checkpoint — bounding both on-disk log size and the work the next
+    /// [`ShardedPioEngine::recover`] must do. Truncation never drops an
+    /// undecided epoch's records, nor a commit record another shard's
+    /// surviving bracket still needs. The background maintenance worker
     /// calls this on the [`crate::EngineConfig::checkpoint_interval_ms`]
     /// cadence.
     pub fn checkpoint(&self) -> IoResult<()> {
@@ -326,27 +327,19 @@ impl ShardedPioEngine {
     }
 
     /// Simulates a crash of the whole engine: every shard loses its OPQ, buffer
-    /// pool, LSMap and un-forced WAL records, and the engine log loses its
-    /// un-forced records. Returns the total number of OPQ entries lost. Call
-    /// [`ShardedPioEngine::recover`] afterwards.
+    /// pool, LSMap and un-forced WAL records. Returns the total number of OPQ
+    /// entries lost. Call [`ShardedPioEngine::recover`] afterwards.
     pub fn simulate_crash(&self) -> usize {
-        let mut lost = 0;
-        for shard in &self.inner.shards {
-            lost += shard.tree.lock().simulate_crash();
-        }
-        if let Some(coord) = &self.inner.epoch {
-            coord.log.simulate_crash();
-        }
-        lost
+        self.inner.shards.iter().map(|s| s.tree.lock().simulate_crash()).sum()
     }
 
-    /// Engine-level restart recovery. First the engine log is analyzed and every
-    /// epoch is given a verdict — **committed** (normal replay), **re-driven**
-    /// (uncommitted but durable on every member shard: the missing commit record
-    /// is written now), or **discarded** (uncommitted with at least one shard
-    /// not durably acked: dropped on *every* shard). Then each shard replays its
-    /// own WAL through [`PioBTree::recover_with`], with the discard verdicts as
-    /// the redo filter — so after this returns, every cross-shard batch is
+    /// Engine-level restart recovery. First every shard WAL is scanned for the
+    /// epochs' commit records: an epoch whose `EpochCommit` (or
+    /// `MigrateCommit`) survives in some shard's log is **committed** (normal
+    /// replay, and a migration's boundary is re-applied); any other epoch with
+    /// a surviving bracket is **discarded** on *every* shard (presumed abort).
+    /// Then each shard replays its own WAL through [`PioBTree::recover_with`]
+    /// under those verdicts — so after this returns, every cross-shard batch is
     /// either fully present or fully absent (crash matrix in the crate docs).
     pub fn recover(&self) -> IoResult<EngineRecoveryReport> {
         self.inner.recover()
@@ -540,23 +533,6 @@ mod tests {
                     .build(),
             )
             .build()
-    }
-
-    /// Epoch ids are allocated outside the pin lock, so a smaller id can pin a
-    /// HIGHER Begin-LSN than a larger one. The truncation floor must be the
-    /// minimum pinned LSN, not the smallest-id entry's pin — taking the latter
-    /// would let a checkpoint truncate a still-undecided epoch's Begin record.
-    #[test]
-    fn truncation_floor_uses_the_minimum_pin_not_the_smallest_epoch_id() {
-        let io = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::F120, 16 << 20));
-        let coord = EpochCoordinator::new(io, 2048);
-        assert_eq!(coord.truncation_floor(1000), 1000, "no pins: the cut passes through");
-        // Inverted order: epoch 5 began at LSN 900, epoch 6 at LSN 400.
-        coord.in_flight.lock().extend([(5u64, 900u64), (6u64, 400u64)]);
-        assert_eq!(coord.truncation_floor(1000), 400, "the floor is the minimum pin");
-        assert_eq!(coord.truncation_floor(300), 300, "a cut below every pin is unaffected");
-        coord.in_flight.lock().remove(&6);
-        assert_eq!(coord.truncation_floor(1000), 900, "the floor follows the surviving pin");
     }
 
     #[test]
@@ -790,7 +766,6 @@ mod tests {
         assert!(lost >= batch.len(), "the queued batch is lost with the OPQs");
         let report = engine.recover().unwrap();
         assert_eq!(report.committed_epochs, 1);
-        assert_eq!(report.recovered_epochs, 0);
         assert_eq!(report.discarded_epochs, 0);
         assert!(report.redone() >= batch.len(), "every entry re-drives through the WALs");
 

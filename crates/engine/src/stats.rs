@@ -127,17 +127,15 @@ pub struct EngineStats {
     /// Total operations buffered in shard OPQs.
     pub queued_ops: usize,
     /// Cross-shard flush epochs committed (one per `insert_batch` that spans
-    /// shards with WALs enabled, plus epochs completed by recovery). Batches
-    /// one shard committed alone are not epochs: see `local_commits`.
+    /// shards with WALs enabled). Batches one shard committed alone are not
+    /// epochs: see `local_commits`.
     pub committed_epochs: u64,
     /// Batches committed by a single shard's local bracket — no engine epoch,
-    /// no engine-log record (one per single-shard `insert_batch` with WALs
+    /// no commit record (one per single-shard `insert_batch` with WALs
     /// enabled).
     pub local_commits: u64,
-    /// Uncommitted epochs that recovery found durable on every member shard and
-    /// re-drove (committed).
-    pub recovered_epochs: u64,
-    /// Uncommitted epochs that recovery discarded on every member shard.
+    /// Uncommitted epochs that recovery discarded on every member shard —
+    /// batches and rolled-back migrations alike.
     pub discarded_epochs: u64,
     /// Hot shards split at a median key since the engine was built (see the
     /// `rebalance` module).
@@ -149,9 +147,6 @@ pub struct EngineStats {
     /// Migrations whose `MigrateCommit` recovery found durable and whose
     /// boundary swap it re-applied.
     pub committed_migrations: u64,
-    /// Uncommitted migrations recovery rolled back (discarded on both shards;
-    /// a migration epoch is never re-driven).
-    pub rolled_back_migrations: u64,
     /// Whether a shard migration was in flight when this snapshot was taken
     /// (shard key ranges then overlap transiently; the old shard stays
     /// authoritative until commit).
@@ -163,17 +158,14 @@ pub struct EngineStats {
     /// the maintenance worker's `checkpoint_interval_ms` ticks alike).
     pub checkpoints: u64,
     /// Logical log bytes dropped by checkpoint-anchored truncation over the
-    /// lifetime, across the shard WALs and the engine epoch log.
+    /// lifetime, across the shard WALs.
     pub truncated_bytes: u64,
     /// Log records scanned by the most recent
-    /// [`crate::ShardedPioEngine::recover`] (every shard's WAL analysis pass
-    /// plus the epoch-log scan; 0 before any recovery). The bounded-recovery
+    /// [`crate::ShardedPioEngine::recover`] (every shard's WAL analysis pass,
+    /// each record once; 0 before any recovery). The bounded-recovery
     /// observable: with checkpointing active it tracks the work done since the
     /// last checkpoint, not the engine's age.
     pub recovery_replayed_records: u64,
-    /// Logical bytes a recovery would still scan in the engine epoch log
-    /// (0 without WALs).
-    pub epoch_log_bytes: u64,
     /// Shards whose health breaker is currently open (degraded: writes
     /// rejected with a retryable error until a maintenance probe heals them).
     pub degraded_shards: usize,
@@ -211,10 +203,10 @@ impl EngineStats {
     }
 
     /// Total logical log bytes a full engine recovery would still scan: every
-    /// shard's replayable WAL bytes plus the engine epoch log's. The quantity
-    /// checkpoint-anchored truncation bounds.
+    /// shard's replayable WAL bytes. The quantity checkpoint-anchored
+    /// truncation bounds.
     pub fn replayable_log_bytes(&self) -> u64 {
-        self.epoch_log_bytes + self.shards.iter().map(|s| s.wal_replayable_bytes).sum::<u64>()
+        self.shards.iter().map(|s| s.wal_replayable_bytes).sum()
     }
 
     /// Average point requests per per-shard sub-batch across the engine's
@@ -255,8 +247,6 @@ pub(crate) struct EngineCounters {
     pub(crate) committed_epochs: AtomicU64,
     /// Single-shard batches committed by a local bracket, without an epoch.
     pub(crate) local_commits: AtomicU64,
-    /// Uncommitted-but-fully-acked epochs completed by `recover`.
-    pub(crate) recovered_epochs: AtomicU64,
     /// Uncommitted epochs discarded on every shard by `recover`.
     pub(crate) discarded_epochs: AtomicU64,
     /// Fan-outs dispatched to the shard workers over the engine's lifetime.
@@ -269,15 +259,13 @@ pub(crate) struct EngineCounters {
     pub(crate) migrated_keys: AtomicU64,
     /// Committed migrations whose boundary was re-applied by `recover`.
     pub(crate) committed_migrations: AtomicU64,
-    /// Uncommitted migrations rolled back by `recover`.
-    pub(crate) rolled_back_migrations: AtomicU64,
     /// Checkpoints completed over the engine's lifetime.
     pub(crate) checkpoints: AtomicU64,
     /// Logical log bytes dropped by checkpoint-anchored truncation over the
-    /// lifetime (shard WALs + engine epoch log).
+    /// lifetime (shard WALs).
     pub(crate) truncated_bytes: AtomicU64,
-    /// Log records scanned by the most recent `recover` (shard WAL analysis
-    /// passes plus the epoch-log scan) — the bounded-recovery observable.
+    /// Log records scanned by the most recent `recover` (the shard WAL
+    /// analysis passes) — the bounded-recovery observable.
     pub(crate) recovery_replayed_records: AtomicU64,
     /// Maintenance passes that flushed at least one shard.
     pub(crate) maintenance_flushes: AtomicU64,
@@ -333,19 +321,16 @@ impl EngineInner {
             queued_ops: shards.iter().map(|s| s.opq_len).sum(),
             committed_epochs: self.counters.committed_epochs.load(Ordering::Relaxed),
             local_commits: self.counters.local_commits.load(Ordering::Relaxed),
-            recovered_epochs: self.counters.recovered_epochs.load(Ordering::Relaxed),
             discarded_epochs: self.counters.discarded_epochs.load(Ordering::Relaxed),
             splits: self.counters.splits.load(Ordering::Relaxed),
             merges: self.counters.merges.load(Ordering::Relaxed),
             migrated_keys: self.counters.migrated_keys.load(Ordering::Relaxed),
             committed_migrations: self.counters.committed_migrations.load(Ordering::Relaxed),
-            rolled_back_migrations: self.counters.rolled_back_migrations.load(Ordering::Relaxed),
             active_migration,
             routing_version,
             checkpoints: self.counters.checkpoints.load(Ordering::Relaxed),
             truncated_bytes: self.counters.truncated_bytes.load(Ordering::Relaxed),
             recovery_replayed_records: self.counters.recovery_replayed_records.load(Ordering::Relaxed),
-            epoch_log_bytes: self.epoch.as_ref().map_or(0, |c| c.log.replayable_bytes()),
             degraded_shards: shards.iter().filter(|s| s.degraded).count(),
             breaker_opens: shards.iter().map(|s| s.breaker_opens).sum(),
             breaker_closes: shards.iter().map(|s| s.breaker_closes).sum(),

@@ -4,8 +4,8 @@
 //! core claim — internal parallelism of *one* SSD — only shows end-to-end when
 //! many shards contend on a single device. This module makes the placement a
 //! first-class, pluggable decision instead of a constructor detail:
-//! [`ShardProvisioner`] yields every shard's store and WAL [`IoQueue`] (plus the
-//! engine's epoch-log backend) as an [`EngineBackends`] bundle, and the
+//! [`ShardProvisioner`] yields every shard's store and WAL [`IoQueue`] as an
+//! [`EngineBackends`] bundle, and the
 //! [`crate::EngineBuilder`] assembles the same engine over any of them.
 //!
 //! Three topologies ship:
@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The I/O backends of one provisioned engine: one store (and, with the WAL
-/// enabled, one WAL) queue per shard plus the engine's epoch-log backend.
+/// enabled, one WAL) queue per shard.
 ///
 /// Usually produced by a [`ShardProvisioner`]; hand-built bundles are the
 /// crash-injection seam of the recovery test harness (each queue wrapped in a
@@ -46,7 +46,10 @@ pub struct EngineBackends {
     pub shard_stores: Vec<Arc<dyn IoQueue>>,
     /// One WAL backend per shard (used only when the base config enables the WAL).
     pub shard_wals: Vec<Arc<dyn IoQueue>>,
-    /// The engine epoch-log backend (used only when the WAL is enabled).
+    /// Ignored: the engine keeps no log of its own — a cross-shard epoch is
+    /// decided by a commit record in a member shard's WAL. The field stays
+    /// only because the frozen benchmark harness still sets it; it goes with
+    /// the next change to that harness.
     pub engine_wal: Option<Arc<dyn IoQueue>>,
 }
 
@@ -55,7 +58,6 @@ impl std::fmt::Debug for EngineBackends {
         f.debug_struct("EngineBackends")
             .field("shard_stores", &self.shard_stores.len())
             .field("shard_wals", &self.shard_wals.len())
-            .field("engine_wal", &self.engine_wal.is_some())
             .finish()
     }
 }
@@ -83,7 +85,7 @@ pub struct EngineManifest {
     pub shards: usize,
     /// Page size the shard trees were built with.
     pub page_size: usize,
-    /// Whether the engine logs (per-shard WALs + epoch log).
+    /// Whether the shards log (one WAL per shard).
     pub wal_enabled: bool,
     /// Boundary keys (length `shards − 1`).
     pub bounds: Vec<Key>,
@@ -106,8 +108,12 @@ impl EngineManifest {
     /// refuse the directory instead. v4 marks shard WALs that may hold local
     /// brackets ([`pio_btree::LOCAL_EPOCH`], `BatchAbort`): a v3-era binary
     /// would take one for an epoch nobody discarded and replay an aborted batch.
+    /// v5 marks an engine with no epoch log of its own: a cross-shard epoch is
+    /// decided by a commit record ([`pio_btree::LogRecord::EpochCommit`],
+    /// [`pio_btree::LogRecord::MigrateCommit`]) in a shard WAL, which a
+    /// v4-era binary would stop replay at.
     pub fn encode(&self) -> String {
-        let mut out = String::from("pio-engine-manifest v4\n");
+        let mut out = String::from("pio-engine-manifest v5\n");
         out.push_str(&format!("shards={}\n", self.shards));
         out.push_str(&format!("page_size={}\n", self.page_size));
         out.push_str(&format!("wal={}\n", u8::from(self.wal_enabled)));
@@ -122,19 +128,17 @@ impl EngineManifest {
     /// Parses the text form produced by [`EngineManifest::encode`]. Returns
     /// `None` for unknown versions or malformed content — including v1
     /// manifests, whose WAL regions use the pre-truncation layout this code
-    /// can no longer read (see [`EngineManifest::encode`]). v2 and v3
-    /// directories are accepted: every record their logs hold still replays,
-    /// and the next manifest sync re-marks them v4.
+    /// can no longer read (see [`EngineManifest::encode`]). v2–v4 directories
+    /// are accepted without a WAL — the next manifest sync re-marks them v5 —
+    /// and refused with one: their cross-shard brackets may have been decided
+    /// in an `engine.wal` epoch log this code no longer reads.
     pub fn decode(text: &str) -> Option<Self> {
         let mut lines = text.lines();
-        let versions = [
-            "pio-engine-manifest v2",
-            "pio-engine-manifest v3",
-            "pio-engine-manifest v4",
-        ];
-        if !versions.contains(&lines.next()?) {
-            return None;
-        }
+        let current = match lines.next()? {
+            "pio-engine-manifest v5" => true,
+            "pio-engine-manifest v2" | "pio-engine-manifest v3" | "pio-engine-manifest v4" => false,
+            _ => return None,
+        };
         let mut shards = None;
         let mut page_size = None;
         let mut wal = None;
@@ -187,7 +191,9 @@ impl EngineManifest {
             bounds: bounds?,
             shard_meta: shard_meta.into_iter().collect::<Option<_>>()?,
         };
-        (manifest.shard_meta.len() == manifest.shards && manifest.bounds.len() + 1 == manifest.shards)
+        (manifest.shard_meta.len() == manifest.shards
+            && manifest.bounds.len() + 1 == manifest.shards
+            && (current || !manifest.wal_enabled))
             .then_some(manifest)
     }
 }
@@ -213,7 +219,7 @@ pub enum ProvisionMode {
 /// [`crate::EngineBuilder::build`] calls [`ShardProvisioner::provision`] once
 /// with the validated configuration; the returned [`EngineBackends`] must hold
 /// one store queue per shard and — when `config.base.wal_enabled` — one WAL
-/// queue per shard plus the engine epoch-log backend. Topologies with durable
+/// queue per shard. Topologies with durable
 /// state additionally persist an [`EngineManifest`] so
 /// [`crate::EngineBuilder::recover`] can reassemble the engine after a restart;
 /// purely simulated topologies keep the defaults (no manifest, recovery
@@ -294,12 +300,12 @@ impl ShardProvisioner for DevicePerShard {
             } else {
                 Vec::new()
             },
-            engine_wal: wal.then(|| sim(config.wal_capacity_bytes)),
+            engine_wal: None,
         })
     }
 }
 
-/// All shards (stores, WALs and the epoch log) as disjoint address partitions
+/// All shards (stores and WALs) as disjoint address partitions
 /// of **one** simulated device. Every shard's in-flight tickets join the same
 /// scheduling window, so concurrent fan-outs contend for the shared channels,
 /// packages and host interface — the configuration that actually exercises the
@@ -319,8 +325,8 @@ impl ShardProvisioner for SharedDevice {
         let shards = config.shards as u64;
         let wal = config.base.wal_enabled;
         let wal_cap = if wal { config.wal_capacity_bytes } else { 0 };
-        // Layout: the shard stores first, then the shard WALs, then the epoch log.
-        let total = shards * config.shard_capacity_bytes + shards * wal_cap + wal_cap;
+        // Layout: the shard stores first, then the shard WALs.
+        let total = shards * (config.shard_capacity_bytes + wal_cap);
         let device: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(config.profile, total));
         let partition = |base: u64, capacity: u64| -> Arc<dyn IoQueue> {
             Arc::new(PartitionIo::new(Arc::clone(&device), base, capacity))
@@ -337,7 +343,7 @@ impl ShardProvisioner for SharedDevice {
             } else {
                 Vec::new()
             },
-            engine_wal: wal.then(|| partition(wal_base + shards * wal_cap, wal_cap)),
+            engine_wal: None,
         })
     }
 }
@@ -346,7 +352,7 @@ impl ShardProvisioner for SharedDevice {
 /// [`FileThreadPoolIo`] backend, plus a persisted [`EngineManifest`].
 ///
 /// Layout of the directory: `shard-NNN.store` and (with the WAL enabled)
-/// `shard-NNN.wal` per shard, `engine.wal` for the epoch log, `MANIFEST`
+/// `shard-NNN.wal` per shard, `MANIFEST`
 /// (written atomically via a temp file + rename), and a `DIRTY` sentinel that
 /// exists exactly while un-checkpointed mutations may have touched the files.
 ///
@@ -406,7 +412,8 @@ impl ShardProvisioner for RealFiles {
             // manifest goes first — a crash anywhere after this point must
             // leave a directory that recover() refuses ("no manifest"), never
             // one whose stale manifest describes partially overwritten files.
-            for name in ["MANIFEST", "MANIFEST.tmp", "DIRTY"] {
+            // A stale `engine.wal` (the epoch log of v4 and older) goes too.
+            for name in ["MANIFEST", "MANIFEST.tmp", "DIRTY", "engine.wal"] {
                 match std::fs::remove_file(self.dir.join(name)) {
                     Ok(()) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -442,15 +449,10 @@ impl ShardProvisioner for RealFiles {
         } else {
             Vec::new()
         };
-        let engine_wal = if wal {
-            Some(self.open("engine.wal".to_string())?)
-        } else {
-            None
-        };
         Ok(EngineBackends {
             shard_stores,
             shard_wals,
-            engine_wal,
+            engine_wal: None,
         })
     }
 
@@ -557,25 +559,31 @@ mod tests {
             ..manifest
         };
         assert_eq!(EngineManifest::decode(&single.encode()), Some(single.clone()));
-        // A directory written before local brackets, or before the logical
-        // append-undo record, reopens: the writer emits v4, the reader still
-        // accepts v3 and v2.
-        assert!(single.encode().starts_with("pio-engine-manifest v4\n"));
-        let v2 = single
-            .encode()
-            .replacen("pio-engine-manifest v4", "pio-engine-manifest v2", 1);
-        assert_eq!(
-            EngineManifest::decode(&v2.replacen("v2", "v3", 1)),
-            Some(single.clone())
-        );
-        assert_eq!(EngineManifest::decode(&v2), Some(single));
-        assert_eq!(EngineManifest::decode(&v2.replacen("v2", "v1", 1)), None);
+        // The writer emits v5. A directory written by an older version
+        // reopens only without a WAL: with one, its cross-shard brackets may
+        // have been decided in an epoch log this code no longer reads.
+        assert!(single.encode().starts_with("pio-engine-manifest v5\n"));
+        let logless = EngineManifest {
+            wal_enabled: false,
+            ..single.clone()
+        };
+        for old in ["v2", "v3", "v4"] {
+            let as_old = |m: &EngineManifest| m.encode().replacen("v5", old, 1);
+            assert_eq!(
+                EngineManifest::decode(&as_old(&logless)),
+                Some(logless.clone()),
+                "{old}"
+            );
+            assert_eq!(EngineManifest::decode(&as_old(&single)), None, "{old} with a WAL");
+        }
+        assert_eq!(EngineManifest::decode(&logless.encode().replacen("v5", "v1", 1)), None);
+        assert_eq!(EngineManifest::decode(&logless.encode().replacen("v5", "v6", 1)), None);
     }
 
     #[test]
     fn corrupt_manifests_decode_to_none() {
         assert_eq!(EngineManifest::decode(""), None);
-        assert_eq!(EngineManifest::decode("pio-engine-manifest v4\nshards=1\n"), None);
+        assert_eq!(EngineManifest::decode("pio-engine-manifest v5\nshards=1\n"), None);
         let good = EngineManifest {
             shards: 2,
             page_size: 2048,
@@ -614,7 +622,7 @@ mod tests {
             .unwrap();
         assert_eq!(backends.shard_stores.len(), 3);
         assert_eq!(backends.shard_wals.len(), 3);
-        assert!(backends.engine_wal.is_some());
+        assert!(backends.engine_wal.is_none(), "the engine keeps no log of its own");
         // Independent devices: a write through one store is invisible to another.
         use pio::IoQueue;
         backends.shard_stores[0].write_at(0, b"zero").unwrap();

@@ -207,7 +207,7 @@ struct ClockState {
 /// The shared trigger state of a set of [`FaultIo`] wrappers.
 ///
 /// One clock is typically shared by every backend of the system under test
-/// (index stores, shard WALs, the engine log), so "crash at write `k`" means the
+/// (index stores and shard WALs), so "crash at write `k`" means the
 /// `k`-th write submission *anywhere in the system* — the global crash points a
 /// randomized harness sweeps over.
 #[derive(Default)]

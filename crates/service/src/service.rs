@@ -782,7 +782,7 @@ mod tests {
         let backends = EngineBackends {
             shard_stores: vec![Arc::new(sim(config.shard_capacity_bytes))],
             shard_wals: vec![Arc::new(wal)],
-            engine_wal: Some(Arc::new(sim(config.wal_capacity_bytes))),
+            engine_wal: None,
         };
         let engine = EngineBuilder::new(config).topology(backends).build().unwrap();
         (EngineService::start(Arc::new(engine)), mode)

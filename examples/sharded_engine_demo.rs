@@ -7,7 +7,7 @@
 
 use engine::{EngineBackends, EngineBuilder, EngineConfig, ShardedPioEngine};
 use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo};
-use pio_btree::PioConfig;
+use pio_btree::{LogRecord, PioConfig};
 use ssd_sim::DeviceProfile;
 use std::sync::Arc;
 use workload::{replay, KeyDistribution, MixSpec, OperationGenerator};
@@ -111,11 +111,12 @@ fn main() {
 
     // ---- Crash recovery: kill the engine mid-batch, reopen, recover ----------
     //
-    // A WAL-enabled engine runs every insert_batch as a two-phase flush epoch
-    // over an engine-level log. Here the epoch-log backend is wrapped in the
-    // fault-injection harness and the crash is scripted onto the shard-ack
-    // force: every shard's sub-batch is durable in its own WAL, but the engine
-    // log holds neither acks nor a commit — the exact window where naive
+    // A WAL-enabled engine runs every insert_batch that spans shards as a
+    // flush epoch: each member shard forces its sub-batch in its own WAL, then
+    // the lowest member — the coordinator — forces an EpochCommit record in
+    // its WAL. Here shard 0's WAL is wrapped in the fault-injection harness and
+    // the crash is scripted onto that commit force: every shard's sub-batch is
+    // durable, but no log holds the commit — the exact window where naive
     // per-shard recovery would replay a batch the protocol never decided.
     // Recovery presumes abort and discards the epoch on every shard.
     println!("\n--- simulated crash mid-insert_batch ---");
@@ -134,18 +135,17 @@ fn main() {
                 .build(),
         )
         .build();
-    let engine_wal_clock = FaultClock::new();
+    let coordinator_clock = FaultClock::new();
+    let mut shard_wals: Vec<Arc<dyn IoQueue>> = (0..3)
+        .map(|_| Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, 64 << 20)) as Arc<dyn IoQueue>)
+        .collect();
+    shard_wals[0] = Arc::new(FaultIo::new(Arc::clone(&shard_wals[0]), Arc::clone(&coordinator_clock)));
     let backends = EngineBackends {
         shard_stores: (0..3)
             .map(|_| Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 28)) as Arc<dyn IoQueue>)
             .collect(),
-        shard_wals: (0..3)
-            .map(|_| Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, 64 << 20)) as Arc<dyn IoQueue>)
-            .collect(),
-        engine_wal: Some(Arc::new(FaultIo::new(
-            Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, 64 << 20)),
-            Arc::clone(&engine_wal_clock),
-        ))),
+        shard_wals,
+        engine_wal: None,
     };
     let sample: Vec<u64> = (0..30_000).collect();
     // The fault-wrapped backends slot into the same builder every topology uses.
@@ -159,9 +159,14 @@ fn main() {
     let committed: Vec<(u64, u64)> = (0..600u64).map(|k| (k * 50, k)).collect();
     engine.insert_batch(&committed).expect("committed batch");
     let doomed: Vec<(u64, u64)> = (0..600u64).map(|k| (k * 50 + 1, k + 1_000_000)).collect();
-    // Engine-log writes per batch: Begin force, ack force, commit force — kill
-    // the second batch's ack force, so its epoch dies un-acked (presumed abort).
-    engine_wal_clock.arm(CrashPlan::at_write(engine_wal_clock.writes_seen() + 1));
+    // The second batch is epoch 2: kill the first shard-0 write that carries
+    // its commit record (8-byte WAL record header, then the record itself).
+    let commit = LogRecord::EpochCommit { epoch: 2 }.encode();
+    coordinator_clock.arm(CrashPlan::on_payload(move |writes| {
+        writes
+            .iter()
+            .any(|w| w.data.windows(commit.len()).any(|window| window == commit))
+    }));
     let crash_err = engine.insert_batch(&doomed).expect_err("the scripted crash fires");
     println!(
         "insert_batch of {} entries died mid-protocol: {crash_err}",
@@ -169,13 +174,12 @@ fn main() {
     );
 
     let lost = engine.simulate_crash();
-    engine_wal_clock.heal();
+    coordinator_clock.heal();
     println!("crash: {lost} queued operations lost, reopening...");
     let report = engine.recover().expect("recovery");
     println!(
-        "recover(): {} committed epoch(s) replayed, {} re-driven, {} discarded ({} records dropped, {} redone)",
+        "recover(): {} committed epoch(s) replayed, {} discarded ({} records dropped, {} redone)",
         report.committed_epochs,
-        report.recovered_epochs,
         report.discarded_epochs,
         report.discarded_records(),
         report.redone(),
@@ -183,8 +187,8 @@ fn main() {
     engine.checkpoint().expect("post-recovery checkpoint");
     let stats = engine.stats();
     println!(
-        "EngineStats: committed_epochs {}, recovered_epochs {}, discarded_epochs {}",
-        stats.committed_epochs, stats.recovered_epochs, stats.discarded_epochs
+        "EngineStats: committed_epochs {}, discarded_epochs {}",
+        stats.committed_epochs, stats.discarded_epochs
     );
     let survivors = engine.count_entries().expect("count");
     println!(

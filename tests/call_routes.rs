@@ -2,7 +2,8 @@
 //! no difference to its contract. A `multi_search`, `insert_batch` or
 //! `range_search` one shard owns runs on the thread that made the call; the
 //! same call spanning two shards runs on the shards' workers
-//! (`engine-shard-N`); background work — a maintenance flush pass, a
+//! (`engine-shard-N`), all but an `insert_batch`'s commit force, which its
+//! caller makes once every leg is acked; background work — a maintenance flush pass, a
 //! checkpoint — runs on the workers however many shards it touches. Seen
 //! through a recording [`IoQueue`](pio::IoQueue) wrapper (which thread handed
 //! each batch to which backend), never through a clock.
@@ -142,7 +143,16 @@ fn a_call_one_shard_owns_runs_on_its_caller_and_everything_else_on_the_workers()
         assert_workers(&recorder.take(), &[0, 1], "multi_search across the cut");
 
         engine.insert_batch(&[(21, 1), (CUT + 21, 1)]).unwrap();
-        assert_workers(&recorder.take(), &[0, 1], "insert_batch across the cut");
+        // Round 1, each member's bracket, runs on its worker; round 2, the
+        // coordinator's commit force, is the caller's.
+        let mut seen = recorder.take();
+        let commit = seen.pop().expect("the commit force");
+        assert_eq!(
+            (commit.backend.as_str(), commit.write, commit.thread_name.as_str()),
+            ("wal0", true, "caller"),
+            "{commit:?}"
+        );
+        assert_workers(&seen, &[0, 1], "insert_batch across the cut");
 
         let scan = engine.range_search(CUT - 9_000, CUT + 9_000).unwrap();
         assert_eq!(scan.len(), 1_800 + batch.len());

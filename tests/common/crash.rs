@@ -2,8 +2,8 @@
 //! [`pio::fault`] harness (the same wrapper the `storage` and `pio-btree` unit
 //! tests use).
 //!
-//! The pattern: every I/O backend of the system under test — shard stores,
-//! shard WALs, the engine's epoch log — is wrapped in a [`FaultIo`] sharing one
+//! The pattern: every I/O backend of the system under test — shard stores and
+//! shard WALs — is wrapped in a [`FaultIo`] sharing one
 //! [`FaultClock`], so "crash at write `k`" means the `k`-th write submission
 //! anywhere in the system. A profiling run with nothing armed counts the total
 //! writes of the deterministic workload; the randomized tests then sweep crash
@@ -44,12 +44,12 @@ pub fn faulty_sim(profile: DeviceProfile, capacity_bytes: u64, clock: &Arc<Fault
 }
 
 /// Per-backend clocks for scripted crash points: separate clocks for each
-/// shard store, each shard WAL, and the engine's epoch log, so a test can
-/// target exactly one backend's N-th write.
+/// shard store and each shard WAL, so a test can target exactly one backend's
+/// N-th write — an epoch's commit force is its coordinator's WAL write (the
+/// lowest member shard of a batch, the source shard of a migration).
 pub struct EngineClocks {
     pub stores: Vec<Arc<FaultClock>>,
     pub wals: Vec<Arc<FaultClock>>,
-    pub engine_wal: Arc<FaultClock>,
 }
 
 impl EngineClocks {
@@ -58,7 +58,6 @@ impl EngineClocks {
         for c in self.stores.iter().chain(&self.wals) {
             c.heal();
         }
-        self.engine_wal.heal();
     }
 }
 
@@ -71,7 +70,7 @@ pub fn shared_clock_backends(config: &EngineConfig, clock: &Arc<FaultClock>) -> 
         shard_wals: (0..config.shards)
             .map(|_| faulty_sim(config.profile, config.wal_capacity_bytes, clock))
             .collect(),
-        engine_wal: Some(faulty_sim(config.profile, config.wal_capacity_bytes, clock)),
+        engine_wal: None,
     }
 }
 
@@ -80,7 +79,6 @@ pub fn shared_clock_backends(config: &EngineConfig, clock: &Arc<FaultClock>) -> 
 pub fn per_backend_clocks(config: &EngineConfig) -> (EngineBackends, EngineClocks) {
     let stores: Vec<Arc<FaultClock>> = (0..config.shards).map(|_| FaultClock::new()).collect();
     let wals: Vec<Arc<FaultClock>> = (0..config.shards).map(|_| FaultClock::new()).collect();
-    let engine_wal = FaultClock::new();
     let backends = EngineBackends {
         shard_stores: stores
             .iter()
@@ -90,16 +88,9 @@ pub fn per_backend_clocks(config: &EngineConfig) -> (EngineBackends, EngineClock
             .iter()
             .map(|c| faulty_sim(config.profile, config.wal_capacity_bytes, c))
             .collect(),
-        engine_wal: Some(faulty_sim(config.profile, config.wal_capacity_bytes, &engine_wal)),
+        engine_wal: None,
     };
-    (
-        backends,
-        EngineClocks {
-            stores,
-            wals,
-            engine_wal,
-        },
-    )
+    (backends, EngineClocks { stores, wals })
 }
 
 /// Builds a WAL-enabled engine whose every backend shares `clock`, bulk-loaded

@@ -134,7 +134,7 @@ pub fn gated_engine(config: EngineConfig, key_sample: &[u64], gate: &Arc<Gate>) 
         shard_wals: (0..config.shards)
             .map(|_| GateIo::wrap(sim(config.wal_capacity_bytes), gate))
             .collect(),
-        engine_wal: Some(sim(config.wal_capacity_bytes)),
+        engine_wal: None,
     };
     EngineBuilder::new(config)
         .topology(backends)

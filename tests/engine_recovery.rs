@@ -2,8 +2,10 @@
 //! randomized crash injection.
 //!
 //! The scripted tests walk the crash matrix of the epoch protocol (see the
-//! `engine` crate docs): before `Begin`, mid fan-out, between the shards'
-//! durable writes and `Commit`, and after `Commit`. The randomized test sweeps
+//! `engine` crate docs): before any bracket is durable, mid fan-out, every cut
+//! of the coordinator's `EpochCommit` force, and after it — plus the one rule
+//! truncation adds (a commit record outlives its epoch's brackets) and epoch-id
+//! continuity across real restarts. The randomized test sweeps
 //! hundreds of crash points — the N-th write submission anywhere in the engine —
 //! over a deterministic batched workload and verifies every recovered state
 //! against an in-memory oracle: each batch is either fully present on all
@@ -13,13 +15,17 @@
 
 mod common;
 
-use common::crash::{crashy_engine, per_backend_clocks, seeded_rng};
-use engine::{EngineBuilder, EngineConfig, ShardedPioEngine};
-use pio::{CrashPlan, FaultClock, TornWrite};
+use common::crash::{crashy_engine, per_backend_clocks, seeded_rng, EngineClocks};
+use engine::{
+    EngineBackends, EngineBuilder, EngineConfig, EngineManifest, ProvisionMode, RealFiles, ShardProvisioner,
+    ShardedPioEngine,
+};
+use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, IoResult, TornWrite};
 use pio_btree::PioConfig;
 use rand::Rng;
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Three shards, tiny OPQs (so batches overflow into flushes mid-epoch), WALs on.
 fn config() -> EngineConfig {
@@ -65,9 +71,9 @@ fn workload() -> Vec<Op> {
             })
             .collect();
         ops.push(Op::Batch(batch));
-        // Three mid-stream checkpoints: each one truncates the shard WALs and
-        // the engine log, so the randomized sweep's crash points also land
-        // before, during and after truncation-marker writes.
+        // Three mid-stream checkpoints: each one truncates the shard WALs, so
+        // the randomized sweep's crash points also land before, during and
+        // after truncation-marker writes.
         if b == 3 || b == 5 || b == 8 {
             ops.push(Op::Checkpoint);
         }
@@ -108,30 +114,47 @@ fn engine_state(engine: &ShardedPioEngine) -> BTreeMap<u64, u64> {
     engine.range_search(0, u64::MAX).expect("scan").into_iter().collect()
 }
 
-// --------------------------------------------------------------- crash matrix --
-
-/// Crash before the epoch's `Begin` record is durable: no shard ever sees the
-/// batch; recovery finds no trace of the epoch.
-#[test]
-fn crash_before_epoch_begin_leaves_no_trace() {
+/// A fresh engine over per-backend fault clocks, bulk loaded with the seeds.
+fn clocked_engine() -> (ShardedPioEngine, EngineClocks) {
     let (backends, clocks) = per_backend_clocks(&config());
     let engine = EngineBuilder::new(config())
         .entries(&seed_entries())
         .topology(backends)
         .build()
         .unwrap();
-    let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
-    // The next engine-log write is the Begin force.
+    (engine, clocks)
+}
+
+/// Shard WAL writes `op` submits on `engine`, per shard.
+fn wal_writes(clocks: &EngineClocks, op: impl FnOnce()) -> Vec<u64> {
+    let before: Vec<u64> = clocks.wals.iter().map(|c| c.writes_seen()).collect();
+    op();
     clocks
-        .engine_wal
-        .arm(CrashPlan::at_write(clocks.engine_wal.writes_seen()));
+        .wals
+        .iter()
+        .zip(before)
+        .map(|(c, b)| c.writes_seen() - b)
+        .collect()
+}
+
+// --------------------------------------------------------------- crash matrix --
+
+/// Crash before any member's bracket is durable: every member's bracket
+/// force fails, so no shard log ever holds the batch and recovery finds no
+/// trace of the epoch — nothing was logged before round 1.
+#[test]
+fn crash_before_epoch_begin_leaves_no_trace() {
+    let (engine, clocks) = clocked_engine();
+    let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
+    for wal in &clocks.wals {
+        wal.arm(CrashPlan::at_write(wal.writes_seen()));
+    }
     assert!(engine.insert_batch(&batch).is_err());
     clocks.heal_all();
     engine.simulate_crash();
     let report = engine.recover().unwrap();
     assert_eq!(report.committed_epochs, 0);
-    assert_eq!(report.recovered_epochs, 0);
-    assert_eq!(report.discarded_epochs, 0, "the epoch never reached the log");
+    assert_eq!(report.discarded_epochs, 0, "the epoch never reached a log");
     engine.checkpoint().unwrap();
     assert_eq!(engine_state(&engine), oracle(&seed_entries(), &[]));
     engine.check_invariants().unwrap();
@@ -142,12 +165,7 @@ fn crash_before_epoch_begin_leaves_no_trace() {
 /// partial batch survives.
 #[test]
 fn crash_mid_fanout_discards_the_epoch_everywhere() {
-    let (backends, clocks) = per_backend_clocks(&config());
-    let engine = EngineBuilder::new(config())
-        .entries(&seed_entries())
-        .topology(backends)
-        .build()
-        .unwrap();
+    let (engine, clocks) = clocked_engine();
     // Keys chosen to hit all three shards (boundaries cut ~[1000, 2000)).
     let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
     // Kill shard 2's WAL: its bracket force fails after shards 0/1 are durable
@@ -159,7 +177,7 @@ fn crash_mid_fanout_discards_the_epoch_everywhere() {
     engine.simulate_crash();
 
     let report = engine.recover().unwrap();
-    assert_eq!(report.discarded_epochs, 1, "partial acks mean presumed abort");
+    assert_eq!(report.discarded_epochs, 1, "no commit record means presumed abort");
     assert!(
         report.discarded_records() > 0,
         "the durable shards' sub-batches must be dropped"
@@ -174,98 +192,75 @@ fn crash_mid_fanout_discards_the_epoch_everywhere() {
 }
 
 /// Crash between the last shard's durable write and `EpochCommit` — the
-/// acceptance-criteria window. The shards' `Ack`s and the `Commit` ride ONE
-/// engine-log force, so the window is a *torn* decision force. Every cut of
-/// that force's page is tried, from "fails outright" (nothing lands) upward:
-/// while an ack is missing the epoch is discarded everywhere; once all acks
-/// are durable but the `Commit` is not it is re-driven everywhere; once the
-/// `Commit` is whole it is simply committed (the caller saw an error, the log
-/// says otherwise — still all-or-nothing). The three outcomes must appear in
-/// exactly that order as the cut grows.
+/// acceptance-criteria window. Round 2 is one force of the coordinator's WAL
+/// (shard 0, the batch's lowest member), so the window is a *torn* commit
+/// force. Every cut of that force's page is tried, from "fails outright"
+/// (nothing lands) upward: while the `EpochCommit` is not whole the epoch is
+/// discarded everywhere; once it is, the epoch is committed (the caller saw an
+/// error, the log says otherwise — still all-or-nothing). Nothing in between:
+/// there is no acks-without-commit state to re-drive.
 #[test]
 fn crash_between_shard_durability_and_commit_is_all_or_nothing() {
     let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
     let absent = oracle(&seed_entries(), &[]);
     let present = oracle(&seed_entries(), &[Op::Batch(batch.clone())]);
-    // Outcome per cut: 0 = discarded, 1 = re-driven, 2 = committed.
-    let mut outcomes: Vec<u8> = Vec::new();
+    // Profiling run: the batch's shard-WAL writes. The coordinator's last one
+    // is the commit force; every other member forces its bracket once.
+    let (engine, clocks) = clocked_engine();
+    let forces = wal_writes(&clocks, || engine.insert_batch(&batch).unwrap());
+    assert_eq!(&forces[1..], [1, 1], "one bracket force per participant");
+    assert!(forces[0] >= 2, "the coordinator forces its bracket, then the commit");
+    drop(engine);
+    // Per cut: whether the batch committed.
+    let mut outcomes: Vec<bool> = Vec::new();
     for cut in 0..config().base.page_size {
-        let (backends, clocks) = per_backend_clocks(&config());
-        let engine = EngineBuilder::new(config())
-            .entries(&seed_entries())
-            .topology(backends)
-            .build()
-            .unwrap();
-        // Engine-log writes per batch: #0 the Begin force, #1 the decision
-        // force (acks + Commit, one page).
-        let base = clocks.engine_wal.writes_seen();
-        clocks
-            .engine_wal
-            .arm(CrashPlan::at_write(base + 1).with_torn(TornWrite {
-                keep_requests: 0,
-                keep_bytes_of_next: cut,
-            }));
+        let (engine, clocks) = clocked_engine();
+        let commit_force = clocks.wals[0].writes_seen() + forces[0] - 1;
+        clocks.wals[0].arm(CrashPlan::at_write(commit_force).with_torn(TornWrite {
+            keep_requests: 0,
+            keep_bytes_of_next: cut,
+        }));
         assert!(engine.insert_batch(&batch).is_err(), "cut {cut}");
         assert_eq!(
-            clocks.engine_wal.writes_seen(),
-            base + 2,
-            "cut {cut}: one Begin force, one decision force"
+            clocks.wals[0].writes_seen(),
+            commit_force + 1,
+            "cut {cut}: the commit force is the last write"
         );
         clocks.heal_all();
         engine.simulate_crash();
 
         let report = engine.recover().unwrap();
-        let outcome = match (
-            report.discarded_epochs,
-            report.recovered_epochs,
-            report.committed_epochs,
-        ) {
-            (1, 0, 0) => 0,
-            (0, 1, 0) => 1,
-            (0, 0, 1) => 2,
+        let committed = match (report.discarded_epochs, report.committed_epochs) {
+            (1, 0) => false,
+            (0, 1) => true,
             other => panic!("cut {cut}: the epoch must get exactly one verdict, got {other:?}"),
         };
         engine.checkpoint().unwrap();
         assert_eq!(
             engine_state(&engine),
-            if outcome == 0 { absent.clone() } else { present.clone() },
+            if committed { present.clone() } else { absent.clone() },
             "cut {cut}: batch must be fully {}",
-            if outcome == 0 { "absent" } else { "present" }
+            if committed { "present" } else { "absent" }
         );
         engine.check_invariants().unwrap();
-        outcomes.push(outcome);
-        if outcome == 2 {
-            break; // every longer cut lands the whole decision too
+        outcomes.push(committed);
+        if committed {
+            break; // every longer cut lands the whole record too
         }
     }
-    assert_eq!(
-        outcomes[0], 0,
-        "a decision force that fails outright discards the epoch"
-    );
+    assert!(!outcomes[0], "a commit force that fails outright discards the epoch");
+    assert_eq!(outcomes.last(), Some(&true), "a whole commit force commits");
     assert!(
-        outcomes.windows(2).all(|w| w[0] <= w[1]),
-        "discarded, then re-driven, then committed as the cut grows: {outcomes:?}"
-    );
-    assert!(
-        outcomes.contains(&1),
-        "some cut must leave every Ack durable and the Commit not (the re-drive window): {outcomes:?}"
-    );
-    assert_eq!(
-        outcomes.last(),
-        Some(&2),
-        "a whole decision force commits: {outcomes:?}"
+        outcomes.len() > 8,
+        "a cut inside the EpochCommit record must discard the epoch: committed at cut {}",
+        outcomes.len() - 1
     );
 }
 
 /// Crash after `Commit`: normal replay, the batch is fully present.
 #[test]
 fn crash_after_commit_replays_the_batch() {
-    let (backends, _clocks) = per_backend_clocks(&config());
-    let engine = EngineBuilder::new(config())
-        .entries(&seed_entries())
-        .topology(backends)
-        .build()
-        .unwrap();
+    let (engine, _clocks) = clocked_engine();
     let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
     engine.insert_batch(&batch).unwrap();
     engine.simulate_crash();
@@ -289,15 +284,7 @@ fn a_rollback_that_fails_is_undone_from_the_log() {
     let batches: Vec<Vec<(u64, u64)>> = (0..12u64)
         .map(|b| (0..40u64).map(|i| ((b * 40 + i) * 2 + 1, b * 100 + i)).collect())
         .collect();
-    let build = || {
-        let (backends, clocks) = per_backend_clocks(&config());
-        let engine = EngineBuilder::new(config())
-            .entries(&seed_entries())
-            .topology(backends)
-            .build()
-            .unwrap();
-        (engine, clocks)
-    };
+    let build = clocked_engine;
 
     // Profiling run: the batch whose flush first splits a leaf, and shard 0's
     // store-write window during it. The window's last write is the flush's
@@ -350,53 +337,35 @@ fn a_rollback_that_fails_is_undone_from_the_log() {
 // ------------------------------------------------- local commits beside epochs --
 
 /// What the benchmark measures, as a gate: a batch one shard can commit alone
-/// costs the engine log nothing — no record, no force, no epoch — and its
-/// shard's WAL exactly one force; a batch that spans two shards still costs
-/// the engine log exactly two forces (`Begin`, and the decision).
+/// costs no epoch and no commit record — its shard's WAL exactly one force; a
+/// batch that spans two shards costs three forces in two rounds: a bracket
+/// force on each member, then the coordinator's (shard 0's) commit force.
 #[test]
 fn a_single_shard_batch_costs_no_epoch_and_one_force() {
-    let (backends, clocks) = per_backend_clocks(&config());
-    let engine = EngineBuilder::new(config())
-        .entries(&seed_entries())
-        .topology(backends)
-        .build()
-        .unwrap();
-    let writes = |clocks: &common::crash::EngineClocks| -> (u64, Vec<u64>) {
-        (
-            clocks.engine_wal.writes_seen(),
-            clocks.wals.iter().map(|c| c.writes_seen()).collect(),
-        )
-    };
+    let (engine, clocks) = clocked_engine();
     // Shard 0 owns [0, ≈1000).
     let local: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 31 + 1, i)).collect();
     assert!(local.iter().all(|&(k, _)| engine.shard_for(k) == 0));
-    let (before, log_bytes) = (writes(&clocks), engine.stats().epoch_log_bytes);
-    engine.insert_batch(&local).unwrap();
+    let forces = wal_writes(&clocks, || engine.insert_batch(&local).unwrap());
     let stats = engine.stats();
-    assert_eq!(stats.epoch_log_bytes, log_bytes, "the epoch log's cursor must not move");
     assert_eq!((stats.committed_epochs, stats.local_commits), (0, 1));
-    let after = writes(&clocks);
-    assert_eq!(after.0, before.0, "no engine-log force");
-    assert_eq!(
-        after.1,
-        [before.1[0] + 1, before.1[1], before.1[2]],
-        "one shard-WAL force"
-    );
+    assert_eq!(forces, [1, 0, 0], "one shard-WAL force");
 
     let spanning: Vec<(u64, u64)> = vec![(3, 30), (1_503, 31)];
     assert_eq!((engine.shard_for(3), engine.shard_for(1_503)), (0, 1));
-    engine.insert_batch(&spanning).unwrap();
+    let forces = wal_writes(&clocks, || engine.insert_batch(&spanning).unwrap());
     let stats = engine.stats();
     assert_eq!((stats.committed_epochs, stats.local_commits), (1, 1));
-    assert!(stats.epoch_log_bytes > log_bytes);
-    let last = writes(&clocks);
-    assert_eq!(last.0, after.0 + 2, "Begin force + decision force");
-    assert_eq!(last.1, [after.1[0] + 1, after.1[1] + 1, after.1[2]]);
+    assert_eq!(
+        forces,
+        [2, 1, 0],
+        "two bracket forces, then the coordinator's commit force"
+    );
 }
 
 /// Single-shard batches (local brackets) and two-shard batches (epochs) from
 /// two threads, interleaving on shard 0's log, under per-backend fault clocks:
-/// one backend — a shard WAL, a shard store or the engine log, seeded — dies at
+/// one backend — a shard WAL or a shard store, seeded — dies at
 /// a seeded write, torn or clean, alone. After recovery every batch either thread saw
 /// acked is wholly present, every other batch is wholly present or wholly
 /// absent, and a second crash and recovery changes neither the data nor the
@@ -419,17 +388,13 @@ fn interleaved_local_and_epoch_batches_recover_all_or_nothing() {
     };
     let (mut local_commits, mut epochs, mut lost) = (0u64, 0u64, 0u64);
     for trial in 0..TRIALS {
-        let (backends, clocks) = per_backend_clocks(&config());
-        let engine = EngineBuilder::new(config())
-            .entries(&seed_entries())
-            .topology(backends)
-            .build()
-            .unwrap();
+        let (engine, clocks) = clocked_engine();
         assert_eq!(
             (engine.shard_for(batch(0, BATCHES - 1)[11].0), engine.shard_for(1_101)),
             (0, 1)
         );
-        let victim = [&clocks.wals[0], &clocks.wals[1], &clocks.engine_wal, &clocks.stores[0]][trial % 4];
+        // Shard 0's WAL carries both threads' brackets and every commit.
+        let victim = [&clocks.wals[0], &clocks.wals[1], &clocks.wals[0], &clocks.stores[0]][trial % 4];
         let mut plan = CrashPlan::at_write(victim.writes_seen() + rng.gen_range(0u64..30));
         if trial % 3 == 0 {
             plan = plan.with_torn(TornWrite {
@@ -506,12 +471,170 @@ fn interleaved_local_and_epoch_batches_recover_all_or_nothing() {
     );
 }
 
+// ------------------------------------------- commit records across truncation --
+
+/// The one rule truncation adds: a coordinator keeps an epoch's commit record
+/// while any member's WAL still holds a bracket of it. Epoch A spans all three
+/// shards (coordinator: shard 0). A checkpoint truncates shard 2 past its
+/// bracket, then fails writing shard 1's truncation marker — shard 1 has
+/// checkpointed but still holds its bracket, below its `Checkpoint` record.
+/// A second checkpoint flushes only shard 0, whose plain checkpoint cut would
+/// drop `EpochCommit(A)`. Recovery asks about every surviving bracket, so A
+/// must still read committed — fully present, not unwound on shard 1 alone.
+#[test]
+fn a_commit_outlives_the_brackets_of_its_epoch_across_truncation() {
+    let a: Vec<(u64, u64)> = [5u64, 7, 1_503, 1_507, 2_503, 2_507]
+        .iter()
+        .map(|&k| (k, k + 1))
+        .collect();
+    let local: Vec<(u64, u64)> = vec![(11, 12), (13, 14)];
+    let expected = oracle(&seed_entries(), &[Op::Batch(a.clone()), Op::Batch(local.clone())]);
+    // Profiling run: shard 1's WAL writes during the checkpoint. The last
+    // one is its truncation marker (a first truncation never compacts).
+    let (engine, clocks) = clocked_engine();
+    assert_eq!(
+        a.iter().map(|&(k, _)| engine.shard_for(k)).collect::<Vec<_>>(),
+        [0, 0, 1, 1, 2, 2]
+    );
+    engine.insert_batch(&a).unwrap();
+    let ckpt_writes = wal_writes(&clocks, || engine.checkpoint().unwrap());
+    drop(engine);
+
+    let (engine, clocks) = clocked_engine();
+    engine.insert_batch(&a).unwrap();
+    let marker = clocks.wals[1].writes_seen() + ckpt_writes[1] - 1;
+    clocks.wals[1].arm(CrashPlan::at_write(marker));
+    assert!(engine.checkpoint().is_err(), "shard 1's truncation marker fails");
+    assert_eq!(clocks.wals[1].writes_seen(), marker + 1);
+    clocks.heal_all();
+    let tails: Vec<u64> = engine.stats().shards.iter().map(|s| s.wal_replayable_bytes).collect();
+    assert!(
+        tails[2] < tails[1],
+        "shard 2 truncated past its bracket, shard 1 did not: {tails:?}"
+    );
+
+    // Only shard 0 is dirty now: this checkpoint flushes and cuts it alone.
+    engine.insert_batch(&local).unwrap();
+    let before = engine.stats().shards[0].wal_replayable_bytes;
+    engine.checkpoint().unwrap();
+    assert!(
+        engine.stats().shards[0].wal_replayable_bytes >= before,
+        "the coordinator must keep EpochCommit(A) while shard 1 holds A's bracket"
+    );
+
+    engine.simulate_crash();
+    let report = engine.recover().unwrap();
+    assert_eq!((report.committed_epochs, report.discarded_epochs), (1, 0), "{report:?}");
+    assert_eq!(engine_state(&engine), expected, "epoch A must be fully present");
+    engine.check_invariants().unwrap();
+}
+
+/// A [`RealFiles`] directory whose shard WALs sit behind fault clocks: the
+/// same files, reopened by a plain `RealFiles` after the "process" ends.
+struct ClockedFiles {
+    files: RealFiles,
+    wals: Vec<Arc<FaultClock>>,
+}
+
+impl ShardProvisioner for ClockedFiles {
+    fn provision(&self, config: &EngineConfig, mode: ProvisionMode) -> IoResult<EngineBackends> {
+        let mut backends = self.files.provision(config, mode)?;
+        backends.shard_wals = (backends.shard_wals.into_iter().zip(&self.wals))
+            .map(|(io, clock)| Arc::new(FaultIo::new(io, Arc::clone(clock))) as Arc<dyn IoQueue>)
+            .collect();
+        Ok(backends)
+    }
+
+    fn load_manifest(&self) -> IoResult<Option<EngineManifest>> {
+        self.files.load_manifest()
+    }
+
+    fn save_manifest(&self, manifest: &EngineManifest) -> IoResult<()> {
+        self.files.save_manifest(manifest)
+    }
+
+    fn set_dirty(&self, dirty: bool) -> IoResult<()> {
+        self.files.set_dirty(dirty)
+    }
+
+    fn load_dirty(&self) -> IoResult<bool> {
+        self.files.load_dirty()
+    }
+}
+
+/// Epoch ids continue across real restarts. A cross-shard batch X fails on
+/// shard 1, leaving a discarded bracket of X's id in shard 0's WAL. Each
+/// restart reopens the directory in a fresh engine — nothing in memory
+/// survives — and commits another cross-shard batch; a reused id would give
+/// X's stale bracket a commit record and resurrect X. X must stay discarded,
+/// and a migration's id lands above every id handed out before it.
+#[test]
+fn epoch_ids_continue_past_a_discarded_bracket_across_restarts() {
+    let dir = std::env::temp_dir().join(format!("pio-epoch-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let x: Vec<(u64, u64)> = vec![(5, 1), (1_505, 2)];
+    let batch = |round: u64| -> Vec<(u64, u64)> { vec![(21 + round, round), (1_521 + round, round)] };
+    let wals: Vec<Arc<FaultClock>> = (0..3).map(|_| FaultClock::new()).collect();
+    let engine = EngineBuilder::new(config())
+        .topology(ClockedFiles {
+            files: RealFiles::new(&dir),
+            wals: wals.clone(),
+        })
+        .entries(&seed_entries())
+        .build()
+        .unwrap();
+    wals[1].arm(CrashPlan::at_write(wals[1].writes_seen()));
+    assert!(engine.insert_batch(&x).is_err(), "X's bracket force fails on shard 1");
+    drop(engine);
+
+    let mut acked = vec![Op::Batch(batch(0))];
+    for restart in 1..=2u64 {
+        let (engine, report) = EngineBuilder::new(config())
+            .topology(RealFiles::new(&dir))
+            .recover()
+            .unwrap();
+        assert_eq!(
+            report.discarded_epochs, 1,
+            "restart {restart}: X's bracket survives, discarded"
+        );
+        assert_eq!(report.committed_epochs, restart - 1, "restart {restart}");
+        // The first restart's batch: epoch 2 at the earliest.
+        engine.insert_batch(&batch(restart - 1)).unwrap();
+        if restart == 2 {
+            acked.push(Op::Batch(batch(1)));
+            let split = engine.split_shard(2).unwrap().expect("shard 2 holds entries to split");
+            assert!(split.epoch.unwrap() > 3, "ids 1–3 are taken: {split:?}");
+        }
+        assert_eq!(
+            engine_state(&engine),
+            oracle(&seed_entries(), &acked),
+            "restart {restart}"
+        );
+    }
+    let (engine, report) = EngineBuilder::new(config())
+        .topology(RealFiles::new(&dir))
+        .recover()
+        .unwrap();
+    assert_eq!(
+        (
+            report.discarded_epochs,
+            report.committed_epochs,
+            report.committed_migrations
+        ),
+        (1, 2, 1)
+    );
+    assert_eq!(engine_state(&engine), oracle(&seed_entries(), &acked), "X stays absent");
+    engine.check_invariants().unwrap();
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------------------------- truncation crash sweep --
 
 /// Every write position inside a log-truncating checkpoint, plus torn-write
 /// variants of those positions: the crash lands before, during and after the
-/// truncation-marker writes — on the shard WALs and the engine epoch log alike
-/// (the shared clock counts every backend's submissions). All data was acked
+/// truncation-marker writes on every shard WAL (the shared clock counts every
+/// backend's submissions). All data was acked
 /// before the checkpoint started, so NOTHING may be lost: a half-truncated log
 /// must recover exactly like an untruncated one.
 #[test]
@@ -522,7 +645,7 @@ fn crash_points_inside_checkpoint_truncation_lose_nothing() {
     let expected = oracle(&seeds, &ops);
 
     // Profiling run: count the writes of the final checkpoint, which both
-    // flushes every dirty shard and truncates all four logs.
+    // flushes every dirty shard and truncates all three logs.
     let clock = FaultClock::new();
     let engine = crashy_engine(&cfg, &seeds, &clock);
     run_ops(&engine, &ops).expect("clean run must not fail");
@@ -575,8 +698,8 @@ fn crash_points_inside_checkpoint_truncation_lose_nothing() {
 // ---------------------------------------------------------- randomized sweep --
 
 /// ≥ 200 randomized crash points over the full workload: the crash fires at the
-/// k-th write submission *anywhere* in the engine (shard stores, shard WALs,
-/// engine log), and every recovered state must equal the oracle either with or
+/// k-th write submission *anywhere* in the engine (shard stores, shard WALs),
+/// and every recovered state must equal the oracle either with or
 /// without the batch that was in flight — on every shard.
 #[test]
 fn randomized_crash_points_recover_all_or_nothing() {
@@ -598,7 +721,7 @@ fn randomized_crash_points_recover_all_or_nothing() {
     let mut crashes = 0usize;
     // Outcome tallies: the sweep must actually exercise the protocol's paths,
     // not just crash before anything interesting happens.
-    let (mut discarded, mut committed, mut redriven, mut unwound) = (0u64, 0u64, 0u64, 0usize);
+    let (mut discarded, mut committed, mut unwound) = (0u64, 0u64, 0usize);
     for trial in 0..TRIALS {
         let k = rng.gen_range(0u64..total_writes);
         let clock = FaultClock::new();
@@ -620,7 +743,6 @@ fn randomized_crash_points_recover_all_or_nothing() {
 
         discarded += report.discarded_epochs;
         committed += report.committed_epochs;
-        redriven += report.recovered_epochs;
         unwound += report.shards.iter().map(|r| r.unwound_flushes).sum::<usize>();
 
         let got = engine_state(&engine);
@@ -649,6 +771,6 @@ fn randomized_crash_points_recover_all_or_nothing() {
     );
     eprintln!(
         "crash sweep (seed {seed}): {crashes} crashes over {total_writes} write positions → \
-         {committed} committed, {discarded} discarded, {redriven} re-driven epochs, {unwound} flushes unwound"
+         {committed} committed, {discarded} discarded epochs, {unwound} flushes unwound"
     );
 }

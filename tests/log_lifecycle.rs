@@ -1,4 +1,4 @@
-//! The log lifecycle: checkpoint-anchored WAL/epoch-log truncation and the
+//! The log lifecycle: checkpoint-anchored shard-WAL truncation and the
 //! recovery bound it buys.
 //!
 //! Three properties, straight from the design:
@@ -215,17 +215,20 @@ fn fifty_checkpoint_rounds_bound_log_growth() {
 #[test]
 fn real_files_truncation_shrinks_the_on_disk_log() {
     let dir = TempDir::new("shrink");
+    // An epoch log left by an older version: a fresh build removes it, and no
+    // engine-level log file takes its place.
+    let stale = dir.0.join("engine.wal");
+    std::fs::create_dir_all(&dir.0).expect("scratch dir");
+    std::fs::write(&stale, b"stale epoch log").expect("stale engine.wal");
     let engine = EngineBuilder::new(config())
         .topology(RealFiles::new(&dir.0))
         .entries(&seed_entries())
         .build()
         .expect("real-files engine");
+    assert!(!stale.exists(), "a fresh build must remove a stale engine.wal");
     let mut model: BTreeMap<u64, u64> = seed_entries().into_iter().collect();
 
-    let wal_paths: Vec<PathBuf> = (0..3)
-        .map(|i| dir.0.join(format!("shard-{i:03}.wal")))
-        .chain(std::iter::once(dir.0.join("engine.wal")))
-        .collect();
+    let wal_paths: Vec<PathBuf> = (0..3).map(|i| dir.0.join(format!("shard-{i:03}.wal"))).collect();
     let sizes = |paths: &[PathBuf]| -> Vec<u64> {
         paths
             .iter()
@@ -254,6 +257,7 @@ fn real_files_truncation_shrinks_the_on_disk_log() {
         }
         engine.checkpoint().expect("checkpoint");
     }
+    assert!(!stale.exists(), "the engine keeps no log of its own");
     let finals = sizes(&wal_paths);
     assert!(
         finals.iter().zip(&peaks).any(|(f, p)| f < p),

@@ -17,8 +17,8 @@
 //!    every recovered state must show all-or-nothing boundaries (the
 //!    pre-migration or post-migration bounds, never a hybrid) and the
 //!    oracle's exact key set. Plus the scripted case the sweep cannot aim at:
-//!    every byte cut of a torn decision force (acks + `MigrateCommit`) — a
-//!    migration is never re-driven, however many acks survive. And a batch
+//!    every byte cut of the source shard's torn `MigrateCommit` force — the
+//!    old boundary until the record is whole, the new one after. And a batch
 //!    the source shard commits alone — no epoch — into the moving range of a
 //!    migration that is live, with the crash before and after `MigrateCommit`.
 
@@ -426,49 +426,55 @@ fn run_sweep(engine: &ShardedPioEngine, ops: &[Op]) -> Result<(), usize> {
     Ok(())
 }
 
-/// A migration's two `Ack`s and its `MigrateCommit` ride one engine-log
-/// force. Every cut of that force's page is tried: however many acks a torn
-/// force leaves durable — both of them included — the migration is **never
-/// re-driven**; it rolls back on both shards until the cut is long enough to
-/// hold the whole `MigrateCommit`, and from there on the boundary swap is
-/// simply committed. The key set never changes.
+/// A migration's `MigrateCommit` is one force of its source shard's WAL.
+/// Every cut of that force's page is tried: the migration rolls back on both
+/// shards — the old boundary — until the cut holds the whole record, and from
+/// there on the boundary swap is committed. Never a mix, and the key set never
+/// changes.
 #[test]
 fn a_torn_decision_force_never_redrives_a_migration() {
     let cfg = config(true);
     let seeds = seed_entries();
     let oracle: BTreeMap<u64, u64> = seeds.iter().copied().collect();
-    let mut rolled_back_cuts = 0usize;
-    let mut committed = false;
-    for cut in 0..cfg.base.page_size {
+    let build = || {
         let (backends, clocks) = per_backend_clocks(&cfg);
         let engine = EngineBuilder::new(cfg.clone())
             .entries(&seeds)
             .topology(backends)
             .build()
             .expect("bulk load");
+        (engine, clocks)
+    };
+    // Profiling run: the split's writes to its source shard's WAL. The last
+    // one is the MigrateCommit force.
+    let (engine, clocks) = build();
+    let base = clocks.wals[1].writes_seen();
+    engine.split_shard(1).unwrap().expect("shard 1 has keys to move");
+    let src_writes = clocks.wals[1].writes_seen() - base;
+    drop(engine);
+
+    let mut rolled_back_cuts = 0usize;
+    let mut committed = false;
+    for cut in 0..cfg.base.page_size {
+        let (engine, clocks) = build();
         let before = engine.boundaries();
-        // Engine-log writes per migration: #0 the MigrateBegin force, #1 the
-        // decision force (both acks + MigrateCommit, one page).
-        let base = clocks.engine_wal.writes_seen();
-        clocks
-            .engine_wal
-            .arm(CrashPlan::at_write(base + 1).with_torn(TornWrite {
-                keep_requests: 0,
-                keep_bytes_of_next: cut,
-            }));
+        let commit_force = clocks.wals[1].writes_seen() + src_writes - 1;
+        clocks.wals[1].arm(CrashPlan::at_write(commit_force).with_torn(TornWrite {
+            keep_requests: 0,
+            keep_bytes_of_next: cut,
+        }));
         assert!(engine.split_shard(1).is_err(), "cut {cut}");
         assert_eq!(
-            clocks.engine_wal.writes_seen(),
-            base + 2,
-            "cut {cut}: one MigrateBegin force, one decision force"
+            clocks.wals[1].writes_seen(),
+            commit_force + 1,
+            "cut {cut}: the commit force is the last write"
         );
         clocks.heal_all();
         engine.simulate_crash();
         let report = engine
             .recover()
             .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
-        assert_eq!(report.recovered_epochs, 0, "cut {cut}: a migration is never re-driven");
-        match (report.rolled_back_migrations, report.committed_migrations) {
+        match (report.discarded_epochs, report.committed_migrations) {
             (1, 0) => {
                 assert!(!committed, "cut {cut}: rolled back after a shorter cut committed");
                 assert_eq!(engine.boundaries(), before, "cut {cut}: rolled back, old boundary");
@@ -484,31 +490,13 @@ fn a_torn_decision_force_never_redrives_a_migration() {
         assert_eq!(engine_state(&engine), oracle, "cut {cut}: key set diverged");
         engine.check_invariants().unwrap();
         if committed {
-            break; // every longer cut lands the whole decision too
+            break; // every longer cut lands the whole record too
         }
     }
-    assert!(committed, "a whole decision force commits the migration");
-    // MigrateBegin and the two Acks precede the MigrateCommit on the page, so
-    // the rolled-back cuts reach past the end of the second ack: the torn
-    // force with BOTH acks durable was among them. (`+ 8`: the WAL's
-    // per-record header.)
-    let record = |r: engine::EpochRecord| r.encode().len() + 8;
-    let acks_end = record(engine::EpochRecord::MigrateBegin {
-        epoch: 0,
-        migration: engine::epoch::MigrationSpec {
-            src: 0,
-            dst: 0,
-            lo: 0,
-            hi: 0,
-        },
-    }) + 2 * record(engine::EpochRecord::Ack {
-        epoch: 0,
-        shard: 0,
-        durable_lsn: 0,
-    });
+    assert!(committed, "a whole commit force commits the migration");
     assert!(
-        rolled_back_cuts > acks_end,
-        "{rolled_back_cuts} rolled-back cuts must cover the fully-acked window past byte {acks_end}"
+        rolled_back_cuts > 8,
+        "a cut inside the MigrateCommit record must roll the migration back: committed at cut {rolled_back_cuts}"
     );
 }
 
@@ -518,7 +506,8 @@ fn a_torn_decision_force_never_redrives_a_migration() {
 /// dirty log — while the migration's own copies
 /// and retires sit in the migration epoch's brackets around it. The migration
 /// is held mid-copy (its destination's WAL waits at a gate) while the batch is
-/// acked. Crash before `MigrateCommit`: the migration rolls back on both
+/// acked. Crash at the source shard's `MigrateCommit` force: the migration
+/// rolls back on both
 /// shards, the old boundary stands, the batch is on the source. Crash after:
 /// the new boundary stands and the batch moved with its range. Either way
 /// every acked key reads back once, and a second restart changes nothing.
@@ -526,7 +515,11 @@ fn a_torn_decision_force_never_redrives_a_migration() {
 fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
     let cfg = config(true);
     let seeds = seed_entries();
-    for crash_before_commit in [true, false] {
+    // Writes to the source shard's WAL from the migration's start to its end,
+    // the batch's force included — counted by the committed run, which goes
+    // first. The last of them is the MigrateCommit force.
+    let mut src_writes = None;
+    for crash_before_commit in [false, true] {
         let ctx = format!("crash_before_commit {crash_before_commit}");
         let (mut backends, clocks) = per_backend_clocks(&cfg);
         let gate = Gate::new();
@@ -547,10 +540,10 @@ fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
         let mut oracle: BTreeMap<u64, u64> = seeds.iter().copied().collect();
         oracle.extend(batch.iter().copied());
 
+        let base = clocks.wals[1].writes_seen();
         if crash_before_commit {
-            // Engine-log writes of the migration: #0 MigrateBegin, #1 the decision.
-            let base = clocks.engine_wal.writes_seen();
-            clocks.engine_wal.arm(CrashPlan::at_write(base + 1));
+            let writes: u64 = src_writes.expect("the committed run goes first");
+            clocks.wals[1].arm(CrashPlan::at_write(base + writes - 1));
         }
         let epochs = engine.stats().committed_epochs;
         gate.shut();
@@ -577,6 +570,9 @@ fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
         });
         let stats = engine.stats();
         assert_eq!((stats.committed_epochs, stats.local_commits), (epochs, 1), "{ctx}");
+        if !crash_before_commit {
+            src_writes = Some(clocks.wals[1].writes_seen() - base);
+        }
 
         clocks.heal_all();
         engine.simulate_crash();
@@ -584,7 +580,7 @@ fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
             .recover()
             .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         assert_eq!(
-            (report.rolled_back_migrations, report.committed_migrations),
+            (report.discarded_epochs, report.committed_migrations),
             if crash_before_commit { (1, 0) } else { (0, 1) },
             "{ctx}"
         );
@@ -648,7 +644,6 @@ fn migration_crash_sweep_recovers_all_or_nothing_boundaries() {
         let report = engine
             .recover()
             .unwrap_or_else(|e| panic!("seed {seed} trial {trial} write {k}: recovery failed: {e}"));
-        rolled_back += report.rolled_back_migrations;
         committed += report.committed_migrations;
 
         // Boundary all-or-nothing: exactly the pre-op or post-op bounds.
@@ -659,6 +654,11 @@ fn migration_crash_sweep_recovers_all_or_nothing_boundaries() {
             &bounds_after[failed_at - 1]
         };
         let after = &bounds_after[failed_at];
+        // A rolled-back migration is a discarded epoch like any batch; the
+        // boundary it left behind tells the two apart.
+        if before != after && got_bounds == *before {
+            rolled_back += 1;
+        }
         assert!(
             got_bounds == *before || got_bounds == *after,
             "seed {seed} trial {trial} write {k}: hybrid boundaries after crash in op \

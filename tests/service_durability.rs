@@ -85,10 +85,7 @@ fn acked_puts_survive_crash_and_recovery() {
     let local_commits = engine.stats().local_commits;
     let lost = engine.simulate_crash();
     let report = engine.recover().unwrap();
-    assert!(
-        local_commits + report.committed_epochs + report.recovered_epochs > 0,
-        "no batch was ever forced"
-    );
+    assert!(local_commits + report.committed_epochs > 0, "no batch was ever forced");
     assert_eq!(
         report.aborted_local(),
         0,
