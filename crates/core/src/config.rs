@@ -52,9 +52,10 @@ pub struct PioConfig {
     /// leaf fetch, bupdate prefetch, bulk-load writes, the `locate_leaves`
     /// descent): how many `PioMax`-bounded batches stay in flight at once.
     pub pipeline_depth: PipelineDepth,
-    /// Page budget of the in-memory inner-node tier
-    /// ([`crate::inner_tier::InnerTier`]); 0 (the default) disables the tier
-    /// and every descent takes the store wavefront.
+    /// Ignored and not validated: internal nodes are cached in the page class
+    /// under [`PioConfig::pool_pages`], and a descent walks it before any I/O.
+    /// The field stays only because the frozen benchmark harness still sets
+    /// it; it goes with the next change to that harness.
     pub inner_tier_pages: u64,
     /// Page budget of the scan-resistant region class of the tree's store
     /// ([`storage::CachedStore::set_leaf_cache`]); 0 (the default) disables it
@@ -202,12 +203,6 @@ impl PioConfigBuilder {
         self
     }
 
-    /// Sets the in-memory inner-node tier budget in pages (0 disables it).
-    pub fn inner_tier_pages(mut self, pages: u64) -> Self {
-        self.config.inner_tier_pages = pages;
-        self
-    }
-
     /// Sets the scan-resistant leaf-region cache budget in pages (0 disables
     /// it).
     pub fn leaf_cache_pages(mut self, pages: u64) -> Self {
@@ -252,7 +247,6 @@ mod tests {
             .pool_pages(64)
             .fill_factor(0.9)
             .wal(true)
-            .inner_tier_pages(256)
             .leaf_cache_pages(512)
             .build();
         assert_eq!(c.page_size, 2048);
@@ -263,7 +257,6 @@ mod tests {
         assert_eq!(c.bcnt, 200);
         assert_eq!(c.pool_pages, 64);
         assert!(c.wal_enabled);
-        assert_eq!(c.inner_tier_pages, 256);
         assert_eq!(c.leaf_cache_pages, 512);
         assert_eq!(c.leaf_bytes(), 8192);
     }

@@ -49,29 +49,28 @@
 //! depth, while the insert path — dominated by cell programming — stays within
 //! a few percent either way (both asserted).
 //!
-//! ## The in-memory inner tier
+//! ## One cache for every level
 //!
-//! With [`PioConfig::inner_tier_pages`] set, the tree pins an immutable
-//! snapshot of all internal levels in memory ([`inner_tier::InnerTier`]) and
-//! every descent — point search, multi-search, prange, bupdate — probes it
-//! first, falling back to the ticketed `locate_leaves` wavefront only when the
-//! tier is cold or stale (startup, recovery, migration import). The tier is a
-//! plain snapshot the tree owns: it is rebuilt at the only points where the
-//! structure can change (flush commit, recovery, bulk load), and because every
-//! tree entry point takes `&mut self` no descent can overlap a rebuild.
-//! [`PioConfig::leaf_cache_pages`] independently enables the store's
-//! scan-resistant *region class* — a second instance of the one
-//! [`storage::Cache`], for multi-page leaf regions
-//! ([`storage::CachedStore::set_leaf_cache`]) — so a warm tree can serve hot
-//! point lookups without any descent I/O while `range_search` streams bypass
-//! the cache's admission. Both default to 0 (off), preserving the
-//! paper-faithful I/O pattern. The `fig09_inner_tier` bench asserts that a
-//! warm tier answers every descent with zero page-class touches, and that at
-//! an equal memory budget on one shared device, pool + tier + region class
-//! serve a skewed multi-search ≥ 1.2× faster than the pool alone (≈5× at full
-//! scale: single-page caching cannot hold multi-page leaf regions);
-//! `tests/inner_tier.rs` covers tier-on ≡ tier-off equivalence, crash and
-//! migration invalidation, and the scan-resistance floor.
+//! Internal nodes live where the paper caches them (Section 3.3): in the
+//! store's buffer pool, its *page class*, under [`PioConfig::pool_pages`].
+//! Every descent — point search, multi-search, prange, bupdate — first walks
+//! the resident internal nodes under one cache lock
+//! (`mpsearch::walk_resident`) and hands the whole call to the ticketed
+//! `locate_leaves` wavefront at the first node that is not resident (startup,
+//! after a crash, a pool too small for the internal levels). The tree keeps
+//! no copy of its own, so nothing needs rebuilding or invalidating: a write
+//! installs the new image, a free or a crash drops it.
+//! [`PioConfig::leaf_cache_pages`] enables the store's scan-resistant *region
+//! class* — a second instance of the one [`storage::Cache`], for multi-page
+//! leaf regions ([`storage::CachedStore::set_leaf_cache`]) — so a warm tree
+//! can serve hot point lookups without any I/O while `range_search` streams
+//! bypass the cache's admission. It defaults to 0 (off), preserving the
+//! paper-faithful I/O pattern. The `fig09_leaf_cache` bench asserts that at an
+//! equal memory budget on one shared device, pool + region class serve a
+//! skewed multi-search ≥ 1.2× faster than the pool alone (single-page caching
+//! cannot hold multi-page leaf regions); `tests/inner_tier.rs` covers the
+//! resident walk against the wavefront, crash and migration coherence, and
+//! the scan-resistance floor.
 //!
 //! ## The read path touches a page's bytes once
 //!
@@ -119,7 +118,6 @@
 pub mod config;
 pub mod cost;
 pub mod entry;
-pub mod inner_tier;
 pub mod leaf;
 pub mod lsmap;
 pub mod mpsearch;
@@ -130,7 +128,6 @@ pub mod tree;
 pub use config::{PioConfig, PioConfigBuilder, PipelineDepth};
 pub use cost::{recommended_shards, CostModel, ShardTuning, WorkloadMix};
 pub use entry::{OpEntry, OpKind};
-pub use inner_tier::{InnerSnapshot, InnerTier, InnerTierStats};
 pub use leaf::{LeafView, PioLeaf};
 pub use lsmap::LsMap;
 pub use mpsearch::Descent;

@@ -17,6 +17,13 @@
 //! node pages than the blocking formulation's worst case. Passing
 //! `pipeline_depth = 1` recovers the fully blocking descent.
 //!
+//! Internal nodes are cached in the store's page class, and a warm tree holds
+//! all of them, so the tree first tries the **resident walk**
+//! (`walk_resident`, `walk_resident_range`): the same level-by-level
+//! descent over the page class alone, under one cache lock, with no ticket
+//! and no I/O. It gives up at the first node that is not resident, and the
+//! wavefront takes the whole call.
+//!
 //! The functions here only walk the *internal* levels; reading the leaf nodes (and,
 //! for bupdate, writing them back) is the caller's job, because point search, prange
 //! search and bupdate each treat the leaf level differently.
@@ -158,14 +165,94 @@ fn descend_level(
                 &deferred
             }
         };
-        let node = InternalView::new(page, image)?;
-        while i < end && out.leaf(i) == page {
-            let child_idx = node.child_for(keys[i]);
-            out.step(i, level, page, child_idx, node.child(child_idx));
-            i += 1;
-        }
+        i = descend_run(&InternalView::new(page, image)?, page, level, keys, i, end, out);
     }
     Ok(())
+}
+
+/// Takes the run of keys from `i` (below `end`) that stand at `page`, whose
+/// parsed form is `node`, one level down. Returns the first key past the run.
+fn descend_run(
+    node: &InternalView,
+    page: PageId,
+    level: usize,
+    keys: &[Key],
+    mut i: usize,
+    end: usize,
+    out: &mut Descent,
+) -> usize {
+    while i < end && out.leaf(i) == page {
+        let child_idx = node.child_for(keys[i]);
+        out.step(i, level, page, child_idx, node.child(child_idx));
+        i += 1;
+    }
+    i
+}
+
+/// The children of `node` whose key space intersects `[lo, hi)`, in key
+/// order (none on a node whose rotted keys are out of order).
+fn children_in(node: InternalView<'_>, lo: Key, hi: Key) -> impl Iterator<Item = PageId> + '_ {
+    (node.child_for(lo)..=node.child_for(hi - 1)).map(move |i| node.child(i))
+}
+
+/// The resident walk: [`locate_leaves`] through the page class alone. Under
+/// one cache lock, without I/O or allocation, it takes every key down one
+/// level at a time the way the wavefront does, so `out` records the same
+/// leaves and paths. Returns `Ok(false)` at the first node the page class
+/// does not hold; `out` is then partial, and the caller hands the whole
+/// descent to [`locate_leaves`].
+pub(crate) fn walk_resident(
+    store: &CachedStore,
+    root: PageId,
+    internal_levels: usize,
+    keys: &[Key],
+    out: &mut Descent,
+) -> IoResult<bool> {
+    debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys must be sorted");
+    out.reset(internal_levels, keys.len(), root);
+    let mut pages = store.resident_pages();
+    for level in 0..internal_levels {
+        let mut i = 0;
+        while i < keys.len() {
+            let page = out.leaf(i);
+            let Some(image) = pages.get(page) else {
+                return Ok(false);
+            };
+            i = descend_run(&InternalView::new(page, &image)?, page, level, keys, i, keys.len(), out);
+        }
+    }
+    Ok(true)
+}
+
+/// [`walk_resident`] for a key range: the leaves
+/// [`locate_leaves_in_range`] returns, or `None` at the first node the page
+/// class does not hold.
+pub(crate) fn walk_resident_range(
+    store: &CachedStore,
+    root: PageId,
+    internal_levels: usize,
+    lo: Key,
+    hi: Key,
+) -> IoResult<Option<Vec<PageId>>> {
+    if lo >= hi {
+        return Ok(Some(Vec::new()));
+    }
+    // One level's nodes sit at the front, the next level's children are
+    // appended behind them.
+    let mut frontier = vec![root];
+    let mut pages = store.resident_pages();
+    for _level in 0..internal_levels {
+        let width = frontier.len();
+        for j in 0..width {
+            let page = frontier[j];
+            let Some(image) = pages.get(page) else {
+                return Ok(None);
+            };
+            frontier.extend(children_in(InternalView::new(page, &image)?, lo, hi));
+        }
+        frontier.drain(..width);
+    }
+    Ok(Some(frontier))
 }
 
 /// Descends the internal levels for every key in `keys` (which must be sorted), using
@@ -272,9 +359,7 @@ pub fn locate_leaves_in_range(
             |ticket| store.complete_read(ticket),
             |batch_idx, images| {
                 for (&page, image) in batch(batch_idx).iter().zip(&images) {
-                    let node = InternalView::new(page, image)?;
-                    // An empty range on a node whose rotted keys are out of order.
-                    next.extend((node.child_for(lo)..=node.child_for(hi - 1)).map(|i| node.child(i)));
+                    next.extend(children_in(InternalView::new(page, image)?, lo, hi));
                 }
                 Ok(())
             },
@@ -425,6 +510,38 @@ mod tests {
         // The deferred duplicate never hit the device: the root was read once
         // for the two chunks.
         assert_eq!(io_after.reads - io_before.reads, 3, "root + n0 + n1, no duplicates");
+    }
+
+    /// The resident walk counts a pool hit per node it reads and nothing for
+    /// the node it stops at — the wavefront it hands over to counts that miss.
+    /// A tree of no internal level walks to the root without a lookup.
+    #[test]
+    fn resident_walk_counts_only_resident_pages() {
+        let (store, root, leaves) = build_fixture();
+        let keys = vec![10, 60, 120, 200];
+        let mut walked = Descent::default();
+        let before = store.pool_stats();
+        assert!(walk_resident(&store, root, 2, &keys, &mut walked).unwrap());
+        let after = store.pool_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses),
+            (3, before.misses),
+            "root, n0, n1"
+        );
+        assert_eq!(walked, locate(&store, root, 2, &keys, 64, 2));
+        assert_eq!(
+            walk_resident_range(&store, root, 2, 60, 160).unwrap(),
+            Some(leaves[1..].to_vec())
+        );
+
+        store.drop_cache();
+        let before = store.pool_stats();
+        assert!(!walk_resident(&store, root, 2, &keys, &mut walked).unwrap());
+        assert_eq!(walk_resident_range(&store, root, 2, 60, 160).unwrap(), None);
+        assert_eq!(store.pool_stats(), before, "an absent page counts nothing");
+
+        assert!(walk_resident(&store, root, 0, &keys, &mut walked).unwrap());
+        assert!((0..keys.len()).all(|i| walked.leaf(i) == root && walked.path(i).is_empty()));
     }
 
     #[test]

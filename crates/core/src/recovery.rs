@@ -165,7 +165,6 @@ impl PioBTree {
         // device holds pre-crash bytes that the recorded checksum would
         // wrongly indict.
         self.store.reset_integrity();
-        self.tier.invalidate();
         self.lsmap.clear();
         // In-flight epoch verdicts die with the process; recovery re-derives
         // every epoch's fate from the commit records in the shard logs before
@@ -237,9 +236,6 @@ impl PioBTree {
     ///    re-appended to the OPQ in log order; discarded records are dropped.
     pub fn recover_with(&mut self, keep_epoch: &mut dyn FnMut(u64) -> bool) -> IoResult<RecoveryReport> {
         self.open_brackets.clear();
-        // The pre-crash snapshot may describe structure the crash rolled back;
-        // stay cold until the pass settles on the recovered root.
-        self.tier.invalidate();
         let Some(wal) = &self.wal else {
             return Ok(RecoveryReport::default());
         };
@@ -512,9 +508,6 @@ impl PioBTree {
                 self.opq.append(*entry);
             }
         }
-        // The recovered structure is now authoritative; re-pin the inner tier
-        // (best effort — a failed rebuild just leaves it cold).
-        self.rebuild_tier_after_structural_change();
         Ok(report)
     }
 }

@@ -10,10 +10,12 @@
 //! * there is always at least one internal level (the root), so the tree height is
 //!   `internal levels + 1` and every leaf has a parent to receive fence keys.
 //!
-//! I/O discipline: internal nodes are cached by a write-through buffer pool; leaf
-//! regions are read with single large requests (`Pr(L)` in the cost model); every
-//! batched read or write goes through one psync call bounded by `PioMax`; reads and
-//! writes are never mixed in one call (Principle 3).
+//! I/O discipline: internal nodes are cached by a write-through buffer pool (the
+//! store's page class — the tree keeps no copy of its own, so a write or a crash
+//! that changes the pool leaves nothing stale behind); leaf regions are read with
+//! single large requests (`Pr(L)` in the cost model); every batched read or write
+//! goes through one psync call bounded by `PioMax`; reads and writes are never
+//! mixed in one call (Principle 3).
 //!
 //! This file is the tree proper — construction, accessors, the write entry
 //! ([`PioBTree::apply`]) and the invariant checker. The read half lives in
@@ -22,7 +24,6 @@
 
 use crate::config::PioConfig;
 use crate::entry::{OpEntry, OpKind};
-use crate::inner_tier::InnerTier;
 use crate::leaf::PioLeaf;
 use crate::lsmap::LsMap;
 use crate::opq::OperationQueue;
@@ -69,17 +70,19 @@ pub struct PioStats {
     pub internal_splits: u64,
     /// Times the tree grew a level.
     pub height_growths: u64,
-    /// Descents fully served by the in-memory inner tier (no inner-node I/O).
+    /// Descents the page class answered whole (the resident walk: no
+    /// inner-node I/O). The name is the frozen benchmark's
+    /// (`core.inner_tier_hit_rate`), from before internal nodes had one cache.
     pub inner_tier_hits: u64,
-    /// Descents that fell back to the store wavefront (tier cold/stale/over
-    /// budget).
+    /// Descents that met an internal node the page class did not hold and
+    /// took the store wavefront.
     pub inner_tier_misses: u64,
-    /// Inner-tier snapshots rebuilt and published.
+    /// Always 0, like [`PioStats::inner_tier_retries`]: the inner tier and its
+    /// snapshot rebuilds are gone. Both fields stay only because the frozen
+    /// benchmark (`perf/src/layers.rs`) still reads them; the next benchmark
+    /// change can drop those metrics and these fields together.
     pub inner_tier_rebuilds: u64,
-    /// Always 0: the inner tier's optimistic-read protocol is gone and nothing
-    /// increments this. The field stays only because the frozen benchmark
-    /// (`perf/src/layers.rs`, `core.inner_tier_retries`) still reads it; the
-    /// next benchmark change can drop that metric and this field together.
+    /// Always 0 (see [`PioStats::inner_tier_rebuilds`]).
     pub inner_tier_retries: u64,
 }
 
@@ -159,11 +162,6 @@ pub struct PioBTree {
     /// Operations accepted since the last checkpoint — the engine's dirty-shard
     /// test (a clean shard's checkpoint would be pure overhead).
     dirty_ops: u64,
-    /// The in-memory inner-node tier: probed before every descent, rebuilt at
-    /// the flush-commit points where the structure can change, invalidated on
-    /// crash/rollback. Disabled (always cold) when
-    /// `config.inner_tier_pages == 0`.
-    pub(crate) tier: InnerTier,
     /// Reused buffers of the batched read paths and bupdate's descent.
     scratch: search::SearchScratch,
 }
@@ -286,11 +284,7 @@ impl PioBTree {
             }
         }
 
-        let mut tree = Self::over(store, config, level[0].1, height, lsmap);
-        // Warm the tier from the freshly written internal levels (pool-hot, so
-        // this is a memory walk, not device I/O).
-        tree.tier.rebuild_from(&tree.store, tree.root, tree.height)?;
-        Ok(tree)
+        Ok(Self::over(store, config, level[0].1, height, lsmap))
     }
 
     /// Reopens a tree over a store that already holds its pages — the restart
@@ -321,15 +315,11 @@ impl PioBTree {
                 "snapshot height {height} is impossible (a PIO B-tree always has at least one internal level)"
             )));
         }
-        // The tier stays cold here on purpose: the manifest snapshot may be
-        // stale (a WAL attached afterwards rolls the root forward), so the
-        // rebuild happens at the end of recovery — or on the first
-        // `refresh_inner_tier` tick for WAL-less reopens.
         Ok(Self::over(store, config, root, height, LsMap::new()))
     }
 
     /// A tree over `store` rooted at `root`, with its volatile state (OPQ,
-    /// statistics, inner tier) empty.
+    /// statistics) empty.
     fn over(store: Arc<CachedStore>, config: PioConfig, root: PageId, height: usize, lsmap: LsMap) -> Self {
         store.set_leaf_cache(config.leaf_cache_pages);
         Self {
@@ -344,7 +334,6 @@ impl PioBTree {
             pipeline_depth: config.resolve_pipeline_depth(store.queue_depth_hint()),
             open_brackets: BTreeMap::new(),
             dirty_ops: 0,
-            tier: InnerTier::new(config.inner_tier_pages),
             scratch: search::SearchScratch::default(),
             store,
             config,
@@ -421,42 +410,9 @@ impl PioBTree {
         self.height - 1
     }
 
-    /// Operation counters, with the inner tier's atomics folded in.
+    /// Operation counters.
     pub fn stats(&self) -> PioStats {
-        let mut stats = self.stats;
-        let tier = self.tier.stats();
-        stats.inner_tier_hits = tier.hits;
-        stats.inner_tier_misses = tier.misses;
-        stats.inner_tier_rebuilds = tier.rebuilds;
-        stats
-    }
-
-    /// Rebuilds the inner tier's snapshot from the store if the tier is
-    /// enabled and not already warm for the current root — the engine's
-    /// maintenance tick and post-migration refresh. Returns whether a rebuild
-    /// ran. A failed rebuild leaves the tier cold (every descent falls back),
-    /// never stale.
-    pub fn refresh_inner_tier(&mut self) -> IoResult<bool> {
-        if !self.tier.enabled() {
-            return Ok(false);
-        }
-        if self
-            .tier
-            .snapshot()
-            .is_some_and(|snap| snap.root == self.root && snap.height == self.height)
-        {
-            return Ok(false);
-        }
-        self.tier.rebuild_from(&self.store, self.root, self.height)
-    }
-
-    /// Rebuild variant for the flush hot path: an I/O error during the rebuild
-    /// must not fail the flush that already committed, so it only leaves the
-    /// tier cold (correctness never depends on the tier).
-    pub(crate) fn rebuild_tier_after_structural_change(&mut self) {
-        if self.tier.enabled() {
-            let _ = self.tier.rebuild_from(&self.store, self.root, self.height);
-        }
+        self.stats
     }
 
     /// Number of operations currently buffered in the OPQ.

@@ -161,18 +161,9 @@ impl PioBTree {
         let flush_id = self.next_flush_id;
         let mut journal = FlushJournal::new(flush_id);
         match self.bupdate(&batch, &mut journal) {
-            Ok(had_fences) => {
+            Ok(()) => {
                 self.log(|| LogRecord::FlushEnd { flush_id });
-                let forced = self.force_wal();
-                // Republish the inner tier at the flush-commit point. The
-                // key→leaf mapping and the separators can only change through
-                // fence propagation (split leaves keep their first page; appends
-                // and in-place rewrites do not move keys between leaves), so a
-                // fence-free flush leaves the existing snapshot exact.
-                if had_fences {
-                    self.rebuild_tier_after_structural_change();
-                }
-                forced.map(|_| ())
+                self.force_wal().map(|_| ())
             }
             Err(e) => {
                 let undone = self.undo_flush(journal);
@@ -232,10 +223,6 @@ impl PioBTree {
                 None => self.lsmap.remove(leaf),
             }
         }
-        // The tier must not keep serving a snapshot the store no longer
-        // matches. It warms again at the next flush commit, maintenance
-        // refresh or the end of recovery.
-        self.tier.invalidate();
         pages
     }
 
@@ -281,9 +268,9 @@ impl PioBTree {
     /// key-sorted batch of OPQ entries to the tree, holding multiple submission
     /// tickets in flight — chunk `k+1`'s last-segment reads are submitted before
     /// chunk `k`'s writes are reaped, so consecutive chunks overlap on the device.
-    /// Writes every page of the flush and returns whether it moved a fence key;
-    /// the caller ([`PioBTree::flush_once`]) logs and forces `FlushEnd`.
-    fn bupdate(&mut self, ops: &[OpEntry], journal: &mut FlushJournal) -> IoResult<bool> {
+    /// Writes every page of the flush; the caller ([`PioBTree::flush_once`])
+    /// logs and forces `FlushEnd`.
+    fn bupdate(&mut self, ops: &[OpEntry], journal: &mut FlushJournal) -> IoResult<()> {
         self.stats.bupdates += 1;
         debug_assert!(ops.windows(2).all(|w| w[0].key <= w[1].key));
 
@@ -343,9 +330,7 @@ impl PioBTree {
         self.scratch.descent = descent;
 
         // 3. Propagate fence keys upward, level by level.
-        let had_fences = !fences.is_empty();
-        self.propagate_fences(fences, journal)?;
-        Ok(had_fences)
+        self.propagate_fences(fences, journal)
     }
 
     /// Completes every prefetched Phase-A read of a failed bupdate, discarding

@@ -1,8 +1,10 @@
 //! The read half of the PIO B-tree: point search, MPSearch and prange search.
 //!
-//! I/O discipline: internal nodes are cached by a write-through buffer pool; leaf
-//! regions are read with single large requests (`Pr(L)` in the cost model); every
-//! batched read goes through one psync call bounded by `PioMax`.
+//! I/O discipline: internal nodes are cached by a write-through buffer pool (the
+//! store's page class), and a descent walks the resident ones before it issues
+//! any I/O; leaf regions are read with single large requests (`Pr(L)` in the
+//! cost model); every batched read goes through one psync call bounded by
+//! `PioMax`.
 //!
 //! A leaf image is touched once: the store hands out the shared image it
 //! verified and cached, and a [`LeafView`] answers from those bytes where they
@@ -13,7 +15,7 @@
 use super::PioBTree;
 use crate::entry::OpEntry;
 use crate::leaf::LeafView;
-use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
+use crate::mpsearch::{locate_leaves, locate_leaves_in_range, walk_resident, walk_resident_range, Descent};
 use btree::{Key, Value};
 use pio::ring::run_pipeline;
 use pio::IoResult;
@@ -53,18 +55,21 @@ impl PioBTree {
     }
 
     /// The one descent entry: fills `out` with the target leaf (and
-    /// root-to-parent path) of every key of a sorted set. The pinned inner tier
-    /// answers from memory; when it is cold, stale or over budget the ticketed
-    /// store wavefront does, which keeps the paper's
-    /// `PioMax · (treeHeight − 1)` buffer bound.
-    pub(super) fn locate(&self, sorted_keys: &[Key], out: &mut Descent) -> IoResult<()> {
-        if self.tier.probe_leaves(self.root, self.height, sorted_keys, out) {
+    /// root-to-parent path) of every key of a sorted set. The resident walk
+    /// answers from the page class; at the first internal node it does not
+    /// hold, the ticketed store wavefront takes the whole call, which keeps
+    /// the paper's `PioMax · (treeHeight − 1)` buffer bound.
+    pub(super) fn locate(&mut self, sorted_keys: &[Key], out: &mut Descent) -> IoResult<()> {
+        let levels = self.internal_levels();
+        let whole = walk_resident(&self.store, self.root, levels, sorted_keys, out)?;
+        self.count_walk(whole);
+        if whole {
             return Ok(());
         }
         locate_leaves(
             &self.store,
             self.root,
-            self.internal_levels(),
+            levels,
             sorted_keys,
             self.config.pio_max,
             self.pipeline_depth,
@@ -74,18 +79,31 @@ impl PioBTree {
 
     /// [`PioBTree::locate`] for a key range: the first pages of every leaf
     /// intersecting `[lo, hi)`, in key order.
-    fn locate_range(&self, lo: Key, hi: Key) -> IoResult<Vec<PageId>> {
-        match self.tier.probe_range(self.root, self.height, lo, hi) {
-            Some(leaves) => Ok(leaves),
-            None => locate_leaves_in_range(
-                &self.store,
-                self.root,
-                self.internal_levels(),
-                lo,
-                hi,
-                self.config.pio_max,
-                self.pipeline_depth,
-            ),
+    fn locate_range(&mut self, lo: Key, hi: Key) -> IoResult<Vec<PageId>> {
+        let levels = self.internal_levels();
+        let walked = walk_resident_range(&self.store, self.root, levels, lo, hi)?;
+        self.count_walk(walked.is_some());
+        if let Some(leaves) = walked {
+            return Ok(leaves);
+        }
+        locate_leaves_in_range(
+            &self.store,
+            self.root,
+            levels,
+            lo,
+            hi,
+            self.config.pio_max,
+            self.pipeline_depth,
+        )
+    }
+
+    /// Counts a descent the page class answered whole, or one that took the
+    /// wavefront.
+    fn count_walk(&mut self, whole: bool) {
+        if whole {
+            self.stats.inner_tier_hits += 1;
+        } else {
+            self.stats.inner_tier_misses += 1;
         }
     }
 
@@ -242,16 +260,92 @@ mod tests {
     use std::sync::Arc;
     use storage::{CachedStore, PageStore, WritePolicy};
 
+    /// The two descents against each other, over a seeded tree that grows
+    /// from empty through fresh leaf splits, internal splits and a root
+    /// growth. After every flush round, the resident walk — first over the
+    /// pool the flush left behind, then over one the wavefront warmed — must
+    /// record the same leaves and paths ([`Descent`]) and the same range leaf
+    /// list as the ticketed wavefront reading the device with the pool
+    /// dropped. A walk that skipped a level or took
+    /// another child would differ in a path step. A dropped pool sends the
+    /// walk to the wavefront.
+    #[test]
+    fn descent_differential_resident_walk_against_the_wavefront() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_D35C);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        // 512-byte pages: 32 children per internal node at most, so a few
+        // thousand keys split internal nodes and grow the root.
+        let config = PioConfig::builder()
+            .page_size(512)
+            .opq_pages(1)
+            .pio_max(16)
+            .speriod(50)
+            .bcnt(100)
+            .pool_pages(1 << 16)
+            .build();
+        let mut t = PioBTree::create(DeviceProfile::F120, 1 << 30, config).unwrap();
+        const SPACE: u64 = 1 << 24;
+        for round in 0..30 {
+            for _ in 0..100 + rand(200) {
+                t.insert(rand(SPACE), round).unwrap();
+            }
+            t.checkpoint().unwrap();
+            let (store, root, levels) = (Arc::clone(t.store()), t.root_page(), t.internal_levels());
+            for probe in 0..4 {
+                let ctx = format!("CRASH_SEED={seed} round {round} probe {probe}, height {}", t.height());
+                let mut keys: Vec<Key> = (0..1 + rand(80)).map(|_| rand(SPACE)).collect();
+                keys.sort_unstable();
+                let lo = rand(SPACE);
+                let hi = lo + rand(SPACE / 8);
+                let mut walked = Descent::default();
+                assert!(
+                    walk_resident(&store, root, levels, &keys, &mut walked).unwrap(),
+                    "{ctx}: the pool holds every internal node"
+                );
+                let walked_range = walk_resident_range(&store, root, levels, lo, hi).unwrap();
+
+                store.drop_cache();
+                assert!(!walk_resident(&store, root, levels, &keys, &mut Descent::default()).unwrap());
+                assert_eq!(walk_resident_range(&store, root, levels, lo, hi).unwrap(), None);
+                let mut expected = Descent::default();
+                locate_leaves(&store, root, levels, &keys, 8, 2, &mut expected).unwrap();
+                assert_eq!(walked, expected, "{ctx}: leaves and paths of {keys:?}");
+                let expected_range = locate_leaves_in_range(&store, root, levels, lo, hi, 8, 2).unwrap();
+                assert_eq!(walked_range, Some(expected_range), "{ctx}: leaves of [{lo}, {hi})");
+                // Warm every internal node again for the next probe.
+                locate_leaves_in_range(&store, root, levels, 0, Key::MAX, 8, 2).unwrap();
+            }
+        }
+        let s = t.stats();
+        assert!(
+            s.leaf_splits > 0 && s.internal_splits > 0 && s.height_growths > 0,
+            "CRASH_SEED={seed}: {s:?}"
+        );
+    }
+
     /// Fuzz, one level above the page formats' single-byte mutations: a child
     /// pointer of an internal node rots into a page id the store never handed
     /// out — `u64::MAX`, the allocation high-water mark, or an id so large that
     /// its byte offset wraps around onto a *valid* page (`1 << 52 | k` with
-    /// 4 KiB pages, `1 << 53 | k` with these 2 KiB ones) — and the process
-    /// restarts, so neither cache nor checksum sidecar vouches for anything.
-    /// Every read that descends through the pointer is `Corruption`: never a
-    /// panic (debug builds: the multiply overflows), never a value (release
-    /// builds: the wrapped read returns page `k`'s bytes, for which no
-    /// checksum is on record). Reads that do not touch it still answer.
+    /// 4 KiB pages, `1 << 53 | k` with these 2 KiB ones). Two passes: in the
+    /// cold one the rot lands below the cache and the process restarts, so
+    /// neither cache nor checksum sidecar vouches for anything; in the warm
+    /// one the rotted node is written through the cache and nothing restarts,
+    /// so the pool holds it, the sidecar vouches for it, and the resident
+    /// walk follows the wild pointer from memory. Either way, every read that
+    /// descends through the pointer is `Corruption`: never a panic (debug
+    /// builds: the multiply overflows), never a value (release builds: the
+    /// wrapped read returns page `k`'s bytes, for which no checksum is on
+    /// record). Reads that do not touch it still answer.
     #[test]
     fn fuzz_rotted_child_pointers_are_corruption_never_an_answer() {
         let seed: u64 = std::env::var("CRASH_SEED")
@@ -282,48 +376,68 @@ mod tests {
             .unwrap()
             .child(1);
 
-        for page in [root, inner] {
-            let image = raw.store().read_page(page).unwrap();
-            let node = InternalView::new(page, &image).unwrap().to_owned();
-            for _ in 0..12 {
-                let slot = rand(node.children.len() as u64) as usize;
-                let valid = node.children[rand(node.children.len() as u64) as usize];
-                for wild in [u64::MAX, high_water, high_water - 1, 1 << 52 | valid, 1 << 53 | valid] {
-                    let ctx = format!("CRASH_SEED={seed} page {page} child {slot} -> {wild:#x}");
-                    let mut rotted = node.clone();
-                    rotted.children[slot] = wild;
-                    raw.store()
-                        .write_page(page, &Node::Internal(rotted).encode(PAGE))
-                        .unwrap();
-                    tree.simulate_crash();
-
-                    // A key the rotted child covers, and one it does not.
-                    let under = if slot == 0 {
-                        node.keys[0] - 1
+        let mut walks_before_warm = 0;
+        for warm in [false, true] {
+            if warm {
+                walks_before_warm = tree.stats().inner_tier_hits;
+            }
+            for page in [root, inner] {
+                let image = raw.store().read_page(page).unwrap();
+                let node = InternalView::new(page, &image).unwrap().to_owned();
+                let write = |bytes: &[u8]| {
+                    let written = if warm {
+                        raw.write_page(page, bytes)
                     } else {
-                        node.keys[slot - 1]
+                        raw.store().write_page(page, bytes)
                     };
-                    let clear = if page == root { None } else { Some(0) };
-                    let corrupt = |e: &IoError| matches!(e, IoError::Corruption { .. });
-                    assert!(tree.search(under).is_err_and(|e| corrupt(&e)), "{ctx}: search");
-                    let batch = [3, under, 30];
-                    assert!(
-                        tree.multi_search(&batch).is_err_and(|e| corrupt(&e)),
-                        "{ctx}: multi_search"
-                    );
-                    assert!(
-                        tree.range_search(under, under + 90).is_err_and(|e| corrupt(&e)),
-                        "{ctx}: range_search"
-                    );
-                    if let Some(key) = clear {
-                        assert_eq!(tree.search(key).unwrap(), Some(0), "{ctx}: a subtree the rot spares");
+                    written.unwrap()
+                };
+                for _ in 0..12 {
+                    let slot = rand(node.children.len() as u64) as usize;
+                    let valid = node.children[rand(node.children.len() as u64) as usize];
+                    for wild in [u64::MAX, high_water, high_water - 1, 1 << 52 | valid, 1 << 53 | valid] {
+                        let ctx = format!("CRASH_SEED={seed} warm {warm} page {page} child {slot} -> {wild:#x}");
+                        let mut rotted = node.clone();
+                        rotted.children[slot] = wild;
+                        write(&Node::Internal(rotted).encode(PAGE));
+                        if !warm {
+                            tree.simulate_crash();
+                        }
+
+                        // A key the rotted child covers, and one it does not.
+                        let under = if slot == 0 {
+                            node.keys[0] - 1
+                        } else {
+                            node.keys[slot - 1]
+                        };
+                        let clear = if page == root { None } else { Some(0) };
+                        let corrupt = |e: &IoError| matches!(e, IoError::Corruption { .. });
+                        assert!(tree.search(under).is_err_and(|e| corrupt(&e)), "{ctx}: search");
+                        let batch = [3, under, 30];
+                        assert!(
+                            tree.multi_search(&batch).is_err_and(|e| corrupt(&e)),
+                            "{ctx}: multi_search"
+                        );
+                        assert!(
+                            tree.range_search(under, under + 90).is_err_and(|e| corrupt(&e)),
+                            "{ctx}: range_search"
+                        );
+                        if let Some(key) = clear {
+                            assert_eq!(tree.search(key).unwrap(), Some(0), "{ctx}: a subtree the rot spares");
+                        }
                     }
                 }
+                write(&image);
             }
-            raw.store().write_page(page, &image).unwrap();
+            // Healed; the full scan leaves every internal node in the pool
+            // for the warm pass.
+            tree.simulate_crash();
+            assert_eq!(tree.search(300).unwrap(), Some(100));
+            assert_eq!(tree.range_search(0, Key::MAX).unwrap().len(), entries.len());
         }
-        tree.simulate_crash();
-        assert_eq!(tree.search(300).unwrap(), Some(100));
-        assert_eq!(tree.range_search(0, Key::MAX).unwrap().len(), entries.len());
+        assert!(
+            tree.stats().inner_tier_hits > walks_before_warm,
+            "CRASH_SEED={seed}: the warm pass must walk the resident rotted nodes"
+        );
     }
 }

@@ -157,8 +157,8 @@ fn matches_a_model_under_a_mixed_workload() {
 /// The read paths against a `BTreeMap` oracle, after every step of a seeded
 /// stream of inserts, updates and deletes that keeps the OPQ non-empty and
 /// forces flushes with fresh splits: `search`, `multi_search` (duplicate,
-/// deleted and absent keys, unsorted) and `range_search`, each with the inner
-/// tier warm and — the store wavefront's turn — cold.
+/// deleted and absent keys, unsorted) and `range_search`, each with the pool
+/// warm — the resident walk's turn — and dropped — the store wavefront's.
 #[test]
 fn read_paths_differential_against_a_btreemap_oracle() {
     let seed: u64 = std::env::var("CRASH_SEED")
@@ -173,7 +173,6 @@ fn read_paths_differential_against_a_btreemap_oracle() {
         x % n
     };
     let mut t = tree_with(PioConfig {
-        inner_tier_pages: 64,
         leaf_cache_pages: 16,
         ..small_config()
     });
@@ -196,10 +195,10 @@ fn read_paths_differential_against_a_btreemap_oracle() {
                 }
             }
         }
-        for tier in ["warm", "cold"] {
-            let ctx = format!("CRASH_SEED={seed} step {step}, {tier} tier, OPQ {}", t.opq_len());
-            if tier == "cold" {
-                t.tier.invalidate();
+        for pool in ["warm", "cold"] {
+            let ctx = format!("CRASH_SEED={seed} step {step}, {pool} pool, OPQ {}", t.opq_len());
+            if pool == "cold" {
+                t.store().drop_cache();
             }
             let keys: Vec<Key> = (0..90).map(|_| rand(4_200)).collect();
             let expected: Vec<Option<Value>> = keys.iter().map(|k| oracle.get(k).copied()).collect();
@@ -214,7 +213,6 @@ fn read_paths_differential_against_a_btreemap_oracle() {
                 "{ctx}: range_search({lo}, {hi})"
             );
         }
-        t.refresh_inner_tier().unwrap();
     }
     assert!(t.stats().leaf_splits > 0 && t.stats().inner_tier_hits > 0 && t.stats().inner_tier_misses > 0);
     let all: Vec<(Key, Value)> = oracle.into_iter().collect();

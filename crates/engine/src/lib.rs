@@ -23,14 +23,13 @@
 //!   ratios and store counters, and separates *device work* (`total_io_us`) from
 //!   the *schedule makespan* (`scheduled_io_us`) so the cross-shard overlap win is
 //!   directly measurable;
-//! * engine-wide **memory budgets** — [`EngineConfig`]'s `inner_tier_bytes`
-//!   pins each shard's inner levels in memory ([`pio_btree::inner_tier`]: a
-//!   plain snapshot each tree owns, rebuilt at flush commits and re-pinned by
-//!   the maintenance tick after crashes/migrations),
-//!   and `leaf_cache_bytes` gives leaf regions a scan-resistant segmented-LRU
-//!   cache; both divide across shards, are validated (non-zero, page-multiple)
-//!   and roll up in [`EngineStats`] (`inner_tier_hit_rate`,
-//!   `leaf_cache_hit_rate`);
+//! * engine-wide **memory budgets**, both divided across shards: the pool
+//!   (`base.pool_pages`) caches internal nodes, which every descent walks
+//!   before it issues I/O, and [`EngineConfig`]'s `leaf_cache_bytes` gives
+//!   leaf regions a scan-resistant segmented-LRU cache (validated non-zero
+//!   and page-multiple); both roll up in [`EngineStats`]
+//!   (`inner_tier_hit_rate` — descents the pool answered whole —
+//!   and `leaf_cache_hit_rate`);
 //! * shard boundaries are chosen from a key sample at construction time
 //!   (quantiles, topped up with uniform cuts), so a skewed key population still
 //!   loads balanced shards;

@@ -170,12 +170,6 @@ impl EngineInner {
         // Give degraded shards their healing probe before anything else — the
         // flush pass below deliberately leaves them alone.
         self.probe_degraded();
-        // Re-pin any cold inner tier off the foreground path (a cheap no-op
-        // for warm or disabled tiers; a failed rebuild just stays cold —
-        // descents keep falling back to the store wavefront).
-        for shard in &self.shards {
-            let _ = self.on_shard(shard, |tree| tree.refresh_inner_tier());
-        }
         let work = self
             .shards
             .iter()

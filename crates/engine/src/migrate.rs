@@ -153,12 +153,6 @@ impl EngineInner {
         routing.bounds[idx] = if dst > src { lo } else { hi };
         routing.version += 1;
         drop(routing);
-        // The boundary swap is durable: re-pin both shards' inner tiers so no
-        // pre-migration snapshot can serve a descent across the new boundary
-        // (best effort — a failed rebuild leaves the tier cold, not stale).
-        for i in [src, dst] {
-            let _ = self.on_shard(&self.shards[i], |tree| tree.refresh_inner_tier());
-        }
         let moved_keys = retires.len() as u64;
         self.counters.migrated_keys.fetch_add(moved_keys, Ordering::Relaxed);
         match kind {

@@ -58,8 +58,7 @@ const BREAKER_THRESHOLD: u64 = 3;
 /// *degraded*: writes — single-key ones, and every `insert_batch` with a
 /// sub-batch for the shard, whole — are rejected immediately with a retryable
 /// error (instead of queueing work onto a sick device), reads are still
-/// attempted — the inner tier and both cache classes keep serving whatever
-/// they hold. The background maintenance worker probes a
+/// attempted — both cache classes keep serving whatever they hold. The background maintenance worker probes a
 /// degraded shard's device each sweep and closes the breaker when a probe
 /// succeeds.
 #[derive(Default)]

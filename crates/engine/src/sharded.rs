@@ -425,8 +425,8 @@ impl EngineInner {
         let routing = self.routing.read();
         let shard = &self.shards[shard_of(&routing.bounds, key)];
         shard.note_routed(1);
-        // Reads are attempted even on a degraded shard: the inner tier and the
-        // store's caches answer without touching the sick device.
+        // Reads are attempted even on a degraded shard: the store's caches
+        // answer without touching the sick device.
         let result = self.on_shard(shard, op);
         shard.health.observe(&result);
         result

@@ -52,8 +52,7 @@ pub struct ShardSnapshot {
     /// Region-class counters of the same store: the scan-resistant cache of
     /// multi-page leaf regions (all zero when
     /// [`crate::EngineConfig::leaf_cache_bytes`] is unset; `dirty_evictions`
-    /// is always 0 — regions are never kept dirty). The shard's inner-tier
-    /// counters ride in [`ShardSnapshot::pio`].
+    /// is always 0 — regions are never kept dirty).
     pub leaf_cache: CacheStats,
     /// Page-store counters (psync batches, page reads/writes, allocation).
     pub store: StoreStats,
@@ -220,9 +219,11 @@ impl EngineStats {
         self.batched_ops as f64 / self.batched_calls as f64
     }
 
-    /// Fraction of descent probes the pinned inner tier answered without any
-    /// store I/O, across all shards (`rollup.inner_tier_hits / (hits+misses)`;
-    /// 0.0 when the tier is disabled or never probed).
+    /// Fraction of descents the resident walk answered whole from the page
+    /// class, without inner-node I/O, across all shards
+    /// (`rollup.inner_tier_hits / (hits+misses)`; 0.0 before any descent).
+    /// The rest met an internal node the pool did not hold and took the
+    /// store wavefront.
     pub fn inner_tier_hit_rate(&self) -> f64 {
         let total = self.rollup.inner_tier_hits + self.rollup.inner_tier_misses;
         if total == 0 {

@@ -19,9 +19,7 @@
 //! `elapsed_us` (so latency accounting sees the delay in sim-clock time), and
 //! the per-ticket budget [`RetryPolicy::deadline_us`] bounds how much backoff a
 //! ticket may accrue before the wrapper gives up. Tests with a seeded fault
-//! plan therefore stay bit-for-bit deterministic. For real-file backends,
-//! [`RetryPolicy::wall_clock_backoff`] additionally sleeps the accrued backoff
-//! so the device genuinely gets breathing room.
+//! plan therefore stay bit-for-bit deterministic.
 //!
 //! ## Giving up
 //!
@@ -42,8 +40,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// How [`ResilientIo`] retries: attempt count, backoff shape, per-ticket
-/// deadline, and whether backoff is slept in wall-clock time.
+/// How [`ResilientIo`] retries: attempt count, backoff shape and per-ticket
+/// deadline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Resubmissions allowed per logical batch after the initial attempt
@@ -54,10 +52,6 @@ pub struct RetryPolicy {
     /// Per-ticket budget, in µs: once the accrued backoff would exceed this,
     /// the wrapper gives up even if `retry_limit` is not yet exhausted.
     pub deadline_us: u64,
-    /// `true`: sleep the backoff for real (file backends, where the device
-    /// needs actual breathing room). `false` (default): account it in
-    /// sim-clock time only, keeping seeded tests deterministic.
-    pub wall_clock_backoff: bool,
 }
 
 impl Default for RetryPolicy {
@@ -66,7 +60,6 @@ impl Default for RetryPolicy {
             retry_limit: 3,
             backoff_base_us: 100,
             deadline_us: 50_000,
-            wall_clock_backoff: false,
         }
     }
 }
@@ -155,9 +148,8 @@ impl ResilientIo {
 
     /// Decides whether `flight` may try again after failing with `e`: either
     /// accrues the next backoff (counting a retry) and returns `Ok`, or
-    /// returns the error to propagate. `allow_sleep` gates wall-clock backoff
-    /// so the non-blocking `try_complete` path never sleeps.
-    fn admit_retry(&self, flight: &mut Flight, e: IoError, allow_sleep: bool) -> IoResult<()> {
+    /// returns the error to propagate.
+    fn admit_retry(&self, flight: &mut Flight, e: IoError) -> IoResult<()> {
         if !e.is_retryable() {
             return Err(e);
         }
@@ -173,22 +165,19 @@ impl ResilientIo {
         flight.backoff_accrued_us += backoff;
         flight.retries_done += 1;
         self.retries.fetch_add(1, Ordering::Relaxed);
-        if self.policy.wall_clock_backoff && allow_sleep {
-            std::thread::sleep(std::time::Duration::from_micros(backoff));
-        }
         Ok(())
     }
 
     /// Submits `flight.batch` until it is accepted or the retry budget runs
     /// out, leaving the live inner ticket in `flight.inner`.
-    fn submit_flight(&self, flight: &mut Flight, allow_sleep: bool) -> IoResult<()> {
+    fn submit_flight(&self, flight: &mut Flight) -> IoResult<()> {
         loop {
             match flight.batch.submit(&*self.inner) {
                 Ok(ticket) => {
                     flight.inner = ticket;
                     return Ok(());
                 }
-                Err(e) => self.admit_retry(flight, e, allow_sleep)?,
+                Err(e) => self.admit_retry(flight, e)?,
             }
         }
     }
@@ -200,7 +189,7 @@ impl ResilientIo {
             retries_done: 0,
             backoff_accrued_us: 0,
         };
-        self.submit_flight(&mut flight, true)?;
+        self.submit_flight(&mut flight)?;
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         self.flights.lock().insert(id, flight);
         Ok(Ticket(id))
@@ -242,8 +231,8 @@ impl IoQueue for ResilientIo {
                     return Ok(completion);
                 }
                 Err(e) => {
-                    self.admit_retry(&mut flight, e, true)?;
-                    self.submit_flight(&mut flight, true)?;
+                    self.admit_retry(&mut flight, e)?;
+                    self.submit_flight(&mut flight)?;
                 }
             }
         }
@@ -268,11 +257,9 @@ impl IoQueue for ResilientIo {
                 Ok(TryComplete::Pending(ticket))
             }
             Err(e) => {
-                // Non-blocking path: the backoff is accounted, never slept,
-                // and the resubmitted batch is reported as still pending.
-                let outcome = self
-                    .admit_retry(flight, e, false)
-                    .and_then(|()| self.submit_flight(flight, false));
+                // Non-blocking path: the resubmitted batch is reported as
+                // still pending.
+                let outcome = self.admit_retry(flight, e).and_then(|()| self.submit_flight(flight));
                 match outcome {
                     Ok(()) => Ok(TryComplete::Pending(ticket)),
                     Err(e) => {
@@ -388,7 +375,6 @@ mod tests {
             retry_limit: 100,
             backoff_base_us: 1_000,
             deadline_us: 3_000, // 1000 + 2000 fits; the third retry (4000) does not
-            wall_clock_backoff: false,
         });
         clock.arm_transient(TransientFaults {
             seed: 2,
@@ -407,7 +393,6 @@ mod tests {
             retry_limit: 8,
             backoff_base_us: 500,
             deadline_us: 1_000_000,
-            wall_clock_backoff: false,
         });
         io.write_at(0, &[3u8; 4096]).unwrap();
         // Fail every read submission once or twice, then let it through.

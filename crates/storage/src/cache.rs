@@ -181,14 +181,21 @@ impl Cache {
     /// Misses are counted according to the hint (`Point` → miss, `Scan` →
     /// bypass) — after a `Scan` miss the caller must *not* [`Cache::admit`].
     pub fn get(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
-        let Some(entry) = self.entries.get(&first) else {
+        let hit = self.get_resident(first, hint);
+        if hit.is_none() {
             match hint {
                 AccessHint::Point => self.stats.misses += 1,
                 AccessHint::Scan => self.stats.scan_bypasses += 1,
             }
-            return None;
-        };
-        let data = PageImage::clone(&entry.data);
+        }
+        hit
+    }
+
+    /// [`Cache::get`] for a caller whose fallback is not a fetch of this
+    /// entry: a hit is counted and touched alike, an absent entry counts
+    /// nothing.
+    pub(crate) fn get_resident(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
+        let data = PageImage::clone(&self.entries.get(&first)?.data);
         self.stats.hits += 1;
         if hint == AccessHint::Point {
             self.touch(first);

@@ -45,7 +45,7 @@ use crate::cache::{AccessHint, Cache, CacheStats, Evicted};
 use crate::integrity::{page_checksum, Integrity, IntegrityStats, ScrubReport};
 use crate::page::{page_offset, PageId, PageImage};
 use crate::store::{PageStore, ReadTicket, WriteTicket};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use pio::{IoError, IoResult};
 
 /// Cache policy applied by [`CachedStore`] to single-page writes.
@@ -109,6 +109,22 @@ impl Classes {
         } else {
             (self.regions.as_mut(), hint)
         }
+    }
+}
+
+/// The page class, held under the cache lock for a walk that does no I/O —
+/// see [`CachedStore::resident_pages`].
+#[derive(Debug)]
+pub struct ResidentPages<'a> {
+    caches: MutexGuard<'a, Classes>,
+}
+
+impl ResidentPages<'_> {
+    /// The image of `page` if the page class holds it, counted and refreshed
+    /// like any `Point` hit. An absent page counts nothing: the read the
+    /// caller falls back to counts its miss.
+    pub fn get(&mut self, page: PageId) -> Option<PageImage> {
+        self.caches.pages.get_resident(page, AccessHint::Point)
     }
 }
 
@@ -310,6 +326,15 @@ impl CachedStore {
             .into_iter()
             .map(|r| r.expect("hit at submission or fetched above"))
             .collect())
+    }
+
+    /// Locks the cache for a walk over resident single pages: no I/O, no
+    /// admission, only hits. Every read and write of the store takes the same
+    /// lock, so drop the guard before falling back to one.
+    pub fn resident_pages(&self) -> ResidentPages<'_> {
+        ResidentPages {
+            caches: self.caches.lock(),
+        }
     }
 
     /// Reads one page through the cache.

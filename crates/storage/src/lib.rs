@@ -40,7 +40,7 @@ pub mod store;
 pub mod wal;
 
 pub use cache::{AccessHint, Cache, CacheStats, Evicted};
-pub use cached::{CachedReadTicket, CachedStore, CachedWriteTicket, WritePolicy};
+pub use cached::{CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy};
 pub use integrity::{IntegrityStats, ScrubReport};
 pub use page::{PageId, PageImage, INVALID_PAGE};
 pub use store::{PageStore, ReadTicket, StoreStats, WriteTicket};

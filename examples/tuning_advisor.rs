@@ -62,25 +62,24 @@ fn main() {
             shard_recs.join(", ")
         );
         // Resolved in-memory budgets next to the shard count: carve the memory
-        // budget 1/4 inner tier, 3/4 leaf cache (inner levels are small — the
-        // tier pins them whole long before the cache warms) and show the
+        // budget 1/4 pool, 3/4 leaf cache (inner levels are small — the pool
+        // holds them whole long before the cache warms) and show the
         // per-shard page budgets `EngineConfig::shard_config` resolves, the
         // same arithmetic the engine applies at build time.
         let shards = config.recommended_shard_count(64).max(1);
-        let inner_tier_bytes = (memory_budget_pages / 4) * page_size as u64;
-        let leaf_cache_bytes = (memory_budget_pages - memory_budget_pages / 4) * page_size as u64;
+        let pool_pages = memory_budget_pages / 4;
+        let leaf_cache_bytes = (memory_budget_pages - pool_pages) * page_size as u64;
         let mem_cfg = EngineConfig::builder()
             .shards(shards)
-            .base(PioConfig::builder().page_size(page_size).build())
-            .inner_tier_bytes(inner_tier_bytes)
+            .base(PioConfig::builder().page_size(page_size).pool_pages(pool_pages).build())
             .leaf_cache_bytes(leaf_cache_bytes)
             .build();
         let per_shard = mem_cfg.shard_config();
         println!(
-            "  memory budget at {shards} shard(s): inner tier {} KiB ({} pages/shard), \
+            "  memory budget at {shards} shard(s): pool {} KiB ({} pages/shard), \
              leaf cache {} KiB ({} pages/shard)",
-            inner_tier_bytes / 1024,
-            per_shard.inner_tier_pages,
+            pool_pages * page_size as u64 / 1024,
+            per_shard.pool_pages,
             leaf_cache_bytes / 1024,
             per_shard.leaf_cache_pages,
         );

@@ -71,14 +71,14 @@ fn tree_config(wal: bool) -> PioConfig {
         .build()
 }
 
-/// Two shards with an inner tier and a leaf cache that holds every leaf.
+/// Two shards with a pool that holds every internal node and a leaf cache
+/// that holds every leaf.
 fn engine_config(wal: bool) -> EngineConfig {
     EngineConfig::builder()
         .shards(2)
         .profile(DeviceProfile::P300)
         .shard_capacity_bytes(1 << 30)
         .base(tree_config(wal))
-        .inner_tier_bytes(4 << 20)
         .leaf_cache_bytes(64 << 20)
         .build()
 }
@@ -154,7 +154,6 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
 
     // ---- a point search of a cached key on one tree --------------------------------
     let mut config = tree_config(false);
-    config.inner_tier_pages = 1024;
     config.leaf_cache_pages = 16 * 1024;
     let device = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 30));
     let store = CachedStore::new(

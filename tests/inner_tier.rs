@@ -1,16 +1,21 @@
-//! The in-memory inner tier and the scan-resistant leaf cache, end to end.
+//! The inner levels in the page class and the scan-resistant leaf cache, end
+//! to end. (The file keeps the name of the inner tier these tests used to
+//! cover: a per-tree copy of the internal nodes, since folded into the pool.)
 //!
-//! Three layers of coverage for the `inner_tier` subsystem:
+//! Three layers of coverage:
 //!
-//! 1. **Equivalence** — the tier and the leaf cache are pure accelerators: a
-//!    CRASH_SEED-randomized interleaving of `multi_search` / `range_search` /
-//!    `insert_batch` returns bit-identical results with them on and off, on
-//!    every simulated topology (device-per-shard and shared-device).
+//! 1. **Equivalence** — the resident walk and the leaf cache are pure
+//!    accelerators: a CRASH_SEED-randomized interleaving of `multi_search` /
+//!    `range_search` / `insert_batch` returns bit-identical results on an
+//!    engine whose pool holds the internal levels (descents walk them in
+//!    memory) and on one whose pool is too small to (descents take the
+//!    ticketed wavefront), on every simulated topology (device-per-shard and
+//!    shared-device).
 //! 2. **Crash / migration sweep** — CRASH_SEED-randomized crash points over a
-//!    workload interleaving batches with forced shard migrations, tier and
-//!    cache enabled: after `recover()` the tier-served key set must equal the
-//!    oracle (never a stale pre-migration boundary), with all-or-nothing
-//!    bounds exactly as in the tier-off sweep.
+//!    workload interleaving batches with forced shard migrations, leaf cache
+//!    enabled: after `recover()` the key set read through the page class must
+//!    equal the oracle (never a stale pre-migration boundary), with
+//!    all-or-nothing bounds exactly as in the scan.
 //! 3. **Scan resistance** — a hot point-lookup working set must keep a high
 //!    leaf-cache hit rate while full-range scans stream through the store.
 
@@ -29,7 +34,7 @@ use storage::{CachedStore, PageStore, WritePolicy};
 const PAGE: u64 = 2048;
 
 /// Small pages + tiny OPQs so the randomized workload flushes (and therefore
-/// republishes tier snapshots) many times.
+/// rewrites internal nodes in the pool) many times.
 fn base_config(wal: bool) -> PioConfig {
     PioConfig::builder()
         .page_size(PAGE as usize)
@@ -43,16 +48,15 @@ fn base_config(wal: bool) -> PioConfig {
         .build()
 }
 
-fn config(tier: bool, wal: bool) -> EngineConfig {
-    let mut builder = EngineConfig::builder()
+/// Four shards over `base`, with a leaf cache.
+fn config(base: PioConfig) -> EngineConfig {
+    EngineConfig::builder()
         .shards(4)
         .profile(DeviceProfile::F120)
         .shard_capacity_bytes(1 << 28)
-        .base(base_config(wal));
-    if tier {
-        builder = builder.inner_tier_bytes(PAGE * 64 * 4).leaf_cache_bytes(PAGE * 64 * 4);
-    }
-    builder.build()
+        .base(base)
+        .leaf_cache_bytes(PAGE * 64 * 4)
+        .build()
 }
 
 fn seed_entries() -> Vec<(u64, u64)> {
@@ -110,25 +114,51 @@ fn tier_on_equals_tier_off_on_every_sim_topology() {
     let (mut rng, seed) = seeded_rng();
     let entries = seed_entries();
     let steps = random_steps(&mut rng, 40);
+    // 256-byte pages: an internal node holds at most 16 children, so every
+    // shard starts with two internal levels.
+    let deep = PioConfig {
+        page_size: 256,
+        pool_pages: 1024,
+        ..base_config(false)
+    };
 
-    // The tier-off device-per-shard engine is the reference.
-    let reference = EngineBuilder::new(config(false, false))
+    // The reference: a device-per-shard engine with a 4-page pool — one page
+    // per shard, too small to keep an internal level resident — and no leaf
+    // cache, so its descents take the wavefront.
+    let reference = EngineConfig {
+        leaf_cache_bytes: None,
+        ..config(PioConfig {
+            pool_pages: 4,
+            ..deep.clone()
+        })
+    };
+    let reference = EngineBuilder::new(reference)
         .topology(DevicePerShard)
         .entries(&entries)
         .build()
         .expect("reference engine");
     let expected = run_steps(&reference, &steps);
     let final_state: BTreeMap<u64, u64> = reference.range_search(0, u64::MAX).unwrap().into_iter().collect();
+    let walks = reference.stats().rollup;
+    assert_eq!(
+        (walks.inner_tier_hits, walks.inner_tier_misses > 0),
+        (0, true),
+        "seed {seed}: every descent of the reference takes the wavefront"
+    );
 
-    let with_tier = |engine: ShardedPioEngine, label: &str| {
+    let against_reference = |engine: ShardedPioEngine, label: &str| {
         let got = run_steps(&engine, &steps);
-        assert_eq!(got, expected, "seed {seed}: {label} diverged from tier-off reference");
+        assert_eq!(
+            got, expected,
+            "seed {seed}: {label} diverged from the wavefront reference"
+        );
         let scan: BTreeMap<u64, u64> = engine.range_search(0, u64::MAX).unwrap().into_iter().collect();
         assert_eq!(scan, final_state, "seed {seed}: {label} final state diverged");
         let stats = engine.stats();
-        assert!(
-            stats.rollup.inner_tier_hits > 0,
-            "seed {seed}: {label} never answered a descent from the tier"
+        assert_eq!(
+            (stats.rollup.inner_tier_hits > 0, stats.rollup.inner_tier_misses),
+            (true, 0),
+            "seed {seed}: every descent of {label} walks the pool"
         );
         assert!(
             stats.leaf_cache.hits + stats.leaf_cache.misses + stats.leaf_cache.scan_bypasses > 0,
@@ -136,21 +166,21 @@ fn tier_on_equals_tier_off_on_every_sim_topology() {
         );
         engine.check_invariants().unwrap();
     };
-    with_tier(
-        EngineBuilder::new(config(true, false))
+    against_reference(
+        EngineBuilder::new(config(deep.clone()))
             .topology(DevicePerShard)
             .entries(&entries)
             .build()
-            .expect("tier-on device-per-shard"),
-        "tier-on device-per-shard",
+            .expect("cached device-per-shard"),
+        "cached device-per-shard",
     );
-    with_tier(
-        EngineBuilder::new(config(true, false))
+    against_reference(
+        EngineBuilder::new(config(deep))
             .topology(SharedDevice)
             .entries(&entries)
             .build()
-            .expect("tier-on shared-device"),
-        "tier-on shared-device",
+            .expect("cached shared-device"),
+        "cached shared-device",
     );
 }
 
@@ -163,7 +193,8 @@ enum Op {
 }
 
 /// Batches interleaved with forced migrations, as in the rebalance sweep, so
-/// crash points land inside migration windows while the tier is live.
+/// crash points land inside migration windows while the pool holds the
+/// internal levels.
 fn sweep_ops() -> Vec<Op> {
     let mut ops = Vec::new();
     let batch = |b: u64| -> Vec<(u64, u64)> {
@@ -224,14 +255,15 @@ fn run_sweep(engine: &ShardedPioEngine, ops: &[Op]) -> Result<(), usize> {
 }
 
 /// After any crash — mid-batch, mid-migration, mid-commit — the recovered
-/// engine's **tier-served** answers must equal the oracle: multi-search every
-/// key the workload ever wrote and compare against the authoritative scan. A
-/// tier snapshot surviving a boundary swap or rollback it should not have
-/// would surface here as a missing or misrouted key.
+/// engine's answers through the page class must equal the oracle:
+/// multi-search every key the workload ever wrote and compare against the
+/// authoritative scan. A pooled internal node surviving a boundary swap,
+/// rollback or crash it should not have would surface here as a missing or
+/// misrouted key.
 #[test]
 fn recovered_tier_never_serves_a_stale_boundary() {
     let (mut rng, seed) = seeded_rng();
-    let cfg = config(true, true);
+    let cfg = config(base_config(true));
     let seeds: Vec<(u64, u64)> = (0..400u64).map(|k| (k * 80, k + 1)).collect();
     let ops = sweep_ops();
 
@@ -244,11 +276,11 @@ fn recovered_tier_never_serves_a_stale_boundary() {
     assert!(engine.stats().splits + engine.stats().merges >= 4, "sweep must migrate");
     assert!(
         engine.stats().rollup.inner_tier_hits > 0,
-        "sweep must exercise the tier"
+        "sweep must exercise the resident walk"
     );
     drop(engine);
 
-    // Every key the workload can ever contain, probed through the tier path.
+    // Every key the workload can ever contain, probed through the page class.
     let all_keys: Vec<u64> = sweep_oracle(&seeds, &ops).keys().copied().collect();
 
     const TRIALS: usize = 60;
@@ -274,16 +306,24 @@ fn recovered_tier_never_serves_a_stale_boundary() {
             got == without || got == with,
             "seed {seed} trial {trial} write {k}: key set diverged after crash in op {failed_at}"
         );
-        // The tier-served point reads must agree with that state exactly.
+        // The point reads must agree with that state exactly, and — the scan
+        // having warmed every internal node — take no wavefront to do so.
+        let before = engine.stats().rollup;
         let answers = engine.multi_search(&all_keys).unwrap();
         for (&key, answer) in all_keys.iter().zip(&answers) {
             assert_eq!(
                 *answer,
                 got.get(&key).copied(),
-                "seed {seed} trial {trial} write {k}: stale tier answer for key {key} after \
+                "seed {seed} trial {trial} write {k}: stale page-class answer for key {key} after \
                  crash in op {failed_at}"
             );
         }
+        let after = engine.stats().rollup;
+        assert_eq!(
+            (after.inner_tier_misses, after.inner_tier_hits > before.inner_tier_hits),
+            (before.inner_tier_misses, true),
+            "seed {seed} trial {trial} write {k}: the multi-search must walk the pool"
+        );
         engine
             .check_invariants()
             .unwrap_or_else(|e| panic!("seed {seed} trial {trial} write {k}: invariants violated: {e}"));
@@ -291,10 +331,11 @@ fn recovered_tier_never_serves_a_stale_boundary() {
 }
 
 /// A committed migration with no crash at all: the moment `split_shard` /
-/// `merge_shard` return, tier-served reads must already see the new boundary.
+/// `merge_shard` return, reads walking the pool must already see the new
+/// boundary — no stale page-class answer.
 #[test]
 fn tier_reads_are_exact_immediately_after_committed_migrations() {
-    let engine = EngineBuilder::new(config(true, true))
+    let engine = EngineBuilder::new(config(base_config(true)))
         .entries(&seed_entries())
         .build()
         .expect("bulk load");
@@ -312,7 +353,11 @@ fn tier_reads_are_exact_immediately_after_committed_migrations() {
         }
         let answers = engine.multi_search(&keys).unwrap();
         for (&key, answer) in keys.iter().zip(&answers) {
-            assert_eq!(*answer, model.get(&key).copied(), "round {round}, key {key}");
+            assert_eq!(
+                *answer,
+                model.get(&key).copied(),
+                "round {round}, key {key}: stale page-class answer"
+            );
         }
     }
     assert!(engine.stats().rollup.inner_tier_hits > 0);
