@@ -195,12 +195,18 @@ impl Cache {
     /// entry: a hit is counted and touched alike, an absent entry counts
     /// nothing.
     pub(crate) fn get_resident(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
-        let data = PageImage::clone(&self.entries.get(&first)?.data);
+        let data = self.peek(first)?;
         self.stats.hits += 1;
         if hint == AccessHint::Point {
             self.touch(first);
         }
         Some(data)
+    }
+
+    /// The image of the entry starting at `first`, for a lookup no reader
+    /// made (scrub's heal): counts nothing and leaves recency alone.
+    pub(crate) fn peek(&self, first: PageId) -> Option<PageImage> {
+        self.entries.get(&first).map(|e| PageImage::clone(&e.data))
     }
 
     /// Queues a recency pair at the tail of `seg`'s queue.

@@ -506,10 +506,12 @@ impl CachedStore {
     /// lowest page when the end of the tracked set is reached. A mismatch is
     /// re-read once; a *persistent* mismatch is counted as rot and — when the
     /// page class still holds a copy that verifies — **healed** by rewriting
-    /// that copy to the device. Unhealable rot keeps its recorded checksum, so
-    /// a foreground read of the page still fails verification rather than
-    /// serving bad bytes. Designed to ride a maintenance tick: each call does a
-    /// bounded slice of work off the foreground path.
+    /// that copy to the device. No reader made that lookup, so it counts no
+    /// pool hit or miss and leaves recency alone. Unhealable rot keeps its
+    /// recorded checksum, so a foreground read of the page still fails
+    /// verification rather than serving bad bytes. Designed to ride a
+    /// maintenance tick: each call does a bounded slice of work off the
+    /// foreground path.
     pub fn scrub_step(&self, max_pages: usize) -> IoResult<ScrubReport> {
         let Some((batch, wrapped)) = self.integrity.next_scrub_batch(max_pages) else {
             return Ok(ScrubReport {
@@ -541,7 +543,7 @@ impl CachedStore {
             // Persistent rot. Heal from a cached copy when one verifies.
             self.integrity.count(|s| s.scrub_corruptions += 1);
             report.corrupt += 1;
-            let cached = self.caches.lock().pages.get(page, AccessHint::Point);
+            let cached = self.caches.lock().pages.peek(page);
             if let Some(copy) = cached {
                 if page_checksum(&copy) == expected {
                     self.store.write_page(page, &copy)?;
@@ -997,6 +999,7 @@ mod tests {
         }
         // The pool still holds clean copies of everything; rot one device copy.
         rot(&c, pages[2], 40);
+        let pool = c.pool_stats();
         let mut scanned = 0;
         let mut healed = 0;
         loop {
@@ -1009,6 +1012,7 @@ mod tests {
         }
         assert_eq!(scanned, 4, "one full cycle visits every tracked page");
         assert_eq!(healed, 1);
+        assert_eq!(c.pool_stats(), pool, "the heal lookup is no pool access");
         let stats = c.integrity_stats();
         assert_eq!(stats.scrub_corruptions, 1);
         assert_eq!(stats.scrub_healed, 1);
@@ -1025,9 +1029,11 @@ mod tests {
         c.write_page(p, &vec![6u8; 4096]).unwrap();
         c.drop_cache(); // no pooled copy → nothing to heal from
         rot(&c, p, 0);
+        let pool = c.pool_stats();
         let r = c.scrub_step(8).unwrap();
         assert_eq!(r.corrupt, 1);
         assert_eq!(r.healed, 0);
+        assert_eq!(c.pool_stats(), pool, "the heal lookup is no pool access");
         // A foreground read must still refuse to serve the bad bytes.
         assert!(matches!(c.read_page(p), Err(pio::IoError::Corruption { .. })));
     }
