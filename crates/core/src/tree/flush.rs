@@ -252,9 +252,10 @@ impl PioBTree {
                 .map(|(page, undo)| match undo {
                     Undo::Image(image) => (page, image),
                     Undo::Append(keep) => {
+                        // The store's image is unshared: this edits it in place.
                         let mut image = current.next().expect("one image per appended page");
-                        PioLeaf::undo_append(&mut image, keep);
-                        (page, image.into())
+                        PioLeaf::undo_append(PageImage::make_mut(&mut image), keep);
+                        (page, image)
                     }
                 })
                 .collect();

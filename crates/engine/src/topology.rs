@@ -626,7 +626,7 @@ mod tests {
         // Independent devices: a write through one store is invisible to another.
         use pio::IoQueue;
         backends.shard_stores[0].write_at(0, b"zero").unwrap();
-        assert_eq!(backends.shard_stores[1].read_at(0, 4).unwrap(), vec![0u8; 4]);
+        assert_eq!(&backends.shard_stores[1].read_at(0, 4).unwrap()[..], vec![0u8; 4]);
     }
 
     #[test]
@@ -636,9 +636,9 @@ mod tests {
         backends.shard_stores[0].write_at(0, b"s0").unwrap();
         backends.shard_stores[1].write_at(0, b"s1").unwrap();
         backends.shard_wals[0].write_at(0, b"w0").unwrap();
-        assert_eq!(backends.shard_stores[0].read_at(0, 2).unwrap(), b"s0");
-        assert_eq!(backends.shard_stores[1].read_at(0, 2).unwrap(), b"s1");
-        assert_eq!(backends.shard_wals[0].read_at(0, 2).unwrap(), b"w0");
+        assert_eq!(&backends.shard_stores[0].read_at(0, 2).unwrap()[..], b"s0");
+        assert_eq!(&backends.shard_stores[1].read_at(0, 2).unwrap()[..], b"s1");
+        assert_eq!(&backends.shard_wals[0].read_at(0, 2).unwrap()[..], b"w0");
         // Same underlying device: the stats of partition 0's queue are partition
         // local, so its write count is exactly its own.
         assert_eq!(backends.shard_stores[0].io_stats().writes, 1);

@@ -16,7 +16,7 @@
 //! wall-clock, not simulated.
 
 use crate::error::{IoError, IoResult};
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete, EMPTY_TICKET};
+use crate::queue::{zeroed_image, Completion, IoQueue, Ticket, TryComplete, EMPTY_TICKET};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::{BatchStats, IoStats};
 use parking_lot::Mutex;
@@ -44,8 +44,8 @@ struct JobQueue {
 struct InflightTicket {
     /// Jobs not yet finished.
     remaining: usize,
-    /// Read buffers, filled slot by slot (empty for writes).
-    buffers: Vec<Vec<u8>>,
+    /// Read images, filled slot by slot (empty for writes).
+    buffers: Vec<Option<Arc<[u8]>>>,
     requests: usize,
     bytes: u64,
     is_write: bool,
@@ -72,10 +72,12 @@ impl FilePoolShared {
     fn run_job(&self, ticket_id: u64, job: Job) {
         let outcome = match job {
             Job::Read { offset, len, slot } => {
-                // Read until the buffer is full or a true EOF: a partial mid-file
+                // Read until the image is full or a true EOF: a partial mid-file
                 // read (POSIX allows short reads) must not surface zeroed bytes.
                 // Only the tail past EOF stays zero-filled, like a sparse file.
-                let mut buf = vec![0u8; len];
+                // The image is filled in place and handed out unshared.
+                let mut image = zeroed_image(len);
+                let buf = Arc::get_mut(&mut image).expect("a fresh image is unshared");
                 let mut filled = 0usize;
                 let result = loop {
                     match self.file.read_at(&mut buf[filled..], offset + filled as u64) {
@@ -90,7 +92,7 @@ impl FilePoolShared {
                         Err(e) => break Err(IoError::Os(e)),
                     }
                 };
-                result.map(|()| Some((slot, buf)))
+                result.map(|()| Some((slot, image)))
             }
             Job::Write { offset, data } => match self.file.write_all_at(&data, offset) {
                 Ok(()) => Ok(None),
@@ -102,7 +104,7 @@ impl FilePoolShared {
             let mut tickets = self.tickets.lock().unwrap_or_else(|e| e.into_inner());
             let entry = tickets.get_mut(&ticket_id).expect("in-flight ticket");
             match outcome {
-                Ok(Some((slot, buf))) => entry.buffers[slot] = buf,
+                Ok(Some((slot, image))) => entry.buffers[slot] = Some(image),
                 Ok(None) => {}
                 Err(e) => {
                     if entry.error.is_none() {
@@ -170,7 +172,11 @@ impl FilePoolShared {
             return Err(e);
         }
         Ok(Completion {
-            buffers: std::mem::take(&mut entry.buffers),
+            buffers: entry
+                .buffers
+                .into_iter()
+                .map(|image| image.expect("every read job filled its slot"))
+                .collect(),
             stats: entry.done.expect("finished ticket"),
         })
     }
@@ -237,7 +243,14 @@ impl FileThreadPoolIo {
         self.workers
     }
 
-    fn submit(&self, jobs: Vec<Job>, buffers: Vec<Vec<u8>>, requests: usize, bytes: u64, is_write: bool) -> Ticket {
+    fn submit(
+        &self,
+        jobs: Vec<Job>,
+        buffers: Vec<Option<Arc<[u8]>>>,
+        requests: usize,
+        bytes: u64,
+        is_write: bool,
+    ) -> Ticket {
         let id = {
             let mut next = self.next_ticket.lock();
             let id = *next;
@@ -288,7 +301,7 @@ impl IoQueue for FileThreadPoolIo {
             })
             .collect();
         let bytes = reqs.iter().map(|r| r.len as u64).sum();
-        Ok(self.submit(jobs, vec![Vec::new(); reqs.len()], reqs.len(), bytes, false))
+        Ok(self.submit(jobs, vec![None; reqs.len()], reqs.len(), bytes, false))
     }
 
     fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
@@ -402,7 +415,7 @@ mod tests {
         let reads: Vec<ReadRequest> = pages.iter().map(|(o, d)| ReadRequest::new(*o, d.len())).collect();
         let (bufs, stats) = io.psync_read(&reads).unwrap();
         for (buf, (_, d)) in bufs.iter().zip(&pages) {
-            assert_eq!(buf, d);
+            assert_eq!(&buf[..], d);
         }
         assert_eq!(stats.requests, 16);
         assert!(io.io_stats().writes == 16 && io.io_stats().reads == 16);
@@ -422,8 +435,8 @@ mod tests {
         io.wait(wa).unwrap();
         let ra = io.submit_read(&[ReadRequest::new(0, 4096)]).unwrap();
         let rb = io.submit_read(&[ReadRequest::new(8192, 4096)]).unwrap();
-        assert_eq!(io.wait(ra).unwrap().buffers[0], a);
-        assert_eq!(io.wait(rb).unwrap().buffers[0], b);
+        assert_eq!(&io.wait(ra).unwrap().buffers[0][..], a);
+        assert_eq!(&io.wait(rb).unwrap().buffers[0][..], b);
         assert_eq!(io.io_stats().batches, 4);
         let _ = std::fs::remove_file(&path);
     }
@@ -482,7 +495,7 @@ mod tests {
         let io = FileThreadPoolIo::open(&path, 0).unwrap();
         assert_eq!(io.workers(), 1);
         io.write_at(0, b"x").unwrap();
-        assert_eq!(io.read_at(0, 1).unwrap(), b"x");
+        assert_eq!(&io.read_at(0, 1).unwrap()[..], b"x");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -9,10 +9,12 @@
 //!   workers fed over a shared job queue.
 //!
 //! The simulated backends share one ticket engine (`SimShared`): every submission
-//! is scheduled on the device timeline with [`ssd_sim::SsdDevice::service_batch_at`],
-//! and submissions made while other tickets are in flight join the same scheduling
-//! window with a **common start time** — so overlapped tickets contend for the same
-//! channels, packages and host interface (the shared-device model of Figure 4).
+//! is scheduled on the device timeline, and submissions made while other tickets
+//! are in flight join the same scheduling window with a **common start time** — so
+//! overlapped tickets contend for the same channels, packages and host interface
+//! (the shared-device model of Figure 4). A read's data is copied out of the
+//! [`MemDisk`] into one shared image per request, which the completion hands on
+//! unshared.
 
 pub mod file;
 pub mod psync;
@@ -27,6 +29,7 @@ use crate::stats::{BatchStats, IoStats};
 use parking_lot::Mutex;
 use ssd_sim::{IoKind, SsdDevice, SsdRequest, WindowScheduler};
 use std::collections::HashMap;
+use std::sync::Arc;
 use threaded::FileLayout;
 
 /// How a simulated backend turns one submission into device work.
@@ -52,15 +55,16 @@ struct PendingIo {
 }
 
 /// The in-flight window of a simulated backend.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct QueueState {
     next_id: u64,
     /// Start of the current overlap group on the device timeline, µs.
     window_start: f64,
     /// Incremental scheduler of the current group (`Batch` discipline) — extended
     /// request by request, so a pipeline that always keeps a ticket in flight
-    /// pays O(requests), not O(requests²), and nothing is accumulated.
-    scheduler: Option<WindowScheduler>,
+    /// pays O(requests), not O(requests²), and nothing is accumulated. One
+    /// scheduler serves every group: each group restarts it.
+    scheduler: WindowScheduler,
     /// Completion frontier within the group (`Serial` / `Threaded` disciplines).
     frontier_us: f64,
     /// Latest completion time of any ticket in the current group, µs.
@@ -76,9 +80,21 @@ struct QueueState {
 }
 
 impl QueueState {
+    fn new(scheduler: WindowScheduler) -> Self {
+        Self {
+            next_id: 0,
+            window_start: 0.0,
+            scheduler,
+            frontier_us: 0.0,
+            group_end_us: 0.0,
+            reap_frontier_us: 0.0,
+            outstanding: HashMap::new(),
+        }
+    }
+
     fn begin_group(&mut self, now_us: f64) {
         self.window_start = now_us;
-        self.scheduler = None;
+        self.scheduler.restart(now_us);
         self.frontier_us = now_us;
         self.group_end_us = now_us;
         self.reap_frontier_us = now_us;
@@ -100,11 +116,13 @@ pub(crate) struct SimShared {
 
 impl SimShared {
     pub(crate) fn new(config: ssd_sim::SsdConfig, capacity_bytes: u64, discipline: Discipline) -> Self {
+        let device = SsdDevice::new(config);
+        let queue = QueueState::new(device.window_scheduler(device.now_us()));
         Self {
-            device: Mutex::new(SsdDevice::new(config)),
+            device: Mutex::new(device),
             disk: Mutex::new(MemDisk::new(capacity_bytes)),
             stats: Mutex::new(IoStats::default()),
-            queue: Mutex::new(QueueState::default()),
+            queue: Mutex::new(queue),
             discipline,
         }
     }
@@ -126,18 +144,19 @@ impl SimShared {
     // ---------------------------------------------------------------- submission --
 
     /// Submits a read batch: the data plane is copied out immediately (the device
-    /// holds the data the moment the command is accepted) and the batch is placed
-    /// on the shared timeline.
+    /// holds the data the moment the command is accepted), one image per request,
+    /// and the batch is placed on the shared timeline.
     pub(crate) fn submit_read(&self, reqs: &[ReadRequest], context_switches: u64) -> IoResult<Ticket> {
         if reqs.is_empty() {
             return Ok(Ticket::empty());
         }
-        let buffers: Vec<Vec<u8>> = {
+        let mut buffers = Vec::with_capacity(reqs.len());
+        {
             let disk = self.disk.lock();
-            reqs.iter()
-                .map(|r| disk.read(r.offset, r.len))
-                .collect::<IoResult<_>>()?
-        };
+            for r in reqs {
+                buffers.push(disk.read(r.offset, r.len)?);
+            }
+        }
         let sim_reqs = Self::to_sim_reads(reqs);
         self.enqueue(sim_reqs, buffers, reqs.len() as u64, 0, context_switches)
     }
@@ -163,7 +182,7 @@ impl SimShared {
     fn enqueue(
         &self,
         sim_reqs: Vec<SsdRequest>,
-        buffers: Vec<Vec<u8>>,
+        buffers: Vec<Arc<[u8]>>,
         reads: u64,
         writes: u64,
         context_switches: u64,
@@ -181,12 +200,10 @@ impl SimShared {
                 // already-issued tickets keep their completion times. Requests
                 // are floored at the reap frontier: a batch submitted after the
                 // driver observed a completion cannot start before it.
-                let window_start = q.window_start;
-                let floor = q.reap_frontier_us;
-                let scheduler = q.scheduler.get_or_insert_with(|| device.window_scheduler(window_start));
+                let (window_start, floor) = (q.window_start, q.reap_frontier_us);
                 sim_reqs
                     .iter()
-                    .map(|r| scheduler.push_after(r, floor))
+                    .map(|r| q.scheduler.push_after(r, floor))
                     .fold(window_start, f64::max)
             }
             Discipline::Serial => {
@@ -286,7 +303,6 @@ impl SimShared {
         if q.outstanding.is_empty() {
             let makespan = q.group_end_us - q.window_start;
             device.advance_clock_to(q.group_end_us);
-            q.scheduler = None;
             if makespan > 0.0 {
                 self.stats.lock().elapsed_us += makespan;
             }

@@ -91,7 +91,7 @@ mod tests {
     fn round_trip_single() {
         let io = io();
         io.write_at(4096, b"pio-btree").unwrap();
-        assert_eq!(io.read_at(4096, 9).unwrap(), b"pio-btree");
+        assert_eq!(&io.read_at(4096, 9).unwrap()[..], b"pio-btree");
     }
 
     #[test]
@@ -107,7 +107,7 @@ mod tests {
         let (bufs, stats) = io.psync_read(&rr).unwrap();
         assert_eq!(bufs.len(), 32);
         for (buf, (_, d)) in bufs.iter().zip(&writes) {
-            assert_eq!(buf, d);
+            assert_eq!(&buf[..], d);
         }
         assert_eq!(stats.requests, 32);
         assert!(stats.elapsed_us > 0.0);
@@ -151,6 +151,50 @@ mod tests {
     fn out_of_bounds_is_an_error() {
         let io = SimPsyncIo::with_profile(DeviceProfile::F120, 1024 * 1024);
         assert!(io.read_at(2 * 1024 * 1024, 10).is_err());
+    }
+
+    /// Every image a simulated backend's completion carries is its only
+    /// reference: a fault flip or a caller's `Arc::make_mut` changes it in
+    /// place, never copies it, and never reaches the device's bytes.
+    #[test]
+    fn read_buffers_are_unshared() {
+        use crate::{FileLayout, SimSyncIo, SimThreadedIo, TryComplete};
+        use std::sync::Arc;
+        const CAP: u64 = 16 * 1024 * 1024;
+        let backends: [Box<dyn IoQueue>; 3] = [
+            Box::new(io()),
+            Box::new(SimSyncIo::with_profile(DeviceProfile::P300, CAP)),
+            Box::new(SimThreadedIo::with_profile(
+                DeviceProfile::P300,
+                CAP,
+                FileLayout::SharedFile,
+            )),
+        ];
+        for io in &backends {
+            io.write_at(8192, &[5u8; 8192]).unwrap();
+            // Two requests for the same bytes, a short one, and one never written.
+            let reqs = [
+                ReadRequest::new(8192, 8192),
+                ReadRequest::new(8192, 8192),
+                ReadRequest::new(8200, 3),
+                ReadRequest::new(1 << 20, 4096),
+            ];
+            let (bufs, _) = io.psync_read(&reqs).unwrap();
+            let first = io.submit_read(&reqs).unwrap();
+            let second = io.submit_read(&reqs[..2]).unwrap();
+            let polled = match io.try_complete(second).unwrap() {
+                TryComplete::Ready(done) => done,
+                TryComplete::Pending(second) => io.wait(second).unwrap(),
+            };
+            let waited = io.wait(first).unwrap();
+            let all = bufs.iter().chain(&polled.buffers).chain(&waited.buffers);
+            assert_eq!(all.clone().count(), 10);
+            for image in all {
+                assert_eq!(Arc::strong_count(image), 1, "a completion's image is unshared");
+            }
+            assert_eq!(&bufs[2][..], [5u8; 3]);
+            assert!(bufs[3].iter().all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ mod tests {
     fn round_trip() {
         let io = SimSyncIo::with_profile(DeviceProfile::F120, 16 * 1024 * 1024);
         io.write_at(8192, b"sync").unwrap();
-        assert_eq!(io.read_at(8192, 4).unwrap(), b"sync");
+        assert_eq!(&io.read_at(8192, 4).unwrap()[..], b"sync");
     }
 
     #[test]

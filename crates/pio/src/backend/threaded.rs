@@ -166,7 +166,7 @@ mod tests {
     fn round_trip_shared_file() {
         let io = SimThreadedIo::with_profile(DeviceProfile::F120, CAP, FileLayout::SharedFile);
         io.write_at(0, b"threads").unwrap();
-        assert_eq!(io.read_at(0, 7).unwrap(), b"threads");
+        assert_eq!(&io.read_at(0, 7).unwrap()[..], b"threads");
         assert_eq!(io.layout(), FileLayout::SharedFile);
     }
 

@@ -403,11 +403,17 @@ impl FaultIo {
         }
     }
 
-    /// Applies a ticket's remembered faults to its completion.
+    /// Applies a ticket's remembered faults to its completion. A flip goes
+    /// through [`Arc::make_mut`]: the backends hand out unshared images, so it
+    /// changes the returned image in place and never the device's bytes.
     fn apply_decoration(completion: &mut Completion, decor: Decoration) {
         completion.stats.elapsed_us += decor.spike_us;
         if let Some((req, byte, bit)) = decor.flip {
-            if let Some(b) = completion.buffers.get_mut(req).and_then(|buf| buf.get_mut(byte)) {
+            if let Some(b) = completion
+                .buffers
+                .get_mut(req)
+                .and_then(|image| Arc::make_mut(image).get_mut(byte))
+            {
                 *b ^= 1 << bit;
             }
         }
@@ -570,7 +576,7 @@ mod tests {
         let (io, clock) = wrapped();
         io.write_at(0, b"hello").unwrap();
         io.write_at(4096, b"world").unwrap();
-        assert_eq!(io.read_at(0, 5).unwrap(), b"hello");
+        assert_eq!(&io.read_at(0, 5).unwrap()[..], b"hello");
         assert_eq!(clock.writes_seen(), 2);
         assert!(!clock.tripped());
     }
@@ -587,8 +593,12 @@ mod tests {
         assert!(io.write_at(8192, b"after").is_err());
         assert!(io.read_at(0, 6).is_err());
         clock.heal();
-        assert_eq!(io.read_at(0, 6).unwrap(), b"before");
-        assert_eq!(io.read_at(4096, 6).unwrap(), vec![0u8; 6], "doomed write never landed");
+        assert_eq!(&io.read_at(0, 6).unwrap()[..], b"before");
+        assert_eq!(
+            &io.read_at(4096, 6).unwrap()[..],
+            vec![0u8; 6],
+            "doomed write never landed"
+        );
     }
 
     #[test]
@@ -597,7 +607,7 @@ mod tests {
         clock.arm(CrashPlan::at_write(0).transient());
         assert!(io.write_at(0, b"fails").is_err());
         io.write_at(0, b"works").unwrap();
-        assert_eq!(io.read_at(0, 5).unwrap(), b"works");
+        assert_eq!(&io.read_at(0, 5).unwrap()[..], b"works");
     }
 
     #[test]
@@ -610,7 +620,7 @@ mod tests {
         let reqs = [WriteRequest::new(0, b"whole"), WriteRequest::new(4096, b"partial")];
         assert!(io.psync_write(&reqs).is_err());
         clock.heal();
-        assert_eq!(io.read_at(0, 5).unwrap(), b"whole");
+        assert_eq!(&io.read_at(0, 5).unwrap()[..], b"whole");
         let torn = io.read_at(4096, 7).unwrap();
         assert_eq!(&torn[..2], b"pa");
         assert_eq!(&torn[2..], &[0u8; 5][..], "tail of the torn request never landed");
@@ -639,7 +649,7 @@ mod tests {
         let mut errors = 0;
         for _ in 0..64 {
             match io.read_at(0, 4096) {
-                Ok(data) => assert_eq!(data, vec![7u8; 4096], "payload must be clean"),
+                Ok(data) => assert_eq!(&data[..], vec![7u8; 4096], "payload must be clean"),
                 Err(e) => {
                     assert!(
                         e.is_retryable(),
@@ -691,12 +701,12 @@ mod tests {
             ..TransientFaults::default()
         });
         let corrupt = io.read_at(0, 4096).unwrap();
-        assert_ne!(corrupt, page, "flip must corrupt the returned payload");
+        assert_ne!(&corrupt[..], page, "flip must corrupt the returned payload");
         let diff: u32 = corrupt.iter().zip(&page).map(|(a, b)| (a ^ b).count_ones()).sum();
         assert_eq!(diff, 1, "exactly one bit flips");
         assert_eq!(clock.transient_counts().bit_flips, 1);
         clock.disarm_transient();
-        assert_eq!(io.read_at(0, 4096).unwrap(), page, "device data was never touched");
+        assert_eq!(&io.read_at(0, 4096).unwrap()[..], page, "device data was never touched");
     }
 
     #[test]
@@ -721,7 +731,7 @@ mod tests {
             c.stats.elapsed_us,
             baseline
         );
-        assert_eq!(c.buffers[0], vec![2u8; 4096], "spike leaves the payload alone");
+        assert_eq!(&c.buffers[0][..], vec![2u8; 4096], "spike leaves the payload alone");
         assert_eq!(clock.transient_counts().latency_spikes, 1);
     }
 

@@ -10,7 +10,8 @@
 //! This crate models the I/O layer the same way, as one contract, [`IoQueue`]:
 //! [`IoQueue::submit_read`] / [`IoQueue::submit_write`] hand a whole batch to the
 //! device and return a [`Ticket`]; [`IoQueue::wait`] and
-//! [`IoQueue::try_complete`] reap the [`Completion`] (buffers + [`BatchStats`]).
+//! [`IoQueue::try_complete`] reap the [`Completion`] (one shared image per read
+//! request + [`BatchStats`]).
 //! A caller may hold several tickets in flight; batches outstanding together
 //! **overlap on the device** and contend for its channels and host interface.
 //! The paper's blocking psync call is [`IoQueue::psync_read`] /

@@ -4,8 +4,14 @@
 //! `MemDisk` that actually stores the bytes the index reads and writes. The disk
 //! grows on demand up to a configurable capacity, in fixed-size extents so that a
 //! mostly-empty address space does not allocate memory it never touches.
+//!
+//! A read copies the bytes out of the extents into a fresh shared image — the
+//! device keeps its own bytes, so this copy stays — and that image is the one
+//! the read's completion carries and a cache keeps: one allocation per request.
 
 use crate::error::{IoError, IoResult};
+use crate::queue::zeroed_image;
+use std::sync::Arc;
 
 const EXTENT_BYTES: usize = 1 << 20; // 1 MiB extents
 
@@ -51,11 +57,12 @@ impl MemDisk {
         Ok(())
     }
 
-    /// Reads `len` bytes at `offset` into a fresh buffer. Unwritten regions read as
-    /// zeroes, like a sparse file.
-    pub fn read(&self, offset: u64, len: usize) -> IoResult<Vec<u8>> {
+    /// Reads `len` bytes at `offset` into a fresh, unshared image. Unwritten
+    /// regions read as zeroes, like a sparse file.
+    pub fn read(&self, offset: u64, len: usize) -> IoResult<Arc<[u8]>> {
         self.check(offset, len as u64)?;
-        let mut out = vec![0u8; len];
+        let mut image = zeroed_image(len);
+        let out = Arc::get_mut(&mut image).expect("a fresh image is unshared");
         let mut copied = 0usize;
         while copied < len {
             let abs = offset + copied as u64;
@@ -67,7 +74,7 @@ impl MemDisk {
             }
             copied += n;
         }
-        Ok(out)
+        Ok(image)
     }
 
     /// Writes `data` at `offset`, materialising extents as needed.
@@ -104,7 +111,7 @@ mod tests {
         let mut d = MemDisk::new(8 * 1024 * 1024);
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         d.write(777, &payload).unwrap();
-        assert_eq!(d.read(777, payload.len()).unwrap(), payload);
+        assert_eq!(&d.read(777, payload.len()).unwrap()[..], payload);
         // Only the touched extents should be materialised.
         assert!(d.resident_extents() <= 2);
     }
@@ -115,7 +122,7 @@ mod tests {
         let offset = EXTENT_BYTES as u64 - 10;
         let payload = vec![0xAA; 20];
         d.write(offset, &payload).unwrap();
-        assert_eq!(d.read(offset, 20).unwrap(), payload);
+        assert_eq!(&d.read(offset, 20).unwrap()[..], payload);
         assert_eq!(d.resident_extents(), 2);
     }
 
@@ -147,6 +154,6 @@ mod tests {
         let mut d = MemDisk::new(1024 * 1024);
         d.write(0, b"aaaaaaaa").unwrap();
         d.write(2, b"bb").unwrap();
-        assert_eq!(d.read(0, 8).unwrap(), b"aabbaaaa");
+        assert_eq!(&d.read(0, 8).unwrap()[..], b"aabbaaaa");
     }
 }

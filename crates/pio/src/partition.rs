@@ -218,10 +218,10 @@ mod tests {
         a.write_at(0, b"partition-a").unwrap();
         b.write_at(0, b"partition-b").unwrap();
         // Partition-local offset 0 maps to different device addresses.
-        assert_eq!(a.read_at(0, 11).unwrap(), b"partition-a");
-        assert_eq!(b.read_at(0, 11).unwrap(), b"partition-b");
-        assert_eq!(dev.read_at(0, 11).unwrap(), b"partition-a");
-        assert_eq!(dev.read_at(1 << 20, 11).unwrap(), b"partition-b");
+        assert_eq!(&a.read_at(0, 11).unwrap()[..], b"partition-a");
+        assert_eq!(&b.read_at(0, 11).unwrap()[..], b"partition-b");
+        assert_eq!(&dev.read_at(0, 11).unwrap()[..], b"partition-a");
+        assert_eq!(&dev.read_at(1 << 20, 11).unwrap()[..], b"partition-b");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`IoQueue::submit_read`] / [`IoQueue::submit_write`] hand a whole batch to the
 //!   device and return a [`Ticket`] immediately — the `io_submit` half;
 //! * [`IoQueue::wait`] blocks until the ticketed batch has completed and returns its
-//!   [`Completion`] (buffers + [`BatchStats`]) — the `io_getevents` half with a
-//!   full wait;
+//!   [`Completion`] (one shared image per read request + [`BatchStats`]) — the
+//!   `io_getevents` half with a full wait;
 //! * [`IoQueue::try_complete`] polls without blocking, so one driver thread can keep
 //!   several tickets in flight and reap completions as they land.
 //!
@@ -61,13 +61,23 @@ impl Ticket {
 /// The outcome of one completed submission.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Completion {
-    /// One owned buffer per read request, in request order. Empty for writes.
-    pub buffers: Vec<Vec<u8>>,
+    /// One shared image per read request, in request order; empty for writes.
+    /// The backend fills each image and hands over its only reference, so a
+    /// caller may keep it (a cache admits it as is) or change it in place
+    /// through [`Arc::make_mut`] without a copy.
+    pub buffers: Vec<Arc<[u8]>>,
     /// Size and timing of the batch. For batches that overlapped with other
     /// in-flight tickets, `elapsed_us` is the batch's completion latency measured
     /// from the shared window start — queueing behind the other tickets' device
     /// work is visible in it.
     pub stats: BatchStats,
+}
+
+/// A fresh, unshared, zero-filled image of `len` bytes, in one allocation —
+/// what a backend fills in place (through [`Arc::get_mut`]) before handing it
+/// out in a [`Completion`].
+pub(crate) fn zeroed_image(len: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, len).collect()
 }
 
 /// Result of a non-blocking [`IoQueue::try_complete`] poll.
@@ -109,8 +119,8 @@ impl TryComplete {
 /// All methods take `&self`; backends use interior mutability so one instance can
 /// be shared by concurrent submitters.
 pub trait IoQueue: Send + Sync {
-    /// Submits a read batch. The returned ticket's [`Completion`] carries one owned
-    /// buffer per request, in request order.
+    /// Submits a read batch. The returned ticket's [`Completion`] carries one
+    /// shared image per request, in request order.
     fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket>;
 
     /// Submits a write batch. The data is captured at submission (the slices can be
@@ -127,11 +137,11 @@ pub trait IoQueue: Send + Sync {
     fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete>;
 
     /// The paper's blocking psync read (Section 2.3): submits the whole set as
-    /// one group and returns only after every I/O in it has completed — one owned
-    /// buffer per request, in request order, plus the batch's time. Reads and
+    /// one group and returns only after every I/O in it has completed — one
+    /// shared image per request, in request order, plus the batch's time. Reads and
     /// writes go through separate calls, which encodes Principle 3 (*no mingled
     /// read/writes*).
-    fn psync_read(&self, reqs: &[ReadRequest]) -> IoResult<(Vec<Vec<u8>>, BatchStats)> {
+    fn psync_read(&self, reqs: &[ReadRequest]) -> IoResult<(Vec<Arc<[u8]>>, BatchStats)> {
         let done = self.wait(self.submit_read(reqs)?)?;
         Ok((done.buffers, done.stats))
     }
@@ -143,7 +153,7 @@ pub trait IoQueue: Send + Sync {
     }
 
     /// Convenience: single synchronous read.
-    fn read_at(&self, offset: u64, len: usize) -> IoResult<Vec<u8>> {
+    fn read_at(&self, offset: u64, len: usize) -> IoResult<Arc<[u8]>> {
         let (mut bufs, _) = self.psync_read(&[ReadRequest::new(offset, len)])?;
         Ok(bufs.pop().expect("one buffer per request"))
     }
@@ -238,7 +248,7 @@ mod tests {
         assert!(done.stats.elapsed_us > 0.0);
         let r = io.submit_read(&[ReadRequest::new(0, 8)]).unwrap();
         let done = io.wait(r).unwrap();
-        assert_eq!(done.buffers[0], b"ticketed");
+        assert_eq!(&done.buffers[0][..], b"ticketed");
     }
 
     #[test]

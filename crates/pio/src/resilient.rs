@@ -311,7 +311,7 @@ mod tests {
     fn passes_through_when_nothing_fails() {
         let (io, _clock) = resilient(RetryPolicy::default());
         io.write_at(0, b"steady").unwrap();
-        assert_eq!(io.read_at(0, 6).unwrap(), b"steady");
+        assert_eq!(&io.read_at(0, 6).unwrap()[..], b"steady");
         let stats = io.io_stats();
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.give_ups, 0);
@@ -335,7 +335,7 @@ mod tests {
         for i in 0..50u64 {
             let page = [i as u8; 4096];
             io.write_at(i * 4096 % (1 << 19), &page).unwrap();
-            assert_eq!(io.read_at(i * 4096 % (1 << 19), 4096).unwrap(), page);
+            assert_eq!(&io.read_at(i * 4096 % (1 << 19), 4096).unwrap()[..], page);
         }
         let stats = io.io_stats();
         assert!(stats.retries > 0, "a 0.4 error rate over 100 ops must retry");
@@ -411,7 +411,7 @@ mod tests {
             if c.stats.elapsed_us >= 500.0 {
                 saw_backoff = true;
             }
-            assert_eq!(c.buffers[0], vec![3u8; 4096]);
+            assert_eq!(&c.buffers[0][..], vec![3u8; 4096]);
         }
         assert!(saw_backoff, "at least one read must have accrued visible backoff");
     }
@@ -446,7 +446,7 @@ mod tests {
         // The first ticket was submitted before the faults armed, so it
         // completes; subsequent submissions retry through try_complete.
         let c = io.wait(ticket).unwrap();
-        assert_eq!(c.buffers[0], vec![4u8; 4096]);
+        assert_eq!(&c.buffers[0][..], vec![4u8; 4096]);
         let err = io.submit_read(&[ReadRequest::new(0, 4096)]).unwrap_err();
         assert!(err.to_string().contains("gave up"), "{err}");
         clock.disarm_transient();
@@ -456,7 +456,7 @@ mod tests {
             TryComplete::Ready(c) => c,
             TryComplete::Pending(t) => io.wait(t).unwrap(),
         };
-        assert_eq!(c.buffers[0], vec![4u8; 4096]);
+        assert_eq!(&c.buffers[0][..], vec![4u8; 4096]);
     }
 
     #[test]

@@ -219,7 +219,8 @@ impl SsdDevice {
     /// first NCQ window at `start_us`. Drivers that keep a long-lived in-flight
     /// window (ticketed submission) extend it request by request in O(pages) each,
     /// instead of re-running [`SsdDevice::service_batch_at`] over an
-    /// ever-growing batch.
+    /// ever-growing batch, and [`WindowScheduler::restart`] it for the next
+    /// group instead of creating another.
     pub fn window_scheduler(&self, start_us: f64) -> WindowScheduler {
         WindowScheduler::new(self.config.clone(), start_us)
     }
@@ -247,11 +248,18 @@ impl SsdDevice {
 /// Because requests are scheduled greedily in submission order, pushing more
 /// requests never changes the completion time of earlier ones — which is what
 /// lets ticketed backends keep a window open while completions are reaped.
+///
+/// A driver that opens one window group after another keeps one scheduler and
+/// [`WindowScheduler::restart`]s it at each group's start: the restarted
+/// scheduler is exactly what [`WindowScheduler::new`] returns, and it reuses
+/// its buffers instead of allocating them again.
 #[derive(Debug, Clone)]
 pub struct WindowScheduler {
     config: SsdConfig,
     channels: Vec<ChannelState>,
-    packages: Vec<Vec<f64>>,
+    /// Per-package free time, channel-major: package `pk` of channel `ch` is
+    /// entry `ch * packages_per_channel + pk`.
+    packages: Vec<f64>,
     host_free_us: f64,
     /// Start of the *current* NCQ window (advances as windows fill).
     window_start_us: f64,
@@ -265,23 +273,33 @@ impl WindowScheduler {
     /// Creates a scheduler for `config`'s geometry whose first window starts at
     /// `start_us`.
     pub fn new(config: SsdConfig, start_us: f64) -> Self {
-        let channels = vec![
-            ChannelState {
-                bus_free_us: start_us,
-                last_kind: None,
-            };
-            config.channels
-        ];
-        let packages = vec![vec![0.0f64; config.packages_per_channel]; config.channels];
-        Self {
+        let mut scheduler = Self {
+            channels: vec![ChannelState::default(); config.channels],
+            packages: vec![0.0; config.total_packages()],
             config,
-            channels,
-            packages,
-            host_free_us: start_us,
-            window_start_us: start_us,
-            window_end_us: start_us,
+            host_free_us: 0.0,
+            window_start_us: 0.0,
+            window_end_us: 0.0,
             in_window: 0,
-        }
+        };
+        scheduler.restart(start_us);
+        scheduler
+    }
+
+    /// Forgets everything scheduled so far and starts a new first window at
+    /// `start_us`: afterwards the scheduler is exactly what
+    /// [`WindowScheduler::new`] returns for its geometry and `start_us`, and
+    /// nothing was allocated.
+    pub fn restart(&mut self, start_us: f64) {
+        self.channels.fill(ChannelState {
+            bus_free_us: start_us,
+            last_kind: None,
+        });
+        self.packages.fill(0.0);
+        self.host_free_us = start_us;
+        self.window_start_us = start_us;
+        self.window_end_us = start_us;
+        self.in_window = 0;
     }
 
     /// The completion frontier so far: the absolute time the latest scheduled
@@ -323,7 +341,8 @@ impl WindowScheduler {
         for p in 0..n_pages {
             let (ch, pk) = cfg.locate_page(first_page + p);
             let chan = &mut self.channels[ch];
-            let pkg_free = self.packages[ch][pk];
+            let pkg = &mut self.packages[ch * cfg.packages_per_channel + pk];
+            let pkg_free = *pkg;
             let mut switch = 0.0;
             if let Some(last) = chan.last_kind {
                 if last != req.kind {
@@ -340,7 +359,7 @@ impl WindowScheduler {
                     let bus_start = cell_end.max(chan.bus_free_us) + switch;
                     let bus_end = bus_start + transfer_us;
                     chan.bus_free_us = bus_end;
-                    self.packages[ch][pk] = bus_end;
+                    *pkg = bus_end;
                     flash_done = bus_end;
                 }
                 IoKind::Write => {
@@ -350,7 +369,7 @@ impl WindowScheduler {
                     let bus_end = bus_start + transfer_us;
                     chan.bus_free_us = bus_end;
                     let program_end = bus_end + cfg.cell_program_us;
-                    self.packages[ch][pk] = program_end;
+                    *pkg = program_end;
                     flash_done = program_end;
                 }
             }
@@ -529,6 +548,52 @@ mod tests {
         assert_eq!(r.latencies_us.len(), 100);
         assert!(r.latencies_us.iter().all(|&l| l > 0.0));
         assert!(r.max_latency_us() >= r.mean_latency_us());
+    }
+
+    /// A scheduler that has already scheduled work and was then restarted
+    /// completes every request at bit-for-bit the time a fresh one does: a
+    /// seeded mix of reads and writes at assorted offsets and lengths, under
+    /// nonzero floors, past the NCQ depth.
+    #[test]
+    fn restarted_scheduler_matches_a_fresh_one() {
+        let d = dev();
+        let mut x = 0x5EED_5C4Eu64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut mix = |n: usize| -> Vec<(SsdRequest, f64)> {
+            (0..n)
+                .map(|_| {
+                    let offset = rand(1 << 24);
+                    let len = 1 + rand(64 * 1024);
+                    let req = if rand(3) == 0 {
+                        SsdRequest::write(offset, len)
+                    } else {
+                        SsdRequest::read(offset, len)
+                    };
+                    let floor = [f64::NEG_INFINITY, 0.0, 1_250.5, 40_000.0][rand(4) as usize];
+                    (req, floor)
+                })
+                .collect()
+        };
+        let n = 3 * d.config().ncq_depth + 5;
+        let mut used = d.window_scheduler(17.0);
+        for (req, floor) in mix(n) {
+            used.push_after(&req, floor);
+        }
+        for start in [0.0, 333.25, 9_876.5] {
+            let batch = mix(n);
+            used.restart(start);
+            let mut fresh = d.window_scheduler(start);
+            for (i, (req, floor)) in batch.iter().enumerate() {
+                let (a, b) = (used.push_after(req, *floor), fresh.push_after(req, *floor));
+                assert_eq!(a.to_bits(), b.to_bits(), "start {start}, request {i}: {a} vs {b}");
+            }
+            assert_eq!(used.frontier_us().to_bits(), fresh.frontier_us().to_bits());
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //!
 //! Reads return [`PageImage`]s — shared, immutable images. **Hits are shared,
 //! writes replace**: a hit hands out another reference to the image the cache
-//! holds (no copy), a miss admits the very image it returns, and a write,
+//! holds (no copy), a miss admits the image the device filled — the very
+//! image it returns, never a copy of it — and a write,
 //! refresh, eviction, free or [`CachedStore::drop_cache`] only ever swaps or
 //! drops the cache's own reference. A caller may therefore keep an image as
 //! long as it likes (bupdate keeps its Phase-A images as undo pre-images); it
@@ -274,7 +275,14 @@ impl CachedStore {
                 let (class, hint) = caches.route(n, hint);
                 match class.and_then(|class| class.get(first, hint)) {
                     Some(hit) => results[i] = Some(hit),
-                    None => missing.push((i, first, n)),
+                    None => {
+                        // Sized once, on the first miss: an all-hit read
+                        // allocates nothing here.
+                        if missing.capacity() == 0 {
+                            missing.reserve_exact(regions.len() - i);
+                        }
+                        missing.push((i, first, n));
+                    }
                 }
             }
         }
@@ -294,9 +302,9 @@ impl CachedStore {
 
     /// Waits for an in-flight read and returns one image per region, in
     /// submission order. Every device-fetched image is verified against the
-    /// checksum sidecar, then admitted to its class — the cache and the caller
-    /// share it — except region-class images of a `Scan` read, which bypass
-    /// admission.
+    /// checksum sidecar, then admitted to its class as the device filled it —
+    /// the cache and the caller share it — except region-class images of a
+    /// `Scan` read, which bypass admission.
     pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<PageImage>> {
         let CachedReadTicket {
             mut results,
@@ -306,15 +314,20 @@ impl CachedStore {
         } = ticket;
         if let Some(ticket) = ticket {
             let fetched = self.store.complete_read(ticket)?;
-            for (&(i, first, n), mut data) in missing.iter().zip(fetched) {
-                self.integrity.verify(&self.store, first, n, &mut data)?;
-                results[i] = Some(data.into());
+            for (&(i, first, n), mut image) in missing.iter().zip(fetched) {
+                self.integrity.verify(&self.store, first, n, &mut image)?;
+                results[i] = Some(image);
             }
             let mut victims = Vec::new();
             {
                 let mut caches = self.caches.lock();
                 for &(i, first, n) in &missing {
                     if let (Some(class), AccessHint::Point) = caches.route(n, hint) {
+                        // An admission evicts about one entry: size the list
+                        // for the batch at the first one, not by doubling.
+                        if victims.capacity() == 0 {
+                            victims.reserve_exact(missing.len());
+                        }
                         let image = results[i].as_ref().expect("fetched above");
                         class.admit(first, n, PageImage::clone(image), &mut victims);
                     }
@@ -883,7 +896,7 @@ mod tests {
     /// Rot the device copy of `page` behind the sidecar's back.
     fn rot(c: &CachedStore, page: PageId, byte: usize) {
         let mut img = c.store().read_page(page).unwrap();
-        img[byte] ^= 0x40;
+        Arc::make_mut(&mut img)[byte] ^= 0x40;
         c.store().write_page(page, &img).unwrap();
     }
 

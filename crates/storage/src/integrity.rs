@@ -27,7 +27,7 @@
 //! write this checksum to the device and so make it one: the trailer should
 //! inherit a fixed function, not whatever the sidecar happened to use last.
 
-use crate::page::PageId;
+use crate::page::{PageId, PageImage};
 use crate::store::PageStore;
 use parking_lot::Mutex;
 use pio::{IoError, IoResult};
@@ -184,10 +184,10 @@ impl Integrity {
 
     /// Verifies a device-fetched image of `n_pages` pages at `first`,
     /// re-reading the whole image once if any covered page mismatches; `data`
-    /// then holds the re-read copy. The re-read is judged against the
+    /// then holds the re-read image. The re-read is judged against the
     /// checksums recorded *then*: a concurrent writer may have replaced a page
     /// in between.
-    pub(crate) fn verify(&self, store: &PageStore, first: PageId, n_pages: u64, data: &mut Vec<u8>) -> IoResult<()> {
+    pub(crate) fn verify(&self, store: &PageStore, first: PageId, n_pages: u64, data: &mut PageImage) -> IoResult<()> {
         let page_size = store.page_size();
         if self.first_mismatch(first, data, page_size).is_none() {
             return Ok(());

@@ -5,9 +5,10 @@
 //! `(first_page, image)` pairs, and a single page is a one-page region. The
 //! blocking forms (`read_page`, `read_regions`, `write_page`, `write_pages`)
 //! are the ticketed pair with an immediate wait; index hot paths use the
-//! tickets to keep several batches in flight.
+//! tickets to keep several batches in flight. A read returns the
+//! [`PageImage`]s the backend filled, one per region, unshared.
 
-use crate::page::{page_offset, PageId};
+use crate::page::{page_offset, PageId, PageImage};
 use parking_lot::Mutex;
 use pio::{IoQueue, IoResult, ReadRequest, WriteRequest};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,13 +181,13 @@ impl PageStore {
     // The blocking forms below are the ticketed pair with an immediate wait.
 
     /// Reads one page.
-    pub fn read_page(&self, page: PageId) -> IoResult<Vec<u8>> {
+    pub fn read_page(&self, page: PageId) -> IoResult<PageImage> {
         Ok(self.read_regions(&[(page, 1)])?.pop().expect("one buffer per request"))
     }
 
     /// Reads several regions with one psync call; results are in the order of
     /// `regions`.
-    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<Vec<u8>>> {
+    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<PageImage>> {
         self.complete_read(self.submit_read(regions)?)
     }
 
@@ -225,9 +226,10 @@ impl PageStore {
         Ok(ReadTicket { ticket })
     }
 
-    /// Waits for an in-flight read and returns one buffer per submitted
-    /// region, in submission order.
-    pub fn complete_read(&self, ticket: ReadTicket) -> IoResult<Vec<Vec<u8>>> {
+    /// Waits for an in-flight read and returns one image per submitted
+    /// region, in submission order — the images the backend filled, which
+    /// nothing else references.
+    pub fn complete_read(&self, ticket: ReadTicket) -> IoResult<Vec<PageImage>> {
         Ok(self.io.wait(ticket.ticket)?.buffers)
     }
 
@@ -304,7 +306,7 @@ mod tests {
         let mut img = vec![0u8; 4096];
         img[..4].copy_from_slice(b"page");
         s.write_page(p, &img).unwrap();
-        assert_eq!(s.read_page(p).unwrap(), img);
+        assert_eq!(&s.read_page(p).unwrap()[..], img);
     }
 
     #[test]
@@ -316,6 +318,7 @@ mod tests {
         s.write_pages(&writes).unwrap();
         let regions: Vec<(PageId, u64)> = pages.iter().map(|&p| (p, 1)).collect();
         let read_back = s.read_regions(&regions).unwrap();
+        let read_back: Vec<&[u8]> = read_back.iter().map(|image| &image[..]).collect();
         assert_eq!(read_back, images);
         assert_eq!(s.stats().write_batches, 1);
         assert_eq!(s.stats().read_batches, 1);
@@ -328,7 +331,11 @@ mod tests {
         let first = s.allocate_contiguous(4);
         let data: Vec<u8> = (0..4 * 2048u32).map(|i| (i % 255) as u8).collect();
         s.write_pages(&[(first, &data)]).unwrap();
-        assert_eq!(s.read_regions(&[(first, 4)]).unwrap(), vec![data]);
+        let read_back = s.read_regions(&[(first, 4)]).unwrap();
+        assert_eq!(
+            read_back.iter().map(|image| &image[..]).collect::<Vec<_>>(),
+            [&data[..]]
+        );
         assert_eq!(s.stats().page_writes, 4, "a region request counts its pages");
         assert_eq!(s.stats().page_reads, 4);
     }
@@ -342,8 +349,8 @@ mod tests {
         let db = vec![2u8; 3 * 2048];
         s.write_pages(&[(a, &da), (b, &db)]).unwrap();
         let out = s.read_regions(&[(a, 2), (b, 3)]).unwrap();
-        assert_eq!(out[0], da);
-        assert_eq!(out[1], db);
+        assert_eq!(&out[0][..], da);
+        assert_eq!(&out[1][..], db);
     }
 
     #[test]

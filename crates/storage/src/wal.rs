@@ -385,7 +385,7 @@ impl Wal {
         let mut region = match cached_head {
             _ if head == 0 => Vec::new(),
             Some(bytes) => bytes,
-            None => self.io.read_at(self.phys(page_base, phys_start), head)?,
+            None => self.io.read_at(self.phys(page_base, phys_start), head)?.to_vec(),
         };
         debug_assert_eq!(region.len(), head, "the page head ends where the image starts");
         region.extend_from_slice(image);

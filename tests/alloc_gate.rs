@@ -1,12 +1,15 @@
 //! A tier-1 gate on what `BENCHMARK.json` measures as `allocs_per_op`: heap
-//! allocations of the warm read path and of the insert + flush cycle, counted
-//! by this binary's own global allocator.
+//! allocations of the warm read path, of the cold read path and of the insert +
+//! flush cycle, counted by this binary's own global allocator. `BENCHMARK.json`
+//! counts them in a release build, and so does CI
+//! (`cargo test --release --test alloc_gate`).
 //!
 //! The counter is process-wide (the engine's shard workers allocate on their
 //! own threads), so this file holds exactly **one** test: nothing else may run
 //! in the binary while a window is counted.
 
 use engine::{EngineConfig, ShardedPioEngine};
+use pio::IoQueue;
 use pio_btree::{PioBTree, PioConfig};
 use ssd_sim::DeviceProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -178,6 +181,45 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
         "a cached point search allocates at most {SEARCH_ALLOCATIONS} times: {allocations} in 100 calls"
     );
 
+    // ---- point_cold's shape: `multi_search(64)` on one tree, every leaf a device read -
+    // The region class is off, so each distinct leaf of a call is one region
+    // read past the cache; the internal nodes stay in the pool.
+    let device = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 30));
+    let store = CachedStore::new(
+        PageStore::new(Arc::clone(&device) as Arc<dyn IoQueue>, 4096),
+        tree_config(false).pool_pages,
+        WritePolicy::WriteThrough,
+    );
+    let mut tree = PioBTree::bulk_load(Arc::new(store), &preload(), tree_config(false)).unwrap();
+    let batches = uniform_keys(300, 64);
+    let (warm_up, measured) = batches.split_at(100);
+    for keys in warm_up {
+        tree.multi_search(keys).unwrap();
+    }
+    let reads_before = device.io_stats().reads;
+    let mut answered = 0usize;
+    let allocations = allocations_during(|| {
+        for keys in measured {
+            answered += tree.multi_search(keys).unwrap().iter().flatten().count();
+        }
+    });
+    assert_eq!(answered, measured.len() * 64, "every preloaded key is found");
+    let calls = measured.len() as f64;
+    let regions = (device.io_stats().reads - reads_before) as f64 / calls;
+    let per_call = allocations as f64 / calls;
+    println!(
+        "PioBTree::multi_search(64), cold leaves: {per_call:.1} allocations per call for {regions:.1} regions read"
+    );
+    assert!(
+        regions > 32.0,
+        "the window reads leaves from the device: {regions:.1} regions per call"
+    );
+    assert!(
+        per_call <= regions + COLD_CALL_ALLOCATIONS,
+        "a cold multi_search(64) allocates one image per region read and at most \
+         {COLD_CALL_ALLOCATIONS} more: {per_call:.1} per call for {regions:.1} regions"
+    );
+
     // ---- write_flush's shape: `insert_batch(64)` with WAL, epochs and OPQ flushes ---
     let engine = ShardedPioEngine::bulk_load(engine_config(true), &preload()).unwrap();
     let batches: Vec<Vec<(u64, u64)>> = uniform_keys(300, 64)
@@ -227,6 +269,12 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
 /// What a cached point search may allocate: the read ticket's slot vector and
 /// the image vector it returns — nothing that grows with the leaf.
 const SEARCH_ALLOCATIONS: u64 = 3;
+
+/// What a cold `multi_search(64)` may allocate besides the one image of each
+/// region it reads: the result, the read ticket's slot and miss lists, the
+/// device batch's request and image lists, the pipeline's ring — a fixed few
+/// per call, nothing more per region.
+const COLD_CALL_ALLOCATIONS: f64 = 16.0;
 
 /// Allocations per inserted entry of the cycle above at the commit before the
 /// read path shared its images, measured with this very test (where the warm

@@ -143,7 +143,7 @@ fn interleaved_tickets_return_correct_buffers() {
     for (set, ticket) in sets.iter().zip(tickets).rev() {
         let done = io.wait(ticket).unwrap();
         for ((_, expected), got) in set.iter().zip(&done.buffers) {
-            assert_eq!(expected, got);
+            assert_eq!(&expected[..], &got[..]);
         }
     }
 }

@@ -170,7 +170,7 @@ fn psync_round_trip_any_grouping() {
         }
         for (slot, data) in &expected {
             let got = io.read_at(slot * 4096, data.len()).unwrap();
-            assert_eq!(&got, data, "seed {seed}, slot {slot}");
+            assert_eq!(&got[..], data, "seed {seed}, slot {slot}");
         }
     }
 }

@@ -13,7 +13,7 @@ use rand::Rng;
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{CachedStore, PageStore, Wal, WritePolicy};
+use storage::{CachedStore, PageImage, PageStore, Wal, WritePolicy};
 
 fn recoverable_config() -> PioConfig {
     PioConfig::builder()
@@ -393,7 +393,7 @@ fn one_leaf_tree(loaded: &[(u64, u64)]) -> PioBTree {
 }
 
 /// All pages of `tree`'s store, read below the cache.
-fn raw_pages(tree: &PioBTree) -> Vec<Vec<u8>> {
+fn raw_pages(tree: &PioBTree) -> Vec<PageImage> {
     let store = tree.store().store();
     (0..store.high_water_pages())
         .map(|p| store.read_page(p).unwrap())
@@ -505,7 +505,7 @@ fn an_old_format_append_preimage_still_recovers() {
     let undo = LogRecord::FlushUndo {
         flush_id: 1,
         page: leaf,
-        preimage: preimage.clone(),
+        preimage: preimage.to_vec(),
     };
     assert_eq!(undo.encode()[0], 4, "the old format's tag");
     wal.append(&undo.encode());
@@ -539,7 +539,7 @@ fn an_old_format_append_preimage_still_recovers() {
 #[derive(Debug, PartialEq)]
 struct TreeState {
     /// Every page reachable from the root, byte for byte, read below the cache.
-    pages: BTreeMap<u64, Vec<u8>>,
+    pages: BTreeMap<u64, PageImage>,
     root: u64,
     height: usize,
     /// Pages the store has handed out and not taken back.

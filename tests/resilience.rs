@@ -499,7 +499,7 @@ fn scrub_finds_and_heals_device_rot() {
         .submit_read(&[ReadRequest::new(offset, page_size)])
         .expect("raw read");
     let mut image = raw_store.wait(ticket).expect("raw read").buffers.remove(0);
-    image[17] ^= 0x40;
+    Arc::make_mut(&mut image)[17] ^= 0x40;
     let ticket = raw_store
         .submit_write(&[WriteRequest::new(offset, &image)])
         .expect("raw write");
