@@ -132,5 +132,5 @@ pub use leaf::{LeafView, PioLeaf};
 pub use lsmap::LsMap;
 pub use mpsearch::Descent;
 pub use opq::OperationQueue;
-pub use recovery::{LogRecord, RecoveryReport, LOCAL_EPOCH};
+pub use recovery::{LogAnalysis, LogRecord, RecoveryReport, LOCAL_EPOCH};
 pub use tree::{PioBTree, PioStats};

@@ -30,7 +30,7 @@ use crate::tree::flush::{FlushJournal, Undo};
 use crate::tree::PioBTree;
 use btree::Key;
 use pio::IoResult;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 mod record;
 
@@ -151,6 +151,45 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
+/// One flush as the analysis step finds it in the log.
+#[derive(Debug)]
+struct FlushInfo {
+    /// What its `FlushStart` declared; the tag is its index in the flush table.
+    span: FlushSpan,
+    complete: bool,
+    /// Rolled back in process before the crash: skip its undo records (the
+    /// pages were already restored, and a retry flush may have rewritten
+    /// them); it covers no logical records (its batch went back to the OPQ).
+    aborted: bool,
+    /// Its undo, root and allocation records, in log order.
+    journal: FlushJournal,
+}
+
+/// What the analysis step of restart recovery ([`PioBTree::analyze_log`])
+/// read from a tree's log — its one read and one decode per restart: the
+/// flush table and the logical records the replay step
+/// ([`PioBTree::replay_log`]) works from, and the cross-shard bracket ids and
+/// commit records the sharded engine decides epochs with.
+#[derive(Debug, Default)]
+pub struct LogAnalysis {
+    /// Ids of the cross-shard epochs with a bracket in this log.
+    pub brackets: BTreeSet<u64>,
+    /// This log's commit records ([`LogRecord::EpochCommit`],
+    /// [`LogRecord::MigrateCommit`]), in log order.
+    pub decisions: Vec<LogRecord>,
+    /// What the read found: records scanned, a torn tail, local brackets
+    /// closed by `BatchAbort`.
+    report: RecoveryReport,
+    flushes: Vec<FlushInfo>,
+    /// `(lsn, entry, enclosing bracket)` per logical record, in log order. A
+    /// record still tagged [`LOCAL_EPOCH`] belongs to an aborted bracket (a
+    /// commit cleared the tag).
+    logical: Vec<(u64, OpEntry, Option<u64>)>,
+    max_tx: u64,
+    /// The bracket the log ends inside, if any.
+    open_bracket: Option<u64>,
+}
+
 impl PioBTree {
     /// Simulates a crash: the volatile OPQ, buffer pool and LSMap are lost, as are
     /// any WAL records that were never forced. Returns the number of OPQ entries
@@ -205,13 +244,16 @@ impl PioBTree {
     ///
     /// The pass proceeds in four steps:
     ///
-    /// 1. **Rescan + analysis** — the WAL re-derives its durable LSN from the
-    ///    device ([`storage::Wal::rescan`]), so records completed by a torn force are
-    ///    seen; replay stops cleanly at the first torn or corrupt record
-    ///    (`torn_tail` in the report). Every bracket gets its verdict here: an
-    ///    epoch's from `keep_epoch`, a local one's from its own close.
-    /// 2. **Attribution** — every logical record is attributed to the completed
-    ///    flush that certainly applied it, if any. `take_batch` removes the
+    /// 1. **Analysis** ([`PioBTree::analyze_log`]) — one forward read of the
+    ///    log ([`storage::Wal::recover_scan`], which re-derives the durable LSN
+    ///    from the device, so records completed by a torn force are seen) and
+    ///    one decode of every record. Replay stops cleanly at the first torn or
+    ///    corrupt record (`torn_tail` in the report).
+    /// 2. **Attribution** ([`PioBTree::replay_log`] runs this step and the two
+    ///    after it) — every bracket gets its verdict: an epoch's from
+    ///    `keep_epoch`, a local one's from its own close. Then every logical
+    ///    record is attributed to the completed flush that certainly applied
+    ///    it, if any. `take_batch` removes the
     ///    smallest-key prefix of the sorted OPQ, so a flush certainly applied a
     ///    record iff the record predates the flush, was not applied earlier, and
     ///    its key is strictly inside the flushed range — or ties the range's
@@ -235,38 +277,36 @@ impl PioBTree {
     /// 4. **Redo** — surviving records not attributed to a surviving flush are
     ///    re-appended to the OPQ in log order; discarded records are dropped.
     pub fn recover_with(&mut self, keep_epoch: &mut dyn FnMut(u64) -> bool) -> IoResult<RecoveryReport> {
+        let analysis = self.analyze_log()?;
+        self.replay_log(analysis, keep_epoch)
+    }
+
+    /// Step 1 of [`PioBTree::recover_with`]: reads and decodes this tree's log
+    /// once — the log's only read of a restart — and returns what the replay
+    /// needs, plus the cross-shard bracket ids and commit records the sharded
+    /// engine decides epochs with. A tree without a WAL has nothing to read.
+    pub fn analyze_log(&mut self) -> IoResult<LogAnalysis> {
         self.open_brackets.clear();
         let Some(wal) = &self.wal else {
-            return Ok(RecoveryReport::default());
+            return Ok(LogAnalysis::default());
         };
         let mut report = RecoveryReport::default();
-        let (rescan, scan) = wal.recover_scan()?;
-        report.torn_tail = rescan.torn_tail || scan.torn_tail;
+        let scan = wal.recover_scan()?;
+        report.torn_tail = scan.torn_tail;
         report.scanned = scan.records.len();
 
-        // ------------------------------------------------------------- analysis --
-        #[derive(Debug)]
-        struct FlushInfo {
-            /// What its `FlushStart` declared; the tag is its index in `flushes`.
-            span: FlushSpan,
-            complete: bool,
-            /// Rolled back in process before the crash: skip its undo records (the
-            /// pages were already restored, and a retry flush may have rewritten
-            /// them); it covers no logical records (its batch went back to the OPQ).
-            aborted: bool,
-            /// Its undo, root and allocation records, in log order.
-            journal: FlushJournal,
-        }
         let mut flushes: Vec<FlushInfo> = Vec::new();
         // flush_id → index in `flushes` (the per-record lookups below must not
-        // rescan the flush list — logs are never truncated, so they grow).
+        // rescan the flush list, or the analysis costs flushes × records).
         let mut flush_idx: HashMap<u64, usize> = HashMap::new();
-        // (lsn, entry, enclosing cross-shard epoch).
+        // (lsn, entry, enclosing bracket).
         let mut logical: Vec<(u64, OpEntry, Option<u64>)> = Vec::new();
         let mut current_epoch: Option<u64> = None;
         // Where the bracket being read began in `logical`.
         let mut bracket_start = 0usize;
         let mut max_tx: u64 = 0;
+        let mut brackets: BTreeSet<u64> = BTreeSet::new();
+        let mut decisions: Vec<LogRecord> = Vec::new();
         for rec in &scan.records {
             match LogRecord::decode(&rec.payload) {
                 None => {
@@ -280,6 +320,9 @@ impl PioBTree {
                     logical.push((rec.lsn, entry, current_epoch));
                 }
                 Some(LogRecord::BatchBegin { epoch }) => {
+                    if epoch != LOCAL_EPOCH {
+                        brackets.insert(epoch);
+                    }
                     current_epoch = Some(epoch);
                     bracket_start = logical.len();
                 }
@@ -364,12 +407,44 @@ impl PioBTree {
                         flushes[i].journal.allocs.push((first, pages));
                     }
                 }
-                // The engine's decisions: it reads them before this pass and
-                // hands their verdicts in through `keep_epoch`.
-                Some(LogRecord::Checkpoint | LogRecord::EpochCommit { .. } | LogRecord::MigrateCommit { .. }) => {}
+                // The engine's decisions: it reads them from the analysis and
+                // hands their verdicts to the replay through `keep_epoch`.
+                Some(decision @ (LogRecord::EpochCommit { .. } | LogRecord::MigrateCommit { .. })) => {
+                    decisions.push(decision);
+                }
+                Some(LogRecord::Checkpoint) => {}
             }
         }
-        if let Some(epoch) = current_epoch {
+        Ok(LogAnalysis {
+            brackets,
+            decisions,
+            report,
+            flushes,
+            logical,
+            max_tx,
+            open_bracket: current_epoch,
+        })
+    }
+
+    /// Steps 2–4 of [`PioBTree::recover_with`], over what
+    /// [`PioBTree::analyze_log`] read: closes a bracket the log ends inside,
+    /// gives every bracket its verdict (`keep_epoch` decides an epoch's), then
+    /// attributes, undoes and redoes. It decodes no log record; only the force
+    /// that closes an open bracket touches the log.
+    pub fn replay_log(
+        &mut self,
+        analysis: LogAnalysis,
+        keep_epoch: &mut dyn FnMut(u64) -> bool,
+    ) -> IoResult<RecoveryReport> {
+        let LogAnalysis {
+            mut report,
+            mut flushes,
+            logical,
+            max_tx,
+            open_bracket,
+            ..
+        } = analysis;
+        if let (Some(epoch), Some(wal)) = (open_bracket, &self.wal) {
             // The log ends inside a bracket (the crash hit between
             // `BatchBegin` and its close). Close it durably now: otherwise
             // every record logged *after* this recovery would be misattributed

@@ -430,11 +430,6 @@ impl PioBTree {
         self.store.io_elapsed_us()
     }
 
-    /// Approximate main-memory footprint of the LSMap in bytes.
-    pub fn lsmap_bytes(&self) -> usize {
-        self.lsmap.memory_bytes()
-    }
-
     /// Counts the live entries by scanning the whole key space (exact but expensive;
     /// meant for tests and examples).
     pub fn count_entries(&mut self) -> IoResult<u64> {

@@ -32,9 +32,7 @@
 //!   and `leaf_cache_hit_rate`);
 //! * shard boundaries are chosen from a key sample at construction time
 //!   (quantiles, topped up with uniform cuts), so a skewed key population still
-//!   loads balanced shards;
-//! * the [`workload::IndexTarget`] implementation lets the synthetic and TPC-C
-//!   generators drive the engine directly.
+//!   loads balanced shards.
 //!
 //! ## Threading model
 //!
@@ -115,10 +113,11 @@
 //! and forces it. Round 2: the *coordinator* — the lowest member shard —
 //! appends an `EpochCommit` record to its own WAL and forces it. That is three
 //! forces in two rounds for a two-shard batch, and the engine keeps no log of
-//! its own. [`ShardedPioEngine::recover`] first scans every shard WAL for
-//! commit records, then replays each shard's WAL keeping exactly the epochs
-//! whose commit survives, making the batch all-or-nothing across shards
-//! wherever the crash lands:
+//! its own. [`ShardedPioEngine::recover`] reads each shard WAL once: every
+//! shard's analysis step collects its brackets and commit records, then each
+//! shard replays what its analysis read, keeping exactly the epochs whose
+//! commit survives — making the batch all-or-nothing across shards wherever
+//! the crash lands:
 //!
 //! | crash point | coordinator's log | recovery outcome |
 //! |---|---|---|
@@ -269,7 +268,6 @@ mod scheduler;
 mod shard;
 pub mod sharded;
 pub mod stats;
-pub mod target;
 pub mod topology;
 
 pub use builder::EngineBuilder;

@@ -1,11 +1,13 @@
 //! Engine-level crash and restart recovery: epoch verdicts from the commit
-//! records in the shard WALs, then per-shard WAL replay under them (crash
-//! matrix in the crate docs).
+//! records in the shard WALs, then per-shard replay under them (crash matrix
+//! in the crate docs). Each shard log is read once per restart: the shard's
+//! analysis step yields both the engine's verdict inputs and what the shard
+//! replays.
 
 use crate::commit::Unsettled;
 use crate::sharded::EngineInner;
 use pio::IoResult;
-use pio_btree::{LogRecord, PioBTree, RecoveryReport, LOCAL_EPOCH};
+use pio_btree::{LogAnalysis, LogRecord, PioBTree, RecoveryReport, LOCAL_EPOCH};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 use storage::Lsn;
@@ -45,75 +47,48 @@ impl EngineRecoveryReport {
     }
 }
 
-/// What the first recovery pass finds in one shard's log.
-#[derive(Default)]
-struct Survey {
-    /// Ids of the cross-shard epochs with a bracket here.
-    brackets: BTreeSet<u64>,
-    /// The commit records here.
-    decisions: Vec<LogRecord>,
-}
-
-/// Reads shard `tree`'s surviving log for the engine's decisions, stopping
-/// where the tree's own replay will: at the first torn or corrupt record.
-fn survey(tree: &mut PioBTree) -> IoResult<Survey> {
-    let mut survey = Survey::default();
-    let Some(wal) = tree.wal() else {
-        return Ok(survey);
-    };
-    let (_, scan) = wal.recover_scan()?;
-    for rec in &scan.records {
-        match LogRecord::decode(&rec.payload) {
-            None => break,
-            Some(LogRecord::BatchBegin { epoch }) if epoch != LOCAL_EPOCH => {
-                survey.brackets.insert(epoch);
-            }
-            Some(decision @ (LogRecord::EpochCommit { .. } | LogRecord::MigrateCommit { .. })) => {
-                survey.decisions.push(decision);
-            }
-            Some(_) => {}
-        }
-    }
-    Ok(survey)
-}
-
 impl EngineInner {
     pub(crate) fn recover(&self) -> IoResult<EngineRecoveryReport> {
         let mut report = EngineRecoveryReport::default();
+        // Pass 1: every shard's analysis — the one read of its log this
+        // restart makes — with its brackets and commit records.
+        let mut analyses: Vec<LogAnalysis> = if self.epoch.is_some() {
+            self.fan_out_all(PioBTree::analyze_log)?
+        } else {
+            self.shards.iter().map(|_| LogAnalysis::default()).collect()
+        };
         // Committed epoch → its coordinator.
         let mut committed: BTreeMap<u64, usize> = BTreeMap::new();
         // Committed migrations by epoch id — one runs at a time, so id order
         // is commit order.
         let mut moves: BTreeMap<u64, (usize, usize, u64, u64)> = BTreeMap::new();
-        let mut surveys: Vec<Survey> = Vec::new();
-        if self.epoch.is_some() {
-            // Pass 1: every shard log's commit records and brackets.
-            surveys = self.fan_out_all(survey)?;
-            for (shard, survey) in surveys.iter().enumerate() {
-                for decision in &survey.decisions {
-                    match *decision {
-                        LogRecord::EpochCommit { epoch } => {
-                            report.committed_epochs += 1;
-                            committed.insert(epoch, shard);
-                        }
-                        LogRecord::MigrateCommit {
-                            epoch,
-                            src,
-                            dst,
-                            lo,
-                            hi,
-                        } => {
-                            report.committed_migrations += 1;
-                            committed.insert(epoch, shard);
-                            moves.insert(epoch, (src as usize, dst as usize, lo, hi));
-                        }
-                        _ => unreachable!("a survey keeps only commit records"),
+        for (shard, analysis) in analyses.iter().enumerate() {
+            for decision in &analysis.decisions {
+                match *decision {
+                    LogRecord::EpochCommit { epoch } => {
+                        report.committed_epochs += 1;
+                        committed.insert(epoch, shard);
                     }
+                    LogRecord::MigrateCommit {
+                        epoch,
+                        src,
+                        dst,
+                        lo,
+                        hi,
+                    } => {
+                        report.committed_migrations += 1;
+                        committed.insert(epoch, shard);
+                        moves.insert(epoch, (src as usize, dst as usize, lo, hi));
+                    }
+                    _ => unreachable!("an analysis keeps only commit records as decisions"),
                 }
             }
-            let bracketed: BTreeSet<u64> = surveys.iter().flat_map(|s| s.brackets.iter().copied()).collect();
-            report.discarded_epochs = bracketed.iter().filter(|e| !committed.contains_key(e)).count() as u64;
         }
+        // The bracket ids stay here for the settle list; the rest of each
+        // analysis goes back to its shard.
+        let brackets: Vec<BTreeSet<u64>> = analyses.iter_mut().map(|a| std::mem::take(&mut a.brackets)).collect();
+        let bracketed: BTreeSet<u64> = brackets.iter().flatten().copied().collect();
+        report.discarded_epochs = bracketed.iter().filter(|e| !committed.contains_key(e)).count() as u64;
         // Re-apply committed boundary swaps in commit order (absolute sets, so
         // the replay is idempotent whether the manifest had caught up or not),
         // and drop any in-memory migration state a pre-crash attempt left behind.
@@ -127,10 +102,20 @@ impl EngineInner {
                 routing.version += 1;
             }
         }
-        // Pass 2: per-shard replay under the verdicts. A bracket is kept iff
-        // its epoch's commit record survives somewhere.
+        // Pass 2: each shard replays its own analysis under the verdicts. A
+        // bracket is kept iff its epoch's commit record survives somewhere.
         let keep: BTreeSet<u64> = committed.keys().copied().collect();
-        report.shards = self.fan_out_all(move |tree| tree.recover_with(&mut |epoch| keep.contains(&epoch)))?;
+        let replays = analyses
+            .into_iter()
+            .enumerate()
+            .map(|(shard, analysis)| {
+                let keep = keep.clone();
+                (shard, move |tree: &mut PioBTree| {
+                    tree.replay_log(analysis, &mut |epoch| keep.contains(&epoch))
+                })
+            })
+            .collect();
+        report.shards = self.fan_out_tasks(replays)?.into_iter().map(|(_, r)| r).collect();
         if let Some(coord) = &self.epoch {
             // Epoch ids continue above every id a log still holds, and a
             // commit stays unsettled while another member's log holds a
@@ -143,10 +128,10 @@ impl EngineInner {
                 .iter()
                 .map(|s| s.tree.lock().wal().map_or((0, 0), |w| (w.start_lsn(), w.durable_lsn())))
                 .unzip();
-            let max_seen = surveys
+            let max_seen = bracketed
                 .iter()
-                .flat_map(|s| s.brackets.iter().copied())
-                .chain(committed.keys().copied())
+                .chain(committed.keys())
+                .copied()
                 .max()
                 .unwrap_or(LOCAL_EPOCH);
             let unsettled = committed
@@ -154,8 +139,8 @@ impl EngineInner {
                 .map(|(&epoch, &coordinator)| Unsettled {
                     coordinator,
                     keep_from: starts[coordinator],
-                    participants: (0..surveys.len())
-                        .filter(|&member| member != coordinator && surveys[member].brackets.contains(&epoch))
+                    participants: (0..brackets.len())
+                        .filter(|&member| member != coordinator && brackets[member].contains(&epoch))
                         .map(|member| (member, ends[member]))
                         .collect(),
                 })

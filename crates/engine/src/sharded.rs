@@ -333,14 +333,16 @@ impl ShardedPioEngine {
         self.inner.shards.iter().map(|s| s.tree.lock().simulate_crash()).sum()
     }
 
-    /// Engine-level restart recovery. First every shard WAL is scanned for the
-    /// epochs' commit records: an epoch whose `EpochCommit` (or
-    /// `MigrateCommit`) survives in some shard's log is **committed** (normal
-    /// replay, and a migration's boundary is re-applied); any other epoch with
-    /// a surviving bracket is **discarded** on *every* shard (presumed abort).
-    /// Then each shard replays its own WAL through [`PioBTree::recover_with`]
-    /// under those verdicts — so after this returns, every cross-shard batch is
-    /// either fully present or fully absent (crash matrix in the crate docs).
+    /// Engine-level restart recovery, reading each shard WAL once. First every
+    /// shard's analysis step ([`PioBTree::analyze_log`]) reads its log and
+    /// collects the epochs' brackets and commit records: an epoch whose
+    /// `EpochCommit` (or `MigrateCommit`) survives in some shard's log is
+    /// **committed** (normal replay, and a migration's boundary is
+    /// re-applied); any other epoch with a surviving bracket is **discarded**
+    /// on *every* shard (presumed abort). Then each shard replays its own
+    /// analysis ([`PioBTree::replay_log`]) under those verdicts — so after
+    /// this returns, every cross-shard batch is either fully present or fully
+    /// absent (crash matrix in the crate docs).
     pub fn recover(&self) -> IoResult<EngineRecoveryReport> {
         self.inner.recover()
     }

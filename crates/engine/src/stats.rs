@@ -250,7 +250,9 @@ pub(crate) struct EngineCounters {
     pub(crate) local_commits: AtomicU64,
     /// Uncommitted epochs discarded on every shard by `recover`.
     pub(crate) discarded_epochs: AtomicU64,
-    /// Fan-outs dispatched to the shard workers over the engine's lifetime.
+    /// Batched calls scheduled over the engine's lifetime: fan-outs dispatched
+    /// to the shard workers plus inline legs (see
+    /// [`EngineStats::scheduled_batches`]).
     pub(crate) scheduled_batches: AtomicU64,
     /// Splits (hot shard cut at a median key) completed over the lifetime.
     pub(crate) splits: AtomicU64,

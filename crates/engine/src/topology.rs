@@ -143,7 +143,9 @@ impl EngineManifest {
         let mut page_size = None;
         let mut wal = None;
         let mut bounds: Option<Vec<Key>> = None;
-        let mut shard_meta: Vec<Option<ShardMeta>> = Vec::new();
+        // `(index, meta)` per `shard.N` line, as read: an index from disk
+        // sizes nothing.
+        let mut shard_meta: Vec<(usize, ShardMeta)> = Vec::new();
         for line in lines {
             if line.is_empty() {
                 continue;
@@ -177,24 +179,24 @@ impl EngineManifest {
                     if parts.next().is_some() {
                         return None;
                     }
-                    if shard_meta.len() <= idx {
-                        shard_meta.resize(idx + 1, None);
-                    }
-                    shard_meta[idx] = Some(meta);
+                    shard_meta.push((idx, meta));
                 }
             }
         }
+        // The indices must be exactly `0..shards`, each once.
+        let shards: usize = shards?;
+        shard_meta.sort_unstable_by_key(|&(idx, _)| idx);
+        if !shard_meta.iter().map(|&(idx, _)| idx).eq(0..shards) {
+            return None;
+        }
         let manifest = Self {
-            shards: shards?,
+            shards,
             page_size: page_size?,
             wal_enabled: wal?,
             bounds: bounds?,
-            shard_meta: shard_meta.into_iter().collect::<Option<_>>()?,
+            shard_meta: shard_meta.into_iter().map(|(_, meta)| meta).collect(),
         };
-        (manifest.shard_meta.len() == manifest.shards
-            && manifest.bounds.len() + 1 == manifest.shards
-            && (current || !manifest.wal_enabled))
-            .then_some(manifest)
+        (manifest.bounds.len() + 1 == manifest.shards && (current || !manifest.wal_enabled)).then_some(manifest)
     }
 }
 
@@ -612,6 +614,12 @@ mod tests {
                 .map(|(_, l)| format!("{l}\n"))
                 .collect();
             assert_eq!(EngineManifest::decode(&mutilated), None, "dropped line {skip}");
+        }
+        // A shard index read from disk sizes nothing: one that would wrap,
+        // one far past the shard count, a gap and a duplicate are refused.
+        for line in ["shard.18446744073709551615", "shard.4000000000", "shard.2", "shard.0"] {
+            let bad = good.replacen("shard.1", line, 1);
+            assert_eq!(EngineManifest::decode(&bad), None, "{line}");
         }
     }
 

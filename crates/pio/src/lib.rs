@@ -59,11 +59,9 @@
 //! it — and [`IoStats::overlap_groups`] counts how often a submission found
 //! the backend idle (a blocking caller's one-group-per-batch signature).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// `unsafe` is confined to the aligned-buffer allocator in `aligned.rs`.
-#![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod aligned;
 pub mod backend;
 pub mod error;
 pub mod fault;
@@ -75,7 +73,6 @@ pub mod resilient;
 pub mod ring;
 pub mod stats;
 
-pub use aligned::AlignedBuf;
 pub use backend::file::FileThreadPoolIo;
 pub use backend::psync::SimPsyncIo;
 pub use backend::sync::SimSyncIo;

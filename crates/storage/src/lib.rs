@@ -44,4 +44,4 @@ pub use cached::{CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages
 pub use integrity::{IntegrityStats, ScrubReport};
 pub use page::{PageId, PageImage, INVALID_PAGE};
 pub use store::{PageStore, ReadTicket, StoreStats, WriteTicket};
-pub use wal::{Lsn, RescanReport, Wal, WalRecord, WalScan};
+pub use wal::{Lsn, Wal, WalRecord, WalScan};

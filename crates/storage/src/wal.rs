@@ -13,9 +13,11 @@
 //! is torn by a crash (only a prefix of its pages reached the device) is detected
 //! at read time: scanning stops at the first record whose bytes are incomplete or
 //! whose checksum does not match, and the scan reports the tail as torn instead of
-//! silently yielding garbage. After a crash, [`Wal::rescan`] re-derives the durable
-//! LSN from the device itself, recovering any records that a torn force *did*
-//! complete — a real restart has no in-memory `durable_lsn` to trust.
+//! silently yielding garbage. After a crash, [`Wal::recover_scan`] re-derives the
+//! durable LSN from the device itself, recovering any records that a torn force
+//! *did* complete — a real restart has no in-memory `durable_lsn` to trust.
+//! [`Wal::scan`] is the same forward read without that adoption, bounded at the
+//! in-memory durable LSN: one reader of the log's records, two stopping points.
 //!
 //! The log occupies its own region of a [`pio::IoQueue`] backend (its own file in
 //! the paper's terms), so log writes are sequential and never interleave with index
@@ -46,7 +48,7 @@
 //! checkpoint, never to the store's age.
 
 use parking_lot::Mutex;
-use pio::{IoQueue, IoResult, ReadRequest, WriteRequest};
+use pio::{IoQueue, IoResult, WriteRequest};
 use std::sync::Arc;
 
 /// Log sequence number: the byte offset of a record within the log.
@@ -66,21 +68,16 @@ pub struct WalRecord {
 pub struct WalScan {
     /// Every intact record, in LSN order.
     pub records: Vec<WalRecord>,
+    /// The durable LSN after the scan: re-derived from the device by
+    /// [`Wal::recover_scan`], the in-memory one [`Wal::scan`] stopped at.
+    pub durable_lsn: Lsn,
+    /// Bytes of records beyond the in-memory durable LSN that a torn force had
+    /// completed and [`Wal::recover_scan`] salvaged (always 0 for
+    /// [`Wal::scan`]).
+    pub salvaged_bytes: u64,
     /// `true` when the scan stopped at a torn or corrupt record (a crash
     /// interrupted the force that was writing it) rather than at clean,
     /// never-written space.
-    pub torn_tail: bool,
-}
-
-/// Outcome of a [`Wal::rescan`] after a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RescanReport {
-    /// The durable LSN derived from the device.
-    pub durable_lsn: Lsn,
-    /// Bytes of records beyond the in-memory durable LSN that a torn force had
-    /// completed and the rescan salvaged.
-    pub salvaged_bytes: u64,
-    /// Whether the log ends in a torn record.
     pub torn_tail: bool,
 }
 
@@ -199,8 +196,9 @@ const MAX_RECORD: usize = 1 << 20;
 
 /// Parses the records contained in `raw` (whose first byte is LSN `base_lsn`).
 /// Stops at the first zero length (clean, never-written space) or at a record
-/// whose bytes are incomplete or whose checksum mismatches (torn tail).
-fn parse_records(raw: &[u8], base_lsn: Lsn) -> WalScan {
+/// whose bytes are incomplete or whose checksum mismatches (torn tail, the
+/// `true` returned beside the records).
+fn parse_records(raw: &[u8], base_lsn: Lsn) -> (Vec<WalRecord>, bool) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut torn_tail = false;
@@ -231,7 +229,7 @@ fn parse_records(raw: &[u8], base_lsn: Lsn) -> WalScan {
         });
         pos += HEADER + len;
     }
-    WalScan { records, torn_tail }
+    (records, torn_tail)
 }
 
 impl Wal {
@@ -309,7 +307,7 @@ impl Wal {
     /// Number of appended-but-not-forced records (counted by walking the
     /// pending image: an inspection hook, not a hot path).
     pub fn pending_records(&self) -> usize {
-        parse_records(&self.inner.lock().pending, 0).records.len()
+        parse_records(&self.inner.lock().pending, 0).0.len()
     }
 
     /// Forces every pending record to the device (WAL rule: callers must invoke this
@@ -323,7 +321,7 @@ impl Wal {
     /// in steady state a force issues **no device read**, only its one
     /// sequential write. The cached tail is dropped by everything that moves
     /// the durable frontier or the LSN→byte mapping behind the cache's back
-    /// ([`Wal::simulate_crash`], [`Wal::recover_scan`] / [`Wal::rescan`], a
+    /// ([`Wal::simulate_crash`], [`Wal::recover_scan`], a
     /// [`Wal::truncate_to`] that drops records) and by a failed force; the
     /// first force after one of those reads the page head back once.
     ///
@@ -400,14 +398,11 @@ impl Wal {
         Ok(region[region.len() - ps..][..partial].to_vec())
     }
 
-    /// Reads every durable record back from the device, in LSN order. Used by the
-    /// recovery procedure's analysis pass.
-    pub fn read_all(&self) -> IoResult<Vec<WalRecord>> {
-        Ok(self.scan()?.records)
-    }
-
-    /// Reads every durable record back from the device and reports whether the
-    /// log ends in a torn record.
+    /// Reads every record between the truncation floor and the in-memory
+    /// durable LSN back from the device, and reports whether the log is torn
+    /// before that LSN. The same forward read as [`Wal::recover_scan`], but it
+    /// adopts nothing — no header, no salvaged bytes: it observes the log as
+    /// this handle already believes it to be.
     pub fn scan(&self) -> IoResult<WalScan> {
         // The force lock keeps the LSN→byte mapping stable: a concurrent
         // truncation could otherwise compact pages out from under the reads.
@@ -416,46 +411,24 @@ impl Wal {
             let inner = self.inner.lock();
             (inner.durable_lsn, inner.trunc_lsn, inner.phys_start)
         };
-        if durable <= trunc {
-            return Ok(WalScan {
-                records: Vec::new(),
-                torn_tail: false,
-            });
-        }
-        // Read the durable tail past the truncation floor in page-sized psync
-        // batches (records below the floor are gone — logically always,
-        // physically after a compaction).
-        let ps = self.page_size as u64;
-        let first_page = trunc / ps;
-        let end_page = durable.div_ceil(ps);
-        let reqs: Vec<ReadRequest> = (first_page..end_page)
-            .map(|p| ReadRequest::new(self.phys(p * ps, phys_start), self.page_size))
-            .collect();
-        let (bufs, _) = self.io.psync_read(&reqs)?;
-        let mut all = Vec::with_capacity(((end_page - first_page) as usize) * self.page_size);
-        for b in bufs {
-            all.extend_from_slice(&b);
-        }
-        let window_base = first_page * ps;
-        all.truncate((durable - window_base) as usize);
-        Ok(parse_records(&all[(trunc - window_base) as usize..], trunc))
+        let (records, _, torn_tail) = self.read_forward(trunc, phys_start, Some(durable))?;
+        Ok(WalScan {
+            records,
+            durable_lsn: durable,
+            salvaged_bytes: 0,
+            torn_tail,
+        })
     }
 
     /// Re-derives the durable LSN from the device and returns every intact
-    /// record in one pass: the whole log is read forward from its start, and
-    /// durability is extended over every intact record found — records that a
+    /// record in one pass: the log is read forward from its truncation floor,
+    /// and durability is extended over every intact record found — records that a
     /// force torn by a crash *did* complete are salvaged; the first incomplete
     /// or corrupt record ends the scan (reported as a torn tail, including when
     /// the device's edge cuts a record short). Recovery uses this instead of
     /// [`Wal::scan`], because after a crash the in-memory durable LSN
     /// understates (crash mid-force) what actually reached the device.
-    pub fn recover_scan(&self) -> IoResult<(RescanReport, WalScan)> {
-        // Only an out-of-range read means the device's edge; any other read
-        // error (a transient I/O failure on a real device) must abort recovery
-        // rather than silently truncate the log there.
-        fn is_edge(e: &pio::IoError) -> bool {
-            matches!(e, pio::IoError::OutOfBounds { .. })
-        }
+    pub fn recover_scan(&self) -> IoResult<WalScan> {
         let _serialised = self.force_lock.lock();
         let known = self.durable_lsn();
         // The bounded-recovery seek: adopt the newest durable truncation header
@@ -476,6 +449,37 @@ impl Wal {
             let inner = self.inner.lock();
             (inner.trunc_lsn, inner.phys_start)
         };
+        let (records, end, torn_tail) = self.read_forward(trunc, phys_start, None)?;
+        {
+            let mut inner = self.inner.lock();
+            inner.durable_lsn = end;
+            inner.next_lsn = inner.next_lsn.max(end);
+            inner.tail = None;
+        }
+        Ok(WalScan {
+            records,
+            durable_lsn: end,
+            salvaged_bytes: end.saturating_sub(known),
+            torn_tail,
+        })
+    }
+
+    /// The log's one reader of its records: reads forward from the floor
+    /// `trunc` (under the mapping `phys_start`) one page-aligned chunk at a
+    /// time, and returns the intact records, the LSN just past the last of
+    /// them and whether a torn record ended the read. It stops at clean,
+    /// never-written space, at a torn record, at the device's edge — or at
+    /// `bound`, which it treats exactly like the edge.
+    fn read_forward(&self, trunc: Lsn, phys_start: u64, bound: Option<Lsn>) -> IoResult<(Vec<WalRecord>, Lsn, bool)> {
+        // Only an out-of-range read means the device's edge; any other read
+        // error (a transient I/O failure on a real device) must abort recovery
+        // rather than silently truncate the log there.
+        fn is_edge(e: &pio::IoError) -> bool {
+            matches!(e, pio::IoError::OutOfBounds { .. })
+        }
+        if bound.is_some_and(|b| b <= trunc) {
+            return Ok((Vec::new(), trunc, false));
+        }
         let ps = self.page_size as u64;
         let window_base = (trunc / ps) * ps;
         // Read forward one page-aligned chunk at a time until the scan stops
@@ -511,6 +515,12 @@ impl Wal {
                 }
                 Err(e) => return Err(e),
             }
+            if let Some(end) = bound.map(|b| (b - window_base) as usize) {
+                if window.len() >= end {
+                    window.truncate(end);
+                    edge = true;
+                }
+            }
             if window.len() <= parse_from {
                 // The window has not reached the floor yet (the floor sits
                 // mid-page and the device's edge — or a short chunk — cut the
@@ -520,18 +530,17 @@ impl Wal {
                 }
                 continue;
             }
-            let tail_scan = parse_records(&window[parse_from..], window_base + parse_from as u64);
-            if let Some(last) = tail_scan.records.last() {
+            let (parsed, torn) = parse_records(&window[parse_from..], window_base + parse_from as u64);
+            if let Some(last) = parsed.last() {
                 parse_from = (last.lsn - window_base) as usize + HEADER + last.payload.len();
             }
-            records.extend(tail_scan.records);
+            records.extend(parsed);
             if edge {
                 // A record still pending at the edge can never complete.
-                torn_tail =
-                    tail_scan.torn_tail || (parse_from < window.len() && window[parse_from..].iter().any(|&b| b != 0));
+                torn_tail = torn || (parse_from < window.len() && window[parse_from..].iter().any(|&b| b != 0));
                 break;
             }
-            if tail_scan.torn_tail {
+            if torn {
                 // A record is incomplete; a longer window cannot complete it
                 // unless it simply spans the chunk boundary — detectable because
                 // the declared (sane) length reaches past the window.
@@ -554,20 +563,7 @@ impl Wal {
             // The window ended exactly at a record boundary; the next chunk may
             // hold more records.
         }
-        let end = window_base + parse_from as u64;
-        let mut inner = self.inner.lock();
-        inner.durable_lsn = end;
-        inner.next_lsn = inner.next_lsn.max(end);
-        inner.tail = None;
-        drop(inner);
-        Ok((
-            RescanReport {
-                durable_lsn: end,
-                salvaged_bytes: end.saturating_sub(known),
-                torn_tail,
-            },
-            WalScan { records, torn_tail },
-        ))
+        Ok((records, window_base + parse_from as u64, torn_tail))
     }
 
     /// Reads both truncation-header slots and returns the newest valid one, if
@@ -715,12 +711,6 @@ impl Wal {
         inner.durable_lsn.saturating_sub(inner.trunc_lsn)
     }
 
-    /// [`Wal::recover_scan`] without the record list (durability re-derivation
-    /// only).
-    pub fn rescan(&self) -> IoResult<RescanReport> {
-        Ok(self.recover_scan()?.0)
-    }
-
     /// Discards the in-memory notion of the log (used by tests that simulate a crash:
     /// pending, un-forced records are lost, as is the cached tail page; durable
     /// records survive on the device).
@@ -789,7 +779,7 @@ mod tests {
             w.append(p);
         }
         w.force().unwrap();
-        let records = w.read_all().unwrap();
+        let records = w.scan().unwrap().records;
         assert_eq!(records.len(), 100);
         for (rec, expect) in records.iter().zip(&payloads) {
             assert_eq!(&rec.payload, expect);
@@ -806,7 +796,7 @@ mod tests {
         w.append(b"bbbb");
         w.append(b"cccc");
         w.force().unwrap();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].payload, b"aaaa");
         assert_eq!(recs[2].payload, b"cccc");
@@ -819,7 +809,7 @@ mod tests {
         w.force().unwrap();
         w.append(b"volatile");
         w.simulate_crash();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].payload, b"durable");
         // New appends continue from the durable LSN.
@@ -832,7 +822,7 @@ mod tests {
         let w = wal();
         w.force().unwrap();
         assert_eq!(w.durable_lsn(), 0);
-        assert!(w.read_all().unwrap().is_empty());
+        assert!(w.scan().unwrap().records.is_empty());
     }
 
     #[test]
@@ -842,7 +832,7 @@ mod tests {
         w.append(&big);
         w.append(b"tail");
         w.force().unwrap();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].payload, big);
         assert_eq!(recs[1].payload, b"tail");
@@ -894,10 +884,10 @@ mod tests {
         w.simulate_crash();
         assert_eq!(w.durable_lsn(), anchored, "failed force advanced nothing");
 
-        let report = w.rescan().unwrap();
+        let report = w.recover_scan().unwrap();
         assert!(report.torn_tail, "the torn record must be detected");
         assert!(report.salvaged_bytes > 0, "complete records in page 1 are salvageable");
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         // The anchor plus every 1000-byte record that fit in the torn prefix.
         assert!(recs.len() >= 2 && recs.len() < 11, "{} records", recs.len());
         assert_eq!(recs[0].payload, b"anchor");
@@ -908,7 +898,7 @@ mod tests {
         // The log continues cleanly after the torn tail.
         w.append(b"post-crash");
         w.force().unwrap();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.last().unwrap().payload, b"post-crash");
     }
 
@@ -924,7 +914,7 @@ mod tests {
         assert_eq!(w.pending_records(), 1, "failed force must not drop records");
         w.append(b"second");
         w.force().unwrap();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 2, "no LSN hole after the retried force");
         assert_eq!(recs[0].payload, b"first");
         assert_eq!(recs[1].payload, b"second");
@@ -943,7 +933,7 @@ mod tests {
         w.append(b"durable-head");
         w.force().unwrap();
         // A partial tail page on the device and no cached copy of it.
-        w.rescan().unwrap();
+        w.recover_scan().unwrap();
         w.append(b"first");
         w.append(b"second");
         clock.arm(CrashPlan::at_read(clock.reads_seen()).transient());
@@ -977,14 +967,14 @@ mod tests {
         assert_eq!(io.io_stats().reads, 0, "no read-back between the writes");
         assert_eq!(io.io_stats().batches, 200, "one psync write per force");
         // A rescan drops the cached tail: exactly the next force reads it back.
-        w.rescan().unwrap();
+        w.recover_scan().unwrap();
         let reads = io.io_stats().reads;
         for _ in 0..2 {
             w.append(b"after-rescan");
             w.force().unwrap();
         }
         assert_eq!(io.io_stats().reads, reads + 1, "one cold read, then steady state again");
-        assert_eq!(w.read_all().unwrap().len(), 202);
+        assert_eq!(w.scan().unwrap().records.len(), 202);
     }
 
     /// The reference of the differential test below: every byte the log ever
@@ -1132,13 +1122,14 @@ mod tests {
                     model.land(off, &bytes, torn.keep_requests * PS + torn.keep_bytes_of_next);
                 }
                 87..=91 => {
-                    // Crash: pending records die; the rescan salvages whatever
-                    // whole records a torn force left past the durable end.
+                    // Crash: pending records die; the recovery scan salvages
+                    // whatever whole records a torn force left past the durable end.
                     w.simulate_crash();
                     model.pending.clear();
-                    let report = w.rescan().unwrap_or_else(|e| panic!("{ctx}: rescan: {e}"));
+                    let scan = w.recover_scan().unwrap_or_else(|e| panic!("{ctx}: recover_scan: {e}"));
                     let from = model.stream.len() - model.phys_start;
-                    let salvaged = report.durable_lsn as usize - model.stream.len();
+                    let salvaged = scan.durable_lsn as usize - model.stream.len();
+                    assert_eq!(scan.salvaged_bytes as usize, salvaged, "{ctx}: salvaged bytes");
                     let bytes = model.dev[from..from + salvaged].to_vec();
                     model.stream.extend_from_slice(&bytes);
                     boundaries.retain(|&b| b < model.stream.len());
@@ -1160,6 +1151,12 @@ mod tests {
                 let at = (0..model.dev.len()).find(|&i| region[i] != model.dev[i]);
                 panic!("{ctx}: data region diverged at byte {at:?}");
             }
+            // The observer: the log reads back exactly the reference's
+            // records between the floor and the durable end.
+            let scan = w.scan().unwrap_or_else(|e| panic!("{ctx}: scan: {e}"));
+            let (expect, _) = parse_records(&model.stream[model.trunc..], model.trunc as Lsn);
+            assert!(!scan.torn_tail, "{ctx}: torn scan");
+            assert_eq!(scan.records, expect, "{ctx}: scan");
             let inner = w.inner.lock();
             assert_eq!(inner.durable_lsn as usize, model.stream.len(), "{ctx}: durable LSN");
             assert_eq!(
@@ -1174,10 +1171,10 @@ mod tests {
         // The log reads back exactly the reference's records past the floor.
         w.force().unwrap();
         model.force();
-        let expect = parse_records(&model.stream[model.trunc..], model.trunc as Lsn);
+        let (expect, torn) = parse_records(&model.stream[model.trunc..], model.trunc as Lsn);
         let scan = w.scan().unwrap();
-        assert!(!scan.torn_tail && !expect.torn_tail, "CRASH_SEED={seed}");
-        assert_eq!(scan.records, expect.records, "CRASH_SEED={seed}: final scan");
+        assert!(!scan.torn_tail && !torn, "CRASH_SEED={seed}");
+        assert_eq!(scan.records, expect, "CRASH_SEED={seed}: final scan");
         assert!(
             compactions >= 2,
             "CRASH_SEED={seed}: the stream must compact ({compactions})"
@@ -1204,7 +1201,7 @@ mod tests {
             h.join().unwrap();
         }
         w.force().unwrap();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 200, "every record must survive the storm");
         let mut seen: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
         for r in &recs {
@@ -1219,7 +1216,7 @@ mod tests {
         w.append(b"steady");
         w.force().unwrap();
         let before = w.durable_lsn();
-        let report = w.rescan().unwrap();
+        let report = w.recover_scan().unwrap();
         assert_eq!(report.durable_lsn, before);
         assert_eq!(report.salvaged_bytes, 0);
         assert!(!report.torn_tail);
@@ -1240,10 +1237,10 @@ mod tests {
         // A restarted handle with no in-memory state at all: the rescan must
         // rebuild durability purely from the device.
         let w2 = Wal::new(io, 0, 4096);
-        let report = w2.rescan().unwrap();
+        let report = w2.recover_scan().unwrap();
         assert!(!report.torn_tail);
         assert!(report.salvaged_bytes > 0);
-        let recs = w2.read_all().unwrap();
+        let recs = w2.scan().unwrap().records;
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].payload, b"lost-bookkeeping");
     }
@@ -1262,7 +1259,7 @@ mod tests {
         assert_eq!(w.start_lsn(), floor);
         assert_eq!(w.truncated_bytes(), floor);
         assert_eq!(w.replayable_bytes(), w.durable_lsn() - floor);
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 8);
         assert_eq!(recs[0].lsn, floor);
         assert_eq!(recs[0].payload, b"rec-12");
@@ -1273,7 +1270,7 @@ mod tests {
         let tail = w.append(b"after-truncation");
         assert!(tail > floor);
         w.force().unwrap();
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 9);
         assert_eq!(recs.last().unwrap().payload, b"after-truncation");
     }
@@ -1292,9 +1289,9 @@ mod tests {
         // A restarted handle with no in-memory state: the header slot tells it
         // the floor and the recovery scan starts there, not at byte 0.
         let w2 = Wal::new(io, 0, 4096);
-        let (report, scan) = w2.recover_scan().unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(report.durable_lsn, w1.durable_lsn());
+        let scan = w2.recover_scan().unwrap();
+        assert!(!scan.torn_tail);
+        assert_eq!(scan.durable_lsn, w1.durable_lsn());
         assert_eq!(w2.start_lsn(), floor);
         assert_eq!(w2.truncated_bytes(), floor);
         assert_eq!(scan.records.len(), 13);
@@ -1303,7 +1300,7 @@ mod tests {
         // And the restarted handle appends where the old one left off.
         w2.append(b"continues");
         w2.force().unwrap();
-        assert_eq!(w2.read_all().unwrap().last().unwrap().payload, b"continues");
+        assert_eq!(w2.scan().unwrap().records.last().unwrap().payload, b"continues");
     }
 
     /// Round after round of append → force → truncate must bound the log's
@@ -1338,13 +1335,13 @@ mod tests {
             "physical footprint ({physical_extent} B) stays far below lifetime bytes ({durable} B)"
         );
         // The surviving tail reads back through the moved mapping...
-        let recs = w.read_all().unwrap();
+        let recs = w.scan().unwrap().records;
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].payload, b"tail-5");
         // ...and a restarted handle agrees byte for byte.
         let w2 = Wal::new(io, 0, 4096);
-        let (report, scan) = w2.recover_scan().unwrap();
-        assert!(!report.torn_tail);
+        let scan = w2.recover_scan().unwrap();
+        assert!(!scan.torn_tail);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].lsn, last_tail);
         assert_eq!(scan.records[0].payload, b"tail-5");
@@ -1383,8 +1380,8 @@ mod tests {
 
             // A restarted handle must land on exactly one of the two heads.
             let w2 = Wal::new(faulty, 0, 4096);
-            let (report, scan) = w2.recover_scan().unwrap();
-            assert!(!report.torn_tail, "keep_bytes={keep_bytes}");
+            let scan = w2.recover_scan().unwrap();
+            assert!(!scan.torn_tail, "keep_bytes={keep_bytes}");
             let floor = w2.start_lsn();
             assert!(
                 floor == first_floor || floor == second_floor,
@@ -1431,8 +1428,8 @@ mod tests {
         // The header was never flipped: a restarted handle sees the old head,
         // records intact.
         let w2 = Wal::new(faulty, 0, 4096);
-        let (report, scan) = w2.recover_scan().unwrap();
-        assert!(!report.torn_tail);
+        let scan = w2.recover_scan().unwrap();
+        assert!(!scan.torn_tail);
         assert_eq!(w2.start_lsn(), first_floor);
         assert_eq!(scan.records.len(), lsns.len() - 18);
         for (r, &lsn) in scan.records.iter().zip(&lsns[18..]) {
@@ -1442,7 +1439,7 @@ mod tests {
         let moved = w2.truncate_to(second_floor).unwrap();
         assert!(moved > 0);
         assert!(w2.inner.lock().phys_start > 0, "the retried truncation compacts");
-        let recs = w2.read_all().unwrap();
+        let recs = w2.scan().unwrap().records;
         assert_eq!(recs.first().unwrap().lsn, second_floor);
         assert_eq!(recs.len(), 2);
     }

@@ -1,9 +1,8 @@
 //! A closed-loop multi-client driver: N client threads × think time × a key
 //! distribution.
 //!
-//! The [`replay`](crate::replay) driver emulates the paper's *open* model — one
-//! caller hands pre-formed batches to the index. A serving system is evaluated
-//! the other way around (Didona et al.'s critique in `PAPERS.md`): many
+//! The paper's *open* model has one caller hand pre-formed batches to the
+//! index. A serving system is evaluated the other way around (Didona et al.'s critique in `PAPERS.md`): many
 //! independent clients each submit **one** request, wait for its response,
 //! optionally think, and submit the next — the concurrency the system sees is
 //! whatever the clients' closed loops produce, and the honest metrics are
@@ -77,15 +76,6 @@ impl ClientMix {
             put: 0.10,
             scan: 0.02,
             scan_span: 100,
-        }
-    }
-
-    /// An update-heavy mix: 50% puts, no scans.
-    pub fn update_heavy() -> Self {
-        Self {
-            put: 0.5,
-            scan: 0.0,
-            scan_span: 0,
         }
     }
 }

@@ -18,13 +18,11 @@
 #![warn(missing_docs)]
 
 pub mod closed_loop;
-pub mod driver;
 pub mod keyspace;
 pub mod ops;
 pub mod tpcc;
 
 pub use closed_loop::{run_closed_loop, ClientMix, ClosedLoopReport, ClosedLoopSpec, ErrorClass, ServiceTarget};
-pub use driver::{replay, IndexTarget, ReplayStats};
 pub use keyspace::{KeyDistribution, KeyGenerator};
 pub use ops::{MixSpec, Operation, OperationGenerator};
 pub use tpcc::{TpccConfig, TpccTraceGenerator, TraceOp};

@@ -10,7 +10,7 @@ use pio::{CrashPlan, FaultClock, FaultIo, IoQueue, SimPsyncIo};
 use pio_btree::{LogRecord, PioConfig};
 use ssd_sim::DeviceProfile;
 use std::sync::Arc;
-use workload::{replay, KeyDistribution, MixSpec, OperationGenerator};
+use workload::{KeyDistribution, MixSpec, Operation, OperationGenerator};
 
 fn main() {
     // Four shards over a simulated Micron P300; the pool budget is an engine-wide
@@ -57,8 +57,9 @@ fn main() {
         range.last()
     );
 
-    // Drive a mixed workload through the generic workload driver; the background
+    // Issue a generated mixed workload straight to the engine; the background
     // maintenance worker drains shard OPQs off the foreground path meanwhile.
+    // The point searches go last, 64 keys per MPSearch round.
     let mix = MixSpec {
         insert: 0.4,
         delete: 0.05,
@@ -68,17 +69,36 @@ fn main() {
     };
     let mut generator = OperationGenerator::new(42, 2_000_000, KeyDistribution::Uniform, mix);
     let ops = generator.generate(50_000);
-    let mut target = engine;
-    let replay_stats = replay(&mut target, &ops, 64).expect("replay");
+    let (mut searches, mut ranges) = (Vec::new(), 0usize);
+    for op in &ops {
+        match *op {
+            Operation::Search { key } => searches.push(key),
+            Operation::Insert { key, value } => engine.insert(key, value).expect("insert"),
+            Operation::Delete { key } => engine.delete(key).expect("delete"),
+            Operation::Update { key, value } => engine.update(key, value).expect("update"),
+            Operation::RangeSearch { lo, hi } => {
+                engine.range_search(lo, hi).expect("range_search");
+                ranges += 1;
+            }
+        }
+    }
+    let mut hits = 0;
+    for keys in searches.chunks(64) {
+        hits += engine
+            .multi_search(keys)
+            .expect("multi_search")
+            .iter()
+            .flatten()
+            .count();
+    }
     println!(
-        "replayed {} ops ({} inserts, {} searches in {} MPSearch rounds, hit ratio {:.2})",
-        replay_stats.total_ops(),
-        replay_stats.inserts,
-        replay_stats.searches,
-        replay_stats.search_batches,
-        replay_stats.search_hits as f64 / replay_stats.searches.max(1) as f64,
+        "issued {} ops: {} writes, {ranges} range scans, then {} searches in {} MPSearch rounds (hit ratio {:.2})",
+        ops.len(),
+        ops.len() - searches.len() - ranges,
+        searches.len(),
+        searches.len().div_ceil(64),
+        hits as f64 / searches.len().max(1) as f64,
     );
-    let engine = target;
     engine.checkpoint().expect("checkpoint");
 
     // Aggregated statistics: per-shard + rollup, device work vs schedule makespan.

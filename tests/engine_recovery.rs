@@ -11,7 +11,8 @@
 //! against an in-memory oracle: each batch is either fully present on all
 //! shards or fully absent (never partial). A batch one shard holds alone takes
 //! no epoch (a local bracket in that shard's log); the two kinds are
-//! interleaved from two threads, and a tier-1 gate pins what each costs.
+//! interleaved from two threads, and a tier-1 gate pins what each costs. A
+//! restart reads each shard log once: one more test counts its reads.
 
 mod common;
 
@@ -26,6 +27,7 @@ use rand::Rng;
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use storage::Wal;
 
 /// Three shards, tiny OPQs (so batches overflow into flushes mid-epoch), WALs on.
 fn config() -> EngineConfig {
@@ -469,6 +471,63 @@ fn interleaved_local_and_epoch_batches_recover_all_or_nothing() {
         "seed {seed}: the sweep must commit both kinds and lose some batch: \
          {local_commits} local commits, {epochs} epochs, {lost} judged lost"
     );
+}
+
+// ------------------------------------------------------ one read per restart --
+
+/// A restart reads each shard log once: during `recover()` every shard WAL
+/// queue sees exactly the reads of one forward scan of its log — the two
+/// header slots and the chunks, counted here by a fresh handle's scan of the
+/// same bytes. The logs hold local brackets, a committed epoch and a
+/// discarded one; none ends inside a bracket, so no closing force reads a
+/// page head back.
+#[test]
+fn recovery_reads_each_shard_log_once() {
+    let (backends, clocks) = per_backend_clocks(&config());
+    let wals = backends.shard_wals.clone();
+    let engine = EngineBuilder::new(config())
+        .entries(&seed_entries())
+        .topology(backends)
+        .build()
+        .unwrap();
+    // Local brackets on shards 0 and 2, then an epoch over all three.
+    let acked: Vec<Vec<(u64, u64)>> = vec![
+        vec![(3, 1), (7, 2)],
+        vec![(2_503, 3)],
+        (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect(),
+    ];
+    for batch in &acked {
+        engine.insert_batch(batch).unwrap();
+    }
+    // An epoch whose bracket force fails on shard 1: no commit record.
+    let doomed: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 2, i + 100)).collect();
+    clocks.wals[1].arm(CrashPlan::at_write(clocks.wals[1].writes_seen()));
+    assert!(engine.insert_batch(&doomed).is_err());
+    clocks.heal_all();
+    engine.simulate_crash();
+
+    let reads = || -> Vec<u64> { clocks.wals.iter().map(|c| c.reads_seen()).collect() };
+    let since = |before: Vec<u64>| -> Vec<u64> { reads().iter().zip(before).map(|(now, was)| now - was).collect() };
+    let before = reads();
+    for io in &wals {
+        Wal::new(Arc::clone(io), 0, config().base.page_size)
+            .recover_scan()
+            .unwrap();
+    }
+    let one_scan = since(before);
+    assert!(one_scan.iter().all(|&n| n > 2), "header slots and chunks: {one_scan:?}");
+
+    let before = reads();
+    let report = engine.recover().unwrap();
+    assert_eq!(since(before), one_scan, "one forward scan of each shard log");
+    assert_eq!(
+        (report.committed_epochs, report.discarded_epochs, report.aborted_local()),
+        (1, 1, 0),
+        "{report:?}"
+    );
+    let acked: Vec<Op> = acked.into_iter().map(Op::Batch).collect();
+    assert_eq!(engine_state(&engine), oracle(&seed_entries(), &acked));
+    engine.check_invariants().unwrap();
 }
 
 // ------------------------------------------- commit records across truncation --

@@ -122,7 +122,7 @@ fn a_local_bracket_commits_iff_its_close_is_durable() {
             committed,
             "seed {seed} len {len}: an acked batch is present"
         );
-        let records = clean.wal().unwrap().recover_scan().unwrap().1.records;
+        let records = clean.wal().unwrap().recover_scan().unwrap().records;
         let (opened_lsn, close_lsn) = (records[1].lsn, records.last().unwrap().lsn);
         assert_eq!(records[0].lsn, begin, "the bracket's open is its first record");
         let page_base = begin - begin % PAGE as u64;
