@@ -345,11 +345,12 @@ pub fn locate_leaves_in_range(
     let depth = pipeline_depth.clamp(1, internal_levels.max(1));
     let mut frontier: Vec<PageId> = vec![root];
     let mut regions: Vec<(PageId, u64)> = Vec::new();
+    let mut ring = TicketRing::new(depth);
     for _level in 0..internal_levels {
         let mut next: Vec<PageId> = Vec::new();
         let batch = |batch_idx: usize| &frontier[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(frontier.len())];
         run_pipeline(
-            depth,
+            &mut ring,
             frontier.len().div_ceil(pio_max),
             |batch_idx| {
                 regions.clear();

@@ -30,7 +30,7 @@ use crate::opq::OperationQueue;
 use crate::recovery::{LogRecord, LOCAL_EPOCH};
 use btree::{InternalNode, InternalView, Key, Node, Value};
 use pio::ring::run_pipeline;
-use pio::{IoResult, SimPsyncIo};
+use pio::{IoResult, SimPsyncIo, TicketRing};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -235,7 +235,7 @@ impl PioBTree {
         // Writes are durable when reaped: the pipeline completes every ticket
         // (and surfaces any completion error) before the load goes on.
         run_pipeline(
-            pipeline_depth,
+            &mut TicketRing::new(pipeline_depth),
             batches.len(),
             |batch| {
                 let region_writes: Vec<(PageId, Vec<u8>)> = batches[batch]

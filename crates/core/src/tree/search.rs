@@ -9,8 +9,9 @@
 //! A leaf image is touched once: the store hands out the shared image it
 //! verified and cached, and a [`LeafView`] answers from those bytes where they
 //! lie. Everything a batched call needs besides its result — the sort order,
-//! the sorted keys, the descent, a chunk's region list — lives in
-//! [`SearchScratch`], which the tree owns and reuses from call to call.
+//! the sorted keys, the descent, a chunk's region list, the ring of tickets in
+//! flight — lives in [`SearchScratch`], which the tree owns and reuses from
+//! call to call.
 
 use super::PioBTree;
 use crate::entry::OpEntry;
@@ -18,8 +19,8 @@ use crate::leaf::LeafView;
 use crate::mpsearch::{locate_leaves, locate_leaves_in_range, walk_resident, walk_resident_range, Descent};
 use btree::{Key, Value};
 use pio::ring::run_pipeline;
-use pio::IoResult;
-use storage::{AccessHint, PageId, PageImage};
+use pio::{IoResult, TicketRing};
+use storage::{AccessHint, CachedReadTicket, PageId, PageImage};
 
 /// Buffers of the batched read paths (and of bupdate's descent), kept by the
 /// tree between calls so that a warm call allocates only what it returns. A
@@ -33,6 +34,8 @@ pub(crate) struct SearchScratch {
     keys: Vec<Key>,
     /// The leaf regions of the chunk being submitted.
     regions: Vec<(PageId, u64)>,
+    /// The leaf reads in flight.
+    ring: TicketRing<CachedReadTicket>,
     pub(crate) descent: Descent,
 }
 
@@ -123,6 +126,7 @@ impl PioBTree {
             order,
             keys: sorted_keys,
             regions,
+            ring,
             descent,
         } = &mut scratch;
         // Sort the requests, remembering the original positions.
@@ -147,8 +151,9 @@ impl PioBTree {
         // many psync windows overlap on the device while the CPU resolves the
         // current batch's keys — the depth that fills the device queue instead of
         // flat-lining at double buffering.
+        ring.set_depth(self.pipeline_depth);
         run_pipeline(
-            self.pipeline_depth,
+            ring,
             keys.len().div_ceil(pio_max),
             |group| {
                 let keys = chunk(group);
@@ -197,7 +202,8 @@ impl PioBTree {
         let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
         let batch = |batch_idx: usize| &leaves[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(leaves.len())];
-        let regions = &mut self.scratch.regions;
+        let SearchScratch { regions, ring, .. } = &mut self.scratch;
+        ring.set_depth(self.pipeline_depth);
         let store = &self.store;
         // Leaves arrive in key order and cover disjoint key ranges, so each one's
         // entries go straight onto the end of the result.
@@ -206,7 +212,7 @@ impl PioBTree {
         // multi_search: later batches ride the device queue while earlier ones
         // are resolved.
         run_pipeline(
-            self.pipeline_depth,
+            ring,
             leaves.len().div_ceil(pio_max),
             |batch_idx| {
                 regions.clear();

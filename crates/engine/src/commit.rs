@@ -169,22 +169,24 @@ impl EngineInner {
         // batch's sub-batches always land where its binning said they would.
         let routing = self.routing.read();
         let insert = |&(key, value): &(Key, Value)| OpEntry::insert(key, value);
-        // One sub-batch per shard; a batch one shard owns is its sub-batch whole.
+        // One sub-batch per member shard. A batch one shard owns is its
+        // sub-batch whole, with no table of empty ones for the other shards.
         let owner = sole_owner(&routing.bounds, entries.iter().map(|&(key, _)| key));
-        let mut per_shard: Vec<Vec<OpEntry>> = vec![Vec::new(); self.shards.len()];
-        match owner {
-            Some(owner) => per_shard[owner] = entries.iter().map(insert).collect(),
+        let (sole, spread): (_, Vec<Vec<OpEntry>>) = match owner {
+            Some(owner) => (Some((owner, entries.iter().map(insert).collect())), Vec::new()),
             None => {
+                let mut spread = vec![Vec::new(); self.shards.len()];
                 for entry in entries {
-                    per_shard[shard_of(&routing.bounds, entry.0)].push(insert(entry));
+                    spread[shard_of(&routing.bounds, entry.0)].push(insert(entry));
                 }
+                (None, spread)
             }
-        }
+        };
         // A degraded member refuses the whole batch, like a single write —
         // and before any bracket is logged, so the refusal leaves no trace on
         // the healthy members and no epoch for recovery to resolve.
-        if let Some(sick) = (0..per_shard.len()).find(|&i| !per_shard[i].is_empty() && self.shards[i].health.is_open())
-        {
+        let member = |i: usize| owner == Some(i) || spread.get(i).is_some_and(|batch| !batch.is_empty());
+        if let Some(sick) = (0..self.shards.len()).find(|&i| member(i) && self.shards[i].health.is_open()) {
             return Err(ShardHealth::rejection(sick));
         }
         let epoch = match (&self.epoch, owner) {
@@ -193,10 +195,9 @@ impl EngineInner {
             (Some(coord), None) => Some(coord.open()),
         };
         // A member's leg, the same whichever thread runs it.
-        let mut legs = per_shard
+        let mut legs = sole
             .into_iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
+            .chain(spread.into_iter().enumerate().filter(|(_, batch)| !batch.is_empty()))
             .map(|(i, batch)| {
                 let shard = Arc::clone(&self.shards[i]);
                 shard.note_batch(batch.len());

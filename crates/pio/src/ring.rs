@@ -28,11 +28,12 @@
 use std::collections::VecDeque;
 
 /// Runs the canonical pipelined consumption loop over `jobs` indexed jobs:
-/// submissions are issued in job order up to `depth` ahead of the consumer,
-/// each job's completion is handed to `consume` in order, and on any error —
-/// `consume`'s included: what a read returned may not parse — every in-flight
-/// ticket is drained through `complete` (results discarded) before the error
-/// is returned.
+/// submissions are issued in job order up to the ring's depth ahead of the
+/// consumer, each job's completion is handed to `consume` in order, and on any
+/// error — `consume`'s included: what a read returned may not parse — every
+/// in-flight ticket is drained through `complete` (results discarded) before
+/// the error is returned. The ring is the caller's, empty on entry and on
+/// return, so a caller that keeps it runs the loop without allocating.
 ///
 /// This is the shared shape of the tree's linear pipelines (multi-search and
 /// prange leaf fetches, the per-level range descent, bulk load's region
@@ -40,13 +41,13 @@ use std::collections::VecDeque;
 /// also borrows (bupdate's apply), or that re-submit jobs dynamically (the
 /// `locate_leaves` wavefront) drive a [`TicketRing`] by hand instead.
 pub fn run_pipeline<T, R, E>(
-    depth: usize,
+    ring: &mut TicketRing<T>,
     jobs: usize,
     mut submit: impl FnMut(usize) -> Result<T, E>,
     mut complete: impl FnMut(T) -> Result<R, E>,
     mut consume: impl FnMut(usize, R) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut ring: TicketRing<T> = TicketRing::new(depth);
+    debug_assert!(ring.is_empty(), "a pipeline starts with nothing in flight");
     let mut next_submit = 0usize;
     for job in 0..jobs {
         while next_submit < jobs && ring.has_room() {
@@ -80,6 +81,16 @@ pub struct TicketRing<T> {
     inflight: VecDeque<T>,
 }
 
+/// A depth-1 ring that has not allocated yet.
+impl<T> Default for TicketRing<T> {
+    fn default() -> Self {
+        Self {
+            depth: 1,
+            inflight: VecDeque::new(),
+        }
+    }
+}
+
 impl<T> TicketRing<T> {
     /// A ring holding at most `depth` in-flight tickets (clamped to ≥ 1).
     pub fn new(depth: usize) -> Self {
@@ -93,6 +104,13 @@ impl<T> TicketRing<T> {
     /// The configured pipeline depth.
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    /// Sets the depth (clamped to ≥ 1) of a ring with nothing in flight,
+    /// keeping its buffer.
+    pub fn set_depth(&mut self, depth: usize) {
+        debug_assert!(self.is_empty(), "depth changes between pipelines");
+        self.depth = depth.max(1);
     }
 
     /// Tickets currently in flight.
@@ -192,7 +210,7 @@ mod tests {
         let mut submitted = Vec::new();
         let mut consumed = Vec::new();
         run_pipeline::<usize, usize, ()>(
-            3,
+            &mut TicketRing::new(3),
             7,
             |job| {
                 submitted.push(job);
@@ -211,9 +229,10 @@ mod tests {
 
     #[test]
     fn run_pipeline_drains_on_error() {
+        let mut ring = TicketRing::new(4);
         let mut completed = Vec::new();
         let err = run_pipeline::<usize, usize, &str>(
-            4,
+            &mut ring,
             10,
             Ok,
             |t| {
@@ -231,10 +250,11 @@ mod tests {
         // Jobs 0..6 were submitted (depth-4 lookahead past the failing job 2);
         // every one of them was completed — the failures' survivors drained.
         assert_eq!(completed, vec![0, 1, 2, 3, 4, 5]);
+        assert!(ring.is_empty(), "a failed pipeline leaves its ring reusable");
         // A failing consume drains the same way.
         completed.clear();
         let err = run_pipeline::<usize, usize, &str>(
-            4,
+            &mut ring,
             10,
             Ok,
             |t| {

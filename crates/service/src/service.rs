@@ -18,12 +18,12 @@
 //!   it (idle) ──────────────────────────────────────────────────────────────────▶ multi_search([k1])
 //!        │                        handle.get(k2)
 //!        │                          opens the next builder,
-//!        │                          leads it, waits on its own   handle.get(k3)
-//!        │                          reply until the batch          joins B's builder,
-//!        │                          ahead says go                  waits on its own reply
-//!        │ finishes: tells B "go"        │
-//!        │ answers itself                │ takes the builder (hand-over) ───────▶ multi_search([k2, k3])
-//!        ▼                               │ answers C, answers itself     │
+//!        │                          leads it, waits on its       handle.get(k3)
+//!        │                          reply slot until the batch     joins B's builder,
+//!        │                          ahead says go                  waits on its reply slot
+//!        │ finishes: sets B's slot "go"  │
+//!        │ answers its own slot          │ takes the builder (hand-over) ───────▶ multi_search([k2, k3])
+//!        ▼                               │ answers C's slot, then its own│
 //!   Response                             ▼                               ▼
 //!                                   Response                        Response
 //!
@@ -63,12 +63,23 @@
 //!   size or drain answers its leader. The request deadline is the only timed
 //!   wait; without one, nothing in the service sleeps or sets a timer.
 //! * Scans bypass the builders: they are not coalescible point work.
+//! * Answers and go-aheads are handed over in **reply slots**, one per client
+//!   thread (a blocking client has one request in flight): a mutex-guarded
+//!   state and a condition variable that the request waits on. Each request
+//!   on the thread takes the slot's next sequence number, and a signal tagged
+//!   with an earlier one — the late answer to a request that timed out — is
+//!   dropped. A finished batch leaves its emptied vectors in its slot for the
+//!   next builder there, so in steady state a request allocates nothing of
+//!   the service's own.
 //!
-//! Locking: the admission lock guards the builders and the per-slot count of
-//! running batches, and is never held across an engine call. Beside it there
-//! is only the shutdown barrier `in_flight`: a request holds it shared for its
-//! whole life (taken before the admission lock), and `shutdown` takes it
-//! exclusively after it has released the admission lock for the last time.
+//! Locking: the admission lock guards the builders, the per-slot count of
+//! running batches and the emptied builders kept for reuse, and is never held
+//! across an engine call. A reply slot's lock is taken after the admission
+//! lock (a go-ahead is sent under it) or alone, and never across an engine
+//! call either. Beside them there is only the shutdown barrier `in_flight`: a
+//! request holds it shared for its whole life (taken before the admission
+//! lock), and `shutdown` takes it exclusively after it has released the
+//! admission lock for the last time.
 //!
 //! ## Live shard boundaries
 //!
@@ -91,13 +102,12 @@ use engine::ShardedPioEngine;
 use pio::IoResult;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 type Reply = Result<Response, ServiceError>;
 
-/// What travels down a request's reply channel.
+/// What a request's reply slot hands over.
 enum Signal {
     /// The request's answer, from the thread that ran its batch.
     Answer(Reply),
@@ -106,10 +116,97 @@ enum Signal {
     GoAhead,
 }
 
-/// One admitted, not-yet-answered point request.
+/// Where the thread that runs a batch hands a request its answer (or its
+/// leader the go-ahead). A blocking client has at most one request in
+/// flight, so each client thread keeps one slot for all of its requests
+/// ([`REPLY`]): a request costs no allocation to be answered.
+#[derive(Default)]
+struct ReplySlot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    /// The request the slot now serves. A signal tagged with an earlier one
+    /// — the late answer to a request that timed out — is dropped, so it
+    /// never reaches the thread's next request.
+    seq: u64,
+    go_ahead: bool,
+    answer: Option<Reply>,
+}
+
+thread_local! {
+    /// The calling thread's reply slot.
+    static REPLY: Arc<ReplySlot> = Arc::default();
+}
+
+impl ReplySlot {
+    fn state(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.state.lock().expect("reply slot poisoned")
+    }
+
+    /// Starts the slot's next request: forgets whatever the previous one left
+    /// behind and returns the new request's sequence number.
+    fn open(&self) -> u64 {
+        let mut state = self.state();
+        state.seq += 1;
+        state.go_ahead = false;
+        state.answer = None;
+        state.seq
+    }
+
+    /// Hands `signal` to request `seq`, unless the slot has moved on.
+    fn signal(&self, seq: u64, signal: Signal) {
+        let mut state = self.state();
+        if state.seq != seq {
+            return;
+        }
+        match signal {
+            Signal::Answer(answer) => state.answer = Some(answer),
+            Signal::GoAhead => state.go_ahead = true,
+        }
+        drop(state);
+        self.ready.notify_one();
+    }
+
+    /// Waits for the open request's answer — or, if `heed_go_ahead`, for a
+    /// go-ahead — no later than `deadline`, which `None` leaves untimed. An
+    /// answer wins over a go-ahead that came with it. `None` when the deadline
+    /// passed first.
+    fn wait(&self, deadline: Option<Instant>, heed_go_ahead: bool) -> Option<Signal> {
+        let waiting = |state: &mut SlotState| state.answer.is_none() && !(heed_go_ahead && state.go_ahead);
+        let state = self.state();
+        let mut state = match deadline {
+            None => self.ready.wait_while(state, waiting).expect("reply slot poisoned"),
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let (state, _) = self
+                    .ready
+                    .wait_timeout_while(state, left, waiting)
+                    .expect("reply slot poisoned");
+                state
+            }
+        };
+        if let Some(answer) = state.answer.take() {
+            return Some(Signal::Answer(answer));
+        }
+        (heed_go_ahead && std::mem::take(&mut state.go_ahead)).then_some(Signal::GoAhead)
+    }
+}
+
+/// One admitted, not-yet-answered point request: its reply slot, and which of
+/// the slot's requests it is.
 struct Waiter {
     enqueued: Instant,
-    ack: mpsc::Sender<Signal>,
+    reply: Arc<ReplySlot>,
+    seq: u64,
+}
+
+impl Waiter {
+    fn signal(&self, signal: Signal) {
+        self.reply.signal(self.seq, signal);
+    }
 }
 
 /// What made a batch leave its builder.
@@ -153,6 +250,9 @@ struct Admission {
     builders: Vec<Option<Builder>>,
     /// Per slot, the batches taken from it that have not finished executing.
     running: Vec<usize>,
+    /// Per slot, a finished batch emptied for the slot's next builder, so
+    /// that a builder opens without allocating.
+    spares: Vec<Option<Builder>>,
     /// Generation of the most recently opened builder.
     generation: u64,
     closed: bool,
@@ -249,8 +349,13 @@ impl ServiceShared {
             Request::Put { key, value } => (key, Some(value)),
             Request::Scan { lo, hi } => return self.scan(lo, hi, enqueued),
         };
-        let (ack, reply) = mpsc::channel();
-        let (slot, batch, trigger) = match self.admit(key, value, Waiter { enqueued, ack })? {
+        let reply = REPLY.with(Arc::clone);
+        let waiter = Waiter {
+            enqueued,
+            seq: reply.open(),
+            reply: Arc::clone(&reply),
+        };
+        let (slot, batch, trigger) = match self.admit(key, value, waiter)? {
             Role::Run(slot, batch) => (slot, batch, Trigger::Size),
             Role::Lead { slot, generation, busy } => {
                 let trigger = if busy {
@@ -273,12 +378,18 @@ impl ServiceShared {
             Role::Follow => return self.await_reply(&reply, enqueued),
         };
         self.run_batch(slot, batch, trigger);
-        // The answer is in the channel, behind at most a stale go-ahead.
-        let answered = reply.try_iter().find_map(|signal| match signal {
-            Signal::Answer(answer) => Some(answer),
-            Signal::GoAhead => None,
-        });
-        answered.unwrap_or(Err(ServiceError::Lost))
+        // The answer is in the slot: a deadline long past takes it without
+        // waiting.
+        match reply.wait(Some(enqueued), false) {
+            Some(Signal::Answer(answer)) => answer,
+            _ => Err(ServiceError::Lost),
+        }
+    }
+
+    /// When a request admitted at `enqueued` stops waiting: its deadline, or
+    /// never.
+    fn deadline(&self, enqueued: Instant) -> Option<Instant> {
+        self.request_deadline.map(|deadline| enqueued + deadline)
     }
 
     /// A leader's wait behind the batch running in its slot — the builder that
@@ -286,40 +397,26 @@ impl ServiceShared {
     /// go, or at the request deadline (a leader cannot abandon its followers,
     /// so the deadline cuts the wait instead of timing out). `Err` carries the
     /// leader's answer: another thread took the builder and ran it.
-    fn wait_behind(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Result<Trigger, Reply> {
-        match self.receive(reply, enqueued) {
-            Ok(Signal::GoAhead) => Ok(Trigger::HandOver),
-            Err(RecvTimeoutError::Timeout) => Ok(Trigger::Deadline),
-            Ok(Signal::Answer(answer)) => Err(answer),
-            Err(RecvTimeoutError::Disconnected) => Err(Err(ServiceError::Lost)),
-        }
-    }
-
-    /// The next signal down a request's reply channel, waiting no later than
-    /// the request's deadline — and, without one, untimed.
-    fn receive(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Result<Signal, RecvTimeoutError> {
-        match self.request_deadline {
-            None => reply.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(deadline) => reply.recv_timeout((enqueued + deadline).saturating_duration_since(Instant::now())),
+    fn wait_behind(&self, reply: &ReplySlot, enqueued: Instant) -> Result<Trigger, Reply> {
+        match reply.wait(self.deadline(enqueued), true) {
+            Some(Signal::GoAhead) => Ok(Trigger::HandOver),
+            None => Ok(Trigger::Deadline),
+            Some(Signal::Answer(answer)) => Err(answer),
         }
     }
 
     /// Waits for the thread whose batch carries this request; the request's
-    /// deadline bounds the wait.
-    fn await_reply(&self, reply: &mpsc::Receiver<Signal>, enqueued: Instant) -> Reply {
-        loop {
-            match self.receive(reply, enqueued) {
-                Ok(Signal::Answer(answer)) => return answer,
-                // Stale: the builder it was sent for has been taken.
-                Ok(Signal::GoAhead) => {}
-                // The batch will still execute and answer into the dropped
-                // channel — the *outcome* is unknown, but the client's wait is
-                // cleanly over and the request is safe to resubmit.
-                Err(RecvTimeoutError::Timeout) => {
-                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServiceError::Timeout);
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(ServiceError::Lost),
+    /// deadline bounds the wait, and a go-ahead is stale by now (the builder it
+    /// was sent for has been taken).
+    fn await_reply(&self, reply: &ReplySlot, enqueued: Instant) -> Reply {
+        match reply.wait(self.deadline(enqueued), false) {
+            Some(Signal::Answer(answer)) => answer,
+            // The batch will still execute, and its answer will find the slot
+            // moved on — the *outcome* is unknown, but the client's wait is
+            // cleanly over and the request is safe to resubmit.
+            _ => {
+                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                Err(ServiceError::Timeout)
             }
         }
     }
@@ -341,19 +438,24 @@ impl ServiceShared {
         admitted.fetch_add(1, Ordering::Relaxed);
         let busy = admission.running[slot] > 0;
         let Admission {
-            builders, generation, ..
+            builders,
+            spares,
+            generation,
+            ..
         } = &mut *admission;
         let opened = builders[slot].is_none();
         let builder = builders[slot].get_or_insert_with(|| {
             *generation += 1;
-            Builder {
+            let mut builder = spares[slot].take().unwrap_or_else(|| Builder {
                 work: match value {
                     None => Work::Reads(Vec::new()),
                     Some(_) => Work::Writes(Vec::new()),
                 },
                 waiters: Vec::new(),
-                generation: *generation,
-            }
+                generation: 0,
+            });
+            builder.generation = *generation;
+            builder
         });
         match (&mut builder.work, value) {
             (Work::Reads(keys), None) => keys.push(key),
@@ -384,15 +486,16 @@ impl ServiceShared {
         let mut admission = self.admission.lock().expect("admission poisoned");
         admission.running[slot] -= 1;
         if let (0, Some(next)) = (admission.running[slot], &admission.builders[slot]) {
-            let _ = next.waiters[0].ack.send(Signal::GoAhead);
+            next.waiters[0].signal(Signal::GoAhead);
         }
     }
 
     /// Runs a taken batch's engine call on the calling thread and answers every
     /// waiter with its result and timing. Puts are acked only after
     /// `insert_batch` returned, i.e. after the covering commit was forced —
-    /// the group-commit durability contract.
-    fn run_batch(&self, slot: usize, batch: Builder, trigger: Trigger) {
+    /// the group-commit durability contract. The emptied batch goes back to
+    /// its slot, for the next builder there to fill.
+    fn run_batch(&self, slot: usize, mut batch: Builder, trigger: Trigger) {
         let flushes = match trigger {
             Trigger::Size => &self.counters.size_triggered_flushes,
             Trigger::Idle => &self.counters.idle_flushes,
@@ -406,32 +509,42 @@ impl ServiceShared {
             .batched_requests
             .fetch_add(batch.waiters.len() as u64, Ordering::Relaxed);
 
-        let (begun, service_us, outcome) = self.engine_call::<Vec<ResponseBody>>(|engine| match &batch.work {
-            Work::Reads(keys) => engine
-                .multi_search(keys)
-                .map(|values| values.into_iter().map(ResponseBody::Value).collect()),
-            Work::Writes(entries) => engine
-                .insert_batch(entries)
-                .map(|()| vec![ResponseBody::Done; entries.len()]),
+        // A get batch returns one value per key; a put batch, nothing.
+        let (begun, service_us, outcome) = self.engine_call(|engine| match &batch.work {
+            Work::Reads(keys) => engine.multi_search(keys).map(Some),
+            Work::Writes(entries) => engine.insert_batch(entries).map(|()| None),
         });
         // Before the answers (measured: 16 µs against 18 µs median call with
         // two clients): a client that has its answer may already be back, and
         // should find the slot idle rather than wait to be called.
         self.finish(slot);
-        match outcome {
-            Ok(bodies) => {
-                debug_assert_eq!(bodies.len(), batch.waiters.len());
-                for (waiter, body) in batch.waiters.into_iter().zip(bodies) {
-                    let timing = self.record(waiter.enqueued, begun, service_us);
-                    let _ = waiter.ack.send(Signal::Answer(Ok(Response { body, timing })));
-                }
-            }
-            Err(err) => {
-                for waiter in batch.waiters {
-                    let _ = waiter.ack.send(Signal::Answer(Err(err.clone())));
-                }
-            }
+        let mut values = match &outcome {
+            Ok(Some(values)) => values.iter(),
+            _ => [].iter(),
+        };
+        for waiter in batch.waiters.drain(..) {
+            let body = match &outcome {
+                Err(err) => Err(err.clone()),
+                Ok(None) => Ok(ResponseBody::Done),
+                // A result short of the batch loses the requests past its
+                // end: each is answered, none is left waiting.
+                Ok(Some(_)) => values
+                    .next()
+                    .map(|&value| ResponseBody::Value(value))
+                    .ok_or(ServiceError::Lost),
+            };
+            let answer = body.map(|body| Response {
+                body,
+                timing: self.record(waiter.enqueued, begun, service_us),
+            });
+            waiter.signal(Signal::Answer(answer));
         }
+        match &mut batch.work {
+            Work::Reads(keys) => keys.clear(),
+            Work::Writes(entries) => entries.clear(),
+        }
+        let mut admission = self.admission.lock().expect("admission poisoned");
+        admission.spares[slot].get_or_insert(batch);
     }
 
     /// Runs a scan on its caller, unless the service is closed.
@@ -527,6 +640,7 @@ impl EngineService {
             admission: Mutex::new(Admission {
                 builders: (0..2 * engine.shard_count()).map(|_| None).collect(),
                 running: vec![0; 2 * engine.shard_count()],
+                spares: (0..2 * engine.shard_count()).map(|_| None).collect(),
                 generation: 0,
                 closed: false,
             }),
@@ -730,7 +844,6 @@ mod tests {
     use pio_btree::PioConfig;
     use ssd_sim::DeviceProfile;
     use std::sync::atomic::AtomicU8;
-    use std::sync::mpsc::TryRecvError;
 
     /// A WAL backend whose writes pass (0), fail (1) or panic (2).
     struct Boom {
@@ -790,15 +903,26 @@ mod tests {
 
     const PUTS: usize = 1;
 
-    /// Admits a put of `key` as `serve` would; returns its role and reply channel.
-    fn admit(shared: &ServiceShared, key: Key) -> (Role, mpsc::Receiver<Signal>) {
-        let (ack, reply) = mpsc::channel();
-        let enqueued = Instant::now();
-        (shared.admit(key, Some(key), Waiter { enqueued, ack }).unwrap(), reply)
+    /// Opens the next request on `reply` and admits it as a put of `key`, as
+    /// `serve` would; returns its role.
+    fn admit_on(shared: &ServiceShared, key: Key, reply: &Arc<ReplySlot>) -> Role {
+        let waiter = Waiter {
+            enqueued: Instant::now(),
+            seq: reply.open(),
+            reply: Arc::clone(reply),
+        };
+        shared.admit(key, Some(key), waiter).unwrap()
+    }
+
+    /// Admits a put of `key` with a reply slot of its own, as if from a thread
+    /// of its own; returns its role and reply slot.
+    fn admit(shared: &ServiceShared, key: Key) -> (Role, Arc<ReplySlot>) {
+        let reply = Arc::default();
+        (admit_on(shared, key, &reply), reply)
     }
 
     /// The leader's side of `admit`.
-    fn lead(shared: &ServiceShared, key: Key, expect_busy: bool) -> (u64, mpsc::Receiver<Signal>) {
+    fn lead(shared: &ServiceShared, key: Key, expect_busy: bool) -> (u64, Arc<ReplySlot>) {
         match admit(shared, key) {
             (Role::Lead { slot, generation, busy }, reply) => {
                 assert_eq!((slot, busy), (PUTS, expect_busy));
@@ -808,12 +932,17 @@ mod tests {
         }
     }
 
+    /// What the request's thread finds in its slot without waiting.
+    fn try_recv(reply: &ReplySlot) -> Option<Signal> {
+        reply.wait(Some(Instant::now()), true)
+    }
+
     fn running(shared: &ServiceShared) -> Vec<usize> {
         shared.admission.lock().unwrap().running.clone()
     }
 
-    fn answered(reply: &mpsc::Receiver<Signal>) -> bool {
-        matches!(reply.try_recv(), Ok(Signal::Answer(Ok(_))))
+    fn answered(reply: &ReplySlot) -> bool {
+        matches!(try_recv(reply), Some(Signal::Answer(Ok(_))))
     }
 
     #[test]
@@ -845,14 +974,14 @@ mod tests {
         let (second, leader_reply) = lead(shared, 2, true);
         let (role, follower_reply) = admit(shared, 3);
         assert!(matches!(role, Role::Follow));
-        assert!(matches!(leader_reply.try_recv(), Err(TryRecvError::Empty)));
+        assert!(try_recv(&leader_reply).is_none());
 
         shared.run_batch(PUTS, ahead, Trigger::Idle);
         assert!(answered(&first_reply));
         // Exactly one go-ahead, to the open builder's leader.
-        assert!(matches!(leader_reply.try_recv(), Ok(Signal::GoAhead)));
-        assert!(matches!(leader_reply.try_recv(), Err(TryRecvError::Empty)));
-        assert!(matches!(follower_reply.try_recv(), Err(TryRecvError::Empty)));
+        assert!(matches!(try_recv(&leader_reply), Some(Signal::GoAhead)));
+        assert!(try_recv(&leader_reply).is_none());
+        assert!(try_recv(&follower_reply).is_none());
 
         let batch = shared.take(PUTS, second).expect("the called leader finds its builder");
         assert_eq!(batch.waiters.len(), 2);
@@ -919,5 +1048,36 @@ mod tests {
         assert!(answered(&parked_reply));
         assert_eq!(running(&shared), [0, 0]);
         assert_eq!(stats.drain_flushes, 1);
+    }
+
+    #[test]
+    fn a_late_signal_never_reaches_the_threads_next_request() {
+        let (service, _) = start(64);
+        let shared = &service.shared;
+        let (first, _) = lead(shared, 1, false);
+        let ahead = shared.take(PUTS, first).unwrap();
+        // Request A leads a builder behind the running batch; then its thread
+        // moves on to request B, as after A's deadline.
+        let reply = Arc::default();
+        let Role::Lead { generation, busy, .. } = admit_on(shared, 2, &reply) else {
+            panic!("put 2 must open a builder and lead it");
+        };
+        assert!(busy);
+        let b = reply.open();
+        shared.run_batch(PUTS, ahead, Trigger::Idle);
+        assert!(try_recv(&reply).is_none(), "A's go-ahead must not reach B");
+        let batch = shared.take(PUTS, generation).unwrap();
+        shared.run_batch(PUTS, batch, Trigger::Deadline);
+        assert!(try_recv(&reply).is_none(), "A's answer must not reach B");
+        assert_eq!(reply.state().seq, b);
+        // B, admitted on the same slot, gets its own answer.
+        let Role::Lead { generation, busy, .. } = admit_on(shared, 3, &reply) else {
+            panic!("put 3 must open a builder and lead it");
+        };
+        assert!(!busy);
+        let batch = shared.take(PUTS, generation).unwrap();
+        shared.run_batch(PUTS, batch, Trigger::Idle);
+        assert!(answered(&reply));
+        assert_eq!(running(shared), [0, 0]);
     }
 }

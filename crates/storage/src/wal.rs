@@ -87,6 +87,10 @@ struct WalInner {
     /// (header + checksum + payload, back to back): the byte image of LSNs
     /// `[next_lsn − pending.len(), next_lsn)`.
     pending: Vec<u8>,
+    /// An emptied buffer for `pending` to continue in once a force takes the
+    /// image: the buffer of the image forced before, so appends do not regrow
+    /// one from nothing after every force.
+    spare: Vec<u8>,
     /// The durable bytes of the log's last, partial page — `(end, bytes)` with
     /// `bytes` the image of LSNs `[page base of end, end)` — kept so that the
     /// next force, which rewrites that page, need not read it back. `None`
@@ -125,6 +129,19 @@ pub struct Wal {
 
 /// Record header: 4-byte little-endian payload length + 4-byte payload checksum.
 const HEADER: usize = 8;
+
+/// The largest buffer a force keeps for reuse (as the next pending image or
+/// the tail page): a flush's pre-image force must not pin megabytes.
+const KEEP_BYTES: usize = 64 << 10;
+
+/// `buf`, emptied, if it is small enough to keep ([`KEEP_BYTES`]).
+fn kept(mut buf: Vec<u8>) -> Vec<u8> {
+    if buf.capacity() > KEEP_BYTES {
+        return Vec::new();
+    }
+    buf.clear();
+    buf
+}
 
 /// The log's checksum, over record payloads and header slots: byte-wise
 /// FNV-1a-32. It is written to the device and read back after a restart, so it
@@ -346,7 +363,9 @@ impl Wal {
                 .tail
                 .take()
                 .and_then(|(end, bytes)| (end == first_lsn).then_some(bytes));
-            (std::mem::take(&mut inner.pending), first_lsn, inner.phys_start, head)
+            let spare = std::mem::take(&mut inner.spare);
+            let image = std::mem::replace(&mut inner.pending, spare);
+            (image, first_lsn, inner.phys_start, head)
         };
         let end_byte = first_lsn + image.len() as u64;
         match self.write_pages_covering(first_lsn, &image, phys_start, head) {
@@ -354,12 +373,14 @@ impl Wal {
                 let mut inner = self.inner.lock();
                 inner.durable_lsn = inner.durable_lsn.max(end_byte);
                 inner.tail = Some((end_byte, tail));
+                inner.spare = kept(image);
                 Ok(())
             }
             Err(e) => {
                 let mut inner = self.inner.lock();
                 let appended_meanwhile = std::mem::replace(&mut inner.pending, image);
                 inner.pending.extend_from_slice(&appended_meanwhile);
+                inner.spare = kept(appended_meanwhile);
                 Err(e)
             }
         }
@@ -370,6 +391,8 @@ impl Wal {
     /// the partial page the write ended in (the next force's `tail`). The head
     /// of the first page — bytes a previous force made durable — is
     /// `cached_head` when the caller still holds it, else read from the device.
+    /// The pages are laid out in the head's buffer, and the partial page is
+    /// returned in the same buffer, so steady forces reuse one.
     fn write_pages_covering(
         &self,
         first_lsn: Lsn,
@@ -381,8 +404,9 @@ impl Wal {
         let page_base = first_lsn - first_lsn % ps as u64;
         let head = (first_lsn - page_base) as usize;
         let mut region = match cached_head {
-            _ if head == 0 => Vec::new(),
+            // Empty when the image starts a page.
             Some(bytes) => bytes,
+            None if head == 0 => Vec::new(),
             None => self.io.read_at(self.phys(page_base, phys_start), head)?.to_vec(),
         };
         debug_assert_eq!(region.len(), head, "the page head ends where the image starts");
@@ -395,7 +419,14 @@ impl Wal {
             .map(|(i, chunk)| WriteRequest::new(self.phys(page_base, phys_start) + (i * ps) as u64, chunk))
             .collect();
         self.io.psync_write(&reqs)?;
-        Ok(region[region.len() - ps..][..partial].to_vec())
+        let last = region.len() - ps;
+        region.copy_within(last..last + partial, 0);
+        region.truncate(partial);
+        Ok(if region.capacity() > KEEP_BYTES {
+            region.to_vec()
+        } else {
+            region
+        })
     }
 
     /// Reads every record between the truncation floor and the in-memory
