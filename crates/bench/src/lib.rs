@@ -234,7 +234,7 @@ mod tests {
     fn build_store_produces_a_working_store() {
         let s = build_store(DeviceProfile::F120, 4096, 16, WritePolicy::WriteThrough, 1 << 24);
         let p = s.allocate();
-        s.write_page(p, &vec![1u8; 4096]).unwrap();
+        s.write_page(p, vec![1u8; 4096].into()).unwrap();
         assert_eq!(s.read_page(p).unwrap()[0], 1);
     }
 }

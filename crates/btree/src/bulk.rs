@@ -11,7 +11,7 @@ use crate::node::{InternalNode, Key, LeafNode, Node, Value};
 use crate::tree::BPlusTree;
 use pio::IoResult;
 use std::sync::Arc;
-use storage::{CachedStore, PageId, INVALID_PAGE};
+use storage::{CachedStore, PageId, PageImage, INVALID_PAGE};
 
 /// How many node images are written per psync call while bulk loading.
 const WRITE_BATCH: usize = 64;
@@ -39,7 +39,7 @@ pub fn bulk_load(store: Arc<CachedStore>, entries: &[(Key, Value)], fill_factor:
     let n_leaves = entries.len().div_ceil(leaf_cap);
     let first_leaf = store.allocate_contiguous(n_leaves as u64);
     let mut level: Vec<(Key, PageId)> = Vec::with_capacity(n_leaves);
-    let mut pending: Vec<(PageId, Vec<u8>)> = Vec::with_capacity(WRITE_BATCH);
+    let mut pending: Vec<(PageId, PageImage)> = Vec::with_capacity(WRITE_BATCH);
 
     for (i, chunk) in entries.chunks(leaf_cap).enumerate() {
         let page = first_leaf + i as u64;
@@ -83,12 +83,11 @@ pub fn bulk_load(store: Arc<CachedStore>, entries: &[(Key, Value)], fill_factor:
     Ok(BPlusTree::from_parts(store, root, height, entries.len() as u64))
 }
 
-fn flush(store: &CachedStore, pending: &mut Vec<(PageId, Vec<u8>)>) -> IoResult<()> {
+fn flush(store: &CachedStore, pending: &mut Vec<(PageId, PageImage)>) -> IoResult<()> {
     if pending.is_empty() {
         return Ok(());
     }
-    let refs: Vec<(PageId, &[u8])> = pending.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-    store.store().write_pages(&refs)?;
+    store.store().write_pages(pending)?;
     pending.clear();
     Ok(())
 }

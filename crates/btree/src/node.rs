@@ -30,7 +30,7 @@
 //! routes to *some* child inside the page, never outside it.
 
 use pio::{IoError, IoResult};
-use storage::{PageId, INVALID_PAGE};
+use storage::{new_image, PageId, PageImage, INVALID_PAGE};
 
 /// Index key type (the paper's trees index fixed-width integer keys).
 pub type Key = u64;
@@ -174,23 +174,23 @@ impl InternalNode {
         self.keys.partition_point(|&k| k <= key)
     }
 
-    /// Serialises the node into a page image of `page_size` bytes.
-    pub fn encode(&self, page_size: usize) -> Vec<u8> {
+    /// Serialises the node into a new page image of `page_size` bytes.
+    pub fn encode(&self, page_size: usize) -> PageImage {
         assert_eq!(self.children.len(), self.keys.len() + 1, "malformed internal node");
         assert!(self.children.len() <= Self::max_children(page_size), "node overflow");
-        let mut buf = vec![0u8; page_size];
-        buf[0] = TAG_INTERNAL;
-        buf[2..4].copy_from_slice(&(self.keys.len() as u16).to_le_bytes());
-        let mut off = HEADER_BYTES;
-        for k in &self.keys {
-            buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            off += 8;
-        }
-        for c in &self.children {
-            buf[off..off + 8].copy_from_slice(&c.to_le_bytes());
-            off += 8;
-        }
-        buf
+        new_image(page_size, |buf| {
+            buf[0] = TAG_INTERNAL;
+            buf[2..4].copy_from_slice(&(self.keys.len() as u16).to_le_bytes());
+            let mut off = HEADER_BYTES;
+            for k in &self.keys {
+                buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
+                off += 8;
+            }
+            for c in &self.children {
+                buf[off..off + 8].copy_from_slice(&c.to_le_bytes());
+                off += 8;
+            }
+        })
     }
 }
 
@@ -200,20 +200,20 @@ impl LeafNode {
         (page_size - LEAF_HEADER_BYTES) / 16
     }
 
-    /// Serialises the node into a page image of `page_size` bytes.
-    pub fn encode(&self, page_size: usize) -> Vec<u8> {
+    /// Serialises the node into a new page image of `page_size` bytes.
+    pub fn encode(&self, page_size: usize) -> PageImage {
         assert!(self.entries.len() <= Self::max_entries(page_size), "leaf overflow");
-        let mut buf = vec![0u8; page_size];
-        buf[0] = TAG_LEAF;
-        buf[2..4].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        buf[8..16].copy_from_slice(&self.next.to_le_bytes());
-        let mut off = LEAF_HEADER_BYTES;
-        for (k, v) in &self.entries {
-            buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-            off += 16;
-        }
-        buf
+        new_image(page_size, |buf| {
+            buf[0] = TAG_LEAF;
+            buf[2..4].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
+            buf[8..16].copy_from_slice(&self.next.to_le_bytes());
+            let mut off = LEAF_HEADER_BYTES;
+            for (k, v) in &self.entries {
+                buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
+                buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
+                off += 16;
+            }
+        })
     }
 
     /// Binary-searches for `key` and returns its value if present.
@@ -226,8 +226,8 @@ impl LeafNode {
 }
 
 impl Node {
-    /// Serialises either kind of node.
-    pub fn encode(&self, page_size: usize) -> Vec<u8> {
+    /// Serialises either kind of node into a new page image.
+    pub fn encode(&self, page_size: usize) -> PageImage {
         match self {
             Node::Internal(n) => n.encode(page_size),
             Node::Leaf(n) => n.encode(page_size),
@@ -463,7 +463,7 @@ mod tests {
                 .collect();
             let every_header_value = (0..header).flat_map(|at| (0..=255u8).map(move |v| (at, v)));
             for (at, value) in every_header_value.chain(sampled) {
-                let mut mutated = image.clone();
+                let mut mutated = image.to_vec();
                 mutated[at] = value;
                 let ctx = format!("CRASH_SEED={seed} byte {at} = {value}");
                 match Node::decode(4, &mutated) {

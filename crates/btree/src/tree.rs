@@ -58,7 +58,7 @@ impl BPlusTree {
     pub fn new(store: Arc<CachedStore>) -> IoResult<Self> {
         let root = store.allocate();
         let leaf = LeafNode::default();
-        store.write_page(root, &leaf.encode(store.page_size()))?;
+        store.write_page(root, leaf.encode(store.page_size()))?;
         Ok(Self {
             store,
             root,
@@ -132,7 +132,7 @@ impl BPlusTree {
     }
 
     fn write_node(&self, page: PageId, node: &Node) -> IoResult<()> {
-        self.store.write_page(page, &node.encode(self.store.page_size()))
+        self.store.write_page(page, node.encode(self.store.page_size()))
     }
 
     /// Descends from the root to the leaf responsible for `key`, returning the path

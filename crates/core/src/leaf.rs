@@ -26,7 +26,7 @@ use crate::entry::{resolve, resolve_key, OpEntry, OpKind, ENTRY_BYTES};
 use btree::{Key, Value};
 use pio::{IoError, IoResult};
 use std::collections::BTreeMap;
-use storage::PageId;
+use storage::{new_image, PageId, PageImage};
 
 /// Per-segment header size in bytes (record count + tag).
 const SEG_HEADER: usize = 8;
@@ -202,11 +202,29 @@ impl PioLeaf {
     /// The shrink operation: cancel insert/delete pairs, apply updates, and
     /// re-materialise the survivors as sorted insert records. Returns the number of
     /// records eliminated.
+    ///
+    /// In place, with at most one allocation (the stable sort's buffer): a
+    /// stable sort by key keeps each key's records in arrival order, so the
+    /// last of a run of equal keys is its latest verdict; one compaction pass
+    /// keeps that verdict as an insert, or nothing for a delete. The result
+    /// is exactly [`crate::entry::resolve`]'s map, as sorted inserts.
     pub fn shrink(&mut self) -> usize {
         let before = self.records.len();
-        let resolved = self.resolve();
-        self.records = resolved.into_iter().map(|(k, v)| OpEntry::insert(k, v)).collect();
-        before - self.records.len()
+        self.records.sort_by_key(|e| e.key);
+        let mut kept = 0;
+        for i in 0..before {
+            let e = self.records[i];
+            // Only slots below `i` have been overwritten, so `i + 1` is unread.
+            if self.records.get(i + 1).is_some_and(|next| next.key == e.key) {
+                continue; // a later record of the key decides
+            }
+            if let Some(value) = e.verdict() {
+                self.records[kept] = OpEntry::insert(e.key, value);
+                kept += 1;
+            }
+        }
+        self.records.truncate(kept);
+        before - kept
     }
 
     /// Splits a (shrunken, sorted) leaf in half, leaving the lower half in `self` and
@@ -228,8 +246,9 @@ impl PioLeaf {
         )
     }
 
-    /// Serialises the whole leaf into `segments × page_size` bytes.
-    pub fn encode(&self, page_size: usize) -> Vec<u8> {
+    /// Serialises the whole leaf into a new image of `segments × page_size`
+    /// bytes.
+    pub fn encode(&self, page_size: usize) -> PageImage {
         let seg_cap = Self::segment_capacity(page_size);
         assert!(
             self.records.len() <= self.segments * seg_cap,
@@ -237,23 +256,23 @@ impl PioLeaf {
             self.records.len(),
             self.segments * seg_cap
         );
-        let mut out = vec![0u8; self.segments * page_size];
-        for (i, chunk) in self.records.chunks(seg_cap).enumerate() {
-            let seg = &mut out[i * page_size..(i + 1) * page_size];
-            Self::encode_segment_into(chunk, seg);
-        }
-        // Mark segments with zero records too, so decode can distinguish an empty
-        // segment from uninitialised storage.
-        for i in self.records.chunks(seg_cap).count().max(1)..self.segments {
-            out[i * page_size] = TAG_PIO_LEAF_SEGMENT;
-        }
-        if self.records.is_empty() {
-            out[0] = TAG_PIO_LEAF_SEGMENT;
-        }
-        out
+        new_image(self.segments * page_size, |out| {
+            for (i, chunk) in self.records.chunks(seg_cap).enumerate() {
+                Self::encode_segment_into(chunk, &mut out[i * page_size..(i + 1) * page_size]);
+            }
+            // Mark segments with zero records too, so decode can distinguish an empty
+            // segment from uninitialised storage.
+            for i in self.records.chunks(seg_cap).count().max(1)..self.segments {
+                out[i * page_size] = TAG_PIO_LEAF_SEGMENT;
+            }
+            if self.records.is_empty() {
+                out[0] = TAG_PIO_LEAF_SEGMENT;
+            }
+        })
     }
 
-    /// Serialises one segment's records into a page image.
+    /// Serialises one segment's records into a page image — the append path
+    /// rewrites only the trailing segment(s) this way.
     pub fn encode_segment_into(records: &[OpEntry], page: &mut [u8]) {
         page.fill(0);
         page[0] = TAG_PIO_LEAF_SEGMENT;
@@ -263,22 +282,6 @@ impl PioLeaf {
             r.encode_into(&mut page[off..off + ENTRY_BYTES]);
             off += ENTRY_BYTES;
         }
-    }
-
-    /// Serialises the records belonging to segment `seg` (by index) into a fresh page
-    /// image — used by the append path, which rewrites only the trailing segment(s).
-    pub fn encode_segment(&self, seg: usize, page_size: usize) -> Vec<u8> {
-        let seg_cap = Self::segment_capacity(page_size);
-        let start = seg * seg_cap;
-        let end = ((seg + 1) * seg_cap).min(self.records.len());
-        let records = if start < self.records.len() {
-            &self.records[start..end]
-        } else {
-            &[]
-        };
-        let mut page = vec![0u8; page_size];
-        Self::encode_segment_into(records, &mut page);
-        page
     }
 
     /// Parses the image of the leaf stored at `first`, one of a tree whose
@@ -430,8 +433,12 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let whole = leaf.encode(PAGE);
-        for seg in 0..3 {
-            let single = leaf.encode_segment(seg, PAGE);
+        for (seg, records) in [&leaf.records[..seg_cap], &leaf.records[seg_cap..], &[]]
+            .into_iter()
+            .enumerate()
+        {
+            let mut single = vec![0xAAu8; PAGE];
+            PioLeaf::encode_segment_into(records, &mut single);
             assert_eq!(&whole[seg * PAGE..(seg + 1) * PAGE], single.as_slice(), "segment {seg}");
         }
     }
@@ -536,7 +543,7 @@ mod tests {
                     _ => OpEntry::delete(key),
                 }]);
             }
-            let mut image = leaf.encode(PAGE);
+            let mut image = leaf.encode(PAGE).to_vec();
             let probes: Vec<Key> = (0..60).map(|_| rand(loaded as u64 * 4 + 60)).collect();
             let ranges = [(0, Key::MAX), (probes[0], probes[1]), (40, 41), (9, 3)];
             assert_view_matches_owned(&image, segments, &probes, &ranges, &ctx);
@@ -560,6 +567,75 @@ mod tests {
         assert_eq!(LeafView::new(7, &zeroes, PAGE).unwrap().live_segments(), 0);
     }
 
+    /// `shrink` against the naive reference — `entry::resolve` into a
+    /// `BTreeMap`, re-materialised as sorted inserts — on seeded two-segment
+    /// leaves decoded from their image: a sorted bulk-loaded prefix, then
+    /// appends that repeat keys across both segments, delete and update keys
+    /// no record holds, and delete a key and insert it again. The surviving
+    /// records, their order and the count eliminated must all match.
+    #[test]
+    fn shrink_differential_against_resolve() {
+        let (seed, mut rand) = seeded();
+        let segments = 2;
+        let cap = PioLeaf::capacity(segments, PAGE);
+        for round in 0..300 {
+            let ctx = format!("CRASH_SEED={seed} round {round}");
+            let loaded = rand(cap as u64 / 2 + 1) as usize;
+            let entries: Vec<(Key, Value)> = (0..loaded as u64).map(|i| (i * 4 + 2, i)).collect();
+            let mut leaf = PioLeaf::from_sorted(segments, &entries);
+            // Keys up to 40 past the loaded ones: present, absent and repeated.
+            let span = loaded as u64 * 4 + 40;
+            let target = loaded + rand((cap - loaded) as u64 + 1) as usize;
+            for i in 0.. {
+                let key = rand(span);
+                let ops = match rand(4) {
+                    0 => vec![OpEntry::insert(key, 1000 + i)],
+                    1 => vec![OpEntry::update(key, 2000 + i)],
+                    2 => vec![OpEntry::delete(key)],
+                    _ => vec![OpEntry::delete(key), OpEntry::insert(key, 3000 + i)],
+                };
+                if leaf.len() + ops.len() > target {
+                    break;
+                }
+                leaf.append(&ops);
+            }
+            let mut leaf = PioLeaf::decode(7, &leaf.encode(PAGE), segments, PAGE).unwrap();
+            let expected: Vec<OpEntry> = resolve(&leaf.records)
+                .into_iter()
+                .map(|(k, v)| OpEntry::insert(k, v))
+                .collect();
+            let before = leaf.len();
+            let eliminated = leaf.shrink();
+            assert_eq!(leaf.records, expected, "{ctx}: records");
+            assert_eq!(eliminated, before - expected.len(), "{ctx}: eliminated");
+        }
+        // The cases by name: a delete then a re-insert keeps the re-insert, a
+        // delete or an update of an absent key, and a key in both segments.
+        let seg_cap = PioLeaf::segment_capacity(PAGE) as u64;
+        let mut leaf = PioLeaf::from_sorted(segments, &(0..seg_cap).map(|k| (k * 2, k)).collect::<Vec<_>>());
+        leaf.append(&[
+            OpEntry::delete(4),
+            OpEntry::insert(4, 44),
+            OpEntry::delete(1),
+            OpEntry::update(3, 33),
+            OpEntry::update(6, 66),
+            OpEntry::delete(8),
+        ]);
+        let expected: Vec<OpEntry> = resolve(&leaf.records)
+            .into_iter()
+            .map(|(k, v)| OpEntry::insert(k, v))
+            .collect();
+        assert_eq!(
+            leaf.shrink(),
+            6,
+            "4's old record and delete, the absent delete, 6's old record, 8 and its delete"
+        );
+        assert_eq!(leaf.records, expected);
+        assert_eq!(leaf.lookup(4), Some(Some(44)));
+        assert_eq!(leaf.lookup(3), Some(Some(33)));
+        assert_eq!((leaf.lookup(1), leaf.lookup(8)), (None, None));
+    }
+
     /// Fuzz: every value at every header byte of every segment, and a seeded
     /// sample of mutations elsewhere, of an encoded leaf region parses to a
     /// view or to `Corruption` — and a view answers every kind of read without
@@ -578,7 +654,7 @@ mod tests {
             .flat_map(|seg| (0..SEG_HEADER).map(move |b| seg * PAGE + b))
             .flat_map(|at| (0..=255u8).map(move |v| (at, v)));
         for (at, value) in every_header_value.chain(sampled) {
-            let mut mutated = image.clone();
+            let mut mutated = image.to_vec();
             mutated[at] = value;
             let ctx = format!("CRASH_SEED={seed} byte {at} = {value}");
             match LeafView::new(7, &mutated, PAGE) {

@@ -88,7 +88,11 @@
 //! result (sort order, sorted keys, the [`mpsearch::Descent`] with every key's
 //! leaf and path in one flat array, a chunk's region list) lives in scratch
 //! buffers the tree keeps between calls: a warm `multi_search` allocates its
-//! result and a read ticket's slot vector, nothing per key.
+//! result and a read ticket's slot vector, nothing per key. On the write side
+//! bupdate refills one kept record buffer for every leaf it applies, shrinks
+//! a leaf in place, and encodes each page it writes straight into the
+//! [`storage::PageImage`] that the device stack and the page cache then share —
+//! one allocation per written page.
 //!
 //! ## Quick example
 //!

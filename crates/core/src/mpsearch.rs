@@ -390,7 +390,7 @@ mod tests {
         ));
         let leaves: Vec<PageId> = (0..4).map(|_| store.allocate()).collect();
         for &l in &leaves {
-            store.write_page(l, &LeafNode::default().encode(2048)).unwrap();
+            store.write_page(l, LeafNode::default().encode(2048)).unwrap();
         }
         let n0 = store.allocate();
         let n1 = store.allocate();
@@ -398,7 +398,7 @@ mod tests {
         store
             .write_page(
                 n0,
-                &Node::Internal(InternalNode {
+                Node::Internal(InternalNode {
                     keys: vec![50],
                     children: vec![leaves[0], leaves[1]],
                 })
@@ -408,7 +408,7 @@ mod tests {
         store
             .write_page(
                 n1,
-                &Node::Internal(InternalNode {
+                Node::Internal(InternalNode {
                     keys: vec![150],
                     children: vec![leaves[2], leaves[3]],
                 })
@@ -418,7 +418,7 @@ mod tests {
         store
             .write_page(
                 root,
-                &Node::Internal(InternalNode {
+                Node::Internal(InternalNode {
                     keys: vec![100],
                     children: vec![n0, n1],
                 })

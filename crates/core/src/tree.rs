@@ -34,7 +34,7 @@ use pio::{IoResult, SimPsyncIo, TicketRing};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{CachedStore, Lsn, PageId, PageStore, Wal, WritePolicy};
+use storage::{CachedStore, Lsn, PageId, PageImage, PageStore, Wal, WritePolicy};
 
 pub(crate) mod flush;
 mod search;
@@ -238,7 +238,7 @@ impl PioBTree {
             &mut TicketRing::new(pipeline_depth),
             batches.len(),
             |batch| {
-                let region_writes: Vec<(PageId, Vec<u8>)> = batches[batch]
+                let region_writes: Vec<(PageId, PageImage)> = batches[batch]
                     .iter()
                     .map(|chunk| {
                         let first = store.allocate_contiguous(segments as u64);
@@ -248,8 +248,7 @@ impl PioBTree {
                         (first, leaf.encode(page_size))
                     })
                     .collect();
-                let refs: Vec<(PageId, &[u8])> = region_writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-                store.submit_write(&refs)
+                store.submit_write(&region_writes)
             },
             |ticket| store.complete_write(ticket),
             |_, ()| Ok(()),
@@ -266,7 +265,7 @@ impl PioBTree {
             }
             height += 1;
             let mut next_level = Vec::new();
-            let mut writes: Vec<(PageId, Vec<u8>)> = Vec::new();
+            let mut writes: Vec<(PageId, PageImage)> = Vec::new();
             for chunk in level.chunks(internal_cap) {
                 let page = store.allocate();
                 let node = InternalNode {
@@ -276,8 +275,7 @@ impl PioBTree {
                 next_level.push((chunk[0].0, page));
                 writes.push((page, Node::Internal(node).encode(page_size)));
             }
-            let refs: Vec<(PageId, &[u8])> = writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-            store.write_pages(&refs)?;
+            store.write_pages(&writes)?;
             level = next_level;
             if level.len() == 1 {
                 break;

@@ -16,8 +16,8 @@ use crate::leaf::{LeafView, PioLeaf};
 use crate::mpsearch::Descent;
 use crate::recovery::LogRecord;
 use btree::{InternalNode, InternalView, Key, Node};
-use pio::{IoResult, TicketRing};
-use storage::{AccessHint, CachedReadTicket, PageId, PageImage};
+use pio::{zeroed_image, IoResult, TicketRing};
+use storage::{new_image, AccessHint, CachedReadTicket, PageId, PageImage};
 
 /// A pending fence-key insertion produced by a node split during bupdate.
 #[derive(Debug, Clone)]
@@ -259,8 +259,7 @@ impl PioBTree {
                     }
                 })
                 .collect();
-            let writes: Vec<(PageId, &[u8])> = images.iter().map(|(p, d)| (*p, &d[..])).collect();
-            self.store.write_pages(&writes)?;
+            self.store.write_pages(&images)?;
         }
         Ok(())
     }
@@ -376,6 +375,12 @@ impl PioBTree {
     /// Applies one PioMax-sized group of leaf jobs over its (already fetched)
     /// Phase-A images: the append path rewrites only the trailing segments; the
     /// full path reads the whole region, shrinks, and splits if necessary.
+    ///
+    /// Every job refills the tree's one leaf record buffer (the last
+    /// segment's records and the job's entries on the append path, the whole
+    /// region's on the full path), so a job allocates nothing but the images
+    /// it writes — each encoded in place into the image that then goes to the
+    /// device and the cache.
     fn apply_leaf_chunk(
         &mut self,
         chunk: &[LeafJob],
@@ -390,8 +395,12 @@ impl PioBTree {
         let seg_cap = PioLeaf::segment_capacity(page_size);
         let leaf_cap = PioLeaf::capacity(segments, page_size);
 
-        let mut page_writes: Vec<(PageId, Vec<u8>)> = Vec::new();
+        let mut page_writes: Vec<(PageId, PageImage)> = Vec::new();
         let mut full_path: Vec<usize> = Vec::new();
+        let mut leaf = PioLeaf {
+            segments,
+            records: std::mem::take(&mut self.scratch.leaf_records),
+        };
 
         for (i, job) in chunk.iter().enumerate() {
             let last_segment = LeafView::new(job.leaf + last_ls[i] as u64, &ls_images[i], page_size)?;
@@ -400,26 +409,23 @@ impl PioBTree {
                 full_path.push(i);
                 continue;
             }
-            let mut tail_records = Vec::with_capacity(seg_cap + job.ops.len());
-            tail_records.extend(last_segment.records());
-            let total_before = last_ls[i] as usize * seg_cap + tail_records.len();
+            leaf.records.clear();
+            leaf.records.extend(last_segment.records());
+            let total_before = last_ls[i] as usize * seg_cap + leaf.len();
             if total_before + job.ops.len() > leaf_cap {
                 full_path.push(i);
                 continue;
             }
             // Append path: only the trailing segment(s) are rewritten.
             self.stats.leaf_appends += 1;
-            let old_count = tail_records.len() as u16;
-            tail_records.extend_from_slice(job.ops);
+            let old_count = leaf.len() as u16;
+            leaf.append(job.ops);
             let mut seg = last_ls[i] as usize;
-            let mut idx = 0usize;
-            while idx < tail_records.len() {
-                let end = (idx + seg_cap).min(tail_records.len());
-                let mut page = vec![0u8; page_size];
-                PioLeaf::encode_segment_into(&tail_records[idx..end], &mut page);
+            for records in leaf.records.chunks(seg_cap) {
+                let page = new_image(page_size, |buf| PioLeaf::encode_segment_into(records, buf));
                 let fresh = seg != last_ls[i] as usize;
                 let preimage = if fresh {
-                    vec![0u8; page_size].into()
+                    zeroed_image(page_size)
                 } else {
                     PageImage::clone(&ls_images[i])
                 };
@@ -431,7 +437,6 @@ impl PioBTree {
                     preimage,
                 );
                 page_writes.push((job.leaf + seg as u64, page));
-                idx = end;
                 seg += 1;
             }
             journal.lsmap.push((job.leaf, self.lsmap.get(job.leaf)));
@@ -439,7 +444,7 @@ impl PioBTree {
         }
 
         // Phase B: full path — whole-region reads, shrink, possible splits.
-        let mut region_writes: Vec<(PageId, Vec<u8>)> = Vec::new();
+        let mut region_writes: Vec<(PageId, PageImage)> = Vec::new();
         if !full_path.is_empty() {
             let regions: Vec<(PageId, u64)> = full_path.iter().map(|&i| (chunk[i].leaf, segments as u64)).collect();
             let images = self.store.read_regions(&regions)?;
@@ -450,7 +455,9 @@ impl PioBTree {
                     journal.image(self, job.leaf + p as u64, pre.into());
                 }
                 self.stats.leaf_rewrites += 1;
-                let mut leaf = PioLeaf::decode(job.leaf, image, segments, page_size)?;
+                leaf.records.clear();
+                leaf.records
+                    .extend(LeafView::new(job.leaf, image, page_size)?.records());
                 leaf.append(job.ops);
                 self.stats.shrinks += 1;
                 leaf.shrink();
@@ -495,19 +502,21 @@ impl PioBTree {
                         });
                     }
                 }
+                // The lower part keeps the buffer: the next job refills it.
+                leaf = parts.swap_remove(0);
             }
         }
+
+        self.scratch.leaf_records = leaf.records;
 
         // Phase C: write everything back — one psync call for the segment pages, one
         // for the rewritten regions (reads never mix with writes).
         self.force_wal()?;
         if !page_writes.is_empty() {
-            let refs: Vec<(PageId, &[u8])> = page_writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-            self.store.write_pages(&refs)?;
+            self.store.write_pages(&page_writes)?;
         }
         if !region_writes.is_empty() {
-            let refs: Vec<(PageId, &[u8])> = region_writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-            self.store.write_pages(&refs)?;
+            self.store.write_pages(&region_writes)?;
         }
         Ok(())
     }
@@ -538,7 +547,7 @@ impl PioBTree {
                 journal.root(self, new_root_page);
                 self.force_wal()?;
                 self.store
-                    .write_page(new_root_page, &Node::Internal(node).encode(page_size))?;
+                    .write_page(new_root_page, Node::Internal(node).encode(page_size))?;
                 self.root = new_root_page;
                 self.height += 1;
                 self.stats.height_growths += 1;
@@ -558,7 +567,7 @@ impl PioBTree {
             }
             let parent_pages: Vec<PageId> = groups.iter().map(|&(p, _)| p).collect();
             let images = self.store.read_pages(&parent_pages)?;
-            let mut writes: Vec<(PageId, Vec<u8>)> = Vec::new();
+            let mut writes: Vec<(PageId, PageImage)> = Vec::new();
             let mut next_pending: Vec<FenceInsert> = Vec::new();
 
             for ((parent_page, fences), image) in groups.into_iter().zip(images) {
@@ -597,8 +606,7 @@ impl PioBTree {
                 writes.push((parent_page, Node::Internal(node).encode(page_size)));
             }
             self.force_wal()?;
-            let refs: Vec<(PageId, &[u8])> = writes.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-            self.store.write_pages(&refs)?;
+            self.store.write_pages(&writes)?;
             pending = next_pending;
         }
         Ok(())

@@ -22,8 +22,9 @@ use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
 use storage::{AccessHint, CachedReadTicket, PageId, PageImage};
 
-/// Buffers of the batched read paths (and of bupdate's descent), kept by the
-/// tree between calls so that a warm call allocates only what it returns. A
+/// Buffers of the batched read paths (and of bupdate's descent and leaf
+/// records), kept by the tree between calls so that a warm call allocates
+/// only what it returns. A
 /// call takes what it needs out of the tree and puts it back when it is done;
 /// a call that fails drops them, and they regrow on the next one.
 #[derive(Debug, Default)]
@@ -37,6 +38,8 @@ pub(crate) struct SearchScratch {
     /// The leaf reads in flight.
     ring: TicketRing<CachedReadTicket>,
     pub(crate) descent: Descent,
+    /// The records of the leaf a bupdate job is applying.
+    pub(crate) leaf_records: Vec<OpEntry>,
 }
 
 impl PioBTree {
@@ -128,6 +131,7 @@ impl PioBTree {
             regions,
             ring,
             descent,
+            ..
         } = &mut scratch;
         // Sort the requests, remembering the original positions.
         order.clear();
@@ -390,11 +394,11 @@ mod tests {
             for page in [root, inner] {
                 let image = raw.store().read_page(page).unwrap();
                 let node = InternalView::new(page, &image).unwrap().to_owned();
-                let write = |bytes: &[u8]| {
+                let write = |image: PageImage| {
                     let written = if warm {
-                        raw.write_page(page, bytes)
+                        raw.write_page(page, image)
                     } else {
-                        raw.store().write_page(page, bytes)
+                        raw.store().write_page(page, image)
                     };
                     written.unwrap()
                 };
@@ -405,7 +409,7 @@ mod tests {
                         let ctx = format!("CRASH_SEED={seed} warm {warm} page {page} child {slot} -> {wild:#x}");
                         let mut rotted = node.clone();
                         rotted.children[slot] = wild;
-                        write(&Node::Internal(rotted).encode(PAGE));
+                        write(Node::Internal(rotted).encode(PAGE));
                         if !warm {
                             tree.simulate_crash();
                         }
@@ -433,7 +437,7 @@ mod tests {
                         }
                     }
                 }
-                write(&image);
+                write(PageImage::clone(&image));
             }
             // Healed; the full scan leaves every internal node in the pool
             // for the warm pass.

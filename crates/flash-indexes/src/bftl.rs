@@ -228,8 +228,8 @@ impl Bftl {
         }
         // BFTL commits its log pages one sector at a time (it is not parallelism
         // aware), so the pages are written individually.
-        for (page, image) in &writes {
-            self.store.write_page(*page, image)?;
+        for (page, image) in writes {
+            self.store.write_page(page, image.into())?;
         }
         // Compact or split nodes whose lists or populations grew too large.
         let nodes_touched: Vec<usize> = {
@@ -325,7 +325,7 @@ impl Bftl {
                     image[off + 16] = 1;
                     image[off + 17..off + 24].copy_from_slice(&(target_node as u64).to_le_bytes()[..7]);
                 }
-                self.store.write_page(page, &image)?;
+                self.store.write_page(page, image.into())?;
                 pages.push(page);
             }
             // The old log pages are dropped from this node's list but NOT freed: a log

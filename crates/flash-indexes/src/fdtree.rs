@@ -183,8 +183,8 @@ impl FdTree {
         }
         // Merges write their output sequentially; model that as page-at-a-time writes
         // (sequential, not parallel — FD-tree predates psync I/O).
-        for (page, image) in &writes {
-            self.store.write_page(*page, image)?;
+        for (page, image) in writes {
+            self.store.write_page(page, image.into())?;
         }
         Ok(level)
     }

@@ -28,10 +28,11 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One unit of worker work: a single positional read or write.
+/// One unit of worker work: a single positional read or write. A write's
+/// `data` is its request's shared image, or a copy of borrowed bytes.
 enum Job {
     Read { offset: u64, len: usize, slot: usize },
-    Write { offset: u64, data: Vec<u8> },
+    Write { offset: u64, data: Arc<[u8]> },
 }
 
 /// The shared job queue (guarded by [`FilePoolShared::jobs`]).
@@ -312,7 +313,7 @@ impl IoQueue for FileThreadPoolIo {
             .iter()
             .map(|r| Job::Write {
                 offset: r.offset,
-                data: r.data.to_vec(),
+                data: r.to_image(),
             })
             .collect();
         let bytes = reqs.iter().map(|r| r.data.len() as u64).sum();

@@ -143,10 +143,7 @@ impl IoQueue for PartitionIo {
         for r in reqs {
             self.check(r.offset, r.data.len() as u64)?;
         }
-        let translated: Vec<WriteRequest<'_>> = reqs
-            .iter()
-            .map(|r| WriteRequest::new(self.base + r.offset, r.data))
-            .collect();
+        let translated: Vec<WriteRequest<'_>> = reqs.iter().map(|r| r.at(self.base + r.offset)).collect();
         let ticket = self.inner.submit_write(&translated)?;
         self.note_submitted(&ticket, 0, reqs.len() as u64);
         Ok(ticket)

@@ -75,8 +75,9 @@ pub struct Completion {
 
 /// A fresh, unshared, zero-filled image of `len` bytes, in one allocation —
 /// what a backend fills in place (through [`Arc::get_mut`]) before handing it
-/// out in a [`Completion`].
-pub(crate) fn zeroed_image(len: usize) -> Arc<[u8]> {
+/// out in a [`Completion`], and what a writer encodes a page into before it
+/// submits the image with [`WriteRequest::shared`].
+pub fn zeroed_image(len: usize) -> Arc<[u8]> {
     std::iter::repeat_n(0u8, len).collect()
 }
 
@@ -123,8 +124,10 @@ pub trait IoQueue: Send + Sync {
     /// shared image per request, in request order.
     fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket>;
 
-    /// Submits a write batch. The data is captured at submission (the slices can be
-    /// reused immediately); the batch is durable when its completion is reaped.
+    /// Submits a write batch. The data is captured at submission — borrowed bytes
+    /// are written or copied, a shared image ([`WriteRequest::shared`]) may be kept
+    /// by reference — so the slices can be reused immediately; the batch is
+    /// durable when its completion is reaped.
     fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket>;
 
     /// Blocks until the ticketed batch has completed and returns its completion.

@@ -3,7 +3,8 @@
 //! A transient device error — an interrupted syscall, a momentarily saturated
 //! backend, an injected fault from [`crate::fault`] — should cost a retry, not
 //! poison a whole batch and the engine call above it. [`ResilientIo`] wraps any
-//! [`IoQueue`] and owns a copy of every submitted batch, so a failure that
+//! [`IoQueue`] and keeps every submitted batch — a shared image by another
+//! reference to it, borrowed bytes by a copy — so a failure that
 //! [`IoError::is_retryable`] classifies as transient is resubmitted up to
 //! [`RetryPolicy::retry_limit`] times with exponential backoff, whether the
 //! failure surfaces at submission or at completion. Non-retryable errors pass
@@ -72,10 +73,12 @@ impl RetryPolicy {
     }
 }
 
-/// An owned copy of a submitted batch, kept so it can be resubmitted verbatim.
+/// A submitted batch, kept so it can be resubmitted verbatim. A write keeps
+/// each request's bytes as a shared image ([`WriteRequest::to_image`]): what
+/// a caller later does to its own buffer cannot change what a retry writes.
 enum OwnedBatch {
     Read(Vec<ReadRequest>),
-    Write(Vec<(u64, Vec<u8>)>),
+    Write(Vec<(u64, Arc<[u8]>)>),
 }
 
 impl OwnedBatch {
@@ -83,11 +86,11 @@ impl OwnedBatch {
         match self {
             OwnedBatch::Read(reqs) => inner.submit_read(reqs),
             OwnedBatch::Write(reqs) => {
-                let borrowed: Vec<WriteRequest<'_>> = reqs
+                let shared: Vec<WriteRequest<'_>> = reqs
                     .iter()
-                    .map(|(offset, data)| WriteRequest::new(*offset, data))
+                    .map(|(offset, image)| WriteRequest::shared(*offset, image))
                     .collect();
-                inner.submit_write(&borrowed)
+                inner.submit_write(&shared)
             }
         }
     }
@@ -211,7 +214,7 @@ impl IoQueue for ResilientIo {
             return self.inner.submit_write(reqs);
         }
         self.submit(OwnedBatch::Write(
-            reqs.iter().map(|r| (r.offset, r.data.to_vec())).collect(),
+            reqs.iter().map(|r| (r.offset, r.to_image())).collect(),
         ))
     }
 
@@ -457,6 +460,93 @@ mod tests {
             TryComplete::Pending(t) => io.wait(t).unwrap(),
         };
         assert_eq!(&c.buffers[0][..], vec![4u8; 4096]);
+    }
+
+    /// A write of a shared image is retried by another reference to the
+    /// image — never a copy — and what lands is exactly its bytes.
+    #[test]
+    fn a_shared_image_write_is_retried_by_reference_and_lands_whole() {
+        let (io, clock) = resilient(RetryPolicy {
+            retry_limit: 16,
+            deadline_us: u64::MAX,
+            ..RetryPolicy::default()
+        });
+        clock.arm_transient(TransientFaults {
+            seed: 3,
+            write_error_rate: 0.5,
+            ..TransientFaults::default()
+        });
+        for i in 0..20u64 {
+            let image: Arc<[u8]> = (0..4096u64).map(|b| (b * 7 + i) as u8).collect();
+            let ticket = io.submit_write(&[WriteRequest::shared(i * 4096, &image)]).unwrap();
+            assert_eq!(Arc::strong_count(&image), 2, "the flight keeps a reference, not a copy");
+            io.wait(ticket).unwrap();
+            assert_eq!(Arc::strong_count(&image), 1, "and lets it go at completion");
+            assert_eq!(io.read_at(i * 4096, 4096).unwrap(), image, "write {i}");
+        }
+        assert!(
+            clock.transient_counts().write_errors > 0,
+            "the plan failed some submissions"
+        );
+        assert!(io.io_stats().retries > 0);
+        assert_eq!(io.io_stats().give_ups, 0);
+    }
+
+    /// Fails the next completion it reaps with a retryable error, after the
+    /// batch has reached the device — a lost acknowledgement.
+    struct LostCompletion {
+        inner: Arc<dyn IoQueue>,
+        fail_next: std::sync::atomic::AtomicBool,
+    }
+
+    impl IoQueue for LostCompletion {
+        fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket> {
+            self.inner.submit_read(reqs)
+        }
+
+        fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
+            self.inner.submit_write(reqs)
+        }
+
+        fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
+            let done = self.inner.wait(ticket)?;
+            if self.fail_next.swap(false, Ordering::Relaxed) {
+                let lost = std::io::Error::new(std::io::ErrorKind::Interrupted, "completion lost");
+                return Err(IoError::Os(lost));
+            }
+            Ok(done)
+        }
+
+        fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
+            self.inner.try_complete(ticket)
+        }
+
+        fn io_stats(&self) -> IoStats {
+            self.inner.io_stats()
+        }
+
+        fn reset_io_stats(&self) {
+            self.inner.reset_io_stats()
+        }
+    }
+
+    /// A borrowed write is retried from the wrapper's own copy: the caller
+    /// may reuse its buffer the moment `submit_write` returns, and the retry
+    /// still writes the bytes that were submitted.
+    #[test]
+    fn a_borrowed_write_is_retried_from_its_own_copy() {
+        let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 20));
+        let lost = LostCompletion {
+            inner: Arc::clone(&sim),
+            fail_next: true.into(),
+        };
+        let io = ResilientIo::new(Arc::new(lost), RetryPolicy::default());
+        let mut buffer = vec![5u8; 4096];
+        let ticket = io.submit_write(&[WriteRequest::new(0, &buffer)]).unwrap();
+        buffer.fill(6);
+        io.wait(ticket).unwrap();
+        assert_eq!(io.io_stats().retries, 1, "the lost completion was retried");
+        assert_eq!(&sim.read_at(0, 4096).unwrap()[..], &[5u8; 4096][..]);
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! Reads return [`PageImage`]s — shared, immutable images. **Hits are shared,
 //! writes replace**: a hit hands out another reference to the image the cache
 //! holds (no copy), a miss admits the image the device filled — the very
-//! image it returns, never a copy of it — and a write,
+//! image it returns, never a copy of it — a page write installs the very
+//! image its caller handed to the device, and a write,
 //! refresh, eviction, free or [`CachedStore::drop_cache`] only ever swaps or
 //! drops the cache's own reference. A caller may therefore keep an image as
 //! long as it likes (bupdate keeps its Phase-A images as undo pre-images); it
@@ -374,19 +375,21 @@ impl CachedStore {
     /// hand. A completion failure leaves the device state unknown either way —
     /// the stale checksum then makes the next read of the range fail
     /// verification, which is the conservative outcome.
-    fn submit_to_device(&self, images: &[(PageId, &[u8])]) -> IoResult<WriteTicket> {
-        for (first, data) in images {
-            self.integrity.record(*first, data, self.page_size());
+    fn submit_to_device(&self, images: &[(PageId, PageImage)]) -> IoResult<WriteTicket> {
+        for (first, image) in images {
+            self.integrity.record(*first, image, self.page_size());
         }
         self.store.submit_write(images)
     }
 
     /// Writes a call's dirty victims back, in eviction order, as one batch.
     fn write_back(&self, victims: Vec<Evicted>) -> IoResult<()> {
-        let dirty: Vec<(PageId, &[u8])> = victims
+        // Collected from a borrow, not in place: a list with no dirty victim
+        // (every read's) must cost no reallocation of `victims`.
+        let dirty: Vec<(PageId, PageImage)> = victims
             .iter()
             .filter(|v| v.dirty)
-            .map(|v| (v.page, &v.data[..]))
+            .map(|v| (v.page, PageImage::clone(&v.data)))
             .collect();
         if dirty.is_empty() {
             return Ok(());
@@ -404,30 +407,37 @@ impl CachedStore {
     /// go to the device and are never installed; a call of only those stays
     /// in flight until [`CachedStore::complete_write`].
     ///
+    /// The images are shared, never copied: the device stack is handed each
+    /// one as it is ([`PageStore::submit_write`]), and the page class
+    /// installs the very image that went to the device — one allocation per
+    /// written page, the caller's. A caller must not change an image after
+    /// handing it in (an `Arc` it still holds is shared, so
+    /// [`std::sync::Arc::get_mut`] refuses anyway).
+    ///
     /// Ordering: the simulated backends apply the data at submission, so a read
     /// issued while the write is in flight sees the new bytes. The real-file
     /// backend gives **no** order between an in-flight write and a later read —
     /// callers must not read pages overlapped by a write they have not completed
     /// yet (the tree's pipelines only overlap batches on disjoint pages).
-    pub fn submit_write(&self, images: &[(PageId, &[u8])]) -> IoResult<CachedWriteTicket> {
+    pub fn submit_write(&self, images: &[(PageId, PageImage)]) -> IoResult<CachedWriteTicket> {
         let page_size = self.page_size();
-        let is_page = |data: &[u8]| data.len() == page_size;
+        let is_page = |image: &PageImage| image.len() == page_size;
         {
             let mut caches = self.caches.lock();
-            for (first, data) in images {
-                let n = (data.len() / page_size) as u64;
+            for (first, image) in images {
+                let n = (image.len() / page_size) as u64;
                 if let Some(regions) = caches.regions.as_mut() {
                     regions.invalidate_range(*first, n);
                 }
-                if !is_page(data) {
+                if !is_page(image) {
                     caches.pages.invalidate_range(*first, n);
                 }
             }
         }
         let keep_dirty = self.policy == WritePolicy::WriteBack;
-        let regions_only: Vec<(PageId, &[u8])>;
+        let regions_only: Vec<(PageId, PageImage)>;
         let to_device = if keep_dirty {
-            regions_only = images.iter().filter(|(_, d)| !is_page(d)).copied().collect();
+            regions_only = images.iter().filter(|(_, d)| !is_page(d)).cloned().collect();
             &regions_only[..]
         } else {
             images
@@ -443,10 +453,10 @@ impl CachedStore {
             let mut victims = Vec::new();
             {
                 let mut caches = self.caches.lock();
-                for (page, data) in images.iter().filter(|(_, d)| is_page(d)) {
+                for (page, image) in images.iter().filter(|(_, d)| is_page(d)) {
                     caches
                         .pages
-                        .install(*page, 1, PageImage::from(*data), keep_dirty, &mut victims);
+                        .install(*page, 1, PageImage::clone(image), keep_dirty, &mut victims);
                 }
             }
             self.write_back(victims)?;
@@ -460,13 +470,13 @@ impl CachedStore {
     }
 
     /// Writes one page (or region) image.
-    pub fn write_page(&self, page: PageId, data: &[u8]) -> IoResult<()> {
-        self.write_pages(&[(page, data)])
+    pub fn write_page(&self, page: PageId, image: PageImage) -> IoResult<()> {
+        self.write_pages(&[(page, image)])
     }
 
     /// Writes many page or region images; everything bound for the device
     /// goes in a single psync call.
-    pub fn write_pages(&self, images: &[(PageId, &[u8])]) -> IoResult<()> {
+    pub fn write_pages(&self, images: &[(PageId, PageImage)]) -> IoResult<()> {
         self.complete_write(self.submit_write(images)?)
     }
 
@@ -479,8 +489,7 @@ impl CachedStore {
         if dirty.is_empty() {
             return Ok(());
         }
-        let refs: Vec<(PageId, &[u8])> = dirty.iter().map(|(p, d)| (*p, &d[..])).collect();
-        self.store.complete_write(self.submit_to_device(&refs)?)
+        self.store.complete_write(self.submit_to_device(&dirty)?)
     }
 
     /// Drops every cached entry of both classes without writing anything
@@ -559,7 +568,7 @@ impl CachedStore {
             let cached = self.caches.lock().pages.peek(page);
             if let Some(copy) = cached {
                 if page_checksum(&copy) == expected {
-                    self.store.write_page(page, &copy)?;
+                    self.store.write_page(page, copy)?;
                     self.integrity.count(|s| s.scrub_healed += 1);
                     report.healed += 1;
                 }
@@ -596,7 +605,7 @@ mod tests {
     fn read_through_and_hit() {
         let c = cached(WritePolicy::WriteThrough, 16);
         let p = c.allocate();
-        c.write_page(p, &vec![7u8; 4096]).unwrap();
+        c.write_page(p, vec![7u8; 4096].into()).unwrap();
         let io_before = c.store().stats().page_reads;
         assert_eq!(c.read_page(p).unwrap()[0], 7);
         assert_eq!(c.store().stats().page_reads, io_before, "should be a pool hit");
@@ -609,11 +618,11 @@ mod tests {
         let p1 = c.allocate();
         let p2 = c.allocate();
         let p3 = c.allocate();
-        c.write_page(p1, &vec![1u8; 4096]).unwrap();
-        c.write_page(p2, &vec![2u8; 4096]).unwrap();
+        c.write_page(p1, vec![1u8; 4096].into()).unwrap();
+        c.write_page(p2, vec![2u8; 4096].into()).unwrap();
         assert_eq!(c.store().stats().page_writes, 0, "write-back: nothing written yet");
         // Third write evicts the LRU dirty page → one write-back.
-        c.write_page(p3, &vec![3u8; 4096]).unwrap();
+        c.write_page(p3, vec![3u8; 4096].into()).unwrap();
         assert_eq!(c.store().stats().page_writes, 1);
         c.flush().unwrap();
         // Remaining two dirty pages written by the flush.
@@ -629,7 +638,7 @@ mod tests {
     fn write_through_writes_immediately() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![9u8; 4096]).unwrap();
+        c.write_page(p, vec![9u8; 4096].into()).unwrap();
         assert_eq!(c.store().stats().page_writes, 1);
     }
 
@@ -638,7 +647,7 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 8);
         let pages: Vec<PageId> = (0..6).map(|_| c.allocate()).collect();
         for &p in &pages {
-            c.write_page(p, &vec![p as u8; 4096]).unwrap();
+            c.write_page(p, vec![p as u8; 4096].into()).unwrap();
         }
         c.drop_cache();
         // warm up half of them
@@ -662,7 +671,7 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 16);
         let first = c.allocate_contiguous(4);
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 253) as u8).collect();
-        c.write_page(first, &img).unwrap();
+        c.write_page(first, img.as_slice().into()).unwrap();
         assert_eq!(point_region(&c, first, 4), img);
         // Regions never enter the page class and the region class is disabled,
         // so a second read hits the device again — without counting anything.
@@ -678,12 +687,12 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 16);
         let first = c.allocate_contiguous(2);
         let old = vec![1u8; 2 * 4096];
-        c.write_page(first, &old).unwrap();
+        c.write_page(first, old.into()).unwrap();
         // Cache the second page individually.
         assert_eq!(c.read_page(first + 1).unwrap()[0], 1);
         // Overwrite the whole region; the cached page copy must not survive.
         let new = vec![9u8; 2 * 4096];
-        c.write_page(first, &new).unwrap();
+        c.write_page(first, new.into()).unwrap();
         assert_eq!(c.read_page(first + 1).unwrap()[0], 9);
     }
 
@@ -691,8 +700,8 @@ mod tests {
     fn page_writes_are_visible_to_region_reads() {
         let c = cached(WritePolicy::WriteThrough, 16);
         let first = c.allocate_contiguous(2);
-        c.write_page(first, &vec![3u8; 2 * 4096]).unwrap();
-        c.write_page(first + 1, &vec![7u8; 4096]).unwrap();
+        c.write_page(first, vec![3u8; 2 * 4096].into()).unwrap();
+        c.write_page(first + 1, vec![7u8; 4096].into()).unwrap();
         let region = point_region(&c, first, 2);
         assert_eq!(region[4096], 7, "region read must see the page write");
         assert_eq!(region[0], 3);
@@ -705,7 +714,8 @@ mod tests {
         let b = c.allocate_contiguous(2);
         let da = vec![1u8; 2 * 4096];
         let db = vec![2u8; 2 * 4096];
-        c.write_pages(&[(a, &da), (b, &db)]).unwrap();
+        c.write_pages(&[(a, da.as_slice().into()), (b, db.as_slice().into())])
+            .unwrap();
         c.drop_cache();
         let before = c.store().stats().read_batches;
         let out = c.read_regions(&[(a, 2), (b, 2)]).unwrap();
@@ -722,7 +732,7 @@ mod tests {
     fn free_drops_cached_copy() {
         let c = cached(WritePolicy::WriteBack, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![5u8; 4096]).unwrap();
+        c.write_page(p, vec![5u8; 4096].into()).unwrap();
         c.free(p);
         c.flush().unwrap();
         assert_eq!(
@@ -738,7 +748,7 @@ mod tests {
         c.set_leaf_cache(16);
         let first = c.allocate_contiguous(4);
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 251) as u8).collect();
-        c.write_page(first, &img).unwrap();
+        c.write_page(first, img.as_slice().into()).unwrap();
         assert_eq!(point_region(&c, first, 4), img);
         let before = c.store().stats().page_reads;
         assert_eq!(point_region(&c, first, 4), img);
@@ -760,8 +770,8 @@ mod tests {
         c.set_leaf_cache(16);
         let a = c.allocate_contiguous(2);
         let b = c.allocate_contiguous(2);
-        c.write_page(a, &vec![1u8; 2 * 4096]).unwrap();
-        c.write_page(b, &vec![2u8; 2 * 4096]).unwrap();
+        c.write_page(a, vec![1u8; 2 * 4096].into()).unwrap();
+        c.write_page(b, vec![2u8; 2 * 4096].into()).unwrap();
         // Scan miss: fetched but not admitted.
         read_region(&c, a, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.leaf_cache_stats().scan_bypasses, 1);
@@ -776,7 +786,7 @@ mod tests {
         // The page class ignores the hint: a scan-hinted single page is
         // admitted like any other.
         let p = c.allocate();
-        c.store().write_page(p, &vec![3u8; 4096]).unwrap();
+        c.store().write_page(p, vec![3u8; 4096].into()).unwrap();
         read_region(&c, p, 1, AccessHint::Scan).unwrap();
         let before = c.store().stats().page_reads;
         read_region(&c, p, 1, AccessHint::Scan).unwrap();
@@ -789,20 +799,20 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 16);
         c.set_leaf_cache(32);
         let r = c.allocate_contiguous(2);
-        c.write_page(r, &vec![1u8; 2 * 4096]).unwrap();
+        c.write_page(r, vec![1u8; 2 * 4096].into()).unwrap();
         point_region(&c, r, 2); // admit
                                 // A single-page write *inside* the region (bupdate's segment append).
-        c.write_page(r + 1, &vec![9u8; 4096]).unwrap();
+        c.write_page(r + 1, vec![9u8; 4096].into()).unwrap();
         let img = point_region(&c, r, 2);
         assert_eq!(img[4096], 9, "stale region served after page write");
         // A region overwrite is written around the cache, not installed.
-        c.write_page(r, &vec![7u8; 2 * 4096]).unwrap();
+        c.write_page(r, vec![7u8; 2 * 4096].into()).unwrap();
         let before = c.store().stats().page_reads;
         assert_eq!(point_region(&c, r, 2)[0], 7);
         assert_eq!(c.store().stats().page_reads, before + 2, "region writes never install");
         // A batched page write.
         let data = vec![5u8; 4096];
-        c.write_pages(&[(r, data.as_slice())]).unwrap();
+        c.write_pages(&[(r, data.into())]).unwrap();
         assert_eq!(point_region(&c, r, 2)[0], 5);
         // Freeing a page inside the region.
         c.free(r + 1);
@@ -828,7 +838,7 @@ mod tests {
     fn zero_sized_pool_still_works() {
         let c = cached(WritePolicy::WriteThrough, 0);
         let p = c.allocate();
-        c.write_page(p, &vec![4u8; 4096]).unwrap();
+        c.write_page(p, vec![4u8; 4096].into()).unwrap();
         assert_eq!(c.read_page(p).unwrap()[0], 4);
         assert_eq!(c.pool_stats().hits, 0);
         assert_eq!(c.pool_stats().misses, 1, "a zero-budget page class still counts misses");
@@ -840,8 +850,8 @@ mod tests {
         c.set_leaf_cache(16);
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
-        c.write_page(r, &vec![1u8; 2 * 4096]).unwrap();
-        c.write_page(p, &vec![2u8; 4096]).unwrap();
+        c.write_page(r, vec![1u8; 2 * 4096].into()).unwrap();
+        c.write_page(p, vec![2u8; 4096].into()).unwrap();
         c.drop_cache();
         let before = c.store().stats();
         let out = c.read_regions(&[(r, 2), (p, 1)]).unwrap();
@@ -867,7 +877,7 @@ mod tests {
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
         let before = c.store().stats().write_batches;
-        c.write_pages(&[(r, &vec![1u8; 2 * 4096]), (p, &vec![2u8; 4096])])
+        c.write_pages(&[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())])
             .unwrap();
         assert_eq!(
             c.store().stats().write_batches - before,
@@ -886,7 +896,7 @@ mod tests {
         let c = cached(WritePolicy::WriteBack, 4);
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
-        c.write_pages(&[(r, &vec![1u8; 2 * 4096]), (p, &vec![2u8; 4096])])
+        c.write_pages(&[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())])
             .unwrap();
         assert_eq!(c.store().stats().page_writes, 2, "only the region reached the device");
         c.flush().unwrap();
@@ -897,14 +907,14 @@ mod tests {
     fn rot(c: &CachedStore, page: PageId, byte: usize) {
         let mut img = c.store().read_page(page).unwrap();
         Arc::make_mut(&mut img)[byte] ^= 0x40;
-        c.store().write_page(page, &img).unwrap();
+        c.store().write_page(page, img).unwrap();
     }
 
     #[test]
     fn persistent_rot_surfaces_as_corruption_not_bad_data() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![7u8; 4096]).unwrap();
+        c.write_page(p, vec![7u8; 4096].into()).unwrap();
         c.drop_cache();
         rot(&c, p, 100);
         let err = c.read_page(p).unwrap_err();
@@ -924,11 +934,11 @@ mod tests {
     fn rewriting_a_rotted_page_clears_the_fault() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![7u8; 4096]).unwrap();
+        c.write_page(p, vec![7u8; 4096].into()).unwrap();
         c.drop_cache();
         rot(&c, p, 0);
         assert!(c.read_page(p).is_err());
-        c.write_page(p, &vec![8u8; 4096]).unwrap();
+        c.write_page(p, vec![8u8; 4096].into()).unwrap();
         c.drop_cache();
         assert_eq!(c.read_page(p).unwrap()[0], 8);
     }
@@ -937,7 +947,7 @@ mod tests {
     fn region_reads_verify_checksums_too() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let first = c.allocate_contiguous(3);
-        c.write_page(first, &vec![3u8; 3 * 4096]).unwrap();
+        c.write_page(first, vec![3u8; 3 * 4096].into()).unwrap();
         rot(&c, first + 1, 17);
         let err = read_region(&c, first, 3, AccessHint::Point).unwrap_err();
         match err {
@@ -952,7 +962,7 @@ mod tests {
     fn write_back_records_checksums_when_pages_reach_the_device() {
         let c = cached(WritePolicy::WriteBack, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![5u8; 4096]).unwrap();
+        c.write_page(p, vec![5u8; 4096].into()).unwrap();
         assert_eq!(c.tracked_pages(), 0, "dirty page not on the device yet");
         c.flush().unwrap();
         assert_eq!(c.tracked_pages(), 1);
@@ -965,7 +975,7 @@ mod tests {
     fn free_drops_the_checksum_entry() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![1u8; 4096]).unwrap();
+        c.write_page(p, vec![1u8; 4096].into()).unwrap();
         assert_eq!(c.tracked_pages(), 1);
         c.free(p);
         assert_eq!(c.tracked_pages(), 0);
@@ -978,7 +988,7 @@ mod tests {
     fn reads_past_the_high_water_mark_are_corruption() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let first = c.allocate_contiguous(3);
-        c.write_pages(&[(first, &vec![7u8; 3 * 4096][..])]).unwrap();
+        c.write_pages(&[(first, vec![7u8; 3 * 4096].into())]).unwrap();
         let high_water = c.store().high_water_pages();
         assert_eq!(high_water, 3);
         for (page, n) in [
@@ -1008,7 +1018,7 @@ mod tests {
         let c = cached(WritePolicy::WriteThrough, 8);
         let pages: Vec<PageId> = (0..4).map(|_| c.allocate()).collect();
         for &p in &pages {
-            c.write_page(p, &vec![p as u8 + 1; 4096]).unwrap();
+            c.write_page(p, vec![p as u8 + 1; 4096].into()).unwrap();
         }
         // The pool still holds clean copies of everything; rot one device copy.
         rot(&c, pages[2], 40);
@@ -1039,7 +1049,7 @@ mod tests {
     fn scrub_flags_unhealable_rot_but_keeps_the_checksum() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let p = c.allocate();
-        c.write_page(p, &vec![6u8; 4096]).unwrap();
+        c.write_page(p, vec![6u8; 4096].into()).unwrap();
         c.drop_cache(); // no pooled copy → nothing to heal from
         rot(&c, p, 0);
         let pool = c.pool_stats();
@@ -1059,6 +1069,22 @@ mod tests {
         assert!(r.wrapped);
     }
 
+    /// A page write installs the very image its caller handed in — the one
+    /// the device stack was given — under either policy, and the device ends
+    /// up with its bytes.
+    #[test]
+    fn a_page_write_installs_the_callers_image() {
+        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+            let c = cached(policy, 4);
+            let p = c.allocate();
+            let image: PageImage = vec![3u8; 4096].into();
+            c.write_page(p, PageImage::clone(&image)).unwrap();
+            assert!(Arc::ptr_eq(&c.read_page(p).unwrap(), &image), "{policy:?}");
+            c.flush().unwrap();
+            assert_eq!(c.store().read_page(p).unwrap(), image, "{policy:?}");
+        }
+    }
+
     /// Hits are shared, writes replace: an image a read handed out is a
     /// snapshot. Nothing that later happens to the page — a page write, a
     /// region write over it, a free, an eviction, `drop_cache` — changes the
@@ -1068,36 +1094,36 @@ mod tests {
         for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
             let c = cached(policy, 4);
             c.set_leaf_cache(8);
-            let filled = |byte: u8, pages: usize| vec![byte; pages * 4096];
+            let filled = |byte: u8, pages: usize| PageImage::from(vec![byte; pages * 4096]);
             let all = |image: &[u8], byte: u8| image.iter().all(|&b| b == byte);
 
             // A page: two hits share one image; a write installs another.
             let p = c.allocate();
-            c.write_page(p, &filled(1, 1)).unwrap();
+            c.write_page(p, filled(1, 1)).unwrap();
             let held = c.read_page(p).unwrap();
             assert!(
                 Arc::ptr_eq(&held, &c.read_page(p).unwrap()),
                 "a hit is a shared reference"
             );
-            c.write_page(p, &filled(2, 1)).unwrap();
+            c.write_page(p, filled(2, 1)).unwrap();
             assert!(all(&held, 1), "{policy:?}: page write under a held image");
             assert!(all(&c.read_page(p).unwrap(), 2));
 
             // A region: the miss admits the image it returns; a page write
             // inside it and a region write over it both leave it alone.
             let r = c.allocate_contiguous(2);
-            c.write_page(r, &filled(3, 2)).unwrap();
+            c.write_page(r, filled(3, 2)).unwrap();
             let held_region = read_region(&c, r, 2, AccessHint::Point).unwrap();
             assert!(Arc::ptr_eq(
                 &held_region,
                 &read_region(&c, r, 2, AccessHint::Point).unwrap()
             ));
-            c.write_page(r + 1, &filled(4, 1)).unwrap();
+            c.write_page(r + 1, filled(4, 1)).unwrap();
             c.flush().unwrap();
             assert!(all(&held_region, 3), "{policy:?}: page write inside a held region");
             let reread = point_region(&c, r, 2);
             assert!(all(&reread[..4096], 3) && all(&reread[4096..], 4));
-            c.write_page(r, &filled(5, 2)).unwrap();
+            c.write_page(r, filled(5, 2)).unwrap();
             assert!(all(&held_region, 3), "{policy:?}: region write over a held region");
             assert!(all(&point_region(&c, r, 2), 5));
 
@@ -1105,7 +1131,7 @@ mod tests {
             let held = c.read_page(p).unwrap();
             for _ in 0..6 {
                 let other = c.allocate();
-                c.write_page(other, &filled(9, 1)).unwrap();
+                c.write_page(other, filled(9, 1)).unwrap();
             }
             assert!(all(&held, 2), "{policy:?}: eviction under a held image");
             assert!(
@@ -1128,10 +1154,10 @@ mod tests {
     fn write_back_eviction_of_a_shared_dirty_image_writes_the_right_bytes() {
         let c = cached(WritePolicy::WriteBack, 1);
         let (p, q) = (c.allocate(), c.allocate());
-        c.write_page(p, &vec![6u8; 4096]).unwrap();
+        c.write_page(p, vec![6u8; 4096].into()).unwrap();
         let held = c.read_page(p).unwrap();
         assert_eq!(c.store().stats().page_writes, 0, "still only in the pool");
-        c.write_page(q, &vec![7u8; 4096]).unwrap();
+        c.write_page(q, vec![7u8; 4096].into()).unwrap();
         assert_eq!(c.store().stats().page_writes, 1, "the dirty victim was written back");
         assert!(c.store().read_page(p).unwrap().iter().all(|&b| b == 6));
         assert!(held.iter().all(|&b| b == 6));

@@ -42,6 +42,6 @@ pub mod wal;
 pub use cache::{AccessHint, Cache, CacheStats, Evicted};
 pub use cached::{CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy};
 pub use integrity::{IntegrityStats, ScrubReport};
-pub use page::{PageId, PageImage, INVALID_PAGE};
+pub use page::{new_image, PageId, PageImage, INVALID_PAGE};
 pub use store::{PageStore, ReadTicket, StoreStats, WriteTicket};
 pub use wal::{Lsn, Wal, WalRecord, WalScan};

@@ -15,6 +15,16 @@ pub const INVALID_PAGE: PageId = u64::MAX;
 /// holds never change.
 pub type PageImage = std::sync::Arc<[u8]>;
 
+/// A new image of `len` bytes: zeroed, then written in place by `write`
+/// before anything else can see it — one allocation, no copy. This is how a
+/// page to be written is encoded: the image goes to the device and into the
+/// cache as it is.
+pub fn new_image(len: usize, write: impl FnOnce(&mut [u8])) -> PageImage {
+    let mut image = pio::zeroed_image(len);
+    write(PageImage::get_mut(&mut image).expect("a new image is unshared"));
+    image
+}
+
 /// Returns the byte offset of `page` in a store with `page_size`-byte pages.
 /// A page id too large to have an offset (only a rotted pointer is) saturates
 /// to `u64::MAX`, which every backend's bounds check rejects — it must never
@@ -35,6 +45,12 @@ mod tests {
         // 2^52 pages of 4 KiB would wrap to offset 0.
         assert_eq!(page_offset(1 << 52, 4096), u64::MAX);
         assert_eq!(page_offset(u64::MAX, 2048), u64::MAX);
+    }
+
+    #[test]
+    fn a_new_image_is_zeroed_and_then_written() {
+        let image = new_image(8, |buf| buf[2] = 7);
+        assert_eq!(&image[..], &[0, 0, 7, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -192,12 +192,12 @@ impl PageStore {
     }
 
     /// Writes one page image.
-    pub fn write_page(&self, page: PageId, data: &[u8]) -> IoResult<()> {
-        self.write_pages(&[(page, data)])
+    pub fn write_page(&self, page: PageId, image: PageImage) -> IoResult<()> {
+        self.write_pages(&[(page, image)])
     }
 
     /// Writes several page or region images with one psync call.
-    pub fn write_pages(&self, images: &[(PageId, &[u8])]) -> IoResult<()> {
+    pub fn write_pages(&self, images: &[(PageId, PageImage)]) -> IoResult<()> {
         self.complete_write(self.submit_write(images)?)
     }
 
@@ -234,18 +234,20 @@ impl PageStore {
     }
 
     /// Submits one write batch without waiting for it: each `(first_page,
-    /// image)` entry, a whole number of pages long, becomes one request. The
-    /// images are captured at submission; durability is observed by
+    /// image)` entry, a whole number of pages long, becomes one request that
+    /// carries the shared image ([`WriteRequest::shared`]) — a layer below
+    /// that keeps the bytes (a retry, a worker thread) takes another
+    /// reference, not a copy. Durability is observed by
     /// [`PageStore::complete_write`].
-    pub fn submit_write(&self, images: &[(PageId, &[u8])]) -> IoResult<WriteTicket> {
+    pub fn submit_write(&self, images: &[(PageId, PageImage)]) -> IoResult<WriteTicket> {
         let reqs: Vec<WriteRequest> = images
             .iter()
-            .map(|(p, data)| {
+            .map(|(p, image)| {
                 assert!(
-                    !data.is_empty() && data.len() % self.page_size == 0,
+                    !image.is_empty() && image.len() % self.page_size == 0,
                     "a written image must be a whole number of pages"
                 );
-                WriteRequest::new(page_offset(*p, self.page_size), data)
+                WriteRequest::shared(page_offset(*p, self.page_size), image)
             })
             .collect();
         let ticket = self.io.submit_write(&reqs)?;
@@ -305,7 +307,7 @@ mod tests {
         let p = s.allocate();
         let mut img = vec![0u8; 4096];
         img[..4].copy_from_slice(b"page");
-        s.write_page(p, &img).unwrap();
+        s.write_page(p, img.as_slice().into()).unwrap();
         assert_eq!(&s.read_page(p).unwrap()[..], img);
     }
 
@@ -314,7 +316,11 @@ mod tests {
         let s = store(2048);
         let pages: Vec<PageId> = (0..16).map(|_| s.allocate()).collect();
         let images: Vec<Vec<u8>> = pages.iter().map(|&p| vec![p as u8; 2048]).collect();
-        let writes: Vec<(PageId, &[u8])> = pages.iter().zip(&images).map(|(&p, d)| (p, d.as_slice())).collect();
+        let writes: Vec<(PageId, PageImage)> = pages
+            .iter()
+            .zip(&images)
+            .map(|(&p, d)| (p, d.as_slice().into()))
+            .collect();
         s.write_pages(&writes).unwrap();
         let regions: Vec<(PageId, u64)> = pages.iter().map(|&p| (p, 1)).collect();
         let read_back = s.read_regions(&regions).unwrap();
@@ -330,7 +336,7 @@ mod tests {
         let s = store(2048);
         let first = s.allocate_contiguous(4);
         let data: Vec<u8> = (0..4 * 2048u32).map(|i| (i % 255) as u8).collect();
-        s.write_pages(&[(first, &data)]).unwrap();
+        s.write_pages(&[(first, data.as_slice().into())]).unwrap();
         let read_back = s.read_regions(&[(first, 4)]).unwrap();
         assert_eq!(
             read_back.iter().map(|image| &image[..]).collect::<Vec<_>>(),
@@ -347,7 +353,8 @@ mod tests {
         let b = s.allocate_contiguous(3);
         let da = vec![1u8; 2 * 2048];
         let db = vec![2u8; 3 * 2048];
-        s.write_pages(&[(a, &da), (b, &db)]).unwrap();
+        s.write_pages(&[(a, da.as_slice().into()), (b, db.as_slice().into())])
+            .unwrap();
         let out = s.read_regions(&[(a, 2), (b, 3)]).unwrap();
         assert_eq!(&out[0][..], da);
         assert_eq!(&out[1][..], db);
@@ -358,7 +365,7 @@ mod tests {
     fn wrong_sized_page_is_rejected() {
         let s = store(4096);
         let p = s.allocate();
-        let _ = s.write_page(p, &[0u8; 100]);
+        let _ = s.write_page(p, vec![0u8; 100].into());
     }
 
     #[test]
@@ -375,7 +382,7 @@ mod tests {
         let s = store(4096);
         let p = s.allocate();
         assert_eq!(s.io_elapsed_us(), 0.0);
-        s.write_page(p, &vec![0u8; 4096]).unwrap();
+        s.write_page(p, vec![0u8; 4096].into()).unwrap();
         assert!(s.io_elapsed_us() > 0.0);
     }
 

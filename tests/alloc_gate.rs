@@ -1,8 +1,8 @@
 //! A tier-1 gate on what `BENCHMARK.json` measures as `allocs_per_op`: heap
-//! allocations of the warm read path, of the cold read path, of the insert +
-//! flush cycle and of a service get and put, counted by this binary's own
-//! global allocator. `BENCHMARK.json`
-//! counts them in a release build, and so does CI
+//! allocations of the warm read path, of the cold read path, of bupdate's full
+//! path, of the insert + flush cycle and of a service get and put, counted by
+//! this binary's own global allocator. `BENCHMARK.json` counts them in a
+//! release build, and so does CI
 //! (`cargo test --release --test alloc_gate`).
 //!
 //! The counter is process-wide (the engine's shard workers allocate on their
@@ -223,6 +223,57 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
          {COLD_CALL_ALLOCATIONS} more: {per_call:.1} per call for {regions:.1} regions"
     );
 
+    // ---- bupdate's full path: full leaves shrunk and split --------------------------
+    // Every leaf is loaded to capacity, so the first flush that reaches a leaf
+    // reads its whole region, shrinks it (the updates' old records go) and
+    // splits it (the inserts do not fit). What a region costs must not grow
+    // with the records in it.
+    let mut config = tree_config(false);
+    config.fill_factor = 1.0;
+    let device = Arc::new(pio::SimPsyncIo::with_profile(DeviceProfile::P300, 1 << 30));
+    let store = CachedStore::new(
+        PageStore::new(device, 4096),
+        config.pool_pages,
+        WritePolicy::WriteThrough,
+    );
+    let mut tree = PioBTree::bulk_load(Arc::new(store), &preload(), config).unwrap();
+    let leaf_cap = pio_btree::PioLeaf::capacity(2, 4096) as u64;
+    // Per leaf of `leaf_cap` preloaded keys: four updates and four new keys.
+    let step = leaf_cap / 4;
+    let ops: Vec<pio_btree::OpEntry> = (0..ENTRIES)
+        .step_by(step as usize)
+        .flat_map(|i| {
+            [
+                pio_btree::OpEntry::update(i * 16, i + 1),
+                pio_btree::OpEntry::insert(i * 16 + 8, i),
+            ]
+        })
+        .collect();
+    let before = tree.stats();
+    let allocations = allocations_during(|| {
+        tree.apply(&ops, None).unwrap();
+        tree.checkpoint().unwrap();
+    });
+    let after = tree.stats();
+    let regions = (after.leaf_rewrites - before.leaf_rewrites) as f64;
+    let (shrinks, splits) = (after.shrinks - before.shrinks, after.leaf_splits - before.leaf_splits);
+    println!(
+        "bupdate full path: {:.1} allocations per rewritten region ({regions} regions, {shrinks} shrinks, {splits} splits)",
+        allocations as f64 / regions
+    );
+    assert!(
+        regions * 2.0 > (ENTRIES / leaf_cap) as f64 && shrinks as f64 == regions && splits > 0,
+        "the window drives most leaves through the full path, shrinking and splitting: \
+         {regions} regions, {shrinks} shrinks, {splits} splits"
+    );
+    assert!(
+        allocations as f64 <= regions * REGION_REWRITE_ALLOCATIONS,
+        "a full-path rewrite allocates at most {REGION_REWRITE_ALLOCATIONS} times per region: \
+         {allocations} for {regions} regions"
+    );
+    assert_eq!(tree.count_entries().unwrap(), ENTRIES + ops.len() as u64 / 2);
+    drop(tree);
+
     // ---- write_flush's shape: `insert_batch(64)` with WAL, epochs and OPQ flushes ---
     let engine = Arc::new(ShardedPioEngine::bulk_load(engine_config(true), &preload()).unwrap());
     let batches: Vec<Vec<(u64, u64)>> = uniform_keys(300, 64)
@@ -329,8 +380,9 @@ const SEARCH_ALLOCATIONS: u64 = 3;
 const COLD_CALL_ALLOCATIONS: f64 = 16.0;
 
 /// What the insert + flush cycle may allocate per inserted entry (measured:
-/// 1.04, since a WAL force reuses its buffers).
-const FLUSH_CYCLE_ALLOCATIONS: f64 = 1.25;
+/// 0.71, since a flushed page is one image shared from the encoder to the
+/// device and the cache, and a leaf shrinks in place).
+const FLUSH_CYCLE_ALLOCATIONS: f64 = 0.85;
 
 /// What a one-entry `insert_batch` one shard owns may allocate: its one
 /// operation vector and the WAL force's write through the device stack
@@ -345,3 +397,12 @@ const SERVICE_GET_ALLOCATIONS: f64 = 3.0;
 /// What a service put may allocate: the engine's operation vector and the WAL
 /// force's write through the device stack (measured: 6.0).
 const SERVICE_PUT_ALLOCATIONS: f64 = 9.0;
+
+/// What bupdate's full path may allocate per rewritten leaf region when every
+/// region splits: the region read, its two undo pre-images, the shrink's sort
+/// buffer, the split's upper half, the two encoded halves, the fence's path,
+/// and a share of the chunk's lists and of the parents' rewrite — a constant,
+/// where resolving a leaf through a map costs one node per few records
+/// (measured: 12.8; 82.9 while a shrink resolved through a `BTreeMap` and
+/// every written image was copied on its way down).
+const REGION_REWRITE_ALLOCATIONS: f64 = 16.0;

@@ -514,7 +514,7 @@ fn an_old_format_append_preimage_still_recovers() {
     records.extend(&added);
     let mut appended = vec![0u8; 2048];
     PioLeaf::encode_segment_into(&records, &mut appended);
-    tree.store().write_page(leaf, &appended).unwrap();
+    tree.store().write_page(leaf, appended.into()).unwrap();
 
     tree.simulate_crash();
     let report = tree.recover().unwrap();
