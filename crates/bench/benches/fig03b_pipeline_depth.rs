@@ -21,7 +21,7 @@
 //! with in-flight writes pay the read/write switch penalty), so depth moves it
 //! by low single digits either way — ~0.98× on the P300, ~1.03× on high-NCQ.
 
-use pio::SimPsyncIo;
+use pio::{Discipline, SimPsyncIo};
 use pio_bench::{scaled, Table};
 use pio_btree::{PioBTree, PioConfig, PipelineDepth};
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ fn high_ncq_profile() -> SsdConfig {
 }
 
 fn build_tree(device: &SsdConfig, depth: PipelineDepth, entries: &[(u64, u64)]) -> PioBTree {
-    let io = Arc::new(SimPsyncIo::new(device.clone(), 16 << 30));
+    let io = Arc::new(SimPsyncIo::new(device.clone(), 16 << 30, Discipline::Psync));
     let config = PioConfig::builder()
         .page_size(PAGE_SIZE)
         .leaf_segments(2)

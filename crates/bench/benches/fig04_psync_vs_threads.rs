@@ -8,17 +8,21 @@
 //!   alike;
 //! * (c) context switches for 1 M (scaled) 4 KiB reads: thread-per-I/O pays an order
 //!   of magnitude more switches than psync I/O.
+//!
+//! Each round of (a) and (b) is a read/write mix. The threads serve it in its
+//! interleaved order. psync I/O issues its reads as one batch and then its writes
+//! as another (Principle 3: group reads apart from writes), so a psync round
+//! costs one read batch plus one write batch.
 
-use pio::backend::threaded::{mixed_psync_elapsed, mixed_threaded_elapsed};
-use pio::{FileLayout, IoQueue, ReadRequest, SimPsyncIo, SimThreadedIo};
+use pio::{Discipline, FileLayout, IoQueue, ReadRequest, SimPsyncIo, WriteRequest};
 use pio_bench::{mib, scaled, Table};
-use ssd_sim::DeviceProfile;
+use ssd_sim::{DeviceProfile, SsdRequest};
 
 const CAP: u64 = 8 << 30;
 
 /// Builds the Figure-4 mixed workload: an even read/write split with random offsets
 /// in a 4 GiB file, `outstd` requests per round.
-fn mixed_rounds(outstd: usize, rounds: usize, seed: u64) -> Vec<Vec<(bool, u64, u64)>> {
+fn mixed_rounds(outstd: usize, rounds: usize, seed: u64) -> Vec<Vec<SsdRequest>> {
     let mut state = seed.max(1);
     let mut rand = move || {
         state ^= state << 13;
@@ -31,7 +35,11 @@ fn mixed_rounds(outstd: usize, rounds: usize, seed: u64) -> Vec<Vec<(bool, u64, 
             (0..outstd)
                 .map(|i| {
                     let offset = (rand() % ((4u64 << 30) / 4096)) * 4096;
-                    (i % 2 == 0, offset, 4096u64)
+                    if i % 2 == 0 {
+                        SsdRequest::read(offset, 4096)
+                    } else {
+                        SsdRequest::write(offset, 4096)
+                    }
                 })
                 .collect()
         })
@@ -40,24 +48,39 @@ fn mixed_rounds(outstd: usize, rounds: usize, seed: u64) -> Vec<Vec<(bool, u64, 
 
 fn bandwidth_for(profile: DeviceProfile, outstd: usize, rounds: usize, layout: Option<FileLayout>) -> f64 {
     let workload = mixed_rounds(outstd, rounds, 0xF1604 ^ outstd as u64);
-    let mut total_bytes = 0u64;
-    let mut total_us = 0.0;
-    match layout {
+    let total_bytes = workload.iter().map(|round| round.len() as u64 * 4096).sum::<u64>();
+    let total_us = match layout {
         None => {
             let io = SimPsyncIo::with_profile(profile, CAP);
+            let payload = [0u8; 4096];
+            let mut total_us = 0.0;
             for round in &workload {
-                total_us += mixed_psync_elapsed(&io, round);
-                total_bytes += round.len() as u64 * 4096;
+                let reads: Vec<ReadRequest> = round
+                    .iter()
+                    .filter(|r| r.kind.is_read())
+                    .map(|r| ReadRequest::new(r.offset, r.len as usize))
+                    .collect();
+                let writes: Vec<WriteRequest> = round
+                    .iter()
+                    .filter(|r| r.kind.is_write())
+                    .map(|r| WriteRequest::new(r.offset, &payload[..r.len as usize]))
+                    .collect();
+                let (_, read) = io.psync_read(&reads).expect("in-bounds");
+                let write = io.psync_write(&writes).expect("in-bounds");
+                total_us += read.elapsed_us + write.elapsed_us;
             }
+            total_us
         }
         Some(layout) => {
-            let io = SimThreadedIo::with_profile(profile, CAP, layout);
+            let io = SimPsyncIo::new(profile.build(), CAP, Discipline::Threads(layout));
             for round in &workload {
-                total_us += mixed_threaded_elapsed(&io, round);
-                total_bytes += round.len() as u64 * 4096;
+                io.serve_interleaved(round);
             }
+            // Each round starts where the last one left the clock, which
+            // started at zero: the clock is the rounds' summed time.
+            io.device_time_us()
         }
-    }
+    };
     (total_bytes as f64 / (1024.0 * 1024.0)) / (total_us / 1e6)
 }
 
@@ -135,7 +158,11 @@ fn main() {
     );
     for &outstd in &[1usize, 2, 4, 8, 16, 32] {
         let psync = SimPsyncIo::with_profile(DeviceProfile::P300, CAP);
-        let threaded = SimThreadedIo::with_profile(DeviceProfile::P300, CAP, FileLayout::SharedFile);
+        let threaded = SimPsyncIo::new(
+            DeviceProfile::P300.build(),
+            CAP,
+            Discipline::Threads(FileLayout::SharedFile),
+        );
         let rounds = total_reads / outstd;
         for r in 0..rounds {
             let reqs: Vec<ReadRequest> = (0..outstd)

@@ -68,7 +68,7 @@
 //! paper-faithful I/O pattern. The `fig09_leaf_cache` bench asserts that at an
 //! equal memory budget on one shared device, pool + region class serve a
 //! skewed multi-search ≥ 1.2× faster than the pool alone (single-page caching
-//! cannot hold multi-page leaf regions); `tests/inner_tier.rs` covers the
+//! cannot hold multi-page leaf regions); `tests/resident_descent.rs` covers the
 //! resident walk against the wavefront, crash and migration coherence, and
 //! the scan-resistance floor.
 //!

@@ -1,90 +1,37 @@
-//! Conventional synchronous I/O: every request is a separate device submission.
+//! Conventional synchronous I/O ([`Discipline::Sync`]): every request is a
+//! separate device submission.
 //!
 //! This is the I/O pattern of a textbook B+-tree (read a node, inspect it, read the
 //! next node). It deliberately cannot exploit channel-level parallelism and is the
-//! baseline against which psync I/O is compared throughout the paper.
+//! baseline against which psync I/O is compared throughout the paper. Even when
+//! handed a group, a synchronous caller issues the requests one at a time.
+//!
+//! [`Discipline::Sync`]: super::psync::Discipline::Sync
 
-use super::{Discipline, SimShared};
-use crate::error::IoResult;
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete};
-use crate::request::{ReadRequest, WriteRequest};
-use crate::stats::IoStats;
-use ssd_sim::SsdConfig;
+use ssd_sim::{SsdDevice, SsdRequest};
 
-/// Context switches charged per synchronous request (sleep + wake).
-const SWITCHES_PER_REQUEST: u64 = 2;
-
-/// Synchronous one-at-a-time I/O over the simulated SSD. Even when handed a group,
-/// a synchronous caller issues the requests one at a time, and submissions
-/// serialise behind whatever is already in flight.
-#[derive(Debug)]
-pub struct SimSyncIo {
-    shared: SimShared,
-}
-
-impl SimSyncIo {
-    /// Creates a backend over a device built from `config`, with `capacity_bytes` of
-    /// addressable storage.
-    pub fn new(config: SsdConfig, capacity_bytes: u64) -> Self {
-        Self {
-            shared: SimShared::new(config, capacity_bytes, Discipline::Serial),
-        }
+/// Services `reqs` one after another from `start_us`, each as its own device
+/// submission, and returns when the last completes.
+pub(super) fn one_at_a_time(device: &SsdDevice, start_us: f64, reqs: &[SsdRequest]) -> f64 {
+    let mut t = start_us;
+    for req in reqs {
+        t += device.service_batch_at(t, std::slice::from_ref(req)).elapsed_us;
     }
-
-    /// Convenience constructor from a named device profile.
-    pub fn with_profile(profile: ssd_sim::DeviceProfile, capacity_bytes: u64) -> Self {
-        Self::new(profile.build(), capacity_bytes)
-    }
-
-    /// Simulated time accumulated by the underlying device (µs).
-    pub fn device_time_us(&self) -> f64 {
-        self.shared.device.lock().now_us()
-    }
-}
-
-impl IoQueue for SimSyncIo {
-    fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket> {
-        self.shared.submit_read(reqs, SWITCHES_PER_REQUEST * reqs.len() as u64)
-    }
-
-    fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
-        self.shared.submit_write(reqs, SWITCHES_PER_REQUEST * reqs.len() as u64)
-    }
-
-    fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
-        self.shared.wait(ticket)
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        self.shared.try_complete(ticket)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.shared.stats()
-    }
-
-    fn reset_io_stats(&self) {
-        self.shared.reset_stats();
-    }
-
-    /// Synchronous I/O services one request at a time and serialises tickets
-    /// behind each other, so extra pipeline depth buys nothing: the useful
-    /// queue depth is 1.
-    fn queue_depth_hint(&self) -> Option<usize> {
-        Some(1)
-    }
+    t
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::backend::psync::SimPsyncIo;
-    use crate::IoQueue;
+    use crate::{Discipline, IoQueue, ReadRequest, SimPsyncIo};
     use ssd_sim::DeviceProfile;
+
+    fn sync(profile: DeviceProfile, capacity_bytes: u64) -> SimPsyncIo {
+        SimPsyncIo::new(profile.build(), capacity_bytes, Discipline::Sync)
+    }
 
     #[test]
     fn round_trip() {
-        let io = SimSyncIo::with_profile(DeviceProfile::F120, 16 * 1024 * 1024);
+        let io = sync(DeviceProfile::F120, 16 * 1024 * 1024);
         io.write_at(8192, b"sync").unwrap();
         assert_eq!(&io.read_at(8192, 4).unwrap()[..], b"sync");
     }
@@ -92,7 +39,7 @@ mod tests {
     #[test]
     fn sync_is_slower_than_psync_for_batches() {
         let cap = 64 * 1024 * 1024;
-        let sync = SimSyncIo::with_profile(DeviceProfile::P300, cap);
+        let sync = sync(DeviceProfile::P300, cap);
         let psync = SimPsyncIo::with_profile(DeviceProfile::P300, cap);
         let reqs: Vec<ReadRequest> = (0..32).map(|i| ReadRequest::new(i * 4096, 4096)).collect();
         let (_, s) = sync.psync_read(&reqs).unwrap();
@@ -107,7 +54,7 @@ mod tests {
 
     #[test]
     fn context_switches_scale_with_requests() {
-        let io = SimSyncIo::with_profile(DeviceProfile::F120, 16 * 1024 * 1024);
+        let io = sync(DeviceProfile::F120, 16 * 1024 * 1024);
         let reqs: Vec<ReadRequest> = (0..10).map(|i| ReadRequest::new(i * 4096, 4096)).collect();
         io.psync_read(&reqs).unwrap();
         assert_eq!(io.io_stats().context_switches, 20);

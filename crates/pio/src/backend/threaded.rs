@@ -13,15 +13,14 @@
 //!    order of magnitude more context switches than psync I/O at OutStd 32
 //!    (Figure 4 c).
 //!
-//! This backend models both effects on top of the simulated device, so the Figure-4
-//! comparison can be regenerated deterministically without spawning real threads.
+//! [`Discipline::Threads`] models both effects on top of the simulated device, so
+//! the Figure-4 comparison can be regenerated deterministically without spawning
+//! real threads: the layout below decides which requests of a submission
+//! overlap, and the discipline charges the context switches.
+//!
+//! [`Discipline::Threads`]: super::psync::Discipline::Threads
 
-use super::{Discipline, SimShared};
-use crate::error::IoResult;
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete};
-use crate::request::{ReadRequest, WriteRequest};
-use crate::stats::IoStats;
-use ssd_sim::{SsdConfig, SsdRequest};
+use ssd_sim::{SsdDevice, SsdRequest};
 
 /// How the emulated worker threads map their I/O onto files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,146 +33,67 @@ pub enum FileLayout {
     SeparateFiles,
 }
 
-/// Context switches charged per blocking request issued by a worker thread: sleep on
-/// submission, wake on completion, plus two scheduler switches to hand the CPU to and
-/// from the worker.
-const SWITCHES_PER_THREADED_REQUEST: u64 = 4;
-
-/// Thread-per-I/O emulation over the simulated SSD.
-#[derive(Debug)]
-pub struct SimThreadedIo {
-    shared: SimShared,
-    layout: FileLayout,
-}
-
-impl SimThreadedIo {
-    /// Creates the backend with the given file layout.
-    pub fn new(config: SsdConfig, capacity_bytes: u64, layout: FileLayout) -> Self {
-        Self {
-            shared: SimShared::new(config, capacity_bytes, Discipline::Threaded(layout)),
-            layout,
+/// Elapsed time of one thread-per-I/O submission under `layout`, starting at
+/// `start_us`:
+///
+/// * `SeparateFiles`: the emulated threads genuinely overlap — the whole set is one
+///   device batch;
+/// * `SharedFile`: maximal runs of consecutive reads are batched (shared lock), but
+///   every write is an exclusive section and is serviced on its own.
+pub(super) fn elapsed_us(device: &SsdDevice, layout: FileLayout, start_us: f64, sim_reqs: &[SsdRequest]) -> f64 {
+    match layout {
+        FileLayout::SeparateFiles => device.service_batch_at(start_us, sim_reqs).elapsed_us,
+        FileLayout::SharedFile => {
+            if sim_reqs.iter().all(|r| r.kind.is_read()) {
+                // Readers share the lock: they still overlap.
+                return device.service_batch_at(start_us, sim_reqs).elapsed_us;
+            }
+            let mut t = start_us;
+            let mut run: Vec<SsdRequest> = Vec::new();
+            for req in sim_reqs {
+                if req.kind.is_read() {
+                    run.push(*req);
+                } else {
+                    if !run.is_empty() {
+                        t += device.service_batch_at(t, &run).elapsed_us;
+                        run.clear();
+                    }
+                    // Exclusive writer: nothing overlaps with it.
+                    t += device.service_batch_at(t, std::slice::from_ref(req)).elapsed_us;
+                }
+            }
+            if !run.is_empty() {
+                t += device.service_batch_at(t, &run).elapsed_us;
+            }
+            t - start_us
         }
     }
-
-    /// Convenience constructor from a named device profile.
-    pub fn with_profile(profile: ssd_sim::DeviceProfile, capacity_bytes: u64, layout: FileLayout) -> Self {
-        Self::new(profile.build(), capacity_bytes, layout)
-    }
-
-    /// The configured file layout.
-    pub fn layout(&self) -> FileLayout {
-        self.layout
-    }
-}
-
-impl IoQueue for SimThreadedIo {
-    fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket> {
-        self.shared
-            .submit_read(reqs, SWITCHES_PER_THREADED_REQUEST * reqs.len() as u64)
-    }
-
-    fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
-        self.shared
-            .submit_write(reqs, SWITCHES_PER_THREADED_REQUEST * reqs.len() as u64)
-    }
-
-    fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
-        self.shared.wait(ticket)
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        self.shared.try_complete(ticket)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.shared.stats()
-    }
-
-    fn reset_io_stats(&self) {
-        self.shared.reset_stats();
-    }
-
-    /// The thread-per-I/O emulation overlaps the requests *within* one
-    /// submission (per the file layout), but successive tickets serialise
-    /// behind each other — each emulated thread group runs to completion —
-    /// so extra pipeline depth buys nothing: the useful queue depth is 1.
-    fn queue_depth_hint(&self) -> Option<usize> {
-        Some(1)
-    }
-}
-
-/// Services a *mixed* read/write workload (alternating or otherwise) through the
-/// threaded emulation in submission order, preserving the interleaving. Used by the
-/// Figure-4 experiment, where the workload is a read directly followed by a write.
-pub fn mixed_threaded_elapsed(
-    backend: &SimThreadedIo,
-    reqs: &[(bool, u64, u64)], // (is_read, offset, len)
-) -> f64 {
-    let sim_reqs: Vec<SsdRequest> = reqs
-        .iter()
-        .map(|&(is_read, offset, len)| {
-            if is_read {
-                SsdRequest::read(offset, len)
-            } else {
-                SsdRequest::write(offset, len)
-            }
-        })
-        .collect();
-    backend.shared.service_mixed_now(&sim_reqs)
-}
-
-/// Services the same mixed workload through a psync backend (single batch) and
-/// returns the elapsed simulated time. Companion of [`mixed_threaded_elapsed`].
-pub fn mixed_psync_elapsed(backend: &crate::SimPsyncIo, reqs: &[(bool, u64, u64)]) -> f64 {
-    use crate::IoQueue;
-    // psync submits the whole group at once; reads and writes are split into two
-    // calls in index code, but the Figure-4 micro-benchmark intentionally submits
-    // the mixed group as one batch, which the trait models as read-batch followed by
-    // write-batch being queued together. We reproduce it by one device batch here.
-    let reads: Vec<ReadRequest> = reqs
-        .iter()
-        .filter(|&&(r, _, _)| r)
-        .map(|&(_, o, l)| ReadRequest::new(o, l as usize))
-        .collect();
-    let write_payloads: Vec<(u64, Vec<u8>)> = reqs
-        .iter()
-        .filter(|&&(r, _, _)| !r)
-        .map(|&(_, o, l)| (o, vec![0u8; l as usize]))
-        .collect();
-    let mut elapsed = 0.0;
-    if !reads.is_empty() {
-        let (_, b) = backend.psync_read(&reads).expect("in-bounds");
-        elapsed += b.elapsed_us;
-    }
-    if !write_payloads.is_empty() {
-        let writes: Vec<WriteRequest> = write_payloads.iter().map(|(o, d)| WriteRequest::new(*o, d)).collect();
-        let b = backend.psync_write(&writes).expect("in-bounds");
-        elapsed += b.elapsed_us;
-    }
-    elapsed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::psync::SimPsyncIo;
-    use crate::IoQueue;
+    use crate::{Discipline, IoQueue, ReadRequest, SimPsyncIo, WriteRequest};
     use ssd_sim::DeviceProfile;
 
     const CAP: u64 = 64 * 1024 * 1024;
 
+    fn threads(profile: DeviceProfile, layout: FileLayout) -> SimPsyncIo {
+        SimPsyncIo::new(profile.build(), CAP, Discipline::Threads(layout))
+    }
+
     #[test]
     fn round_trip_shared_file() {
-        let io = SimThreadedIo::with_profile(DeviceProfile::F120, CAP, FileLayout::SharedFile);
+        let io = threads(DeviceProfile::F120, FileLayout::SharedFile);
         io.write_at(0, b"threads").unwrap();
         assert_eq!(&io.read_at(0, 7).unwrap()[..], b"threads");
-        assert_eq!(io.layout(), FileLayout::SharedFile);
+        assert_eq!(io.discipline(), Discipline::Threads(FileLayout::SharedFile));
     }
 
     #[test]
     fn shared_file_writes_do_not_overlap() {
-        let shared = SimThreadedIo::with_profile(DeviceProfile::P300, CAP, FileLayout::SharedFile);
-        let separate = SimThreadedIo::with_profile(DeviceProfile::P300, CAP, FileLayout::SeparateFiles);
+        let shared = threads(DeviceProfile::P300, FileLayout::SharedFile);
+        let separate = threads(DeviceProfile::P300, FileLayout::SeparateFiles);
         let payload = vec![7u8; 4096];
         let writes: Vec<WriteRequest> = (0..32).map(|i| WriteRequest::new(i * 8192, &payload)).collect();
         let s = shared.psync_write(&writes).unwrap();
@@ -188,7 +108,7 @@ mod tests {
 
     #[test]
     fn separate_files_match_psync_for_writes() {
-        let threaded = SimThreadedIo::with_profile(DeviceProfile::P300, CAP, FileLayout::SeparateFiles);
+        let threaded = threads(DeviceProfile::P300, FileLayout::SeparateFiles);
         let psync = SimPsyncIo::with_profile(DeviceProfile::P300, CAP);
         let payload = vec![3u8; 4096];
         let writes: Vec<WriteRequest> = (0..32).map(|i| WriteRequest::new(i * 8192, &payload)).collect();
@@ -203,7 +123,7 @@ mod tests {
 
     #[test]
     fn reads_overlap_even_on_a_shared_file() {
-        let shared = SimThreadedIo::with_profile(DeviceProfile::P300, CAP, FileLayout::SharedFile);
+        let shared = threads(DeviceProfile::P300, FileLayout::SharedFile);
         let psync = SimPsyncIo::with_profile(DeviceProfile::P300, CAP);
         let reads: Vec<ReadRequest> = (0..32).map(|i| ReadRequest::new(i * 8192, 4096)).collect();
         let (_, s) = shared.psync_read(&reads).unwrap();
@@ -214,7 +134,7 @@ mod tests {
 
     #[test]
     fn context_switch_gap_is_an_order_of_magnitude() {
-        let threaded = SimThreadedIo::with_profile(DeviceProfile::F120, CAP, FileLayout::SharedFile);
+        let threaded = threads(DeviceProfile::F120, FileLayout::SharedFile);
         let psync = SimPsyncIo::with_profile(DeviceProfile::F120, CAP);
         let reads: Vec<ReadRequest> = (0..32).map(|i| ReadRequest::new(i * 8192, 4096)).collect();
         threaded.psync_read(&reads).unwrap();
@@ -222,17 +142,22 @@ mod tests {
         assert!(threaded.io_stats().context_switches >= 10 * psync.io_stats().context_switches);
     }
 
+    /// Figure 4's mixed round: the threads serve it interleaved, psync I/O as a
+    /// read batch and then a write batch.
     #[test]
     fn mixed_helpers_cover_interleaved_workloads() {
-        let threaded = SimThreadedIo::with_profile(DeviceProfile::P300, CAP, FileLayout::SharedFile);
+        let threaded = threads(DeviceProfile::P300, FileLayout::SharedFile);
         let psync = SimPsyncIo::with_profile(DeviceProfile::P300, CAP);
         let mut reqs = Vec::new();
         for i in 0..32u64 {
-            reqs.push((true, i * 16384, 4096));
-            reqs.push((false, i * 16384 + 8192, 4096));
+            reqs.push(SsdRequest::read(i * 16384, 4096));
+            reqs.push(SsdRequest::write(i * 16384 + 8192, 4096));
         }
-        let t = mixed_threaded_elapsed(&threaded, &reqs);
-        let p = mixed_psync_elapsed(&psync, &reqs);
+        let t = threaded.serve_interleaved(&reqs);
+        let reads: Vec<ReadRequest> = (0..32).map(|i| ReadRequest::new(i * 16384, 4096)).collect();
+        let payload = [0u8; 4096];
+        let writes: Vec<WriteRequest> = (0..32).map(|i| WriteRequest::new(i * 16384 + 8192, &payload)).collect();
+        let p = psync.psync_read(&reads).unwrap().1.elapsed_us + psync.psync_write(&writes).unwrap().elapsed_us;
         assert!(t > p, "threaded shared-file mixed workload must be slower: {t} vs {p}");
     }
 }

@@ -18,20 +18,24 @@
 //! [`IoQueue::psync_write`], provided on every queue as submit-then-wait —
 //! exactly how the paper builds it out of `io_submit`/`io_getevents`.
 //!
-//! Four backends implement [`IoQueue`]:
+//! Two backends implement [`IoQueue`]:
 //!
-//! * [`SimPsyncIo`] — the faithful psync backend: a submission is one NCQ window of
-//!   the [`ssd_sim`] device, and concurrently outstanding tickets join a shared
-//!   scheduling window with a common start time (the shared-device contention
-//!   model of Figure 4).
-//! * [`SimSyncIo`] — conventional synchronous I/O: every request is its own device
-//!   submission. This is what a textbook B+-tree uses and is the baseline of every
-//!   comparison in the paper.
-//! * [`SimThreadedIo`] — "parallel processing": one thread per outstanding I/O. It
-//!   models the POSIX per-file write-ordering lock that serialises writes to a
-//!   shared file (Figure 4 a), behaves like psync I/O on separate files
-//!   (Figure 4 b), and pays an order of magnitude more context switches
-//!   (Figure 4 c).
+//! * [`SimPsyncIo`] — the simulated SSD. Its [`Discipline`] is how the host
+//!   drives the device, the three methods Section 2.3 and Figure 4 of the
+//!   paper compare:
+//!   * [`Discipline::Psync`] (what [`SimPsyncIo::with_profile`] builds) — the
+//!     faithful psync backend: a submission is one NCQ window of the [`ssd_sim`]
+//!     device, and concurrently outstanding tickets join a shared scheduling
+//!     window with a common start time (the shared-device contention model of
+//!     Figure 4).
+//!   * [`Discipline::Sync`] — conventional synchronous I/O: every request is its
+//!     own device submission. This is what a textbook B+-tree uses and is the
+//!     baseline of every comparison in the paper.
+//!   * [`Discipline::Threads`] — "parallel processing": one thread per
+//!     outstanding I/O. It models the POSIX per-file write-ordering lock that
+//!     serialises writes to a shared file (Figure 4 a), behaves like psync I/O
+//!     on separate files (Figure 4 b), and pays an order of magnitude more
+//!     context switches (Figure 4 c).
 //! * [`FileThreadPoolIo`] — a real-file backend: a persistent pool of positional
 //!   I/O workers drains a shared job queue, tickets complete in any order, and a
 //!   reaped write ticket is durable.
@@ -49,10 +53,10 @@
 //!
 //! Drivers that keep several tickets in flight size their lookahead from
 //! [`IoQueue::queue_depth_hint`] — the number of outstanding requests the
-//! backend can usefully absorb (the device's NCQ depth for [`SimPsyncIo`], the
+//! backend can usefully absorb (the device's NCQ depth under psync I/O, the
 //! worker count for [`FileThreadPoolIo`], 1 for the ticket-serialising
-//! backends) — and manage the in-flight window with a [`TicketRing`] (a small
-//! FIFO with the drain-on-error discipline). The simulated backends model
+//! disciplines) — and manage the in-flight window with a [`TicketRing`] (a small
+//! FIFO with the drain-on-error discipline). The simulated backend models
 //! submission causality for such drivers: a batch submitted after a completion
 //! was reaped is floored at that completion's time on the device timeline, so
 //! a shallow pipeline genuinely keeps the queue shallow and a deep one fills
@@ -74,9 +78,8 @@ pub mod ring;
 pub mod stats;
 
 pub use backend::file::FileThreadPoolIo;
-pub use backend::psync::SimPsyncIo;
-pub use backend::sync::SimSyncIo;
-pub use backend::threaded::{FileLayout, SimThreadedIo};
+pub use backend::psync::{Discipline, SimPsyncIo};
+pub use backend::threaded::FileLayout;
 pub use error::{IoError, IoResult};
 pub use fault::{CrashPlan, FaultClock, FaultIo, TornWrite, TransientCounts, TransientFaults};
 pub use memdisk::MemDisk;

@@ -1,6 +1,6 @@
-//! An in-memory byte store used as the data plane of the simulated backends.
+//! An in-memory byte store used as the data plane of the simulated backend.
 //!
-//! The [`ssd_sim`] device is timing-only, so the simulated backends pair it with a
+//! The [`ssd_sim`] device is timing-only, so the simulated backend pairs it with a
 //! `MemDisk` that actually stores the bytes the index reads and writes. The disk
 //! grows on demand up to a configurable capacity, in fixed-size extents so that a
 //! mostly-empty address space does not allocate memory it never touches.

@@ -14,7 +14,7 @@
 //!   several tickets in flight and reap completions as they land.
 //!
 //! Batches submitted while other tickets are outstanding *overlap on the device*:
-//! the simulated backends schedule every in-flight batch on a shared device
+//! the simulated backend schedules every in-flight batch on a shared device
 //! timeline with a common start time, so two shards submitting through one backend
 //! contend for the same channels and host interface — exactly the shared-device
 //! behaviour of Figure 4(a)/(b). The paper's blocking psync call is the provided
@@ -175,8 +175,8 @@ pub trait IoQueue: Send + Sync {
 
     /// Advisory queue depth: how many concurrently outstanding *requests* this
     /// backend can usefully absorb before extra depth stops paying off — the
-    /// device's NCQ depth for the simulated psync backend, the worker count for
-    /// the file pool, `1` for backends that serialise tickets. Pipelined callers
+    /// device's NCQ depth for the simulated backend under psync I/O, the worker
+    /// count for the file pool, `1` for backends that serialise tickets. Pipelined callers
     /// divide this by their per-batch request count to size their lookahead
     /// (see `PioConfig::pipeline_depth` in the core crate). `None` means the
     /// backend has no meaningful notion of queue depth; callers should fall

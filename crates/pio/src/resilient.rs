@@ -12,7 +12,7 @@
 //!
 //! ## Deterministic backoff
 //!
-//! The simulated backends complete tickets on a virtual device timeline —
+//! The simulated backend completes tickets on a virtual device timeline —
 //! `wait` never blocks in real time — so sleeping between retries would add
 //! wall-clock nondeterminism without modelling anything. Instead the backoff is
 //! **accounted, not slept**: each retry accrues `backoff_base_us · 2^k` µs

@@ -248,7 +248,7 @@ mod tests {
     use crate::profiles::DeviceProfile;
 
     fn dev() -> SsdDevice {
-        SsdDevice::new(DeviceProfile::f120().build())
+        SsdDevice::new(DeviceProfile::F120.build())
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The simulated SSD device: NCQ batch service with channel- and package-level
 //! parallelism.
 
-use crate::clock::SimClock;
 use crate::config::SsdConfig;
 use crate::request::{IoKind, SsdRequest};
-use crate::stats::DeviceStats;
 
 /// Result of servicing one batch of requests (one or more NCQ windows).
 #[derive(Debug, Clone, PartialEq)]
@@ -20,22 +18,6 @@ pub struct BatchResult {
 }
 
 impl BatchResult {
-    /// Aggregate bandwidth of the batch in MiB/s.
-    pub fn bandwidth_mib_s(&self) -> f64 {
-        if self.elapsed_us <= 0.0 {
-            return 0.0;
-        }
-        (self.bytes as f64 / (1024.0 * 1024.0)) / (self.elapsed_us / 1_000_000.0)
-    }
-
-    /// The mean per-request latency in µs.
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.latencies_us.is_empty() {
-            return 0.0;
-        }
-        self.latencies_us.iter().sum::<f64>() / self.latencies_us.len() as f64
-    }
-
     /// The maximum per-request latency in µs.
     pub fn max_latency_us(&self) -> f64 {
         self.latencies_us.iter().cloned().fold(0.0, f64::max)
@@ -53,15 +35,16 @@ struct ChannelState {
 
 /// A discrete-event flash SSD simulator.
 ///
-/// The device owns a [`SimClock`]; every call to [`SsdDevice::submit_batch`] services
-/// the batch starting at the current simulated time and advances the clock by the
-/// batch's elapsed time. Callers that want to overlap CPU work with I/O (not needed
-/// for the paper's experiments) can use [`SsdDevice::service_batch_at`] directly.
+/// The device keeps a simulated clock in microseconds that only moves forward;
+/// every call to [`SsdDevice::submit_batch`] services the batch starting at the
+/// current simulated time and advances the clock by the batch's elapsed time.
+/// Callers that keep batches in flight schedule them with
+/// [`SsdDevice::service_batch_at`] or a [`WindowScheduler`] and move the clock
+/// with [`SsdDevice::advance_clock_to`].
 #[derive(Debug, Clone)]
 pub struct SsdDevice {
     config: SsdConfig,
-    clock: SimClock,
-    stats: DeviceStats,
+    now_us: f64,
 }
 
 impl SsdDevice {
@@ -73,11 +56,7 @@ impl SsdDevice {
         if let Err(e) = config.validate() {
             panic!("invalid SsdConfig: {e}");
         }
-        Self {
-            config,
-            clock: SimClock::new(),
-            stats: DeviceStats::default(),
-        }
+        Self { config, now_us: 0.0 }
     }
 
     /// The device configuration.
@@ -87,18 +66,7 @@ impl SsdDevice {
 
     /// Current simulated time in µs.
     pub fn now_us(&self) -> f64 {
-        self.clock.now_us()
-    }
-
-    /// Cumulative service statistics.
-    pub fn stats(&self) -> &DeviceStats {
-        &self.stats
-    }
-
-    /// Resets the clock and statistics (the configuration is kept).
-    pub fn reset(&mut self) {
-        self.clock.reset();
-        self.stats = DeviceStats::default();
+        self.now_us
     }
 
     /// Advances the simulated clock to `t_us` (a no-op if the clock is already at
@@ -106,32 +74,8 @@ impl SsdDevice {
     /// [`SsdDevice::service_batch_at`] use this to move the timeline past a drained
     /// scheduling window.
     pub fn advance_clock_to(&mut self, t_us: f64) {
-        self.clock.advance_to(t_us);
-    }
-
-    /// Records a batch that an external driver scheduled with
-    /// [`SsdDevice::service_batch_at`] into the request/byte counters, so the
-    /// device statistics stay meaningful for ticketed submission paths that never
-    /// call [`SsdDevice::submit_batch`]. Busy time is not charged here — the
-    /// driver owns the timeline and advances it via
-    /// [`SsdDevice::advance_clock_to`].
-    pub fn note_serviced(&mut self, requests: &[SsdRequest]) {
-        self.stats.batches += 1;
-        for r in requests {
-            match r.kind {
-                IoKind::Read => {
-                    self.stats.reads += 1;
-                    self.stats.read_bytes += r.len;
-                }
-                IoKind::Write => {
-                    self.stats.writes += 1;
-                    self.stats.write_bytes += r.len;
-                }
-            }
-        }
-        let window = requests.len().min(self.config.ncq_depth);
-        if window > self.stats.max_outstanding {
-            self.stats.max_outstanding = window;
+        if t_us > self.now_us {
+            self.now_us = t_us;
         }
     }
 
@@ -141,56 +85,13 @@ impl SsdDevice {
     ///
     /// An empty batch returns a zero result and does not advance the clock.
     pub fn submit_batch(&mut self, requests: &[SsdRequest]) -> BatchResult {
-        let start = self.clock.now_us();
-        let result = self.service_batch_at(start, requests);
-        self.clock.advance(result.elapsed_us);
-        self.record_stats(requests, &result);
+        let result = self.service_batch_at(self.now_us, requests);
+        self.now_us += result.elapsed_us;
         result
     }
 
-    /// Services requests one at a time (each request is its own submission), which is
-    /// how a conventional synchronous read/write path drives the device. Returns the
-    /// summed elapsed time and the individual latencies.
-    pub fn submit_serial(&mut self, requests: &[SsdRequest]) -> BatchResult {
-        let mut latencies = Vec::with_capacity(requests.len());
-        let mut elapsed = 0.0;
-        let mut bytes = 0;
-        for req in requests {
-            let r = self.submit_batch(std::slice::from_ref(req));
-            elapsed += r.elapsed_us;
-            bytes += r.bytes;
-            latencies.extend(r.latencies_us);
-        }
-        BatchResult {
-            elapsed_us: elapsed,
-            latencies_us: latencies,
-            bytes,
-        }
-    }
-
-    fn record_stats(&mut self, requests: &[SsdRequest], result: &BatchResult) {
-        self.stats.batches += 1;
-        self.stats.busy_us += result.elapsed_us;
-        for r in requests {
-            match r.kind {
-                IoKind::Read => {
-                    self.stats.reads += 1;
-                    self.stats.read_bytes += r.len;
-                }
-                IoKind::Write => {
-                    self.stats.writes += 1;
-                    self.stats.write_bytes += r.len;
-                }
-            }
-        }
-        let window = requests.len().min(self.config.ncq_depth);
-        if window > self.stats.max_outstanding {
-            self.stats.max_outstanding = window;
-        }
-    }
-
     /// Computes the service schedule for a batch starting at simulated time
-    /// `start_us`, without touching the device clock or statistics. Equivalent to
+    /// `start_us`, without touching the device clock. Equivalent to
     /// feeding the batch through a fresh [`WindowScheduler`] (see there for the
     /// timing model).
     pub fn service_batch_at(&self, start_us: f64, requests: &[SsdRequest]) -> BatchResult {
@@ -401,7 +302,7 @@ mod tests {
     use crate::profiles::DeviceProfile;
 
     fn dev() -> SsdDevice {
-        SsdDevice::new(DeviceProfile::p300().build())
+        SsdDevice::new(DeviceProfile::P300.build())
     }
 
     #[test]
@@ -424,17 +325,34 @@ mod tests {
     }
 
     #[test]
+    fn advance_clock_to_only_moves_forward() {
+        let mut d = dev();
+        d.advance_clock_to(100.0);
+        assert_eq!(d.now_us(), 100.0);
+        d.advance_clock_to(50.0);
+        assert_eq!(d.now_us(), 100.0);
+        let r = d.submit_batch(&[SsdRequest::read(0, 4096)]);
+        assert_eq!(d.now_us(), 100.0 + r.elapsed_us);
+    }
+
+    /// Elapsed time of `reqs` issued one at a time, each its own submission.
+    fn serial_us(d: &mut SsdDevice, reqs: &[SsdRequest]) -> f64 {
+        reqs.iter()
+            .map(|r| d.submit_batch(std::slice::from_ref(r)).elapsed_us)
+            .sum()
+    }
+
+    #[test]
     fn batched_reads_are_faster_than_serial_reads() {
         let reqs: Vec<SsdRequest> = (0..16).map(|i| SsdRequest::read(i * 4096, 4096)).collect();
         let mut d1 = dev();
         let batched = d1.submit_batch(&reqs);
-        let mut d2 = dev();
-        let serial = d2.submit_serial(&reqs);
+        let serial = serial_us(&mut dev(), &reqs);
         assert!(
-            batched.elapsed_us < serial.elapsed_us / 2.0,
+            batched.elapsed_us < serial / 2.0,
             "channel-level parallelism should give a large speedup: batched={} serial={}",
             batched.elapsed_us,
-            serial.elapsed_us
+            serial
         );
     }
 
@@ -443,9 +361,8 @@ mod tests {
         let reqs: Vec<SsdRequest> = (0..16).map(|i| SsdRequest::write(i * 4096, 4096)).collect();
         let mut d1 = dev();
         let batched = d1.submit_batch(&reqs);
-        let mut d2 = dev();
-        let serial = d2.submit_serial(&reqs);
-        assert!(batched.elapsed_us < serial.elapsed_us / 2.0);
+        let serial = serial_us(&mut dev(), &reqs);
+        assert!(batched.elapsed_us < serial / 2.0);
     }
 
     #[test]
@@ -524,30 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
-        let mut d = dev();
-        d.submit_batch(&[SsdRequest::read(0, 4096), SsdRequest::write(4096, 2048)]);
-        d.submit_batch(&[SsdRequest::read(8192, 2048)]);
-        let s = d.stats();
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.read_bytes, 6144);
-        assert_eq!(s.write_bytes, 2048);
-        assert_eq!(s.batches, 2);
-        assert!(s.busy_us > 0.0);
-        d.reset();
-        assert_eq!(d.stats().reads, 0);
-        assert_eq!(d.now_us(), 0.0);
-    }
-
-    #[test]
     fn latencies_reported_for_every_request() {
         let mut d = dev();
         let reqs: Vec<SsdRequest> = (0..100).map(|i| SsdRequest::read(i * 4096, 4096)).collect();
         let r = d.submit_batch(&reqs);
         assert_eq!(r.latencies_us.len(), 100);
-        assert!(r.latencies_us.iter().all(|&l| l > 0.0));
-        assert!(r.max_latency_us() >= r.mean_latency_us());
+        assert!(r.latencies_us.iter().all(|&l| l > 0.0 && l <= r.max_latency_us()));
     }
 
     /// A scheduler that has already scheduled work and was then restarted

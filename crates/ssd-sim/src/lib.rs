@@ -27,35 +27,32 @@
 //! ## Quick example
 //!
 //! ```
-//! use ssd_sim::{DeviceProfile, SsdDevice, SsdRequest, IoKind};
+//! use ssd_sim::{DeviceProfile, SsdDevice, SsdRequest};
 //!
-//! let mut dev = SsdDevice::new(DeviceProfile::p300().build());
+//! let mut dev = SsdDevice::new(DeviceProfile::P300.build());
 //! // Submit 8 outstanding 4 KiB reads at once (one NCQ window).
-//! let reqs: Vec<SsdRequest> = (0..8)
-//!     .map(|i| SsdRequest::new(IoKind::Read, i * 4096, 4096))
-//!     .collect();
-//! let res = dev.submit_batch(&reqs);
-//! // Eight queued reads take far less than eight sequential reads.
-//! let seq: f64 = (0..8)
-//!     .map(|i| dev.submit_batch(&[SsdRequest::new(IoKind::Read, i * 4096, 4096)]).elapsed_us)
+//! let reqs: Vec<SsdRequest> = (0..8).map(|i| SsdRequest::read(i * 4096, 4096)).collect();
+//! let batched = dev.submit_batch(&reqs).elapsed_us;
+//! // The same reads one at a time, each its own submission, take far longer.
+//! let serial: f64 = reqs
+//!     .iter()
+//!     .map(|r| dev.submit_batch(std::slice::from_ref(r)).elapsed_us)
 //!     .sum();
-//! assert!(res.elapsed_us < seq);
+//! assert!(batched < serial);
+//! // Every submission advanced the device clock.
+//! assert!(dev.now_us() > serial);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod clock;
 pub mod config;
 pub mod device;
 pub mod profiles;
 pub mod request;
-pub mod stats;
 
-pub use clock::SimClock;
 pub use config::SsdConfig;
 pub use device::{BatchResult, SsdDevice, WindowScheduler};
 pub use profiles::DeviceProfile;
 pub use request::{IoKind, SsdRequest};
-pub use stats::DeviceStats;

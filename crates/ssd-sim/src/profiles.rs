@@ -62,31 +62,6 @@ impl DeviceProfile {
         }
     }
 
-    /// Shorthand constructor: `DeviceProfile::iodrive()` etc.
-    pub fn iodrive() -> Self {
-        DeviceProfile::Iodrive
-    }
-    /// Shorthand constructor for the P300 profile.
-    pub fn p300() -> Self {
-        DeviceProfile::P300
-    }
-    /// Shorthand constructor for the F120 profile.
-    pub fn f120() -> Self {
-        DeviceProfile::F120
-    }
-    /// Shorthand constructor for the Vertex2 profile.
-    pub fn vertex2() -> Self {
-        DeviceProfile::Vertex2
-    }
-    /// Shorthand constructor for the Intel X25-E profile.
-    pub fn intel_x25e() -> Self {
-        DeviceProfile::IntelX25E
-    }
-    /// Shorthand constructor for the Intel X25-M profile.
-    pub fn intel_x25m() -> Self {
-        DeviceProfile::IntelX25M
-    }
-
     /// Builds the [`SsdConfig`] for this profile.
     pub fn build(&self) -> SsdConfig {
         match self {

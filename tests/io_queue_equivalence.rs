@@ -19,8 +19,8 @@
 //!   entries — and the tree stays consistent and usable.
 
 use pio::{
-    CrashPlan, FaultClock, FaultIo, FileLayout, IoQueue, PartitionIo, ReadRequest, SimPsyncIo, SimSyncIo,
-    SimThreadedIo, TryComplete, WriteRequest,
+    CrashPlan, Discipline, FaultClock, FaultIo, FileLayout, IoQueue, PartitionIo, ReadRequest, SimPsyncIo, TryComplete,
+    WriteRequest,
 };
 use pio_btree::mpsearch::{locate_leaves, Descent};
 use pio_btree::{PioBTree, PioConfig, PipelineDepth};
@@ -90,13 +90,23 @@ fn submit_wait_equals_blocking_on_sim_psync() {
 
 #[test]
 fn submit_wait_equals_blocking_on_sim_sync() {
-    assert_blocking_equals_ticketed(|| SimSyncIo::with_profile(DeviceProfile::F120, CAPACITY), 25, 0xB0B);
+    assert_blocking_equals_ticketed(
+        || SimPsyncIo::new(DeviceProfile::F120.build(), CAPACITY, Discipline::Sync),
+        25,
+        0xB0B,
+    );
 }
 
 #[test]
 fn submit_wait_equals_blocking_on_sim_threaded_shared_file() {
     assert_blocking_equals_ticketed(
-        || SimThreadedIo::with_profile(DeviceProfile::P300, CAPACITY, FileLayout::SharedFile),
+        || {
+            SimPsyncIo::new(
+                DeviceProfile::P300.build(),
+                CAPACITY,
+                Discipline::Threads(FileLayout::SharedFile),
+            )
+        },
         25,
         0xCAFE,
     );
@@ -105,7 +115,13 @@ fn submit_wait_equals_blocking_on_sim_threaded_shared_file() {
 #[test]
 fn submit_wait_equals_blocking_on_sim_threaded_separate_files() {
     assert_blocking_equals_ticketed(
-        || SimThreadedIo::with_profile(DeviceProfile::P300, CAPACITY, FileLayout::SeparateFiles),
+        || {
+            SimPsyncIo::new(
+                DeviceProfile::P300.build(),
+                CAPACITY,
+                Discipline::Threads(FileLayout::SeparateFiles),
+            )
+        },
         25,
         0xD00D,
     );
@@ -236,25 +252,27 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
         ),
         (
             "sync",
-            Box::new(|| Arc::new(SimSyncIo::with_profile(DeviceProfile::F120, CAPACITY)) as Arc<dyn IoQueue>),
+            Box::new(|| {
+                Arc::new(SimPsyncIo::new(DeviceProfile::F120.build(), CAPACITY, Discipline::Sync)) as Arc<dyn IoQueue>
+            }),
         ),
         (
             "threaded-shared",
             Box::new(|| {
-                Arc::new(SimThreadedIo::with_profile(
-                    DeviceProfile::P300,
+                Arc::new(SimPsyncIo::new(
+                    DeviceProfile::P300.build(),
                     CAPACITY,
-                    FileLayout::SharedFile,
+                    Discipline::Threads(FileLayout::SharedFile),
                 )) as Arc<dyn IoQueue>
             }),
         ),
         (
             "threaded-separate",
             Box::new(|| {
-                Arc::new(SimThreadedIo::with_profile(
-                    DeviceProfile::P300,
+                Arc::new(SimPsyncIo::new(
+                    DeviceProfile::P300.build(),
                     CAPACITY,
-                    FileLayout::SeparateFiles,
+                    Discipline::Threads(FileLayout::SeparateFiles),
                 )) as Arc<dyn IoQueue>
             }),
         ),

@@ -2,7 +2,7 @@
 //! through the public APIs (device → psync layer → index).
 
 use btree::bulk_load;
-use pio::{IoQueue, ReadRequest, SimPsyncIo, SimSyncIo};
+use pio::{Discipline, IoQueue, ReadRequest, SimPsyncIo};
 use pio_btree::{PioBTree, PioConfig};
 use ssd_sim::DeviceProfile;
 use std::sync::Arc;
@@ -75,7 +75,7 @@ fn principle_2_outstanding_io_in_the_index() {
 fn principle_2_batched_updates_beat_the_baseline() {
     let n = 150_000u64;
     // Baseline B+-tree on a synchronous-I/O store with a small pool.
-    let sync_io = Arc::new(SimSyncIo::with_profile(DeviceProfile::F120, 4 << 30));
+    let sync_io = Arc::new(SimPsyncIo::new(DeviceProfile::F120.build(), 4 << 30, Discipline::Sync));
     let bt_store = Arc::new(CachedStore::new(
         PageStore::new(sync_io, 2048),
         64,

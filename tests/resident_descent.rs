@@ -1,6 +1,7 @@
-//! The inner levels in the page class and the scan-resistant leaf cache, end
-//! to end. (The file keeps the name of the inner tier these tests used to
-//! cover: a per-tree copy of the internal nodes, since folded into the pool.)
+//! The resident descent — a walk over the internal nodes the page class holds —
+//! and the scan-resistant leaf cache, end to end. (The tests' names keep the
+//! word "tier" from the inner tier they used to cover: a per-tree copy of the
+//! internal nodes, since folded into the pool.)
 //!
 //! Three layers of coverage:
 //!
