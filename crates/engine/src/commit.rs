@@ -175,7 +175,12 @@ impl EngineInner {
         let (sole, spread): (_, Vec<Vec<OpEntry>>) = match owner {
             Some(owner) => (Some((owner, entries.iter().map(insert).collect())), Vec::new()),
             None => {
-                let mut spread = vec![Vec::new(); self.shards.len()];
+                // Counted first, so each sub-batch is allocated once at its size.
+                let mut sizes = vec![0usize; self.shards.len()];
+                for &(key, _) in entries {
+                    sizes[shard_of(&routing.bounds, key)] += 1;
+                }
+                let mut spread: Vec<Vec<OpEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
                 for entry in entries {
                     spread[shard_of(&routing.bounds, entry.0)].push(insert(entry));
                 }

@@ -84,7 +84,7 @@ pub use error::{IoError, IoResult};
 pub use fault::{CrashPlan, FaultClock, FaultIo, TornWrite, TransientCounts, TransientFaults};
 pub use memdisk::MemDisk;
 pub use partition::PartitionIo;
-pub use queue::{zeroed_image, Completion, IoQueue, Ticket, TryComplete};
+pub use queue::{recycle_image, spare_images, zeroed_image, Completion, IoQueue, Ticket, TryComplete};
 pub use request::{ReadRequest, WriteRequest};
 pub use resilient::{ResilientIo, RetryPolicy};
 pub use ring::TicketRing;

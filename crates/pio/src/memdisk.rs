@@ -5,9 +5,12 @@
 //! grows on demand up to a configurable capacity, in fixed-size extents so that a
 //! mostly-empty address space does not allocate memory it never touches.
 //!
-//! A read copies the bytes out of the extents into a fresh shared image — the
+//! A read copies the bytes out of the extents into an unshared image — the
 //! device keeps its own bytes, so this copy stays — and that image is the one
-//! the read's completion carries and a cache keeps: one allocation per request.
+//! the read's completion carries and a cache keeps. The image comes from
+//! [`zeroed_image`]: a spare the reading thread got back from an eviction
+//! when it has one, so a miss that evicts as much as it admits allocates
+//! nothing once warm; a new allocation otherwise.
 
 use crate::error::{IoError, IoResult};
 use crate::queue::zeroed_image;
@@ -57,12 +60,13 @@ impl MemDisk {
         Ok(())
     }
 
-    /// Reads `len` bytes at `offset` into a fresh, unshared image. Unwritten
+    /// Reads `len` bytes at `offset` into an unshared image ([`zeroed_image`]:
+    /// a zeroed spare of this thread's, or a new allocation). Unwritten
     /// regions read as zeroes, like a sparse file.
     pub fn read(&self, offset: u64, len: usize) -> IoResult<Arc<[u8]>> {
         self.check(offset, len as u64)?;
         let mut image = zeroed_image(len);
-        let out = Arc::get_mut(&mut image).expect("a fresh image is unshared");
+        let out = Arc::get_mut(&mut image).expect("a zeroed image is unshared");
         let mut copied = 0usize;
         while copied < len {
             let abs = offset + copied as u64;

@@ -24,6 +24,7 @@
 use crate::error::IoResult;
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::{BatchStats, IoStats};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Ticket id reserved for empty submissions, which complete immediately and are
@@ -62,9 +63,11 @@ impl Ticket {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Completion {
     /// One shared image per read request, in request order; empty for writes.
-    /// The backend fills each image and hands over its only reference, so a
-    /// caller may keep it (a cache admits it as is) or change it in place
-    /// through [`Arc::make_mut`] without a copy.
+    /// The backend fills each image — a spare of the submitting thread's when
+    /// it has one ([`zeroed_image`]), else a new allocation — and hands over
+    /// its only reference, so a caller may keep it (a cache admits it as is),
+    /// change it in place through [`Arc::make_mut`] without a copy, or hand it
+    /// back with [`recycle_image`] once done.
     pub buffers: Vec<Arc<[u8]>>,
     /// Size and timing of the batch. For batches that overlapped with other
     /// in-flight tickets, `elapsed_us` is the batch's completion latency measured
@@ -73,12 +76,74 @@ pub struct Completion {
     pub stats: BatchStats,
 }
 
-/// A fresh, unshared, zero-filled image of `len` bytes, in one allocation —
-/// what a backend fills in place (through [`Arc::get_mut`]) before handing it
-/// out in a [`Completion`], and what a writer encodes a page into before it
-/// submits the image with [`WriteRequest::shared`].
+/// Spare images one thread keeps for [`zeroed_image`] to hand out again.
+const SPARE_IMAGES: usize = 64;
+
+thread_local! {
+    /// This thread's spare images, each unshared: [`recycle_image`] keeps only
+    /// an image nobody else references, and nothing here hands one out twice.
+    static SPARES: RefCell<Vec<Arc<[u8]>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes a spare image of exactly `len` bytes off this thread's list, most
+/// recently recycled first, and has `fill` overwrite whatever its last owner
+/// left in it.
+fn reuse_spare(len: usize, fill: impl FnOnce(&mut [u8])) -> Option<Arc<[u8]>> {
+    let mut spare = SPARES
+        .try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let at = spares.iter().rposition(|spare| spare.len() == len)?;
+            Some(spares.swap_remove(at))
+        })
+        .ok()??;
+    fill(Arc::get_mut(&mut spare).expect("a spare is unshared"));
+    Some(spare)
+}
+
+/// An unshared copy of `data`: a spare of its length when this thread has
+/// one, else a new allocation.
+pub(crate) fn copied_image(data: &[u8]) -> Arc<[u8]> {
+    reuse_spare(data.len(), |spare| spare.copy_from_slice(data)).unwrap_or_else(|| Arc::from(data))
+}
+
+/// An unshared, zero-filled image of `len` bytes — what a backend fills in
+/// place (through [`Arc::get_mut`]) before handing it out in a
+/// [`Completion`], and what a writer encodes a page into before it submits
+/// the image with [`WriteRequest::shared`]. It is a spare this thread got back
+/// through [`recycle_image`], zeroed again, when one of `len` bytes is at
+/// hand, and one new allocation only when none is.
 pub fn zeroed_image(len: usize) -> Arc<[u8]> {
-    std::iter::repeat_n(0u8, len).collect()
+    reuse_spare(len, |spare| spare.fill(0)).unwrap_or_else(|| std::iter::repeat_n(0u8, len).collect())
+}
+
+/// Hands an image that is done with back to this thread's spare list, for
+/// [`zeroed_image`] to reuse its allocation. The image is kept only if it is
+/// the last reference to its bytes — no other [`Arc`] and no [`Weak`] — and
+/// the list holds fewer than 64 spares; otherwise it is simply dropped. A
+/// reader that still holds the image therefore never sees its bytes change.
+///
+/// [`Weak`]: std::sync::Weak
+pub fn recycle_image(mut image: Arc<[u8]>) {
+    if Arc::get_mut(&mut image).is_none() {
+        return;
+    }
+    // A thread past its thread-locals' destruction drops the image instead.
+    let _ = SPARES.try_with(|spares| {
+        let mut spares = spares.borrow_mut();
+        if spares.len() < SPARE_IMAGES {
+            // Sized once, so the list itself never reallocates.
+            if spares.capacity() == 0 {
+                spares.reserve_exact(SPARE_IMAGES);
+            }
+            spares.push(image);
+        }
+    });
+}
+
+/// How many spare images this thread holds, at most 64 — what a test reads
+/// to see whether an image was handed back or dropped.
+pub fn spare_images() -> usize {
+    SPARES.try_with(|spares| spares.borrow().len()).unwrap_or(0)
 }
 
 /// Result of a non-blocking [`IoQueue::try_complete`] poll.
@@ -327,6 +392,87 @@ mod tests {
             .unwrap()
             .expect_ready("big batch is last, so it is ready");
         assert_eq!(c_big.buffers.len(), 64);
+    }
+
+    fn address(image: &Arc<[u8]>) -> *const u8 {
+        Arc::as_ptr(image).cast()
+    }
+
+    /// Empties this thread's spare list, so a test sees only its own spares.
+    fn no_spares() {
+        SPARES.with(|spares| spares.borrow_mut().clear());
+    }
+
+    #[test]
+    fn a_spare_comes_back_zeroed_at_the_same_address() {
+        no_spares();
+        let image: Arc<[u8]> = Arc::from(vec![7u8; 4093]);
+        let at = address(&image);
+        recycle_image(image);
+        assert_eq!(spare_images(), 1);
+        let again = zeroed_image(4093);
+        assert_eq!(address(&again), at, "the spare's allocation is reused");
+        assert!(
+            again.iter().all(|&b| b == 0),
+            "a spare is zeroed before it is handed out"
+        );
+
+        // A borrowed write's copy goes into a spare too, holding the new bytes.
+        recycle_image(again);
+        assert_eq!(spare_images(), 1);
+        let copy = WriteRequest::new(0, &[9u8; 4093]).to_image();
+        assert_eq!(address(&copy), at);
+        assert!(copy.iter().all(|&b| b == 9));
+    }
+
+    #[test]
+    fn a_shared_or_weakly_held_spare_is_never_kept() {
+        no_spares();
+        let held: Arc<[u8]> = Arc::from(vec![1u8; 4091]);
+        recycle_image(Arc::clone(&held));
+        assert_eq!(spare_images(), 0);
+        let fresh = zeroed_image(4091);
+        assert_ne!(address(&fresh), address(&held), "a held image is not handed out");
+        assert!(held.iter().all(|&b| b == 1), "nor are its bytes touched");
+        assert_eq!(Arc::strong_count(&held), 1, "the second reference was dropped");
+
+        let watched: Arc<[u8]> = Arc::from(vec![2u8; 4091]);
+        let weak = Arc::downgrade(&watched);
+        recycle_image(watched);
+        assert_eq!(spare_images(), 0);
+        assert!(weak.upgrade().is_none(), "an image with a Weak is dropped, not kept");
+    }
+
+    #[test]
+    fn a_spare_of_another_length_is_never_handed_out() {
+        no_spares();
+        let image = zeroed_image(100);
+        let at = address(&image);
+        recycle_image(image);
+        assert_eq!(spare_images(), 1);
+        let longer = zeroed_image(101);
+        assert_eq!(longer.len(), 101);
+        assert_ne!(address(&longer), at);
+        let shorter = WriteRequest::new(0, &[3u8; 99]).to_image();
+        assert_eq!(&shorter[..], &[3u8; 99]);
+        assert_ne!(address(&shorter), at);
+        assert_eq!(spare_images(), 1, "the spare waited for its length");
+        assert_eq!(address(&zeroed_image(100)), at);
+    }
+
+    #[test]
+    fn the_spare_list_holds_at_most_its_bound() {
+        no_spares();
+        let images: Vec<Arc<[u8]>> = (0..SPARE_IMAGES + 6).map(|_| zeroed_image(64)).collect();
+        let addresses: Vec<*const u8> = images.iter().map(address).collect();
+        images.into_iter().for_each(recycle_image);
+        assert_eq!(spare_images(), SPARE_IMAGES);
+        // The first ones were kept, the rest dropped.
+        let taken: Vec<Arc<[u8]>> = (0..SPARE_IMAGES).map(|_| zeroed_image(64)).collect();
+        assert!(taken
+            .iter()
+            .all(|image| addresses[..SPARE_IMAGES].contains(&address(image))));
+        assert_eq!(spare_images(), 0);
     }
 
     #[test]

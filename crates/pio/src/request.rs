@@ -1,5 +1,6 @@
 //! Read and write request descriptors for [`crate::IoQueue`].
 
+use crate::queue::copied_image;
 use std::sync::Arc;
 
 /// A read of `len` bytes at byte `offset`.
@@ -31,7 +32,10 @@ impl ReadRequest {
 /// thread-pool job, a cache — takes another reference to a shared image
 /// ([`WriteRequest::image`]) and copies only a borrowed one: a caller who
 /// built the image anyway (a page encoded for the cache) hands it down the
-/// stack without a copy, a caller with a scratch buffer (a log force) pays one.
+/// stack without a copy, a caller with a scratch buffer (a log force) pays a
+/// copy — into a spare image when the layer's thread has one
+/// ([`crate::recycle_image`]), so once the layer hands its copies back the
+/// copy allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct WriteRequest<'a> {
     /// Byte offset of the first byte to write.
@@ -76,9 +80,10 @@ impl<'a> WriteRequest<'a> {
     }
 
     /// The bytes as a shared image: another reference to the carried one, or
-    /// a copy of borrowed bytes.
+    /// a copy of borrowed bytes (into a spare image of this thread's, when it
+    /// has one of the length).
     pub fn to_image(&self) -> Arc<[u8]> {
-        self.image().map_or_else(|| Arc::from(self.data), Arc::clone)
+        self.image().map_or_else(|| copied_image(self.data), Arc::clone)
     }
 
     /// Exclusive end offset.

@@ -4,7 +4,9 @@
 //! backend, an injected fault from [`crate::fault`] — should cost a retry, not
 //! poison a whole batch and the engine call above it. [`ResilientIo`] wraps any
 //! [`IoQueue`] and keeps every submitted batch — a shared image by another
-//! reference to it, borrowed bytes by a copy — so a failure that
+//! reference to it, borrowed bytes by a copy, which goes back to the
+//! completing thread's spare images ([`crate::recycle_image`]) once the batch
+//! is done — so a failure that
 //! [`IoError::is_retryable`] classifies as transient is resubmitted up to
 //! [`RetryPolicy::retry_limit`] times with exponential backoff, whether the
 //! failure surfaces at submission or at completion. Non-retryable errors pass
@@ -33,7 +35,7 @@
 //! [`IoStats::give_ups`].
 
 use crate::error::{IoError, IoResult};
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete};
+use crate::queue::{recycle_image, Completion, IoQueue, Ticket, TryComplete};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::IoStats;
 use parking_lot::Mutex;
@@ -92,6 +94,15 @@ impl OwnedBatch {
                     .collect();
                 inner.submit_write(&shared)
             }
+        }
+    }
+
+    /// Hands a completed write's images back to this thread's spare list
+    /// ([`recycle_image`]); the copies of borrowed bytes are the ones nobody
+    /// else holds.
+    fn recycle(self) {
+        if let OwnedBatch::Write(reqs) = self {
+            reqs.into_iter().for_each(|(_, image)| recycle_image(image));
         }
     }
 }
@@ -231,6 +242,7 @@ impl IoQueue for ResilientIo {
                     // Charge the accrued backoff into the ticket's latency so
                     // sim-clock accounting sees the delay the retries cost.
                     completion.stats.elapsed_us += flight.backoff_accrued_us as f64;
+                    flight.batch.recycle();
                     return Ok(completion);
                 }
                 Err(e) => {
@@ -252,7 +264,9 @@ impl IoQueue for ResilientIo {
         match self.inner.try_complete(inner_ticket) {
             Ok(TryComplete::Ready(mut completion)) => {
                 completion.stats.elapsed_us += flight.backoff_accrued_us as f64;
-                flights.remove(&id);
+                let done = flights.remove(&id).expect("looked up above");
+                drop(flights);
+                done.batch.recycle();
                 Ok(TryComplete::Ready(completion))
             }
             Ok(TryComplete::Pending(inner)) => {
@@ -320,6 +334,27 @@ mod tests {
         assert_eq!(stats.give_ups, 0);
         assert_eq!(stats.reads, 1);
         assert_eq!(stats.writes, 1);
+    }
+
+    #[test]
+    fn a_completed_write_hands_its_copy_back_as_a_spare() {
+        let (io, _clock) = resilient(RetryPolicy::default());
+        let base = crate::spare_images();
+        let t = io.submit_write(&[WriteRequest::new(0, &[5u8; 512])]).unwrap();
+        io.wait(t).unwrap();
+        assert_eq!(crate::spare_images(), base + 1, "wait hands the copy back");
+        let t = io.submit_write(&[WriteRequest::new(512, &[6u8; 512])]).unwrap();
+        assert_eq!(crate::spare_images(), base, "the next copy went into it");
+        assert!(io.try_complete(t).unwrap().is_ready());
+        assert_eq!(crate::spare_images(), base + 1, "so does try_complete");
+        // A shared image its caller still holds is not kept.
+        let image: Arc<[u8]> = Arc::from(&[7u8; 512][..]);
+        let t = io.submit_write(&[WriteRequest::shared(1024, &image)]).unwrap();
+        io.wait(t).unwrap();
+        assert_eq!(crate::spare_images(), base + 1);
+        assert_eq!(Arc::strong_count(&image), 1);
+        let written = io.read_at(0, 1536).unwrap();
+        assert!(written[..512].iter().all(|&b| b == 5) && written[512..1024].iter().all(|&b| b == 6));
     }
 
     #[test]

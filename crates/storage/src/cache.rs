@@ -275,23 +275,25 @@ impl Cache {
     }
 
     /// A page write: replaces (or inserts) the entry's image and dirty flag
-    /// and moves it to the probation tail. Victims evicted to make room are
+    /// and moves it to the probation tail; the replaced image goes to this
+    /// thread's spares if no reader holds it. Victims evicted to make room are
     /// appended to `victims`. An entry heavier than the whole budget is not
     /// cached.
     pub fn install(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
-        self.remove_entry(first);
+        self.discard(first);
         self.insert(first, pages, data, dirty, victims);
     }
 
     /// A completed miss: inserts the fetched image if the entry is absent;
     /// otherwise only swaps the image in, leaving segment and recency alone
     /// (two in-flight reads of one region both missed it and both arrive
-    /// here). A dirty entry is newer than anything fetched and keeps its
-    /// image. Victims are appended to `victims`.
+    /// here), and hands the swapped-out image to this thread's spares. A
+    /// dirty entry is newer than anything fetched and keeps its image.
+    /// Victims are appended to `victims`.
     pub fn admit(&mut self, first: PageId, pages: u64, data: PageImage, victims: &mut Vec<Evicted>) {
         match self.entries.get_mut(&first) {
             Some(entry) if entry.dirty => {}
-            Some(entry) => entry.data = data,
+            Some(entry) => pio::recycle_image(std::mem::replace(&mut entry.data, data)),
             None => self.insert(first, pages, data, false, victims),
         }
     }
@@ -356,13 +358,22 @@ impl Cache {
         Some(entry)
     }
 
+    /// Drops an entry without counting an eviction and hands its image back
+    /// to this thread's spares ([`pio::recycle_image`] keeps it only if no
+    /// reader holds it).
+    fn discard(&mut self, first: PageId) {
+        if let Some(entry) = self.remove_entry(first) {
+            pio::recycle_image(entry.data);
+        }
+    }
+
     /// Drops the entry (if any) that *contains* page `p`, dirty or not — the
     /// page was freed or rewritten behind the entry's back. Resident entries
     /// are disjoint, so at most one can cover any page.
     pub fn invalidate_page(&mut self, p: PageId) {
         if let Some((&first, entry)) = self.entries.range(..=p).next_back() {
             if first + entry.pages > p {
-                self.remove_entry(first);
+                self.discard(first);
             }
         }
     }
@@ -376,7 +387,7 @@ impl Cache {
         // range; the rest start inside it.
         self.invalidate_page(first);
         while let Some((&inside, _)) = self.entries.range(first..first + n_pages).next() {
-            self.remove_entry(inside);
+            self.discard(inside);
         }
     }
 
@@ -734,6 +745,31 @@ mod tests {
         c.invalidate_range(7, 2);
         assert!(c.get(8, AccessHint::Scan).is_none());
         assert_eq!(c.used_pages(), 0);
+    }
+
+    /// Images the cache lets go of in place — replaced, swapped, invalidated —
+    /// go to this thread's spares, except one a reader still holds.
+    #[test]
+    fn replaced_swapped_and_invalidated_images_become_spares() {
+        let mut c = slru(16);
+        let spares = pio::spare_images;
+        let base = spares();
+        put(&mut c, 1, 1, false);
+        let held = c.get(1, AccessHint::Point).unwrap();
+        put(&mut c, 1, 1, false);
+        assert_eq!(spares(), base, "a held image is not kept");
+        put(&mut c, 1, 1, false);
+        assert_eq!(spares(), base + 1, "install replaced an unheld image");
+        admit(&mut c, 1, 1, region(9, 1));
+        assert_eq!(spares(), base + 2, "admission swapped one in");
+        admit(&mut c, 4, 4, region(4, 4));
+        c.invalidate_page(6);
+        assert_eq!(spares(), base + 3, "invalidate_page");
+        admit(&mut c, 8, 1, region(8, 1));
+        admit(&mut c, 9, 1, region(9, 1));
+        c.invalidate_range(7, 3);
+        assert_eq!(spares(), base + 5, "invalidate_range");
+        assert!(held.iter().all(|&b| b == 1));
     }
 
     #[test]

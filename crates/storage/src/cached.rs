@@ -41,7 +41,10 @@
 //! refresh, eviction, free or [`CachedStore::drop_cache`] only ever swaps or
 //! drops the cache's own reference. A caller may therefore keep an image as
 //! long as it likes (bupdate keeps its Phase-A images as undo pre-images); it
-//! is a snapshot of the page at the time of the read.
+//! is a snapshot of the page at the time of the read. An image the cache lets
+//! go of that nobody else holds becomes a spare of the releasing thread's
+//! ([`pio::recycle_image`]), which that thread's next miss or encoded page
+//! fills instead of allocating.
 
 use crate::cache::{AccessHint, Cache, CacheStats, Evicted};
 use crate::integrity::{page_checksum, Integrity, IntegrityStats, ScrubReport};
@@ -382,7 +385,10 @@ impl CachedStore {
         self.store.submit_write(images)
     }
 
-    /// Writes a call's dirty victims back, in eviction order, as one batch.
+    /// Writes a call's dirty victims back, in eviction order, as one batch,
+    /// then hands every victim's image to this thread's spares
+    /// ([`pio::recycle_image`] keeps only those no reader holds): the next
+    /// miss on this thread reads into one of them instead of allocating.
     fn write_back(&self, victims: Vec<Evicted>) -> IoResult<()> {
         // Collected from a borrow, not in place: a list with no dirty victim
         // (every read's) must cost no reallocation of `victims`.
@@ -391,10 +397,12 @@ impl CachedStore {
             .filter(|v| v.dirty)
             .map(|v| (v.page, PageImage::clone(&v.data)))
             .collect();
-        if dirty.is_empty() {
-            return Ok(());
+        if !dirty.is_empty() {
+            self.store.complete_write(self.submit_to_device(&dirty)?)?;
         }
-        self.store.complete_write(self.submit_to_device(&dirty)?)
+        drop(dirty);
+        victims.into_iter().for_each(|v| pio::recycle_image(v.data));
+        Ok(())
     }
 
     /// Submits a batched write of `(first_page, image)` pairs, each image a
@@ -1127,6 +1135,41 @@ mod tests {
             assert!(all(&held_region, 3), "{policy:?}: region write over a held region");
             assert!(all(&point_region(&c, r, 2), 5));
 
+            // Spares: misses past the region class (4 regions) evict the held
+            // region and images nobody holds; the misses after them read into
+            // the unheld ones (each miss takes a spare, its admission's
+            // eviction gives one back), never into the held one.
+            let held_region = read_region(&c, r, 2, AccessHint::Point).unwrap();
+            let others: Vec<PageId> = (0..8).map(|_| c.allocate_contiguous(2)).collect();
+            for &o in &others {
+                c.write_page(o, filled(6, 2)).unwrap();
+            }
+            let burst = || {
+                for &o in &others {
+                    let image = read_region(&c, o, 2, AccessHint::Point).unwrap();
+                    assert!(
+                        all(&image, 6),
+                        "{policy:?}: a miss into a spare reads the device's bytes"
+                    );
+                }
+            };
+            burst();
+            let spares = pio::spare_images();
+            assert!(
+                (1..64).contains(&spares),
+                "{policy:?}: {spares} spares after the first burst"
+            );
+            burst();
+            assert_eq!(
+                pio::spare_images(),
+                spares,
+                "{policy:?}: the second burst read into spares"
+            );
+            assert!(
+                all(&held_region, 5),
+                "{policy:?}: misses into spares under a held region"
+            );
+
             // Eviction (the pool holds 4 pages), drop_cache and free.
             let held = c.read_page(p).unwrap();
             for _ in 0..6 {
@@ -1145,6 +1188,31 @@ mod tests {
             assert!(all(&c.read_page(p).unwrap(), 2));
             c.free(p);
             assert!(all(&held, 2), "{policy:?}: free under a held image");
+        }
+    }
+
+    /// An evicted image goes to this thread's spares once its write-back (if
+    /// any) is done — unless a reader holds it — and the next miss reads
+    /// into it.
+    #[test]
+    fn evicted_images_become_spares_after_their_write_back() {
+        for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+            let c = cached(policy, 1);
+            let (p, q, r) = (c.allocate(), c.allocate(), c.allocate());
+            let base = pio::spare_images();
+            c.write_page(p, vec![6u8; 4096].into()).unwrap();
+            let held = c.read_page(p).unwrap();
+            c.write_page(q, vec![7u8; 4096].into()).unwrap();
+            assert_eq!(pio::spare_images(), base, "{policy:?}: a held victim is not kept");
+            c.write_page(r, vec![8u8; 4096].into()).unwrap();
+            assert_eq!(pio::spare_images(), base + 1, "{policy:?}: an unheld victim is");
+            let reread = c.read_page(q).unwrap();
+            assert_eq!(
+                pio::spare_images(),
+                base + 1,
+                "{policy:?}: the miss took it, r became one"
+            );
+            assert!(reread.iter().all(|&b| b == 7) && held.iter().all(|&b| b == 6));
         }
     }
 

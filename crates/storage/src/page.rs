@@ -16,9 +16,10 @@ pub const INVALID_PAGE: PageId = u64::MAX;
 pub type PageImage = std::sync::Arc<[u8]>;
 
 /// A new image of `len` bytes: zeroed, then written in place by `write`
-/// before anything else can see it — one allocation, no copy. This is how a
-/// page to be written is encoded: the image goes to the device and into the
-/// cache as it is.
+/// before anything else can see it — no copy, and no allocation when this
+/// thread has a spare image of `len` bytes ([`pio::zeroed_image`]). This is
+/// how a page to be written is encoded: the image goes to the device and into
+/// the cache as it is.
 pub fn new_image(len: usize, write: impl FnOnce(&mut [u8])) -> PageImage {
     let mut image = pio::zeroed_image(len);
     write(PageImage::get_mut(&mut image).expect("a new image is unshared"));
