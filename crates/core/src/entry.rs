@@ -104,9 +104,9 @@ impl OpEntry {
     }
 
     /// Parses an entry serialised by [`OpEntry::encode_into`]. Returns `None` when the
-    /// slot is empty (op byte zero) or corrupt.
+    /// slot is empty (op byte zero), corrupt or too short to hold the flag.
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        let op = OpKind::from_byte(buf[16])?;
+        let op = OpKind::from_byte(*buf.get(16)?)?;
         Some(Self {
             key: u64::from_le_bytes(buf[..8].try_into().ok()?),
             value: u64::from_le_bytes(buf[8..16].try_into().ok()?),
@@ -170,6 +170,55 @@ mod tests {
     fn empty_slot_decodes_to_none() {
         let buf = [0u8; ENTRY_BYTES];
         assert_eq!(OpEntry::decode(&buf), None);
+    }
+
+    /// Fuzz: every value at every byte of an encoded entry, every truncation
+    /// and seeded extensions decode without a panic, to `None` or to an entry
+    /// that re-encodes to the bytes it was read from.
+    #[test]
+    fn fuzz_op_entry_mutations_truncations_and_extensions() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_E4D7);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let check = |buf: &[u8], ctx: &str| {
+            if let Some(e) = OpEntry::decode(buf) {
+                let mut again = [0u8; ENTRY_BYTES];
+                e.encode_into(&mut again);
+                assert_eq!(again[..17], buf[..17], "{ctx}");
+            }
+        };
+        for e in [
+            OpEntry::insert(42, 1000),
+            OpEntry::delete(7),
+            OpEntry::update(u64::MAX, 3),
+        ] {
+            let mut image = [0u8; ENTRY_BYTES];
+            e.encode_into(&mut image);
+            for at in 0..ENTRY_BYTES {
+                for value in 0..=255u8 {
+                    let mut mutated = image;
+                    mutated[at] = value;
+                    check(&mutated, &format!("{e:?}: byte {at} = {value}"));
+                }
+            }
+            for cut in 0..ENTRY_BYTES {
+                let decoded = OpEntry::decode(&image[..cut]);
+                assert_eq!(decoded, (cut > 16).then_some(e), "{e:?} cut at {cut}");
+            }
+            for _ in 0..64 {
+                let mut extended = image.to_vec();
+                extended.extend((0..1 + rand(32)).map(|_| rand(256) as u8));
+                assert_eq!(OpEntry::decode(&extended), Some(e), "CRASH_SEED={seed} {e:?} extended");
+            }
+        }
     }
 
     #[test]

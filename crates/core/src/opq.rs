@@ -157,14 +157,11 @@ impl OperationQueue {
         verdict
     }
 
-    /// Every queued entry with a key in `[lo, hi)`, in arrival order (used to overlay
-    /// the OPQ on a prange-search result).
-    pub fn entries_in_range(&self, lo: Key, hi: Key) -> Vec<OpEntry> {
-        self.entries
-            .iter()
-            .copied()
-            .filter(|e| e.key >= lo && e.key < hi)
-            .collect()
+    /// Fills `out` with every queued entry with a key in `[lo, hi)`, entries on one
+    /// key in arrival order (used to overlay the OPQ on a prange-search result).
+    pub fn entries_in_range(&self, lo: Key, hi: Key, out: &mut Vec<OpEntry>) {
+        out.clear();
+        out.extend(self.entries.iter().filter(|e| e.key >= lo && e.key < hi));
     }
 
     /// Removes and returns up to `bcnt` entries for batch processing, sorted by key
@@ -291,8 +288,9 @@ mod tests {
         for k in 0..10u64 {
             q.append(OpEntry::insert(k, k));
         }
-        let r = q.entries_in_range(3, 7);
-        assert_eq!(r.len(), 4);
+        let mut r = vec![OpEntry::delete(99)];
+        q.entries_in_range(3, 7, &mut r);
+        assert_eq!(r.len(), 4, "the vector is refilled, not appended to");
         assert!(r.iter().all(|e| (3..7).contains(&e.key)));
     }
 

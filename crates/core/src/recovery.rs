@@ -591,9 +591,9 @@ impl PioBTree {
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_record_round_trips() {
-        let records = vec![
+    /// One record of every kind, three logical redos among them.
+    fn every_kind() -> Vec<LogRecord> {
+        vec![
             LogRecord::LogicalRedo {
                 tx: 7,
                 entry: OpEntry::insert(42, 420),
@@ -656,8 +656,12 @@ mod tests {
                 lo: 1_000,
                 hi: u64::MAX,
             },
-        ];
-        for r in records {
+        ]
+    }
+
+    #[test]
+    fn every_record_round_trips() {
+        for r in every_kind() {
             let encoded = r.encode();
             assert_eq!(LogRecord::decode(&encoded), Some(r.clone()));
             // The in-place form appends exactly the same bytes.
@@ -691,6 +695,47 @@ mod tests {
         .encode();
         *bad.last_mut().unwrap() = 2;
         assert_eq!(LogRecord::decode(&bad), None);
+    }
+
+    /// Fuzz: seeded single-byte rewrites, truncations and extensions of every
+    /// record kind decode without a panic, to `None` or to a record whose
+    /// encoding is a prefix of the bytes it was read from (trailing bytes are
+    /// not the decoder's).
+    #[test]
+    fn fuzz_log_record_mutations_truncations_and_extensions() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_10C5);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for r in every_kind() {
+            let image = r.encode();
+            let mut mutants: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..2000 {
+                let mut mutated = image.clone();
+                mutated[rand(image.len() as u64) as usize] = rand(256) as u8;
+                let cut = rand(mutated.len() as u64 + 1) as usize;
+                mutants.push(mutated[..cut].to_vec());
+                mutants.push(mutated);
+            }
+            for _ in 0..64 {
+                let mut extended = image.clone();
+                extended.extend((0..1 + rand(32)).map(|_| rand(256) as u8));
+                mutants.push(extended);
+            }
+            for mutated in mutants {
+                if let Some(decoded) = LogRecord::decode(&mutated) {
+                    let again = decoded.encode();
+                    assert!(mutated.starts_with(&again), "CRASH_SEED={seed} {r:?} → {decoded:?}");
+                }
+            }
+        }
     }
 
     /// Every record kind, truncated at every possible length, must decode to

@@ -37,6 +37,8 @@ pub(crate) struct SearchScratch {
     regions: Vec<(PageId, u64)>,
     /// The leaf reads in flight.
     ring: TicketRing<CachedReadTicket>,
+    /// The queued operations a `range_search` overlays on its result.
+    queued: Vec<OpEntry>,
     pub(crate) descent: Descent,
     /// The records of the leaf a bupdate job is applying.
     pub(crate) leaf_records: Vec<OpEntry>,
@@ -206,7 +208,9 @@ impl PioBTree {
         let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
         let batch = |batch_idx: usize| &leaves[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(leaves.len())];
-        let SearchScratch { regions, ring, .. } = &mut self.scratch;
+        let SearchScratch {
+            regions, ring, queued, ..
+        } = &mut self.scratch;
         ring.set_depth(self.pipeline_depth);
         let store = &self.store;
         // Leaves arrive in key order and cover disjoint key ranges, so each one's
@@ -233,14 +237,15 @@ impl PioBTree {
                 Ok(())
             },
         )?;
-        Ok(overlay(found, self.opq.entries_in_range(lo, hi)))
+        self.opq.entries_in_range(lo, hi, queued);
+        Ok(overlay(found, queued))
     }
 }
 
 /// Overlays queued (not yet flushed) operations on a key-sorted scan result:
 /// one merge of the two key orders, in which the newest queued operation on a
 /// key decides it.
-fn overlay(found: Vec<(Key, Value)>, mut queued: Vec<OpEntry>) -> Vec<(Key, Value)> {
+fn overlay(found: Vec<(Key, Value)>, queued: &mut [OpEntry]) -> Vec<(Key, Value)> {
     if queued.is_empty() {
         return found;
     }

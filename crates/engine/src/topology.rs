@@ -623,6 +623,64 @@ mod tests {
         }
     }
 
+    /// Fuzz: seeded single-byte rewrites, truncations and extensions of an
+    /// encoded manifest decode without a panic, to `None` or to a manifest
+    /// that keeps the decoder's invariants (one meta per shard, one bound
+    /// fewer than shards) and encodes to text that decodes back to it.
+    #[test]
+    fn fuzz_manifest_mutations_truncations_and_extensions() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_3A4F);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let meta = |root| ShardMeta {
+            root,
+            height: 2,
+            high_water: root * 10,
+        };
+        let image = EngineManifest {
+            shards: 3,
+            page_size: 2048,
+            wal_enabled: true,
+            bounds: vec![100, 2000],
+            shard_meta: vec![meta(7), meta(9), meta(11)],
+        }
+        .encode()
+        .into_bytes();
+        let alphabet = b"0123456789=,.\nshardbouwlpagez_v-";
+        let mut mutants: Vec<Vec<u8>> = (0..=image.len()).map(|cut| image[..cut].to_vec()).collect();
+        for _ in 0..4000 {
+            let mut mutated = image.clone();
+            // Half the rewrites stay within the format's own characters, so
+            // they reach the decoder's later checks, not only its first.
+            mutated[rand(image.len() as u64) as usize] = match rand(2) {
+                0 => alphabet[rand(alphabet.len() as u64) as usize],
+                _ => rand(256) as u8,
+            };
+            mutants.push(mutated);
+        }
+        for _ in 0..256 {
+            let mut extended = image.clone();
+            extended.extend((0..1 + rand(24)).map(|_| alphabet[rand(alphabet.len() as u64) as usize]));
+            mutants.push(extended);
+        }
+        for mutated in mutants {
+            let text = String::from_utf8_lossy(&mutated);
+            if let Some(m) = EngineManifest::decode(&text) {
+                let ctx = format!("CRASH_SEED={seed}: {text:?}");
+                assert_eq!((m.shard_meta.len(), m.bounds.len() + 1), (m.shards, m.shards), "{ctx}");
+                assert_eq!(EngineManifest::decode(&m.encode()).as_ref(), Some(&m), "{ctx}");
+            }
+        }
+    }
+
     #[test]
     fn device_per_shard_provisions_independent_backends() {
         let backends = DevicePerShard

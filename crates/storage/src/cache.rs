@@ -28,15 +28,19 @@
 //! re-reference is promoted and at once demoted to the probation tail, which
 //! is move-to-back.
 //!
-//! The index is a `BTreeMap` so that a write to one page can find and drop
-//! the region covering it in `O(log n)` (bupdate's leaf-segment appends land
-//! *inside* cached leaf regions). Recency lives in two `(page, stamp)` queues;
-//! a pair whose stamp or segment no longer matches its entry is stale and
-//! skipped on pop, and stale pairs are compacted away in place before they
-//! can outnumber the live ones.
+//! The index is a `BTreeMap` from an entry's first page to its slot, so that
+//! a write to one page can find and drop the region covering it in
+//! `O(log n)` (bupdate's leaf-segment appends land *inside* cached leaf
+//! regions). The entries live in a vector of slots, and each segment is a
+//! doubly linked list threaded through them, least recently used at the head.
+//! A removed entry's slot goes on a free list that the next admission takes
+//! first, so the slots never outnumber the most entries ever resident at
+//! once. A hit is one index probe, a reference-count bump and an O(1) relink.
+//! An admission or a write makes one probe, and so does an eviction, which
+//! takes its victim from a list head; a demotion makes none.
 
 use crate::page::{PageId, PageImage};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::{self, BTreeMap};
 
 /// How a read intends to use the data — decides cache admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,24 +107,37 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// A segment, which is also the index of its list in [`Cache::lists`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
     Probation,
     Protected,
 }
 
+/// The end of a list: the link of a head's `prev`, a tail's `next` and an
+/// empty list's ends.
+const NIL: usize = usize::MAX;
+
+/// One slot of [`Cache::slots`]: a resident entry, linked into its segment's
+/// list, or a vacant slot (no image) waiting on the free list.
 #[derive(Debug)]
 struct Entry {
-    data: PageImage,
+    first: PageId,
+    data: Option<PageImage>,
     pages: u64,
     dirty: bool,
-    stamp: u64,
     seg: Segment,
+    prev: usize,
+    next: usize,
 }
 
-/// Queue pairs tolerated beyond twice the resident entries before the stale
-/// ones are compacted away.
-const LRU_SLACK: usize = 64;
+/// The ends of one segment's list: `head` is the least recently used slot
+/// (the next to leave), `tail` the most recently used.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: usize,
+    tail: usize,
+}
 
 /// Segmented-LRU cache of page regions, bounded by a budget in pages. Not
 /// internally synchronised — [`crate::CachedStore`] keeps it behind a mutex.
@@ -130,12 +147,15 @@ pub struct Cache {
     /// Fifths of the budget the protected segment may hold: promotion beyond
     /// that demotes the protected LRU back to probation instead of growing.
     protected_fifths: u64,
-    entries: BTreeMap<PageId, Entry>,
-    probation: VecDeque<(PageId, u64)>,
-    protected: VecDeque<(PageId, u64)>,
+    /// First page of each resident entry → its slot.
+    index: BTreeMap<PageId, usize>,
+    slots: Vec<Entry>,
+    /// Slots of removed entries, reused before `slots` grows.
+    vacant: Vec<usize>,
+    /// The probation and the protected list, indexed by [`Segment`].
+    lists: [List; 2],
     used_pages: u64,
     protected_pages: u64,
-    next_stamp: u64,
     stats: CacheStats,
 }
 
@@ -147,12 +167,12 @@ impl Cache {
         Self {
             capacity_pages,
             protected_fifths,
-            entries: BTreeMap::new(),
-            probation: VecDeque::new(),
-            protected: VecDeque::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            vacant: Vec::new(),
+            lists: [List { head: NIL, tail: NIL }; 2],
             used_pages: 0,
             protected_pages: 0,
-            next_stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -169,11 +189,6 @@ impl Cache {
 
     fn protected_cap(&self) -> u64 {
         self.capacity_pages * self.protected_fifths / 5
-    }
-
-    fn stamp(&mut self) -> u64 {
-        self.next_stamp += 1;
-        self.next_stamp
     }
 
     /// Looks up the entry starting at `first`, returning its (shared) image.
@@ -195,60 +210,53 @@ impl Cache {
     /// entry: a hit is counted and touched alike, an absent entry counts
     /// nothing.
     pub(crate) fn get_resident(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
-        let data = self.peek(first)?;
+        let slot = *self.index.get(&first)?;
         self.stats.hits += 1;
         if hint == AccessHint::Point {
-            self.touch(first);
+            self.touch(slot);
         }
-        Some(data)
+        self.slots[slot].data.clone()
     }
 
     /// The image of the entry starting at `first`, for a lookup no reader
     /// made (scrub's heal): counts nothing and leaves recency alone.
     pub(crate) fn peek(&self, first: PageId) -> Option<PageImage> {
-        self.entries.get(&first).map(|e| PageImage::clone(&e.data))
+        self.index.get(&first).and_then(|&slot| self.slots[slot].data.clone())
     }
 
-    /// Queues a recency pair at the tail of `seg`'s queue.
-    fn push(&mut self, seg: Segment, first: PageId, stamp: u64) {
-        match seg {
-            Segment::Probation => self.probation.push_back((first, stamp)),
-            Segment::Protected => self.protected.push_back((first, stamp)),
+    /// Links `slot` at the tail of `seg`'s list.
+    fn push_back(&mut self, seg: Segment, slot: usize) {
+        let list = &mut self.lists[seg as usize];
+        let entry = &mut self.slots[slot];
+        (entry.seg, entry.prev, entry.next) = (seg, list.tail, NIL);
+        match list.tail {
+            NIL => list.head = slot,
+            tail => self.slots[tail].next = slot,
         }
-        self.compact();
+        list.tail = slot;
     }
 
-    /// Keeps each queue within twice the resident entries plus a floor. Every
-    /// hit leaves a stale pair behind and only an eviction pops them, so a
-    /// working set that fits would otherwise grow the queues for ever. Live
-    /// pairs keep their order, so eviction order is unchanged; the floor keeps
-    /// tiny caches from compacting constantly and the cost is amortised O(1)
-    /// per queue operation.
-    fn compact(&mut self) {
-        let bound = 2 * self.entries.len() + LRU_SLACK;
-        let entries = &self.entries;
-        for (seg, queue) in [
-            (Segment::Probation, &mut self.probation),
-            (Segment::Protected, &mut self.protected),
-        ] {
-            if queue.len() > bound {
-                queue.retain(|&(page, stamp)| entries.get(&page).is_some_and(|e| e.stamp == stamp && e.seg == seg));
-            }
+    /// Takes `slot` out of its segment's list.
+    fn unlink(&mut self, slot: usize) {
+        let Entry { seg, prev, next, .. } = self.slots[slot];
+        let list = &mut self.lists[seg as usize];
+        match prev {
+            NIL => list.head = next,
+            prev => self.slots[prev].next = next,
+        }
+        match next {
+            NIL => list.tail = prev,
+            next => self.slots[next].prev = prev,
         }
     }
 
-    /// Promotes (or refreshes) `first` after a point re-reference.
-    fn touch(&mut self, first: PageId) {
-        let stamp = self.stamp();
-        let entry = self.entries.get_mut(&first).expect("touch of a resident entry");
-        entry.stamp = stamp;
-        let promoted = entry.seg == Segment::Probation;
+    /// Promotes (or refreshes) `slot` after a point re-reference.
+    fn touch(&mut self, slot: usize) {
+        let promoted = self.slots[slot].seg == Segment::Probation;
+        self.unlink(slot);
+        self.push_back(Segment::Protected, slot);
         if promoted {
-            entry.seg = Segment::Protected;
-            self.protected_pages += entry.pages;
-        }
-        self.push(Segment::Protected, first, stamp);
-        if promoted {
+            self.protected_pages += self.slots[slot].pages;
             self.shrink_protected();
         }
     }
@@ -257,20 +265,10 @@ impl Cache {
     /// segment is back under its cap. Total residency is unchanged.
     fn shrink_protected(&mut self) {
         while self.protected_pages > self.protected_cap() {
-            let Some((page, stamp)) = self.protected.pop_front() else {
-                break;
-            };
-            let Some(entry) = self.entries.get_mut(&page) else {
-                continue; // invalidated since queued
-            };
-            if entry.stamp != stamp || entry.seg != Segment::Protected {
-                continue; // stale queue pair
-            }
-            self.next_stamp += 1;
-            entry.seg = Segment::Probation;
-            entry.stamp = self.next_stamp;
-            self.protected_pages -= entry.pages;
-            self.push(Segment::Probation, page, self.next_stamp);
+            let slot = self.lists[Segment::Protected as usize].head;
+            self.unlink(slot);
+            self.push_back(Segment::Probation, slot);
+            self.protected_pages -= self.slots[slot].pages;
         }
     }
 
@@ -280,8 +278,23 @@ impl Cache {
     /// appended to `victims`. An entry heavier than the whole budget is not
     /// cached.
     pub fn install(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
-        self.discard(first);
-        self.insert(first, pages, data, dirty, victims);
+        let (fits, free) = (self.fits(pages), self.free_slot());
+        match self.index.entry(first) {
+            // The replaced entry's slot is vacated, and its successor takes it.
+            btree_map::Entry::Occupied(resident) if fits => {
+                let slot = *resident.get();
+                pio::recycle_image(self.release(slot).0);
+            }
+            btree_map::Entry::Occupied(resident) => {
+                let slot = resident.remove();
+                return pio::recycle_image(self.release(slot).0);
+            }
+            btree_map::Entry::Vacant(at) if fits => {
+                at.insert(free);
+            }
+            btree_map::Entry::Vacant(_) => return,
+        }
+        self.occupy(first, pages, data, dirty, victims);
     }
 
     /// A completed miss: inserts the fetched image if the entry is absent;
@@ -291,30 +304,52 @@ impl Cache {
     /// dirty entry is newer than anything fetched and keeps its image.
     /// Victims are appended to `victims`.
     pub fn admit(&mut self, first: PageId, pages: u64, data: PageImage, victims: &mut Vec<Evicted>) {
-        match self.entries.get_mut(&first) {
-            Some(entry) if entry.dirty => {}
-            Some(entry) => pio::recycle_image(std::mem::replace(&mut entry.data, data)),
-            None => self.insert(first, pages, data, false, victims),
+        let (fits, free) = (self.fits(pages), self.free_slot());
+        match self.index.entry(first) {
+            btree_map::Entry::Occupied(resident) => {
+                let entry = &mut self.slots[*resident.get()];
+                if !entry.dirty {
+                    pio::recycle_image(entry.data.replace(data).expect("a resident entry holds an image"));
+                }
+            }
+            btree_map::Entry::Vacant(at) if fits => {
+                at.insert(free);
+                self.occupy(first, pages, data, false, victims);
+            }
+            btree_map::Entry::Vacant(_) => {}
         }
     }
 
-    fn insert(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
-        if pages == 0 || pages > self.capacity_pages {
-            return;
-        }
-        let stamp = self.stamp();
-        self.entries.insert(
+    /// Whether an entry of `pages` pages may be cached at all.
+    fn fits(&self, pages: u64) -> bool {
+        pages > 0 && pages <= self.capacity_pages
+    }
+
+    /// The slot the next admission takes: the last one vacated, else a new one.
+    fn free_slot(&self) -> usize {
+        self.vacant.last().copied().unwrap_or(self.slots.len())
+    }
+
+    /// Fills [`Cache::free_slot`], which the index already maps `first` to,
+    /// links it at the probation tail and evicts to fit.
+    fn occupy(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
+        let slot = self.free_slot();
+        let entry = Entry {
             first,
-            Entry {
-                data,
-                pages,
-                dirty,
-                stamp,
-                seg: Segment::Probation,
-            },
-        );
+            data: Some(data),
+            pages,
+            dirty,
+            seg: Segment::Probation,
+            prev: NIL,
+            next: NIL,
+        };
+        if self.vacant.pop().is_some() {
+            self.slots[slot] = entry;
+        } else {
+            self.slots.push(entry);
+        }
         self.used_pages += pages;
-        self.push(Segment::Probation, first, stamp);
+        self.push_back(Segment::Probation, slot);
         self.evict_to_fit(victims);
     }
 
@@ -322,48 +357,38 @@ impl Cache {
     /// holds.
     fn evict_to_fit(&mut self, victims: &mut Vec<Evicted>) {
         while self.used_pages > self.capacity_pages {
-            let (page, stamp, seg) = match self.probation.pop_front() {
-                Some((p, s)) => (p, s, Segment::Probation),
-                None => match self.protected.pop_front() {
-                    Some((p, s)) => (p, s, Segment::Protected),
-                    None => break,
-                },
+            let slot = match self.lists[Segment::Probation as usize].head {
+                NIL => self.lists[Segment::Protected as usize].head,
+                slot => slot,
             };
-            if !self
-                .entries
-                .get(&page)
-                .is_some_and(|e| e.stamp == stamp && e.seg == seg)
-            {
-                continue; // stale queue pair
-            }
-            let entry = self.remove_entry(page).expect("checked above");
+            let page = self.slots[slot].first;
+            self.index.remove(&page);
+            let (data, dirty) = self.release(slot);
             self.stats.evictions += 1;
-            self.stats.dirty_evictions += entry.dirty as u64;
-            victims.push(Evicted {
-                page,
-                data: entry.data,
-                dirty: entry.dirty,
-            });
+            self.stats.dirty_evictions += dirty as u64;
+            victims.push(Evicted { page, data, dirty });
         }
     }
 
-    /// Drops an entry without counting an eviction.
-    fn remove_entry(&mut self, first: PageId) -> Option<Entry> {
-        let entry = self.entries.remove(&first)?;
+    /// Frees the slot of an entry already dropped from the index, without
+    /// counting an eviction; returns its image and dirty flag.
+    fn release(&mut self, slot: usize) -> (PageImage, bool) {
+        self.unlink(slot);
+        self.vacant.push(slot);
+        let entry = &mut self.slots[slot];
         self.used_pages -= entry.pages;
         if entry.seg == Segment::Protected {
             self.protected_pages -= entry.pages;
         }
-        self.compact();
-        Some(entry)
+        (entry.data.take().expect("a resident entry holds an image"), entry.dirty)
     }
 
     /// Drops an entry without counting an eviction and hands its image back
     /// to this thread's spares ([`pio::recycle_image`] keeps it only if no
     /// reader holds it).
     fn discard(&mut self, first: PageId) {
-        if let Some(entry) = self.remove_entry(first) {
-            pio::recycle_image(entry.data);
+        if let Some(slot) = self.index.remove(&first) {
+            pio::recycle_image(self.release(slot).0);
         }
     }
 
@@ -371,8 +396,8 @@ impl Cache {
     /// page was freed or rewritten behind the entry's back. Resident entries
     /// are disjoint, so at most one can cover any page.
     pub fn invalidate_page(&mut self, p: PageId) {
-        if let Some((&first, entry)) = self.entries.range(..=p).next_back() {
-            if first + entry.pages > p {
+        if let Some((&first, &slot)) = self.index.range(..=p).next_back() {
+            if first + self.slots[slot].pages > p {
                 self.discard(first);
             }
         }
@@ -386,7 +411,7 @@ impl Cache {
         // One resident entry may start below `first` and reach into the
         // range; the rest start inside it.
         self.invalidate_page(first);
-        while let Some((&inside, _)) = self.entries.range(first..first + n_pages).next() {
+        while let Some((&inside, _)) = self.index.range(first..first + n_pages).next() {
             self.discard(inside);
         }
     }
@@ -395,9 +420,12 @@ impl Cache {
     /// their images in ascending page order — used by `flush`.
     pub fn take_dirty(&mut self) -> Vec<(PageId, PageImage)> {
         let mut out = Vec::new();
-        for (&page, entry) in self.entries.iter_mut().filter(|(_, e)| e.dirty) {
-            entry.dirty = false;
-            out.push((page, PageImage::clone(&entry.data)));
+        for (&page, &slot) in &self.index {
+            let entry = &mut self.slots[slot];
+            if let (true, Some(data)) = (entry.dirty, &entry.data) {
+                entry.dirty = false;
+                out.push((page, PageImage::clone(data)));
+            }
         }
         out
     }
@@ -414,9 +442,10 @@ impl Cache {
     /// cold-phase resets). Counters are kept — they are monotonic like every
     /// other stat in the repo.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.probation.clear();
-        self.protected.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.vacant.clear();
+        self.lists = [List { head: NIL, tail: NIL }; 2];
         self.used_pages = 0;
         self.protected_pages = 0;
     }
@@ -452,7 +481,7 @@ mod tests {
     }
 
     fn resident(c: &Cache, first: PageId) -> bool {
-        c.entries.contains_key(&first)
+        c.index.contains_key(&first)
     }
 
     // ------------------------------------------------------------- plain LRU --
@@ -527,7 +556,7 @@ mod tests {
         put(&mut p, 1, 2, false);
         put(&mut p, 1, 1, false);
         assert_eq!(p.used_pages(), 1);
-        assert_eq!(p.entries.len(), 1);
+        assert_eq!(p.index.len(), 1);
     }
 
     #[test]
@@ -557,7 +586,7 @@ mod tests {
         assert_eq!(p.stats().evictions, 0, "invalidation is not an eviction");
         put(&mut p, 2, 1, false);
         p.clear();
-        assert!(p.entries.is_empty());
+        assert!(p.index.is_empty() && p.slots.is_empty());
         assert_eq!(p.used_pages(), 0);
     }
 
@@ -571,34 +600,30 @@ mod tests {
     }
 
     #[test]
-    fn hits_on_a_resident_entry_do_not_grow_the_queue() {
+    fn hits_on_a_resident_entry_keep_the_others_in_order() {
         let mut p = lru(3);
         put(&mut p, 1, 1, false);
         put(&mut p, 2, 1, false);
         put(&mut p, 3, 1, false);
         for _ in 0..100_000 {
             p.get(2, AccessHint::Point);
-            let bound = 2 * p.entries.len() + LRU_SLACK;
-            assert!(p.probation.len() <= bound && p.protected.len() <= bound);
         }
-        // Compaction kept the live pairs in order: 1 is still the LRU victim,
-        // then 3, and the much-hit 2 goes last.
+        // 1 is still the LRU victim, then 3, and the much-hit 2 goes last.
         assert_eq!(put(&mut p, 4, 1, false)[0].page, 1);
         assert_eq!(put(&mut p, 5, 1, false)[0].page, 3);
         assert_eq!(put(&mut p, 6, 1, false)[0].page, 2);
     }
 
     #[test]
-    fn stale_lru_entries_are_skipped() {
+    fn a_touched_entry_outlives_an_untouched_one() {
         let mut p = lru(2);
         put(&mut p, 1, 1, false);
         put(&mut p, 2, 1, false);
-        // touch page 1 many times to generate stale queue entries for it
         for _ in 0..100 {
             p.get(1, AccessHint::Point);
         }
         let ev = put(&mut p, 3, 1, false);
-        // victim must be page 2 (page 1 was touched last), despite the stale entries
+        // victim must be page 2: page 1 was touched last
         assert_eq!(ev[0].page, 2);
         assert!(resident(&p, 1));
     }
@@ -710,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn hits_on_a_resident_region_do_not_grow_the_queues() {
+    fn hits_on_a_resident_region_keep_probation_in_order() {
         let mut c = slru(6);
         for first in [0u64, 2, 4] {
             admit(&mut c, first, 2, region(first as u8, 2));
@@ -718,11 +743,9 @@ mod tests {
         // Region 2 is promoted by its first hit and refreshed by the rest.
         for _ in 0..100_000 {
             c.get(2, AccessHint::Point);
-            let bound = 2 * c.entries.len() + LRU_SLACK;
-            assert!(c.probation.len() <= bound && c.protected.len() <= bound);
         }
-        // Compaction kept the live pairs in order: probation still drains
-        // oldest-first (0, then 4) before the protected region 2 is touched.
+        // Probation still drains oldest-first (0, then 4) before the
+        // protected region 2 is touched.
         for (first, survivors) in [(10u64, [2u64, 4]), (12, [2, 10])] {
             admit(&mut c, first, 2, region(9, 2));
             for s in survivors {
@@ -730,6 +753,31 @@ mod tests {
             }
         }
         assert_eq!(c.stats().evictions, 2);
+    }
+
+    /// A removed entry's slot is the next admission's: hits add none, and
+    /// churn at a fixed budget needs no more slots than the most entries
+    /// resident at once — the budget's, plus the one an admission links
+    /// before it evicts.
+    #[test]
+    fn slots_are_reused_not_grown() {
+        for mut c in [lru(8), slru(8)] {
+            for first in 0..8 {
+                admit(&mut c, first, 1, region(1, 1));
+            }
+            for i in 0..100_000u64 {
+                c.get(i % 8, AccessHint::Point);
+            }
+            assert_eq!(c.slots.len(), 8, "hits allocated slots");
+            for first in 8..100_008 {
+                admit(&mut c, first, 1, region(1, 1));
+                c.get(first - 4, AccessHint::Point);
+            }
+            assert_eq!(c.index.len(), 8);
+            assert_eq!(c.slots.len(), 9, "churn grew the slots");
+            assert_eq!(c.vacant.len(), 1);
+            assert_eq!(c.stats().evictions, 100_000);
+        }
     }
 
     #[test]
@@ -896,24 +944,27 @@ mod tests {
         }
     }
 
-    /// The live pairs of one stamp queue, in queue order, as model slots.
-    fn live(c: &Cache, seg: Segment) -> Vec<Slot> {
-        let queue = match seg {
-            Segment::Probation => &c.probation,
-            Segment::Protected => &c.protected,
-        };
-        queue
-            .iter()
-            .filter_map(|&(first, stamp)| {
-                let e = c.entries.get(&first).filter(|e| e.stamp == stamp && e.seg == seg)?;
-                Some(Slot {
-                    first,
-                    pages: e.pages,
-                    data: e.data.clone(),
-                    dirty: e.dirty,
-                })
-            })
-            .collect()
+    /// One segment's list, walked forwards from its head, as model slots.
+    /// Every step checks the back link to the step before, the entry's
+    /// segment and its index entry; the walk must end at the list's tail.
+    fn live(c: &Cache, seg: Segment, ctx: &str) -> Vec<Slot> {
+        let list = c.lists[seg as usize];
+        let (mut out, mut prev, mut slot) = (Vec::new(), NIL, list.head);
+        while slot != NIL {
+            let e = &c.slots[slot];
+            assert_eq!(e.prev, prev, "{ctx}: back link of slot {slot}");
+            assert_eq!(e.seg, seg, "{ctx}: segment of slot {slot}");
+            assert_eq!(c.index.get(&e.first), Some(&slot), "{ctx}: index of slot {slot}");
+            out.push(Slot {
+                first: e.first,
+                pages: e.pages,
+                data: e.data.clone().expect("a linked slot holds an image"),
+                dirty: e.dirty,
+            });
+            (prev, slot) = (slot, e.next);
+        }
+        assert_eq!(list.tail, prev, "{ctx}: tail of {seg:?}");
+        out
     }
 
     /// Drives [`Cache`] and [`Model`] through the same seeded stream of every
@@ -951,9 +1002,9 @@ mod tests {
                 let mut victims = Vec::new();
                 let mut expected = Vec::new();
                 // Resizes are rare, so between them the cache runs long phases
-                // either under eviction pressure or — the slots weigh 60 pages
-                // together — with everything resident and only hits, the case
-                // in which stale queue pairs pile up.
+                // either under eviction pressure or — the 24 keys weigh 60
+                // pages together — with everything resident, where only the
+                // relinks of hits reorder the lists.
                 match rand(2000) {
                     0..=799 => {
                         let hint = if rand(4) == 0 {
@@ -1010,19 +1061,19 @@ mod tests {
                 assert_eq!(victims, expected, "{ctx}: victim sequence");
                 assert_eq!(cache.stats(), model.stats, "{ctx}: counters");
                 assert_eq!(
-                    live(&cache, Segment::Probation),
+                    live(&cache, Segment::Probation, &ctx),
                     model.probation,
                     "{ctx}: probation order"
                 );
                 assert_eq!(
-                    live(&cache, Segment::Protected),
+                    live(&cache, Segment::Protected, &ctx),
                     model.protected,
                     "{ctx}: protected order"
                 );
                 assert_eq!(
-                    cache.entries.len(),
+                    cache.index.len(),
                     model.probation.len() + model.protected.len(),
-                    "{ctx}: an entry is on no queue"
+                    "{ctx}: an entry is on no list"
                 );
                 assert_eq!(
                     cache.used_pages,
@@ -1035,12 +1086,10 @@ mod tests {
                     cache.protected_pages <= cache.protected_cap(),
                     "{ctx}: protected over its cap"
                 );
-                let bound = 2 * cache.entries.len() + LRU_SLACK;
-                assert!(
-                    cache.probation.len() <= bound && cache.protected.len() <= bound,
-                    "{ctx}: stamp queues {}/{} exceed {bound}",
-                    cache.probation.len(),
-                    cache.protected.len()
+                assert_eq!(
+                    cache.slots.len(),
+                    cache.index.len() + cache.vacant.len(),
+                    "{ctx}: a slot is neither indexed nor vacant"
                 );
             }
         }

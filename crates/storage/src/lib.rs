@@ -12,7 +12,8 @@
 //!   batch one psync call that index hot paths can keep in flight beside others.
 //! * [`Cache`] — the one cache implementation: a weighted segmented LRU with a
 //!   scan bypass and dirty tracking, which with a protected share of zero is a
-//!   plain LRU.
+//!   plain LRU. A hit is one index probe, a reference-count bump and an O(1)
+//!   relink.
 //! * [`CachedStore`] — what index code talks to: the store behind **two
 //!   classes** of that cache and **one region path**. The *page class* is the
 //!   paper's buffer pool (its size is swept in Figure 9 and traded off against

@@ -1474,4 +1474,87 @@ mod tests {
         assert_eq!(recs.first().unwrap().lsn, second_floor);
         assert_eq!(recs.len(), 2);
     }
+
+    /// Fuzz: a truncation-header slot and a record stream, rewritten one byte
+    /// at a time, cut short and extended. A slot decodes only whole and
+    /// unchanged: its checksum covers every byte before it, and FNV-1a-32
+    /// tells any one-byte change. A stream parses to exactly the records
+    /// before the one a rewrite hit, to exactly those a cut leaves whole, and
+    /// to all of them when extended.
+    #[test]
+    fn fuzz_wal_header_slots_and_record_streams() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_3A15);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let header = TruncHeader {
+            version: 7,
+            trunc_lsn: 4096,
+            phys_start: 8192,
+            truncated: 3,
+        };
+        let slot = encode_slot(&header);
+        for at in 0..SLOT_LEN {
+            for value in (0..=255u8).filter(|&v| v != slot[at]) {
+                let mut mutated = slot;
+                mutated[at] = value;
+                assert_eq!(decode_slot(&mutated), None, "slot byte {at} = {value}");
+            }
+        }
+        for cut in 0..SLOT_LEN {
+            assert_eq!(decode_slot(&slot[..cut]), None, "slot cut at {cut}");
+        }
+        let mut extended = slot.to_vec();
+        extended.extend((0..64).map(|_| rand(256) as u8));
+        assert_eq!(decode_slot(&extended), Some(header), "CRASH_SEED={seed}");
+
+        const BASE: Lsn = 1 << 20;
+        let (mut stream, mut records, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..20 {
+            let payload: Vec<u8> = (0..1 + rand(40)).map(|_| rand(256) as u8).collect();
+            records.push(WalRecord {
+                lsn: BASE + stream.len() as Lsn,
+                payload: payload.clone(),
+            });
+            stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            stream.extend_from_slice(&checksum(&payload).to_le_bytes());
+            stream.extend_from_slice(&payload);
+            ends.push(stream.len());
+        }
+        assert_eq!(parse_records(&stream, BASE), (records.clone(), false));
+        for _ in 0..4000 {
+            let (at, value) = (rand(stream.len() as u64) as usize, rand(256) as u8);
+            let mut mutated = stream.clone();
+            mutated[at] = value;
+            let hit = if value == stream[at] {
+                records.len()
+            } else {
+                ends.partition_point(|&end| end <= at)
+            };
+            let (parsed, _) = parse_records(&mutated, BASE);
+            assert_eq!(parsed, records[..hit], "CRASH_SEED={seed} byte {at} = {value}");
+        }
+        for cut in 0..=stream.len() {
+            let whole = ends.partition_point(|&end| end <= cut);
+            let rest = cut - whole.checked_sub(1).map_or(0, |last| ends[last]);
+            let parsed = parse_records(&stream[..cut], BASE);
+            assert_eq!(parsed, (records[..whole].to_vec(), rest >= HEADER), "cut at {cut}");
+        }
+        for _ in 0..256 {
+            let mut extended = stream.clone();
+            extended.extend((0..1 + rand(64)).map(|_| rand(256) as u8));
+            let (parsed, _) = parse_records(&extended, BASE);
+            assert!(
+                parsed.starts_with(&records),
+                "CRASH_SEED={seed}: an extension lost records"
+            );
+        }
+    }
 }
