@@ -34,7 +34,6 @@ use crate::config::EngineConfig;
 use crate::maintenance::{DirtyState, MaintenanceWorker};
 use crate::recovery::EngineRecoveryReport;
 use crate::routing::{boundaries_from_sample, boundaries_from_sorted, shard_range, RoutingState};
-use crate::scheduler::WorkerPool;
 use crate::shard::{build_shard, Shard};
 use crate::sharded::{EngineInner, ShardedPioEngine};
 use crate::stats::EngineCounters;
@@ -305,10 +304,10 @@ impl ShardedPioEngine {
     }
 
     /// Shared tail of [`ShardedPioEngine::assemble`] / [`ShardedPioEngine::reopen`]:
-    /// wires up the shard worker pool and the optional maintenance worker.
+    /// wires up the shared state and the optional maintenance worker.
     fn finish(
         config: EngineConfig,
-        shards: Vec<Arc<Shard>>,
+        shards: Vec<Shard>,
         bounds: Vec<Key>,
         build_makespan_us: f64,
         topology: Box<dyn ShardProvisioner>,
@@ -323,7 +322,6 @@ impl ShardedPioEngine {
         // without per-shard WALs there is nothing to make atomic.
         let epoch = config.base.wal_enabled.then(|| EpochCoordinator::new(shard_count));
         let inner = Arc::new(EngineInner {
-            pool: WorkerPool::spawn(shards.iter().cloned()),
             shards,
             routing: RwLock::new(RoutingState {
                 bounds,

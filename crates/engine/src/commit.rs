@@ -27,7 +27,6 @@ use parking_lot::Mutex;
 use pio::IoResult;
 use pio_btree::{LogRecord, OpEntry, PioBTree, LOCAL_EPOCH};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use storage::Lsn;
 
 /// A committed epoch whose commit record its coordinator's WAL must keep:
@@ -147,10 +146,10 @@ impl EngineInner {
     /// resolves to all-or-nothing across shards.
     ///
     /// A batch whose keys all land on **one** shard takes no epoch and no
-    /// worker: that shard's bracket is already atomic, so it runs as a *local*
+    /// fan-out: that shard's bracket is already atomic, so it runs as a *local*
     /// bracket ([`LOCAL_EPOCH`]) that the shard's single WAL force commits — no
-    /// commit record, no second force, no truncation pin — on the calling
-    /// thread ([`EngineInner::run_leg`]).
+    /// commit record, no second force, no truncation pin
+    /// ([`EngineInner::run_leg`]).
     ///
     /// An *error* return means the batch is undecided: some shards may hold it
     /// durably, and no commit record exists (a local bracket that failed
@@ -199,34 +198,23 @@ impl EngineInner {
             (Some(_), Some(_)) => Some(LOCAL_EPOCH),
             (Some(coord), None) => Some(coord.open()),
         };
-        // A member's leg, the same whichever thread runs it.
+        // A member's leg, the same whether it runs alone or in a fan-out.
         let mut legs = sole
             .into_iter()
             .chain(spread.into_iter().enumerate().filter(|(_, batch)| !batch.is_empty()))
             .map(|(i, batch)| {
-                let shard = Arc::clone(&self.shards[i]);
+                let shard = &self.shards[i];
                 shard.note_batch(batch.len());
                 // Writes landing in an active migration's captured range are
                 // mirrored into its dirty log from inside the task — under the
                 // tree lock — so the mirror order matches the applied order.
-                let mirror = routing
-                    .migration
-                    .as_ref()
-                    .filter(|m| i == m.src)
-                    .map(|m| {
-                        let subset: Vec<OpEntry> = batch
-                            .iter()
-                            .filter(|e| e.key >= m.lo && e.key < m.hi)
-                            .copied()
-                            .collect();
-                        (Arc::clone(&m.dirty), subset)
-                    })
-                    .filter(|(_, subset)| !subset.is_empty());
+                let mirror = routing.migration.as_ref().filter(|m| i == m.src);
                 // The task answers with the shard's durability ack: its WAL's
                 // durable LSN once the sub-batch is forced (0 without an epoch).
                 let task = move |tree: &mut PioBTree| {
-                    if let Some((dirty, subset)) = mirror {
-                        dirty.lock().extend(subset);
+                    if let Some(m) = mirror {
+                        let moving = batch.iter().filter(|e| e.key >= m.lo && e.key < m.hi);
+                        m.dirty.lock().extend(moving);
                     }
                     let ack = tree.apply(&batch, epoch);
                     shard.note_queue_peak(tree);
@@ -234,8 +222,8 @@ impl EngineInner {
                 };
                 (i, task)
             });
-        // The sole owner's leg runs on this thread and owes nobody an ack;
-        // legs on several shards go to their workers.
+        // The sole owner's leg owes nobody an ack; legs on several shards
+        // run as one fan-out.
         let acks: Vec<(usize, Lsn)> = match owner {
             Some(owner) => {
                 let (_, leg) = legs.next().expect("a non-empty batch has a member");

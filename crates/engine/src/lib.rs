@@ -12,11 +12,10 @@
 //!   the layout the paper's Figure 4(b) shows behaves like independent psync
 //!   streams;
 //! * a **router** runs a `multi_search` / `insert_batch` / `range_search` that
-//!   one shard owns on its caller's thread, and splits one that spans shards by
-//!   shard, handing each piece straight to the worker thread that owns that
-//!   shard's execution (zero threads spawned per call); the caller reaps its own
-//!   replies, collects them by shard index, and stitches them back into caller
-//!   order (see *Threading model* below);
+//!   one shard owns like a single-key call, and splits one that spans shards by
+//!   shard, locks the member trees in ascending shard order and runs the pieces
+//!   in turn — all on the caller's thread — then stitches the results back into
+//!   caller order (see *Threading model* below);
 //! * a **background maintenance worker** drains shard OPQs once they are half
 //!   full, moving bupdate flushes off the foreground critical path;
 //! * [`EngineStats`] aggregates per-shard [`pio_btree::PioStats`], buffer-pool hit
@@ -36,39 +35,40 @@
 //!
 //! ## Threading model
 //!
-//! An engine with `N` shards runs `N` threads — one worker per shard — plus the
-//! maintenance worker when [`EngineConfig::maintenance_interval_ms`] is set.
-//! Nothing inside a tree is lock-free: every [`pio_btree::PioBTree`] entry point
-//! takes `&mut self` and every shard tree sits behind its own mutex.
+//! An engine runs no thread but the maintenance worker, and that one only when
+//! [`EngineConfig::maintenance_interval_ms`] is set: every call runs on the
+//! thread that made it. The paper gets the device's parallelism from one
+//! process — a psync call keeps many requests outstanding from one thread — so
+//! threads are not what reaches the channels. Nothing inside a tree is
+//! lock-free: every [`pio_btree::PioBTree`] entry point takes `&mut self` and
+//! every shard tree sits behind its own mutex.
 //!
 //! * **Single-key calls** (`search`, `insert`, `update`, `delete`) lock the
-//!   owning shard's tree and run inline on the caller's thread — and so does a
-//!   **batched call one shard owns** (every key of a `multi_search` or
-//!   `insert_batch` routes to it, a `range_search` lies inside it): no
-//!   partition, no hand-off. This is every call a service front end makes,
-//!   which bins its batches by shard.
-//! * **Batched calls that span shards** make one hand-off each way: the caller
-//!   sends every participating shard's task to that shard's worker and blocks
-//!   on a reply channel of its own until it has reaped one reply per task. A
-//!   worker runs its queue first-in first-out, and a task that panics unwinds
-//!   on its caller's thread while the worker lives on. A spanning
-//!   `insert_batch`'s commit force (below) is the caller's own, made once
-//!   every leg is acked. **Background work** —
-//!   maintenance flush passes, checkpoints, recovery — goes to the workers
-//!   however many shards it touches.
-//! * **Ordering between concurrent batches.** All of one call's sends happen
-//!   under a short dispatch lock, so concurrent batched calls that share **two
-//!   or more** shards are queued in one global order: if batch A is ahead of
-//!   batch B on one shard it is ahead of B on every shard they share, and two
-//!   overlapping `insert_batch`es end with the same winner everywhere. A call
-//!   one shard owns takes that shard's tree lock like a single-key call and may
-//!   overtake a queued leg — it shares no second shard with anyone, so there is
-//!   no order to break. That is the *only* ordering the engine gives
-//!   concurrent batches: they are crash-atomic (below), not isolated — a reader
-//!   may see one batch applied on one shard and not yet on another.
-//! * **Shutdown.** Dropping the engine stops the maintenance worker first, then
-//!   closes the shard queues (tasks already queued still run) and joins the
-//!   workers, and only then frees the shards.
+//!   owning shard's tree and run — and so does a **batched call one shard
+//!   owns** (every key of a `multi_search` or `insert_batch` routes to it, a
+//!   `range_search` lies inside it): no partition, no fan-out. This is every
+//!   call a service front end makes, which bins its batches by shard.
+//! * **Batched calls that span shards** lock every member shard's tree in
+//!   ascending shard order, then run each shard's piece in turn, lowest shard
+//!   first, letting each shard go as soon as its piece is done. A piece that
+//!   panics is caught; the pieces after it still run, and the panic is
+//!   re-raised on the caller. A spanning `insert_batch`'s commit force (below)
+//!   follows once every piece is acked. **Background work** — maintenance
+//!   flush passes, checkpoints, recovery — fans out the same way, on the
+//!   maintenance worker or on whoever called it.
+//! * **Ordering between concurrent batches.** A call holds all its members'
+//!   locks before its first piece runs, and takes them lowest shard first, so
+//!   concurrent batched calls that share **two or more** shards are ordered
+//!   the same way on every shard they share: if batch A is ahead of batch B on
+//!   one shard it is ahead of B on every shard they share, two overlapping
+//!   `insert_batch`es end with the same winner everywhere, and no two calls
+//!   can wait on each other. A call one shard owns shares no second shard with
+//!   anyone, so there is no order to break. That is the *only* ordering the
+//!   engine gives concurrent batches: they are crash-atomic (below), not
+//!   isolated — a reader may see one batch applied on one shard and not yet on
+//!   another.
+//! * **Shutdown.** Dropping the engine stops and joins the maintenance worker
+//!   first, and only then frees the shards.
 //!
 //! ## Storage topology
 //!

@@ -10,7 +10,6 @@ use parking_lot::Mutex;
 use pio::IoResult;
 use pio_btree::{LogRecord, OpEntry};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 impl EngineInner {
     /// Moves a key range from shard `src` to the adjacent shard `dst` as one
@@ -65,7 +64,7 @@ impl EngineInner {
                 dst,
                 lo,
                 hi,
-                dirty: Arc::new(Mutex::new(Vec::new())),
+                dirty: Mutex::new(Vec::new()),
             });
         }
         let result = self.migrate_run(src, dst, kind);
@@ -122,7 +121,7 @@ impl EngineInner {
         // no new write can land on `src` until the boundary has swapped.
         let mut routing = self.routing.write();
         let migration = routing.migration.take().expect("installed by migrate");
-        let dirty = std::mem::take(&mut *migration.dirty.lock());
+        let dirty = migration.dirty.into_inner();
         let tail: Vec<OpEntry> = dirty.into_iter().filter(|e| e.key >= lo && e.key < hi).collect();
         let dst_lsn = self.on_shard(&self.shards[dst], |tree| tree.apply(&tail, epoch))?;
         // Retire everything that may live in the moved range on `src`: the

@@ -22,9 +22,8 @@
 //!
 //! Shard boundaries are *non-decreasing*, not strictly increasing: a merged-away
 //! shard keeps an empty range `[b, b)` and simply stops receiving traffic, so
-//! the shard count (and the worker pool) stays fixed while the *key ownership*
-//! is elastic. A migration moves the range `[lo, hi)` between two **adjacent**
-//! shards:
+//! the shard count stays fixed while the *key ownership* is elastic. A
+//! migration moves the range `[lo, hi)` between two **adjacent** shards:
 //!
 //! ```text
 //!   install marker        phase 1                    MigrateCommit{src,dst,lo,hi}

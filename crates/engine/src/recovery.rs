@@ -109,7 +109,7 @@ impl EngineInner {
             .into_iter()
             .enumerate()
             .map(|(shard, analysis)| {
-                let keep = keep.clone();
+                let keep = &keep;
                 (shard, move |tree: &mut PioBTree| {
                     tree.replay_log(analysis, &mut |epoch| keep.contains(&epoch))
                 })

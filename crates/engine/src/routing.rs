@@ -10,7 +10,6 @@
 use btree::Key;
 use parking_lot::Mutex;
 use pio_btree::OpEntry;
-use std::sync::Arc;
 
 /// A boundary migration in flight (installed in [`RoutingState`] for its whole
 /// duration). Until the commit swaps the boundary, the routing table is
@@ -29,7 +28,7 @@ pub(crate) struct ActiveMigration {
     /// Ordered log of writes that hit the captured range after the snapshot.
     /// Pushed under the owning shard's tree lock, so its order matches the
     /// order the writes applied in; drained under the routing write lock.
-    pub(crate) dirty: Arc<Mutex<Vec<OpEntry>>>,
+    pub(crate) dirty: Mutex<Vec<OpEntry>>,
 }
 
 /// The live routing table: boundary keys plus the (at most one) migration in
@@ -115,8 +114,8 @@ pub(crate) fn shard_of(bounds: &[Key], key: Key) -> usize {
 }
 
 /// The shard that owns every one of `keys` under `bounds`, if one shard does
-/// (`None` for no keys): such a call runs on its caller's thread
-/// ([`crate::sharded::EngineInner::run_leg`]) instead of crossing to a worker.
+/// (`None` for no keys): such a call runs as one leg
+/// ([`crate::sharded::EngineInner::run_leg`]) instead of a fan-out.
 pub(crate) fn sole_owner(bounds: &[Key], mut keys: impl Iterator<Item = Key>) -> Option<usize> {
     let owner = shard_of(bounds, keys.next()?);
     keys.all(|key| shard_of(bounds, key) == owner).then_some(owner)

@@ -1,170 +1,96 @@
-//! The per-shard worker pool and the fan-out that feeds it.
+//! The fan-out: how a batched call that spans shards runs its legs.
 //!
-//! One long-lived worker thread per shard executes that shard's fan-out work,
-//! in the order it was queued. A batched engine call that **spans shards**, and
-//! every piece of background work (maintenance flush passes, checkpoints,
-//! recovery), talks to those workers directly ([`EngineInner::fan_out_tasks`]):
-//! it wraps each shard's task in a job, sends the jobs under the pool's
-//! dispatch lock, and reaps exactly as many replies as it sent from a reply
-//! channel of its own. There is no thread in between and no table of calls in
-//! flight — a call's state lives on its caller's stack. A batched call **one
-//! shard owns** (`multi_search`, `insert_batch`, `range_search` whose keys all
-//! route to it) crosses to nobody: it runs on its caller's thread
-//! ([`EngineInner::run_leg`]), as single-key calls always have, under the same
-//! contract as a worker's leg — accounting, health and panics below.
+//! Every engine call runs on its caller's thread; the engine starts no thread
+//! but the optional maintenance worker. A batched call that **spans shards**,
+//! and every piece of background work (maintenance flush passes, checkpoints,
+//! recovery), splits its work by shard and hands it to
+//! [`EngineInner::fan_out_tasks`], which locks every member shard's tree in
+//! ascending shard order and then runs the legs one after another, lowest
+//! shard first. A batched call **one shard owns** (`multi_search`,
+//! `insert_batch`, `range_search` whose keys all route to it) skips the
+//! partition and runs its one leg ([`EngineInner::run_leg`]) as single-key
+//! calls do, under the same contract — accounting, health and panics below.
 //!
-//! * **Ordering.** All of one call's sends happen under the dispatch lock, so
-//!   calls that share **two or more** shards are queued in one global order: if
-//!   call A is ahead of call B on one shard's queue it is ahead of B on every
-//!   shard they share. Each worker runs its queue first-in first-out. A call
-//!   one shard owns takes that shard's tree lock like a single-key call and may
-//!   overtake a queued leg — harmless, it shares no second shard with anyone.
-//! * **Results** are ordered by shard index, never by completion order, and of
-//!   several failures the lowest shard index's is the one surfaced.
+//! * **Ordering.** A fan-out holds every member's tree lock before its first
+//!   leg starts, and takes them lowest shard first, so calls that share **two
+//!   or more** shards are ordered the same way on every shard they share: the
+//!   one that got the lowest shared lock first gets the others first too, and
+//!   no two fan-outs can wait on each other. A leg lets its shard go as soon
+//!   as it finishes. A call one shard owns takes that shard's tree lock like a
+//!   single-key call — it shares no second shard with anyone, so there is no
+//!   order to break.
+//! * **Results** are ordered by shard index, and of several failures the
+//!   lowest shard index's is the one surfaced.
 //! * **Accounting.** The stores simulate time rather than sleep, so overlap is
 //!   charged explicitly: the **maximum** per-shard I/O delta of a call is added
 //!   to the schedule makespan ([`crate::EngineStats::scheduled_io_us`]), on
-//!   success and on error alike.
-//! * **Health.** Every reaped outcome feeds its shard's circuit breaker, exactly
+//!   success and on error alike. Legs run in turn on one thread submit the
+//!   same tickets as legs run side by side, so the charge is the same.
+//! * **Health.** Every leg's outcome feeds its shard's circuit breaker, exactly
 //!   as a single-key call's does: batched calls are what a service front end
 //!   issues, so they are what must notice a dying device.
-//! * **Panics.** A task that panics unwinds on its caller's thread; the worker
-//!   that ran it lives on.
-//!
-//! The threads of an engine are therefore its shard workers plus, when
-//! configured, the maintenance worker; batched calls spawn none.
+//! * **Panics.** A leg that panics is caught with its shard's lock released;
+//!   the legs after it still run, and the panic is re-raised on the caller
+//!   once the call is counted.
 
-use crate::shard::Shard;
 use crate::sharded::EngineInner;
-use parking_lot::Mutex;
 use pio::{IoError, IoResult};
 use pio_btree::PioBTree;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// What a worker runs: one task of one fan-out, already wrapped to run on the
-/// shard ([`Shard::run`]) and to reply to its caller.
-type ShardJob = Box<dyn FnOnce(&Shard) + Send>;
-
-/// The shard workers of one engine. Dropping the pool closes the queues and
-/// joins the workers; jobs already queued run first.
-pub(crate) struct WorkerPool {
-    /// Each shard's job queue. The lock is the dispatch lock: a fan-out holds it
-    /// across all of its sends (see the module docs).
-    queues: Mutex<Vec<Sender<ShardJob>>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns one worker per shard; worker `i` is the only thread that runs
-    /// fan-out tasks on `shards[i]`.
-    pub(crate) fn spawn(shards: impl Iterator<Item = Arc<Shard>>) -> Self {
-        let (queues, handles) = shards
-            .enumerate()
-            .map(|(index, shard)| {
-                let (tx, rx) = channel::<ShardJob>();
-                let handle = std::thread::Builder::new()
-                    .name(format!("engine-shard-{index}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job(&shard);
-                        }
-                    })
-                    .expect("spawn shard worker");
-                (tx, handle)
-            })
-            .unzip();
-        Self {
-            queues: Mutex::new(queues),
-            handles,
-        }
-    }
-
-    /// Number of worker threads (one per shard).
-    pub(crate) fn workers(&self) -> usize {
-        self.handles.len()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.queues.get_mut().clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
 
 impl EngineInner {
-    /// Runs each `(shard, task)` of `work` on its shard's worker and blocks until
-    /// all have finished. Results come back ordered by shard index.
-    pub(crate) fn fan_out_tasks<T, F>(&self, work: Vec<(usize, F)>) -> IoResult<Vec<(usize, T)>>
+    /// Runs each `(shard, task)` of `work` on its shard, on the calling thread,
+    /// and returns the results ordered by shard index. No shard may appear
+    /// twice.
+    pub(crate) fn fan_out_tasks<T, F>(&self, mut work: Vec<(usize, F)>) -> IoResult<Vec<(usize, T)>>
     where
-        T: Send + 'static,
-        F: FnOnce(&mut PioBTree) -> IoResult<T> + Send + 'static,
+        F: FnOnce(&mut PioBTree) -> IoResult<T>,
     {
         if work.is_empty() {
             return Ok(Vec::new());
         }
-        let tasks = work.len();
-        let (reply_tx, reply_rx) = channel();
-        let mut results = Vec::with_capacity(tasks);
-        // Per failed shard, its error or the payload of its panic.
-        let mut failures: Vec<(usize, std::thread::Result<IoError>)> = Vec::new();
-        let mut sent = 0;
-        {
-            let queues = self.pool.queues.lock();
-            for (shard, task) in work {
-                let reply = reply_tx.clone();
-                let job: ShardJob = Box::new(move |on: &Shard| {
-                    // The delta is taken on error and panic too: any I/O the task
-                    // did is in the shard's elapsed time and the makespan must
-                    // follow it.
-                    let (outcome, io_delta_us) =
-                        on.run(|tree| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(tree))));
-                    // A caller that stopped listening is not the worker's problem.
-                    let _ = reply.send((shard, io_delta_us, outcome));
-                });
-                match queues[shard].send(job) {
-                    Ok(()) => sent += 1,
-                    Err(_) => failures.push((
-                        shard,
-                        Ok(IoError::WorkerFailed(format!("shard {shard} worker is gone"))),
-                    )),
-                }
-            }
-        }
-        drop(reply_tx);
+        work.sort_unstable_by_key(|&(shard, _)| shard);
+        debug_assert!(work.windows(2).all(|pair| pair[0].0 < pair[1].0), "one leg per shard");
+        // The lock point: every member's tree, lowest shard first.
+        let legs: Vec<_> = work
+            .into_iter()
+            .map(|(shard, task)| (shard, task, self.shards[shard].tree.lock()))
+            .collect();
+        let mut results = Vec::with_capacity(legs.len());
+        // Legs run lowest shard first, so the first failure is the lowest
+        // shard's: its error, or the payload of its panic.
+        let mut failure: Option<std::thread::Result<IoError>> = None;
         let mut makespan_us = 0.0f64;
-        // Every queued job replies, so the channel closes before `sent` replies
-        // only if a worker died with jobs still queued.
-        for (shard, io_delta_us, outcome) in reply_rx.iter().take(sent) {
-            makespan_us = makespan_us.max(io_delta_us);
+        for (shard, task, mut tree) in legs {
+            // The delta is taken on error and panic too: any I/O the task did
+            // is in the shard's elapsed time and the makespan must follow it.
+            let before = tree.io_elapsed_us();
+            let outcome = catch_unwind(AssertUnwindSafe(|| task(&mut tree)));
+            makespan_us = makespan_us.max(tree.io_elapsed_us() - before);
+            drop(tree);
             match outcome {
                 Ok(result) => {
                     self.shards[shard].health.observe(&result);
                     match result {
                         Ok(value) => results.push((shard, value)),
-                        Err(e) => failures.push((shard, Ok(e))),
+                        Err(e) => {
+                            failure.get_or_insert(Ok(e));
+                        }
                     }
                 }
-                Err(panic) => failures.push((shard, Err(panic))),
+                Err(panic) => {
+                    failure.get_or_insert(Err(panic));
+                }
             }
         }
         self.charge(makespan_us);
         self.counters.scheduled_batches.fetch_add(1, Ordering::Relaxed);
-        match failures.into_iter().min_by_key(|&(shard, _)| shard) {
-            Some((_, Ok(e))) => return Err(e),
-            Some((_, Err(panic))) => std::panic::resume_unwind(panic),
-            None if results.len() < tasks => {
-                return Err(IoError::WorkerFailed("a shard worker dropped the call".into()))
-            }
-            None => {}
+        match failure {
+            Some(Ok(e)) => Err(e),
+            Some(Err(panic)) => resume_unwind(panic),
+            None => Ok(results),
         }
-        results.sort_by_key(|&(shard, _)| shard);
-        Ok(results)
     }
 }
 
@@ -174,11 +100,11 @@ mod tests {
     use pio::{IoError, IoResult};
     use pio_btree::{PioBTree, PioConfig};
     use ssd_sim::DeviceProfile;
-    use std::sync::mpsc::channel;
+    use std::cell::{Cell, RefCell};
     use std::sync::{Arc, Barrier};
 
     /// A boxed task, so one fan-out can carry a different closure per shard.
-    type Task<T> = Box<dyn FnOnce(&mut PioBTree) -> IoResult<T> + Send>;
+    type Task<'a, T> = Box<dyn FnOnce(&mut PioBTree) -> IoResult<T> + 'a>;
 
     /// One thread's call of a round of the ordering test.
     type Call = Box<dyn Fn(&ShardedPioEngine, u64) + Send>;
@@ -200,58 +126,48 @@ mod tests {
     }
 
     #[test]
-    fn results_are_in_shard_order_when_the_lowest_shard_finishes_last() {
+    fn results_are_in_shard_order_when_the_work_comes_in_descending() {
         let engine = engine(3);
-        let (done_tx, done_rx) = channel();
-        let mut work: Vec<(usize, Task<usize>)> = vec![(
-            0,
-            Box::new(move |_| {
-                // Shard 0 finishes only after both other shards' tasks have.
-                done_rx.recv().unwrap();
-                done_rx.recv().unwrap();
-                Ok(0)
-            }),
-        )];
-        for shard in [2, 1] {
-            let done = done_tx.clone();
-            work.push((
-                shard,
-                Box::new(move |_| {
-                    done.send(()).unwrap();
-                    Ok(shard)
-                }),
-            ));
-        }
+        let ran = RefCell::new(Vec::new());
+        let work: Vec<(usize, Task<usize>)> = [2, 1, 0]
+            .into_iter()
+            .map(|shard| -> (usize, Task<usize>) {
+                let ran = &ran;
+                (
+                    shard,
+                    Box::new(move |_| {
+                        ran.borrow_mut().push(shard);
+                        Ok(shard)
+                    }),
+                )
+            })
+            .collect();
         let results = engine.inner().fan_out_tasks(work).unwrap();
         assert_eq!(results, vec![(0, 0), (1, 1), (2, 2)]);
+        assert_eq!(ran.into_inner(), [0, 1, 2], "legs run lowest shard first");
     }
 
     #[test]
     fn the_lowest_failing_shard_wins_and_the_makespan_is_still_charged() {
         let engine = engine(3);
         let before = engine.stats();
-        let (failed_tx, failed_rx) = channel();
+        let shard_2_ran = Cell::new(false);
         let work: Vec<(usize, Task<u64>)> = vec![
-            // Real device work, so the call has a makespan to charge.
-            (0, Box::new(|tree| tree.count_entries())),
-            (
-                1,
-                Box::new(move |_| {
-                    // Fails second, yet must be the error surfaced.
-                    failed_rx.recv().unwrap();
-                    Err(IoError::InvalidConfig("shard 1 failed".into()))
-                }),
-            ),
             (
                 2,
-                Box::new(move |_| {
-                    failed_tx.send(()).unwrap();
+                Box::new(|_| {
+                    shard_2_ran.set(true);
                     Err(IoError::InvalidConfig("shard 2 failed".into()))
                 }),
             ),
+            // Fails before shard 2 and must be the error surfaced.
+            (1, Box::new(|_| Err(IoError::InvalidConfig("shard 1 failed".into())))),
+            // Real device work, so the call has a makespan to charge.
+            (0, Box::new(|tree| tree.count_entries())),
         ];
         let err = engine.inner().fan_out_tasks(work).unwrap_err();
         assert!(err.to_string().contains("shard 1 failed"), "{err}");
+        assert!(shard_2_ran.get(), "a leg after a failed one still runs");
         let after = engine.stats();
         assert!(
             after.scheduled_io_us > before.scheduled_io_us,
@@ -261,11 +177,19 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_task_panics_the_caller_and_the_worker_lives_on() {
-        let engine = engine(2);
+    fn a_panicking_task_panics_the_caller_once_every_leg_has_run() {
+        let engine = engine(3);
+        let shard_2_ran = Cell::new(false);
         let work: Vec<(usize, Task<u64>)> = vec![
             (0, Box::new(|tree| tree.count_entries())),
             (1, Box::new(|_| panic!("task blew up on shard 1"))),
+            (
+                2,
+                Box::new(|tree| {
+                    shard_2_ran.set(true);
+                    tree.count_entries()
+                }),
+            ),
         ];
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.inner().fan_out_tasks(work)))
             .expect_err("the task's panic must reach the caller");
@@ -275,7 +199,8 @@ mod tests {
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .expect("a message payload");
         assert!(message.contains("task blew up on shard 1"), "{message}");
-        // Same shard, same worker, next call.
+        assert!(shard_2_ran.get(), "the legs after the panic still ran");
+        // Same shard, next call: its tree lock was let go.
         let counts = engine
             .inner()
             .fan_out_tasks(vec![(1, |tree: &mut PioBTree| tree.count_entries())])
@@ -284,7 +209,8 @@ mod tests {
         assert_eq!(engine.search(1_500).unwrap(), Some(1_500));
     }
 
-    /// The contract of a worker's leg, kept by a leg run on its caller.
+    /// The contract of a fan-out's leg, kept by the one leg of a call one shard
+    /// owns.
     #[test]
     fn an_inline_leg_panics_its_caller_frees_the_shard_and_is_charged() {
         let engine = engine(2);
@@ -325,9 +251,9 @@ mod tests {
         assert!(failed.scheduled_io_us > after.scheduled_io_us);
     }
 
-    /// Calls that share two shards are queued in one order; calls one shard
-    /// owns run beside them on their callers' threads, overtake nothing they
-    /// share a second shard with, and hold nobody up.
+    /// Calls that share two shards take their locks in one order; calls one
+    /// shard owns run beside them, overtake nothing they share a second shard
+    /// with, and hold nobody up.
     #[test]
     fn overlapping_batches_end_with_the_same_winner_on_every_shard() {
         let engine = Arc::new(engine(2));

@@ -19,13 +19,13 @@ use storage::{CachedStore, PageStore, Wal, WritePolicy};
 /// One key-range shard: an independent PIO B-tree. Its key range is *not*
 /// stored here — ranges live in the engine's [`crate::routing::RoutingState`]
 /// so a boundary migration can move them without touching the shard itself.
-/// The engine and the shard's worker thread share it behind one `Arc`.
 pub(crate) struct Shard {
-    /// Every piece of work on the shard locks this through [`Shard::run`]: the
-    /// shard's worker thread for fan-out tasks (the legs of calls that span
-    /// shards, and all background flushing), the caller's thread for
-    /// single-key calls, batched calls this shard owns whole, and the
-    /// maintenance and migration steps.
+    /// Every piece of work on the shard locks this, on the thread that called
+    /// the engine: through [`Shard::run`] for single-key calls, batched calls
+    /// this shard owns whole and the maintenance and migration steps, and
+    /// directly for a fan-out's leg, which holds it from the fan-out's lock
+    /// point — every member's tree, locked in ascending shard order — until
+    /// the leg finishes.
     pub(crate) tree: Mutex<PioBTree>,
     /// Point-request sub-batches this shard received through the batched entry
     /// points (`multi_search` / `insert_batch`) over the engine's lifetime.
@@ -241,7 +241,7 @@ pub(crate) fn build_shard(
     store_io: Arc<dyn IoQueue>,
     wal_io: Option<&Arc<dyn IoQueue>>,
     load: impl FnOnce(Arc<CachedStore>) -> IoResult<PioBTree>,
-) -> IoResult<Arc<Shard>> {
+) -> IoResult<Shard> {
     let mut tree = load(Arc::new(CachedStore::new(
         PageStore::new(resilient(store_io), cfg.page_size),
         cfg.pool_pages,
@@ -251,5 +251,5 @@ pub(crate) fn build_shard(
         let wal_io = wal_io.expect("validated: one WAL backend per shard when the WAL is enabled");
         tree.attach_wal(Wal::new(resilient(Arc::clone(wal_io)), 0, cfg.page_size));
     }
-    Ok(Arc::new(Shard::new(tree)))
+    Ok(Shard::new(tree))
 }

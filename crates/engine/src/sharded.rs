@@ -1,5 +1,5 @@
-//! The sharded PIO engine: key-range partitioning and the cross-shard parallel
-//! request scheduler.
+//! The sharded PIO engine: key-range partitioning and the cross-shard request
+//! fan-out.
 //!
 //! ## Partitioning
 //!
@@ -9,21 +9,20 @@
 //!
 //! ## Scheduling
 //!
-//! Batch entry points (`multi_search`, `insert_batch`, `range_search`,
-//! `checkpoint`, `maintain_once`) split their work by shard and hand each piece
-//! straight to the **worker thread that owns that shard's execution** (one
-//! long-lived thread per shard, the `scheduler` module), then wait for exactly
-//! the replies they are owed. Batched calls spawn **zero** threads and cross one
-//! thread boundary each way — or none: a `multi_search`, `insert_batch` or
-//! `range_search` that one shard owns runs on its caller's thread, like a
-//! single-key call (`EngineInner::run_leg`). Because the stores simulate time
-//! rather than sleep, cross-shard overlap is accounted explicitly: once a call
-//! has reaped its last reply, it adds the **maximum** of the participating
-//! shards' simulated I/O deltas to the schedule makespan
+//! Every call runs on its caller's thread. Batch entry points
+//! (`multi_search`, `insert_batch`, `range_search`, `checkpoint`,
+//! `maintain_once`) split their work by shard, lock every member shard's tree
+//! in ascending shard order, and run the pieces one after another (the
+//! `scheduler` module); a `multi_search`, `insert_batch` or `range_search` that
+//! one shard owns skips the split and runs like a single-key call
+//! (`EngineInner::run_leg`). Because the stores simulate time rather than
+//! sleep, cross-shard overlap is accounted explicitly: once a call's last
+//! piece has run, it adds the **maximum** of the participating shards'
+//! simulated I/O deltas to the schedule makespan
 //! ([`crate::EngineStats::scheduled_io_us`]), while the sum of all deltas
 //! remains visible as `total_io_us`. The ratio of the two is the measured
-//! overlap win. Results are always collected by shard index — never by
-//! completion order — so fan-outs are deterministic.
+//! overlap win. Results are always collected by shard index, so fan-outs are
+//! deterministic.
 //!
 //! This file holds the engine handle, its shared state and the read and
 //! single-key request paths. The rest is carved by protocol: `commit` (epoch
@@ -37,7 +36,6 @@ use crate::config::EngineConfig;
 use crate::maintenance::{DirtyState, MaintenanceWorker};
 use crate::recovery::EngineRecoveryReport;
 use crate::routing::{shard_of, shard_range, sole_owner, RoutingState};
-use crate::scheduler::WorkerPool;
 use crate::shard::{Shard, ShardHealth};
 use crate::stats::{EngineCounters, EngineStats};
 use crate::topology::{EngineManifest, ShardProvisioner};
@@ -54,11 +52,8 @@ pub use crate::routing::boundaries_from_sample;
 /// Shared state between the engine handle and the background maintenance
 /// worker.
 pub(crate) struct EngineInner {
-    /// The shard worker threads. Declared first so it drops first: the workers
-    /// drain their queues and are joined before anything they touch goes away.
-    pub(crate) pool: WorkerPool,
-    /// The shards, in key order; each is shared with its worker thread.
-    pub(crate) shards: Vec<Arc<Shard>>,
+    /// The shards, in key order.
+    pub(crate) shards: Vec<Shard>,
     /// The live routing table (bounds + in-flight migration); see
     /// [`RoutingState`] for the locking discipline.
     pub(crate) routing: RwLock<RoutingState>,
@@ -87,17 +82,18 @@ pub(crate) struct EngineInner {
     pub(crate) last_maintenance_error: Mutex<Option<String>>,
 }
 
-/// A key-range-sharded PIO B-tree engine with a cross-shard parallel scheduler.
+/// A key-range-sharded PIO B-tree engine whose batched calls fan out across
+/// shards.
 ///
-/// All operations take `&self`; per-shard trees are behind their own mutexes, so
-/// client threads operating on different shards proceed concurrently (one tree
-/// behind one lock would serialise every call).
-/// Batched calls that span shards are dispatched straight to a persistent pool
-/// of one worker thread per shard — no threads are spawned per call; a batched
-/// call one shard owns runs on its caller's thread.
+/// All operations take `&self` and run on their caller's thread; per-shard
+/// trees are behind their own mutexes, so client threads operating on different
+/// shards proceed concurrently (one tree behind one lock would serialise every
+/// call). A batched call that spans shards locks its member trees in ascending
+/// shard order and runs its legs in turn; the engine starts no thread but the
+/// optional maintenance worker.
 pub struct ShardedPioEngine {
     // Field order is drop order: the maintenance worker stops first (it issues
-    // fan-outs), then the shared state — whose first field is the worker pool.
+    // fan-outs), then the shared state.
     pub(crate) worker: Option<MaintenanceWorker>,
     pub(crate) inner: Arc<EngineInner>,
 }
@@ -107,7 +103,6 @@ impl std::fmt::Debug for ShardedPioEngine {
         f.debug_struct("ShardedPioEngine")
             .field("shards", &self.inner.shards.len())
             .field("bounds", &self.inner.routing.read().bounds)
-            .field("shard_workers", &self.inner.pool.workers())
             .field("background_maintenance", &self.worker.is_some())
             .finish()
     }
@@ -201,8 +196,9 @@ impl ShardedPioEngine {
     }
 
     /// MPSearch across shards: the batch is split by owning shard and every
-    /// sub-batch runs as a concurrent MPSearch on its shard (a batch one shard
-    /// owns, on the calling thread). Results are returned in the order of `keys`.
+    /// sub-batch runs as an MPSearch on its shard, lowest shard first (a batch
+    /// one shard owns is searched whole). Results are returned in the order of
+    /// `keys`.
     pub fn multi_search(&self, keys: &[Key]) -> IoResult<Vec<Option<Value>>> {
         if keys.is_empty() {
             return Ok(Vec::new());
@@ -210,67 +206,74 @@ impl ShardedPioEngine {
         // Pin the routing table across routing AND the search: a migration's
         // boundary swap must not land between the two.
         let routing = self.inner.routing.read();
-        // A batch one shard owns is searched where it lies, on this thread.
+        // A batch one shard owns is searched whole, with no partition.
         if let Some(owner) = sole_owner(&routing.bounds, keys.iter().copied()) {
             self.inner.shards[owner].note_batch(keys.len());
             return self.inner.run_leg(owner, |tree| tree.multi_search(keys));
         }
-        // Partition the batch by owning shard. What crosses to a worker is
-        // allocated — the key sub-batch moved into its task, the verdicts
-        // coming back — and nothing else: the scatter below re-derives each
-        // key's shard from the routing table it still holds.
+        // Partition the batch by owning shard with a counting sort into one
+        // buffer: `end[i]` first counts shard `i`'s keys, then marks where
+        // they start and, once they are placed, where they end. Each leg
+        // borrows its sub-batch, in caller order.
         let shards = self.inner.shards.len();
-        let mut sizes = vec![0usize; shards];
+        let mut end = vec![0usize; shards];
         for &key in keys {
-            sizes[shard_of(&routing.bounds, key)] += 1;
+            end[shard_of(&routing.bounds, key)] += 1;
         }
-        let mut parts: Vec<Vec<Key>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let mut placed = 0;
+        for at in &mut end {
+            let count = *at;
+            *at = placed;
+            placed += count;
+        }
+        let mut by_shard = vec![0; keys.len()];
         for &key in keys {
-            parts[shard_of(&routing.bounds, key)].push(key);
+            let at = &mut end[shard_of(&routing.bounds, key)];
+            by_shard[*at] = key;
+            *at += 1;
         }
-        let work = parts
-            .into_iter()
-            .enumerate()
+        let work = (0..shards)
+            .map(|i| (i, &by_shard[if i == 0 { 0 } else { end[i - 1] }..end[i]]))
             .filter(|(_, sub)| !sub.is_empty())
             .map(|(i, sub)| {
                 self.inner.shards[i].note_batch(sub.len());
-                (i, move |tree: &mut PioBTree| tree.multi_search(&sub))
+                (i, move |tree: &mut PioBTree| tree.multi_search(sub))
             })
             .collect();
-        // Each shard's verdicts are in the order its keys were pushed, which is
-        // caller order: walk the keys again and take from the owner's.
-        let mut verdicts: Vec<std::vec::IntoIter<Option<Value>>> =
-            (0..shards).map(|_| Vec::new().into_iter()).collect();
-        for (shard, sub_results) in self.inner.fan_out_tasks(work)? {
-            verdicts[shard] = sub_results.into_iter();
-        }
-        let out = keys
+        let mut results = self.inner.fan_out_tasks(work)?;
+        // Each shard's verdicts are in caller order, so walking the keys
+        // backwards, a key's verdict is the last one its shard has left.
+        let mut out: Vec<Option<Value>> = keys
             .iter()
+            .rev()
             .map(|&key| {
-                verdicts[shard_of(&routing.bounds, key)]
-                    .next()
-                    .expect("one verdict per routed key")
+                let shard = shard_of(&routing.bounds, key);
+                let at = results
+                    .binary_search_by_key(&shard, |&(answered, _)| answered)
+                    .expect("every routed shard answers");
+                results[at].1.pop().expect("one verdict per routed key")
             })
             .collect();
+        out.reverse();
         Ok(out)
     }
 
-    /// Batched insert: entries are split by owning shard and applied concurrently,
-    /// preserving per-shard arrival order.
+    /// Batched insert: entries are split by owning shard and applied shard by
+    /// shard, preserving per-shard arrival order.
     pub fn insert_batch(&self, entries: &[(Key, Value)]) -> IoResult<()> {
         self.inner.insert_batch(entries)
     }
 
     /// Range search over `[lo, hi)`: every intersecting shard scans its clamped
-    /// sub-range concurrently and the per-shard results (each sorted) are stitched
-    /// together in shard order, which *is* key order.
+    /// sub-range and the per-shard results (each sorted) are stitched together
+    /// in shard order, which *is* key order.
     pub fn range_search(&self, lo: Key, hi: Key) -> IoResult<Vec<(Key, Value)>> {
         if lo >= hi {
             return Ok(Vec::new());
         }
         // Pin the routing table across the fan-out (see `multi_search`).
         let routing = self.inner.routing.read();
-        // A range inside one shard is scanned on this thread.
+        // A range inside one shard is scanned without a fan-out.
         if let Some(owner) = sole_owner(&routing.bounds, [lo, hi - 1].into_iter()) {
             return self.inner.run_leg(owner, |tree| tree.range_search(lo, hi));
         }
@@ -296,7 +299,7 @@ impl ShardedPioEngine {
     }
 
     /// Incremental checkpoint: drains the OPQ of every shard that changed since
-    /// its last checkpoint (dirty shards in parallel, clean shards untouched),
+    /// its last checkpoint (clean shards untouched),
     /// persists the manifest, and then truncates the shard WALs up to the
     /// checkpoint — bounding both on-disk log size and the work the next
     /// [`ShardedPioEngine::recover`] must do. Truncation never drops an
@@ -309,7 +312,7 @@ impl ShardedPioEngine {
     }
 
     /// One maintenance pass: every shard whose OPQ fill is at or above the
-    /// configured threshold is drained below it (in parallel). Returns the number
+    /// configured threshold is drained below it. Returns the number
     /// of shards flushed. The background worker calls exactly this. Degraded
     /// shards get a healing probe first and are excluded from the flush.
     pub fn maintain_once(&self) -> IoResult<usize> {
@@ -488,7 +491,7 @@ impl EngineInner {
 
     /// Runs `task`, the one leg of a batched call that shard `shard` owns whole,
     /// on the calling thread — the route single-key calls take — under the
-    /// contract of a worker's leg ([`EngineInner::fan_out_tasks`]): a panic is
+    /// contract of a fan-out's leg ([`EngineInner::fan_out_tasks`]): a panic is
     /// caught inside the tree lock, so the lock is released and the I/O done so
     /// far is charged, and re-raised once the call is counted; any other
     /// outcome feeds the shard's breaker.
@@ -501,13 +504,10 @@ impl EngineInner {
         result
     }
 
-    /// Fans an operation out to *every* shard's worker and returns the results
-    /// in shard order.
-    pub(crate) fn fan_out_all<T: Send + 'static>(
-        &self,
-        op: impl Fn(&mut PioBTree) -> IoResult<T> + Clone + Send + 'static,
-    ) -> IoResult<Vec<T>> {
-        let work = (0..self.shards.len()).map(|i| (i, op.clone())).collect();
+    /// Fans an operation out to *every* shard and returns the results in shard
+    /// order.
+    pub(crate) fn fan_out_all<T>(&self, op: impl Fn(&mut PioBTree) -> IoResult<T>) -> IoResult<Vec<T>> {
+        let work = (0..self.shards.len()).map(|i| (i, &op)).collect();
         Ok(self.fan_out_tasks(work)?.into_iter().map(|(_, out)| out).collect())
     }
 }

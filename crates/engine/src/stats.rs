@@ -97,14 +97,14 @@ pub struct EngineStats {
     pub rollup: PioStats,
     /// Sum of all shards' simulated I/O time, µs — the *device work* performed.
     pub total_io_us: f64,
-    /// Schedule makespan, µs: per engine call, the participating shards issue their
-    /// psync streams concurrently, so the call costs the *maximum* of the per-shard
-    /// times; this field accumulates those maxima. With one shard it equals
+    /// Schedule makespan, µs: per engine call, the participating shards' psync
+    /// streams are charged as if they overlapped, so the call costs the
+    /// *maximum* of the per-shard times; this field accumulates those maxima. With one shard it equals
     /// `total_io_us`; the gap between the two is the engine's I/O overlap win.
     pub scheduled_io_us: f64,
-    /// Batched calls and maintenance passes scheduled: fan-outs dispatched to
-    /// the shard workers, plus batched calls one shard owned and ran on their
-    /// caller. Single-key operations are not counted here.
+    /// Batched calls and maintenance passes scheduled: fan-outs over several
+    /// shards, plus batched calls one shard owned and ran as one leg.
+    /// Single-key operations are not counted here.
     pub scheduled_batches: u64,
     /// Point-request sub-batches landed on shards through `multi_search` /
     /// `insert_batch` (sum over shards; each fan-out contributes one sub-batch
@@ -250,9 +250,8 @@ pub(crate) struct EngineCounters {
     pub(crate) local_commits: AtomicU64,
     /// Uncommitted epochs discarded on every shard by `recover`.
     pub(crate) discarded_epochs: AtomicU64,
-    /// Batched calls scheduled over the engine's lifetime: fan-outs dispatched
-    /// to the shard workers plus inline legs (see
-    /// [`EngineStats::scheduled_batches`]).
+    /// Batched calls scheduled over the engine's lifetime: fan-outs plus
+    /// single legs (see [`EngineStats::scheduled_batches`]).
     pub(crate) scheduled_batches: AtomicU64,
     /// Splits (hot shard cut at a median key) completed over the lifetime.
     pub(crate) splits: AtomicU64,

@@ -77,7 +77,15 @@ pub struct Completion {
 }
 
 /// Spare images one thread keeps for [`zeroed_image`] to hand out again.
-const SPARE_IMAGES: usize = 64;
+///
+/// Sized by the largest burst: measured with an unbounded list, one OPQ flush
+/// of the benchmark's `write_flush` shape (8 OPQ pages, 4 KiB pages,
+/// two-page leaf regions) hands back up to 193 images before the next flush
+/// encodes into them. The engine runs every shard's flushes on the thread
+/// that calls it, so one list must hold a whole flush's images: with 64 or 128
+/// spares that workload made 2.22 allocations per op, with 256 1.77, and with
+/// 512 no fewer.
+const SPARE_IMAGES: usize = 256;
 
 thread_local! {
     /// This thread's spare images, each unshared: [`recycle_image`] keeps only
@@ -119,7 +127,7 @@ pub fn zeroed_image(len: usize) -> Arc<[u8]> {
 /// Hands an image that is done with back to this thread's spare list, for
 /// [`zeroed_image`] to reuse its allocation. The image is kept only if it is
 /// the last reference to its bytes — no other [`Arc`] and no [`Weak`] — and
-/// the list holds fewer than 64 spares; otherwise it is simply dropped. A
+/// the list holds fewer than 256 spares; otherwise it is simply dropped. A
 /// reader that still holds the image therefore never sees its bytes change.
 ///
 /// [`Weak`]: std::sync::Weak
@@ -140,7 +148,7 @@ pub fn recycle_image(mut image: Arc<[u8]>) {
     });
 }
 
-/// How many spare images this thread holds, at most 64 — what a test reads
+/// How many spare images this thread holds, at most 256 — what a test reads
 /// to see whether an image was handed back or dropped.
 pub fn spare_images() -> usize {
     SPARES.try_with(|spares| spares.borrow().len()).unwrap_or(0)

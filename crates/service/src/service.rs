@@ -34,10 +34,9 @@
 //! ```
 //!
 //! The engine column is not a thread. Every batch is binned onto one shard,
-//! and the engine runs a call one shard owns on its caller: the client that
-//! takes a builder does the tree work and the WAL force itself. Only a scan
-//! that spans shards (or a batch a rebalance split) crosses to the engine's
-//! shard workers.
+//! and the engine runs every call on its caller: the client that takes a
+//! builder does the tree work and the WAL force itself, and so does a client
+//! whose scan (or whose batch, after a rebalance split it) spans shards.
 //!
 //! * Gets destined for the same shard coalesce into one engine
 //!   [`multi_search`](ShardedPioEngine::multi_search) — the MPSearch path, so

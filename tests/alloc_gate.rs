@@ -5,9 +5,9 @@
 //! `BENCHMARK.json` counts them in a release build, and so does CI
 //! (`cargo test --release --test alloc_gate`).
 //!
-//! The counter is process-wide (the engine's shard workers allocate on their
-//! own threads), so this file holds exactly **one** test: nothing else may run
-//! in the binary while a window is counted.
+//! The counter is process-wide — it counts every thread's allocations — so
+//! this file holds exactly **one** test: nothing else may run in the binary
+//! while a window is counted.
 
 use engine::{EngineConfig, ShardedPioEngine};
 use pio::IoQueue;
@@ -178,8 +178,8 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
          times: {per_call:.1} per call"
     );
     // ---- serve_mixed's shape: the same call with every key in one shard ------------
-    // It runs on this thread, so what it allocates is the tree's share: the
-    // partition, the boxed legs, the reply channel and the scatter are gone.
+    // It skips the fan-out, so what it allocates is the tree's share: the
+    // partition, the lock list, the per-shard results and the scatter are gone.
     let cut = engine.boundaries()[0];
     assert_eq!(cut % 16, 0, "a boundary is a preloaded key, so `k % cut` is one too");
     let owned: Vec<Vec<u64>> = batches
@@ -197,7 +197,7 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
     println!("engine multi_search(64), warm, one shard: {per_owned_call:.1} allocations per call");
     assert!(
         per_owned_call + 6.0 <= per_call,
-        "64 keys one shard owns must save the hand-off's allocations: {per_owned_call:.1} vs {per_call:.1} across two"
+        "64 keys one shard owns must save the fan-out's allocations: {per_owned_call:.1} vs {per_call:.1} across two"
     );
     drop(engine);
 
@@ -348,7 +348,7 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
     println!("engine insert_batch: {local:.1} allocations for 1 entry in one shard, {spanning:.1} for 2 in two");
     assert!(
         local < spanning,
-        "a batch one shard owns must allocate less than one that crosses to two workers: {local:.1} vs {spanning:.1}"
+        "a batch one shard owns must allocate less than one that spans two shards: {local:.1} vs {spanning:.1}"
     );
     assert!(
         local <= LOCAL_PUT_ALLOCATIONS,
@@ -397,9 +397,11 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
 }
 
 /// What a warm `multi_search(64)` across two shards may allocate: the
-/// hand-off's per-call key sub-batches, boxed jobs, reply channels and
-/// verdicts, and the result (measured: 17.1).
-const CROSS_SHARD_CALL_ALLOCATIONS: f64 = 20.0;
+/// partition's count and key buffer, the fan-out's work, lock and result
+/// lists, the two a tree's `multi_search` makes per shard, and the result —
+/// no boxed jobs and no reply channels, since the legs run on the caller
+/// (measured: 10.0; 17.1 while they ran on one worker thread per shard).
+const CROSS_SHARD_CALL_ALLOCATIONS: f64 = 12.0;
 
 /// What a cached point search may allocate: the read ticket's slot vector and
 /// the image vector it returns — nothing that grows with the leaf.

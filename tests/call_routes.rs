@@ -1,12 +1,12 @@
 //! Integration: **where** a batched engine call runs, and that the place makes
-//! no difference to its contract. A `multi_search`, `insert_batch` or
-//! `range_search` one shard owns runs on the thread that made the call; the
-//! same call spanning two shards runs on the shards' workers
-//! (`engine-shard-N`), all but an `insert_batch`'s commit force, which its
-//! caller makes once every leg is acked; background work — a maintenance flush pass, a
-//! checkpoint — runs on the workers however many shards it touches. Seen
-//! through a recording [`IoQueue`](pio::IoQueue) wrapper (which thread handed
-//! each batch to which backend), never through a clock.
+//! no difference to its contract. Every call runs on the thread that made it:
+//! a `multi_search`, `insert_batch` or `range_search` one shard owns, the same
+//! call spanning two shards (its legs in turn, lowest shard first, then an
+//! `insert_batch`'s commit force), and background work — a maintenance flush
+//! pass, a checkpoint — called directly. The maintenance worker's own passes
+//! run on the maintenance worker. Seen through a recording
+//! [`IoQueue`](pio::IoQueue) wrapper (which thread handed each batch to which
+//! backend), never through a clock.
 
 mod common;
 
@@ -71,31 +71,29 @@ fn on_a_caller_thread<R: Send>(calls: impl FnOnce() -> R + Send) -> R {
     })
 }
 
-/// Every submission of `seen` was made by the current thread, to shard
-/// `shard`'s backends only, and there was at least one.
-fn assert_mine(seen: &[Submission], shard: usize, what: &str) {
-    let me = std::thread::current().id();
-    assert!(!seen.is_empty(), "{what}: no device I/O to judge by");
-    for s in seen {
-        assert_eq!(s.thread, me, "{what}: submitted off the calling thread: {s:?}");
-        assert!(s.backend.ends_with(&shard.to_string()), "{what}: wrong shard: {s:?}");
-    }
+/// The shard index of a `store{i}` / `wal{i}` backend label.
+fn shard_of(s: &Submission) -> usize {
+    s.backend
+        .trim_start_matches(char::is_alphabetic)
+        .parse()
+        .expect("a shard label")
 }
 
-/// Every submission of `seen` to a backend of shard `i` was made by
-/// `engine-shard-{i}`, and every shard of `shards` saw at least one.
-fn assert_workers(seen: &[Submission], shards: &[usize], what: &str) {
+/// Every submission of `seen` was made by the current thread, to the backends
+/// of `shards` only, lowest shard first, and each of `shards` saw at least one.
+fn assert_mine(seen: &[Submission], shards: &[usize], what: &str) {
+    let me = std::thread::current().id();
     for s in seen {
-        let shard = s.backend.trim_start_matches(|c: char| c.is_alphabetic());
-        assert_eq!(
-            s.thread_name,
-            format!("engine-shard-{shard}"),
-            "{what}: not on the shard's worker: {s:?}"
-        );
+        assert_eq!(s.thread, me, "{what}: submitted off the calling thread: {s:?}");
+        assert!(shards.contains(&shard_of(s)), "{what}: wrong shard: {s:?}");
     }
-    for shard in shards {
+    assert!(
+        seen.windows(2).all(|pair| shard_of(&pair[0]) <= shard_of(&pair[1])),
+        "{what}: the legs ran out of shard order: {seen:?}"
+    );
+    for &shard in shards {
         assert!(
-            seen.iter().any(|s| s.backend.ends_with(&shard.to_string())),
+            seen.iter().any(|s| shard_of(s) == shard),
             "{what}: shard {shard} did no device I/O to judge by"
         );
     }
@@ -108,7 +106,7 @@ fn store_writes(seen: Vec<Submission>) -> Vec<Submission> {
 }
 
 #[test]
-fn a_call_one_shard_owns_runs_on_its_caller_and_everything_else_on_the_workers() {
+fn every_route_submits_from_its_callers_thread() {
     let cfg = config();
     let recorder = Recorder::new();
     let (mut backends, _clocks) = per_backend_clocks(&cfg);
@@ -122,67 +120,98 @@ fn a_call_one_shard_owns_runs_on_its_caller_and_everything_else_on_the_workers()
     on_a_caller_thread(|| {
         recorder.take();
 
-        // One shard owns the call: the caller's thread does the I/O.
+        // One shard owns the call.
         let found = engine.multi_search(&spread(1)).unwrap();
         assert_eq!(found.iter().filter(|v| v.is_some()).count(), 16);
-        assert_mine(&recorder.take(), 1, "multi_search in shard 1");
+        assert_mine(&recorder.take(), &[1], "multi_search in shard 1");
 
         let batch: Vec<(u64, u64)> = (0..8u64).map(|i| (CUT + i * 20 + 1, i)).collect();
         engine.insert_batch(&batch).unwrap();
-        assert_mine(&recorder.take(), 1, "insert_batch in shard 1");
+        assert_mine(&recorder.take(), &[1], "insert_batch in shard 1");
 
         let scan = engine.range_search(40_000, 52_000).unwrap();
         assert_eq!(scan.len(), 1_200);
-        assert_mine(&recorder.take(), 0, "range_search in shard 0");
+        assert_mine(&recorder.take(), &[0], "range_search in shard 0");
         engine.range_search(CUT - 9_000, CUT).unwrap();
-        assert_mine(&recorder.take(), 0, "range_search up to the cut");
+        assert_mine(&recorder.take(), &[0], "range_search up to the cut");
 
-        // Two shards share the call: each leg runs on its shard's worker.
-        let both: Vec<u64> = spread(0).into_iter().chain(spread(1)).collect();
+        // Two shards share the call: its legs run here, in shard order.
+        let both: Vec<u64> = spread(1).into_iter().chain(spread(0)).collect();
         engine.multi_search(&both).unwrap();
-        assert_workers(&recorder.take(), &[0, 1], "multi_search across the cut");
+        assert_mine(&recorder.take(), &[0, 1], "multi_search across the cut");
 
-        engine.insert_batch(&[(21, 1), (CUT + 21, 1)]).unwrap();
-        // Round 1, each member's bracket, runs on its worker; round 2, the
-        // coordinator's commit force, is the caller's.
+        engine.insert_batch(&[(CUT + 21, 1), (21, 1)]).unwrap();
+        // Round 1, each member's bracket, then round 2, the coordinator's
+        // commit force.
         let mut seen = recorder.take();
         let commit = seen.pop().expect("the commit force");
-        assert_eq!(
-            (commit.backend.as_str(), commit.write, commit.thread_name.as_str()),
-            ("wal0", true, "caller"),
-            "{commit:?}"
-        );
-        assert_workers(&seen, &[0, 1], "insert_batch across the cut");
+        assert_eq!((commit.backend.as_str(), commit.write), ("wal0", true), "{commit:?}");
+        assert_mine(&[commit], &[0], "the commit force");
+        assert_mine(&seen, &[0, 1], "insert_batch across the cut");
 
         let scan = engine.range_search(CUT - 9_000, CUT + 9_000).unwrap();
         assert_eq!(scan.len(), 1_800 + batch.len());
-        assert_workers(&recorder.take(), &[0, 1], "range_search across the cut");
+        assert_mine(&recorder.take(), &[0, 1], "range_search across the cut");
 
-        // Background work stays on the workers, one dirty shard or many.
-        // (Its log truncation is the caller's; the flush is what is judged.)
+        // Background work called directly runs here too, one dirty shard or
+        // many. (Its log truncation is judged elsewhere; the flush is what is
+        // judged here.)
         let stats = engine.stats();
         assert!(stats.shards[1].opq_len > 0 && stats.shards[0].opq_len == 1);
         engine.checkpoint().unwrap();
         let flush = store_writes(recorder.take());
-        assert_workers(&flush, &[0, 1], "checkpoint of both shards");
+        assert_mine(&flush, &[0, 1], "checkpoint of both shards");
         // Past half of shard 0's queue (≈100 entries), short of filling it.
         let more: Vec<(u64, u64)> = (0..60u64).map(|i| (i * 40 + 3, i)).collect();
         engine.insert_batch(&more).unwrap();
-        assert_mine(&recorder.take(), 0, "insert_batch in shard 0");
+        assert_mine(&recorder.take(), &[0], "insert_batch in shard 0");
         assert_eq!(engine.maintain_once().unwrap(), 1, "shard 0 is over the threshold");
         let flush = store_writes(recorder.take());
-        assert_workers(&flush, &[0], "maintenance pass over one shard");
+        assert_mine(&flush, &[0], "maintenance pass over one shard");
         engine.insert_batch(&[(CUT + 5, 5)]).unwrap();
         recorder.take();
         engine.checkpoint().unwrap();
         let flush = store_writes(recorder.take());
-        assert!(
-            flush.iter().any(|s| s.backend == "store1"),
-            "shard 1 had a queued entry"
-        );
-        assert_workers(&flush, &[1], "checkpoint with shard 1 dirty");
+        assert_mine(&flush, &[1], "checkpoint with shard 1 dirty");
     });
     engine.check_invariants().unwrap();
+}
+
+/// With a maintenance interval, the flush passes nobody called run on the
+/// maintenance worker's thread.
+#[test]
+fn the_maintenance_workers_passes_submit_from_its_thread() {
+    let mut cfg = config();
+    cfg.maintenance_interval_ms = Some(1);
+    let recorder = Recorder::new();
+    let (mut backends, _clocks) = per_backend_clocks(&cfg);
+    record_shards(&mut backends, &recorder);
+    let engine = EngineBuilder::new(cfg)
+        .entries(&seed_entries())
+        .topology(backends)
+        .build()
+        .expect("bulk load");
+    // Past half of each shard's queue (≈100 entries), short of filling it, in
+    // one call that spans both.
+    let more: Vec<(u64, u64)> = (0..60u64)
+        .flat_map(|i| [(i * 40 + 3, i), (CUT + i * 40 + 3, i)])
+        .collect();
+    recorder.take();
+    engine.insert_batch(&more).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut flushed = Vec::new();
+    while flushed.len() < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        for s in store_writes(recorder.take()) {
+            assert_eq!(s.thread_name, "engine-maintenance", "a flush nobody called: {s:?}");
+            if !flushed.contains(&shard_of(&s)) {
+                flushed.push(shard_of(&s));
+            }
+        }
+    }
+    flushed.sort();
+    assert_eq!(flushed, [0, 1], "the worker flushed both shards");
+    assert_eq!(engine.stats().maintenance_errors, 0);
 }
 
 /// Three device-class failures in a row open a shard's breaker whichever
@@ -262,7 +291,7 @@ fn a_batch_committed_on_its_callers_thread_is_all_or_nothing_at_every_byte() {
     // Acked — the force untouched — is present; it is one write of one page.
     let (engine, clocks, recorder) = build();
     engine.insert_batch(&batch).unwrap();
-    assert_mine(&recorder.take(), 0, "the batch's force");
+    assert_mine(&recorder.take(), &[0], "the batch's force");
     assert_eq!(clocks.wals[0].writes_seen(), 1, "one force");
     engine.simulate_crash();
     engine.recover().unwrap();
@@ -276,7 +305,7 @@ fn a_batch_committed_on_its_callers_thread_is_all_or_nothing_at_every_byte() {
             keep_bytes_of_next: cut % PAGE,
         }));
         engine.insert_batch(&batch).expect_err("the force is cut");
-        assert_mine(&recorder.take(), 0, "the batch's cut force");
+        assert_mine(&recorder.take(), &[0], "the batch's cut force");
         clocks.heal_all();
         engine.simulate_crash();
         engine

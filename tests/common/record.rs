@@ -1,7 +1,7 @@
 //! A recorder in front of an [`IoQueue`]'s submissions: which thread handed
 //! each read or write batch to which backend. It is how a test sees *where* a
-//! piece of engine work ran — on the thread that made the call, or on a shard's
-//! worker (`engine-shard-N`) — without timing anything.
+//! piece of engine work ran — on the thread that made the call, or on the
+//! maintenance worker — without timing anything.
 
 #![allow(dead_code)]
 

@@ -171,8 +171,8 @@ fn crash_mid_fanout_discards_the_epoch_everywhere() {
     // Keys chosen to hit all three shards (boundaries cut ~[1000, 2000)).
     let batch: Vec<(u64, u64)> = (0..30u64).map(|i| (i * 101 + 1, i + 1)).collect();
     // Kill shard 2's WAL: its bracket force fails after shards 0/1 are durable
-    // (worker scheduling may interleave, but at least one other shard's force
-    // succeeds, which is all the scenario needs).
+    // (the legs run lowest shard first, so both other shards' forces succeed;
+    // one would be all the scenario needs).
     clocks.wals[2].arm(CrashPlan::at_write(clocks.wals[2].writes_seen()));
     assert!(engine.insert_batch(&batch).is_err());
     clocks.heal_all();

@@ -1,7 +1,8 @@
-//! The engine's threading model, observed from outside: an engine with `N`
-//! shards runs `N` worker threads, one more with a maintenance interval, and
-//! none once it is dropped. Alone in its file so no other test's engine shares
-//! the process.
+//! The engine's threading model, observed from outside: an engine runs no
+//! thread of its own — its calls, the ones that span shards too, run on their
+//! callers — but the maintenance worker when it has a maintenance interval,
+//! and none once it is dropped. Alone in its file so no other test's engine
+//! shares the process.
 #![cfg(target_os = "linux")]
 
 use engine::{EngineConfig, ShardedPioEngine};
@@ -21,7 +22,7 @@ fn engine_threads() -> Vec<String> {
 }
 
 #[test]
-fn an_engine_runs_one_thread_per_shard_plus_optional_maintenance() {
+fn an_engine_runs_no_thread_but_its_optional_maintenance_worker() {
     let config = |maintenance: Option<u64>| {
         let mut config = EngineConfig::builder()
             .shards(3)
@@ -41,21 +42,24 @@ fn an_engine_runs_one_thread_per_shard_plus_optional_maintenance() {
         engine.multi_search(&[1, 1_500, 2_900]).unwrap(),
         vec![Some(1), Some(2), Some(3)]
     );
-    assert_eq!(engine_threads(), ["engine-shard-0", "engine-shard-1", "engine-shard-2"]);
+    engine.checkpoint().unwrap();
+    assert_eq!(engine.maintain_once().unwrap(), 0);
+    assert!(
+        engine_threads().is_empty(),
+        "calls across three shards and background work start no thread"
+    );
     drop(engine);
-    assert!(engine_threads().is_empty(), "dropping the engine joins its workers");
+    assert!(engine_threads().is_empty());
 
     let engine = ShardedPioEngine::create(config(Some(50)), &sample).unwrap();
-    // A thread names itself as it starts: give the four a bounded moment to.
+    // A thread names itself as it starts: give it a bounded moment to.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while engine_threads().len() < 4 && std::time::Instant::now() < deadline {
+    while engine_threads().is_empty() && std::time::Instant::now() < deadline {
         std::thread::yield_now();
     }
+    engine.insert_batch(&[(2, 1), (1_502, 2), (2_902, 3)]).unwrap();
     // The kernel keeps 15 bytes of a thread name.
-    assert_eq!(
-        engine_threads(),
-        ["engine-maintena", "engine-shard-0", "engine-shard-1", "engine-shard-2"]
-    );
+    assert_eq!(engine_threads(), ["engine-maintena"]);
     drop(engine);
     assert!(engine_threads().is_empty());
 }

@@ -501,7 +501,7 @@ fn a_torn_decision_force_never_redrives_a_migration() {
 }
 
 /// A batch whose keys all lie in the moving range of a **live** migration: one
-/// shard holds it, so it takes no epoch and no worker — a local bracket on the
+/// shard holds it, so it takes no epoch and no fan-out — a local bracket on the
 /// source shard, run on the caller's thread and mirrored into the migration's
 /// dirty log — while the migration's own copies
 /// and retires sit in the migration epoch's brackets around it. The migration
@@ -555,8 +555,8 @@ fn a_local_batch_into_a_live_migrations_range_survives_either_verdict() {
             gate.wait_until_blocked(1);
             recorder.take();
             engine.insert_batch(&batch).expect("the source shard is not gated");
-            // One shard owns the batch, so it ran here — and was mirrored from
-            // here, under the source's tree lock — not on `engine-shard-1`.
+            // One shard owns the batch, so it ran here and was mirrored from
+            // here, under the source's tree lock.
             let forces = recorder.take();
             assert_eq!(forces.len(), 1, "{ctx}: one force: {forces:?}");
             assert_eq!(forces[0].thread, std::thread::current().id(), "{ctx}: {forces:?}");

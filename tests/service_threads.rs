@@ -35,19 +35,18 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
     // Whatever the test harness itself runs (its main thread, this test's).
     let harness = thread_names();
     let engine = Arc::new(ShardedPioEngine::create(config, &sample).unwrap());
-    // A thread names itself as it starts; a worker that answered has started.
+    // A call that spans every shard runs on this thread.
     engine.multi_search(&[1, 1_500, 2_900]).unwrap();
-    let with_workers = |clients: &[&str]| {
-        let workers = ["engine-shard-0", "engine-shard-1", "engine-shard-2"];
+    let with_clients = |clients: &[&str]| {
         let mut names: Vec<String> = harness.clone();
-        names.extend(workers.iter().chain(clients).map(|name| name.to_string()));
+        names.extend(clients.iter().map(|name| name.to_string()));
         names.sort();
         names
     };
-    assert_eq!(thread_names(), with_workers(&[]));
+    assert_eq!(thread_names(), harness, "the engine starts no thread");
 
     let service = EngineService::start(Arc::clone(&engine));
-    assert_eq!(thread_names(), with_workers(&[]), "starting the service spawns nothing");
+    assert_eq!(thread_names(), harness, "starting the service spawns nothing");
 
     // Clients push gets, puts and a scan each, then hold still (requests done,
     // threads alive) while the main thread counts.
@@ -76,7 +75,7 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
         served.wait();
         assert_eq!(
             thread_names(),
-            with_workers(&["client-0", "client-1", "client-2"]),
+            with_clients(&["client-0", "client-1", "client-2"]),
             "serving requests spawns nothing"
         );
         counted.wait();
@@ -89,11 +88,7 @@ fn a_started_service_adds_no_thread_and_shutdown_leaves_none() {
 
     let stats = service.shutdown();
     assert_eq!(stats.total_requests(), CLIENTS as u64 * 101);
-    assert_eq!(
-        thread_names(),
-        with_workers(&[]),
-        "shutdown leaves the engine's threads only"
-    );
+    assert_eq!(thread_names(), harness, "shutdown leaves no thread behind");
     drop(engine);
     assert_eq!(thread_names(), harness);
 }
