@@ -70,7 +70,11 @@ pub struct CostModel {
     pub psync_read_us: f64,
     /// Amortised per-page write latency under psync I/O, `P'w` (µs).
     pub psync_write_us: f64,
-    /// Leaf-node read latency `Pr(L)` (µs) for the configured leaf size.
+    /// Leaf-node read latency `Pr(L)` (µs) for the configured leaf size. The
+    /// search terms of Eqs. (7) and (9) still charge it, as the paper does,
+    /// although the tree reads only one segment (`Pr`) of a leaf whose
+    /// LSMap fences it keeps; whether the model should follow is for
+    /// checking the model against measured reads (ROADMAP direction 4 (b)).
     pub leaf_read_us: f64,
     /// Leaf size `L` in pages.
     pub leaf_pages: f64,

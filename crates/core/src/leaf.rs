@@ -13,7 +13,12 @@
 //! validates every segment header once, and answers reads from the bytes where
 //! they lie — a point read scans the segments newest-first for the key's
 //! latest record, a range read emits a leaf that is still sorted inserts
-//! straight into the caller's output. The owned [`PioLeaf`] is for the paths
+//! straight into the caller's output. A view of one segment page is a view
+//! too: a leaf that is still strictly ascending inserts (bulk loaded, or
+//! shrunk by bupdate's full path and not appended to since) holds each key
+//! only in the segment its position puts it in, so a point read of such a
+//! leaf reads that one page ([`PioLeaf::segment_fences`] are the first keys
+//! the [`crate::LsMap`] keeps to find it). The owned [`PioLeaf`] is for the paths
 //! that mutate (append, shrink, split) and is collected *from* the view. What
 //! the parser accepts: segments are counted up to the first page that does
 //! not carry the segment tag (an uninitialised trailing segment — an all-zero
@@ -176,6 +181,14 @@ impl PioLeaf {
             return 0;
         }
         ((self.records.len() - 1) / Self::segment_capacity(page_size)) as u32
+    }
+
+    /// The first key of every segment after the first, in order — the
+    /// [`crate::LsMap`] fences of a leaf that is sorted inserts (bulk loaded
+    /// or shrunk). Their count is [`PioLeaf::last_segment`].
+    pub fn segment_fences(&self, page_size: usize) -> impl Iterator<Item = Key> + '_ {
+        let seg_cap = Self::segment_capacity(page_size);
+        self.records.iter().step_by(seg_cap).skip(1).map(|e| e.key)
     }
 
     /// Whether the leaf cannot accept `extra` more appended records.

@@ -13,7 +13,9 @@
 //! I/O discipline: internal nodes are cached by a write-through buffer pool (the
 //! store's page class — the tree keeps no copy of its own, so a write or a crash
 //! that changes the pool leaves nothing stale behind); leaf regions are read with
-//! single large requests (`Pr(L)` in the cost model); every batched read or write
+//! single large requests (`Pr(L)` in the cost model), except that a point lookup
+//! of a leaf with segment fences reads only its one segment (see `search`);
+//! every batched read or write
 //! goes through one psync call bounded by `PioMax`; reads and writes are never
 //! mixed in one call (Principle 3).
 //!
@@ -24,7 +26,7 @@
 
 use crate::config::PioConfig;
 use crate::entry::{OpEntry, OpKind};
-use crate::leaf::PioLeaf;
+use crate::leaf::{LeafView, PioLeaf};
 use crate::lsmap::LsMap;
 use crate::opq::OperationQueue;
 use crate::recovery::{LogRecord, LOCAL_EPOCH};
@@ -70,6 +72,9 @@ pub struct PioStats {
     pub internal_splits: u64,
     /// Times the tree grew a level.
     pub height_growths: u64,
+    /// Leaf reads of a point lookup that fetched the one segment of a fenced
+    /// leaf that can hold the key, not the whole region (see [`crate::LsMap`]).
+    pub segment_reads: u64,
     /// Descents the page class answered whole (the resident walk: no
     /// inner-node I/O). The name is the frozen benchmark's
     /// (`core.inner_tier_hit_rate`), from before internal nodes had one cache.
@@ -107,6 +112,7 @@ impl PioStats {
             leaf_splits,
             internal_splits,
             height_growths,
+            segment_reads,
             inner_tier_hits,
             inner_tier_misses,
             inner_tier_rebuilds,
@@ -126,6 +132,7 @@ impl PioStats {
         self.leaf_splits += leaf_splits;
         self.internal_splits += internal_splits;
         self.height_growths += height_growths;
+        self.segment_reads += segment_reads;
         self.inner_tier_hits += inner_tier_hits;
         self.inner_tier_misses += inner_tier_misses;
         self.inner_tier_rebuilds += inner_tier_rebuilds;
@@ -243,7 +250,7 @@ impl PioBTree {
                     .map(|chunk| {
                         let first = store.allocate_contiguous(segments as u64);
                         let leaf = PioLeaf::from_sorted(segments, chunk);
-                        lsmap.set(first, leaf.last_segment(page_size));
+                        lsmap.set_sorted(first, leaf.segment_fences(page_size));
                         level.push((chunk.first().map(|&(k, _)| k).unwrap_or(0), first));
                         (first, leaf.encode(page_size))
                     })
@@ -602,7 +609,9 @@ impl PioBTree {
     // ----------------------------------------------------------------- validation --
 
     /// Verifies structural invariants (internal-node sortedness, separator bounds,
-    /// leaf key ranges, LSMap consistency) and returns the number of live entries.
+    /// leaf key ranges, LSMap consistency — a fenced leaf must be strictly
+    /// ascending inserts whose segments start at its fences) and returns the
+    /// number of live entries.
     /// Queued OPQ entries are not considered. Intended for tests.
     pub fn check_invariants(&self) -> IoResult<u64> {
         fn visit(tree: &PioBTree, page: PageId, level: usize, lo: Option<Key>, hi: Option<Key>) -> IoResult<u64> {
@@ -618,11 +627,32 @@ impl PioBTree {
                         assert!(rec.key < hi, "leaf record {} above bound {hi}", rec.key);
                     }
                 }
+                let page_size = tree.config.page_size;
                 if let Some(cached) = tree.lsmap.get(page) {
                     assert_eq!(
                         cached,
-                        leaf.last_segment(tree.config.page_size),
+                        leaf.last_segment(page_size),
                         "LSMap out of date for leaf {page}"
+                    );
+                }
+                if let Some(fences) = tree.lsmap.fences(page) {
+                    assert!(
+                        leaf.records.iter().all(|e| e.op == OpKind::Insert)
+                            && leaf.records.windows(2).all(|w| w[0].key < w[1].key),
+                        "fenced leaf {page} is not strictly ascending inserts"
+                    );
+                    let mut firsts = Vec::new();
+                    for segment in image
+                        .chunks_exact(page_size)
+                        .skip(1)
+                        .take(leaf.last_segment(page_size) as usize)
+                    {
+                        firsts.push(LeafView::new(page, segment, page_size)?.records().next().map(|e| e.key));
+                    }
+                    assert_eq!(
+                        firsts,
+                        fences.map(Some).collect::<Vec<_>>(),
+                        "stale segment fences for leaf {page}"
                     );
                 }
                 return Ok(leaf.resolve().len() as u64);

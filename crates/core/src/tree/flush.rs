@@ -463,7 +463,7 @@ impl PioBTree {
                 leaf.shrink();
                 if leaf.len() <= leaf_cap {
                     journal.lsmap.push((job.leaf, self.lsmap.get(job.leaf)));
-                    self.lsmap.set(job.leaf, leaf.last_segment(page_size));
+                    self.lsmap.set_sorted(job.leaf, leaf.segment_fences(page_size));
                     region_writes.push((job.leaf, leaf.encode(page_size)));
                     continue;
                 }
@@ -492,7 +492,7 @@ impl PioBTree {
                         fresh
                     };
                     journal.lsmap.push((target, self.lsmap.get(target)));
-                    self.lsmap.set(target, part.last_segment(page_size));
+                    self.lsmap.set_sorted(target, part.segment_fences(page_size));
                     region_writes.push((target, part.encode(page_size)));
                     if pi > 0 {
                         fences.push(FenceInsert {

@@ -2,9 +2,18 @@
 //!
 //! I/O discipline: internal nodes are cached by a write-through buffer pool (the
 //! store's page class), and a descent walks the resident ones before it issues
-//! any I/O; leaf regions are read with single large requests (`Pr(L)` in the
-//! cost model); every batched read goes through one psync call bounded by
+//! any I/O; every batched read goes through one psync call bounded by
 //! `PioMax`.
+//!
+//! A point lookup (`search`, `multi_search`) reads one *piece* per leaf. For
+//! a leaf the LSMap holds segment fences of ([`crate::LsMap`]: the leaf is
+//! strictly ascending inserts, so each key has one segment it can be in) the
+//! piece is that one segment page, `(leaf + s, 1)`; keys that share a leaf and
+//! a segment share the read. Any other leaf is read whole, `(leaf, L)`, with
+//! one large request (`Pr(L)` in the cost model). With `L > 1` pieces go to
+//! the store's region class whatever their length; with `L = 1` a leaf is a
+//! page and its read is what it always was. `range_search` reads whole
+//! regions.
 //!
 //! A leaf image is touched once: the store hands out the shared image it
 //! verified and cached, and a [`LeafView`] answers from those bytes where they
@@ -33,6 +42,8 @@ pub(crate) struct SearchScratch {
     order: Vec<u32>,
     /// The batch's keys in that order.
     keys: Vec<Key>,
+    /// The leaf piece each of those keys reads ([`PioBTree::leaf_piece`]).
+    pieces: Vec<(PageId, u64)>,
     /// The leaf regions of the chunk being submitted.
     regions: Vec<(PageId, u64)>,
     /// The leaf reads in flight.
@@ -54,12 +65,37 @@ impl PioBTree {
         }
         let mut descent = std::mem::take(&mut self.scratch.descent);
         self.locate(&[key], &mut descent)?;
-        let leaf = descent.leaf(0);
+        let piece = self.leaf_piece(descent.leaf(0), key);
         self.scratch.descent = descent;
-        let image = self.read_leaf_image(leaf)?;
-        Ok(LeafView::new(leaf, &image, self.config.page_size)?
+        self.stats.segment_reads += (piece.1 < self.config.leaf_segments as u64) as u64;
+        let image = self.store.complete_read(self.submit_leaf_pieces(&[piece])?)?;
+        Ok(LeafView::new(piece.0, &image[0], self.config.page_size)?
             .lookup(key)
             .unwrap_or(None))
+    }
+
+    /// The piece of `leaf` a point lookup of `key` reads: the one segment page
+    /// that can hold the key if the LSMap has the leaf's fences, else the
+    /// whole region. With one segment per leaf that is always the leaf.
+    fn leaf_piece(&self, leaf: PageId, key: Key) -> (PageId, u64) {
+        let l = self.config.leaf_segments as u64;
+        match self.lsmap.segment_of(leaf, key) {
+            Some(s) if l > 1 => (leaf + s as u64, 1),
+            _ => (leaf, l),
+        }
+    }
+
+    /// Submits point-lookup reads of leaf pieces. With `L > 1` every piece
+    /// goes to the region class, a one-segment piece too
+    /// ([`storage::CachedStore::submit_leaf_read`]), so segment pages never
+    /// crowd the internal nodes out of the page class; with `L = 1` a leaf is
+    /// a page and stays in the page class it has always used.
+    fn submit_leaf_pieces(&self, pieces: &[(PageId, u64)]) -> IoResult<CachedReadTicket> {
+        if self.config.leaf_segments == 1 {
+            self.store.submit_read(pieces, AccessHint::Point)
+        } else {
+            self.store.submit_leaf_read(pieces, AccessHint::Point)
+        }
     }
 
     /// The one descent entry: fills `out` with the target leaf (and
@@ -130,6 +166,7 @@ impl PioBTree {
         let SearchScratch {
             order,
             keys: sorted_keys,
+            pieces,
             regions,
             ring,
             descent,
@@ -142,17 +179,25 @@ impl PioBTree {
         sorted_keys.clear();
         sorted_keys.extend(order.iter().map(|&i| keys[i as usize]));
         self.locate(sorted_keys, descent)?;
+        pieces.clear();
+        pieces.extend(
+            sorted_keys
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| self.leaf_piece(descent.leaf(i), key)),
+        );
 
         let mut results = vec![None; keys.len()];
         let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
-        let descent = &*descent;
+        let mut segment_reads = 0;
+        let pieces = &*pieces;
         let chunk = |group: usize| group * pio_max..((group + 1) * pio_max).min(keys.len());
-        // Whether sorted key `i` needs a leaf its predecessor in the chunk did
-        // not: sorted keys cluster by leaf, so a chunk's distinct leaves are
-        // the starts of its runs — at submission and, in lock step, when the
-        // images come back.
-        let opens_run = |i: usize, start: usize| i == start || descent.leaf(i) != descent.leaf(i - 1);
+        // Whether sorted key `i` needs a piece its predecessor in the chunk
+        // did not: sorted keys cluster by leaf and, within a fenced leaf, by
+        // segment, so a chunk's distinct pieces are the starts of its runs —
+        // at submission and, in lock step, when the images come back.
+        let opens_run = |i: usize, start: usize| i == start || pieces[i] != pieces[i - 1];
         // Pipelined fetch: up to `pipeline_depth` batches stay in flight, so that
         // many psync windows overlap on the device while the CPU resolves the
         // current batch's keys — the depth that fills the device queue instead of
@@ -164,12 +209,9 @@ impl PioBTree {
             |group| {
                 let keys = chunk(group);
                 regions.clear();
-                regions.extend(
-                    keys.clone()
-                        .filter(|&i| opens_run(i, keys.start))
-                        .map(|i| (descent.leaf(i), l)),
-                );
-                self.store.submit_read(regions, AccessHint::Point)
+                regions.extend(keys.clone().filter(|&i| opens_run(i, keys.start)).map(|i| pieces[i]));
+                segment_reads += regions.iter().filter(|&&(_, n)| n < l).count() as u64;
+                self.submit_leaf_pieces(regions)
             },
             |ticket| self.store.complete_read(ticket),
             |group, images| {
@@ -178,8 +220,8 @@ impl PioBTree {
                 let mut view = None;
                 for i in keys.clone() {
                     if opens_run(i, keys.start) {
-                        let image = images.next().expect("one image per distinct leaf");
-                        view = Some(LeafView::new(descent.leaf(i), image, page_size)?);
+                        let image = images.next().expect("one image per distinct piece");
+                        view = Some(LeafView::new(pieces[i].0, image, page_size)?);
                     }
                     let key = sorted_keys[i];
                     // Map back from the sorted position to the caller's position.
@@ -192,6 +234,7 @@ impl PioBTree {
                 Ok(())
             },
         )?;
+        self.stats.segment_reads += segment_reads;
         self.scratch = scratch;
         Ok(results)
     }

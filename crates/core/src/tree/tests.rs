@@ -159,8 +159,16 @@ fn matches_a_model_under_a_mixed_workload() {
 /// forces flushes with fresh splits: `search`, `multi_search` (duplicate,
 /// deleted and absent keys, unsorted) and `range_search`, each with the pool
 /// warm — the resident walk's turn — and dropped — the store wavefront's.
+/// At two and at four segments per leaf, and the point lookups must have
+/// read single segments of fenced leaves, not only whole regions.
 #[test]
 fn read_paths_differential_against_a_btreemap_oracle() {
+    for segments in [2, 4] {
+        read_paths_differential(segments);
+    }
+}
+
+fn read_paths_differential(segments: usize) {
     let seed: u64 = std::env::var("CRASH_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -174,6 +182,7 @@ fn read_paths_differential_against_a_btreemap_oracle() {
     };
     let mut t = tree_with(PioConfig {
         leaf_cache_pages: 16,
+        leaf_segments: segments,
         ..small_config()
     });
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
@@ -196,7 +205,10 @@ fn read_paths_differential_against_a_btreemap_oracle() {
             }
         }
         for pool in ["warm", "cold"] {
-            let ctx = format!("CRASH_SEED={seed} step {step}, {pool} pool, OPQ {}", t.opq_len());
+            let ctx = format!(
+                "CRASH_SEED={seed} L={segments} step {step}, {pool} pool, OPQ {}",
+                t.opq_len()
+            );
             if pool == "cold" {
                 t.store().drop_cache();
             }
@@ -214,12 +226,17 @@ fn read_paths_differential_against_a_btreemap_oracle() {
             );
         }
     }
-    assert!(t.stats().leaf_splits > 0 && t.stats().inner_tier_hits > 0 && t.stats().inner_tier_misses > 0);
+    let s = t.stats();
+    assert!(s.leaf_splits > 0 && s.inner_tier_hits > 0 && s.inner_tier_misses > 0);
+    assert!(
+        s.segment_reads > 0,
+        "CRASH_SEED={seed} L={segments}: no single-segment read"
+    );
     let all: Vec<(Key, Value)> = oracle.into_iter().collect();
     assert_eq!(
         t.range_search(0, Key::MAX).unwrap(),
         all,
-        "CRASH_SEED={seed}: full scan"
+        "CRASH_SEED={seed} L={segments}: full scan"
     );
     t.check_invariants().unwrap();
 }
@@ -979,3 +996,5 @@ fn reopen_from_a_stale_snapshot_rolls_the_root_forward() {
     assert_eq!(recovered, model, "second-generation recovery stays exact");
     t.check_invariants().unwrap();
 }
+
+mod fences;

@@ -1,7 +1,13 @@
 //! The one cache: a weighted, segmented LRU over page-addressed entries.
 //!
 //! An entry is a *region* — `pages` consecutive pages keyed by the first
-//! [`PageId`] — and a single page is simply a one-page region.
+//! [`PageId`] — and a single page is simply a one-page region. Entries of
+//! mixed length may share a cache (the region class holds whole leaf regions
+//! beside single leaf segments), so two rules keep them apart: a lookup hits
+//! only an entry of the same `(first, pages)`, and an admission or a write
+//! drops every resident entry it overlaps. Resident entries are therefore
+//! always disjoint, which lets a write to one page find the one entry
+//! covering it.
 //! [`crate::CachedStore`] instantiates this structure twice, once per page
 //! class (see its docs); the cache itself performs no I/O and knows nothing
 //! about classes. Eviction hands every victim back to the caller, which
@@ -40,7 +46,7 @@
 //! takes its victim from a list head; a demotion makes none.
 
 use crate::page::{PageId, PageImage};
-use std::collections::btree_map::{self, BTreeMap};
+use std::collections::BTreeMap;
 
 /// How a read intends to use the data — decides cache admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -191,12 +197,14 @@ impl Cache {
         self.capacity_pages * self.protected_fifths / 5
     }
 
-    /// Looks up the entry starting at `first`, returning its (shared) image.
-    /// `Point` hits promote/refresh; `Scan` hits leave the LRU state untouched.
-    /// Misses are counted according to the hint (`Point` → miss, `Scan` →
-    /// bypass) — after a `Scan` miss the caller must *not* [`Cache::admit`].
-    pub fn get(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
-        let hit = self.get_resident(first, hint);
+    /// Looks up the entry of `pages` pages starting at `first`, returning its
+    /// (shared) image: an entry that starts there with another length is no
+    /// hit. `Point` hits promote/refresh; `Scan` hits leave the LRU state
+    /// untouched. Misses are counted according to the hint (`Point` → miss,
+    /// `Scan` → bypass) — after a `Scan` miss the caller must *not*
+    /// [`Cache::admit`].
+    pub fn get(&mut self, first: PageId, pages: u64, hint: AccessHint) -> Option<PageImage> {
+        let hit = self.get_resident(first, pages, hint);
         if hit.is_none() {
             match hint {
                 AccessHint::Point => self.stats.misses += 1,
@@ -209,8 +217,11 @@ impl Cache {
     /// [`Cache::get`] for a caller whose fallback is not a fetch of this
     /// entry: a hit is counted and touched alike, an absent entry counts
     /// nothing.
-    pub(crate) fn get_resident(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
-        let slot = *self.index.get(&first)?;
+    pub(crate) fn get_resident(&mut self, first: PageId, pages: u64, hint: AccessHint) -> Option<PageImage> {
+        let slot = *self
+            .index
+            .get(&first)
+            .filter(|&&slot| self.slots[slot].pages == pages)?;
         self.stats.hits += 1;
         if hint == AccessHint::Point {
             self.touch(slot);
@@ -272,52 +283,55 @@ impl Cache {
         }
     }
 
-    /// A page write: replaces (or inserts) the entry's image and dirty flag
-    /// and moves it to the probation tail; the replaced image goes to this
-    /// thread's spares if no reader holds it. Victims evicted to make room are
-    /// appended to `victims`. An entry heavier than the whole budget is not
-    /// cached.
+    /// A page write: replaces every entry the image overlaps — their images
+    /// go to this thread's spares if no reader holds them — and inserts the
+    /// image with its dirty flag at the probation tail. Victims evicted to
+    /// make room are appended to `victims`. An entry heavier than the whole
+    /// budget is not cached.
     pub fn install(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
-        let (fits, free) = (self.fits(pages), self.free_slot());
-        match self.index.entry(first) {
-            // The replaced entry's slot is vacated, and its successor takes it.
-            btree_map::Entry::Occupied(resident) if fits => {
-                let slot = *resident.get();
+        let last = self.overlapping(first, pages).next();
+        match last {
+            // An entry of the same shape: its slot is vacated, and its
+            // successor takes it under the same index entry.
+            Some(slot) if (self.slots[slot].first, self.slots[slot].pages) == (first, pages) => {
                 pio::recycle_image(self.release(slot).0);
+                return self.occupy(first, pages, data, dirty, victims);
             }
-            btree_map::Entry::Occupied(resident) => {
-                let slot = resident.remove();
-                return pio::recycle_image(self.release(slot).0);
-            }
-            btree_map::Entry::Vacant(at) if fits => {
-                at.insert(free);
-            }
-            btree_map::Entry::Vacant(_) => return,
+            Some(_) => self.invalidate_range(first, pages),
+            None => {}
         }
-        self.occupy(first, pages, data, dirty, victims);
+        if self.fits(pages) {
+            self.index.insert(first, self.free_slot());
+            self.occupy(first, pages, data, dirty, victims);
+        }
     }
 
-    /// A completed miss: inserts the fetched image if the entry is absent;
-    /// otherwise only swaps the image in, leaving segment and recency alone
+    /// A completed miss. If an entry of the same `(first, pages)` is
+    /// resident, only swaps the image in, leaving segment and recency alone
     /// (two in-flight reads of one region both missed it and both arrive
-    /// here), and hands the swapped-out image to this thread's spares. A
-    /// dirty entry is newer than anything fetched and keeps its image.
-    /// Victims are appended to `victims`.
+    /// here), and hands the swapped-out image to this thread's spares.
+    /// Otherwise inserts the fetched image and drops every resident entry it
+    /// overlaps, so that entries stay disjoint. A dirty entry is newer than
+    /// anything fetched: it keeps its image, and a fetched image that
+    /// overlaps one is not admitted. Victims are appended to `victims`.
     pub fn admit(&mut self, first: PageId, pages: u64, data: PageImage, victims: &mut Vec<Evicted>) {
-        let (fits, free) = (self.fits(pages), self.free_slot());
-        match self.index.entry(first) {
-            btree_map::Entry::Occupied(resident) => {
-                let entry = &mut self.slots[*resident.get()];
-                if !entry.dirty {
-                    pio::recycle_image(entry.data.replace(data).expect("a resident entry holds an image"));
-                }
+        let last = self.overlapping(first, pages).next();
+        if let Some(slot) = last.filter(|&slot| (self.slots[slot].first, self.slots[slot].pages) == (first, pages)) {
+            let entry = &mut self.slots[slot];
+            if !entry.dirty {
+                pio::recycle_image(entry.data.replace(data).expect("a resident entry holds an image"));
             }
-            btree_map::Entry::Vacant(at) if fits => {
-                at.insert(free);
-                self.occupy(first, pages, data, false, victims);
-            }
-            btree_map::Entry::Vacant(_) => {}
+            return;
         }
+        let overlaps_dirty = || self.overlapping(first, pages).any(|slot| self.slots[slot].dirty);
+        if !self.fits(pages) || (last.is_some() && overlaps_dirty()) {
+            return;
+        }
+        if last.is_some() {
+            self.invalidate_range(first, pages);
+        }
+        self.index.insert(first, self.free_slot());
+        self.occupy(first, pages, data, false, victims);
     }
 
     /// Whether an entry of `pages` pages may be cached at all.
@@ -401,6 +415,18 @@ impl Cache {
                 self.discard(first);
             }
         }
+    }
+
+    /// The slots of the resident entries intersecting `[first, first +
+    /// n_pages)`, the last first: walking down from the last entry that
+    /// starts before the range ends, resident entries being disjoint, the
+    /// first one that ends at or below `first` ends the overlap.
+    fn overlapping(&self, first: PageId, n_pages: u64) -> impl Iterator<Item = usize> + '_ {
+        self.index
+            .range(..first.saturating_add(n_pages))
+            .rev()
+            .map(|(_, &slot)| slot)
+            .take_while(move |&slot| self.slots[slot].first + self.slots[slot].pages > first)
     }
 
     /// Drops every entry intersecting `[first, first + n_pages)`.
@@ -489,9 +515,9 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let mut p = lru(4);
-        assert!(p.get(1, AccessHint::Point).is_none());
+        assert!(p.get(1, 1, AccessHint::Point).is_none());
         put(&mut p, 1, 1, false);
-        assert_eq!(p.get(1, AccessHint::Point).unwrap(), region(1, 1));
+        assert_eq!(p.get(1, 1, AccessHint::Point).unwrap(), region(1, 1));
         let s = p.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -508,7 +534,7 @@ mod tests {
         put(&mut p, 2, 1, false);
         put(&mut p, 3, 1, false);
         // touch 1 so 2 becomes the LRU victim
-        p.get(1, AccessHint::Point);
+        p.get(1, 1, AccessHint::Point);
         let ev = put(&mut p, 4, 1, false);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].page, 2);
@@ -572,8 +598,8 @@ mod tests {
         put(&mut p, 1, 1, true);
         admit(&mut p, 1, 1, region(9, 1));
         admit(&mut p, 3, 1, region(9, 1));
-        assert_eq!(p.get(1, AccessHint::Scan).unwrap(), region(1, 1));
-        assert_eq!(p.get(3, AccessHint::Scan).unwrap(), region(9, 1));
+        assert_eq!(p.get(1, 1, AccessHint::Scan).unwrap(), region(1, 1));
+        assert_eq!(p.get(3, 1, AccessHint::Scan).unwrap(), region(9, 1));
     }
 
     #[test]
@@ -595,7 +621,7 @@ mod tests {
         let mut p = lru(0);
         let ev = put(&mut p, 1, 1, false);
         assert!(ev.is_empty());
-        assert!(p.get(1, AccessHint::Point).is_none());
+        assert!(p.get(1, 1, AccessHint::Point).is_none());
         assert_eq!(p.stats().misses, 1);
     }
 
@@ -606,7 +632,7 @@ mod tests {
         put(&mut p, 2, 1, false);
         put(&mut p, 3, 1, false);
         for _ in 0..100_000 {
-            p.get(2, AccessHint::Point);
+            p.get(2, 1, AccessHint::Point);
         }
         // 1 is still the LRU victim, then 3, and the much-hit 2 goes last.
         assert_eq!(put(&mut p, 4, 1, false)[0].page, 1);
@@ -620,7 +646,7 @@ mod tests {
         put(&mut p, 1, 1, false);
         put(&mut p, 2, 1, false);
         for _ in 0..100 {
-            p.get(1, AccessHint::Point);
+            p.get(1, 1, AccessHint::Point);
         }
         let ev = put(&mut p, 3, 1, false);
         // victim must be page 2: page 1 was touched last
@@ -646,9 +672,9 @@ mod tests {
     #[test]
     fn point_miss_admits_and_rereference_promotes() {
         let mut c = slru(10);
-        assert!(c.get(4, AccessHint::Point).is_none());
+        assert!(c.get(4, 2, AccessHint::Point).is_none());
         admit(&mut c, 4, 2, region(1, 2));
-        assert_eq!(c.get(4, AccessHint::Point).unwrap(), region(1, 2));
+        assert_eq!(c.get(4, 2, AccessHint::Point).unwrap(), region(1, 2));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(c.used_pages(), 2);
@@ -657,18 +683,18 @@ mod tests {
         // it together) refreshes the bytes and leaves its segment alone.
         admit(&mut c, 4, 2, region(7, 2));
         assert_eq!(c.protected_pages, 2);
-        assert_eq!(c.get(4, AccessHint::Scan).unwrap(), region(7, 2));
+        assert_eq!(c.get(4, 2, AccessHint::Scan).unwrap(), region(7, 2));
     }
 
     #[test]
     fn scan_miss_is_a_bypass_and_scan_hits_do_not_promote() {
         let mut c = slru(10);
-        assert!(c.get(4, AccessHint::Scan).is_none());
+        assert!(c.get(4, 2, AccessHint::Scan).is_none());
         assert_eq!(c.stats().scan_bypasses, 1);
         assert_eq!(c.stats().misses, 0);
         // A resident entry still serves scan hits.
         admit(&mut c, 4, 2, region(1, 2));
-        assert_eq!(c.get(4, AccessHint::Scan).unwrap(), region(1, 2));
+        assert_eq!(c.get(4, 2, AccessHint::Scan).unwrap(), region(1, 2));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.protected_pages, 0);
     }
@@ -678,15 +704,15 @@ mod tests {
         let mut c = slru(6);
         // Protect region 0 with a re-reference.
         admit(&mut c, 0, 2, region(0, 2));
-        c.get(0, AccessHint::Point);
+        c.get(0, 2, AccessHint::Point);
         // Fill with one-touch probation entries; region 0 must survive.
         for i in 0..8u64 {
             let first = 10 + i * 2;
-            c.get(first, AccessHint::Point);
+            c.get(first, 2, AccessHint::Point);
             admit(&mut c, first, 2, region(i as u8, 2));
         }
         assert!(
-            c.get(0, AccessHint::Scan).is_some(),
+            c.get(0, 2, AccessHint::Scan).is_some(),
             "protected entry evicted by probation churn"
         );
         assert!(c.stats().evictions > 0);
@@ -698,18 +724,18 @@ mod tests {
         let mut c = slru(8);
         // Hot set: 3 regions, touched twice (→ protected).
         for first in [0u64, 2, 4] {
-            c.get(first, AccessHint::Point);
+            c.get(first, 2, AccessHint::Point);
             admit(&mut c, first, 2, region(first as u8, 2));
-            c.get(first, AccessHint::Point);
+            c.get(first, 2, AccessHint::Point);
         }
         // A 100-region scan streams past: the device fetch happens on each
         // miss, and a scan read does NOT admit.
         for i in 0..100u64 {
-            assert!(c.get(100 + i * 2, AccessHint::Scan).is_none());
+            assert!(c.get(100 + i * 2, 2, AccessHint::Scan).is_none());
         }
         for first in [0u64, 2, 4] {
             assert!(
-                c.get(first, AccessHint::Scan).is_some(),
+                c.get(first, 2, AccessHint::Scan).is_some(),
                 "scan evicted hot region {first}"
             );
         }
@@ -721,16 +747,16 @@ mod tests {
     fn protected_cap_demotes_instead_of_growing() {
         let mut c = slru(10); // protected cap = 8
         for first in [0u64, 2, 4, 6, 8] {
-            c.get(first, AccessHint::Point);
+            c.get(first, 2, AccessHint::Point);
             admit(&mut c, first, 2, region(first as u8, 2));
-            c.get(first, AccessHint::Point); // promote
+            c.get(first, 2, AccessHint::Point); // promote
         }
         // All five were promoted (10 pages), but protected holds ≤ 8 pages:
         // at least one was demoted back to probation, none were lost.
         assert_eq!(c.used_pages(), 10);
         assert_eq!(c.protected_pages, 8);
         for first in [0u64, 2, 4, 6, 8] {
-            assert!(c.get(first, AccessHint::Scan).is_some());
+            assert!(c.get(first, 2, AccessHint::Scan).is_some());
         }
     }
 
@@ -742,14 +768,17 @@ mod tests {
         }
         // Region 2 is promoted by its first hit and refreshed by the rest.
         for _ in 0..100_000 {
-            c.get(2, AccessHint::Point);
+            c.get(2, 2, AccessHint::Point);
         }
         // Probation still drains oldest-first (0, then 4) before the
         // protected region 2 is touched.
         for (first, survivors) in [(10u64, [2u64, 4]), (12, [2, 10])] {
             admit(&mut c, first, 2, region(9, 2));
             for s in survivors {
-                assert!(c.get(s, AccessHint::Scan).is_some(), "region {s} evicted out of order");
+                assert!(
+                    c.get(s, 2, AccessHint::Scan).is_some(),
+                    "region {s} evicted out of order"
+                );
             }
         }
         assert_eq!(c.stats().evictions, 2);
@@ -766,12 +795,12 @@ mod tests {
                 admit(&mut c, first, 1, region(1, 1));
             }
             for i in 0..100_000u64 {
-                c.get(i % 8, AccessHint::Point);
+                c.get(i % 8, 1, AccessHint::Point);
             }
             assert_eq!(c.slots.len(), 8, "hits allocated slots");
             for first in 8..100_008 {
                 admit(&mut c, first, 1, region(1, 1));
-                c.get(first - 4, AccessHint::Point);
+                c.get(first - 4, 1, AccessHint::Point);
             }
             assert_eq!(c.index.len(), 8);
             assert_eq!(c.slots.len(), 9, "churn grew the slots");
@@ -787,11 +816,11 @@ mod tests {
         admit(&mut c, 8, 2, region(2, 2));
         // Page 6 lies inside the region starting at 4.
         c.invalidate_page(6);
-        assert!(c.get(4, AccessHint::Scan).is_none());
-        assert!(c.get(8, AccessHint::Scan).is_some());
+        assert!(c.get(4, 4, AccessHint::Scan).is_none());
+        assert!(c.get(8, 2, AccessHint::Scan).is_some());
         // A range write overlapping [7, 9) kills the region at 8.
         c.invalidate_range(7, 2);
-        assert!(c.get(8, AccessHint::Scan).is_none());
+        assert!(c.get(8, 2, AccessHint::Scan).is_none());
         assert_eq!(c.used_pages(), 0);
     }
 
@@ -803,7 +832,7 @@ mod tests {
         let spares = pio::spare_images;
         let base = spares();
         put(&mut c, 1, 1, false);
-        let held = c.get(1, AccessHint::Point).unwrap();
+        let held = c.get(1, 1, AccessHint::Point).unwrap();
         put(&mut c, 1, 1, false);
         assert_eq!(spares(), base, "a held image is not kept");
         put(&mut c, 1, 1, false);
@@ -829,7 +858,7 @@ mod tests {
         assert_eq!(c.used_pages(), 2);
         c.clear();
         assert_eq!(c.used_pages(), 0);
-        assert!(c.get(0, AccessHint::Scan).is_none());
+        assert!(c.get(0, 2, AccessHint::Scan).is_none());
     }
 
     // ------------------------------------------------------------ differential --
@@ -846,6 +875,8 @@ mod tests {
     /// The naive reference the differential test holds [`Cache`] to: each
     /// segment is a `Vec` kept in recency order (front = next victim), every
     /// operation is a linear scan. No stamps, no stale pairs, no compaction.
+    /// A hit needs the same `(first, pages)`; a write replaces every entry it
+    /// overlaps, and so does an admission, unless one of them is dirty.
     #[derive(Debug, Default)]
     struct Model {
         capacity: u64,
@@ -869,8 +900,9 @@ mod tests {
             None
         }
 
-        fn get(&mut self, first: PageId, hint: AccessHint) -> Option<PageImage> {
-            let Some(slot) = self.probation.iter().chain(&self.protected).find(|s| s.first == first) else {
+        fn get(&mut self, first: PageId, pages: u64, hint: AccessHint) -> Option<PageImage> {
+            let same = |s: &&Slot| s.first == first && s.pages == pages;
+            let Some(slot) = self.probation.iter().chain(&self.protected).find(same) else {
                 match hint {
                     AccessHint::Point => self.stats.misses += 1,
                     AccessHint::Scan => self.stats.scan_bypasses += 1,
@@ -907,20 +939,21 @@ mod tests {
         }
 
         fn put(&mut self, slot: Slot, replace: bool, victims: &mut Vec<(PageId, bool)>) {
+            let overlaps = |s: &&mut Slot| s.first < slot.first + slot.pages && slot.first < s.first + s.pages;
             if !replace {
-                if let Some(old) = self
-                    .probation
-                    .iter_mut()
-                    .chain(&mut self.protected)
-                    .find(|s| s.first == slot.first)
-                {
+                let mut resident = self.probation.iter_mut().chain(&mut self.protected);
+                if let Some(old) = resident.find(|s| s.first == slot.first && s.pages == slot.pages) {
                     if !old.dirty {
                         old.data = slot.data;
                     }
                     return;
                 }
+                let mut resident = self.probation.iter_mut().chain(&mut self.protected);
+                if slot.pages > self.capacity || resident.any(|s| overlaps(&s) && s.dirty) {
+                    return;
+                }
             }
-            self.take(slot.first);
+            self.invalidate(slot.first, slot.pages);
             if slot.pages <= self.capacity {
                 self.probation.push(slot);
                 self.settle(victims);
@@ -995,9 +1028,16 @@ mod tests {
             };
             for step in 0..30_000u32 {
                 let ctx = format!("CRASH_SEED={seed} fifths={fifths} step={step}");
-                // 24 disjoint slots of 1–4 pages, eight pages apart.
+                // 24 slots of 1–4 pages, eight pages apart — and, one step
+                // in four, an entry of another length inside a slot's eight
+                // pages, which overlaps the slot's own entry or starts where
+                // it starts (a leaf segment beside its whole region).
                 let slot = rand(24);
-                let (first, pages) = (slot * 8, 1 + slot % 4);
+                let (first, pages) = if rand(4) == 0 {
+                    (slot * 8 + rand(4), 1 + rand(4))
+                } else {
+                    (slot * 8, 1 + slot % 4)
+                };
                 let data = PageImage::from(vec![step as u8; 4]);
                 let mut victims = Vec::new();
                 let mut expected = Vec::new();
@@ -1012,7 +1052,11 @@ mod tests {
                         } else {
                             AccessHint::Point
                         };
-                        assert_eq!(cache.get(first, hint), model.get(first, hint), "{ctx}: get");
+                        assert_eq!(
+                            cache.get(first, pages, hint),
+                            model.get(first, pages, hint),
+                            "{ctx}: get"
+                        );
                     }
                     800..=1199 => {
                         let dirty = rand(3) == 0;
@@ -1091,6 +1135,11 @@ mod tests {
                     cache.index.len() + cache.vacant.len(),
                     "{ctx}: a slot is neither indexed nor vacant"
                 );
+                let mut end = 0;
+                for (&first, &slot) in &cache.index {
+                    assert!(first >= end, "{ctx}: the entry at {first} overlaps the one before");
+                    end = first + cache.slots[slot].pages;
+                }
             }
         }
     }

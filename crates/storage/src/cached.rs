@@ -4,18 +4,27 @@
 //! [`CachedStore`] composes a [`PageStore`] with two instances of the one
 //! [`Cache`] implementation, one per **page class**:
 //!
-//! * the **page class** holds single pages (internal nodes, leaf-segment
-//!   pages) under the `pool_pages` budget with a protected share of zero —
-//!   the plain-LRU buffer pool the paper sweeps in Figure 9 and trades off
-//!   against the OPQ in Figure 11;
+//! * the **page class** holds single pages (internal nodes, and the last
+//!   leaf segments bupdate reads and writes) under the `pool_pages` budget
+//!   with a protected share of zero — the plain-LRU buffer pool the paper
+//!   sweeps in Figure 9 and trades off against the OPQ in Figure 11;
 //! * the optional **region class** ([`CachedStore::set_leaf_cache`]) holds
-//!   multi-page leaf regions under their own budget with a 4/5 protected
-//!   share and the scan bypass, so `range_search` streams cannot evict the
-//!   point-lookup working set.
+//!   leaf pieces — whole multi-page leaf regions, and the single segments a
+//!   point lookup of a fenced leaf reads — under their own budget with a 4/5
+//!   protected share and the scan bypass, so `range_search` streams cannot
+//!   evict the point-lookup working set.
 //!
 //! There is one read path and one write path, both over `(first_page,
 //! n_pages)` regions, and a page is a one-page region: a region is routed to
-//! its class by its length. Reads look both classes up at submission and send
+//! its class by its length, except that a read submitted as leaf pieces
+//! ([`CachedStore::submit_leaf_read`]) goes to the region class whatever its
+//! length, so lookup segments never crowd internal nodes out of the page
+//! class. The region class may thus hold a segment `(leaf + s, 1)` beside
+//! regions, even one starting at the same page as a whole `(leaf, L)`: a hit
+//! there needs the same `(first_page, n_pages)` — a read of the whole region
+//! is never handed a segment — and an admission drops every resident entry
+//! it overlaps, so resident entries stay disjoint, which
+//! [`Cache::invalidate_page`] relies on. Reads look both classes up at submission and send
 //! the misses of both to the device as **one** batch, so a warm cache
 //! automatically reduces the outstanding-I/O level — exactly the behaviour the
 //! cost model of Section 3.5 assumes. Writes apply the [`WritePolicy`] to page
@@ -82,6 +91,8 @@ pub struct CachedReadTicket {
     ticket: Option<ReadTicket>,
     /// Admission hint applied to the region-class misses at completion.
     hint: AccessHint,
+    /// Whether every region is a leaf piece ([`CachedStore::submit_leaf_read`]).
+    leaf: bool,
 }
 
 /// An in-flight write. Cached copies of the overlapped pages are invalidated
@@ -108,8 +119,9 @@ impl Classes {
     /// Routes a read of `n_pages` pages: the class the region belongs to (if
     /// enabled) and the hint its accesses carry there — the page class
     /// ignores the caller's hint, single pages are always `Point` accesses.
-    fn route(&mut self, n_pages: u64, hint: AccessHint) -> (Option<&mut Cache>, AccessHint) {
-        if n_pages == 1 {
+    /// A leaf piece goes to the region class whatever its length.
+    fn route(&mut self, n_pages: u64, hint: AccessHint, leaf: bool) -> (Option<&mut Cache>, AccessHint) {
+        if n_pages == 1 && !leaf {
             (Some(&mut self.pages), AccessHint::Point)
         } else {
             (self.regions.as_mut(), hint)
@@ -129,7 +141,7 @@ impl ResidentPages<'_> {
     /// like any `Point` hit. An absent page counts nothing: the read the
     /// caller falls back to counts its miss.
     pub fn get(&mut self, page: PageId) -> Option<PageImage> {
-        self.caches.pages.get_resident(page, AccessHint::Point)
+        self.caches.pages.get_resident(page, 1, AccessHint::Point)
     }
 }
 
@@ -264,6 +276,19 @@ impl CachedStore {
     /// offset (where a large enough one would wrap onto another page's bytes,
     /// which no recorded checksum would contradict).
     pub fn submit_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
+        self.submit(regions, hint, false)
+    }
+
+    /// [`CachedStore::submit_read`] for pieces of leaf nodes: every region —
+    /// a one-page leaf segment too — is looked up in and admitted to the
+    /// region class, so segment pages never enter the page class, which
+    /// holds the internal nodes. A hit needs an entry of the same
+    /// `(first_page, n_pages)`; see the [module docs](self).
+    pub fn submit_leaf_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
+        self.submit(regions, hint, true)
+    }
+
+    fn submit(&self, regions: &[(PageId, u64)], hint: AccessHint, leaf: bool) -> IoResult<CachedReadTicket> {
         let high_water = self.store.high_water_pages();
         if let Some(&(first, n)) = regions.iter().find(|&&(first, n)| n > high_water.saturating_sub(first)) {
             return Err(IoError::Corruption {
@@ -276,8 +301,8 @@ impl CachedStore {
         {
             let mut caches = self.caches.lock();
             for (i, &(first, n)) in regions.iter().enumerate() {
-                let (class, hint) = caches.route(n, hint);
-                match class.and_then(|class| class.get(first, hint)) {
+                let (class, hint) = caches.route(n, hint, leaf);
+                match class.and_then(|class| class.get(first, n, hint)) {
                     Some(hit) => results[i] = Some(hit),
                     None => {
                         // Sized once, on the first miss: an all-hit read
@@ -301,6 +326,7 @@ impl CachedStore {
             missing,
             ticket,
             hint,
+            leaf,
         })
     }
 
@@ -315,6 +341,7 @@ impl CachedStore {
             missing,
             ticket,
             hint,
+            leaf,
         } = ticket;
         if let Some(ticket) = ticket {
             let fetched = self.store.complete_read(ticket)?;
@@ -326,7 +353,7 @@ impl CachedStore {
             {
                 let mut caches = self.caches.lock();
                 for &(i, first, n) in &missing {
-                    if let (Some(class), AccessHint::Point) = caches.route(n, hint) {
+                    if let (Some(class), AccessHint::Point) = caches.route(n, hint, leaf) {
                         // An admission evicts about one entry: size the list
                         // for the batch at the first one, not by doubling.
                         if victims.capacity() == 0 {
@@ -688,6 +715,60 @@ mod tests {
         assert_eq!(c.store().stats().page_reads, before + 4);
         assert_eq!(c.leaf_cache_stats(), CacheStats::default());
         assert_eq!(c.pool_stats().misses, 0);
+    }
+
+    /// A leaf piece goes to the region class whatever its length, and a hit
+    /// there needs the same `(first, pages)`: a read of the whole region — a
+    /// `Scan` one above all, which admits nothing — is never handed the
+    /// resident one-segment entry that starts where the region starts, and
+    /// an admission of either shape drops the other. The page class never
+    /// sees a segment.
+    #[test]
+    fn a_whole_region_read_is_never_handed_a_segment_entry() {
+        let c = cached(WritePolicy::WriteThrough, 16);
+        c.set_leaf_cache(16);
+        let leaf = c.allocate_contiguous(2);
+        let image: Vec<u8> = (0..2 * 4096u32).map(|i| (i / 4096 + 1) as u8).collect();
+        c.write_page(leaf, image.as_slice().into()).unwrap();
+        let segment = |first: PageId| {
+            let ticket = c.submit_leaf_read(&[(first, 1)], AccessHint::Point).unwrap();
+            c.complete_read(ticket).unwrap().pop().unwrap()
+        };
+        let device_reads = || c.store().stats().page_reads;
+
+        assert_eq!(segment(leaf)[..], image[..4096]);
+        assert_eq!(segment(leaf + 1)[..], image[4096..]);
+        assert_eq!((c.leaf_cache_stats().misses, c.pool_stats().misses), (2, 0));
+        let before = device_reads();
+        assert_eq!(segment(leaf)[..], image[..4096]);
+        assert_eq!(
+            (device_reads(), c.leaf_cache_stats().hits),
+            (before, 1),
+            "a segment hit"
+        );
+
+        // Both segments resident: the scan fetches the region whole.
+        let scanned = read_region(&c, leaf, 2, AccessHint::Scan).unwrap();
+        assert_eq!(scanned[..], image[..], "a scan was handed a one-page segment");
+        assert_eq!(device_reads(), before + 2);
+        assert_eq!(c.leaf_cache_stats().scan_bypasses, 1);
+        assert_eq!(segment(leaf + 1)[..], image[4096..], "a scan admits nothing");
+        assert_eq!(device_reads(), before + 2);
+
+        // A point read of the region admits it over both segments, and a
+        // segment read admits the segment over the region.
+        assert_eq!(point_region(&c, leaf, 2), image);
+        assert_eq!(device_reads(), before + 4);
+        assert_eq!(point_region(&c, leaf, 2), image);
+        assert_eq!(segment(leaf + 1)[..], image[4096..]);
+        assert_eq!(device_reads(), before + 5, "the region hit, the segment missed");
+        assert_eq!(point_region(&c, leaf, 2), image);
+        assert_eq!(device_reads(), before + 7, "the segment's admission dropped the region");
+        assert_eq!(
+            c.pool_stats(),
+            CacheStats::default(),
+            "no leaf piece went to the page class"
+        );
     }
 
     #[test]

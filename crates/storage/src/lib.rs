@@ -19,10 +19,12 @@
 //!   paper's buffer pool (its size is swept in Figure 9 and traded off against
 //!   the operation queue in Figure 11) under a write-back or write-through
 //!   [`WritePolicy`]; the optional *region class* keeps multi-page leaf regions,
-//!   whose reads carry an [`AccessHint`] so `range_search` streams cannot evict
-//!   the point-lookup working set. `submit_read` / `submit_write` route each
-//!   region to its class by its length, keep the classes coherent, and verify
-//!   every device-fetched image against the [`integrity`] sidecar.
+//!   and the single leaf segments a point lookup reads, whose reads carry an
+//!   [`AccessHint`] so `range_search` streams cannot evict the point-lookup
+//!   working set. `submit_read` / `submit_write` route each region to its
+//!   class by its length (`submit_leaf_read` sends a leaf piece of any length
+//!   to the region class), keep the classes coherent, and verify every
+//!   device-fetched image against the [`integrity`] sidecar.
 //! * [`Wal`] — an append-only write-ahead log used by the PIO B-tree's crash
 //!   recovery (Section 3.4).
 //!
