@@ -4,10 +4,10 @@
 //! [`PageId`] — and a single page is simply a one-page region. Entries of
 //! mixed length may share a cache (the region class holds whole leaf regions
 //! beside single leaf segments), so two rules keep them apart: a lookup hits
-//! only an entry of the same `(first, pages)`, and an admission or a write
-//! drops every resident entry it overlaps. Resident entries are therefore
-//! always disjoint, which lets a write to one page find the one entry
-//! covering it.
+//! only an entry of the same `(first, pages)`, and an admission drops every
+//! resident entry it overlaps (a write, [`Cache::install`], replaces only the
+//! entry its first page keys). Resident entries are therefore always disjoint,
+//! which lets a write to one page find the one entry covering it.
 //! [`crate::CachedStore`] instantiates this structure twice, once per page
 //! class (see its docs); the cache itself performs no I/O and knows nothing
 //! about classes. Eviction hands every victim back to the caller, which
@@ -46,7 +46,7 @@
 //! takes its victim from a list head; a demotion makes none.
 
 use crate::page::{PageId, PageImage};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{self, BTreeMap};
 
 /// How a read intends to use the data — decides cache admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -283,27 +283,37 @@ impl Cache {
         }
     }
 
-    /// A page write: replaces every entry the image overlaps — their images
-    /// go to this thread's spares if no reader holds them — and inserts the
-    /// image with its dirty flag at the probation tail. Victims evicted to
-    /// make room are appended to `victims`. An entry heavier than the whole
-    /// budget is not cached.
+    /// A page write: replaces (or inserts) the entry's image and dirty flag
+    /// and moves it to the probation tail; the replaced image goes to this
+    /// thread's spares if no reader holds it. Victims evicted to make room are
+    /// appended to `victims`. An entry heavier than the whole budget is not
+    /// cached. A write replaces at most the entry keyed by its own first
+    /// page, so its caller drops any other it overlaps first —
+    /// [`crate::CachedStore`] installs into its page class only, which holds
+    /// nothing but single pages.
     pub fn install(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
-        let last = self.overlapping(first, pages).next();
-        match last {
-            // An entry of the same shape: its slot is vacated, and its
-            // successor takes it under the same index entry.
-            Some(slot) if (self.slots[slot].first, self.slots[slot].pages) == (first, pages) => {
+        debug_assert!(
+            self.overlapping(first, pages)
+                .all(|slot| self.slots[slot].first == first),
+            "an install overlaps an entry that starts elsewhere"
+        );
+        let (fits, free) = (self.fits(pages), self.free_slot());
+        match self.index.entry(first) {
+            // The replaced entry's slot is vacated, and its successor takes it.
+            btree_map::Entry::Occupied(resident) if fits => {
+                let slot = *resident.get();
                 pio::recycle_image(self.release(slot).0);
-                return self.occupy(first, pages, data, dirty, victims);
             }
-            Some(_) => self.invalidate_range(first, pages),
-            None => {}
+            btree_map::Entry::Occupied(resident) => {
+                let slot = resident.remove();
+                return pio::recycle_image(self.release(slot).0);
+            }
+            btree_map::Entry::Vacant(at) if fits => {
+                at.insert(free);
+            }
+            btree_map::Entry::Vacant(_) => return,
         }
-        if self.fits(pages) {
-            self.index.insert(first, self.free_slot());
-            self.occupy(first, pages, data, dirty, victims);
-        }
+        self.occupy(first, pages, data, dirty, victims);
     }
 
     /// A completed miss. If an entry of the same `(first, pages)` is
@@ -876,7 +886,9 @@ mod tests {
     /// segment is a `Vec` kept in recency order (front = next victim), every
     /// operation is a linear scan. No stamps, no stale pairs, no compaction.
     /// A hit needs the same `(first, pages)`; a write replaces every entry it
-    /// overlaps, and so does an admission, unless one of them is dirty.
+    /// overlaps (the test first drops those that start elsewhere, as
+    /// [`Cache::install`]'s callers must), and so does an admission, unless
+    /// one of them is dirty.
     #[derive(Debug, Default)]
     struct Model {
         capacity: u64,
@@ -1059,6 +1071,14 @@ mod tests {
                         );
                     }
                     800..=1199 => {
+                        // A write replaces at most the entry keyed by its
+                        // first page: its caller drops the others first.
+                        if cache
+                            .overlapping(first, pages)
+                            .any(|slot| cache.slots[slot].first != first)
+                        {
+                            cache.invalidate_range(first, pages);
+                        }
                         let dirty = rand(3) == 0;
                         cache.install(first, pages, data.clone(), dirty, &mut victims);
                         let slot = Slot {

@@ -19,13 +19,17 @@
 //! its class by its length, except that a read submitted as leaf pieces
 //! ([`CachedStore::submit_leaf_read`]) goes to the region class whatever its
 //! length, so lookup segments never crowd internal nodes out of the page
-//! class. The region class may thus hold a segment `(leaf + s, 1)` beside
-//! regions, even one starting at the same page as a whole `(leaf, L)`: a hit
-//! there needs the same `(first_page, n_pages)` — a read of the whole region
-//! is never handed a segment — and an admission drops every resident entry
-//! it overlaps, so resident entries stay disjoint, which
-//! [`Cache::invalidate_page`] relies on. Reads look both classes up at submission and send
-//! the misses of both to the device as **one** batch, so a warm cache
+//! class, and the leaf budget caches the leaves a lookup reads (routed by
+//! length, the segments would leave the region class empty: `fig09_leaf_cache`'s
+//! split of one budget into pool and leaf cache then runs no faster than the
+//! whole budget as pool). The region class may thus hold a segment
+//! `(leaf + s, 1)` beside regions, even one starting at the same page as a
+//! whole `(leaf, L)`: a hit there needs the same `(first_page, n_pages)` — a
+//! read of the whole region is never handed a segment — and an admission
+//! drops every resident entry it overlaps, so resident entries stay
+//! disjoint, which [`Cache::invalidate_page`] relies on. Reads look both
+//! classes up at submission and send the misses of both to the device as
+//! **one** batch, so a warm cache
 //! automatically reduces the outstanding-I/O level — exactly the behaviour the
 //! cost model of Section 3.5 assumes. Writes apply the [`WritePolicy`] to page
 //! images and write region images around the cache:

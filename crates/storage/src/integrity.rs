@@ -115,11 +115,6 @@ pub struct ScrubReport {
     pub wrapped: bool,
 }
 
-/// Pages [`Integrity::record`] and [`Integrity::first_mismatch`] hash per
-/// turn of the lock: a leaf region or a segment is one turn, and a longer
-/// image needs no allocation.
-const HASH_GROUP: usize = 16;
-
 #[derive(Debug, Default)]
 struct IntegrityState {
     checksums: BTreeMap<PageId, u32>,
@@ -168,49 +163,23 @@ impl Integrity {
     }
 
     /// Records the checksum of every page of an image that is on its way to
-    /// the device at `first`. The pages are hashed outside the lock, a group
-    /// of [`HASH_GROUP`] at a time, and only the inserts take it: callers on
-    /// other threads do not queue behind the hashing.
+    /// the device at `first`.
     pub(crate) fn record(&self, first: PageId, data: &[u8], page_size: usize) {
-        let mut sums = [0u32; HASH_GROUP];
-        for (group, chunks) in data.chunks(page_size * HASH_GROUP).enumerate() {
-            let pages = chunks.chunks_exact(page_size);
-            let n = pages.len();
-            for (sum, chunk) in sums.iter_mut().zip(pages) {
-                *sum = page_checksum(chunk);
-            }
-            let mut state = self.state.lock();
-            let start = first + (group * HASH_GROUP) as u64;
-            for (page, &sum) in (start..).zip(&sums[..n]) {
-                state.checksums.insert(page, sum);
-            }
+        let mut state = self.state.lock();
+        for (page, chunk) in (first..).zip(data.chunks_exact(page_size)) {
+            state.checksums.insert(page, page_checksum(chunk));
         }
     }
 
     /// The first *tracked* page of the image at `first` whose bytes do not
     /// match its recorded checksum. Pages without a recorded checksum —
-    /// written before this handle opened — pass unverified. The recorded
-    /// values are looked up under the lock, a group of [`HASH_GROUP`] pages
-    /// at a time, and the pages hashed after it is released.
+    /// written before this handle opened — pass unverified.
     fn first_mismatch(&self, first: PageId, data: &[u8], page_size: usize) -> Option<PageId> {
-        let mut expected = [None; HASH_GROUP];
-        for (group, chunks) in data.chunks(page_size * HASH_GROUP).enumerate() {
-            let start = first + (group * HASH_GROUP) as u64;
-            let n = chunks.len() / page_size;
-            {
-                let state = self.state.lock();
-                for (page, e) in (start..).zip(&mut expected[..n]) {
-                    *e = state.checksums.get(&page).copied();
-                }
-            }
-            let bad = (start..)
-                .zip(chunks.chunks_exact(page_size).zip(&expected))
-                .find(|(_, (chunk, e))| e.is_some_and(|e| page_checksum(chunk) != e));
-            if let Some((page, _)) = bad {
-                return Some(page);
-            }
-        }
-        None
+        let state = self.state.lock();
+        (first..)
+            .zip(data.chunks_exact(page_size))
+            .find(|(page, chunk)| state.checksums.get(page).is_some_and(|&e| page_checksum(chunk) != e))
+            .map(|(page, _)| page)
     }
 
     /// Verifies a device-fetched image of `n_pages` pages at `first`,
@@ -357,34 +326,6 @@ mod tests {
                 "blocks {x} and {y} swapped"
             );
         }
-    }
-
-    /// Recording and verifying hash a group of pages per turn of the lock:
-    /// an image of several groups and a partial one is recorded whole, a
-    /// flipped byte is found in whichever group it lies, and pages nobody
-    /// recorded pass.
-    #[test]
-    fn record_and_verify_cover_every_group_of_an_image() {
-        const PAGE: usize = 64;
-        let pages = 2 * HASH_GROUP + 3;
-        let image: Vec<u8> = (0..pages * PAGE).map(|i| (i * 7 + i / PAGE) as u8).collect();
-        let integrity = Integrity::default();
-        integrity.record(100, &image, PAGE);
-        assert_eq!(integrity.tracked_pages(), pages);
-        assert_eq!(integrity.first_mismatch(100, &image, PAGE), None);
-        for bad in [0, HASH_GROUP - 1, HASH_GROUP, pages - 1] {
-            let mut rotted = image.clone();
-            rotted[bad * PAGE + 5] ^= 0x10;
-            assert_eq!(integrity.first_mismatch(100, &rotted, PAGE), Some(100 + bad as u64));
-        }
-        integrity.forget(100 + pages as u64 - 1);
-        let mut rotted = image.clone();
-        rotted[(pages - 1) * PAGE] ^= 1;
-        assert_eq!(
-            integrity.first_mismatch(100, &rotted, PAGE),
-            None,
-            "an untracked page passes"
-        );
     }
 
     /// Golden values, computed once by the four-lane function (why a
