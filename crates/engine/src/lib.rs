@@ -208,7 +208,7 @@
 //! [`pio::ResilientIo`] under one fixed [`EngineConfig::retry_policy`]:
 //! transient failures are retried with deterministic exponential backoff, at
 //! most 3 times and within a 50 ms per-ticket budget (backoff is *accounted*
-//! into simulated latency, never slept). Page checksums are verified on every
+//! into the queue's simulated I/O time, never slept). Page checksums are verified on every
 //! device fetch, and the maintenance worker re-verifies a bounded slice of
 //! each shard's pages per [`EngineConfig::scrub_interval_ms`] tick, healing
 //! persistent rot from pooled copies that still verify. Three consecutive

@@ -222,8 +222,8 @@ impl Shard {
 /// Wraps a provisioned backend in [`pio::ResilientIo`] under
 /// [`EngineConfig::retry_policy`], so transient device errors are retried with
 /// backoff below the store and the shard WAL alike (backoff is
-/// charged into simulated latency, never slept — the engine's backends
-/// simulate time).
+/// charged into the queue's simulated I/O time, never slept — the engine's
+/// backends simulate time).
 pub(crate) fn resilient(io: Arc<dyn IoQueue>) -> Arc<dyn IoQueue> {
     Arc::new(pio::ResilientIo::new(io, EngineConfig::retry_policy()))
 }

@@ -16,7 +16,7 @@
 //! wall-clock, not simulated.
 
 use crate::error::{IoError, IoResult};
-use crate::queue::{zeroed_image, Completion, IoQueue, Ticket, TryComplete, EMPTY_TICKET};
+use crate::queue::{zeroed_image, Completion, IoQueue, Ticket, EMPTY_TICKET};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::{BatchStats, IoStats};
 use parking_lot::Mutex;
@@ -336,21 +336,6 @@ impl IoQueue for FileThreadPoolIo {
                     tickets = self.shared.done_cv.wait(tickets).unwrap_or_else(|e| e.into_inner());
                 }
             }
-        }
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        if ticket.0 == EMPTY_TICKET {
-            return Ok(TryComplete::Ready(Completion::default()));
-        }
-        let mut tickets = self.shared.tickets.lock().unwrap_or_else(|e| e.into_inner());
-        match tickets.get(&ticket.0) {
-            None => Err(IoError::UnknownTicket(ticket.0)),
-            Some(entry) if entry.done.is_some() => {
-                let entry = tickets.remove(&ticket.0).expect("present");
-                Ok(TryComplete::Ready(self.shared.finish(entry)?))
-            }
-            Some(_) => Ok(TryComplete::Pending(ticket)),
         }
     }
 

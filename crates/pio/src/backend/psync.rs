@@ -12,7 +12,7 @@ use super::threaded::FileLayout;
 use super::{sync, threaded};
 use crate::error::{IoError, IoResult};
 use crate::memdisk::MemDisk;
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete, EMPTY_TICKET};
+use crate::queue::{Completion, IoQueue, Ticket, EMPTY_TICKET};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::{BatchStats, IoStats};
 use parking_lot::Mutex;
@@ -330,33 +330,6 @@ impl IoQueue for SimPsyncIo {
         Ok(pending.completion)
     }
 
-    /// A ticket is ready exactly when no other in-flight ticket completes
-    /// before it, so a polling caller reaps completions in landing order.
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        if ticket.0 == EMPTY_TICKET {
-            return Ok(TryComplete::Ready(Completion::default()));
-        }
-        let mut device = self.device.lock();
-        let mut q = self.queue.lock();
-        let mine = q
-            .outstanding
-            .get(&ticket.0)
-            .ok_or(IoError::UnknownTicket(ticket.0))?
-            .completion_us;
-        let earliest = q
-            .outstanding
-            .values()
-            .map(|p| p.completion_us)
-            .fold(f64::INFINITY, f64::min);
-        if mine > earliest {
-            return Ok(TryComplete::Pending(ticket));
-        }
-        let pending = q.outstanding.remove(&ticket.0).expect("looked up above");
-        q.reap_frontier_us = q.reap_frontier_us.max(pending.completion_us);
-        self.reap(&mut device, &mut q);
-        Ok(TryComplete::Ready(pending.completion))
-    }
-
     fn io_stats(&self) -> IoStats {
         *self.stats.lock()
     }
@@ -453,7 +426,6 @@ mod tests {
     /// place, never copies it, and never reaches the device's bytes.
     #[test]
     fn read_buffers_are_unshared() {
-        use crate::TryComplete;
         const CAP: u64 = 16 * 1024 * 1024;
         let config = DeviceProfile::P300.build();
         let backends = [
@@ -473,12 +445,10 @@ mod tests {
             let (bufs, _) = io.psync_read(&reqs).unwrap();
             let first = io.submit_read(&reqs).unwrap();
             let second = io.submit_read(&reqs[..2]).unwrap();
-            let polled = match io.try_complete(second).unwrap() {
-                TryComplete::Ready(done) => done,
-                TryComplete::Pending(second) => io.wait(second).unwrap(),
-            };
-            let waited = io.wait(first).unwrap();
-            let all = bufs.iter().chain(&polled.buffers).chain(&waited.buffers);
+            // The second ticket is reaped first.
+            let second = io.wait(second).unwrap();
+            let first = io.wait(first).unwrap();
+            let all = bufs.iter().chain(&second.buffers).chain(&first.buffers);
             assert_eq!(all.clone().count(), 10);
             for image in all {
                 assert_eq!(Arc::strong_count(image), 1, "a completion's image is unshared");

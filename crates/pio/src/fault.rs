@@ -39,7 +39,7 @@
 //! into a full transient-fault harness.
 
 use crate::error::{IoError, IoResult};
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete};
+use crate::queue::{Completion, IoQueue, Ticket};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::IoStats;
 use parking_lot::Mutex;
@@ -524,19 +524,6 @@ impl IoQueue for FaultIo {
             Self::apply_decoration(&mut completion, d);
         }
         Ok(completion)
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        let id = ticket.id();
-        match self.inner.try_complete(ticket)? {
-            TryComplete::Ready(mut completion) => {
-                if let Some(d) = self.pending.lock().remove(&id) {
-                    Self::apply_decoration(&mut completion, d);
-                }
-                Ok(TryComplete::Ready(completion))
-            }
-            pending => Ok(pending),
-        }
     }
 
     fn io_stats(&self) -> IoStats {

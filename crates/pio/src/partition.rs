@@ -14,26 +14,19 @@
 //! which is the host-interface/channel contention the shared-device engine topology
 //! is built to measure.
 //!
-//! Tickets issued by a partition **must** be redeemed through the same partition:
-//! redeeming through a sibling partition of the same backend still completes the
-//! I/O (tickets are inner-queue tickets), but the per-partition statistics would be
-//! misattributed.
+//! A partition keeps no per-ticket state: its tickets are the inner queue's, and a
+//! completion says what it was — one buffer per read request, none for a write —
+//! so the partition attributes each batch when it is reaped. Tickets issued by a
+//! partition **must** be redeemed through the same partition: redeeming through a
+//! sibling partition of the same backend still completes the I/O, but charges the
+//! batch to the sibling's statistics.
 
 use crate::error::{IoError, IoResult};
-use crate::queue::{Completion, IoQueue, Ticket, TryComplete};
+use crate::queue::{Completion, IoQueue, Ticket};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::IoStats;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Submission-time bookkeeping of one in-flight ticket: its request kind split,
-/// absorbed into the partition's [`IoStats`] when the completion is reaped.
-#[derive(Debug, Clone, Copy)]
-struct InflightKind {
-    reads: u64,
-    writes: u64,
-}
 
 /// A contiguous, offset-translated partition of a shared [`IoQueue`].
 pub struct PartitionIo {
@@ -43,8 +36,6 @@ pub struct PartitionIo {
     /// Per-partition cumulative statistics (the inner queue keeps the device-wide
     /// totals).
     stats: Mutex<IoStats>,
-    /// Ticket id → kind split, for attribution at reap time.
-    inflight: Mutex<HashMap<u64, InflightKind>>,
 }
 
 impl std::fmt::Debug for PartitionIo {
@@ -66,30 +57,7 @@ impl PartitionIo {
             base,
             capacity,
             stats: Mutex::new(IoStats::default()),
-            inflight: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// First byte of the partition on the shared backend.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Addressable bytes of the partition.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// The shared backend this partition translates onto.
-    pub fn inner(&self) -> &Arc<dyn IoQueue> {
-        &self.inner
-    }
-
-    /// Number of tickets submitted through this partition and not yet reaped.
-    /// Diagnostic: a pipelined caller that honours the drain-on-error
-    /// discipline leaves this at 0 after every operation, success or failure.
-    pub fn inflight_tickets(&self) -> usize {
-        self.inflight.lock().len()
     }
 
     /// Rejects requests that escape the partition *before* they reach the shared
@@ -105,24 +73,6 @@ impl PartitionIo {
         }
         Ok(())
     }
-
-    /// Records a submitted ticket's kind split for reap-time attribution.
-    fn note_submitted(&self, ticket: &Ticket, reads: u64, writes: u64) {
-        if !ticket.is_empty_batch() {
-            self.inflight.lock().insert(ticket.id(), InflightKind { reads, writes });
-        }
-    }
-
-    /// Folds a reaped completion into the partition statistics. `elapsed_us` is
-    /// the batch's completion latency from the shared window start, so queueing
-    /// behind sibling partitions' in-flight work is visible per partition; the
-    /// per-partition elapsed times of overlapped batches therefore overlap, and
-    /// their sum can exceed the device makespan.
-    fn note_reaped(&self, ticket_id: u64, completion: &Completion) {
-        if let Some(kind) = self.inflight.lock().remove(&ticket_id) {
-            self.stats.lock().absorb(kind.reads, kind.writes, &completion.stats);
-        }
-    }
 }
 
 impl IoQueue for PartitionIo {
@@ -134,9 +84,7 @@ impl IoQueue for PartitionIo {
             .iter()
             .map(|r| ReadRequest::new(self.base + r.offset, r.len))
             .collect();
-        let ticket = self.inner.submit_read(&translated)?;
-        self.note_submitted(&ticket, reqs.len() as u64, 0);
-        Ok(ticket)
+        self.inner.submit_read(&translated)
     }
 
     fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
@@ -144,41 +92,25 @@ impl IoQueue for PartitionIo {
             self.check(r.offset, r.data.len() as u64)?;
         }
         let translated: Vec<WriteRequest<'_>> = reqs.iter().map(|r| r.at(self.base + r.offset)).collect();
-        let ticket = self.inner.submit_write(&translated)?;
-        self.note_submitted(&ticket, 0, reqs.len() as u64);
-        Ok(ticket)
+        self.inner.submit_write(&translated)
     }
 
+    /// Folds the reaped batch into the partition statistics: its reads are its
+    /// buffers, the rest of its requests are writes, and an empty batch counts
+    /// for nothing. `elapsed_us` is the batch's completion latency from the
+    /// shared window start, so queueing behind sibling partitions' in-flight work
+    /// is visible per partition; the per-partition elapsed times of overlapped
+    /// batches therefore overlap, and their sum can exceed the device makespan.
     fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
-        let id = ticket.id();
-        match self.inner.wait(ticket) {
-            Ok(completion) => {
-                self.note_reaped(id, &completion);
-                Ok(completion)
-            }
-            Err(e) => {
-                // The ticket is consumed either way: drop its bookkeeping so a
-                // long-lived partition surviving transient errors does not
-                // accumulate stale entries.
-                self.inflight.lock().remove(&id);
-                Err(e)
-            }
+        let completion = self.inner.wait(ticket)?;
+        let stats = &completion.stats;
+        if stats.requests > 0 {
+            let reads = completion.buffers.len();
+            self.stats
+                .lock()
+                .absorb(reads as u64, (stats.requests - reads) as u64, stats);
         }
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        let id = ticket.id();
-        match self.inner.try_complete(ticket) {
-            Ok(TryComplete::Ready(completion)) => {
-                self.note_reaped(id, &completion);
-                Ok(TryComplete::Ready(completion))
-            }
-            Ok(pending) => Ok(pending),
-            Err(e) => {
-                self.inflight.lock().remove(&id);
-                Err(e)
-            }
-        }
+        Ok(completion)
     }
 
     fn io_stats(&self) -> IoStats {
@@ -260,6 +192,18 @@ mod tests {
         // The inner queue holds the device-wide totals.
         assert_eq!(dev.io_stats().writes, 4);
         assert_eq!(dev.io_stats().reads, 1);
+
+        // An empty batch counts for nothing, nor does a wait that fails.
+        a.psync_read(&[]).unwrap();
+        a.psync_write(&[]).unwrap();
+        assert_eq!(a.io_stats(), sa);
+        let failing = PartitionIo::new(Arc::new(FailingWaits(Mutex::new(0))), 0, 1 << 20);
+        let t = failing.submit_read(&[ReadRequest::new(0, 4096)]).unwrap();
+        assert!(failing.wait(t).is_err());
+        let t = failing.submit_write(&[WriteRequest::new(0, &[1u8; 4096])]).unwrap();
+        assert!(failing.wait(t).is_err());
+        assert_eq!(failing.io_stats(), IoStats::default());
+
         a.reset_io_stats();
         assert_eq!(a.io_stats().writes, 0);
         assert_eq!(dev.io_stats().writes, 4, "partition reset leaves the device totals");
@@ -310,28 +254,11 @@ mod tests {
             Err(IoError::UnknownTicket(ticket.id()))
         }
 
-        fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-            Err(IoError::UnknownTicket(ticket.id()))
-        }
-
         fn io_stats(&self) -> IoStats {
             IoStats::default()
         }
 
         fn reset_io_stats(&self) {}
-    }
-
-    #[test]
-    fn failed_completions_do_not_leak_inflight_entries() {
-        let p = PartitionIo::new(Arc::new(FailingWaits(Mutex::new(0))), 0, 1 << 20);
-        let reqs = [ReadRequest::new(0, 4096)];
-        let t = p.submit_read(&reqs).unwrap();
-        assert_eq!(p.inflight_tickets(), 1);
-        assert!(p.wait(t).is_err());
-        assert_eq!(p.inflight_tickets(), 0, "a failed wait must drop the bookkeeping");
-        let t = p.submit_read(&reqs).unwrap();
-        assert!(p.try_complete(t).is_err());
-        assert_eq!(p.inflight_tickets(), 0, "a failed poll must drop the bookkeeping");
     }
 
     #[test]

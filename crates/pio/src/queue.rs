@@ -9,9 +9,9 @@
 //!   device and return a [`Ticket`] immediately — the `io_submit` half;
 //! * [`IoQueue::wait`] blocks until the ticketed batch has completed and returns its
 //!   [`Completion`] (one shared image per read request + [`BatchStats`]) — the
-//!   `io_getevents` half with a full wait;
-//! * [`IoQueue::try_complete`] polls without blocking, so one driver thread can keep
-//!   several tickets in flight and reap completions as they land.
+//!   `io_getevents` half with a full wait.
+//!
+//! A caller may hold several tickets and wait on them in any order.
 //!
 //! Batches submitted while other tickets are outstanding *overlap on the device*:
 //! the simulated backend schedules every in-flight batch on a shared device
@@ -32,14 +32,13 @@ use std::sync::Arc;
 pub(crate) const EMPTY_TICKET: u64 = u64::MAX;
 
 /// Handle to one in-flight batch, returned by [`IoQueue::submit_read`] /
-/// [`IoQueue::submit_write`] and consumed by [`IoQueue::wait`] /
-/// [`IoQueue::try_complete`].
+/// [`IoQueue::submit_write`] and consumed by [`IoQueue::wait`].
 ///
 /// Tickets are deliberately neither `Copy` nor `Clone`: exactly one completion
 /// exists per submission, and consuming the ticket to observe it makes
 /// double-waits a type error rather than a runtime one.
 #[derive(Debug, PartialEq, Eq, Hash)]
-#[must_use = "an in-flight batch must be waited on (or polled) to observe its completion"]
+#[must_use = "an in-flight batch must be waited on to observe its completion"]
 pub struct Ticket(pub(crate) u64);
 
 impl Ticket {
@@ -154,29 +153,13 @@ pub fn spare_images() -> usize {
     SPARES.try_with(|spares| spares.borrow().len()).unwrap_or(0)
 }
 
-/// Result of a non-blocking [`IoQueue::try_complete`] poll.
+/// Result of the [`IoQueue::try_complete`] shim.
 #[derive(Debug)]
 pub enum TryComplete {
     /// The batch has completed; the ticket is consumed.
     Ready(Completion),
-    /// The batch is still in flight (other tickets complete before it); the ticket
-    /// is handed back so the caller can poll again or [`IoQueue::wait`].
+    /// The batch is still in flight; the ticket is handed back.
     Pending(Ticket),
-}
-
-impl TryComplete {
-    /// Unwraps a completion, panicking if the batch is still pending.
-    pub fn expect_ready(self, msg: &str) -> Completion {
-        match self {
-            TryComplete::Ready(c) => c,
-            TryComplete::Pending(_) => panic!("{msg}"),
-        }
-    }
-
-    /// Whether the batch has completed.
-    pub fn is_ready(&self) -> bool {
-        matches!(self, TryComplete::Ready(_))
-    }
 }
 
 /// The submission/completion I/O queue contract.
@@ -187,8 +170,8 @@ impl TryComplete {
 /// 2. The set is kept together down to the device, so its command queue sees the
 ///    whole batch in one scheduling window; sets submitted while others are in
 ///    flight share the device and contend with them.
-/// 3. Completion is observed explicitly, by blocking ([`IoQueue::wait`]) or by
-///    polling ([`IoQueue::try_complete`]). Completions may be reaped in any order.
+/// 3. Completion is observed explicitly, by blocking on the ticket
+///    ([`IoQueue::wait`]). Completions may be reaped in any order.
 ///
 /// All methods take `&self`; backends use interior mutability so one instance can
 /// be shared by concurrent submitters.
@@ -206,11 +189,13 @@ pub trait IoQueue: Send + Sync {
     /// Blocks until the ticketed batch has completed and returns its completion.
     fn wait(&self, ticket: Ticket) -> IoResult<Completion>;
 
-    /// Polls a ticket without blocking: [`TryComplete::Ready`] consumes it,
-    /// [`TryComplete::Pending`] hands it back. Simulated backends report tickets
-    /// ready in completion-time order, so a polling driver reaps them exactly as
-    /// they would land on real hardware.
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete>;
+    /// A shim, not a poll: it waits on `ticket` and reports it ready. Nothing
+    /// polls; only the benchmark's metering wrapper (`perf/src/metered.rs`)
+    /// still implements it, and it goes together with [`TryComplete`] in
+    /// ROADMAP direction 9.
+    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
+        Ok(TryComplete::Ready(self.wait(ticket)?))
+    }
 
     /// The paper's blocking psync read (Section 2.3): submits the whole set as
     /// one group and returns only after every I/O in it has completed — one
@@ -284,10 +269,6 @@ impl<Q: IoQueue + ?Sized> IoQueue for Arc<Q> {
         (**self).wait(ticket)
     }
 
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        (**self).try_complete(ticket)
-    }
-
     fn io_stats(&self) -> IoStats {
         (**self).io_stats()
     }
@@ -336,7 +317,7 @@ mod tests {
         assert!(c.buffers.is_empty());
         assert_eq!(c.stats, BatchStats::default());
         let t = io.submit_write(&[]).unwrap();
-        assert!(io.try_complete(t).unwrap().is_ready());
+        assert_eq!(io.wait(t).unwrap(), Completion::default());
         assert_eq!(io.io_stats().batches, 0, "empty batches are not counted");
     }
 
@@ -376,30 +357,30 @@ mod tests {
     }
 
     #[test]
-    fn try_complete_reaps_in_completion_order() {
+    fn wait_reaps_in_any_order_and_each_completion_keeps_its_latency() {
         let io = io();
-        // A small batch followed by a large one sharing the window: the small one
-        // lands first (its requests are scheduled ahead), so polling the large
-        // ticket reports it pending until the small one has been reaped.
+        // A small batch and then a big one share the window, so the small one
+        // lands first; the big one is waited on first all the same.
         let small = [ReadRequest::new(1 << 20, 4096)];
         let big: Vec<ReadRequest> = (0..64).map(|i| ReadRequest::new(i * 4096, 4096)).collect();
         let t_small = io.submit_read(&small).unwrap();
         let t_big = io.submit_read(&big).unwrap();
-        let polled = io.try_complete(t_big).unwrap();
-        let t_big = match polled {
-            TryComplete::Pending(t) => t,
-            TryComplete::Ready(_) => panic!("the big batch cannot land before the small one"),
-        };
-        let c_small = io
-            .try_complete(t_small)
-            .unwrap()
-            .expect_ready("small batch lands first");
-        assert_eq!(c_small.buffers.len(), 1);
-        let c_big = io
-            .try_complete(t_big)
-            .unwrap()
-            .expect_ready("big batch is last, so it is ready");
+        let c_big = io.wait(t_big).unwrap();
         assert_eq!(c_big.buffers.len(), 64);
+        assert_eq!(io.io_stats().elapsed_us, 0.0, "the group has not drained yet");
+        let c_small = io.wait(t_small).unwrap();
+        assert_eq!(c_small.buffers.len(), 1);
+        assert!(
+            c_small.stats.elapsed_us < c_big.stats.elapsed_us,
+            "small {} µs, big {} µs",
+            c_small.stats.elapsed_us,
+            c_big.stats.elapsed_us
+        );
+        assert_eq!(
+            io.io_stats().elapsed_us,
+            c_big.stats.elapsed_us,
+            "the group's makespan is charged once"
+        );
     }
 
     fn address(image: &Arc<[u8]>) -> *const u8 {

@@ -18,11 +18,19 @@
 //! `wait` never blocks in real time — so sleeping between retries would add
 //! wall-clock nondeterminism without modelling anything. Instead the backoff is
 //! **accounted, not slept**: each retry accrues `backoff_base_us · 2^k` µs
-//! against the ticket, the accrued total is charged into the completion's
-//! `elapsed_us` (so latency accounting sees the delay in sim-clock time), and
-//! the per-ticket budget [`RetryPolicy::deadline_us`] bounds how much backoff a
-//! ticket may accrue before the wrapper gives up. Tests with a seeded fault
-//! plan therefore stay bit-for-bit deterministic.
+//! against the ticket and into a running total that the wrapper's
+//! [`IoStats::elapsed_us`] reports on top of the queue below — the figure a
+//! schedule charges, so a retry costs sim-clock time — and the per-ticket
+//! budget [`RetryPolicy::deadline_us`] bounds how much backoff a ticket may
+//! accrue before the wrapper gives up. Tests with a seeded fault plan
+//! therefore stay bit-for-bit deterministic.
+//!
+//! ## Ticket ids
+//!
+//! The wrapper hands out the id of the first inner ticket a batch got, and a
+//! retry only re-points the batch's flight at its new inner ticket. Backend
+//! ids are unique per instance and never reused, so the id a caller holds is
+//! the one the device issued.
 //!
 //! ## Giving up
 //!
@@ -35,7 +43,7 @@
 //! [`IoStats::give_ups`].
 
 use crate::error::{IoError, IoResult};
-use crate::queue::{recycle_image, Completion, IoQueue, Ticket, TryComplete};
+use crate::queue::{recycle_image, Completion, IoQueue, Ticket};
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::IoStats;
 use parking_lot::Mutex;
@@ -107,8 +115,8 @@ impl OwnedBatch {
     }
 }
 
-/// One logical batch in flight: the live inner ticket plus what it would take
-/// to try again.
+/// One logical batch in flight, keyed by its first inner ticket's id: the
+/// live inner ticket plus what it would take to try again.
 struct Flight {
     inner: Ticket,
     batch: OwnedBatch,
@@ -121,10 +129,11 @@ struct Flight {
 pub struct ResilientIo {
     inner: Arc<dyn IoQueue>,
     policy: RetryPolicy,
-    next: AtomicU64,
     flights: Mutex<HashMap<u64, Flight>>,
     retries: AtomicU64,
     give_ups: AtomicU64,
+    /// Backoff accrued by every retry, µs, reported in `io_stats().elapsed_us`.
+    backoff_us: AtomicU64,
 }
 
 impl ResilientIo {
@@ -133,21 +142,11 @@ impl ResilientIo {
         Self {
             inner,
             policy,
-            next: AtomicU64::new(0),
             flights: Mutex::new(HashMap::new()),
             retries: AtomicU64::new(0),
             give_ups: AtomicU64::new(0),
+            backoff_us: AtomicU64::new(0),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// The wrapped queue.
-    pub fn inner(&self) -> &Arc<dyn IoQueue> {
-        &self.inner
     }
 
     fn gave_up(flight: &Flight, cause: &IoError, why: &str) -> IoError {
@@ -179,6 +178,7 @@ impl ResilientIo {
         flight.backoff_accrued_us += backoff;
         flight.retries_done += 1;
         self.retries.fetch_add(1, Ordering::Relaxed);
+        self.backoff_us.fetch_add(backoff, Ordering::Relaxed);
         Ok(())
     }
 
@@ -204,7 +204,7 @@ impl ResilientIo {
             backoff_accrued_us: 0,
         };
         self.submit_flight(&mut flight)?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        let id = flight.inner.id();
         self.flights.lock().insert(id, flight);
         Ok(Ticket(id))
     }
@@ -238,10 +238,7 @@ impl IoQueue for ResilientIo {
         loop {
             let inner_ticket = std::mem::replace(&mut flight.inner, Ticket::empty());
             match self.inner.wait(inner_ticket) {
-                Ok(mut completion) => {
-                    // Charge the accrued backoff into the ticket's latency so
-                    // sim-clock accounting sees the delay the retries cost.
-                    completion.stats.elapsed_us += flight.backoff_accrued_us as f64;
+                Ok(completion) => {
                     flight.batch.recycle();
                     return Ok(completion);
                 }
@@ -253,45 +250,11 @@ impl IoQueue for ResilientIo {
         }
     }
 
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        if ticket.is_empty_batch() {
-            return self.inner.try_complete(ticket);
-        }
-        let id = ticket.id();
-        let mut flights = self.flights.lock();
-        let flight = flights.get_mut(&id).ok_or(IoError::UnknownTicket(id))?;
-        let inner_ticket = std::mem::replace(&mut flight.inner, Ticket::empty());
-        match self.inner.try_complete(inner_ticket) {
-            Ok(TryComplete::Ready(mut completion)) => {
-                completion.stats.elapsed_us += flight.backoff_accrued_us as f64;
-                let done = flights.remove(&id).expect("looked up above");
-                drop(flights);
-                done.batch.recycle();
-                Ok(TryComplete::Ready(completion))
-            }
-            Ok(TryComplete::Pending(inner)) => {
-                flight.inner = inner;
-                Ok(TryComplete::Pending(ticket))
-            }
-            Err(e) => {
-                // Non-blocking path: the resubmitted batch is reported as
-                // still pending.
-                let outcome = self.admit_retry(flight, e).and_then(|()| self.submit_flight(flight));
-                match outcome {
-                    Ok(()) => Ok(TryComplete::Pending(ticket)),
-                    Err(e) => {
-                        flights.remove(&id);
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
     fn io_stats(&self) -> IoStats {
         let mut stats = self.inner.io_stats();
         stats.retries += self.retries.load(Ordering::Relaxed);
         stats.give_ups += self.give_ups.load(Ordering::Relaxed);
+        stats.elapsed_us += self.backoff_us.load(Ordering::Relaxed) as f64;
         stats
     }
 
@@ -299,6 +262,7 @@ impl IoQueue for ResilientIo {
         self.inner.reset_io_stats();
         self.retries.store(0, Ordering::Relaxed);
         self.give_ups.store(0, Ordering::Relaxed);
+        self.backoff_us.store(0, Ordering::Relaxed);
     }
 
     fn queue_depth_hint(&self) -> Option<usize> {
@@ -345,8 +309,8 @@ mod tests {
         assert_eq!(crate::spare_images(), base + 1, "wait hands the copy back");
         let t = io.submit_write(&[WriteRequest::new(512, &[6u8; 512])]).unwrap();
         assert_eq!(crate::spare_images(), base, "the next copy went into it");
-        assert!(io.try_complete(t).unwrap().is_ready());
-        assert_eq!(crate::spare_images(), base + 1, "so does try_complete");
+        io.wait(t).unwrap();
+        assert_eq!(crate::spare_images(), base + 1);
         // A shared image its caller still holds is not kept.
         let image: Arc<[u8]> = Arc::from(&[7u8; 512][..]);
         let t = io.submit_write(&[WriteRequest::shared(1024, &image)]).unwrap();
@@ -405,6 +369,10 @@ mod tests {
         let stats = io.io_stats();
         assert_eq!(stats.retries, 3);
         assert_eq!(stats.give_ups, 1);
+        // Once the faults stop, the next batch lands.
+        clock.disarm_transient();
+        io.write_at(0, b"lands").unwrap();
+        assert_eq!(&io.read_at(0, 5).unwrap()[..], b"lands");
     }
 
     #[test]
@@ -425,33 +393,53 @@ mod tests {
         assert_eq!(io.io_stats().give_ups, 1);
     }
 
+    /// The backoff the retries accrue is charged into the wrapper's
+    /// `io_stats().elapsed_us`, the latency a schedule charges, on top of the
+    /// queue below; a completion carries the device's latency alone.
     #[test]
     fn accrued_backoff_is_charged_into_completion_latency() {
-        let (io, clock) = resilient(RetryPolicy {
-            retry_limit: 8,
-            backoff_base_us: 500,
-            deadline_us: 1_000_000,
-        });
+        let clock = FaultClock::new();
+        let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 20));
+        let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(Arc::clone(&sim), Arc::clone(&clock)));
+        let io = ResilientIo::new(
+            faulty,
+            RetryPolicy {
+                retry_limit: 8,
+                backoff_base_us: 500,
+                deadline_us: 1_000_000,
+            },
+        );
         io.write_at(0, &[3u8; 4096]).unwrap();
+        assert_eq!(
+            io.io_stats().elapsed_us,
+            sim.io_stats().elapsed_us,
+            "no retry, no backoff"
+        );
         // Fail every read submission once or twice, then let it through.
         clock.arm_transient(TransientFaults {
             seed: 5,
             read_error_rate: 0.6,
             ..TransientFaults::default()
         });
-        let mut saw_backoff = false;
         for _ in 0..20 {
             let ticket = match io.submit_read(&[ReadRequest::new(0, 4096)]) {
                 Ok(t) => t,
                 Err(e) => panic!("retry should mask submission errors: {e}"),
             };
             let c = io.wait(ticket).unwrap();
-            if c.stats.elapsed_us >= 500.0 {
-                saw_backoff = true;
-            }
+            assert!(c.stats.elapsed_us < 500.0, "{} µs", c.stats.elapsed_us);
             assert_eq!(&c.buffers[0][..], vec![3u8; 4096]);
         }
-        assert!(saw_backoff, "at least one read must have accrued visible backoff");
+        let stats = io.io_stats();
+        assert!(stats.retries > 0, "at least one read must have been retried");
+        let backoff = stats.elapsed_us - sim.io_stats().elapsed_us;
+        assert!(
+            backoff >= 500.0 * stats.retries as f64,
+            "{} retries accrued only {backoff} µs",
+            stats.retries
+        );
+        io.reset_io_stats();
+        assert_eq!(io.io_stats().elapsed_us, 0.0, "a reset clears the backoff too");
     }
 
     #[test]
@@ -464,37 +452,6 @@ mod tests {
         let empty = io.submit_read(&[]).unwrap();
         assert!(empty.is_empty_batch(), "empty batches keep the backend contract");
         io.wait(empty).unwrap();
-    }
-
-    #[test]
-    fn try_complete_retries_without_blocking() {
-        let (io, clock) = resilient(RetryPolicy {
-            retry_limit: 8,
-            ..RetryPolicy::default()
-        });
-        io.write_at(0, &[4u8; 4096]).unwrap();
-        let ticket = io.submit_read(&[ReadRequest::new(0, 4096)]).unwrap();
-        // Everything after this submission fails until disarm — try_complete
-        // must keep resubmitting (counting retries) rather than erroring out.
-        clock.arm_transient(TransientFaults {
-            seed: 6,
-            read_error_rate: 1.0,
-            ..TransientFaults::default()
-        });
-        // The first ticket was submitted before the faults armed, so it
-        // completes; subsequent submissions retry through try_complete.
-        let c = io.wait(ticket).unwrap();
-        assert_eq!(&c.buffers[0][..], vec![4u8; 4096]);
-        let err = io.submit_read(&[ReadRequest::new(0, 4096)]).unwrap_err();
-        assert!(err.to_string().contains("gave up"), "{err}");
-        clock.disarm_transient();
-        let ticket = io.submit_read(&[ReadRequest::new(0, 4096)]).unwrap();
-        let ready = io.try_complete(ticket).unwrap();
-        let c = match ready {
-            TryComplete::Ready(c) => c,
-            TryComplete::Pending(t) => io.wait(t).unwrap(),
-        };
-        assert_eq!(&c.buffers[0][..], vec![4u8; 4096]);
     }
 
     /// A write of a shared image is retried by another reference to the
@@ -528,19 +485,41 @@ mod tests {
     }
 
     /// Fails the next completion it reaps with a retryable error, after the
-    /// batch has reached the device — a lost acknowledgement.
+    /// batch has reached the device — a lost acknowledgement — and notes the
+    /// id of every ticket the queue below issues.
     struct LostCompletion {
         inner: Arc<dyn IoQueue>,
         fail_next: std::sync::atomic::AtomicBool,
+        issued: Mutex<Vec<u64>>,
+    }
+
+    impl LostCompletion {
+        fn new(inner: Arc<dyn IoQueue>, fail_next: bool) -> Self {
+            Self {
+                inner,
+                fail_next: fail_next.into(),
+                issued: Mutex::default(),
+            }
+        }
+
+        fn note(&self, ticket: IoResult<Ticket>) -> IoResult<Ticket> {
+            let ticket = ticket?;
+            self.issued.lock().push(ticket.id());
+            Ok(ticket)
+        }
+
+        fn last_issued(&self) -> Option<u64> {
+            self.issued.lock().last().copied()
+        }
     }
 
     impl IoQueue for LostCompletion {
         fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket> {
-            self.inner.submit_read(reqs)
+            self.note(self.inner.submit_read(reqs))
         }
 
         fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
-            self.inner.submit_write(reqs)
+            self.note(self.inner.submit_write(reqs))
         }
 
         fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
@@ -550,10 +529,6 @@ mod tests {
                 return Err(IoError::Os(lost));
             }
             Ok(done)
-        }
-
-        fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-            self.inner.try_complete(ticket)
         }
 
         fn io_stats(&self) -> IoStats {
@@ -571,17 +546,66 @@ mod tests {
     #[test]
     fn a_borrowed_write_is_retried_from_its_own_copy() {
         let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 20));
-        let lost = LostCompletion {
-            inner: Arc::clone(&sim),
-            fail_next: true.into(),
-        };
-        let io = ResilientIo::new(Arc::new(lost), RetryPolicy::default());
+        let io = ResilientIo::new(
+            Arc::new(LostCompletion::new(Arc::clone(&sim), true)),
+            RetryPolicy::default(),
+        );
         let mut buffer = vec![5u8; 4096];
         let ticket = io.submit_write(&[WriteRequest::new(0, &buffer)]).unwrap();
         buffer.fill(6);
         io.wait(ticket).unwrap();
         assert_eq!(io.io_stats().retries, 1, "the lost completion was retried");
         assert_eq!(&sim.read_at(0, 4096).unwrap()[..], &[5u8; 4096][..]);
+    }
+
+    /// The id a caller holds is the one the backend issued — for a clean
+    /// batch, for one whose submission was retried, and for one whose lost
+    /// completion made the wrapper submit it again.
+    #[test]
+    fn a_ticket_carries_the_id_the_backend_issued() {
+        let clock = FaultClock::new();
+        let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 20));
+        // The backend has issued an id before the wrapper sees any.
+        sim.write_at(0, &[8u8; 4096]).unwrap();
+        let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
+        let below = Arc::new(LostCompletion::new(faulty, false));
+        let io = ResilientIo::new(Arc::clone(&below) as Arc<dyn IoQueue>, RetryPolicy::default());
+        let read = [ReadRequest::new(0, 4096)];
+
+        let clean = io.submit_read(&read).unwrap();
+        assert_eq!(Some(clean.id()), below.last_issued(), "a clean batch");
+        io.wait(clean).unwrap();
+
+        clock.arm_transient(TransientFaults {
+            seed: 4,
+            read_error_rate: 0.5,
+            ..TransientFaults::default()
+        });
+        let mut retried = 0;
+        while retried == 0 {
+            let before = io.io_stats().retries;
+            let ticket = io.submit_read(&read).unwrap();
+            assert_eq!(Some(ticket.id()), below.last_issued(), "a retried submission");
+            retried = io.io_stats().retries - before;
+            io.wait(ticket).unwrap();
+        }
+        clock.disarm_transient();
+
+        below.fail_next.store(true, Ordering::Relaxed);
+        let lost = io.submit_read(&read).unwrap();
+        let id = lost.id();
+        assert_eq!(Some(id), below.last_issued());
+        let retries = io.io_stats().retries;
+        assert_eq!(&io.wait(lost).unwrap().buffers[0][..], &[8u8; 4096][..]);
+        assert_eq!(
+            io.io_stats().retries,
+            retries + 1,
+            "the lost completion was resubmitted"
+        );
+        let next = io.submit_read(&read).unwrap();
+        assert_eq!(Some(next.id()), below.last_issued(), "the batch after it");
+        assert!(next.id() > id + 1, "the resubmission took an id of its own");
+        io.wait(next).unwrap();
     }
 
     #[test]

@@ -60,11 +60,6 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Total requests of either kind.
-    pub fn total_requests(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Total bytes of either direction.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
@@ -132,7 +127,6 @@ mod tests {
         assert_eq!(s.context_switches, 4);
         assert_eq!(s.max_batch, 4);
         assert!((s.elapsed_us - 150.0).abs() < 1e-12);
-        assert_eq!(s.total_requests(), 6);
         assert_eq!(s.read_bytes, 4096);
         assert_eq!(s.write_bytes, 2048);
         assert_eq!(s.total_bytes(), 6144);

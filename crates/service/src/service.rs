@@ -839,7 +839,7 @@ impl ServiceStats {
 mod tests {
     use super::*;
     use engine::{EngineBackends, EngineBuilder, EngineConfig};
-    use pio::{Completion, IoError, IoQueue, IoStats, ReadRequest, SimPsyncIo, Ticket, TryComplete, WriteRequest};
+    use pio::{Completion, IoError, IoQueue, IoStats, ReadRequest, SimPsyncIo, Ticket, WriteRequest};
     use pio_btree::PioConfig;
     use ssd_sim::DeviceProfile;
     use std::sync::atomic::AtomicU8;
@@ -863,9 +863,6 @@ mod tests {
         }
         fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
             self.inner.wait(ticket)
-        }
-        fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-            self.inner.try_complete(ticket)
         }
         fn io_stats(&self) -> IoStats {
             self.inner.io_stats()

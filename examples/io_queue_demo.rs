@@ -3,16 +3,16 @@
 //!
 //! The sharded engine gives every shard its own simulated device (the paper's
 //! Figure 4(b) separate-files layout). This demo shows the other deployment the
-//! `IoQueue` redesign enables: both shards submit to the *same* device, their
-//! batches share one scheduling window with a common start time (Figure 4(a)'s
-//! shared host interface), and one driver thread reaps completions as they land —
-//! no blocking calls, no thread per shard.
+//! `IoQueue` contract enables: both shards submit to the *same* device before
+//! either waits, so their batches share one scheduling window with a common
+//! start time (Figure 4(a)'s shared host interface), and one thread then waits
+//! on each ticket in turn — no thread per shard.
 //!
 //! ```sh
 //! cargo run --release --example io_queue_demo
 //! ```
 
-use pio::{IoQueue, ReadRequest, SimPsyncIo, TryComplete, WriteRequest};
+use pio::{IoQueue, ReadRequest, SimPsyncIo, WriteRequest};
 use ssd_sim::DeviceProfile;
 
 const BATCH: usize = 16;
@@ -38,7 +38,7 @@ fn main() {
     }
     let loaded_us = device.device_time_us();
 
-    // --- The event-driven part: submit both shards' batches, then reap. --------
+    // --- Submit both shards' batches, then wait on each. -----------------------
     let ticket_a = device.submit_read(&shard_reads(0)).expect("submit shard A");
     let ticket_b = device.submit_read(&shard_reads(SHARD_B_BASE)).expect("submit shard B");
     println!(
@@ -47,28 +47,17 @@ fn main() {
         ticket_b.id()
     );
 
-    // Poll both tickets from this one thread; the simulator reports them ready in
-    // landing order, exactly like reaping an io_uring / io_getevents queue.
-    let mut outstanding = vec![(b'A', ticket_a), (b'B', ticket_b)];
-    let mut latencies = Vec::new();
-    while !outstanding.is_empty() {
-        let mut still_pending = Vec::new();
-        for (shard, ticket) in outstanding {
-            match device.try_complete(ticket).expect("poll") {
-                TryComplete::Ready(done) => {
-                    assert!(done.buffers.iter().all(|b| b.iter().all(|&byte| byte == shard)));
-                    println!(
-                        "  reaped shard {}: {} pages, latency {:.1} µs (from the shared window start)",
-                        shard as char,
-                        done.buffers.len(),
-                        done.stats.elapsed_us
-                    );
-                    latencies.push(done.stats.elapsed_us);
-                }
-                TryComplete::Pending(t) => still_pending.push((shard, t)),
-            }
-        }
-        outstanding = still_pending;
+    // Each completion keeps its own latency, measured from the shared window
+    // start, whichever ticket is waited on first.
+    for (shard, ticket) in [(b'A', ticket_a), (b'B', ticket_b)] {
+        let done = device.wait(ticket).expect("wait");
+        assert!(done.buffers.iter().all(|b| b.iter().all(|&byte| byte == shard)));
+        println!(
+            "  reaped shard {}: {} pages, latency {:.1} µs (from the shared window start)",
+            shard as char,
+            done.buffers.len(),
+            done.stats.elapsed_us
+        );
     }
     let overlapped_us = device.device_time_us() - loaded_us;
 

@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use engine::{EngineBackends, EngineBuilder, EngineConfig, ShardedPioEngine};
-use pio::{Completion, IoQueue, IoResult, IoStats, ReadRequest, SimPsyncIo, Ticket, TryComplete, WriteRequest};
+use pio::{Completion, IoQueue, IoResult, IoStats, ReadRequest, SimPsyncIo, Ticket, WriteRequest};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -101,10 +101,6 @@ impl IoQueue for GateIo {
 
     fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
         self.inner.wait(ticket)
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        self.inner.try_complete(ticket)
     }
 
     fn io_stats(&self) -> IoStats {

@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use engine::EngineBackends;
-use pio::{Completion, IoQueue, IoResult, IoStats, ReadRequest, Ticket, TryComplete, WriteRequest};
+use pio::{Completion, IoQueue, IoResult, IoStats, ReadRequest, Ticket, WriteRequest};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
@@ -78,10 +78,6 @@ impl IoQueue for RecordIo {
 
     fn wait(&self, ticket: Ticket) -> IoResult<Completion> {
         self.inner.wait(ticket)
-    }
-
-    fn try_complete(&self, ticket: Ticket) -> IoResult<TryComplete> {
-        self.inner.try_complete(ticket)
     }
 
     fn io_stats(&self) -> IoStats {

@@ -7,27 +7,27 @@
 //!   [`pio::IoStats`]. Randomised request batches, seeded and deterministic.
 //! * **Overlap semantics**: tickets submitted while others are in flight share a
 //!   scheduling window with a common start time, so the group's makespan beats
-//!   strictly serial submission, completions can be reaped in any order, and
-//!   `try_complete` reports tickets ready in landing order.
+//!   strictly serial submission, and completions can be reaped in any order,
+//!   each keeping its own latency.
 //! * **Pipeline equivalence**: the tree's depth-N ticket pipelines
 //!   (`locate_leaves`, `multi_search`, `range_search`) return exactly the
 //!   blocking (depth-1) results — same values, same request counts — at any
 //!   depth, on every simulated backend; only the timing moves.
 //! * **Drain discipline**: when a backend dies mid-pipeline (random read or
 //!   write submission indices via `pio::fault`), every in-flight ticket is
-//!   reaped before the error surfaces — no leaked `PartitionIo` in-flight
-//!   entries — and the tree stays consistent and usable.
+//!   reaped before the error surfaces — nothing is left in flight — and the
+//!   tree stays consistent and usable.
 
 use pio::{
-    CrashPlan, Discipline, FaultClock, FaultIo, FileLayout, IoQueue, PartitionIo, ReadRequest, SimPsyncIo, TryComplete,
-    WriteRequest,
+    CrashPlan, Discipline, FaultClock, FaultIo, FileLayout, IoQueue, PartitionIo, ReadRequest, SimPsyncIo, WriteRequest,
 };
 use pio_btree::mpsearch::{locate_leaves, Descent};
 use pio_btree::{PioBTree, PioConfig, PipelineDepth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssd_sim::DeviceProfile;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use storage::{CachedStore, PageStore, WritePolicy};
 
 const CAPACITY: u64 = 64 * 1024 * 1024;
@@ -340,97 +340,92 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
     }
 }
 
+/// Counts the tickets in flight (submitted − reaped) on the way to the wrapped
+/// queue, and the read requests among them with their high-water mark.
+struct DepthProbe {
+    inner: Arc<dyn IoQueue>,
+    /// Ticket id → its read requests (0 for a write).
+    per_ticket: Mutex<HashMap<u64, usize>>,
+    reads: Mutex<(usize, usize)>, // (current, max)
+}
+
+impl DepthProbe {
+    fn new(inner: Arc<dyn IoQueue>) -> Self {
+        Self {
+            inner,
+            per_ticket: Mutex::default(),
+            reads: Mutex::default(),
+        }
+    }
+
+    fn track(&self, ticket: pio::IoResult<pio::Ticket>, reads: usize) -> pio::IoResult<pio::Ticket> {
+        let ticket = ticket?;
+        if !ticket.is_empty_batch() {
+            self.per_ticket.lock().unwrap().insert(ticket.id(), reads);
+            let mut r = self.reads.lock().unwrap();
+            r.0 += reads;
+            r.1 = r.1.max(r.0);
+        }
+        Ok(ticket)
+    }
+
+    fn untrack(&self, id: u64) {
+        if let Some(n) = self.per_ticket.lock().unwrap().remove(&id) {
+            self.reads.lock().unwrap().0 -= n;
+        }
+    }
+
+    fn max_outstanding_reads(&self) -> usize {
+        self.reads.lock().unwrap().1
+    }
+
+    fn tickets_in_flight(&self) -> usize {
+        self.per_ticket.lock().unwrap().len()
+    }
+}
+
+impl IoQueue for DepthProbe {
+    fn submit_read(&self, reqs: &[ReadRequest]) -> pio::IoResult<pio::Ticket> {
+        self.track(self.inner.submit_read(reqs), reqs.len())
+    }
+
+    fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> pio::IoResult<pio::Ticket> {
+        self.track(self.inner.submit_write(reqs), 0)
+    }
+
+    fn wait(&self, ticket: pio::Ticket) -> pio::IoResult<pio::Completion> {
+        let id = ticket.id();
+        let done = self.inner.wait(ticket);
+        self.untrack(id);
+        done
+    }
+
+    fn io_stats(&self) -> pio::IoStats {
+        self.inner.io_stats()
+    }
+
+    fn reset_io_stats(&self) {
+        self.inner.reset_io_stats()
+    }
+
+    fn queue_depth_hint(&self) -> Option<usize> {
+        self.inner.queue_depth_hint()
+    }
+}
+
 /// The acceptance property of the pipelined descent: overlapped ticketed reads
 /// (fewer idle-start groups — blocking waits — than the psync-per-chunk
 /// baseline) while never holding more than `PioMax · (treeHeight − 1)` node
 /// reads in flight, whatever the configured depth.
 #[test]
 fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
-    use std::sync::Mutex;
-
-    /// Counts outstanding read requests (submitted − reaped) on the way to the
-    /// wrapped backend and records the high-water mark.
-    struct DepthProbe {
-        inner: Arc<dyn IoQueue>,
-        per_ticket: Mutex<std::collections::HashMap<u64, usize>>,
-        outstanding: Mutex<(usize, usize)>, // (current, max)
-    }
-
-    impl DepthProbe {
-        fn track(&self, ticket: &pio::Ticket, n: usize) {
-            if ticket.is_empty_batch() || n == 0 {
-                return;
-            }
-            self.per_ticket.lock().unwrap().insert(ticket.id(), n);
-            let mut o = self.outstanding.lock().unwrap();
-            o.0 += n;
-            o.1 = o.1.max(o.0);
-        }
-
-        fn untrack(&self, id: u64) {
-            if let Some(n) = self.per_ticket.lock().unwrap().remove(&id) {
-                self.outstanding.lock().unwrap().0 -= n;
-            }
-        }
-
-        fn max_outstanding(&self) -> usize {
-            self.outstanding.lock().unwrap().1
-        }
-    }
-
-    impl IoQueue for DepthProbe {
-        fn submit_read(&self, reqs: &[ReadRequest]) -> pio::IoResult<pio::Ticket> {
-            let t = self.inner.submit_read(reqs)?;
-            self.track(&t, reqs.len());
-            Ok(t)
-        }
-
-        fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> pio::IoResult<pio::Ticket> {
-            self.inner.submit_write(reqs)
-        }
-
-        fn wait(&self, ticket: pio::Ticket) -> pio::IoResult<pio::Completion> {
-            let id = ticket.id();
-            let done = self.inner.wait(ticket);
-            self.untrack(id);
-            done
-        }
-
-        fn try_complete(&self, ticket: pio::Ticket) -> pio::IoResult<TryComplete> {
-            let id = ticket.id();
-            match self.inner.try_complete(ticket)? {
-                TryComplete::Ready(c) => {
-                    self.untrack(id);
-                    Ok(TryComplete::Ready(c))
-                }
-                pending => Ok(pending),
-            }
-        }
-
-        fn io_stats(&self) -> pio::IoStats {
-            self.inner.io_stats()
-        }
-
-        fn reset_io_stats(&self) {
-            self.inner.reset_io_stats()
-        }
-
-        fn queue_depth_hint(&self) -> Option<usize> {
-            self.inner.queue_depth_hint()
-        }
-    }
-
     // Small pages → a tall tree (≥ 2 internal levels) from a modest load. A
     // one-page pool keeps every descent read on the device, so the group/batch
     // accounting is free of cache interplay (a cached level would submit
     // empty batches in the blocking run but real ones in the pipelined run,
     // whose lookahead outruns the cache fill).
     let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, CAPACITY));
-    let probe = Arc::new(DepthProbe {
-        inner: sim,
-        per_ticket: Mutex::new(std::collections::HashMap::new()),
-        outstanding: Mutex::new((0, 0)),
-    });
+    let probe = Arc::new(DepthProbe::new(sim));
     let config = PioConfig::builder()
         .page_size(256)
         .leaf_segments(2)
@@ -503,9 +498,9 @@ fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
         "the pipelined descent must block less: {pipelined_groups} groups vs blocking {blocking_groups}"
     );
     assert!(
-        probe.max_outstanding() <= pio_max * internal_levels,
+        probe.max_outstanding_reads() <= pio_max * internal_levels,
         "in-flight node reads ({}) exceed the PioMax · (treeHeight − 1) bound ({})",
-        probe.max_outstanding(),
+        probe.max_outstanding_reads(),
         pio_max * internal_levels
     );
 }
@@ -515,14 +510,14 @@ fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
 // ---------------------------------------------------------------------------
 
 /// Kills the backend at random read/write submission indices mid-pipeline and
-/// asserts every in-flight ticket was drained (no leaked `PartitionIo`
-/// entries) and the tree stays consistent and usable.
+/// asserts every in-flight ticket was drained and the tree stays consistent
+/// and usable.
 #[test]
 fn faulted_pipelines_drain_every_inflight_ticket() {
     let clock = FaultClock::new();
     let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, CAPACITY));
     let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(sim, Arc::clone(&clock)));
-    let partition = Arc::new(PartitionIo::new(faulty, 0, CAPACITY));
+    let probe = Arc::new(DepthProbe::new(Arc::new(PartitionIo::new(faulty, 0, CAPACITY))));
     let config = PioConfig::builder()
         .page_size(2048)
         .leaf_segments(2)
@@ -534,13 +529,13 @@ fn faulted_pipelines_drain_every_inflight_ticket() {
         .pipeline_depth(PipelineDepth::Fixed(6))
         .build();
     let store = Arc::new(CachedStore::new(
-        PageStore::new(Arc::clone(&partition) as Arc<dyn IoQueue>, config.page_size),
+        PageStore::new(Arc::clone(&probe) as Arc<dyn IoQueue>, config.page_size),
         config.pool_pages,
         WritePolicy::WriteThrough,
     ));
     let entries: Vec<(u64, u64)> = (0..4_000u64).map(|k| (k * 3, k)).collect();
     let mut tree = PioBTree::bulk_load(store, &entries, config).expect("bulk load");
-    assert_eq!(partition.inflight_tickets(), 0, "bulk load must drain its write ring");
+    assert_eq!(probe.tickets_in_flight(), 0, "bulk load must drain its write ring");
 
     let probe_keys: Vec<u64> = (0..300u64).map(|i| i * 41 % 12_000).collect();
 
@@ -564,7 +559,7 @@ fn faulted_pipelines_drain_every_inflight_ticket() {
             read_failures += 1;
         }
         assert_eq!(
-            partition.inflight_tickets(),
+            probe.tickets_in_flight(),
             0,
             "a failed multi_search (read {k}) must drain every in-flight ticket"
         );
@@ -592,7 +587,7 @@ fn faulted_pipelines_drain_every_inflight_ticket() {
             write_failures += 1;
         }
         assert_eq!(
-            partition.inflight_tickets(),
+            probe.tickets_in_flight(),
             0,
             "a failed flush (write {k}) must drain every in-flight ticket"
         );
@@ -608,7 +603,7 @@ fn faulted_pipelines_drain_every_inflight_ticket() {
     clock.arm(CrashPlan::at_read(clock.reads_seen() + 2));
     let err = tree.multi_search(&probe_keys).unwrap_err();
     assert!(err.to_string().contains("injected"), "{err}");
-    assert_eq!(partition.inflight_tickets(), 0, "halt must not leak tickets");
+    assert_eq!(probe.tickets_in_flight(), 0, "halt must not leak tickets");
     clock.heal();
     tree.check_invariants().unwrap();
     // The write trials may have updated key 21: multi_search must agree with
@@ -617,21 +612,27 @@ fn faulted_pipelines_drain_every_inflight_ticket() {
     assert_eq!(tree.multi_search(&[21]).unwrap(), vec![expected]);
 }
 
-/// `try_complete` polls without consuming other tickets and reports completions in
-/// landing order, so an event-driven driver can multiplex many tickets.
+/// Completions can be reaped out of landing order: the big batch, which lands
+/// last, is waited on first, and each completion keeps its own latency.
 #[test]
-fn try_complete_drives_out_of_order_reaping() {
+fn wait_reaps_out_of_landing_order() {
     let io = SimPsyncIo::with_profile(DeviceProfile::P300, CAPACITY);
     let small = io.submit_read(&[ReadRequest::new(0, 2048)]).unwrap();
     let big: Vec<ReadRequest> = (0..48).map(|i| ReadRequest::new((i + 10) * 4096, 4096)).collect();
     let big = io.submit_read(&big).unwrap();
-    // The big batch (submitted second, scheduled after) cannot be ready first.
-    let big = match io.try_complete(big).unwrap() {
-        TryComplete::Pending(t) => t,
-        TryComplete::Ready(_) => panic!("big batch cannot land before the small one"),
-    };
-    let small = io.try_complete(small).unwrap().expect_ready("small batch lands first");
-    assert_eq!(small.buffers.len(), 1);
-    let big = io.try_complete(big).unwrap().expect_ready("last ticket is ready");
+    let big = io.wait(big).unwrap();
     assert_eq!(big.buffers.len(), 48);
+    let small = io.wait(small).unwrap();
+    assert_eq!(small.buffers.len(), 1);
+    assert!(
+        small.stats.elapsed_us < big.stats.elapsed_us,
+        "the small batch lands first: {} vs {} µs",
+        small.stats.elapsed_us,
+        big.stats.elapsed_us
+    );
+    assert_eq!(
+        io.io_stats().elapsed_us,
+        big.stats.elapsed_us,
+        "the group's makespan is charged once"
+    );
 }
