@@ -193,16 +193,10 @@ mod tests {
         assert_eq!(dev.io_stats().writes, 4);
         assert_eq!(dev.io_stats().reads, 1);
 
-        // An empty batch counts for nothing, nor does a wait that fails.
+        // An empty batch counts for nothing.
         a.psync_read(&[]).unwrap();
         a.psync_write(&[]).unwrap();
         assert_eq!(a.io_stats(), sa);
-        let failing = PartitionIo::new(Arc::new(FailingWaits(Mutex::new(0))), 0, 1 << 20);
-        let t = failing.submit_read(&[ReadRequest::new(0, 4096)]).unwrap();
-        assert!(failing.wait(t).is_err());
-        let t = failing.submit_write(&[WriteRequest::new(0, &[1u8; 4096])]).unwrap();
-        assert!(failing.wait(t).is_err());
-        assert_eq!(failing.io_stats(), IoStats::default());
 
         a.reset_io_stats();
         assert_eq!(a.io_stats().writes, 0);
@@ -259,6 +253,26 @@ mod tests {
         }
 
         fn reset_io_stats(&self) {}
+    }
+
+    #[test]
+    fn failed_completions_do_not_leak_inflight_entries() {
+        // A wait that fails consumes its ticket and counts for nothing.
+        let failing = PartitionIo::new(Arc::new(FailingWaits(Mutex::new(0))), 0, 1 << 20);
+        let t = failing.submit_read(&[ReadRequest::new(0, 4096)]).unwrap();
+        assert!(failing.wait(t).is_err());
+        let t = failing.submit_write(&[WriteRequest::new(0, &[1u8; 4096])]).unwrap();
+        assert!(failing.wait(t).is_err());
+        assert_eq!(failing.io_stats(), IoStats::default());
+
+        // On a real device, a failed wait leaves nothing behind that a later
+        // batch would be charged with: the next read counts as exactly one read.
+        let p = PartitionIo::new(device(1 << 20), 0, 1 << 20);
+        assert!(matches!(p.wait(Ticket(12345)), Err(IoError::UnknownTicket(12345))));
+        assert_eq!(p.io_stats(), IoStats::default());
+        p.psync_read(&[ReadRequest::new(0, 4096)]).unwrap();
+        let s = p.io_stats();
+        assert_eq!((s.reads, s.writes, s.batches), (1, 0, 1));
     }
 
     #[test]
