@@ -122,8 +122,9 @@ fn main() {
     ];
     let profiles: [(&str, SsdConfig); 2] = [("p300", DeviceProfile::P300.build()), ("high-ncq", high_ncq_profile())];
 
+    // Not "fig03b": fig03_bandwidth_vs_outstd writes that table.
     let mut table = Table::new(
-        "fig03b",
+        "fig03_pipeline_depth",
         "Pipeline depth sweep: multi-search / insert throughput (Kops/s of simulated I/O time) vs in-flight batches",
         &[
             "device",
@@ -204,5 +205,5 @@ fn main() {
     }
 
     table.finish();
-    println!("\nfig03b done.");
+    println!("\nfig03_pipeline_depth done.");
 }

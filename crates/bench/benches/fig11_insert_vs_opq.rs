@@ -5,6 +5,9 @@
 //! Paper expectation: even a one-page OPQ makes inserts 4–8× faster than the B+-tree;
 //! growing the OPQ keeps improving inserts (up to ~28×) while the shrinking buffer
 //! pool slowly degrades searches.
+//!
+//! Acceptance (asserted): per device, the PIO B-tree's insert time does not
+//! increase as the OPQ grows, and stays below the B+-tree's at every OPQ size.
 
 use pio_bench::{scaled, setup, us, Table};
 use pio_btree::PioConfig;
@@ -53,6 +56,7 @@ fn main() {
             us(bt_search_ms),
         ]);
 
+        let mut previous_insert_ms = f64::INFINITY;
         for &opq in &opq_sweep {
             let pool = memory_budget_pages.saturating_sub(opq as u64).max(1);
             let config = PioConfig::builder()
@@ -89,6 +93,17 @@ fn main() {
                 us(insert_ms),
                 us(search_ms),
             ]);
+            assert!(
+                insert_ms <= previous_insert_ms,
+                "{}: insert time must not grow with the OPQ: {insert_ms:.1} ms at {opq} pages, {previous_insert_ms:.1} ms before",
+                profile.name()
+            );
+            assert!(
+                insert_ms < bt_insert_ms,
+                "{}: a {opq}-page OPQ must insert faster than the B+-tree: {insert_ms:.1} vs {bt_insert_ms:.1} ms",
+                profile.name()
+            );
+            previous_insert_ms = insert_ms;
             if opq == 1 {
                 println!(
                     "  {}: insert speedup over B+-tree with a 1-page OPQ = {:.1}x",

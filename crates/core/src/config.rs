@@ -49,8 +49,9 @@ pub struct PioConfig {
     /// Whether write-ahead logging (and therefore crash recovery) is enabled.
     pub wal_enabled: bool,
     /// Depth of the ticket pipelines in the batched hot paths (multi-search
-    /// leaf fetch, bupdate prefetch, bulk-load writes, the `locate_leaves`
-    /// descent): how many `PioMax`-bounded batches stay in flight at once.
+    /// leaf fetch, bupdate prefetch, bulk-load writes, each internal level of
+    /// an MPSearch descent, where it is capped at `treeHeight − 1`): how many
+    /// `PioMax`-bounded batches stay in flight at once.
     pub pipeline_depth: PipelineDepth,
     /// Ignored and not validated: internal nodes are cached in the page class
     /// under [`PioConfig::pool_pages`], and a descent walks it before any I/O.

@@ -30,14 +30,15 @@
 //!
 //! ## Depth-adaptive ticket pipelines
 //!
-//! Every batched hot path (the `locate_leaves` descent, multi-search and
-//! prange leaf fetches, bupdate's Phase-A prefetch, bulk-load region writes)
-//! keeps up to [`PioConfig::pipeline_depth`] batches in flight through the
-//! ticketed store tier. The default, [`config::PipelineDepth::Auto`], resolves
+//! Every batched hot path (each internal level of an MPSearch descent,
+//! multi-search and prange leaf fetches, bupdate's Phase-A prefetch,
+//! bulk-load region writes) keeps up to [`PioConfig::pipeline_depth`]
+//! batches in flight through the ticketed store tier, all through the one
+//! driver [`pio::ring::run_pipeline`]. The default, [`config::PipelineDepth::Auto`], resolves
 //! at construction from the store backend's
 //! [`pio::IoQueue::queue_depth_hint`]: `ceil(hint / PioMax)` in-flight
 //! `PioMax`-sized batches — enough to fill the device's command queue, the
-//! Figure-3 headroom — clamped to `[2, 16]`. The descent caps its lookahead at
+//! Figure-3 headroom — clamped to `[2, 16]`. The descent caps its depth at
 //! `treeHeight − 1` batches, preserving the paper's
 //! `PioMax · (treeHeight − 1)` buffer bound, and every pipeline drains its
 //! in-flight tickets before surfacing an error
@@ -53,11 +54,12 @@
 //!
 //! Internal nodes live where the paper caches them (Section 3.3): in the
 //! store's buffer pool, its *page class*, under [`PioConfig::pool_pages`].
-//! Every descent — point search, multi-search, prange, bupdate — first walks
-//! the resident internal nodes under one cache lock
-//! (`mpsearch::walk_resident`) and hands the whole call to the ticketed
-//! `locate_leaves` wavefront at the first node that is not resident (startup,
-//! after a crash, a pool too small for the internal levels). The tree keeps
+//! Every descent — point search, multi-search, prange, bupdate — is one
+//! level-by-level MPSearch ([`mpsearch`]): each level's nodes come from the
+//! page class under one cache lock while every node so far is resident, and
+//! from the first one that is not (startup, after a crash, a pool too small
+//! for the internal levels) the rest of the level is read through the store
+//! in `PioMax`-bounded psync calls. The tree keeps
 //! no copy of its own, so nothing needs rebuilding or invalidating: a write
 //! installs the new image, a free or a crash drops it.
 //! [`PioConfig::leaf_cache_pages`] enables the store's scan-resistant *region
@@ -68,9 +70,10 @@
 //! paper-faithful I/O pattern. The `fig09_leaf_cache` bench asserts that at an
 //! equal memory budget on one shared device, pool + region class serve a
 //! skewed multi-search ≥ 1.2× faster than the pool alone (single-page caching
-//! cannot hold multi-page leaf regions); `tests/resident_descent.rs` covers the
-//! resident walk against the wavefront, crash and migration coherence, and
-//! the scan-resistance floor.
+//! cannot hold multi-page leaf regions); `tests/resident_descent.rs` covers
+//! descents over a pool that holds the internal levels against descents over
+//! one that cannot, crash and migration coherence, and the scan-resistance
+//! floor.
 //!
 //! ## The read path touches a page's bytes once
 //!

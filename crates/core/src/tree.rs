@@ -75,12 +75,12 @@ pub struct PioStats {
     /// Leaf reads of a point lookup that fetched the one segment of a fenced
     /// leaf that can hold the key, not the whole region (see [`crate::LsMap`]).
     pub segment_reads: u64,
-    /// Descents the page class answered whole (the resident walk: no
-    /// inner-node I/O). The name is the frozen benchmark's
+    /// Descents that read no internal node through the store: the page class
+    /// held every level. The name is the frozen benchmark's
     /// (`core.inner_tier_hit_rate`), from before internal nodes had one cache.
     pub inner_tier_hits: u64,
-    /// Descents that met an internal node the page class did not hold and
-    /// took the store wavefront.
+    /// Descents that read at least one internal node through the store: a
+    /// level met a node the page class did not hold.
     pub inner_tier_misses: u64,
     /// Always 0, like [`PioStats::inner_tier_retries`]: the inner tier and its
     /// snapshot rebuilds are gone. Both fields stay only because the frozen

@@ -16,8 +16,10 @@ use crate::leaf::{LeafView, PioLeaf};
 use crate::mpsearch::Descent;
 use crate::recovery::LogRecord;
 use btree::{InternalNode, InternalView, Key, Node};
+use pio::ring::run_pipeline;
 use pio::{zeroed_image, IoResult, TicketRing};
-use storage::{new_image, AccessHint, CachedReadTicket, PageId, PageImage};
+use std::sync::Arc;
+use storage::{new_image, AccessHint, PageId, PageImage};
 
 /// A pending fence-key insertion produced by a node split during bupdate.
 #[derive(Debug, Clone)]
@@ -300,45 +302,40 @@ impl PioBTree {
         // `pipeline_depth − 1` chunks ahead: the tickets for chunks k+1.. are
         // already in flight while chunk k decodes, shrinks and writes. Chunks
         // target disjoint leaf sets (jobs are grouped by leaf), so neither the
-        // prefetched pages nor the LSMap entries they were computed from can be
-        // dirtied by a preceding chunk.
+        // prefetched pages nor the LSMap entries they were computed from — read
+        // here for every job at once — can be dirtied by a preceding chunk.
+        let last_ls: Vec<u32> = jobs.iter().map(|j| self.lsmap.get(j.leaf).unwrap_or(0)).collect();
+        let ls_pages: Vec<(PageId, u64)> = jobs
+            .iter()
+            .zip(&last_ls)
+            .map(|(j, &ls)| (j.leaf + ls as u64, 1))
+            .collect();
+        let pio_max = self.config.pio_max;
+        let chunk = |c: usize| c * pio_max..((c + 1) * pio_max).min(jobs.len());
         let mut fences: Vec<FenceInsert> = Vec::new();
-        let chunks: Vec<&[LeafJob]> = jobs.chunks(self.config.pio_max).collect();
-        let mut ring: TicketRing<(CachedReadTicket, Vec<u32>)> = TicketRing::new(self.pipeline_depth);
-        let mut next_submit = 0usize;
-        for chunk in &chunks {
-            while next_submit < chunks.len() && ring.has_room() {
-                match self.submit_last_segments(chunks[next_submit]) {
-                    Ok(prefetch) => ring.push(prefetch),
-                    Err(e) => {
-                        self.drain_prefetch(&mut ring);
-                        return Err(e);
-                    }
-                }
-                next_submit += 1;
-            }
-            let (ticket, last_ls) = ring.pop().expect("submitted above");
-            let applied = self.store.complete_read(ticket).and_then(|ls_images| {
-                self.apply_leaf_chunk(chunk, &descent, &ls_images, &last_ls, &mut fences, journal)
-            });
-            if let Err(e) = applied {
-                self.drain_prefetch(&mut ring);
-                return Err(e);
-            }
-        }
+        let store = Arc::clone(&self.store);
+        run_pipeline(
+            &mut TicketRing::new(self.pipeline_depth),
+            jobs.len().div_ceil(pio_max),
+            |c| store.submit_read(&ls_pages[chunk(c)], AccessHint::Point),
+            |ticket| store.complete_read(ticket),
+            |c, ls_images| {
+                let c = chunk(c);
+                self.apply_leaf_chunk(
+                    &jobs[c.clone()],
+                    &descent,
+                    &ls_images,
+                    &last_ls[c],
+                    &mut fences,
+                    journal,
+                )
+            },
+        )?;
 
         self.scratch.descent = descent;
 
         // 3. Propagate fence keys upward, level by level.
         self.propagate_fences(fences, journal)
-    }
-
-    /// Completes every prefetched Phase-A read of a failed bupdate, discarding
-    /// results — no in-flight batch outlives the bupdate.
-    fn drain_prefetch(&self, ring: &mut TicketRing<(CachedReadTicket, Vec<u32>)>) {
-        ring.drain_with(|(ticket, _)| {
-            let _ = self.store.complete_read(ticket);
-        });
     }
 
     /// Groups a located, key-sorted batch by destination leaf: one job per run
@@ -356,20 +353,6 @@ impl PioBTree {
             }
         }
         jobs
-    }
-
-    /// Phase A of one PioMax-sized group of leaf jobs: submits the read of every
-    /// target leaf's current last segment (one in-flight batch) and returns the
-    /// ticket together with the last-segment indices it was computed from.
-    fn submit_last_segments(&self, chunk: &[LeafJob]) -> IoResult<(CachedReadTicket, Vec<u32>)> {
-        let last_ls: Vec<u32> = chunk.iter().map(|j| self.lsmap.get(j.leaf).unwrap_or(0)).collect();
-        let ls_pages: Vec<(PageId, u64)> = chunk
-            .iter()
-            .zip(&last_ls)
-            .map(|(j, &ls)| (j.leaf + ls as u64, 1))
-            .collect();
-        let ticket = self.store.submit_read(&ls_pages, AccessHint::Point)?;
-        Ok((ticket, last_ls))
     }
 
     /// Applies one PioMax-sized group of leaf jobs over its (already fetched)

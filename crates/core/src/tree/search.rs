@@ -1,9 +1,9 @@
 //! The read half of the PIO B-tree: point search, MPSearch and prange search.
 //!
 //! I/O discipline: internal nodes are cached by a write-through buffer pool (the
-//! store's page class), and a descent walks the resident ones before it issues
-//! any I/O; every batched read goes through one psync call bounded by
-//! `PioMax`.
+//! store's page class); a descent takes each level from the pool while it
+//! holds the level's nodes and reads the rest through the store; every
+//! batched read goes through one psync call bounded by `PioMax`.
 //!
 //! A point lookup (`search`, `multi_search`) reads one *piece* per leaf. For
 //! a leaf the LSMap holds segment fences of ([`crate::LsMap`]: the leaf is
@@ -25,7 +25,7 @@
 use super::PioBTree;
 use crate::entry::OpEntry;
 use crate::leaf::LeafView;
-use crate::mpsearch::{locate_leaves, locate_leaves_in_range, walk_resident, walk_resident_range, Descent};
+use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
 use btree::{Key, Value};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
@@ -99,52 +99,38 @@ impl PioBTree {
     }
 
     /// The one descent entry: fills `out` with the target leaf (and
-    /// root-to-parent path) of every key of a sorted set. The resident walk
-    /// answers from the page class; at the first internal node it does not
-    /// hold, the ticketed store wavefront takes the whole call, which keeps
-    /// the paper's `PioMax · (treeHeight − 1)` buffer bound.
+    /// root-to-parent path) of every key of a sorted set — MPSearch over the
+    /// internal levels ([`locate_leaves`]), which keeps the paper's
+    /// `PioMax · (treeHeight − 1)` buffer bound.
     pub(super) fn locate(&mut self, sorted_keys: &[Key], out: &mut Descent) -> IoResult<()> {
-        let levels = self.internal_levels();
-        let whole = walk_resident(&self.store, self.root, levels, sorted_keys, out)?;
-        self.count_walk(whole);
-        if whole {
-            return Ok(());
-        }
-        locate_leaves(
+        let (levels, pio_max) = (self.internal_levels(), self.config.pio_max);
+        let resident = locate_leaves(
             &self.store,
             self.root,
             levels,
             sorted_keys,
-            self.config.pio_max,
+            pio_max,
             self.pipeline_depth,
             out,
-        )
+        )?;
+        self.count_walk(resident);
+        Ok(())
     }
 
     /// [`PioBTree::locate`] for a key range: the first pages of every leaf
     /// intersecting `[lo, hi)`, in key order.
     fn locate_range(&mut self, lo: Key, hi: Key) -> IoResult<Vec<PageId>> {
-        let levels = self.internal_levels();
-        let walked = walk_resident_range(&self.store, self.root, levels, lo, hi)?;
-        self.count_walk(walked.is_some());
-        if let Some(leaves) = walked {
-            return Ok(leaves);
-        }
-        locate_leaves_in_range(
-            &self.store,
-            self.root,
-            levels,
-            lo,
-            hi,
-            self.config.pio_max,
-            self.pipeline_depth,
-        )
+        let (levels, pio_max) = (self.internal_levels(), self.config.pio_max);
+        let (leaves, resident) =
+            locate_leaves_in_range(&self.store, self.root, levels, lo, hi, pio_max, self.pipeline_depth)?;
+        self.count_walk(resident);
+        Ok(leaves)
     }
 
-    /// Counts a descent the page class answered whole, or one that took the
-    /// wavefront.
-    fn count_walk(&mut self, whole: bool) {
-        if whole {
+    /// Counts a descent the page class answered whole, or one that read at
+    /// least one node through the store.
+    fn count_walk(&mut self, resident: bool) {
+        if resident {
             self.stats.inner_tier_hits += 1;
         } else {
             self.stats.inner_tier_misses += 1;
@@ -318,17 +304,62 @@ mod tests {
     use std::sync::Arc;
     use storage::{CachedStore, PageStore, WritePolicy};
 
-    /// The two descents against each other, over a seeded tree that grows
-    /// from empty through fresh leaf splits, internal splits and a root
-    /// growth. After every flush round, the resident walk — first over the
-    /// pool the flush left behind, then over one the wavefront warmed — must
-    /// record the same leaves and paths ([`Descent`]) and the same range leaf
-    /// list as the ticketed wavefront reading the device with the pool
-    /// dropped. A walk that skipped a level or took
-    /// another child would differ in a path step. A dropped pool sends the
-    /// walk to the wavefront.
+    /// A textbook descent of one key: one page read per level, below the
+    /// cache, and the owned node's routing. Returns the leaf and the
+    /// root-to-parent path.
+    fn reference_descent(store: &CachedStore, root: PageId, levels: usize, key: Key) -> (PageId, Vec<(PageId, usize)>) {
+        let mut page = root;
+        let mut path = Vec::new();
+        for _ in 0..levels {
+            let node = InternalView::new(page, &store.store().read_page(page).unwrap())
+                .unwrap()
+                .to_owned();
+            let child_idx = node.child_for(key);
+            path.push((page, child_idx));
+            page = node.children[child_idx];
+        }
+        (page, path)
+    }
+
+    /// The textbook range descent: level by level, below the cache, every
+    /// child whose separator interval `[keys[j-1], keys[j])` meets `[lo, hi)`.
+    /// Returns the leaves and every internal node it read.
+    fn reference_range(
+        store: &CachedStore,
+        root: PageId,
+        levels: usize,
+        lo: Key,
+        hi: Key,
+    ) -> (Vec<PageId>, Vec<PageId>) {
+        let (mut level, mut read) = (vec![root], Vec::new());
+        for _ in 0..levels {
+            let mut next = Vec::new();
+            for &page in &level {
+                let node = InternalView::new(page, &store.store().read_page(page).unwrap())
+                    .unwrap()
+                    .to_owned();
+                let meets = |j: usize| (j == 0 || node.keys[j - 1] < hi) && (j == node.keys.len() || lo < node.keys[j]);
+                next.extend((0..node.children.len()).filter(|&j| meets(j)).map(|j| node.children[j]));
+            }
+            read.append(&mut level);
+            level = next;
+        }
+        (level, read)
+    }
+
+    /// The descent against a textbook per-key reference, over a seeded tree
+    /// that grows from empty through fresh leaf splits, internal splits and
+    /// a root growth. After every flush round, each probe — a sorted key set
+    /// and a range — runs over three pools: a warm one (every internal node
+    /// resident), a dropped one, and a partially warm one (a random subset of
+    /// the internal nodes resident, so levels start in the page class and
+    /// finish through the store). Every run must record the reference's
+    /// leaves and paths ([`Descent`]) and range leaf list, and report the
+    /// page class resident exactly when it held every node the reference
+    /// read. A descent that skipped a level or took another child would
+    /// differ in a path step.
     #[test]
-    fn descent_differential_resident_walk_against_the_wavefront() {
+    fn descent_differential_against_a_per_key_reference() {
         let seed: u64 = std::env::var("CRASH_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -352,35 +383,74 @@ mod tests {
             .build();
         let mut t = PioBTree::create(DeviceProfile::F120, 1 << 30, config).unwrap();
         const SPACE: u64 = 1 << 24;
+        let mut mixed = 0;
         for round in 0..30 {
             for _ in 0..100 + rand(200) {
                 t.insert(rand(SPACE), round).unwrap();
             }
             t.checkpoint().unwrap();
             let (store, root, levels) = (Arc::clone(t.store()), t.root_page(), t.internal_levels());
+            let internal = reference_range(&store, root, levels, 0, Key::MAX).1;
             for probe in 0..4 {
-                let ctx = format!("CRASH_SEED={seed} round {round} probe {probe}, height {}", t.height());
                 let mut keys: Vec<Key> = (0..1 + rand(80)).map(|_| rand(SPACE)).collect();
                 keys.sort_unstable();
                 let lo = rand(SPACE);
-                let hi = lo + rand(SPACE / 8);
-                let mut walked = Descent::default();
-                assert!(
-                    walk_resident(&store, root, levels, &keys, &mut walked).unwrap(),
-                    "{ctx}: the pool holds every internal node"
-                );
-                let walked_range = walk_resident_range(&store, root, levels, lo, hi).unwrap();
+                let hi = lo + 1 + rand(SPACE / 8);
+                let expected: Vec<_> = keys
+                    .iter()
+                    .map(|&k| reference_descent(&store, root, levels, k))
+                    .collect();
+                let keys_read: Vec<PageId> = expected
+                    .iter()
+                    .flat_map(|(_, path)| path.iter().map(|&(p, _)| p))
+                    .collect();
+                let (expected_range, range_read) = reference_range(&store, root, levels, lo, hi);
+                let (pio_max, depth) = (1 + rand(16) as usize, 1 + rand(4) as usize);
+                for pool in ["warm", "dropped", "partial"] {
+                    let ctx = format!(
+                        "CRASH_SEED={seed} round {round} probe {probe} {pool} pool, height {}, PioMax {pio_max}, depth {depth}",
+                        t.height()
+                    );
+                    // Resets the pool, and returns the internal nodes it holds.
+                    let mut prepare = || {
+                        store.drop_cache();
+                        let resident: Vec<PageId> = match pool {
+                            "warm" => internal.clone(),
+                            "dropped" => Vec::new(),
+                            _ => internal
+                                .iter()
+                                .copied()
+                                .filter(|&p| p == root || rand(2) == 0)
+                                .collect(),
+                        };
+                        store.read_pages(&resident).unwrap();
+                        resident
+                    };
+                    let held = |resident: &[PageId], read: &[PageId]| read.iter().all(|p| resident.contains(p));
 
-                store.drop_cache();
-                assert!(!walk_resident(&store, root, levels, &keys, &mut Descent::default()).unwrap());
-                assert_eq!(walk_resident_range(&store, root, levels, lo, hi).unwrap(), None);
-                let mut expected = Descent::default();
-                locate_leaves(&store, root, levels, &keys, 8, 2, &mut expected).unwrap();
-                assert_eq!(walked, expected, "{ctx}: leaves and paths of {keys:?}");
-                let expected_range = locate_leaves_in_range(&store, root, levels, lo, hi, 8, 2).unwrap();
-                assert_eq!(walked_range, Some(expected_range), "{ctx}: leaves of [{lo}, {hi})");
-                // Warm every internal node again for the next probe.
-                locate_leaves_in_range(&store, root, levels, 0, Key::MAX, 8, 2).unwrap();
+                    let resident = prepare();
+                    let mut descent = Descent::default();
+                    let whole = locate_leaves(&store, root, levels, &keys, pio_max, depth, &mut descent).unwrap();
+                    for (i, (leaf, path)) in expected.iter().enumerate() {
+                        assert_eq!(
+                            (descent.leaf(i), descent.path(i)),
+                            (*leaf, &path[..]),
+                            "{ctx}: leaf and path of key {}",
+                            keys[i]
+                        );
+                    }
+                    assert_eq!(whole, held(&resident, &keys_read), "{ctx}: resident flag of {keys:?}");
+
+                    let resident = prepare();
+                    let (leaves, whole) = locate_leaves_in_range(&store, root, levels, lo, hi, pio_max, depth).unwrap();
+                    assert_eq!(leaves, expected_range, "{ctx}: leaves of [{lo}, {hi})");
+                    assert_eq!(
+                        whole,
+                        held(&resident, &range_read),
+                        "{ctx}: resident flag of [{lo}, {hi})"
+                    );
+                    mixed += (pool == "partial" && !whole) as u32;
+                }
             }
         }
         let s = t.stats();
@@ -388,18 +458,23 @@ mod tests {
             s.leaf_splits > 0 && s.internal_splits > 0 && s.height_growths > 0,
             "CRASH_SEED={seed}: {s:?}"
         );
+        assert!(mixed > 0, "CRASH_SEED={seed}: no descent took the mixed path");
     }
 
     /// Fuzz, one level above the page formats' single-byte mutations: a child
     /// pointer of an internal node rots into a page id the store never handed
     /// out — `u64::MAX`, the allocation high-water mark, or an id so large that
     /// its byte offset wraps around onto a *valid* page (`1 << 52 | k` with
-    /// 4 KiB pages, `1 << 53 | k` with these 2 KiB ones). Two passes: in the
-    /// cold one the rot lands below the cache and the process restarts, so
-    /// neither cache nor checksum sidecar vouches for anything; in the warm
-    /// one the rotted node is written through the cache and nothing restarts,
-    /// so the pool holds it, the sidecar vouches for it, and the resident
-    /// walk follows the wild pointer from memory. Either way, every read that
+    /// 4 KiB pages, `1 << 53 | k` with these 2 KiB ones). Three passes: in
+    /// the cold one the rot lands below the cache and the process restarts,
+    /// so neither cache nor checksum sidecar vouches for anything; in the
+    /// warm one the rotted node is written through the cache and nothing
+    /// restarts, so the pool holds it, the sidecar vouches for it, and the
+    /// descent follows the wild pointer from memory; in the partially warm
+    /// one it is written through the cache too, but before every read the
+    /// pool holds only the other nodes of the top two levels, so the rotted
+    /// node's level starts in the page class and the rotted node itself is
+    /// read through the store. Whichever way, every read that
     /// descends through the pointer is `Corruption`: never a panic (debug
     /// builds: the multiply overflows), never a value (release builds: the
     /// wrapped read returns page `k`'s bytes, for which no checksum is on
@@ -430,35 +505,49 @@ mod tests {
         let raw = Arc::clone(tree.store());
         let high_water = raw.store().high_water_pages();
         let root = tree.root_page();
-        let inner = InternalView::new(root, &raw.store().read_page(root).unwrap())
+        let level1 = InternalView::new(root, &raw.store().read_page(root).unwrap())
             .unwrap()
-            .child(1);
+            .to_owned()
+            .children;
+        let inner = level1[1];
 
         let mut walks_before_warm = 0;
-        for warm in [false, true] {
-            if warm {
+        for pass in ["cold", "warm", "partial"] {
+            if pass == "warm" {
                 walks_before_warm = tree.stats().inner_tier_hits;
             }
             for page in [root, inner] {
                 let image = raw.store().read_page(page).unwrap();
                 let node = InternalView::new(page, &image).unwrap().to_owned();
                 let write = |image: PageImage| {
-                    let written = if warm {
-                        raw.write_page(page, image)
-                    } else {
+                    let written = if pass == "cold" {
                         raw.store().write_page(page, image)
+                    } else {
+                        raw.write_page(page, image)
                     };
                     written.unwrap()
+                };
+                let others: Vec<PageId> = std::iter::once(root)
+                    .chain(level1.iter().copied())
+                    .filter(|&p| p != page)
+                    .collect();
+                // The partially warm pool, refilled before every read: the
+                // previous read admitted the rotted node.
+                let prepare = || {
+                    if pass == "partial" {
+                        raw.drop_cache();
+                        raw.read_pages(&others).unwrap();
+                    }
                 };
                 for _ in 0..12 {
                     let slot = rand(node.children.len() as u64) as usize;
                     let valid = node.children[rand(node.children.len() as u64) as usize];
                     for wild in [u64::MAX, high_water, high_water - 1, 1 << 52 | valid, 1 << 53 | valid] {
-                        let ctx = format!("CRASH_SEED={seed} warm {warm} page {page} child {slot} -> {wild:#x}");
+                        let ctx = format!("CRASH_SEED={seed} {pass} page {page} child {slot} -> {wild:#x}");
                         let mut rotted = node.clone();
                         rotted.children[slot] = wild;
                         write(Node::Internal(rotted).encode(PAGE));
-                        if !warm {
+                        if pass == "cold" {
                             tree.simulate_crash();
                         }
 
@@ -470,17 +559,21 @@ mod tests {
                         };
                         let clear = if page == root { None } else { Some(0) };
                         let corrupt = |e: &IoError| matches!(e, IoError::Corruption { .. });
+                        prepare();
                         assert!(tree.search(under).is_err_and(|e| corrupt(&e)), "{ctx}: search");
                         let batch = [3, under, 30];
+                        prepare();
                         assert!(
                             tree.multi_search(&batch).is_err_and(|e| corrupt(&e)),
                             "{ctx}: multi_search"
                         );
+                        prepare();
                         assert!(
                             tree.range_search(under, under + 90).is_err_and(|e| corrupt(&e)),
                             "{ctx}: range_search"
                         );
                         if let Some(key) = clear {
+                            prepare();
                             assert_eq!(tree.search(key).unwrap(), Some(0), "{ctx}: a subtree the rot spares");
                         }
                     }
@@ -488,7 +581,7 @@ mod tests {
                 write(PageImage::clone(&image));
             }
             // Healed; the full scan leaves every internal node in the pool
-            // for the warm pass.
+            // for the next pass.
             tree.simulate_crash();
             assert_eq!(tree.search(300).unwrap(), Some(100));
             assert_eq!(tree.range_search(0, Key::MAX).unwrap().len(), entries.len());

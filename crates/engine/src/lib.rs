@@ -23,8 +23,8 @@
 //!   the *schedule makespan* (`scheduled_io_us`) so the cross-shard overlap win is
 //!   directly measurable;
 //! * engine-wide **memory budgets**, both divided across shards: the pool
-//!   (`base.pool_pages`) caches internal nodes, which every descent walks
-//!   before it issues I/O, and [`EngineConfig`]'s `leaf_cache_bytes` gives
+//!   (`base.pool_pages`) caches internal nodes, which every descent takes
+//!   from the pool before it reads any through the store, and [`EngineConfig`]'s `leaf_cache_bytes` gives
 //!   leaf regions a scan-resistant segmented-LRU cache (validated non-zero
 //!   and page-multiple); both roll up in [`EngineStats`]
 //!   (`inner_tier_hit_rate` — descents the pool answered whole —

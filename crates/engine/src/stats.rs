@@ -219,11 +219,11 @@ impl EngineStats {
         self.batched_ops as f64 / self.batched_calls as f64
     }
 
-    /// Fraction of descents the resident walk answered whole from the page
-    /// class, without inner-node I/O, across all shards
+    /// Fraction of descents the page class answered whole, reading no
+    /// internal node through the store, across all shards
     /// (`rollup.inner_tier_hits / (hits+misses)`; 0.0 before any descent).
-    /// The rest met an internal node the pool did not hold and took the
-    /// store wavefront.
+    /// The rest met an internal node the pool did not hold and read at least
+    /// one node through the store.
     pub fn inner_tier_hit_rate(&self) -> f64 {
         let total = self.rollup.inner_tier_hits + self.rollup.inner_tier_misses;
         if total == 0 {

@@ -55,8 +55,9 @@
 //! [`IoQueue::queue_depth_hint`] — the number of outstanding requests the
 //! backend can usefully absorb (the device's NCQ depth under psync I/O, the
 //! worker count for [`FileThreadPoolIo`], 1 for the ticket-serialising
-//! disciplines) — and manage the in-flight window with a [`TicketRing`] (a small
-//! FIFO with the drain-on-error discipline). The simulated backend models
+//! disciplines) — and run the in-flight window through
+//! [`ring::run_pipeline`] over a [`TicketRing`] (a small FIFO with the
+//! drain-on-error discipline). The simulated backend models
 //! submission causality for such drivers: a batch submitted after a completion
 //! was reaped is floored at that completion's time on the device timeline, so
 //! a shallow pipeline genuinely keeps the queue shallow and a deep one fills

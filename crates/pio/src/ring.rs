@@ -1,26 +1,15 @@
-//! [`TicketRing`]: a small FIFO of in-flight tickets for depth-N pipelined hot
-//! paths.
+//! [`TicketRing`] and [`run_pipeline`]: the one driver of depth-N pipelined
+//! hot paths.
 //!
 //! The tree's batched operations used to hard-code double buffering (one ticket
 //! in flight while the next batch is prepared). The ring generalises that to a
 //! configurable depth derived from the device's queue headroom
-//! ([`crate::IoQueue::queue_depth_hint`]): the driver keeps up to `depth`
+//! ([`crate::IoQueue::queue_depth_hint`]): [`run_pipeline`] keeps up to `depth`
 //! submissions outstanding, completes the oldest whenever it needs its data (or
 //! needs room), and on any error **drains** every remaining ticket before
 //! surfacing it — no submission may outlive the operation that issued it.
-//!
-//! The canonical consumption loop, with submissions issued in job order:
-//!
-//! ```text
-//! for job in 0..jobs {
-//!     while next_submit < jobs && ring.has_room() {
-//!         ring.push(submit(next_submit)?);   // on error: ring.drain_with(..)
-//!         next_submit += 1;
-//!     }
-//!     let result = complete(ring.pop().expect("submitted above"))?;
-//!     ...                                    // on error: ring.drain_with(..)
-//! }
-//! ```
+//! Every pipelined path of the tree runs through it, so the ring's own
+//! operations are private to this module.
 //!
 //! With `depth == 1` the loop degenerates to blocking submit-then-wait; with
 //! `depth == 2` it is exactly the historic double buffering.
@@ -35,11 +24,9 @@ use std::collections::VecDeque;
 /// the error is returned. The ring is the caller's, empty on entry and on
 /// return, so a caller that keeps it runs the loop without allocating.
 ///
-/// This is the shared shape of the tree's linear pipelines (multi-search and
-/// prange leaf fetches, the per-level range descent, bulk load's region
-/// writes). Paths whose consume step needs exclusive access the submit closure
-/// also borrows (bupdate's apply), or that re-submit jobs dynamically (the
-/// `locate_leaves` wavefront) drive a [`TicketRing`] by hand instead.
+/// This is the shape of every pipeline of the tree: multi-search and prange
+/// leaf fetches, each internal level of an MPSearch descent, bupdate's
+/// last-segment prefetch and bulk load's region writes.
 pub fn run_pipeline<T, R, E>(
     ring: &mut TicketRing<T>,
     jobs: usize,
@@ -74,7 +61,8 @@ pub fn run_pipeline<T, R, E>(
 }
 
 /// A bounded FIFO of in-flight tickets (generic: storage-tier tickets are not
-/// `pio` types). See the module documentation for the consumption pattern.
+/// `pio` types), filled and emptied by [`run_pipeline`]. A caller keeps one
+/// to run its pipelines without allocating.
 #[derive(Debug)]
 pub struct TicketRing<T> {
     depth: usize,
@@ -124,23 +112,23 @@ impl<T> TicketRing<T> {
     }
 
     /// Whether another ticket may be pushed without exceeding the depth.
-    pub fn has_room(&self) -> bool {
+    fn has_room(&self) -> bool {
         self.inflight.len() < self.depth
     }
 
     /// Enqueues a freshly submitted ticket.
     ///
     /// # Panics
-    /// Panics if the ring is full — callers must [`TicketRing::pop`] (and
-    /// complete) the oldest ticket first, which is what bounds the buffer
-    /// memory at `depth` batches.
-    pub fn push(&mut self, ticket: T) {
+    /// Panics if the ring is full — the oldest ticket must be popped (and
+    /// completed) first, which is what bounds the buffer memory at `depth`
+    /// batches.
+    fn push(&mut self, ticket: T) {
         assert!(self.has_room(), "TicketRing over depth {}", self.depth);
         self.inflight.push_back(ticket);
     }
 
     /// Removes the oldest in-flight ticket (submission order), if any.
-    pub fn pop(&mut self) -> Option<T> {
+    fn pop(&mut self) -> Option<T> {
         self.inflight.pop_front()
     }
 
@@ -148,7 +136,7 @@ impl<T> TicketRing<T> {
     /// discarding results — the error discipline of a failed pipeline: the
     /// operation is about to return an error, and no submission may be left
     /// outstanding on the backend.
-    pub fn drain_with(&mut self, mut complete: impl FnMut(T)) {
+    fn drain_with(&mut self, mut complete: impl FnMut(T)) {
         while let Some(ticket) = self.inflight.pop_front() {
             complete(ticket);
         }

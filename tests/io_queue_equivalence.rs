@@ -311,7 +311,7 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         let (mut a, mut b) = (Descent::default(), Descent::default());
-        locate_leaves(
+        let a_whole = locate_leaves(
             blocking.store(),
             blocking.root_page(),
             blocking.height() - 1,
@@ -321,7 +321,7 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
             &mut a,
         )
         .unwrap();
-        locate_leaves(
+        let b_whole = locate_leaves(
             pipelined.store(),
             pipelined.root_page(),
             pipelined.height() - 1,
@@ -331,7 +331,11 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
             &mut b,
         )
         .unwrap();
-        assert_eq!(a, b, "{name}: locate_leaves diverged at depth {depth}");
+        assert_eq!(
+            (a, a_whole),
+            (b, b_whole),
+            "{name}: locate_leaves diverged at depth {depth}"
+        );
         assert_eq!(
             request_counts(blocking_io.io_stats()),
             request_counts(pipelined_io.io_stats()),
@@ -413,17 +417,16 @@ impl IoQueue for DepthProbe {
     }
 }
 
-/// The acceptance property of the pipelined descent: overlapped ticketed reads
-/// (fewer idle-start groups — blocking waits — than the psync-per-chunk
-/// baseline) while never holding more than `PioMax · (treeHeight − 1)` node
-/// reads in flight, whatever the configured depth.
+/// The acceptance property of the pipelined descent: the blocking descent's
+/// psync calls, overlapped (fewer idle-start groups — blocking waits — than
+/// the blocking baseline), while never holding more than
+/// `PioMax · (treeHeight − 1)` node reads in flight, whatever the configured
+/// depth.
 #[test]
 fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
     // Small pages → a tall tree (≥ 2 internal levels) from a modest load. A
     // one-page pool keeps every descent read on the device, so the group/batch
-    // accounting is free of cache interplay (a cached level would submit
-    // empty batches in the blocking run but real ones in the pipelined run,
-    // whose lookahead outruns the cache fill).
+    // accounting is free of cache interplay.
     let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::P300, CAPACITY));
     let probe = Arc::new(DepthProbe::new(sim));
     let config = PioConfig::builder()
@@ -453,46 +456,44 @@ fn pipelined_locate_leaves_overlaps_within_the_paper_buffer_bound() {
     sorted.sort_unstable();
 
     // Blocking baseline: one idle-start group per psync batch.
-    tree.store().drop_cache();
-    let before = tree.store().store().io().io_stats();
-    let mut located = Descent::default();
-    locate_leaves(
-        tree.store(),
-        tree.root_page(),
-        internal_levels,
-        &sorted,
-        pio_max,
-        1,
-        &mut located,
-    )
-    .unwrap();
-    let after = tree.store().store().io().io_stats();
-    let blocking_batches = after.batches - before.batches;
-    let blocking_groups = after.overlap_groups - before.overlap_groups;
+    let run = |depth: usize| {
+        tree.store().drop_cache();
+        let before = tree.store().store().io().io_stats();
+        let mut located = Descent::default();
+        let whole = locate_leaves(
+            tree.store(),
+            tree.root_page(),
+            internal_levels,
+            &sorted,
+            pio_max,
+            depth,
+            &mut located,
+        )
+        .unwrap();
+        assert!(!whole, "a one-page pool holds no level");
+        let after = tree.store().store().io().io_stats();
+        (
+            located,
+            after.batches - before.batches,
+            after.reads - before.reads,
+            after.overlap_groups - before.overlap_groups,
+        )
+    };
+    let (blocking, blocking_batches, blocking_reads, blocking_groups) = run(1);
     assert_eq!(
         blocking_groups, blocking_batches,
-        "psync-per-chunk blocks on every batch"
+        "psync-per-batch blocks on every batch"
     );
 
-    // Pipelined run: same result, strictly fewer blocking waits, bounded
-    // buffers. (Batch *counts* legitimately differ under this adversarial
-    // 1-page pool: pages deferred to an in-flight sibling can be evicted
-    // before use, and the descent then re-reads them with blocking fallback
-    // singletons — correctness over count stability.)
-    tree.store().drop_cache();
-    let before = tree.store().store().io().io_stats();
-    locate_leaves(
-        tree.store(),
-        tree.root_page(),
-        internal_levels,
-        &sorted,
-        pio_max,
-        64,
-        &mut located,
-    )
-    .unwrap();
-    let after = tree.store().store().io().io_stats();
-    let pipelined_groups = after.overlap_groups - before.overlap_groups;
+    // Pipelined run: the same result from the same psync calls, strictly
+    // fewer blocking waits, bounded buffers.
+    let (pipelined, batches, reads, pipelined_groups) = run(64);
+    assert_eq!(pipelined, blocking);
+    assert_eq!(
+        (batches, reads),
+        (blocking_batches, blocking_reads),
+        "the pipeline submits exactly the blocking run's batches"
+    );
     assert!(
         pipelined_groups < blocking_groups,
         "the pipelined descent must block less: {pipelined_groups} groups vs blocking {blocking_groups}"

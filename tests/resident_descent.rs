@@ -1,17 +1,17 @@
-//! The resident descent — a walk over the internal nodes the page class holds —
-//! and the scan-resistant leaf cache, end to end. (The tests' names keep the
+//! The resident descent — MPSearch taking the internal nodes from the page
+//! class — and the scan-resistant leaf cache, end to end. (The tests' names keep the
 //! word "tier" from the inner tier they used to cover: a per-tree copy of the
 //! internal nodes, since folded into the pool.)
 //!
 //! Three layers of coverage:
 //!
-//! 1. **Equivalence** — the resident walk and the leaf cache are pure
-//!    accelerators: a CRASH_SEED-randomized interleaving of `multi_search` /
-//!    `range_search` / `insert_batch` returns bit-identical results on an
-//!    engine whose pool holds the internal levels (descents walk them in
-//!    memory) and on one whose pool is too small to (descents take the
-//!    ticketed wavefront), on every simulated topology (device-per-shard and
-//!    shared-device).
+//! 1. **Equivalence** — the pool and the leaf cache are pure accelerators: a
+//!    CRASH_SEED-randomized interleaving of `multi_search` / `range_search` /
+//!    `insert_batch` returns bit-identical results on an engine whose pool
+//!    holds the internal levels (descents take them from memory) and on one
+//!    whose pool is too small to (descents read them through the store in
+//!    `PioMax`-bounded psync calls), on every simulated topology
+//!    (device-per-shard and shared-device).
 //! 2. **Crash / migration sweep** — CRASH_SEED-randomized crash points over a
 //!    workload interleaving batches with forced shard migrations, leaf cache
 //!    enabled: after `recover()` the key set read through the page class must
@@ -125,7 +125,7 @@ fn tier_on_equals_tier_off_on_every_sim_topology() {
 
     // The reference: a device-per-shard engine with a 4-page pool — one page
     // per shard, too small to keep an internal level resident — and no leaf
-    // cache, so its descents take the wavefront.
+    // cache, so its descents read through the store.
     let reference = EngineConfig {
         leaf_cache_bytes: None,
         ..config(PioConfig {
@@ -144,14 +144,14 @@ fn tier_on_equals_tier_off_on_every_sim_topology() {
     assert_eq!(
         (walks.inner_tier_hits, walks.inner_tier_misses > 0),
         (0, true),
-        "seed {seed}: every descent of the reference takes the wavefront"
+        "seed {seed}: every descent of the reference reads through the store"
     );
 
     let against_reference = |engine: ShardedPioEngine, label: &str| {
         let got = run_steps(&engine, &steps);
         assert_eq!(
             got, expected,
-            "seed {seed}: {label} diverged from the wavefront reference"
+            "seed {seed}: {label} diverged from the store-read reference"
         );
         let scan: BTreeMap<u64, u64> = engine.range_search(0, u64::MAX).unwrap().into_iter().collect();
         assert_eq!(scan, final_state, "seed {seed}: {label} final state diverged");
@@ -277,7 +277,7 @@ fn recovered_tier_never_serves_a_stale_boundary() {
     assert!(engine.stats().splits + engine.stats().merges >= 4, "sweep must migrate");
     assert!(
         engine.stats().rollup.inner_tier_hits > 0,
-        "sweep must exercise the resident walk"
+        "sweep must exercise the resident descent"
     );
     drop(engine);
 
@@ -308,7 +308,8 @@ fn recovered_tier_never_serves_a_stale_boundary() {
             "seed {seed} trial {trial} write {k}: key set diverged after crash in op {failed_at}"
         );
         // The point reads must agree with that state exactly, and — the scan
-        // having warmed every internal node — take no wavefront to do so.
+        // having warmed every internal node — read no node through the store
+        // to do so.
         let before = engine.stats().rollup;
         let answers = engine.multi_search(&all_keys).unwrap();
         for (&key, answer) in all_keys.iter().zip(&answers) {
