@@ -165,6 +165,9 @@ pub fn locate_leaves(
             }
         })?;
     }
+    // Scratch only: keep its capacity, not its pages, so that equal descents
+    // compare equal.
+    nodes.clear();
     Ok(resident)
 }
 

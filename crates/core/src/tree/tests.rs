@@ -158,10 +158,9 @@ fn matches_a_model_under_a_mixed_workload() {
 /// stream of inserts, updates and deletes that keeps the OPQ non-empty and
 /// forces flushes with fresh splits: `search`, `multi_search` (duplicate,
 /// deleted and absent keys, unsorted) and `range_search`, each with the pool
-/// warm — descents that stay in the page class — and dropped — descents
-/// that read through the store.
-/// At two and at four segments per leaf, and the point lookups must have
-/// read single segments of fenced leaves, not only whole regions.
+/// warm (descents stay in the page class) and dropped (they read through the
+/// store). At two and at four segments per leaf, and the point lookups must
+/// have read single segments of fenced leaves, not only whole regions.
 #[test]
 fn read_paths_differential_against_a_btreemap_oracle() {
     for segments in [2, 4] {

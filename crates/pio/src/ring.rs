@@ -89,11 +89,6 @@ impl<T> TicketRing<T> {
         }
     }
 
-    /// The configured pipeline depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Sets the depth (clamped to ≥ 1) of a ring with nothing in flight,
     /// keeping its buffer.
     pub fn set_depth(&mut self, depth: usize) {
@@ -101,13 +96,8 @@ impl<T> TicketRing<T> {
         self.depth = depth.max(1);
     }
 
-    /// Tickets currently in flight.
-    pub fn len(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// Whether nothing is in flight.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.inflight.is_empty()
     }
 
@@ -150,7 +140,7 @@ mod tests {
     #[test]
     fn depth_is_clamped_and_bounds_the_ring() {
         let mut ring: TicketRing<u32> = TicketRing::new(0);
-        assert_eq!(ring.depth(), 1);
+        assert_eq!(ring.depth, 1);
         assert!(ring.has_room());
         ring.push(7);
         assert!(!ring.has_room());
@@ -164,7 +154,7 @@ mod tests {
         for t in [1, 2, 3] {
             ring.push(t);
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.inflight.len(), 3);
         assert_eq!(ring.pop(), Some(1));
         ring.push(4);
         assert_eq!(ring.pop(), Some(2));
