@@ -12,8 +12,8 @@
 //! sizes (cheaper internal-node misses + a single large leaf read per search), with
 //! the gap narrowing as the pool grows large enough to cache all internal levels.
 //!
-//! Self-assertion (the CI gate of the store's page class, which is the pool the
-//! baseline lives on): per device, `btree_ms` never grows as `pool_bytes` grows.
+//! Self-assertion (the CI gate of the store's one cache without a leaf
+//! budget, which is the pool the baseline lives on): per device, `btree_ms` never grows as `pool_bytes` grows.
 
 use pio_bench::{ratio, scaled, setup, us, Table};
 use pio_btree::cost::optimal_btree_node_size;

@@ -42,7 +42,8 @@ pub struct PioConfig {
     pub speriod: usize,
     /// Batch count (`bcnt`): number of OPQ entries processed per bupdate invocation.
     pub bcnt: usize,
-    /// Buffer-pool capacity in pages (internal-node cache).
+    /// Buffer-pool capacity in pages: the store's one cache, which holds the
+    /// internal nodes (and, without a leaf budget, bupdate's segments).
     pub pool_pages: u64,
     /// Fill factor used when bulk loading.
     pub fill_factor: f64,
@@ -53,14 +54,16 @@ pub struct PioConfig {
     /// an MPSearch descent, where it is capped at `treeHeight − 1`): how many
     /// `PioMax`-bounded batches stay in flight at once.
     pub pipeline_depth: PipelineDepth,
-    /// Ignored and not validated: internal nodes are cached in the page class
-    /// under [`PioConfig::pool_pages`], and a descent walks it before any I/O.
+    /// Ignored and not validated: internal nodes are cached in the pool under
+    /// [`PioConfig::pool_pages`], and a descent walks it before any I/O.
     /// The field stays only because the frozen benchmark harness still sets
     /// it; it goes with the next change to that harness.
     pub inner_tier_pages: u64,
-    /// Page budget of the scan-resistant region class of the tree's store
-    /// ([`storage::CachedStore::set_leaf_cache`]); 0 (the default) disables it
-    /// and leaf-region reads always go to the device.
+    /// Pages the leaf budget adds to the store's one cache
+    /// ([`storage::CachedStore::set_leaf_cache`]): with it, leaf pieces are
+    /// cached as scan-resistant leaf entries that share the whole budget with
+    /// the internal nodes, which are evicted last. 0 (the default) adds
+    /// nothing, and a lookup's leaf reads always go to the device.
     pub leaf_cache_pages: u64,
 }
 

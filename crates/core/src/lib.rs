@@ -53,23 +53,26 @@
 //! ## One cache for every level
 //!
 //! Internal nodes live where the paper caches them (Section 3.3): in the
-//! store's buffer pool, its *page class*, under [`PioConfig::pool_pages`].
-//! Every descent — point search, multi-search, prange, bupdate — is one
-//! level-by-level MPSearch ([`mpsearch`]): each level's nodes come from the
-//! page class under one cache lock while every node so far is resident, and
-//! from the first one that is not (startup, after a crash, a pool too small
-//! for the internal levels) the rest of the level is read through the store
-//! in `PioMax`-bounded psync calls. The tree keeps
-//! no copy of its own, so nothing needs rebuilding or invalidating: a write
-//! installs the new image, a free or a crash drops it.
-//! [`PioConfig::leaf_cache_pages`] enables the store's scan-resistant *region
-//! class* — a second instance of the one [`storage::Cache`], for multi-page
-//! leaf regions ([`storage::CachedStore::set_leaf_cache`]) — so a warm tree
-//! can serve hot point lookups without any I/O while `range_search` streams
-//! bypass the cache's admission. It defaults to 0 (off), preserving the
-//! paper-faithful I/O pattern. The `fig09_leaf_cache` bench asserts that at an
-//! equal memory budget on one shared device, pool + region class serve a
-//! skewed multi-search ≥ 1.2× faster than the pool alone (single-page caching
+//! store's buffer pool — the one [`storage::Cache`], where they are *inner*
+//! entries — under [`PioConfig::pool_pages`]. Every descent — point search,
+//! multi-search, prange, bupdate — is one level-by-level MPSearch
+//! ([`mpsearch`]): each level's nodes come from the pool under one cache lock
+//! while every node so far is resident, and from the first one that is not
+//! (startup, after a crash, a pool too small for the internal levels) the
+//! rest of the level is read through the store in `PioMax`-bounded psync
+//! calls. The tree keeps no copy of its own, so nothing needs rebuilding or
+//! invalidating: a write installs the new image, a free or a crash drops it.
+//! [`PioConfig::leaf_cache_pages`] adds a leaf budget to the pool's
+//! ([`storage::CachedStore::set_leaf_cache`]) and with it *leaf* entries:
+//! the multi-page leaf regions and segments lookups read, and the last
+//! segments bupdate reads and writes, share the one budget as a segmented
+//! LRU, inner entries are evicted only when no leaf entry is left, and
+//! `range_search` streams bypass admission. So a warm tree serves hot point
+//! lookups without any I/O, and the next flush finds the segments the last
+//! one wrote. It defaults to 0 (off), preserving the paper-faithful I/O
+//! pattern. The `fig09_leaf_cache` bench asserts that at an equal memory
+//! budget on one shared device, pool + leaf budget serve a skewed
+//! multi-search ≥ 1.2× faster than the pool alone (single-page caching
 //! cannot hold multi-page leaf regions); `tests/resident_descent.rs` covers
 //! descents over a pool that holds the internal levels against descents over
 //! one that cannot, crash and migration coherence, and the scan-resistance

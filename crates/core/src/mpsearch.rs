@@ -8,7 +8,7 @@
 //! uses the equivalent breadth-first formulation.
 //!
 //! One level visitor does every level of both descents. It first takes the
-//! level's nodes from the store's page class, under one cache lock and
+//! level's nodes from the store's pool, under one cache lock and
 //! without I/O, for as long as every node so far is resident — a warm tree
 //! holds all internal nodes, and its descents never leave this loop. From the
 //! first node that is not resident, the rest of the level goes through the
@@ -32,7 +32,7 @@ use storage::{AccessHint, CachedReadTicket, CachedStore, PageId};
 /// The result of one descent over a sorted key set: per key the target leaf
 /// and its root-to-parent path, the paths in **one** flat array (`levels`
 /// steps per key) so that a descent allocates nothing per key — and nothing at
-/// all when it stays in the page class and its buffers are reused (the tree
+/// all when it stays in the pool and its buffers are reused (the tree
 /// keeps one as scratch).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Descent {
@@ -73,7 +73,7 @@ impl Descent {
 /// next level's nodes to `nodes` behind the level. Nodes come from the page
 /// class while every one so far is resident; the rest of the level is read
 /// through the store in psync calls of `pio_max` nodes, `ring`'s depth of
-/// them in flight. Returns whether the page class held the whole level.
+/// them in flight. Returns whether the pool held the whole level.
 fn visit_level(
     store: &CachedStore,
     nodes: &mut Vec<PageId>,
@@ -126,7 +126,7 @@ fn level_ring(pipeline_depth: usize, internal_levels: usize) -> TicketRing<Cache
 /// Descends the internal levels for every key in `keys` (which must be
 /// sorted), reading at most `pio_max` nodes per psync call and up to
 /// `pipeline_depth` calls in flight (see the [module docs](self)). Fills `out`
-/// with one row per key, in input order. Returns whether the page class held
+/// with one row per key, in input order. Returns whether the pool held
 /// every node of the descent.
 pub fn locate_leaves(
     store: &CachedStore,
@@ -173,7 +173,7 @@ pub fn locate_leaves(
 
 /// Descends the internal levels for a key range `[lo, hi)` like
 /// [`locate_leaves`] and returns the first pages of every leaf node whose key
-/// space intersects the range, in key order, beside whether the page class
+/// space intersects the range, in key order, beside whether the pool
 /// held every node of the descent.
 pub fn locate_leaves_in_range(
     store: &CachedStore,
@@ -378,7 +378,7 @@ mod tests {
             (leaves[1..].to_vec(), true)
         );
 
-        // n0 resident, n1 not: level 1 starts in the page class and finishes
+        // n0 resident, n1 not: level 1 starts in the pool and finishes
         // through the store.
         store.drop_cache();
         store.read_pages(&[root, walked.path(0)[1].0]).unwrap();

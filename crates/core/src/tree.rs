@@ -11,7 +11,7 @@
 //!   `internal levels + 1` and every leaf has a parent to receive fence keys.
 //!
 //! I/O discipline: internal nodes are cached by a write-through buffer pool (the
-//! store's page class — the tree keeps no copy of its own, so a write or a crash
+//! store's one cache — the tree keeps no copy of its own, so a write or a crash
 //! that changes the pool leaves nothing stale behind); leaf regions are read with
 //! single large requests (`Pr(L)` in the cost model), except that a point lookup
 //! of a leaf with segment fences reads only its one segment (see `search`);
@@ -75,12 +75,12 @@ pub struct PioStats {
     /// Leaf reads of a point lookup that fetched the one segment of a fenced
     /// leaf that can hold the key, not the whole region (see [`crate::LsMap`]).
     pub segment_reads: u64,
-    /// Descents that read no internal node through the store: the page class
+    /// Descents that read no internal node through the store: the pool
     /// held every level. The name is the frozen benchmark's
     /// (`core.inner_tier_hit_rate`), from before internal nodes had one cache.
     pub inner_tier_hits: u64,
     /// Descents that read at least one internal node through the store: a
-    /// level met a node the page class did not hold.
+    /// level met a node the pool did not hold.
     pub inner_tier_misses: u64,
     /// Always 0, like [`PioStats::inner_tier_retries`]: the inner tier and its
     /// snapshot rebuilds are gone. Both fields stay only because the frozen
@@ -289,7 +289,7 @@ impl PioBTree {
             }
         }
 
-        Ok(Self::over(store, config, level[0].1, height, lsmap))
+        Self::over(store, config, level[0].1, height, lsmap)
     }
 
     /// Reopens a tree over a store that already holds its pages — the restart
@@ -320,14 +320,14 @@ impl PioBTree {
                 "snapshot height {height} is impossible (a PIO B-tree always has at least one internal level)"
             )));
         }
-        Ok(Self::over(store, config, root, height, LsMap::new()))
+        Self::over(store, config, root, height, LsMap::new())
     }
 
     /// A tree over `store` rooted at `root`, with its volatile state (OPQ,
     /// statistics) empty.
-    fn over(store: Arc<CachedStore>, config: PioConfig, root: PageId, height: usize, lsmap: LsMap) -> Self {
-        store.set_leaf_cache(config.leaf_cache_pages);
-        Self {
+    fn over(store: Arc<CachedStore>, config: PioConfig, root: PageId, height: usize, lsmap: LsMap) -> IoResult<Self> {
+        store.set_leaf_cache(config.leaf_cache_pages)?;
+        Ok(Self {
             opq: OperationQueue::new(config.opq_pages, config.page_size, config.speriod),
             lsmap,
             root,
@@ -342,7 +342,7 @@ impl PioBTree {
             scratch: search::SearchScratch::default(),
             store,
             config,
-        }
+        })
     }
 
     /// Attaches a write-ahead log (enables crash recovery).

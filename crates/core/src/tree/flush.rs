@@ -19,7 +19,7 @@ use btree::{InternalNode, InternalView, Key, Node};
 use pio::ring::run_pipeline;
 use pio::{zeroed_image, IoResult, TicketRing};
 use std::sync::Arc;
-use storage::{new_image, AccessHint, PageId, PageImage};
+use storage::{new_image, PageId, PageImage};
 
 /// A pending fence-key insertion produced by a node split during bupdate.
 #[derive(Debug, Clone)]
@@ -317,7 +317,7 @@ impl PioBTree {
         run_pipeline(
             &mut TicketRing::new(self.pipeline_depth),
             jobs.len().div_ceil(pio_max),
-            |c| store.submit_read(&ls_pages[chunk(c)], AccessHint::Point),
+            |c| store.submit_segment_read(&ls_pages[chunk(c)]),
             |ticket| store.complete_read(ticket),
             |c, ls_images| {
                 let c = chunk(c);
@@ -496,7 +496,7 @@ impl PioBTree {
         // for the rewritten regions (reads never mix with writes).
         self.force_wal()?;
         if !page_writes.is_empty() {
-            self.store.write_pages(&page_writes)?;
+            self.store.write_segments(&page_writes)?;
         }
         if !region_writes.is_empty() {
             self.store.write_pages(&region_writes)?;
@@ -593,5 +593,49 @@ impl PioBTree {
             pending = next_pending;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{PioBTree, PioConfig};
+    use ssd_sim::DeviceProfile;
+
+    /// With a leaf budget, the last segment bupdate's append path writes
+    /// stays in the cache as a leaf entry — in the one budget, however small
+    /// the pool's share — so the next flush that reaches the leaf reads it
+    /// for Phase A without touching the device.
+    #[test]
+    fn a_last_segment_bupdate_wrote_is_a_phase_a_hit_for_the_next_flush() {
+        let config = PioConfig::builder()
+            .page_size(2048)
+            .leaf_segments(2)
+            .opq_pages(1)
+            .pool_pages(2)
+            .leaf_cache_pages(64)
+            .build();
+        let mut t = PioBTree::create(DeviceProfile::F120, 1 << 30, config).unwrap();
+        for k in 0..2_000u64 {
+            t.insert(k * 10, k).unwrap();
+        }
+        t.checkpoint().unwrap();
+        t.store().drop_cache();
+        let device_reads = |t: &PioBTree| t.store().store().stats().page_reads;
+        t.update(5_000, 1).unwrap();
+        let (reads, appends) = (device_reads(&t), t.stats().leaf_appends);
+        t.checkpoint().unwrap();
+        assert!(device_reads(&t) > reads, "the first flush reads the cold segment");
+        assert_eq!(t.stats().leaf_appends, appends + 1);
+        t.update(5_010, 2).unwrap();
+        let (reads, hits) = (device_reads(&t), t.store().leaf_cache_stats().hits);
+        t.checkpoint().unwrap();
+        assert_eq!(t.stats().leaf_appends, appends + 2, "both flushes take the append path");
+        assert_eq!(
+            device_reads(&t),
+            reads,
+            "the second flush reads nothing from the device"
+        );
+        assert!(t.store().leaf_cache_stats().hits > hits);
+        assert_eq!((t.search(5_000).unwrap(), t.search(5_010).unwrap()), (Some(1), Some(2)));
     }
 }

@@ -1,7 +1,7 @@
 //! The read half of the PIO B-tree: point search, MPSearch and prange search.
 //!
 //! I/O discipline: internal nodes are cached by a write-through buffer pool (the
-//! store's page class); a descent takes each level from the pool while it
+//! store's one cache); a descent takes each level from the pool while it
 //! holds the level's nodes and reads the rest through the store; every
 //! batched read goes through one psync call bounded by `PioMax`.
 //!
@@ -10,10 +10,10 @@
 //! strictly ascending inserts, so each key has one segment it can be in) the
 //! piece is that one segment page, `(leaf + s, 1)`; keys that share a leaf and
 //! a segment share the read. Any other leaf is read whole, `(leaf, L)`, with
-//! one large request (`Pr(L)` in the cost model). With `L > 1` pieces go to
-//! the store's region class whatever their length; with `L = 1` a leaf is a
-//! page and its read is what it always was. `range_search` reads whole
-//! regions.
+//! one large request (`Pr(L)` in the cost model). With `L > 1` pieces are
+//! the store's leaf pieces whatever their length, cached only with a leaf
+//! budget; with `L = 1` a leaf is a segment, which the pool has always held.
+//! `range_search` reads whole regions.
 //!
 //! A leaf image is touched once: the store hands out the shared image it
 //! verified and cached, and a [`LeafView`] answers from those bytes where they
@@ -86,13 +86,13 @@ impl PioBTree {
     }
 
     /// Submits point-lookup reads of leaf pieces. With `L > 1` every piece
-    /// goes to the region class, a one-segment piece too
-    /// ([`storage::CachedStore::submit_leaf_read`]), so segment pages never
-    /// crowd the internal nodes out of the page class; with `L = 1` a leaf is
-    /// a page and stays in the page class it has always used.
+    /// is a leaf piece, a one-segment piece too
+    /// ([`storage::CachedStore::submit_leaf_read`]), cached only with a leaf
+    /// budget; with `L = 1` a leaf is a segment, which the pool has always
+    /// held ([`storage::CachedStore::submit_segment_read`]).
     fn submit_leaf_pieces(&self, pieces: &[(PageId, u64)]) -> IoResult<CachedReadTicket> {
         if self.config.leaf_segments == 1 {
-            self.store.submit_read(pieces, AccessHint::Point)
+            self.store.submit_segment_read(pieces)
         } else {
             self.store.submit_leaf_read(pieces, AccessHint::Point)
         }
@@ -127,7 +127,7 @@ impl PioBTree {
         Ok(leaves)
     }
 
-    /// Counts a descent the page class answered whole, or one that read at
+    /// Counts a descent the pool answered whole, or one that read at
     /// least one node through the store.
     fn count_walk(&mut self, resident: bool) {
         if resident {
@@ -352,10 +352,10 @@ mod tests {
     /// a root growth. After every flush round, each probe — a sorted key set
     /// and a range — runs over three pools: a warm one (every internal node
     /// resident), a dropped one, and a partially warm one (a random subset of
-    /// the internal nodes resident, so levels start in the page class and
+    /// the internal nodes resident, so levels start in the pool and
     /// finish through the store). Every run must record the reference's
     /// leaves and paths ([`Descent`]) and range leaf list, and report the
-    /// page class resident exactly when it held every node the reference
+    /// pool resident exactly when it held every node the reference
     /// read. A descent that skipped a level or took another child would
     /// differ in a path step.
     #[test]
@@ -473,7 +473,7 @@ mod tests {
     /// descent follows the wild pointer from memory; in the partially warm
     /// one it is written through the cache too, but before every read the
     /// pool holds only the other nodes of the top two levels, so the rotted
-    /// node's level starts in the page class and the rotted node itself is
+    /// node's level starts in the pool and the rotted node itself is
     /// read through the store. Whichever way, every read that
     /// descends through the pointer is `Corruption`: never a panic (debug
     /// builds: the multiply overflows), never a value (release builds: the

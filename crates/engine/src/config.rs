@@ -51,14 +51,16 @@ pub struct EngineConfig {
     pub max_batch_size: usize,
     /// Knobs of the elastic shard rebalancer (see [`crate::rebalance`]).
     pub rebalance: RebalanceConfig,
-    /// Ignored and not validated: internal nodes are cached in the page class
-    /// under `base.pool_pages`, and a descent walks it before any I/O. The
+    /// Ignored and not validated: internal nodes are cached in the pool under
+    /// `base.pool_pages`, and a descent walks it before any I/O. The
     /// field stays only because the frozen benchmark harness still sets it;
     /// it goes with the next change to that harness.
     pub inner_tier_bytes: Option<u64>,
-    /// Engine-wide memory budget, in bytes, of the scan-resistant leaf-region
-    /// cache (divided across shards; at least one page each). `None` (the
-    /// default) disables it; `Some(0)` is rejected; must be a multiple of
+    /// Engine-wide leaf budget in bytes, divided across shards (at least one
+    /// page each): each shard's share is added to its pool's budget and
+    /// caches leaf pieces as scan-resistant leaf entries
+    /// ([`pio_btree::PioConfig::leaf_cache_pages`]). `None` (the default)
+    /// adds nothing; `Some(0)` is rejected; must be a multiple of
     /// `base.page_size`.
     pub leaf_cache_bytes: Option<u64>,
     /// Interval of the background checksum scrub in milliseconds: every this

@@ -24,9 +24,10 @@
 //!   directly measurable;
 //! * engine-wide **memory budgets**, both divided across shards: the pool
 //!   (`base.pool_pages`) caches internal nodes, which every descent takes
-//!   from the pool before it reads any through the store, and [`EngineConfig`]'s `leaf_cache_bytes` gives
-//!   leaf regions a scan-resistant segmented-LRU cache (validated non-zero
-//!   and page-multiple); both roll up in [`EngineStats`]
+//!   from the pool before it reads any through the store, and [`EngineConfig`]'s `leaf_cache_bytes` adds
+//!   a leaf budget to it, under which leaf pieces share the one cache as a
+//!   scan-resistant segmented LRU (validated non-zero and page-multiple);
+//!   both roll up in [`EngineStats`]
 //!   (`inner_tier_hit_rate` — descents the pool answered whole —
 //!   and `leaf_cache_hit_rate`);
 //! * shard boundaries are chosen from a key sample at construction time

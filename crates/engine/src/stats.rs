@@ -44,15 +44,13 @@ pub struct ShardSnapshot {
     pub queue_peak_pct: u64,
     /// The shard tree's operation counters.
     pub pio: PioStats,
-    /// Page-class counters of the shard's cached store: the single pages
-    /// (internal nodes, leaf-segment pages) under
-    /// [`pio_btree::PioConfig::pool_pages`]. `scan_bypasses` is always 0 —
-    /// the class ignores access hints.
+    /// Inner-entry counters of the shard's cached store: the internal nodes
+    /// — and, without a leaf budget, bupdate's segment pages.
+    /// `scan_bypasses` is always 0 — inner entries ignore access hints.
     pub pool: CacheStats,
-    /// Region-class counters of the same store: the scan-resistant cache of
-    /// multi-page leaf regions (all zero when
-    /// [`crate::EngineConfig::leaf_cache_bytes`] is unset; `dirty_evictions`
-    /// is always 0 — regions are never kept dirty).
+    /// Leaf-entry counters of the same cache: leaf regions and segments
+    /// (all zero when [`crate::EngineConfig::leaf_cache_bytes`] is unset;
+    /// `dirty_evictions` is always 0 — the tree writes through).
     pub leaf_cache: CacheStats,
     /// Page-store counters (psync batches, page reads/writes, allocation).
     pub store: StoreStats,
@@ -118,9 +116,9 @@ pub struct EngineStats {
     /// own value is in its [`ShardSnapshot::pipeline_depth`]; on the shipped
     /// topologies all shards resolve identically).
     pub pipeline_depth: usize,
-    /// Aggregate page-class hit ratio across shards in `[0, 1]`.
+    /// Aggregate inner-entry hit ratio across shards in `[0, 1]`.
     pub pool_hit_ratio: f64,
-    /// Sum of all shards' region-class counters (all zero when
+    /// Sum of all shards' leaf-entry counters (all zero when
     /// [`crate::EngineConfig::leaf_cache_bytes`] is unset).
     pub leaf_cache: CacheStats,
     /// Total operations buffered in shard OPQs.
@@ -219,7 +217,7 @@ impl EngineStats {
         self.batched_ops as f64 / self.batched_calls as f64
     }
 
-    /// Fraction of descents the page class answered whole, reading no
+    /// Fraction of descents the pool answered whole, reading no
     /// internal node through the store, across all shards
     /// (`rollup.inner_tier_hits / (hits+misses)`; 0.0 before any descent).
     /// The rest met an internal node the pool did not hold and read at least
@@ -232,9 +230,9 @@ impl EngineStats {
         self.rollup.inner_tier_hits as f64 / total as f64
     }
 
-    /// Aggregate scan-resistant leaf-cache hit ratio across shards (point
-    /// lookups only — scan-hinted traffic is excluded by construction; 0.0
-    /// when the cache is disabled or never probed).
+    /// Aggregate leaf-entry hit ratio across shards (point lookups and
+    /// bupdate's segment reads — scan-hinted traffic is excluded by
+    /// construction; 0.0 without a leaf budget or before any probe).
     pub fn leaf_cache_hit_rate(&self) -> f64 {
         self.leaf_cache.hit_ratio()
     }

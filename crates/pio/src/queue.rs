@@ -25,6 +25,7 @@ use crate::error::IoResult;
 use crate::request::{ReadRequest, WriteRequest};
 use crate::stats::{BatchStats, IoStats};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Ticket id reserved for empty submissions, which complete immediately and are
@@ -87,20 +88,28 @@ pub struct Completion {
 const SPARE_IMAGES: usize = 256;
 
 thread_local! {
-    /// This thread's spare images, each unshared: [`recycle_image`] keeps only
-    /// an image nobody else references, and nothing here hands one out twice.
-    static SPARES: RefCell<Vec<Arc<[u8]>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's spare images, oldest first, each unshared:
+    /// [`recycle_image`] keeps only an image nobody else references, and
+    /// nothing here hands one out twice.
+    static SPARES: RefCell<VecDeque<Arc<[u8]>>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// Takes a spare image of exactly `len` bytes off this thread's list, most
 /// recently recycled first, and has `fill` overwrite whatever its last owner
-/// left in it.
+/// left in it. When no spare has that length, the oldest spare is retired
+/// instead: a thread whose lengths change (4 KiB segments beside 8 KiB
+/// regions) does not keep a full list of images it no longer asks for.
 fn reuse_spare(len: usize, fill: impl FnOnce(&mut [u8])) -> Option<Arc<[u8]>> {
     let mut spare = SPARES
         .try_with(|spares| {
             let mut spares = spares.borrow_mut();
-            let at = spares.iter().rposition(|spare| spare.len() == len)?;
-            Some(spares.swap_remove(at))
+            match spares.iter().rposition(|spare| spare.len() == len) {
+                Some(at) => spares.swap_remove_back(at),
+                None => {
+                    spares.pop_front();
+                    None
+                }
+            }
         })
         .ok()??;
     fill(Arc::get_mut(&mut spare).expect("a spare is unshared"));
@@ -142,7 +151,7 @@ pub fn recycle_image(mut image: Arc<[u8]>) {
             if spares.capacity() == 0 {
                 spares.reserve_exact(SPARE_IMAGES);
             }
-            spares.push(image);
+            spares.push_back(image);
         }
     });
 }
@@ -435,18 +444,40 @@ mod tests {
     #[test]
     fn a_spare_of_another_length_is_never_handed_out() {
         no_spares();
-        let image = zeroed_image(100);
-        let at = address(&image);
-        recycle_image(image);
-        assert_eq!(spare_images(), 1);
+        let images: Vec<Arc<[u8]>> = (0..3).map(|_| zeroed_image(100)).collect();
+        let newest = address(&images[2]);
+        images.into_iter().for_each(recycle_image);
+        assert_eq!(spare_images(), 3);
         let longer = zeroed_image(101);
         assert_eq!(longer.len(), 101);
-        assert_ne!(address(&longer), at);
         let shorter = WriteRequest::new(0, &[3u8; 99]).to_image();
         assert_eq!(&shorter[..], &[3u8; 99]);
-        assert_ne!(address(&shorter), at);
-        assert_eq!(spare_images(), 1, "the spare waited for its length");
-        assert_eq!(address(&zeroed_image(100)), at);
+        assert_eq!(spare_images(), 1, "each miss retired a spare instead of handing it out");
+        assert_eq!(
+            address(&zeroed_image(100)),
+            newest,
+            "the newest spare waited for its length"
+        );
+    }
+
+    /// A request no spare fits retires the oldest spare, so spares of a
+    /// length nobody asks for any more drain away one miss at a time.
+    #[test]
+    fn a_miss_retires_the_oldest_spare() {
+        no_spares();
+        let images: Vec<Arc<[u8]>> = [100, 200, 100].iter().map(|&len| zeroed_image(len)).collect();
+        let addresses: Vec<*const u8> = images.iter().map(address).collect();
+        images.into_iter().for_each(recycle_image);
+        assert_eq!(spare_images(), 3);
+        assert_eq!(zeroed_image(300).len(), 300);
+        assert_eq!(spare_images(), 2, "the miss retired one spare");
+        assert_eq!(address(&zeroed_image(200)), addresses[1], "the 200-byte spare stayed");
+        assert_eq!(
+            address(&zeroed_image(100)),
+            addresses[2],
+            "the oldest 100-byte spare was the one retired"
+        );
+        assert_eq!(spare_images(), 0);
     }
 
     #[test]

@@ -1,49 +1,50 @@
-//! The one cache: a weighted, segmented LRU over page-addressed entries.
+//! The one cache: a weighted, segmented LRU over page-addressed entries,
+//! each tagged with its [`PageClass`].
 //!
 //! An entry is a *region* — `pages` consecutive pages keyed by the first
 //! [`PageId`] — and a single page is simply a one-page region. Entries of
-//! mixed length may share a cache (the region class holds whole leaf regions
-//! beside single leaf segments), so two rules keep them apart: a lookup hits
+//! mixed length share the cache (whole leaf regions beside single leaf
+//! segments and internal nodes), so two rules keep them apart: a lookup hits
 //! only an entry of the same `(first, pages)`, and an admission drops every
 //! resident entry it overlaps (a write, [`Cache::install`], replaces only the
 //! entry its first page keys). Resident entries are therefore always disjoint,
-//! which lets a write to one page find the one entry covering it.
-//! [`crate::CachedStore`] instantiates this structure twice, once per page
-//! class (see its docs); the cache itself performs no I/O and knows nothing
-//! about classes. Eviction hands every victim back to the caller, which
+//! which lets a write to one page find the one entry covering it. The cache
+//! performs no I/O: eviction hands every victim back to the caller, which
 //! decides whether a write-back is needed. Images are shared and immutable
 //! ([`PageImage`]): a hit hands out another reference to the resident image,
 //! and a write or a refresh *replaces* the entry's image, so the bytes a
 //! reader holds never change under it.
 //!
-//! The replacement policy is a **segmented LRU** (probation + protected) with
-//! an explicit **scan bypass**:
+//! The replacement policy is a **segmented LRU** (probation + protected) for
+//! leaf entries, with inner entries kept last and an explicit **scan
+//! bypass**:
 //!
-//! * Lookups carry an [`AccessHint`]. `Point` lookups behave like a classic
-//!   SLRU: a first touch lands the entry in the *probation* segment, a
-//!   re-reference promotes it to the *protected* segment (capped at a fixed
-//!   share of the budget, so probation always retains churn room), and
-//!   eviction drains probation before it touches protected.
+//! * [`PageClass::Inner`] entries live on one plain-LRU list, and eviction
+//!   takes one only when no leaf entry is left: every descent walks them.
+//! * [`PageClass::Leaf`] lookups with a `Point` [`AccessHint`] behave like a
+//!   classic SLRU: a first touch lands the entry in the *probation* segment,
+//!   a re-reference promotes it to the *protected* segment (capped at 4/5 of
+//!   the budget, so probation always retains churn room), and eviction drains
+//!   probation before it touches protected.
 //! * `Scan` lookups may **hit** a resident entry (a stream still benefits from
 //!   the hot set) but never promote and never refresh recency, and a `Scan`
 //!   miss tells the caller not to admit the fetched image — a full-range scan
 //!   flows past the cache without evicting a single resident entry. Each such
 //!   skipped fill is counted in [`CacheStats::scan_bypasses`].
 //!
-//! With a protected share of **zero** the same code is a plain LRU: a
-//! re-reference is promoted and at once demoted to the probation tail, which
-//! is move-to-back.
+//! A cache that holds only inner entries is therefore a plain LRU — the
+//! paper's buffer pool.
 //!
 //! The index is a `BTreeMap` from an entry's first page to its slot, so that
 //! a write to one page can find and drop the region covering it in
 //! `O(log n)` (bupdate's leaf-segment appends land *inside* cached leaf
-//! regions). The entries live in a vector of slots, and each segment is a
-//! doubly linked list threaded through them, least recently used at the head.
-//! A removed entry's slot goes on a free list that the next admission takes
-//! first, so the slots never outnumber the most entries ever resident at
-//! once. A hit is one index probe, a reference-count bump and an O(1) relink.
-//! An admission or a write makes one probe, and so does an eviction, which
-//! takes its victim from a list head; a demotion makes none.
+//! regions). The entries live in a vector of slots, and each list is doubly
+//! linked through them, least recently used at the head. A removed entry's
+//! slot goes on a free list that the next admission takes first, so the slots
+//! never outnumber the most entries ever resident at once. A hit is one index
+//! probe, a reference-count bump and an O(1) relink. An admission or a write
+//! makes one probe, and so does an eviction, which takes its victim from a
+//! list head; a demotion makes none.
 
 use crate::page::{PageId, PageImage};
 use std::collections::btree_map::{self, BTreeMap};
@@ -59,7 +60,18 @@ pub enum AccessHint {
     Scan,
 }
 
-/// Monotonic counters of a [`Cache`].
+/// What a cached entry holds, which decides when eviction may take it; the
+/// index of its counters in [`Cache::stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageClass {
+    /// An internal node (or any page of an index that tags no leaves):
+    /// evicted only when no leaf entry is left.
+    Inner,
+    /// A leaf piece — one segment or a whole region: segmented LRU.
+    Leaf,
+}
+
+/// Monotonic counters of one class of a [`Cache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache (either hint).
@@ -113,12 +125,18 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// A segment, which is also the index of its list in [`Cache::lists`].
+/// A list, which is also its index in [`Cache::lists`], in eviction order:
+/// the two segments of the leaf entries, then the inner entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
     Probation,
     Protected,
+    Inner,
 }
+
+/// Fifths of the budget the protected segment may hold: promotion beyond that
+/// demotes the protected LRU back to probation instead of growing.
+const PROTECTED_FIFTHS: u64 = 4;
 
 /// The end of a list: the link of a head's `prev`, a tail's `next` and an
 /// empty list's ends.
@@ -137,8 +155,8 @@ struct Entry {
     next: usize,
 }
 
-/// The ends of one segment's list: `head` is the least recently used slot
-/// (the next to leave), `tail` the most recently used.
+/// The ends of one list: `head` is the least recently used slot (the next to
+/// leave), `tail` the most recently used.
 #[derive(Debug, Clone, Copy)]
 struct List {
     head: usize,
@@ -150,36 +168,33 @@ struct List {
 #[derive(Debug)]
 pub struct Cache {
     capacity_pages: u64,
-    /// Fifths of the budget the protected segment may hold: promotion beyond
-    /// that demotes the protected LRU back to probation instead of growing.
-    protected_fifths: u64,
     /// First page of each resident entry → its slot.
     index: BTreeMap<PageId, usize>,
     slots: Vec<Entry>,
     /// Slots of removed entries, reused before `slots` grows.
     vacant: Vec<usize>,
-    /// The probation and the protected list, indexed by [`Segment`].
-    lists: [List; 2],
+    /// The probation, protected and inner lists, indexed by [`Segment`].
+    lists: [List; 3],
     used_pages: u64,
     protected_pages: u64,
-    stats: CacheStats,
+    /// Counters by [`PageClass`]: hits and evictions by the entry's class,
+    /// misses by the class asked for.
+    stats: [CacheStats; 2],
 }
 
 impl Cache {
-    /// Creates a cache holding at most `capacity_pages` pages of entries, of
-    /// which re-referenced entries may pin `protected_fifths`/5 (0 = plain
-    /// LRU). A capacity of zero is allowed and simply caches nothing.
-    pub fn new(capacity_pages: u64, protected_fifths: u64) -> Self {
+    /// Creates a cache holding at most `capacity_pages` pages of entries. A
+    /// capacity of zero is allowed and simply caches nothing.
+    pub fn new(capacity_pages: u64) -> Self {
         Self {
             capacity_pages,
-            protected_fifths,
             index: BTreeMap::new(),
             slots: Vec::new(),
             vacant: Vec::new(),
-            lists: [List { head: NIL, tail: NIL }; 2],
+            lists: [List { head: NIL, tail: NIL }; 3],
             used_pages: 0,
             protected_pages: 0,
-            stats: CacheStats::default(),
+            stats: [CacheStats::default(); 2],
         }
     }
 
@@ -188,27 +203,33 @@ impl Cache {
         self.used_pages
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+    /// Counter snapshot of one class.
+    pub fn stats(&self, class: PageClass) -> CacheStats {
+        self.stats[class as usize]
     }
 
     fn protected_cap(&self) -> u64 {
-        self.capacity_pages * self.protected_fifths / 5
+        self.capacity_pages * PROTECTED_FIFTHS / 5
     }
 
     /// Looks up the entry of `pages` pages starting at `first`, returning its
     /// (shared) image: an entry that starts there with another length is no
     /// hit. `Point` hits promote/refresh; `Scan` hits leave the LRU state
-    /// untouched. Misses are counted according to the hint (`Point` → miss,
-    /// `Scan` → bypass) — after a `Scan` miss the caller must *not*
-    /// [`Cache::admit`].
-    pub fn get(&mut self, first: PageId, pages: u64, hint: AccessHint) -> Option<PageImage> {
+    /// untouched. A miss counts in `class`'s counters according to the hint
+    /// (`Point` → miss, `Scan` → bypass) — after a `Scan` miss the caller
+    /// must *not* [`Cache::admit`]. An inner lookup is always a `Point` one.
+    pub fn get(&mut self, first: PageId, pages: u64, class: PageClass, hint: AccessHint) -> Option<PageImage> {
+        let hint = if class == PageClass::Inner {
+            AccessHint::Point
+        } else {
+            hint
+        };
         let hit = self.get_resident(first, pages, hint);
         if hit.is_none() {
+            let stats = &mut self.stats[class as usize];
             match hint {
-                AccessHint::Point => self.stats.misses += 1,
-                AccessHint::Scan => self.stats.scan_bypasses += 1,
+                AccessHint::Point => stats.misses += 1,
+                AccessHint::Scan => stats.scan_bypasses += 1,
             }
         }
         hit
@@ -222,17 +243,35 @@ impl Cache {
             .index
             .get(&first)
             .filter(|&&slot| self.slots[slot].pages == pages)?;
-        self.stats.hits += 1;
+        self.stats[self.class(slot) as usize].hits += 1;
         if hint == AccessHint::Point {
             self.touch(slot);
         }
         self.slots[slot].data.clone()
     }
 
-    /// The image of the entry starting at `first`, for a lookup no reader
-    /// made (scrub's heal): counts nothing and leaves recency alone.
-    pub(crate) fn peek(&self, first: PageId) -> Option<PageImage> {
-        self.index.get(&first).and_then(|&slot| self.slots[slot].data.clone())
+    /// The entry covering page `p` — its first page and image — for a lookup
+    /// no reader made (scrub's heal): counts nothing and leaves recency alone.
+    pub(crate) fn covering(&self, p: PageId) -> Option<(PageId, PageImage)> {
+        let (first, slot) = self.covering_slot(p)?;
+        Some((
+            first,
+            self.slots[slot].data.clone().expect("a resident entry holds an image"),
+        ))
+    }
+
+    /// The class of the entry in `slot`.
+    fn class(&self, slot: usize) -> PageClass {
+        match self.slots[slot].seg {
+            Segment::Inner => PageClass::Inner,
+            Segment::Probation | Segment::Protected => PageClass::Leaf,
+        }
+    }
+
+    /// The first page and slot of the entry covering page `p`.
+    fn covering_slot(&self, p: PageId) -> Option<(PageId, usize)> {
+        let (&first, &slot) = self.index.range(..=p).next_back()?;
+        (first + self.slots[slot].pages > p).then_some((first, slot))
     }
 
     /// Links `slot` at the tail of `seg`'s list.
@@ -261,12 +300,16 @@ impl Cache {
         }
     }
 
-    /// Promotes (or refreshes) `slot` after a point re-reference.
+    /// Refreshes an inner entry, or promotes (or refreshes) a leaf entry,
+    /// after a point re-reference.
     fn touch(&mut self, slot: usize) {
-        let promoted = self.slots[slot].seg == Segment::Probation;
+        let seg = self.slots[slot].seg;
         self.unlink(slot);
+        if seg == Segment::Inner {
+            return self.push_back(Segment::Inner, slot);
+        }
         self.push_back(Segment::Protected, slot);
-        if promoted {
+        if seg == Segment::Probation {
             self.protected_pages += self.slots[slot].pages;
             self.shrink_protected();
         }
@@ -283,48 +326,53 @@ impl Cache {
         }
     }
 
-    /// A page write: replaces (or inserts) the entry's image and dirty flag
-    /// and moves it to the probation tail; the replaced image goes to this
-    /// thread's spares if no reader holds it. Victims evicted to make room are
-    /// appended to `victims`. An entry heavier than the whole budget is not
-    /// cached. A write replaces at most the entry keyed by its own first
-    /// page, so its caller drops any other it overlaps first —
-    /// [`crate::CachedStore`] installs into its page class only, which holds
-    /// nothing but single pages.
-    pub fn install(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
+    /// A page write: replaces (or inserts) the one-page entry of `page` —
+    /// image, dirty flag and class — and moves it to the tail of its class's
+    /// first list; the replaced entry's image goes to this thread's spares if
+    /// no reader holds it. Victims evicted to make room are appended to
+    /// `victims`. A write replaces at most the entry keyed by its own page,
+    /// so its caller drops one that covers the page from elsewhere first
+    /// ([`Cache::invalidate_around`]).
+    pub fn install(
+        &mut self,
+        page: PageId,
+        data: PageImage,
+        dirty: bool,
+        class: PageClass,
+        victims: &mut Vec<Evicted>,
+    ) {
         debug_assert!(
-            self.overlapping(first, pages)
-                .all(|slot| self.slots[slot].first == first),
+            self.covering_slot(page).is_none_or(|(first, _)| first == page),
             "an install overlaps an entry that starts elsewhere"
         );
-        let (fits, free) = (self.fits(pages), self.free_slot());
-        match self.index.entry(first) {
+        // A zero budget holds no entry to replace.
+        if self.capacity_pages == 0 {
+            return;
+        }
+        let free = self.free_slot();
+        match self.index.entry(page) {
             // The replaced entry's slot is vacated, and its successor takes it.
-            btree_map::Entry::Occupied(resident) if fits => {
+            btree_map::Entry::Occupied(resident) => {
                 let slot = *resident.get();
                 pio::recycle_image(self.release(slot).0);
             }
-            btree_map::Entry::Occupied(resident) => {
-                let slot = resident.remove();
-                return pio::recycle_image(self.release(slot).0);
-            }
-            btree_map::Entry::Vacant(at) if fits => {
+            btree_map::Entry::Vacant(at) => {
                 at.insert(free);
             }
-            btree_map::Entry::Vacant(_) => return,
         }
-        self.occupy(first, pages, data, dirty, victims);
+        self.occupy(page, 1, data, dirty, class, victims);
     }
 
     /// A completed miss. If an entry of the same `(first, pages)` is
-    /// resident, only swaps the image in, leaving segment and recency alone
-    /// (two in-flight reads of one region both missed it and both arrive
-    /// here), and hands the swapped-out image to this thread's spares.
-    /// Otherwise inserts the fetched image and drops every resident entry it
-    /// overlaps, so that entries stay disjoint. A dirty entry is newer than
-    /// anything fetched: it keeps its image, and a fetched image that
-    /// overlaps one is not admitted. Victims are appended to `victims`.
-    pub fn admit(&mut self, first: PageId, pages: u64, data: PageImage, victims: &mut Vec<Evicted>) {
+    /// resident, only swaps the image in, leaving class, segment and recency
+    /// alone (two in-flight reads of one region both missed it and both
+    /// arrive here), and hands the swapped-out image to this thread's spares.
+    /// Otherwise inserts the fetched image as a `class` entry and drops every
+    /// resident entry it overlaps, so that entries stay disjoint. A dirty
+    /// entry is newer than anything fetched: it keeps its image, and a
+    /// fetched image that overlaps one is not admitted. Victims are appended
+    /// to `victims`.
+    pub fn admit(&mut self, first: PageId, pages: u64, data: PageImage, class: PageClass, victims: &mut Vec<Evicted>) {
         let last = self.overlapping(first, pages).next();
         if let Some(slot) = last.filter(|&slot| (self.slots[slot].first, self.slots[slot].pages) == (first, pages)) {
             let entry = &mut self.slots[slot];
@@ -334,19 +382,14 @@ impl Cache {
             return;
         }
         let overlaps_dirty = || self.overlapping(first, pages).any(|slot| self.slots[slot].dirty);
-        if !self.fits(pages) || (last.is_some() && overlaps_dirty()) {
+        if pages == 0 || pages > self.capacity_pages || (last.is_some() && overlaps_dirty()) {
             return;
         }
         if last.is_some() {
             self.invalidate_range(first, pages);
         }
         self.index.insert(first, self.free_slot());
-        self.occupy(first, pages, data, false, victims);
-    }
-
-    /// Whether an entry of `pages` pages may be cached at all.
-    fn fits(&self, pages: u64) -> bool {
-        pages > 0 && pages <= self.capacity_pages
+        self.occupy(first, pages, data, false, class, victims);
     }
 
     /// The slot the next admission takes: the last one vacated, else a new one.
@@ -355,15 +398,28 @@ impl Cache {
     }
 
     /// Fills [`Cache::free_slot`], which the index already maps `first` to,
-    /// links it at the probation tail and evicts to fit.
-    fn occupy(&mut self, first: PageId, pages: u64, data: PageImage, dirty: bool, victims: &mut Vec<Evicted>) {
+    /// links it at the tail of its class's first list and evicts to fit.
+    fn occupy(
+        &mut self,
+        first: PageId,
+        pages: u64,
+        data: PageImage,
+        dirty: bool,
+        class: PageClass,
+        victims: &mut Vec<Evicted>,
+    ) {
         let slot = self.free_slot();
+        let seg = if class == PageClass::Inner {
+            Segment::Inner
+        } else {
+            Segment::Probation
+        };
         let entry = Entry {
             first,
             data: Some(data),
             pages,
             dirty,
-            seg: Segment::Probation,
+            seg,
             prev: NIL,
             next: NIL,
         };
@@ -373,23 +429,22 @@ impl Cache {
             self.slots.push(entry);
         }
         self.used_pages += pages;
-        self.push_back(Segment::Probation, slot);
+        self.push_back(seg, slot);
         self.evict_to_fit(victims);
     }
 
-    /// Evicts probation-LRU (then protected-LRU) entries until the budget
-    /// holds.
+    /// Evicts least recently used entries — probation's, then protected's,
+    /// then the inner list's — until the budget holds.
     fn evict_to_fit(&mut self, victims: &mut Vec<Evicted>) {
         while self.used_pages > self.capacity_pages {
-            let slot = match self.lists[Segment::Probation as usize].head {
-                NIL => self.lists[Segment::Protected as usize].head,
-                slot => slot,
-            };
-            let page = self.slots[slot].first;
+            let slot = self.lists.iter().map(|list| list.head).find(|&head| head != NIL);
+            let slot = slot.expect("a cache over its budget holds an entry");
+            let (page, class) = (self.slots[slot].first, self.class(slot));
             self.index.remove(&page);
             let (data, dirty) = self.release(slot);
-            self.stats.evictions += 1;
-            self.stats.dirty_evictions += dirty as u64;
+            let stats = &mut self.stats[class as usize];
+            stats.evictions += 1;
+            stats.dirty_evictions += dirty as u64;
             victims.push(Evicted { page, data, dirty });
         }
     }
@@ -420,10 +475,8 @@ impl Cache {
     /// page was freed or rewritten behind the entry's back. Resident entries
     /// are disjoint, so at most one can cover any page.
     pub fn invalidate_page(&mut self, p: PageId) {
-        if let Some((&first, &slot)) = self.index.range(..=p).next_back() {
-            if first + self.slots[slot].pages > p {
-                self.discard(first);
-            }
+        if let Some((first, _)) = self.covering_slot(p) {
+            self.discard(first);
         }
     }
 
@@ -449,6 +502,14 @@ impl Cache {
         self.invalidate_page(first);
         while let Some((&inside, _)) = self.index.range(first..first + n_pages).next() {
             self.discard(inside);
+        }
+    }
+
+    /// Drops the entry covering page `p` unless it starts there — what an
+    /// [`Cache::install`] at `p` replaces.
+    pub fn invalidate_around(&mut self, p: PageId) {
+        if let Some((first, _)) = self.covering_slot(p).filter(|&(first, _)| first != p) {
+            self.discard(first);
         }
     }
 
@@ -481,106 +542,119 @@ impl Cache {
         self.index.clear();
         self.slots.clear();
         self.vacant.clear();
-        self.lists = [List { head: NIL, tail: NIL }; 2];
+        self.lists = [List { head: NIL, tail: NIL }; 3];
         self.used_pages = 0;
         self.protected_pages = 0;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use PageClass::{Inner, Leaf};
+
+    /// Every resident entry of `c` as `(first, pages, class)`, in page order.
+    pub(crate) fn entries(c: &Cache) -> Vec<(PageId, u64, PageClass)> {
+        c.index
+            .iter()
+            .map(|(&first, &slot)| (first, c.slots[slot].pages, c.class(slot)))
+            .collect()
+    }
 
     fn region(byte: u8, pages: u64) -> PageImage {
         vec![byte; (pages * 16) as usize].into()
     }
 
-    /// A plain-LRU cache (protected share 0) — the page class's configuration.
-    fn lru(capacity_pages: u64) -> Cache {
-        Cache::new(capacity_pages, 0)
-    }
-
-    /// A 4/5-protected cache — the region class's configuration.
-    fn slru(capacity_pages: u64) -> Cache {
-        Cache::new(capacity_pages, 4)
-    }
-
-    /// Inserts a clean entry, returning the victims.
-    fn put(c: &mut Cache, first: PageId, pages: u64, dirty: bool) -> Vec<Evicted> {
+    /// Installs a page of `class`, returning the victims.
+    fn put_as(c: &mut Cache, page: PageId, dirty: bool, class: PageClass) -> Vec<Evicted> {
         let mut victims = Vec::new();
-        c.install(first, pages, region(first as u8, pages), dirty, &mut victims);
+        c.install(page, region(page as u8, 1), dirty, class, &mut victims);
         victims
     }
 
+    /// Installs an inner page — the plain-LRU pool — returning the victims.
+    fn put(c: &mut Cache, page: PageId, dirty: bool) -> Vec<Evicted> {
+        put_as(c, page, dirty, Inner)
+    }
+
+    /// Admits an entry of `class`, returning the victims.
+    fn admit_as(c: &mut Cache, first: PageId, pages: u64, class: PageClass) -> Vec<Evicted> {
+        let mut victims = Vec::new();
+        c.admit(first, pages, region(first as u8, pages), class, &mut victims);
+        victims
+    }
+
+    /// Admits a leaf entry.
     fn admit(c: &mut Cache, first: PageId, pages: u64, data: PageImage) {
-        c.admit(first, pages, data, &mut Vec::new());
+        c.admit(first, pages, data, Leaf, &mut Vec::new());
     }
 
     fn resident(c: &Cache, first: PageId) -> bool {
         c.index.contains_key(&first)
     }
 
-    // ------------------------------------------------------------- plain LRU --
+    // ---------------------------------------------------- inner entries: LRU --
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let mut p = lru(4);
-        assert!(p.get(1, 1, AccessHint::Point).is_none());
-        put(&mut p, 1, 1, false);
-        assert_eq!(p.get(1, 1, AccessHint::Point).unwrap(), region(1, 1));
-        let s = p.stats();
+        let mut p = Cache::new(4);
+        assert!(p.get(1, 1, Inner, AccessHint::Point).is_none());
+        put(&mut p, 1, false);
+        assert_eq!(p.get(1, 1, Inner, AccessHint::Point).unwrap(), region(1, 1));
+        let s = p.stats(Inner);
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
         let mut sum = s;
         sum.merge(&s);
         assert_eq!((sum.hits, sum.misses), (2, 2));
+        assert_eq!(p.stats(Leaf), CacheStats::default(), "a class counts its own lookups");
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut p = lru(3);
-        put(&mut p, 1, 1, false);
-        put(&mut p, 2, 1, false);
-        put(&mut p, 3, 1, false);
+        let mut p = Cache::new(3);
+        put(&mut p, 1, false);
+        put(&mut p, 2, false);
+        put(&mut p, 3, false);
         // touch 1 so 2 becomes the LRU victim
-        p.get(1, 1, AccessHint::Point);
-        let ev = put(&mut p, 4, 1, false);
+        p.get(1, 1, Inner, AccessHint::Point);
+        let ev = put(&mut p, 4, false);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].page, 2);
         assert!(resident(&p, 1) && !resident(&p, 2) && resident(&p, 3) && resident(&p, 4));
         // Re-installing a resident page moves it to the tail too.
-        put(&mut p, 1, 1, false);
-        assert_eq!(put(&mut p, 5, 1, false)[0].page, 3);
-        assert_eq!(p.protected_pages, 0, "a zero protected share never pins anything");
+        put(&mut p, 1, false);
+        assert_eq!(put(&mut p, 5, false)[0].page, 3);
+        assert_eq!(p.protected_pages, 0, "inner entries are never protected");
     }
 
     #[test]
     fn dirty_evictions_are_flagged() {
-        let mut p = lru(1);
-        put(&mut p, 1, 1, true);
-        let ev = put(&mut p, 2, 1, false);
+        let mut p = Cache::new(1);
+        put(&mut p, 1, true);
+        let ev = put(&mut p, 2, false);
         assert_eq!(ev.len(), 1);
         assert!(ev[0].dirty);
-        assert_eq!(p.stats().dirty_evictions, 1);
+        assert_eq!(p.stats(Inner).dirty_evictions, 1);
     }
 
     #[test]
     fn weights_count_towards_capacity() {
-        let mut p = lru(8);
-        put(&mut p, 0, 4, false);
-        put(&mut p, 10, 4, false);
+        let mut p = Cache::new(8);
+        admit_as(&mut p, 0, 4, Inner);
+        admit_as(&mut p, 10, 4, Inner);
         assert_eq!(p.used_pages(), 8);
         // Inserting a 4-page entry must evict one of the existing 4-page entries.
-        let ev = put(&mut p, 20, 4, false);
+        let ev = admit_as(&mut p, 20, 4, Inner);
         assert_eq!(ev.len(), 1);
         assert_eq!(p.used_pages(), 8);
     }
 
     #[test]
     fn oversized_entries_are_not_cached() {
-        let mut p = lru(2);
-        let ev = put(&mut p, 1, 3, false);
+        let mut p = Cache::new(2);
+        let ev = admit_as(&mut p, 1, 3, Inner);
         assert!(ev.is_empty());
         assert!(!resident(&p, 1));
         assert_eq!(p.used_pages(), 0);
@@ -588,39 +662,39 @@ mod tests {
 
     #[test]
     fn replacement_updates_weight_accounting() {
-        let mut p = lru(4);
-        put(&mut p, 1, 2, false);
-        put(&mut p, 1, 1, false);
+        let mut p = Cache::new(4);
+        admit_as(&mut p, 1, 2, Inner);
+        put(&mut p, 1, false);
         assert_eq!(p.used_pages(), 1);
         assert_eq!(p.index.len(), 1);
     }
 
     #[test]
     fn take_dirty_cleans_in_page_order() {
-        let mut p = lru(4);
-        put(&mut p, 2, 1, true);
-        put(&mut p, 1, 1, true);
-        put(&mut p, 3, 1, false);
+        let mut p = Cache::new(4);
+        put(&mut p, 2, true);
+        put(&mut p, 1, true);
+        put(&mut p, 3, false);
         assert_eq!(p.take_dirty(), vec![(1, region(1, 1)), (2, region(2, 1))]);
         assert!(p.take_dirty().is_empty(), "take_dirty cleans the entries");
         assert!(resident(&p, 1) && resident(&p, 2), "entries stay resident");
         // A fetched image never overwrites a dirty entry; it refreshes a clean one.
-        put(&mut p, 1, 1, true);
+        put(&mut p, 1, true);
         admit(&mut p, 1, 1, region(9, 1));
         admit(&mut p, 3, 1, region(9, 1));
-        assert_eq!(p.get(1, 1, AccessHint::Scan).unwrap(), region(1, 1));
-        assert_eq!(p.get(3, 1, AccessHint::Scan).unwrap(), region(9, 1));
+        assert_eq!(p.get(1, 1, Inner, AccessHint::Scan).unwrap(), region(1, 1));
+        assert_eq!(p.get(3, 1, Inner, AccessHint::Scan).unwrap(), region(9, 1));
     }
 
     #[test]
     fn remove_and_clear() {
-        let mut p = lru(4);
-        put(&mut p, 1, 1, true);
+        let mut p = Cache::new(4);
+        put(&mut p, 1, true);
         p.invalidate_page(1);
         assert!(!resident(&p, 1));
         assert!(p.take_dirty().is_empty(), "an invalidated dirty entry is discarded");
-        assert_eq!(p.stats().evictions, 0, "invalidation is not an eviction");
-        put(&mut p, 2, 1, false);
+        assert_eq!(p.stats(Inner).evictions, 0, "invalidation is not an eviction");
+        put(&mut p, 2, false);
         p.clear();
         assert!(p.index.is_empty() && p.slots.is_empty());
         assert_eq!(p.used_pages(), 0);
@@ -628,37 +702,37 @@ mod tests {
 
     #[test]
     fn zero_capacity_pool_caches_nothing() {
-        let mut p = lru(0);
-        let ev = put(&mut p, 1, 1, false);
+        let mut p = Cache::new(0);
+        let ev = put(&mut p, 1, false);
         assert!(ev.is_empty());
-        assert!(p.get(1, 1, AccessHint::Point).is_none());
-        assert_eq!(p.stats().misses, 1);
+        assert!(p.get(1, 1, Inner, AccessHint::Point).is_none());
+        assert_eq!(p.stats(Inner).misses, 1);
     }
 
     #[test]
     fn hits_on_a_resident_entry_keep_the_others_in_order() {
-        let mut p = lru(3);
-        put(&mut p, 1, 1, false);
-        put(&mut p, 2, 1, false);
-        put(&mut p, 3, 1, false);
+        let mut p = Cache::new(3);
+        put(&mut p, 1, false);
+        put(&mut p, 2, false);
+        put(&mut p, 3, false);
         for _ in 0..100_000 {
-            p.get(2, 1, AccessHint::Point);
+            p.get(2, 1, Inner, AccessHint::Point);
         }
         // 1 is still the LRU victim, then 3, and the much-hit 2 goes last.
-        assert_eq!(put(&mut p, 4, 1, false)[0].page, 1);
-        assert_eq!(put(&mut p, 5, 1, false)[0].page, 3);
-        assert_eq!(put(&mut p, 6, 1, false)[0].page, 2);
+        assert_eq!(put(&mut p, 4, false)[0].page, 1);
+        assert_eq!(put(&mut p, 5, false)[0].page, 3);
+        assert_eq!(put(&mut p, 6, false)[0].page, 2);
     }
 
     #[test]
     fn a_touched_entry_outlives_an_untouched_one() {
-        let mut p = lru(2);
-        put(&mut p, 1, 1, false);
-        put(&mut p, 2, 1, false);
+        let mut p = Cache::new(2);
+        put(&mut p, 1, false);
+        put(&mut p, 2, false);
         for _ in 0..100 {
-            p.get(1, 1, AccessHint::Point);
+            p.get(1, 1, Inner, AccessHint::Point);
         }
-        let ev = put(&mut p, 3, 1, false);
+        let ev = put(&mut p, 3, false);
         // victim must be page 2: page 1 was touched last
         assert_eq!(ev[0].page, 2);
         assert!(resident(&p, 1));
@@ -666,9 +740,9 @@ mod tests {
 
     #[test]
     fn resize_evicts_lru_first_and_hands_back_the_victims() {
-        let mut p = lru(4);
+        let mut p = Cache::new(4);
         for page in 1..=4 {
-            put(&mut p, page, 1, page == 2);
+            put(&mut p, page, page == 2);
         }
         let mut victims = Vec::new();
         p.resize(1, &mut victims);
@@ -677,15 +751,67 @@ mod tests {
         assert_eq!((p.capacity_pages, p.used_pages()), (1, 1));
     }
 
-    // ---------------------------------------------------------- segmented LRU --
+    // ------------------------------------------------------- inner entries last --
+
+    /// Eviction takes every leaf entry, protected ones too, before the least
+    /// recently used inner entry — however long ago that one was touched.
+    #[test]
+    fn inner_entries_are_evicted_only_when_no_leaf_entry_is_left() {
+        let mut c = Cache::new(6);
+        put(&mut c, 0, false);
+        put(&mut c, 1, false);
+        admit(&mut c, 10, 2, region(1, 2));
+        c.get(10, 2, Leaf, AccessHint::Point); // protected
+        admit(&mut c, 20, 2, region(2, 2));
+        let order = |ev: Vec<Evicted>| ev.iter().map(|v| v.page).collect::<Vec<_>>();
+        assert_eq!(
+            order(put_as(&mut c, 30, false, Leaf)),
+            vec![20],
+            "the probation leaf goes first"
+        );
+        assert_eq!(
+            order(admit_as(&mut c, 2, 2, Inner)),
+            vec![30],
+            "then the next probation leaf"
+        );
+        assert_eq!(order(admit_as(&mut c, 4, 1, Inner)), vec![10], "then the protected one");
+        assert_eq!(
+            order(admit_as(&mut c, 6, 2, Inner)),
+            vec![0],
+            "only then the least recently used inner entry"
+        );
+        assert_eq!((c.stats(Leaf).evictions, c.stats(Inner).evictions), (3, 1));
+        // A leaf entry admitted into a cache full of inner entries leaves
+        // first: it is its own victim.
+        assert_eq!(order(admit_as(&mut c, 40, 1, Leaf)), vec![40]);
+    }
+
+    /// A page write drops the entry covering its page from elsewhere and
+    /// keeps the one keyed at the page, for the install to replace.
+    #[test]
+    fn a_write_drops_only_the_overlaps_that_start_elsewhere() {
+        let mut c = Cache::new(16);
+        admit(&mut c, 0, 6, region(1, 6));
+        c.invalidate_around(4);
+        assert!(!resident(&c, 0), "a region around the page");
+        admit(&mut c, 4, 2, region(2, 2));
+        c.invalidate_around(4);
+        assert!(resident(&c, 4), "the entry keyed at the page");
+        put_as(&mut c, 4, false, Leaf);
+        assert_eq!(c.get(4, 1, Leaf, AccessHint::Scan).unwrap(), region(4, 1));
+        assert_eq!(c.covering(4), Some((4, region(4, 1))));
+        assert_eq!(c.covering(5), None);
+    }
+
+    // ------------------------------------------------- leaf entries: SLRU --
 
     #[test]
     fn point_miss_admits_and_rereference_promotes() {
-        let mut c = slru(10);
-        assert!(c.get(4, 2, AccessHint::Point).is_none());
+        let mut c = Cache::new(10);
+        assert!(c.get(4, 2, Leaf, AccessHint::Point).is_none());
         admit(&mut c, 4, 2, region(1, 2));
-        assert_eq!(c.get(4, 2, AccessHint::Point).unwrap(), region(1, 2));
-        let s = c.stats();
+        assert_eq!(c.get(4, 2, Leaf, AccessHint::Point).unwrap(), region(1, 2));
+        let s = c.stats(Leaf);
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(c.used_pages(), 2);
         assert_eq!(c.protected_pages, 2);
@@ -693,92 +819,92 @@ mod tests {
         // it together) refreshes the bytes and leaves its segment alone.
         admit(&mut c, 4, 2, region(7, 2));
         assert_eq!(c.protected_pages, 2);
-        assert_eq!(c.get(4, 2, AccessHint::Scan).unwrap(), region(7, 2));
+        assert_eq!(c.get(4, 2, Leaf, AccessHint::Scan).unwrap(), region(7, 2));
     }
 
     #[test]
     fn scan_miss_is_a_bypass_and_scan_hits_do_not_promote() {
-        let mut c = slru(10);
-        assert!(c.get(4, 2, AccessHint::Scan).is_none());
-        assert_eq!(c.stats().scan_bypasses, 1);
-        assert_eq!(c.stats().misses, 0);
+        let mut c = Cache::new(10);
+        assert!(c.get(4, 2, Leaf, AccessHint::Scan).is_none());
+        assert_eq!(c.stats(Leaf).scan_bypasses, 1);
+        assert_eq!(c.stats(Leaf).misses, 0);
         // A resident entry still serves scan hits.
         admit(&mut c, 4, 2, region(1, 2));
-        assert_eq!(c.get(4, 2, AccessHint::Scan).unwrap(), region(1, 2));
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.get(4, 2, Leaf, AccessHint::Scan).unwrap(), region(1, 2));
+        assert_eq!(c.stats(Leaf).hits, 1);
         assert_eq!(c.protected_pages, 0);
     }
 
     #[test]
     fn eviction_drains_probation_before_protected() {
-        let mut c = slru(6);
+        let mut c = Cache::new(6);
         // Protect region 0 with a re-reference.
         admit(&mut c, 0, 2, region(0, 2));
-        c.get(0, 2, AccessHint::Point);
+        c.get(0, 2, Leaf, AccessHint::Point);
         // Fill with one-touch probation entries; region 0 must survive.
         for i in 0..8u64 {
             let first = 10 + i * 2;
-            c.get(first, 2, AccessHint::Point);
+            c.get(first, 2, Leaf, AccessHint::Point);
             admit(&mut c, first, 2, region(i as u8, 2));
         }
         assert!(
-            c.get(0, 2, AccessHint::Scan).is_some(),
+            c.get(0, 2, Leaf, AccessHint::Scan).is_some(),
             "protected entry evicted by probation churn"
         );
-        assert!(c.stats().evictions > 0);
+        assert!(c.stats(Leaf).evictions > 0);
         assert!(c.used_pages() <= 6);
     }
 
     #[test]
     fn scan_stream_cannot_evict_the_point_working_set() {
-        let mut c = slru(8);
+        let mut c = Cache::new(8);
         // Hot set: 3 regions, touched twice (→ protected).
         for first in [0u64, 2, 4] {
-            c.get(first, 2, AccessHint::Point);
+            c.get(first, 2, Leaf, AccessHint::Point);
             admit(&mut c, first, 2, region(first as u8, 2));
-            c.get(first, 2, AccessHint::Point);
+            c.get(first, 2, Leaf, AccessHint::Point);
         }
         // A 100-region scan streams past: the device fetch happens on each
         // miss, and a scan read does NOT admit.
         for i in 0..100u64 {
-            assert!(c.get(100 + i * 2, 2, AccessHint::Scan).is_none());
+            assert!(c.get(100 + i * 2, 2, Leaf, AccessHint::Scan).is_none());
         }
         for first in [0u64, 2, 4] {
             assert!(
-                c.get(first, 2, AccessHint::Scan).is_some(),
+                c.get(first, 2, Leaf, AccessHint::Scan).is_some(),
                 "scan evicted hot region {first}"
             );
         }
-        assert_eq!(c.stats().scan_bypasses, 100);
-        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.stats(Leaf).scan_bypasses, 100);
+        assert_eq!(c.stats(Leaf).evictions, 0);
     }
 
     #[test]
     fn protected_cap_demotes_instead_of_growing() {
-        let mut c = slru(10); // protected cap = 8
+        let mut c = Cache::new(10); // protected cap = 8
         for first in [0u64, 2, 4, 6, 8] {
-            c.get(first, 2, AccessHint::Point);
+            c.get(first, 2, Leaf, AccessHint::Point);
             admit(&mut c, first, 2, region(first as u8, 2));
-            c.get(first, 2, AccessHint::Point); // promote
+            c.get(first, 2, Leaf, AccessHint::Point); // promote
         }
         // All five were promoted (10 pages), but protected holds ≤ 8 pages:
         // at least one was demoted back to probation, none were lost.
         assert_eq!(c.used_pages(), 10);
         assert_eq!(c.protected_pages, 8);
         for first in [0u64, 2, 4, 6, 8] {
-            assert!(c.get(first, 2, AccessHint::Scan).is_some());
+            assert!(c.get(first, 2, Leaf, AccessHint::Scan).is_some());
         }
     }
 
     #[test]
     fn hits_on_a_resident_region_keep_probation_in_order() {
-        let mut c = slru(6);
+        let mut c = Cache::new(6);
         for first in [0u64, 2, 4] {
             admit(&mut c, first, 2, region(first as u8, 2));
         }
         // Region 2 is promoted by its first hit and refreshed by the rest.
         for _ in 0..100_000 {
-            c.get(2, 2, AccessHint::Point);
+            c.get(2, 2, Leaf, AccessHint::Point);
         }
         // Probation still drains oldest-first (0, then 4) before the
         // protected region 2 is touched.
@@ -786,12 +912,12 @@ mod tests {
             admit(&mut c, first, 2, region(9, 2));
             for s in survivors {
                 assert!(
-                    c.get(s, 2, AccessHint::Scan).is_some(),
+                    c.get(s, 2, Leaf, AccessHint::Scan).is_some(),
                     "region {s} evicted out of order"
                 );
             }
         }
-        assert_eq!(c.stats().evictions, 2);
+        assert_eq!(c.stats(Leaf).evictions, 2);
     }
 
     /// A removed entry's slot is the next admission's: hits add none, and
@@ -800,37 +926,39 @@ mod tests {
     /// before it evicts.
     #[test]
     fn slots_are_reused_not_grown() {
-        for mut c in [lru(8), slru(8)] {
+        for class in [Inner, Leaf] {
+            let mut c = Cache::new(8);
+            let admit = |c: &mut Cache, first| c.admit(first, 1, region(1, 1), class, &mut Vec::new());
             for first in 0..8 {
-                admit(&mut c, first, 1, region(1, 1));
+                admit(&mut c, first);
             }
             for i in 0..100_000u64 {
-                c.get(i % 8, 1, AccessHint::Point);
+                c.get(i % 8, 1, class, AccessHint::Point);
             }
             assert_eq!(c.slots.len(), 8, "hits allocated slots");
             for first in 8..100_008 {
-                admit(&mut c, first, 1, region(1, 1));
-                c.get(first - 4, 1, AccessHint::Point);
+                admit(&mut c, first);
+                c.get(first - 4, 1, class, AccessHint::Point);
             }
             assert_eq!(c.index.len(), 8);
             assert_eq!(c.slots.len(), 9, "churn grew the slots");
             assert_eq!(c.vacant.len(), 1);
-            assert_eq!(c.stats().evictions, 100_000);
+            assert_eq!(c.stats(class).evictions, 100_000);
         }
     }
 
     #[test]
     fn invalidation_by_interior_page_and_by_range() {
-        let mut c = slru(16);
+        let mut c = Cache::new(16);
         admit(&mut c, 4, 4, region(1, 4));
         admit(&mut c, 8, 2, region(2, 2));
         // Page 6 lies inside the region starting at 4.
         c.invalidate_page(6);
-        assert!(c.get(4, 4, AccessHint::Scan).is_none());
-        assert!(c.get(8, 2, AccessHint::Scan).is_some());
+        assert!(c.get(4, 4, Leaf, AccessHint::Scan).is_none());
+        assert!(c.get(8, 2, Leaf, AccessHint::Scan).is_some());
         // A range write overlapping [7, 9) kills the region at 8.
         c.invalidate_range(7, 2);
-        assert!(c.get(8, 2, AccessHint::Scan).is_none());
+        assert!(c.get(8, 2, Leaf, AccessHint::Scan).is_none());
         assert_eq!(c.used_pages(), 0);
     }
 
@@ -838,14 +966,14 @@ mod tests {
     /// go to this thread's spares, except one a reader still holds.
     #[test]
     fn replaced_swapped_and_invalidated_images_become_spares() {
-        let mut c = slru(16);
+        let mut c = Cache::new(16);
         let spares = pio::spare_images;
         let base = spares();
-        put(&mut c, 1, 1, false);
-        let held = c.get(1, 1, AccessHint::Point).unwrap();
-        put(&mut c, 1, 1, false);
+        put(&mut c, 1, false);
+        let held = c.get(1, 1, Inner, AccessHint::Point).unwrap();
+        put(&mut c, 1, false);
         assert_eq!(spares(), base, "a held image is not kept");
-        put(&mut c, 1, 1, false);
+        put(&mut c, 1, false);
         assert_eq!(spares(), base + 1, "install replaced an unheld image");
         admit(&mut c, 1, 1, region(9, 1));
         assert_eq!(spares(), base + 2, "admission swapped one in");
@@ -861,14 +989,14 @@ mod tests {
 
     #[test]
     fn oversized_region_is_not_admitted_and_clear_empties() {
-        let mut c = slru(4);
+        let mut c = Cache::new(4);
         admit(&mut c, 0, 8, region(1, 8));
         assert_eq!(c.used_pages(), 0);
         admit(&mut c, 0, 2, region(1, 2));
         assert_eq!(c.used_pages(), 2);
         c.clear();
         assert_eq!(c.used_pages(), 0);
-        assert!(c.get(0, 2, AccessHint::Scan).is_none());
+        assert!(c.get(0, 2, Leaf, AccessHint::Scan).is_none());
     }
 
     // ------------------------------------------------------------ differential --
@@ -883,19 +1011,17 @@ mod tests {
     }
 
     /// The naive reference the differential test holds [`Cache`] to: each
-    /// segment is a `Vec` kept in recency order (front = next victim), every
+    /// list is a `Vec` kept in recency order (front = next victim), every
     /// operation is a linear scan. No stamps, no stale pairs, no compaction.
     /// A hit needs the same `(first, pages)`; a write replaces every entry it
     /// overlaps (the test first drops those that start elsewhere, as
     /// [`Cache::install`]'s callers must), and so does an admission, unless
-    /// one of them is dirty.
+    /// one of them is dirty. `lists` are probation, protected and inner.
     #[derive(Debug, Default)]
     struct Model {
         capacity: u64,
-        fifths: u64,
-        probation: Vec<Slot>,
-        protected: Vec<Slot>,
-        stats: CacheStats,
+        lists: [Vec<Slot>; 3],
+        stats: [CacheStats; 2],
     }
 
     fn weight(slots: &[Slot]) -> u64 {
@@ -903,29 +1029,34 @@ mod tests {
     }
 
     impl Model {
-        fn take(&mut self, first: PageId) -> Option<Slot> {
-            for seg in [&mut self.probation, &mut self.protected] {
-                if let Some(i) = seg.iter().position(|s| s.first == first) {
-                    return Some(seg.remove(i));
+        /// Removes the entry starting at `first`, with the list it was on.
+        fn take(&mut self, first: PageId) -> Option<(usize, Slot)> {
+            for (l, list) in self.lists.iter_mut().enumerate() {
+                if let Some(i) = list.iter().position(|s| s.first == first) {
+                    return Some((l, list.remove(i)));
                 }
             }
             None
         }
 
-        fn get(&mut self, first: PageId, pages: u64, hint: AccessHint) -> Option<PageImage> {
+        fn get(&mut self, first: PageId, pages: u64, class: PageClass, hint: AccessHint) -> Option<PageImage> {
+            let hint = if class == Inner { AccessHint::Point } else { hint };
             let same = |s: &&Slot| s.first == first && s.pages == pages;
-            let Some(slot) = self.probation.iter().chain(&self.protected).find(same) else {
+            let stats = &mut self.stats[class as usize];
+            let Some(slot) = self.lists.iter().flatten().find(same) else {
                 match hint {
-                    AccessHint::Point => self.stats.misses += 1,
-                    AccessHint::Scan => self.stats.scan_bypasses += 1,
+                    AccessHint::Point => stats.misses += 1,
+                    AccessHint::Scan => stats.scan_bypasses += 1,
                 }
                 return None;
             };
             let data = slot.data.clone();
-            self.stats.hits += 1;
+            let inner = self.lists[2].contains(slot);
+            self.stats[if inner { Inner } else { Leaf } as usize].hits += 1;
             if hint == AccessHint::Point {
-                let slot = self.take(first).unwrap();
-                self.protected.push(slot);
+                let (l, slot) = self.take(first).unwrap();
+                // Inner entries stay inner; leaf entries go to protected.
+                self.lists[if l == 2 { 2 } else { 1 }].push(slot);
                 self.settle(&mut Vec::new());
             }
             Some(data)
@@ -933,54 +1064,52 @@ mod tests {
 
         /// Demotes, then evicts, until both budgets hold.
         fn settle(&mut self, victims: &mut Vec<(PageId, bool)>) {
-            while weight(&self.protected) > self.capacity * self.fifths / 5 {
-                let slot = self.protected.remove(0);
-                self.probation.push(slot);
+            while weight(&self.lists[1]) > self.capacity * 4 / 5 {
+                let slot = self.lists[1].remove(0);
+                self.lists[0].push(slot);
             }
-            while weight(&self.probation) + weight(&self.protected) > self.capacity {
-                let seg = if self.probation.is_empty() {
-                    &mut self.protected
-                } else {
-                    &mut self.probation
-                };
-                let slot = seg.remove(0);
-                self.stats.evictions += 1;
-                self.stats.dirty_evictions += slot.dirty as u64;
+            while self.lists.iter().map(|l| weight(l)).sum::<u64>() > self.capacity {
+                let l = (0..3).find(|&l| !self.lists[l].is_empty()).unwrap();
+                let slot = self.lists[l].remove(0);
+                let class = if l == 2 { Inner } else { Leaf };
+                let stats = &mut self.stats[class as usize];
+                stats.evictions += 1;
+                stats.dirty_evictions += slot.dirty as u64;
                 victims.push((slot.first, slot.dirty));
             }
         }
 
-        fn put(&mut self, slot: Slot, replace: bool, victims: &mut Vec<(PageId, bool)>) {
+        fn put(&mut self, slot: Slot, class: PageClass, replace: bool, victims: &mut Vec<(PageId, bool)>) {
             let overlaps = |s: &&mut Slot| s.first < slot.first + slot.pages && slot.first < s.first + s.pages;
             if !replace {
-                let mut resident = self.probation.iter_mut().chain(&mut self.protected);
+                let mut resident = self.lists.iter_mut().flatten();
                 if let Some(old) = resident.find(|s| s.first == slot.first && s.pages == slot.pages) {
                     if !old.dirty {
                         old.data = slot.data;
                     }
                     return;
                 }
-                let mut resident = self.probation.iter_mut().chain(&mut self.protected);
+                let mut resident = self.lists.iter_mut().flatten();
                 if slot.pages > self.capacity || resident.any(|s| overlaps(&s) && s.dirty) {
                     return;
                 }
             }
             self.invalidate(slot.first, slot.pages);
             if slot.pages <= self.capacity {
-                self.probation.push(slot);
+                self.lists[if class == Inner { 2 } else { 0 }].push(slot);
                 self.settle(victims);
             }
         }
 
         fn invalidate(&mut self, first: PageId, n: u64) {
-            for seg in [&mut self.probation, &mut self.protected] {
-                seg.retain(|s| n == 0 || s.first + s.pages <= first || first + n <= s.first);
+            for list in &mut self.lists {
+                list.retain(|s| n == 0 || s.first + s.pages <= first || first + n <= s.first);
             }
         }
 
         fn take_dirty(&mut self) -> Vec<(PageId, PageImage)> {
             let mut out = Vec::new();
-            for slot in self.probation.iter_mut().chain(&mut self.protected).filter(|s| s.dirty) {
+            for slot in self.lists.iter_mut().flatten().filter(|s| s.dirty) {
                 slot.dirty = false;
                 out.push((slot.first, slot.data.clone()));
             }
@@ -989,9 +1118,9 @@ mod tests {
         }
     }
 
-    /// One segment's list, walked forwards from its head, as model slots.
-    /// Every step checks the back link to the step before, the entry's
-    /// segment and its index entry; the walk must end at the list's tail.
+    /// One list, walked forwards from its head, as model slots. Every step
+    /// checks the back link to the step before, the entry's segment and its
+    /// index entry; the walk must end at the list's tail.
     fn live(c: &Cache, seg: Segment, ctx: &str) -> Vec<Slot> {
         let list = c.lists[seg as usize];
         let (mut out, mut prev, mut slot) = (Vec::new(), NIL, list.head);
@@ -1013,10 +1142,11 @@ mod tests {
     }
 
     /// Drives [`Cache`] and [`Model`] through the same seeded stream of every
-    /// public operation, with mixed weights and hints, in both class
-    /// configurations, and demands identical answers, counters, victim
-    /// sequences and recency orders after every step — plus the structural
-    /// invariants the model cannot see. `CRASH_SEED` replays a failure.
+    /// public operation, with mixed weights, hints and classes — inner
+    /// entries only (the pool without a leaf budget), then both classes —
+    /// and demands identical answers, counters, victim sequences and recency
+    /// orders after every step, plus the structural invariants the model
+    /// cannot see. `CRASH_SEED` replays a failure.
     #[test]
     fn differential_against_a_naive_reference() {
         let seed: u64 = std::env::var("CRASH_SEED")
@@ -1030,16 +1160,15 @@ mod tests {
             x ^= x << 17;
             x % n
         };
-        for fifths in [0u64, 4] {
+        for mixed in [false, true] {
             let capacity = rand(100);
-            let mut cache = Cache::new(capacity, fifths);
+            let mut cache = Cache::new(capacity);
             let mut model = Model {
                 capacity,
-                fifths,
                 ..Model::default()
             };
             for step in 0..30_000u32 {
-                let ctx = format!("CRASH_SEED={seed} fifths={fifths} step={step}");
+                let ctx = format!("CRASH_SEED={seed} mixed={mixed} step={step}");
                 // 24 slots of 1–4 pages, eight pages apart — and, one step
                 // in four, an entry of another length inside a slot's eight
                 // pages, which overlaps the slot's own entry or starts where
@@ -1050,6 +1179,7 @@ mod tests {
                 } else {
                     (slot * 8, 1 + slot % 4)
                 };
+                let class = if mixed && rand(3) != 0 { Leaf } else { Inner };
                 let data = PageImage::from(vec![step as u8; 4]);
                 let mut victims = Vec::new();
                 let mut expected = Vec::new();
@@ -1065,39 +1195,34 @@ mod tests {
                             AccessHint::Point
                         };
                         assert_eq!(
-                            cache.get(first, pages, hint),
-                            model.get(first, pages, hint),
+                            cache.get(first, pages, class, hint),
+                            model.get(first, pages, class, hint),
                             "{ctx}: get"
                         );
                     }
                     800..=1199 => {
-                        // A write replaces at most the entry keyed by its
-                        // first page: its caller drops the others first.
-                        if cache
-                            .overlapping(first, pages)
-                            .any(|slot| cache.slots[slot].first != first)
-                        {
-                            cache.invalidate_range(first, pages);
-                        }
+                        // A page write replaces at most the entry keyed by
+                        // its page: its caller drops one around it first.
+                        cache.invalidate_around(first);
                         let dirty = rand(3) == 0;
-                        cache.install(first, pages, data.clone(), dirty, &mut victims);
+                        cache.install(first, data.clone(), dirty, class, &mut victims);
                         let slot = Slot {
                             first,
-                            pages,
+                            pages: 1,
                             data,
                             dirty,
                         };
-                        model.put(slot, true, &mut expected);
+                        model.put(slot, class, true, &mut expected);
                     }
                     1200..=1699 => {
-                        cache.admit(first, pages, data.clone(), &mut victims);
+                        cache.admit(first, pages, data.clone(), class, &mut victims);
                         let slot = Slot {
                             first,
                             pages,
                             data,
                             dirty: false,
                         };
-                        model.put(slot, false, &mut expected);
+                        model.put(slot, class, false, &mut expected);
                     }
                     1700..=1799 => {
                         let page = first + rand(8);
@@ -1117,34 +1242,29 @@ mod tests {
                     }
                     _ => {
                         cache.clear();
-                        model.probation.clear();
-                        model.protected.clear();
+                        model.lists.iter_mut().for_each(Vec::clear);
                     }
                 }
                 let victims: Vec<(PageId, bool)> = victims.iter().map(|v| (v.page, v.dirty)).collect();
                 assert_eq!(victims, expected, "{ctx}: victim sequence");
-                assert_eq!(cache.stats(), model.stats, "{ctx}: counters");
-                assert_eq!(
-                    live(&cache, Segment::Probation, &ctx),
-                    model.probation,
-                    "{ctx}: probation order"
-                );
-                assert_eq!(
-                    live(&cache, Segment::Protected, &ctx),
-                    model.protected,
-                    "{ctx}: protected order"
-                );
+                assert_eq!(cache.stats, model.stats, "{ctx}: counters");
+                for (seg, list) in [Segment::Probation, Segment::Protected, Segment::Inner]
+                    .into_iter()
+                    .zip(&model.lists)
+                {
+                    assert_eq!(&live(&cache, seg, &ctx), list, "{ctx}: {seg:?} order");
+                }
                 assert_eq!(
                     cache.index.len(),
-                    model.probation.len() + model.protected.len(),
+                    model.lists.iter().map(Vec::len).sum::<usize>(),
                     "{ctx}: an entry is on no list"
                 );
                 assert_eq!(
                     cache.used_pages,
-                    weight(&model.probation) + weight(&model.protected),
+                    model.lists.iter().map(|l| weight(l)).sum::<u64>(),
                     "{ctx}"
                 );
-                assert_eq!(cache.protected_pages, weight(&model.protected), "{ctx}");
+                assert_eq!(cache.protected_pages, weight(&model.lists[1]), "{ctx}");
                 assert!(cache.used_pages <= cache.capacity_pages, "{ctx}: over budget");
                 assert!(
                     cache.protected_pages <= cache.protected_cap(),

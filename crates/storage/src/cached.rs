@@ -1,49 +1,51 @@
 //! A page store with one cache in front of it — the component the indexes
 //! talk to.
 //!
-//! [`CachedStore`] composes a [`PageStore`] with two instances of the one
-//! [`Cache`] implementation, one per **page class**:
+//! [`CachedStore`] composes a [`PageStore`] with the one [`Cache`], whose
+//! entries carry their [`PageClass`] as a tag:
 //!
-//! * the **page class** holds single pages (internal nodes, and the last
-//!   leaf segments bupdate reads and writes) under the `pool_pages` budget
-//!   with a protected share of zero — the plain-LRU buffer pool the paper
-//!   sweeps in Figure 9 and trades off against the OPQ in Figure 11;
-//! * the optional **region class** ([`CachedStore::set_leaf_cache`]) holds
-//!   leaf pieces — whole multi-page leaf regions, and the single segments a
-//!   point lookup of a fenced leaf reads — under their own budget with a 4/5
-//!   protected share and the scan bypass, so `range_search` streams cannot
-//!   evict the point-lookup working set.
+//! * **inner** entries — the internal nodes every descent reads and
+//!   bupdate's fence propagation writes — are evicted only when no leaf entry
+//!   is left;
+//! * **leaf** entries — whole multi-page leaf regions, the single segments a
+//!   point lookup of a fenced leaf reads, and the last segments bupdate reads
+//!   and writes — share the rest of the budget as a segmented LRU whose
+//!   protected segment holds 4/5 of it, with a scan bypass, so `range_search`
+//!   streams cannot evict the point-lookup working set.
+//!
+//! The budget is `pool_pages` ([`CachedStore::new`], [`CachedStore::resize_pool`])
+//! plus the leaf budget ([`CachedStore::set_leaf_cache`]). **Without a leaf
+//! budget there are no leaf entries**: the cache holds single pages only — the
+//! internal nodes, and bupdate's segments — as one plain LRU, the buffer pool
+//! the paper sweeps in Figure 9 and trades off against the OPQ in Figure 11,
+//! and a lookup's leaf pieces and every multi-page region are read around it.
+//! The leaf budget adds its pages to that budget and makes every leaf piece a
+//! leaf entry.
 //!
 //! There is one read path and one write path, both over `(first_page,
-//! n_pages)` regions, and a page is a one-page region: a region is routed to
-//! its class by its length, except that a read submitted as leaf pieces
-//! ([`CachedStore::submit_leaf_read`]) goes to the region class whatever its
-//! length, so lookup segments never crowd internal nodes out of the page
-//! class, and the leaf budget caches the leaves a lookup reads (routed by
-//! length, the segments would leave the region class empty: `fig09_leaf_cache`'s
-//! split of one budget into pool and leaf cache then runs no faster than the
-//! whole budget as pool). The region class may thus hold a segment
-//! `(leaf + s, 1)` beside regions, even one starting at the same page as a
-//! whole `(leaf, L)`: a hit there needs the same `(first_page, n_pages)` — a
-//! read of the whole region is never handed a segment — and an admission
-//! drops every resident entry it overlaps, so resident entries stay
-//! disjoint, which [`Cache::invalidate_page`] relies on. Reads look both
-//! classes up at submission and send the misses of both to the device as
-//! **one** batch, so a warm cache
-//! automatically reduces the outstanding-I/O level — exactly the behaviour the
-//! cost model of Section 3.5 assumes. Writes apply the [`WritePolicy`] to page
-//! images and write region images around the cache:
+//! n_pages)` regions, and a page is a one-page region. What a read is — a
+//! page ([`CachedStore::submit_read`]), a segment bupdate reads
+//! ([`CachedStore::submit_segment_read`]) or a lookup's leaf piece
+//! ([`CachedStore::submit_leaf_read`]) — decides the class its entry takes;
+//! a multi-page region is always a leaf piece. A hit needs an entry of the
+//! same `(first_page, n_pages)` — a read of a whole region is never handed a
+//! segment — and an admission drops every resident entry it overlaps, so
+//! resident entries stay disjoint, which [`Cache::invalidate_page`] relies
+//! on. A read looks every region up at submission and sends the misses to
+//! the device as **one** batch, so a warm cache automatically reduces the
+//! outstanding-I/O level — exactly the behaviour the cost model of Section
+//! 3.5 assumes. Writes apply the [`WritePolicy`] to page images and write
+//! region images around the cache:
 //!
 //! * the baseline B+-tree and B-link tree use **write-back** (a conventional
 //!   no-force buffer manager: dirty nodes are written on eviction), and
 //! * the PIO B-tree uses **write-through** (it keeps no dirty buffers; all
 //!   node writes happen inside bupdate via psync I/O).
 //!
-//! The two classes cache overlapping page ranges under different keys, so they
-//! are kept coherent by one rule, applied at write submission: **a write of
-//! `[first, first + n)` drops every intersecting entry of the other class**
-//! (and, for a region, of its own — regions are never installed). Every image
-//! on its way to the device has its checksums recorded, and every image
+//! A write of `[first, first + n)` drops, at submission, every entry it
+//! overlaps that starts elsewhere; a page image then replaces the entry keyed
+//! at its own page in place, and a region image is installed nowhere. Every
+//! image on its way to the device has its checksums recorded, and every image
 //! fetched from it is verified; see [`crate::integrity`].
 //!
 //! Reads return [`PageImage`]s — shared, immutable images. **Hits are shared,
@@ -59,7 +61,7 @@
 //! ([`pio::recycle_image`]), which that thread's next miss or encoded page
 //! fills instead of allocating.
 
-use crate::cache::{AccessHint, Cache, CacheStats, Evicted};
+use crate::cache::{AccessHint, Cache, CacheStats, Evicted, PageClass};
 use crate::integrity::{page_checksum, Integrity, IntegrityStats, ScrubReport};
 use crate::page::{page_offset, PageId, PageImage};
 use crate::store::{PageStore, ReadTicket, WriteTicket};
@@ -78,25 +80,43 @@ pub enum WritePolicy {
     WriteThrough,
 }
 
-/// Protected share (in fifths of the budget) of the region class.
-const REGION_PROTECTED_FIFTHS: u64 = 4;
+/// What a read or a write carries, which decides the class of its entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Pages of an index node: inner entries.
+    Page,
+    /// Segments bupdate reads and writes one at a time: leaf entries with a
+    /// leaf budget, pool pages (inner entries) without one.
+    Segment,
+    /// A lookup's leaf pieces: leaf entries, cached only with a leaf budget.
+    LeafPiece,
+}
 
-/// An in-flight cache-aware read: hits of either class are captured at
-/// submission, the misses travel as one device batch. Redeemed with
-/// [`CachedStore::complete_read`].
+impl Access {
+    /// The class a region of `n_pages` pages is cached as, or `None` when it
+    /// is read around the cache. A multi-page region is a leaf piece whatever
+    /// the access.
+    fn class(self, n_pages: u64, leaf_budget: bool) -> Option<PageClass> {
+        match self {
+            Access::Page if n_pages == 1 => Some(PageClass::Inner),
+            Access::Segment if n_pages == 1 && !leaf_budget => Some(PageClass::Inner),
+            _ => leaf_budget.then_some(PageClass::Leaf),
+        }
+    }
+}
+
+/// An in-flight cache-aware read: hits are captured at submission, the misses
+/// travel as one device batch. Redeemed with [`CachedStore::complete_read`].
 #[derive(Debug)]
 #[must_use = "an in-flight read must be completed to obtain its buffers"]
 pub struct CachedReadTicket {
     /// Hit slots filled at submission; miss slots are `None` until completion.
     results: Vec<Option<PageImage>>,
-    /// `(slot, first page, page count)` of every miss, in device-batch order.
-    missing: Vec<(usize, PageId, u64)>,
+    /// `(slot, first page, page count, class to admit it as)` of every miss,
+    /// in device-batch order; no class for a miss that is not admitted.
+    missing: Vec<(usize, PageId, u64, Option<PageClass>)>,
     /// The in-flight device batch for `missing`; `None` when everything hit.
     ticket: Option<ReadTicket>,
-    /// Admission hint applied to the region-class misses at completion.
-    hint: AccessHint,
-    /// Whether every region is a leaf piece ([`CachedStore::submit_leaf_read`]).
-    leaf: bool,
 }
 
 /// An in-flight write. Cached copies of the overlapped pages are invalidated
@@ -109,68 +129,51 @@ pub struct CachedWriteTicket {
     pending: Option<WriteTicket>,
 }
 
-/// The two cache classes, behind one lock so the coherence rule between them
-/// is applied atomically.
+/// The one cache and the two budgets whose sum it holds.
 #[derive(Debug)]
-struct Classes {
-    pages: Cache,
-    /// Disabled (`None`) unless [`CachedStore::set_leaf_cache`] installs one,
-    /// so default construction never caches leaf regions.
-    regions: Option<Cache>,
+struct Pool {
+    cache: Cache,
+    pool_pages: u64,
+    leaf_pages: u64,
 }
 
-impl Classes {
-    /// Routes a read of `n_pages` pages: the class the region belongs to (if
-    /// enabled) and the hint its accesses carry there — the page class
-    /// ignores the caller's hint, single pages are always `Point` accesses.
-    /// A leaf piece goes to the region class whatever its length.
-    fn route(&mut self, n_pages: u64, hint: AccessHint, leaf: bool) -> (Option<&mut Cache>, AccessHint) {
-        if n_pages == 1 && !leaf {
-            (Some(&mut self.pages), AccessHint::Point)
-        } else {
-            (self.regions.as_mut(), hint)
-        }
-    }
-}
-
-/// The page class, held under the cache lock for a walk that does no I/O —
-/// see [`CachedStore::resident_pages`].
+/// The cache, held under its lock for a walk over resident internal nodes
+/// that does no I/O — see [`CachedStore::resident_pages`].
 #[derive(Debug)]
 pub struct ResidentPages<'a> {
-    caches: MutexGuard<'a, Classes>,
+    pool: MutexGuard<'a, Pool>,
 }
 
 impl ResidentPages<'_> {
-    /// The image of `page` if the page class holds it, counted and refreshed
-    /// like any `Point` hit. An absent page counts nothing: the read the
+    /// The image of `page` if the cache holds it, counted and refreshed like
+    /// any inner `Point` hit. An absent page counts nothing: the read the
     /// caller falls back to counts its miss.
     pub fn get(&mut self, page: PageId) -> Option<PageImage> {
-        self.caches.pages.get_resident(page, 1, AccessHint::Point)
+        self.pool.cache.get_resident(page, 1, AccessHint::Point)
     }
 }
 
-/// A [`PageStore`] fronted by one [`Cache`] per page class (see the
-/// [module docs](self)).
+/// A [`PageStore`] fronted by the one [`Cache`] (see the [module docs](self)).
 #[derive(Debug)]
 pub struct CachedStore {
     store: PageStore,
     policy: WritePolicy,
-    caches: Mutex<Classes>,
+    pool: Mutex<Pool>,
     integrity: Integrity,
 }
 
 impl CachedStore {
-    /// Creates a cached store with a page class of `capacity_pages` pages and
-    /// the given write policy. The region class starts disabled; see
-    /// [`CachedStore::set_leaf_cache`].
+    /// Creates a cached store with a budget of `capacity_pages` pages, no
+    /// leaf budget (see [`CachedStore::set_leaf_cache`]) and the given write
+    /// policy.
     pub fn new(store: PageStore, capacity_pages: u64, policy: WritePolicy) -> Self {
         Self {
             store,
             policy,
-            caches: Mutex::new(Classes {
-                // No protected share: the page class is a plain LRU.
-                pages: Cache::new(capacity_pages, 0),
-                regions: None,
+            pool: Mutex::new(Pool {
+                cache: Cache::new(capacity_pages),
+                pool_pages: capacity_pages,
+                leaf_pages: 0,
             }),
             integrity: Integrity::default(),
         }
@@ -186,26 +189,35 @@ impl CachedStore {
         self.integrity.tracked_pages()
     }
 
-    /// Installs (or, with `capacity_pages == 0`, removes) the scan-resistant
-    /// region class. Replaces any existing one, discarding its contents and
-    /// counters.
-    pub fn set_leaf_cache(&self, capacity_pages: u64) {
-        self.caches.lock().regions = (capacity_pages > 0).then(|| Cache::new(capacity_pages, REGION_PROTECTED_FIFTHS));
+    /// Sets the leaf budget: `capacity_pages` pages added to the pool's
+    /// budget, and with them leaf entries (0 removes both). Resident entries
+    /// and counters stay; dirty entries that no longer fit are written back.
+    pub fn set_leaf_cache(&self, capacity_pages: u64) -> IoResult<()> {
+        self.resize(|pool| pool.leaf_pages = capacity_pages)
     }
 
-    /// Region-class counters (zeros while the class is disabled).
+    /// Sets a budget and resizes the cache to the sum, writing back any
+    /// dirty entries that no longer fit.
+    fn resize(&self, set: impl FnOnce(&mut Pool)) -> IoResult<()> {
+        let mut victims = Vec::new();
+        {
+            let mut pool = self.pool.lock();
+            set(&mut pool);
+            let pages = pool.pool_pages + pool.leaf_pages;
+            pool.cache.resize(pages, &mut victims);
+        }
+        self.write_back(victims)
+    }
+
+    /// Counters of the leaf entries (zeros without a leaf budget).
     pub fn leaf_cache_stats(&self) -> CacheStats {
-        self.caches
-            .lock()
-            .regions
-            .as_ref()
-            .map(Cache::stats)
-            .unwrap_or_default()
+        self.pool.lock().cache.stats(PageClass::Leaf)
     }
 
-    /// Page-class counters (a zero-budget class still counts its misses).
+    /// Counters of the inner entries — every cached page without a leaf
+    /// budget (a zero budget still counts its misses).
     pub fn pool_stats(&self) -> CacheStats {
-        self.caches.lock().pages.stats()
+        self.pool.lock().cache.stats(PageClass::Inner)
     }
 
     /// The underlying page store.
@@ -251,28 +263,22 @@ impl CachedStore {
         self.store.ensure_high_water(pages)
     }
 
-    /// Frees a page, dropping every cached copy (of either class) and its
-    /// checksum. A dirty copy is intentionally discarded — the page no longer
-    /// belongs to the caller.
+    /// Frees a page, dropping the cached entry covering it and its checksum.
+    /// A dirty copy is intentionally discarded — the page no longer belongs
+    /// to the caller.
     pub fn free(&self, page: PageId) {
-        {
-            let mut caches = self.caches.lock();
-            caches.pages.invalidate_page(page);
-            if let Some(regions) = caches.regions.as_mut() {
-                regions.invalidate_page(page);
-            }
-        }
+        self.pool.lock().cache.invalidate_page(page);
         self.integrity.forget(page);
         self.store.free(page);
     }
 
     // ------------------------------------------------------------ the read path --
 
-    /// Submits a cache-aware batched read without waiting. Each `(first_page,
-    /// n_pages)` region is looked up in its class — multi-page regions with
-    /// `hint`, single pages always as `Point` accesses — and the misses of
-    /// both classes go to the device as one in-flight batch that overlaps
-    /// whatever else is outstanding on the backend.
+    /// Submits a cache-aware batched read without waiting. Each single page
+    /// is looked up as an inner `Point` access, each multi-page region as a
+    /// leaf piece with `hint`, and the misses go to the device as one
+    /// in-flight batch that overlaps whatever else is outstanding on the
+    /// backend.
     ///
     /// A region that reaches past the allocation high-water mark was never
     /// written by anyone: the id can only come from a rotted pointer, so the
@@ -280,19 +286,26 @@ impl CachedStore {
     /// offset (where a large enough one would wrap onto another page's bytes,
     /// which no recorded checksum would contradict).
     pub fn submit_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        self.submit(regions, hint, false)
+        self.submit(regions, hint, Access::Page)
     }
 
-    /// [`CachedStore::submit_read`] for pieces of leaf nodes: every region —
-    /// a one-page leaf segment too — is looked up in and admitted to the
-    /// region class, so segment pages never enter the page class, which
-    /// holds the internal nodes. A hit needs an entry of the same
+    /// [`CachedStore::submit_read`] of the leaf segments bupdate reads one
+    /// page at a time (and of one-segment leaves): leaf entries with a leaf
+    /// budget, pool pages without one, where the paper's buffer pool holds
+    /// them.
+    pub fn submit_segment_read(&self, segments: &[(PageId, u64)]) -> IoResult<CachedReadTicket> {
+        self.submit(segments, AccessHint::Point, Access::Segment)
+    }
+
+    /// [`CachedStore::submit_read`] for a lookup's pieces of leaf nodes:
+    /// every region — a one-page leaf segment too — is a leaf entry, cached
+    /// only with a leaf budget. A hit needs an entry of the same
     /// `(first_page, n_pages)`; see the [module docs](self).
     pub fn submit_leaf_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        self.submit(regions, hint, true)
+        self.submit(regions, hint, Access::LeafPiece)
     }
 
-    fn submit(&self, regions: &[(PageId, u64)], hint: AccessHint, leaf: bool) -> IoResult<CachedReadTicket> {
+    fn submit(&self, regions: &[(PageId, u64)], hint: AccessHint, access: Access) -> IoResult<CachedReadTicket> {
         let high_water = self.store.high_water_pages();
         if let Some(&(first, n)) = regions.iter().find(|&&(first, n)| n > high_water.saturating_sub(first)) {
             return Err(IoError::Corruption {
@@ -301,12 +314,13 @@ impl CachedStore {
             });
         }
         let mut results: Vec<Option<PageImage>> = vec![None; regions.len()];
-        let mut missing: Vec<(usize, PageId, u64)> = Vec::new();
+        let mut missing: Vec<(usize, PageId, u64, Option<PageClass>)> = Vec::new();
         {
-            let mut caches = self.caches.lock();
+            let mut pool = self.pool.lock();
+            let leaf_budget = pool.leaf_pages > 0;
             for (i, &(first, n)) in regions.iter().enumerate() {
-                let (class, hint) = caches.route(n, hint, leaf);
-                match class.and_then(|class| class.get(first, n, hint)) {
+                let class = access.class(n, leaf_budget);
+                match class.and_then(|class| pool.cache.get(first, n, class, hint)) {
                     Some(hit) => results[i] = Some(hit),
                     None => {
                         // Sized once, on the first miss: an all-hit read
@@ -314,7 +328,8 @@ impl CachedStore {
                         if missing.capacity() == 0 {
                             missing.reserve_exact(regions.len() - i);
                         }
-                        missing.push((i, first, n));
+                        let admit = class.filter(|&class| class == PageClass::Inner || hint == AccessHint::Point);
+                        missing.push((i, first, n, admit));
                     }
                 }
             }
@@ -322,49 +337,45 @@ impl CachedStore {
         let ticket = if missing.is_empty() {
             None
         } else {
-            let to_fetch: Vec<(PageId, u64)> = missing.iter().map(|&(_, p, n)| (p, n)).collect();
+            let to_fetch: Vec<(PageId, u64)> = missing.iter().map(|&(_, p, n, _)| (p, n)).collect();
             Some(self.store.submit_read(&to_fetch)?)
         };
         Ok(CachedReadTicket {
             results,
             missing,
             ticket,
-            hint,
-            leaf,
         })
     }
 
     /// Waits for an in-flight read and returns one image per region, in
     /// submission order. Every device-fetched image is verified against the
-    /// checksum sidecar, then admitted to its class as the device filled it —
-    /// the cache and the caller share it — except region-class images of a
-    /// `Scan` read, which bypass admission.
+    /// checksum sidecar, then admitted as the device filled it — the cache
+    /// and the caller share it — except leaf pieces of a `Scan` read, which
+    /// bypass admission, and what is read around the cache.
     pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<PageImage>> {
         let CachedReadTicket {
             mut results,
             missing,
             ticket,
-            hint,
-            leaf,
         } = ticket;
         if let Some(ticket) = ticket {
             let fetched = self.store.complete_read(ticket)?;
-            for (&(i, first, n), mut image) in missing.iter().zip(fetched) {
+            for (&(i, first, n, _), mut image) in missing.iter().zip(fetched) {
                 self.integrity.verify(&self.store, first, n, &mut image)?;
                 results[i] = Some(image);
             }
             let mut victims = Vec::new();
             {
-                let mut caches = self.caches.lock();
-                for &(i, first, n) in &missing {
-                    if let (Some(class), AccessHint::Point) = caches.route(n, hint, leaf) {
+                let mut pool = self.pool.lock();
+                for &(i, first, n, admit) in &missing {
+                    if let Some(class) = admit {
                         // An admission evicts about one entry: size the list
                         // for the batch at the first one, not by doubling.
                         if victims.capacity() == 0 {
                             victims.reserve_exact(missing.len());
                         }
                         let image = results[i].as_ref().expect("fetched above");
-                        class.admit(first, n, PageImage::clone(image), &mut victims);
+                        pool.cache.admit(first, n, PageImage::clone(image), class, &mut victims);
                     }
                 }
             }
@@ -376,13 +387,11 @@ impl CachedStore {
             .collect())
     }
 
-    /// Locks the cache for a walk over resident single pages: no I/O, no
+    /// Locks the cache for a walk over resident internal nodes: no I/O, no
     /// admission, only hits. Every read and write of the store takes the same
     /// lock, so drop the guard before falling back to one.
     pub fn resident_pages(&self) -> ResidentPages<'_> {
-        ResidentPages {
-            caches: self.caches.lock(),
-        }
+        ResidentPages { pool: self.pool.lock() }
     }
 
     /// Reads one page through the cache.
@@ -437,21 +446,22 @@ impl CachedStore {
     }
 
     /// Submits a batched write of `(first_page, image)` pairs, each image a
-    /// whole number of pages. Cached copies the images overlap are dropped
-    /// first (the coherence rule of the [module docs](self)). One-page images
-    /// then follow the [`WritePolicy`]: write-back installs them dirty and
-    /// sends nothing; write-through sends them with the call's one device
-    /// batch and installs them once that batch has succeeded — so a call that
+    /// whole number of pages; page images are inner entries. Cached entries
+    /// the images overlap are dropped first, except one keyed at a page
+    /// image's own page. Page images then follow the [`WritePolicy`]:
+    /// write-back installs them dirty and sends nothing; write-through sends
+    /// them with the call's one device batch and installs them — replacing
+    /// their entries in place — once that batch has succeeded, so a call that
     /// carries page images completes at submission. Multi-page images always
     /// go to the device and are never installed; a call of only those stays
     /// in flight until [`CachedStore::complete_write`].
     ///
     /// The images are shared, never copied: the device stack is handed each
-    /// one as it is ([`PageStore::submit_write`]), and the page class
-    /// installs the very image that went to the device — one allocation per
-    /// written page, the caller's. A caller must not change an image after
-    /// handing it in (an `Arc` it still holds is shared, so
-    /// [`std::sync::Arc::get_mut`] refuses anyway).
+    /// one as it is ([`PageStore::submit_write`]), and the cache installs the
+    /// very image that went to the device — one allocation per written page,
+    /// the caller's. A caller must not change an image after handing it in
+    /// (an `Arc` it still holds is shared, so [`std::sync::Arc::get_mut`]
+    /// refuses anyway).
     ///
     /// Ordering: the simulated backends apply the data at submission, so a read
     /// issued while the write is in flight sees the new bytes. The real-file
@@ -459,17 +469,20 @@ impl CachedStore {
     /// callers must not read pages overlapped by a write they have not completed
     /// yet (the tree's pipelines only overlap batches on disjoint pages).
     pub fn submit_write(&self, images: &[(PageId, PageImage)]) -> IoResult<CachedWriteTicket> {
+        self.write(images, Access::Page)
+    }
+
+    fn write(&self, images: &[(PageId, PageImage)], access: Access) -> IoResult<CachedWriteTicket> {
         let page_size = self.page_size();
         let is_page = |image: &PageImage| image.len() == page_size;
         {
-            let mut caches = self.caches.lock();
+            let mut pool = self.pool.lock();
             for (first, image) in images {
                 let n = (image.len() / page_size) as u64;
-                if let Some(regions) = caches.regions.as_mut() {
-                    regions.invalidate_range(*first, n);
-                }
-                if !is_page(image) {
-                    caches.pages.invalidate_range(*first, n);
+                if is_page(image) {
+                    pool.cache.invalidate_around(*first);
+                } else {
+                    pool.cache.invalidate_range(*first, n);
                 }
             }
         }
@@ -491,11 +504,13 @@ impl CachedStore {
             }
             let mut victims = Vec::new();
             {
-                let mut caches = self.caches.lock();
+                let mut pool = self.pool.lock();
+                let class = access
+                    .class(1, pool.leaf_pages > 0)
+                    .expect("a page write is never a leaf piece");
                 for (page, image) in images.iter().filter(|(_, d)| is_page(d)) {
-                    caches
-                        .pages
-                        .install(*page, 1, PageImage::clone(image), keep_dirty, &mut victims);
+                    pool.cache
+                        .install(*page, PageImage::clone(image), keep_dirty, class, &mut victims);
                 }
             }
             self.write_back(victims)?;
@@ -519,27 +534,30 @@ impl CachedStore {
         self.complete_write(self.submit_write(images)?)
     }
 
+    /// [`CachedStore::write_pages`] of the leaf segments bupdate writes one
+    /// page at a time: leaf entries with a leaf budget, pool pages without
+    /// one — so the next flush's [`CachedStore::submit_segment_read`] of a
+    /// last segment finds it.
+    pub fn write_segments(&self, images: &[(PageId, PageImage)]) -> IoResult<()> {
+        self.complete_write(self.write(images, Access::Segment)?)
+    }
+
     // -------------------------------------------------------------- maintenance --
 
     /// Flushes every dirty page to the store, in ascending page order, as one
     /// psync call — the checkpoint / shutdown path of the write-back policy.
     pub fn flush(&self) -> IoResult<()> {
-        let dirty = self.caches.lock().pages.take_dirty();
+        let dirty = self.pool.lock().cache.take_dirty();
         if dirty.is_empty() {
             return Ok(());
         }
         self.store.complete_write(self.submit_to_device(&dirty)?)
     }
 
-    /// Drops every cached entry of both classes without writing anything
-    /// (used between experiment phases and by crash simulation to start from
-    /// a cold cache).
+    /// Drops every cached entry without writing anything (used between
+    /// experiment phases and by crash simulation to start from a cold cache).
     pub fn drop_cache(&self) {
-        let mut caches = self.caches.lock();
-        caches.pages.clear();
-        if let Some(regions) = caches.regions.as_mut() {
-            regions.clear();
-        }
+        self.pool.lock().cache.clear();
     }
 
     /// Forgets every recorded page checksum (the scrub cursor resets with
@@ -554,25 +572,24 @@ impl CachedStore {
         self.integrity.reset();
     }
 
-    /// Resizes the page class, writing back any dirty entries that no longer fit.
-    /// Used by the experiments that sweep the pool size over one loaded index.
+    /// Resizes the pool's share of the budget, writing back any dirty entries
+    /// that no longer fit. Used by the experiments that sweep the pool size
+    /// over one loaded index.
     pub fn resize_pool(&self, capacity_pages: u64) -> IoResult<()> {
-        let mut victims = Vec::new();
-        self.caches.lock().pages.resize(capacity_pages, &mut victims);
-        self.write_back(victims)
+        self.resize(|pool| pool.pool_pages = capacity_pages)
     }
 
     /// One incremental scrub step: reads back and verifies up to `max_pages`
     /// tracked pages from the scrub cursor (one psync batch), wrapping to the
     /// lowest page when the end of the tracked set is reached. A mismatch is
-    /// re-read once; a *persistent* mismatch is counted as rot and — when the
-    /// page class still holds a copy that verifies — **healed** by rewriting
-    /// that copy to the device. No reader made that lookup, so it counts no
-    /// pool hit or miss and leaves recency alone. Unhealable rot keeps its
-    /// recorded checksum, so a foreground read of the page still fails
-    /// verification rather than serving bad bytes. Designed to ride a
-    /// maintenance tick: each call does a bounded slice of work off the
-    /// foreground path.
+    /// re-read once; a *persistent* mismatch is counted as rot and — when a
+    /// resident entry covers the page with bytes that verify, a single page
+    /// or a slice of a leaf region — **healed** by rewriting those bytes to
+    /// the device. No reader made that lookup, so it counts no hit or miss
+    /// and leaves recency alone. Unhealable rot keeps its recorded checksum,
+    /// so a foreground read of the page still fails verification rather than
+    /// serving bad bytes. Designed to ride a maintenance tick: each call does
+    /// a bounded slice of work off the foreground path.
     pub fn scrub_step(&self, max_pages: usize) -> IoResult<ScrubReport> {
         let Some((batch, wrapped)) = self.integrity.next_scrub_batch(max_pages) else {
             return Ok(ScrubReport {
@@ -586,6 +603,7 @@ impl CachedStore {
             wrapped,
             ..ScrubReport::default()
         };
+        let page_size = self.page_size();
         for ((page, _), image) in batch.into_iter().zip(images) {
             // Judge against the checksum recorded *now* — the page may have
             // been rewritten (or freed) since the batch was selected.
@@ -604,10 +622,11 @@ impl CachedStore {
             // Persistent rot. Heal from a cached copy when one verifies.
             self.integrity.count(|s| s.scrub_corruptions += 1);
             report.corrupt += 1;
-            let cached = self.caches.lock().pages.peek(page);
-            if let Some(copy) = cached {
-                if page_checksum(&copy) == expected {
-                    self.store.write_page(page, copy)?;
+            let cached = self.pool.lock().cache.covering(page);
+            if let Some((first, entry)) = cached {
+                let copy = &entry[(page - first) as usize * page_size..][..page_size];
+                if page_checksum(copy) == expected {
+                    self.store.write_page(page, copy.into())?;
                     self.integrity.count(|s| s.scrub_healed += 1);
                     report.healed += 1;
                 }
@@ -621,8 +640,10 @@ impl CachedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::entries;
     use pio::SimPsyncIo;
     use ssd_sim::DeviceProfile;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     fn cached(policy: WritePolicy, pool_pages: u64) -> CachedStore {
@@ -712,8 +733,8 @@ mod tests {
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 253) as u8).collect();
         c.write_page(first, img.as_slice().into()).unwrap();
         assert_eq!(point_region(&c, first, 4), img);
-        // Regions never enter the page class and the region class is disabled,
-        // so a second read hits the device again — without counting anything.
+        // Without a leaf budget a region is read around the cache, so a
+        // second read hits the device again — without counting anything.
         let before = c.store().stats().page_reads;
         assert_eq!(point_region(&c, first, 4), img);
         assert_eq!(c.store().stats().page_reads, before + 4);
@@ -721,16 +742,15 @@ mod tests {
         assert_eq!(c.pool_stats().misses, 0);
     }
 
-    /// A leaf piece goes to the region class whatever its length, and a hit
-    /// there needs the same `(first, pages)`: a read of the whole region — a
-    /// `Scan` one above all, which admits nothing — is never handed the
-    /// resident one-segment entry that starts where the region starts, and
-    /// an admission of either shape drops the other. The page class never
-    /// sees a segment.
+    /// A leaf piece is a leaf entry whatever its length, and a hit needs the
+    /// same `(first, pages)`: a read of the whole region — a `Scan` one above
+    /// all, which admits nothing — is never handed the resident one-segment
+    /// entry that starts where the region starts, and an admission of either
+    /// shape drops the other. No leaf piece counts as an inner access.
     #[test]
     fn a_whole_region_read_is_never_handed_a_segment_entry() {
         let c = cached(WritePolicy::WriteThrough, 16);
-        c.set_leaf_cache(16);
+        c.set_leaf_cache(16).unwrap();
         let leaf = c.allocate_contiguous(2);
         let image: Vec<u8> = (0..2 * 4096u32).map(|i| (i / 4096 + 1) as u8).collect();
         c.write_page(leaf, image.as_slice().into()).unwrap();
@@ -771,8 +791,10 @@ mod tests {
         assert_eq!(
             c.pool_stats(),
             CacheStats::default(),
-            "no leaf piece went to the page class"
+            "no leaf piece counted as an inner access"
         );
+        let entries = entries(&c.pool.lock().cache);
+        assert_eq!(entries, vec![(leaf, 2, PageClass::Leaf)], "one leaf entry, the region");
     }
 
     #[test]
@@ -835,10 +857,12 @@ mod tests {
         );
     }
 
+    /// The leaf budget adds its pages to the pool's: a 4-page region that
+    /// fits neither budget alone is cached in the two together.
     #[test]
     fn leaf_cache_serves_repeat_point_reads_without_device_io() {
-        let c = cached(WritePolicy::WriteThrough, 16);
-        c.set_leaf_cache(16);
+        let c = cached(WritePolicy::WriteThrough, 2);
+        c.set_leaf_cache(2).unwrap();
         let first = c.allocate_contiguous(4);
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 251) as u8).collect();
         c.write_page(first, img.as_slice().into()).unwrap();
@@ -855,12 +879,17 @@ mod tests {
         let out = c.read_regions(&[(first, 4)]).unwrap();
         assert_eq!(out[0][..], img[..]);
         assert_eq!(c.store().stats().page_reads, before);
+        // Without the leaf budget the region no longer fits, and leaves.
+        c.set_leaf_cache(0).unwrap();
+        assert_eq!(c.leaf_cache_stats().evictions, 1);
+        point_region(&c, first, 4);
+        assert_eq!(c.store().stats().page_reads, before + 4);
     }
 
     #[test]
     fn scan_hinted_reads_bypass_admission_but_hit_residents() {
         let c = cached(WritePolicy::WriteThrough, 16);
-        c.set_leaf_cache(16);
+        c.set_leaf_cache(16).unwrap();
         let a = c.allocate_contiguous(2);
         let b = c.allocate_contiguous(2);
         c.write_page(a, vec![1u8; 2 * 4096].into()).unwrap();
@@ -876,8 +905,8 @@ mod tests {
         let before = c.store().stats().page_reads;
         read_region(&c, b, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before, "scan hits resident entries");
-        // The page class ignores the hint: a scan-hinted single page is
-        // admitted like any other.
+        // A single page is an inner entry, which ignores the hint: a
+        // scan-hinted page is admitted like any other.
         let p = c.allocate();
         c.store().write_page(p, vec![3u8; 4096].into()).unwrap();
         read_region(&c, p, 1, AccessHint::Scan).unwrap();
@@ -885,12 +914,13 @@ mod tests {
         read_region(&c, p, 1, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before, "single pages are always admitted");
         assert_eq!(c.leaf_cache_stats().scan_bypasses, 2, "and never count as bypasses");
+        assert_eq!((c.pool_stats().misses, c.pool_stats().hits), (1, 1));
     }
 
     #[test]
     fn leaf_cache_is_invalidated_by_every_write_path() {
         let c = cached(WritePolicy::WriteThrough, 16);
-        c.set_leaf_cache(32);
+        c.set_leaf_cache(32).unwrap();
         let r = c.allocate_contiguous(2);
         c.write_page(r, vec![1u8; 2 * 4096].into()).unwrap();
         point_region(&c, r, 2); // admit
@@ -934,13 +964,16 @@ mod tests {
         c.write_page(p, vec![4u8; 4096].into()).unwrap();
         assert_eq!(c.read_page(p).unwrap()[0], 4);
         assert_eq!(c.pool_stats().hits, 0);
-        assert_eq!(c.pool_stats().misses, 1, "a zero-budget page class still counts misses");
+        assert_eq!(c.pool_stats().misses, 1, "a zero budget still counts misses");
     }
 
+    /// A single page is an inner entry and a region a leaf entry, both in
+    /// the one budget — here the leaf budget's three pages alone — and the
+    /// misses of both ride one device batch.
     #[test]
     fn a_mixed_read_batch_routes_by_length_and_rides_one_device_batch() {
-        let c = cached(WritePolicy::WriteThrough, 16);
-        c.set_leaf_cache(16);
+        let c = cached(WritePolicy::WriteThrough, 0);
+        c.set_leaf_cache(3).unwrap();
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
         c.write_page(r, vec![1u8; 2 * 4096].into()).unwrap();
@@ -957,7 +990,9 @@ mod tests {
         );
         assert_eq!(after.page_reads - before.page_reads, 3);
         assert_eq!((c.pool_stats().misses, c.leaf_cache_stats().misses), (1, 1));
-        // Each was admitted to its own class: the repeat is all hits.
+        let entries = entries(&c.pool.lock().cache);
+        assert_eq!(entries, vec![(r, 2, PageClass::Leaf), (p, 1, PageClass::Inner)]);
+        // Both were admitted: the repeat is all hits.
         c.read_regions(&[(r, 2), (p, 1)]).unwrap();
         assert_eq!(c.store().stats().page_reads, after.page_reads);
         assert_eq!((c.pool_stats().hits, c.leaf_cache_stats().hits), (1, 1));
@@ -966,7 +1001,7 @@ mod tests {
     #[test]
     fn a_mixed_write_batch_installs_its_pages_and_writes_around_its_regions() {
         let c = cached(WritePolicy::WriteThrough, 16);
-        c.set_leaf_cache(16);
+        c.set_leaf_cache(16).unwrap();
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
         let before = c.store().stats().write_batches;
@@ -1186,7 +1221,7 @@ mod tests {
     fn shared_images_never_change_under_a_reader() {
         for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
             let c = cached(policy, 4);
-            c.set_leaf_cache(8);
+            c.set_leaf_cache(8).unwrap();
             let filled = |byte: u8, pages: usize| PageImage::from(vec![byte; pages * 4096]);
             let all = |image: &[u8], byte: u8| image.iter().all(|&b| b == byte);
 
@@ -1220,7 +1255,7 @@ mod tests {
             assert!(all(&held_region, 3), "{policy:?}: region write over a held region");
             assert!(all(&point_region(&c, r, 2), 5));
 
-            // Spares: misses past the region class (4 regions) evict the held
+            // Spares: misses past the budget (6 regions) evict the held
             // region and images nobody holds; the misses after them read into
             // the unheld ones (each miss takes a spare, its admission's
             // eviction gives one back), never into the held one.
@@ -1255,13 +1290,15 @@ mod tests {
                 "{policy:?}: misses into spares under a held region"
             );
 
-            // Eviction (the pool holds 4 pages), drop_cache and free.
+            // Eviction (the budget holds 12 pages, and the inner entries go
+            // only after every leaf entry), drop_cache and free.
             let held = c.read_page(p).unwrap();
-            for _ in 0..6 {
+            for _ in 0..12 {
                 let other = c.allocate();
                 c.write_page(other, filled(9, 1)).unwrap();
             }
             assert!(all(&held, 2), "{policy:?}: eviction under a held image");
+            assert_eq!(entries(&c.pool.lock().cache).len(), 12, "{policy:?}: p was evicted");
             assert!(
                 all(&c.read_page(p).unwrap(), 2),
                 "{policy:?}: the evicted bytes reached the device"
@@ -1315,5 +1352,143 @@ mod tests {
         assert!(c.store().read_page(p).unwrap().iter().all(|&b| b == 6));
         assert!(held.iter().all(|&b| b == 6));
         assert_eq!(c.pool_stats().dirty_evictions, 1);
+    }
+
+    /// Scrub heals a page from whichever resident entry covers it: here the
+    /// second page of a cached leaf region.
+    #[test]
+    fn scrub_heals_a_page_from_a_resident_leaf_region() {
+        let c = cached(WritePolicy::WriteThrough, 4);
+        c.set_leaf_cache(8).unwrap();
+        let leaf = c.allocate_contiguous(2);
+        let image: Vec<u8> = (0..2 * 4096u32).map(|i| (i / 4096 + 1) as u8).collect();
+        c.write_page(leaf, image.as_slice().into()).unwrap();
+        point_region(&c, leaf, 2);
+        rot(&c, leaf + 1, 40);
+        let mut healed = 0;
+        loop {
+            let r = c.scrub_step(8).unwrap();
+            healed += r.healed;
+            if r.wrapped {
+                break;
+            }
+        }
+        assert_eq!(healed, 1);
+        assert_eq!(c.leaf_cache_stats().hits, 0, "the heal lookup is no access");
+        c.drop_cache();
+        assert_eq!(
+            c.read_page(leaf + 1).unwrap()[..],
+            image[4096..],
+            "the device copy verifies"
+        );
+    }
+
+    /// The store against a naive reference — what each page last had
+    /// written to it — through a seeded stream of page, segment, leaf-piece
+    /// and `Scan` reads, page, segment and region writes, and frees, without
+    /// and with a leaf budget. Every read returns the last bytes written,
+    /// whether it hit or missed; resident entries stay disjoint and inside
+    /// the budget; there is no leaf entry without a leaf budget; and an inner
+    /// entry is evicted only when no leaf entry is left. `CRASH_SEED`
+    /// replays a failure.
+    #[test]
+    fn differential_against_a_naive_reference() {
+        let seed: u64 = std::env::var("CRASH_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x5EED_5702E);
+        let mut x = seed | 1;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let filled = |bytes: &[u8]| -> PageImage { bytes.iter().flat_map(|&b| [b; 4096]).collect() };
+        for leaf_pages in [0, 20] {
+            let c = cached(WritePolicy::WriteThrough, 6);
+            c.set_leaf_cache(leaf_pages).unwrap();
+            // Twelve two-page leaves, and more internal nodes than the
+            // whole budget holds.
+            let leaves: Vec<PageId> = (0..12).map(|_| c.allocate_contiguous(2)).collect();
+            let inner: Vec<PageId> = (0..32).map(|_| c.allocate()).collect();
+            let mut model: HashMap<PageId, u8> = HashMap::new();
+            for (i, &leaf) in leaves.iter().enumerate() {
+                c.write_page(leaf, filled(&[i as u8, i as u8 + 100])).unwrap();
+                model.extend([(leaf, i as u8), (leaf + 1, i as u8 + 100)]);
+            }
+            for (i, &page) in inner.iter().enumerate() {
+                c.write_page(page, filled(&[i as u8 + 150])).unwrap();
+                model.insert(page, i as u8 + 150);
+            }
+            for step in 0..6_000u32 {
+                let ctx = format!("CRASH_SEED={seed} leaf_pages={leaf_pages} step={step}");
+                let byte = step as u8;
+                let node = inner[rand(32) as usize];
+                let leaf = leaves[rand(12) as usize];
+                let segment = leaf + rand(2);
+                let inner_evictions = c.pool_stats().evictions;
+                let read =
+                    |ticket: IoResult<CachedReadTicket>| c.complete_read(ticket.unwrap()).unwrap().pop().unwrap();
+                let (first, image) = match rand(10) {
+                    0..=1 => (node, read(c.submit_read(&[(node, 1)], AccessHint::Point))),
+                    2 => (segment, read(c.submit_segment_read(&[(segment, 1)]))),
+                    3 => (segment, read(c.submit_leaf_read(&[(segment, 1)], AccessHint::Point))),
+                    4 => (leaf, read(c.submit_leaf_read(&[(leaf, 2)], AccessHint::Point))),
+                    5 => (leaf, read(c.submit_read(&[(leaf, 2)], AccessHint::Scan))),
+                    6 => {
+                        c.write_page(node, filled(&[byte])).unwrap();
+                        model.insert(node, byte);
+                        (node, read(c.submit_read(&[(node, 1)], AccessHint::Point)))
+                    }
+                    7 => {
+                        c.write_segments(&[(segment, filled(&[byte]))]).unwrap();
+                        model.insert(segment, byte);
+                        (leaf, read(c.submit_leaf_read(&[(leaf, 2)], AccessHint::Point)))
+                    }
+                    8 => {
+                        c.write_page(leaf, filled(&[byte, byte.wrapping_add(1)])).unwrap();
+                        model.extend([(leaf, byte), (leaf + 1, byte.wrapping_add(1))]);
+                        (segment, read(c.submit_segment_read(&[(segment, 1)])))
+                    }
+                    _ => {
+                        let page = if rand(2) == 0 { node } else { segment };
+                        c.free(page);
+                        (page, read(c.submit_read(&[(page, 1)], AccessHint::Point)))
+                    }
+                };
+                for (i, page) in image.chunks(4096).enumerate() {
+                    let expected = model[&(first + i as u64)];
+                    assert!(
+                        page.iter().all(|&b| b == expected),
+                        "{ctx}: page {} read stale bytes",
+                        first + i as u64
+                    );
+                }
+                let pool = c.pool.lock();
+                let entries = entries(&pool.cache);
+                let mut end = 0;
+                for &(first, pages, _) in &entries {
+                    assert!(first >= end, "{ctx}: the entry at {first} overlaps the one before");
+                    end = first + pages;
+                }
+                let used: u64 = entries.iter().map(|&(_, pages, _)| pages).sum();
+                assert!(used <= pool.pool_pages + pool.leaf_pages, "{ctx}: over budget");
+                let leaf_entries = entries
+                    .iter()
+                    .filter(|&&(_, _, class)| class == PageClass::Leaf)
+                    .count();
+                assert!(
+                    leaf_pages > 0 || leaf_entries == 0,
+                    "{ctx}: a leaf entry without a leaf budget"
+                );
+                if pool.cache.stats(PageClass::Inner).evictions > inner_evictions {
+                    assert_eq!(leaf_entries, 0, "{ctx}: an inner entry left before the leaf entries");
+                }
+            }
+            let (inner, leaf) = (c.pool_stats(), c.leaf_cache_stats());
+            assert!(inner.hits > 0 && inner.evictions > 0, "{inner:?}");
+            assert!(leaf_pages == 0 || (leaf.hits > 0 && leaf.evictions > 0), "{leaf:?}");
+        }
     }
 }

@@ -10,21 +10,20 @@
 //!   allocation plus one ticketed read ([`PageStore::submit_read`]) and one
 //!   ticketed write ([`PageStore::submit_write`]) over batches of regions, each
 //!   batch one psync call that index hot paths can keep in flight beside others.
-//! * [`Cache`] — the one cache implementation: a weighted segmented LRU with a
-//!   scan bypass and dirty tracking, which with a protected share of zero is a
-//!   plain LRU. A hit is one index probe, a reference-count bump and an O(1)
-//!   relink.
-//! * [`CachedStore`] — what index code talks to: the store behind **two
-//!   classes** of that cache and **one region path**. The *page class* is the
-//!   paper's buffer pool (its size is swept in Figure 9 and traded off against
-//!   the operation queue in Figure 11) under a write-back or write-through
-//!   [`WritePolicy`]; the optional *region class* keeps multi-page leaf regions,
-//!   and the single leaf segments a point lookup reads, whose reads carry an
-//!   [`AccessHint`] so `range_search` streams cannot evict the point-lookup
-//!   working set. `submit_read` / `submit_write` route each region to its
-//!   class by its length (`submit_leaf_read` sends a leaf piece of any length
-//!   to the region class), keep the classes coherent, and verify every
-//!   device-fetched image against the [`integrity`] sidecar.
+//! * [`Cache`] — the one cache: a weighted segmented LRU with a scan bypass
+//!   and dirty tracking, whose entries carry their [`PageClass`] as a tag —
+//!   inner entries are evicted only when no leaf entry is left. A hit is one
+//!   index probe, a reference-count bump and an O(1) relink.
+//! * [`CachedStore`] — what index code talks to: the store behind that one
+//!   cache and **one region path**, under one budget — the paper's buffer
+//!   pool (its size is swept in Figure 9 and traded off against the
+//!   operation queue in Figure 11) plus an optional leaf budget. Page writes
+//!   follow a write-back or write-through [`WritePolicy`]. Without a leaf
+//!   budget the cache holds single pages as one plain LRU; with one, leaf
+//!   pieces — regions, a lookup's segments, bupdate's last segments — are
+//!   leaf entries whose reads carry an [`AccessHint`], so `range_search`
+//!   streams cannot evict the point-lookup working set. Every device-fetched
+//!   image is verified against the [`integrity`] sidecar.
 //! * [`Wal`] — an append-only write-ahead log used by the PIO B-tree's crash
 //!   recovery (Section 3.4).
 //!
@@ -42,7 +41,7 @@ pub mod page;
 pub mod store;
 pub mod wal;
 
-pub use cache::{AccessHint, Cache, CacheStats, Evicted};
+pub use cache::{AccessHint, Cache, CacheStats, Evicted, PageClass};
 pub use cached::{CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy};
 pub use integrity::{IntegrityStats, ScrubReport};
 pub use page::{new_image, PageId, PageImage, INVALID_PAGE};

@@ -112,9 +112,9 @@ fn uniform_keys(calls: usize, per_call: usize) -> Vec<Vec<u64>> {
 }
 
 /// Allocations and region reads per cold `multi_search(64)` on one tree whose
-/// internal nodes stay in the pool and whose region class holds
-/// `leaf_cache_pages` pages (0: off) — far fewer than its leaves, so every
-/// call reads most of its leaves from the device. Counted over 200 calls
+/// internal nodes stay in the pool and whose leaf budget adds
+/// `leaf_cache_pages` pages to it (0: none) — far fewer than its leaves, so
+/// every call reads most of its leaves from the device. Counted over 200 calls
 /// after 100 that warm the pool and the spares.
 fn cold_multi_search(entries: u64, leaf_cache_pages: u64) -> (f64, f64) {
     let mut config = tree_config(false);
@@ -228,7 +228,7 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
     );
 
     // ---- `multi_search(64)` on one tree, every leaf a device read ------------------
-    // With the region class off, each distinct leaf of a call is one region
+    // Without a leaf budget, each distinct leaf of a call is one region
     // read past the cache, and its image dies with the call.
     let (per_call, regions) = cold_multi_search(ENTRIES, 0);
     println!(
@@ -241,12 +241,14 @@ fn warm_reads_and_the_flush_cycle_stay_within_their_allocation_budgets() {
          {COLD_CALL_ALLOCATIONS} more: {per_call:.1} per call for {regions:.1} regions"
     );
 
-    // ---- point_cold's shape: the same, through a region class smaller than the leaves -
+    // ---- point_cold's shape: the same, through a leaf budget smaller than the leaves -
     // Each miss's admission evicts an image nobody holds, which becomes a
-    // spare; the next call's misses read into the spares.
-    let (per_call, regions) = cold_multi_search(4 * ENTRIES, 1024);
+    // spare; the next call's misses read into the spares. The pool's and the
+    // leaf budget's 2,048 pages together hold about a third of this tree's
+    // leaves, so a call still reads most of its leaves from the device.
+    let (per_call, regions) = cold_multi_search(12 * ENTRIES, 1024);
     println!(
-        "PioBTree::multi_search(64), cold leaves through the region class: {per_call:.1} allocations \
+        "PioBTree::multi_search(64), cold leaves through the leaf budget: {per_call:.1} allocations \
          per call for {regions:.1} regions read"
     );
     assert!(
@@ -411,9 +413,9 @@ const SEARCH_ALLOCATIONS: u64 = 3;
 /// regions it reads: the result, the read ticket's slot and miss lists, the
 /// device batch's request and image lists — a fixed few per call, nothing more
 /// per region. Past the cache each region read is one new image more
-/// (measured: 7.0 + 58.6 regions); through a region class whose evictions
+/// (measured: 7.0 + 58.6 regions); through a leaf budget whose evictions
 /// free images nobody holds, the misses read into those and no region costs
-/// an image (measured: 10.8 per call for 39.5 regions, 50 before the spares).
+/// an image (measured: 11.2 per call for 44.6 regions, 50 before the spares).
 const COLD_CALL_ALLOCATIONS: f64 = 16.0;
 
 /// What the insert + flush cycle may allocate per inserted entry (measured:
