@@ -1386,11 +1386,11 @@ mod tests {
     /// The store against a naive reference — what each page last had
     /// written to it — through a seeded stream of page, segment, leaf-piece
     /// and `Scan` reads, page, segment and region writes, and frees, without
-    /// and with a leaf budget. Every read returns the last bytes written,
-    /// whether it hit or missed; resident entries stay disjoint and inside
-    /// the budget; there is no leaf entry without a leaf budget; and an inner
-    /// entry is evicted only when no leaf entry is left. `CRASH_SEED`
-    /// replays a failure.
+    /// and with a leaf budget, and budgets that shrink and grow. Every read
+    /// returns the last bytes written, whether it hit or missed; resident
+    /// entries stay disjoint and inside the budget; there is no leaf entry
+    /// without a leaf budget; and an inner entry is evicted only when no leaf
+    /// entry is left. `CRASH_SEED` replays a failure.
     #[test]
     fn differential_against_a_naive_reference() {
         let seed: u64 = std::env::var("CRASH_SEED")
@@ -1408,10 +1408,11 @@ mod tests {
         for leaf_pages in [0, 20] {
             let c = cached(WritePolicy::WriteThrough, 6);
             c.set_leaf_cache(leaf_pages).unwrap();
-            // Twelve two-page leaves, and more internal nodes than the
-            // whole budget holds.
+            // Twelve two-page leaves and eight internal nodes: the budget
+            // (6 + `leaf_pages` pages, resized now and then to as little as
+            // one) holds every internal node or only some.
             let leaves: Vec<PageId> = (0..12).map(|_| c.allocate_contiguous(2)).collect();
-            let inner: Vec<PageId> = (0..32).map(|_| c.allocate()).collect();
+            let inner: Vec<PageId> = (0..8).map(|_| c.allocate()).collect();
             let mut model: HashMap<PageId, u8> = HashMap::new();
             for (i, &leaf) in leaves.iter().enumerate() {
                 c.write_page(leaf, filled(&[i as u8, i as u8 + 100])).unwrap();
@@ -1424,13 +1425,13 @@ mod tests {
             for step in 0..6_000u32 {
                 let ctx = format!("CRASH_SEED={seed} leaf_pages={leaf_pages} step={step}");
                 let byte = step as u8;
-                let node = inner[rand(32) as usize];
+                let node = inner[rand(8) as usize];
                 let leaf = leaves[rand(12) as usize];
                 let segment = leaf + rand(2);
                 let inner_evictions = c.pool_stats().evictions;
                 let read =
                     |ticket: IoResult<CachedReadTicket>| c.complete_read(ticket.unwrap()).unwrap().pop().unwrap();
-                let (first, image) = match rand(10) {
+                let (first, image) = match rand(11) {
                     0..=1 => (node, read(c.submit_read(&[(node, 1)], AccessHint::Point))),
                     2 => (segment, read(c.submit_segment_read(&[(segment, 1)]))),
                     3 => (segment, read(c.submit_leaf_read(&[(segment, 1)], AccessHint::Point))),
@@ -1451,11 +1452,19 @@ mod tests {
                         model.extend([(leaf, byte), (leaf + 1, byte.wrapping_add(1))]);
                         (segment, read(c.submit_segment_read(&[(segment, 1)])))
                     }
-                    _ => {
+                    9 => {
                         let page = if rand(2) == 0 { node } else { segment };
                         c.free(page);
                         (page, read(c.submit_read(&[(page, 1)], AccessHint::Point)))
                     }
+                    _ if rand(4) == 0 => {
+                        c.resize_pool(rand(8)).unwrap();
+                        if leaf_pages > 0 {
+                            c.set_leaf_cache(1 + rand(leaf_pages)).unwrap();
+                        }
+                        (node, read(c.submit_read(&[(node, 1)], AccessHint::Point)))
+                    }
+                    _ => (leaf, read(c.submit_leaf_read(&[(leaf, 2)], AccessHint::Point))),
                 };
                 for (i, page) in image.chunks(4096).enumerate() {
                     let expected = model[&(first + i as u64)];
