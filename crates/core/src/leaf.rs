@@ -9,11 +9,13 @@
 //! cancel inserts, updates replace values), re-materialises the survivors as sorted
 //! insert records, and only then does the node split if it is still full.
 //!
-//! The format has **one parser**, [`LeafView`]: it borrows a region image,
-//! validates every segment header once, and answers reads from the bytes where
-//! they lie — a point read scans the segments newest-first for the key's
-//! latest record, a range read emits a leaf that is still sorted inserts
-//! straight into the caller's output. A view of one segment page is a view
+//! The format has **one parser**, [`LeafView`]: it borrows the images that
+//! tile the pages read — one image of the whole region, or one per page, as
+//! the store's one cache of pages hands them back — validates every segment
+//! header once, and answers reads from the bytes where they lie: a point read
+//! scans the segments newest-first for the key's latest record, a range read
+//! emits a leaf that is still sorted inserts straight into the caller's
+//! output. A view of one segment page is a view
 //! too: a leaf that is still strictly ascending inserts (bulk loaded, or
 //! shrunk by bupdate's full path and not appended to since) holds each key
 //! only in the segment its position puts it in, so a point read of such a
@@ -24,8 +26,9 @@
 //! not carry the segment tag (an uninitialised trailing segment — an all-zero
 //! region is an empty leaf), and a record slot inside a segment's count whose
 //! op byte is not `i`/`d`/`u` is skipped. What is **corrupt** —
-//! [`pio::IoError::Corruption`], never a panic: an image that is not a whole
-//! number of pages, and a segment whose count exceeds what a page holds.
+//! [`pio::IoError::Corruption`], never a panic: tiles that are not one whole
+//! image or one image per page, and a segment whose count exceeds what a page
+//! holds.
 
 use crate::entry::{resolve, resolve_key, OpEntry, OpKind, ENTRY_BYTES};
 use btree::{Key, Value};
@@ -39,39 +42,46 @@ const SEG_HEADER: usize = 8;
 const TAG_PIO_LEAF_SEGMENT: u8 = 3;
 
 /// A borrowed, validated leaf region (or a single segment page of one): the
-/// segments that hold records, read in place. See the [module docs](self).
-#[derive(Debug, Clone, Copy)]
-pub struct LeafView<'a> {
-    /// The live segments: whole pages, each carrying the segment tag and a
-    /// count within capacity.
-    live: &'a [u8],
+/// segments that hold records, read in place from the images that tile the
+/// pages — one image of them all, or one per page. See the
+/// [module docs](self).
+#[derive(Debug, Clone)]
+pub struct LeafView<'a, T = PageImage> {
+    tiles: &'a [T],
+    /// The live segments: the pages before the first untagged one, each
+    /// carrying the segment tag and a count within capacity.
+    live: usize,
     page_size: usize,
 }
 
-impl<'a> LeafView<'a> {
-    /// Validates the image of the leaf pages starting at `first`.
-    pub fn new(first: PageId, image: &'a [u8], page_size: usize) -> IoResult<Self> {
+impl<'a, T: AsRef<[u8]>> LeafView<'a, T> {
+    /// Validates the leaf pages starting at `first`, tiled by `tiles`.
+    pub fn new(first: PageId, tiles: &'a [T], page_size: usize) -> IoResult<Self> {
+        let len = |tile: &T| tile.as_ref().len();
         let corrupt = || IoError::Corruption {
             offset: first.saturating_mul(page_size as u64),
-            len: image.len() as u64,
+            len: tiles.iter().map(len).sum::<usize>() as u64,
         };
-        if page_size <= SEG_HEADER || !image.len().is_multiple_of(page_size) {
+        let pages = match tiles {
+            [whole] if len(whole).is_multiple_of(page_size) => len(whole) / page_size,
+            tiles if tiles.iter().all(|tile| len(tile) == page_size) => tiles.len(),
+            _ => return Err(corrupt()),
+        };
+        if page_size <= SEG_HEADER {
             return Err(corrupt());
         }
         let mut live = 0;
-        for page in image.chunks_exact(page_size) {
+        while live < pages {
+            let page = page(tiles, page_size, live);
             if page[0] != TAG_PIO_LEAF_SEGMENT {
                 break; // uninitialised trailing segment
             }
             if Self::count(page) > PioLeaf::segment_capacity(page_size) {
                 return Err(corrupt());
             }
-            live += page_size;
+            live += 1;
         }
-        Ok(Self {
-            live: &image[..live],
-            page_size,
-        })
+        Ok(Self { tiles, live, page_size })
     }
 
     /// The record count a segment page's header claims.
@@ -81,12 +91,14 @@ impl<'a> LeafView<'a> {
 
     /// Segments holding records (pages before the first untagged one).
     pub fn live_segments(&self) -> usize {
-        self.live.len() / self.page_size
+        self.live
     }
 
     /// The record slots of every live segment, oldest first.
-    fn slots(&self) -> impl DoubleEndedIterator<Item = &'a [u8]> {
-        self.live.chunks_exact(self.page_size).flat_map(|page| {
+    fn slots(&self) -> impl DoubleEndedIterator<Item = &'a [u8]> + 'a {
+        let (tiles, page_size) = (self.tiles, self.page_size);
+        (0..self.live).flat_map(move |i| {
+            let page = page(tiles, page_size, i);
             // In bounds: `new` checked the count against the page's capacity.
             page[SEG_HEADER..SEG_HEADER + Self::count(page) * ENTRY_BYTES].chunks_exact(ENTRY_BYTES)
         })
@@ -126,6 +138,15 @@ impl<'a> LeafView<'a> {
                 out.push((e.key, e.value));
             }
         }
+    }
+}
+
+/// Page `i` of the leaf pages `tiles` tile: one image of them all, or one
+/// per page.
+fn page<T: AsRef<[u8]>>(tiles: &[T], page_size: usize, i: usize) -> &[u8] {
+    match tiles {
+        [whole] => &whole.as_ref()[i * page_size..][..page_size],
+        tiles => tiles[i].as_ref(),
     }
 }
 
@@ -301,7 +322,7 @@ impl PioLeaf {
     /// leaves have `segments` segments — the owned form of [`LeafView`], for
     /// the paths that mutate.
     pub fn decode(first: PageId, buf: &[u8], segments: usize, page_size: usize) -> IoResult<Self> {
-        let view = LeafView::new(first, buf, page_size)?;
+        let view = LeafView::new(first, std::slice::from_ref(&buf), page_size)?;
         let mut records = Vec::with_capacity(view.live_segments() * Self::segment_capacity(page_size));
         records.extend(view.records());
         Ok(Self { segments, records })
@@ -517,8 +538,15 @@ mod tests {
     /// Everything a read asks of a leaf, answered by the view and by the owned
     /// reference decoded from the same image.
     fn assert_view_matches_owned(image: &[u8], segments: usize, probes: &[Key], ranges: &[(Key, Key)], ctx: &str) {
-        let view = LeafView::new(7, image, PAGE).unwrap();
+        let view = LeafView::new(7, std::slice::from_ref(&image), PAGE).unwrap();
         let owned = PioLeaf::decode(7, image, segments, PAGE).unwrap();
+        let pages: Vec<&[u8]> = image.chunks(PAGE).collect();
+        let paged = LeafView::new(7, &pages, PAGE).unwrap();
+        assert_eq!(
+            paged.records().collect::<Vec<_>>(),
+            owned.records,
+            "{ctx}: records, one tile per page"
+        );
         assert_eq!(view.records().collect::<Vec<_>>(), owned.records, "{ctx}: records");
         for &key in probes {
             assert_eq!(view.lookup(key), owned.lookup(key), "{ctx}: lookup({key})");
@@ -577,7 +605,7 @@ mod tests {
         }
         let zeroes = vec![0u8; segments * PAGE];
         assert_view_matches_owned(&zeroes, segments, &[1, 2, 3], &[(0, Key::MAX)], "an all-zero region");
-        assert_eq!(LeafView::new(7, &zeroes, PAGE).unwrap().live_segments(), 0);
+        assert_eq!(LeafView::new(7, &[&zeroes], PAGE).unwrap().live_segments(), 0);
     }
 
     /// `shrink` against the naive reference — `entry::resolve` into a
@@ -670,7 +698,7 @@ mod tests {
             let mut mutated = image.to_vec();
             mutated[at] = value;
             let ctx = format!("CRASH_SEED={seed} byte {at} = {value}");
-            match LeafView::new(7, &mutated, PAGE) {
+            match LeafView::new(7, &[&mutated], PAGE) {
                 Ok(_) => assert_view_matches_owned(&mutated, segments, &[0, 1, 30, 33, 449], &[(0, Key::MAX)], &ctx),
                 Err(e) => {
                     assert!(matches!(e, IoError::Corruption { .. }), "{ctx}: {e}");
@@ -678,8 +706,10 @@ mod tests {
                 }
             }
         }
-        // An image that is not whole pages is corruption too, not a slice panic.
-        assert!(LeafView::new(7, &image[..PAGE + 1], PAGE).is_err());
+        // An image that is not whole pages is corruption too, not a slice
+        // panic, and so are tiles that are neither one image nor one per page.
+        assert!(LeafView::new(7, &[&image[..PAGE + 1]], PAGE).is_err());
+        assert!(LeafView::new(7, &[&image[..2 * PAGE], &image[2 * PAGE..]], PAGE).is_err());
         assert!(PioLeaf::decode(7, &image[..PAGE + 1], segments, PAGE).is_err());
     }
 }

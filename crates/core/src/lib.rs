@@ -64,25 +64,29 @@
 //! invalidating: a write installs the new image, a free or a crash drops it.
 //! [`PioConfig::leaf_cache_pages`] adds a leaf budget to the pool's
 //! ([`storage::CachedStore::set_leaf_cache`]) and with it *leaf* entries:
-//! the multi-page leaf regions and segments lookups read, and the last
-//! segments bupdate reads and writes, share the one budget as a segmented
-//! LRU, inner entries are evicted only when no leaf entry is left, and
+//! every page of a leaf the tree reads or writes — whole leaves, the
+//! segments lookups read, the last segments bupdate reads and writes — is a
+//! leaf page in the one budget's segmented LRU, one entry per page, so a
+//! segment read takes a page a whole-leaf read admitted and the reverse.
+//! Inner entries are evicted only when no leaf entry is left, and
 //! `range_search` streams bypass admission. So a warm tree serves hot point
 //! lookups without any I/O, and the next flush finds the segments the last
 //! one wrote. It defaults to 0 (off), preserving the paper-faithful I/O
 //! pattern. The `fig09_leaf_cache` bench asserts that at an equal memory
 //! budget on one shared device, pool + leaf budget serve a skewed
-//! multi-search ≥ 1.2× faster than the pool alone (single-page caching
-//! cannot hold multi-page leaf regions); `tests/resident_descent.rs` covers
+//! multi-search ≥ 1.2× faster than the pool alone (without a leaf budget the
+//! leaves of a multi-segment tree are read around the cache);
+//! `tests/resident_descent.rs` covers
 //! descents over a pool that holds the internal levels against descents over
 //! one that cannot, crash and migration coherence, and the scan-resistance
 //! floor.
 //!
 //! ## The read path touches a page's bytes once
 //!
-//! A page or leaf region comes out of the store as a shared, immutable
+//! A page comes out of the store as a shared, immutable
 //! [`storage::PageImage`] — the image the cache verified and keeps, not a copy
-//! — and is searched where it lies: [`btree::InternalView`] binary-searches an
+//! — and a leaf as the images that tile it, one per page or one of the whole
+//! region where it was read past the cache; each is searched where it lies: [`btree::InternalView`] binary-searches an
 //! internal node's encoded keys, [`leaf::LeafView`] scans a leaf's segments
 //! newest-first for a key's latest record and emits a still-sorted leaf
 //! straight into a range result. Both views validate their header once and

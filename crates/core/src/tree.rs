@@ -36,10 +36,23 @@ use pio::{IoResult, SimPsyncIo, TicketRing};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{CachedStore, Lsn, PageId, PageImage, PageStore, Wal, WritePolicy};
+use storage::{Access, CachedStore, Lsn, PageId, PageImage, PageStore, Wal, WritePolicy};
 
 pub(crate) mod flush;
 mod search;
+
+/// How the store caches the pages of a tree's leaves, whatever part of a
+/// leaf a read or a write carries. A leaf of one segment is a segment, which
+/// the pool holds beside the internal nodes when there is no leaf budget (the
+/// paper's buffer pool); the pages of a longer leaf are cached only with a
+/// leaf budget. With one, every leaf page is a leaf entry at every `L`.
+fn leaf_access(config: &PioConfig) -> Access {
+    if config.leaf_segments == 1 {
+        Access::Segment
+    } else {
+        Access::LeafPiece
+    }
+}
 
 /// Operation and structural counters of a [`PioBTree`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -255,7 +268,7 @@ impl PioBTree {
                         (first, leaf.encode(page_size))
                     })
                     .collect();
-                store.submit_write(&region_writes)
+                store.submit_write(&region_writes, leaf_access(&config))
             },
             |ticket| store.complete_write(ticket),
             |_, ()| Ok(()),
@@ -282,7 +295,7 @@ impl PioBTree {
                 next_level.push((chunk[0].0, page));
                 writes.push((page, Node::Internal(node).encode(page_size)));
             }
-            store.write_pages(&writes)?;
+            store.write_pages(&writes, Access::Node)?;
             level = next_level;
             if level.len() == 1 {
                 break;
@@ -617,8 +630,12 @@ impl PioBTree {
         fn visit(tree: &PioBTree, page: PageId, level: usize, lo: Option<Key>, hi: Option<Key>) -> IoResult<u64> {
             if level == tree.internal_levels() {
                 // Leaf region.
-                let image = tree.read_leaf_image(page)?;
-                let leaf = PioLeaf::decode(page, &image, tree.config.leaf_segments, tree.config.page_size)?;
+                let page_size = tree.config.page_size;
+                let tiles = tree.read_leaves(&[(page, tree.config.leaf_segments as u64)])?;
+                let leaf = PioLeaf {
+                    segments: tree.config.leaf_segments,
+                    records: LeafView::new(page, &tiles, page_size)?.records().collect(),
+                };
                 for rec in &leaf.records {
                     if let Some(lo) = lo {
                         assert!(rec.key >= lo, "leaf record {} below bound {lo}", rec.key);
@@ -627,7 +644,6 @@ impl PioBTree {
                         assert!(rec.key < hi, "leaf record {} above bound {hi}", rec.key);
                     }
                 }
-                let page_size = tree.config.page_size;
                 if let Some(cached) = tree.lsmap.get(page) {
                     assert_eq!(
                         cached,
@@ -642,12 +658,14 @@ impl PioBTree {
                         "fenced leaf {page} is not strictly ascending inserts"
                     );
                     let mut firsts = Vec::new();
-                    for segment in image
-                        .chunks_exact(page_size)
-                        .skip(1)
-                        .take(leaf.last_segment(page_size) as usize)
-                    {
-                        firsts.push(LeafView::new(page, segment, page_size)?.records().next().map(|e| e.key));
+                    let segments = tiles.iter().flat_map(|tile| tile.chunks_exact(page_size));
+                    for segment in segments.skip(1).take(leaf.last_segment(page_size) as usize) {
+                        firsts.push(
+                            LeafView::new(page, &[segment], page_size)?
+                                .records()
+                                .next()
+                                .map(|e| e.key),
+                        );
                     }
                     assert_eq!(
                         firsts,

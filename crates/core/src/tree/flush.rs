@@ -10,7 +10,7 @@
 //! [`PioBTree::undo_flush`] — applies a journal, whether it was captured in
 //! process or rebuilt from the log by [`PioBTree::recover_with`].
 
-use super::PioBTree;
+use super::{leaf_access, PioBTree};
 use crate::entry::OpEntry;
 use crate::leaf::{LeafView, PioLeaf};
 use crate::mpsearch::Descent;
@@ -19,7 +19,7 @@ use btree::{InternalNode, InternalView, Key, Node};
 use pio::ring::run_pipeline;
 use pio::{zeroed_image, IoResult, TicketRing};
 use std::sync::Arc;
-use storage::{new_image, PageId, PageImage};
+use storage::{new_image, next_region, Access, AccessHint, PageId, PageImage};
 
 /// A pending fence-key insertion produced by a node split during bupdate.
 #[derive(Debug, Clone)]
@@ -261,7 +261,7 @@ impl PioBTree {
                     }
                 })
                 .collect();
-            self.store.write_pages(&images)?;
+            self.store.write_pages(&images, Access::Node)?;
         }
         Ok(())
     }
@@ -317,7 +317,7 @@ impl PioBTree {
         run_pipeline(
             &mut TicketRing::new(self.pipeline_depth),
             jobs.len().div_ceil(pio_max),
-            |c| store.submit_segment_read(&ls_pages[chunk(c)]),
+            |c| store.submit_read(&ls_pages[chunk(c)], Access::Segment, AccessHint::Point),
             |ticket| store.complete_read(ticket),
             |c, ls_images| {
                 let c = chunk(c);
@@ -386,7 +386,7 @@ impl PioBTree {
         };
 
         for (i, job) in chunk.iter().enumerate() {
-            let last_segment = LeafView::new(job.leaf + last_ls[i] as u64, &ls_images[i], page_size)?;
+            let last_segment = LeafView::new(job.leaf + last_ls[i] as u64, &ls_images[i..=i], page_size)?;
             let known = self.lsmap.get(job.leaf).is_some() && last_segment.live_segments() == 1;
             if !known {
                 full_path.push(i);
@@ -430,17 +430,19 @@ impl PioBTree {
         let mut region_writes: Vec<(PageId, PageImage)> = Vec::new();
         if !full_path.is_empty() {
             let regions: Vec<(PageId, u64)> = full_path.iter().map(|&i| (chunk[i].leaf, segments as u64)).collect();
-            let images = self.store.read_regions(&regions)?;
-            for (&i, image) in full_path.iter().zip(&images) {
+            let images = self.read_leaves(&regions)?;
+            let mut rest = &images[..];
+            for &i in &full_path {
                 let job = &chunk[i];
+                let tiles = next_region(&mut rest, segments as u64, page_size);
                 // One undo step per page of the region.
-                for (p, pre) in image.chunks(page_size).enumerate() {
+                for (p, pre) in tiles.iter().flat_map(|tile| tile.chunks(page_size)).enumerate() {
                     journal.image(self, job.leaf + p as u64, pre.into());
                 }
                 self.stats.leaf_rewrites += 1;
                 leaf.records.clear();
                 leaf.records
-                    .extend(LeafView::new(job.leaf, image, page_size)?.records());
+                    .extend(LeafView::new(job.leaf, tiles, page_size)?.records());
                 leaf.append(job.ops);
                 self.stats.shrinks += 1;
                 leaf.shrink();
@@ -496,10 +498,10 @@ impl PioBTree {
         // for the rewritten regions (reads never mix with writes).
         self.force_wal()?;
         if !page_writes.is_empty() {
-            self.store.write_segments(&page_writes)?;
+            self.store.write_pages(&page_writes, Access::Segment)?;
         }
         if !region_writes.is_empty() {
-            self.store.write_pages(&region_writes)?;
+            self.store.write_pages(&region_writes, leaf_access(&self.config))?;
         }
         Ok(())
     }
@@ -589,7 +591,7 @@ impl PioBTree {
                 writes.push((parent_page, Node::Internal(node).encode(page_size)));
             }
             self.force_wal()?;
-            self.store.write_pages(&writes)?;
+            self.store.write_pages(&writes, Access::Node)?;
             pending = next_pending;
         }
         Ok(())

@@ -10,26 +10,28 @@
 //! strictly ascending inserts, so each key has one segment it can be in) the
 //! piece is that one segment page, `(leaf + s, 1)`; keys that share a leaf and
 //! a segment share the read. Any other leaf is read whole, `(leaf, L)`, with
-//! one large request (`Pr(L)` in the cost model). With `L > 1` pieces are
-//! the store's leaf pieces whatever their length, cached only with a leaf
-//! budget; with `L = 1` a leaf is a segment, which the pool has always held.
-//! `range_search` reads whole regions.
+//! one large request (`Pr(L)` in the cost model) when it is read past the
+//! cache. `range_search` reads whole regions. Every leaf read names its pages
+//! as leaf pages ([`super::leaf_access`]), cached one page each: with a leaf
+//! budget a point read takes whatever pages of a piece are resident, and only
+//! the rest travels, one page per request.
 //!
-//! A leaf image is touched once: the store hands out the shared image it
-//! verified and cached, and a [`LeafView`] answers from those bytes where they
-//! lie. Everything a batched call needs besides its result — the sort order,
-//! the sorted keys, the descent, a chunk's region list, the ring of tickets in
+//! A leaf image is touched once: the store hands out the shared images it
+//! verified and cached — one per page, or one of a region read past the
+//! cache — and a [`LeafView`] answers from those bytes where they lie.
+//! Everything a batched call needs besides its result — the sort order, the
+//! sorted keys, the descent, a chunk's region list, the ring of tickets in
 //! flight — lives in [`SearchScratch`], which the tree owns and reuses from
 //! call to call.
 
-use super::PioBTree;
+use super::{leaf_access, PioBTree};
 use crate::entry::OpEntry;
 use crate::leaf::LeafView;
 use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
 use btree::{Key, Value};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
-use storage::{AccessHint, CachedReadTicket, PageId, PageImage};
+use storage::{next_region, AccessHint, CachedReadTicket, PageId, PageImage};
 
 /// Buffers of the batched read paths (and of bupdate's descent and leaf
 /// records), kept by the tree between calls so that a warm call allocates
@@ -68,8 +70,8 @@ impl PioBTree {
         let piece = self.leaf_piece(descent.leaf(0), key);
         self.scratch.descent = descent;
         self.stats.segment_reads += (piece.1 < self.config.leaf_segments as u64) as u64;
-        let image = self.store.complete_read(self.submit_leaf_pieces(&[piece])?)?;
-        Ok(LeafView::new(piece.0, &image[0], self.config.page_size)?
+        let tiles = self.read_leaves(&[piece])?;
+        Ok(LeafView::new(piece.0, &tiles, self.config.page_size)?
             .lookup(key)
             .unwrap_or(None))
     }
@@ -85,17 +87,10 @@ impl PioBTree {
         }
     }
 
-    /// Submits point-lookup reads of leaf pieces. With `L > 1` every piece
-    /// is a leaf piece, a one-segment piece too
-    /// ([`storage::CachedStore::submit_leaf_read`]), cached only with a leaf
-    /// budget; with `L = 1` a leaf is a segment, which the pool has always
-    /// held ([`storage::CachedStore::submit_segment_read`]).
-    fn submit_leaf_pieces(&self, pieces: &[(PageId, u64)]) -> IoResult<CachedReadTicket> {
-        if self.config.leaf_segments == 1 {
-            self.store.submit_segment_read(pieces)
-        } else {
-            self.store.submit_leaf_read(pieces, AccessHint::Point)
-        }
+    /// Submits reads of leaf regions or pieces of them, named as this
+    /// tree's leaf pages ([`super::leaf_access`]).
+    fn submit_leaf_reads(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
+        self.store.submit_read(regions, leaf_access(&self.config), hint)
     }
 
     /// The one descent entry: fills `out` with the target leaf (and
@@ -137,10 +132,11 @@ impl PioBTree {
         }
     }
 
-    /// Reads one leaf node's region with a single large request.
-    pub(super) fn read_leaf_image(&self, leaf: PageId) -> IoResult<PageImage> {
-        let region = (leaf, self.config.leaf_segments as u64);
-        Ok(self.store.read_regions(&[region])?.pop().expect("one image per region"))
+    /// Point reads of leaf regions or pieces of them, with one psync call:
+    /// the images that tile them, region after region.
+    pub(super) fn read_leaves(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<PageImage>> {
+        self.store
+            .complete_read(self.submit_leaf_reads(regions, AccessHint::Point)?)
     }
 
     /// MPSearch: searches every key in `keys` at once, fetching internal nodes and
@@ -197,17 +193,17 @@ impl PioBTree {
                 regions.clear();
                 regions.extend(keys.clone().filter(|&i| opens_run(i, keys.start)).map(|i| pieces[i]));
                 segment_reads += regions.iter().filter(|&&(_, n)| n < l).count() as u64;
-                self.submit_leaf_pieces(regions)
+                self.submit_leaf_reads(regions, AccessHint::Point)
             },
             |ticket| self.store.complete_read(ticket),
             |group, images| {
                 let keys = chunk(group);
-                let mut images = images.iter();
+                let mut rest = &images[..];
                 let mut view = None;
                 for i in keys.clone() {
                     if opens_run(i, keys.start) {
-                        let image = images.next().expect("one image per distinct piece");
-                        view = Some(LeafView::new(pieces[i].0, image, page_size)?);
+                        let (first, n) = pieces[i];
+                        view = Some(LeafView::new(first, next_region(&mut rest, n, page_size), page_size)?);
                     }
                     let key = sorted_keys[i];
                     // Map back from the sorted position to the caller's position.
@@ -237,6 +233,7 @@ impl PioBTree {
         let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
         let batch = |batch_idx: usize| &leaves[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(leaves.len())];
+        let access = leaf_access(&self.config);
         let SearchScratch {
             regions, ring, queued, ..
         } = &mut self.scratch;
@@ -256,12 +253,14 @@ impl PioBTree {
                 regions.extend(batch(batch_idx).iter().map(|&p| (p, l)));
                 // Scan-hinted: the stream may hit resident leaf regions but
                 // never evicts the point-lookup working set.
-                store.submit_read(regions, AccessHint::Scan)
+                store.submit_read(regions, access, AccessHint::Scan)
             },
             |ticket| store.complete_read(ticket),
             |batch_idx, images| {
-                for (&leaf, image) in batch(batch_idx).iter().zip(&images) {
-                    LeafView::new(leaf, image, page_size)?.emit_range(lo, hi, &mut found);
+                let mut rest = &images[..];
+                for &leaf in batch(batch_idx) {
+                    let tiles = next_region(&mut rest, l, page_size);
+                    LeafView::new(leaf, tiles, page_size)?.emit_range(lo, hi, &mut found);
                 }
                 Ok(())
             },

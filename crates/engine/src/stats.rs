@@ -44,13 +44,15 @@ pub struct ShardSnapshot {
     pub queue_peak_pct: u64,
     /// The shard tree's operation counters.
     pub pio: PioStats,
-    /// Inner-entry counters of the shard's cached store: the internal nodes
-    /// — and, without a leaf budget, bupdate's segment pages.
-    /// `scan_bypasses` is always 0 — inner entries ignore access hints.
+    /// Inner-page counters of the shard's cached store: the internal nodes
+    /// — and, without a leaf budget, bupdate's segment pages. Per page, so a
+    /// read of two pages counts two lookups. `scan_bypasses` is always 0 —
+    /// inner pages ignore access hints.
     pub pool: CacheStats,
-    /// Leaf-entry counters of the same cache: leaf regions and segments
-    /// (all zero when [`crate::EngineConfig::leaf_cache_bytes`] is unset;
-    /// `dirty_evictions` is always 0 — the tree writes through).
+    /// Leaf-page counters of the same cache: the pages of leaves and of
+    /// segments, per page, so a whole-leaf read of `L` pages counts `L`
+    /// lookups (all zero when [`crate::EngineConfig::leaf_cache_bytes`] is
+    /// unset; `dirty_evictions` is always 0 — the tree writes through).
     pub leaf_cache: CacheStats,
     /// Page-store counters (psync batches, page reads/writes, allocation).
     pub store: StoreStats,

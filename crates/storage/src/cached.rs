@@ -1,67 +1,68 @@
 //! A page store with one cache in front of it — the component the indexes
 //! talk to.
 //!
-//! [`CachedStore`] composes a [`PageStore`] with the one [`Cache`], whose
-//! entries carry their [`PageClass`] as a tag:
+//! [`CachedStore`] composes a [`PageStore`] with the one [`Cache`] of pages,
+//! whose entries carry their [`PageClass`] as a tag:
 //!
-//! * **inner** entries — the internal nodes every descent reads and
-//!   bupdate's fence propagation writes — are evicted only when no leaf entry
-//!   is left;
-//! * **leaf** entries — whole multi-page leaf regions, the single segments a
-//!   point lookup of a fenced leaf reads, and the last segments bupdate reads
-//!   and writes — share the rest of the budget as a segmented LRU whose
-//!   protected segment holds 4/5 of it, with a scan bypass, so `range_search`
-//!   streams cannot evict the point-lookup working set.
+//! * **inner** pages — the internal nodes every descent reads and bupdate's
+//!   fence propagation writes — are evicted only when no leaf page is left;
+//! * **leaf** pages — of whole leaves, of the single segments a point lookup
+//!   of a fenced leaf reads, and of the last segments bupdate reads and
+//!   writes — share the rest of the budget as a segmented LRU whose protected
+//!   segment holds 4/5 of it, with a scan bypass, so `range_search` streams
+//!   cannot evict the point-lookup working set.
 //!
 //! The budget is `pool_pages` ([`CachedStore::new`], [`CachedStore::resize_pool`])
 //! plus the leaf budget ([`CachedStore::set_leaf_cache`]). **Without a leaf
-//! budget there are no leaf entries**: the cache holds single pages only — the
-//! internal nodes, and bupdate's segments — as one plain LRU, the buffer pool
-//! the paper sweeps in Figure 9 and trades off against the OPQ in Figure 11,
-//! and a lookup's leaf pieces and every multi-page region are read around it.
-//! The leaf budget adds its pages to that budget and makes every leaf piece a
-//! leaf entry.
+//! budget there are no leaf entries**: the cache is one plain LRU of pages —
+//! the internal nodes, bupdate's segments and the leaves of a tree of
+//! one-segment leaves — the buffer pool the paper sweeps in Figure 9 and
+//! trades off against the OPQ in Figure 11, and the pieces of longer leaves
+//! are read around it. The leaf budget adds its pages to that budget and makes
+//! every leaf page a leaf entry.
+//!
+//! The caller names what it reads or writes ([`Access`]), and that alone
+//! decides the class of its pages, never their number: a [`Access::Node`]
+//! page is inner; a [`Access::Segment`] page is a leaf page with a leaf budget
+//! and an inner one without; a [`Access::LeafPiece`] page is a leaf page with
+//! a leaf budget and is read around the cache without one.
 //!
 //! There is one read path and one write path, both over `(first_page,
-//! n_pages)` regions, and a page is a one-page region. What a read is — a
-//! page ([`CachedStore::submit_read`]), a segment bupdate reads
-//! ([`CachedStore::submit_segment_read`]) or a lookup's leaf piece
-//! ([`CachedStore::submit_leaf_read`]) — decides the class its entry takes;
-//! a multi-page region is always a leaf piece. A hit needs an entry of the
-//! same `(first_page, n_pages)` — a read of a whole region is never handed a
-//! segment — and an admission drops every resident entry it overlaps, so
-//! resident entries stay disjoint, which [`Cache::invalidate_page`] relies
-//! on. A read looks every region up at submission and sends the misses to
-//! the device as **one** batch, so a warm cache automatically reduces the
-//! outstanding-I/O level — exactly the behaviour the cost model of Section
-//! 3.5 assumes. Writes apply the [`WritePolicy`] to page images and write
-//! region images around the cache:
+//! n_pages)` regions, and a page is a one-page region. Every entry is one
+//! page, so a region read probes each of its pages. A read that admits what
+//! it fetches sends each page it misses as a one-page request in the call's
+//! **one** device batch, and each device-filled image becomes its page's
+//! entry; a read that admits nothing — a `Scan` of a region the cache does not
+//! hold whole, or a read around the cache — sends the region as one request.
+//! A read hands back the images that tile each region ([`next_region`]). A
+//! warm cache therefore automatically reduces the outstanding-I/O level —
+//! exactly the behaviour the cost model of Section 3.5 assumes. Writes apply
+//! the [`WritePolicy`] to the page images their access caches:
 //!
 //! * the baseline B+-tree and B-link tree use **write-back** (a conventional
 //!   no-force buffer manager: dirty nodes are written on eviction), and
 //! * the PIO B-tree uses **write-through** (it keeps no dirty buffers; all
 //!   node writes happen inside bupdate via psync I/O).
 //!
-//! A write of `[first, first + n)` drops, at submission, every entry it
-//! overlaps that starts elsewhere; a page image then replaces the entry keyed
-//! at its own page in place, and a region image is installed nowhere. Every
-//! image on its way to the device has its checksums recorded, and every image
-//! fetched from it is verified; see [`crate::integrity`].
+//! A page write replaces its page's entry; any other image drops, at
+//! submission, the entries of the pages it covers and is installed nowhere.
+//! Every image on its way to the device has its checksums recorded, and every
+//! image fetched from it is verified; see [`crate::integrity`].
 //!
 //! Reads return [`PageImage`]s — shared, immutable images. **Hits are shared,
 //! writes replace**: a hit hands out another reference to the image the cache
 //! holds (no copy), a miss admits the image the device filled — the very
 //! image it returns, never a copy of it — a page write installs the very
-//! image its caller handed to the device, and a write,
-//! refresh, eviction, free or [`CachedStore::drop_cache`] only ever swaps or
-//! drops the cache's own reference. A caller may therefore keep an image as
-//! long as it likes (bupdate keeps its Phase-A images as undo pre-images); it
-//! is a snapshot of the page at the time of the read. An image the cache lets
-//! go of that nobody else holds becomes a spare of the releasing thread's
+//! image its caller handed to the device, and a write, refresh, eviction,
+//! free or [`CachedStore::drop_cache`] only ever swaps or drops the cache's
+//! own reference. A caller may therefore keep an image as long as it likes
+//! (bupdate keeps its Phase-A images as undo pre-images); it is a snapshot of
+//! the page at the time of the read. An image the cache lets go of that
+//! nobody else holds becomes a spare of the releasing thread's
 //! ([`pio::recycle_image`]), which that thread's next miss or encoded page
 //! fills instead of allocating.
 
-use crate::cache::{AccessHint, Cache, CacheStats, Evicted, PageClass};
+use crate::cache::{Cache, CacheStats, Evicted, PageClass};
 use crate::integrity::{page_checksum, Integrity, IntegrityStats, ScrubReport};
 use crate::page::{page_offset, PageId, PageImage};
 use crate::store::{PageStore, ReadTicket, WriteTicket};
@@ -80,29 +81,54 @@ pub enum WritePolicy {
     WriteThrough,
 }
 
-/// What a read or a write carries, which decides the class of its entries.
+/// How a read intends to use the data — decides cache admission of leaf
+/// pages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AccessHint {
+    /// Point-lookup-style access: cacheable, re-references promote.
+    #[default]
+    Point,
+    /// Sequential-scan access: may hit resident pages but never inserts,
+    /// promotes or refreshes recency ([`Cache::scan`]).
+    Scan,
+}
+
+/// What a read or a write carries, named by its caller: it decides the class
+/// of the pages' entries (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Access {
-    /// Pages of an index node: inner entries.
-    Page,
-    /// Segments bupdate reads and writes one at a time: leaf entries with a
-    /// leaf budget, pool pages (inner entries) without one.
+pub enum Access {
+    /// Pages of index nodes: inner entries.
+    Node,
+    /// Leaf segments bupdate reads and writes one at a time, and the leaves
+    /// of a tree whose leaves are one segment: leaf entries with a leaf
+    /// budget, pool pages (inner entries) without one.
     Segment,
-    /// A lookup's leaf pieces: leaf entries, cached only with a leaf budget.
+    /// Pieces of longer leaves — a lookup's segment or a whole leaf: leaf
+    /// entries, cached only with a leaf budget.
     LeafPiece,
 }
 
 impl Access {
-    /// The class a region of `n_pages` pages is cached as, or `None` when it
-    /// is read around the cache. A multi-page region is a leaf piece whatever
-    /// the access.
-    fn class(self, n_pages: u64, leaf_budget: bool) -> Option<PageClass> {
+    /// The class this access caches its pages as, or `None` when it reads
+    /// and writes around the cache.
+    fn class(self, leaf_budget: bool) -> Option<PageClass> {
         match self {
-            Access::Page if n_pages == 1 => Some(PageClass::Inner),
-            Access::Segment if n_pages == 1 && !leaf_budget => Some(PageClass::Inner),
-            _ => leaf_budget.then_some(PageClass::Leaf),
+            Access::Node => Some(PageClass::Inner),
+            Access::Segment if !leaf_budget => Some(PageClass::Inner),
+            Access::Segment | Access::LeafPiece => leaf_budget.then_some(PageClass::Leaf),
         }
     }
+}
+
+/// Takes the images of the next region, `pages` pages long, off the front of
+/// `tiles` — what [`CachedStore::complete_read`] handed back: one image per
+/// page, each from the cache or from its own request, or the one image of a
+/// region read past the cache.
+pub fn next_region<'a>(tiles: &mut &'a [PageImage], pages: u64, page_size: usize) -> &'a [PageImage] {
+    let n = if tiles[0].len() == page_size { pages as usize } else { 1 };
+    let (region, rest) = tiles.split_at(n);
+    *tiles = rest;
+    region
 }
 
 /// An in-flight cache-aware read: hits are captured at submission, the misses
@@ -110,10 +136,12 @@ impl Access {
 #[derive(Debug)]
 #[must_use = "an in-flight read must be completed to obtain its buffers"]
 pub struct CachedReadTicket {
-    /// Hit slots filled at submission; miss slots are `None` until completion.
-    results: Vec<Option<PageImage>>,
-    /// `(slot, first page, page count, class to admit it as)` of every miss,
-    /// in device-batch order; no class for a miss that is not admitted.
+    /// One slot per image handed back: hits are filled at submission, the
+    /// rest at completion.
+    tiles: Vec<Option<PageImage>>,
+    /// `(tile, first page, page count, class to admit it as)` of every
+    /// device request, in batch order: a page the read admits, or a region
+    /// read past the cache (no class).
     missing: Vec<(usize, PageId, u64, Option<PageClass>)>,
     /// The in-flight device batch for `missing`; `None` when everything hit.
     ticket: Option<ReadTicket>,
@@ -137,6 +165,13 @@ struct Pool {
     leaf_pages: u64,
 }
 
+impl Pool {
+    /// The class `access` caches its pages as under the current budgets.
+    fn class(&self, access: Access) -> Option<PageClass> {
+        access.class(self.leaf_pages > 0)
+    }
+}
+
 /// The cache, held under its lock for a walk over resident internal nodes
 /// that does no I/O — see [`CachedStore::resident_pages`].
 #[derive(Debug)]
@@ -149,7 +184,7 @@ impl ResidentPages<'_> {
     /// any inner `Point` hit. An absent page counts nothing: the read the
     /// caller falls back to counts its miss.
     pub fn get(&mut self, page: PageId) -> Option<PageImage> {
-        self.pool.cache.get_resident(page, 1, AccessHint::Point)
+        self.pool.cache.get_resident(page)
     }
 }
 
@@ -161,7 +196,6 @@ pub struct CachedStore {
     pool: Mutex<Pool>,
     integrity: Integrity,
 }
-
 impl CachedStore {
     /// Creates a cached store with a budget of `capacity_pages` pages, no
     /// leaf budget (see [`CachedStore::set_leaf_cache`]) and the given write
@@ -263,7 +297,7 @@ impl CachedStore {
         self.store.ensure_high_water(pages)
     }
 
-    /// Frees a page, dropping the cached entry covering it and its checksum.
+    /// Frees a page, dropping its cached entry and its checksum.
     /// A dirty copy is intentionally discarded — the page no longer belongs
     /// to the caller.
     pub fn free(&self, page: PageId) {
@@ -274,38 +308,27 @@ impl CachedStore {
 
     // ------------------------------------------------------------ the read path --
 
-    /// Submits a cache-aware batched read without waiting. Each single page
-    /// is looked up as an inner `Point` access, each multi-page region as a
-    /// leaf piece with `hint`, and the misses go to the device as one
-    /// in-flight batch that overlaps whatever else is outstanding on the
-    /// backend.
+    /// Submits a cache-aware batched read of `regions` as `access` with
+    /// `hint`, without waiting. Each region probes its pages: a read that
+    /// admits what it fetches — every inner access, and a leaf `Point` one —
+    /// takes each resident page from the cache and sends each missing page as
+    /// a one-page request; a leaf `Scan` takes the region from the cache only
+    /// when every page is resident, and a read around the cache never probes.
+    /// Whatever such a read misses goes as one request per region. All the
+    /// requests go to the device as one in-flight batch that overlaps
+    /// whatever else is outstanding on the backend.
     ///
     /// A region that reaches past the allocation high-water mark was never
     /// written by anyone: the id can only come from a rotted pointer, so the
     /// read is refused as [`IoError::Corruption`] before the id turns into an
     /// offset (where a large enough one would wrap onto another page's bytes,
     /// which no recorded checksum would contradict).
-    pub fn submit_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        self.submit(regions, hint, Access::Page)
-    }
-
-    /// [`CachedStore::submit_read`] of the leaf segments bupdate reads one
-    /// page at a time (and of one-segment leaves): leaf entries with a leaf
-    /// budget, pool pages without one, where the paper's buffer pool holds
-    /// them.
-    pub fn submit_segment_read(&self, segments: &[(PageId, u64)]) -> IoResult<CachedReadTicket> {
-        self.submit(segments, AccessHint::Point, Access::Segment)
-    }
-
-    /// [`CachedStore::submit_read`] for a lookup's pieces of leaf nodes:
-    /// every region — a one-page leaf segment too — is a leaf entry, cached
-    /// only with a leaf budget. A hit needs an entry of the same
-    /// `(first_page, n_pages)`; see the [module docs](self).
-    pub fn submit_leaf_read(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        self.submit(regions, hint, Access::LeafPiece)
-    }
-
-    fn submit(&self, regions: &[(PageId, u64)], hint: AccessHint, access: Access) -> IoResult<CachedReadTicket> {
+    pub fn submit_read(
+        &self,
+        regions: &[(PageId, u64)],
+        access: Access,
+        hint: AccessHint,
+    ) -> IoResult<CachedReadTicket> {
         let high_water = self.store.high_water_pages();
         if let Some(&(first, n)) = regions.iter().find(|&&(first, n)| n > high_water.saturating_sub(first)) {
             return Err(IoError::Corruption {
@@ -313,24 +336,36 @@ impl CachedStore {
                 len: n.saturating_mul(self.page_size() as u64),
             });
         }
-        let mut results: Vec<Option<PageImage>> = vec![None; regions.len()];
+        // At most one image per page, so the slots are allocated once.
+        let mut tiles: Vec<Option<PageImage>> = Vec::with_capacity(regions.iter().map(|&(_, n)| n as usize).sum());
         let mut missing: Vec<(usize, PageId, u64, Option<PageClass>)> = Vec::new();
+        let mut miss = |tiles: &mut Vec<Option<PageImage>>, first, n, admit| {
+            // Sized once, on the first miss: an all-hit read allocates
+            // nothing here.
+            if missing.capacity() == 0 {
+                missing.reserve_exact(tiles.capacity() - tiles.len());
+            }
+            missing.push((tiles.len(), first, n, admit));
+            tiles.push(None);
+        };
         {
             let mut pool = self.pool.lock();
-            let leaf_budget = pool.leaf_pages > 0;
-            for (i, &(first, n)) in regions.iter().enumerate() {
-                let class = access.class(n, leaf_budget);
-                match class.and_then(|class| pool.cache.get(first, n, class, hint)) {
-                    Some(hit) => results[i] = Some(hit),
-                    None => {
-                        // Sized once, on the first miss: an all-hit read
-                        // allocates nothing here.
-                        if missing.capacity() == 0 {
-                            missing.reserve_exact(regions.len() - i);
+            let class = pool.class(access);
+            for &(first, n) in regions {
+                match class {
+                    Some(class) if class == PageClass::Inner || hint == AccessHint::Point => {
+                        for page in first..first + n {
+                            match pool.cache.get(page, class) {
+                                Some(hit) => tiles.push(Some(hit)),
+                                None => miss(&mut tiles, page, 1, Some(class)),
+                            }
                         }
-                        let admit = class.filter(|&class| class == PageClass::Inner || hint == AccessHint::Point);
-                        missing.push((i, first, n, admit));
                     }
+                    Some(class) => match pool.cache.scan(first, n, class) {
+                        Some(hits) => tiles.extend(hits.map(Some)),
+                        None => miss(&mut tiles, first, n, None),
+                    },
+                    None => miss(&mut tiles, first, n, None),
                 }
             }
         }
@@ -340,21 +375,18 @@ impl CachedStore {
             let to_fetch: Vec<(PageId, u64)> = missing.iter().map(|&(_, p, n, _)| (p, n)).collect();
             Some(self.store.submit_read(&to_fetch)?)
         };
-        Ok(CachedReadTicket {
-            results,
-            missing,
-            ticket,
-        })
+        Ok(CachedReadTicket { tiles, missing, ticket })
     }
 
-    /// Waits for an in-flight read and returns one image per region, in
-    /// submission order. Every device-fetched image is verified against the
-    /// checksum sidecar, then admitted as the device filled it — the cache
-    /// and the caller share it — except leaf pieces of a `Scan` read, which
-    /// bypass admission, and what is read around the cache.
+    /// Waits for an in-flight read and returns the images that tile each
+    /// region, region after region in submission order: one per page, or the
+    /// one image of a region read past the cache ([`next_region`] takes a
+    /// region's share). Every device-fetched image is verified against the
+    /// checksum sidecar; each fetched page the read admits becomes its page's
+    /// entry as the device filled it — the cache and the caller share it.
     pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<PageImage>> {
         let CachedReadTicket {
-            mut results,
+            mut tiles,
             missing,
             ticket,
         } = ticket;
@@ -362,26 +394,26 @@ impl CachedStore {
             let fetched = self.store.complete_read(ticket)?;
             for (&(i, first, n, _), mut image) in missing.iter().zip(fetched) {
                 self.integrity.verify(&self.store, first, n, &mut image)?;
-                results[i] = Some(image);
+                tiles[i] = Some(image);
             }
             let mut victims = Vec::new();
             {
                 let mut pool = self.pool.lock();
-                for &(i, first, n, admit) in &missing {
+                for &(i, page, _, admit) in &missing {
                     if let Some(class) = admit {
-                        // An admission evicts about one entry: size the list
+                        // An admission evicts about one page: size the list
                         // for the batch at the first one, not by doubling.
                         if victims.capacity() == 0 {
                             victims.reserve_exact(missing.len());
                         }
-                        let image = results[i].as_ref().expect("fetched above");
-                        pool.cache.admit(first, n, PageImage::clone(image), class, &mut victims);
+                        let image = tiles[i].as_ref().expect("fetched above");
+                        pool.cache.admit(page, PageImage::clone(image), class, &mut victims);
                     }
                 }
             }
             self.write_back(victims)?;
         }
-        Ok(results
+        Ok(tiles
             .into_iter()
             .map(|r| r.expect("hit at submission or fetched above"))
             .collect())
@@ -394,21 +426,16 @@ impl CachedStore {
         ResidentPages { pool: self.pool.lock() }
     }
 
-    /// Reads one page through the cache.
+    /// Reads one node page through the cache.
     pub fn read_page(&self, page: PageId) -> IoResult<PageImage> {
-        Ok(self.read_regions(&[(page, 1)])?.pop().expect("one image per region"))
+        Ok(self.read_pages(&[page])?.pop().expect("one image per page"))
     }
 
-    /// Reads many pages through the cache; the missing ones are fetched with a
-    /// single psync call. Results are returned in the order of `pages`.
+    /// Reads many node pages through the cache; the missing ones are fetched
+    /// with a single psync call. Results are returned in the order of `pages`.
     pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<PageImage>> {
-        self.read_regions(&pages.iter().map(|&p| (p, 1)).collect::<Vec<_>>())
-    }
-
-    /// Reads several regions through the cache as `Point` accesses, fetching
-    /// the misses with a single psync call.
-    pub fn read_regions(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<PageImage>> {
-        self.complete_read(self.submit_read(regions, AccessHint::Point)?)
+        let regions: Vec<(PageId, u64)> = pages.iter().map(|&p| (p, 1)).collect();
+        self.complete_read(self.submit_read(&regions, Access::Node, AccessHint::Point)?)
     }
 
     // ----------------------------------------------------------- the write path --
@@ -445,15 +472,14 @@ impl CachedStore {
         Ok(())
     }
 
-    /// Submits a batched write of `(first_page, image)` pairs, each image a
-    /// whole number of pages; page images are inner entries. Cached entries
-    /// the images overlap are dropped first, except one keyed at a page
-    /// image's own page. Page images then follow the [`WritePolicy`]:
-    /// write-back installs them dirty and sends nothing; write-through sends
-    /// them with the call's one device batch and installs them — replacing
-    /// their entries in place — once that batch has succeeded, so a call that
-    /// carries page images completes at submission. Multi-page images always
-    /// go to the device and are never installed; a call of only those stays
+    /// Submits a batched write of `(first_page, image)` pairs as `access`,
+    /// each image a whole number of pages. A page image whose access caches
+    /// it is *installed*: it follows the [`WritePolicy`] — write-back installs
+    /// it dirty and sends nothing; write-through sends it with the call's one
+    /// device batch and installs it, replacing its page's entry, once that
+    /// batch has succeeded, so a call that installs completes at submission.
+    /// Every other image drops the entries of the pages it covers at
+    /// submission and always goes to the device; a call of only those stays
     /// in flight until [`CachedStore::complete_write`].
     ///
     /// The images are shared, never copied: the device stack is handed each
@@ -468,29 +494,22 @@ impl CachedStore {
     /// backend gives **no** order between an in-flight write and a later read —
     /// callers must not read pages overlapped by a write they have not completed
     /// yet (the tree's pipelines only overlap batches on disjoint pages).
-    pub fn submit_write(&self, images: &[(PageId, PageImage)]) -> IoResult<CachedWriteTicket> {
-        self.write(images, Access::Page)
-    }
-
-    fn write(&self, images: &[(PageId, PageImage)], access: Access) -> IoResult<CachedWriteTicket> {
+    pub fn submit_write(&self, images: &[(PageId, PageImage)], access: Access) -> IoResult<CachedWriteTicket> {
         let page_size = self.page_size();
-        let is_page = |image: &PageImage| image.len() == page_size;
-        {
-            let mut pool = self.pool.lock();
-            for (first, image) in images {
-                let n = (image.len() / page_size) as u64;
-                if is_page(image) {
-                    pool.cache.invalidate_around(*first);
-                } else {
-                    pool.cache.invalidate_range(*first, n);
-                }
+        let mut pool = self.pool.lock();
+        let class = pool.class(access);
+        let installs = |image: &PageImage| class.is_some() && image.len() == page_size;
+        for (first, image) in images.iter().filter(|(_, d)| !installs(d)) {
+            for page in *first..*first + (image.len() / page_size) as u64 {
+                pool.cache.invalidate_page(page);
             }
         }
+        drop(pool);
         let keep_dirty = self.policy == WritePolicy::WriteBack;
-        let regions_only: Vec<(PageId, PageImage)>;
+        let around: Vec<(PageId, PageImage)>;
         let to_device = if keep_dirty {
-            regions_only = images.iter().filter(|(_, d)| !is_page(d)).cloned().collect();
-            &regions_only[..]
+            around = images.iter().filter(|(_, d)| !installs(d)).cloned().collect();
+            &around[..]
         } else {
             images
         };
@@ -498,17 +517,14 @@ impl CachedStore {
             [] => None,
             _ => Some(self.submit_to_device(to_device)?),
         };
-        if images.iter().any(|(_, d)| is_page(d)) {
+        if let Some(class) = class.filter(|_| images.iter().any(|(_, d)| installs(d))) {
             if let Some(ticket) = pending.take() {
                 self.store.complete_write(ticket)?;
             }
             let mut victims = Vec::new();
             {
                 let mut pool = self.pool.lock();
-                let class = access
-                    .class(1, pool.leaf_pages > 0)
-                    .expect("a page write is never a leaf piece");
-                for (page, image) in images.iter().filter(|(_, d)| is_page(d)) {
+                for (page, image) in images.iter().filter(|(_, d)| installs(d)) {
                     pool.cache
                         .install(*page, PageImage::clone(image), keep_dirty, class, &mut victims);
                 }
@@ -523,23 +539,15 @@ impl CachedStore {
         ticket.pending.map_or(Ok(()), |t| self.store.complete_write(t))
     }
 
-    /// Writes one page (or region) image.
+    /// Writes one node page (or region) image.
     pub fn write_page(&self, page: PageId, image: PageImage) -> IoResult<()> {
-        self.write_pages(&[(page, image)])
+        self.write_pages(&[(page, image)], Access::Node)
     }
 
-    /// Writes many page or region images; everything bound for the device
-    /// goes in a single psync call.
-    pub fn write_pages(&self, images: &[(PageId, PageImage)]) -> IoResult<()> {
-        self.complete_write(self.submit_write(images)?)
-    }
-
-    /// [`CachedStore::write_pages`] of the leaf segments bupdate writes one
-    /// page at a time: leaf entries with a leaf budget, pool pages without
-    /// one — so the next flush's [`CachedStore::submit_segment_read`] of a
-    /// last segment finds it.
-    pub fn write_segments(&self, images: &[(PageId, PageImage)]) -> IoResult<()> {
-        self.complete_write(self.write(images, Access::Segment)?)
+    /// Writes many page or region images as `access`; everything bound for
+    /// the device goes in a single psync call.
+    pub fn write_pages(&self, images: &[(PageId, PageImage)], access: Access) -> IoResult<()> {
+        self.complete_write(self.submit_write(images, access)?)
     }
 
     // -------------------------------------------------------------- maintenance --
@@ -582,14 +590,14 @@ impl CachedStore {
     /// One incremental scrub step: reads back and verifies up to `max_pages`
     /// tracked pages from the scrub cursor (one psync batch), wrapping to the
     /// lowest page when the end of the tracked set is reached. A mismatch is
-    /// re-read once; a *persistent* mismatch is counted as rot and — when a
-    /// resident entry covers the page with bytes that verify, a single page
-    /// or a slice of a leaf region — **healed** by rewriting those bytes to
-    /// the device. No reader made that lookup, so it counts no hit or miss
-    /// and leaves recency alone. Unhealable rot keeps its recorded checksum,
-    /// so a foreground read of the page still fails verification rather than
-    /// serving bad bytes. Designed to ride a maintenance tick: each call does
-    /// a bounded slice of work off the foreground path.
+    /// re-read once; a *persistent* mismatch is counted as rot and — when the
+    /// page's own entry is resident with bytes that verify — **healed** by
+    /// writing that image to the device. No reader made that lookup, so it
+    /// counts no hit or miss and leaves recency alone. Unhealable rot keeps its
+    /// recorded checksum, so a foreground read of the page still fails
+    /// verification rather than serving bad bytes. Designed to ride a
+    /// maintenance tick: each call does a bounded slice of work off the
+    /// foreground path.
     pub fn scrub_step(&self, max_pages: usize) -> IoResult<ScrubReport> {
         let Some((batch, wrapped)) = self.integrity.next_scrub_batch(max_pages) else {
             return Ok(ScrubReport {
@@ -603,7 +611,6 @@ impl CachedStore {
             wrapped,
             ..ScrubReport::default()
         };
-        let page_size = self.page_size();
         for ((page, _), image) in batch.into_iter().zip(images) {
             // Judge against the checksum recorded *now* — the page may have
             // been rewritten (or freed) since the batch was selected.
@@ -619,17 +626,14 @@ impl CachedStore {
                 self.integrity.count(|s| s.corruption_recovered += 1);
                 continue;
             }
-            // Persistent rot. Heal from a cached copy when one verifies.
+            // Persistent rot. Heal from the cached copy when it verifies.
             self.integrity.count(|s| s.scrub_corruptions += 1);
             report.corrupt += 1;
-            let cached = self.pool.lock().cache.covering(page);
-            if let Some((first, entry)) = cached {
-                let copy = &entry[(page - first) as usize * page_size..][..page_size];
-                if page_checksum(copy) == expected {
-                    self.store.write_page(page, copy.into())?;
-                    self.integrity.count(|s| s.scrub_healed += 1);
-                    report.healed += 1;
-                }
+            let cached = self.pool.lock().cache.peek(page);
+            if let Some(copy) = cached.filter(|copy| page_checksum(copy) == expected) {
+                self.store.write_page(page, copy)?;
+                self.integrity.count(|s| s.scrub_healed += 1);
+                report.healed += 1;
             }
         }
         self.integrity.count(|s| s.scrubbed_pages += report.scanned as u64);
@@ -652,13 +656,19 @@ mod tests {
         CachedStore::new(store, pool_pages, policy)
     }
 
-    /// One blocking region read with the given hint.
-    fn read_region(c: &CachedStore, first: PageId, n: u64, hint: AccessHint) -> IoResult<PageImage> {
-        Ok(c.complete_read(c.submit_read(&[(first, n)], hint)?)?.pop().unwrap())
+    /// One blocking read of the region as `access` with `hint`: its tiles.
+    fn tiles(c: &CachedStore, first: PageId, n: u64, access: Access, hint: AccessHint) -> IoResult<Vec<PageImage>> {
+        c.complete_read(c.submit_read(&[(first, n)], access, hint)?)
+    }
+
+    /// One blocking leaf-piece read of a region with the given hint: its
+    /// bytes, the tiles joined.
+    fn read_region(c: &CachedStore, first: PageId, n: u64, hint: AccessHint) -> IoResult<Vec<u8>> {
+        Ok(tiles(c, first, n, Access::LeafPiece, hint)?.concat())
     }
 
     fn point_region(c: &CachedStore, first: PageId, n: u64) -> Vec<u8> {
-        read_region(c, first, n, AccessHint::Point).unwrap().to_vec()
+        read_region(c, first, n, AccessHint::Point).unwrap()
     }
 
     #[test]
@@ -742,59 +752,87 @@ mod tests {
         assert_eq!(c.pool_stats().misses, 0);
     }
 
-    /// A leaf piece is a leaf entry whatever its length, and a hit needs the
-    /// same `(first, pages)`: a read of the whole region — a `Scan` one above
-    /// all, which admits nothing — is never handed the resident one-segment
-    /// entry that starts where the region starts, and an admission of either
-    /// shape drops the other. No leaf piece counts as an inner access.
-    #[test]
-    fn a_whole_region_read_is_never_handed_a_segment_entry() {
+    /// A store with a leaf budget over one two-page leaf, whose pages hold
+    /// 1s and 2s, nothing of it resident.
+    fn one_leaf() -> (CachedStore, PageId, Vec<u8>) {
         let c = cached(WritePolicy::WriteThrough, 16);
         c.set_leaf_cache(16).unwrap();
         let leaf = c.allocate_contiguous(2);
         let image: Vec<u8> = (0..2 * 4096u32).map(|i| (i / 4096 + 1) as u8).collect();
         c.write_page(leaf, image.as_slice().into()).unwrap();
-        let segment = |first: PageId| {
-            let ticket = c.submit_leaf_read(&[(first, 1)], AccessHint::Point).unwrap();
-            c.complete_read(ticket).unwrap().pop().unwrap()
-        };
-        let device_reads = || c.store().stats().page_reads;
+        (c, leaf, image)
+    }
 
-        assert_eq!(segment(leaf)[..], image[..4096]);
-        assert_eq!(segment(leaf + 1)[..], image[4096..]);
-        assert_eq!((c.leaf_cache_stats().misses, c.pool_stats().misses), (2, 0));
-        let before = device_reads();
-        assert_eq!(segment(leaf)[..], image[..4096]);
+    /// A whole-leaf read admits each page as its own entry, so a segment of
+    /// the leaf — a lookup's piece or bupdate's last segment — is a hit that
+    /// reads nothing from the device: the very image the leaf read admitted.
+    #[test]
+    fn a_segment_inside_a_resident_leaf_is_a_hit() {
+        let (c, leaf, image) = one_leaf();
+        let whole = tiles(&c, leaf, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+        assert_eq!(whole.len(), 2, "one image per admitted page");
+        assert_eq!(whole.concat(), image);
+        assert_eq!(c.leaf_cache_stats().misses, 2);
+        let reads = c.store().stats().page_reads;
+        for (access, page) in [(Access::LeafPiece, leaf + 1), (Access::Segment, leaf)] {
+            let segment = tiles(&c, page, 1, access, AccessHint::Point).unwrap();
+            assert!(Arc::ptr_eq(&segment[0], &whole[(page - leaf) as usize]), "{access:?}");
+        }
+        assert_eq!(c.store().stats().page_reads, reads, "no device read");
+        assert_eq!((c.leaf_cache_stats().hits, c.pool_stats()), (2, CacheStats::default()));
+    }
+
+    /// A whole leaf whose pages came in as segments — one read, one written
+    /// by bupdate — is a hit, for a point read and a scan alike.
+    #[test]
+    fn a_leaf_resident_from_segment_reads_and_writes_is_a_hit() {
+        let (c, leaf, image) = one_leaf();
         assert_eq!(
-            (device_reads(), c.leaf_cache_stats().hits),
-            (before, 1),
-            "a segment hit"
+            tiles(&c, leaf, 1, Access::LeafPiece, AccessHint::Point)
+                .unwrap()
+                .concat(),
+            image[..4096]
         );
+        c.write_pages(&[(leaf + 1, image[4096..].into())], Access::Segment)
+            .unwrap();
+        let reads = c.store().stats().page_reads;
+        for hint in [AccessHint::Point, AccessHint::Scan] {
+            assert_eq!(point_region(&c, leaf, 2), image, "{hint:?}");
+            assert_eq!(read_region(&c, leaf, 2, hint).unwrap(), image, "{hint:?}");
+        }
+        assert_eq!(c.store().stats().page_reads, reads, "no device read");
+        assert_eq!((c.leaf_cache_stats().hits, c.leaf_cache_stats().scan_bypasses), (8, 0));
+    }
 
-        // Both segments resident: the scan fetches the region whole.
-        let scanned = read_region(&c, leaf, 2, AccessHint::Scan).unwrap();
-        assert_eq!(scanned[..], image[..], "a scan was handed a one-page segment");
-        assert_eq!(device_reads(), before + 2);
-        assert_eq!(c.leaf_cache_stats().scan_bypasses, 1);
-        assert_eq!(segment(leaf + 1)[..], image[4096..], "a scan admits nothing");
-        assert_eq!(device_reads(), before + 2);
-
-        // A point read of the region admits it over both segments, and a
-        // segment read admits the segment over the region.
-        assert_eq!(point_region(&c, leaf, 2), image);
-        assert_eq!(device_reads(), before + 4);
-        assert_eq!(point_region(&c, leaf, 2), image);
-        assert_eq!(segment(leaf + 1)[..], image[4096..]);
-        assert_eq!(device_reads(), before + 5, "the region hit, the segment missed");
-        assert_eq!(point_region(&c, leaf, 2), image);
-        assert_eq!(device_reads(), before + 7, "the segment's admission dropped the region");
+    /// A leaf with one page resident reads only the other: one one-page
+    /// request, admitted; the read hands back the resident page's image and
+    /// the fetched one, in page order.
+    #[test]
+    fn a_partly_resident_leaf_reads_only_its_missing_page() {
+        let (c, leaf, image) = one_leaf();
+        let segment = tiles(&c, leaf + 1, 1, Access::LeafPiece, AccessHint::Point).unwrap();
+        let before = c.store().stats();
+        let whole = tiles(&c, leaf, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+        let after = c.store().stats();
         assert_eq!(
-            c.pool_stats(),
-            CacheStats::default(),
-            "no leaf piece counted as an inner access"
+            (
+                after.page_reads - before.page_reads,
+                after.read_batches - before.read_batches
+            ),
+            (1, 1)
         );
+        assert_eq!(whole.concat(), image);
+        assert!(Arc::ptr_eq(&whole[1], &segment[0]), "the resident page is shared");
+        let s = c.leaf_cache_stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
         let entries = entries(&c.pool.lock().cache);
-        assert_eq!(entries, vec![(leaf, 2, PageClass::Leaf)], "one leaf entry, the region");
+        assert_eq!(entries, vec![(leaf, PageClass::Leaf), (leaf + 1, PageClass::Leaf)]);
+        // A scan of a leaf with a page missing reads it whole past the cache.
+        c.drop_cache();
+        tiles(&c, leaf, 1, Access::LeafPiece, AccessHint::Point).unwrap();
+        let scanned = tiles(&c, leaf, 2, Access::LeafPiece, AccessHint::Scan).unwrap();
+        assert_eq!((scanned.len(), scanned.concat()), (1, image));
+        assert_eq!(c.leaf_cache_stats().scan_bypasses, 2);
     }
 
     #[test]
@@ -829,12 +867,13 @@ mod tests {
         let b = c.allocate_contiguous(2);
         let da = vec![1u8; 2 * 4096];
         let db = vec![2u8; 2 * 4096];
-        c.write_pages(&[(a, da.as_slice().into()), (b, db.as_slice().into())])
+        c.write_pages(&[(a, da.as_slice().into()), (b, db.as_slice().into())], Access::Node)
             .unwrap();
         c.drop_cache();
         let before = c.store().stats().read_batches;
-        let out = c.read_regions(&[(a, 2), (b, 2)]).unwrap();
-        assert_eq!(out[0][..], da[..]);
+        let ticket = c.submit_read(&[(a, 2), (b, 2)], Access::LeafPiece, AccessHint::Point);
+        let out = c.complete_read(ticket.unwrap()).unwrap();
+        assert_eq!(out[0][..], da[..], "read around the cache: one image per region");
         assert_eq!(out[1][..], db[..]);
         assert_eq!(
             c.store().stats().read_batches - before,
@@ -874,14 +913,10 @@ mod tests {
             before,
             "second point read must hit the leaf cache"
         );
-        assert_eq!(c.leaf_cache_stats().hits, 1);
-        // Batched region reads hit too: the whole batch resolves at submission.
-        let out = c.read_regions(&[(first, 4)]).unwrap();
-        assert_eq!(out[0][..], img[..]);
-        assert_eq!(c.store().stats().page_reads, before);
-        // Without the leaf budget the region no longer fits, and leaves.
+        assert_eq!(c.leaf_cache_stats().hits, 4, "one hit per page");
+        // Without the leaf budget the region no longer fits: half of it leaves.
         c.set_leaf_cache(0).unwrap();
-        assert_eq!(c.leaf_cache_stats().evictions, 1);
+        assert_eq!(c.leaf_cache_stats().evictions, 2);
         point_region(&c, first, 4);
         assert_eq!(c.store().stats().page_reads, before + 4);
     }
@@ -896,7 +931,7 @@ mod tests {
         c.write_page(b, vec![2u8; 2 * 4096].into()).unwrap();
         // Scan miss: fetched but not admitted.
         read_region(&c, a, 2, AccessHint::Scan).unwrap();
-        assert_eq!(c.leaf_cache_stats().scan_bypasses, 1);
+        assert_eq!(c.leaf_cache_stats().scan_bypasses, 2, "a bypass per page");
         let before = c.store().stats().page_reads;
         read_region(&c, a, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before + 2, "scan read was not admitted");
@@ -905,15 +940,15 @@ mod tests {
         let before = c.store().stats().page_reads;
         read_region(&c, b, 2, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before, "scan hits resident entries");
-        // A single page is an inner entry, which ignores the hint: a
-        // scan-hinted page is admitted like any other.
+        // A node page is an inner entry, which ignores the hint: a
+        // scan-hinted node read is admitted like any other.
         let p = c.allocate();
         c.store().write_page(p, vec![3u8; 4096].into()).unwrap();
-        read_region(&c, p, 1, AccessHint::Scan).unwrap();
+        tiles(&c, p, 1, Access::Node, AccessHint::Scan).unwrap();
         let before = c.store().stats().page_reads;
-        read_region(&c, p, 1, AccessHint::Scan).unwrap();
-        assert_eq!(c.store().stats().page_reads, before, "single pages are always admitted");
-        assert_eq!(c.leaf_cache_stats().scan_bypasses, 2, "and never count as bypasses");
+        tiles(&c, p, 1, Access::Node, AccessHint::Scan).unwrap();
+        assert_eq!(c.store().stats().page_reads, before, "node pages are always admitted");
+        assert_eq!(c.leaf_cache_stats().scan_bypasses, 4, "and never count as bypasses");
         assert_eq!((c.pool_stats().misses, c.pool_stats().hits), (1, 1));
     }
 
@@ -935,7 +970,7 @@ mod tests {
         assert_eq!(c.store().stats().page_reads, before + 2, "region writes never install");
         // A batched page write.
         let data = vec![5u8; 4096];
-        c.write_pages(&[(r, data.into())]).unwrap();
+        c.write_pages(&[(r, data.into())], Access::Node).unwrap();
         assert_eq!(point_region(&c, r, 2)[0], 5);
         // Freeing a page inside the region.
         c.free(r + 1);
@@ -943,8 +978,8 @@ mod tests {
         point_region(&c, r, 2);
         assert_eq!(
             c.store().stats().page_reads,
-            before + 2,
-            "free must drop the covering region"
+            before + 1,
+            "free must drop the freed page"
         );
         // drop_cache empties it.
         c.drop_cache();
@@ -967,35 +1002,45 @@ mod tests {
         assert_eq!(c.pool_stats().misses, 1, "a zero budget still counts misses");
     }
 
-    /// A single page is an inner entry and a region a leaf entry, both in
-    /// the one budget — here the leaf budget's three pages alone — and the
-    /// misses of both ride one device batch.
+    /// The access routes, not the length: a region and a page read as leaf
+    /// pieces are leaf pages, whose misses ride one device batch as a
+    /// one-page request each, and a node read of a page is an inner page —
+    /// all in the one budget, here the leaf budget's four pages alone.
     #[test]
-    fn a_mixed_read_batch_routes_by_length_and_rides_one_device_batch() {
+    fn a_mixed_read_batch_routes_by_access_and_rides_one_device_batch() {
         let c = cached(WritePolicy::WriteThrough, 0);
-        c.set_leaf_cache(3).unwrap();
+        c.set_leaf_cache(4).unwrap();
         let r = c.allocate_contiguous(2);
-        let p = c.allocate();
+        let (p, q) = (c.allocate(), c.allocate());
         c.write_page(r, vec![1u8; 2 * 4096].into()).unwrap();
-        c.write_page(p, vec![2u8; 4096].into()).unwrap();
+        c.write_pages(
+            &[(p, vec![2u8; 4096].into()), (q, vec![3u8; 4096].into())],
+            Access::Node,
+        )
+        .unwrap();
         c.drop_cache();
         let before = c.store().stats();
-        let out = c.read_regions(&[(r, 2), (p, 1)]).unwrap();
-        assert_eq!((out[0][0], out[1][0]), (1, 2));
+        let read = |regions: &[(PageId, u64)], access| {
+            let out = c.complete_read(c.submit_read(regions, access, AccessHint::Point).unwrap());
+            out.unwrap().iter().map(|tile| tile[0]).collect::<Vec<_>>()
+        };
+        assert_eq!(read(&[(r, 2), (p, 1)], Access::LeafPiece), vec![1, 1, 2]);
+        assert_eq!(read(&[(q, 1)], Access::Node), vec![3]);
         let after = c.store().stats();
-        assert_eq!(
-            after.read_batches - before.read_batches,
-            1,
-            "misses of both classes share a batch"
-        );
-        assert_eq!(after.page_reads - before.page_reads, 3);
-        assert_eq!((c.pool_stats().misses, c.leaf_cache_stats().misses), (1, 1));
+        assert_eq!(after.read_batches - before.read_batches, 2, "one batch per call");
+        assert_eq!(after.page_reads - before.page_reads, 4);
+        assert_eq!((c.pool_stats().misses, c.leaf_cache_stats().misses), (1, 3));
         let entries = entries(&c.pool.lock().cache);
-        assert_eq!(entries, vec![(r, 2, PageClass::Leaf), (p, 1, PageClass::Inner)]);
-        // Both were admitted: the repeat is all hits.
-        c.read_regions(&[(r, 2), (p, 1)]).unwrap();
+        let leaf = PageClass::Leaf;
+        assert_eq!(
+            entries,
+            vec![(r, leaf), (r + 1, leaf), (p, leaf), (q, PageClass::Inner)]
+        );
+        // All four were admitted: the repeat is all hits.
+        read(&[(r, 2), (p, 1)], Access::LeafPiece);
+        read(&[(q, 1)], Access::Node);
         assert_eq!(c.store().stats().page_reads, after.page_reads);
-        assert_eq!((c.pool_stats().hits, c.leaf_cache_stats().hits), (1, 1));
+        assert_eq!((c.pool_stats().hits, c.leaf_cache_stats().hits), (1, 3));
     }
 
     #[test]
@@ -1005,8 +1050,11 @@ mod tests {
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
         let before = c.store().stats().write_batches;
-        c.write_pages(&[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())])
-            .unwrap();
+        c.write_pages(
+            &[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())],
+            Access::Node,
+        )
+        .unwrap();
         assert_eq!(
             c.store().stats().write_batches - before,
             1,
@@ -1024,8 +1072,11 @@ mod tests {
         let c = cached(WritePolicy::WriteBack, 4);
         let r = c.allocate_contiguous(2);
         let p = c.allocate();
-        c.write_pages(&[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())])
-            .unwrap();
+        c.write_pages(
+            &[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())],
+            Access::Node,
+        )
+        .unwrap();
         assert_eq!(c.store().stats().page_writes, 2, "only the region reached the device");
         c.flush().unwrap();
         assert_eq!(c.store().stats().page_writes, 3);
@@ -1116,7 +1167,8 @@ mod tests {
     fn reads_past_the_high_water_mark_are_corruption() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let first = c.allocate_contiguous(3);
-        c.write_pages(&[(first, vec![7u8; 3 * 4096].into())]).unwrap();
+        c.write_pages(&[(first, vec![7u8; 3 * 4096].into())], Access::Node)
+            .unwrap();
         let high_water = c.store().high_water_pages();
         assert_eq!(high_water, 3);
         for (page, n) in [
@@ -1131,14 +1183,14 @@ mod tests {
             for hint in [AccessHint::Point, AccessHint::Scan] {
                 assert!(
                     matches!(
-                        c.submit_read(&[(0, 1), (page, n)], hint),
+                        c.submit_read(&[(0, 1), (page, n)], Access::Node, hint),
                         Err(pio::IoError::Corruption { .. })
                     ),
                     "region ({page}, {n}) must be refused"
                 );
             }
         }
-        assert_eq!(c.read_regions(&[(0, 3)]).unwrap()[0][..], vec![7u8; 3 * 4096][..]);
+        assert_eq!(read_region(&c, 0, 3, AccessHint::Point).unwrap(), vec![7u8; 3 * 4096]);
     }
 
     #[test]
@@ -1241,25 +1293,29 @@ mod tests {
             // inside it and a region write over it both leave it alone.
             let r = c.allocate_contiguous(2);
             c.write_page(r, filled(3, 2)).unwrap();
-            let held_region = read_region(&c, r, 2, AccessHint::Point).unwrap();
-            assert!(Arc::ptr_eq(
-                &held_region,
-                &read_region(&c, r, 2, AccessHint::Point).unwrap()
-            ));
+            let held_region = tiles(&c, r, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+            let again = tiles(&c, r, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+            assert!(held_region.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
             c.write_page(r + 1, filled(4, 1)).unwrap();
             c.flush().unwrap();
-            assert!(all(&held_region, 3), "{policy:?}: page write inside a held region");
+            assert!(
+                all(&held_region.concat(), 3),
+                "{policy:?}: page write inside a held region"
+            );
             let reread = point_region(&c, r, 2);
             assert!(all(&reread[..4096], 3) && all(&reread[4096..], 4));
             c.write_page(r, filled(5, 2)).unwrap();
-            assert!(all(&held_region, 3), "{policy:?}: region write over a held region");
+            assert!(
+                all(&held_region.concat(), 3),
+                "{policy:?}: region write over a held region"
+            );
             assert!(all(&point_region(&c, r, 2), 5));
 
-            // Spares: misses past the budget (6 regions) evict the held
-            // region and images nobody holds; the misses after them read into
-            // the unheld ones (each miss takes a spare, its admission's
-            // eviction gives one back), never into the held one.
-            let held_region = read_region(&c, r, 2, AccessHint::Point).unwrap();
+            // Spares: misses past the budget (12 pages) evict the held
+            // region's pages and images nobody holds; the misses after them
+            // read into the unheld ones (each miss takes a spare, its
+            // admission's eviction gives one back), never into a held one.
+            let held_region = tiles(&c, r, 2, Access::LeafPiece, AccessHint::Point).unwrap();
             let others: Vec<PageId> = (0..8).map(|_| c.allocate_contiguous(2)).collect();
             for &o in &others {
                 c.write_page(o, filled(6, 2)).unwrap();
@@ -1286,7 +1342,7 @@ mod tests {
                 "{policy:?}: the second burst read into spares"
             );
             assert!(
-                all(&held_region, 5),
+                all(&held_region.concat(), 5),
                 "{policy:?}: misses into spares under a held region"
             );
 
@@ -1354,8 +1410,8 @@ mod tests {
         assert_eq!(c.pool_stats().dirty_evictions, 1);
     }
 
-    /// Scrub heals a page from whichever resident entry covers it: here the
-    /// second page of a cached leaf region.
+    /// Scrub heals a page from its resident entry: here the second page of a
+    /// leaf a region read admitted.
     #[test]
     fn scrub_heals_a_page_from_a_resident_leaf_region() {
         let c = cached(WritePolicy::WriteThrough, 4);
@@ -1384,13 +1440,14 @@ mod tests {
     }
 
     /// The store against a naive reference — what each page last had
-    /// written to it — through a seeded stream of page, segment, leaf-piece
-    /// and `Scan` reads, page, segment and region writes, and frees, without
+    /// written to it — through a seeded stream of node, segment, leaf-piece
+    /// and `Scan` reads, node, segment and region writes, and frees, without
     /// and with a leaf budget, and budgets that shrink and grow. Every read
-    /// returns the last bytes written, whether it hit or missed; resident
-    /// entries stay disjoint and inside the budget; there is no leaf entry
-    /// without a leaf budget; and an inner entry is evicted only when no leaf
-    /// entry is left. `CRASH_SEED` replays a failure.
+    /// returns the last bytes written, whether its pages hit or missed, tiled
+    /// as one image per page or one per region read past the cache; the cache
+    /// stays inside the budget; there is no leaf entry without a leaf budget;
+    /// and an inner entry is evicted only when no leaf entry is left.
+    /// `CRASH_SEED` replays a failure.
     #[test]
     fn differential_against_a_naive_reference() {
         let seed: u64 = std::env::var("CRASH_SEED")
@@ -1429,42 +1486,47 @@ mod tests {
                 let leaf = leaves[rand(12) as usize];
                 let segment = leaf + rand(2);
                 let inner_evictions = c.pool_stats().evictions;
-                let read =
-                    |ticket: IoResult<CachedReadTicket>| c.complete_read(ticket.unwrap()).unwrap().pop().unwrap();
+                let read = |first: PageId, n: u64, access: Access, hint: AccessHint| {
+                    let images = tiles(&c, first, n, access, hint).unwrap();
+                    let mut rest = &images[..];
+                    let region = next_region(&mut rest, n, 4096);
+                    assert!(rest.is_empty() && (region.len() == 1 || region.len() as u64 == n));
+                    (first, images.concat())
+                };
                 let (first, image) = match rand(11) {
-                    0..=1 => (node, read(c.submit_read(&[(node, 1)], AccessHint::Point))),
-                    2 => (segment, read(c.submit_segment_read(&[(segment, 1)]))),
-                    3 => (segment, read(c.submit_leaf_read(&[(segment, 1)], AccessHint::Point))),
-                    4 => (leaf, read(c.submit_leaf_read(&[(leaf, 2)], AccessHint::Point))),
-                    5 => (leaf, read(c.submit_read(&[(leaf, 2)], AccessHint::Scan))),
+                    0..=1 => read(node, 1, Access::Node, AccessHint::Point),
+                    2 => read(segment, 1, Access::Segment, AccessHint::Point),
+                    3 => read(segment, 1, Access::LeafPiece, AccessHint::Point),
+                    4 => read(leaf, 2, Access::LeafPiece, AccessHint::Point),
+                    5 => read(leaf, 2, Access::LeafPiece, AccessHint::Scan),
                     6 => {
                         c.write_page(node, filled(&[byte])).unwrap();
                         model.insert(node, byte);
-                        (node, read(c.submit_read(&[(node, 1)], AccessHint::Point)))
+                        read(node, 1, Access::Node, AccessHint::Point)
                     }
                     7 => {
-                        c.write_segments(&[(segment, filled(&[byte]))]).unwrap();
+                        c.write_pages(&[(segment, filled(&[byte]))], Access::Segment).unwrap();
                         model.insert(segment, byte);
-                        (leaf, read(c.submit_leaf_read(&[(leaf, 2)], AccessHint::Point)))
+                        read(leaf, 2, Access::LeafPiece, AccessHint::Point)
                     }
                     8 => {
                         c.write_page(leaf, filled(&[byte, byte.wrapping_add(1)])).unwrap();
                         model.extend([(leaf, byte), (leaf + 1, byte.wrapping_add(1))]);
-                        (segment, read(c.submit_segment_read(&[(segment, 1)])))
+                        read(segment, 1, Access::Segment, AccessHint::Point)
                     }
                     9 => {
                         let page = if rand(2) == 0 { node } else { segment };
                         c.free(page);
-                        (page, read(c.submit_read(&[(page, 1)], AccessHint::Point)))
+                        read(page, 1, Access::Node, AccessHint::Point)
                     }
                     _ if rand(4) == 0 => {
                         c.resize_pool(rand(8)).unwrap();
                         if leaf_pages > 0 {
                             c.set_leaf_cache(1 + rand(leaf_pages)).unwrap();
                         }
-                        (node, read(c.submit_read(&[(node, 1)], AccessHint::Point)))
+                        read(node, 1, Access::Node, AccessHint::Point)
                     }
-                    _ => (leaf, read(c.submit_leaf_read(&[(leaf, 2)], AccessHint::Point))),
+                    _ => read(leaf, 2, Access::LeafPiece, AccessHint::Point),
                 };
                 for (i, page) in image.chunks(4096).enumerate() {
                     let expected = model[&(first + i as u64)];
@@ -1476,17 +1538,11 @@ mod tests {
                 }
                 let pool = c.pool.lock();
                 let entries = entries(&pool.cache);
-                let mut end = 0;
-                for &(first, pages, _) in &entries {
-                    assert!(first >= end, "{ctx}: the entry at {first} overlaps the one before");
-                    end = first + pages;
-                }
-                let used: u64 = entries.iter().map(|&(_, pages, _)| pages).sum();
-                assert!(used <= pool.pool_pages + pool.leaf_pages, "{ctx}: over budget");
-                let leaf_entries = entries
-                    .iter()
-                    .filter(|&&(_, _, class)| class == PageClass::Leaf)
-                    .count();
+                assert!(
+                    entries.len() as u64 <= pool.pool_pages + pool.leaf_pages,
+                    "{ctx}: over budget"
+                );
+                let leaf_entries = entries.iter().filter(|&&(_, class)| class == PageClass::Leaf).count();
                 assert!(
                     leaf_pages > 0 || leaf_entries == 0,
                     "{ctx}: a leaf entry without a leaf budget"

@@ -10,18 +10,21 @@
 //!   allocation plus one ticketed read ([`PageStore::submit_read`]) and one
 //!   ticketed write ([`PageStore::submit_write`]) over batches of regions, each
 //!   batch one psync call that index hot paths can keep in flight beside others.
-//! * [`Cache`] — the one cache: a weighted segmented LRU with a scan bypass
-//!   and dirty tracking, whose entries carry their [`PageClass`] as a tag —
-//!   inner entries are evicted only when no leaf entry is left. A hit is one
-//!   index probe, a reference-count bump and an O(1) relink.
+//! * [`Cache`] — the one cache: a segmented LRU of pages with a scan bypass
+//!   and dirty tracking, every entry one page keyed by its [`PageId`] and
+//!   tagged with its [`PageClass`] — inner pages are evicted only when no
+//!   leaf page is left. A hit is one index probe, a reference-count bump and
+//!   an O(1) relink.
 //! * [`CachedStore`] — what index code talks to: the store behind that one
 //!   cache and **one region path**, under one budget — the paper's buffer
 //!   pool (its size is swept in Figure 9 and traded off against the
-//!   operation queue in Figure 11) plus an optional leaf budget. Page writes
-//!   follow a write-back or write-through [`WritePolicy`]. Without a leaf
-//!   budget the cache holds single pages as one plain LRU; with one, leaf
-//!   pieces — regions, a lookup's segments, bupdate's last segments — are
-//!   leaf entries whose reads carry an [`AccessHint`], so `range_search`
+//!   operation queue in Figure 11) plus an optional leaf budget. The caller
+//!   names what it reads or writes ([`Access`]), which decides the class of
+//!   its pages; a region read probes each of its pages and fetches only the
+//!   missing ones. Page writes follow a write-back or write-through
+//!   [`WritePolicy`]. Without a leaf budget the cache holds internal nodes
+//!   and segments as one plain LRU; with one, every leaf page is a leaf
+//!   entry, and leaf reads carry an [`AccessHint`], so `range_search`
 //!   streams cannot evict the point-lookup working set. Every device-fetched
 //!   image is verified against the [`integrity`] sidecar.
 //! * [`Wal`] — an append-only write-ahead log used by the PIO B-tree's crash
@@ -41,8 +44,10 @@ pub mod page;
 pub mod store;
 pub mod wal;
 
-pub use cache::{AccessHint, Cache, CacheStats, Evicted, PageClass};
-pub use cached::{CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy};
+pub use cache::{Cache, CacheStats, Evicted, PageClass};
+pub use cached::{
+    next_region, Access, AccessHint, CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy,
+};
 pub use integrity::{IntegrityStats, ScrubReport};
 pub use page::{new_image, PageId, PageImage, INVALID_PAGE};
 pub use store::{PageStore, ReadTicket, StoreStats, WriteTicket};

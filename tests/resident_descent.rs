@@ -370,43 +370,52 @@ fn tier_reads_are_exact_immediately_after_committed_migrations() {
 
 /// The satellite guarantee at tree level: a hot point-lookup working set keeps
 /// its leaf-cache hit rate while full-range scans stream every leaf of the
-/// tree through the store.
+/// tree through the store — with two-segment leaves, and with one-segment
+/// leaves, whose reads and writes are leaf pages too once there is a leaf
+/// budget (not pool pages, which no scan could stream past).
 #[test]
 fn hot_working_set_keeps_its_hit_rate_under_streaming_scans() {
-    let config = PioConfig {
-        leaf_cache_pages: 16, // a handful of leaves — far smaller than the tree
-        ..base_config(false)
-    };
-    let entries: Vec<(u64, u64)> = (0..8_000u64).map(|k| (k * 4, k + 1)).collect();
-    let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 28));
-    let store = Arc::new(CachedStore::new(
-        PageStore::new(io, PAGE as usize),
-        96,
-        WritePolicy::WriteThrough,
-    ));
-    let mut tree = PioBTree::bulk_load(store, &entries, config).expect("bulk load");
+    for leaf_segments in [2, 1] {
+        let config = PioConfig {
+            leaf_cache_pages: 16, // a handful of leaves — far smaller than the tree
+            leaf_segments,
+            ..base_config(false)
+        };
+        let entries: Vec<(u64, u64)> = (0..8_000u64).map(|k| (k * 4, k + 1)).collect();
+        let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 28));
+        let store = Arc::new(CachedStore::new(
+            PageStore::new(io, PAGE as usize),
+            96,
+            WritePolicy::WriteThrough,
+        ));
+        let mut tree = PioBTree::bulk_load(store, &entries, config).expect("bulk load");
 
-    // A hot set inside a few adjacent leaves.
-    let hot: Vec<u64> = (0..32u64).map(|k| k * 4).collect();
-    for round in 0..30 {
-        for &k in &hot {
-            assert_eq!(tree.search(k).unwrap(), Some(k / 4 + 1));
+        // A hot set inside a few adjacent leaves.
+        let hot: Vec<u64> = (0..32u64).map(|k| k * 4).collect();
+        for round in 0..30 {
+            for &k in &hot {
+                assert_eq!(tree.search(k).unwrap(), Some(k / 4 + 1));
+            }
+            if round % 3 == 0 {
+                // The antagonist: a full-range scan touching every leaf.
+                let n = tree.range_search(0, u64::MAX).unwrap().len();
+                assert_eq!(n, entries.len());
+            }
         }
-        if round % 3 == 0 {
-            // The antagonist: a full-range scan touching every leaf.
-            let n = tree.range_search(0, u64::MAX).unwrap().len();
-            assert_eq!(n, entries.len());
-        }
+        let stats = tree.store().leaf_cache_stats();
+        let ctx = format!("L = {leaf_segments}: {stats:?}");
+        assert!(
+            stats.scan_bypasses > 0,
+            "{ctx}: the scans must have streamed past the cache"
+        );
+        assert!(
+            stats.hit_ratio() >= 0.8,
+            "{ctx}: hot working set lost its hit rate under scans: {:.3}",
+            stats.hit_ratio()
+        );
+        assert_eq!(
+            stats.evictions, 0,
+            "{ctx}: scans must not force evictions from a cache that fits the hot set"
+        );
     }
-    let stats = tree.store().leaf_cache_stats();
-    assert!(stats.scan_bypasses > 0, "the scans must have streamed past the cache");
-    assert!(
-        stats.hit_ratio() >= 0.8,
-        "hot working set lost its hit rate under scans: {:.3} ({stats:?})",
-        stats.hit_ratio()
-    );
-    assert_eq!(
-        stats.evictions, 0,
-        "scans must not force evictions from a cache that fits the hot set"
-    );
 }
