@@ -60,10 +60,12 @@ pub struct PioConfig {
     /// it; it goes with the next change to that harness.
     pub inner_tier_pages: u64,
     /// Pages the leaf budget adds to the store's one cache
-    /// ([`storage::CachedStore::set_leaf_cache`]): with it, leaf pieces are
-    /// cached as scan-resistant leaf entries that share the whole budget with
-    /// the internal nodes, which are evicted last. 0 (the default) adds
-    /// nothing, and a lookup's leaf reads always go to the device.
+    /// ([`storage::CachedStore::set_leaf_cache`]): with it, every leaf page
+    /// the tree reads or writes is cached as a scan-resistant leaf entry that
+    /// shares the whole budget with the internal nodes, which are evicted
+    /// last. 0 (the default) adds nothing: a lookup's leaf reads go to the
+    /// device, except in a tree of one-segment leaves, whose leaves are pool
+    /// pages.
     pub leaf_cache_pages: u64,
 }
 
@@ -207,8 +209,8 @@ impl PioConfigBuilder {
         self
     }
 
-    /// Sets the scan-resistant leaf-region cache budget in pages (0 disables
-    /// it).
+    /// Sets the leaf budget in pages (see [`PioConfig::leaf_cache_pages`]; 0
+    /// disables it).
     pub fn leaf_cache_pages(mut self, pages: u64) -> Self {
         self.config.leaf_cache_pages = pages;
         self
