@@ -12,8 +12,12 @@
 //! sizes (cheaper internal-node misses + a single large leaf read per search), with
 //! the gap narrowing as the pool grows large enough to cache all internal levels.
 //!
-//! Self-assertion (the CI gate of the store's one cache without a leaf
-//! budget, which is the pool the baseline lives on): per device, `btree_ms` never grows as `pool_bytes` grows.
+//! Both trees live on the store's one cache, swept in size: the B+-tree's
+//! nodes, and the PIO B-tree's internal nodes and leaf pages — every page of
+//! a leaf a search reads is an entry of the pool, whatever its size.
+//!
+//! Self-assertion (the CI gate of that cache): per device, `btree_ms` never
+//! grows as `pool_bytes` grows.
 
 use pio_bench::{ratio, scaled, setup, us, Table};
 use pio_btree::cost::optimal_btree_node_size;

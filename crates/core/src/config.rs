@@ -43,7 +43,7 @@ pub struct PioConfig {
     /// Batch count (`bcnt`): number of OPQ entries processed per bupdate invocation.
     pub bcnt: usize,
     /// Buffer-pool capacity in pages: the store's one cache, which holds the
-    /// internal nodes (and, without a leaf budget, bupdate's segments).
+    /// internal nodes and the leaf pages the tree reads and writes.
     pub pool_pages: u64,
     /// Fill factor used when bulk loading.
     pub fill_factor: f64,
@@ -60,12 +60,10 @@ pub struct PioConfig {
     /// it; it goes with the next change to that harness.
     pub inner_tier_pages: u64,
     /// Pages the leaf budget adds to the store's one cache
-    /// ([`storage::CachedStore::set_leaf_cache`]): with it, every leaf page
-    /// the tree reads or writes is cached as a scan-resistant leaf entry that
+    /// ([`storage::CachedStore::set_leaf_cache`]) — a size, not a mode. Every
+    /// leaf page the tree reads or writes is a scan-resistant leaf entry that
     /// shares the whole budget with the internal nodes, which are evicted
-    /// last. 0 (the default) adds nothing: a lookup's leaf reads go to the
-    /// device, except in a tree of one-segment leaves, whose leaves are pool
-    /// pages.
+    /// last, whatever this is; 0 (the default) adds nothing.
     pub leaf_cache_pages: u64,
 }
 
@@ -210,7 +208,7 @@ impl PioConfigBuilder {
     }
 
     /// Sets the leaf budget in pages (see [`PioConfig::leaf_cache_pages`]; 0
-    /// disables it).
+    /// adds none).
     pub fn leaf_cache_pages(mut self, pages: u64) -> Self {
         self.config.leaf_cache_pages = pages;
         self

@@ -62,20 +62,20 @@
 //! rest of the level is read through the store in `PioMax`-bounded psync
 //! calls. The tree keeps no copy of its own, so nothing needs rebuilding or
 //! invalidating: a write installs the new image, a free or a crash drops it.
-//! [`PioConfig::leaf_cache_pages`] adds a leaf budget to the pool's
-//! ([`storage::CachedStore::set_leaf_cache`]) and with it *leaf* entries:
-//! every page of a leaf the tree reads or writes — whole leaves, the
+//! Every page of a leaf the tree reads or writes — whole leaves, the
 //! segments lookups read, the last segments bupdate reads and writes — is a
-//! leaf page in the one budget's segmented LRU, one entry per page, so a
-//! segment read takes a page a whole-leaf read admitted and the reverse.
+//! *leaf* entry of the same cache, in a segmented LRU, one entry per page, so
+//! a segment read takes a page a whole-leaf read admitted and the reverse.
 //! Inner entries are evicted only when no leaf entry is left, and
 //! `range_search` streams bypass admission. So a warm tree serves hot point
 //! lookups without any I/O, and the next flush finds the segments the last
-//! one wrote. It defaults to 0 (off), preserving the paper-faithful I/O
-//! pattern. The `fig09_leaf_cache` bench asserts that at an equal memory
-//! budget on one shared device, pool + leaf budget serve a skewed
-//! multi-search ≥ 1.2× faster than the pool alone (without a leaf budget the
-//! leaves of a multi-segment tree are read around the cache);
+//! one wrote. The cache is the paper's buffer of `M − O` pages: it shrinks
+//! as the OPQ grows, and searches slow down (Figure 11).
+//! [`PioConfig::leaf_cache_pages`] is a size, not a mode: it adds pages to
+//! the pool's budget ([`storage::CachedStore::set_leaf_cache`]) and changes
+//! the class of none. The `fig09_leaf_cache` bench asserts that at an equal
+//! memory budget on one shared device, the pool alone and pool + leaf budget
+//! take the same time and count the same hits and misses;
 //! `tests/resident_descent.rs` covers
 //! descents over a pool that holds the internal levels against descents over
 //! one that cannot, crash and migration coherence, and the scan-resistance
@@ -86,7 +86,7 @@
 //! A page comes out of the store as a shared, immutable
 //! [`storage::PageImage`] — the image the cache verified and keeps, not a copy
 //! — and a leaf as the images that tile it, one per page or one of the whole
-//! region where it was read past the cache; each is searched where it lies: [`btree::InternalView`] binary-searches an
+//! region where a scan read it past the cache; each is searched where it lies: [`btree::InternalView`] binary-searches an
 //! internal node's encoded keys, [`leaf::LeafView`] scans a leaf's segments
 //! newest-first for a key's latest record and emits a still-sorted leaf
 //! straight into a range result. Both views validate their header once and

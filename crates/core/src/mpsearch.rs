@@ -27,7 +27,7 @@
 use btree::{InternalView, Key};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
-use storage::{Access, AccessHint, CachedReadTicket, CachedStore, PageId};
+use storage::{AccessHint, CachedReadTicket, CachedStore, PageClass, PageId};
 
 /// The result of one descent over a sorted key set: per key the target leaf
 /// and its root-to-parent path, the paths in **one** flat array (`levels`
@@ -102,7 +102,7 @@ fn visit_level(
     run_pipeline(
         ring,
         rest.len().div_ceil(pio_max),
-        |b| store.submit_read(batch(b), Access::Node, AccessHint::Point),
+        |b| store.submit_read(batch(b), PageClass::Inner, AccessHint::Point),
         |ticket| store.complete_read(ticket),
         |b, images| {
             for (&(page, _), image) in batch(b).iter().zip(&images) {

@@ -374,7 +374,8 @@ impl PioBTree {
                     preimage,
                 }) => {
                     if let Some(&i) = flush_idx.get(&flush_id) {
-                        flushes[i].journal.steps.push((page, Undo::Image(preimage.into())));
+                        let step = Undo::restore(page, preimage.into());
+                        flushes[i].journal.steps.push((page, step));
                     }
                 }
                 Some(LogRecord::FlushAppendUndo {

@@ -10,14 +10,14 @@
 //! * there is always at least one internal level (the root), so the tree height is
 //!   `internal levels + 1` and every leaf has a parent to receive fence keys.
 //!
-//! I/O discipline: internal nodes are cached by a write-through buffer pool (the
-//! store's one cache — the tree keeps no copy of its own, so a write or a crash
-//! that changes the pool leaves nothing stale behind); leaf regions are read with
-//! single large requests (`Pr(L)` in the cost model), except that a point lookup
-//! of a leaf with segment fences reads only its one segment (see `search`);
-//! every batched read or write
-//! goes through one psync call bounded by `PioMax`; reads and writes are never
-//! mixed in one call (Principle 3).
+//! I/O discipline: internal nodes and leaf pages are cached by a write-through
+//! buffer pool (the store's one cache — the tree keeps no copy of its own, so a
+//! write or a crash that changes the pool leaves nothing stale behind); a leaf
+//! read fetches the pages the pool misses, and a scan reads a leaf the pool
+//! does not hold whole with one large request (`Pr(L)` in the cost model); a
+//! point lookup of a leaf with segment fences reads only its one segment (see
+//! `search`); every batched read or write goes through one psync call bounded
+//! by `PioMax`; reads and writes are never mixed in one call (Principle 3).
 //!
 //! This file is the tree proper — construction, accessors, the write entry
 //! ([`PioBTree::apply`]) and the invariant checker. The read half lives in
@@ -36,23 +36,10 @@ use pio::{IoResult, SimPsyncIo, TicketRing};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{Access, CachedStore, Lsn, PageId, PageImage, PageStore, Wal, WritePolicy};
+use storage::{CachedStore, Lsn, PageClass, PageId, PageImage, PageStore, Wal, WritePolicy};
 
 pub(crate) mod flush;
 mod search;
-
-/// How the store caches the pages of a tree's leaves, whatever part of a
-/// leaf a read or a write carries. A leaf of one segment is a segment, which
-/// the pool holds beside the internal nodes when there is no leaf budget (the
-/// paper's buffer pool); the pages of a longer leaf are cached only with a
-/// leaf budget. With one, every leaf page is a leaf entry at every `L`.
-fn leaf_access(config: &PioConfig) -> Access {
-    if config.leaf_segments == 1 {
-        Access::Segment
-    } else {
-        Access::LeafPiece
-    }
-}
 
 /// Operation and structural counters of a [`PioBTree`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -268,7 +255,7 @@ impl PioBTree {
                         (first, leaf.encode(page_size))
                     })
                     .collect();
-                store.submit_write(&region_writes, leaf_access(&config))
+                store.submit_write(&region_writes, PageClass::Leaf)
             },
             |ticket| store.complete_write(ticket),
             |_, ()| Ok(()),
@@ -295,7 +282,7 @@ impl PioBTree {
                 next_level.push((chunk[0].0, page));
                 writes.push((page, Node::Internal(node).encode(page_size)));
             }
-            store.write_pages(&writes, Access::Node)?;
+            store.write_pages(&writes, PageClass::Inner)?;
             level = next_level;
             if level.len() == 1 {
                 break;

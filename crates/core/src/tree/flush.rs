@@ -10,7 +10,7 @@
 //! [`PioBTree::undo_flush`] — applies a journal, whether it was captured in
 //! process or rebuilt from the log by [`PioBTree::recover_with`].
 
-use super::{leaf_access, PioBTree};
+use super::PioBTree;
 use crate::entry::OpEntry;
 use crate::leaf::{LeafView, PioLeaf};
 use crate::mpsearch::Descent;
@@ -19,7 +19,7 @@ use btree::{InternalNode, InternalView, Key, Node};
 use pio::ring::run_pipeline;
 use pio::{zeroed_image, IoResult, TicketRing};
 use std::sync::Arc;
-use storage::{new_image, next_region, Access, AccessHint, PageId, PageImage};
+use storage::{new_image, next_region, AccessHint, PageClass, PageId, PageImage};
 
 /// A pending fence-key insertion produced by a node split during bupdate.
 #[derive(Debug, Clone)]
@@ -44,11 +44,26 @@ struct LeafJob<'a> {
 /// How one page of a flush is undone.
 #[derive(Debug)]
 pub(crate) enum Undo {
-    /// Restore the pre-image.
-    Image(PageImage),
-    /// The flush only appended to the segment: cut it back to this record
-    /// count (`None`: back to a never-written page).
+    /// Restore the pre-image, a page of the class it is written back as.
+    Image(PageImage, PageClass),
+    /// The flush only appended to the leaf segment: cut it back to this
+    /// record count (`None`: back to a never-written page).
     Append(Option<usize>),
+}
+
+impl Undo {
+    /// The step that restores `preimage`, a page the flush rewrote, classed
+    /// by what it holds: an internal node's image is inner, any other — a
+    /// leaf segment, or the zeros of a never-written one — is a leaf page.
+    /// Recovery rebuilds its journal from pre-images alone, so it has only
+    /// the image to go by.
+    pub(crate) fn restore(page: PageId, preimage: PageImage) -> Self {
+        let class = match InternalView::new(page, &preimage) {
+            Ok(_) => PageClass::Inner,
+            Err(_) => PageClass::Leaf,
+        };
+        Undo::Image(preimage, class)
+    }
 }
 
 /// The undo journal of one flush: everything [`PioBTree::undo_flush`] needs to
@@ -83,15 +98,15 @@ impl FlushJournal {
         }
     }
 
-    /// Journals the rewrite of `page` (a full-path leaf region page, an
-    /// internal node) with its pre-image.
-    fn image(&mut self, tree: &PioBTree, page: PageId, preimage: PageImage) {
+    /// Journals the rewrite of `page`, a page of `class` — a full-path leaf
+    /// region page, an internal node — with its pre-image.
+    fn image(&mut self, tree: &PioBTree, page: PageId, preimage: PageImage, class: PageClass) {
         tree.log(|| LogRecord::FlushUndo {
             flush_id: self.flush_id,
             page,
             preimage: preimage.to_vec(),
         });
-        self.steps.push((page, Undo::Image(preimage)));
+        self.steps.push((page, Undo::Image(preimage, class)));
     }
 
     /// Journals an append to segment `page`: the durable undo is logical — the
@@ -104,7 +119,7 @@ impl FlushJournal {
             old_count,
             fresh,
         });
-        self.steps.push((page, Undo::Image(preimage)));
+        self.steps.push((page, Undo::Image(preimage, PageClass::Leaf)));
     }
 
     /// Journals the growth of the tree to `new_root`, one level up.
@@ -228,12 +243,13 @@ impl PioBTree {
         pages
     }
 
-    /// Writes the page steps of a journal back. An append is undone from the
-    /// page as it is on the device NOW — when recovery unwinds several
-    /// flushes, every newer flush's undo is already written — and read below
-    /// the cache and the checksum sidecar: the crash may have torn that very
-    /// write, which `undo_append` repairs and verification would report as
-    /// corruption.
+    /// Writes the page steps of a journal back, each batch as one write per
+    /// class: the leaf pages, then the internal nodes. An append is undone
+    /// from the page as it is on the device NOW — when recovery unwinds
+    /// several flushes, every newer flush's undo is already written — and
+    /// read below the cache and the checksum sidecar: the crash may have torn
+    /// that very write, which `undo_append` repairs and verification would
+    /// report as corruption.
     fn undo_pages(&self, steps: Vec<(PageId, Undo)>) -> IoResult<()> {
         let mut steps = steps.into_iter().peekable();
         while steps.peek().is_some() {
@@ -249,19 +265,24 @@ impl PioBTree {
                 self.store.store().read_regions(&appended)?
             }
             .into_iter();
-            let images: Vec<(PageId, PageImage)> = batch
-                .into_iter()
-                .map(|(page, undo)| match undo {
-                    Undo::Image(image) => (page, image),
+            let (mut leaves, mut nodes) = (Vec::new(), Vec::new());
+            for (page, undo) in batch {
+                match undo {
+                    Undo::Image(image, PageClass::Leaf) => leaves.push((page, image)),
+                    Undo::Image(image, PageClass::Inner) => nodes.push((page, image)),
                     Undo::Append(keep) => {
                         // The store's image is unshared: this edits it in place.
                         let mut image = current.next().expect("one image per appended page");
                         PioLeaf::undo_append(PageImage::make_mut(&mut image), keep);
-                        (page, image)
+                        leaves.push((page, image));
                     }
-                })
-                .collect();
-            self.store.write_pages(&images, Access::Node)?;
+                }
+            }
+            for (images, class) in [(leaves, PageClass::Leaf), (nodes, PageClass::Inner)] {
+                if !images.is_empty() {
+                    self.store.write_pages(&images, class)?;
+                }
+            }
         }
         Ok(())
     }
@@ -317,7 +338,7 @@ impl PioBTree {
         run_pipeline(
             &mut TicketRing::new(self.pipeline_depth),
             jobs.len().div_ceil(pio_max),
-            |c| store.submit_read(&ls_pages[chunk(c)], Access::Segment, AccessHint::Point),
+            |c| store.submit_read(&ls_pages[chunk(c)], PageClass::Leaf, AccessHint::Point),
             |ticket| store.complete_read(ticket),
             |c, ls_images| {
                 let c = chunk(c);
@@ -437,7 +458,7 @@ impl PioBTree {
                 let tiles = next_region(&mut rest, segments as u64, page_size);
                 // One undo step per page of the region.
                 for (p, pre) in tiles.iter().flat_map(|tile| tile.chunks(page_size)).enumerate() {
-                    journal.image(self, job.leaf + p as u64, pre.into());
+                    journal.image(self, job.leaf + p as u64, pre.into(), PageClass::Leaf);
                 }
                 self.stats.leaf_rewrites += 1;
                 leaf.records.clear();
@@ -498,10 +519,10 @@ impl PioBTree {
         // for the rewritten regions (reads never mix with writes).
         self.force_wal()?;
         if !page_writes.is_empty() {
-            self.store.write_pages(&page_writes, Access::Segment)?;
+            self.store.write_pages(&page_writes, PageClass::Leaf)?;
         }
         if !region_writes.is_empty() {
-            self.store.write_pages(&region_writes, leaf_access(&self.config))?;
+            self.store.write_pages(&region_writes, PageClass::Leaf)?;
         }
         Ok(())
     }
@@ -557,7 +578,7 @@ impl PioBTree {
 
             for ((parent_page, fences), image) in groups.into_iter().zip(images) {
                 let mut node = InternalView::new(parent_page, &image)?.to_owned();
-                journal.image(self, parent_page, image);
+                journal.image(self, parent_page, image, PageClass::Inner);
                 let grandparent_path: Vec<(PageId, usize)> = {
                     let mut p = fences[0].path.clone();
                     p.pop();
@@ -591,7 +612,7 @@ impl PioBTree {
                 writes.push((parent_page, Node::Internal(node).encode(page_size)));
             }
             self.force_wal()?;
-            self.store.write_pages(&writes, Access::Node)?;
+            self.store.write_pages(&writes, PageClass::Inner)?;
             pending = next_pending;
         }
         Ok(())
@@ -600,8 +621,63 @@ impl PioBTree {
 
 #[cfg(test)]
 mod tests {
+    use crate::tree::tests::{fail_write_in, failing_tree};
     use crate::{PioBTree, PioConfig};
+    use btree::InternalView;
     use ssd_sim::DeviceProfile;
+    use storage::{PageClass, PageId};
+
+    /// The class of `page`'s entry, if the cache holds it: the class its
+    /// hit counts in.
+    fn entry_class(t: &PioBTree, page: PageId) -> Option<PageClass> {
+        let leaf_hits = t.store().leaf_cache_stats().hits;
+        t.store().resident_pages().get(page)?;
+        Some(match t.store().leaf_cache_stats().hits > leaf_hits {
+            true => PageClass::Leaf,
+            false => PageClass::Inner,
+        })
+    }
+
+    /// A flush that fails part-way is rolled back in process, and the pages
+    /// the rollback rewrites — the leaf segments the flush appended to — go
+    /// back into the cache as what they are: leaf entries. Every resident
+    /// entry's class matches the page on the device, with and without a
+    /// leaf budget.
+    #[test]
+    fn a_rolled_back_leaf_page_is_a_leaf_entry() {
+        for leaf_cache_pages in [0, 256] {
+            let config = PioConfig::builder()
+                .page_size(2048)
+                .leaf_segments(2)
+                .opq_pages(4)
+                .pio_max(4)
+                .bcnt(120)
+                .pool_pages(128)
+                .leaf_cache_pages(leaf_cache_pages)
+                .build();
+            let entries: Vec<(u64, u64)> = (0..4_000u64).map(|k| (k * 3, k)).collect();
+            let (mut t, failing) = failing_tree(config, &entries);
+            for k in (0..4_000u64).step_by(37) {
+                t.update(k * 3, k + 1).unwrap();
+            }
+            let appends = t.stats().leaf_appends;
+            // The first chunk's segment writes land, the second chunk's fail.
+            fail_write_in(&failing, 1);
+            t.flush_once().unwrap_err();
+            assert!(t.stats().leaf_appends > appends, "the flush appended to leaves");
+            let mut leaf_entries = 0;
+            for page in 0..t.store().store().high_water_pages() {
+                let Some(class) = entry_class(&t, page) else { continue };
+                let image = t.store().store().read_page(page).unwrap();
+                let is_node = InternalView::new(page, &image).is_ok();
+                let expected = if is_node { PageClass::Inner } else { PageClass::Leaf };
+                assert_eq!(class, expected, "leaf budget {leaf_cache_pages}: page {page}");
+                leaf_entries += (class == PageClass::Leaf) as usize;
+            }
+            assert!(leaf_entries > 0, "leaf budget {leaf_cache_pages}");
+            assert_eq!(t.check_invariants().unwrap(), 4_000);
+        }
+    }
 
     /// With a leaf budget, the last segment bupdate's append path writes
     /// stays in the cache as a leaf entry — in the one budget, however small

@@ -12,26 +12,26 @@
 //! a segment share the read. Any other leaf is read whole, `(leaf, L)`, with
 //! one large request (`Pr(L)` in the cost model) when it is read past the
 //! cache. `range_search` reads whole regions. Every leaf read names its pages
-//! as leaf pages ([`super::leaf_access`]), cached one page each: with a leaf
-//! budget a point read takes whatever pages of a piece are resident, and only
-//! the rest travels, one page per request.
+//! as leaf pages, cached one page each under any budget: a point read takes
+//! whatever pages of a piece are resident, and only the rest travels, one
+//! page per request.
 //!
 //! A leaf image is touched once: the store hands out the shared images it
-//! verified and cached — one per page, or one of a region read past the
-//! cache — and a [`LeafView`] answers from those bytes where they lie.
+//! verified and cached — one per page, or one of a region a scan read past
+//! the cache — and a [`LeafView`] answers from those bytes where they lie.
 //! Everything a batched call needs besides its result — the sort order, the
 //! sorted keys, the descent, a chunk's region list, the ring of tickets in
 //! flight — lives in [`SearchScratch`], which the tree owns and reuses from
 //! call to call.
 
-use super::{leaf_access, PioBTree};
+use super::PioBTree;
 use crate::entry::OpEntry;
 use crate::leaf::LeafView;
 use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
 use btree::{Key, Value};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
-use storage::{next_region, AccessHint, CachedReadTicket, PageId, PageImage};
+use storage::{next_region, AccessHint, CachedReadTicket, PageClass, PageId, PageImage};
 
 /// Buffers of the batched read paths (and of bupdate's descent and leaf
 /// records), kept by the tree between calls so that a warm call allocates
@@ -87,10 +87,9 @@ impl PioBTree {
         }
     }
 
-    /// Submits reads of leaf regions or pieces of them, named as this
-    /// tree's leaf pages ([`super::leaf_access`]).
+    /// Submits reads of leaf regions or pieces of them, as leaf pages.
     fn submit_leaf_reads(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        self.store.submit_read(regions, leaf_access(&self.config), hint)
+        self.store.submit_read(regions, PageClass::Leaf, hint)
     }
 
     /// The one descent entry: fills `out` with the target leaf (and
@@ -233,7 +232,6 @@ impl PioBTree {
         let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
         let l = self.config.leaf_segments as u64;
         let batch = |batch_idx: usize| &leaves[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(leaves.len())];
-        let access = leaf_access(&self.config);
         let SearchScratch {
             regions, ring, queued, ..
         } = &mut self.scratch;
@@ -253,7 +251,7 @@ impl PioBTree {
                 regions.extend(batch(batch_idx).iter().map(|&p| (p, l)));
                 // Scan-hinted: the stream may hit resident leaf regions but
                 // never evicts the point-lookup working set.
-                store.submit_read(regions, access, AccessHint::Scan)
+                store.submit_read(regions, PageClass::Leaf, AccessHint::Scan)
             },
             |ticket| store.complete_read(ticket),
             |batch_idx, images| {

@@ -363,7 +363,7 @@ use pio::{CrashPlan, FaultClock, FaultIo};
 
 /// Builds a tree whose store is wrapped in the shared [`pio::fault`] harness
 /// (nothing armed yet) and returns it with the clock that scripts failures.
-fn failing_tree(config: PioConfig, entries: &[(Key, Value)]) -> (PioBTree, Arc<FaultClock>) {
+pub(super) fn failing_tree(config: PioConfig, entries: &[(Key, Value)]) -> (PioBTree, Arc<FaultClock>) {
     let clock = FaultClock::new();
     let faulty = Arc::new(FaultIo::new(
         Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 30)),
@@ -380,7 +380,7 @@ fn failing_tree(config: PioConfig, entries: &[(Key, Value)]) -> (PioBTree, Arc<F
 
 /// Arms a transient failure of the `skip`-th upcoming write submission
 /// (0 = the very next one) — the old inline `FailingIo` semantics.
-fn fail_write_in(clock: &FaultClock, skip: u64) {
+pub(super) fn fail_write_in(clock: &FaultClock, skip: u64) {
     clock.arm(CrashPlan::at_write(clock.writes_seen() + skip).transient());
 }
 

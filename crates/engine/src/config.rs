@@ -57,9 +57,9 @@ pub struct EngineConfig {
     /// it goes with the next change to that harness.
     pub inner_tier_bytes: Option<u64>,
     /// Engine-wide leaf budget in bytes, divided across shards (at least one
-    /// page each): each shard's share is added to its pool's budget and
-    /// caches leaf pieces as scan-resistant leaf entries
-    /// ([`pio_btree::PioConfig::leaf_cache_pages`]). `None` (the default)
+    /// page each): each shard's share is added to its pool's budget
+    /// ([`pio_btree::PioConfig::leaf_cache_pages`]) — a size, not a mode:
+    /// leaf pages are leaf entries with or without it. `None` (the default)
     /// adds nothing; `Some(0)` is rejected; must be a multiple of
     /// `base.page_size`.
     pub leaf_cache_bytes: Option<u64>,

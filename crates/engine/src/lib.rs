@@ -22,12 +22,13 @@
 //!   ratios and store counters, and separates *device work* (`total_io_us`) from
 //!   the *schedule makespan* (`scheduled_io_us`) so the cross-shard overlap win is
 //!   directly measurable;
-//! * engine-wide **memory budgets**, both divided across shards: the pool
-//!   (`base.pool_pages`) caches internal nodes, which every descent takes
-//!   from the pool before it reads any through the store, and [`EngineConfig`]'s `leaf_cache_bytes` adds
-//!   a leaf budget to it, under which leaf pieces share the one cache as a
-//!   scan-resistant segmented LRU (validated non-zero and page-multiple);
-//!   both roll up in [`EngineStats`]
+//! * engine-wide **memory budgets**, both divided across shards, of one
+//!   cache per shard: the pool (`base.pool_pages`) holds the internal nodes,
+//!   which every descent takes from the pool before it reads any through the
+//!   store, and the leaf pages, which share the rest of the cache as a
+//!   scan-resistant segmented LRU; [`EngineConfig`]'s `leaf_cache_bytes` only
+//!   adds pages to that budget (validated non-zero and page-multiple); the
+//!   hit rates roll up in [`EngineStats`]
 //!   (`inner_tier_hit_rate` — descents the pool answered whole —
 //!   and `leaf_cache_hit_rate`);
 //! * shard boundaries are chosen from a key sample at construction time

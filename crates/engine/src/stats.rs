@@ -44,15 +44,14 @@ pub struct ShardSnapshot {
     pub queue_peak_pct: u64,
     /// The shard tree's operation counters.
     pub pio: PioStats,
-    /// Inner-page counters of the shard's cached store: the internal nodes
-    /// — and, without a leaf budget, bupdate's segment pages. Per page, so a
-    /// read of two pages counts two lookups. `scan_bypasses` is always 0 —
-    /// inner pages ignore access hints.
+    /// Inner-page counters of the shard's cached store: the internal nodes.
+    /// Per page, so a read of two pages counts two lookups. `scan_bypasses`
+    /// is always 0 — inner pages ignore access hints.
     pub pool: CacheStats,
     /// Leaf-page counters of the same cache: the pages of leaves and of
     /// segments, per page, so a whole-leaf read of `L` pages counts `L`
-    /// lookups (all zero when [`crate::EngineConfig::leaf_cache_bytes`] is
-    /// unset; `dirty_evictions` is always 0 — the tree writes through).
+    /// lookups, whatever [`crate::EngineConfig::leaf_cache_bytes`] is
+    /// (`dirty_evictions` is always 0 — the tree writes through).
     pub leaf_cache: CacheStats,
     /// Page-store counters (psync batches, page reads/writes, allocation).
     pub store: StoreStats,
@@ -120,8 +119,7 @@ pub struct EngineStats {
     pub pipeline_depth: usize,
     /// Aggregate inner-entry hit ratio across shards in `[0, 1]`.
     pub pool_hit_ratio: f64,
-    /// Sum of all shards' leaf-entry counters (all zero when
-    /// [`crate::EngineConfig::leaf_cache_bytes`] is unset).
+    /// Sum of all shards' leaf-entry counters.
     pub leaf_cache: CacheStats,
     /// Total operations buffered in shard OPQs.
     pub queued_ops: usize,
@@ -234,7 +232,7 @@ impl EngineStats {
 
     /// Aggregate leaf-entry hit ratio across shards (point lookups and
     /// bupdate's segment reads — scan-hinted traffic is excluded by
-    /// construction; 0.0 without a leaf budget or before any probe).
+    /// construction; 0.0 before any probe).
     pub fn leaf_cache_hit_rate(&self) -> f64 {
         self.leaf_cache.hit_ratio()
     }

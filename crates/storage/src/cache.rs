@@ -1031,7 +1031,7 @@ pub(crate) mod tests {
     /// Drives [`Cache`] and [`Model`] through the same seeded stream of every
     /// public operation — point lookups, scans of runs, installs, admissions,
     /// invalidations, `take_dirty`, resizes, clears — inner pages only (the
-    /// pool without a leaf budget), then both classes, and demands identical
+    /// pool of a tree that tags no leaves), then both classes, and demands identical
     /// answers, counters, victim sequences and recency orders after every
     /// step, plus the structural invariants the model cannot see.
     /// `CRASH_SEED` replays a failure.

@@ -13,19 +13,15 @@
 //!   cannot evict the point-lookup working set.
 //!
 //! The budget is `pool_pages` ([`CachedStore::new`], [`CachedStore::resize_pool`])
-//! plus the leaf budget ([`CachedStore::set_leaf_cache`]). **Without a leaf
-//! budget there are no leaf entries**: the cache is one plain LRU of pages —
-//! the internal nodes, bupdate's segments and the leaves of a tree of
-//! one-segment leaves — the buffer pool the paper sweeps in Figure 9 and
-//! trades off against the OPQ in Figure 11, and the pieces of longer leaves
-//! are read around it. The leaf budget adds its pages to that budget and makes
-//! every leaf page a leaf entry.
+//! plus the leaf budget ([`CachedStore::set_leaf_cache`]), one count of pages
+//! — the paper's buffer of `M − O` pages, swept in Figure 9 and traded off
+//! against the OPQ in Figure 11. The leaf budget only adds pages to it: a
+//! page's class never depends on either budget.
 //!
-//! The caller names what it reads or writes ([`Access`]), and that alone
-//! decides the class of its pages, never their number: a [`Access::Node`]
-//! page is inner; a [`Access::Segment`] page is a leaf page with a leaf budget
-//! and an inner one without; a [`Access::LeafPiece`] page is a leaf page with
-//! a leaf budget and is read around the cache without one.
+//! The caller names the [`PageClass`] of what it reads or writes, and that
+//! alone decides the class of its pages, never their number: the pages of an
+//! internal node are inner, and every page of a leaf — a whole leaf, a
+//! lookup's segment, bupdate's last segment — is a leaf page.
 //!
 //! There is one read path and one write path, both over `(first_page,
 //! n_pages)` regions, and a page is a one-page region. Every entry is one
@@ -33,11 +29,11 @@
 //! it fetches sends each page it misses as a one-page request in the call's
 //! **one** device batch, and each device-filled image becomes its page's
 //! entry; a read that admits nothing — a `Scan` of a region the cache does not
-//! hold whole, or a read around the cache — sends the region as one request.
+//! hold whole — sends the region as one request.
 //! A read hands back the images that tile each region ([`next_region`]). A
 //! warm cache therefore automatically reduces the outstanding-I/O level —
 //! exactly the behaviour the cost model of Section 3.5 assumes. Writes apply
-//! the [`WritePolicy`] to the page images their access caches:
+//! the [`WritePolicy`] to their page images:
 //!
 //! * the baseline B+-tree and B-link tree use **write-back** (a conventional
 //!   no-force buffer manager: dirty nodes are written on eviction), and
@@ -93,37 +89,10 @@ pub enum AccessHint {
     Scan,
 }
 
-/// What a read or a write carries, named by its caller: it decides the class
-/// of the pages' entries (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    /// Pages of index nodes: inner entries.
-    Node,
-    /// Leaf segments bupdate reads and writes one at a time, and the leaves
-    /// of a tree whose leaves are one segment: leaf entries with a leaf
-    /// budget, pool pages (inner entries) without one.
-    Segment,
-    /// Pieces of longer leaves — a lookup's segment or a whole leaf: leaf
-    /// entries, cached only with a leaf budget.
-    LeafPiece,
-}
-
-impl Access {
-    /// The class this access caches its pages as, or `None` when it reads
-    /// and writes around the cache.
-    fn class(self, leaf_budget: bool) -> Option<PageClass> {
-        match self {
-            Access::Node => Some(PageClass::Inner),
-            Access::Segment if !leaf_budget => Some(PageClass::Inner),
-            Access::Segment | Access::LeafPiece => leaf_budget.then_some(PageClass::Leaf),
-        }
-    }
-}
-
 /// Takes the images of the next region, `pages` pages long, off the front of
 /// `tiles` — what [`CachedStore::complete_read`] handed back: one image per
 /// page, each from the cache or from its own request, or the one image of a
-/// region read past the cache.
+/// `Scan` of a region read past the cache.
 pub fn next_region<'a>(tiles: &mut &'a [PageImage], pages: u64, page_size: usize) -> &'a [PageImage] {
     let n = if tiles[0].len() == page_size { pages as usize } else { 1 };
     let (region, rest) = tiles.split_at(n);
@@ -139,10 +108,13 @@ pub struct CachedReadTicket {
     /// One slot per image handed back: hits are filled at submission, the
     /// rest at completion.
     tiles: Vec<Option<PageImage>>,
-    /// `(tile, first page, page count, class to admit it as)` of every
-    /// device request, in batch order: a page the read admits, or a region
-    /// read past the cache (no class).
-    missing: Vec<(usize, PageId, u64, Option<PageClass>)>,
+    /// `(tile, first page, page count)` of every device request, in batch
+    /// order: a page the read admits, or a region a `Scan` reads past the
+    /// cache.
+    missing: Vec<(usize, PageId, u64)>,
+    /// The class the fetched pages are admitted as; `None` for a leaf `Scan`,
+    /// which admits nothing.
+    admit: Option<PageClass>,
     /// The in-flight device batch for `missing`; `None` when everything hit.
     ticket: Option<ReadTicket>,
 }
@@ -163,13 +135,6 @@ struct Pool {
     cache: Cache,
     pool_pages: u64,
     leaf_pages: u64,
-}
-
-impl Pool {
-    /// The class `access` caches its pages as under the current budgets.
-    fn class(&self, access: Access) -> Option<PageClass> {
-        access.class(self.leaf_pages > 0)
-    }
 }
 
 /// The cache, held under its lock for a walk over resident internal nodes
@@ -198,8 +163,8 @@ pub struct CachedStore {
 }
 impl CachedStore {
     /// Creates a cached store with a budget of `capacity_pages` pages, no
-    /// leaf budget (see [`CachedStore::set_leaf_cache`]) and the given write
-    /// policy.
+    /// leaf pages added to it (see [`CachedStore::set_leaf_cache`]) and the
+    /// given write policy.
     pub fn new(store: PageStore, capacity_pages: u64, policy: WritePolicy) -> Self {
         Self {
             store,
@@ -224,8 +189,9 @@ impl CachedStore {
     }
 
     /// Sets the leaf budget: `capacity_pages` pages added to the pool's
-    /// budget, and with them leaf entries (0 removes both). Resident entries
-    /// and counters stay; dirty entries that no longer fit are written back.
+    /// budget (0 adds none). It changes the size of the one cache, never the
+    /// class of a page. Resident entries and counters stay; dirty entries that
+    /// no longer fit are written back.
     pub fn set_leaf_cache(&self, capacity_pages: u64) -> IoResult<()> {
         self.resize(|pool| pool.leaf_pages = capacity_pages)
     }
@@ -243,13 +209,13 @@ impl CachedStore {
         self.write_back(victims)
     }
 
-    /// Counters of the leaf entries (zeros without a leaf budget).
+    /// Counters of the leaf entries.
     pub fn leaf_cache_stats(&self) -> CacheStats {
         self.pool.lock().cache.stats(PageClass::Leaf)
     }
 
-    /// Counters of the inner entries — every cached page without a leaf
-    /// budget (a zero budget still counts its misses).
+    /// Counters of the inner entries (a zero budget still counts its
+    /// misses).
     pub fn pool_stats(&self) -> CacheStats {
         self.pool.lock().cache.stats(PageClass::Inner)
     }
@@ -308,14 +274,13 @@ impl CachedStore {
 
     // ------------------------------------------------------------ the read path --
 
-    /// Submits a cache-aware batched read of `regions` as `access` with
-    /// `hint`, without waiting. Each region probes its pages: a read that
-    /// admits what it fetches — every inner access, and a leaf `Point` one —
-    /// takes each resident page from the cache and sends each missing page as
-    /// a one-page request; a leaf `Scan` takes the region from the cache only
-    /// when every page is resident, and a read around the cache never probes.
-    /// Whatever such a read misses goes as one request per region. All the
-    /// requests go to the device as one in-flight batch that overlaps
+    /// Submits a cache-aware batched read of `regions`, pages of `class`,
+    /// with `hint`, without waiting. Each region probes its pages: an inner
+    /// read and a leaf `Point` read take each resident page from the cache
+    /// and send each missing page as a one-page request, which they admit; a
+    /// leaf `Scan` takes the region from the cache only when every page is
+    /// resident, and sends it as one request, admitted nowhere, when not. All
+    /// the requests go to the device as one in-flight batch that overlaps
     /// whatever else is outstanding on the backend.
     ///
     /// A region that reaches past the allocation high-water mark was never
@@ -326,7 +291,7 @@ impl CachedStore {
     pub fn submit_read(
         &self,
         regions: &[(PageId, u64)],
-        access: Access,
+        class: PageClass,
         hint: AccessHint,
     ) -> IoResult<CachedReadTicket> {
         let high_water = self.store.high_water_pages();
@@ -336,82 +301,84 @@ impl CachedStore {
                 len: n.saturating_mul(self.page_size() as u64),
             });
         }
+        let scan = class == PageClass::Leaf && hint == AccessHint::Scan;
         // At most one image per page, so the slots are allocated once.
         let mut tiles: Vec<Option<PageImage>> = Vec::with_capacity(regions.iter().map(|&(_, n)| n as usize).sum());
-        let mut missing: Vec<(usize, PageId, u64, Option<PageClass>)> = Vec::new();
-        let mut miss = |tiles: &mut Vec<Option<PageImage>>, first, n, admit| {
+        let mut missing: Vec<(usize, PageId, u64)> = Vec::new();
+        let mut miss = |tiles: &mut Vec<Option<PageImage>>, first, n| {
             // Sized once, on the first miss: an all-hit read allocates
             // nothing here.
             if missing.capacity() == 0 {
                 missing.reserve_exact(tiles.capacity() - tiles.len());
             }
-            missing.push((tiles.len(), first, n, admit));
+            missing.push((tiles.len(), first, n));
             tiles.push(None);
         };
         {
             let mut pool = self.pool.lock();
-            let class = pool.class(access);
             for &(first, n) in regions {
-                match class {
-                    Some(class) if class == PageClass::Inner || hint == AccessHint::Point => {
-                        for page in first..first + n {
-                            match pool.cache.get(page, class) {
-                                Some(hit) => tiles.push(Some(hit)),
-                                None => miss(&mut tiles, page, 1, Some(class)),
-                            }
-                        }
-                    }
-                    Some(class) => match pool.cache.scan(first, n, class) {
+                if scan {
+                    match pool.cache.scan(first, n, class) {
                         Some(hits) => tiles.extend(hits.map(Some)),
-                        None => miss(&mut tiles, first, n, None),
-                    },
-                    None => miss(&mut tiles, first, n, None),
+                        None => miss(&mut tiles, first, n),
+                    }
+                    continue;
+                }
+                for page in first..first + n {
+                    match pool.cache.get(page, class) {
+                        Some(hit) => tiles.push(Some(hit)),
+                        None => miss(&mut tiles, page, 1),
+                    }
                 }
             }
         }
         let ticket = if missing.is_empty() {
             None
         } else {
-            let to_fetch: Vec<(PageId, u64)> = missing.iter().map(|&(_, p, n, _)| (p, n)).collect();
+            let to_fetch: Vec<(PageId, u64)> = missing.iter().map(|&(_, p, n)| (p, n)).collect();
             Some(self.store.submit_read(&to_fetch)?)
         };
-        Ok(CachedReadTicket { tiles, missing, ticket })
+        Ok(CachedReadTicket {
+            tiles,
+            missing,
+            admit: (!scan).then_some(class),
+            ticket,
+        })
     }
 
     /// Waits for an in-flight read and returns the images that tile each
     /// region, region after region in submission order: one per page, or the
-    /// one image of a region read past the cache ([`next_region`] takes a
-    /// region's share). Every device-fetched image is verified against the
-    /// checksum sidecar; each fetched page the read admits becomes its page's
-    /// entry as the device filled it — the cache and the caller share it.
+    /// one image of a `Scan` of a region read past the cache ([`next_region`]
+    /// takes a region's share). Every device-fetched image is verified against
+    /// the checksum sidecar; each fetched page the read admits becomes its
+    /// page's entry as the device filled it — the cache and the caller share
+    /// it.
     pub fn complete_read(&self, ticket: CachedReadTicket) -> IoResult<Vec<PageImage>> {
         let CachedReadTicket {
             mut tiles,
             missing,
+            admit,
             ticket,
         } = ticket;
         if let Some(ticket) = ticket {
             let fetched = self.store.complete_read(ticket)?;
-            for (&(i, first, n, _), mut image) in missing.iter().zip(fetched) {
+            for (&(i, first, n), mut image) in missing.iter().zip(fetched) {
                 self.integrity.verify(&self.store, first, n, &mut image)?;
                 tiles[i] = Some(image);
             }
-            let mut victims = Vec::new();
-            {
-                let mut pool = self.pool.lock();
-                for &(i, page, _, admit) in &missing {
-                    if let Some(class) = admit {
-                        // An admission evicts about one page: size the list
-                        // for the batch at the first one, not by doubling.
-                        if victims.capacity() == 0 {
-                            victims.reserve_exact(missing.len());
-                        }
+            if let Some(class) = admit {
+                // An admission evicts about one page: size the list for the
+                // batch once, not by doubling.
+                let mut victims = Vec::with_capacity(missing.len());
+                {
+                    let mut pool = self.pool.lock();
+                    for &(i, page, _) in &missing {
                         let image = tiles[i].as_ref().expect("fetched above");
                         pool.cache.admit(page, PageImage::clone(image), class, &mut victims);
                     }
                 }
+                self.write_back(victims)?;
             }
-            self.write_back(victims)?;
         }
         Ok(tiles
             .into_iter()
@@ -435,7 +402,7 @@ impl CachedStore {
     /// with a single psync call. Results are returned in the order of `pages`.
     pub fn read_pages(&self, pages: &[PageId]) -> IoResult<Vec<PageImage>> {
         let regions: Vec<(PageId, u64)> = pages.iter().map(|&p| (p, 1)).collect();
-        self.complete_read(self.submit_read(&regions, Access::Node, AccessHint::Point)?)
+        self.complete_read(self.submit_read(&regions, PageClass::Inner, AccessHint::Point)?)
     }
 
     // ----------------------------------------------------------- the write path --
@@ -472,14 +439,14 @@ impl CachedStore {
         Ok(())
     }
 
-    /// Submits a batched write of `(first_page, image)` pairs as `access`,
-    /// each image a whole number of pages. A page image whose access caches
-    /// it is *installed*: it follows the [`WritePolicy`] — write-back installs
-    /// it dirty and sends nothing; write-through sends it with the call's one
-    /// device batch and installs it, replacing its page's entry, once that
-    /// batch has succeeded, so a call that installs completes at submission.
-    /// Every other image drops the entries of the pages it covers at
-    /// submission and always goes to the device; a call of only those stays
+    /// Submits a batched write of `(first_page, image)` pairs, pages of
+    /// `class`, each image a whole number of pages. A page image is
+    /// *installed* as its page's entry: it follows the [`WritePolicy`] —
+    /// write-back installs it dirty and sends nothing; write-through sends it
+    /// with the call's one device batch and installs it, replacing its page's
+    /// entry, once that batch has succeeded, so a call that installs completes
+    /// at submission. A longer image drops the entries of the pages it covers
+    /// at submission and always goes to the device; a call of only those stays
     /// in flight until [`CachedStore::complete_write`].
     ///
     /// The images are shared, never copied: the device stack is handed each
@@ -494,11 +461,10 @@ impl CachedStore {
     /// backend gives **no** order between an in-flight write and a later read —
     /// callers must not read pages overlapped by a write they have not completed
     /// yet (the tree's pipelines only overlap batches on disjoint pages).
-    pub fn submit_write(&self, images: &[(PageId, PageImage)], access: Access) -> IoResult<CachedWriteTicket> {
+    pub fn submit_write(&self, images: &[(PageId, PageImage)], class: PageClass) -> IoResult<CachedWriteTicket> {
         let page_size = self.page_size();
+        let installs = |image: &PageImage| image.len() == page_size;
         let mut pool = self.pool.lock();
-        let class = pool.class(access);
-        let installs = |image: &PageImage| class.is_some() && image.len() == page_size;
         for (first, image) in images.iter().filter(|(_, d)| !installs(d)) {
             for page in *first..*first + (image.len() / page_size) as u64 {
                 pool.cache.invalidate_page(page);
@@ -517,7 +483,7 @@ impl CachedStore {
             [] => None,
             _ => Some(self.submit_to_device(to_device)?),
         };
-        if let Some(class) = class.filter(|_| images.iter().any(|(_, d)| installs(d))) {
+        if images.iter().any(|(_, d)| installs(d)) {
             if let Some(ticket) = pending.take() {
                 self.store.complete_write(ticket)?;
             }
@@ -541,13 +507,13 @@ impl CachedStore {
 
     /// Writes one node page (or region) image.
     pub fn write_page(&self, page: PageId, image: PageImage) -> IoResult<()> {
-        self.write_pages(&[(page, image)], Access::Node)
+        self.write_pages(&[(page, image)], PageClass::Inner)
     }
 
-    /// Writes many page or region images as `access`; everything bound for
-    /// the device goes in a single psync call.
-    pub fn write_pages(&self, images: &[(PageId, PageImage)], access: Access) -> IoResult<()> {
-        self.complete_write(self.submit_write(images, access)?)
+    /// Writes many page or region images, pages of `class`; everything bound
+    /// for the device goes in a single psync call.
+    pub fn write_pages(&self, images: &[(PageId, PageImage)], class: PageClass) -> IoResult<()> {
+        self.complete_write(self.submit_write(images, class)?)
     }
 
     // -------------------------------------------------------------- maintenance --
@@ -656,15 +622,16 @@ mod tests {
         CachedStore::new(store, pool_pages, policy)
     }
 
-    /// One blocking read of the region as `access` with `hint`: its tiles.
-    fn tiles(c: &CachedStore, first: PageId, n: u64, access: Access, hint: AccessHint) -> IoResult<Vec<PageImage>> {
-        c.complete_read(c.submit_read(&[(first, n)], access, hint)?)
+    /// One blocking read of the region, pages of `class`, with `hint`: its
+    /// tiles.
+    fn tiles(c: &CachedStore, first: PageId, n: u64, class: PageClass, hint: AccessHint) -> IoResult<Vec<PageImage>> {
+        c.complete_read(c.submit_read(&[(first, n)], class, hint)?)
     }
 
-    /// One blocking leaf-piece read of a region with the given hint: its
-    /// bytes, the tiles joined.
+    /// One blocking leaf read of a region with the given hint: its bytes, the
+    /// tiles joined.
     fn read_region(c: &CachedStore, first: PageId, n: u64, hint: AccessHint) -> IoResult<Vec<u8>> {
-        Ok(tiles(c, first, n, Access::LeafPiece, hint)?.concat())
+        Ok(tiles(c, first, n, PageClass::Leaf, hint)?.concat())
     }
 
     fn point_region(c: &CachedStore, first: PageId, n: u64) -> Vec<u8> {
@@ -743,13 +710,14 @@ mod tests {
         let img: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 253) as u8).collect();
         c.write_page(first, img.as_slice().into()).unwrap();
         assert_eq!(point_region(&c, first, 4), img);
-        // Without a leaf budget a region is read around the cache, so a
-        // second read hits the device again — without counting anything.
+        // Without a leaf budget too, every page of the region is a leaf
+        // entry: a second read is all hits, and nothing is an inner entry.
         let before = c.store().stats().page_reads;
         assert_eq!(point_region(&c, first, 4), img);
-        assert_eq!(c.store().stats().page_reads, before + 4);
-        assert_eq!(c.leaf_cache_stats(), CacheStats::default());
-        assert_eq!(c.pool_stats().misses, 0);
+        assert_eq!(c.store().stats().page_reads, before);
+        let s = c.leaf_cache_stats();
+        assert_eq!((s.misses, s.hits), (4, 4));
+        assert_eq!(c.pool_stats(), CacheStats::default());
     }
 
     /// A store with a leaf budget over one two-page leaf, whose pages hold
@@ -769,14 +737,14 @@ mod tests {
     #[test]
     fn a_segment_inside_a_resident_leaf_is_a_hit() {
         let (c, leaf, image) = one_leaf();
-        let whole = tiles(&c, leaf, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+        let whole = tiles(&c, leaf, 2, PageClass::Leaf, AccessHint::Point).unwrap();
         assert_eq!(whole.len(), 2, "one image per admitted page");
         assert_eq!(whole.concat(), image);
         assert_eq!(c.leaf_cache_stats().misses, 2);
         let reads = c.store().stats().page_reads;
-        for (access, page) in [(Access::LeafPiece, leaf + 1), (Access::Segment, leaf)] {
-            let segment = tiles(&c, page, 1, access, AccessHint::Point).unwrap();
-            assert!(Arc::ptr_eq(&segment[0], &whole[(page - leaf) as usize]), "{access:?}");
+        for page in [leaf + 1, leaf] {
+            let segment = tiles(&c, page, 1, PageClass::Leaf, AccessHint::Point).unwrap();
+            assert!(Arc::ptr_eq(&segment[0], &whole[(page - leaf) as usize]), "{page}");
         }
         assert_eq!(c.store().stats().page_reads, reads, "no device read");
         assert_eq!((c.leaf_cache_stats().hits, c.pool_stats()), (2, CacheStats::default()));
@@ -788,12 +756,10 @@ mod tests {
     fn a_leaf_resident_from_segment_reads_and_writes_is_a_hit() {
         let (c, leaf, image) = one_leaf();
         assert_eq!(
-            tiles(&c, leaf, 1, Access::LeafPiece, AccessHint::Point)
-                .unwrap()
-                .concat(),
+            tiles(&c, leaf, 1, PageClass::Leaf, AccessHint::Point).unwrap().concat(),
             image[..4096]
         );
-        c.write_pages(&[(leaf + 1, image[4096..].into())], Access::Segment)
+        c.write_pages(&[(leaf + 1, image[4096..].into())], PageClass::Leaf)
             .unwrap();
         let reads = c.store().stats().page_reads;
         for hint in [AccessHint::Point, AccessHint::Scan] {
@@ -810,9 +776,9 @@ mod tests {
     #[test]
     fn a_partly_resident_leaf_reads_only_its_missing_page() {
         let (c, leaf, image) = one_leaf();
-        let segment = tiles(&c, leaf + 1, 1, Access::LeafPiece, AccessHint::Point).unwrap();
+        let segment = tiles(&c, leaf + 1, 1, PageClass::Leaf, AccessHint::Point).unwrap();
         let before = c.store().stats();
-        let whole = tiles(&c, leaf, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+        let whole = tiles(&c, leaf, 2, PageClass::Leaf, AccessHint::Point).unwrap();
         let after = c.store().stats();
         assert_eq!(
             (
@@ -829,8 +795,8 @@ mod tests {
         assert_eq!(entries, vec![(leaf, PageClass::Leaf), (leaf + 1, PageClass::Leaf)]);
         // A scan of a leaf with a page missing reads it whole past the cache.
         c.drop_cache();
-        tiles(&c, leaf, 1, Access::LeafPiece, AccessHint::Point).unwrap();
-        let scanned = tiles(&c, leaf, 2, Access::LeafPiece, AccessHint::Scan).unwrap();
+        tiles(&c, leaf, 1, PageClass::Leaf, AccessHint::Point).unwrap();
+        let scanned = tiles(&c, leaf, 2, PageClass::Leaf, AccessHint::Scan).unwrap();
         assert_eq!((scanned.len(), scanned.concat()), (1, image));
         assert_eq!(c.leaf_cache_stats().scan_bypasses, 2);
     }
@@ -867,19 +833,32 @@ mod tests {
         let b = c.allocate_contiguous(2);
         let da = vec![1u8; 2 * 4096];
         let db = vec![2u8; 2 * 4096];
-        c.write_pages(&[(a, da.as_slice().into()), (b, db.as_slice().into())], Access::Node)
-            .unwrap();
+        c.write_pages(
+            &[(a, da.as_slice().into()), (b, db.as_slice().into())],
+            PageClass::Inner,
+        )
+        .unwrap();
         c.drop_cache();
         let before = c.store().stats().read_batches;
-        let ticket = c.submit_read(&[(a, 2), (b, 2)], Access::LeafPiece, AccessHint::Point);
+        let ticket = c.submit_read(&[(a, 2), (b, 2)], PageClass::Leaf, AccessHint::Point);
         let out = c.complete_read(ticket.unwrap()).unwrap();
-        assert_eq!(out[0][..], da[..], "read around the cache: one image per region");
-        assert_eq!(out[1][..], db[..]);
+        assert_eq!(out.len(), 4, "one image per admitted page");
+        assert_eq!(out[..2].concat(), da);
+        assert_eq!(out[2..].concat(), db);
         assert_eq!(
             c.store().stats().read_batches - before,
             1,
             "both regions in one psync call"
         );
+        // A scan of regions the cache does not hold sends each as one request
+        // in one call, and hands back one image per region.
+        c.drop_cache();
+        let before = c.store().stats().read_batches;
+        let ticket = c.submit_read(&[(a, 2), (b, 2)], PageClass::Leaf, AccessHint::Scan);
+        let out = c.complete_read(ticket.unwrap()).unwrap();
+        assert_eq!(out.len(), 2, "one image per region read past the cache");
+        assert_eq!((&out[0][..], &out[1][..]), (&da[..], &db[..]));
+        assert_eq!(c.store().stats().read_batches - before, 1);
     }
 
     #[test]
@@ -914,11 +893,13 @@ mod tests {
             "second point read must hit the leaf cache"
         );
         assert_eq!(c.leaf_cache_stats().hits, 4, "one hit per page");
-        // Without the leaf budget the region no longer fits: half of it leaves.
+        // Without the leaf budget the region no longer fits: half of it
+        // leaves, and a read fetches those two pages again — still leaf pages.
         c.set_leaf_cache(0).unwrap();
         assert_eq!(c.leaf_cache_stats().evictions, 2);
-        point_region(&c, first, 4);
-        assert_eq!(c.store().stats().page_reads, before + 4);
+        assert_eq!(point_region(&c, first, 4), img);
+        assert_eq!(c.store().stats().page_reads, before + 2);
+        assert_eq!(c.pool_stats(), CacheStats::default(), "no page became an inner entry");
     }
 
     #[test]
@@ -944,9 +925,9 @@ mod tests {
         // scan-hinted node read is admitted like any other.
         let p = c.allocate();
         c.store().write_page(p, vec![3u8; 4096].into()).unwrap();
-        tiles(&c, p, 1, Access::Node, AccessHint::Scan).unwrap();
+        tiles(&c, p, 1, PageClass::Inner, AccessHint::Scan).unwrap();
         let before = c.store().stats().page_reads;
-        tiles(&c, p, 1, Access::Node, AccessHint::Scan).unwrap();
+        tiles(&c, p, 1, PageClass::Inner, AccessHint::Scan).unwrap();
         assert_eq!(c.store().stats().page_reads, before, "node pages are always admitted");
         assert_eq!(c.leaf_cache_stats().scan_bypasses, 4, "and never count as bypasses");
         assert_eq!((c.pool_stats().misses, c.pool_stats().hits), (1, 1));
@@ -970,7 +951,7 @@ mod tests {
         assert_eq!(c.store().stats().page_reads, before + 2, "region writes never install");
         // A batched page write.
         let data = vec![5u8; 4096];
-        c.write_pages(&[(r, data.into())], Access::Node).unwrap();
+        c.write_pages(&[(r, data.into())], PageClass::Leaf).unwrap();
         assert_eq!(point_region(&c, r, 2)[0], 5);
         // Freeing a page inside the region.
         c.free(r + 1);
@@ -1002,12 +983,12 @@ mod tests {
         assert_eq!(c.pool_stats().misses, 1, "a zero budget still counts misses");
     }
 
-    /// The access routes, not the length: a region and a page read as leaf
-    /// pieces are leaf pages, whose misses ride one device batch as a
+    /// The class routes, not the length: a region and a page read as leaf
+    /// pages are leaf entries, whose misses ride one device batch as a
     /// one-page request each, and a node read of a page is an inner page —
     /// all in the one budget, here the leaf budget's four pages alone.
     #[test]
-    fn a_mixed_read_batch_routes_by_access_and_rides_one_device_batch() {
+    fn a_mixed_read_batch_routes_by_class_and_rides_one_device_batch() {
         let c = cached(WritePolicy::WriteThrough, 0);
         c.set_leaf_cache(4).unwrap();
         let r = c.allocate_contiguous(2);
@@ -1015,17 +996,17 @@ mod tests {
         c.write_page(r, vec![1u8; 2 * 4096].into()).unwrap();
         c.write_pages(
             &[(p, vec![2u8; 4096].into()), (q, vec![3u8; 4096].into())],
-            Access::Node,
+            PageClass::Inner,
         )
         .unwrap();
         c.drop_cache();
         let before = c.store().stats();
-        let read = |regions: &[(PageId, u64)], access| {
-            let out = c.complete_read(c.submit_read(regions, access, AccessHint::Point).unwrap());
+        let read = |regions: &[(PageId, u64)], class| {
+            let out = c.complete_read(c.submit_read(regions, class, AccessHint::Point).unwrap());
             out.unwrap().iter().map(|tile| tile[0]).collect::<Vec<_>>()
         };
-        assert_eq!(read(&[(r, 2), (p, 1)], Access::LeafPiece), vec![1, 1, 2]);
-        assert_eq!(read(&[(q, 1)], Access::Node), vec![3]);
+        assert_eq!(read(&[(r, 2), (p, 1)], PageClass::Leaf), vec![1, 1, 2]);
+        assert_eq!(read(&[(q, 1)], PageClass::Inner), vec![3]);
         let after = c.store().stats();
         assert_eq!(after.read_batches - before.read_batches, 2, "one batch per call");
         assert_eq!(after.page_reads - before.page_reads, 4);
@@ -1037,8 +1018,8 @@ mod tests {
             vec![(r, leaf), (r + 1, leaf), (p, leaf), (q, PageClass::Inner)]
         );
         // All four were admitted: the repeat is all hits.
-        read(&[(r, 2), (p, 1)], Access::LeafPiece);
-        read(&[(q, 1)], Access::Node);
+        read(&[(r, 2), (p, 1)], PageClass::Leaf);
+        read(&[(q, 1)], PageClass::Inner);
         assert_eq!(c.store().stats().page_reads, after.page_reads);
         assert_eq!((c.pool_stats().hits, c.leaf_cache_stats().hits), (1, 3));
     }
@@ -1052,7 +1033,7 @@ mod tests {
         let before = c.store().stats().write_batches;
         c.write_pages(
             &[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())],
-            Access::Node,
+            PageClass::Inner,
         )
         .unwrap();
         assert_eq!(
@@ -1074,7 +1055,7 @@ mod tests {
         let p = c.allocate();
         c.write_pages(
             &[(r, vec![1u8; 2 * 4096].into()), (p, vec![2u8; 4096].into())],
-            Access::Node,
+            PageClass::Inner,
         )
         .unwrap();
         assert_eq!(c.store().stats().page_writes, 2, "only the region reached the device");
@@ -1167,7 +1148,7 @@ mod tests {
     fn reads_past_the_high_water_mark_are_corruption() {
         let c = cached(WritePolicy::WriteThrough, 4);
         let first = c.allocate_contiguous(3);
-        c.write_pages(&[(first, vec![7u8; 3 * 4096].into())], Access::Node)
+        c.write_pages(&[(first, vec![7u8; 3 * 4096].into())], PageClass::Inner)
             .unwrap();
         let high_water = c.store().high_water_pages();
         assert_eq!(high_water, 3);
@@ -1183,7 +1164,7 @@ mod tests {
             for hint in [AccessHint::Point, AccessHint::Scan] {
                 assert!(
                     matches!(
-                        c.submit_read(&[(0, 1), (page, n)], Access::Node, hint),
+                        c.submit_read(&[(0, 1), (page, n)], PageClass::Inner, hint),
                         Err(pio::IoError::Corruption { .. })
                     ),
                     "region ({page}, {n}) must be refused"
@@ -1293,8 +1274,8 @@ mod tests {
             // inside it and a region write over it both leave it alone.
             let r = c.allocate_contiguous(2);
             c.write_page(r, filled(3, 2)).unwrap();
-            let held_region = tiles(&c, r, 2, Access::LeafPiece, AccessHint::Point).unwrap();
-            let again = tiles(&c, r, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+            let held_region = tiles(&c, r, 2, PageClass::Leaf, AccessHint::Point).unwrap();
+            let again = tiles(&c, r, 2, PageClass::Leaf, AccessHint::Point).unwrap();
             assert!(held_region.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
             c.write_page(r + 1, filled(4, 1)).unwrap();
             c.flush().unwrap();
@@ -1315,7 +1296,7 @@ mod tests {
             // region's pages and images nobody holds; the misses after them
             // read into the unheld ones (each miss takes a spare, its
             // admission's eviction gives one back), never into a held one.
-            let held_region = tiles(&c, r, 2, Access::LeafPiece, AccessHint::Point).unwrap();
+            let held_region = tiles(&c, r, 2, PageClass::Leaf, AccessHint::Point).unwrap();
             let others: Vec<PageId> = (0..8).map(|_| c.allocate_contiguous(2)).collect();
             for &o in &others {
                 c.write_page(o, filled(6, 2)).unwrap();
@@ -1440,13 +1421,13 @@ mod tests {
     }
 
     /// The store against a naive reference — what each page last had
-    /// written to it — through a seeded stream of node, segment, leaf-piece
+    /// written to it — through a seeded stream of node, segment, whole-leaf
     /// and `Scan` reads, node, segment and region writes, and frees, without
     /// and with a leaf budget, and budgets that shrink and grow. Every read
     /// returns the last bytes written, whether its pages hit or missed, tiled
-    /// as one image per page or one per region read past the cache; the cache
-    /// stays inside the budget; there is no leaf entry without a leaf budget;
-    /// and an inner entry is evicted only when no leaf entry is left.
+    /// as one image per page or one per region a `Scan` read past the cache;
+    /// the cache stays inside the budget; and an inner entry is evicted only
+    /// when no leaf entry is left.
     /// `CRASH_SEED` replays a failure.
     #[test]
     fn differential_against_a_naive_reference() {
@@ -1486,47 +1467,50 @@ mod tests {
                 let leaf = leaves[rand(12) as usize];
                 let segment = leaf + rand(2);
                 let inner_evictions = c.pool_stats().evictions;
-                let read = |first: PageId, n: u64, access: Access, hint: AccessHint| {
-                    let images = tiles(&c, first, n, access, hint).unwrap();
+                let read = |first: PageId, n: u64, class: PageClass, hint: AccessHint| {
+                    let images = tiles(&c, first, n, class, hint).unwrap();
                     let mut rest = &images[..];
                     let region = next_region(&mut rest, n, 4096);
                     assert!(rest.is_empty() && (region.len() == 1 || region.len() as u64 == n));
                     (first, images.concat())
                 };
                 let (first, image) = match rand(11) {
-                    0..=1 => read(node, 1, Access::Node, AccessHint::Point),
-                    2 => read(segment, 1, Access::Segment, AccessHint::Point),
-                    3 => read(segment, 1, Access::LeafPiece, AccessHint::Point),
-                    4 => read(leaf, 2, Access::LeafPiece, AccessHint::Point),
-                    5 => read(leaf, 2, Access::LeafPiece, AccessHint::Scan),
+                    0..=1 => read(node, 1, PageClass::Inner, AccessHint::Point),
+                    2 => read(segment, 1, PageClass::Leaf, AccessHint::Point),
+                    3 => read(segment, 1, PageClass::Leaf, AccessHint::Scan),
+                    4 => read(leaf, 2, PageClass::Leaf, AccessHint::Point),
+                    5 => read(leaf, 2, PageClass::Leaf, AccessHint::Scan),
                     6 => {
                         c.write_page(node, filled(&[byte])).unwrap();
                         model.insert(node, byte);
-                        read(node, 1, Access::Node, AccessHint::Point)
+                        read(node, 1, PageClass::Inner, AccessHint::Point)
                     }
                     7 => {
-                        c.write_pages(&[(segment, filled(&[byte]))], Access::Segment).unwrap();
+                        c.write_pages(&[(segment, filled(&[byte]))], PageClass::Leaf).unwrap();
                         model.insert(segment, byte);
-                        read(leaf, 2, Access::LeafPiece, AccessHint::Point)
+                        read(leaf, 2, PageClass::Leaf, AccessHint::Point)
                     }
                     8 => {
                         c.write_page(leaf, filled(&[byte, byte.wrapping_add(1)])).unwrap();
                         model.extend([(leaf, byte), (leaf + 1, byte.wrapping_add(1))]);
-                        read(segment, 1, Access::Segment, AccessHint::Point)
+                        read(segment, 1, PageClass::Leaf, AccessHint::Point)
                     }
                     9 => {
-                        let page = if rand(2) == 0 { node } else { segment };
+                        let (page, class) = match rand(2) {
+                            0 => (node, PageClass::Inner),
+                            _ => (segment, PageClass::Leaf),
+                        };
                         c.free(page);
-                        read(page, 1, Access::Node, AccessHint::Point)
+                        read(page, 1, class, AccessHint::Point)
                     }
                     _ if rand(4) == 0 => {
                         c.resize_pool(rand(8)).unwrap();
                         if leaf_pages > 0 {
                             c.set_leaf_cache(1 + rand(leaf_pages)).unwrap();
                         }
-                        read(node, 1, Access::Node, AccessHint::Point)
+                        read(node, 1, PageClass::Inner, AccessHint::Point)
                     }
-                    _ => read(leaf, 2, Access::LeafPiece, AccessHint::Point),
+                    _ => read(leaf, 2, PageClass::Leaf, AccessHint::Point),
                 };
                 for (i, page) in image.chunks(4096).enumerate() {
                     let expected = model[&(first + i as u64)];
@@ -1543,17 +1527,13 @@ mod tests {
                     "{ctx}: over budget"
                 );
                 let leaf_entries = entries.iter().filter(|&&(_, class)| class == PageClass::Leaf).count();
-                assert!(
-                    leaf_pages > 0 || leaf_entries == 0,
-                    "{ctx}: a leaf entry without a leaf budget"
-                );
                 if pool.cache.stats(PageClass::Inner).evictions > inner_evictions {
                     assert_eq!(leaf_entries, 0, "{ctx}: an inner entry left before the leaf entries");
                 }
             }
             let (inner, leaf) = (c.pool_stats(), c.leaf_cache_stats());
             assert!(inner.hits > 0 && inner.evictions > 0, "{inner:?}");
-            assert!(leaf_pages == 0 || (leaf.hits > 0 && leaf.evictions > 0), "{leaf:?}");
+            assert!(leaf.hits > 0 && leaf.evictions > 0, "{leaf:?}");
         }
     }
 }

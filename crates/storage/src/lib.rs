@@ -18,15 +18,14 @@
 //! * [`CachedStore`] — what index code talks to: the store behind that one
 //!   cache and **one region path**, under one budget — the paper's buffer
 //!   pool (its size is swept in Figure 9 and traded off against the
-//!   operation queue in Figure 11) plus an optional leaf budget. The caller
-//!   names what it reads or writes ([`Access`]), which decides the class of
-//!   its pages; a region read probes each of its pages and fetches only the
-//!   missing ones. Page writes follow a write-back or write-through
-//!   [`WritePolicy`]. Without a leaf budget the cache holds internal nodes
-//!   and segments as one plain LRU; with one, every leaf page is a leaf
-//!   entry, and leaf reads carry an [`AccessHint`], so `range_search`
-//!   streams cannot evict the point-lookup working set. Every device-fetched
-//!   image is verified against the [`integrity`] sidecar.
+//!   operation queue in Figure 11), to which an optional leaf budget only
+//!   adds pages. The caller names the [`PageClass`] of what it reads or
+//!   writes — an internal node's page is inner, every leaf page is a leaf
+//!   page, whatever the budgets; a region read probes each of its pages and
+//!   fetches only the missing ones. Page writes follow a write-back or
+//!   write-through [`WritePolicy`]. Leaf reads carry an [`AccessHint`], so
+//!   `range_search` streams cannot evict the point-lookup working set. Every
+//!   device-fetched image is verified against the [`integrity`] sidecar.
 //! * [`Wal`] — an append-only write-ahead log used by the PIO B-tree's crash
 //!   recovery (Section 3.4).
 //!
@@ -46,7 +45,7 @@ pub mod wal;
 
 pub use cache::{Cache, CacheStats, Evicted, PageClass};
 pub use cached::{
-    next_region, Access, AccessHint, CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy,
+    next_region, AccessHint, CachedReadTicket, CachedStore, CachedWriteTicket, ResidentPages, WritePolicy,
 };
 pub use integrity::{IntegrityStats, ScrubReport};
 pub use page::{new_image, PageId, PageImage, INVALID_PAGE};

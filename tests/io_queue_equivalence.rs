@@ -211,12 +211,15 @@ fn overlapped_submission_beats_serial_submission() {
 
 /// Builds a PIO B-tree over `io` with the given pipeline depth (small pages and
 /// `PioMax` so a modest tree spans several levels and many chunks per call).
+/// `PioMax` of [`pipeline_tree`].
+const PIPELINE_PIO_MAX: usize = 4;
+
 fn pipeline_tree(io: Arc<dyn IoQueue>, depth: PipelineDepth, entries: &[(u64, u64)]) -> PioBTree {
     let config = PioConfig::builder()
         .page_size(2048)
         .leaf_segments(2)
         .opq_pages(2)
-        .pio_max(4)
+        .pio_max(PIPELINE_PIO_MAX)
         .speriod(64)
         .bcnt(128)
         .pool_pages(512)
@@ -230,18 +233,16 @@ fn pipeline_tree(io: Arc<dyn IoQueue>, depth: PipelineDepth, entries: &[(u64, u6
     PioBTree::bulk_load(store, entries, config).expect("bulk load")
 }
 
-/// Request-count view of an [`pio::IoStats`]: what must be identical between a
-/// blocking and a pipelined run (timing, groups and switches legitimately move).
-fn request_counts(s: pio::IoStats) -> (u64, u64, u64, u64, u64) {
-    (s.reads, s.writes, s.read_bytes, s.write_bytes, s.batches)
-}
-
 /// A named backend constructor of the equivalence sweep.
 type BackendMaker = (&'static str, Box<dyn Fn() -> Arc<dyn IoQueue>>);
 
 /// Pipelined `locate_leaves`/`multi_search`/`range_search` at random depths must
-/// return exactly the blocking (depth-1) results — values and request counts —
-/// on every simulated backend.
+/// return exactly the blocking (depth-1) results — values, located leaves and
+/// writes — on every simulated backend. Reads may differ by one re-read per
+/// chunk boundary: `multi_search` chunks its sorted keys by `PioMax`, and a
+/// leaf piece whose keys straddle a boundary is a hit for the blocking tree's
+/// next chunk but still in flight for the pipelined tree's, which fetches it
+/// again.
 #[test]
 fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
     let entries: Vec<(u64, u64)> = (0..6_000u64).map(|k| (k * 5, k)).collect();
@@ -288,10 +289,12 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
         blocking_io.reset_io_stats();
         pipelined_io.reset_io_stats();
 
+        let mut boundaries = 0;
         for round in 0..12 {
             let keys: Vec<u64> = (0..rng.gen_range(1..200usize))
                 .map(|_| rng.gen_range(0..35_000u64))
                 .collect();
+            boundaries += keys.len().div_ceil(PIPELINE_PIO_MAX) as u64 - 1;
             assert_eq!(
                 blocking.multi_search(&keys).unwrap(),
                 pipelined.multi_search(&keys).unwrap(),
@@ -336,11 +339,14 @@ fn pipelined_tree_paths_match_blocking_on_all_sim_backends() {
             (b, b_whole),
             "{name}: locate_leaves diverged at depth {depth}"
         );
-        assert_eq!(
-            request_counts(blocking_io.io_stats()),
-            request_counts(pipelined_io.io_stats()),
-            "{name}: request counts diverged at depth {depth}"
-        );
+        let (b, p) = (blocking_io.io_stats(), pipelined_io.io_stats());
+        let ctx = format!("{name} at depth {depth}, {boundaries} chunk boundaries: {b:?} vs {p:?}");
+        assert_eq!((b.writes, b.write_bytes), (p.writes, p.write_bytes), "{ctx}");
+        let extra = p.reads.checked_sub(b.reads).expect(&ctx);
+        assert!(extra <= boundaries, "{ctx}");
+        assert_eq!(p.read_bytes - b.read_bytes, extra * 2048, "{ctx}: one page per re-read");
+        let extra_batches = p.batches.checked_sub(b.batches).expect(&ctx);
+        assert!(extra_batches <= extra, "{ctx}");
     }
 }
 

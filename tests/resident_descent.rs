@@ -371,8 +371,10 @@ fn tier_reads_are_exact_immediately_after_committed_migrations() {
 /// The satellite guarantee at tree level: a hot point-lookup working set keeps
 /// its leaf-cache hit rate while full-range scans stream every leaf of the
 /// tree through the store — with two-segment leaves, and with one-segment
-/// leaves, whose reads and writes are leaf pages too once there is a leaf
-/// budget (not pool pages, which no scan could stream past).
+/// leaves, whose reads and writes are leaf pages too (not pool pages, which
+/// no scan could stream past). Evictions count from after a warm-up pass
+/// over the hot set: a one-segment bulk load leaves its leaves resident, and
+/// the hot set displaces them.
 #[test]
 fn hot_working_set_keeps_its_hit_rate_under_streaming_scans() {
     for leaf_segments in [2, 1] {
@@ -392,6 +394,10 @@ fn hot_working_set_keeps_its_hit_rate_under_streaming_scans() {
 
         // A hot set inside a few adjacent leaves.
         let hot: Vec<u64> = (0..32u64).map(|k| k * 4).collect();
+        for &k in &hot {
+            assert_eq!(tree.search(k).unwrap(), Some(k / 4 + 1));
+        }
+        let warm_evictions = tree.store().leaf_cache_stats().evictions;
         for round in 0..30 {
             for &k in &hot {
                 assert_eq!(tree.search(k).unwrap(), Some(k / 4 + 1));
@@ -414,8 +420,60 @@ fn hot_working_set_keeps_its_hit_rate_under_streaming_scans() {
             stats.hit_ratio()
         );
         assert_eq!(
-            stats.evictions, 0,
+            stats.evictions, warm_evictions,
             "{ctx}: scans must not force evictions from a cache that fits the hot set"
+        );
+    }
+}
+
+/// The leaf budget is a size, not a mode: a tree whose pool holds `p + l`
+/// pages and one whose pool holds `p` with a leaf budget of `l` are the same
+/// cache. The same inserts, flushes, point lookups and scans send the same
+/// requests to the device and count the same hits, misses, bypasses and
+/// evictions in each class — at two segments per leaf and at one.
+#[test]
+fn a_leaf_budget_is_the_same_cache_as_as_many_pool_pages() {
+    let (mut rng, seed) = seeded_rng();
+    let steps = random_steps(&mut rng, 120);
+    for leaf_segments in [2, 1] {
+        let run = |pool_pages: u64, leaf_cache_pages: u64| {
+            let config = PioConfig {
+                leaf_segments,
+                pool_pages,
+                leaf_cache_pages,
+                ..base_config(false)
+            };
+            let mut tree = PioBTree::create(DeviceProfile::F120, 1 << 28, config).expect("create");
+            let (mut multis, mut ranges) = (Vec::new(), Vec::new());
+            for step in &steps {
+                match step {
+                    Step::Insert(batch) => {
+                        for &(k, v) in batch {
+                            tree.insert(k, v).unwrap();
+                        }
+                    }
+                    Step::Multi(keys) => multis.push(tree.multi_search(keys).unwrap()),
+                    Step::Range(lo, hi) => ranges.push(tree.range_search(*lo, *hi).unwrap()),
+                }
+            }
+            tree.checkpoint().unwrap();
+            let store = tree.store();
+            (
+                (multis, ranges),
+                store.store().io().io_stats(),
+                store.pool_stats(),
+                store.leaf_cache_stats(),
+            )
+        };
+        let (answers, io, inner, leaf) = run(8 + 16, 0);
+        let split = run(8, 16);
+        let ctx = format!("CRASH_SEED={seed} L = {leaf_segments}");
+        assert_eq!(answers, split.0, "{ctx}");
+        assert_eq!(io, split.1, "{ctx}: device I/O");
+        assert_eq!((inner, leaf), (split.2, split.3), "{ctx}: cache counters");
+        assert!(
+            leaf.misses > 0 && leaf.evictions > 0 && inner.hits > 0,
+            "{ctx}: {leaf:?} {inner:?}"
         );
     }
 }
