@@ -33,8 +33,12 @@
 //! Every batched hot path (each internal level of an MPSearch descent,
 //! multi-search and prange leaf fetches, bupdate's Phase-A prefetch,
 //! bulk-load region writes) keeps up to [`PioConfig::pipeline_depth`]
-//! batches in flight through the ticketed store tier, all through the one
-//! driver [`pio::ring::run_pipeline`]. The default, [`config::PipelineDepth::Auto`], resolves
+//! batches of at most `PioMax` requests in flight through the ticketed store
+//! tier, all through the one driver [`pio::ring::run_pipeline`]. Every read
+//! of them goes through one read driver over it (`mpsearch::read_regions`),
+//! handed a list that names each region once — a lookup's distinct leaf
+//! pieces, not its keys — so that no page is requested twice in one call,
+//! or again while an earlier call still has it in flight. The default, [`config::PipelineDepth::Auto`], resolves
 //! at construction from the store backend's
 //! [`pio::IoQueue::queue_depth_hint`]: `ceil(hint / PioMax)` in-flight
 //! `PioMax`-sized batches — enough to fill the device's command queue, the

@@ -1,4 +1,5 @@
-//! MPSearch: multi-path traversal of the internal levels (Section 3.1.1).
+//! MPSearch: multi-path traversal of the internal levels (Section 3.1.1),
+//! and the one read driver of every level.
 //!
 //! Given a *set* of keys (or a key range), the traversal proceeds level by
 //! level from the root: a level's distinct nodes, in key order, are fetched
@@ -7,27 +8,37 @@
 //! recursively (depth-first over `PioMax`-sized pointer sets); this module
 //! uses the equivalent breadth-first formulation.
 //!
-//! One level visitor does every level of both descents. It first takes the
-//! level's nodes from the store's pool, under one cache lock and
+//! Every level of a descent, the leaf level included, is read by one driver,
+//! `read_regions`: it takes a list of regions, sends them in psync calls of
+//! at most `PioMax` regions, keeps up to `pipeline_depth` calls in flight
+//! ([`run_pipeline`]) and hands each call's images back in order. The store
+//! answers resident pages from the pool and sends only the misses to the
+//! device. A list that names each region once — a level's distinct nodes, a
+//! lookup's distinct leaf pieces, a range's leaves, bupdate's last
+//! segments — so never asks for a page twice in one call, nor for a page
+//! an earlier call of the list still has in flight.
+//!
+//! One level visitor does every internal level of both descents. It first
+//! takes the level's nodes from the store's pool, under one cache lock and
 //! without I/O, for as long as every node so far is resident — a warm tree
 //! holds all internal nodes, and its descents never leave this loop. From the
-//! first node that is not resident, the rest of the level goes through the
-//! ticketed store tier in `PioMax`-sized psync calls, up to `pipeline_depth`
-//! of them in flight ([`run_pipeline`]); the store answers resident nodes from
-//! the pool and sends only the misses to the device. The depth is capped at
-//! `treeHeight − 1`, so the calls in flight never hold more than the paper's
-//! `PioMax · (treeHeight − 1)` node pages. Passing `pipeline_depth = 1`
-//! recovers the fully blocking descent. Both descents report whether the page
-//! class held every node (no node was read through the store).
+//! first node that is not resident, the rest of the level goes to the
+//! driver. The depth is capped at `treeHeight − 1`, so the calls in flight
+//! never hold more than the paper's `PioMax · (treeHeight − 1)` node pages.
+//! Passing `pipeline_depth = 1` recovers the fully blocking descent. Both
+//! descents report whether the page class held every node (no node was read
+//! through the store).
 //!
-//! The functions here only walk the *internal* levels; reading the leaf nodes (and,
-//! for bupdate, writing them back) is the caller's job, because point search, prange
-//! search and bupdate each treat the leaf level differently.
+//! The descents here only walk the *internal* levels. What a leaf read names
+//! and what it does with the images is the caller's, because point search,
+//! prange search and bupdate each treat the leaf level differently; each
+//! reads it through `read_regions`.
 
 use btree::{InternalView, Key};
 use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
-use storage::{AccessHint, CachedReadTicket, CachedStore, PageClass, PageId};
+use std::ops::Range;
+use storage::{AccessHint, CachedReadTicket, CachedStore, PageClass, PageId, PageImage};
 
 /// The result of one descent over a sorted key set: per key the target leaf
 /// and its root-to-parent path, the paths in **one** flat array (`levels`
@@ -98,14 +109,15 @@ fn visit_level(
         return Ok(true);
     }
     let rest: Vec<(PageId, u64)> = nodes[resident..width].iter().map(|&page| (page, 1)).collect();
-    let batch = |b: usize| &rest[b * pio_max..((b + 1) * pio_max).min(rest.len())];
-    run_pipeline(
+    read_regions(
+        store,
+        &rest,
+        PageClass::Inner,
+        AccessHint::Point,
+        pio_max,
         ring,
-        rest.len().div_ceil(pio_max),
-        |b| store.submit_read(batch(b), PageClass::Inner, AccessHint::Point),
-        |ticket| store.complete_read(ticket),
-        |b, images| {
-            for (&(page, _), image) in batch(b).iter().zip(&images) {
+        |call, images| {
+            for (&(page, _), image) in rest[call].iter().zip(&images) {
                 visit(nodes, page, InternalView::new(page, image)?);
             }
             Ok(())
@@ -114,13 +126,30 @@ fn visit_level(
     Ok(false)
 }
 
-/// A ring for the psync calls of a descent through `internal_levels` levels:
-/// `pipeline_depth` deep, capped at the level count (the paper's buffer
-/// bound). It allocates at its first call, so a resident descent never does.
-fn level_ring(pipeline_depth: usize, internal_levels: usize) -> TicketRing<CachedReadTicket> {
-    let mut ring = TicketRing::default();
-    ring.set_depth(pipeline_depth.clamp(1, internal_levels.max(1)));
-    ring
+/// The one read driver of every level, the leaf level included: reads
+/// `regions` through the store as pages of `class`, with psync calls
+/// of at most `pio_max` regions, `ring`'s depth of them in flight
+/// ([`run_pipeline`]). Hands `consume` each call's range of `regions` and the
+/// images that tile them, call after call in order. A list that names each
+/// region once never requests a page twice in one call.
+pub(crate) fn read_regions(
+    store: &CachedStore,
+    regions: &[(PageId, u64)],
+    class: PageClass,
+    hint: AccessHint,
+    pio_max: usize,
+    ring: &mut TicketRing<CachedReadTicket>,
+    mut consume: impl FnMut(Range<usize>, Vec<PageImage>) -> IoResult<()>,
+) -> IoResult<()> {
+    let pio_max = pio_max.max(1);
+    let call = |c: usize| c * pio_max..((c + 1) * pio_max).min(regions.len());
+    run_pipeline(
+        ring,
+        regions.len().div_ceil(pio_max),
+        |c| store.submit_read(&regions[call(c)], class, hint),
+        |ticket| store.complete_read(ticket),
+        |c, images| consume(call(c), images),
+    )
 }
 
 /// Descends the internal levels for every key in `keys` (which must be
@@ -141,7 +170,8 @@ pub fn locate_leaves(
     // A degenerate single-node tree has no level to descend: every key
     // lands on the root page.
     out.reset(internal_levels, keys.len(), root);
-    let mut ring = level_ring(pipeline_depth, internal_levels);
+    // No more calls in flight than levels: the paper's buffer bound.
+    let mut ring = TicketRing::new(pipeline_depth.min(internal_levels));
     let Descent {
         levels,
         leaves,
@@ -156,7 +186,7 @@ pub fn locate_leaves(
         nodes.dedup();
         let mut i = 0;
         let width = nodes.len();
-        resident &= visit_level(store, nodes, width, pio_max.max(1), &mut ring, |_, page, node| {
+        resident &= visit_level(store, nodes, width, pio_max, &mut ring, |_, page, node| {
             while i < keys.len() && leaves[i] == page {
                 let child_idx = node.child_for(keys[i]);
                 steps[i * *levels + level] = (page, child_idx);
@@ -187,24 +217,18 @@ pub fn locate_leaves_in_range(
     if lo >= hi {
         return Ok((Vec::new(), true));
     }
-    let mut ring = level_ring(pipeline_depth, internal_levels);
+    // No more calls in flight than levels: the paper's buffer bound.
+    let mut ring = TicketRing::new(pipeline_depth.min(internal_levels));
     // One level's nodes sit at the front, the next level's are appended
     // behind them.
     let mut frontier = vec![root];
     let mut resident = true;
     for _level in 0..internal_levels {
         let width = frontier.len();
-        resident &= visit_level(
-            store,
-            &mut frontier,
-            width,
-            pio_max.max(1),
-            &mut ring,
-            |next, _, node| {
-                // None on a node whose rotted keys are out of order.
-                next.extend((node.child_for(lo)..=node.child_for(hi - 1)).map(|i| node.child(i)));
-            },
-        )?;
+        resident &= visit_level(store, &mut frontier, width, pio_max, &mut ring, |next, _, node| {
+            // None on a node whose rotted keys are out of order.
+            next.extend((node.child_for(lo)..=node.child_for(hi - 1)).map(|i| node.child(i)));
+        })?;
         frontier.drain(..width);
     }
     Ok((frontier, resident))

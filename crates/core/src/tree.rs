@@ -16,8 +16,11 @@
 //! read fetches the pages the pool misses, and a scan reads a leaf the pool
 //! does not hold whole with one large request (`Pr(L)` in the cost model); a
 //! point lookup of a leaf with segment fences reads only its one segment (see
-//! `search`); every batched read or write goes through one psync call bounded
-//! by `PioMax`; reads and writes are never mixed in one call (Principle 3).
+//! `search`); every batched read or write goes through psync calls bounded
+//! by `PioMax` — every read of a level, leaves included, through the one
+//! driver `mpsearch::read_regions`, and bulk load's leaf writes in
+//! batches of `PioMax` regions; reads and writes are never mixed in one call
+//! (Principle 3).
 //!
 //! This file is the tree proper — construction, accessors, the write entry
 //! ([`PioBTree::apply`]) and the invariant checker. The read half lives in
@@ -231,14 +234,14 @@ impl PioBTree {
         // Region batches are pipelined: up to `pipeline_depth` write tickets stay
         // in flight on the device while the next batch of leaf images is encoded,
         // so the loader overlaps CPU work (and the following batches' submission)
-        // with device time instead of blocking on every 64 regions.
+        // with device time instead of blocking on every batch of `PioMax` regions.
         let mut level: Vec<(Key, PageId)> = Vec::new();
         let chunks: Vec<&[(Key, Value)]> = if entries.is_empty() {
             vec![&[][..]]
         } else {
             entries.chunks(per_leaf).collect()
         };
-        let batches: Vec<&[&[(Key, Value)]]> = chunks.chunks(64).collect();
+        let batches: Vec<&[&[(Key, Value)]]> = chunks.chunks(config.pio_max).collect();
         // Writes are durable when reaped: the pipeline completes every ticket
         // (and surfaces any completion error) before the load goes on.
         run_pipeline(

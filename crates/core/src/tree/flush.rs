@@ -13,11 +13,10 @@
 use super::PioBTree;
 use crate::entry::OpEntry;
 use crate::leaf::{LeafView, PioLeaf};
-use crate::mpsearch::Descent;
+use crate::mpsearch::{read_regions, Descent};
 use crate::recovery::LogRecord;
 use btree::{InternalNode, InternalView, Key, Node};
-use pio::ring::run_pipeline;
-use pio::{zeroed_image, IoResult, TicketRing};
+use pio::{zeroed_image, IoResult};
 use std::sync::Arc;
 use storage::{new_image, next_region, AccessHint, PageClass, PageId, PageImage};
 
@@ -71,8 +70,9 @@ impl Undo {
 /// each appends the step's WAL record (when a WAL is attached) and the
 /// in-memory step together — and recovery rebuilds it from those records. The
 /// in-memory step of an appended-to segment keeps the shared image Phase A
-/// fetched anyway (the WAL logs the old record count instead), so an
-/// in-process rollback needs no read and the flush copies no pre-image.
+/// fetched anyway (the WAL logs the old record count instead), and that of a
+/// rewritten leaf page the shared image Phase B read, so an in-process
+/// rollback needs no read and the flush copies no pre-image.
 #[derive(Debug, Default)]
 pub(crate) struct FlushJournal {
     pub(crate) flush_id: u64,
@@ -331,28 +331,29 @@ impl PioBTree {
             .zip(&last_ls)
             .map(|(j, &ls)| (j.leaf + ls as u64, 1))
             .collect();
-        let pio_max = self.config.pio_max;
-        let chunk = |c: usize| c * pio_max..((c + 1) * pio_max).min(jobs.len());
         let mut fences: Vec<FenceInsert> = Vec::new();
         let store = Arc::clone(&self.store);
-        run_pipeline(
-            &mut TicketRing::new(self.pipeline_depth),
-            jobs.len().div_ceil(pio_max),
-            |c| store.submit_read(&ls_pages[chunk(c)], PageClass::Leaf, AccessHint::Point),
-            |ticket| store.complete_read(ticket),
-            |c, ls_images| {
-                let c = chunk(c);
+        let mut ring = std::mem::take(&mut self.scratch.ring);
+        ring.set_depth(self.pipeline_depth);
+        read_regions(
+            &store,
+            &ls_pages,
+            PageClass::Leaf,
+            AccessHint::Point,
+            self.config.pio_max,
+            &mut ring,
+            |call, ls_images| {
                 self.apply_leaf_chunk(
-                    &jobs[c.clone()],
+                    &jobs[call.clone()],
                     &descent,
                     &ls_images,
-                    &last_ls[c],
+                    &last_ls[call],
                     &mut fences,
                     journal,
                 )
             },
         )?;
-
+        self.scratch.ring = ring;
         self.scratch.descent = descent;
 
         // 3. Propagate fence keys upward, level by level.
@@ -456,9 +457,10 @@ impl PioBTree {
             for &i in &full_path {
                 let job = &chunk[i];
                 let tiles = next_region(&mut rest, segments as u64, page_size);
-                // One undo step per page of the region.
-                for (p, pre) in tiles.iter().flat_map(|tile| tile.chunks(page_size)).enumerate() {
-                    journal.image(self, job.leaf + p as u64, pre.into(), PageClass::Leaf);
+                // One undo step per page of the region, each the page's
+                // shared image.
+                for (p, tile) in tiles.iter().enumerate() {
+                    journal.image(self, job.leaf + p as u64, PageImage::clone(tile), PageClass::Leaf);
                 }
                 self.stats.leaf_rewrites += 1;
                 leaf.records.clear();

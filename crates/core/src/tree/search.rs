@@ -3,53 +3,58 @@
 //! I/O discipline: internal nodes are cached by a write-through buffer pool (the
 //! store's one cache); a descent takes each level from the pool while it
 //! holds the level's nodes and reads the rest through the store; every
-//! batched read goes through one psync call bounded by `PioMax`.
+//! level, the leaf level included, is read by the one driver
+//! [`read_regions`], in psync calls of at most `PioMax` regions.
 //!
-//! A point lookup (`search`, `multi_search`) reads one *piece* per leaf. For
+//! A point lookup has one path, and `search` is `multi_search` with one key.
+//! It runs in three steps. The OPQ answers the keys it decides (Section 3.3),
+//! with no I/O. The rest are sorted and located. Each reads one *piece* of
+//! its leaf, and the driver gets the distinct pieces in key order, so keys
+//! that share a piece share its read, however many keys the call holds. For
 //! a leaf the LSMap holds segment fences of ([`crate::LsMap`]: the leaf is
 //! strictly ascending inserts, so each key has one segment it can be in) the
-//! piece is that one segment page, `(leaf + s, 1)`; keys that share a leaf and
-//! a segment share the read. Any other leaf is read whole, `(leaf, L)`, with
-//! one large request (`Pr(L)` in the cost model) when it is read past the
-//! cache. `range_search` reads whole regions. Every leaf read names its pages
-//! as leaf pages, cached one page each under any budget: a point read takes
-//! whatever pages of a piece are resident, and only the rest travels, one
-//! page per request.
+//! piece is that one segment page, `(leaf + s, 1)`. Any other leaf is read
+//! whole, `(leaf, L)`, with one large request (`Pr(L)` in the cost model)
+//! when it is read past the cache. `range_search` reads whole regions. Every
+//! leaf read names its pages as leaf pages, cached one page each under any
+//! budget: a point read takes whatever pages of a piece are resident, and
+//! only the rest travels, one page per request.
 //!
 //! A leaf image is touched once: the store hands out the shared images it
 //! verified and cached — one per page, or one of a region a scan read past
 //! the cache — and a [`LeafView`] answers from those bytes where they lie.
 //! Everything a batched call needs besides its result — the sort order, the
-//! sorted keys, the descent, a chunk's region list, the ring of tickets in
-//! flight — lives in [`SearchScratch`], which the tree owns and reuses from
-//! call to call.
+//! sorted keys, the descent, the pieces and the region list, the ring of
+//! tickets in flight — lives in [`SearchScratch`], which the tree owns and
+//! reuses from call to call.
 
 use super::PioBTree;
 use crate::entry::OpEntry;
 use crate::leaf::LeafView;
-use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
+use crate::mpsearch::{locate_leaves, locate_leaves_in_range, read_regions, Descent};
 use btree::{Key, Value};
-use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
 use storage::{next_region, AccessHint, CachedReadTicket, PageClass, PageId, PageImage};
 
-/// Buffers of the batched read paths (and of bupdate's descent and leaf
-/// records), kept by the tree between calls so that a warm call allocates
-/// only what it returns. A
+/// Buffers of the batched read paths (and of bupdate's descent, leaf reads
+/// and leaf records), kept by the tree between calls so that a warm call
+/// allocates only what it returns. A
 /// call takes what it needs out of the tree and puts it back when it is done;
 /// a call that fails drops them, and they regrow on the next one.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
-    /// Caller positions of a `multi_search` batch, sorted by key.
+    /// Caller positions of the lookup keys the OPQ does not decide, sorted
+    /// by key.
     order: Vec<u32>,
-    /// The batch's keys in that order.
+    /// Those keys in that order.
     keys: Vec<Key>,
     /// The leaf piece each of those keys reads ([`PioBTree::leaf_piece`]).
     pieces: Vec<(PageId, u64)>,
-    /// The leaf regions of the chunk being submitted.
+    /// The list of leaf regions a call hands the read driver: a lookup's
+    /// distinct pieces, a range's leaves.
     regions: Vec<(PageId, u64)>,
     /// The leaf reads in flight.
-    ring: TicketRing<CachedReadTicket>,
+    pub(crate) ring: TicketRing<CachedReadTicket>,
     /// The queued operations a `range_search` overlays on its result.
     queued: Vec<OpEntry>,
     pub(crate) descent: Descent,
@@ -58,22 +63,12 @@ pub(crate) struct SearchScratch {
 }
 
 impl PioBTree {
-    /// Point search. Consults the OPQ first (Section 3.3), then descends the internal
-    /// levels and reads the leaf region.
+    /// Point search: a one-key [`PioBTree::multi_search`].
     pub fn search(&mut self, key: Key) -> IoResult<Option<Value>> {
         self.stats.searches += 1;
-        if let Some(verdict) = self.opq.lookup(key) {
-            return Ok(verdict);
-        }
-        let mut descent = std::mem::take(&mut self.scratch.descent);
-        self.locate(&[key], &mut descent)?;
-        let piece = self.leaf_piece(descent.leaf(0), key);
-        self.scratch.descent = descent;
-        self.stats.segment_reads += (piece.1 < self.config.leaf_segments as u64) as u64;
-        let tiles = self.read_leaves(&[piece])?;
-        Ok(LeafView::new(piece.0, &tiles, self.config.page_size)?
-            .lookup(key)
-            .unwrap_or(None))
+        let mut result = [None];
+        self.lookup(&[key], &mut result)?;
+        Ok(result[0])
     }
 
     /// The piece of `leaf` a point lookup of `key` reads: the one segment page
@@ -85,11 +80,6 @@ impl PioBTree {
             Some(s) if l > 1 => (leaf + s as u64, 1),
             _ => (leaf, l),
         }
-    }
-
-    /// Submits reads of leaf regions or pieces of them, as leaf pages.
-    fn submit_leaf_reads(&self, regions: &[(PageId, u64)], hint: AccessHint) -> IoResult<CachedReadTicket> {
-        self.store.submit_read(regions, PageClass::Leaf, hint)
     }
 
     /// The one descent entry: fills `out` with the target leaf (and
@@ -135,14 +125,26 @@ impl PioBTree {
     /// the images that tile them, region after region.
     pub(super) fn read_leaves(&self, regions: &[(PageId, u64)]) -> IoResult<Vec<PageImage>> {
         self.store
-            .complete_read(self.submit_leaf_reads(regions, AccessHint::Point)?)
+            .complete_read(self.store.submit_read(regions, PageClass::Leaf, AccessHint::Point)?)
     }
 
     /// MPSearch: searches every key in `keys` at once, fetching internal nodes and
-    /// leaf regions level by level with psync calls bounded by `PioMax`. Results are
+    /// leaf pieces level by level with psync calls bounded by `PioMax`. Results are
     /// returned in the order of `keys`.
     pub fn multi_search(&mut self, keys: &[Key]) -> IoResult<Vec<Option<Value>>> {
         self.stats.multi_searches += 1;
+        let mut results = vec![None; keys.len()];
+        self.lookup(keys, &mut results)?;
+        Ok(results)
+    }
+
+    /// The one point-lookup path, in three steps. The OPQ answers the keys it
+    /// decides (Section 3.3). The rest are sorted and located, and each reads
+    /// its leaf piece: sorted keys cluster by leaf and, within a fenced leaf,
+    /// by segment, so the keys that share a piece are a run, and the read
+    /// driver gets each distinct piece once. Fills `results` in the order of
+    /// `keys`.
+    fn lookup(&mut self, keys: &[Key], results: &mut [Option<Value>]) -> IoResult<()> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let SearchScratch {
             order,
@@ -153,9 +155,17 @@ impl PioBTree {
             descent,
             ..
         } = &mut scratch;
-        // Sort the requests, remembering the original positions.
         order.clear();
-        order.extend(0..keys.len() as u32);
+        for (i, (&key, result)) in keys.iter().zip(results.iter_mut()).enumerate() {
+            match self.opq.lookup(key) {
+                Some(verdict) => *result = verdict,
+                None => order.push(i as u32),
+            }
+        }
+        if order.is_empty() {
+            self.scratch = scratch;
+            return Ok(());
+        }
         order.sort_unstable_by_key(|&i| keys[i as usize]);
         sorted_keys.clear();
         sorted_keys.extend(order.iter().map(|&i| keys[i as usize]));
@@ -167,57 +177,38 @@ impl PioBTree {
                 .enumerate()
                 .map(|(i, &key)| self.leaf_piece(descent.leaf(i), key)),
         );
-
-        let mut results = vec![None; keys.len()];
-        let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
+        regions.clear();
+        regions.extend_from_slice(pieces);
+        regions.dedup();
         let l = self.config.leaf_segments as u64;
-        let mut segment_reads = 0;
-        let pieces = &*pieces;
-        let chunk = |group: usize| group * pio_max..((group + 1) * pio_max).min(keys.len());
-        // Whether sorted key `i` needs a piece its predecessor in the chunk
-        // did not: sorted keys cluster by leaf and, within a fenced leaf, by
-        // segment, so a chunk's distinct pieces are the starts of its runs —
-        // at submission and, in lock step, when the images come back.
-        let opens_run = |i: usize, start: usize| i == start || pieces[i] != pieces[i - 1];
-        // Pipelined fetch: up to `pipeline_depth` batches stay in flight, so that
-        // many psync windows overlap on the device while the CPU resolves the
-        // current batch's keys — the depth that fills the device queue instead of
-        // flat-lining at double buffering.
+        self.stats.segment_reads += regions.iter().filter(|&&(_, n)| n < l).count() as u64;
+
+        let page_size = self.config.page_size;
+        let mut i = 0;
         ring.set_depth(self.pipeline_depth);
-        run_pipeline(
+        read_regions(
+            &self.store,
+            regions,
+            PageClass::Leaf,
+            AccessHint::Point,
+            self.config.pio_max,
             ring,
-            keys.len().div_ceil(pio_max),
-            |group| {
-                let keys = chunk(group);
-                regions.clear();
-                regions.extend(keys.clone().filter(|&i| opens_run(i, keys.start)).map(|i| pieces[i]));
-                segment_reads += regions.iter().filter(|&&(_, n)| n < l).count() as u64;
-                self.submit_leaf_reads(regions, AccessHint::Point)
-            },
-            |ticket| self.store.complete_read(ticket),
-            |group, images| {
-                let keys = chunk(group);
+            |call, images| {
                 let mut rest = &images[..];
-                let mut view = None;
-                for i in keys.clone() {
-                    if opens_run(i, keys.start) {
-                        let (first, n) = pieces[i];
-                        view = Some(LeafView::new(first, next_region(&mut rest, n, page_size), page_size)?);
+                for &(first, n) in &regions[call] {
+                    let view = LeafView::new(first, next_region(&mut rest, n, page_size), page_size)?;
+                    // The piece's run of keys; map each back from its sorted
+                    // position to the caller's.
+                    while pieces.get(i) == Some(&(first, n)) {
+                        results[order[i] as usize] = view.lookup(sorted_keys[i]).unwrap_or(None);
+                        i += 1;
                     }
-                    let key = sorted_keys[i];
-                    // Map back from the sorted position to the caller's position.
-                    results[order[i] as usize] = self
-                        .opq
-                        .lookup(key)
-                        .or_else(|| view.as_ref().expect("the chunk's first key opens a run").lookup(key))
-                        .unwrap_or(None);
                 }
                 Ok(())
             },
         )?;
-        self.stats.segment_reads += segment_reads;
         self.scratch = scratch;
-        Ok(results)
+        Ok(())
     }
 
     /// prange search (Section 3.1.2): reads all internal nodes and leaf regions that
@@ -229,36 +220,30 @@ impl PioBTree {
             return Ok(Vec::new());
         }
         let leaves = self.locate_range(lo, hi)?;
-        let (pio_max, page_size) = (self.config.pio_max, self.config.page_size);
-        let l = self.config.leaf_segments as u64;
-        let batch = |batch_idx: usize| &leaves[batch_idx * pio_max..((batch_idx + 1) * pio_max).min(leaves.len())];
+        let (page_size, l) = (self.config.page_size, self.config.leaf_segments as u64);
         let SearchScratch {
             regions, ring, queued, ..
         } = &mut self.scratch;
+        regions.clear();
+        regions.extend(leaves.iter().map(|&leaf| (leaf, l)));
         ring.set_depth(self.pipeline_depth);
-        let store = &self.store;
         // Leaves arrive in key order and cover disjoint key ranges, so each one's
         // entries go straight onto the end of the result.
         let mut found: Vec<(Key, Value)> = Vec::new();
-        // Leaf regions are fetched through the same depth-N ticket pipeline as
-        // multi_search: later batches ride the device queue while earlier ones
-        // are resolved.
-        run_pipeline(
+        // Scan-hinted: the stream may hit resident leaf pages but never
+        // evicts the point-lookup working set.
+        read_regions(
+            &self.store,
+            regions,
+            PageClass::Leaf,
+            AccessHint::Scan,
+            self.config.pio_max,
             ring,
-            leaves.len().div_ceil(pio_max),
-            |batch_idx| {
-                regions.clear();
-                regions.extend(batch(batch_idx).iter().map(|&p| (p, l)));
-                // Scan-hinted: the stream may hit resident leaf regions but
-                // never evicts the point-lookup working set.
-                store.submit_read(regions, PageClass::Leaf, AccessHint::Scan)
-            },
-            |ticket| store.complete_read(ticket),
-            |batch_idx, images| {
+            |call, images| {
                 let mut rest = &images[..];
-                for &leaf in batch(batch_idx) {
-                    let tiles = next_region(&mut rest, l, page_size);
-                    LeafView::new(leaf, tiles, page_size)?.emit_range(lo, hi, &mut found);
+                for &(leaf, n) in &regions[call] {
+                    LeafView::new(leaf, next_region(&mut rest, n, page_size), page_size)?
+                        .emit_range(lo, hi, &mut found);
                 }
                 Ok(())
             },
@@ -456,6 +441,80 @@ mod tests {
             "CRASH_SEED={seed}: {s:?}"
         );
         assert!(mixed > 0, "CRASH_SEED={seed}: no descent took the mixed path");
+    }
+
+    /// The one lookup path's three steps, seen from the device. A batch the
+    /// OPQ decides whole reads nothing, not even the internal nodes; a mixed
+    /// batch reads the pieces of the keys the OPQ leaves open, each once,
+    /// however its keys fall across the `PioMax` calls; and `search` is the
+    /// one-key batch, with its answer and its device requests.
+    #[test]
+    fn lookups_read_only_the_pieces_of_the_keys_the_opq_leaves_open() {
+        let config = PioConfig::builder()
+            .page_size(2048)
+            .leaf_segments(2)
+            .opq_pages(4)
+            .pio_max(8)
+            .pool_pages(64)
+            .pipeline_depth(crate::PipelineDepth::Fixed(4))
+            .build();
+        let store = Arc::new(CachedStore::new(
+            PageStore::new(Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 1 << 28)), 2048),
+            64,
+            WritePolicy::WriteThrough,
+        ));
+        let entries: Vec<(Key, Value)> = (0..20_000u64).map(|k| (k * 4, k)).collect();
+        let mut tree = PioBTree::bulk_load(Arc::clone(&store), &entries, config).unwrap();
+        // Queued, not flushed: an update, a delete and an insert.
+        tree.update(40, 1).unwrap();
+        tree.delete(80).unwrap();
+        tree.insert(4_001, 7).unwrap();
+        assert_eq!(tree.opq_len(), 3);
+        // Device reads, read bytes and psync calls of `lookup` from a cold pool.
+        let reads_of = |tree: &mut PioBTree, lookup: &dyn Fn(&mut PioBTree) -> Vec<Option<Value>>| {
+            store.drop_cache();
+            let before = store.store().io().io_stats();
+            let answers = lookup(tree);
+            let after = store.store().io().io_stats();
+            let io = (
+                after.reads - before.reads,
+                after.read_bytes - before.read_bytes,
+                after.batches - before.batches,
+            );
+            (answers, io)
+        };
+
+        let decided = reads_of(&mut tree, &|t| t.multi_search(&[4_001, 40, 80, 40]).unwrap());
+        assert_eq!(decided, (vec![Some(7), Some(1), None, Some(1)], (0, 0, 0)));
+
+        // 20 copies of one key span three calls of `PioMax` 8: one piece,
+        // read once, beside the queued keys.
+        let mut mixed = vec![4_001, 123 * 4, 80];
+        mixed.extend([300 * 4; 20]);
+        let (answers, io) = reads_of(&mut tree, &|t| t.multi_search(&mixed).unwrap());
+        let mut expected = vec![Some(7), Some(123), None];
+        expected.extend([Some(300); 20]);
+        assert_eq!(answers, expected);
+        let open = reads_of(&mut tree, &|t| t.multi_search(&[123 * 4, 300 * 4]).unwrap());
+        assert_eq!(io, open.1, "the mixed batch reads what its open keys read");
+        let (_, descent) = reads_of(&mut tree, &|t| {
+            t.locate(&[123 * 4, 300 * 4], &mut Descent::default()).unwrap();
+            Vec::new()
+        });
+        assert_eq!(
+            (io.0 - descent.0, io.1 - descent.1, io.2 - descent.2),
+            (2, 2 * 2048, 1),
+            "two one-segment pieces in one psync call"
+        );
+
+        for key in [0, 40, 80, 4_001, 123 * 4, 300 * 4 + 1, 79_996, 80_000] {
+            let one = reads_of(&mut tree, &|t| vec![t.search(key).unwrap()]);
+            assert_eq!(
+                one,
+                reads_of(&mut tree, &|t| t.multi_search(&[key]).unwrap()),
+                "key {key}"
+            );
+        }
     }
 
     /// Fuzz, one level above the page formats' single-byte mutations: a child

@@ -72,20 +72,18 @@ pub struct TicketRing<T> {
 /// A depth-1 ring that has not allocated yet.
 impl<T> Default for TicketRing<T> {
     fn default() -> Self {
-        Self {
-            depth: 1,
-            inflight: VecDeque::new(),
-        }
+        Self::new(1)
     }
 }
 
 impl<T> TicketRing<T> {
-    /// A ring holding at most `depth` in-flight tickets (clamped to ≥ 1).
+    /// A ring holding at most `depth` in-flight tickets (clamped to ≥ 1). It
+    /// allocates at its first push, so a pipeline that submits nothing never
+    /// does.
     pub fn new(depth: usize) -> Self {
-        let depth = depth.max(1);
         Self {
-            depth,
-            inflight: VecDeque::with_capacity(depth),
+            depth: depth.max(1),
+            inflight: VecDeque::new(),
         }
     }
 
