@@ -50,7 +50,7 @@ pub struct PioConfig {
     /// Whether write-ahead logging (and therefore crash recovery) is enabled.
     pub wal_enabled: bool,
     /// Depth of the ticket pipelines in the batched hot paths (multi-search
-    /// leaf fetch, bupdate prefetch, bulk-load writes, each internal level of
+    /// leaf fetch, bupdate prefetch, every tree write, each internal level of
     /// an MPSearch descent, where it is capped at `treeHeight − 1`): how many
     /// `PioMax`-bounded batches stay in flight at once.
     pub pipeline_depth: PipelineDepth,

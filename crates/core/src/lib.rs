@@ -31,14 +31,17 @@
 //! ## Depth-adaptive ticket pipelines
 //!
 //! Every batched hot path (each internal level of an MPSearch descent,
-//! multi-search and prange leaf fetches, bupdate's Phase-A prefetch,
-//! bulk-load region writes) keeps up to [`PioConfig::pipeline_depth`]
-//! batches of at most `PioMax` requests in flight through the ticketed store
-//! tier, all through the one driver [`pio::ring::run_pipeline`]. Every read
-//! of them goes through one read driver over it (`mpsearch::read_regions`),
-//! handed a list that names each region once — a lookup's distinct leaf
-//! pieces, not its keys — so that no page is requested twice in one call,
-//! or again while an earlier call still has it in flight. The default, [`config::PipelineDepth::Auto`], resolves
+//! multi-search and prange leaf fetches, bupdate's Phase-A prefetch, every
+//! write of a flush, its undo and bulk load) keeps up to
+//! [`PioConfig::pipeline_depth`] psync calls of at most `PioMax` in flight
+//! through the ticketed store tier, all through the one loop
+//! [`pio::ring::run_pipeline`] under two drivers (`io`). Every read goes
+//! through the read driver (`io::read_regions`), handed a list that names
+//! each region once — a lookup's distinct leaf pieces, not its keys — so
+//! that no page is requested twice in one call, or again while an earlier
+//! call still has it in flight. Every write goes through the write driver
+//! (`io::write_regions`), which reaps its calls before it returns, so a
+//! write is durable at return. The default, [`config::PipelineDepth::Auto`], resolves
 //! at construction from the store backend's
 //! [`pio::IoQueue::queue_depth_hint`]: `ceil(hint / PioMax)` in-flight
 //! `PioMax`-sized batches — enough to fill the device's command queue, the
@@ -136,6 +139,7 @@
 pub mod config;
 pub mod cost;
 pub mod entry;
+mod io;
 pub mod leaf;
 pub mod lsmap;
 pub mod mpsearch;

@@ -8,15 +8,9 @@
 //! recursively (depth-first over `PioMax`-sized pointer sets); this module
 //! uses the equivalent breadth-first formulation.
 //!
-//! Every level of a descent, the leaf level included, is read by one driver,
-//! `read_regions`: it takes a list of regions, sends them in psync calls of
-//! at most `PioMax` regions, keeps up to `pipeline_depth` calls in flight
-//! ([`run_pipeline`]) and hands each call's images back in order. The store
-//! answers resident pages from the pool and sends only the misses to the
-//! device. A list that names each region once — a level's distinct nodes, a
-//! lookup's distinct leaf pieces, a range's leaves, bupdate's last
-//! segments — so never asks for a page twice in one call, nor for a page
-//! an earlier call of the list still has in flight.
+//! Every level of a descent, the leaf level included, is read by the one
+//! read driver, `io::read_regions`: it sends a list of regions in psync calls
+//! of at most `PioMax` regions, up to `pipeline_depth` of them in flight.
 //!
 //! One level visitor does every internal level of both descents. It first
 //! takes the level's nodes from the store's pool, under one cache lock and
@@ -34,11 +28,10 @@
 //! prange search and bupdate each treat the leaf level differently; each
 //! reads it through `read_regions`.
 
+use crate::io::read_regions;
 use btree::{InternalView, Key};
-use pio::ring::run_pipeline;
 use pio::{IoResult, TicketRing};
-use std::ops::Range;
-use storage::{AccessHint, CachedReadTicket, CachedStore, PageClass, PageId, PageImage};
+use storage::{AccessHint, CachedReadTicket, CachedStore, PageClass, PageId};
 
 /// The result of one descent over a sorted key set: per key the target leaf
 /// and its root-to-parent path, the paths in **one** flat array (`levels`
@@ -124,32 +117,6 @@ fn visit_level(
         },
     )?;
     Ok(false)
-}
-
-/// The one read driver of every level, the leaf level included: reads
-/// `regions` through the store as pages of `class`, with psync calls
-/// of at most `pio_max` regions, `ring`'s depth of them in flight
-/// ([`run_pipeline`]). Hands `consume` each call's range of `regions` and the
-/// images that tile them, call after call in order. A list that names each
-/// region once never requests a page twice in one call.
-pub(crate) fn read_regions(
-    store: &CachedStore,
-    regions: &[(PageId, u64)],
-    class: PageClass,
-    hint: AccessHint,
-    pio_max: usize,
-    ring: &mut TicketRing<CachedReadTicket>,
-    mut consume: impl FnMut(Range<usize>, Vec<PageImage>) -> IoResult<()>,
-) -> IoResult<()> {
-    let pio_max = pio_max.max(1);
-    let call = |c: usize| c * pio_max..((c + 1) * pio_max).min(regions.len());
-    run_pipeline(
-        ring,
-        regions.len().div_ceil(pio_max),
-        |c| store.submit_read(&regions[call(c)], class, hint),
-        |ticket| store.complete_read(ticket),
-        |c, images| consume(call(c), images),
-    )
 }
 
 /// Descends the internal levels for every key in `keys` (which must be

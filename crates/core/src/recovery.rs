@@ -544,11 +544,7 @@ impl PioBTree {
             .filter(|i| !i.complete && !i.aborted)
             .map(|i| i.span.start_lsn)
             .min();
-        let min_undo_start = match (poisoned_start, incomplete_start) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
+        let min_undo_start = poisoned_start.into_iter().chain(incomplete_start).min();
         let mut undone: Vec<bool> = vec![false; flushes.len()];
         if let Some(min_start) = min_undo_start {
             let mut to_undo: Vec<usize> = (0..flushes.len())

@@ -16,10 +16,12 @@
 //! read fetches the pages the pool misses, and a scan reads a leaf the pool
 //! does not hold whole with one large request (`Pr(L)` in the cost model); a
 //! point lookup of a leaf with segment fences reads only its one segment (see
-//! `search`); every batched read or write goes through psync calls bounded
-//! by `PioMax` — every read of a level, leaves included, through the one
-//! driver `mpsearch::read_regions`, and bulk load's leaf writes in
-//! batches of `PioMax` regions; reads and writes are never mixed in one call
+//! `search`); every level's batched read goes through the one read driver
+//! (`io::read_regions`) and every write through the one write driver
+//! (`io::write_regions`), in psync calls of at most `PioMax` — the reads
+//! beside the driver are single calls of at most `PioMax` regions (bupdate's
+//! Phase B re-read of a chunk's full-path leaves) or pages (an undo's read of
+//! the pages it cuts back); reads and writes are never mixed in one call
 //! (Principle 3).
 //!
 //! This file is the tree proper — construction, accessors, the write entry
@@ -29,12 +31,12 @@
 
 use crate::config::PioConfig;
 use crate::entry::{OpEntry, OpKind};
+use crate::io::write_regions;
 use crate::leaf::{LeafView, PioLeaf};
 use crate::lsmap::LsMap;
 use crate::opq::OperationQueue;
 use crate::recovery::{LogRecord, LOCAL_EPOCH};
 use btree::{InternalNode, InternalView, Key, Node, Value};
-use pio::ring::run_pipeline;
 use pio::{IoResult, SimPsyncIo, TicketRing};
 use ssd_sim::DeviceProfile;
 use std::collections::BTreeMap;
@@ -231,51 +233,36 @@ impl PioBTree {
         let mut lsmap = LsMap::new();
 
         // --- Leaf level -----------------------------------------------------------
-        // Region batches are pipelined: up to `pipeline_depth` write tickets stay
-        // in flight on the device while the next batch of leaf images is encoded,
-        // so the loader overlaps CPU work (and the following batches' submission)
-        // with device time instead of blocking on every batch of `PioMax` regions.
+        // Leaves are encoded a window at a time — the `pipeline_depth` calls of
+        // `PioMax` regions the write driver keeps in flight — so the load never
+        // holds more than one window of images. An empty input loads one empty
+        // leaf.
+        let mut ring = TicketRing::new(pipeline_depth);
+        let window = config.pio_max * pipeline_depth;
         let mut level: Vec<(Key, PageId)> = Vec::new();
-        let chunks: Vec<&[(Key, Value)]> = if entries.is_empty() {
-            vec![&[][..]]
-        } else {
-            entries.chunks(per_leaf).collect()
-        };
-        let batches: Vec<&[&[(Key, Value)]]> = chunks.chunks(config.pio_max).collect();
-        // Writes are durable when reaped: the pipeline completes every ticket
-        // (and surfaces any completion error) before the load goes on.
-        run_pipeline(
-            &mut TicketRing::new(pipeline_depth),
-            batches.len(),
-            |batch| {
-                let region_writes: Vec<(PageId, PageImage)> = batches[batch]
-                    .iter()
-                    .map(|chunk| {
-                        let first = store.allocate_contiguous(segments as u64);
-                        let leaf = PioLeaf::from_sorted(segments, chunk);
-                        lsmap.set_sorted(first, leaf.segment_fences(page_size));
-                        level.push((chunk.first().map(|&(k, _)| k).unwrap_or(0), first));
-                        (first, leaf.encode(page_size))
-                    })
-                    .collect();
-                store.submit_write(&region_writes, PageClass::Leaf)
-            },
-            |ticket| store.complete_write(ticket),
-            |_, ()| Ok(()),
-        )?;
+        let mut images: Vec<(PageId, PageImage)> = Vec::with_capacity(window);
+        for chunk in entries.chunks(per_leaf).chain(entries.is_empty().then_some(entries)) {
+            let first = store.allocate_contiguous(segments as u64);
+            let leaf = PioLeaf::from_sorted(segments, chunk);
+            lsmap.set_sorted(first, leaf.segment_fences(page_size));
+            level.push((chunk.first().map(|&(k, _)| k).unwrap_or(0), first));
+            images.push((first, leaf.encode(page_size)));
+            if images.len() == window {
+                write_regions(&store, &images, PageClass::Leaf, config.pio_max, &mut ring)?;
+                images.clear();
+            }
+        }
+        write_regions(&store, &images, PageClass::Leaf, config.pio_max, &mut ring)?;
 
         // --- Internal levels --------------------------------------------------------
+        // At least one: the root, even over a single leaf.
         let internal_cap =
             ((InternalNode::max_children(page_size) as f64 * config.fill_factor).floor() as usize).max(2);
         let mut height = 1usize;
-        loop {
-            let force_root = height == 1; // always create at least one internal level
-            if level.len() == 1 && !force_root {
-                break;
-            }
+        while height == 1 || level.len() > 1 {
             height += 1;
+            images.clear();
             let mut next_level = Vec::new();
-            let mut writes: Vec<(PageId, PageImage)> = Vec::new();
             for chunk in level.chunks(internal_cap) {
                 let page = store.allocate();
                 let node = InternalNode {
@@ -283,13 +270,10 @@ impl PioBTree {
                     children: chunk.iter().map(|&(_, p)| p).collect(),
                 };
                 next_level.push((chunk[0].0, page));
-                writes.push((page, Node::Internal(node).encode(page_size)));
+                images.push((page, Node::Internal(node).encode(page_size)));
             }
-            store.write_pages(&writes, PageClass::Inner)?;
+            write_regions(&store, &images, PageClass::Inner, config.pio_max, &mut ring)?;
             level = next_level;
-            if level.len() == 1 {
-                break;
-            }
         }
 
         Self::over(store, config, level[0].1, height, lsmap)

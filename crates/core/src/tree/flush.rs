@@ -1,8 +1,12 @@
 //! The write half of the PIO B-tree: the OPQ flush (bupdate) and its undo journal.
 //!
-//! I/O discipline: every batched read or write goes through one psync call
-//! bounded by `PioMax`; reads and writes are never mixed in one call
-//! (Principle 3).
+//! I/O discipline: every write of a flush, and of its undo, goes through the
+//! one write driver (`io::write_regions`), and every batched read of a level
+//! through the read driver (`io::read_regions`) — both in psync calls of at
+//! most `PioMax`. Phase B's re-read of a chunk's full-path leaves is one call
+//! of at most `PioMax` regions, and an undo reads the pages it cuts back in
+//! calls of at most `PioMax` pages; reads and writes are never mixed in one
+//! call (Principle 3).
 //!
 //! A flush journals every change it makes **once**, through [`FlushJournal`]:
 //! the same call appends the WAL record a crash is undone from and the
@@ -12,8 +16,9 @@
 
 use super::PioBTree;
 use crate::entry::OpEntry;
+use crate::io::{read_regions, write_regions};
 use crate::leaf::{LeafView, PioLeaf};
-use crate::mpsearch::{read_regions, Descent};
+use crate::mpsearch::Descent;
 use crate::recovery::LogRecord;
 use btree::{InternalNode, InternalView, Key, Node};
 use pio::{zeroed_image, IoResult};
@@ -207,10 +212,9 @@ impl PioBTree {
     /// Undoes one flush from its journal — the one rollback, whether the
     /// journal was captured by the failed flush itself ([`PioBTree::flush_once`])
     /// or rebuilt from the WAL after a crash ([`PioBTree::recover_with`]).
-    /// Page steps go first, in journal order, a `PioMax`-sized batch at a time;
-    /// then the root growths are rewound newest first, the pages the flush
-    /// allocated return to the free list, and the LSMap entries it touched
-    /// are restored.
+    /// Page steps go first; then the root growths are rewound newest first,
+    /// the pages the flush allocated return to the free list, and the LSMap
+    /// entries it touched are restored.
     ///
     /// The in-memory state is restored even when a page write fails: the error
     /// is returned, the store may then hold partially rolled-back pages, and
@@ -243,48 +247,52 @@ impl PioBTree {
         pages
     }
 
-    /// Writes the page steps of a journal back, each batch as one write per
-    /// class: the leaf pages, then the internal nodes. An append is undone
-    /// from the page as it is on the device NOW — when recovery unwinds
-    /// several flushes, every newer flush's undo is already written — and
-    /// read below the cache and the checksum sidecar: the crash may have torn
-    /// that very write, which `undo_append` repairs and verification would
-    /// report as corruption.
-    fn undo_pages(&self, steps: Vec<(PageId, Undo)>) -> IoResult<()> {
-        let mut steps = steps.into_iter().peekable();
-        while steps.peek().is_some() {
-            let batch: Vec<_> = steps.by_ref().take(self.config.pio_max.max(1)).collect();
-            let appended: Vec<(PageId, u64)> = batch
-                .iter()
-                .filter(|(_, undo)| matches!(undo, Undo::Append(_)))
-                .map(|&(page, _)| (page, 1))
-                .collect();
-            let mut current = if appended.is_empty() {
-                Vec::new()
-            } else {
-                self.store.store().read_regions(&appended)?
-            }
-            .into_iter();
-            let (mut leaves, mut nodes) = (Vec::new(), Vec::new());
-            for (page, undo) in batch {
-                match undo {
-                    Undo::Image(image, PageClass::Leaf) => leaves.push((page, image)),
-                    Undo::Image(image, PageClass::Inner) => nodes.push((page, image)),
-                    Undo::Append(keep) => {
-                        // The store's image is unshared: this edits it in place.
-                        let mut image = current.next().expect("one image per appended page");
-                        PioLeaf::undo_append(PageImage::make_mut(&mut image), keep);
-                        leaves.push((page, image));
-                    }
-                }
-            }
-            for (images, class) in [(leaves, PageClass::Leaf), (nodes, PageClass::Inner)] {
-                if !images.is_empty() {
-                    self.store.write_pages(&images, class)?;
+    /// Writes the page steps of a journal back through the write driver: the
+    /// leaf pages, then the internal nodes. An append is undone from the page
+    /// as it is on the device NOW — when recovery unwinds several flushes,
+    /// every newer flush's undo is already written — and read below the cache
+    /// and the checksum sidecar, in calls of at most `PioMax` pages: the crash
+    /// may have torn that very write, which `undo_append` repairs and
+    /// verification would report as corruption.
+    fn undo_pages(&mut self, steps: Vec<(PageId, Undo)>) -> IoResult<()> {
+        let appended: Vec<(PageId, u64)> = steps
+            .iter()
+            .filter(|(_, undo)| matches!(undo, Undo::Append(_)))
+            .map(|&(page, _)| (page, 1))
+            .collect();
+        let mut current = Vec::with_capacity(appended.len());
+        for call in appended.chunks(self.config.pio_max) {
+            current.extend(self.store.store().read_regions(call)?);
+        }
+        let mut current = current.into_iter();
+        let (mut leaves, mut nodes) = (Vec::new(), Vec::new());
+        for (page, undo) in steps {
+            match undo {
+                Undo::Image(image, PageClass::Leaf) => leaves.push((page, image)),
+                Undo::Image(image, PageClass::Inner) => nodes.push((page, image)),
+                Undo::Append(keep) => {
+                    // The store's image is unshared: this edits it in place.
+                    let mut image = current.next().expect("one image per appended page");
+                    PioLeaf::undo_append(PageImage::make_mut(&mut image), keep);
+                    leaves.push((page, image));
                 }
             }
         }
-        Ok(())
+        self.write(&leaves, PageClass::Leaf)?;
+        self.write(&nodes, PageClass::Inner)
+    }
+
+    /// Writes `images`, pages of `class`, through the write driver on the
+    /// tree's write ring: calls of at most `PioMax` images, durable at return.
+    fn write(&mut self, images: &[(PageId, PageImage)], class: PageClass) -> IoResult<()> {
+        self.scratch.writes.set_depth(self.pipeline_depth);
+        write_regions(
+            &self.store,
+            images,
+            class,
+            self.config.pio_max,
+            &mut self.scratch.writes,
+        )
     }
 
     /// Batch update (Algorithm 2 + the modified updateNode of Algorithm 3): apply a
@@ -400,7 +408,9 @@ impl PioBTree {
         let seg_cap = PioLeaf::segment_capacity(page_size);
         let leaf_cap = PioLeaf::capacity(segments, page_size);
 
-        let mut page_writes: Vec<(PageId, PageImage)> = Vec::new();
+        // Every page and region the chunk writes, in one list: the append
+        // path's segment pages, then the full path's regions.
+        let mut writes: Vec<(PageId, PageImage)> = Vec::new();
         let mut full_path: Vec<usize> = Vec::new();
         let mut leaf = PioLeaf {
             segments,
@@ -441,7 +451,7 @@ impl PioBTree {
                     fresh,
                     preimage,
                 );
-                page_writes.push((job.leaf + seg as u64, page));
+                writes.push((job.leaf + seg as u64, page));
                 seg += 1;
             }
             journal.lsmap.push((job.leaf, self.lsmap.get(job.leaf)));
@@ -449,7 +459,6 @@ impl PioBTree {
         }
 
         // Phase B: full path — whole-region reads, shrink, possible splits.
-        let mut region_writes: Vec<(PageId, PageImage)> = Vec::new();
         if !full_path.is_empty() {
             let regions: Vec<(PageId, u64)> = full_path.iter().map(|&i| (chunk[i].leaf, segments as u64)).collect();
             let images = self.read_leaves(&regions)?;
@@ -472,23 +481,14 @@ impl PioBTree {
                 if leaf.len() <= leaf_cap {
                     journal.lsmap.push((job.leaf, self.lsmap.get(job.leaf)));
                     self.lsmap.set_sorted(job.leaf, leaf.segment_fences(page_size));
-                    region_writes.push((job.leaf, leaf.encode(page_size)));
+                    writes.push((job.leaf, leaf.encode(page_size)));
                     continue;
                 }
                 // Still full after shrinking: split until every part fits.
                 let mut parts = vec![leaf];
-                while parts.iter().any(|p| p.len() > leaf_cap) {
-                    let mut next = Vec::with_capacity(parts.len() + 1);
-                    for mut p in parts {
-                        if p.len() > leaf_cap {
-                            let (_, right) = p.split();
-                            next.push(p);
-                            next.push(right);
-                        } else {
-                            next.push(p);
-                        }
-                    }
-                    parts = next;
+                while let Some(i) = parts.iter().position(|p| p.len() > leaf_cap) {
+                    let (_, upper) = parts[i].split();
+                    parts.insert(i + 1, upper);
                 }
                 self.stats.leaf_splits += (parts.len() - 1) as u64;
                 for (pi, part) in parts.iter().enumerate() {
@@ -501,7 +501,7 @@ impl PioBTree {
                     };
                     journal.lsmap.push((target, self.lsmap.get(target)));
                     self.lsmap.set_sorted(target, part.segment_fences(page_size));
-                    region_writes.push((target, part.encode(page_size)));
+                    writes.push((target, part.encode(page_size)));
                     if pi > 0 {
                         fences.push(FenceInsert {
                             path: descent.path(job.first).to_vec(),
@@ -517,21 +517,17 @@ impl PioBTree {
 
         self.scratch.leaf_records = leaf.records;
 
-        // Phase C: write everything back — one psync call for the segment pages, one
-        // for the rewritten regions (reads never mix with writes).
+        // Phase C: after the chunk's one WAL force, write everything back
+        // through the write driver (reads never mix with writes).
         self.force_wal()?;
-        if !page_writes.is_empty() {
-            self.store.write_pages(&page_writes, PageClass::Leaf)?;
-        }
-        if !region_writes.is_empty() {
-            self.store.write_pages(&region_writes, PageClass::Leaf)?;
-        }
-        Ok(())
+        self.write(&writes, PageClass::Leaf)
     }
 
     /// Inserts the fence keys produced by leaf splits into their parents, splitting
-    /// internal nodes (and ultimately the root) as needed. Each level's modified
-    /// nodes are written with one psync call.
+    /// internal nodes (and ultimately the root) as needed, a level at a time:
+    /// the level's parents are read through the read driver, and its modified
+    /// and new nodes written through the write driver, in psync calls of at
+    /// most `PioMax` nodes.
     fn propagate_fences(&mut self, mut pending: Vec<FenceInsert>, journal: &mut FlushJournal) -> IoResult<()> {
         let page_size = self.config.page_size;
         let internal_cap = InternalNode::max_children(page_size);
@@ -554,8 +550,10 @@ impl PioBTree {
                 // restores the previous root/height from it.
                 journal.root(self, new_root_page);
                 self.force_wal()?;
-                self.store
-                    .write_page(new_root_page, Node::Internal(node).encode(page_size))?;
+                self.write(
+                    &[(new_root_page, Node::Internal(node).encode(page_size))],
+                    PageClass::Inner,
+                )?;
                 self.root = new_root_page;
                 self.height += 1;
                 self.stats.height_growths += 1;
@@ -573,19 +571,28 @@ impl PioBTree {
                     None => groups.push((parent, vec![f])),
                 }
             }
-            let parent_pages: Vec<PageId> = groups.iter().map(|&(p, _)| p).collect();
-            let images = self.store.read_pages(&parent_pages)?;
+            let parent_pages: Vec<(PageId, u64)> = groups.iter().map(|&(p, _)| (p, 1)).collect();
+            let mut images = Vec::with_capacity(parent_pages.len());
+            self.scratch.ring.set_depth(self.pipeline_depth);
+            read_regions(
+                &self.store,
+                &parent_pages,
+                PageClass::Inner,
+                AccessHint::Point,
+                self.config.pio_max,
+                &mut self.scratch.ring,
+                |_, call| {
+                    images.extend(call);
+                    Ok(())
+                },
+            )?;
             let mut writes: Vec<(PageId, PageImage)> = Vec::new();
             let mut next_pending: Vec<FenceInsert> = Vec::new();
 
             for ((parent_page, fences), image) in groups.into_iter().zip(images) {
                 let mut node = InternalView::new(parent_page, &image)?.to_owned();
                 journal.image(self, parent_page, image, PageClass::Inner);
-                let grandparent_path: Vec<(PageId, usize)> = {
-                    let mut p = fences[0].path.clone();
-                    p.pop();
-                    p
-                };
+                let grandparent_path = &fences[0].path[..fences[0].path.len() - 1];
                 for f in &fences {
                     let idx = node.keys.partition_point(|&k| k < f.key);
                     node.keys.insert(idx, f.key);
@@ -595,18 +602,16 @@ impl PioBTree {
                     self.stats.internal_splits += 1;
                     let mid = node.keys.len() / 2;
                     let promote = node.keys[mid];
-                    let right_keys = node.keys.split_off(mid + 1);
+                    let right = InternalNode {
+                        keys: node.keys.split_off(mid + 1),
+                        children: node.children.split_off(mid + 1),
+                    };
                     node.keys.pop();
-                    let right_children = node.children.split_off(mid + 1);
                     let right_page = self.store.allocate();
                     journal.alloc(self, right_page, 1);
-                    let right = InternalNode {
-                        keys: right_keys,
-                        children: right_children,
-                    };
                     writes.push((right_page, Node::Internal(right).encode(page_size)));
                     next_pending.push(FenceInsert {
-                        path: grandparent_path.clone(),
+                        path: grandparent_path.to_vec(),
                         key: promote,
                         new_child: right_page,
                     });
@@ -614,7 +619,7 @@ impl PioBTree {
                 writes.push((parent_page, Node::Internal(node).encode(page_size)));
             }
             self.force_wal()?;
-            self.store.write_pages(&writes, PageClass::Inner)?;
+            self.write(&writes, PageClass::Inner)?;
             pending = next_pending;
         }
         Ok(())

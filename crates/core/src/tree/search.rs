@@ -30,15 +30,16 @@
 
 use super::PioBTree;
 use crate::entry::OpEntry;
+use crate::io::read_regions;
 use crate::leaf::LeafView;
-use crate::mpsearch::{locate_leaves, locate_leaves_in_range, read_regions, Descent};
+use crate::mpsearch::{locate_leaves, locate_leaves_in_range, Descent};
 use btree::{Key, Value};
 use pio::{IoResult, TicketRing};
-use storage::{next_region, AccessHint, CachedReadTicket, PageClass, PageId, PageImage};
+use storage::{next_region, AccessHint, CachedReadTicket, CachedWriteTicket, PageClass, PageId, PageImage};
 
 /// Buffers of the batched read paths (and of bupdate's descent, leaf reads
-/// and leaf records), kept by the tree between calls so that a warm call
-/// allocates only what it returns. A
+/// and leaf records, and the tree's write ring), kept by the tree between
+/// calls so that a warm call allocates only what it returns. A
 /// call takes what it needs out of the tree and puts it back when it is done;
 /// a call that fails drops them, and they regrow on the next one.
 #[derive(Debug, Default)]
@@ -55,6 +56,8 @@ pub(crate) struct SearchScratch {
     regions: Vec<(PageId, u64)>,
     /// The leaf reads in flight.
     pub(crate) ring: TicketRing<CachedReadTicket>,
+    /// The writes in flight: every write of the tree passes this one ring.
+    pub(crate) writes: TicketRing<CachedWriteTicket>,
     /// The queued operations a `range_search` overlays on its result.
     queued: Vec<OpEntry>,
     pub(crate) descent: Descent,

@@ -24,9 +24,10 @@ use std::collections::VecDeque;
 /// the error is returned. The ring is the caller's, empty on entry and on
 /// return, so a caller that keeps it runs the loop without allocating.
 ///
-/// This is the shape of every pipeline of the tree: multi-search and prange
-/// leaf fetches, each internal level of an MPSearch descent, bupdate's
-/// last-segment prefetch and bulk load's region writes.
+/// This is the shape of every pipeline of the tree, which runs it through
+/// two drivers: the read driver (multi-search and prange leaf fetches, each
+/// internal level of an MPSearch descent, bupdate's last-segment prefetch)
+/// and the write driver (every tree write, bulk load's included).
 pub fn run_pipeline<T, R, E>(
     ring: &mut TicketRing<T>,
     jobs: usize,

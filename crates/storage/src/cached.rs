@@ -511,7 +511,11 @@ impl CachedStore {
     }
 
     /// Writes many page or region images, pages of `class`; everything bound
-    /// for the device goes in a single psync call.
+    /// for the device goes in a single psync call, however long the list. It
+    /// is the blocking form of the write driver's primitive,
+    /// [`CachedStore::submit_write`] and [`CachedStore::complete_write`]: the
+    /// PIO B-tree never calls it, because its write driver bounds every call
+    /// by `PioMax`.
     pub fn write_pages(&self, images: &[(PageId, PageImage)], class: PageClass) -> IoResult<()> {
         self.complete_write(self.submit_write(images, class)?)
     }

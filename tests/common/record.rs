@@ -1,7 +1,8 @@
 //! A recorder in front of an [`IoQueue`]'s submissions: which thread handed
-//! each read or write batch to which backend. It is how a test sees *where* a
-//! piece of engine work ran — on the thread that made the call, or on the
-//! maintenance worker — without timing anything.
+//! each read or write batch of how many requests to which backend. It is how
+//! a test sees *where* a piece of engine work ran — on the thread that made
+//! the call, or on the maintenance worker — and how large each psync call
+//! was, without timing anything.
 
 #![allow(dead_code)]
 
@@ -16,6 +17,8 @@ pub struct Submission {
     /// The backend's label: `store{i}` or `wal{i}` (see [`record_shards`]).
     pub backend: String,
     pub write: bool,
+    /// The batch's request count (`reqs.len()`).
+    pub requests: usize,
     pub thread: ThreadId,
     /// The submitting thread's name (empty if it has none).
     pub thread_name: String,
@@ -54,11 +57,12 @@ impl RecordIo {
         })
     }
 
-    fn note(&self, write: bool) {
+    fn note(&self, write: bool, requests: usize) {
         let thread = std::thread::current();
         self.recorder.0.lock().unwrap().push(Submission {
             backend: self.backend.clone(),
             write,
+            requests,
             thread: thread.id(),
             thread_name: thread.name().unwrap_or_default().to_owned(),
         });
@@ -67,12 +71,12 @@ impl RecordIo {
 
 impl IoQueue for RecordIo {
     fn submit_read(&self, reqs: &[ReadRequest]) -> IoResult<Ticket> {
-        self.note(false);
+        self.note(false, reqs.len());
         self.inner.submit_read(reqs)
     }
 
     fn submit_write(&self, reqs: &[WriteRequest<'_>]) -> IoResult<Ticket> {
-        self.note(true);
+        self.note(true, reqs.len());
         self.inner.submit_write(reqs)
     }
 
