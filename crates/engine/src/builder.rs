@@ -31,11 +31,11 @@
 
 use crate::commit::EpochCoordinator;
 use crate::config::EngineConfig;
-use crate::maintenance::{DirtyState, MaintenanceWorker};
+use crate::maintenance::{Cadence, DirtyState};
 use crate::recovery::EngineRecoveryReport;
 use crate::routing::{boundaries_from_sample, boundaries_from_sorted, shard_range, RoutingState};
 use crate::shard::{build_shard, Shard};
-use crate::sharded::{EngineInner, ShardedPioEngine};
+use crate::sharded::ShardedPioEngine;
 use crate::stats::EngineCounters;
 use crate::topology::{DevicePerShard, EngineBackends, EngineManifest, ProvisionMode, ShardProvisioner};
 use btree::{Key, Value};
@@ -238,7 +238,7 @@ impl ShardedPioEngine {
         // topology's durable state by a previous incarnation.
         topology.set_dirty(false)?;
         let engine = Self::finish(config, shards, bounds, build_makespan_us, topology, None)?;
-        engine.inner.sync_manifest()?;
+        engine.sync_manifest()?;
         Ok(engine)
     }
 
@@ -304,7 +304,7 @@ impl ShardedPioEngine {
     }
 
     /// Shared tail of [`ShardedPioEngine::assemble`] / [`ShardedPioEngine::reopen`]:
-    /// wires up the shared state and the optional maintenance worker.
+    /// wires the shards into the engine.
     fn finish(
         config: EngineConfig,
         shards: Vec<Shard>,
@@ -321,14 +321,15 @@ impl ShardedPioEngine {
         // The cross-shard epoch coordinator exists exactly when the shards log:
         // without per-shard WALs there is nothing to make atomic.
         let epoch = config.base.wal_enabled.then(|| EpochCoordinator::new(shard_count));
-        let inner = Arc::new(EngineInner {
+        Ok(Self {
             shards,
             routing: RwLock::new(RoutingState {
                 bounds,
                 migration: None,
                 version: 0,
             }),
-            config: config.clone(),
+            cadence: Mutex::new(Cadence::starting_now(config.maintenance_interval_ms)),
+            config,
             topology,
             manifest: Mutex::new(manifest),
             dirty: Mutex::new(DirtyState {
@@ -340,10 +341,6 @@ impl ShardedPioEngine {
             scheduled_us: Mutex::new(build_makespan_us),
             rebalance_baseline: Mutex::new(vec![0; shard_count]),
             last_maintenance_error: Mutex::new(None),
-        });
-        let worker = config
-            .maintenance_interval_ms
-            .map(|ms| MaintenanceWorker::spawn(Arc::clone(&inner), std::time::Duration::from_millis(ms)));
-        Ok(Self { worker, inner })
+        })
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::routing::{shard_of, sole_owner};
 use crate::shard::ShardHealth;
-use crate::sharded::EngineInner;
+use crate::sharded::ShardedPioEngine;
 use btree::{Key, Value};
 use parking_lot::Mutex;
 use pio::IoResult;
@@ -106,7 +106,7 @@ impl EpochCoordinator {
     }
 }
 
-impl EngineInner {
+impl ShardedPioEngine {
     /// Round 2 of epoch `epoch`: `coordinator` appends and forces `decision`,
     /// its commit record, behind round 1's acks from the other `participants`.
     /// The epoch joins the settle list *before* the record exists, so no
@@ -138,18 +138,19 @@ impl EngineInner {
         Ok(())
     }
 
-    /// Batched insert. With WALs enabled, a batch that spans shards runs as an
-    /// epoch (module docs): every member shard appends its sub-batch inside an
-    /// epoch bracket of its own WAL and forces it, and only then does the
-    /// lowest member force the epoch's `EpochCommit` — so a crash anywhere in
-    /// between leaves an epoch that [`crate::ShardedPioEngine::recover`]
-    /// resolves to all-or-nothing across shards.
+    /// Batched insert: entries are split by owning shard and applied shard by
+    /// shard, preserving per-shard arrival order. With WALs enabled, a batch
+    /// that spans shards runs as an epoch (module docs): every member shard
+    /// appends its sub-batch inside an epoch bracket of its own WAL and forces
+    /// it, and only then does the lowest member force the epoch's
+    /// `EpochCommit` — so a crash anywhere in between leaves an epoch that
+    /// [`ShardedPioEngine::recover`] resolves to all-or-nothing across shards.
     ///
     /// A batch whose keys all land on **one** shard takes no epoch and no
     /// fan-out: that shard's bracket is already atomic, so it runs as a *local*
     /// bracket ([`LOCAL_EPOCH`]) that the shard's single WAL force commits — no
-    /// commit record, no second force, no truncation pin
-    /// ([`EngineInner::run_leg`]).
+    /// commit record, no second force, no truncation pin — and its one leg
+    /// runs like a single-key call.
     ///
     /// An *error* return means the batch is undecided: some shards may hold it
     /// durably, and no commit record exists (a local bracket that failed
@@ -158,91 +159,93 @@ impl EngineInner {
     /// (enqueueing is idempotent) or crash-and-recover the engine, which
     /// discards an undecided epoch everywhere and drops an aborted local
     /// bracket.
-    pub(crate) fn insert_batch(&self, entries: &[(Key, Value)]) -> IoResult<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let _mutation = self.begin_mutation()?;
-        // Pin the routing table across partitioning, fan-out AND commit: the
-        // boundary swap of a migration waits for every in-flight batch, so a
-        // batch's sub-batches always land where its binning said they would.
-        let routing = self.routing.read();
-        let insert = |&(key, value): &(Key, Value)| OpEntry::insert(key, value);
-        // One sub-batch per member shard. A batch one shard owns is its
-        // sub-batch whole, with no table of empty ones for the other shards.
-        let owner = sole_owner(&routing.bounds, entries.iter().map(|&(key, _)| key));
-        let (sole, spread): (_, Vec<Vec<OpEntry>>) = match owner {
-            Some(owner) => (Some((owner, entries.iter().map(insert).collect())), Vec::new()),
-            None => {
-                // Counted first, so each sub-batch is allocated once at its size.
-                let mut sizes = vec![0usize; self.shards.len()];
-                for &(key, _) in entries {
-                    sizes[shard_of(&routing.bounds, key)] += 1;
-                }
-                let mut spread: Vec<Vec<OpEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
-                for entry in entries {
-                    spread[shard_of(&routing.bounds, entry.0)].push(insert(entry));
-                }
-                (None, spread)
+    pub fn insert_batch(&self, entries: &[(Key, Value)]) -> IoResult<()> {
+        self.then_sweep(|| {
+            if entries.is_empty() {
+                return Ok(());
             }
-        };
-        // A degraded member refuses the whole batch, like a single write —
-        // and before any bracket is logged, so the refusal leaves no trace on
-        // the healthy members and no epoch for recovery to resolve.
-        let member = |i: usize| owner == Some(i) || spread.get(i).is_some_and(|batch| !batch.is_empty());
-        if let Some(sick) = (0..self.shards.len()).find(|&i| member(i) && self.shards[i].health.is_open()) {
-            return Err(ShardHealth::rejection(sick));
-        }
-        let epoch = match (&self.epoch, owner) {
-            (None, _) => None,
-            (Some(_), Some(_)) => Some(LOCAL_EPOCH),
-            (Some(coord), None) => Some(coord.open()),
-        };
-        // A member's leg, the same whether it runs alone or in a fan-out.
-        let mut legs = sole
-            .into_iter()
-            .chain(spread.into_iter().enumerate().filter(|(_, batch)| !batch.is_empty()))
-            .map(|(i, batch)| {
-                let shard = &self.shards[i];
-                shard.note_batch(batch.len());
-                // Writes landing in an active migration's captured range are
-                // mirrored into its dirty log from inside the task — under the
-                // tree lock — so the mirror order matches the applied order.
-                let mirror = routing.migration.as_ref().filter(|m| i == m.src);
-                // The task answers with the shard's durability ack: its WAL's
-                // durable LSN once the sub-batch is forced (0 without an epoch).
-                let task = move |tree: &mut PioBTree| {
-                    if let Some(m) = mirror {
-                        let moving = batch.iter().filter(|e| e.key >= m.lo && e.key < m.hi);
-                        m.dirty.lock().extend(moving);
+            let _mutation = self.begin_mutation()?;
+            // Pin the routing table across partitioning, fan-out AND commit: the
+            // boundary swap of a migration waits for every in-flight batch, so a
+            // batch's sub-batches always land where its binning said they would.
+            let routing = self.routing.read();
+            let insert = |&(key, value): &(Key, Value)| OpEntry::insert(key, value);
+            // One sub-batch per member shard. A batch one shard owns is its
+            // sub-batch whole, with no table of empty ones for the other shards.
+            let owner = sole_owner(&routing.bounds, entries.iter().map(|&(key, _)| key));
+            let (sole, spread): (_, Vec<Vec<OpEntry>>) = match owner {
+                Some(owner) => (Some((owner, entries.iter().map(insert).collect())), Vec::new()),
+                None => {
+                    // Counted first, so each sub-batch is allocated once at its size.
+                    let mut sizes = vec![0usize; self.shards.len()];
+                    for &(key, _) in entries {
+                        sizes[shard_of(&routing.bounds, key)] += 1;
                     }
-                    let ack = tree.apply(&batch, epoch);
-                    shard.note_queue_peak(tree);
-                    ack
-                };
-                (i, task)
-            });
-        // The sole owner's leg owes nobody an ack; legs on several shards
-        // run as one fan-out.
-        let acks: Vec<(usize, Lsn)> = match owner {
-            Some(owner) => {
-                let (_, leg) = legs.next().expect("a non-empty batch has a member");
-                self.run_leg(owner, leg)?;
-                Vec::new()
+                    let mut spread: Vec<Vec<OpEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
+                    for entry in entries {
+                        spread[shard_of(&routing.bounds, entry.0)].push(insert(entry));
+                    }
+                    (None, spread)
+                }
+            };
+            // A degraded member refuses the whole batch, like a single write —
+            // and before any bracket is logged, so the refusal leaves no trace on
+            // the healthy members and no epoch for recovery to resolve.
+            let member = |i: usize| owner == Some(i) || spread.get(i).is_some_and(|batch| !batch.is_empty());
+            if let Some(sick) = (0..self.shards.len()).find(|&i| member(i) && self.shards[i].health.is_open()) {
+                return Err(ShardHealth::rejection(sick));
             }
-            None => self.fan_out_tasks(legs.collect())?,
-        };
-        let committed = match epoch {
-            Some(LOCAL_EPOCH) => &self.counters.local_commits,
-            Some(epoch) => {
-                // Acks come back in shard order: the first is the coordinator's.
-                let (coordinator, _) = acks[0];
-                self.commit_epoch(epoch, coordinator, acks[1..].to_vec(), LogRecord::EpochCommit { epoch })?;
-                &self.counters.committed_epochs
-            }
-            None => return Ok(()),
-        };
-        committed.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            let epoch = match (&self.epoch, owner) {
+                (None, _) => None,
+                (Some(_), Some(_)) => Some(LOCAL_EPOCH),
+                (Some(coord), None) => Some(coord.open()),
+            };
+            // A member's leg, the same whether it runs alone or in a fan-out.
+            let mut legs = sole
+                .into_iter()
+                .chain(spread.into_iter().enumerate().filter(|(_, batch)| !batch.is_empty()))
+                .map(|(i, batch)| {
+                    let shard = &self.shards[i];
+                    shard.note_batch(batch.len());
+                    // Writes landing in an active migration's captured range are
+                    // mirrored into its dirty log from inside the task — under the
+                    // tree lock — so the mirror order matches the applied order.
+                    let mirror = routing.migration.as_ref().filter(|m| i == m.src);
+                    // The task answers with the shard's durability ack: its WAL's
+                    // durable LSN once the sub-batch is forced (0 without an epoch).
+                    let task = move |tree: &mut PioBTree| {
+                        if let Some(m) = mirror {
+                            let moving = batch.iter().filter(|e| e.key >= m.lo && e.key < m.hi);
+                            m.dirty.lock().extend(moving);
+                        }
+                        let ack = tree.apply(&batch, epoch);
+                        shard.note_queue_peak(tree);
+                        ack
+                    };
+                    (i, task)
+                });
+            // The sole owner's leg owes nobody an ack; legs on several shards
+            // run as one fan-out.
+            let acks: Vec<(usize, Lsn)> = match owner {
+                Some(owner) => {
+                    let (_, leg) = legs.next().expect("a non-empty batch has a member");
+                    self.run_leg(owner, leg)?;
+                    Vec::new()
+                }
+                None => self.fan_out_tasks(legs.collect())?,
+            };
+            let committed = match epoch {
+                Some(LOCAL_EPOCH) => &self.counters.local_commits,
+                Some(epoch) => {
+                    // Acks come back in shard order: the first is the coordinator's.
+                    let (coordinator, _) = acks[0];
+                    self.commit_epoch(epoch, coordinator, acks[1..].to_vec(), LogRecord::EpochCommit { epoch })?;
+                    &self.counters.committed_epochs
+                }
+                None => return Ok(()),
+            };
+            committed.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })
     }
 }

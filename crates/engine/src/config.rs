@@ -30,18 +30,20 @@ pub struct EngineConfig {
     /// Per-tree configuration template. `pool_pages` is the engine-wide total
     /// (divided by `shards` when each tree is built); `opq_pages` is per shard.
     pub base: PioConfig,
-    /// Interval of the background maintenance worker in milliseconds; `None` runs
-    /// no worker (maintenance then only happens through explicit
-    /// [`crate::ShardedPioEngine::maintain_once`] calls — the deterministic mode
-    /// used by tests and benches).
+    /// Wall-clock interval between maintenance sweeps in milliseconds. Once
+    /// this much time has passed since the last sweep ended, the next data
+    /// call to end runs one on its caller (see the `maintenance` module).
+    /// `None` runs no sweep (maintenance then only happens through explicit
+    /// [`crate::ShardedPioEngine::maintain_once`] calls — the deterministic
+    /// mode used by tests and benches).
     pub maintenance_interval_ms: Option<u64>,
-    /// Interval of the background checkpoint tick in milliseconds: the
-    /// maintenance worker runs a full [`crate::ShardedPioEngine::checkpoint`]
-    /// (incremental flush + manifest sync + log truncation) whenever this much
-    /// time has passed since the last one. `None` (the default) runs no
-    /// automatic checkpoints — callers checkpoint explicitly. Requires
-    /// [`EngineConfig::maintenance_interval_ms`] to be set (there is no other
-    /// thread to drive the cadence).
+    /// Interval of the checkpoint tick in milliseconds: the first maintenance
+    /// sweep after this much time has passed since the last tick runs a full
+    /// [`crate::ShardedPioEngine::checkpoint`] (incremental flush + manifest
+    /// sync + log truncation). `None` (the default) runs no automatic
+    /// checkpoints — callers checkpoint explicitly. Requires
+    /// [`EngineConfig::maintenance_interval_ms`] to be set (the sweeps drive
+    /// the cadence).
     pub checkpoint_interval_ms: Option<u64>,
     /// Maximum requests a per-shard batch builder accumulates before the
     /// request that fills it runs it. Must be at least 1; `1` is the
@@ -63,12 +65,12 @@ pub struct EngineConfig {
     /// adds nothing; `Some(0)` is rejected; must be a multiple of
     /// `base.page_size`.
     pub leaf_cache_bytes: Option<u64>,
-    /// Interval of the background checksum scrub in milliseconds: every this
-    /// often the maintenance worker re-reads and verifies a bounded slice of
-    /// each shard's checksummed pages, healing rot from clean pooled copies
-    /// where possible. `None` (the default) runs no scrub; requires
-    /// [`EngineConfig::maintenance_interval_ms`] (the maintenance worker is
-    /// the thread that drives the cadence).
+    /// Interval of the checksum scrub in milliseconds: the first maintenance
+    /// sweep after this much time has passed since the last tick re-reads and
+    /// verifies a bounded slice of each shard's checksummed pages, healing rot
+    /// from clean pooled copies where possible. `None` (the default) runs no
+    /// scrub; requires [`EngineConfig::maintenance_interval_ms`] (the sweeps
+    /// drive the cadence).
     pub scrub_interval_ms: Option<u64>,
     /// Per-request deadline of the service front end in milliseconds: a
     /// request waiting on a batch another client thread runs fails with a
@@ -102,9 +104,9 @@ const IO_DEADLINE_US: u64 = 50_000;
 /// module). Validated as part of [`EngineConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceConfig {
-    /// When set, the background maintenance worker runs one rebalance decision
-    /// cycle after each sweep (so it only takes effect together with
-    /// [`EngineConfig::maintenance_interval_ms`]). Off by default: tests and
+    /// When set, every maintenance sweep ends with one rebalance decision
+    /// cycle, on the caller that runs the sweep (so it only takes effect
+    /// together with [`EngineConfig::maintenance_interval_ms`]). Off by default: tests and
     /// benches drive [`crate::ShardedPioEngine::rebalance_once`] explicitly.
     pub auto: bool,
     /// Minimum operations the observation window must carry before the policy
@@ -208,15 +210,15 @@ impl EngineConfig {
             return Err("shards must be at least 1".into());
         }
         if self.maintenance_interval_ms == Some(0) {
-            return Err("maintenance_interval_ms must be at least 1 (0 would busy-spin the worker)".into());
+            return Err("maintenance_interval_ms must be at least 1 (0 would sweep at the end of every call)".into());
         }
         if self.checkpoint_interval_ms == Some(0) {
             return Err("checkpoint_interval_ms must be at least 1 (0 would checkpoint on every sweep)".into());
         }
         if self.checkpoint_interval_ms.is_some() && self.maintenance_interval_ms.is_none() {
             return Err(
-                "checkpoint_interval_ms requires maintenance_interval_ms — the maintenance worker \
-                 is the thread that drives the checkpoint cadence"
+                "checkpoint_interval_ms requires maintenance_interval_ms — the maintenance sweeps \
+                 drive the checkpoint cadence"
                     .into(),
             );
         }
@@ -225,8 +227,8 @@ impl EngineConfig {
         }
         if self.scrub_interval_ms.is_some() && self.maintenance_interval_ms.is_none() {
             return Err(
-                "scrub_interval_ms requires maintenance_interval_ms — the maintenance worker is \
-                 the thread that drives the scrub cadence"
+                "scrub_interval_ms requires maintenance_interval_ms — the maintenance sweeps \
+                 drive the scrub cadence"
                     .into(),
             );
         }
@@ -321,14 +323,15 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables the background maintenance worker with the given period.
+    /// Runs a maintenance sweep on a caller once this many milliseconds have
+    /// passed since the last one ended.
     pub fn maintenance_interval_ms(mut self, ms: u64) -> Self {
         self.config.maintenance_interval_ms = Some(ms);
         self
     }
 
-    /// Enables the background checkpoint tick with the given period (needs the
-    /// maintenance worker: also set
+    /// Enables the checkpoint tick with the given period (the maintenance
+    /// sweeps run it: also set
     /// [`EngineConfigBuilder::maintenance_interval_ms`]).
     pub fn checkpoint_interval_ms(mut self, ms: u64) -> Self {
         self.config.checkpoint_interval_ms = Some(ms);
@@ -355,8 +358,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Enables the background checksum scrub with the given period (needs the
-    /// maintenance worker: also set
+    /// Enables the checksum scrub with the given period (the maintenance
+    /// sweeps run it: also set
     /// [`EngineConfigBuilder::maintenance_interval_ms`]).
     pub fn scrub_interval_ms(mut self, ms: u64) -> Self {
         self.config.scrub_interval_ms = Some(ms);
@@ -382,8 +385,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Lets the background maintenance worker run the rebalancer after each
-    /// sweep (only effective together with a maintenance interval).
+    /// Lets every maintenance sweep run the rebalancer (only effective
+    /// together with a maintenance interval).
     pub fn auto_rebalance(mut self, auto: bool) -> Self {
         self.config.rebalance.auto = auto;
         self
@@ -584,7 +587,7 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(config.validate().unwrap_err().contains("checkpoint_interval_ms"));
-        // The checkpoint cadence rides on the maintenance worker.
+        // The checkpoint cadence rides on the maintenance sweeps.
         let config = EngineConfig {
             maintenance_interval_ms: None,
             checkpoint_interval_ms: Some(100),
@@ -647,7 +650,7 @@ mod tests {
             maintenance_interval_ms: Some(0),
             ..EngineConfig::default()
         };
-        assert!(config.validate().unwrap_err().contains("busy-spin"));
+        assert!(config.validate().unwrap_err().contains("every call"));
         assert!(EngineConfig {
             maintenance_interval_ms: Some(1),
             ..EngineConfig::default()

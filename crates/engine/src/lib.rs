@@ -16,8 +16,9 @@
 //!   shard, locks the member trees in ascending shard order and runs the pieces
 //!   in turn — all on the caller's thread — then stitches the results back into
 //!   caller order (see *Threading model* below);
-//! * a **background maintenance worker** drains shard OPQs once they are half
-//!   full, moving bupdate flushes off the foreground critical path;
+//! * **maintenance sweeps** drain shard OPQs once they are half full, so a
+//!   foreground insert rarely finds its queue full; a due sweep runs on the
+//!   caller that ends a data call, so its cost is paid inside that call;
 //! * [`EngineStats`] aggregates per-shard [`pio_btree::PioStats`], buffer-pool hit
 //!   ratios and store counters, and separates *device work* (`total_io_us`) from
 //!   the *schedule makespan* (`scheduled_io_us`) so the cross-shard overlap win is
@@ -37,9 +38,8 @@
 //!
 //! ## Threading model
 //!
-//! An engine runs no thread but the maintenance worker, and that one only when
-//! [`EngineConfig::maintenance_interval_ms`] is set: every call runs on the
-//! thread that made it. The paper gets the device's parallelism from one
+//! An engine runs no thread of its own: every call, and every maintenance
+//! sweep, runs on the thread that made a call. The paper gets the device's parallelism from one
 //! process — a psync call keeps many requests outstanding from one thread — so
 //! threads are not what reaches the channels. Nothing inside a tree is
 //! lock-free: every [`pio_btree::PioBTree`] entry point takes `&mut self` and
@@ -55,9 +55,19 @@
 //!   first, letting each shard go as soon as its piece is done. A piece that
 //!   panics is caught; the pieces after it still run, and the panic is
 //!   re-raised on the caller. A spanning `insert_batch`'s commit force (below)
-//!   follows once every piece is acked. **Background work** — maintenance
-//!   flush passes, checkpoints, recovery — fans out the same way, on the
-//!   maintenance worker or on whoever called it.
+//!   follows once every piece is acked. **Maintenance work** — flush
+//!   passes, checkpoints, recovery — fans out the same way, on whoever
+//!   called it.
+//! * **Maintenance sweeps.** With [`EngineConfig::maintenance_interval_ms`]
+//!   set, each data call (`search`, `insert`, `update`, `delete`,
+//!   `multi_search`, `insert_batch`, `range_search`) ends by checking whether
+//!   a sweep is due — one interval after the last one ended — and, if it is,
+//!   runs it: the flush pass, an auto-rebalance decision, and the checkpoint
+//!   and scrub ticks when their own intervals have passed. The call has let
+//!   go of its routing guard and its tree locks first, so a sweep's boundary
+//!   swap never waits on its own caller. One caller sweeps at a time; the
+//!   others return at once. A sweep's error is counted in
+//!   [`EngineStats::maintenance_errors`], never returned to the caller.
 //! * **Ordering between concurrent batches.** A call holds all its members'
 //!   locks before its first piece runs, and takes them lowest shard first, so
 //!   concurrent batched calls that share **two or more** shards are ordered
@@ -69,8 +79,6 @@
 //!   engine gives concurrent batches: they are crash-atomic (below), not
 //!   isolated — a reader may see one batch applied on one shard and not yet on
 //!   another.
-//! * **Shutdown.** Dropping the engine stops and joins the maintenance worker
-//!   first, and only then frees the shards.
 //!
 //! ## Storage topology
 //!
@@ -156,7 +164,7 @@
 //! 1. **Incremental checkpoint** — per-shard dirty tracking
 //!    ([`pio_btree::PioBTree::dirty_ops`]) selects only the shards that logged
 //!    or queued work since their last checkpoint; clean shards are untouched,
-//!    so the maintenance worker can run the whole thing on a timer
+//!    so a maintenance sweep can run the whole thing on a timer
 //!    ([`EngineConfig::checkpoint_interval_ms`]) under live traffic.
 //! 2. **Anchored truncation** — once the flushes are durable and the manifest
 //!    is synced (the superblocks recovery would need), each flushed shard's
@@ -199,7 +207,7 @@
 //! Reads and writes keep flowing throughout
 //! (the moving range is dual-resolved, old shard authoritative until commit),
 //! and recovery rolls an uncommitted migration back on both shards. Drive it
-//! with [`ShardedPioEngine::rebalance_once`] or let the maintenance worker
+//! with [`ShardedPioEngine::rebalance_once`] or let every maintenance sweep
 //! tick it via [`RebalanceConfig::auto`]; knobs live in
 //! [`EngineConfig::rebalance`] and are validated with the rest of the
 //! configuration. See the [`rebalance`] module docs for the lifecycle diagram.
@@ -211,7 +219,7 @@
 //! transient failures are retried with deterministic exponential backoff, at
 //! most 3 times and within a 50 ms per-ticket budget (backoff is *accounted*
 //! into the queue's simulated I/O time, never slept). Page checksums are verified on every
-//! device fetch, and the maintenance worker re-verifies a bounded slice of
+//! device fetch, and a maintenance sweep re-verifies a bounded slice of
 //! each shard's pages per [`EngineConfig::scrub_interval_ms`] tick, healing
 //! persistent rot from pooled copies that still verify. Three consecutive
 //! device-class failures on a shard — of single-key calls or of its legs of

@@ -1,26 +1,25 @@
-//! The background maintenance worker.
+//! Maintenance: the sweep a caller runs when one is due, and what it runs.
 //!
-//! The paper's OPQ flush (bupdate) runs on the caller's critical path: the insert
-//! that fills the queue pays for the whole batch update. The engine moves that work
-//! off the foreground path: a detached worker thread periodically sweeps the shards
-//! and drains any OPQ at or above `FLUSH_THRESHOLD` of its capacity, so foreground
-//! operations only ever flush when a queue fills completely between two sweeps.
+//! The paper's OPQ flush (bupdate) runs on the caller's critical path: the
+//! insert that fills the queue pays for the whole batch update. The engine
+//! keeps that, and adds an earlier flush: with
+//! [`crate::EngineConfig::maintenance_interval_ms`] set, each data call ends
+//! with [`ShardedPioEngine::sweep_if_due`], which runs one sweep on the caller
+//! once an interval has passed since the last one ended. The sweep drains any
+//! OPQ at or above `FLUSH_THRESHOLD` of its capacity, so a foreground insert
+//! only flushes a queue that filled completely between two sweeps. The engine
+//! owns no thread; a sweep is paid for inside the call that ran it.
 //!
-//! The worker parks between sweeps and is stopped-and-joined when the engine is
-//! dropped, so it never outlives the shards it maintains.
-//!
-//! What the worker ticks lives here too, callable directly in deterministic
-//! (no-worker) setups: the flush pass, the breaker probe, the scrub tick, and
-//! the checkpoint with what anchors on it — the durable dirty marker, the
+//! What a sweep runs lives here too, callable directly in deterministic
+//! setups: the flush pass, the breaker probe, the scrub tick, and the
+//! checkpoint with what anchors on it — the durable dirty marker, the
 //! persisted manifest and checkpoint-anchored log truncation.
 
-use crate::sharded::EngineInner;
+use crate::sharded::ShardedPioEngine;
 use crate::topology::{EngineManifest, ShardMeta};
 use pio::IoResult;
 use pio_btree::PioBTree;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use storage::Lsn;
 
@@ -34,74 +33,26 @@ const SCRUB_PAGES_PER_TICK: usize = 128;
 /// enough that each flush still carries half a queue of work.
 const FLUSH_THRESHOLD: f64 = 0.5;
 
-/// Handle to the background maintenance thread; stopping is handled by `Drop`.
-pub(crate) struct MaintenanceWorker {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// When the maintenance steps are next due, in wall-clock time. The engine is
+/// built as if a sweep, a checkpoint and a scrub had just ended.
+pub(crate) struct Cadence {
+    /// One `maintenance_interval_ms` after the last sweep ended.
+    next_sweep: Instant,
+    /// When the last checkpoint the sweeps ran ended.
+    last_checkpoint: Instant,
+    /// When the last scrub tick the sweeps ran ended.
+    last_scrub: Instant,
 }
 
-impl MaintenanceWorker {
-    /// Spawns a worker sweeping `inner` every `interval`.
-    pub(crate) fn spawn(inner: Arc<EngineInner>, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("engine-maintenance".into())
-            .spawn(move || {
-                let checkpoint_every = inner.config.checkpoint_interval_ms.map(Duration::from_millis);
-                let scrub_every = inner.config.scrub_interval_ms.map(Duration::from_millis);
-                let mut last_checkpoint = Instant::now();
-                let mut last_scrub = Instant::now();
-                while !stop_flag.load(Ordering::Acquire) {
-                    // A failed flush keeps its batch queued (flush_once restores
-                    // it), but partially applied node writes may need WAL recovery,
-                    // so the error is recorded and surfaced through EngineStats
-                    // rather than silently dropped. The sweep moves on to keep the
-                    // healthy shards drained.
-                    inner.note_maintenance(inner.maintain_once());
-                    // With auto-rebalance enabled, each sweep also runs one
-                    // balancer decision cycle: at most one split/merge
-                    // migration per interval, so the worker can never thrash
-                    // boundaries faster than it drains queues.
-                    if inner.config.rebalance.auto {
-                        inner.note_maintenance(inner.auto_rebalance_tick());
-                    }
-                    // Checkpoint cadence: dirty-shard tracking makes the
-                    // checkpoint incremental, so running it from the sweep
-                    // costs only what actually changed since the last tick
-                    // (plus the log truncation it anchors).
-                    if let Some(every) = checkpoint_every {
-                        if last_checkpoint.elapsed() >= every {
-                            inner.note_maintenance(inner.checkpoint());
-                            last_checkpoint = Instant::now();
-                        }
-                    }
-                    // Scrub cadence: each tick verifies a bounded slice of
-                    // every healthy shard's checksummed pages, so a full pass
-                    // amortises over many sweeps instead of stalling one.
-                    if let Some(every) = scrub_every {
-                        if last_scrub.elapsed() >= every {
-                            inner.note_maintenance(inner.scrub_tick(SCRUB_PAGES_PER_TICK));
-                            last_scrub = Instant::now();
-                        }
-                    }
-                    std::thread::park_timeout(interval);
-                }
-            })
-            .expect("spawn maintenance worker");
+impl Cadence {
+    /// A cadence whose first sweep is due one `interval_ms` from now (`None`:
+    /// no sweep is ever due, and the clock is never read again).
+    pub(crate) fn starting_now(interval_ms: Option<u64>) -> Self {
+        let now = Instant::now();
         Self {
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for MaintenanceWorker {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
+            next_sweep: now + Duration::from_millis(interval_ms.unwrap_or(0)),
+            last_checkpoint: now,
+            last_scrub: now,
         }
     }
 }
@@ -120,18 +71,67 @@ pub(crate) struct DirtyState {
 /// RAII half of a mutation bracket: decrements `in_flight` when the mutation
 /// finishes (success or error alike).
 pub(crate) struct MutationGuard<'a> {
-    inner: &'a EngineInner,
+    engine: &'a ShardedPioEngine,
 }
 
 impl Drop for MutationGuard<'_> {
     fn drop(&mut self) {
-        self.inner.dirty.lock().in_flight -= 1;
+        self.engine.dirty.lock().in_flight -= 1;
     }
 }
 
-impl EngineInner {
-    /// Records the failure of a background maintenance step so it surfaces
-    /// through [`crate::EngineStats`] instead of disappearing in the worker thread.
+impl ShardedPioEngine {
+    /// One maintenance sweep, if one is due: the breaker probe and the flush
+    /// pass ([`ShardedPioEngine::maintain_once`]), one auto-rebalance decision
+    /// when [`crate::RebalanceConfig::auto`] is set, and a checkpoint and a
+    /// scrub tick when their own intervals have passed. The next sweep is due
+    /// one `maintenance_interval_ms` after this one ends.
+    ///
+    /// Run by a data call once it holds no lock. Without a maintenance
+    /// interval it returns before reading the clock. The caller that takes the
+    /// cadence sweeps; a caller that finds it taken returns at once. A step's
+    /// error is recorded ([`crate::EngineStats::maintenance_errors`]) and the
+    /// sweep moves on: a failed flush keeps its batch queued (`flush_once`
+    /// restores it), and the next due sweep tries again.
+    pub(crate) fn sweep_if_due(&self) {
+        let Some(interval_ms) = self.config.maintenance_interval_ms else {
+            return;
+        };
+        let Some(mut cadence) = self.cadence.try_lock() else {
+            return;
+        };
+        if Instant::now() < cadence.next_sweep {
+            return;
+        }
+        self.note_maintenance(self.maintain_once());
+        // At most one split/merge per sweep, so boundaries never move faster
+        // than the queues drain.
+        if self.config.rebalance.auto {
+            self.note_maintenance(self.rebalance_once());
+        }
+        // Dirty-shard tracking makes the checkpoint incremental, so running it
+        // from the sweep costs only what changed since the last one (plus the
+        // log truncation it anchors).
+        if let Some(every) = self.config.checkpoint_interval_ms {
+            if cadence.last_checkpoint.elapsed() >= Duration::from_millis(every) {
+                self.note_maintenance(self.checkpoint());
+                cadence.last_checkpoint = Instant::now();
+            }
+        }
+        // Each tick verifies a bounded slice of every healthy shard's
+        // checksummed pages, so a full pass amortises over many sweeps.
+        if let Some(every) = self.config.scrub_interval_ms {
+            if cadence.last_scrub.elapsed() >= Duration::from_millis(every) {
+                self.note_maintenance(self.scrub_once(SCRUB_PAGES_PER_TICK));
+                cadence.last_scrub = Instant::now();
+            }
+        }
+        cadence.next_sweep = Instant::now() + Duration::from_millis(interval_ms);
+    }
+
+    /// Records the failure of a maintenance step so it surfaces through
+    /// [`crate::EngineStats`] instead of replacing the result of the call that
+    /// ran the sweep.
     fn note_maintenance<T>(&self, step: IoResult<T>) {
         if let Err(error) = step {
             self.counters.maintenance_errors.fetch_add(1, Ordering::Relaxed);
@@ -152,11 +152,14 @@ impl EngineInner {
         }
     }
 
-    /// One scrub tick: every healthy shard verifies a bounded slice of its
-    /// checksummed pages (see [`storage::CachedStore::scrub_step`]). Degraded
-    /// shards are skipped — scrub reads would only hammer a device the breaker
-    /// just decided to rest.
-    pub(crate) fn scrub_tick(&self, max_pages_per_shard: usize) -> IoResult<usize> {
+    /// One checksum-scrub pass: every healthy shard re-reads and verifies up
+    /// to `max_pages_per_shard` of its checksummed pages
+    /// ([`storage::CachedStore::scrub_step`]), healing rot from clean pooled
+    /// copies where possible. Returns the total pages scanned. A due sweep
+    /// runs this on the [`crate::EngineConfig::scrub_interval_ms`] cadence.
+    /// Degraded shards are skipped — scrub reads would only hammer a device
+    /// the breaker just decided to rest.
+    pub fn scrub_once(&self, max_pages_per_shard: usize) -> IoResult<usize> {
         let mut scanned = 0;
         for shard in self.shards.iter().filter(|s| !s.health.is_open()) {
             scanned += self
@@ -166,7 +169,11 @@ impl EngineInner {
         Ok(scanned)
     }
 
-    pub(crate) fn maintain_once(&self) -> IoResult<usize> {
+    /// One maintenance pass: every shard whose OPQ fill is at or above
+    /// `FLUSH_THRESHOLD` of its capacity is drained below it. Returns the
+    /// number of shards flushed. Every sweep runs exactly this. Degraded
+    /// shards get a healing probe first and are excluded from the flush.
+    pub fn maintain_once(&self) -> IoResult<usize> {
         // Give degraded shards their healing probe before anything else — the
         // flush pass below deliberately leaves them alone.
         self.probe_degraded();
@@ -236,7 +243,7 @@ impl EngineInner {
 
     /// Opens a mutation bracket: raises the durable dirty marker (only the
     /// first mutation after a checkpoint pays the topology call) and counts the
-    /// mutation, so a concurrent [`EngineInner::checkpoint`] can prove whether
+    /// mutation, so a concurrent [`ShardedPioEngine::checkpoint`] can prove whether
     /// its clear raced a writer. The returned guard closes the bracket on drop.
     pub(crate) fn begin_mutation(&self) -> IoResult<MutationGuard<'_>> {
         let mut state = self.dirty.lock();
@@ -250,7 +257,7 @@ impl EngineInner {
             state.marked = true;
         }
         drop(state);
-        Ok(MutationGuard { inner: self })
+        Ok(MutationGuard { engine: self })
     }
 
     /// Every shard WAL's truncation floor (0 without a WAL), one tree lock
@@ -270,9 +277,9 @@ impl EngineInner {
     /// WAL the manifest is only as fresh as the last checkpoint (see
     /// [`crate::RealFiles`]).
     pub(crate) fn sync_manifest(&self) -> IoResult<()> {
-        // Snapshot under the manifest lock: two concurrent syncs (checkpoint +
-        // background maintenance) must not save an older snapshot after a newer
-        // one. No other path acquires shard locks after the manifest lock, so
+        // Snapshot under the manifest lock: two concurrent syncs (a checkpoint
+        // and another caller's sweep) must not save an older snapshot after a
+        // newer one. No other path acquires shard locks after the manifest lock, so
         // the ordering is cycle-free.
         let mut cached = self.manifest.lock();
         let snapshot = self.manifest_snapshot();
@@ -291,8 +298,10 @@ impl EngineInner {
     /// `FlushRoot`/`FlushAlloc` record is dropped — and honours two epoch
     /// rules: an undecided epoch's open bracket pins its shard's whole log
     /// ([`PioBTree::truncate_wal`]), and a coordinator keeps an unsettled
-    /// commit record ([`crate::commit::EpochCoordinator::cut`]).
-    pub(crate) fn checkpoint(&self) -> IoResult<()> {
+    /// commit record (`EpochCoordinator::cut`). A due sweep
+    /// runs this on the [`crate::EngineConfig::checkpoint_interval_ms`]
+    /// cadence.
+    pub fn checkpoint(&self) -> IoResult<()> {
         let begun_before = self.dirty.lock().begun;
         // Incremental selection: a shard pays a flush (and even the Checkpoint
         // record append) only when something reached its log or queue since

@@ -4,14 +4,14 @@
 
 use crate::rebalance::{MoveKind, RebalanceOutcome};
 use crate::routing::{shard_range, ActiveMigration};
-use crate::sharded::EngineInner;
+use crate::sharded::ShardedPioEngine;
 use btree::{Key, Value};
 use parking_lot::Mutex;
 use pio::IoResult;
 use pio_btree::{LogRecord, OpEntry};
 use std::sync::atomic::Ordering;
 
-impl EngineInner {
+impl ShardedPioEngine {
     /// Moves a key range from shard `src` to the adjacent shard `dst` as one
     /// crash-recoverable epoch, serving reads and writes
     /// throughout. Returns `Ok(None)` when the move is vacuous (splitting a
@@ -76,7 +76,7 @@ impl EngineInner {
         result
     }
 
-    /// The body of [`EngineInner::migrate`], running with the migration marker
+    /// The body of [`ShardedPioEngine::migrate`], running with the migration marker
     /// installed. Any `Err` is cleaned up by the caller.
     fn migrate_run(&self, src: usize, dst: usize, kind: MoveKind) -> IoResult<Option<RebalanceOutcome>> {
         let (cap_lo, cap_hi) = {

@@ -62,8 +62,8 @@
 //! Policy knobs live in [`EngineConfig::rebalance`](crate::EngineConfig)
 //! ([`RebalanceConfig`]); they are validated with the rest of the engine
 //! configuration. Call [`ShardedPioEngine::rebalance_once`] from your own
-//! control loop, or set [`RebalanceConfig::auto`] to let the background
-//! maintenance worker tick the balancer after each sweep. Forced moves for
+//! control loop, or set [`RebalanceConfig::auto`] to let every maintenance
+//! sweep tick the balancer, on the caller that runs it. Forced moves for
 //! tests and operators: [`ShardedPioEngine::split_shard`] /
 //! [`ShardedPioEngine::merge_shard`].
 //!
@@ -77,7 +77,7 @@
 
 use crate::config::RebalanceConfig;
 use crate::routing::shard_range;
-use crate::sharded::{EngineInner, ShardedPioEngine};
+use crate::sharded::ShardedPioEngine;
 use pio::IoResult;
 use std::sync::atomic::Ordering;
 
@@ -228,11 +228,16 @@ pub fn plan(loads: &[ShardLoad], config: &RebalanceConfig) -> Option<RebalancePl
     None
 }
 
-impl EngineInner {
-    /// One balancer tick: observe the window, plan, and execute at most one
-    /// migration. Used by [`ShardedPioEngine::rebalance_once`] and, when
-    /// [`RebalanceConfig::auto`] is set, by the background maintenance worker.
-    pub(crate) fn auto_rebalance_tick(&self) -> IoResult<Option<RebalanceOutcome>> {
+impl ShardedPioEngine {
+    /// Runs one rebalance decision cycle: reads the load window accumulated
+    /// since the previous call, asks the [`plan`] policy for a move, and — if
+    /// one is due — executes the migration, blocking until it commits (or
+    /// proves vacuous). Returns what moved, `Ok(None)` when balanced. With
+    /// [`RebalanceConfig::auto`] set, every due maintenance sweep runs one.
+    ///
+    /// Reads and writes keep flowing on every shard while this runs; see the
+    /// [module docs](self) for the lifecycle and crash-consistency contract.
+    pub fn rebalance_once(&self) -> IoResult<Option<RebalanceOutcome>> {
         let bounds = self.routing.read().bounds.clone();
         let n = self.shards.len();
         // Close the monitor's load window: per shard, the ops routed to it and
@@ -260,19 +265,6 @@ impl EngineInner {
         };
         self.migrate(plan.src, plan.dst, plan.kind)
     }
-}
-
-impl ShardedPioEngine {
-    /// Runs one rebalance decision cycle: reads the load window accumulated
-    /// since the previous call, asks the [`plan`] policy for a move, and — if
-    /// one is due — executes the migration, blocking until it commits (or
-    /// proves vacuous). Returns what moved, `Ok(None)` when balanced.
-    ///
-    /// Reads and writes keep flowing on every shard while this runs; see the
-    /// [module docs](self) for the lifecycle and crash-consistency contract.
-    pub fn rebalance_once(&self) -> IoResult<Option<RebalanceOutcome>> {
-        self.inner().auto_rebalance_tick()
-    }
 
     /// Forces a median-key split of shard `src` into an adjacent neighbour
     /// (the upper one when it exists), regardless of load. Returns `Ok(None)`
@@ -287,7 +279,7 @@ impl ShardedPioEngine {
         } else {
             (src - 1, MoveKind::SplitLower)
         };
-        self.inner().migrate(src, dst, kind)
+        self.migrate(src, dst, kind)
     }
 
     /// Forces shard `src`'s whole range to merge into the adjacent shard
@@ -295,7 +287,7 @@ impl ShardedPioEngine {
     /// empty, and an error for non-adjacent pairs or an attempt to merge the
     /// last shard away (it owns the `Key::MAX` sentinel).
     pub fn merge_shard(&self, src: usize, dst: usize) -> IoResult<Option<RebalanceOutcome>> {
-        self.inner().migrate(src, dst, MoveKind::MergeAll)
+        self.migrate(src, dst, MoveKind::MergeAll)
     }
 }
 

@@ -5,7 +5,7 @@
 //! replays.
 
 use crate::commit::Unsettled;
-use crate::sharded::EngineInner;
+use crate::sharded::ShardedPioEngine;
 use pio::IoResult;
 use pio_btree::{LogAnalysis, LogRecord, PioBTree, RecoveryReport, LOCAL_EPOCH};
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,8 +47,18 @@ impl EngineRecoveryReport {
     }
 }
 
-impl EngineInner {
-    pub(crate) fn recover(&self) -> IoResult<EngineRecoveryReport> {
+impl ShardedPioEngine {
+    /// Engine-level restart recovery, reading each shard WAL once. First every
+    /// shard's analysis step ([`PioBTree::analyze_log`]) reads its log and
+    /// collects the epochs' brackets and commit records: an epoch whose
+    /// `EpochCommit` (or `MigrateCommit`) survives in some shard's log is
+    /// **committed** (normal replay, and a migration's boundary is
+    /// re-applied); any other epoch with a surviving bracket is **discarded**
+    /// on *every* shard (presumed abort). Then each shard replays its own
+    /// analysis ([`PioBTree::replay_log`]) under those verdicts — so after
+    /// this returns, every cross-shard batch is either fully present or fully
+    /// absent (crash matrix in the crate docs).
+    pub fn recover(&self) -> IoResult<EngineRecoveryReport> {
         let mut report = EngineRecoveryReport::default();
         // Pass 1: every shard's analysis — the one read of its log this
         // restart makes — with its brackets and commit records.

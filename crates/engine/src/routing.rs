@@ -115,7 +115,7 @@ pub(crate) fn shard_of(bounds: &[Key], key: Key) -> usize {
 
 /// The shard that owns every one of `keys` under `bounds`, if one shard does
 /// (`None` for no keys): such a call runs as one leg
-/// ([`crate::sharded::EngineInner::run_leg`]) instead of a fan-out.
+/// ([`crate::sharded::ShardedPioEngine::run_leg`]) instead of a fan-out.
 pub(crate) fn sole_owner(bounds: &[Key], mut keys: impl Iterator<Item = Key>) -> Option<usize> {
     let owner = shard_of(bounds, keys.next()?);
     keys.all(|key| shard_of(bounds, key) == owner).then_some(owner)

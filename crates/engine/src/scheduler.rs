@@ -1,14 +1,14 @@
 //! The fan-out: how a batched call that spans shards runs its legs.
 //!
-//! Every engine call runs on its caller's thread; the engine starts no thread
-//! but the optional maintenance worker. A batched call that **spans shards**,
-//! and every piece of background work (maintenance flush passes, checkpoints,
-//! recovery), splits its work by shard and hands it to
-//! [`EngineInner::fan_out_tasks`], which locks every member shard's tree in
+//! Every engine call runs on its caller's thread, and the engine starts no
+//! thread. A batched call that **spans shards**, and every piece of
+//! maintenance work (flush passes, checkpoints, recovery), splits its work by
+//! shard and hands it to
+//! [`ShardedPioEngine::fan_out_tasks`], which locks every member shard's tree in
 //! ascending shard order and then runs the legs one after another, lowest
 //! shard first. A batched call **one shard owns** (`multi_search`,
 //! `insert_batch`, `range_search` whose keys all route to it) skips the
-//! partition and runs its one leg ([`EngineInner::run_leg`]) as single-key
+//! partition and runs its one leg ([`ShardedPioEngine::run_leg`]) as single-key
 //! calls do, under the same contract — accounting, health and panics below.
 //!
 //! * **Ordering.** A fan-out holds every member's tree lock before its first
@@ -33,13 +33,13 @@
 //!   the legs after it still run, and the panic is re-raised on the caller
 //!   once the call is counted.
 
-use crate::sharded::EngineInner;
+use crate::sharded::ShardedPioEngine;
 use pio::{IoError, IoResult};
 use pio_btree::PioBTree;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 
-impl EngineInner {
+impl ShardedPioEngine {
     /// Runs each `(shard, task)` of `work` on its shard, on the calling thread,
     /// and returns the results ordered by shard index. No shard may appear
     /// twice.
@@ -142,7 +142,7 @@ mod tests {
                 )
             })
             .collect();
-        let results = engine.inner().fan_out_tasks(work).unwrap();
+        let results = engine.fan_out_tasks(work).unwrap();
         assert_eq!(results, vec![(0, 0), (1, 1), (2, 2)]);
         assert_eq!(ran.into_inner(), [0, 1, 2], "legs run lowest shard first");
     }
@@ -165,7 +165,7 @@ mod tests {
             // Real device work, so the call has a makespan to charge.
             (0, Box::new(|tree| tree.count_entries())),
         ];
-        let err = engine.inner().fan_out_tasks(work).unwrap_err();
+        let err = engine.fan_out_tasks(work).unwrap_err();
         assert!(err.to_string().contains("shard 1 failed"), "{err}");
         assert!(shard_2_ran.get(), "a leg after a failed one still runs");
         let after = engine.stats();
@@ -191,7 +191,7 @@ mod tests {
                 }),
             ),
         ];
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.inner().fan_out_tasks(work)))
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.fan_out_tasks(work)))
             .expect_err("the task's panic must reach the caller");
         let message = panic
             .downcast_ref::<String>()
@@ -202,7 +202,6 @@ mod tests {
         assert!(shard_2_ran.get(), "the legs after the panic still ran");
         // Same shard, next call: its tree lock was let go.
         let counts = engine
-            .inner()
             .fan_out_tasks(vec![(1, |tree: &mut PioBTree| tree.count_entries())])
             .unwrap();
         assert_eq!(counts, vec![(1, 1_000)]);
@@ -214,15 +213,14 @@ mod tests {
     #[test]
     fn an_inline_leg_panics_its_caller_frees_the_shard_and_is_charged() {
         let engine = engine(2);
-        let inner = engine.inner();
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inner.run_leg(1, |_| -> IoResult<()> { panic!("leg blew up on shard 1") })
+            engine.run_leg(1, |_| -> IoResult<()> { panic!("leg blew up on shard 1") })
         }))
         .expect_err("the leg's panic must reach the caller");
         let message = panic.downcast_ref::<&str>().expect("a message payload");
         assert!(message.contains("leg blew up on shard 1"), "{message}");
         // Same shard, next call, both routes: the tree lock was let go.
-        assert_eq!(inner.run_leg(1, |tree| tree.count_entries()).unwrap(), 1_000);
+        assert_eq!(engine.run_leg(1, |tree| tree.count_entries()).unwrap(), 1_000);
         assert_eq!(
             engine.multi_search(&[1_500, 1_501]).unwrap(),
             [Some(1_500), Some(1_501)]
@@ -241,7 +239,7 @@ mod tests {
             "the leg's whole I/O delta is the call's makespan"
         );
         // An error is charged and counted like a success.
-        let err = inner.run_leg(0, |tree| {
+        let err = engine.run_leg(0, |tree| {
             tree.count_entries()?;
             Err::<(), _>(IoError::InvalidConfig("leg failed on shard 0".into()))
         });

@@ -15,7 +15,7 @@
 //! in ascending shard order, and run the pieces one after another (the
 //! `scheduler` module); a `multi_search`, `insert_batch` or `range_search` that
 //! one shard owns skips the split and runs like a single-key call
-//! (`EngineInner::run_leg`). Because the stores simulate time rather than
+//! (`ShardedPioEngine::run_leg`). Because the stores simulate time rather than
 //! sleep, cross-shard overlap is accounted explicitly: once a call's last
 //! piece has run, it adds the **maximum** of the participating shards'
 //! simulated I/O deltas to the schedule makespan
@@ -24,20 +24,28 @@
 //! overlap win. Results are always collected by shard index, so fan-outs are
 //! deterministic.
 //!
-//! This file holds the engine handle, its shared state and the read and
-//! single-key request paths. The rest is carved by protocol: `commit` (epoch
-//! open/decide and the batched insert), `migrate` (the migration executor),
-//! `maintenance` (flush pass, probe, scrub, checkpoint and truncation),
-//! `recovery`, `stats`, and assembly in `builder`.
+//! ## Maintenance
+//!
+//! The engine owns no thread. Each data call (`search`, `insert`, `update`,
+//! `delete`, `multi_search`, `insert_batch`, `range_search`) ends, once it
+//! has let go of its routing guard, its tree locks and its mutation bracket,
+//! with a maintenance sweep if one is due
+//! ([`crate::EngineConfig::maintenance_interval_ms`]; the `maintenance`
+//! module). The caller pays for that sweep inside its call.
+//!
+//! This file holds the engine struct and its read and single-key request
+//! paths. The rest is carved by protocol: `commit` (epoch open/decide and the
+//! batched insert), `migrate` (the migration executor), `maintenance` (the
+//! sweep, flush pass, probe, scrub, checkpoint and truncation), `recovery`,
+//! `stats`, and assembly in `builder`.
 
 use crate::builder::EngineBuilder;
 use crate::commit::EpochCoordinator;
 use crate::config::EngineConfig;
-use crate::maintenance::{DirtyState, MaintenanceWorker};
-use crate::recovery::EngineRecoveryReport;
+use crate::maintenance::{Cadence, DirtyState};
 use crate::routing::{shard_of, shard_range, sole_owner, RoutingState};
 use crate::shard::{Shard, ShardHealth};
-use crate::stats::{EngineCounters, EngineStats};
+use crate::stats::EngineCounters;
 use crate::topology::{EngineManifest, ShardProvisioner};
 use btree::{Key, Value};
 use parking_lot::{Mutex, RwLock};
@@ -45,13 +53,19 @@ use pio::IoResult;
 use pio_btree::{OpEntry, PioBTree};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 pub use crate::routing::boundaries_from_sample;
 
-/// Shared state between the engine handle and the background maintenance
-/// worker.
-pub(crate) struct EngineInner {
+/// A key-range-sharded PIO B-tree engine whose batched calls fan out across
+/// shards.
+///
+/// All operations take `&self` and run on their caller's thread; per-shard
+/// trees are behind their own mutexes, so client threads operating on different
+/// shards proceed concurrently (one tree behind one lock would serialise every
+/// call). A batched call that spans shards locks its member trees in ascending
+/// shard order and runs its legs in turn. The engine starts no thread: its
+/// maintenance runs on the caller that ends a data call when a sweep is due.
+pub struct ShardedPioEngine {
     /// The shards, in key order.
     pub(crate) shards: Vec<Shard>,
     /// The live routing table (bounds + in-flight migration); see
@@ -62,12 +76,12 @@ pub(crate) struct EngineInner {
     /// for durable topologies; no-ops for the simulated ones).
     pub(crate) topology: Box<dyn ShardProvisioner>,
     /// The last manifest snapshot handed to the topology, so
-    /// [`EngineInner::sync_manifest`] only persists actual changes.
+    /// [`ShardedPioEngine::sync_manifest`] only persists actual changes.
     pub(crate) manifest: Mutex<Option<EngineManifest>>,
     /// Dirty-marker state: whether the topology's durable marker is raised,
     /// plus the counters that let a checkpoint prove no mutation raced its
-    /// clear (see [`EngineInner::begin_mutation`] and
-    /// [`EngineInner::checkpoint`]).
+    /// clear (see [`ShardedPioEngine::begin_mutation`] and
+    /// [`ShardedPioEngine::checkpoint`]).
     pub(crate) dirty: Mutex<DirtyState>,
     /// Cross-shard batch-atomicity coordinator (`None` without WALs).
     pub(crate) epoch: Option<EpochCoordinator>,
@@ -78,32 +92,18 @@ pub(crate) struct EngineInner {
     /// The rebalance monitor's per-shard `routed_total` baseline: the window a
     /// policy decision sees is the delta since the previous decision.
     pub(crate) rebalance_baseline: Mutex<Vec<u64>>,
-    /// Message of the most recent background maintenance error.
+    /// When the next maintenance sweep, checkpoint and scrub are due; taken
+    /// with `try_lock` by the caller that runs a due sweep.
+    pub(crate) cadence: Mutex<Cadence>,
+    /// Message of the most recent maintenance error.
     pub(crate) last_maintenance_error: Mutex<Option<String>>,
-}
-
-/// A key-range-sharded PIO B-tree engine whose batched calls fan out across
-/// shards.
-///
-/// All operations take `&self` and run on their caller's thread; per-shard
-/// trees are behind their own mutexes, so client threads operating on different
-/// shards proceed concurrently (one tree behind one lock would serialise every
-/// call). A batched call that spans shards locks its member trees in ascending
-/// shard order and runs its legs in turn; the engine starts no thread but the
-/// optional maintenance worker.
-pub struct ShardedPioEngine {
-    // Field order is drop order: the maintenance worker stops first (it issues
-    // fan-outs), then the shared state.
-    pub(crate) worker: Option<MaintenanceWorker>,
-    pub(crate) inner: Arc<EngineInner>,
 }
 
 impl std::fmt::Debug for ShardedPioEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedPioEngine")
-            .field("shards", &self.inner.shards.len())
-            .field("bounds", &self.inner.routing.read().bounds)
-            .field("background_maintenance", &self.worker.is_some())
+            .field("shards", &self.shards.len())
+            .field("bounds", &self.routing.read().bounds)
             .finish()
     }
 }
@@ -133,25 +133,25 @@ impl ShardedPioEngine {
 
     /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.inner.config
+        &self.config
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
+        self.shards.len()
     }
 
     /// The boundary keys separating the shards (length `shards − 1`), a
     /// snapshot of the live routing table. Non-decreasing; two equal adjacent
     /// bounds denote a shard merged away to an empty range.
     pub fn boundaries(&self) -> Vec<Key> {
-        self.inner.routing.read().bounds.clone()
+        self.routing.read().bounds.clone()
     }
 
     /// Bumped on every boundary change: lets callers detect that a rebalance
     /// happened between two observations without comparing bound vectors.
     pub fn routing_version(&self) -> u64 {
-        self.inner.routing.read().version
+        self.routing.read().version
     }
 
     /// The shard index that owns `key` under the current boundaries. Advisory
@@ -159,40 +159,29 @@ impl ShardedPioEngine {
     /// this returns, so use it for placement hints (e.g. batch binning), not
     /// correctness — the engine's own entry points re-route internally.
     pub fn shard_for(&self, key: Key) -> usize {
-        shard_of(&self.inner.routing.read().bounds, key)
-    }
-
-    /// A handle to the engine's shared state, for the sibling `rebalance`
-    /// module's engine-level entry points.
-    pub(crate) fn inner(&self) -> &Arc<EngineInner> {
-        &self.inner
-    }
-
-    /// Whether a background maintenance worker is running.
-    pub fn has_background_maintenance(&self) -> bool {
-        self.worker.is_some()
+        shard_of(&self.routing.read().bounds, key)
     }
 
     // ----------------------------------------------------------------- operations --
 
     /// Point search, routed to the owning shard.
     pub fn search(&self, key: Key) -> IoResult<Option<Value>> {
-        self.inner.single(key, |tree| tree.search(key))
+        self.then_sweep(|| self.single(key, |tree| tree.search(key)))
     }
 
     /// Insert, routed to the owning shard.
     pub fn insert(&self, key: Key, value: Value) -> IoResult<()> {
-        self.inner.single_write(OpEntry::insert(key, value))
+        self.then_sweep(|| self.single_write(OpEntry::insert(key, value)))
     }
 
     /// Delete, routed to the owning shard.
     pub fn delete(&self, key: Key) -> IoResult<()> {
-        self.inner.single_write(OpEntry::delete(key))
+        self.then_sweep(|| self.single_write(OpEntry::delete(key)))
     }
 
     /// Update, routed to the owning shard.
     pub fn update(&self, key: Key, value: Value) -> IoResult<()> {
-        self.inner.single_write(OpEntry::update(key, value))
+        self.then_sweep(|| self.single_write(OpEntry::update(key, value)))
     }
 
     /// MPSearch across shards: the batch is split by owning shard and every
@@ -200,163 +189,116 @@ impl ShardedPioEngine {
     /// one shard owns is searched whole). Results are returned in the order of
     /// `keys`.
     pub fn multi_search(&self, keys: &[Key]) -> IoResult<Vec<Option<Value>>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Pin the routing table across routing AND the search: a migration's
-        // boundary swap must not land between the two.
-        let routing = self.inner.routing.read();
-        // A batch one shard owns is searched whole, with no partition.
-        if let Some(owner) = sole_owner(&routing.bounds, keys.iter().copied()) {
-            self.inner.shards[owner].note_batch(keys.len());
-            return self.inner.run_leg(owner, |tree| tree.multi_search(keys));
-        }
-        // Partition the batch by owning shard with a counting sort into one
-        // buffer: `end[i]` first counts shard `i`'s keys, then marks where
-        // they start and, once they are placed, where they end. Each leg
-        // borrows its sub-batch, in caller order.
-        let shards = self.inner.shards.len();
-        let mut end = vec![0usize; shards];
-        for &key in keys {
-            end[shard_of(&routing.bounds, key)] += 1;
-        }
-        let mut placed = 0;
-        for at in &mut end {
-            let count = *at;
-            *at = placed;
-            placed += count;
-        }
-        let mut by_shard = vec![0; keys.len()];
-        for &key in keys {
-            let at = &mut end[shard_of(&routing.bounds, key)];
-            by_shard[*at] = key;
-            *at += 1;
-        }
-        let work = (0..shards)
-            .map(|i| (i, &by_shard[if i == 0 { 0 } else { end[i - 1] }..end[i]]))
-            .filter(|(_, sub)| !sub.is_empty())
-            .map(|(i, sub)| {
-                self.inner.shards[i].note_batch(sub.len());
-                (i, move |tree: &mut PioBTree| tree.multi_search(sub))
-            })
-            .collect();
-        let mut results = self.inner.fan_out_tasks(work)?;
-        // Each shard's verdicts are in caller order, so walking the keys
-        // backwards, a key's verdict is the last one its shard has left.
-        let mut out: Vec<Option<Value>> = keys
-            .iter()
-            .rev()
-            .map(|&key| {
-                let shard = shard_of(&routing.bounds, key);
-                let at = results
-                    .binary_search_by_key(&shard, |&(answered, _)| answered)
-                    .expect("every routed shard answers");
-                results[at].1.pop().expect("one verdict per routed key")
-            })
-            .collect();
-        out.reverse();
-        Ok(out)
-    }
-
-    /// Batched insert: entries are split by owning shard and applied shard by
-    /// shard, preserving per-shard arrival order.
-    pub fn insert_batch(&self, entries: &[(Key, Value)]) -> IoResult<()> {
-        self.inner.insert_batch(entries)
+        self.then_sweep(|| {
+            if keys.is_empty() {
+                return Ok(Vec::new());
+            }
+            // Pin the routing table across routing AND the search: a migration's
+            // boundary swap must not land between the two.
+            let routing = self.routing.read();
+            // A batch one shard owns is searched whole, with no partition.
+            if let Some(owner) = sole_owner(&routing.bounds, keys.iter().copied()) {
+                self.shards[owner].note_batch(keys.len());
+                return self.run_leg(owner, |tree| tree.multi_search(keys));
+            }
+            // Partition the batch by owning shard with a counting sort into one
+            // buffer: `end[i]` first counts shard `i`'s keys, then marks where
+            // they start and, once they are placed, where they end. Each leg
+            // borrows its sub-batch, in caller order.
+            let shards = self.shards.len();
+            let mut end = vec![0usize; shards];
+            for &key in keys {
+                end[shard_of(&routing.bounds, key)] += 1;
+            }
+            let mut placed = 0;
+            for at in &mut end {
+                let count = *at;
+                *at = placed;
+                placed += count;
+            }
+            let mut by_shard = vec![0; keys.len()];
+            for &key in keys {
+                let at = &mut end[shard_of(&routing.bounds, key)];
+                by_shard[*at] = key;
+                *at += 1;
+            }
+            let work = (0..shards)
+                .map(|i| (i, &by_shard[if i == 0 { 0 } else { end[i - 1] }..end[i]]))
+                .filter(|(_, sub)| !sub.is_empty())
+                .map(|(i, sub)| {
+                    self.shards[i].note_batch(sub.len());
+                    (i, move |tree: &mut PioBTree| tree.multi_search(sub))
+                })
+                .collect();
+            let mut results = self.fan_out_tasks(work)?;
+            // Each shard's verdicts are in caller order, so walking the keys
+            // backwards, a key's verdict is the last one its shard has left.
+            let mut out: Vec<Option<Value>> = keys
+                .iter()
+                .rev()
+                .map(|&key| {
+                    let shard = shard_of(&routing.bounds, key);
+                    let at = results
+                        .binary_search_by_key(&shard, |&(answered, _)| answered)
+                        .expect("every routed shard answers");
+                    results[at].1.pop().expect("one verdict per routed key")
+                })
+                .collect();
+            out.reverse();
+            Ok(out)
+        })
     }
 
     /// Range search over `[lo, hi)`: every intersecting shard scans its clamped
     /// sub-range and the per-shard results (each sorted) are stitched together
     /// in shard order, which *is* key order.
     pub fn range_search(&self, lo: Key, hi: Key) -> IoResult<Vec<(Key, Value)>> {
-        if lo >= hi {
-            return Ok(Vec::new());
-        }
-        // Pin the routing table across the fan-out (see `multi_search`).
-        let routing = self.inner.routing.read();
-        // A range inside one shard is scanned without a fan-out.
-        if let Some(owner) = sole_owner(&routing.bounds, [lo, hi - 1].into_iter()) {
-            return self.inner.run_leg(owner, |tree| tree.range_search(lo, hi));
-        }
-        let shard_count = self.inner.shards.len();
-        let work = (0..shard_count)
-            .filter_map(|i| {
-                let (s_lo, s_hi) = shard_range(&routing.bounds, i, shard_count);
-                (s_lo < hi && lo < s_hi).then(|| {
-                    let (sub_lo, sub_hi) = (lo.max(s_lo), hi.min(s_hi));
-                    (i, move |tree: &mut PioBTree| tree.range_search(sub_lo, sub_hi))
+        self.then_sweep(|| {
+            if lo >= hi {
+                return Ok(Vec::new());
+            }
+            // Pin the routing table across the fan-out (see `multi_search`).
+            let routing = self.routing.read();
+            // A range inside one shard is scanned without a fan-out.
+            if let Some(owner) = sole_owner(&routing.bounds, [lo, hi - 1].into_iter()) {
+                return self.run_leg(owner, |tree| tree.range_search(lo, hi));
+            }
+            let shard_count = self.shards.len();
+            let work = (0..shard_count)
+                .filter_map(|i| {
+                    let (s_lo, s_hi) = shard_range(&routing.bounds, i, shard_count);
+                    (s_lo < hi && lo < s_hi).then(|| {
+                        let (sub_lo, sub_hi) = (lo.max(s_lo), hi.min(s_hi));
+                        (i, move |tree: &mut PioBTree| tree.range_search(sub_lo, sub_hi))
+                    })
                 })
-            })
-            .collect();
-        // Results arrive sorted by shard index, and shard order is key order:
-        // concatenation keeps the result sorted.
-        let results = self.inner.fan_out_tasks(work)?;
-        drop(routing);
-        let mut out = Vec::new();
-        for (_, mut part) in results {
-            out.append(&mut part);
-        }
-        Ok(out)
-    }
-
-    /// Incremental checkpoint: drains the OPQ of every shard that changed since
-    /// its last checkpoint (clean shards untouched),
-    /// persists the manifest, and then truncates the shard WALs up to the
-    /// checkpoint — bounding both on-disk log size and the work the next
-    /// [`ShardedPioEngine::recover`] must do. Truncation never drops an
-    /// undecided epoch's records, nor a commit record another shard's
-    /// surviving bracket still needs. The background maintenance worker
-    /// calls this on the [`crate::EngineConfig::checkpoint_interval_ms`]
-    /// cadence.
-    pub fn checkpoint(&self) -> IoResult<()> {
-        self.inner.checkpoint()
-    }
-
-    /// One maintenance pass: every shard whose OPQ fill is at or above the
-    /// configured threshold is drained below it. Returns the number
-    /// of shards flushed. The background worker calls exactly this. Degraded
-    /// shards get a healing probe first and are excluded from the flush.
-    pub fn maintain_once(&self) -> IoResult<usize> {
-        self.inner.maintain_once()
-    }
-
-    /// One checksum-scrub pass: every healthy shard re-reads and verifies up
-    /// to `max_pages_per_shard` of its checksummed pages, healing rot from
-    /// clean pooled copies where possible. Returns the total pages scanned.
-    /// The background worker drives this on the
-    /// [`EngineConfig::scrub_interval_ms`] cadence; call it directly in
-    /// deterministic (no-worker) setups.
-    pub fn scrub_once(&self, max_pages_per_shard: usize) -> IoResult<usize> {
-        self.inner.scrub_tick(max_pages_per_shard)
+                .collect();
+            // Results arrive sorted by shard index, and shard order is key order:
+            // concatenation keeps the result sorted.
+            let results = self.fan_out_tasks(work)?;
+            drop(routing);
+            let mut out = Vec::new();
+            for (_, mut part) in results {
+                out.append(&mut part);
+            }
+            Ok(out)
+        })
     }
 
     /// Simulates a crash of the whole engine: every shard loses its OPQ, buffer
     /// pool, LSMap and un-forced WAL records. Returns the total number of OPQ
     /// entries lost. Call [`ShardedPioEngine::recover`] afterwards.
     pub fn simulate_crash(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.tree.lock().simulate_crash()).sum()
-    }
-
-    /// Engine-level restart recovery, reading each shard WAL once. First every
-    /// shard's analysis step ([`PioBTree::analyze_log`]) reads its log and
-    /// collects the epochs' brackets and commit records: an epoch whose
-    /// `EpochCommit` (or `MigrateCommit`) survives in some shard's log is
-    /// **committed** (normal replay, and a migration's boundary is
-    /// re-applied); any other epoch with a surviving bracket is **discarded**
-    /// on *every* shard (presumed abort). Then each shard replays its own
-    /// analysis ([`PioBTree::replay_log`]) under those verdicts — so after
-    /// this returns, every cross-shard batch is either fully present or fully
-    /// absent (crash matrix in the crate docs).
-    pub fn recover(&self) -> IoResult<EngineRecoveryReport> {
-        self.inner.recover()
+        self.shards.iter().map(|s| s.tree.lock().simulate_crash()).sum()
     }
 
     /// Counts live entries across all shards (expensive; for tests and examples).
     pub fn count_entries(&self) -> IoResult<u64> {
-        let mut total: u64 = self.inner.fan_out_all(|tree| tree.count_entries())?.into_iter().sum();
+        let mut total: u64 = self.fan_out_all(|tree| tree.count_entries())?.into_iter().sum();
         // The underlying half-open range scan cannot see `Key::MAX` itself, so the
         // sentinel key is counted with a point lookup in its owning (last) shard —
         // with its I/O charged to the schedule like any other lookup.
-        if self.inner.single(Key::MAX, |tree| tree.search(Key::MAX))?.is_some() {
+        if self.single(Key::MAX, |tree| tree.search(Key::MAX))?.is_some() {
             total += 1;
         }
         Ok(total)
@@ -367,17 +309,17 @@ impl ShardedPioEngine {
     /// count. Intended for tests.
     pub fn check_invariants(&self) -> IoResult<u64> {
         let mut total = 0;
-        let shard_count = self.inner.shards.len();
+        let shard_count = self.shards.len();
         let last_shard = shard_count - 1;
         // Pin the routing table for the whole sweep (and skip the containment
         // assertions while a migration is mid-copy — the destination legally
         // holds out-of-range keys until the commit swaps the boundary).
-        let routing = self.inner.routing.read();
+        let routing = self.routing.read();
         let mid_migration = routing.migration.is_some();
         // Conceptually a fan over all shards: charge the schedule the slowest
         // shard's verification I/O, like fan_out does.
         let mut makespan_us = 0.0f64;
-        for (i, shard) in self.inner.shards.iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             let (lo, hi) = shard_range(&routing.bounds, i, shard_count);
             let (entries, io_delta_us) = shard.run(|tree| -> IoResult<u64> {
                 let entries = tree.check_invariants()?;
@@ -401,27 +343,32 @@ impl ShardedPioEngine {
             makespan_us = makespan_us.max(io_delta_us);
         }
         drop(routing);
-        self.inner.charge(makespan_us);
+        self.charge(makespan_us);
         Ok(total)
     }
 
-    /// Aggregated engine statistics.
-    pub fn stats(&self) -> EngineStats {
-        self.inner.stats()
-    }
-
-    /// Schedule makespan so far, µs (see [`EngineStats::scheduled_io_us`]).
+    /// Schedule makespan so far, µs (see [`crate::EngineStats::scheduled_io_us`]).
     pub fn scheduled_io_us(&self) -> f64 {
-        *self.inner.scheduled_us.lock()
+        *self.scheduled_us.lock()
     }
 
     /// Total device work so far across all shards, µs.
     pub fn total_io_us(&self) -> f64 {
-        self.inner.shards.iter().map(|s| s.tree.lock().io_elapsed_us()).sum()
+        self.shards.iter().map(|s| s.tree.lock().io_elapsed_us()).sum()
     }
-}
 
-impl EngineInner {
+    /// Runs a data call, then the maintenance sweep if one is due
+    /// ([`ShardedPioEngine::sweep_if_due`]). Every guard the call takes lives
+    /// inside `call`, so the sweep starts with none of them held: a due
+    /// auto-rebalance's boundary swap would otherwise wait on this caller's
+    /// own routing read lock. A sweep's error is the engine's
+    /// (`maintenance_errors`), never the call's.
+    pub(crate) fn then_sweep<R>(&self, call: impl FnOnce() -> R) -> R {
+        let out = call();
+        self.sweep_if_due();
+        out
+    }
+
     /// Runs a read-only `op` on the shard owning `key`, holding the routing
     /// read lock for the whole operation (so a migration's boundary swap
     /// drains it first) and charging its full I/O delta to the schedule (a
@@ -481,7 +428,7 @@ impl EngineInner {
 
     /// Runs `op` on `shard` inline, on the calling thread ([`Shard::run`]), and
     /// charges its full I/O delta to the schedule — whatever `op` returns. For
-    /// single-key calls, batched calls one shard owns ([`EngineInner::run_leg`])
+    /// single-key calls, batched calls one shard owns ([`ShardedPioEngine::run_leg`])
     /// and the maintenance and migration steps, which touch one shard at a time.
     pub(crate) fn on_shard<R>(&self, shard: &Shard, op: impl FnOnce(&mut PioBTree) -> R) -> R {
         let (out, io_delta_us) = shard.run(op);
@@ -491,7 +438,7 @@ impl EngineInner {
 
     /// Runs `task`, the one leg of a batched call that shard `shard` owns whole,
     /// on the calling thread — the route single-key calls take — under the
-    /// contract of a fan-out's leg ([`EngineInner::fan_out_tasks`]): a panic is
+    /// contract of a fan-out's leg ([`ShardedPioEngine::fan_out_tasks`]): a panic is
     /// caught inside the tree lock, so the lock is released and the I/O done so
     /// far is charged, and re-raised once the call is counted; any other
     /// outcome feeds the shard's breaker.
@@ -717,38 +664,42 @@ mod tests {
         assert_eq!(engine.maintain_once().unwrap(), 0);
     }
 
-    #[test]
-    fn background_worker_flushes_without_explicit_calls() {
+    /// An engine whose shard 0 holds three quarters of an OPQ: past the
+    /// maintenance floor, short of the foreground flush a full queue takes.
+    fn past_the_floor(interval_ms: u64) -> (ShardedPioEngine, usize) {
         let mut config = small_config(2);
-        config.maintenance_interval_ms = Some(1);
+        config.maintenance_interval_ms = Some(interval_ms);
         let engine = ShardedPioEngine::create(config, &(0..1_000u64).collect::<Vec<_>>()).unwrap();
-        assert!(engine.has_background_maintenance());
-        // Fewer entries than one OPQ holds, so no foreground insert can fill a
-        // queue and flush it: whatever drains the queues is the worker.
-        // Every insert lands in shard 0, past half of its queue.
         let capacity = engine.stats().shards[0].opq_capacity;
-        let floor = capacity.div_ceil(2);
-        for k in 0..capacity as u64 - 1 {
-            engine.insert(k * 7 % 500, k).unwrap();
-        }
-        // Wait (bounded) for the worker to bring every queue below its floor
-        // and to have counted the pass that did it.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let stats = loop {
-            let stats = engine.stats();
-            let fullest = stats.shards.iter().map(|s| s.opq_len).max().unwrap();
-            let drained = fullest < floor && stats.maintenance_flushes >= 1;
-            if drained || std::time::Instant::now() > deadline {
-                assert!(
-                    drained,
-                    "worker should have drained every OPQ below {floor}, {fullest} left"
-                );
-                break stats;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        };
+        let batch: Vec<(Key, Value)> = (0..capacity as u64 * 3 / 4).map(|k| (k, k)).collect();
+        engine.insert_batch(&batch).unwrap();
+        (engine, capacity.div_ceil(2))
+    }
+
+    #[test]
+    fn a_due_sweep_runs_on_the_call_that_finds_it_due() {
+        let (engine, floor) = past_the_floor(1);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        engine.search(1).unwrap();
+        // The batch's own call may have found a sweep due already; either
+        // way, exactly one sweep drained the queue by the time this returns.
+        let stats = engine.stats();
+        assert!(stats.shards[0].opq_len < floor, "{} left", stats.shards[0].opq_len);
+        assert_eq!(stats.maintenance_flushes, 1);
         assert_eq!(stats.maintenance_errors, 0);
         assert!(stats.last_maintenance_error.is_none());
+    }
+
+    #[test]
+    fn no_call_sweeps_before_the_interval_has_passed() {
+        let (engine, floor) = past_the_floor(3_600_000);
+        for k in 0..100u64 {
+            engine.search(k).unwrap();
+            engine.multi_search(&[k, 900 + k]).unwrap();
+        }
+        let stats = engine.stats();
+        assert!(stats.shards[0].opq_len >= floor);
+        assert_eq!(stats.maintenance_flushes, 0);
     }
 
     fn wal_config(shards: usize) -> EngineConfig {

@@ -1,7 +1,7 @@
 //! Aggregated statistics of a [`crate::ShardedPioEngine`].
 
 use crate::routing::shard_range;
-use crate::sharded::EngineInner;
+use crate::sharded::ShardedPioEngine;
 use btree::Key;
 use pio_btree::PioStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +74,7 @@ pub struct ShardSnapshot {
     /// Checksum-corruption errors this shard's foreground path returned.
     pub corruption_errors: u64,
     /// Page-checksum counters of the shard's store: verify failures and
-    /// recoveries on the read path, plus background-scrub progress.
+    /// recoveries on the read path, plus scrub progress.
     pub integrity: IntegrityStats,
     /// Batches the shard's resilient I/O wrapper resubmitted after a
     /// transient failure (see [`crate::EngineConfig::retry_policy`]).
@@ -151,8 +151,8 @@ pub struct EngineStats {
     /// Bumped on every boundary change; front ends compare it across
     /// snapshots to notice a rebalance without diffing bound vectors.
     pub routing_version: u64,
-    /// Checkpoints completed over the engine's lifetime (foreground calls and
-    /// the maintenance worker's `checkpoint_interval_ms` ticks alike).
+    /// Checkpoints completed over the engine's lifetime (direct calls and
+    /// the maintenance sweeps' `checkpoint_interval_ms` ticks alike).
     pub checkpoints: u64,
     /// Logical log bytes dropped by checkpoint-anchored truncation over the
     /// lifetime, across the shard WALs.
@@ -181,11 +181,13 @@ pub struct EngineStats {
     pub io_give_ups: u64,
     /// Maintenance passes that flushed at least one shard.
     pub maintenance_flushes: u64,
-    /// Background maintenance passes that failed with an I/O error. A non-zero
-    /// value means some shard's flush failed off the foreground path; the batch
-    /// stays queued, but partially applied node writes may need WAL recovery.
+    /// Maintenance sweep steps that failed with an I/O error. A sweep runs on
+    /// the caller that ends a data call, but its failure is counted here and
+    /// never replaces that call's own result. A non-zero value means some
+    /// shard's flush failed; the batch stays queued, but partially applied
+    /// node writes may need WAL recovery.
     pub maintenance_errors: u64,
-    /// Message of the most recent background maintenance error, if any.
+    /// Message of the most recent maintenance error, if any.
     pub last_maintenance_error: Option<String>,
 }
 
@@ -269,17 +271,18 @@ pub(crate) struct EngineCounters {
     pub(crate) recovery_replayed_records: AtomicU64,
     /// Maintenance passes that flushed at least one shard.
     pub(crate) maintenance_flushes: AtomicU64,
-    /// Background maintenance passes that returned an I/O error.
+    /// Maintenance sweep steps that returned an I/O error.
     pub(crate) maintenance_errors: AtomicU64,
 }
 
-impl EngineInner {
-    pub(crate) fn stats(&self) -> EngineStats {
+impl ShardedPioEngine {
+    /// Aggregated engine statistics.
+    pub fn stats(&self) -> EngineStats {
         // Snapshot the makespan BEFORE sweeping the shards: work is charged only
         // after its device time has accrued in a shard's counters, so everything in
         // this reading is already contained in the shard sweep that follows — the
-        // snapshot preserves `scheduled_io_us <= total_io_us` even while the
-        // background worker (or other clients) keep operating mid-sweep.
+        // snapshot preserves `scheduled_io_us <= total_io_us` even while other
+        // callers (and the maintenance sweeps they run) keep operating mid-sweep.
         let scheduled_io_us = *self.scheduled_us.lock();
         // A brief routing read: bounds for the per-shard key ranges, plus the
         // migration flag. Dropped before the shard sweep so stats never holds

@@ -1,6 +1,6 @@
 //! Sharded PIO engine walkthrough: bulk load a key-range-partitioned engine, fan
-//! requests out across the shards, let the background maintenance worker drain the
-//! operation queues, read the aggregated statistics — and finally crash the
+//! requests out across the shards, let the maintenance sweeps the calls run once
+//! one is due drain the operation queues, read the aggregated statistics — and finally crash the
 //! engine mid-batch and watch cross-shard recovery resolve the interrupted epoch.
 //!
 //! Run with `cargo run --example sharded_engine_demo`.
@@ -57,8 +57,9 @@ fn main() {
         range.last()
     );
 
-    // Issue a generated mixed workload straight to the engine; the background
-    // maintenance worker drains shard OPQs off the foreground path meanwhile.
+    // Issue a generated mixed workload straight to the engine. Every 5 ms
+    // of wall clock, the call that ends next also runs a maintenance sweep,
+    // which drains the shard OPQs past half full.
     // The point searches go last, 64 keys per MPSearch round.
     let mix = MixSpec {
         insert: 0.4,

@@ -2,9 +2,9 @@
 //! no difference to its contract. Every call runs on the thread that made it:
 //! a `multi_search`, `insert_batch` or `range_search` one shard owns, the same
 //! call spanning two shards (its legs in turn, lowest shard first, then an
-//! `insert_batch`'s commit force), and background work — a maintenance flush
-//! pass, a checkpoint — called directly. The maintenance worker's own passes
-//! run on the maintenance worker. Seen through a recording
+//! `insert_batch`'s commit force), and maintenance work — a flush
+//! pass, a checkpoint — called directly, and the maintenance sweep a call
+//! runs at its end once one is due. Seen through a recording
 //! [`IoQueue`](pio::IoQueue) wrapper (which thread handed each batch to which
 //! backend), never through a clock.
 
@@ -177,10 +177,18 @@ fn every_route_submits_from_its_callers_thread() {
     engine.check_invariants().unwrap();
 }
 
+/// Past half of each shard's queue (≈100 entries), short of filling it, in
+/// one call that spans both.
+fn past_half_of_both_queues() -> Vec<(u64, u64)> {
+    (0..60u64)
+        .flat_map(|i| [(i * 40 + 3, i), (CUT + i * 40 + 3, i)])
+        .collect()
+}
+
 /// With a maintenance interval, the flush passes nobody called run on the
-/// maintenance worker's thread.
+/// caller whose call ends once a sweep is due, before that call returns.
 #[test]
-fn the_maintenance_workers_passes_submit_from_its_thread() {
+fn a_due_sweep_submits_from_the_caller_that_ends_a_call() {
     let mut cfg = config();
     cfg.maintenance_interval_ms = Some(1);
     let recorder = Recorder::new();
@@ -191,27 +199,70 @@ fn the_maintenance_workers_passes_submit_from_its_thread() {
         .topology(backends)
         .build()
         .expect("bulk load");
-    // Past half of each shard's queue (≈100 entries), short of filling it, in
-    // one call that spans both.
-    let more: Vec<(u64, u64)> = (0..60u64)
-        .flat_map(|i| [(i * 40 + 3, i), (CUT + i * 40 + 3, i)])
-        .collect();
-    recorder.take();
-    engine.insert_batch(&more).unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut flushed = Vec::new();
-    while flushed.len() < 2 && std::time::Instant::now() < deadline {
+    on_a_caller_thread(|| {
+        recorder.take();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        for s in store_writes(recorder.take()) {
-            assert_eq!(s.thread_name, "engine-maintenance", "a flush nobody called: {s:?}");
-            if !flushed.contains(&shard_of(&s)) {
-                flushed.push(shard_of(&s));
-            }
+        engine.insert_batch(&past_half_of_both_queues()).unwrap();
+        // Taken as the call returns: nothing else runs a sweep.
+        let flush = store_writes(recorder.take());
+        for s in &flush {
+            assert_eq!(s.thread_name, "caller", "a flush nobody called: {s:?}");
         }
+        assert_mine(&flush, &[0, 1], "the sweep the insert_batch ran");
+    });
+    let stats = engine.stats();
+    assert_eq!(stats.maintenance_flushes, 1);
+    assert_eq!(stats.maintenance_errors, 0);
+}
+
+/// A sweep that fails is the engine's failure, not its caller's: the call that
+/// ran it still answers `Ok`, the error is counted, the failed flush keeps its
+/// batch queued, and the next due sweep drains it.
+#[test]
+fn a_failed_sweep_is_counted_and_the_callers_call_still_succeeds() {
+    let mut cfg = config();
+    cfg.maintenance_interval_ms = Some(1);
+    let (backends, clocks) = per_backend_clocks(&cfg);
+    let engine = EngineBuilder::new(cfg)
+        .entries(&seed_entries())
+        .topology(backends)
+        .build()
+        .expect("bulk load");
+    // An insert_batch writes only the logs: every store write that follows is
+    // a flush, and shard 0's fail.
+    clocks.stores[0].arm_transient(TransientFaults {
+        seed: 1,
+        write_error_rate: 1.0,
+        ..TransientFaults::default()
+    });
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    let batch: Vec<(u64, u64)> = (0..60u64).map(|i| (i * 40 + 3, 1_000 + i)).collect();
+    engine.insert_batch(&batch).expect("the caller's own call succeeds");
+    let failed = engine.stats();
+    assert_eq!(failed.maintenance_errors, 1);
+    assert!(failed.last_maintenance_error.is_some());
+    assert_eq!(failed.maintenance_flushes, 0);
+    assert_eq!(
+        failed.shards[0].opq_len,
+        batch.len(),
+        "the failed flush kept its batch queued"
+    );
+
+    clocks.stores[0].disarm_transient();
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    assert_eq!(engine.search(3).unwrap(), Some(1_000));
+    let drained = engine.stats();
+    assert_eq!(drained.maintenance_flushes, 1, "the next due sweep flushed");
+    assert!(
+        drained.shards[0].opq_len < batch.len() / 2,
+        "{} left",
+        drained.shards[0].opq_len
+    );
+    assert_eq!(drained.maintenance_errors, 1);
+    for &(k, v) in &batch {
+        assert_eq!(engine.search(k).unwrap(), Some(v), "key {k}");
     }
-    flushed.sort();
-    assert_eq!(flushed, [0, 1], "the worker flushed both shards");
-    assert_eq!(engine.stats().maintenance_errors, 0);
+    engine.check_invariants().unwrap();
 }
 
 /// Three device-class failures in a row open a shard's breaker whichever

@@ -1,8 +1,8 @@
 //! A recorder in front of an [`IoQueue`]'s submissions: which thread handed
 //! each read or write batch of how many requests to which backend. It is how
 //! a test sees *where* a piece of engine work ran — on the thread that made
-//! the call, or on the maintenance worker — and how large each psync call
-//! was, without timing anything.
+//! the call, or on another — and how large each psync call was, without
+//! timing anything.
 
 #![allow(dead_code)]
 

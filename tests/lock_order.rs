@@ -1,8 +1,9 @@
 //! A lock-order hammer. A call that spans shards locks every member tree in
 //! ascending shard order before its first leg runs, so calls over overlapping
 //! sets of shards can neither deadlock with each other nor with the work that
-//! locks trees beside them — checkpoints, the maintenance worker's passes, a
-//! `stats()` reader and a live migration — and two calls that share two or
+//! locks trees beside them — checkpoints, the maintenance sweeps their
+//! callers run once their calls have let go, a `stats()` reader and a live
+//! migration — and two calls that share two or
 //! more shards end with the same winner on every shard they share. A watchdog
 //! turns a deadlock into a failure instead of a hang.
 
@@ -26,7 +27,7 @@ const SETS: [&[u64]; 3] = [&[10, 2_010], &[1_020, 2_020], &[30, 1_030, 2_030]];
 /// Keys no one writes, spanning the same sets, for the readers.
 const STILL: [&[u64]; 3] = [&[100, 2_100], &[1_100, 2_100], &[100, 1_100, 2_100]];
 
-/// Three WAL-on shards with a maintenance worker every millisecond and one
+/// Three WAL-on shards with a maintenance sweep due every millisecond and one
 /// OPQ page each, so the writers' batches keep the flush passes busy.
 fn engine() -> ShardedPioEngine {
     let mut config = EngineConfig::builder()
@@ -52,8 +53,8 @@ fn engine() -> ShardedPioEngine {
 }
 
 /// Every round, six writers (two per set) and three readers make one call
-/// each between two barriers, while a checkpointer, a `stats()` reader, the
-/// maintenance worker and one migration run free; after each round the
+/// each between two barriers, while a checkpointer, a `stats()` reader and
+/// one migration run free, and the calls that find a sweep due run it; after each round the
 /// writers' keys of every set must agree.
 fn hammer() {
     let engine = engine();

@@ -221,12 +221,13 @@ fn balanced_traffic_holds() {
     assert_eq!(engine.routing_version(), 0, "no boundary may have moved");
 }
 
-// ------------------------------------------------ live maintenance worker --
+// ------------------------------------------------- live maintenance sweeps --
 
-/// The maintenance worker's three optional cadences, switched on together and
-/// left to run by themselves: under writes skewed onto shard 0 the worker must
-/// — within a bounded wait — checkpoint (truncating the logs the writes grew),
-/// scrub pages, and split the hot shard, all without an explicit call.
+/// The maintenance sweeps' three optional cadences, switched on together and
+/// left to the sweeps the writer's calls run once due: under writes skewed
+/// onto shard 0 they must — within a bounded wait — checkpoint (truncating
+/// the logs the writes grew), scrub pages, and split the hot shard, all
+/// without an explicit call.
 #[test]
 fn the_maintenance_worker_checkpoints_scrubs_and_rebalances_unprompted() {
     let mut config = config(true);
@@ -258,7 +259,7 @@ fn the_maintenance_worker_checkpoints_scrubs_and_rebalances_unprompted() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "the worker left a cadence unserved: {} checkpoints, {} bytes truncated, {} pages scrubbed, {} splits, \
+            "the sweeps left a cadence unserved: {} checkpoints, {} bytes truncated, {} pages scrubbed, {} splits, \
              last error {:?}",
             stats.checkpoints,
             stats.truncated_bytes,

@@ -208,8 +208,8 @@ fn concurrent_clients_hammer_the_engine() {
 }
 
 /// Fan-out hammer: many client threads issue *interleaved batched calls*
-/// (each one fans out across shards on its caller) while the background
-/// maintenance sweeper runs its own fan-outs concurrently. Every fan-out's
+/// (each one fans out across shards on its caller), and the calls that find a
+/// maintenance sweep due run its fan-outs beside the others. Every fan-out's
 /// results must come back keyed by shard index — i.e. `multi_search` answers in
 /// caller order — and every batched call must be counted as scheduled.
 #[test]
