@@ -204,9 +204,11 @@ impl PioBTree {
         let mut tree = Self::bulk_load(store, &[], config.clone())?;
         if config.wal_enabled {
             // The log lives in its own file (its own backend) so log appends never
-            // interleave with index-node I/O inside a psync call.
+            // interleave with index-node I/O inside a psync call; it is forced in
+            // the device's flash pages.
             let wal_io = Arc::new(SimPsyncIo::with_profile(profile, 256 * 1024 * 1024));
-            tree.wal = Some(Wal::new(wal_io, 0, config.page_size));
+            let flash_page_bytes = profile.build().flash_page_bytes;
+            tree.wal = Some(Wal::with_flash_page(wal_io, 0, config.page_size, flash_page_bytes));
         }
         Ok(tree)
     }

@@ -209,6 +209,7 @@ impl ShardedPioEngine {
         }
         Self::validate_backends(&config, &backends)?;
         let shard_cfg = config.shard_config();
+        let flash_page_bytes = config.profile.build().flash_page_bytes;
 
         // Split the (sorted) entries at the boundary keys.
         let mut shards = Vec::with_capacity(config.shards);
@@ -225,6 +226,7 @@ impl ShardedPioEngine {
             rest = others;
             let shard = build_shard(
                 &shard_cfg,
+                flash_page_bytes,
                 Arc::clone(&backends.shard_stores[i]),
                 backends.shard_wals.get(i),
                 |store| PioBTree::bulk_load(store, mine, shard_cfg.clone()),
@@ -287,11 +289,13 @@ impl ShardedPioEngine {
         Self::validate_manifest(&config, &manifest)?;
         Self::validate_backends(&config, &backends)?;
         let shard_cfg = config.shard_config();
+        let flash_page_bytes = config.profile.build().flash_page_bytes;
         let bounds = manifest.bounds.clone();
         let mut shards = Vec::with_capacity(config.shards);
         for (i, meta) in manifest.shard_meta.iter().enumerate() {
             shards.push(build_shard(
                 &shard_cfg,
+                flash_page_bytes,
                 Arc::clone(&backends.shard_stores[i]),
                 backends.shard_wals.get(i),
                 |store| {

@@ -24,7 +24,7 @@ pub struct EngineConfig {
     pub shard_capacity_bytes: u64,
     /// Addressable bytes of each shard's WAL device (the engine keeps no log
     /// of its own: cross-shard commit records live in the shard WALs). Only used when `base.wal_enabled` is set; must be a
-    /// multiple of `base.page_size` (the WAL forces whole pages) and large
+    /// multiple of `base.page_size` (the WAL is laid out in whole pages) and large
     /// enough to hold a meaningful log (at least 64 pages).
     pub wal_capacity_bytes: u64,
     /// Per-tree configuration template. `pool_pages` is the engine-wide total
@@ -269,7 +269,7 @@ impl EngineConfig {
         if self.base.wal_enabled {
             if !self.wal_capacity_bytes.is_multiple_of(page) {
                 return Err(format!(
-                    "wal_capacity_bytes ({}) must be a multiple of base.page_size ({page}) — the WAL forces whole pages",
+                    "wal_capacity_bytes ({}) must be a multiple of base.page_size ({page}) — the WAL is laid out in whole pages",
                     self.wal_capacity_bytes
                 ));
             }

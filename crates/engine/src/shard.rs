@@ -232,12 +232,14 @@ pub(crate) fn resilient(io: Arc<dyn IoQueue>) -> Arc<dyn IoQueue> {
 /// simulated device, a partition of a shared device, or a real file, per the
 /// topology): a fresh cached store over `store_io`, the tree `load` puts on it
 /// (a bulk load, or a reopen from a manifest snapshot), and — when the WAL is
-/// enabled — the shard's log over `wal_io`. The log gets its own queue so log
+/// enabled — the shard's log over `wal_io`, forced in the device's
+/// `flash_page_bytes`. The log gets its own queue so log
 /// appends never interleave with index-node I/O inside one psync call, and the
 /// same retry policy that guards the store wraps it — a dropped WAL append
 /// would fail an otherwise healthy flush epoch.
 pub(crate) fn build_shard(
     cfg: &PioConfig,
+    flash_page_bytes: u64,
     store_io: Arc<dyn IoQueue>,
     wal_io: Option<&Arc<dyn IoQueue>>,
     load: impl FnOnce(Arc<CachedStore>) -> IoResult<PioBTree>,
@@ -249,7 +251,8 @@ pub(crate) fn build_shard(
     )))?;
     if cfg.wal_enabled {
         let wal_io = wal_io.expect("validated: one WAL backend per shard when the WAL is enabled");
-        tree.attach_wal(Wal::new(resilient(Arc::clone(wal_io)), 0, cfg.page_size));
+        let wal_io = resilient(Arc::clone(wal_io));
+        tree.attach_wal(Wal::with_flash_page(wal_io, 0, cfg.page_size, flash_page_bytes));
     }
     Ok(Shard::new(tree))
 }

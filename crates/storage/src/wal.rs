@@ -5,12 +5,20 @@
 //! and **flush undo logs** for every node updated by a flush. This module provides
 //! the log device those records are written to: an append-only sequence of
 //! header-prefixed records identified by their [`Lsn`] (the byte offset of the
-//! record), buffered in memory and forced to the device in whole pages by
-//! [`Wal::force`] — the "write ahead" step that must complete before an OPQ flush may
-//! proceed.
+//! record), buffered in memory and forced to the device by [`Wal::force`] — the
+//! "write ahead" step that must complete before an OPQ flush may proceed.
+//!
+//! A force writes the **force units** its records touch: the device's flash
+//! pages (Section 2 of the paper), or the index page where that is smaller. A
+//! commit of a few hundred bytes thus rewrites one flash page, not a whole
+//! index page, and a force of any size is one sequential request that ends in
+//! a zero header, where the next scan stops. The unit governs only what a
+//! force writes: the header slots, the LSN→byte mapping, the recovery reads
+//! and compaction all stay in index pages, so a log forced at one unit is read
+//! by a handle with any other.
 //!
 //! Every record carries a length **and a checksum of its payload**, so a force that
-//! is torn by a crash (only a prefix of its pages reached the device) is detected
+//! is torn by a crash (only a prefix of its bytes reached the device) is detected
 //! at read time: scanning stops at the first record whose bytes are incomplete or
 //! whose checksum does not match, and the scan reports the tail as torn instead of
 //! silently yielding garbage. After a crash, [`Wal::recover_scan`] re-derives the
@@ -23,10 +31,10 @@
 //! the paper's terms), so log writes are sequential and never interleave with index
 //! node I/O inside a single psync call. Nor do reads interleave with them: a record
 //! is serialised once, at [`Wal::append_with`], straight into the pending byte image
-//! a force lays over its pages, and the durable head of the partial page a force
+//! a force lays over its units, and the durable head of the partial unit a force
 //! must rewrite is kept in memory — in steady state [`Wal::force`] is one sequential
 //! write and **zero device reads** (see its contract for the events after which the
-//! first force reads the page head back once).
+//! first force reads the unit head back once).
 //!
 //! ## Truncation and the log lifecycle
 //!
@@ -48,7 +56,7 @@
 //! checkpoint, never to the store's age.
 
 use parking_lot::Mutex;
-use pio::{IoQueue, IoResult, WriteRequest};
+use pio::{IoQueue, IoResult};
 use std::sync::Arc;
 
 /// Log sequence number: the byte offset of a record within the log.
@@ -91,9 +99,9 @@ struct WalInner {
     /// image: the buffer of the image forced before, so appends do not regrow
     /// one from nothing after every force.
     spare: Vec<u8>,
-    /// The durable bytes of the log's last, partial page — `(end, bytes)` with
-    /// `bytes` the image of LSNs `[page base of end, end)` — kept so that the
-    /// next force, which rewrites that page, need not read it back. `None`
+    /// The durable bytes of the log's last, partial force unit — `(end, bytes)`
+    /// with `bytes` the image of LSNs `[unit base of end, end)` — kept so that
+    /// the next force, which rewrites that unit, need not read it back. `None`
     /// means unknown: the force falls back to one device read.
     tail: Option<(Lsn, Vec<u8>)>,
     /// Next LSN to hand out.
@@ -119,9 +127,11 @@ pub struct Wal {
     /// Byte offset of the start of the log region on the backend.
     base_offset: u64,
     page_size: usize,
+    /// The bytes a force rounds its write out to: a divisor of `page_size`.
+    force_unit: usize,
     inner: Mutex<WalInner>,
     /// Serialises concurrent [`Wal::force`] calls end to end: two in-flight
-    /// forces would both rebuild the page containing their shared boundary
+    /// forces would both rebuild the unit containing their shared boundary
     /// record — each zero-filling the part the other owns — so whichever write
     /// lands second would erase the other's records.
     force_lock: Mutex<()>,
@@ -251,12 +261,26 @@ fn parse_records(raw: &[u8], base_lsn: Lsn) -> (Vec<WalRecord>, bool) {
 
 impl Wal {
     /// Creates a log whose records are written starting at `base_offset` on `io`,
-    /// forced in units of `page_size` bytes.
+    /// laid out in pages of `page_size` bytes and forced in whole pages.
     pub fn new(io: Arc<dyn IoQueue>, base_offset: u64, page_size: usize) -> Self {
+        Self::with_flash_page(io, base_offset, page_size, page_size as u64)
+    }
+
+    /// [`Wal::new`] for a log on a device that programs `flash_page_bytes` at
+    /// a time: a force writes the smaller of the flash page and `page_size`.
+    /// Both must be powers of two (as every page size and flash page is).
+    pub fn with_flash_page(io: Arc<dyn IoQueue>, base_offset: u64, page_size: usize, flash_page_bytes: u64) -> Self {
+        // No wider than the page, so the cast is lossless.
+        let force_unit = flash_page_bytes.min(page_size as u64) as usize;
+        assert!(
+            force_unit > 0 && page_size.is_multiple_of(force_unit),
+            "the force unit ({force_unit} B) must divide the page ({page_size} B)"
+        );
         Self {
             io,
             base_offset,
             page_size,
+            force_unit,
             inner: Mutex::new(WalInner::default()),
             force_lock: Mutex::new(()),
         }
@@ -332,20 +356,25 @@ impl Wal {
     /// forces are serialised; records appended while a force is in flight are
     /// picked up by the next one.
     ///
-    /// A force writes whole pages, so it rewrites the durable head of the
-    /// page its first record starts in. Those bytes come from memory — every
-    /// successful force keeps the image of the partial page it ended in — so
-    /// in steady state a force issues **no device read**, only its one
-    /// sequential write. The cached tail is dropped by everything that moves
-    /// the durable frontier or the LSN→byte mapping behind the cache's back
+    /// A force writes the whole force units its records touch — flash pages,
+    /// or index pages where those are smaller — as **one** sequential write
+    /// request, zero-filled so that at least a whole zero header follows its
+    /// last record (a scan stops there, never in bytes an older write or an
+    /// old mapping left behind; that takes one more unit when the records end
+    /// within a header of a unit's end). It rewrites the durable head of the
+    /// unit its first record starts in. Those bytes come from memory — every
+    /// successful force keeps the image of the partial unit it ended in — so
+    /// in steady state a force issues **no device read**, only its one write.
+    /// The cached tail is dropped by everything that moves the durable
+    /// frontier or the LSN→byte mapping behind the cache's back
     /// ([`Wal::simulate_crash`], [`Wal::recover_scan`], a
     /// [`Wal::truncate_to`] that drops records) and by a failed force; the
-    /// first force after one of those reads the page head back once.
+    /// first force after one of those reads the unit head back once.
     ///
     /// On **any** error the records stay pending, ahead of whatever was
     /// appended meanwhile (which holds later LSNs): a failed force must not
     /// leave a hole in the LSN sequence that would truncate every later record
-    /// at read time. A retried force rewrites the same pages in full, healing
+    /// at read time. A retried force rewrites the same units in full, healing
     /// whatever prefix of this attempt reached the device.
     pub fn force(&self) -> IoResult<()> {
         let _serialised = self.force_lock.lock();
@@ -357,7 +386,7 @@ impl Wal {
                 return Ok(());
             }
             let first_lsn = inner.next_lsn - inner.pending.len() as u64;
-            // The cached tail is the page head only if it ends where this
+            // The cached tail is the unit head only if it ends where this
             // image starts (after a salvaging rescan it would not).
             let head = inner
                 .tail
@@ -368,7 +397,7 @@ impl Wal {
             (image, first_lsn, inner.phys_start, head)
         };
         let end_byte = first_lsn + image.len() as u64;
-        match self.write_pages_covering(first_lsn, &image, phys_start, head) {
+        match self.write_units_covering(first_lsn, &image, phys_start, head) {
             Ok(tail) => {
                 let mut inner = self.inner.lock();
                 inner.durable_lsn = inner.durable_lsn.max(end_byte);
@@ -386,41 +415,41 @@ impl Wal {
         }
     }
 
-    /// Writes the whole pages covering LSNs `[first_lsn, first_lsn +
-    /// image.len())` with one sequential psync call and returns the image of
-    /// the partial page the write ended in (the next force's `tail`). The head
-    /// of the first page — bytes a previous force made durable — is
-    /// `cached_head` when the caller still holds it, else read from the device.
-    /// The pages are laid out in the head's buffer, and the partial page is
-    /// returned in the same buffer, so steady forces reuse one.
-    fn write_pages_covering(
+    /// Writes the whole force units covering LSNs `[first_lsn, first_lsn +
+    /// image.len())` and a zero header after them as one sequential write
+    /// request, and returns the image of the partial unit the write ended in
+    /// (the next force's `tail`). The head of the first unit — bytes a
+    /// previous force made durable — is `cached_head` when the caller still
+    /// holds it, else read from the device. The units are laid out in the
+    /// head's buffer, and the partial unit is returned in the same buffer, so
+    /// steady forces reuse one.
+    fn write_units_covering(
         &self,
         first_lsn: Lsn,
         image: &[u8],
         phys_start: u64,
         cached_head: Option<Vec<u8>>,
     ) -> IoResult<Vec<u8>> {
-        let ps = self.page_size;
-        let page_base = first_lsn - first_lsn % ps as u64;
-        let head = (first_lsn - page_base) as usize;
+        let unit = self.force_unit;
+        let unit_base = first_lsn - first_lsn % unit as u64;
+        let head = (first_lsn - unit_base) as usize;
         let mut region = match cached_head {
-            // Empty when the image starts a page.
+            // Empty when the image starts a unit.
             Some(bytes) => bytes,
             None if head == 0 => Vec::new(),
-            None => self.io.read_at(self.phys(page_base, phys_start), head)?.to_vec(),
+            None => self.io.read_at(self.phys(unit_base, phys_start), head)?.to_vec(),
         };
-        debug_assert_eq!(region.len(), head, "the page head ends where the image starts");
+        debug_assert_eq!(region.len(), head, "the unit head ends where the image starts");
         region.extend_from_slice(image);
-        let partial = region.len() % ps;
-        region.resize(region.len().next_multiple_of(ps), 0);
-        let reqs: Vec<WriteRequest> = region
-            .chunks(ps)
-            .enumerate()
-            .map(|(i, chunk)| WriteRequest::new(self.phys(page_base, phys_start) + (i * ps) as u64, chunk))
-            .collect();
-        self.io.psync_write(&reqs)?;
-        let last = region.len() - ps;
-        region.copy_within(last..last + partial, 0);
+        let filled = region.len();
+        let partial = filled % unit;
+        // Zero-filled to a unit's end, at least a whole header past the
+        // records — the scan's stop. Past the write lie whatever bytes the
+        // device holds there: after a compaction, intact records of the old
+        // mapping.
+        region.resize((filled + HEADER).next_multiple_of(unit), 0);
+        self.io.write_at(self.phys(unit_base, phys_start), &region)?;
+        region.copy_within(filled - partial..filled, 0);
         region.truncate(partial);
         Ok(if region.capacity() > KEEP_BYTES {
             region.to_vec()
@@ -901,14 +930,14 @@ mod tests {
         w.force().unwrap();
         let anchored = w.durable_lsn();
 
-        // A force spanning 3 pages (records of 1000 bytes each), torn after the
-        // first page plus 100 bytes of the second.
+        // A force spanning 3 pages (records of 1000 bytes each) in its one
+        // request, torn after the first page plus 100 bytes of the second.
         for i in 0..10u32 {
             w.append(&vec![i as u8 + 1; 1000]);
         }
         clock.arm(CrashPlan::at_write(clock.writes_seen()).with_torn(TornWrite {
-            keep_requests: 1,
-            keep_bytes_of_next: 100,
+            keep_requests: 0,
+            keep_bytes_of_next: 4096 + 100,
         }));
         assert!(w.force().is_err());
         clock.heal();
@@ -997,6 +1026,7 @@ mod tests {
         }
         assert_eq!(io.io_stats().reads, 0, "no read-back between the writes");
         assert_eq!(io.io_stats().batches, 200, "one psync write per force");
+        assert_eq!(io.io_stats().writes, 200, "of one request");
         // A rescan drops the cached tail: exactly the next force reads it back.
         w.recover_scan().unwrap();
         let reads = io.io_stats().reads;
@@ -1010,10 +1040,12 @@ mod tests {
 
     /// The reference of the differential test below: every byte the log ever
     /// made durable, indexed by LSN, plus its own image of the data region —
-    /// and each force's pages cut from that byte stream alone, with no cached
+    /// and each force's units cut from that byte stream alone, with no cached
     /// tail, no pending image and no read-back to get wrong.
     struct Reference {
         ps: usize,
+        /// The force unit: a force writes whole units of the byte stream.
+        unit: usize,
         /// The durable log, byte `i` being LSN `i`.
         stream: Vec<u8>,
         /// On-disk images of the records appended but not forced.
@@ -1032,12 +1064,15 @@ mod tests {
             self.pending.extend_from_slice(payload);
         }
 
-        /// The page-aligned write a force of `pending` must issue: its offset
+        /// The unit-aligned write a force of `pending` must issue: its offset
         /// in the data region and its bytes.
         fn force_write(&self) -> (usize, Vec<u8>) {
-            let from = self.stream.len() / self.ps * self.ps;
+            let from = self.stream.len() / self.unit * self.unit;
             let mut bytes = [&self.stream[from..], &self.pending[..]].concat();
-            bytes.resize(bytes.len().next_multiple_of(self.ps), 0);
+            // Zero-filled to the unit's end, and through one more unit when
+            // that leaves less than a header of zeros after the records.
+            let end = (bytes.len() + HEADER).next_multiple_of(self.unit);
+            bytes.resize(end, 0);
             (from - self.phys_start, bytes)
         }
 
@@ -1092,14 +1127,23 @@ mod tests {
     /// truncations (compactions included) and demands a byte-identical data
     /// region, the same frontiers and the same record list after every step.
     /// This is what makes the in-memory tail and the single pending image safe
-    /// to trust. `CRASH_SEED` replays a failure.
+    /// to trust. It runs with the force unit equal to the page and at half the
+    /// page. `CRASH_SEED` replays a failure.
     #[test]
     fn wal_differential_against_a_rebuilding_reference() {
-        const PS: usize = 512;
         let seed: u64 = std::env::var("CRASH_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(0x5EED_0106);
+        for unit in [PS, PS / 2] {
+            wal_differential(seed, unit);
+        }
+    }
+
+    /// The page of the differential test.
+    const PS: usize = 512;
+
+    fn wal_differential(seed: u64, unit: usize) {
         let mut x = seed | 1;
         let mut rand = move |n: usize| {
             x ^= x << 13;
@@ -1110,9 +1154,10 @@ mod tests {
         let clock = FaultClock::new();
         let sim: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
         let faulty: Arc<dyn IoQueue> = Arc::new(FaultIo::new(Arc::clone(&sim), Arc::clone(&clock)));
-        let w = Wal::new(faulty, 0, PS);
+        let w = Wal::with_flash_page(faulty, 0, PS, unit as u64);
         let mut model = Reference {
             ps: PS,
+            unit,
             stream: Vec::new(),
             pending: Vec::new(),
             dev: Vec::new(),
@@ -1123,7 +1168,7 @@ mod tests {
         let mut boundaries: Vec<usize> = Vec::new();
         let mut compactions = 0;
         for step in 0..4_000u32 {
-            let ctx = format!("CRASH_SEED={seed} step={step}");
+            let ctx = format!("CRASH_SEED={seed} unit={unit} step={step}");
             match rand(100) {
                 0..=54 => {
                     // Mostly small records, sometimes one spanning pages.
@@ -1139,29 +1184,41 @@ mod tests {
                     model.force();
                 }
                 80..=86 if !model.pending.is_empty() => {
-                    // A force that fails, leaving a torn prefix (often empty)
-                    // of its write behind; the records must stay pending.
+                    // A force that fails, leaving a torn prefix (often empty,
+                    // often whole units) of its one request behind; the
+                    // records must stay pending.
                     let (off, bytes) = model.force_write();
-                    let torn = TornWrite {
-                        keep_requests: rand(bytes.len() / PS + 1),
-                        keep_bytes_of_next: if rand(2) == 0 { 0 } else { rand(PS) },
+                    let cut = if rand(2) == 0 {
+                        rand(bytes.len() / unit + 1) * unit
+                    } else {
+                        rand(bytes.len() + 1)
                     };
-                    // A cold force reads the page head first; only the write fails.
+                    let torn = TornWrite {
+                        keep_requests: 0,
+                        keep_bytes_of_next: cut,
+                    };
+                    // A cold force reads the unit head first; only the write fails.
                     clock.arm(CrashPlan::on_payload(|_| true).with_torn(torn).transient());
                     assert!(w.force().is_err(), "{ctx}: armed force");
                     clock.heal();
-                    model.land(off, &bytes, torn.keep_requests * PS + torn.keep_bytes_of_next);
+                    model.land(off, &bytes, cut);
                 }
                 87..=91 => {
                     // Crash: pending records die; the recovery scan salvages
-                    // whatever whole records a torn force left past the durable end.
+                    // whatever whole records a torn force left past the
+                    // durable end — records this log appended, never stale
+                    // bytes.
                     w.simulate_crash();
-                    model.pending.clear();
+                    let pending = std::mem::take(&mut model.pending);
                     let scan = w.recover_scan().unwrap_or_else(|e| panic!("{ctx}: recover_scan: {e}"));
                     let from = model.stream.len() - model.phys_start;
                     let salvaged = scan.durable_lsn as usize - model.stream.len();
                     assert_eq!(scan.salvaged_bytes as usize, salvaged, "{ctx}: salvaged bytes");
                     let bytes = model.dev[from..from + salvaged].to_vec();
+                    assert!(
+                        pending.starts_with(&bytes),
+                        "{ctx}: salvaged bytes that were never appended"
+                    );
                     model.stream.extend_from_slice(&bytes);
                     boundaries.retain(|&b| b < model.stream.len());
                 }
@@ -1204,11 +1261,11 @@ mod tests {
         model.force();
         let (expect, torn) = parse_records(&model.stream[model.trunc..], model.trunc as Lsn);
         let scan = w.scan().unwrap();
-        assert!(!scan.torn_tail && !torn, "CRASH_SEED={seed}");
-        assert_eq!(scan.records, expect, "CRASH_SEED={seed}: final scan");
+        assert!(!scan.torn_tail && !torn, "CRASH_SEED={seed} unit={unit}");
+        assert_eq!(scan.records, expect, "CRASH_SEED={seed} unit={unit}: final scan");
         assert!(
             compactions >= 2,
-            "CRASH_SEED={seed}: the stream must compact ({compactions})"
+            "CRASH_SEED={seed} unit={unit}: the stream must compact ({compactions})"
         );
     }
 
@@ -1274,6 +1331,49 @@ mod tests {
         let recs = w2.scan().unwrap().records;
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].payload, b"lost-bookkeeping");
+    }
+
+    /// The force unit is no part of the format: a log forced at one unit —
+    /// truncated, so a header slot is in play too — recovers under a handle
+    /// with the other, which appends after a cold read of the unit head, and
+    /// the first unit's handle then reads back both, in either direction.
+    #[test]
+    fn a_log_forced_at_one_unit_recovers_at_the_other() {
+        for (first, second) in [(4096u64, 2048u64), (2048, 4096)] {
+            let ctx = format!("forced at {first}, reopened at {second}");
+            let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+            let w1 = Wal::with_flash_page(Arc::clone(&io), 0, 4096, first);
+            let mut payloads: Vec<Vec<u8>> = Vec::new();
+            let mut lsns = Vec::new();
+            for i in 0..40u32 {
+                // Mixed sizes: forces start and end mid-unit and span units.
+                payloads.push(vec![i as u8 + 1; 1 + (i as usize * 373) % 2500]);
+                lsns.push(w1.append(payloads.last().unwrap()));
+                if i % 3 == 0 {
+                    w1.force().unwrap();
+                }
+            }
+            w1.force().unwrap();
+            w1.truncate_to(lsns[5]).unwrap();
+
+            // A restarted handle at `unit` reads back every payload past the floor.
+            let reopen = |unit: u64, payloads: &[Vec<u8>]| {
+                let w = Wal::with_flash_page(Arc::clone(&io), 0, 4096, unit);
+                let scan = w.recover_scan().unwrap();
+                assert!(!scan.torn_tail, "{ctx}: reopened at {unit}");
+                let read: Vec<Vec<u8>> = scan.records.into_iter().map(|r| r.payload).collect();
+                assert_eq!(read, payloads[5..], "{ctx}: reopened at {unit}");
+                w
+            };
+            let w2 = reopen(second, &payloads);
+            assert_eq!(w2.durable_lsn(), w1.durable_lsn(), "{ctx}");
+            for i in 0..5u32 {
+                payloads.push(format!("reopened-{i}").into_bytes());
+                w2.append(payloads.last().unwrap());
+                w2.force().unwrap();
+            }
+            reopen(first, &payloads);
+        }
     }
 
     #[test]
@@ -1376,6 +1476,47 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].lsn, last_tail);
         assert_eq!(scan.records[0].payload, b"tail-5");
+    }
+
+    /// A compaction leaves intact records of the old mapping past the zero
+    /// page it writes after the survivors. Records that end on a unit
+    /// boundary there must not run into them: every force ends in a zero
+    /// header, so a restarted handle adopts exactly the durable records.
+    /// 64-byte records put a header at every unit start, so the old ones line
+    /// up with the end of the new ones.
+    #[test]
+    fn a_restart_after_a_compaction_adopts_no_stale_record() {
+        for unit in [512u64, 256] {
+            let io: Arc<dyn IoQueue> = Arc::new(SimPsyncIo::with_profile(DeviceProfile::F120, 64 << 20));
+            let w = Wal::with_flash_page(Arc::clone(&io), 0, 512, unit);
+            let record = |i: u32| vec![i as u8 | 1; 64 - HEADER];
+            let mut lsns = Vec::new();
+            for i in 0..80 {
+                lsns.push(w.append(&record(i)));
+            }
+            w.force().unwrap();
+            w.truncate_to(lsns[78]).unwrap();
+            for i in 80..84 {
+                lsns.push(w.append(&record(i)));
+            }
+            w.force().unwrap();
+            w.truncate_to(lsns[82]).unwrap();
+            assert!(
+                w.inner.lock().phys_start > 0,
+                "unit {unit}: the second truncation compacts"
+            );
+            for i in 84..124 {
+                w.append(&record(i));
+                w.force().unwrap();
+                let restarted = Wal::with_flash_page(Arc::clone(&io), 0, 512, unit);
+                let scan = restarted.recover_scan().unwrap();
+                assert_eq!(
+                    (scan.durable_lsn, scan.records.len()),
+                    (w.durable_lsn(), i as usize - 81),
+                    "unit {unit}, record {i}: a restart adopted stale records"
+                );
+            }
+        }
     }
 
     /// A crash that tears the truncation-header write must leave the log on

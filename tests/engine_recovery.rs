@@ -365,6 +365,78 @@ fn a_single_shard_batch_costs_no_epoch_and_one_force() {
     );
 }
 
+/// A shard log is forced in the device's flash pages, not in index pages: on
+/// a 4 KiB-page engine over P300 (2 KiB flash pages) the force of a one-key
+/// put — a batch of one, as the service sends it — is one write request of
+/// 2,048 bytes, and every byte cut of that request
+/// recovers the put all or nothing — absent while the cut is short, present
+/// from some cut on, and present when the whole request lands. The key and
+/// value come from `CRASH_SEED`.
+#[test]
+fn a_put_forces_one_flash_page_and_every_cut_recovers_all_or_nothing() {
+    let (mut rng, seed) = seeded_rng();
+    let config = EngineConfig::builder()
+        .shards(1)
+        .profile(DeviceProfile::P300)
+        .shard_capacity_bytes(1 << 26)
+        .wal_capacity_bytes(1 << 20)
+        .base(PioConfig::builder().page_size(4096).pool_pages(64).wal(true).build())
+        .build();
+    let entries: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 10, k)).collect();
+    let (key, value) = (rng.gen_range(0..2_000u64), rng.gen_range(1..u64::MAX));
+    let absent: BTreeMap<u64, u64> = entries.iter().copied().collect();
+    let mut present = absent.clone();
+    present.insert(key, value);
+    let engine_on = |backends: EngineBackends| {
+        EngineBuilder::new(config.clone())
+            .entries(&entries)
+            .topology(backends)
+            .build()
+            .unwrap()
+    };
+
+    let (backends, _clocks) = per_backend_clocks(&config);
+    let wal = Arc::clone(&backends.shard_wals[0]);
+    let engine = engine_on(backends);
+    let before = wal.io_stats();
+    engine.insert_batch(&[(key, value)]).unwrap();
+    let after = wal.io_stats();
+    assert_eq!(
+        (
+            after.batches - before.batches,
+            after.writes - before.writes,
+            after.write_bytes - before.write_bytes
+        ),
+        (1, 1, 2048),
+        "seed {seed}: one psync call of one 2 KiB request"
+    );
+    drop(engine);
+
+    let mut seen_present = false;
+    for cut in 0..=2048 {
+        let ctx = format!("seed {seed} cut {cut}");
+        let (backends, clocks) = per_backend_clocks(&config);
+        let engine = engine_on(backends);
+        clocks.wals[0].arm(CrashPlan::at_write(clocks.wals[0].writes_seen()).with_torn(TornWrite {
+            keep_requests: 0,
+            keep_bytes_of_next: cut,
+        }));
+        assert!(engine.insert_batch(&[(key, value)]).is_err(), "{ctx}");
+        clocks.heal_all();
+        engine.simulate_crash();
+        engine
+            .recover()
+            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let state = engine_state(&engine);
+        let is_present = state == present;
+        assert!(is_present || state == absent, "{ctx}: the put shows in part");
+        assert!(is_present || !seen_present, "{ctx}: a longer cut lost the put");
+        assert!(cut > 0 || !is_present, "{ctx}: a force that lands nothing");
+        assert!(cut < 2048 || is_present, "{ctx}: the whole force");
+        seen_present |= is_present;
+    }
+}
+
 /// Single-shard batches (local brackets) and two-shard batches (epochs) from
 /// two threads, interleaving on shard 0's log, under per-backend fault clocks:
 /// one backend — a shard WAL or a shard store, seeded — dies at

@@ -108,8 +108,9 @@ fn a_local_bracket_commits_iff_its_close_is_durable() {
             .collect();
         let committed = with(&base, &batch);
 
-        // Profile the clean run: the bracket is one force of the pages holding
-        // LSNs [page base of `begin`, `end`); its last record is the close.
+        // Profile the clean run: the bracket is one force, one write request
+        // over the pages holding LSNs [page base of `begin`, `end`); its last
+        // record is the close.
         let clock = FaultClock::new();
         let mut clean = tree(&clock);
         let begin = clean.wal().unwrap().next_lsn();
@@ -133,8 +134,8 @@ fn a_local_bracket_commits_iff_its_close_is_durable() {
             let clock = FaultClock::new();
             let mut tree = tree(&clock);
             clock.arm(CrashPlan::at_write(clock.writes_seen()).with_torn(TornWrite {
-                keep_requests: cut / PAGE,
-                keep_bytes_of_next: cut % PAGE,
+                keep_requests: 0,
+                keep_bytes_of_next: cut,
             }));
             assert!(tree.apply(&inserts(&batch), Some(LOCAL_EPOCH)).is_err(), "{ctx}");
             clock.heal();
